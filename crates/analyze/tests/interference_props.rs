@@ -5,47 +5,31 @@
 //! final state — the dynamic meaning of the static certificate.
 
 use analyze::{analyze_dependencies, AnalyzeOptions};
-use event_algebra::{enumerate_maximal, DependencyMachine, Expr, Literal, SymbolId, SymbolTable};
-use proptest::prelude::*;
+use event_algebra::{enumerate_maximal, DependencyMachine, Expr, SymbolId, SymbolTable};
+use testkit::{check, Exprs, Gen};
 
-fn lit_in(range: std::ops::Range<u32>) -> impl Strategy<Value = Literal> {
-    (range, any::<bool>()).prop_map(|(s, pos)| {
-        if pos {
-            Literal::pos(SymbolId(s))
-        } else {
-            Literal::neg(SymbolId(s))
-        }
-    })
+const CASES: u32 = 40;
+
+fn syms(range: std::ops::Range<u32>) -> Vec<SymbolId> {
+    range.map(SymbolId).collect()
 }
 
-fn expr_over(range: std::ops::Range<u32>) -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        6 => lit_in(range).prop_map(Expr::lit),
-        1 => Just(Expr::Top),
-        1 => Just(Expr::Zero),
-    ];
-    leaf.prop_recursive(2, 12, 3, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 2..=3).prop_map(Expr::or),
-            prop::collection::vec(inner.clone(), 2..=2).prop_map(Expr::and),
-            prop::collection::vec(inner, 2..=2).prop_map(Expr::seq),
-        ]
-    })
+/// One to three dependencies over at most four symbols, each up to two
+/// operator levels deep over the full grammar.
+fn workflow(g: &mut Gen) -> Vec<Expr> {
+    (0..g.len(1, 3)).map(|_| g.term(&syms(0..4), 2)).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// Soundness of the commutation relation: a pair the plan claims
-    /// commuting may be transposed at any adjacent position of any
-    /// maximal trace without moving any machine to a different state.
-    /// (The converse need not hold — the all-states machine check is
-    /// deliberately conservative about states no consistent trace
-    /// revisits — so only this direction is asserted.)
-    #[test]
-    fn claimed_commutation_survives_every_adjacent_transposition(
-        deps in prop::collection::vec(expr_over(0..4), 1..=3),
-    ) {
+/// Soundness of the commutation relation: a pair the plan claims
+/// commuting may be transposed at any adjacent position of any
+/// maximal trace without moving any machine to a different state.
+/// (The converse need not hold — the all-states machine check is
+/// deliberately conservative about states no consistent trace
+/// revisits — so only this direction is asserted.)
+#[test]
+fn claimed_commutation_survives_every_adjacent_transposition() {
+    check("claimed_commutation_survives_every_adjacent_transposition", CASES, |g| {
+        let deps = workflow(g);
         let mut syms: Vec<SymbolId> = deps.iter().flat_map(|d| d.symbols()).collect();
         syms.sort();
         syms.dedup();
@@ -64,43 +48,47 @@ proptest! {
                 for (ix, m) in machines.iter().enumerate() {
                     let q0 = ev.iter().fold(m.initial, |q, &l| m.step(q, l));
                     let q1 = w.iter().fold(m.initial, |q, &l| m.step(q, l));
-                    prop_assert_eq!(
-                        q0, q1,
+                    assert_eq!(
+                        q0,
+                        q1,
                         "dep {} distinguishes transposing {} and {} at position {}",
-                        ix, ev[i], ev[i + 1], i
+                        ix,
+                        ev[i],
+                        ev[i + 1],
+                        i
                     );
                 }
             }
         }
-    }
+    });
+}
 
-    /// Structural invariants of the certificate: independence refines
-    /// commutation, both relations are canonically ordered and sorted
-    /// (binary-searchable), and colocated pairs never commute.
-    #[test]
-    fn certificate_invariants(
-        deps in prop::collection::vec(expr_over(0..4), 1..=3),
-    ) {
+/// Structural invariants of the certificate: independence refines
+/// commutation, both relations are canonically ordered and sorted
+/// (binary-searchable), and colocated pairs never commute.
+#[test]
+fn certificate_invariants() {
+    check("certificate_invariants", CASES, |g| {
+        let deps = workflow(g);
         let table = SymbolTable::new();
         let r = analyze_dependencies(&deps, &table, &AnalyzeOptions::default());
         let plan = r.shard_plan.expect("plan");
         for w in [&plan.commuting, &plan.independent] {
-            prop_assert!(w.windows(2).all(|p| p[0] < p[1]), "sorted, deduped");
-            prop_assert!(w.iter().all(|&(a, b)| a < b), "canonical pairs");
+            assert!(w.windows(2).all(|p| p[0] < p[1]), "sorted, deduped");
+            assert!(w.iter().all(|&(a, b)| a < b), "canonical pairs");
         }
         for &(a, b) in &plan.independent {
-            prop_assert!(plan.commutes(a, b), "independence refines commutation");
+            assert!(plan.commutes(a, b), "independence refines commutation");
         }
         // Any analyzed pair the plan does not claim commuting must have
         // been colocated — non-commutable pairs never straddle shards.
-        let analyzed: Vec<_> =
-            plan.classes.iter().flat_map(|c| c.events.iter().copied()).collect();
+        let analyzed: Vec<_> = plan.classes.iter().flat_map(|c| c.events.iter().copied()).collect();
         for (i, &a) in analyzed.iter().enumerate() {
             for &b in &analyzed[i + 1..] {
                 if !plan.commutes(a, b) {
-                    prop_assert!(plan.colocated(a, b), "{a:?} {b:?} non-commutable yet split");
+                    assert!(plan.colocated(a, b), "{a:?} {b:?} non-commutable yet split");
                 }
             }
         }
-    }
+    });
 }

@@ -4,40 +4,24 @@
 
 use analyze::{analyze_dependencies, AnalyzeOptions};
 use event_algebra::{enumerate_maximal, satisfies, Expr, Literal, SymbolId, SymbolTable, Trace};
-use proptest::prelude::*;
+use testkit::{check, Exprs, Gen};
 
-fn lit_in(range: std::ops::Range<u32>) -> impl Strategy<Value = Literal> {
-    (range, any::<bool>()).prop_map(|(s, pos)| {
-        if pos {
-            Literal::pos(SymbolId(s))
-        } else {
-            Literal::neg(SymbolId(s))
-        }
-    })
+const CASES: u32 = 48;
+
+fn syms(range: std::ops::Range<u32>) -> Vec<SymbolId> {
+    range.map(SymbolId).collect()
 }
 
-fn expr_over(range: std::ops::Range<u32>) -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        6 => lit_in(range).prop_map(Expr::lit),
-        1 => Just(Expr::Top),
-        1 => Just(Expr::Zero),
-    ];
-    leaf.prop_recursive(2, 12, 3, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 2..=3).prop_map(Expr::or),
-            prop::collection::vec(inner.clone(), 2..=2).prop_map(Expr::and),
-            prop::collection::vec(inner, 2..=2).prop_map(Expr::seq),
-        ]
-    })
+/// One to three dependencies over at most four symbols, each up to two
+/// operator levels deep over the full grammar.
+fn workflow(g: &mut Gen) -> Vec<Expr> {
+    (0..g.len(1, 3)).map(|_| g.term(&syms(0..4), 2)).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn analyzer_agrees_with_trace_enumeration(
-        deps in prop::collection::vec(expr_over(0..4), 1..=3),
-    ) {
+#[test]
+fn analyzer_agrees_with_trace_enumeration() {
+    check("analyzer_agrees_with_trace_enumeration", CASES, |g| {
+        let deps = workflow(g);
         let mut syms: Vec<SymbolId> = deps.iter().flat_map(|d| d.symbols()).collect();
         syms.sort();
         syms.dedup();
@@ -47,27 +31,28 @@ proptest! {
             .collect();
         let table = SymbolTable::new();
         let r = analyze_dependencies(&deps, &table, &AnalyzeOptions::default());
-        prop_assert!(!r.incomplete, "default budget must cover 4 symbols");
-        prop_assert_eq!(r.jointly_contradictory, sat.is_empty());
+        assert!(!r.incomplete, "default budget must cover 4 symbols");
+        assert_eq!(r.jointly_contradictory, sat.is_empty());
         for &s in &syms {
             let pos = Literal::pos(s);
             let brute_dead = !sat.is_empty() && sat.iter().all(|u| !u.contains(pos));
             let brute_forced = !sat.is_empty() && sat.iter().all(|u| u.contains(pos));
-            prop_assert_eq!(r.dead.contains(&pos), brute_dead, "dead({})", pos);
-            prop_assert_eq!(r.forced.contains(&pos), brute_forced, "forced({})", pos);
+            assert_eq!(r.dead.contains(&pos), brute_dead, "dead({pos})");
+            assert_eq!(r.forced.contains(&pos), brute_forced, "forced({pos})");
         }
         // The report's structured verdicts and its diagnostics agree.
-        prop_assert_eq!(r.has_code("WF002"), !r.dead.is_empty());
-        prop_assert_eq!(r.has_code("WF003"), !r.forced.is_empty());
-    }
+        assert_eq!(r.has_code("WF002"), !r.dead.is_empty());
+        assert_eq!(r.has_code("WF003"), !r.forced.is_empty());
+    });
+}
 
-    /// A tiny budget must never produce a wrong verdict — only an
-    /// incomplete one.
-    #[test]
-    fn cutoff_is_sound_not_wrong(
-        deps in prop::collection::vec(expr_over(0..4), 1..=3),
-        budget in 1usize..6,
-    ) {
+/// A tiny budget must never produce a wrong verdict — only an
+/// incomplete one.
+#[test]
+fn cutoff_is_sound_not_wrong() {
+    check("cutoff_is_sound_not_wrong", CASES, |g| {
+        let deps = workflow(g);
+        let budget = g.range(1usize..6);
         let table = SymbolTable::new();
         let full = analyze_dependencies(&deps, &table, &AnalyzeOptions::default());
         let tight = analyze_dependencies(
@@ -75,20 +60,20 @@ proptest! {
             &table,
             &AnalyzeOptions { state_budget: budget, ..AnalyzeOptions::default() },
         );
-        prop_assume!(!full.incomplete);
+        assert!(!full.incomplete, "default budget must cover 4 symbols");
         if !tight.incomplete {
-            prop_assert_eq!(tight.jointly_contradictory, full.jointly_contradictory);
-            prop_assert_eq!(tight.dead.clone(), full.dead.clone());
-            prop_assert_eq!(tight.forced.clone(), full.forced.clone());
+            assert_eq!(tight.jointly_contradictory, full.jointly_contradictory);
+            assert_eq!(tight.dead.clone(), full.dead.clone());
+            assert_eq!(tight.forced.clone(), full.forced.clone());
         } else {
             // Verdicts that *were* reached are sound: a dead/forced claim
             // only appears when its query ran to completion.
             for l in &tight.dead {
-                prop_assert!(full.dead.contains(l));
+                assert!(full.dead.contains(l));
             }
             for l in &tight.forced {
-                prop_assert!(full.forced.contains(l));
+                assert!(full.forced.contains(l));
             }
         }
-    }
+    });
 }

@@ -4,38 +4,33 @@
 //! runtime cost it buys (constant-time guard reduction / table lookup),
 //! as dependency size grows.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::time;
 use event_algebra::{residuate, satisfiable, DependencyMachine, Literal, SymbolId};
 use guard::{CompiledWorkflow, GuardScope};
 use testkit::{chain, klein_pipeline, symbols};
 
-fn bench_compile(c: &mut Criterion) {
-    let mut group = c.benchmark_group("compile");
+fn bench_compile() {
+    let group = "compile";
     for &n in &[2usize, 4, 6, 8] {
         let (_, syms) = symbols(n);
         let deps = klein_pipeline(&syms);
-        group.bench_with_input(BenchmarkId::new("guards", n), &n, |b, _| {
-            b.iter(|| CompiledWorkflow::compile(&deps, GuardScope::Mentioning).guards.len())
+        time(&format!("{group}/guards/{n}"), || {
+            CompiledWorkflow::compile(&deps, GuardScope::Mentioning).guards.len()
         });
-        group.bench_with_input(BenchmarkId::new("automata", n), &n, |b, _| {
-            b.iter(|| {
-                deps.iter().map(|d| DependencyMachine::compile(d).state_count()).sum::<usize>()
-            })
+        time(&format!("{group}/automata/{n}"), || {
+            deps.iter().map(|d| DependencyMachine::compile(d).state_count()).sum::<usize>()
         });
         let ch = chain(&syms);
-        group.bench_with_input(BenchmarkId::new("guards-chain", n), &n, |b, _| {
-            b.iter(|| {
-                CompiledWorkflow::compile(std::slice::from_ref(&ch), GuardScope::Mentioning)
-                    .guards
-                    .len()
-            })
+        time(&format!("{group}/guards-chain/{n}"), || {
+            CompiledWorkflow::compile(std::slice::from_ref(&ch), GuardScope::Mentioning)
+                .guards
+                .len()
         });
     }
-    group.finish();
 }
 
-fn bench_runtime(c: &mut Criterion) {
-    let mut group = c.benchmark_group("runtime");
+fn bench_runtime() {
+    let group = "runtime";
     for &n in &[4usize, 8] {
         let (_, syms) = symbols(n);
         let deps = klein_pipeline(&syms);
@@ -44,24 +39,23 @@ fn bench_runtime(c: &mut Criterion) {
         let g = compiled.guard(last);
         let fact = Literal::pos(syms[n - 2]);
         // Precompiled guard: one reduction per arriving announcement.
-        group.bench_with_input(BenchmarkId::new("guard-reduce", n), &n, |b, _| {
-            b.iter(|| g.assume_occurred(fact).holds_now())
-        });
+        time(&format!("{group}/guard-reduce/{n}"), || g.assume_occurred(fact).holds_now());
         // Automata runtime: one table step per event.
         let machines: Vec<DependencyMachine> =
             deps.iter().map(DependencyMachine::compile).collect();
-        group.bench_with_input(BenchmarkId::new("automata-step", n), &n, |b, _| {
-            b.iter(|| machines.iter().map(|m| m.step(m.initial, fact).index()).sum::<usize>())
+        time(&format!("{group}/automata-step/{n}"), || {
+            machines.iter().map(|m| m.step(m.initial, fact).index()).sum::<usize>()
         });
         // Uncompiled baseline: the centralized scheduler's runtime work —
         // residuate every dependency and re-check satisfiability.
-        group.bench_with_input(BenchmarkId::new("residuate-and-check", n), &n, |b, _| {
-            b.iter(|| deps.iter().map(|d| satisfiable(&residuate(d, fact)) as usize).sum::<usize>())
+        time(&format!("{group}/residuate-and-check/{n}"), || {
+            deps.iter().map(|d| satisfiable(&residuate(d, fact)) as usize).sum::<usize>()
         });
         let _ = SymbolId(0);
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_compile, bench_runtime);
-criterion_main!(benches);
+fn main() {
+    bench_compile();
+    bench_runtime();
+}

@@ -3,13 +3,13 @@
 //! that information can flow the moment it is available. Compares the
 //! reduction-based reaction against recomputing the guard from scratch.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::time;
 use event_algebra::Literal;
 use guard::{CompiledWorkflow, GuardScope, GuardSynth};
 use testkit::{klein_pipeline, symbols};
 
-fn bench_reaction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("reaction");
+fn bench_reaction() {
+    let group = "reaction";
     for &n in &[4usize, 6, 8] {
         let (_, syms) = symbols(n);
         let deps = klein_pipeline(&syms);
@@ -17,24 +17,20 @@ fn bench_reaction(c: &mut Criterion) {
         let target = Literal::pos(syms[n - 1]);
         let g = compiled.guard(target);
         let fact = Literal::pos(syms[n - 2]);
-        group.bench_with_input(BenchmarkId::new("incremental-reduce", n), &n, |b, _| {
-            b.iter(|| g.assume_occurred(fact).holds_now())
-        });
-        group.bench_with_input(BenchmarkId::new("recompute-from-scratch", n), &n, |b, _| {
-            b.iter(|| {
-                let mut s = GuardSynth::new();
-                let mut acc = temporal::Guard::top();
-                for d in &deps {
-                    if d.mentions(target.symbol()) {
-                        acc = acc.and(&s.guard(d, target));
-                    }
+        time(&format!("{group}/incremental-reduce/{n}"), || g.assume_occurred(fact).holds_now());
+        time(&format!("{group}/recompute-from-scratch/{n}"), || {
+            let mut s = GuardSynth::new();
+            let mut acc = temporal::Guard::top();
+            for d in &deps {
+                if d.mentions(target.symbol()) {
+                    acc = acc.and(&s.guard(d, target));
                 }
-                acc.assume_occurred(fact).holds_now()
-            })
+            }
+            acc.assume_occurred(fact).holds_now()
         });
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_reaction);
-criterion_main!(benches);
+fn main() {
+    bench_reaction();
+}

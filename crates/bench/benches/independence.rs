@@ -3,33 +3,28 @@
 //! per-part recursion instead of the full Definition 2 recursion over
 //! `Γ_D`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::time;
 use event_algebra::{Expr, Literal};
 use guard::GuardSynth;
 use testkit::{disjoint_arrows, symbols};
 
-fn bench_independence(c: &mut Criterion) {
-    let mut group = c.benchmark_group("independence");
-    group.sample_size(20);
+fn bench_independence() {
+    let group = "independence";
     for &pairs in &[2usize, 3, 4] {
         let (_, syms) = symbols(pairs * 2);
         let d = Expr::Or(disjoint_arrows(&syms));
         let ev = Literal::pos(syms[0]);
-        group.bench_with_input(BenchmarkId::new("definition2-full", pairs), &pairs, |b, _| {
-            b.iter(|| {
-                let mut s = GuardSynth::new();
-                s.guard(&d, ev).conjuncts().len()
-            })
+        time(&format!("{group}/definition2-full/{pairs}"), || {
+            let mut s = GuardSynth::new();
+            s.guard(&d, ev).conjuncts().len()
         });
-        group.bench_with_input(BenchmarkId::new("thm2-split", pairs), &pairs, |b, _| {
-            b.iter(|| {
-                let mut s = GuardSynth::new();
-                s.guard_split(&d, ev).conjuncts().len()
-            })
+        time(&format!("{group}/thm2-split/{pairs}"), || {
+            let mut s = GuardSynth::new();
+            s.guard_split(&d, ev).conjuncts().len()
         });
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_independence);
-criterion_main!(benches);
+fn main() {
+    bench_independence();
+}

@@ -3,31 +3,25 @@
 //! work for every engine, with the distributed engine spreading it.
 
 use baseline::Engine;
-use bench::{disjoint_workload, run_central, run_distributed};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::{disjoint_workload, run_central, run_distributed, time};
 
-fn bench_scalability(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scalability");
-    group.sample_size(15);
+fn bench_scalability() {
+    let group = "scalability";
     for &pairs in &[4u32, 16, 32] {
         let w = disjoint_workload(pairs, pairs.min(16));
-        group.bench_with_input(BenchmarkId::new("distributed", pairs), &pairs, |b, _| {
-            b.iter(|| {
-                let r = run_distributed(&w, 1);
-                assert!(r.all_satisfied());
-                r.duration
-            })
+        time(&format!("{group}/distributed/{pairs}"), || {
+            let r = run_distributed(&w, 1);
+            assert!(r.all_satisfied());
+            r.duration
         });
-        group.bench_with_input(BenchmarkId::new("central-symbolic", pairs), &pairs, |b, _| {
-            b.iter(|| {
-                let r = run_central(&w, 1, Engine::Symbolic);
-                assert!(r.all_satisfied());
-                r.duration
-            })
+        time(&format!("{group}/central-symbolic/{pairs}"), || {
+            let r = run_central(&w, 1, Engine::Symbolic);
+            assert!(r.all_satisfied());
+            r.duration
         });
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_scalability);
-criterion_main!(benches);
+fn main() {
+    bench_scalability();
+}

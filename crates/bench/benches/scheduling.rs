@@ -3,69 +3,58 @@
 //! symbolic residuation, centralized precompiled automata.
 
 use baseline::Engine;
-use bench::{pipeline_workload, run_central, run_distributed, standard_sim};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::{pipeline_workload, run_central, run_distributed, standard_sim, time};
 use dist::{run_workflow, ExecConfig, GuardMode};
 
-fn bench_scheduling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scheduling");
-    group.sample_size(20);
+fn bench_scheduling() {
+    let group = "scheduling";
     for &n in &[4u32, 8, 16] {
         let w = pipeline_workload(n, n.min(8));
-        group.bench_with_input(BenchmarkId::new("distributed", n), &n, |b, _| {
-            b.iter(|| {
-                let r = run_distributed(&w, 1);
-                assert!(r.all_satisfied());
-                r.net.sent_total
-            })
+        time(&format!("{group}/distributed/{n}"), || {
+            let r = run_distributed(&w, 1);
+            assert!(r.all_satisfied());
+            r.net.sent_total
         });
-        group.bench_with_input(BenchmarkId::new("central-symbolic", n), &n, |b, _| {
-            b.iter(|| {
-                let r = run_central(&w, 1, Engine::Symbolic);
-                assert!(r.all_satisfied());
-                r.net.sent_total
-            })
+        time(&format!("{group}/central-symbolic/{n}"), || {
+            let r = run_central(&w, 1, Engine::Symbolic);
+            assert!(r.all_satisfied());
+            r.net.sent_total
         });
-        group.bench_with_input(BenchmarkId::new("central-automata", n), &n, |b, _| {
-            b.iter(|| {
-                let r = run_central(&w, 1, Engine::Automata);
-                assert!(r.all_satisfied());
-                r.net.sent_total
-            })
+        time(&format!("{group}/central-automata/{n}"), || {
+            let r = run_central(&w, 1, Engine::Automata);
+            assert!(r.all_satisfied());
+            r.net.sent_total
         });
     }
-    group.finish();
 }
 
 /// Ablation: the paper's Section 4.2 "small insight" (weakened sequence
 /// guards, the default) against fully faithful `◇(sequence)` guards with
 /// residuation-based reduction.
-fn bench_guard_modes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("guard-mode");
-    group.sample_size(20);
+fn bench_guard_modes() {
+    let group = "guard-mode";
     for &n in &[4u32, 8] {
         let w = pipeline_workload(n, n.min(8));
         for (label, mode) in [("weakened", GuardMode::Weakened), ("faithful", GuardMode::Faithful)]
         {
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| {
-                    let r = run_workflow(
-                        &w.spec(),
-                        ExecConfig {
-                            sim: standard_sim(1),
-                            guard_mode: mode,
-                            max_steps: 5_000_000,
-                            ..ExecConfig::seeded(1)
-                        },
-                    );
-                    assert!(r.all_satisfied());
-                    r.net.sent_total
-                })
+            time(&format!("{group}/{label}/{n}"), || {
+                let r = run_workflow(
+                    &w.spec(),
+                    ExecConfig {
+                        sim: standard_sim(1),
+                        guard_mode: mode,
+                        max_steps: 5_000_000,
+                        ..ExecConfig::seeded(1)
+                    },
+                );
+                assert!(r.all_satisfied());
+                r.net.sent_total
             });
         }
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_scheduling, bench_guard_modes);
-criterion_main!(benches);
+fn main() {
+    bench_scheduling();
+    bench_guard_modes();
+}

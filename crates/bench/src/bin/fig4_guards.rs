@@ -35,8 +35,8 @@ fn main() {
         ("11b", d_arrow_t.clone(), f, "<>e", Guard::eventually(e)),
     ];
     println!(
-        "{:>4}  {:<18} {:>6}  {:<14} {:<24} {}",
-        "case", "dependency", "event", "paper", "computed", "match"
+        "{:>4}  {:<18} {:>6}  {:<14} {:<24} match",
+        "case", "dependency", "event", "paper", "computed"
     );
     println!("{}", "-".repeat(78));
     let mut all_ok = true;

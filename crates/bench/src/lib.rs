@@ -1,7 +1,8 @@
 //! Shared harness for the experiment suite: canonical workloads, run
-//! helpers and table printing. Every figure/table regeneration binary and
-//! every criterion bench builds on these, so the experiments in
-//! EXPERIMENTS.md are reproducible with one command each.
+//! helpers, table printing and the timing loop. Every figure/table
+//! regeneration binary and every bench under `benches/` builds on these,
+//! so the experiments in EXPERIMENTS.md are reproducible with one command
+//! each.
 
 #![warn(missing_docs)]
 
@@ -197,9 +198,31 @@ pub fn run_central(w: &Workload, seed: u64, engine: Engine) -> RunReport {
     )
 }
 
+/// Time `f` and print one `name  best  median` line, in nanoseconds per
+/// call: the whole harness of the wall-clock benches under `benches/`.
+/// The batch is doubled until one batch takes 5 ms, then 15 batches are
+/// timed; the best is the least disturbed by the host, the median shows
+/// how much disturbance there was.
+pub fn time<R>(name: &str, mut f: impl FnMut() -> R) {
+    let mut batch = |iters: u64| {
+        let start = std::time::Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(f());
+        }
+        start.elapsed()
+    };
+    let mut iters = 1u64;
+    while batch(iters) < std::time::Duration::from_millis(5) && iters < 1 << 30 {
+        iters *= 2;
+    }
+    let mut ns: Vec<f64> = (0..15).map(|_| batch(iters).as_nanos() as f64 / iters as f64).collect();
+    ns.sort_by(f64::total_cmp);
+    println!("{name:<44} best {:>12.1} ns  median {:>12.1} ns  ({iters} calls x 15)", ns[0], ns[7]);
+}
+
 /// Print an aligned table row.
 pub fn row(cols: &[String], widths: &[usize]) -> String {
-    cols.iter().zip(widths).map(|(c, w)| format!("{c:>w$}", w = w)).collect::<Vec<_>>().join("  ")
+    cols.iter().zip(widths).map(|(c, w)| format!("{c:>w$}")).collect::<Vec<_>>().join("  ")
 }
 
 /// Mean over a slice.

@@ -54,8 +54,8 @@ pub use temporal as logic;
 pub use agent::{EventAttrs, TaskAgent};
 pub use baseline::{run_centralized, CentralConfig, Engine};
 pub use dist::{
-    run_workflow, run_workflow_threaded, run_workflow_with_faults, AgentSpec, DepRuntime,
-    ExecConfig, FreeEventSpec, GuardMode, ReliableConfig, RunReport, Script, WorkflowSpec,
+    run_workflow, run_workflow_with_faults, AgentSpec, DepRuntime, ExecConfig, FreeEventSpec,
+    GuardMode, ReliableConfig, RunReport, Script, WorkflowSpec,
 };
 pub use event_algebra::{Expr, Literal, SymbolId, SymbolTable, Trace};
 pub use guard::{CompiledWorkflow, GuardScope};
@@ -255,11 +255,6 @@ impl Workflow {
     /// protocol's guarantees on the lossy network.
     pub fn run_faulty(&self, config: ExecConfig, plan: FaultPlan) -> RunReport {
         run_workflow_with_faults(&self.spec, config, plan)
-    }
-
-    /// Run on the threaded executor (real concurrency, nondeterministic).
-    pub fn run_threaded(&self, seed: u64) -> RunReport {
-        run_workflow_threaded(&self.spec, ExecConfig::seeded(seed))
     }
 
     /// Run under the centralized baseline scheduler.

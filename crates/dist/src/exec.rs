@@ -123,8 +123,7 @@ pub struct ExecConfig {
     /// message, promise-round phase, WAL append/replay and fault
     /// injection becomes a causal trace span, returned on
     /// [`RunReport::recording`]. `None` (the default) records nothing and
-    /// adds no work to the scheduling hot path. Ignored by the threaded
-    /// executor, whose interleavings are not deterministic.
+    /// adds no work to the scheduling hot path.
     pub record: Option<RecordConfig>,
     /// Arm the online runtime monitors: per-dependency verdict machines,
     /// the guard-faithfulness check, the `□`-view divergence watch and the
@@ -133,8 +132,7 @@ pub struct ExecConfig {
     /// scheduler — actors and the network step it directly at each
     /// transition, so arming it costs no trace-event construction (see
     /// [`ExecConfig::monitor_oracle`]). `None` (the default) attaches
-    /// nothing and adds no work to the hot path. Like `record`, ignored
-    /// by the threaded executor.
+    /// nothing and adds no work to the hot path.
     pub monitor: Option<MonitorConfig>,
     /// Run the armed monitor in its legacy *sink-driven* mode instead of
     /// fused: it subscribes to the trace-event stream like any recorder
@@ -184,6 +182,17 @@ impl ExecConfig {
             monitor_oracle: false,
             shard_plan: None,
             parallel: None,
+        }
+    }
+
+    /// The delivery budget every executor runs under: `max_steps`, with
+    /// `0` (what `ExecConfig::default()` leaves) meaning the seeded
+    /// default of one million.
+    pub fn step_budget(&self) -> u64 {
+        if self.max_steps == 0 {
+            1_000_000
+        } else {
+            self.max_steps
         }
     }
 }
@@ -308,7 +317,7 @@ pub struct RunReport {
     /// Unified metrics snapshot: network, fault, transport, scheduler and
     /// per-dependency measurements behind one key/label API (subsumes
     /// [`RunReport::net`] and [`RunReport::fault_stats`], which stay for
-    /// compatibility). Empty on the threaded executor.
+    /// compatibility).
     pub metrics: MetricsSnapshot,
     /// The flight recording, when [`ExecConfig::record`] was set: the
     /// full causal span DAG plus the metrics snapshot, ready for
@@ -907,8 +916,7 @@ fn run_workflow_inner(
     for (from, to, msg, extra) in built.injections {
         net.inject_after(from, to, msg, extra);
     }
-    let max_steps = if config.max_steps == 0 { 1_000_000 } else { config.max_steps };
-    let outcome = net.run_to_quiescence(max_steps);
+    let outcome = net.run_to_quiescence(config.step_budget());
     let duration = net.now();
     let stats = net.stats().clone();
     let fault_stats = net.fault_stats().copied();
@@ -1010,32 +1018,6 @@ fn run_workflow_inner(
     });
     report.metrics = snapshot;
     report
-}
-
-/// Compile and run a workflow on the threaded executor (crossbeam
-/// channels, one OS thread per node). Nondeterministic: used by the
-/// safety property tests.
-pub fn run_workflow_threaded(spec: &WorkflowSpec, config: ExecConfig) -> RunReport {
-    let built = build_workflow(spec, config.clone());
-    let routing = Arc::clone(&built.routing);
-    let max = if config.max_steps == 0 { 1_000_000 } else { config.max_steps };
-    // No virtual clock on the threaded executor: injection delays degrade
-    // to immediate sends, exactly like delayed sends inside the run.
-    let injections = built.injections.into_iter().map(|(f, t, m, _)| (f, t, m)).collect();
-    let (all, outcome, stats) = sim::run_threaded(built.nodes, injections, max);
-    // The delivery count doubles as the virtual clock (every delivery is
-    // one tick), so it is the closest thing to a duration the threaded
-    // executor has.
-    let duration = outcome.steps;
-    collect_report(
-        spec,
-        &built.symbols,
-        |s| routing.actor_of[&s].0 as usize,
-        &all,
-        duration,
-        outcome,
-        stats,
-    )
 }
 
 #[cfg(test)]
@@ -1167,5 +1149,49 @@ mod tests {
         let report = run_workflow(&spec, ExecConfig::seeded(1));
         assert!(report.maximal_trace.contains(commit.complement()), "{report:?}");
         assert!(!report.unresolved.contains(&commit.symbol()), "informed, not implicit");
+    }
+
+    /// `max_steps = 0` (what `ExecConfig::default()` leaves) means the
+    /// seeded default on every executor: the same steps as asking for one
+    /// million outright.
+    #[test]
+    fn zero_max_steps_means_the_default_budget_on_every_executor() {
+        let mut table = SymbolTable::new();
+        let d1 = parse_expr("~e + f", &mut table).unwrap();
+        let d2 = parse_expr("~f + e", &mut table).unwrap();
+        let free_events = ["e", "f"]
+            .iter()
+            .zip(0..)
+            .map(|(name, site)| FreeEventSpec {
+                site: SiteId(site),
+                lit: table.event(name),
+                attrs: EventAttrs::controllable(),
+                attempt_after: Some(1),
+            })
+            .collect();
+        let specs =
+            [WorkflowSpec { table, dependencies: vec![d1, d2], agents: vec![], free_events }];
+        let arrivals: Vec<_> = (0..3).map(|i| crate::Arrival::new(i, 0, i * 5, 40 + i)).collect();
+
+        let steps = |max_steps: u64| {
+            let exec = ExecConfig { max_steps, ..ExecConfig::seeded(7) };
+            assert_eq!(exec.step_budget(), 1_000_000);
+            let solo = run_workflow(&specs[0], exec.clone()).steps;
+            let tenant: Vec<u64> =
+                crate::run_tenant(&specs, &arrivals, &crate::TenantConfig::new(exec.clone()))
+                    .instances
+                    .iter()
+                    .map(|o| o.report.steps)
+                    .collect();
+            let fleet: Vec<u64> = crate::run_parallel_fleet(&specs, &arrivals, &exec)
+                .instances
+                .iter()
+                .map(|o| o.report.steps)
+                .collect();
+            (solo, tenant, fleet)
+        };
+        let (solo, tenant, fleet) = steps(0);
+        assert!(solo > 0 && tenant.iter().chain(&fleet).all(|&s| s > 0), "the runs did work");
+        assert_eq!(steps(1_000_000), (solo, tenant, fleet));
     }
 }

@@ -6,10 +6,15 @@
 
 use crate::msg::InstanceId;
 use event_algebra::{Literal, SymbolTable};
-use parking_lot::Mutex;
 use sim::Time;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Every holder only pushes, inserts or reads, none of which can panic
+/// midway, so a poisoned lock means a bug elsewhere: say so.
+fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect("journal lock poisoned: a thread panicked while holding it")
+}
 
 /// One recorded scheduling step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,22 +98,22 @@ impl Journal {
 
     /// Append an entry.
     pub fn record(&self, time: Time, kind: JournalKind) {
-        self.entries.lock().push(JournalEntry { time, kind });
+        locked(&self.entries).push(JournalEntry { time, kind });
     }
 
     /// Snapshot the entries in record order.
     pub fn entries(&self) -> Vec<JournalEntry> {
-        self.entries.lock().clone()
+        locked(&self.entries).clone()
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        locked(&self.entries).len()
     }
 
     /// `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        locked(&self.entries).is_empty()
     }
 
     /// Render a human-readable timeline using the workflow's event names.
@@ -214,33 +219,33 @@ impl NodeStore {
     /// `node` (of `instance`) used towards `to`, so a restarted sender
     /// never reuses one.
     pub fn record_seq(&self, instance: InstanceId, node: u32, to: sim::NodeId, seq: u64) {
-        self.seqs.lock().entry((instance, node)).or_default().insert(to, seq);
+        locked(&self.seqs).entry((instance, node)).or_default().insert(to, seq);
     }
 
     /// The per-receiver sequence counters `node` (of `instance`) had
     /// persisted.
     pub fn seqs_of(&self, instance: InstanceId, node: u32) -> SeqCounters {
-        self.seqs.lock().get(&(instance, node)).cloned().unwrap_or_default()
+        locked(&self.seqs).get(&(instance, node)).cloned().unwrap_or_default()
     }
 
     /// Append one processed message to `node`'s log under `instance`.
     pub fn append(&self, instance: InstanceId, node: u32, entry: WalEntry) {
-        self.logs.lock().entry((instance, node)).or_default().push(entry);
+        locked(&self.logs).entry((instance, node)).or_default().push(entry);
     }
 
     /// Snapshot `node`'s log for `instance` in append order.
     pub fn log_of(&self, instance: InstanceId, node: u32) -> Vec<WalEntry> {
-        self.logs.lock().get(&(instance, node)).cloned().unwrap_or_default()
+        locked(&self.logs).get(&(instance, node)).cloned().unwrap_or_default()
     }
 
     /// Total messages logged across all nodes and instances.
     pub fn total(&self) -> usize {
-        self.logs.lock().values().map(Vec::len).sum()
+        locked(&self.logs).values().map(Vec::len).sum()
     }
 
     /// The instances with at least one logged entry.
     pub fn instances(&self) -> Vec<InstanceId> {
-        let mut out: Vec<InstanceId> = self.logs.lock().keys().map(|&(i, _)| i).collect();
+        let mut out: Vec<InstanceId> = locked(&self.logs).keys().map(|&(i, _)| i).collect();
         out.dedup();
         out
     }

@@ -24,9 +24,8 @@ pub mod tenant;
 pub use actor::{ActorStats, DepTracker, LitState, Routing, SymbolActor};
 pub use agent_node::{AgentNode, Script, ScriptStep};
 pub use exec::{
-    build_workflow, guard_gated, run_workflow, run_workflow_threaded, run_workflow_with_faults,
-    AgentSpec, BuiltWorkflow, DepRuntime, ExecConfig, FreeEventSpec, GuardMode, NetNode, Node,
-    RunReport, WorkflowSpec,
+    build_workflow, guard_gated, run_workflow, run_workflow_with_faults, AgentSpec, BuiltWorkflow,
+    DepRuntime, ExecConfig, FreeEventSpec, GuardMode, NetNode, Node, RunReport, WorkflowSpec,
 };
 pub use journal::{Journal, JournalEntry, JournalKind, NodeStore, WalEntry};
 pub use msg::{InstanceId, Msg};

@@ -249,8 +249,14 @@ pub fn run_workflow_parallel(spec: &WorkflowSpec, config: &ExecConfig) -> Parall
     let built = build_workflow(spec, exec.clone());
     let routing = Arc::clone(&built.routing);
     let shard_of = shard_assignment(&built, &plan);
-    let max_steps = if exec.max_steps == 0 { 1_000_000 } else { exec.max_steps };
-    let run = sim::run_sharded(built.nodes, &shard_of, built.injections, exec.sim, &par, max_steps);
+    let run = sim::run_sharded(
+        built.nodes,
+        &shard_of,
+        built.injections,
+        exec.sim,
+        &par,
+        exec.step_budget(),
+    );
     let mut report = collect_report(
         spec,
         &built.symbols,
@@ -390,8 +396,7 @@ pub fn run_parallel_fleet(
         shard_base += proto_shard_count[a.spec_ix];
     }
 
-    let max_steps = if exec.max_steps == 0 { 1_000_000 } else { exec.max_steps };
-    let run = sim::run_sharded(nodes, &shard_of, injections, exec.sim, &par, max_steps);
+    let run = sim::run_sharded(nodes, &shard_of, injections, exec.sim, &par, exec.step_budget());
 
     let reg = MetricsRegistry::new();
     let mut outcomes = Vec::with_capacity(arrivals.len());

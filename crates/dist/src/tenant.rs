@@ -391,7 +391,7 @@ fn run_shard(
     let mut pending: VecDeque<Arrival> = arrivals.into();
     let mut live: Vec<LiveInstance> = Vec::new();
     let mut done: Vec<InstanceOutcome> = Vec::new();
-    let max_steps = if config.exec.max_steps == 0 { 1_000_000 } else { config.exec.max_steps };
+    let max_steps = config.exec.step_budget();
     let quantum = config.quantum.max(1);
     let mut fleet_now: Time = 0;
     loop {

@@ -7,7 +7,7 @@
 
 use dist::param::{mutex_pair, DynamicScheduler, Outcome, PExpr, Term};
 use event_algebra::Literal;
-use proptest::prelude::*;
+use testkit::check;
 
 /// Drive two looping tasks through a random interleaving of enter/exit
 /// attempts; the scheduler may park enters, which retry implicitly when
@@ -53,48 +53,50 @@ fn run_mutex_interleaving(order: &[(u8, bool)]) -> DynamicScheduler {
     s
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The exclusion invariant holds on every realized trace, for every
-    /// random interleaving of enters and exits.
-    #[test]
-    fn mutex_invariant_under_random_interleavings(
-        order in prop::collection::vec((0u8..2, any::<bool>()), 4..24)
-    ) {
-        let s = run_mutex_interleaving(&order);
-        let trace = s.trace();
-        let evs = trace.events();
-        let name_pos = |n: &str| {
-            s.table.lookup(n).and_then(|sym| {
-                evs.iter().position(|l| l.symbol() == sym && l.is_pos())
-            })
-        };
-        for k in 1..=24u64 {
-            for j in 1..=24u64 {
-                if let (Some(b1), Some(e1), Some(b2)) = (
-                    name_pos(&format!("b1[{k}]")),
-                    name_pos(&format!("e1[{k}]")),
-                    name_pos(&format!("b2[{j}]")),
-                ) {
-                    prop_assert!(
-                        !(b1 < b2 && b2 < e1),
-                        "b2[{j}] inside T1's section {k}: {trace}"
-                    );
-                }
-                if let (Some(b2), Some(e2), Some(b1)) = (
-                    name_pos(&format!("b2[{k}]")),
-                    name_pos(&format!("e2[{k}]")),
-                    name_pos(&format!("b1[{j}]")),
-                ) {
-                    prop_assert!(
-                        !(b2 < b1 && b1 < e2),
-                        "b1[{j}] inside T2's section {k}: {trace}"
-                    );
-                }
+/// The exclusion invariant on the trace realized by `order`.
+fn mutex_invariant_holds(order: &[(u8, bool)]) {
+    let s = run_mutex_interleaving(order);
+    let trace = s.trace();
+    let evs = trace.events();
+    let name_pos = |n: &str| {
+        s.table.lookup(n).and_then(|sym| evs.iter().position(|l| l.symbol() == sym && l.is_pos()))
+    };
+    for k in 1..=24u64 {
+        for j in 1..=24u64 {
+            if let (Some(b1), Some(e1), Some(b2)) = (
+                name_pos(&format!("b1[{k}]")),
+                name_pos(&format!("e1[{k}]")),
+                name_pos(&format!("b2[{j}]")),
+            ) {
+                assert!(!(b1 < b2 && b2 < e1), "b2[{j}] inside T1's section {k}: {trace}");
+            }
+            if let (Some(b2), Some(e2), Some(b1)) = (
+                name_pos(&format!("b2[{k}]")),
+                name_pos(&format!("e2[{k}]")),
+                name_pos(&format!("b1[{j}]")),
+            ) {
+                assert!(!(b2 < b1 && b1 < e2), "b1[{j}] inside T2's section {k}: {trace}");
             }
         }
     }
+}
+
+/// The invariant holds on every realized trace, for every random
+/// interleaving of enters and exits.
+#[test]
+fn mutex_invariant_under_random_interleavings() {
+    check("mutex_invariant_under_random_interleavings", 48, |g| {
+        let order: Vec<(u8, bool)> =
+            (0..g.len(4, 23)).map(|_| (g.range(0u8..2), g.flip())).collect();
+        mutex_invariant_holds(&order);
+    });
+}
+
+/// Recorded counter-example: T2 enters, T1 enters, T1 tries to re-enter,
+/// T2 exits.
+#[test]
+fn mutex_invariant_on_a_contended_reentry() {
+    mutex_invariant_holds(&[(1, true), (0, true), (0, true), (1, false)]);
 }
 
 /// Serializability-style uniform ordering: two transactions access two

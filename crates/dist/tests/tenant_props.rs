@@ -3,40 +3,20 @@
 //! stays green under lossy links), fleets are shard-invariant, budget
 //! exhaustion is reported honestly, and a deliberately cross-wired
 //! instance is always caught and correctly attributed.
-//!
-//! Strategies stick to plain integer ranges so the suite also runs
-//! against the offline proptest stub (`scripts/shadow-check.sh`).
 
-use agent::EventAttrs;
-use dist::{
-    run_tenant, ExecConfig, FreeEventSpec, InstanceId, ReliableConfig, TenantConfig, WorkflowSpec,
-};
-use event_algebra::{parse_expr, SymbolTable};
-use proptest::prelude::*;
-use sim::{FaultPlan, LatencyModel, SimConfig, SiteId, Termination};
+use dist::{run_tenant, ExecConfig, InstanceId, ReliableConfig, TenantConfig, WorkflowSpec};
+use event_algebra::SymbolId;
+use sim::{FaultPlan, LatencyModel, SimConfig, Termination};
 use testkit::conformance::audit_tenant_isolation;
 use testkit::workload::{drive, generate, WorkloadConfig};
+use testkit::{check, free_event_spec, klein_pipeline};
 
 /// A precedence pipeline `e0 < e1 < … < e{n-1}` with one controllable
-/// free event per site, not yet driven — the shape the spec pipeline
-/// emits and [`drive`] arms. Precedence (not mutual promise) so a
-/// starved □-announcement visibly wedges the instance.
+/// free event per site. Precedence (not mutual promise) so a starved
+/// □-announcement visibly wedges the instance.
 fn precedence_template(n: u32) -> WorkflowSpec {
-    let mut table = SymbolTable::new();
-    let mut deps = Vec::new();
-    for i in 0..n.saturating_sub(1) {
-        let j = i + 1;
-        deps.push(parse_expr(&format!("~e{i} + ~e{j} + e{i}.e{j}"), &mut table).unwrap());
-    }
-    let free_events = (0..n)
-        .map(|i| FreeEventSpec {
-            site: SiteId(i),
-            lit: table.event(&format!("e{i}")),
-            attrs: EventAttrs::controllable(),
-            attempt_after: None,
-        })
-        .collect();
-    WorkflowSpec { table, dependencies: deps, agents: vec![], free_events }
+    let syms: Vec<SymbolId> = (0..n).map(SymbolId).collect();
+    free_event_spec(klein_pipeline(&syms), &syms)
 }
 
 fn templates() -> Vec<WorkflowSpec> {
@@ -51,33 +31,39 @@ fn hardened(seed: u64) -> ExecConfig {
     config
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+const CASES: u32 = 12;
 
-    /// ISOLATION: on random seeded fleets over a mixed template
-    /// population, with a 15% lossy + duplicating link, no fact ever
-    /// crosses an instance boundary and every instance's outcome equals
-    /// its independent single-instance baseline — the full differential
-    /// audit, not just the counters.
-    #[test]
-    fn random_fleets_pass_the_isolation_audit(seed in 0u64..24, n in 3u64..9) {
+/// ISOLATION: on random seeded fleets over a mixed template
+/// population, with a 15% lossy + duplicating link, no fact ever
+/// crosses an instance boundary and every instance's outcome equals
+/// its independent single-instance baseline — the full differential
+/// audit, not just the counters.
+#[test]
+fn random_fleets_pass_the_isolation_audit() {
+    check("random_fleets_pass_the_isolation_audit", CASES, |g| {
+        let seed = g.range(0u64..24);
+        let n = g.range(3u64..9);
         let specs = templates();
         let arrivals = generate(&specs, &WorkloadConfig::new(n, seed));
         let mut config = TenantConfig::new(hardened(seed));
         config.plan = Some(FaultPlan::new(seed ^ 0x7E4A).drop_rate(0.15).duplicate_rate(0.15));
         config.shards = 1 + (seed as usize % 3);
         let (failures, report) = audit_tenant_isolation(&specs, &arrivals, &config);
-        prop_assert!(failures.is_empty(), "seed {seed} n {n}: {failures:?}");
-        prop_assert_eq!(report.cross_instance_dropped, 0);
-        prop_assert_eq!(report.cross_instance_rejected, 0);
-    }
+        assert!(failures.is_empty(), "seed {seed} n {n}: {failures:?}");
+        assert_eq!(report.cross_instance_dropped, 0);
+        assert_eq!(report.cross_instance_rejected, 0);
+    });
+}
 
-    /// SHARD INVARIANCE: the fleet outcome is a pure function of
-    /// (specs, arrivals, exec) — the shard count changes wall-clock
-    /// parallelism only, never a single instance's trace, duration or
-    /// termination.
-    #[test]
-    fn fleets_are_shard_invariant(seed in 0u64..20, shards in 2usize..6) {
+/// SHARD INVARIANCE: the fleet outcome is a pure function of
+/// (specs, arrivals, exec) — the shard count changes wall-clock
+/// parallelism only, never a single instance's trace, duration or
+/// termination.
+#[test]
+fn fleets_are_shard_invariant() {
+    check("fleets_are_shard_invariant", CASES, |g| {
+        let seed = g.range(0u64..20);
+        let shards = g.range(2usize..6);
         let specs = templates();
         let arrivals = generate(&specs, &WorkloadConfig::new(6, seed));
         let mut solo = TenantConfig::new(hardened(seed));
@@ -86,36 +72,40 @@ proptest! {
         wide.shards = shards;
         let a = run_tenant(&specs, &arrivals, &solo);
         let b = run_tenant(&specs, &arrivals, &wide);
-        prop_assert_eq!(a.instances.len(), b.instances.len());
+        assert_eq!(a.instances.len(), b.instances.len());
         for (x, y) in a.instances.iter().zip(&b.instances) {
-            prop_assert_eq!(x.instance, y.instance);
-            prop_assert_eq!(&x.report.trace, &y.report.trace, "instance {:?}", x.instance);
-            prop_assert_eq!(x.report.duration, y.report.duration);
-            prop_assert_eq!(x.report.steps, y.report.steps);
-            prop_assert_eq!(x.report.termination, y.report.termination);
-            prop_assert_eq!(x.finished_at, y.finished_at);
+            assert_eq!(x.instance, y.instance);
+            assert_eq!(&x.report.trace, &y.report.trace, "instance {:?}", x.instance);
+            assert_eq!(x.report.duration, y.report.duration);
+            assert_eq!(x.report.steps, y.report.steps);
+            assert_eq!(x.report.termination, y.report.termination);
+            assert_eq!(x.finished_at, y.finished_at);
         }
-        prop_assert_eq!(a.makespan, b.makespan);
-        prop_assert_eq!(a.events, b.events);
-    }
+        assert_eq!(a.makespan, b.makespan);
+        assert_eq!(a.events, b.events);
+    });
+}
 
-    /// HONEST TERMINATION: every instance is accounted for exactly once
-    /// as quiesced or exhausted, and the roll-up counters agree with the
-    /// per-instance termination verdicts — a starved delivery budget is
-    /// never silently upgraded to success.
-    #[test]
-    fn termination_accounting_is_honest(seed in 0u64..20, budget in 1u64..40) {
+/// HONEST TERMINATION: every instance is accounted for exactly once
+/// as quiesced or exhausted, and the roll-up counters agree with the
+/// per-instance termination verdicts — a starved delivery budget is
+/// never silently upgraded to success.
+#[test]
+fn termination_accounting_is_honest() {
+    check("termination_accounting_is_honest", CASES, |g| {
+        let seed = g.range(0u64..20);
+        let budget = g.range(1u64..40);
         let specs = templates();
         let arrivals = generate(&specs, &WorkloadConfig::new(5, seed));
         let mut exec = hardened(seed);
         exec.max_steps = budget; // tight enough that some fleets starve
         let report = run_tenant(&specs, &arrivals, &TenantConfig::new(exec));
-        prop_assert_eq!(report.quiesced + report.exhausted, report.instances.len());
+        assert_eq!(report.quiesced + report.exhausted, report.instances.len());
         for o in &report.instances {
             match o.report.termination {
-                Termination::Quiescent => prop_assert!(o.report.steps <= budget),
+                Termination::Quiescent => assert!(o.report.steps <= budget),
                 Termination::BudgetExhausted => {
-                    prop_assert!(o.report.steps >= budget, "instance {:?}", o.instance);
+                    assert!(o.report.steps >= budget, "instance {:?}", o.instance);
                 }
             }
         }
@@ -124,34 +114,38 @@ proptest! {
             .iter()
             .filter(|o| o.report.termination == Termination::Quiescent)
             .count();
-        prop_assert_eq!(report.quiesced, quiesced);
-    }
+        assert_eq!(report.quiesced, quiesced);
+    });
+}
 
-    /// MUTATION: cross-wiring any one instance's announcement stamp is
-    /// caught by the audit — the transport counters light up and the
-    /// differential comparison names the mutant (and only the mutant)
-    /// as diverging from its solo baseline.
-    #[test]
-    fn cross_wired_instance_is_always_caught(seed in 0u64..12, victim in 0u64..4) {
+/// MUTATION: cross-wiring any one instance's announcement stamp is
+/// caught by the audit — the transport counters light up and the
+/// differential comparison names the mutant (and only the mutant)
+/// as diverging from its solo baseline.
+#[test]
+fn cross_wired_instance_is_always_caught() {
+    check("cross_wired_instance_is_always_caught", CASES, |g| {
+        let seed = g.range(0u64..12);
+        let victim = g.range(0u64..4);
         let specs = vec![drive(&precedence_template(4))];
         let arrivals = generate(&specs, &WorkloadConfig::new(4, seed));
         let mut config = TenantConfig::new(hardened(seed));
         config.cross_wire = Some(InstanceId(victim));
         let (failures, report) = audit_tenant_isolation(&specs, &arrivals, &config);
-        prop_assert!(!failures.is_empty(), "seed {seed}: mutant i{victim} escaped the audit");
-        prop_assert!(report.cross_instance_rejected > 0, "no rejection recorded");
+        assert!(!failures.is_empty(), "seed {seed}: mutant i{victim} escaped the audit");
+        assert!(report.cross_instance_rejected > 0, "no rejection recorded");
         let tag = format!("instance i{victim}:");
-        prop_assert!(
+        assert!(
             failures.iter().any(|f| f.contains(&tag)),
             "failures name the wrong instance: {failures:?}"
         );
         // Healthy neighbors stay clean: no failure implicates them.
         for other in (0..4).filter(|&o| o != victim) {
             let other_tag = format!("instance i{other}:");
-            prop_assert!(
+            assert!(
                 !failures.iter().any(|f| f.contains(&other_tag)),
                 "innocent i{other} implicated: {failures:?}"
             );
         }
-    }
+    });
 }

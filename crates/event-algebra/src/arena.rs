@@ -17,7 +17,7 @@
 //! `+`/`|` children (sorted by id rather than by tree order — the child
 //! *multiset* is identical, so [`ExprArena::expr`] round-trips through the
 //! tree constructors to the same canonical [`Expr`]). The tree
-//! implementation stays as the reference oracle; the proptest suite in
+//! implementation stays as the reference oracle; the property suite in
 //! `tests/arena_oracle.rs` checks agreement on random expressions.
 
 use crate::expr::Expr;

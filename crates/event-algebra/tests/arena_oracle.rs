@@ -6,119 +6,115 @@
 //! specification.
 
 use event_algebra::{
-    normalize, requires, residuate, satisfiable, satisfiable_avoiding, Expr, ExprArena, Literal,
-    SymbolId,
+    normalize, requires, residuate, satisfiable, satisfiable_avoiding, Expr, ExprArena, SymbolId,
 };
-use proptest::prelude::*;
+use testkit::{check, Exprs, Gen};
 
 const NSYMS: u32 = 6;
+const CASES: u32 = 256;
 
-/// Strategy for a random literal over the fixed symbols.
-fn lit_strategy() -> impl Strategy<Value = Literal> {
-    (0..NSYMS, any::<bool>()).prop_map(|(s, pos)| {
-        if pos {
-            Literal::pos(SymbolId(s))
-        } else {
-            Literal::neg(SymbolId(s))
-        }
-    })
+fn syms() -> Vec<SymbolId> {
+    (0..NSYMS).map(SymbolId).collect()
 }
 
-/// Strategy for a random expression of bounded depth, built through the
-/// canonicalizing constructors (the arena's round-trip contract is stated
-/// for canonical trees; raw `Expr::Or(vec![...])` nodes are covered by
-/// the constructor laws in `laws.rs`).
-fn expr_strategy() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        5 => lit_strategy().prop_map(Expr::lit),
-        1 => Just(Expr::Top),
-        1 => Just(Expr::Zero),
-    ];
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 2..=3).prop_map(Expr::or),
-            prop::collection::vec(inner.clone(), 2..=3).prop_map(Expr::and),
-            prop::collection::vec(inner, 2..=3).prop_map(Expr::seq),
-        ]
-    })
+/// A random expression of bounded depth over the full grammar, built
+/// through the canonicalizing constructors (the arena's round-trip
+/// contract is stated for canonical trees; raw `Expr::Or(vec![...])` nodes
+/// are covered by the constructor laws in `laws.rs`).
+fn term(g: &mut Gen) -> Expr {
+    g.term(&syms(), 3)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Interning and rebuilding is the identity on canonical trees, and
-    /// id equality coincides with structural equality.
-    #[test]
-    fn intern_round_trips(e in expr_strategy(), f in expr_strategy()) {
+/// Interning and rebuilding is the identity on canonical trees, and
+/// id equality coincides with structural equality.
+#[test]
+fn intern_round_trips() {
+    check("intern_round_trips", CASES, |g| {
+        let e = term(g);
+        let f = term(g);
         let mut arena = ExprArena::new();
         let ie = arena.intern(&e);
         let if_ = arena.intern(&f);
-        prop_assert_eq!(arena.expr(ie), e.clone());
-        prop_assert_eq!(arena.expr(if_), f.clone());
-        prop_assert_eq!(ie == if_, e == f);
+        assert_eq!(arena.expr(ie), e.clone());
+        assert_eq!(arena.expr(if_), f.clone());
+        assert_eq!(ie == if_, e == f);
         // Re-interning hits the same id.
-        prop_assert_eq!(arena.intern(&e), ie);
-    }
+        assert_eq!(arena.intern(&e), ie);
+    });
+}
 
-    /// Arena normalization equals tree normalization.
-    #[test]
-    fn normalize_matches_tree(e in expr_strategy()) {
+/// Arena normalization equals tree normalization.
+#[test]
+fn normalize_matches_tree() {
+    check("normalize_matches_tree", CASES, |g| {
+        let e = term(g);
         let mut arena = ExprArena::new();
         let id = arena.intern(&e);
         let nid = arena.normalize(id);
-        prop_assert_eq!(arena.expr(nid), normalize(&e));
-        prop_assert!(arena.is_normal(nid));
-    }
+        assert_eq!(arena.expr(nid), normalize(&e));
+        assert!(arena.is_normal(nid));
+    });
+}
 
-    /// Arena residuation (normalize + R1–R8 with the memo cache) equals
-    /// tree residuation, including chained residuation by two literals —
-    /// which exercises cache hits on shared residuals.
-    #[test]
-    fn residuate_matches_tree(e in expr_strategy(), a in lit_strategy(), b in lit_strategy()) {
+/// Arena residuation (normalize + R1–R8 with the memo cache) equals
+/// tree residuation, including chained residuation by two literals —
+/// which exercises cache hits on shared residuals.
+#[test]
+fn residuate_matches_tree() {
+    check("residuate_matches_tree", CASES, |g| {
+        let e = term(g);
+        let a = g.literal(&syms());
+        let b = g.literal(&syms());
         let mut arena = ExprArena::new();
         let id = arena.intern(&e);
         let ra = arena.residuate(id, a);
-        prop_assert_eq!(arena.expr(ra), residuate(&e, a));
+        assert_eq!(arena.expr(ra), residuate(&e, a));
         let rab = arena.residuate(ra, b);
-        prop_assert_eq!(arena.expr(rab), residuate(&residuate(&e, a), b));
+        assert_eq!(arena.expr(rab), residuate(&residuate(&e, a), b));
         // Same query again: must come out of the cache unchanged.
-        prop_assert_eq!(arena.residuate(id, a), ra);
-    }
+        assert_eq!(arena.residuate(id, a), ra);
+    });
+}
 
-    /// Satisfiability, avoidance-satisfiability and the triggering
-    /// predicate agree with the tree implementations for every literal of
-    /// the alphabet (and a sample literal possibly outside it).
-    #[test]
-    fn satisfiability_matches_tree(e in expr_strategy(), probe in lit_strategy()) {
+/// Satisfiability, avoidance-satisfiability and the triggering
+/// predicate agree with the tree implementations for every literal of
+/// the alphabet (and a sample literal possibly outside it).
+#[test]
+fn satisfiability_matches_tree() {
+    check("satisfiability_matches_tree", CASES, |g| {
+        let e = term(g);
+        let probe = g.literal(&syms());
         let mut arena = ExprArena::new();
         let id = arena.intern(&e);
-        prop_assert_eq!(arena.satisfiable(id), satisfiable(&e));
+        assert_eq!(arena.satisfiable(id), satisfiable(&e));
         let mut lits = arena.alphabet(id);
         lits.push(probe);
         for l in lits {
-            prop_assert_eq!(
+            assert_eq!(
                 arena.satisfiable_avoiding(id, l),
                 satisfiable_avoiding(&e, l),
-                "avoiding {:?}", l
+                "avoiding {l:?}"
             );
-            prop_assert_eq!(arena.requires(id, l), requires(&e, l), "requires {:?}", l);
+            assert_eq!(arena.requires(id, l), requires(&e, l), "requires {l:?}");
         }
-    }
+    });
+}
 
-    /// One arena serving many expressions stays consistent: interleaved
-    /// queries against fresh single-use arenas give identical answers.
-    #[test]
-    fn shared_arena_is_isolated(
-        es in prop::collection::vec(expr_strategy(), 2..=4),
-        l in lit_strategy(),
-    ) {
+/// One arena serving many expressions stays consistent: interleaved
+/// queries against fresh single-use arenas give identical answers.
+#[test]
+fn shared_arena_is_isolated() {
+    check("shared_arena_is_isolated", CASES, |g| {
+        let es = (0..g.len(2, 4)).map(|_| term(g)).collect::<Vec<Expr>>();
+        let l = g.literal(&syms());
         let mut shared = ExprArena::new();
         for e in &es {
             let id = shared.intern(e);
             let mut fresh = ExprArena::new();
             let fid = fresh.intern(e);
-            prop_assert_eq!(shared.expr(shared.residuate(id, l)), fresh.expr(fresh.residuate(fid, l)));
-            prop_assert_eq!(shared.satisfiable(id), fresh.satisfiable(fid));
+            let (shared_res, fresh_res) = (shared.residuate(id, l), fresh.residuate(fid, l));
+            assert_eq!(shared.expr(shared_res), fresh.expr(fresh_res));
+            assert_eq!(shared.satisfiable(id), fresh.satisfiable(fid));
         }
-    }
+    });
 }

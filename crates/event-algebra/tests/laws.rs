@@ -7,143 +7,154 @@ use event_algebra::{
     residuation_sound, satisfiable, satisfiable_avoiding, satisfies, DependencyMachine, Expr,
     Literal, SymbolId,
 };
-use proptest::prelude::*;
+use testkit::{check, Exprs, Gen};
 
 const NSYMS: u32 = 3;
+const CASES: u32 = 64;
 
 fn syms() -> Vec<SymbolId> {
     (0..NSYMS).map(SymbolId).collect()
 }
 
-/// Strategy for a random literal over the fixed symbols.
-fn lit_strategy() -> impl Strategy<Value = Literal> {
-    (0..NSYMS, any::<bool>()).prop_map(|(s, pos)| {
-        if pos {
-            Literal::pos(SymbolId(s))
-        } else {
-            Literal::neg(SymbolId(s))
-        }
-    })
+/// A random expression over the full grammar of `E` (nested sequences
+/// included), up to three operator levels deep.
+fn term(g: &mut Gen) -> Expr {
+    g.term(&syms(), 3)
 }
 
-/// Strategy for a random expression of bounded depth.
-fn expr_strategy() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        5 => lit_strategy().prop_map(Expr::lit),
-        1 => Just(Expr::Top),
-        1 => Just(Expr::Zero),
-    ];
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 2..=3).prop_map(Expr::or),
-            prop::collection::vec(inner.clone(), 2..=3).prop_map(Expr::and),
-            prop::collection::vec(inner, 2..=3).prop_map(Expr::seq),
-        ]
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `+` and `|` are associative, commutative and idempotent; `·` is
-    /// associative — all semantically (the constructors canonicalize, so
-    /// we compare raw nodes against constructed ones).
-    #[test]
-    fn or_and_laws(a in expr_strategy(), b in expr_strategy(), c in expr_strategy()) {
+/// `+` and `|` are associative, commutative and idempotent; `·` is
+/// associative — all semantically (the constructors canonicalize, so
+/// we compare raw nodes against constructed ones).
+#[test]
+fn or_and_laws() {
+    check("or_and_laws", CASES, |g| {
+        let a = term(g);
+        let b = term(g);
+        let c = term(g);
         let s = syms();
         let ab_c = Expr::Or(vec![Expr::Or(vec![a.clone(), b.clone()]), c.clone()]);
         let a_bc = Expr::Or(vec![a.clone(), Expr::Or(vec![b.clone(), c.clone()])]);
-        prop_assert!(equivalent(&ab_c, &a_bc, &s));
+        assert!(equivalent(&ab_c, &a_bc, &s));
         let ab = Expr::And(vec![a.clone(), b.clone()]);
         let ba = Expr::And(vec![b.clone(), a.clone()]);
-        prop_assert!(equivalent(&ab, &ba, &s));
+        assert!(equivalent(&ab, &ba, &s));
         let aa = Expr::Or(vec![a.clone(), a.clone()]);
-        prop_assert!(equivalent(&aa, &a, &s));
-    }
+        assert!(equivalent(&aa, &a, &s));
+    });
+}
 
-    /// `·` distributes over `+` and over `|` (the laws normalization
-    /// relies on — Section 3.2 "validates various useful properties").
-    #[test]
-    fn seq_distributivity(a in expr_strategy(), b in expr_strategy(), c in expr_strategy()) {
+/// `·` distributes over `+` and over `|` (the laws normalization
+/// relies on — Section 3.2 "validates various useful properties").
+#[test]
+fn seq_distributivity() {
+    check("seq_distributivity", CASES, |g| {
+        let a = term(g);
+        let b = term(g);
+        let c = term(g);
         let s = syms();
         let lhs = Expr::Seq(vec![Expr::Or(vec![a.clone(), b.clone()]), c.clone()]);
         let rhs = Expr::Or(vec![
             Expr::Seq(vec![a.clone(), c.clone()]),
             Expr::Seq(vec![b.clone(), c.clone()]),
         ]);
-        prop_assert!(equivalent(&lhs, &rhs, &s));
+        assert!(equivalent(&lhs, &rhs, &s));
         let lhs = Expr::Seq(vec![Expr::And(vec![a.clone(), b.clone()]), c.clone()]);
         let rhs = Expr::And(vec![
             Expr::Seq(vec![a.clone(), c.clone()]),
             Expr::Seq(vec![b.clone(), c.clone()]),
         ]);
-        prop_assert!(equivalent(&lhs, &rhs, &s));
-    }
+        assert!(equivalent(&lhs, &rhs, &s));
+    });
+}
 
-    /// Normalization preserves meaning and establishes the normal form.
-    #[test]
-    fn normalize_sound(a in expr_strategy()) {
+/// Normalization preserves meaning and establishes the normal form.
+#[test]
+fn normalize_sound() {
+    check("normalize_sound", CASES, |g| {
+        let a = term(g);
         let n = normalize(&a);
-        prop_assert!(event_algebra::is_normal(&n));
-        prop_assert!(equivalent(&a, &n, &syms()));
-    }
+        assert!(event_algebra::is_normal(&n));
+        assert!(equivalent(&a, &n, &syms()));
+    });
+}
 
-    /// Theorem 1: the residuation rules R1–R8 agree with the
-    /// model-theoretic definition on every realizable future.
-    #[test]
-    fn theorem1_residuation_sound(a in expr_strategy(), by in lit_strategy()) {
-        prop_assert!(residuation_sound(&a, by, &syms()));
-    }
+/// Theorem 1: the residuation rules R1–R8 agree with the
+/// model-theoretic definition on every realizable future.
+#[test]
+fn theorem1_residuation_sound() {
+    check("theorem1_residuation_sound", CASES, |g| {
+        let a = term(g);
+        let by = g.literal(&syms());
+        assert!(residuation_sound(&a, by, &syms()));
+    });
+}
 
-    /// A maximal trace satisfies `D` iff chain-residuating `D` by the
-    /// trace ends at `⊤` (the basis of Definition 3 / Figure 2).
-    #[test]
-    fn residual_chain_characterizes_satisfaction(a in expr_strategy()) {
+/// A maximal trace satisfies `D` iff chain-residuating `D` by the
+/// trace ends at `⊤` (the basis of Definition 3 / Figure 2).
+#[test]
+fn residual_chain_characterizes_satisfaction() {
+    check("residual_chain_characterizes_satisfaction", CASES, |g| {
+        let a = term(g);
         for u in enumerate_maximal(&syms()) {
             let r = residuate_trace(&a, &u);
-            prop_assert!(r.is_top() || r.is_zero(), "residual {r} not terminal on {u}");
-            prop_assert_eq!(r.is_top(), satisfies(&u, &a), "u={}", u);
+            assert!(r.is_top() || r.is_zero(), "residual {r} not terminal on {u}");
+            assert_eq!(r.is_top(), satisfies(&u, &a), "u={u}");
         }
-    }
+    });
+}
 
-    /// The dependency machine accepts exactly the satisfying maximal
-    /// traces and is consistent with step-by-step residuation.
-    #[test]
-    fn machine_agrees_with_semantics(a in expr_strategy()) {
+/// The dependency machine accepts exactly the satisfying maximal
+/// traces and is consistent with step-by-step residuation.
+#[test]
+fn machine_agrees_with_semantics() {
+    check("machine_agrees_with_semantics", CASES, |g| {
+        let a = term(g);
         let m = DependencyMachine::compile(&a);
         for u in enumerate_maximal(&syms()) {
-            prop_assert_eq!(m.is_accepting(m.run(&u)), satisfies(&u, &a), "u={}", u);
+            assert_eq!(m.is_accepting(m.run(&u)), satisfies(&u, &a), "u={u}");
         }
-    }
+    });
+}
 
-    /// `satisfiable` agrees with brute-force search over maximal traces.
-    #[test]
-    fn satisfiable_agrees_with_enumeration(a in expr_strategy()) {
+/// `satisfiable` agrees with brute-force search over maximal traces.
+#[test]
+fn satisfiable_agrees_with_enumeration() {
+    check("satisfiable_agrees_with_enumeration", CASES, |g| {
+        let a = term(g);
         let brute = enumerate_maximal(&syms()).iter().any(|u| satisfies(u, &a));
-        prop_assert_eq!(satisfiable(&a), brute);
-    }
+        assert_eq!(satisfiable(&a), brute);
+    });
+}
 
-    /// `satisfiable_avoiding` agrees with brute force restricted to
-    /// traces not containing the avoided event.
-    #[test]
-    fn satisfiable_avoiding_agrees(a in expr_strategy(), avoid in lit_strategy()) {
-        let brute = enumerate_maximal(&syms())
-            .iter()
-            .any(|u| !u.contains(avoid) && satisfies(u, &a));
-        prop_assert_eq!(satisfiable_avoiding(&a, avoid), brute);
-    }
+/// `satisfiable_avoiding` agrees with brute force restricted to
+/// traces not containing the avoided event.
+#[test]
+fn satisfiable_avoiding_agrees() {
+    check("satisfiable_avoiding_agrees", CASES, |g| {
+        let a = term(g);
+        let avoid = g.literal(&syms());
+        let brute =
+            enumerate_maximal(&syms()).iter().any(|u| !u.contains(avoid) && satisfies(u, &a));
+        assert_eq!(satisfiable_avoiding(&a, avoid), brute);
+    });
+}
 
-    /// Residuation by an irrelevant symbol is the identity (rule R6).
-    #[test]
-    fn residuation_r6_identity(a in expr_strategy()) {
+/// Residuation by an irrelevant symbol is the identity (rule R6).
+#[test]
+fn residuation_r6_identity() {
+    check("residuation_r6_identity", CASES, |g| {
+        let a = term(g);
         let foreign = Literal::pos(SymbolId(7));
-        prop_assert_eq!(residuate(&normalize(&a), foreign), normalize(&a));
-    }
+        assert_eq!(residuate(&normalize(&a), foreign), normalize(&a));
+    });
+}
 
-    /// Satisfaction is closed under trace extension (the property that
-    /// justifies `E·⊤ = ⊤·E = E`).
-    #[test]
-    fn satisfaction_extension_closed(a in expr_strategy()) {
+/// Satisfaction is closed under trace extension (the property that
+/// justifies `E·⊤ = ⊤·E = E`).
+#[test]
+fn satisfaction_extension_closed() {
+    check("satisfaction_extension_closed", CASES, |g| {
+        let a = term(g);
         let universe = enumerate_universe(&syms());
         for u in &universe {
             if !satisfies(u, &a) {
@@ -151,12 +162,12 @@ proptest! {
             }
             for v in &universe {
                 if let Some(uv) = u.concat(v) {
-                    prop_assert!(satisfies(&uv, &a), "append {u} {v}");
+                    assert!(satisfies(&uv, &a), "append {u} {v}");
                 }
                 if let Some(vu) = v.concat(u) {
-                    prop_assert!(satisfies(&vu, &a), "prepend {v} {u}");
+                    assert!(satisfies(&vu, &a), "prepend {v} {u}");
                 }
             }
         }
-    }
+    });
 }

@@ -6,126 +6,160 @@
 use event_algebra::{Expr, Literal, SymbolId};
 use guard::theorems::{check_lemma3, check_lemma5, check_thm2, check_thm4, check_thm6};
 use guard::GuardScope;
-use proptest::prelude::*;
+use testkit::{check, Exprs, Gen};
 
-fn lit_in(range: std::ops::Range<u32>) -> impl Strategy<Value = Literal> {
-    (range, any::<bool>()).prop_map(|(s, pos)| {
-        if pos {
-            Literal::pos(SymbolId(s))
-        } else {
-            Literal::neg(SymbolId(s))
+const CASES: u32 = 32;
+
+fn syms(range: std::ops::Range<u32>) -> Vec<SymbolId> {
+    range.map(SymbolId).collect()
+}
+
+/// A dependency Theorem 6 speaks about: neither `0` nor `⊤`, and
+/// satisfiable. A workflow containing `0` admits no correct execution at
+/// all, and the paper's scheduler would reject it statically.
+fn schedulable(d: &Expr) -> bool {
+    !d.is_top() && !d.is_zero() && event_algebra::satisfiable(d)
+}
+
+/// A random schedulable dependency over `range`, from the full grammar.
+fn dependency(g: &mut Gen, range: std::ops::Range<u32>) -> Expr {
+    loop {
+        let d = g.term(&syms(range.clone()), 2);
+        if schedulable(&d) {
+            return d;
         }
-    })
+    }
 }
 
-fn expr_over(range: std::ops::Range<u32>) -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        6 => lit_in(range).prop_map(Expr::lit),
-        1 => Just(Expr::Top),
-        1 => Just(Expr::Zero),
-    ];
-    leaf.prop_recursive(2, 12, 3, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 2..=3).prop_map(Expr::or),
-            prop::collection::vec(inner.clone(), 2..=2).prop_map(Expr::and),
-            prop::collection::vec(inner, 2..=2).prop_map(Expr::seq),
-        ]
-    })
+fn lit(sym: u32, positive: bool) -> Literal {
+    if positive {
+        Literal::pos(SymbolId(sym))
+    } else {
+        Literal::neg(SymbolId(sym))
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Theorem 2: `G(D+E,e) = G(D,e)+G(E,e)` for disjoint alphabets.
+#[test]
+fn thm2_or_split() {
+    check("thm2_or_split", CASES, |g| {
+        let d = g.term(&syms(0..2), 2);
+        let e2 = g.term(&syms(2..4), 2);
+        let ev = g.literal(&syms(0..4));
+        assert!(check_thm2(&d, &e2, ev), "D={d} E={e2} e={ev}");
+    });
+}
 
-    /// Theorem 2: `G(D+E,e) = G(D,e)+G(E,e)` for disjoint alphabets.
-    #[test]
-    fn thm2_or_split(
-        d in expr_over(0..2),
-        e2 in expr_over(2..4),
-        ev in lit_in(0..4),
-    ) {
-        prop_assert!(check_thm2(&d, &e2, ev));
-    }
+/// Theorem 4: `G(D|E,e) = G(D,e)|G(E,e)` for disjoint alphabets.
+#[test]
+fn thm4_and_split() {
+    check("thm4_and_split", CASES, |g| {
+        let d = g.term(&syms(0..2), 2);
+        let e2 = g.term(&syms(2..4), 2);
+        let ev = g.literal(&syms(0..4));
+        assert!(check_thm4(&d, &e2, ev), "D={d} E={e2} e={ev}");
+    });
+}
 
-    /// Theorem 4: `G(D|E,e) = G(D,e)|G(E,e)` for disjoint alphabets.
-    #[test]
-    fn thm4_and_split(
-        d in expr_over(0..2),
-        e2 in expr_over(2..4),
-        ev in lit_in(0..4),
-    ) {
-        prop_assert!(check_thm4(&d, &e2, ev));
-    }
+/// Lemma 3: `G(D,e) = ¬g|G(D,e) + □g|G(D/g,e)` for any `g ∉ {e,ē}`
+/// (under the sequence-tail side condition — see `check_lemma3`'s
+/// reproduction note).
+#[test]
+fn lemma3_case_split() {
+    check("lemma3_case_split", CASES, |g| {
+        let d = g.term(&syms(0..3), 2);
+        let ev = g.literal(&syms(0..3));
+        let by = g.literal(&syms(0..4));
+        assert!(check_lemma3(&d, ev, by), "D={d} e={ev} g={by}");
+    });
+}
 
-    /// Lemma 3: `G(D,e) = ¬g|G(D,e) + □g|G(D/g,e)` for any `g ∉ {e,ē}`
-    /// (under the sequence-tail side condition — see `check_lemma3`'s
-    /// reproduction note).
-    #[test]
-    fn lemma3_case_split(
-        d in expr_over(0..3),
-        ev in lit_in(0..3),
-        g in lit_in(0..4),
-    ) {
-        prop_assert!(check_lemma3(&d, ev, g));
-    }
+/// Recorded counter-examples of the lemma as literally stated, both with
+/// `g` in a position residuation cannot reach first; they hold under the
+/// side condition `check_lemma3` now applies.
+#[test]
+fn lemma3_recorded_cases() {
+    let d = Expr::and([Expr::lit(lit(0, true)), Expr::lit(lit(2, false))]);
+    assert!(check_lemma3(&d, lit(1, false), lit(0, true)));
+    let d = Expr::seq([Expr::lit(lit(2, false)), Expr::lit(lit(1, true))]);
+    assert!(check_lemma3(&d, lit(0, false), lit(1, true)));
+}
 
-    /// Lemma 5: Definition 2 equals the Π(D) path-based synthesis, for
-    /// events in `Γ_D` of non-degenerate dependencies (for `e ∉ Γ_D` the
-    /// path sum is empty while `G(D,e)` gates on `D`'s satisfiability —
-    /// the lemma is about participating events).
-    #[test]
-    fn lemma5_paths(d in expr_over(0..3), ev in lit_in(0..3)) {
-        prop_assume!(!d.is_top() && !d.is_zero());
-        prop_assume!(d.mentions(ev.symbol()));
-        prop_assert!(check_lemma5(&d, ev));
-    }
+/// Lemma 5: Definition 2 equals the Π(D) path-based synthesis, for
+/// events in `Γ_D` of non-degenerate dependencies (for `e ∉ Γ_D` the
+/// path sum is empty while `G(D,e)` gates on `D`'s satisfiability —
+/// the lemma is about participating events).
+#[test]
+fn lemma5_paths() {
+    check("lemma5_paths", CASES, |g| {
+        let d = loop {
+            let d = g.term(&syms(0..3), 2);
+            if !d.is_top() && !d.is_zero() {
+                break d;
+            }
+        };
+        let mentioned: Vec<SymbolId> = d.symbols().into_iter().collect();
+        let ev = g.literal(&mentioned);
+        assert!(check_lemma5(&d, ev), "D={d} e={ev}");
+    });
+}
 
-    /// Theorem 6, single dependency: the guard-generated maximal traces
-    /// are exactly the satisfying ones — under both guard scopes.
-    /// Degenerate dependencies (`0`, `⊤`, unsatisfiable) are excluded:
-    /// a workflow containing `0` admits no correct execution at all, and
-    /// the paper's scheduler would reject it statically.
-    #[test]
-    fn thm6_single_dependency(d in expr_over(0..3)) {
-        prop_assume!(!d.is_top() && !d.is_zero() && event_algebra::satisfiable(&d));
-        prop_assert!(
+/// Recorded counter-example that drew the lemma's boundary: `D = ē₁`
+/// does not mention `e = ē₀`, so the path sum is empty while `G(D,e)`
+/// gates on `D`'s satisfiability. Outside `Γ_D` the two differ.
+#[test]
+fn lemma5_recorded_case_is_outside_the_alphabet() {
+    let (d, ev) = (Expr::lit(lit(1, false)), lit(0, false));
+    assert!(!d.mentions(ev.symbol()));
+    assert!(!check_lemma5(&d, ev));
+}
+
+/// Theorem 6, single dependency: the guard-generated maximal traces
+/// are exactly the satisfying ones — under both guard scopes.
+/// Degenerate dependencies (`0`, `⊤`, unsatisfiable) are excluded, see
+/// [`schedulable`].
+#[test]
+fn thm6_single_dependency() {
+    check("thm6_single_dependency", CASES, |g| {
+        let d = dependency(g, 0..3);
+        assert!(
             check_thm6(std::slice::from_ref(&d), GuardScope::Mentioning).is_ok(),
             "mentioning scope failed for {d}"
         );
-        prop_assert!(
+        assert!(
             check_thm6(std::slice::from_ref(&d), GuardScope::All).is_ok(),
             "all scope failed for {d}"
         );
-    }
+    });
+}
 
-    /// Theorem 6, multi-dependency workflows.
-    #[test]
-    fn thm6_workflows(
-        d1 in expr_over(0..3),
-        d2 in expr_over(0..3),
-    ) {
-        for d in [&d1, &d2] {
-            prop_assume!(!d.is_top() && !d.is_zero() && event_algebra::satisfiable(d));
-        }
-        let w = vec![d1, d2];
-        prop_assert!(
+/// Recorded counter-example that drew the theorem's boundary: `D = 0`
+/// is not schedulable, and the theorem indeed fails on it.
+#[test]
+fn thm6_recorded_case_is_degenerate() {
+    assert!(!schedulable(&Expr::Zero));
+    assert!(check_thm6(&[Expr::Zero], GuardScope::Mentioning).is_err());
+}
+
+/// Theorem 6, multi-dependency workflows.
+#[test]
+fn thm6_workflows() {
+    check("thm6_workflows", CASES, |g| {
+        let w = vec![dependency(g, 0..3), dependency(g, 0..3)];
+        assert!(
             check_thm6(&w, GuardScope::Mentioning).is_ok(),
             "mentioning scope failed for {w:?}"
         );
-        prop_assert!(check_thm6(&w, GuardScope::All).is_ok(), "all scope failed for {w:?}");
-    }
+        assert!(check_thm6(&w, GuardScope::All).is_ok(), "all scope failed for {w:?}");
+    });
+}
 
-    /// Theorem 6 with overlapping three-dependency workflows over a
-    /// slightly larger alphabet.
-    #[test]
-    fn thm6_three_dependencies(
-        d1 in expr_over(0..2),
-        d2 in expr_over(1..3),
-        d3 in expr_over(2..4),
-    ) {
-        for d in [&d1, &d2, &d3] {
-            prop_assume!(!d.is_top() && !d.is_zero() && event_algebra::satisfiable(d));
-        }
-        let w = vec![d1, d2, d3];
-        prop_assert!(check_thm6(&w, GuardScope::Mentioning).is_ok(), "failed for {w:?}");
-    }
+/// Theorem 6 with overlapping three-dependency workflows over a
+/// slightly larger alphabet.
+#[test]
+fn thm6_three_dependencies() {
+    check("thm6_three_dependencies", CASES, |g| {
+        let w = vec![dependency(g, 0..2), dependency(g, 1..3), dependency(g, 2..4)];
+        assert!(check_thm6(&w, GuardScope::Mentioning).is_ok(), "failed for {w:?}");
+    });
 }

@@ -21,6 +21,7 @@
 
 use crate::sink::EventSink;
 use crate::span::{SpanId, SpanKind, Time, TraceEvent};
+use seeded::mix64;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -60,16 +61,6 @@ impl RecordConfig {
     pub fn sampled(self, sample: u32, seed: u64) -> RecordConfig {
         RecordConfig { sample, sample_seed: seed, ..self }
     }
-}
-
-/// `splitmix64` finalizer — the stateless hash behind the deterministic
-/// sampling decision (and the same mixer `sim::parallel` uses for
-/// latency jitter).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// How a record names its causal parent.
@@ -257,7 +248,7 @@ impl Recorder for FlightRecorder {
         inner.next_id += 1;
         if inner.sample > 1
             && !kind.is_safety()
-            && !splitmix64(inner.sample_seed ^ id.0).is_multiple_of(inner.sample as u64)
+            && !mix64(inner.sample_seed ^ id.0).is_multiple_of(inner.sample as u64)
         {
             inner.sampled_out += 1;
             return Some(id);
@@ -492,7 +483,7 @@ impl Obs {
             };
             if inner.sample > 1
                 && !kind.is_safety()
-                && !splitmix64(inner.sample_seed ^ id.0).is_multiple_of(inner.sample as u64)
+                && !mix64(inner.sample_seed ^ id.0).is_multiple_of(inner.sample as u64)
             {
                 alloc.sampled_out += 1;
                 return Some(id);

@@ -2,32 +2,22 @@
 //! the metrics snapshot — survives the JSON round trip identically, so
 //! the happens-before DAG reconstructed by `wftrace` from a trace file is
 //! the DAG the run produced.
-//!
-//! Strategies stay plain integer ranges (`seed in ...`) with a hand-rolled
-//! splitmix generator deriving the structure, so the property runs under
-//! both real proptest and the offline stub.
 
 use obs::recording::Dag;
 use obs::{Fact, MetricsRegistry, ObsLit, Recording, SpanId, SpanKind, TraceEvent, Verdict};
-use proptest::prelude::*;
+use seeded::{check, Rng};
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+const CASES: u32 = 256;
+
+fn lit(r: &mut Rng) -> ObsLit {
+    ObsLit((r.next_u64() % 12) as u32)
 }
 
-fn lit(r: &mut u64) -> ObsLit {
-    ObsLit((splitmix(r) % 12) as u32)
-}
-
-fn kind(r: &mut u64) -> SpanKind {
-    let a = (splitmix(r) % 6) as u32;
-    let b = (splitmix(r) % 6) as u32;
-    let seq = splitmix(r) % 1000;
-    match splitmix(r) % 28 {
+fn kind(r: &mut Rng) -> SpanKind {
+    let a = (r.next_u64() % 6) as u32;
+    let b = (r.next_u64() % 6) as u32;
+    let seq = r.next_u64() % 1000;
+    match r.next_u64() % 28 {
         0 => SpanKind::MsgSend { from: a, to: b, label: "announce".into() },
         1 => SpanKind::MsgDeliver { from: a, to: b, label: "attempt".into() },
         2 => SpanKind::FaultDrop { from: a, to: b },
@@ -43,29 +33,31 @@ fn kind(r: &mut u64) -> SpanKind {
         12 => SpanKind::EnvGiveUp { to: b, seq },
         13 => SpanKind::Attempt { lit: lit(r) },
         14 => {
-            let verdict = match splitmix(r) % 3 {
+            let verdict = match r.next_u64() % 3 {
                 0 => Verdict::Enabled,
                 1 => Verdict::Parked,
                 _ => Verdict::Dead,
             };
-            let facts = (0..splitmix(r) % 4)
-                .map(|_| Fact { seq: splitmix(r) % 100, lit: lit(r), at: splitmix(r) % 50 })
+            let facts = (0..r.next_u64() % 4)
+                .map(|_| Fact { seq: r.next_u64() % 100, lit: lit(r), at: r.next_u64() % 50 })
                 .collect();
             SpanKind::GuardEval {
                 lit: lit(r),
                 verdict,
-                residual: (splitmix(r) % 9000) as u32,
+                residual: (r.next_u64() % 9000) as u32,
                 facts,
             }
         }
         15 => SpanKind::DepStep {
             dep: a,
             input: lit(r),
-            state: (splitmix(r) % 100) as u32,
-            live: splitmix(r).is_multiple_of(2),
+            state: (r.next_u64() % 100) as u32,
+            live: r.next_u64().is_multiple_of(2),
         },
         16 => SpanKind::FactApplied { lit: lit(r), seq },
-        17 => SpanKind::Occurred { lit: lit(r), seq, by_acceptance: splitmix(r).is_multiple_of(2) },
+        17 => {
+            SpanKind::Occurred { lit: lit(r), seq, by_acceptance: r.next_u64().is_multiple_of(2) }
+        }
         18 => SpanKind::Parked { lit: lit(r) },
         19 => SpanKind::Rejected { lit: lit(r) },
         20 => SpanKind::Triggered { lit: lit(r) },
@@ -80,64 +72,65 @@ fn kind(r: &mut u64) -> SpanKind {
 }
 
 fn recording(seed: u64) -> Recording {
-    let r = &mut { seed };
-    let n_events = 1 + (splitmix(r) % 40) as usize;
+    let r = &mut Rng::seed_from_u64(seed);
+    let n_events = 1 + (r.next_u64() % 40) as usize;
     let mut at = 0u64;
     let events: Vec<TraceEvent> = (0..n_events as u64)
         .map(|id| {
-            at += splitmix(r) % 3;
-            let parent = if id > 0 && !splitmix(r).is_multiple_of(3) {
-                Some(SpanId(splitmix(r) % id))
+            at += r.next_u64() % 3;
+            let parent = if id > 0 && !r.next_u64().is_multiple_of(3) {
+                Some(SpanId(r.next_u64() % id))
             } else {
                 None
             };
-            let node = (splitmix(r) % 5) as u32;
+            let node = (r.next_u64() % 5) as u32;
             TraceEvent { id: SpanId(id), parent, at, node, site: node % 3, kind: kind(r) }
         })
         .collect();
     let reg = MetricsRegistry::new();
-    for _ in 0..splitmix(r) % 6 {
-        reg.add("net.sent", &[("site", "0")], splitmix(r) % 50);
-        reg.set_gauge("dep.satisfied", &[("dep", "1")], (splitmix(r) % 3) as i64 - 1);
-        reg.observe("net.latency", &[], splitmix(r) % (1 << 20));
+    for _ in 0..r.next_u64() % 6 {
+        reg.add("net.sent", &[("site", "0")], r.next_u64() % 50);
+        reg.set_gauge("dep.satisfied", &[("dep", "1")], (r.next_u64() % 3) as i64 - 1);
+        reg.observe("net.latency", &[], r.next_u64() % (1 << 20));
     }
     Recording {
         workflow: format!("wf-{}", seed % 97),
         symbols: (0..6).map(|i| format!("e{i}")).collect(),
-        dropped: splitmix(r) % 3,
-        sampled_out: splitmix(r) % 3,
+        dropped: r.next_u64() % 3,
+        sampled_out: r.next_u64() % 3,
         events,
         metrics: reg.snapshot(),
     }
 }
 
-proptest! {
-    #[test]
-    fn recording_round_trips_through_json(seed in 0u64..u64::MAX / 2) {
+#[test]
+fn recording_round_trips_through_json() {
+    check("recording_round_trips_through_json", CASES, |g| {
+        let seed = g.range(0u64..u64::MAX / 2);
         let rec = recording(seed);
-        let back = Recording::parse(&rec.to_json_string())
-            .expect("serialized recording must parse");
-        prop_assert_eq!(&back, &rec);
+        let back =
+            Recording::parse(&rec.to_json_string()).expect("serialized recording must parse");
+        assert_eq!(&back, &rec);
 
         // The reconstructed DAG answers reachability identically: parent
         // edges and per-node program order survive the round trip.
         let dag_a = Dag::new(&rec);
         let dag_b = Dag::new(&back);
         let n = rec.events.len() as u64;
-        let mut s = seed ^ 0xD1A6;
         for _ in 0..16 {
-            let a = SpanId(splitmix(&mut s) % n);
-            let b = SpanId(splitmix(&mut s) % n);
-            prop_assert_eq!(dag_a.precedes(a, b), dag_b.precedes(a, b));
+            let a = SpanId(g.range(0..n));
+            let b = SpanId(g.range(0..n));
+            assert_eq!(dag_a.precedes(a, b), dag_b.precedes(a, b));
         }
-    }
+    });
+}
 
-    #[test]
-    fn metrics_snapshot_round_trips(seed in 0u64..u64::MAX / 2) {
-        let rec = recording(seed);
-        let snap = rec.metrics.clone();
+#[test]
+fn metrics_snapshot_round_trips() {
+    check("metrics_snapshot_round_trips", CASES, |g| {
+        let snap = recording(g.range(0u64..u64::MAX / 2)).metrics;
         let back = obs::MetricsSnapshot::from_json(&snap.to_json())
             .expect("serialized snapshot must parse");
-        prop_assert_eq!(back, snap);
-    }
+        assert_eq!(back, snap);
+    });
 }

@@ -19,8 +19,7 @@
 //! [`Network::inject`]: crate::Network::inject
 
 use crate::net::{NodeId, SiteId, Time};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use seeded::Rng;
 use std::collections::HashMap;
 
 /// Per-link misbehavior probabilities and delay bounds.
@@ -231,7 +230,7 @@ pub(crate) struct LinkDecision {
 pub(crate) struct FaultState {
     pub plan: FaultPlan,
     pub stats: FaultStats,
-    rng: SmallRng,
+    rng: Rng,
     /// `restarted[i]` is set once crash `i`'s restart has been performed.
     restarted: Vec<bool>,
 }
@@ -239,7 +238,7 @@ pub(crate) struct FaultState {
 impl FaultState {
     pub fn new(plan: FaultPlan) -> FaultState {
         let restarted = vec![false; plan.crashes.len()];
-        let rng = SmallRng::seed_from_u64(plan.seed);
+        let rng = Rng::seed_from_u64(plan.seed);
         FaultState { plan, stats: FaultStats::default(), rng, restarted }
     }
 
@@ -263,7 +262,7 @@ impl FaultState {
             self.stats.dropped += 1;
             return LinkDecision { primary: None, duplicate: None };
         }
-        fn sample_delay(rng: &mut SmallRng, stats: &mut FaultStats, bounds: (Time, Time)) -> Time {
+        fn sample_delay(rng: &mut Rng, stats: &mut FaultStats, bounds: (Time, Time)) -> Time {
             if bounds.1 == 0 {
                 return 0;
             }

@@ -13,7 +13,6 @@ mod faults;
 mod net;
 mod parallel;
 mod stats;
-mod threaded;
 
 pub use faults::{Crash, FaultPlan, FaultStats, LinkFaults, Partition};
 pub use net::{
@@ -21,4 +20,3 @@ pub use net::{
 };
 pub use parallel::{run_sharded, ParallelConfig, ParallelStats, ShardedRun, WorkerLoad};
 pub use stats::NetStats;
-pub use threaded::run_threaded;

@@ -11,8 +11,7 @@
 use crate::faults::{FaultPlan, FaultState, FaultStats, LinkDecision};
 use crate::stats::NetStats;
 use obs::{Obs, SpanId, SpanKind};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use seeded::Rng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -122,16 +121,6 @@ impl<M> Ctx<'_, M> {
     ) -> Ctx<'_, M> {
         Ctx { self_id, now, delivery_seq, outbox }
     }
-
-    /// Construct a context for the threaded executor, where virtual time
-    /// is the global delivery counter.
-    pub(crate) fn for_threaded(
-        self_id: NodeId,
-        seq: u64,
-        outbox: &mut Vec<(NodeId, M, Time)>,
-    ) -> Ctx<'_, M> {
-        Ctx { self_id, now: seq, delivery_seq: seq, outbox }
-    }
 }
 
 /// A message-driven process living on a node.
@@ -212,7 +201,7 @@ pub struct Network<M, P: Process<M>> {
     queue: BinaryHeap<Reverse<InFlight<M>>>,
     time: Time,
     seq: u64,
-    rng: SmallRng,
+    rng: Rng,
     config: SimConfig,
     link_clock: HashMap<(NodeId, NodeId), Time>,
     stats: NetStats,
@@ -232,7 +221,7 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
             queue: BinaryHeap::new(),
             time: 0,
             seq: 0,
-            rng: SmallRng::seed_from_u64(config.seed),
+            rng: Rng::seed_from_u64(config.seed),
             config,
             link_clock: HashMap::new(),
             stats: NetStats::default(),

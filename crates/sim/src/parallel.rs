@@ -6,7 +6,7 @@
 //! classes — see `dist::parallel`). Execution proceeds in conservative
 //! barrier rounds at the global minimum pending virtual time `T`: every
 //! shard with a message due at `T` becomes one batch task, tasks are
-//! published on a shared channel acting as a work-stealing injector
+//! published on a shared queue acting as a work-stealing [`Injector`]
 //! (workers claim competitively; claiming a task whose nominal home is
 //! another worker counts as a *steal*), each worker applies its shard's
 //! whole `T`-batch of facts against the shard-local mailbox heap, and the
@@ -43,33 +43,33 @@
 //!
 //! # Quiescence and budget
 //!
-//! In-flight work is tracked with the same atomic counter pattern as
-//! [`run_threaded`]: the coordinator increments it when merging sends,
-//! workers decrement it per delivery, and the coordinator reads it only
-//! at round barriers, where it is exact. A run that exhausts its step
+//! In-flight work is tracked with an atomic counter: the coordinator
+//! increments it when merging sends, workers decrement it per delivery,
+//! and the coordinator reads it only at round barriers, where it is
+//! exact. A run that exhausts its step
 //! budget with messages still pending reports
 //! [`Termination::BudgetExhausted`] honestly; budget checks happen at
 //! round granularity, so a run may overshoot `max_steps` by at most one
 //! round's width (the same honesty contract as the tenant quantum).
 //!
 //! [`Network`]: crate::Network
-//! [`run_threaded`]: crate::run_threaded
 
 use crate::net::{
     Ctx, LatencyModel, NodeId, Process, RunOutcome, SimConfig, SiteId, Termination, Time,
 };
 use crate::stats::NetStats;
-use crossbeam::channel::unbounded;
+use seeded::mix64;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Configuration of the parallel sharded executor.
 #[derive(Debug, Clone)]
 pub struct ParallelConfig {
     /// OS worker threads. `0` or `1` runs every batch inline on the
-    /// coordinator (no pool, no channel overhead — the cleanest mode for
+    /// coordinator (no pool, no queue overhead — the cleanest mode for
     /// measuring per-shard batch costs).
     pub workers: usize,
     /// Virtual worker counts to model: for each `k`, the engine
@@ -247,17 +247,77 @@ struct Done<M, P> {
     busy_ns: u64,
 }
 
-/// SplitMix64's finalizer — the stateless per-send latency hash and the
-/// link-clock key mixer.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The worker pool's task queue: the coordinator publishes each round's
+/// tasks through its [`Producer`], every worker claims from the front,
+/// and dropping the producer closes the queue so blocked workers return.
+struct Injector<T> {
+    queue: Mutex<Queue<T>>,
+    ready: Condvar,
+}
+
+struct Queue<T> {
+    tasks: VecDeque<T>,
+    closed: bool,
+}
+
+/// The publishing end of an [`Injector`]; there is exactly one.
+struct Producer<'a, T>(&'a Injector<T>);
+
+impl<T> Injector<T> {
+    fn new() -> Injector<T> {
+        Injector {
+            queue: Mutex::new(Queue { tasks: VecDeque::new(), closed: false }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Every update is a single push, pop or flag store, so the queue is
+    /// valid even if a holder panicked: recover the guard.
+    fn lock(&self) -> MutexGuard<'_, Queue<T>> {
+        self.queue.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Claim the next task and the queue depth it was claimed at (itself
+    /// included), blocking while the queue is empty; `None` once the
+    /// producer is gone and the queue is drained.
+    fn claim(&self) -> Option<(T, usize)> {
+        let mut queue = self.lock();
+        loop {
+            if let Some(task) = queue.tasks.pop_front() {
+                return Some((task, queue.tasks.len() + 1));
+            }
+            if queue.closed {
+                return None;
+            }
+            queue = self.ready.wait(queue).unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+}
+
+impl<T> Producer<'_, T> {
+    /// Publish one round's tasks under a single lock acquisition.
+    fn publish(&self, tasks: Vec<T>) {
+        let mut queue = self.0.lock();
+        queue.tasks.extend(tasks);
+        // Signalled with the lock held, like the close below.
+        self.0.ready.notify_all();
+    }
+}
+
+impl<T> Drop for Producer<'_, T> {
+    fn drop(&mut self) {
+        // A worker tests `closed` and then waits under the queue lock, so
+        // the flag must be set and the condvar signalled while holding it:
+        // signalled outside, the wake-up can fall between a worker's test
+        // and its wait, and that worker sleeps forever.
+        let mut queue = self.0.lock();
+        queue.closed = true;
+        self.0.ready.notify_all();
+    }
 }
 
 /// A single-`u64` multiplicative hasher for the link-clock map. Link
-/// keys are packed id pairs mixed through [`splitmix64`]; SipHash would
+/// keys are packed id pairs mixed through [`mix64`]; SipHash would
 /// be pure overhead on this per-send hot path.
 #[derive(Default)]
 struct LinkHasher(u64);
@@ -270,7 +330,7 @@ impl std::hash::Hasher for LinkHasher {
         unreachable!("link keys hash as u64")
     }
     fn write_u64(&mut self, n: u64) {
-        self.0 = splitmix64(n);
+        self.0 = mix64(n);
     }
 }
 
@@ -315,7 +375,7 @@ impl RouteTable {
         let (sf, st) = (self.sites[from.0 as usize], self.sites[to.0 as usize]);
         let draw = |min: Time, max: Time| {
             let key = t ^ (u64::from(from.0) << 40) ^ (u64::from(to.0) << 20) ^ nonce;
-            min + splitmix64(self.config.seed ^ splitmix64(key)) % (max - min + 1)
+            min + mix64(self.config.seed ^ mix64(key)) % (max - min + 1)
         };
         let lat = match self.config.latency {
             LatencyModel::Fixed(t) => t,
@@ -456,7 +516,7 @@ fn lpt_makespan(costs: &[u64], k: usize) -> u64 {
 
 /// The shared coordinator loop: plan rounds, hand due shards to `exec`,
 /// merge results in shard order. `exec` is either the inline runner or
-/// the channel dispatcher of the worker pool.
+/// the worker pool's dispatcher.
 #[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn drive<M, P: Process<M>>(
     slots: &mut [Option<Shard<M, P>>],
@@ -643,20 +703,23 @@ where
         );
         (steps, termination, vec![load], vec![net])
     } else {
-        let (task_tx, task_rx) = unbounded::<Task<M, P>>();
-        let (done_tx, done_rx) = unbounded::<Done<M, P>>();
+        let injector = Injector::<Task<M, P>>::new();
+        let (done_tx, done_rx) = mpsc::channel::<Done<M, P>>();
+        let injector_ref = &injector;
         let in_flight_ref = &in_flight;
         let route_ref = &route;
         std::thread::scope(|scope| {
+            // Created before the workers: if the coordinator unwinds, its
+            // drop closes the queue and the scope can still join them.
+            let producer = Producer(injector_ref);
             let mut handles = Vec::with_capacity(workers);
             for w in 0..workers {
-                let rx = task_rx.clone();
                 let tx = done_tx.clone();
                 handles.push(scope.spawn(move || {
                     let mut load = WorkerLoad::default();
                     let mut net = NetStats::default();
-                    for mut task in rx.iter() {
-                        load.max_queue_depth = load.max_queue_depth.max(rx.len() + 1);
+                    while let Some((mut task, depth)) = injector_ref.claim() {
+                        load.max_queue_depth = load.max_queue_depth.max(depth);
                         if task.home % workers != w {
                             load.steals += 1;
                         }
@@ -685,9 +748,7 @@ where
             drop(done_tx);
             let mut exec = |tasks: Vec<Task<M, P>>| -> Vec<Done<M, P>> {
                 let width = tasks.len();
-                for task in tasks {
-                    task_tx.send(task).expect("workers alive");
-                }
+                producer.publish(tasks);
                 (0..width).map(|_| done_rx.recv().expect("worker completed task")).collect()
             };
             let (steps, termination) = drive(
@@ -700,7 +761,7 @@ where
                 &mut stats,
                 &mut exec,
             );
-            drop(task_tx);
+            drop(producer);
             let (loads, nets): (Vec<WorkerLoad>, Vec<NetStats>) =
                 handles.into_iter().map(|h| h.join().expect("worker panicked")).unzip();
             (steps, termination, loads, nets)
@@ -944,6 +1005,33 @@ mod tests {
         let delivered: u64 = run.stats.per_worker.iter().map(|l| l.delivered).sum();
         assert_eq!(delivered, run.outcome.steps);
         assert_eq!(run.stats.per_shard_delivered.iter().sum::<u64>(), run.outcome.steps);
+    }
+
+    /// The lost wake-up: a consumer that has seen the queue empty and
+    /// open must not miss the close that follows. The barrier releases
+    /// the consumer's claim and the producer's drop together, so over the
+    /// rounds the drop lands before, after and inside the claim; a missed
+    /// signal leaves a consumer asleep and the join below never returns.
+    #[test]
+    fn consumer_blocked_when_the_producer_drops_always_wakes() {
+        use std::sync::Barrier;
+        for round in 0..2_000u64 {
+            let injector = Injector::<u64>::new();
+            let start = Barrier::new(2);
+            std::thread::scope(|scope| {
+                let producer = Producer(&injector);
+                // Every other round the consumer has a task to drain first.
+                let sent = round % 2;
+                producer.publish((0..sent).collect());
+                let consumer = scope.spawn(|| {
+                    start.wait();
+                    std::iter::from_fn(|| injector.claim()).count() as u64
+                });
+                start.wait();
+                drop(producer);
+                assert_eq!(consumer.join().expect("consumer panicked"), sent);
+            });
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use agent::EventAttrs;
 use dist::{
     run_tenant, Arrival, ExecConfig, FreeEventSpec, ReliableConfig, TenantConfig, WorkflowSpec,
 };
-use event_algebra::{parse_expr, Literal, SymbolId, SymbolTable};
+use event_algebra::{parse_expr, SymbolId, SymbolTable};
 use sim::{FaultPlan, NodeId, SiteId, Termination};
 use testkit::conformance::{audit_tenant_isolation, check_determinism, check_run};
 
@@ -46,26 +46,7 @@ fn mutual_promise_spec() -> WorkflowSpec {
 /// A Klein pipeline of `n` events spread over `n` sites.
 fn pipeline_spec(n: u32) -> WorkflowSpec {
     let syms: Vec<SymbolId> = (0..n).map(SymbolId).collect();
-    let mut table = SymbolTable::new();
-    for i in 0..n {
-        table.intern(&format!("e{i}"));
-    }
-    let free_events = syms
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| FreeEventSpec {
-            site: SiteId(i as u32),
-            lit: Literal::pos(s),
-            attrs: EventAttrs::controllable(),
-            attempt_after: Some(1),
-        })
-        .collect();
-    WorkflowSpec {
-        table,
-        dependencies: testkit::klein_pipeline(&syms),
-        agents: vec![],
-        free_events,
-    }
+    testkit::free_event_spec(testkit::klein_pipeline(&syms), &syms)
 }
 
 fn hardened(seed: u64) -> ExecConfig {
@@ -75,10 +56,10 @@ fn hardened(seed: u64) -> ExecConfig {
 }
 
 /// seed 17 / n = 3: the shrunk counterexample from an early
-/// `klein_pipeline_completes` failure (see
-/// `dist/tests/exec_props.proptest-regressions`). Re-pinned here under a
-/// 20% lossy link — the schedule that once wedged the pipeline must now
-/// ride out drops too.
+/// `klein_pipeline_completes` failure (kept fault-free as
+/// `klein_pipeline_completes_at_seed17` in `dist/tests/exec_props.rs`).
+/// Re-pinned here under a 20% lossy link — the schedule that once wedged
+/// the pipeline must now ride out drops too.
 #[test]
 fn pipeline_seed17_survives_lossy_link() {
     let spec = pipeline_spec(3);

@@ -3,193 +3,226 @@
 //! sound, and the `T` rendering round-trips.
 
 use event_algebra::{enumerate_maximal, Expr, Literal, SymbolId};
-use proptest::prelude::*;
 use temporal::{guards_equivalent_auto, sat_at, Guard};
+use testkit::{check, Exprs, Gen};
 
 const NSYMS: u32 = 3;
+const CASES: u32 = 64;
 
 fn syms() -> Vec<SymbolId> {
     (0..NSYMS).map(SymbolId).collect()
 }
 
-fn lit_strategy() -> impl Strategy<Value = Literal> {
-    (0..NSYMS, any::<bool>()).prop_map(|(s, pos)| {
-        if pos {
-            Literal::pos(SymbolId(s))
-        } else {
-            Literal::neg(SymbolId(s))
-        }
-    })
+/// A random literal-level guard: atoms combined with `or`/`and`, at most
+/// `depth` (and the case's size) levels deep.
+fn guard(g: &mut Gen, depth: usize) -> Guard {
+    if depth.min(g.size()) == 0 || g.range(0..3u32) == 0 {
+        let l = g.literal(&syms());
+        return match g.range(0..5u32) {
+            0 => Guard::occurred(l),
+            1 => Guard::not_yet(l),
+            2 => Guard::eventually(l),
+            3 => Guard::top(),
+            _ => Guard::bottom(),
+        };
+    }
+    let (a, b) = (guard(g, depth - 1), guard(g, depth - 1));
+    if g.flip() {
+        a.or(&b)
+    } else {
+        a.and(&b)
+    }
 }
 
-/// Random literal-level guards built from atoms with `or`/`and`.
-fn guard_strategy() -> impl Strategy<Value = Guard> {
-    let atom = prop_oneof![
-        lit_strategy().prop_map(Guard::occurred),
-        lit_strategy().prop_map(Guard::not_yet),
-        lit_strategy().prop_map(Guard::eventually),
-        Just(Guard::top()),
-        Just(Guard::bottom()),
-    ];
-    atom.prop_recursive(3, 16, 2, |inner| {
-        (inner.clone(), inner).prop_flat_map(|(a, b)| prop_oneof![Just(a.or(&b)), Just(a.and(&b))])
-    })
+/// A guard that may also carry a `◇(sequence)` atom.
+fn seq_guard(g: &mut Gen) -> Guard {
+    let base = guard(g, 3);
+    // Distinct symbols for the sequence (repeats collapse to 0).
+    let mut seen = std::collections::BTreeSet::new();
+    let seq: Vec<Expr> = (0..g.range(2..=3usize))
+        .map(|_| g.literal(&syms()))
+        .filter(|l| seen.insert(l.symbol()))
+        .map(Expr::lit)
+        .collect();
+    if seq.len() < 2 {
+        base
+    } else {
+        base.or(&Guard::eventually_expr(&Expr::seq(seq)))
+    }
 }
 
-/// Guards that may also carry `◇(sequence)` atoms.
-fn seq_guard_strategy() -> impl Strategy<Value = Guard> {
-    (guard_strategy(), prop::collection::vec(lit_strategy(), 2..=3)).prop_map(|(g, lits)| {
-        // Distinct symbols for the sequence (repeats collapse to 0).
-        let mut seen = std::collections::BTreeSet::new();
-        let seq: Vec<Expr> =
-            lits.into_iter().filter(|l| seen.insert(l.symbol())).map(Expr::lit).collect();
-        if seq.len() < 2 {
-            g
-        } else {
-            g.or(&Guard::eventually_expr(&Expr::seq(seq)))
-        }
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `or`/`and` on guards are pointwise ∨/∧ of the trace semantics.
-    #[test]
-    fn or_and_are_pointwise(a in seq_guard_strategy(), b in seq_guard_strategy()) {
+/// `or`/`and` on guards are pointwise ∨/∧ of the trace semantics.
+#[test]
+fn or_and_are_pointwise() {
+    check("or_and_are_pointwise", CASES, |gen| {
+        let a = seq_guard(gen);
+        let b = seq_guard(gen);
         let or = a.or(&b);
         let and = a.and(&b);
         for u in enumerate_maximal(&syms()) {
             for i in 0..=u.len() {
-                prop_assert_eq!(or.eval(&u, i), a.eval(&u, i) || b.eval(&u, i));
-                prop_assert_eq!(and.eval(&u, i), a.eval(&u, i) && b.eval(&u, i));
+                assert_eq!(or.eval(&u, i), a.eval(&u, i) || b.eval(&u, i));
+                assert_eq!(and.eval(&u, i), a.eval(&u, i) && b.eval(&u, i));
             }
         }
-    }
+    });
+}
 
-    /// The rendered `T` expression denotes the same predicate.
-    #[test]
-    fn to_texpr_roundtrips(g in seq_guard_strategy()) {
+/// The rendered `T` expression denotes the same predicate.
+#[test]
+fn to_texpr_roundtrips() {
+    check("to_texpr_roundtrips", CASES, |gen| {
+        let g = seq_guard(gen);
         let te = g.to_texpr();
         for u in enumerate_maximal(&syms()) {
             for i in 0..=u.len() {
-                prop_assert_eq!(g.eval(&u, i), sat_at(&u, i, &te), "{} at {},{}", te, u, i);
+                assert_eq!(g.eval(&u, i), sat_at(&u, i, &te), "{te} at {u},{i}");
             }
         }
-    }
+    });
+}
 
-    /// `is_top` is exact for literal-level guards (no sequence atoms).
-    #[test]
-    fn is_top_exact_on_literal_guards(g in guard_strategy()) {
-        let brute = enumerate_maximal(&syms())
-            .iter()
-            .all(|u| (0..=u.len()).all(|i| g.eval(u, i)));
-        prop_assert_eq!(g.is_top(), brute, "{:?}", g);
-    }
+/// `is_top` is exact for literal-level guards (no sequence atoms).
+#[test]
+fn is_top_exact_on_literal_guards() {
+    check("is_top_exact_on_literal_guards", CASES, |gen| {
+        let g = guard(gen, 3);
+        let brute = enumerate_maximal(&syms()).iter().all(|u| (0..=u.len()).all(|i| g.eval(u, i)));
+        assert_eq!(g.is_top(), brute, "{g:?}");
+    });
+}
 
-    /// `is_bottom` is exact for literal-level guards.
-    #[test]
-    fn is_bottom_exact_on_literal_guards(g in guard_strategy()) {
-        let brute = enumerate_maximal(&syms())
-            .iter()
-            .any(|u| (0..=u.len()).any(|i| g.eval(u, i)));
-        prop_assert_eq!(!g.is_bottom(), brute, "{:?}", g);
-    }
+/// `is_bottom` is exact for literal-level guards.
+#[test]
+fn is_bottom_exact_on_literal_guards() {
+    check("is_bottom_exact_on_literal_guards", CASES, |gen| {
+        let g = guard(gen, 3);
+        let brute = enumerate_maximal(&syms()).iter().any(|u| (0..=u.len()).any(|i| g.eval(u, i)));
+        assert_eq!(!g.is_bottom(), brute, "{g:?}");
+    });
+}
 
-    /// Soundness of occurrence reduction (the Section 4.3 proof rules):
-    /// folding the first `k` events of a trace into the guard *in
-    /// occurrence order* (exactly what the actor's ordered fact log does)
-    /// yields a guard that agrees with the original at every index ≥ k.
-    /// Note the ordering is essential for `◇(sequence)` atoms: a single
-    /// fact applied out of context may residuate a sequence to 0 even
-    /// though earlier events had already discharged its prefix.
-    #[test]
-    fn assume_occurred_prefix_sound(g in seq_guard_strategy()) {
+/// Soundness of occurrence reduction (the Section 4.3 proof rules):
+/// folding the first `k` events of a trace into the guard *in
+/// occurrence order* (exactly what the actor's ordered fact log does)
+/// yields a guard that agrees with the original at every index ≥ k.
+/// Note the ordering is essential for `◇(sequence)` atoms: a single
+/// fact applied out of context may residuate a sequence to 0 even
+/// though earlier events had already discharged its prefix.
+#[test]
+fn assume_occurred_prefix_sound() {
+    check("assume_occurred_prefix_sound", CASES, |gen| {
+        let g = seq_guard(gen);
         for u in enumerate_maximal(&syms()) {
             let mut reduced = g.clone();
             for k in 0..u.len() {
                 reduced = reduced.assume_occurred(u.events()[k]);
                 for i in (k + 1)..=u.len() {
-                    prop_assert_eq!(
+                    assert_eq!(
                         reduced.eval(&u, i),
                         g.eval(&u, i),
-                        "guard {:?} reduced {:?} on {} at {}",
-                        g, reduced, u, i
+                        "guard {g:?} reduced {reduced:?} on {u} at {i}"
                     );
                 }
             }
         }
-    }
+    });
+}
 
-    /// Literal-level guards (no sequence atoms) reduce soundly even under
-    /// a single isolated fact.
-    #[test]
-    fn assume_occurred_single_fact_sound_without_seqs(
-        g in guard_strategy(),
-        l in lit_strategy(),
-    ) {
+/// Literal-level guards (no sequence atoms) reduce soundly even under
+/// a single isolated fact.
+#[test]
+fn assume_occurred_single_fact_sound_without_seqs() {
+    check("assume_occurred_single_fact_sound_without_seqs", CASES, |gen| {
+        let g = guard(gen, 3);
+        let l = gen.literal(&syms());
         let reduced = g.assume_occurred(l);
         for u in enumerate_maximal(&syms()) {
             let Some(k) = u.events().iter().position(|&x| x == l) else { continue };
             for i in (k + 1)..=u.len() {
-                prop_assert_eq!(reduced.eval(&u, i), g.eval(&u, i), "{:?} on {} at {}", g, u, i);
+                assert_eq!(reduced.eval(&u, i), g.eval(&u, i), "{g:?} on {u} at {i}");
             }
         }
-    }
+    });
+}
 
-    /// Soundness of promise reduction: on any trace where `l` eventually
-    /// occurs, the promised-reduced guard agrees at *every* index.
-    #[test]
-    fn assume_promised_sound(g in seq_guard_strategy(), l in lit_strategy()) {
-        let reduced = g.assume_promised(l);
-        for u in enumerate_maximal(&syms()) {
-            if !u.contains(l) {
-                continue;
-            }
-            for i in 0..=u.len() {
-                prop_assert_eq!(
-                    reduced.eval(&u, i),
-                    g.eval(&u, i),
-                    "guard {:?} promised {:?} on {} at {}",
-                    g, reduced, u, i
-                );
-            }
+/// Soundness of promise reduction: on any trace where `l` eventually
+/// occurs, the promised-reduced guard agrees at *every* index.
+fn promise_reduction_is_sound(g: &Guard, l: Literal) {
+    let reduced = g.assume_promised(l);
+    for u in enumerate_maximal(&syms()) {
+        if !u.contains(l) {
+            continue;
+        }
+        for i in 0..=u.len() {
+            assert_eq!(
+                reduced.eval(&u, i),
+                g.eval(&u, i),
+                "guard {g:?} promised {reduced:?} on {u} at {i}"
+            );
         }
     }
+}
 
-    /// Weakening sequences only ever *widens* the guard (the "small
-    /// insight" trades precision for locality; the other events' guards
-    /// recover the order).
-    #[test]
-    fn weaken_sequences_widens(g in seq_guard_strategy()) {
+#[test]
+fn assume_promised_sound() {
+    check("assume_promised_sound", CASES, |gen| {
+        let g = seq_guard(gen);
+        promise_reduction_is_sound(&g, gen.literal(&syms()));
+    });
+}
+
+/// Recorded counter-example: a promise for the *last* literal of a
+/// sequence atom, `◇(ē₀·ē₂·ē₁)` with `l = ē₁`.
+#[test]
+fn assume_promised_sound_on_a_sequence_tail() {
+    let [e0, e1, e2] = [0, 1, 2].map(|s| Literal::neg(SymbolId(s)));
+    let g = Guard::eventually_expr(&Expr::seq([e0, e2, e1].map(Expr::lit)));
+    promise_reduction_is_sound(&g, e1);
+}
+
+/// Weakening sequences only ever *widens* the guard (the "small
+/// insight" trades precision for locality; the other events' guards
+/// recover the order).
+#[test]
+fn weaken_sequences_widens() {
+    check("weaken_sequences_widens", CASES, |gen| {
+        let g = seq_guard(gen);
         let w = g.weaken_sequences();
         for u in enumerate_maximal(&syms()) {
             for i in 0..=u.len() {
-                prop_assert!(!g.eval(&u, i) || w.eval(&u, i), "narrowed at {u},{i}");
+                assert!(!g.eval(&u, i) || w.eval(&u, i), "narrowed at {u},{i}");
             }
         }
-    }
+    });
+}
 
-    /// Holding-now implies holding on every consistent state — i.e.
-    /// `holds_now` guards never fire early.
-    #[test]
-    fn holds_now_is_sound(g in guard_strategy()) {
+/// Holding-now implies holding on every consistent state — i.e.
+/// `holds_now` guards never fire early.
+#[test]
+fn holds_now_is_sound() {
+    check("holds_now_is_sound", CASES, |gen| {
+        let g = guard(gen, 3);
         if g.holds_now() {
             for u in enumerate_maximal(&syms()) {
                 for i in 0..=u.len() {
-                    prop_assert!(g.eval(&u, i));
+                    assert!(g.eval(&u, i));
                 }
             }
         }
-    }
+    });
+}
 
-    /// Mask equivalence is a congruence for or/and on literal guards.
-    #[test]
-    fn equiv_masks_matches_semantics(a in guard_strategy(), b in guard_strategy()) {
+/// Mask equivalence is a congruence for or/and on literal guards.
+#[test]
+fn equiv_masks_matches_semantics() {
+    check("equiv_masks_matches_semantics", CASES, |gen| {
+        let a = guard(gen, 3);
+        let b = guard(gen, 3);
         let semantically = guards_equivalent_auto(&a, &b)
             && enumerate_maximal(&syms())
                 .iter()
                 .all(|u| (0..=u.len()).all(|i| a.eval(u, i) == b.eval(u, i)));
-        prop_assert_eq!(a.equiv_masks(&b), semantically, "{:?} vs {:?}", a, b);
-    }
+        assert_eq!(a.equiv_masks(&b), semantically, "{a:?} vs {b:?}");
+    });
 }

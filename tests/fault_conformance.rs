@@ -3,9 +3,12 @@
 //! `all_satisfied()` with zero false guard firings across 50 seeds, and
 //! identical scenarios produce byte-identical journals.
 
-use constrained_events::{DepRuntime, ExecConfig, FaultPlan, ReliableConfig, WorkflowBuilder};
-use sim::SiteId;
-use testkit::conformance::{check_determinism, check_run};
+use constrained_events::{
+    run_workflow, run_workflow_with_faults, DepRuntime, ExecConfig, FaultPlan, ReliableConfig,
+    RunReport, WorkflowBuilder,
+};
+use sim::{LatencyModel, SiteId};
+use testkit::conformance::{check_determinism, check_run, standard_plans};
 
 const SEEDS: u64 = 50;
 
@@ -83,4 +86,36 @@ fn compiled_runtime_matches_symbolic_oracle_under_faults() {
             );
         }
     }
+}
+
+/// FNV-1a over every occurrence's (symbol, polarity, time, sequence).
+fn occurrence_digest(report: &RunReport) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &(lit, at, seq) in &report.occurrences {
+        for x in [u64::from(lit.symbol().0), u64::from(lit.is_pos()), at, seq] {
+            h = (h ^ x).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// The seeded streams may not move silently: `travel.wf` at seed 3 under
+/// uniform 1..=30 latency, on the fault-free simulator (latency draws)
+/// and under the `chaos` plan (drop, duplicate and jitter draws on top),
+/// fires exactly the occurrences these digests were computed from at the
+/// commit before the generator moved in-tree.
+#[test]
+fn travel_seed3_occurrence_digests_are_pinned() {
+    let src = std::fs::read_to_string("examples/specs/travel.wf").expect("travel.wf");
+    let workflow = WorkflowBuilder::from_spec(&src).expect("travel.wf").build();
+    let mut config = hardened(3);
+    config.sim.latency = LatencyModel::Uniform { min: 1, max: 30 };
+    let clean = run_workflow(&workflow.spec, config.clone());
+    assert!(clean.all_satisfied());
+    assert_eq!(occurrence_digest(&clean), 0x498E_8C4A_1254_96FD, "fault-free stream moved");
+    let (_, chaos) = standard_plans(3 ^ 0x5EED).pop().expect("chaos is the last standard plan");
+    let faulty = run_workflow_with_faults(&workflow.spec, config, chaos);
+    assert!(faulty.all_satisfied());
+    assert!(faulty.fault_stats.is_some_and(|f| f.dropped > 0 && f.duplicated > 0));
+    assert_eq!(occurrence_digest(&faulty), 0x0014_6087_625F_FD69, "chaos stream moved");
 }

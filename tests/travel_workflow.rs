@@ -4,7 +4,8 @@
 //! compensation of dependency 3 triggers exactly when buy fails.
 
 use constrained_events::agents::library::{rda_transaction, typical_application};
-use constrained_events::{Engine, Script, Workflow, WorkflowBuilder};
+use constrained_events::{Engine, ExecConfig, Script, Workflow, WorkflowBuilder};
+use sim::ParallelConfig;
 
 fn build(buy_script: &[&str]) -> Workflow {
     let mut b = WorkflowBuilder::new("travel");
@@ -82,10 +83,12 @@ fn centralized_schedulers_agree_on_correctness() {
 }
 
 #[test]
-fn threaded_executor_is_safe_on_travel() {
+fn parallel_executor_is_safe_on_travel() {
     for round in 0..5 {
         let wf = build(&["start", "commit"]);
-        let report = wf.run_threaded(round);
+        let mut config = ExecConfig::seeded(round);
+        config.parallel = Some(ParallelConfig::new(2));
+        let report = wf.run_with(config);
         assert!(report.all_satisfied(), "round {round}: {report:#?}");
         if let (Some(b), Some(a)) =
             (pos_of(&report, &wf, "book.commit"), pos_of(&report, &wf, "buy.commit"))
