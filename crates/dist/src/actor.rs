@@ -38,15 +38,17 @@ fn olit(l: Literal) -> ObsLit {
     ObsLit(l.index() as u32)
 }
 
-/// Stable 32-bit fingerprint of a guard's canonical form — the residual
-/// id recorded on guard-evaluation spans. Two evaluations with equal
-/// fingerprints saw the same residual guard. Hashes the structure
-/// directly (guards are kept canonical, so structural equality is
-/// semantic equality) rather than a Debug rendering: this runs on every
-/// recorded guard evaluation and must not allocate.
+/// 32-bit fingerprint of a guard's canonical form — the residual id
+/// recorded on guard-evaluation spans. Two evaluations in one recording
+/// with equal fingerprints saw the same residual guard; the value itself
+/// is opaque (it is whatever the hasher makes of the conjuncts' flat
+/// words) and means nothing across recordings or builds. Hashes the
+/// structure directly (guards are kept canonical, so structural equality
+/// is semantic equality) rather than a Debug rendering: this runs on
+/// every recorded guard evaluation and must not allocate.
 fn guard_fingerprint(g: &Guard) -> u32 {
     use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = event_algebra::FxHasher::default();
     g.hash(&mut h);
     let x = h.finish();
     (x as u32) ^ ((x >> 32) as u32)
@@ -100,10 +102,11 @@ pub struct ActorStats {
 /// Per-polarity scheduling state.
 #[derive(Debug, Clone)]
 pub struct LitState {
-    /// The current (reduced) guard.
-    pub guard: Guard,
+    /// The current (reduced) guard; shares the compiled guard's
+    /// allocation until the first fact that touches it.
+    pub guard: Arc<Guard>,
     /// The compiled guard before any reduction (for ordered rebuilds).
-    pub base_guard: Guard,
+    pub base_guard: Arc<Guard>,
     /// Event attributes.
     pub attrs: EventAttrs,
     /// An agent has requested this event and awaits a decision.
@@ -223,8 +226,9 @@ impl DepTracker {
 
 impl LitState {
     fn new(guard: Guard, attrs: EventAttrs) -> LitState {
+        let guard = Arc::new(guard);
         LitState {
-            base_guard: guard.clone(),
+            base_guard: Arc::clone(&guard),
             guard,
             attrs,
             attempted: false,
@@ -235,6 +239,22 @@ impl LitState {
             notyet_pending: BTreeSet::new(),
             notyet_granted: BTreeSet::new(),
             triggered: false,
+        }
+    }
+
+    /// Fold the occurrence of `l` into the current guard. A fact about a
+    /// symbol the guard does not mention reduces it to itself, so the
+    /// shared value stays shared.
+    fn assume_occurred(&mut self, l: Literal) {
+        if self.guard.mentions(l.symbol()) {
+            self.guard = Arc::new(self.guard.assume_occurred(l));
+        }
+    }
+
+    /// Fold the promise `◇l` into the current guard.
+    fn assume_promised(&mut self, l: Literal) {
+        if self.guard.mentions(l.symbol()) {
+            self.guard = Arc::new(self.guard.assume_promised(l));
         }
     }
 }
@@ -449,7 +469,7 @@ impl SymbolActor {
                 m.on_promise_commit(ctx.now(), self.obs.node, olit(lit));
             }
             for st in [&mut self.pos, &mut self.neg] {
-                st.guard = st.guard.assume_promised(lit);
+                st.assume_promised(lit);
             }
             self.stats.reductions += 2;
         }
@@ -511,22 +531,22 @@ impl SymbolActor {
             // Out-of-order arrival: full ordered replay. Residual steps
             // are not re-recorded — the replay re-derives state already
             // captured by earlier `DepStep` spans.
-            self.pos.guard = self.pos.base_guard.clone();
-            self.neg.guard = self.neg.base_guard.clone();
+            self.pos.guard = Arc::clone(&self.pos.base_guard);
+            self.neg.guard = Arc::clone(&self.neg.base_guard);
             for (_, t) in &mut self.dep_residuals {
                 t.reset();
             }
             for (_, &l) in self.facts_seen.iter() {
-                self.pos.guard = self.pos.guard.assume_occurred(l);
-                self.neg.guard = self.neg.guard.assume_occurred(l);
+                self.pos.assume_occurred(l);
+                self.neg.assume_occurred(l);
                 self.stats.reductions += 2;
                 for (_, t) in &mut self.dep_residuals {
                     t.step(l);
                 }
             }
             for &p in &self.promises_seen {
-                self.pos.guard = self.pos.guard.assume_promised(p);
-                self.neg.guard = self.neg.guard.assume_promised(p);
+                self.pos.assume_promised(p);
+                self.neg.assume_promised(p);
             }
             // Our own occurrence (if any) is part of the order too; it
             // was already folded into the residuals when it happened and
@@ -535,8 +555,8 @@ impl SymbolActor {
             let pending: Vec<Literal> =
                 self.facts_seen.range(self.applied_up_to + 1..).map(|(_, &l)| l).collect();
             for l in pending {
-                self.pos.guard = self.pos.guard.assume_occurred(l);
-                self.neg.guard = self.neg.guard.assume_occurred(l);
+                self.pos.assume_occurred(l);
+                self.neg.assume_occurred(l);
                 self.stats.reductions += 2;
                 for (_, t) in &mut self.dep_residuals {
                     t.step(l);
@@ -1065,7 +1085,7 @@ impl SymbolActor {
         let mut party: BTreeSet<Literal> =
             self.pending_requests.iter().filter(|(l, _)| *l == lit).map(|&(_, f)| f).collect();
         party.insert(for_lit);
-        let mut assumed = st.guard.clone();
+        let mut assumed = Guard::clone(&st.guard);
         for &p in &party {
             assumed = assumed.assume_promised(p);
         }
@@ -1185,7 +1205,7 @@ impl SymbolActor {
             // reduction is sound in isolation, unlike occurrence
             // reduction of ◇(sequence) atoms.
             for st in [&mut self.pos, &mut self.neg] {
-                st.guard = st.guard.assume_promised(lit);
+                st.assume_promised(lit);
             }
             self.after_fact(ctx, Some(lit));
         }
@@ -1257,7 +1277,7 @@ mod tests {
     fn lit_state_construction() {
         let g = Guard::top();
         let st = LitState::new(g.clone(), EventAttrs::controllable());
-        assert_eq!(st.guard, g);
+        assert_eq!(*st.guard, g);
         assert!(!st.attempted);
         assert!(!st.promised_out);
     }

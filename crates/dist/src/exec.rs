@@ -423,27 +423,23 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
     // ----- interest/subscription map -----
     // Actor t is interested in symbol s if any of t's guards mention s or
     // a dependency mentioning t also mentions s (residual tracking).
-    let mut interest: BTreeMap<SymbolId, BTreeSet<SymbolId>> = BTreeMap::new();
-    for &t in &symbol_list {
-        let mut set = BTreeSet::new();
-        for lit in [Literal::pos(t), Literal::neg(t)] {
-            set.extend(compiled.guard(lit).symbols());
-        }
-        for d in &spec.dependencies {
-            if d.mentions(t) {
-                set.extend(d.symbols());
-            }
-        }
-        set.remove(&t);
-        interest.insert(t, set);
-    }
+    // Subscribers are listed in actor order.
     for &s in &symbol_list {
-        let subs: Vec<NodeId> = symbol_list
-            .iter()
-            .filter(|&&t| t != s && interest[&t].contains(&s))
-            .map(|t| routing.actor_of[t])
-            .collect();
-        routing.subscribers_of.insert(s, subs);
+        routing.subscribers_of.insert(s, Vec::new());
+    }
+    for &t in &symbol_list {
+        let mut interest: BTreeSet<SymbolId> = BTreeSet::new();
+        for lit in [Literal::pos(t), Literal::neg(t)] {
+            interest.extend(compiled.guard_ref(lit).map(Guard::symbols).unwrap_or_default());
+        }
+        for syms in compiled.dependency_symbols.iter().filter(|syms| syms.contains(&t)) {
+            interest.extend(syms);
+        }
+        interest.remove(&t);
+        for s in interest {
+            let subs = routing.subscribers_of.get_mut(&s).expect("a mentioned symbol has an actor");
+            subs.push(routing.actor_of[&t]);
+        }
     }
     let routing = Arc::new(routing);
     let lazy = config.lazy.is_some();
@@ -457,9 +453,12 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
             Node::Agent(AgentNode::new(a.agent.clone(), &a.script, Arc::clone(&routing))),
         ));
     }
-    let adapt = |g: Guard| match config.guard_mode {
-        GuardMode::Faithful => g,
-        GuardMode::Weakened => g.weaken_sequences(),
+    // The one copy of a literal's guard this build makes: the actor owns
+    // it, shared between its base and current guard.
+    let actor_guard = |lit: Literal| match (compiled.guard_ref(lit), config.guard_mode) {
+        (None, _) => Guard::top(),
+        (Some(g), GuardMode::Faithful) => g.clone(),
+        (Some(g), GuardMode::Weakened) => g.weaken_sequences(),
     };
     for &s in &symbol_list {
         let pos = Literal::pos(s);
@@ -468,7 +467,7 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
             .dependencies
             .iter()
             .enumerate()
-            .filter(|(_, d)| d.mentions(s))
+            .filter(|&(ix, _)| compiled.dependency_symbols[ix].contains(&s))
             .map(|(ix, d)| {
                 let tracker = match config.dep_runtime {
                     DepRuntime::Compiled => DepTracker::compiled(Arc::clone(&machines[ix])),
@@ -479,8 +478,8 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
             .collect();
         let mut actor = SymbolActor::new(
             s,
-            adapt(compiled.guard(pos)),
-            adapt(compiled.guard(neg)),
+            actor_guard(pos),
+            actor_guard(neg),
             attrs_of.get(&pos).copied().unwrap_or_else(EventAttrs::controllable),
             attrs_of.get(&neg).copied().unwrap_or_else(EventAttrs::immediate),
             deps,

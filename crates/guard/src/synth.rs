@@ -16,8 +16,8 @@
 //! instead of a cloned tree — since different interleavings reconverge on
 //! the same residuals.
 
-use event_algebra::{normalize, Expr, ExprArena, ExprId, Literal};
-use std::collections::{BTreeSet, HashMap};
+use event_algebra::{normalize, Expr, ExprArena, ExprId, FxHashMap, Literal};
+use std::collections::BTreeSet;
 use temporal::Guard;
 
 /// A memo table for guard synthesis, reusable across events and
@@ -27,7 +27,13 @@ use temporal::Guard;
 #[derive(Debug, Default)]
 pub struct GuardSynth {
     arena: ExprArena,
-    memo: HashMap<(ExprId, Literal), Guard>,
+    memo: FxHashMap<(ExprId, Literal), Guard>,
+    /// `◇(R)` per residual `R`. The same residual is the "rest of the
+    /// dependency" of many (state, event) pairs, and building its guard
+    /// goes through the tree form — the arena orders `+`/`|` children by
+    /// id, the tree by structure, and the order sums are folded in is
+    /// part of the resulting guard — so it is built once per id.
+    eventually: FxHashMap<ExprId, Guard>,
 }
 
 impl GuardSynth {
@@ -36,41 +42,55 @@ impl GuardSynth {
         GuardSynth::default()
     }
 
+    /// Intern and normalize a dependency: the handle [`GuardSynth::guard_at`]
+    /// takes, so a caller asking for many events' guards pays for the
+    /// tree walk once.
+    pub fn intern(&mut self, d: &Expr) -> ExprId {
+        let raw = self.arena.intern(d);
+        self.arena.normalize(raw)
+    }
+
     /// `G(D, e)` per Definition 2.
     pub fn guard(&mut self, d: &Expr, e: Literal) -> Guard {
-        let raw = self.arena.intern(d);
-        let id = self.arena.normalize(raw);
-        self.guard_id(id, e)
+        let id = self.intern(d);
+        self.guard_at(id, e).clone()
+    }
+
+    /// `G(D, e)` for a dependency interned by [`GuardSynth::intern`],
+    /// borrowed from the memo.
+    pub fn guard_at(&mut self, id: ExprId, e: Literal) -> &Guard {
+        self.synthesize(id, e);
+        &self.memo[&(id, e)]
     }
 
     fn guard_normal(&mut self, d: &Expr, e: Literal) -> Guard {
         let id = self.arena.intern(d);
         debug_assert!(self.arena.is_normal(id));
-        self.guard_id(id, e)
+        self.guard_at(id, e).clone()
     }
 
-    fn guard_id(&mut self, id: ExprId, e: Literal) -> Guard {
-        if let Some(g) = self.memo.get(&(id, e)) {
-            return g.clone();
+    /// Fill the memo entry for `(id, e)` and everything it rests on.
+    fn synthesize(&mut self, id: ExprId, e: Literal) {
+        if self.memo.contains_key(&(id, e)) {
+            return;
         }
         // Γ_{D^e}: the relevant literals other than e's symbol.
         let gamma: Vec<Literal> =
             self.arena.alphabet(id).into_iter().filter(|l| l.symbol() != e.symbol()).collect();
         // First term: e occurs before any other relevant event.
         let after_e = self.arena.residuate_normal(id, e);
-        let mut first = Guard::eventually_expr(&self.arena.expr(after_e));
-        for &f in &gamma {
-            first = first.and(&Guard::not_yet(f));
-        }
+        let arena = &self.arena;
+        let rest = (self.eventually.entry(after_e))
+            // Residuals of a normal form are normal.
+            .or_insert_with(|| Guard::eventually_normal(&arena.expr(after_e)));
+        let mut result = rest.and_not_yet(&gamma);
         // Sum terms: f occurred first.
-        let mut result = first;
         for &f in &gamma {
             let sub_id = self.arena.residuate_normal(id, f);
-            let sub = self.guard_id(sub_id, e);
-            result = result.or(&Guard::occurred(f).and(&sub));
+            self.synthesize(sub_id, e);
+            result = result.or(&Guard::occurred(f).and(&self.memo[&(sub_id, e)]));
         }
-        self.memo.insert((id, e), result.clone());
-        result
+        self.memo.insert((id, e), result);
     }
 
     /// `G(D, e)` using the independence fast path: when `D` is a `+` or

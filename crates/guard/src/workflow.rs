@@ -42,6 +42,10 @@ pub struct CompiledWorkflow {
     pub machines: Vec<DependencyMachine>,
     /// All symbols mentioned by the workflow.
     pub symbols: BTreeSet<SymbolId>,
+    /// The symbols each dependency mentions, by dependency index — what
+    /// decides which guards a dependency contributes to and which
+    /// announcements its residual trackers follow.
+    pub dependency_symbols: Vec<BTreeSet<SymbolId>>,
 }
 
 impl CompiledWorkflow {
@@ -49,28 +53,27 @@ impl CompiledWorkflow {
     /// and every literal `e` in scope, and conjoin per literal.
     pub fn compile(dependencies: &[Expr], scope: GuardScope) -> CompiledWorkflow {
         let mut synth = GuardSynth::new();
-        let mut symbols = BTreeSet::new();
-        for d in dependencies {
-            symbols.extend(d.symbols());
-        }
-        let all_literals: BTreeSet<Literal> =
-            symbols.iter().flat_map(|&s| [Literal::pos(s), Literal::neg(s)]).collect();
+        // Per dependency, once: its interned normal form and its symbols.
+        let ids: Vec<_> = dependencies.iter().map(|d| synth.intern(d)).collect();
+        let dependency_symbols: Vec<BTreeSet<SymbolId>> =
+            dependencies.iter().map(Expr::symbols).collect();
+        let symbols: BTreeSet<SymbolId> = dependency_symbols.iter().flatten().copied().collect();
         let mut guards = BTreeMap::new();
         let mut per_dependency: BTreeMap<Literal, Vec<(usize, Guard)>> = BTreeMap::new();
-        for &lit in &all_literals {
+        for lit in symbols.iter().flat_map(|&s| [Literal::pos(s), Literal::neg(s)]) {
             let mut combined = Guard::top();
             let mut per_dep = Vec::new();
-            for (ix, d) in dependencies.iter().enumerate() {
+            for (ix, &id) in ids.iter().enumerate() {
                 let relevant = match scope {
-                    GuardScope::Mentioning => d.mentions(lit.symbol()),
+                    GuardScope::Mentioning => dependency_symbols[ix].contains(&lit.symbol()),
                     GuardScope::All => true,
                 };
                 if !relevant {
                     continue;
                 }
-                let g = synth.guard(d, lit);
-                combined = combined.and(&g);
-                per_dep.push((ix, g));
+                let g = synth.guard_at(id, lit);
+                combined = combined.and(g);
+                per_dep.push((ix, g.clone()));
             }
             guards.insert(lit, combined);
             per_dependency.insert(lit, per_dep);
@@ -84,6 +87,7 @@ impl CompiledWorkflow {
             per_dependency,
             machines,
             symbols,
+            dependency_symbols,
         }
     }
 
@@ -96,9 +100,8 @@ impl CompiledWorkflow {
     /// Borrowed view of the conjoined guard on `lit`; `None` means the
     /// literal is outside the workflow's alphabet and its guard is `⊤`.
     /// The online monitor evaluates guards on every gated firing, where
-    /// the owned clone [`CompiledWorkflow::guard`] hands out (a vector
-    /// of conjuncts, each holding maps and sequence sets) would dominate
-    /// the whole check.
+    /// the owned clone [`CompiledWorkflow::guard`] hands out (an
+    /// allocation per conjunct) would dominate the whole check.
     pub fn guard_ref(&self, lit: Literal) -> Option<&Guard> {
         self.guards.get(&lit)
     }
@@ -116,7 +119,7 @@ impl CompiledWorkflow {
     /// The symbols whose announcements `lit`'s actor must subscribe to:
     /// every symbol its guard mentions (excluding its own).
     pub fn subscriptions(&self, lit: Literal) -> BTreeSet<SymbolId> {
-        let mut s = self.guard(lit).symbols();
+        let mut s = self.guard_ref(lit).map(Guard::symbols).unwrap_or_default();
         s.remove(&lit.symbol());
         s
     }

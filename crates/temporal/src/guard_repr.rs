@@ -25,7 +25,8 @@
 
 use crate::texpr::TExpr;
 use event_algebra::{normalize, Expr, Literal, Polarity, SymbolId, Trace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 /// Bit for state `A` (the event occurred).
 pub const ST_A: u8 = 1;
@@ -99,16 +100,46 @@ pub fn state_on(u: &Trace, i: usize, sym: SymbolId) -> u8 {
     }
 }
 
+/// The signature bit of `sym`: conjunct signatures are 64-bit Bloom
+/// words over the constrained symbols, so two symbols may share a bit and
+/// every signature test below is a one-sided filter.
+fn sig_bit(sym: SymbolId) -> u64 {
+    1 << (sym.0 & 63)
+}
+
+/// `small ⊆ big` for two sorted, deduplicated slices.
+fn sorted_subset<T: Ord>(small: &[T], big: &[T]) -> bool {
+    let mut rest = big.iter();
+    small.iter().all(|x| rest.by_ref().find(|y| *y >= x) == Some(x))
+}
+
+/// Insert into a sorted, deduplicated vector.
+fn sorted_insert<T: Ord>(v: &mut Vec<T>, x: T) {
+    if let Err(at) = v.binary_search(&x) {
+        v.insert(at, x);
+    }
+}
+
+/// One symbol's mask inside a conjunct.
+type Cell = (SymbolId, u8);
+
 /// One DNF conjunct: a mask per constrained symbol plus residual `◇(seq)`
-/// atoms.
+/// atoms, both as flat sorted vectors — every binary operation on
+/// conjuncts is a merge walk over them. The derived order (masks, then
+/// sequence atoms, lexicographically) is the canonical conjunct order.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Conjunct {
-    /// Per-symbol state masks; absent symbols are unconstrained
-    /// ([`ST_FULL`]). Invariant: stored masks are never `0` or `ST_FULL`.
-    masks: BTreeMap<SymbolId, u8>,
-    /// `◇(l₁·l₂·…)` atoms, each with ≥ 2 literals (single literals fold
-    /// into the mask) over pairwise distinct symbols.
-    seqs: BTreeSet<Vec<Literal>>,
+    /// Per-symbol state masks, sorted by symbol; absent symbols are
+    /// unconstrained ([`ST_FULL`]). Invariant: stored masks are never `0`
+    /// or `ST_FULL`.
+    masks: Vec<Cell>,
+    /// `◇(l₁·l₂·…)` atoms, sorted and deduplicated, each with ≥ 2 literals
+    /// (single literals fold into the mask) over pairwise distinct
+    /// symbols.
+    seqs: Vec<Vec<Literal>>,
+    /// The union of [`sig_bit`] over `masks`. A function of `masks`, so
+    /// comparing it last leaves the derived order and equality unchanged.
+    sig: u64,
 }
 
 impl Conjunct {
@@ -123,14 +154,21 @@ impl Conjunct {
         self.masks.is_empty() && self.seqs.is_empty()
     }
 
+    fn position(&self, sym: SymbolId) -> Result<usize, usize> {
+        self.masks.binary_search_by_key(&sym, |&(s, _)| s)
+    }
+
     /// The mask for `sym` (`ST_FULL` when unconstrained).
     pub fn mask(&self, sym: SymbolId) -> u8 {
-        self.masks.get(&sym).copied().unwrap_or(ST_FULL)
+        if self.sig & sig_bit(sym) == 0 {
+            return ST_FULL;
+        }
+        self.position(sym).map_or(ST_FULL, |at| self.masks[at].1)
     }
 
     /// Constrained symbols, in order.
     pub fn constrained_symbols(&self) -> impl Iterator<Item = (SymbolId, u8)> + '_ {
-        self.masks.iter().map(|(&s, &m)| (s, m))
+        self.masks.iter().copied()
     }
 
     /// The residual sequence atoms.
@@ -141,41 +179,177 @@ impl Conjunct {
     /// Intersect a mask constraint; returns `false` if the conjunct dies.
     #[must_use]
     fn constrain(&mut self, sym: SymbolId, mask: u8) -> bool {
-        let m = self.mask(sym) & mask;
-        if m == 0 {
-            return false;
+        match self.position(sym) {
+            // A stored mask is a proper subset of the states, and so is
+            // anything it is intersected with.
+            Ok(at) => {
+                self.masks[at].1 &= mask;
+                self.masks[at].1 != 0
+            }
+            Err(at) => {
+                let m = mask & ST_FULL;
+                if m != 0 && m != ST_FULL {
+                    self.masks.insert(at, (sym, m));
+                    self.sig |= sig_bit(sym);
+                }
+                m != 0
+            }
         }
-        if m == ST_FULL {
-            self.masks.remove(&sym);
-        } else {
-            self.masks.insert(sym, m);
+    }
+
+    /// Replace `sym`'s mask by `mask` (dropping the entry at `ST_FULL`).
+    fn set_mask(&mut self, sym: SymbolId, mask: u8) {
+        match (self.position(sym), mask == ST_FULL) {
+            (Ok(at), true) => {
+                self.masks.remove(at);
+                // Another symbol may share the bit: rebuild, not clear.
+                self.sig = self.masks.iter().fold(0, |sig, &(s, _)| sig | sig_bit(s));
+            }
+            (Ok(at), false) => self.masks[at].1 = mask,
+            (Err(_), true) => {}
+            (Err(at), false) => {
+                self.masks.insert(at, (sym, mask));
+                self.sig |= sig_bit(sym);
+            }
         }
-        true
+    }
+
+    /// The conjunction of two conjuncts; `None` if some symbol's masks
+    /// are disjoint.
+    fn meet(&self, other: &Conjunct) -> Option<Conjunct> {
+        let (a, b): (&[Cell], &[Cell]) = (&self.masks, &other.masks);
+        let mut masks = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    masks.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    masks.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let m = a[i].1 & b[j].1;
+                    if m == 0 {
+                        return None;
+                    }
+                    masks.push((a[i].0, m));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        masks.extend_from_slice(&a[i..]);
+        masks.extend_from_slice(&b[j..]);
+        let mut seqs = self.seqs.clone();
+        for seq in &other.seqs {
+            sorted_insert(&mut seqs, seq.clone());
+        }
+        Some(Conjunct { masks, seqs, sig: self.sig | other.sig })
     }
 
     /// `self` implies `other`: every state vector satisfying `self`
-    /// satisfies `other` (used for absorption).
+    /// satisfies `other` (used for absorption). `other`'s constrained
+    /// symbols must then all be constrained here, which the signatures
+    /// rule out for most pairs without looking at the masks.
     fn implies(&self, other: &Conjunct) -> bool {
-        other.masks.iter().all(|(&s, &om)| self.mask(s) & !om == 0)
-            && other.seqs.is_subset(&self.seqs)
+        if other.sig & !self.sig != 0 {
+            return false;
+        }
+        let mut mine = self.masks.iter();
+        other.masks.iter().all(|&(s, om)| {
+            mine.by_ref().find(|&&(t, _)| t >= s).is_some_and(|&(t, m)| t == s && m & !om == 0)
+        }) && sorted_subset(&other.seqs, &self.seqs)
     }
 
-    /// All symbols this conjunct mentions (masks and sequence atoms).
-    pub fn symbols(&self) -> BTreeSet<SymbolId> {
-        let mut out: BTreeSet<SymbolId> = self.masks.keys().copied().collect();
-        for seq in &self.seqs {
-            out.extend(seq.iter().map(|l| l.symbol()));
+    /// If the two conjuncts are identical except for one symbol's mask,
+    /// that symbol and the union of its two masks.
+    fn sibling(&self, other: &Conjunct) -> Option<(SymbolId, u8)> {
+        if (self.sig ^ other.sig).count_ones() > 1 || self.seqs != other.seqs {
+            return None;
         }
-        out
+        let (a, b): (&[Cell], &[Cell]) = (&self.masks, &other.masks);
+        let (mut i, mut j) = (0, 0);
+        let mut only = None;
+        while i < a.len() || j < b.len() {
+            let (s, am, bm) = match (a.get(i), b.get(j)) {
+                (Some(&(s, am)), Some(&(t, bm))) if s == t => (s, am, bm),
+                (Some(&(s, am)), Some(&(t, _))) if s < t => (s, am, ST_FULL),
+                (Some(&(s, am)), None) => (s, am, ST_FULL),
+                (_, Some(&(t, bm))) => (t, ST_FULL, bm),
+                (None, None) => unreachable!("loop condition"),
+            };
+            i += usize::from(am != ST_FULL);
+            j += usize::from(bm != ST_FULL);
+            if am != bm && only.replace((s, am | bm)).is_some() {
+                return None;
+            }
+        }
+        only
+    }
+
+    /// `true` if `sym` is constrained by a mask, or (with `in_seqs`)
+    /// mentioned by a sequence atom.
+    fn mentions(&self, sym: SymbolId, in_seqs: bool) -> bool {
+        self.mask(sym) != ST_FULL
+            || (in_seqs && self.seqs.iter().flatten().any(|l| l.symbol() == sym))
     }
 
     /// Evaluate on a maximal trace at an index (sequence atoms are
     /// index-independent because embedded algebra expressions are
     /// index-monotone and the trace is maximal).
     pub fn eval(&self, u: &Trace, i: usize) -> bool {
-        self.masks.iter().all(|(&s, &m)| state_on(u, i, s) & m != 0)
+        self.masks.iter().all(|&(s, m)| state_on(u, i, s) & m != 0)
             && self.seqs.iter().all(|seq| seq_satisfied(u, seq))
     }
+}
+
+/// The mask rows of a sequence-free DNF, as the cofactor walk sees them.
+type Row<'a> = &'a [Cell];
+
+/// `true` if some row is empty: the DNF holds on every state vector.
+fn rows_hold(rows: &[Row<'_>]) -> bool {
+    rows.iter().any(|r| r.is_empty())
+}
+
+/// The rows that survive fixing `sym` (no row's head is smaller) to the
+/// single state `st`, with `sym` dropped from them.
+fn cofactor<'a>(rows: &[Row<'a>], sym: SymbolId, st: u8) -> Vec<Row<'a>> {
+    if rows_hold(rows) {
+        return vec![&[]];
+    }
+    rows.iter()
+        .filter_map(|&r| match r.first() {
+            Some(&(s, m)) if s == sym => (m & st != 0).then_some(&r[1..]),
+            _ => Some(r),
+        })
+        .collect()
+}
+
+/// `true` iff two sequence-free DNFs hold on exactly the same state
+/// vectors. Splits on the smallest constrained symbol and recurses into
+/// the cofactor of each of its four states (rows are sorted, so taking a
+/// cofactor drops a row or its head); states that select the same rows
+/// share one recursion. Exact at any width, exponential only when the
+/// guards are.
+fn dnf_agree(a: &[Row<'_>], b: &[Row<'_>]) -> bool {
+    if rows_hold(a) && rows_hold(b) {
+        return true;
+    }
+    let heads = || a.iter().chain(b).filter_map(|r| r.first().copied());
+    let Some(sym) = heads().map(|(s, _)| s).min() else {
+        return rows_hold(a) == rows_hold(b);
+    };
+    let states = [ST_A, ST_B, ST_C, ST_D];
+    states.iter().enumerate().all(|(k, &st)| {
+        let selects_like = |prev: u8| {
+            heads().filter(|&(s, _)| s == sym).all(|(_, m)| (m & prev != 0) == (m & st != 0))
+        };
+        states[..k].iter().any(|&prev| selects_like(prev))
+            || dnf_agree(&cofactor(a, sym, st), &cofactor(b, sym, st))
+    })
 }
 
 /// A guard: a disjunction of [`Conjunct`]s, kept canonical (sorted,
@@ -226,28 +400,34 @@ impl Guard {
     /// (embedded expressions are index-monotone), single literals fold to
     /// mask atoms, and literal sequences stay symbolic.
     pub fn eventually_expr(e: &Expr) -> Guard {
-        fn go(e: &Expr) -> Guard {
-            match e {
-                Expr::Zero => Guard::bottom(),
-                Expr::Top => Guard::top(),
-                Expr::Lit(l) => Guard::eventually(*l),
-                Expr::Or(v) => v.iter().fold(Guard::bottom(), |acc, p| acc.or(&go(p))),
-                Expr::And(v) => v.iter().fold(Guard::top(), |acc, p| acc.and(&go(p))),
-                Expr::Seq(v) => {
-                    let lits: Vec<Literal> = v
-                        .iter()
-                        .map(|p| match p {
-                            Expr::Lit(l) => *l,
-                            other => panic!("normalized Seq contains non-literal {other}"),
-                        })
-                        .collect();
-                    let mut c = Conjunct::top();
-                    c.seqs.insert(lits);
-                    Guard { conjuncts: vec![c] }
-                }
+        Guard::eventually_normal(&normalize(e))
+    }
+
+    /// [`Guard::eventually_expr`] for an expression already in normal
+    /// form (no `+`/`|` under `·`), which [`normalize`] would hand back
+    /// unchanged.
+    pub fn eventually_normal(e: &Expr) -> Guard {
+        match e {
+            Expr::Zero => Guard::bottom(),
+            Expr::Top => Guard::top(),
+            Expr::Lit(l) => Guard::eventually(*l),
+            Expr::Or(v) => {
+                v.iter().fold(Guard::bottom(), |acc, p| acc.or(&Guard::eventually_normal(p)))
+            }
+            Expr::And(v) => {
+                v.iter().fold(Guard::top(), |acc, p| acc.and(&Guard::eventually_normal(p)))
+            }
+            Expr::Seq(v) => {
+                let lits: Vec<Literal> = v
+                    .iter()
+                    .map(|p| match p {
+                        Expr::Lit(l) => *l,
+                        other => panic!("normalized Seq contains non-literal {other}"),
+                    })
+                    .collect();
+                Guard { conjuncts: vec![Conjunct { seqs: vec![lits], ..Conjunct::top() }] }
             }
         }
-        go(&normalize(e))
     }
 
     /// The conjuncts (canonical order).
@@ -257,6 +437,14 @@ impl Guard {
 
     /// Disjunction.
     pub fn or(&self, other: &Guard) -> Guard {
+        // A guard is always canonical and canonicalisation is idempotent,
+        // so `x + 0` needs no pass of its own.
+        if other.is_bottom() {
+            return self.clone();
+        }
+        if self.is_bottom() {
+            return other.clone();
+        }
         let mut cs = self.conjuncts.clone();
         cs.extend(other.conjuncts.iter().cloned());
         Guard::canonical(cs)
@@ -264,27 +452,52 @@ impl Guard {
 
     /// Conjunction (cross product of conjuncts).
     pub fn and(&self, other: &Guard) -> Guard {
-        let mut cs = Vec::new();
+        // As in `or`: `x | ⊤` is `x`, already canonical. Absorption
+        // leaves a guard holding the ⊤ conjunct nothing else.
+        if other.holds_now() {
+            return self.clone();
+        }
+        if self.holds_now() {
+            return other.clone();
+        }
+        let mut cs = Vec::with_capacity(self.conjuncts.len() * other.conjuncts.len());
         for a in &self.conjuncts {
-            'pairs: for b in &other.conjuncts {
-                let mut c = a.clone();
-                for (&s, &m) in &b.masks {
-                    if !c.constrain(s, m) {
-                        // This particular pair is contradictory; the other
-                        // b-conjuncts may still combine with `a`.
-                        continue 'pairs;
-                    }
-                }
-                c.seqs.extend(b.seqs.iter().cloned());
-                cs.push(c);
-            }
+            // A contradictory pair drops out; the other b-conjuncts may
+            // still combine with `a`.
+            cs.extend(other.conjuncts.iter().filter_map(|b| a.meet(b)));
         }
         Guard::canonical(cs)
     }
 
+    /// `self | ¬f₁ | ¬f₂ | …`, one conjunction per literal in order — the
+    /// "nothing else has happened yet" factor of Definition 2's first
+    /// term. With a single conjunct no round has anything to absorb or
+    /// merge, so the masks are intersected in place.
+    pub fn and_not_yet(&self, lits: &[Literal]) -> Guard {
+        match &self.conjuncts[..] {
+            [only] => {
+                let mut c = only.clone();
+                let alive =
+                    lits.iter().all(|f| c.constrain(f.symbol(), not_yet_mask(f.polarity())));
+                Guard { conjuncts: if alive { vec![c] } else { Vec::new() } }
+            }
+            _ => lits.iter().fold(self.clone(), |acc, &f| acc.and(&Guard::not_yet(f))),
+        }
+    }
+
     /// Canonicalize: drop dead conjuncts, sort, dedupe, absorb, and merge
     /// sibling conjuncts that differ in a single symbol's mask.
+    ///
+    /// The merge step is not confluent — `{x:A,y:A}`, `{x:A,y:B}`,
+    /// `{x:B,y:A}` reduce to two different pairs depending on which merge
+    /// fires first — and the actors read the conjunct structure to decide
+    /// promises, so the scan order below (first mergeable pair in `(i, j)`
+    /// order, the two `swap_remove`s, re-absorption, restart) is part of
+    /// what a guard *is*, not an implementation detail.
     fn canonical(mut cs: Vec<Conjunct>) -> Guard {
+        if cs.len() < 2 {
+            return Guard { conjuncts: cs };
+        }
         // Absorption: drop any conjunct that implies another.
         let mut keep: Vec<Conjunct> = Vec::with_capacity(cs.len());
         cs.sort();
@@ -302,32 +515,18 @@ impl Guard {
             let mut merged = false;
             'pairs: for i in 0..keep.len() {
                 for j in (i + 1)..keep.len() {
-                    if keep[i].seqs != keep[j].seqs {
-                        continue;
+                    let Some((only, union)) = keep[i].sibling(&keep[j]) else { continue };
+                    let mut c = keep[i].clone();
+                    c.set_mask(only, union);
+                    keep.swap_remove(j);
+                    keep.swap_remove(i);
+                    // Re-run absorption against the merged conjunct.
+                    keep.retain(|k| !k.implies(&c));
+                    if !keep.iter().any(|k| c.implies(k)) {
+                        keep.push(c);
                     }
-                    let (a, b) = (&keep[i], &keep[j]);
-                    let syms: BTreeSet<SymbolId> =
-                        a.masks.keys().chain(b.masks.keys()).copied().collect();
-                    let diffs: Vec<SymbolId> =
-                        syms.into_iter().filter(|&s| a.mask(s) != b.mask(s)).collect();
-                    if let [only] = diffs[..] {
-                        let union = a.mask(only) | b.mask(only);
-                        let mut c = a.clone();
-                        if union == ST_FULL {
-                            c.masks.remove(&only);
-                        } else {
-                            c.masks.insert(only, union);
-                        }
-                        keep.swap_remove(j);
-                        keep.swap_remove(i);
-                        // Re-run absorption against the merged conjunct.
-                        keep.retain(|k| !k.implies(&c));
-                        if !keep.iter().any(|k| c.implies(k)) {
-                            keep.push(c);
-                        }
-                        merged = true;
-                        break 'pairs;
-                    }
+                    merged = true;
+                    break 'pairs;
                 }
             }
             if !merged {
@@ -350,54 +549,19 @@ impl Guard {
         self.conjuncts.iter().any(Conjunct::is_top)
     }
 
+    /// The mask rows of the conjuncts without sequence atoms.
+    fn mask_rows(&self) -> Vec<Row<'_>> {
+        self.conjuncts.iter().filter(|c| c.seqs.is_empty()).map(|c| &c.masks[..]).collect()
+    }
+
     /// Semantic tautology check.
     ///
-    /// Exact for guards without sequence atoms (enumerates the 4ⁿ state
-    /// vectors of the constrained symbols); conjuncts carrying sequence
-    /// atoms are conservatively treated as non-covering, so `true` is
-    /// always sound.
+    /// Exact for guards without sequence atoms, at any number of symbols
+    /// (cofactor splitting, see [`dnf_agree`]); conjuncts carrying
+    /// sequence atoms are conservatively treated as non-covering, so
+    /// `true` is always sound.
     pub fn is_top(&self) -> bool {
-        if self.holds_now() {
-            return true;
-        }
-        let syms: Vec<SymbolId> = self
-            .conjuncts
-            .iter()
-            .flat_map(|c| c.masks.keys().copied())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        if syms.len() > 12 {
-            return false; // give up: callers fall back to semantic checks
-        }
-        let usable: Vec<&Conjunct> = self.conjuncts.iter().filter(|c| c.seqs.is_empty()).collect();
-        if usable.is_empty() {
-            return false;
-        }
-        // Enumerate state vectors; each symbol independently takes A/B/C/D.
-        let mut states = vec![ST_A; syms.len()];
-        loop {
-            let covered = usable
-                .iter()
-                .any(|c| syms.iter().zip(&states).all(|(&s, &st)| c.mask(s) & st != 0));
-            if !covered {
-                return false;
-            }
-            // Advance the odometer.
-            let mut k = 0;
-            loop {
-                if k == syms.len() {
-                    return true;
-                }
-                states[k] <<= 1;
-                if states[k] > ST_D {
-                    states[k] = ST_A;
-                    k += 1;
-                } else {
-                    break;
-                }
-            }
-        }
+        self.holds_now() || dnf_agree(&self.mask_rows(), &[&[]])
     }
 
     /// Exact semantic equivalence for guards without sequence atoms;
@@ -411,41 +575,7 @@ impl Guard {
         if self.has_seq_atoms() || other.has_seq_atoms() {
             return false;
         }
-        let syms: Vec<SymbolId> = self
-            .conjuncts
-            .iter()
-            .chain(other.conjuncts.iter())
-            .flat_map(|c| c.masks.keys().copied())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let mut states = vec![ST_A; syms.len()];
-        loop {
-            let eva = self
-                .conjuncts
-                .iter()
-                .any(|c| syms.iter().zip(&states).all(|(&s, &st)| c.mask(s) & st != 0));
-            let evb = other
-                .conjuncts
-                .iter()
-                .any(|c| syms.iter().zip(&states).all(|(&s, &st)| c.mask(s) & st != 0));
-            if eva != evb {
-                return false;
-            }
-            let mut k = 0;
-            loop {
-                if k == syms.len() {
-                    return true;
-                }
-                states[k] <<= 1;
-                if states[k] > ST_D {
-                    states[k] = ST_A;
-                    k += 1;
-                } else {
-                    break;
-                }
-            }
-        }
+        dnf_agree(&self.mask_rows(), &other.mask_rows())
     }
 
     /// `true` if any conjunct carries a `◇(sequence)` atom.
@@ -462,7 +592,12 @@ impl Guard {
     /// All symbols the guard mentions — these are the events whose
     /// announcements the owning actor must subscribe to.
     pub fn symbols(&self) -> BTreeSet<SymbolId> {
-        self.conjuncts.iter().flat_map(|c| c.symbols()).collect()
+        let mut out = BTreeSet::new();
+        self.symbols_all(|s| {
+            out.insert(s);
+            true
+        });
+        out
     }
 
     /// `true` iff every symbol the guard mentions satisfies `pred` — the
@@ -471,21 +606,17 @@ impl Guard {
     /// firing, where materialising the symbol set would dominate the
     /// whole check.
     pub fn symbols_all(&self, mut pred: impl FnMut(SymbolId) -> bool) -> bool {
-        for c in &self.conjuncts {
-            for &s in c.masks.keys() {
-                if !pred(s) {
-                    return false;
-                }
-            }
-            for seq in &c.seqs {
-                for l in seq {
-                    if !pred(l.symbol()) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        self.conjuncts.iter().all(|c| {
+            c.masks.iter().all(|&(s, _)| pred(s))
+                && c.seqs.iter().flatten().all(|l| pred(l.symbol()))
+        })
+    }
+
+    /// `true` if a fact about `sym` can change the guard: some mask
+    /// constrains it or some sequence atom mentions it. Reducing by a
+    /// fact about any other symbol returns the guard unchanged.
+    pub fn mentions(&self, sym: SymbolId) -> bool {
+        self.conjuncts.iter().any(|c| c.mentions(sym, true))
     }
 
     /// Replace every `◇(l₁·…·lₖ)` atom by the conjunction `◇l₁|…|◇lₖ` —
@@ -493,14 +624,15 @@ impl Guard {
     /// events already enforce the order, so an event's own guard only
     /// needs the eventual occurrences.
     pub fn weaken_sequences(&self) -> Guard {
-        let mut out = Vec::new();
+        if !self.has_seq_atoms() {
+            return self.clone();
+        }
+        let mut out = Vec::with_capacity(self.conjuncts.len());
         'conj: for c in &self.conjuncts {
-            let mut n = Conjunct { masks: c.masks.clone(), seqs: BTreeSet::new() };
-            for seq in &c.seqs {
-                for &l in seq {
-                    if !n.constrain(l.symbol(), eventually_mask(l.polarity())) {
-                        continue 'conj;
-                    }
+            let mut n = Conjunct { masks: c.masks.clone(), seqs: Vec::new(), sig: c.sig };
+            for &l in c.seqs.iter().flatten() {
+                if !n.constrain(l.symbol(), eventually_mask(l.polarity())) {
+                    continue 'conj;
                 }
             }
             out.push(n);
@@ -526,11 +658,20 @@ impl Guard {
     }
 
     fn assume_mask(&self, sym: SymbolId, closure: u8, occurred: Option<Literal>) -> Guard {
-        let mut out = Vec::new();
+        // Sequence atoms only step on occurrence facts.
+        let in_seqs = occurred.is_some();
+        if !self.conjuncts.iter().any(|c| c.mentions(sym, in_seqs)) {
+            return self.clone();
+        }
+        let mut out = Vec::with_capacity(self.conjuncts.len());
         'conj: for c in &self.conjuncts {
-            let mut n = Conjunct::top();
+            if !c.mentions(sym, in_seqs) {
+                out.push(c.clone());
+                continue;
+            }
             // Masks: intersect with the closure; discharge when implied.
-            for (&s, &m) in &c.masks {
+            let mut n = Conjunct { masks: Vec::with_capacity(c.masks.len()), ..Conjunct::top() };
+            for &(s, mut m) in &c.masks {
                 if s == sym {
                     if m & closure == 0 {
                         continue 'conj; // contradiction: conjunct dies
@@ -538,12 +679,10 @@ impl Guard {
                     if closure & !m == 0 {
                         continue; // constraint discharged forever
                     }
-                    if !n.constrain(s, m & closure) {
-                        continue 'conj;
-                    }
-                } else if !n.constrain(s, m) {
-                    continue 'conj;
+                    m &= closure;
                 }
+                n.masks.push((s, m));
+                n.sig |= sig_bit(s);
             }
             // Sequence atoms: step on occurrence facts. A `◇(l₁·…·lₖ)`
             // atom over pairwise-distinct symbols is its own linear
@@ -570,14 +709,12 @@ impl Guard {
                                     continue 'conj;
                                 }
                             }
-                            _ => {
-                                n.seqs.insert(seq[1..].to_vec());
-                            }
+                            _ => sorted_insert(&mut n.seqs, seq[1..].to_vec()),
                         }
                         continue;
                     }
                 }
-                n.seqs.insert(seq.clone());
+                sorted_insert(&mut n.seqs, seq.clone());
             }
             out.push(n);
         }
@@ -594,7 +731,7 @@ impl Guard {
         }
         let parts = self.conjuncts.iter().map(|c| {
             let mut factors: Vec<TExpr> = Vec::new();
-            for (&s, &m) in &c.masks {
+            for &(s, m) in &c.masks {
                 factors.push(mask_to_texpr(s, m));
             }
             for seq in &c.seqs {
@@ -850,6 +987,87 @@ mod tests {
         let g = Guard::eventually(e).and(&Guard::not_yet(e)).or(&Guard::occurred(e));
         assert_eq!(g, Guard::eventually(e));
         let _ = f;
+    }
+
+    /// `⋀ᵢ (◇eᵢ + ◇ēᵢ)` over 14 symbols, multiplied out to its 2¹⁴
+    /// conjuncts and *not* canonicalised (`or` would merge each factor to
+    /// `⊤` on sight): the shape the old 4ⁿ odometer gave up on above 12
+    /// symbols.
+    fn wide_tautology() -> Guard {
+        let conjuncts = (0..1u32 << 14)
+            .map(|signs| {
+                let mut c = Conjunct::top();
+                for i in 0..14 {
+                    let pol = if signs >> i & 1 == 0 { Polarity::Pos } else { Polarity::Neg };
+                    assert!(c.constrain(SymbolId(i), eventually_mask(pol)));
+                }
+                c
+            })
+            .collect();
+        Guard { conjuncts }
+    }
+
+    #[test]
+    fn is_top_is_exact_at_fourteen_symbols() {
+        let mut g = wide_tautology();
+        assert!(!g.holds_now());
+        assert!(g.is_top());
+        assert!(g.equiv_masks(&Guard::top()));
+        // One sign vector short of a tautology.
+        g.conjuncts.remove(0x1234);
+        assert!(!g.is_top());
+        assert!(!g.equiv_masks(&Guard::top()));
+        assert!(!g.equiv_masks(&wide_tautology()));
+    }
+
+    #[test]
+    fn and_not_yet_is_the_fold_of_single_conjunctions() {
+        let mut t = SymbolTable::new();
+        let [e, f, h] = ["e", "f", "h"].map(|n| t.event(n));
+        let lits = [f, f.complement(), h, h.complement(), e.complement()];
+        let fold = |g: &Guard| lits.iter().fold(g.clone(), |acc, &l| acc.and(&Guard::not_yet(l)));
+        let samples = [
+            Guard::top(),
+            Guard::bottom(),
+            Guard::eventually(e),
+            Guard::occurred(e),
+            Guard::occurred(e.complement()),
+            Guard::eventually_expr(&Expr::seq([Expr::lit(e), Expr::lit(f)])),
+            Guard::eventually(e).or(&Guard::occurred(f)),
+        ];
+        for g in &samples {
+            assert_eq!(g.and_not_yet(&lits), fold(g), "{g:?}");
+        }
+        // □ē contradicts ¬ē.
+        assert!(Guard::occurred(e.complement()).and_not_yet(&lits).is_bottom());
+    }
+
+    #[test]
+    fn reductions_by_unmentioned_symbols_return_the_guard() {
+        let mut t = SymbolTable::new();
+        let [e, f, h] = ["e", "f", "h"].map(|n| t.event(n));
+        let g = Guard::not_yet(e)
+            .and(&Guard::eventually_expr(&Expr::seq([Expr::lit(e), Expr::lit(f)])));
+        assert!(g.mentions(e.symbol()) && g.mentions(f.symbol()) && !g.mentions(h.symbol()));
+        assert_eq!(g.assume_occurred(h), g);
+        assert_eq!(g.assume_promised(h.complement()), g);
+        // f is only inside the sequence atom: a promise leaves it alone,
+        // an occurrence out of order kills it.
+        assert_eq!(g.assume_promised(f), g);
+        assert!(g.assume_occurred(f).is_bottom());
+    }
+
+    #[test]
+    fn signatures_follow_the_masks() {
+        // Symbols 1 and 65 share a signature bit: dropping one mask by a
+        // merge must not hide the other from `mask`.
+        let (a, b) = (SymbolId(1), SymbolId(65));
+        let both = |ma: u8| Guard::from_mask(a, ma).and(&Guard::from_mask(b, ST_A));
+        let g = both(ST_A | ST_B).or(&both(ST_C | ST_D));
+        assert_eq!(g, Guard::from_mask(b, ST_A));
+        assert_eq!(g.conjuncts()[0].mask(b), ST_A);
+        assert_eq!(g.conjuncts()[0].mask(a), ST_FULL);
+        assert!(g.mentions(b) && !g.mentions(a));
     }
 
     #[test]

@@ -119,3 +119,25 @@ fn travel_seed3_occurrence_digests_are_pinned() {
     assert!(faulty.fault_stats.is_some_and(|f| f.dropped > 0 && f.duplicated > 0));
     assert_eq!(occurrence_digest(&faulty), 0x0014_6087_625F_FD69, "chaos stream moved");
 }
+
+/// The sagas' guards are the widest the models produce, and the actors
+/// read their conjunct structure to decide promises: `saga(4, 3, None)`
+/// and `saga(3, 3, Some(1))` at seed 1, monitors armed, fire exactly the
+/// occurrences these digests were computed from at the commit before the
+/// guard kernel went flat.
+#[test]
+fn saga_seed1_occurrence_digests_are_pinned() {
+    use constrained_events::models::saga;
+    let pins = [
+        (saga(4, 3, None), 12, 0x6BE2_B2AE_8E1A_A2CA_u64),
+        (saga(3, 3, Some(1)), 10, 0x2D5B_ED20_9FC6_D051),
+    ];
+    for (workflow, occurrences, digest) in pins {
+        let mut config = ExecConfig::seeded(1);
+        config.monitor = Some(Default::default());
+        let report = run_workflow(&workflow.spec, config);
+        assert!(report.all_satisfied() && report.alerts.is_empty());
+        assert_eq!(report.occurrences.len(), occurrences);
+        assert_eq!(occurrence_digest(&report), digest, "saga schedule moved");
+    }
+}
