@@ -105,12 +105,6 @@ impl AgentNode {
         }
     }
 
-    /// Swap the routing tables — used by the fleet engines when cloning
-    /// a prototype node whose [`NodeId`]s must be offset per instance.
-    pub(crate) fn set_routing(&mut self, routing: Arc<Routing>) {
-        self.routing = routing;
-    }
-
     fn actor_for(&self, ev: EventIx) -> NodeId {
         let lit = self.agent.literal_of(ev);
         self.routing.actor_of[&lit.symbol()]

@@ -151,18 +151,21 @@ pub struct ExecConfig {
     /// The armed monitors also learn the class boundaries, so
     /// view-divergence alerts distinguish intra- from cross-shard
     /// disagreements. `None` (the default) leaves spec placement
-    /// untouched. This is the placement interface the work-stealing
-    /// parallel runtime (ROADMAP item 2) will consume.
+    /// untouched. The parallel runtime ([`crate::parallel`]) keys its
+    /// shards by the same plan.
     pub shard_plan: Option<Arc<ShardPlan>>,
-    /// Run on the work-stealing parallel executor
+    /// Run on the sharded round executor
     /// ([`crate::parallel::run_workflow_parallel`]) instead of the
     /// single-queue simulator: nodes are sharded by `shard_plan`
-    /// colocation classes (or the Lemma 5 coupling fallback) and batches
-    /// execute on this many worker threads. Fault-free fast path only:
-    /// [`run_workflow`] dispatches on it, [`run_workflow_with_faults`]
-    /// ignores it, and journals / recorders are forced off (they assume
-    /// the single-queue delivery order). Armed monitors run by post-run
-    /// sequence replay (see [`crate::parallel`]).
+    /// colocation classes (or the Lemma 5 coupling fallback) and run in
+    /// barrier rounds. The worker count inside is how many *instances*
+    /// [`crate::run_parallel_fleet`] keeps in flight on threads; a
+    /// single workflow is one island and runs on the calling thread.
+    /// Fault-free fast path only: [`run_workflow`] dispatches on it,
+    /// [`run_workflow_with_faults`] ignores it, and journals / recorders
+    /// are forced off (they assume the single-queue delivery order).
+    /// Armed monitors run by post-run sequence replay (see
+    /// [`crate::parallel`]).
     pub parallel: Option<sim::ParallelConfig>,
 }
 
@@ -837,9 +840,9 @@ pub(crate) fn wrap_nodes(
 }
 
 /// Compile and run a workflow on the deterministic simulated network —
-/// or, when [`ExecConfig::parallel`] is set, on the work-stealing
-/// parallel executor (whose results the tenth conformance audit holds to
-/// the single-queue simulator's).
+/// or, when [`ExecConfig::parallel`] is set, on the sharded round
+/// executor (whose results the tenth conformance audit holds to the
+/// single-queue simulator's).
 pub fn run_workflow(spec: &WorkflowSpec, config: ExecConfig) -> RunReport {
     if config.parallel.is_some() {
         return crate::parallel::run_workflow_parallel(spec, &config).report;

@@ -32,7 +32,7 @@ use crate::msg::{InstanceId, Msg};
 use event_algebra::Literal;
 use monitor::WorkflowMonitor;
 use obs::{EventSink, MetricsRegistry, MetricsSnapshot, Obs};
-use sim::{FaultPlan, Network, Termination, Time};
+use sim::{FaultPlan, Network, NodeId, SiteId, Termination, Time};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -81,6 +81,46 @@ impl Arrival {
             }
         }
         out
+    }
+
+    /// This arrival's nodes: the prototype's roles cloned, every actor
+    /// stamped with the instance id and announcing as `announce_as`
+    /// (the instance id again in every healthy configuration).
+    pub(crate) fn instantiate(
+        &self,
+        proto: &BuiltWorkflow,
+        announce_as: InstanceId,
+    ) -> Vec<(SiteId, Node)> {
+        proto
+            .nodes
+            .iter()
+            .map(|(site, role)| {
+                let mut role = role.clone();
+                if let Node::Actor(a) = &mut role {
+                    a.instance = self.instance;
+                    a.announce_instance = announce_as;
+                }
+                (*site, role)
+            })
+            .collect()
+    }
+
+    /// This arrival's seed messages: the prototype's, with think-time
+    /// overrides replacing the extra delay of the attempts they name.
+    pub(crate) fn injections<'a>(
+        &self,
+        proto: &'a BuiltWorkflow,
+    ) -> impl Iterator<Item = (NodeId, NodeId, Msg, Time)> + 'a {
+        let think: BTreeMap<Literal, Time> = self.think.iter().copied().collect();
+        proto.injections.iter().map(move |(from, to, msg, extra)| {
+            let extra = match msg.literal().and_then(|l| think.get(&l)) {
+                // Same "at start" convention as the template path: the
+                // injection itself pays a 1-tick latency.
+                Some(&t) => t.saturating_sub(1),
+                None => *extra,
+            };
+            (*from, *to, msg.clone(), extra)
+        })
     }
 }
 
@@ -484,18 +524,7 @@ fn admit(
     } else {
         arrival.instance
     };
-    let nodes: Vec<_> = proto
-        .nodes
-        .iter()
-        .map(|(site, role)| {
-            let mut role = role.clone();
-            if let Node::Actor(a) = &mut role {
-                a.instance = arrival.instance;
-                a.announce_instance = announce_as;
-            }
-            (*site, role)
-        })
-        .collect();
+    let nodes = arrival.instantiate(proto, announce_as);
     let wrapped = wrap_nodes(nodes, config.exec.reliable, wal, None, &obs, fused, arrival.instance);
     let mut sim_cfg = config.exec.sim;
     sim_cfg.seed = arrival.seed;
@@ -504,15 +533,8 @@ fn admit(
     if let Some(plan) = &config.plan {
         net.set_faults(plan.clone());
     }
-    let think: BTreeMap<Literal, Time> = arrival.think.iter().copied().collect();
-    for (from, to, msg, extra) in &proto.injections {
-        let extra = match msg.literal().and_then(|l| think.get(&l)) {
-            // Same "at start" convention as the template path: the
-            // injection itself pays a 1-tick latency.
-            Some(&t) => t.saturating_sub(1),
-            None => *extra,
-        };
-        net.inject_after(*from, *to, msg.clone(), extra);
+    for (from, to, msg, extra) in arrival.injections(proto) {
+        net.inject_after(from, to, msg, extra);
     }
     LiveInstance { arrival, net, mon, steps: 0, quiescent: false }
 }

@@ -1,7 +1,7 @@
 //! End-to-end property tests of the distributed scheduler: safety on
 //! random workflows, empirical liveness on the well-behaved Klein
-//! families, determinism per seed, and safety on the parallel executor's
-//! real worker threads.
+//! families, determinism per seed, and safety on the sharded round
+//! executor.
 
 use dist::{run_workflow, ExecConfig, GuardMode};
 use event_algebra::{Literal, SymbolId};
@@ -112,12 +112,13 @@ fn arrow_fanout_completes() {
     });
 }
 
-/// The parallel executor (two real worker threads) on `seed`.
+/// The sharded round executor on `seed` (a single workflow is one
+/// island: it runs on the calling thread whatever the worker count).
 fn parallel(seed: u64) -> ExecConfig {
     ExecConfig { parallel: Some(ParallelConfig::new(2)), ..config(seed, GuardMode::Weakened) }
 }
 
-/// Real worker threads on the Klein pipeline: safety and liveness.
+/// Barrier rounds on the Klein pipeline: safety and liveness.
 #[test]
 fn parallel_pipeline_is_safe() {
     for round in 0..5 {
@@ -130,8 +131,7 @@ fn parallel_pipeline_is_safe() {
     }
 }
 
-/// The same random workflows on real worker threads: safety assertions
-/// only.
+/// The same random workflows in barrier rounds: safety assertions only.
 #[test]
 fn parallel_random_workflows_are_safe() {
     for gen_seed in 0..8u64 {

@@ -33,7 +33,7 @@ impl NetStats {
 
     /// Fold another stats block into this one (used by the parallel
     /// executor, where each worker accumulates locally).
-    pub(crate) fn absorb(&mut self, other: &NetStats) {
+    pub fn absorb(&mut self, other: &NetStats) {
         for (site, count) in &other.per_site_deliveries {
             *self.per_site_deliveries.entry(*site).or_insert(0) += count;
         }

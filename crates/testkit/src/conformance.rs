@@ -66,21 +66,23 @@
 //! [`dist::TenantConfig::cross_wire`] is the mutation knob proving the
 //! audit can fail.
 //!
-//! A tenth audit holds the work-stealing parallel runtime to the
+//! A tenth audit holds the sharded parallel runtime to the
 //! deterministic simulator: [`audit_parallel_conformance`] runs the same
-//! (spec, seed) on [`dist::run_workflow_parallel`] for every requested
-//! worker count and on the single-queue oracle, and demands identical
+//! (spec, seed) on [`dist::run_workflow_parallel`] and on the
+//! single-queue oracle, and demands identical
 //! occurrence sets, unresolved symbols, dependency verdicts, termination
 //! honesty and final `□`-views ([`machine_views`]) — timing may differ
 //! only through latency-RNG draw *order*, never through a lost or
-//! reordered *fact*. All parallel runs must additionally be
-//! byte-identical to each other across worker counts (the engine's
-//! determinism guarantee), and the eighth audit's transposition check
-//! re-runs over the parallel schedule as the safety net that catches a
-//! forged [`ShardPlan`] independence claim. [`audit_parallel_fleet`] is
-//! the fleet-scale variant, holding every instance of a
+//! reordered *fact*. All sharded runs must additionally be
+//! byte-identical to each other (a single workflow runs on the calling
+//! thread whatever worker count is configured, so this is repeat
+//! determinism), and the eighth audit's transposition check re-runs
+//! over the sharded schedule as the safety net that catches a forged
+//! [`ShardPlan`] independence claim. [`audit_parallel_fleet`] is the
+//! fleet-scale variant, holding every instance of a
 //! [`dist::run_parallel_fleet`] run to its isolated single-queue
-//! baseline.
+//! baseline and the whole fleet to its own one-worker run — worker
+//! counts only mean something for a fleet.
 //!
 //! An eleventh audit pins the *fused* monitor path to the legacy
 //! sink-driven one: [`audit_monitor_equivalence`] runs the same (spec,
@@ -529,80 +531,53 @@ fn diff_parallel_vs_oracle(
     failures
 }
 
-/// The tenth audit: parallel conformance. Run `spec` on the
-/// work-stealing parallel executor once per entry of `workers`, and once
-/// on the single-queue simulator (the oracle), all from the same
-/// `config`. Demands, for every worker count:
+/// The tenth audit: parallel conformance. Run `spec` on the sharded
+/// round executor and on the single-queue simulator (the oracle), both
+/// from the same `config`. Demands:
 ///
 /// - **Logical identity with the oracle**: same occurrence *set*, same
 ///   unresolved symbols, same per-dependency verdicts, same
 ///   [`Termination`], no internal view divergence on either side, and
 ///   identical final `□`-views under [`machine_views`]. (Timestamps and
-///   delivery sequences may differ: the parallel runtime samples
+///   delivery sequences may differ: the sharded executor samples
 ///   latency statelessly per send, not from the oracle's serial RNG.)
-/// - **Worker-count determinism**: every parallel run is byte-identical
-///   — occurrences with timestamps and sequences, duration, step count —
-///   to the first one.
+/// - **Determinism**: a second sharded run is byte-identical —
+///   occurrences with timestamps and sequences, duration, step count.
+///   (A single workflow is one island on the calling thread; worker
+///   counts are [`audit_parallel_fleet`]'s to vary.)
 /// - **No schedule races**: the eighth audit's transposition check over
-///   the *parallel* schedule, both against the analyzer-derived plan
+///   the *sharded* schedule, both against the analyzer-derived plan
 ///   ([`audit_schedule_races`]) and against the plan that actually keyed
 ///   the shards — the safety net for forged independence claims.
 ///
-/// Returns the failures (empty iff conformant) and the last parallel
-/// run for inspection.
+/// Returns the failures (empty iff conformant) and the sharded run for
+/// inspection.
 pub fn audit_parallel_conformance(
     spec: &WorkflowSpec,
     config: &ExecConfig,
-    workers: &[usize],
 ) -> (Vec<String>, ParallelRun) {
-    assert!(!workers.is_empty(), "at least one worker count to audit");
     let mut oracle_cfg = config.clone();
     oracle_cfg.parallel = None;
     let oracle = dist::run_workflow(spec, oracle_cfg);
-    let mut failures = Vec::new();
-    // (workers, occurrences, duration, steps) of the first parallel run —
-    // the byte-level determinism baseline the other counts must match.
-    type Baseline = (usize, Vec<(Literal, sim::Time, u64)>, sim::Time, u64);
-    let mut baseline: Option<Baseline> = None;
-    let mut last: Option<ParallelRun> = None;
-    for &w in workers {
-        let mut par_cfg = config.clone();
-        par_cfg.parallel = Some(sim::ParallelConfig::new(w));
-        let run = run_workflow_parallel(spec, &par_cfg);
-        let tag = format!("{w} worker(s)");
-        failures.extend(diff_parallel_vs_oracle(spec, &tag, &run.report, &oracle));
-        failures.extend(
-            audit_schedule_races(spec, &run.report).into_iter().map(|f| format!("{tag}: {f}")),
+    let run = run_workflow_parallel(spec, config);
+    let mut failures = diff_parallel_vs_oracle(spec, "sharded run", &run.report, &oracle);
+    failures.extend(audit_schedule_races(spec, &run.report));
+    failures.extend(
+        audit_schedule_races_against(spec, &run.report, &run.plan)
+            .into_iter()
+            .map(|f| format!("(shard-keying plan) {f}")),
+    );
+    let again = run_workflow_parallel(spec, config).report;
+    if (&again.occurrences, again.duration, again.steps)
+        != (&run.report.occurrences, run.report.duration, run.report.steps)
+    {
+        failures.push(
+            "a second sharded run differs from the first — the executor broke its \
+             determinism guarantee"
+                .to_owned(),
         );
-        failures.extend(
-            audit_schedule_races_against(spec, &run.report, &run.plan)
-                .into_iter()
-                .map(|f| format!("{tag} (shard-keying plan): {f}")),
-        );
-        match &baseline {
-            Some((bw, occ, dur, steps)) => {
-                if run.report.occurrences != *occ
-                    || run.report.duration != *dur
-                    || run.report.steps != *steps
-                {
-                    failures.push(format!(
-                        "{tag}: results differ from the {bw}-worker run — the parallel \
-                         engine broke its worker-count determinism guarantee"
-                    ));
-                }
-            }
-            None => {
-                baseline = Some((
-                    w,
-                    run.report.occurrences.clone(),
-                    run.report.duration,
-                    run.report.steps,
-                ));
-            }
-        }
-        last = Some(run);
     }
-    (failures, last.expect("workers is non-empty"))
+    (failures, run)
 }
 
 /// Fleet-scale tenth audit: run a whole fleet through
@@ -611,7 +586,11 @@ pub fn audit_parallel_conformance(
 /// same logical-identity contract as [`audit_parallel_conformance`] —
 /// occurrence sets, unresolved symbols, verdicts and final `□`-views;
 /// fleet-clock timestamps are instance-relative only in duration, so
-/// timing is not compared.
+/// timing is not compared against the baseline. **Worker-count
+/// determinism** is a fleet property (a single workflow never leaves
+/// its thread): the same fleet at one worker must be byte-identical —
+/// every instance's occurrences with timestamps and sequences, steps
+/// and termination, the traffic statistics and the round count.
 pub fn audit_parallel_fleet(
     specs: &[WorkflowSpec],
     arrivals: &[Arrival],
@@ -619,6 +598,31 @@ pub fn audit_parallel_fleet(
 ) -> (Vec<String>, ParallelFleetReport) {
     let fleet = run_parallel_fleet(specs, arrivals, config);
     let mut failures = Vec::new();
+    let mut one_cfg = config.clone();
+    one_cfg.parallel = Some(sim::ParallelConfig::new(1));
+    let one = run_parallel_fleet(specs, arrivals, &one_cfg);
+    if (&fleet.net, fleet.stats.rounds, fleet.instances.len())
+        != (&one.net, one.stats.rounds, one.instances.len())
+    {
+        failures.push(format!(
+            "fleet totals differ from the 1-worker run: {} vs {} rounds, {} vs {} sends",
+            fleet.stats.rounds, one.stats.rounds, fleet.net.sent_total, one.net.sent_total
+        ));
+    }
+    for (o, b) in fleet.instances.iter().zip(&one.instances) {
+        let same = o.instance == b.instance
+            && o.report.occurrences == b.report.occurrences
+            && o.report.steps == b.report.steps
+            && o.report.termination == b.report.termination
+            && o.finished_at == b.finished_at;
+        if !same {
+            failures.push(format!(
+                "instance {}: {} workers and 1 worker disagree — the fleet broke its \
+                 worker-count determinism guarantee",
+                o.instance, fleet.stats.workers
+            ));
+        }
+    }
     for (a, o) in arrivals.iter().zip(&fleet.instances) {
         let spec = a.apply_to_spec(&specs[a.spec_ix]);
         let mut solo_cfg = config.clone();
@@ -1131,8 +1135,7 @@ mod tests {
         // promise-consensus spec and a commuting pipeline, two seeds.
         for seed in [0, 23] {
             for spec in [mutual_promise_spec(), chain_spec(5)] {
-                let (failures, run) =
-                    audit_parallel_conformance(&spec, &ExecConfig::seeded(seed), &[1, 2, 4]);
+                let (failures, run) = audit_parallel_conformance(&spec, &ExecConfig::seeded(seed));
                 assert_eq!(failures, Vec::<String>::new(), "seed {seed}");
                 assert!(run.report.all_satisfied(), "seed {seed}: {:?}", run.report);
             }
@@ -1193,7 +1196,7 @@ mod tests {
         };
         let mut config = ExecConfig::seeded(2);
         config.shard_plan = Some(std::sync::Arc::new(forged));
-        let (failures, _) = audit_parallel_conformance(&spec, &config, &[1]);
+        let (failures, _) = audit_parallel_conformance(&spec, &config);
         assert!(!failures.is_empty(), "forged plan went undetected");
         assert!(
             failures.iter().any(|fl| fl.contains("schedule race") && fl.contains("e")),

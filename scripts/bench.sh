@@ -10,9 +10,8 @@
 # multi-tenant fleet's throughput), and BENCH_scale.json with the
 # multi-tenant engine's throughput on a 1,000-instance open-loop fleet
 # (120 instances in --quick mode) run with monitors armed and per-shard
-# telemetry recorded, and BENCH_parallel.json with the
-# work-stealing runtime's modeled 1/2/4/8-worker core-scaling sweep on
-# the pipeline10 fleet.
+# telemetry recorded. (The parallel fleet is measured by
+# `benchmark/run.sh --workload fleet_parallel`, on real worker threads.)
 #
 #   scripts/bench.sh            full probe, then the algebra bench
 #                               (crates/bench/benches/algebra.rs)
@@ -42,9 +41,6 @@ echo "==> perfprobe ${QUICK:-(full)}"
 
 echo "==> perfprobe --scale-out ${QUICK:-(full, 1000 instances)}"
 "$REPO/target/release/perfprobe" $QUICK --scale-out "$REPO/BENCH_scale.json"
-
-echo "==> perfprobe --parallel-out ${QUICK:-(full, 1000 instances)}"
-"$REPO/target/release/perfprobe" $QUICK --parallel-out "$REPO/BENCH_parallel.json"
 
 if [ -z "$QUICK" ]; then
     echo "==> cargo bench --offline -p bench --bench algebra"

@@ -34,14 +34,14 @@
 # BENCH_monitor.json / BENCH_obs.json overhead ratios are enforced by the
 # tier-1 gate below (<= 1.10 armed-monitor, <= 1.15 recorder).
 #
-# `check.sh --parallel` runs the work-stealing runtime tier: the
-# `conformance --parallel` audit proves the sharded runtime reproduces
-# the deterministic simulator oracle on the standard fault-free matrix,
-# and `perfprobe --quick --parallel-out` runs the quick pipeline10
-# fleet, gating on the emitted JSON's schema and a sane modeled
-# core-scaling curve. The committed full-run BENCH_parallel.json is
-# schema-checked by the tier-1 gate below (its speedup is a modeled
-# figure, so it gates nothing).
+# `check.sh --parallel` runs the parallel-runtime tier: the
+# `conformance --parallel` audit proves the sharded round executor
+# reproduces the deterministic simulator oracle on the example specs,
+# then runs one mixed fleet of them on two real worker threads and on
+# one — the two must agree byte for byte (occurrences with sequences,
+# steps, termination, traffic totals, round count) and every instance
+# must match its isolated baseline. Parallel speed is measured by
+# `benchmark/run.sh --workload fleet_parallel`, not gated here.
 set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
@@ -90,31 +90,10 @@ PY
 fi
 
 if [ "${1:-}" = "--parallel" ]; then
-    echo "==> cargo build --release --offline --bin conformance --bin perfprobe"
-    cargo build --release --offline --bin conformance --bin perfprobe
-    echo "==> conformance --parallel (sharded runtime vs simulator oracle)"
+    echo "==> cargo build --release --offline --bin conformance"
+    cargo build --release --offline --bin conformance
+    echo "==> conformance --parallel (sharded runs vs oracle; fleet at 2 workers vs 1)"
     "$REPO/target/release/conformance" --parallel
-    PAR_TMP="$(mktemp -d)"
-    trap 'rm -rf "$PAR_TMP"' EXIT
-    echo "==> perfprobe --quick --parallel-out (80-instance pipeline10 fleet)"
-    "$REPO/target/release/perfprobe" --quick --parallel-out "$PAR_TMP/BENCH_parallel.json"
-    python3 - "$PAR_TMP/BENCH_parallel.json" <<'PY'
-import json, sys
-data = json.load(open(sys.argv[1]))
-required = {"spec", "quick", "instances", "events", "shards", "rounds",
-            "max_round_width", "wall_ns", "busy_ns", "merge_ns",
-            "speedup_4_vs_1", "sweep"}
-missing = required - data.keys()
-assert not missing, f"missing keys {sorted(missing)}"
-sweep = {entry["workers"]: entry["modeled_ns"] for entry in data["sweep"]}
-assert set(sweep) == {1, 2, 4, 8}, f"unexpected worker sweep {sorted(sweep)}"
-assert all(sweep[a] >= sweep[b] for a, b in [(1, 2), (2, 4), (4, 8)]), \
-    "modeled makespan must not grow with more workers"
-assert data["speedup_4_vs_1"] > 1.3, \
-    f"quick fleet shows no core scaling: {data['speedup_4_vs_1']}"
-print("parallel fleet ok:", data["instances"], "instances,",
-      data["events"], "events, 4-worker speedup", data["speedup_4_vs_1"])
-PY
     echo "==> parallel tier passed"
     exit 0
 fi
@@ -213,9 +192,6 @@ schemas = {
                          "quiesced", "exhausted", "makespan", "fire_p50",
                          "fire_p99", "instances_per_sec", "events_per_sec",
                          "monitors_armed", "monitor_violations", "per_shard"},
-    "BENCH_parallel.json": {"spec", "quick", "instances", "events", "shards",
-                            "rounds", "max_round_width", "wall_ns", "busy_ns",
-                            "merge_ns", "metric", "speedup_4_vs_1", "sweep"},
 }
 for name, required in schemas.items():
     path = os.path.join(repo, name)

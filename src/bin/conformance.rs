@@ -12,10 +12,13 @@
 //! spec wfcheck already rejects is run for safety alone.
 //!
 //! `--parallel` switches to the tenth audit instead of the fault
-//! matrix: every spec runs fault-free on the work-stealing parallel
-//! executor across worker counts 1/2/4, held to the single-queue
-//! simulator oracle (`testkit::conformance::audit_parallel_conformance`)
-//! for each seed.
+//! matrix: every spec runs fault-free on the sharded round executor,
+//! held to the single-queue simulator oracle
+//! (`testkit::conformance::audit_parallel_conformance`) for each seed;
+//! then one mixed fleet of all the specs runs on two real worker
+//! threads and on one, which must agree byte for byte, every instance
+//! matching its isolated baseline
+//! (`testkit::conformance::audit_parallel_fleet`).
 //!
 //! `--monitor-equiv` switches to the eleventh audit: every spec runs
 //! each (seed, fault plan) scenario twice — fused monitor stepping vs
@@ -27,8 +30,10 @@ use constrained_events::{ExecConfig, LoweredWorkflow, ReliableConfig, WorkflowBu
 use std::path::PathBuf;
 use std::process::ExitCode;
 use testkit::conformance::{
-    audit_monitor_equivalence, audit_parallel_conformance, explore, standard_plans,
+    audit_monitor_equivalence, audit_parallel_conformance, audit_parallel_fleet, explore,
+    standard_plans,
 };
+use testkit::workload::{drive, generate, WorkloadConfig};
 
 struct Args {
     seeds: u64,
@@ -97,6 +102,7 @@ fn main() -> ExitCode {
 
     let plan_count = standard_plans(0).len() as u64;
     let mut total_failures = 0usize;
+    let mut fleet_specs = Vec::new();
     for path in &args.specs {
         let src = match std::fs::read_to_string(path) {
             Ok(s) => s,
@@ -165,43 +171,45 @@ fn main() -> ExitCode {
         }
 
         if args.parallel {
-            // Tenth audit: fault-free parallel runs across worker counts,
-            // held to the single-queue oracle per seed. The raw (unwrapped)
-            // transport is the parallel runtime's scope.
-            const WORKERS: &[usize] = &[1, 2, 4];
+            // Tenth audit: fault-free sharded runs held to the
+            // single-queue oracle per seed. The raw (unwrapped) transport
+            // is the parallel runtime's scope.
             let mut failures = Vec::new();
             for seed in 0..args.seeds {
                 let mut cfg = config.clone();
                 cfg.reliable = None;
                 cfg.sim.seed = seed;
-                let (fails, run) = audit_parallel_conformance(&workflow.spec, &cfg, WORKERS);
+                let (fails, run) = audit_parallel_conformance(&workflow.spec, &cfg);
                 failures.extend(
                     fails.into_iter().map(|f| format!("[{}/seed {seed}] {f}", workflow.name)),
                 );
                 if expect_live && !run.report.all_satisfied() {
                     failures.push(format!(
-                        "[{}/seed {seed}] parallel run left dependencies unsatisfied",
+                        "[{}/seed {seed}] sharded run left dependencies unsatisfied",
                         workflow.name
                     ));
                 }
             }
-            let scenarios = args.seeds * WORKERS.len() as u64;
             if failures.is_empty() {
                 println!(
-                    "conformance: {:<12} {} parallel scenarios ok ({} seeds x workers {WORKERS:?})",
-                    workflow.name, scenarios, args.seeds
+                    "conformance: {:<12} {} sharded scenarios ok (== single-queue oracle)",
+                    workflow.name, args.seeds
                 );
             } else {
                 for f in &failures {
                     eprintln!("FAIL {f}");
                 }
                 eprintln!(
-                    "conformance: {:<12} {}/{} parallel scenarios nonconforming",
+                    "conformance: {:<12} {}/{} sharded scenarios nonconforming",
                     workflow.name,
                     failures.len(),
-                    scenarios
+                    args.seeds
                 );
                 total_failures += failures.len();
+            }
+            // The fleet below demands satisfaction, so it takes clean specs only.
+            if expect_live {
+                fleet_specs.push(drive(&workflow.spec));
             }
             continue;
         }
@@ -228,6 +236,33 @@ fn main() -> ExitCode {
                 scenarios
             );
             total_failures += failures.len();
+        }
+    }
+    if !fleet_specs.is_empty() {
+        // Worker counts only mean something for a fleet: one mixed fleet
+        // of every spec, on two real worker threads and on one.
+        let instances = 40 * fleet_specs.len() as u64;
+        let arrivals = generate(&fleet_specs, &WorkloadConfig::new(instances, 0xF1EE7));
+        let mut config = ExecConfig::seeded(0);
+        config.max_steps = args.max_steps;
+        config.parallel = Some(sim::ParallelConfig::new(2));
+        let (failures, fleet) = audit_parallel_fleet(&fleet_specs, &arrivals, &config);
+        if failures.is_empty() && fleet.all_satisfied() {
+            println!(
+                "conformance: fleet        {instances} instances, {} events ok \
+                 (2 workers == 1 worker, every instance == its solo baseline)",
+                fleet.events
+            );
+        } else {
+            for f in &failures {
+                eprintln!("FAIL [fleet] {f}");
+            }
+            eprintln!(
+                "conformance: fleet        nonconforming ({} failures, {} exhausted)",
+                failures.len(),
+                fleet.exhausted
+            );
+            total_failures += failures.len().max(1);
         }
     }
     if total_failures > 0 {
