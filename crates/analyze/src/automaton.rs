@@ -7,12 +7,12 @@
 //! (`WF005`). Joint properties run on the product machine: the all-`⊤`
 //! configuration is reachable iff the dependencies admit a common
 //! satisfying execution (`WF001` otherwise), and avoid-literal queries
-//! decide per-event deadness (`WF002`) and forcedness (`WF003`). All
-//! product queries share one state cache and one [`StateBudget`];
+//! decide per-event deadness (`WF002`) and forcedness (`WF003`) — all of
+//! them one [`ProductMachine::classify`] call on one [`StateBudget`];
 //! exhausting it degrades to an explicit `WF006` instead of hanging.
 
 use crate::{Ctx, Diagnostic, Report, Severity};
-use event_algebra::{Literal, ProductMachine, StateBudget};
+use event_algebra::{Literal, ProductMachine, Reach, StateBudget};
 
 pub(crate) fn run(ctx: &Ctx<'_>, state_budget: usize, report: &mut Report) {
     let mut any_unsat_alone = false;
@@ -57,12 +57,10 @@ pub(crate) fn run(ctx: &Ctx<'_>, state_budget: usize, report: &mut Report) {
 
     let mut pm = ProductMachine::from_machines(ctx.compiled.machines.clone());
     let mut budget = StateBudget::new(state_budget);
+    let verdict = pm.classify(&mut budget);
+    report.incomplete = verdict.incomplete;
 
-    let joint = pm.reach_accepting(None, &mut budget);
-    if joint.cutoff() {
-        report.incomplete = true;
-    }
-    if !joint.found() && !joint.cutoff() {
+    if verdict.joint == Reach::No {
         report.jointly_contradictory = true;
         // Only report the joint contradiction when every dependency is
         // individually fine — otherwise WF004 already names the culprit.
@@ -83,55 +81,42 @@ pub(crate) fn run(ctx: &Ctx<'_>, state_budget: usize, report: &mut Report) {
         }
     }
 
-    // Dead/forced only make sense against a satisfiable conjunction.
-    if joint.found() {
-        for &sym in &ctx.compiled.symbols {
-            let pos = Literal::pos(sym);
-            let neg = Literal::neg(sym);
-            // dead(e): no satisfying execution contains e, i.e. accepting
-            // is unreachable when ē is avoided.
-            let dead_q = pm.reach_accepting(Some(neg), &mut budget);
-            if dead_q.cutoff() {
-                report.incomplete = true;
-            } else if !dead_q.found() {
-                report.dead.push(pos);
-                let (span, label) = ctx.event_span(sym);
-                let mut d = Diagnostic::new(
-                    "WF002",
-                    Severity::Warning,
+    // `verdict.dead` is empty unless the conjunction is satisfiable.
+    for &sym in &ctx.compiled.symbols {
+        let pos = Literal::pos(sym);
+        if verdict.dead.binary_search(&pos).is_ok() {
+            report.dead.push(pos);
+            let (span, label) = ctx.event_span(sym);
+            let mut d = Diagnostic::new(
+                "WF002",
+                Severity::Warning,
+                format!(
+                    "event '{}' is dead: it occurs in no execution \
+                     satisfying all dependencies",
+                    ctx.sym_name(sym)
+                ),
+            )
+            .with_span(span, label);
+            for ix in ctx.deps_mentioning_all(&[sym]) {
+                d = d.with_span(ctx.dep_span(ix), ctx.dep_label(ix));
+            }
+            report.push(d);
+        } else if verdict.dead.binary_search(&Literal::neg(sym)).is_ok() {
+            // forced(e) = dead(ē).
+            report.forced.push(pos);
+            let (span, label) = ctx.event_span(sym);
+            report.push(
+                Diagnostic::new(
+                    "WF003",
+                    Severity::Info,
                     format!(
-                        "event '{}' is dead: it occurs in no execution \
+                        "event '{}' is forced: it occurs in every execution \
                          satisfying all dependencies",
                         ctx.sym_name(sym)
                     ),
                 )
-                .with_span(span, label);
-                for ix in ctx.deps_mentioning_all(&[sym]) {
-                    d = d.with_span(ctx.dep_span(ix), ctx.dep_label(ix));
-                }
-                report.push(d);
-                continue;
-            }
-            // forced(e) = dead(ē): accepting unreachable when e is avoided.
-            let forced_q = pm.reach_accepting(Some(pos), &mut budget);
-            if forced_q.cutoff() {
-                report.incomplete = true;
-            } else if !forced_q.found() {
-                report.forced.push(pos);
-                let (span, label) = ctx.event_span(sym);
-                report.push(
-                    Diagnostic::new(
-                        "WF003",
-                        Severity::Info,
-                        format!(
-                            "event '{}' is forced: it occurs in every execution \
-                             satisfying all dependencies",
-                            ctx.sym_name(sym)
-                        ),
-                    )
-                    .with_span(span, label),
-                );
-            }
+                .with_span(span, label),
+            );
         }
     }
 

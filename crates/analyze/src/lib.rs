@@ -95,7 +95,9 @@ pub struct Report {
     pub workflow: Option<String>,
     /// All findings, sorted by source position then code.
     pub diagnostics: Vec<Diagnostic>,
-    /// Product states interned by the reachability core.
+    /// Product states the reachability core interned and charged to the
+    /// state budget, summed over all queries. The initial state is free,
+    /// so a verdict settled without a search reports `0`.
     pub states_explored: usize,
     /// `true` when the state budget cut some verdict short (`WF006`).
     pub incomplete: bool,

@@ -68,7 +68,7 @@ pub use machine::{DependencyMachine, StateId};
 pub use norm::{is_normal, normalize};
 pub use parse::{parse_expr, ParseError};
 pub use pexpr::{Binding, PEvent, PExpr, PLit, Term};
-pub use product::{ProductId, ProductMachine, Reach, StateBudget};
+pub use product::{Classification, ProductMachine, Reach, StateBudget};
 pub use residue::{
     requires, residual_oracle, residuate, residuate_trace, residuation_sound, satisfiable,
     satisfiable_avoiding, satisfiable_avoiding_all,

@@ -23,18 +23,17 @@
 //! The joint quantifications (contradiction, dead, forced) run as
 //! budgeted reachability over the product of the per-dependency
 //! [`DependencyMachine`](event_algebra::DependencyMachine)s — see
-//! [`event_algebra::ProductMachine`] — instead of enumerating residual
-//! expression sets: the machines collapse equivalent residuals into
-//! shared states, the product's intern table is reused across all 2·|Σ|+1
-//! queries, and an explicit state budget turns pathological workflows
-//! into a reported cutoff rather than a hang. Cycle detection here stays
-//! deliberately pairwise; the `analyze` crate layers arbitrary-length
-//! cycle detection (strongly connected components of the need graph) and
-//! structured diagnostics on top of this module.
+//! [`event_algebra::ProductMachine::classify`] — instead of enumerating
+//! residual expression sets: the machines collapse equivalent residuals
+//! into shared states, the 2·|Σ|+1 queries share one goal-directed search
+//! kernel and each other's witnesses, and an explicit state budget turns
+//! pathological workflows into a reported cutoff rather than a hang.
+//! Cycle detection here stays deliberately pairwise; the `analyze` crate
+//! layers arbitrary-length cycle detection (strongly connected components
+//! of the need graph) and structured diagnostics on top of this module.
 
 use crate::workflow::{CompiledWorkflow, GuardScope};
 use event_algebra::{Expr, Literal, ProductMachine, Reach, StateBudget};
-use std::collections::BTreeSet;
 use temporal::{needs, Need};
 
 /// Default product-state budget for [`analyze`]. Generous: typical
@@ -60,9 +59,11 @@ pub struct Analysis {
     /// `true` when the state budget ran out before every reachability
     /// query completed: the verdicts above are sound where given, but
     /// some dead/forced classifications may be missing and
-    /// `jointly_contradictory` may be a false negative.
+    /// `jointly_contradictory` may be a false negative (a cut-off joint
+    /// query skips the dead/forced queries altogether).
     pub incomplete: bool,
-    /// Product states explored (diagnostic metadata).
+    /// Product states the queries interned and charged to the budget
+    /// (the initial state is free), as in `analyze::Report`.
     pub states_explored: usize,
 }
 
@@ -90,45 +91,20 @@ pub fn analyze_with_budget(dependencies: &[Expr], state_budget: usize) -> Analys
     let compiled = CompiledWorkflow::compile(dependencies, GuardScope::Mentioning);
     let mut report = Analysis::default();
 
+    // Dead / forced events quantify over joint completions; a literal is
+    // forced exactly when its complement is dead.
     let mut product = ProductMachine::from_machines(compiled.machines.clone());
     let mut budget = StateBudget::new(state_budget);
+    let verdict = product.classify(&mut budget);
+    report.jointly_contradictory = verdict.joint == Reach::No;
+    report.incomplete = verdict.incomplete;
+    report.forced = verdict.dead.iter().map(|l| l.complement()).collect();
+    report.forced.sort();
+    report.dead = verdict.dead;
+    report.states_explored = budget.spent();
 
-    match product.reach_accepting(None, &mut budget) {
-        Reach::Yes => {}
-        Reach::No => report.jointly_contradictory = true,
-        Reach::Cutoff => report.incomplete = true,
-    }
-
-    // Dead / forced events: quantify over joint completions. A satisfying
-    // trace containing `lit` exists iff acceptance is reachable avoiding
-    // `lit`'s complement; one containing `lit`'s complement exists iff it
-    // is reachable avoiding `lit` itself.
-    let mut literals: BTreeSet<Literal> = BTreeSet::new();
-    for s in &compiled.symbols {
-        literals.insert(Literal::pos(*s));
-        literals.insert(Literal::neg(*s));
-    }
-    if !report.jointly_contradictory {
-        for &lit in &literals {
-            match product.reach_accepting(Some(lit.complement()), &mut budget) {
-                Reach::Yes => {}
-                Reach::No => {
-                    report.dead.push(lit);
-                    continue;
-                }
-                Reach::Cutoff => {
-                    report.incomplete = true;
-                    continue;
-                }
-            }
-            match product.reach_accepting(Some(lit), &mut budget) {
-                Reach::No => report.forced.push(lit),
-                Reach::Cutoff => report.incomplete = true,
-                Reach::Yes => {}
-            }
-        }
-    }
-    report.states_explored = product.interned_states();
+    let literals: Vec<Literal> =
+        compiled.symbols.iter().flat_map(|&s| [Literal::pos(s), Literal::neg(s)]).collect();
 
     // Consensus / agreement pairs from the compiled guards' needs.
     let mut promise_needs: Vec<(Literal, Literal)> = Vec::new();
@@ -295,6 +271,10 @@ mod tests {
         let a = analyze_with_budget(&ds, 3);
         assert!(a.incomplete, "{a:?}");
         assert!(!a.is_clean());
+        // The joint query was cut off: no dead/forced query ran after it,
+        // and the count is what the budget was charged.
+        assert!(a.dead.is_empty() && a.forced.is_empty() && !a.jointly_contradictory, "{a:?}");
+        assert_eq!(a.states_explored, 3);
     }
 
     #[test]

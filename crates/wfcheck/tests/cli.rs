@@ -129,6 +129,12 @@ fn state_budget_cutoff_reports_wf006() {
     let tight = run(&["--deny", "warnings", "--state-budget", "4", path]);
     assert_eq!(tight.status.code(), Some(1));
     assert!(stdout(&tight).contains("[WF006]"), "{}", stdout(&tight));
+    // No budget at all is the same report, not a panic.
+    let none = run(&["--json", "--state-budget", "0", path]);
+    assert_eq!(none.status.code(), Some(0), "{}", stdout(&none));
+    let json = stdout(&none);
+    assert!(json.contains("\"WF006\"") && json.contains("\"states_explored\":0"), "{json}");
+    assert!(json.contains("\"incomplete\":true"), "{json}");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 # Performance gate: build and run the offline perf probe, refreshing
 # BENCH_algebra.json at the repository root with before/after medians for
 # the arena/automaton hot paths (residuation, machine compilation, the
-# end-to-end pipeline10 schedule, product reachability),
+# end-to-end pipeline10 schedule),
 # BENCH_obs.json with the flight recorder's recorder-on vs recorder-off
 # end-to-end delta, BENCH_monitor.json with the online runtime monitors'
 # armed vs disarmed end-to-end delta (the fused scheduler-stepped path,
@@ -11,7 +11,8 @@
 # multi-tenant engine's throughput on a 1,000-instance open-loop fleet
 # (120 instances in --quick mode) run with monitors armed and per-shard
 # telemetry recorded. (The parallel fleet is measured by
-# `benchmark/run.sh --workload fleet_parallel`, on real worker threads.)
+# `benchmark/run.sh --workload fleet_parallel`, on real worker threads,
+# and the static checker's product search by `--workload check_static`.)
 #
 #   scripts/bench.sh            full probe, then the algebra bench
 #                               (crates/bench/benches/algebra.rs)

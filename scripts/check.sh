@@ -2,8 +2,9 @@
 # Tier-1 gate: everything a merge must pass. The workspace has no
 # registry dependencies, so every cargo call runs `--offline` and this is
 # the one way the code is built and tested: build, test (property suites
-# included), benches built, clippy, fmt, the CLI smokes, the benchmark's
-# own selfcheck and the committed BENCH_*.json schemas.
+# included), benches built, clippy, fmt, the CLI smokes (with a ceiling
+# on the product states wfcheck explores per example spec), the
+# benchmark's own selfcheck and the committed BENCH_*.json schemas.
 #
 # `check.sh --faults` runs the fault-conformance tier instead: the
 # `conformance` driver sweeps every example spec through the standard
@@ -151,6 +152,23 @@ echo "==> wfcheck --deny warnings over example specs"
 WFCHECK="$REPO/target/release/wfcheck"
 specs=("$REPO"/examples/specs/*.wf)
 "$WFCHECK" --deny warnings "${specs[@]}"
+
+echo "==> wfcheck --json: every example spec decided within 1000 product states"
+# A count, so host-independent: the search regressing to enumerating
+# interleavings shows here (pipeline10 took 5 825 states when it did).
+STATES_TMP="$(mktemp)"
+"$WFCHECK" --json "${specs[@]}" > "$STATES_TMP"
+python3 - "$STATES_TMP" <<'PY'
+import json, sys
+reports = [json.loads(line) for line in open(sys.argv[1])]
+assert reports, "wfcheck printed no report"
+for r in reports:
+    assert r["incomplete"] is False, f"{r['file']}: verdict incomplete"
+    assert r["states_explored"] <= 1000, (
+        f"{r['file']}: {r['states_explored']} product states explored")
+    print(f"  {r['file']}: {r['states_explored']} states")
+PY
+rm -f "$STATES_TMP"
 
 echo "==> wfcheck --shard-plan golden diff (travel, pipeline10)"
 PLAN_TMP="$(mktemp -d)"
