@@ -10,7 +10,7 @@
 use event_algebra::{Expr, Literal, SymbolTable};
 use std::fmt;
 
-/// Scheduling attributes of a significant event (after [2] and [14]).
+/// Scheduling attributes of a significant event (after \[2\] and \[14\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventAttrs {
     /// The scheduler may delay or permit the event (the agent requests

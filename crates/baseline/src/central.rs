@@ -33,7 +33,7 @@ use std::sync::Arc;
 pub enum Engine {
     /// Runtime symbolic residuation (Section 3.3).
     Symbolic,
-    /// Precompiled per-dependency automata ([2]).
+    /// Precompiled per-dependency automata (\[2\]).
     Automata,
 }
 

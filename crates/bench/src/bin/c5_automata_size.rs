@@ -1,4 +1,4 @@
-//! Experiment C5: "[the automaton approach of [2]] avoids generating
+//! Experiment C5: "\[the automaton approach of \[2\]\] avoids generating
 //! product automata, but the individual automata themselves can be quite
 //! large."
 //!

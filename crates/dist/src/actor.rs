@@ -312,9 +312,9 @@ pub struct SymbolActor {
     /// trace spans when a recorder is attached.
     pub obs: NodeObs,
     /// Fused monitor handle (off by default): the scheduler steps the
-    /// armed monitor directly at each transition the sink-driven monitor
-    /// used to reconstruct from trace spans — occurrences, fact
-    /// applications, enabled guard verdicts and promise-round phases.
+    /// armed monitor directly at each transition an offline replay
+    /// reconstructs from trace spans — occurrences, fact applications,
+    /// enabled guard verdicts and promise-round phases.
     /// Costs nothing when `None`, and nothing extra when armed: no
     /// trace-event payload is constructed on this path.
     pub mon: Option<Arc<WorkflowMonitor>>,

@@ -19,9 +19,7 @@ use event_algebra::{
 };
 use guard::{CompiledWorkflow, GuardScope};
 use monitor::{MonitorConfig, WorkflowMonitor};
-use obs::{
-    EventSink, MetricsRegistry, MetricsSnapshot, NodeObs, Obs, RecordConfig, Recording, SpanKind,
-};
+use obs::{MetricsRegistry, MetricsSnapshot, NodeObs, Obs, RecordConfig, Recording, SpanKind};
 use sim::{
     Ctx, FaultPlan, FaultStats, Network, NodeId, Process, SimConfig, SiteId, Termination, Time,
 };
@@ -128,22 +126,11 @@ pub struct ExecConfig {
     /// Arm the online runtime monitors: per-dependency verdict machines,
     /// the guard-faithfulness check, the `□`-view divergence watch and the
     /// stall watchdog, reporting on [`RunReport::monitor`] /
-    /// [`RunReport::alerts`]. By default the monitor is *fused* into the
-    /// scheduler — actors and the network step it directly at each
-    /// transition, so arming it costs no trace-event construction (see
-    /// [`ExecConfig::monitor_oracle`]). `None` (the default) attaches
-    /// nothing and adds no work to the hot path.
+    /// [`RunReport::alerts`]. The monitor is *fused* into the scheduler —
+    /// actors and the network step it directly at each transition, so
+    /// arming it costs no trace-event construction. `None` (the default)
+    /// attaches nothing and adds no work to the hot path.
     pub monitor: Option<MonitorConfig>,
-    /// Run the armed monitor in its legacy *sink-driven* mode instead of
-    /// fused: it subscribes to the trace-event stream like any recorder
-    /// sink and reconstructs scheduler transitions from spans. Kept as
-    /// the cross-validation oracle — verdicts and violation alerts are
-    /// identical in both modes (the monitor-equivalence audit holds them
-    /// to it); only stall-alert *timestamps* may differ under crash
-    /// plans, because crash-dropped deliveries record a span (a sink
-    /// sweep point) but run no handler (no fused tick). Ignored when
-    /// [`ExecConfig::monitor`] is `None`.
-    pub monitor_oracle: bool,
     /// Pin actor placement from a certified [`ShardPlan`] (the
     /// interference analyzer's artifact): every member of a colocation
     /// class is placed at the same site — the class's declared site when
@@ -161,11 +148,14 @@ pub struct ExecConfig {
     /// barrier rounds. The worker count inside is how many *instances*
     /// [`crate::run_parallel_fleet`] keeps in flight on threads; a
     /// single workflow is one island and runs on the calling thread.
-    /// Fault-free fast path only: [`run_workflow`] dispatches on it,
-    /// [`run_workflow_with_faults`] ignores it, and journals / recorders
-    /// are forced off (they assume the single-queue delivery order).
-    /// Armed monitors run by post-run sequence replay (see
-    /// [`crate::parallel`]).
+    /// Fault-free fast path only: [`run_workflow`] and
+    /// [`crate::run_parallel_fleet`] are the two entry points that read
+    /// it; [`run_workflow_with_faults`] and [`crate::run_tenant`] always
+    /// run the single-queue simulator (so
+    /// [`crate::TenantConfig::instance_exec`] clears it), and journals /
+    /// recorders are forced off on the sharded executor (they assume the
+    /// single-queue delivery order). Armed monitors run there by
+    /// post-run sequence replay (see [`crate::parallel`]).
     pub parallel: Option<sim::ParallelConfig>,
 }
 
@@ -182,7 +172,6 @@ impl ExecConfig {
             dep_runtime: DepRuntime::default(),
             record: None,
             monitor: None,
-            monitor_oracle: false,
             shard_plan: None,
             parallel: None,
         }
@@ -526,8 +515,8 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
     BuiltWorkflow { nodes, routing, injections, symbols: symbol_list, journal, guards: compiled }
 }
 
-/// Assemble a report from finished actors. Reused per instance by the
-/// multi-tenant engine's roll-ups ([`crate::tenant`]).
+/// Assemble a report from finished actors — shared by [`run_instance`]
+/// and the sharded executor ([`crate::parallel`]).
 pub(crate) fn collect_report(
     spec: &WorkflowSpec,
     symbol_list: &[SymbolId],
@@ -632,10 +621,11 @@ pub struct NetNode {
     /// rebuilt decisions are not re-recorded).
     obs: NodeObs,
     /// Fused monitor handle: ticked at the start of every delivery and
-    /// restart (the stall watchdog's sweep points — exactly where the
-    /// sink-driven monitor swept on the `MsgDeliver`/`Restart` span,
-    /// which the network records *before* invoking the handler). Like
-    /// `obs`, re-attached to actor roles after a crash rebuild.
+    /// restart (the stall watchdog's sweep points — exactly where an
+    /// offline replay of the recording sweeps on the `MsgDeliver` /
+    /// `Restart` span, which the network records *before* invoking the
+    /// handler). Like `obs`, re-attached to actor roles after a crash
+    /// rebuild.
     mon: Option<Arc<WorkflowMonitor>>,
 }
 
@@ -868,88 +858,14 @@ fn run_workflow_inner(
     config: ExecConfig,
     plan: Option<FaultPlan>,
 ) -> RunReport {
-    let built = build_workflow(spec, config.clone());
-    // The online monitors run the faithful guards and machines the
-    // builder compiled (shared, not recompiled — `GuardScope::Mentioning`
-    // is the unweakened set, independent of whatever dep runtime the
-    // actors use). In the default *fused* mode the scheduler steps them
-    // directly; in oracle mode they subscribe to the same trace-event
-    // stream the flight recorder consumes.
-    let mon = config.monitor.map(|mc| {
-        let m = WorkflowMonitor::from_compiled(
-            &spec.table,
-            Arc::clone(&built.guards),
-            guard_gated(spec),
-            mc,
-        );
-        // The view-divergence checker learns the shard boundaries, so a
-        // disagreement across colocation classes is labeled as such.
-        if let Some(plan) = &config.shard_plan {
-            m.set_shard_plan(Arc::clone(plan));
-        }
-        Arc::new(m)
-    });
-    let sinks: Vec<Arc<dyn EventSink>> = if config.monitor_oracle {
-        mon.iter().map(|m| Arc::clone(m) as Arc<dyn EventSink>).collect()
-    } else {
-        Vec::new()
-    };
-    let obs = Obs::with_sinks(config.record, sinks);
-    let fused = if config.monitor_oracle { None } else { mon.clone() };
-    let routing = Arc::clone(&built.routing);
-    let journal = built.journal.clone();
+    let mut built = build_workflow(spec, config.clone());
+    let nodes = std::mem::take(&mut built.nodes);
+    let injections = std::mem::take(&mut built.injections);
     // Durable storage (and the pristine copies restarts reset to) are
     // only materialized when a fault plan could actually crash a node.
-    let store = plan.is_some().then(NodeStore::new);
-    let nodes = wrap_nodes(
-        built.nodes,
-        config.reliable,
-        store,
-        journal.clone(),
-        &obs,
-        fused,
-        InstanceId::ROOT,
-    );
-    let mut net: Network<Msg, NetNode> = Network::new(config.sim, nodes);
-    net.set_recorder(obs.clone(), Msg::kind_label);
-    if let Some(plan) = plan {
-        net.set_faults(plan);
-    }
-    for (from, to, msg, extra) in built.injections {
-        net.inject_after(from, to, msg, extra);
-    }
-    let outcome = net.run_to_quiescence(config.step_budget());
-    let duration = net.now();
-    let stats = net.stats().clone();
-    let fault_stats = net.fault_stats().copied();
-    let (mut retransmissions, mut dedup_dropped, mut gave_up) = (0u64, 0u64, 0u64);
-    let all: Vec<Node> = net
-        .into_nodes()
-        .into_iter()
-        .map(|n| {
-            if let Some(r) = &n.reliable {
-                retransmissions += r.retransmissions;
-                dedup_dropped += r.duplicates_suppressed;
-                gave_up += r.gave_up;
-            }
-            n.role
-        })
-        .collect();
-    let mut report = collect_report(
-        spec,
-        &built.symbols,
-        |s| routing.actor_of[&s].0 as usize,
-        &all,
-        duration,
-        outcome,
-        stats,
-    );
-    if let Some(fs) = fault_stats {
-        report.fault_stats = Some(fs);
-    }
-    if let Some(j) = journal {
-        report.journal = j.entries();
-    }
+    let faults = plan.map(|p| (p, NodeStore::new()));
+    let (mut report, transport) =
+        run_instance(spec, &built, nodes, injections, &config, faults, InstanceId::ROOT);
 
     // ----- unified metrics -----
     let reg = MetricsRegistry::new();
@@ -957,9 +873,9 @@ fn run_workflow_inner(
     if let Some(fs) = &report.fault_stats {
         fs.record_into(&reg);
     }
-    reg.add("transport.retransmissions", &[], retransmissions);
-    reg.add("transport.dedup_dropped", &[], dedup_dropped);
-    reg.add("transport.gave_up", &[], gave_up);
+    reg.add("transport.retransmissions", &[], transport.retransmissions);
+    reg.add("transport.dedup_dropped", &[], transport.dedup_dropped);
+    reg.add("transport.gave_up", &[], transport.gave_up);
     reg.add("run.steps", &[], report.steps);
     reg.set_gauge("run.duration", &[], report.duration as i64);
     let mut sched = [0u64; 5];
@@ -990,12 +906,11 @@ fn run_workflow_inner(
         reg.set_gauge("shard.max_class_size", &[], plan.max_class_size() as i64);
         reg.set_gauge("shard.independent_pairs", &[], plan.independent.len() as i64);
     }
-    if let Some(rec) = obs.recorder() {
-        reg.add("obs.recorder.dropped_spans", &[], rec.dropped());
-        reg.add("obs.recorder.sampled_out", &[], obs.sampled_out());
+    if let Some(rec) = &report.recording {
+        reg.add("obs.recorder.dropped_spans", &[], rec.dropped);
+        reg.add("obs.recorder.sampled_out", &[], rec.sampled_out);
     }
-    if let Some(m) = mon {
-        let mrep = m.finish(report.duration);
+    if let Some(mrep) = &report.monitor {
         reg.add("monitor.facts", &[], mrep.facts);
         reg.add("monitor.guard_checks", &[], mrep.guard_checks);
         for alert in &mrep.alerts {
@@ -1004,22 +919,131 @@ fn run_workflow_inner(
         for (ix, v) in mrep.verdicts.iter().enumerate() {
             reg.add("monitor.verdicts", &[("dep", &ix.to_string()), ("verdict", v.label())], 1);
         }
+    }
+    report.metrics = reg.snapshot();
+    if let Some(rec) = &mut report.recording {
+        rec.metrics = report.metrics.clone();
+    }
+    report
+}
+
+/// Transport counters of one finished instance, summed over its nodes.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TransportTotals {
+    pub(crate) retransmissions: u64,
+    pub(crate) dedup_dropped: u64,
+    pub(crate) gave_up: u64,
+    pub(crate) cross_instance_dropped: u64,
+}
+
+/// The one way an instance runs on the single-queue simulator: wrap its
+/// `nodes` in the fault-tolerance machinery, arm the fused monitor, seed
+/// its own [`Network`] from `config.sim`, install the fault plan with its
+/// write-ahead-log store, inject, run to quiescence under
+/// [`ExecConfig::step_budget`], and tear everything down into a report.
+///
+/// `built` is the workflow the nodes were built (or cloned) from: its
+/// routing, symbols, compiled guards and journal are borrowed, so a
+/// fleet runs every instance of a template against one prototype.
+/// `instance` stamps the transport and keys the store slice. The report's
+/// metrics snapshot is left empty — solo callers record one on top,
+/// fleets roll their own up, so no instance pays for a registry it does
+/// not publish.
+pub(crate) fn run_instance(
+    spec: &WorkflowSpec,
+    built: &BuiltWorkflow,
+    nodes: Vec<(SiteId, Node)>,
+    injections: impl IntoIterator<Item = (NodeId, NodeId, Msg, Time)>,
+    config: &ExecConfig,
+    faults: Option<(FaultPlan, NodeStore)>,
+    instance: InstanceId,
+) -> (RunReport, TransportTotals) {
+    // The online monitors run the faithful guards and machines the
+    // builder compiled (shared, not recompiled — `GuardScope::Mentioning`
+    // is the unweakened set, independent of whatever dep runtime the
+    // actors use); the scheduler steps them directly.
+    let mon = config.monitor.map(|mc| {
+        let m = WorkflowMonitor::from_compiled(
+            &spec.table,
+            Arc::clone(&built.guards),
+            guard_gated(spec),
+            mc,
+        );
+        // The view-divergence checker learns the shard boundaries, so a
+        // disagreement across colocation classes is labeled as such.
+        if let Some(plan) = &config.shard_plan {
+            m.set_shard_plan(Arc::clone(plan));
+        }
+        Arc::new(m)
+    });
+    let obs = config.record.map_or_else(Obs::off, Obs::on);
+    let (plan, store) = faults.unzip();
+    let nodes = wrap_nodes(
+        nodes,
+        config.reliable,
+        store,
+        built.journal.clone(),
+        &obs,
+        mon.clone(),
+        instance,
+    );
+    let mut net: Network<Msg, NetNode> = Network::new(config.sim, nodes);
+    net.set_recorder(obs.clone(), Msg::kind_label);
+    if let Some(plan) = plan {
+        net.set_faults(plan);
+    }
+    for (from, to, msg, extra) in injections {
+        net.inject_after(from, to, msg, extra);
+    }
+    let outcome = net.run_to_quiescence(config.step_budget());
+    let duration = net.now();
+    let stats = net.stats().clone();
+    let fault_stats = net.fault_stats().copied();
+    let mut transport = TransportTotals::default();
+    let roles: Vec<Node> = net
+        .into_nodes()
+        .into_iter()
+        .map(|n| {
+            if let Some(r) = &n.reliable {
+                transport.retransmissions += r.retransmissions;
+                transport.dedup_dropped += r.duplicates_suppressed;
+                transport.gave_up += r.gave_up;
+                transport.cross_instance_dropped += r.cross_instance_dropped;
+            }
+            n.role
+        })
+        .collect();
+    let mut report = collect_report(
+        spec,
+        &built.symbols,
+        |s| built.routing.actor_of[&s].0 as usize,
+        &roles,
+        duration,
+        outcome,
+        stats,
+    );
+    if let Some(fs) = fault_stats {
+        report.fault_stats = Some(fs);
+    }
+    if let Some(j) = &built.journal {
+        report.journal = j.entries();
+    }
+    if let Some(m) = mon {
+        let mrep = m.finish(duration);
         report.alerts = mrep.alerts.clone();
         report.monitor = Some(mrep);
     }
-    let snapshot = reg.snapshot();
     report.recording = obs.recorder().map(|rec| Recording {
         workflow: String::new(),
         symbols: (0..spec.table.len())
             .map(|i| spec.table.name(SymbolId(i as u32)).unwrap_or("?").to_string())
             .collect(),
         dropped: rec.dropped(),
-        sampled_out: obs.sampled_out(),
+        sampled_out: rec.sampled_out(),
         events: rec.take_events(),
-        metrics: snapshot.clone(),
+        metrics: MetricsSnapshot::default(),
     });
-    report.metrics = snapshot;
-    report
+    (report, transport)
 }
 
 #[cfg(test)]

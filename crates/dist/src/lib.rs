@@ -14,6 +14,7 @@
 mod actor;
 mod agent_node;
 mod exec;
+mod fleet;
 mod journal;
 mod msg;
 pub mod parallel;
@@ -27,11 +28,9 @@ pub use exec::{
     build_workflow, guard_gated, run_workflow, run_workflow_with_faults, AgentSpec, BuiltWorkflow,
     DepRuntime, ExecConfig, FreeEventSpec, GuardMode, NetNode, Node, RunReport, WorkflowSpec,
 };
+pub use fleet::{Arrival, InstanceOutcome};
 pub use journal::{Journal, JournalEntry, JournalKind, NodeStore, WalEntry};
 pub use msg::{InstanceId, Msg};
-pub use parallel::{
-    run_parallel_fleet, run_workflow_parallel, ParallelFleetReport, ParallelInstanceOutcome,
-    ParallelRun,
-};
+pub use parallel::{run_parallel_fleet, run_workflow_parallel, ParallelFleetReport, ParallelRun};
 pub use reliable::{Reliable, ReliableConfig};
-pub use tenant::{run_tenant, Arrival, InstanceOutcome, TenantConfig, TenantReport};
+pub use tenant::{run_tenant, TenantConfig, TenantReport};

@@ -23,8 +23,9 @@
 //! Events interact only through the guards they share, and two
 //! instances of a workflow share none. [`run_parallel_fleet`] therefore
 //! never makes instances meet: its worker threads claim arrivals from
-//! one atomic counter, and a claim instantiates that arrival's nodes
-//! from the shared prototype, runs its barrier rounds inline, assembles
+//! one atomic counter (the claim loop it shares with
+//! [`crate::run_tenant`]), and a claim instantiates that arrival's nodes
+//! from the worker's prototype, runs its barrier rounds inline, assembles
 //! its report and replays its monitor, all on the claiming thread. What
 //! is instance-local as a result: the send and delivery sequences
 //! (compared only within an instance — by the actors' fact logs, the
@@ -55,14 +56,12 @@ use crate::exec::{
     build_workflow, collect_report, guard_gated, BuiltWorkflow, ExecConfig, Node, RunReport,
     WorkflowSpec,
 };
-use crate::msg::InstanceId;
-use crate::tenant::Arrival;
+use crate::fleet::{check_arrivals, run_fleet, Arrival, InstanceOutcome};
 use event_algebra::{ShardPlan, SymbolId};
 use monitor::{MonitorConfig, MonitorReport, WorkflowMonitor};
 use obs::{MetricsRegistry, MetricsSnapshot, ObsLit};
-use sim::{Island, NetStats, ParallelStats, Termination, Time, WorkerLoad};
+use sim::{Island, NetStats, ParallelStats, Termination};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,29 +82,11 @@ pub struct ParallelRun {
     pub shard_of: Vec<usize>,
 }
 
-/// One finished instance of a parallel fleet run.
-#[derive(Debug)]
-pub struct ParallelInstanceOutcome {
-    /// The instance's id.
-    pub instance: InstanceId,
-    /// Which template it ran.
-    pub spec_ix: usize,
-    /// Fleet-clock admission time.
-    pub arrived_at: Time,
-    /// Fleet-clock time of the instance's last delivery.
-    pub finished_at: Time,
-    /// The instance's report. Occurrence timestamps are *fleet-clock*
-    /// values; sequence numbers, `steps` and `termination` are the
-    /// instance's own; `net` is empty — traffic is accounted fleet-wide
-    /// on [`ParallelFleetReport::net`].
-    pub report: RunReport,
-}
-
 /// Fleet-level roll-up of a parallel fleet run.
 #[derive(Debug)]
 pub struct ParallelFleetReport {
     /// Per-instance outcomes, in arrival order.
-    pub instances: Vec<ParallelInstanceOutcome>,
+    pub instances: Vec<InstanceOutcome>,
     /// Total event occurrences across the fleet.
     pub events: u64,
     /// Instances that converged within their budget.
@@ -346,15 +327,12 @@ fn build_templates(specs: &[WorkflowSpec], exec: &ExecConfig) -> Vec<Template> {
         .collect()
 }
 
-/// What one fleet worker hands back: its outcomes tagged with their
-/// arrival index, and its share of every fleet total.
+/// One fleet worker's share of every fleet total.
 #[derive(Default)]
 struct WorkerFold {
-    outcomes: Vec<(usize, ParallelInstanceOutcome)>,
     net: NetStats,
     stats: ParallelStats,
     tally: MonitorTally,
-    load: WorkerLoad,
 }
 
 /// Run a fleet of workflow instances, whole instances in parallel.
@@ -376,26 +354,16 @@ struct WorkerFold {
 /// # Panics
 ///
 /// Panics when an arrival's `spec_ix` is out of range or two arrivals
-/// share an [`InstanceId`], exactly like the tenant engine.
+/// share an instance id, exactly like the tenant engine.
 pub fn run_parallel_fleet(
     specs: &[WorkflowSpec],
     arrivals: &[Arrival],
     config: &ExecConfig,
 ) -> ParallelFleetReport {
     let wall_start = Instant::now();
-    let mut seen = std::collections::BTreeSet::new();
-    for a in arrivals {
-        assert!(
-            a.spec_ix < specs.len(),
-            "arrival {} names spec {} of {}",
-            a.instance,
-            a.spec_ix,
-            specs.len()
-        );
-        assert!(seen.insert(a.instance), "duplicate instance id {}", a.instance);
-    }
+    check_arrivals(specs, arrivals);
     let (exec, monitor_cfg) = fast_path(config);
-    let workers = exec.parallel.as_ref().map_or(1, |p| p.workers).clamp(1, arrivals.len().max(1));
+    let workers = exec.parallel.as_ref().map_or(1, |p| p.workers);
     let templates = build_templates(specs, &exec);
     // Each arrival's block of the fleet-global node-id and
     // injection-nonce spaces, in arrival order.
@@ -407,7 +375,7 @@ pub fn run_parallel_fleet(
         next.nonce_base += templates[a.spec_ix].proto.injections.len() as u64;
     }
 
-    let run_instance = |ix: usize, templates: &[Template], fold: &mut WorkerFold| {
+    let run = |ix: usize, templates: &Vec<Template>, fold: &mut WorkerFold| {
         let a = &arrivals[ix];
         let (spec, Template { proto, plan, shard_of }) = (&specs[a.spec_ix], &templates[a.spec_ix]);
         // The tenant path's "at start" convention, shifted to the
@@ -437,68 +405,29 @@ pub fn run_parallel_fleet(
         }
         fold.net.absorb(&run.net);
         fold.stats.absorb(&run.stats);
-        fold.load.delivered += run.outcome.steps;
-        fold.outcomes.push((
-            ix,
-            ParallelInstanceOutcome {
-                instance: a.instance,
-                spec_ix: a.spec_ix,
-                arrived_at: a.at,
-                finished_at: last.max(a.at),
-                report,
-            },
-        ));
-    };
-    // The claim counter publishes nothing but the index itself.
-    let claimed = AtomicUsize::new(0);
-    let work = |w: usize, templates: &[Template]| {
-        let started = Instant::now();
-        let mut fold = WorkerFold::default();
-        loop {
-            let ix = claimed.fetch_add(1, Ordering::Relaxed);
-            if ix >= arrivals.len() {
-                break;
-            }
-            fold.load.steals += u64::from(ix % workers != w);
-            run_instance(ix, templates, &mut fold);
+        InstanceOutcome {
+            instance: a.instance,
+            spec_ix: a.spec_ix,
+            arrived_at: a.at,
+            finished_at: last.max(a.at),
+            cross_instance_dropped: 0,
+            report,
         }
-        fold.load.busy_ns = started.elapsed().as_nanos() as u64;
-        fold
     };
-    let folds: Vec<WorkerFold> = std::thread::scope(|scope| {
-        let (work, exec) = (&work, &exec);
-        // A spawned worker compiles its own templates (one build per
-        // spec, off the calling thread): instantiating an actor bumps the
-        // reference counts of its prototype's guards, machines and
-        // routing tables, and two threads cloning from one prototype
-        // spend their time trading those cache lines (measured on 1 000
-        // pipeline10 instances: 1.35x at two workers shared, 1.8x apart).
-        let spawned: Vec<_> = (1..workers)
-            .map(|w| scope.spawn(move || work(w, &build_templates(specs, exec))))
-            .collect();
-        let mut folds = vec![work(0, &templates)];
-        folds.extend(spawned.into_iter().map(|h| h.join().expect("fleet worker panicked")));
-        folds
-    });
+    let (instances, folds) =
+        run_fleet(arrivals, workers, &templates, || build_templates(specs, &exec), run);
 
     let merge_start = Instant::now();
     let mut net = NetStats::default();
-    let mut stats = ParallelStats { workers, ..ParallelStats::default() };
+    let mut stats = ParallelStats { workers: folds.len(), ..ParallelStats::default() };
     let mut tally = MonitorTally::default();
-    let mut outcomes: Vec<Option<ParallelInstanceOutcome>> = Vec::new();
-    outcomes.resize_with(arrivals.len(), || None);
-    for fold in folds {
+    for (fold, load) in folds {
         net.absorb(&fold.net);
         stats.absorb(&fold.stats);
-        stats.steals += fold.load.steals;
-        stats.per_worker.push(fold.load);
+        stats.steals += load.steals;
+        stats.per_worker.push(load);
         tally.absorb(fold.tally);
-        for (ix, outcome) in fold.outcomes {
-            outcomes[ix] = Some(outcome);
-        }
     }
-    let instances: Vec<ParallelInstanceOutcome> =
-        outcomes.into_iter().map(|o| o.expect("every arrival is claimed exactly once")).collect();
     let events = instances.iter().map(|o| o.report.occurrences.len() as u64).sum();
     let exhausted =
         instances.iter().filter(|o| o.report.termination == Termination::BudgetExhausted).count();

@@ -4,9 +4,12 @@
 //! exhaustion is reported honestly, and a deliberately cross-wired
 //! instance is always caught and correctly attributed.
 
-use dist::{run_tenant, ExecConfig, InstanceId, ReliableConfig, TenantConfig, WorkflowSpec};
+use dist::{
+    run_tenant, Arrival, ExecConfig, InstanceId, ReliableConfig, TenantConfig, TenantReport,
+    WorkflowSpec,
+};
 use event_algebra::SymbolId;
-use sim::{FaultPlan, LatencyModel, SimConfig, Termination};
+use sim::{FaultPlan, LatencyModel, NodeId, ParallelConfig, SimConfig, Termination};
 use testkit::conformance::audit_tenant_isolation;
 use testkit::workload::{drive, generate, WorkloadConfig};
 use testkit::{check, free_event_spec, klein_pipeline};
@@ -52,6 +55,25 @@ fn random_fleets_pass_the_isolation_audit() {
         assert!(failures.is_empty(), "seed {seed} n {n}: {failures:?}");
         assert_eq!(report.cross_instance_dropped, 0);
         assert_eq!(report.cross_instance_rejected, 0);
+    });
+}
+
+/// BASELINE HONESTY: `run_tenant` never dispatches on
+/// `ExecConfig::parallel`, so the isolation baseline
+/// (`TenantConfig::instance_exec`) may not either — a fleet whose base
+/// config carries a parallel section is still byte-identical to its
+/// isolated single-queue runs.
+#[test]
+fn isolation_baseline_ignores_the_parallel_section() {
+    check("isolation_baseline_ignores_the_parallel_section", CASES, |g| {
+        let seed = g.range(0u64..24);
+        let specs = templates();
+        let arrivals = generate(&specs, &WorkloadConfig::new(5, seed));
+        let mut config = TenantConfig::new(ExecConfig::seeded(seed));
+        config.exec.parallel = Some(ParallelConfig::new(2));
+        config.shards = 1 + (seed as usize % 2);
+        let (failures, _) = audit_tenant_isolation(&specs, &arrivals, &config);
+        assert!(failures.is_empty(), "seed {seed}: {failures:?}");
     });
 }
 
@@ -148,4 +170,80 @@ fn cross_wired_instance_is_always_caught() {
             );
         }
     });
+}
+
+/// The fixed mixed fleet of the whole-history pin: 40 arrivals over
+/// travel, pipeline10 and diamond, workload seed `0x7E4A47`, default
+/// `PerHop` latency.
+fn pinned_fleet() -> (Vec<WorkflowSpec>, Vec<Arrival>) {
+    let text = |name: &str| {
+        let path = format!("{}/../../examples/specs/{name}.wf", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        constrained_events::WorkflowBuilder::from_spec(&src).expect("spec parses").build().spec
+    };
+    let specs = vec![
+        drive(&text("travel")),
+        drive(&text("pipeline10")),
+        drive(&constrained_events::models::diamond(3).spec),
+    ];
+    let arrivals = generate(&specs, &WorkloadConfig::new(40, 0x7E_4A47));
+    (specs, arrivals)
+}
+
+/// FNV-1a over every instance's `(instance, steps, duration,
+/// termination)` and every occurrence's `(symbol, polarity, tick, seq)`,
+/// instances and occurrences in report order.
+fn history_digest(fleet: &TenantReport) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut eat = |x: u64| h = (h ^ x).wrapping_mul(0x0100_0000_01B3);
+    for o in &fleet.instances {
+        let quiescent = o.report.termination == Termination::Quiescent;
+        for x in [o.instance.0, o.report.steps, o.report.duration, u64::from(quiescent)] {
+            eat(x);
+        }
+        for &(lit, at, seq) in &o.report.occurrences {
+            for x in [u64::from(lit.symbol().0), u64::from(lit.is_pos()), at, seq] {
+                eat(x);
+            }
+        }
+    }
+    h
+}
+
+/// Running each admitted instance to completion on the thread that
+/// claimed it may not move a single delivery: both digests were computed
+/// at the commit whose tenant engine still interleaved live instances
+/// in 64-delivery quanta (identical there at 1, 2 and 4 shards).
+#[test]
+fn fleet_histories_are_pinned() {
+    let (specs, arrivals) = pinned_fleet();
+    for spec_ix in 0..specs.len() {
+        assert!(arrivals.iter().any(|a| a.spec_ix == spec_ix), "template {spec_ix} is in the mix");
+    }
+    let clean = TenantConfig::new(ExecConfig::seeded(5));
+    let mut faulty = TenantConfig::new(ExecConfig::seeded(5));
+    faulty.exec.reliable = Some(ReliableConfig::default());
+    faulty.plan = Some(FaultPlan::new(0xD20C).drop_rate(0.2).crash(NodeId(0), 40, Some(300)));
+    for (name, base, faulty, digest) in [
+        ("fault-free", clean, false, 0x761B_DEEA_7524_9514u64),
+        ("drop20+crash", faulty, true, 0x45F9_9EB6_1104_CCB3),
+    ] {
+        for shards in [1, 2, 4] {
+            let mut config = base.clone();
+            config.shards = shards;
+            let fleet = run_tenant(&specs, &arrivals, &config);
+            assert!(fleet.all_satisfied(), "{name}, {shards} shards");
+            assert_eq!(fleet.events, 364, "{name}, {shards} shards");
+            assert_eq!(history_digest(&fleet), digest, "{name}, {shards} shards");
+            let faults = |f: fn(&sim::FaultStats) -> u64| -> u64 {
+                fleet.instances.iter().filter_map(|o| o.report.fault_stats.as_ref()).map(f).sum()
+            };
+            let (dropped, restarts) = (faults(|s| s.dropped), faults(|s| s.restarts));
+            assert_eq!(
+                dropped > 0 && restarts > 0,
+                faulty,
+                "{name}: {dropped} drops, {restarts} restarts"
+            );
+        }
+    }
 }

@@ -29,26 +29,28 @@
 //!   advisory alert (partitions and crashes legitimately delay rounds,
 //!   so stalls are warnings, not conformance failures).
 //!
-//! Monitors can watch the run two ways:
+//! Monitors are fed two ways, by the same dispatch:
 //!
-//! - **Fused (default).** The scheduler calls the `on_*` entry points
+//! - **Fused (online).** The scheduler calls the `on_*` entry points
 //!   ([`WorkflowMonitor::on_occurrence`] and friends) directly at the
 //!   points where it would otherwise *record* the corresponding span,
 //!   and the network ticks the stall watchdog once per delivery round
 //!   ([`WorkflowMonitor::tick`]). No span is constructed, no recorder
 //!   ring is touched: each globally-ordered occurrence is stepped once
 //!   and the verdict read in O(1) from the compiled machine tables.
-//! - **Sink-driven (oracle).** The monitor subscribes to the live
-//!   [`TraceEvent`] stream through [`obs::EventSink`] and re-derives
-//!   everything from the spans alone. This is the original path; the
-//!   conformance suite keeps it as a cross-validation oracle and asserts
-//!   the two modes agree (`testkit::conformance::audit_monitor_equivalence`).
+//! - **Replay (offline).** [`WorkflowMonitor::observe`] takes the
+//!   [`TraceEvent`]s of a flight recording and re-derives everything
+//!   from the spans alone ([`replay`], `wftrace monitor`). The
+//!   conformance suite uses it as the cross-validation oracle: one run
+//!   with the fused monitor and the recorder both on, then the
+//!   recording replayed, and the two reports must agree
+//!   (`testkit::conformance::audit_monitor_equivalence`).
 //!
-//! Both paths share the same internal `MonitorState`, so "agreement" is not a
+//! Both feeds share the same internal `MonitorState`, so "agreement" is not a
 //! coincidence of parallel implementations: the only difference is who
 //! delivers the observations. The one observable divergence is the
-//! *timestamp* of advisory stall alerts under crash plans — the legacy
-//! path sweeps on `CrashDrop` spans, which have no fused counterpart
+//! *timestamp* of advisory stall alerts under crash plans — a replay
+//! sweeps on `CrashDrop` spans, which have no fused counterpart
 //! because no handler runs for a crashed delivery; the flagged set is
 //! identical because state cannot change between the two sweep points.
 
@@ -323,13 +325,14 @@ struct MonitorState {
     stall_bound: u64,
 }
 
-/// The armed monitor set for one workflow: an [`obs::EventSink`] that
-/// watches the live trace stream and accumulates verdicts and alerts.
+/// The armed monitor set for one workflow: accumulates verdicts and
+/// alerts from the observations it is fed.
 ///
 /// Construct with the workflow's symbol table, dependencies, and the set
-/// of guard-gated (controllable) literals; attach to the run via
-/// `Obs::with_sinks`; call [`WorkflowMonitor::finish`] once the run
-/// quiesces.
+/// of guard-gated (controllable) literals; arm it on a run with
+/// `ExecConfig::monitor` (or feed it a recording through
+/// [`WorkflowMonitor::observe`]); call [`WorkflowMonitor::finish`] once
+/// the run quiesces.
 pub struct WorkflowMonitor {
     state: Mutex<MonitorState>,
     /// Lock-free mirror of `stall_bound + stall_budget`: the earliest sim
@@ -420,7 +423,7 @@ impl WorkflowMonitor {
         );
     }
 
-    /// Observe one trace event (the [`obs::EventSink`] entry point).
+    /// Observe one recorded trace event (the offline-replay entry point).
     pub fn observe(&self, event: &TraceEvent) {
         let mut st = self.state.lock().expect("monitor lock");
         st.observe(event);
@@ -533,9 +536,9 @@ impl WorkflowMonitor {
 
     /// Advance the stall watchdog to sim time `at`. The network calls
     /// this once per delivery (and per restart) *before* the handler
-    /// runs — the same point the sink-driven monitor sweeps, because the
-    /// `MsgDeliver`/`Restart` span is recorded ahead of the handler and
-    /// its `observe` ends with the sweep.
+    /// runs — the same point a replay of the recording sweeps, because
+    /// the `MsgDeliver`/`Restart` span is recorded ahead of the handler
+    /// and its `observe` ends with the sweep.
     pub fn tick(&self, at: u64) {
         // One relaxed load on the healthy path: no open watch can be
         // past its budget before the mirrored deadline, so there is
@@ -546,12 +549,6 @@ impl WorkflowMonitor {
         let mut st = self.state.lock().expect("monitor lock");
         st.sweep(at);
         self.sync_deadline(&st);
-    }
-}
-
-impl obs::EventSink for WorkflowMonitor {
-    fn on_event(&self, event: &TraceEvent) {
-        self.observe(event);
     }
 }
 
@@ -593,7 +590,7 @@ impl MonitorState {
         self.sweep(event.at);
     }
 
-    /// Trailing stall sweep shared by the sink-driven and fused paths:
+    /// Trailing stall sweep shared by the replay and fused feeds:
     /// the first observation at a new sim timestamp checks the watchdog
     /// budgets once.
     fn sweep(&mut self, at: u64) {

@@ -13,7 +13,7 @@
 //!
 //! Everything is zero-cost when disabled: the runtime holds an [`Obs`]
 //! handle whose `enabled()` check guards payload construction at every call
-//! site, and the default recorder is [`NoopRecorder`].
+//! site, and the default handle is [`Obs::off`].
 //!
 //! The companion [`MetricsRegistry`] subsumes the ad-hoc `NetStats` /
 //! `FaultStats` counters behind one snapshotting API
@@ -27,7 +27,6 @@ pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod recording;
-pub mod sink;
 pub mod span;
 
 pub use inspect::{chrome_trace, explain, sampling_text, stats_text, Explanation};
@@ -35,5 +34,4 @@ pub use json::Json;
 pub use metrics::{Log2Histogram, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{FlightRecorder, NodeObs, Obs, ParentRef, RecordConfig, Recorder};
 pub use recording::{causal_audit, Dag, Recording};
-pub use sink::{EventSink, NullSink};
 pub use span::{Fact, ObsLit, SpanId, SpanKind, Time, TraceEvent, Verdict};

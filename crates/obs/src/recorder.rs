@@ -4,11 +4,10 @@
 //! # Zero cost when disabled
 //!
 //! The runtime never talks to a recorder directly; it holds an [`Obs`]
-//! handle, which is `Option` of the enabled machinery (span allocator,
-//! optional ring, attached [`EventSink`]s) inside. Call sites guard
-//! every record with `if obs.enabled() { ... }`, so with recording off
-//! (the default) the hot path pays one predictable branch and constructs
-//! no payloads — perfprobe numbers are unchanged within noise.
+//! handle, which is an `Option` of the [`FlightRecorder`]. Call sites
+//! guard every record with `if obs.enabled() { ... }`, so with recording
+//! off (the default) the hot path pays one predictable branch and
+//! constructs no payloads.
 //!
 //! # Causal parents
 //!
@@ -19,7 +18,6 @@
 //! is parented under the delivery that caused it. Parent edges plus
 //! per-node program order make the record a happens-before DAG.
 
-use crate::sink::EventSink;
 use crate::span::{SpanId, SpanKind, Time, TraceEvent};
 use seeded::mix64;
 use std::collections::VecDeque;
@@ -178,9 +176,9 @@ impl FlightRecorder {
         self.inner.lock().expect("recorder lock").dropped
     }
 
-    /// Non-safety records elided by this recorder's own sampling (the
-    /// direct [`Recorder::record_event`] path; events pushed pre-stamped
-    /// via the sink path were sampled upstream by [`Obs`]).
+    /// Non-safety records elided by sampling. They still consumed a span
+    /// id (so id allocation is sampling-invariant); only the payload was
+    /// skipped.
     pub fn sampled_out(&self) -> u64 {
         self.inner.lock().expect("recorder lock").sampled_out
     }
@@ -198,39 +196,6 @@ impl FlightRecorder {
     /// up directly in the recorder-overhead benchmark.
     pub fn take_events(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.inner.lock().expect("recorder lock").ring).into()
-    }
-
-    /// Store an already-stamped event (the sink path: span ids were
-    /// allocated upstream by the [`Obs`] handle). Evicts the oldest
-    /// record and counts the drop when the ring is full.
-    pub fn push(&self, event: TraceEvent) {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        if inner.ring.len() == inner.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(event);
-    }
-
-    /// Drain a whole delivery round's worth of already-stamped events
-    /// into the ring under a single lock acquisition, evicting and
-    /// counting drops exactly as per-event [`FlightRecorder::push`]
-    /// would.
-    pub fn push_batch(&self, events: &mut Vec<TraceEvent>) {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        for event in events.drain(..) {
-            if inner.ring.len() == inner.capacity {
-                inner.ring.pop_front();
-                inner.dropped += 1;
-            }
-            inner.ring.push_back(event);
-        }
-    }
-}
-
-impl EventSink for FlightRecorder {
-    fn on_event(&self, event: &TraceEvent) {
-        self.push(event.clone());
     }
 }
 
@@ -279,235 +244,58 @@ impl Recorder for FlightRecorder {
     }
 }
 
-/// Span-id allocation, the causal cursor, and the open delivery-round
-/// buffer, shared by all clones of one [`Obs`] handle. Ids come from a
-/// single monotone counter, so id order is global record order across
-/// every sink.
-#[derive(Debug, Default)]
-struct AllocState {
-    next_id: u64,
-    cursor: Option<SpanId>,
-    /// Events of the delivery round currently open (between
-    /// [`Obs::begin_round`] and [`Obs::end_round`]); `None` when no
-    /// round is open and records flush individually.
-    round: Option<Vec<TraceEvent>>,
-    /// The drained round buffer, kept to reuse its allocation.
-    spare: Vec<TraceEvent>,
-    /// Non-safety spans elided by sampling. They still consumed a span
-    /// id (so id allocation is sampling-invariant); only the payload was
-    /// skipped.
-    sampled_out: u64,
-}
-
-/// The enabled half of an [`Obs`] handle: the id allocator, the optional
-/// ring buffer, and the attached live sinks.
-#[derive(Clone)]
-struct ObsInner {
-    alloc: Arc<Mutex<AllocState>>,
-    /// The ring-buffered recorder, when a post-hoc [`Recording`] is
-    /// wanted. Kept as a direct handle (not a boxed sink) so the runtime
-    /// can read `events()`/`dropped()` at the end of the run, and so the
-    /// common record-only path moves the event instead of cloning it.
-    ///
-    /// [`Recording`]: crate::Recording
-    rec: Option<FlightRecorder>,
-    /// Live subscribers; each sees every event before the ring stores it.
-    sinks: Arc<[Arc<dyn EventSink>]>,
-    /// Keep one in `sample` non-safety spans (≤ 1 = keep all).
-    sample: u32,
-    /// Seed of the deterministic sampling hash.
-    sample_seed: u64,
-    /// Record-only fast path: with a ring and no live sinks, every record
-    /// goes straight to [`FlightRecorder::record_event`] — id allocation,
-    /// cursor lookup, sampling, and the ring insert under one lock
-    /// instead of an allocator lock plus a ring lock per span. Ids,
-    /// parents, and sampling decisions are identical to the fan-out path.
-    direct: bool,
-}
-
-/// The handle the runtime actually carries: either off (free) or a span
-/// allocator fanning each [`TraceEvent`] out to the attached sinks — the
-/// ring-buffered [`FlightRecorder`] and/or any live [`EventSink`]s
-/// (runtime monitors). Clones share the allocator, the cursor, and every
-/// sink.
+/// The handle the runtime actually carries: either off (free) or a
+/// [`FlightRecorder`]. Clones share the recorder — its span allocator,
+/// cursor and ring.
 #[derive(Clone, Default)]
 pub struct Obs {
-    inner: Option<ObsInner>,
+    rec: Option<FlightRecorder>,
 }
 
+// Actors carry a handle and derive `Debug`; the ring stays out of it.
 impl fmt::Debug for Obs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.inner {
-            None => f.write_str("Obs(off)"),
-            Some(inner) => {
-                write!(f, "Obs(ring: {}, sinks: {})", inner.rec.is_some(), inner.sinks.len())
-            }
-        }
+        f.write_str(if self.enabled() { "Obs(on)" } else { "Obs(off)" })
     }
 }
 
 impl Obs {
     /// A disabled handle — the default everywhere.
     pub fn off() -> Obs {
-        Obs { inner: None }
+        Obs { rec: None }
     }
 
-    /// An enabled handle backed by a fresh recorder and no live sinks.
+    /// An enabled handle backed by a fresh recorder.
     pub fn on(config: RecordConfig) -> Obs {
-        Obs::with_sinks(Some(config), Vec::new())
+        Obs::from_recorder(FlightRecorder::new(config))
     }
 
     /// Wrap an existing recorder (clones share its buffer).
     pub fn from_recorder(rec: FlightRecorder) -> Obs {
-        Obs {
-            inner: Some(ObsInner {
-                alloc: Arc::default(),
-                rec: Some(rec),
-                sinks: Arc::from(Vec::new()),
-                sample: 1,
-                sample_seed: 0,
-                direct: true,
-            }),
-        }
-    }
-
-    /// The general constructor: an optional ring buffer plus any number
-    /// of live sinks. With neither, the handle is off — identical to
-    /// [`Obs::off`] down to the hot-path branch.
-    pub fn with_sinks(record: Option<RecordConfig>, sinks: Vec<Arc<dyn EventSink>>) -> Obs {
-        if record.is_none() && sinks.is_empty() {
-            return Obs::off();
-        }
-        let (sample, sample_seed) = record.map_or((1, 0), |c| (c.sample.max(1), c.sample_seed));
-        let direct = record.is_some() && sinks.is_empty();
-        Obs {
-            inner: Some(ObsInner {
-                alloc: Arc::default(),
-                rec: record.map(FlightRecorder::new),
-                sinks: Arc::from(sinks),
-                sample,
-                sample_seed,
-                direct,
-            }),
-        }
+        Obs { rec: Some(rec) }
     }
 
     /// `true` if records go anywhere. Guard payload construction with
     /// this.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        self.rec.is_some()
     }
 
     /// The underlying ring-buffered recorder, if one is attached.
     pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.inner.as_ref()?.rec.as_ref()
+        self.rec.as_ref()
     }
 
     /// Non-safety spans elided by sampling so far.
     pub fn sampled_out(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| {
-            if i.direct {
-                i.rec.as_ref().map_or(0, FlightRecorder::sampled_out)
-            } else {
-                i.alloc.lock().expect("obs alloc lock").sampled_out
-            }
-        })
-    }
-
-    /// Open a delivery-round buffer: subsequent records are staged under
-    /// the allocator lock and flushed to the sinks and the ring in one
-    /// batch at [`Obs::end_round`]. Idempotent while a round is open.
-    /// Record order, span ids, and parent edges are identical to the
-    /// unbatched path — only the lock cadence changes (one ring lock per
-    /// round instead of per span).
-    pub fn begin_round(&self) {
-        if let Some(inner) = &self.inner {
-            if inner.direct {
-                // The direct path already pays one lock per span with no
-                // sink fan-out; staging would add work, not remove it.
-                return;
-            }
-            let mut alloc = inner.alloc.lock().expect("obs alloc lock");
-            if alloc.round.is_none() {
-                let spare = std::mem::take(&mut alloc.spare);
-                alloc.round = Some(spare);
-            }
-        }
-    }
-
-    /// Close the open delivery round (if any): fan the staged records to
-    /// the sinks in record order, then bulk-append them to the ring.
-    pub fn end_round(&self) {
-        let Some(inner) = &self.inner else { return };
-        if inner.direct {
-            return;
-        }
-        let Some(mut buf) = inner.alloc.lock().expect("obs alloc lock").round.take() else {
-            return;
-        };
-        for event in &buf {
-            for sink in inner.sinks.iter() {
-                sink.on_event(event);
-            }
-        }
-        match &inner.rec {
-            Some(rec) => rec.push_batch(&mut buf),
-            None => buf.clear(),
-        }
-        inner.alloc.lock().expect("obs alloc lock").spare = buf;
-    }
-
-    /// Allocate an id, stamp the event, and either stage it in the open
-    /// delivery round or fan it out to the sinks and the ring directly.
-    fn emit(
-        &self,
-        at: Time,
-        node: u32,
-        site: u32,
-        parent: ParentRef,
-        kind: SpanKind,
-    ) -> Option<SpanId> {
-        let inner = self.inner.as_ref()?;
-        if inner.direct {
-            return inner.rec.as_ref()?.record_event(at, node, site, parent, kind);
-        }
-        let (id, parent) = {
-            let mut alloc = inner.alloc.lock().expect("obs alloc lock");
-            let id = SpanId(alloc.next_id);
-            alloc.next_id += 1;
-            let parent = match parent {
-                ParentRef::Cursor => alloc.cursor,
-                ParentRef::Root => None,
-                ParentRef::Span(p) => Some(p),
-            };
-            if inner.sample > 1
-                && !kind.is_safety()
-                && !mix64(inner.sample_seed ^ id.0).is_multiple_of(inner.sample as u64)
-            {
-                alloc.sampled_out += 1;
-                return Some(id);
-            }
-            if let Some(round) = alloc.round.as_mut() {
-                round.push(TraceEvent { id, parent, at, node, site, kind });
-                return Some(id);
-            }
-            (id, parent)
-        };
-        let event = TraceEvent { id, parent, at, node, site, kind };
-        for sink in inner.sinks.iter() {
-            sink.on_event(&event);
-        }
-        if let Some(rec) = &inner.rec {
-            rec.push(event);
-        }
-        Some(id)
+        self.rec.as_ref().map_or(0, FlightRecorder::sampled_out)
     }
 
     /// Record under the current cursor.
     #[inline]
     pub fn rec(&self, at: Time, node: u32, site: u32, kind: SpanKind) -> Option<SpanId> {
-        self.emit(at, node, site, ParentRef::Cursor, kind)
+        self.record_event(at, node, site, ParentRef::Cursor, kind)
     }
 
     /// Record under an explicit parent (`None` = root).
@@ -524,33 +312,19 @@ impl Obs {
             Some(p) => ParentRef::Span(p),
             None => ParentRef::Root,
         };
-        self.emit(at, node, site, parent, kind)
+        self.record_event(at, node, site, parent, kind)
     }
 
     /// Set the causal cursor.
     #[inline]
     pub fn set_cursor(&self, cursor: Option<SpanId>) {
-        if let Some(inner) = &self.inner {
-            if inner.direct {
-                if let Some(rec) = &inner.rec {
-                    Recorder::set_cursor(rec, cursor);
-                }
-                return;
-            }
-            inner.alloc.lock().expect("obs alloc lock").cursor = cursor;
-        }
+        Recorder::set_cursor(self, cursor);
     }
 
     /// The causal cursor.
     #[inline]
     pub fn cursor(&self) -> Option<SpanId> {
-        self.inner.as_ref().and_then(|i| {
-            if i.direct {
-                i.rec.as_ref().and_then(Recorder::cursor)
-            } else {
-                i.alloc.lock().expect("obs alloc lock").cursor
-            }
-        })
+        Recorder::cursor(self)
     }
 }
 
@@ -563,15 +337,17 @@ impl Recorder for Obs {
         parent: ParentRef,
         kind: SpanKind,
     ) -> Option<SpanId> {
-        self.emit(at, node, site, parent, kind)
+        self.rec.as_ref()?.record_event(at, node, site, parent, kind)
     }
 
     fn set_cursor(&self, cursor: Option<SpanId>) {
-        Obs::set_cursor(self, cursor);
+        if let Some(rec) = &self.rec {
+            rec.set_cursor(cursor);
+        }
     }
 
     fn cursor(&self) -> Option<SpanId> {
-        Obs::cursor(self)
+        self.rec.as_ref().and_then(Recorder::cursor)
     }
 
     fn enabled(&self) -> bool {
@@ -687,52 +463,6 @@ mod tests {
         let events = obs.recorder().unwrap().events();
         assert_eq!(events.len(), 1);
         assert_eq!((events[0].node, events[0].site, events[0].at), (7, 1, 5));
-    }
-
-    #[test]
-    fn round_batching_preserves_ids_order_and_parents() {
-        // Same sequence of records, once unbatched and once inside
-        // begin_round/end_round: the stored events must be identical.
-        let run = |batched: bool| {
-            let obs = Obs::on(RecordConfig::default());
-            let root = obs.rec(0, 0, 0, attempt(0)).unwrap();
-            if batched {
-                obs.begin_round();
-            }
-            obs.set_cursor(Some(root));
-            obs.rec(1, 1, 0, attempt(1));
-            obs.rec(1, 2, 0, attempt(2));
-            obs.set_cursor(None);
-            if batched {
-                obs.end_round();
-            }
-            obs.recorder().unwrap().events()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn end_round_without_begin_is_a_noop() {
-        let obs = Obs::on(RecordConfig::default());
-        obs.end_round();
-        obs.rec(0, 0, 0, attempt(0));
-        obs.end_round();
-        assert_eq!(obs.recorder().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn round_batch_drops_count_at_ring_overflow() {
-        let obs = Obs::on(RecordConfig::with_capacity(2));
-        obs.begin_round();
-        for i in 0..5 {
-            obs.rec(i, 0, 0, attempt(i as u32));
-        }
-        obs.end_round();
-        let rec = obs.recorder().unwrap();
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped(), 3);
-        let ids: Vec<u64> = rec.events().iter().map(|e| e.id.0).collect();
-        assert_eq!(ids, vec![3, 4]);
     }
 
     #[test]

@@ -427,12 +427,6 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
             }
             self.stats.record_delivery(to_site);
             let recording = self.obs.enabled();
-            // Everything one delivery emits — the MsgDeliver span, the
-            // handler's spans, the outbox's MsgSend spans — is buffered
-            // in a per-round segment and flushed once at the end of the
-            // round. Span ids, parents and order are identical to
-            // unbatched emission; only the lock/fan-out cadence changes.
-            self.obs.begin_round();
             if recording {
                 let kind = SpanKind::MsgDeliver {
                     from: m.from.0,
@@ -459,7 +453,6 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
             if recording {
                 self.obs.set_cursor(None);
             }
-            self.obs.end_round();
             return true;
         }
     }
@@ -470,9 +463,6 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
             fs.mark_restarted(ix);
         }
         let recording = self.obs.enabled();
-        // Restart rounds batch like delivery rounds: one flush per
-        // Restart span plus everything the rebuild emits.
-        self.obs.begin_round();
         if recording {
             let kind = SpanKind::Restart { node: node.0 };
             let span = self.obs.rec_under(None, self.time, node.0, self.site_of(node).0, kind);
@@ -495,7 +485,6 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
         if recording {
             self.obs.set_cursor(None);
         }
-        self.obs.end_round();
     }
 
     /// Run until no work remains or `max_steps` deliveries happened.
@@ -517,8 +506,8 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
     /// `true` when nothing remains to do: no queued messages and no
     /// pending restarts. This is the convergence test
     /// [`Network::run_to_quiescence`] applies when its budget runs out;
-    /// external steppers (the multi-tenant multiplexer) use it to report
-    /// termination with exactly the same honesty.
+    /// an external stepper driving [`Network::step`] itself uses it to
+    /// report termination with exactly the same honesty.
     pub fn idle(&self) -> bool {
         self.queue.is_empty()
             && self.faults.as_ref().is_none_or(|fs| fs.due_restart(None).is_none())

@@ -46,8 +46,8 @@
 //! A run that exhausts its step budget with messages still pending
 //! reports [`Termination::BudgetExhausted`] honestly; budget checks
 //! happen at round granularity, so a run may overshoot `max_steps` by at
-//! most one round's width (the same honesty contract as the tenant
-//! quantum).
+//! most one round's width (the single-queue [`Network`] checks per
+//! delivery and stops exactly on its budget).
 //!
 //! [`Network`]: crate::Network
 
@@ -121,8 +121,8 @@ pub struct ParallelStats {
     /// for a single run.
     pub busy_ns: u64,
     /// Fleet only: nanoseconds the coordinator spent, after its workers
-    /// returned, folding their totals and ordering outcomes by arrival —
-    /// the serial tail. 0 for a single run.
+    /// returned and their outcomes were put in arrival order, folding
+    /// their totals — the serial tail. 0 for a single run.
     pub merge_ns: u64,
     /// Wall-clock nanoseconds of the whole run (over a fleet: of the
     /// whole call, template compilation included).

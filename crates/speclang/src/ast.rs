@@ -140,8 +140,8 @@ pub fn complement(e: PExpr) -> PExpr {
 /// The macro library: extended-transaction-model primitives expressed as
 /// dependencies over the `task.event` naming convention.
 ///
-/// These capture the primitives of Klein [10], which the paper notes "can
-/// capture those of [3] and [8]" (ACTA and Günthör's dependency rules).
+/// These capture the primitives of Klein \[10\], which the paper notes "can
+/// capture those of \[3\] and \[8\]" (ACTA and Günthör's dependency rules).
 pub fn expand_macro(name: &str, args: &[PExpr]) -> Result<PExpr, String> {
     let atom = |ix: usize| -> Result<PExpr, String> {
         args.get(ix).cloned().ok_or_else(|| format!("macro {name}: missing argument {ix}"))

@@ -3,8 +3,8 @@
 //! Workflows "of any model may be declaratively specified": this crate
 //! parses a textual syntax for events (with scheduling attributes and
 //! placement) and dependencies — the bare algebra operators, Klein's
-//! `->` / `<` primitives [10], the extended-transaction macros capturing
-//! ACTA [3] and Günthör [8] dependencies, and parametrized atoms `e[x]`
+//! `->` / `<` primitives \[10\], the extended-transaction macros capturing
+//! ACTA \[3\] and Günthör \[8\] dependencies, and parametrized atoms `e[x]`
 //! (Section 5) — and lowers them for the schedulers.
 
 #![warn(missing_docs)]

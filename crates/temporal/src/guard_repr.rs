@@ -557,7 +557,7 @@ impl Guard {
     /// Semantic tautology check.
     ///
     /// Exact for guards without sequence atoms, at any number of symbols
-    /// (cofactor splitting, see [`dnf_agree`]); conjuncts carrying
+    /// (cofactor splitting, see `dnf_agree`); conjuncts carrying
     /// sequence atoms are conservatively treated as non-covering, so
     /// `true` is always sound.
     pub fn is_top(&self) -> bool {

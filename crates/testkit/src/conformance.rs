@@ -61,8 +61,8 @@
 //! timing, same termination honesty, same final `□`-views
 //! ([`machine_views`]) and same online-monitor verdicts — plus zero
 //! cross-instance transport/actor rejections and no phantom instance in
-//! the shared write-ahead log. Sharing compiled machines, a multiplexer
-//! and a WAL across tenants must be *unobservable* per tenant;
+//! the shared write-ahead log. Sharing compiled machines, worker
+//! threads and a WAL across tenants must be *unobservable* per tenant;
 //! [`dist::TenantConfig::cross_wire`] is the mutation knob proving the
 //! audit can fail.
 //!
@@ -84,20 +84,19 @@
 //! baseline and the whole fleet to its own one-worker run — worker
 //! counts only mean something for a fleet.
 //!
-//! An eleventh audit pins the *fused* monitor path to the legacy
-//! sink-driven one: [`audit_monitor_equivalence`] runs the same (spec,
-//! seed, fault plan) twice — once with the scheduler stepping the
-//! monitors directly (`ExecConfig::monitor_oracle = false`, the
-//! production default) and once with the monitors fed as an [`obs`]
-//! event sink (the pre-fusion oracle) — and demands identical verdicts,
-//! observation counters and violation-class alerts, byte for byte.
-//! Stall alerts are compared as a multiset that ignores the alert's
-//! `at` stamp: the sink oracle also sweeps its watchdogs on `CrashDrop`
-//! spans (a delivery the network dropped on the floor, so no handler
-//! runs and the fused path has no tick there), which can only shift
-//! *when* an already-inevitable stall is stamped, never whether it
-//! fires — the flagged set is identical because both paths perform the
-//! same final sweep at quiescence.
+//! An eleventh audit pins the *fused* monitor feed to an offline replay:
+//! [`audit_monitor_equivalence`] runs each (spec, seed, fault plan)
+//! *once*, with the scheduler stepping the monitors directly and the
+//! flight recorder on, then feeds that run's recording span by span to
+//! a fresh monitor (`WorkflowMonitor::observe`, the path `wftrace
+//! monitor` uses) — and demands identical verdicts, observation counters
+//! and violation-class alerts, byte for byte. Stall alerts are compared
+//! as a multiset that ignores the alert's `at` stamp: a replay also
+//! sweeps its watchdogs on `CrashDrop` spans (a delivery the network
+//! dropped on the floor, so no handler runs and the fused feed has no
+//! tick there), which can only shift *when* an already-inevitable stall
+//! is stamped, never whether it fires — the flagged set is identical
+//! because both feeds perform the same final sweep at quiescence.
 
 use dist::{
     guard_gated, run_parallel_fleet, run_tenant, run_workflow_parallel, run_workflow_with_faults,
@@ -638,64 +637,87 @@ pub fn audit_parallel_fleet(
     (failures, fleet)
 }
 
-/// The eleventh audit: fused-monitor equivalence. Run the same
-/// scenario twice — fused stepping (the production default) and the
-/// legacy sink-driven oracle (`monitor_oracle = true`) — and compare
-/// the two monitor reports:
-///
-/// - **Run identity** first: monitors are passive observers, so the
-///   occurrence streams of the two runs must be byte-identical —
-///   otherwise the comparison below would be vacuous.
-/// - **Verdicts**, **observation counters** (`facts`,
-///   `guard_checks`, `cross_shard_divergence`) and **violation-class
-///   alerts** exactly, including timestamps.
-/// - **Stall alerts** as a multiset over (kind, node, detail),
-///   ignoring `at`: the sink oracle sweeps on `CrashDrop` spans where
-///   no handler (and hence no fused tick) runs, which can stamp an
-///   inevitable stall a little earlier but never changes the flagged
-///   set (see the module docs).
+/// The eleventh audit: fused-monitor equivalence. Run the scenario once
+/// with the fused monitor and the flight recorder both on, then hold the
+/// fused report to a replay of that run's recording
+/// ([`audit_monitor_replay`]). The recording must be complete — nothing
+/// overwritten by the ring, nothing sampled out — or the replay would
+/// be judged on a different stream than the scheduler saw.
 pub fn audit_monitor_equivalence(
     spec: &WorkflowSpec,
     base: &ExecConfig,
     plan: &FaultPlan,
 ) -> Vec<String> {
-    let mut fused_cfg = base.clone();
-    if fused_cfg.monitor.is_none() {
-        fused_cfg.monitor = Some(monitor::MonitorConfig::default());
+    let mut config = base.clone();
+    config.monitor.get_or_insert_with(monitor::MonitorConfig::default);
+    config.record = Some(obs::RecordConfig::default());
+    let run = run_workflow_with_faults(spec, config.clone(), plan.clone());
+    let rec = run.recording.as_ref().expect("recording was configured");
+    if rec.dropped != 0 || rec.sampled_out != 0 {
+        return vec![format!(
+            "recording is incomplete ({} spans overwritten, {} sampled out): \
+             the replay oracle needs every span",
+            rec.dropped, rec.sampled_out
+        )];
     }
-    fused_cfg.monitor_oracle = false;
-    let mut oracle_cfg = fused_cfg.clone();
-    oracle_cfg.monitor_oracle = true;
-    let fused = run_workflow_with_faults(spec, fused_cfg, plan.clone());
-    let oracle = run_workflow_with_faults(spec, oracle_cfg, plan.clone());
-    let mut failures = Vec::new();
-    if fused.occurrences != oracle.occurrences {
-        failures.push(format!(
-            "runs diverged before the monitors could be compared: fused {:?} vs oracle {:?}",
-            fused.occurrences, oracle.occurrences
-        ));
-        return failures;
-    }
-    let (Some(fm), Some(om)) = (&fused.monitor, &oracle.monitor) else {
-        failures.push("monitor report missing on at least one side".to_owned());
-        return failures;
+    audit_monitor_replay(spec, &config, &run, &rec.events)
+}
+
+/// Feed `events` — the recording of `run`, or a mutation of it — to a
+/// fresh monitor armed like `run`'s (same [`monitor::MonitorConfig`],
+/// same shard plan, finished at the same sim time) and compare the two
+/// monitor reports:
+///
+/// - **Verdicts**, **observation counters** (`facts`,
+///   `guard_checks`, `cross_shard_divergence`) and **violation-class
+///   alerts** exactly, including timestamps.
+/// - **Stall alerts** as a multiset over (kind, node, detail),
+///   ignoring `at`: a replay sweeps on `CrashDrop` spans where no
+///   handler (and hence no fused tick) runs, which can stamp an
+///   inevitable stall a little earlier but never changes the flagged
+///   set (see the module docs).
+///
+/// Taking the events as a parameter lets the mutation harness delete a
+/// span and prove the audit notices.
+pub fn audit_monitor_replay(
+    spec: &WorkflowSpec,
+    config: &ExecConfig,
+    run: &RunReport,
+    events: &[obs::TraceEvent],
+) -> Vec<String> {
+    let Some(fm) = &run.monitor else {
+        return vec!["the run carries no fused monitor report".to_owned()];
     };
+    let oracle = monitor::WorkflowMonitor::new(
+        &spec.table,
+        &spec.dependencies,
+        guard_gated(spec),
+        config.monitor.unwrap_or_default(),
+    );
+    if let Some(plan) = &config.shard_plan {
+        oracle.set_shard_plan(std::sync::Arc::clone(plan));
+    }
+    for e in events {
+        oracle.observe(e);
+    }
+    let om = &oracle.finish(run.duration);
+    let mut failures = Vec::new();
     if fm.verdicts != om.verdicts {
         failures.push(format!(
-            "fused and sink-driven monitors disagree on verdicts: {:?} vs {:?}",
+            "fused and replayed monitors disagree on verdicts: {:?} vs {:?}",
             fm.verdicts, om.verdicts
         ));
     }
     if (fm.facts, fm.guard_checks) != (om.facts, om.guard_checks) {
         failures.push(format!(
             "observation counters diverge: fused ({} facts, {} guard checks) vs \
-             oracle ({} facts, {} guard checks)",
+             replay ({} facts, {} guard checks)",
             fm.facts, fm.guard_checks, om.facts, om.guard_checks
         ));
     }
     if fm.cross_shard_divergence != om.cross_shard_divergence {
         failures.push(format!(
-            "cross-shard divergence counters diverge: fused {} vs oracle {}",
+            "cross-shard divergence counters diverge: fused {} vs replay {}",
             fm.cross_shard_divergence, om.cross_shard_divergence
         ));
     }
@@ -704,10 +726,10 @@ pub fn audit_monitor_equivalence(
     };
     let (fv, ov) = (violations(fm), violations(om));
     if fv != ov {
-        failures.push(format!("violation-class alerts diverge: fused {fv:?} vs oracle {ov:?}"));
+        failures.push(format!("violation-class alerts diverge: fused {fv:?} vs replay {ov:?}"));
     }
     // Stall alerts: multiset keyed by everything except `at`. The
-    // detail string embeds the round's *open* time, which both paths
+    // detail string embeds the round's *open* time, which both feeds
     // observe identically — only the sweep stamp may shift.
     let stalls = |m: &monitor::MonitorReport| -> BTreeMap<String, usize> {
         let mut counts = BTreeMap::new();
@@ -721,7 +743,7 @@ pub fn audit_monitor_equivalence(
     let (fs, os) = (stalls(fm), stalls(om));
     if fs != os {
         failures.push(format!(
-            "stall-alert sets diverge (compared modulo timestamp): fused {fs:?} vs oracle {os:?}"
+            "stall-alert sets diverge (compared modulo timestamp): fused {fs:?} vs replay {os:?}"
         ));
     }
     failures
@@ -936,10 +958,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_monitor_is_equivalent_to_the_sink_oracle() {
+    fn fused_monitor_is_equivalent_to_its_replay() {
         // The eleventh audit across the whole fault matrix, including
         // the crash plan whose CrashDrop sweeps are the one known
-        // timestamp divergence between the two stepping modes.
+        // timestamp divergence between the fused feed and a replay.
         let spec = mutual_promise_spec();
         for seed in [0u64, 7, 23] {
             let mut config = ExecConfig::seeded(seed);
@@ -948,6 +970,34 @@ mod tests {
                 let failures = audit_monitor_equivalence(&spec, &config, &plan);
                 assert_eq!(failures, Vec::<String>::new(), "{name}/seed {seed}");
             }
+        }
+    }
+
+    #[test]
+    fn monitor_equivalence_audit_catches_a_deleted_occurrence() {
+        // Mutation: the recording of a healthy run, minus one `Occurred`
+        // span. The replay then sees one fact fewer than the scheduler
+        // fed the fused monitor, and the audit must say so — whichever
+        // occurrence goes missing.
+        let spec = mutual_promise_spec();
+        let mut config = ExecConfig::seeded(7);
+        config.monitor = Some(monitor::MonitorConfig::default());
+        config.record = Some(obs::RecordConfig::default());
+        let run = dist::run_workflow(&spec, config.clone());
+        let events = &run.recording.as_ref().expect("recording was configured").events;
+        assert_eq!(audit_monitor_replay(&spec, &config, &run, events), Vec::<String>::new());
+        let occurred: Vec<usize> = (0..events.len())
+            .filter(|&i| matches!(events[i].kind, obs::SpanKind::Occurred { .. }))
+            .collect();
+        assert_eq!(occurred.len(), 2, "both events occur");
+        for victim in occurred {
+            let mut mutated = events.clone();
+            mutated.remove(victim);
+            let failures = audit_monitor_replay(&spec, &config, &run, &mutated);
+            assert!(
+                failures.iter().any(|f| f.contains("counters diverge") || f.contains("verdicts")),
+                "deleting span {victim} went unnoticed: {failures:?}"
+            );
         }
     }
 

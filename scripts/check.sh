@@ -2,9 +2,10 @@
 # Tier-1 gate: everything a merge must pass. The workspace has no
 # registry dependencies, so every cargo call runs `--offline` and this is
 # the one way the code is built and tested: build, test (property suites
-# included), benches built, clippy, fmt, the CLI smokes (with a ceiling
-# on the product states wfcheck explores per example spec), the
-# benchmark's own selfcheck and the committed BENCH_*.json schemas.
+# included), benches built, clippy, fmt, rustdoc with warnings denied (a
+# deleted public name may not leave a dangling intra-doc link), the CLI
+# smokes (with a ceiling on the product states wfcheck explores per
+# example spec) and the benchmark's own selfcheck.
 #
 # `check.sh --faults` runs the fault-conformance tier instead: the
 # `conformance` driver sweeps every example spec through the standard
@@ -19,21 +20,19 @@
 # causal path from the buy-commit attempt to its firing (`wftrace query
 # --from/--to` must verify every hop by happens-before precedence).
 #
-# `check.sh --scale` runs the multi-tenant scale tier: `perfprobe
-# --scale-out` executes the quick open-loop fleet (120 mixed travel +
-# pipeline10 instances through `dist::run_tenant`), every instance must
-# quiesce, and the emitted JSON must match the committed
-# BENCH_scale.json schema.
+# `check.sh --scale` runs the multi-tenant tier: `conformance --tenant`
+# executes one mixed fleet of the clean example specs (40 instances per
+# spec, monitors armed) through `dist::run_tenant`, fault-free and under
+# the chaos plan, at one shard and at two; every instance must quiesce,
+# raise no monitor violation and equal its isolated run. Fleet speed is
+# measured by `benchmark/run.sh --workload fleet_steady`, not gated here.
 #
 # `check.sh --obs` runs the always-on observability tier: the
 # `conformance --monitor-equiv` audit proves the fused (scheduler-stepped)
-# monitor path produces the same verdicts, counters, and alerts as the
-# legacy sink-driven oracle across the standard fault-plan matrix on 20
-# seeds, and `perfprobe --quick --monitor-out` drives a monitored
-# multi-tenant fleet through `dist::run_tenant` (monitors armed on every
-# instance), gating on zero violations. The committed full-run
-# BENCH_monitor.json / BENCH_obs.json overhead ratios are enforced by the
-# tier-1 gate below (<= 1.10 armed-monitor, <= 1.15 recorder).
+# monitor produces the same verdicts, counters, and alerts as a replay of
+# the same run's flight recording across the standard fault-plan matrix
+# on 20 seeds, then the same `conformance --tenant` fleet as `--scale`
+# gates a monitored multi-tenant fleet on zero violations.
 #
 # `check.sh --parallel` runs the parallel-runtime tier: the
 # `conformance --parallel` audit proves the sharded round executor
@@ -68,24 +67,10 @@ if [ "${1:-}" = "--monitors" ]; then
 fi
 
 if [ "${1:-}" = "--scale" ]; then
-    echo "==> cargo build --release --offline --bin perfprobe"
-    cargo build --release --offline --bin perfprobe
-    SCALE_TMP="$(mktemp -d)"
-    trap 'rm -rf "$SCALE_TMP"' EXIT
-    echo "==> perfprobe --quick --scale-out (120-instance mixed fleet)"
-    "$REPO/target/release/perfprobe" --quick --scale-out "$SCALE_TMP/BENCH_scale.json"
-    python3 - "$SCALE_TMP/BENCH_scale.json" <<'PY'
-import json, sys
-data = json.load(open(sys.argv[1]))
-required = {"spec", "quick", "instances", "events", "shards", "quiesced",
-            "exhausted", "makespan", "fire_p50", "fire_p99",
-            "instances_per_sec", "events_per_sec"}
-missing = required - data.keys()
-assert not missing, f"missing keys {sorted(missing)}"
-assert data["exhausted"] == 0, "a fleet instance ran out of budget"
-assert data["quiesced"] == data["instances"], "not every instance quiesced"
-print("scale fleet ok:", data["instances"], "instances,", data["events"], "events")
-PY
+    echo "==> cargo build --release --offline --bin conformance"
+    cargo build --release --offline --bin conformance
+    echo "==> conformance --tenant (mixed fleet: clean and chaos, 1 and 2 shards)"
+    "$REPO/target/release/conformance" --tenant
     echo "==> scale tier passed"
     exit 0
 fi
@@ -100,25 +85,13 @@ if [ "${1:-}" = "--parallel" ]; then
 fi
 
 if [ "${1:-}" = "--obs" ]; then
-    echo "==> cargo build --release --offline --bin conformance --bin perfprobe"
-    cargo build --release --offline --bin conformance --bin perfprobe
-    echo "==> conformance --monitor-equiv (fused monitor vs sink oracle, 20 seeds)"
+    echo "==> cargo build --release --offline --bin conformance"
+    cargo build --release --offline --bin conformance
+    echo "==> conformance --monitor-equiv (fused monitor vs replayed recording, 20 seeds)"
     "$REPO/target/release/conformance" --monitor-equiv --seeds 20 \
         "$REPO/examples/specs/travel.wf" "$REPO/examples/specs/pipeline10.wf"
-    OBS_TMP="$(mktemp -d)"
-    trap 'rm -rf "$OBS_TMP"' EXIT
-    echo "==> perfprobe --quick --monitor-out (monitored tenant-fleet smoke)"
-    "$REPO/target/release/perfprobe" --quick --monitor-out "$OBS_TMP/BENCH_monitor.json"
-    python3 - "$OBS_TMP/BENCH_monitor.json" <<'PY'
-import json, sys
-data = json.load(open(sys.argv[1]))
-fleet = data["monitored_fleet"]
-assert fleet["monitor_violations"] == 0, "monitored fleet raised violations"
-assert fleet["instances"] > 0 and fleet["events"] > 0, "empty monitored fleet"
-assert fleet["monitor_facts"] > 0, "armed monitors recorded no facts"
-print("monitored fleet ok:", fleet["instances"], "instances,",
-      fleet["events"], "events,", fleet["monitor_facts"], "monitor facts")
-PY
+    echo "==> conformance --tenant (monitored fleet: all quiescent, zero violations)"
+    "$REPO/target/release/conformance" --tenant
     echo "==> obs tier passed"
     exit 0
 fi
@@ -147,6 +120,9 @@ cargo clippy --offline --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo doc --no-deps --offline (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 
 echo "==> wfcheck --deny warnings over example specs"
 WFCHECK="$REPO/target/release/wfcheck"
@@ -195,44 +171,5 @@ python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEven
 
 echo "==> benchmark/run.sh --selfcheck (the benchmark's wiring against this tree)"
 bash "$REPO/benchmark/run.sh" --selfcheck
-
-echo "==> BENCH_*.json schema sanity"
-python3 - "$REPO" <<'PY'
-import json, os, sys
-repo = sys.argv[1]
-schemas = {
-    "BENCH_algebra.json": {"spec", "quick", "benches"},
-    "BENCH_obs.json": {"spec", "quick", "recorder_off_ns", "recorder_on_ns", "overhead"},
-    "BENCH_monitor.json": {"spec", "quick", "monitor_off_ns", "monitor_on_ns",
-                           "overhead", "oracle_on_ns", "oracle_overhead",
-                           "monitored_fleet"},
-    "BENCH_scale.json": {"spec", "quick", "instances", "events", "shards",
-                         "quiesced", "exhausted", "makespan", "fire_p50",
-                         "fire_p99", "instances_per_sec", "events_per_sec",
-                         "monitors_armed", "monitor_violations", "per_shard"},
-}
-for name, required in schemas.items():
-    path = os.path.join(repo, name)
-    with open(path) as fh:
-        data = json.load(fh)
-    missing = required - data.keys()
-    assert not missing, f"{name}: missing keys {sorted(missing)}"
-    for key in required:
-        assert data[key] is not None, f"{name}: {key} is null"
-    if name == "BENCH_monitor.json":
-        assert data["overhead"] <= 1.10, (
-            f"committed armed-monitor bench regressed: fused overhead "
-            f"{data['overhead']} > 1.10")
-        assert data["monitored_fleet"]["monitor_violations"] == 0, (
-            "committed monitored fleet recorded violations")
-    if name == "BENCH_obs.json":
-        assert data["overhead"] <= 1.15, (
-            f"committed recorder bench regressed: overhead "
-            f"{data['overhead']} > 1.15")
-    if name == "BENCH_scale.json":
-        assert data["monitors_armed"] is True, "scale fleet ran unmonitored"
-        assert data["monitor_violations"] == 0, "scale fleet recorded violations"
-print("BENCH schemas ok:", ", ".join(sorted(schemas)))
-PY
 
 echo "==> tier-1 gate passed"

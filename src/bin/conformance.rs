@@ -4,7 +4,8 @@
 //! determinism. Exits nonzero on the first nonconforming scenario.
 //!
 //! ```text
-//! conformance [--seeds N] [--max-steps N] [--parallel] [SPEC.wf ...]
+//! conformance [--seeds N] [--max-steps N]
+//!             [--parallel | --monitor-equiv | --tenant] [SPEC.wf ...]
 //! ```
 //!
 //! With no spec arguments, sweeps `examples/specs/*.wf`. Liveness is
@@ -21,36 +22,48 @@
 //! (`testkit::conformance::audit_parallel_fleet`).
 //!
 //! `--monitor-equiv` switches to the eleventh audit: every spec runs
-//! each (seed, fault plan) scenario twice — fused monitor stepping vs
-//! the legacy sink-driven oracle — and the two monitor reports must
-//! agree (`testkit::conformance::audit_monitor_equivalence`).
+//! each (seed, fault plan) scenario once with the fused monitor and the
+//! flight recorder both on, and the fused report must equal a replay of
+//! that run's recording
+//! (`testkit::conformance::audit_monitor_equivalence`).
+//!
+//! `--tenant` switches to the ninth audit at fleet scale: one mixed
+//! `run_tenant` fleet of the statically clean specs (40 instances per
+//! spec, `testkit::workload` arrivals, monitors armed) runs fault-free
+//! and under the `chaos` plan, at one shard and at two; every instance
+//! must quiesce, raise no monitor violation and equal its isolated run
+//! (`testkit::conformance::audit_tenant_isolation`).
 
 use analyze::{analyze_workflow, AnalyzeOptions, Severity};
-use constrained_events::{ExecConfig, LoweredWorkflow, ReliableConfig, WorkflowBuilder};
+use constrained_events::{
+    ExecConfig, LoweredWorkflow, MonitorConfig, ReliableConfig, WorkflowBuilder,
+};
+use dist::{TenantConfig, WorkflowSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use testkit::conformance::{
-    audit_monitor_equivalence, audit_parallel_conformance, audit_parallel_fleet, explore,
-    standard_plans,
+    audit_monitor_equivalence, audit_parallel_conformance, audit_parallel_fleet,
+    audit_tenant_isolation, explore, standard_plans,
 };
 use testkit::workload::{drive, generate, WorkloadConfig};
+
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Faults,
+    Parallel,
+    MonitorEquiv,
+    Tenant,
+}
 
 struct Args {
     seeds: u64,
     max_steps: u64,
-    parallel: bool,
-    monitor_equiv: bool,
+    mode: Mode,
     specs: Vec<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        seeds: 10,
-        max_steps: 2_000_000,
-        parallel: false,
-        monitor_equiv: false,
-        specs: Vec::new(),
-    };
+    let mut args = Args { seeds: 10, max_steps: 2_000_000, mode: Mode::Faults, specs: Vec::new() };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -62,12 +75,13 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--max-steps needs a value")?;
                 args.max_steps = v.parse().map_err(|e| format!("--max-steps {v}: {e}"))?;
             }
-            "--parallel" => args.parallel = true,
-            "--monitor-equiv" => args.monitor_equiv = true,
+            "--parallel" => args.mode = Mode::Parallel,
+            "--monitor-equiv" => args.mode = Mode::MonitorEquiv,
+            "--tenant" => args.mode = Mode::Tenant,
             "--help" | "-h" => {
                 println!(
-                    "usage: conformance [--seeds N] [--max-steps N] [--parallel] \
-                     [--monitor-equiv] [SPEC.wf ...]"
+                    "usage: conformance [--seeds N] [--max-steps N] \
+                     [--parallel | --monitor-equiv | --tenant] [SPEC.wf ...]"
                 );
                 std::process::exit(0);
             }
@@ -133,9 +147,18 @@ fn main() -> ExitCode {
         config.reliable = Some(ReliableConfig::default());
         config.max_steps = args.max_steps;
 
-        if args.monitor_equiv {
-            // Eleventh audit: fused monitor stepping vs the sink-driven
-            // oracle over the full (seed x fault plan) matrix.
+        if args.mode == Mode::Tenant {
+            // The fleet below demands satisfaction, so it takes clean specs only.
+            if expect_live {
+                fleet_specs.push(drive(&workflow.spec));
+            }
+            continue;
+        }
+
+        if args.mode == Mode::MonitorEquiv {
+            // Eleventh audit: fused monitor stepping vs a replay of the
+            // same run's recording over the full (seed x fault plan)
+            // matrix.
             let mut failures = Vec::new();
             for seed in 0..args.seeds {
                 let mut cfg = config.clone();
@@ -152,7 +175,7 @@ fn main() -> ExitCode {
             if failures.is_empty() {
                 println!(
                     "conformance: {:<12} {} monitor-equivalence scenarios ok \
-                     ({} seeds x {} plans, fused == sink oracle)",
+                     ({} seeds x {} plans, fused == replayed recording)",
                     workflow.name, scenarios, args.seeds, plan_count
                 );
             } else {
@@ -170,7 +193,7 @@ fn main() -> ExitCode {
             continue;
         }
 
-        if args.parallel {
+        if args.mode == Mode::Parallel {
             // Tenth audit: fault-free sharded runs held to the
             // single-queue oracle per seed. The raw (unwrapped) transport
             // is the parallel runtime's scope.
@@ -238,7 +261,9 @@ fn main() -> ExitCode {
             total_failures += failures.len();
         }
     }
-    if !fleet_specs.is_empty() {
+    if args.mode == Mode::Tenant {
+        total_failures += tenant_fleet(&fleet_specs, args.max_steps);
+    } else if !fleet_specs.is_empty() {
         // Worker counts only mean something for a fleet: one mixed fleet
         // of every spec, on two real worker threads and on one.
         let instances = 40 * fleet_specs.len() as u64;
@@ -270,4 +295,53 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// The `--tenant` tier: one mixed fleet of `specs`, monitors armed,
+/// through the isolation audit fault-free and under the `chaos` plan at
+/// one shard and at two. Returns the number of failures.
+fn tenant_fleet(specs: &[WorkflowSpec], max_steps: u64) -> usize {
+    if specs.is_empty() {
+        eprintln!("conformance: tenant       no statically clean spec to build a fleet from");
+        return 1;
+    }
+    let instances = 40 * specs.len() as u64;
+    let arrivals = generate(specs, &WorkloadConfig::new(instances, 0xF1EE7));
+    let chaos = standard_plans(0x5EED).pop().expect("the matrix ends with chaos").1;
+    let mut total = 0;
+    for (plan_name, plan) in [("clean", None), ("chaos", Some(chaos))] {
+        for shards in [1, 2] {
+            let mut exec = ExecConfig::seeded(0);
+            exec.max_steps = max_steps;
+            exec.monitor = Some(MonitorConfig::default());
+            exec.reliable = plan.is_some().then(ReliableConfig::default);
+            let mut config = TenantConfig::new(exec);
+            config.plan = plan.clone();
+            config.shards = shards;
+            let (mut failures, fleet) = audit_tenant_isolation(specs, &arrivals, &config);
+            if fleet.exhausted > 0 {
+                failures.push(format!("{} instances ran out of budget", fleet.exhausted));
+            }
+            if fleet.monitor_violations > 0 {
+                failures.push(format!("{} monitor violations", fleet.monitor_violations));
+            }
+            if !fleet.all_satisfied() {
+                failures.push("an instance left dependencies unsatisfied".to_owned());
+            }
+            if failures.is_empty() {
+                println!(
+                    "conformance: tenant       {plan_name}/{shards} shards: {instances} \
+                     instances, {} events ok (all quiescent, 0 violations, every instance == \
+                     its solo run)",
+                    fleet.events
+                );
+            } else {
+                for f in &failures {
+                    eprintln!("FAIL [tenant/{plan_name}/{shards} shards] {f}");
+                }
+                total += failures.len();
+            }
+        }
+    }
+    total
 }

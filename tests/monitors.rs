@@ -45,8 +45,8 @@ fn disarmed_monitors_report_nothing() {
 
 #[test]
 fn monitors_and_recorder_share_one_event_stream() {
-    // Both subscribers on: the ring keeps the spans and the monitor sees
-    // the same occurrences, so its fact count equals the recording's
+    // Recorder and fused monitor both on: the ring keeps the spans and
+    // the monitor sees the same occurrences, so its fact count equals the recording's
     // `Occurred` spans net of crash-replay duplicates (none on a clean
     // run).
     let workflow = travel();
