@@ -25,6 +25,7 @@ use sim::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Instant;
 use temporal::Guard;
 
 /// How sequence atoms in guards are handled at runtime.
@@ -138,24 +139,11 @@ pub struct ExecConfig {
     /// The armed monitors also learn the class boundaries, so
     /// view-divergence alerts distinguish intra- from cross-shard
     /// disagreements. `None` (the default) leaves spec placement
-    /// untouched. The parallel runtime ([`crate::parallel`]) keys its
-    /// shards by the same plan.
+    /// untouched. No executor is keyed by the plan: placement and monitor
+    /// labels are its only runtime readers.
     pub shard_plan: Option<Arc<ShardPlan>>,
-    /// Run on the sharded round executor
-    /// ([`crate::parallel::run_workflow_parallel`]) instead of the
-    /// single-queue simulator: nodes are sharded by `shard_plan`
-    /// colocation classes (or the Lemma 5 coupling fallback) and run in
-    /// barrier rounds. The worker count inside is how many *instances*
-    /// [`crate::run_parallel_fleet`] keeps in flight on threads; a
-    /// single workflow is one island and runs on the calling thread.
-    /// Fault-free fast path only: [`run_workflow`] and
-    /// [`crate::run_parallel_fleet`] are the two entry points that read
-    /// it; [`run_workflow_with_faults`] and [`crate::run_tenant`] always
-    /// run the single-queue simulator (so
-    /// [`crate::TenantConfig::instance_exec`] clears it), and journals /
-    /// recorders are forced off on the sharded executor (they assume the
-    /// single-queue delivery order). Armed monitors run there by
-    /// post-run sequence replay (see [`crate::parallel`]).
+    /// Worker threads of [`crate::run_parallel_fleet`]; nothing else
+    /// reads it.
     pub parallel: Option<sim::ParallelConfig>,
 }
 
@@ -177,7 +165,7 @@ impl ExecConfig {
         }
     }
 
-    /// The delivery budget every executor runs under: `max_steps`, with
+    /// The delivery budget every instance runs under: `max_steps`, with
     /// `0` (what `ExecConfig::default()` leaves) meaning the seeded
     /// default of one million.
     pub fn step_budget(&self) -> u64 {
@@ -228,13 +216,14 @@ pub enum Node {
     Ticker {
         /// Actor nodes to tick.
         actors: Vec<NodeId>,
-        /// Tick period in virtual time. The self-message latency is 1, so
-        /// the ticker re-sends `period/1` Kicks... (period is modeled by
-        /// chained self-sends; see `on_message`).
+        /// Tick period in virtual time: the value `countdown` is reset to
+        /// after every broadcast.
         period: Time,
         /// Remaining rounds.
         rounds: u32,
-        /// Countdown of self-hops until the next broadcast.
+        /// Self-hops left until the next broadcast. A self-send takes one
+        /// tick, so the ticker kicks itself once per tick, decrements
+        /// this on every kick and broadcasts when it reaches 1.
         countdown: Time,
     },
 }
@@ -330,7 +319,7 @@ impl RunReport {
     }
 }
 
-/// The assembled network, ready to run on either executor.
+/// The assembled network, ready to run.
 pub struct BuiltWorkflow {
     /// `(site, node)` pairs; agents first, then actors.
     pub nodes: Vec<(SiteId, Node)>,
@@ -515,13 +504,12 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
     BuiltWorkflow { nodes, routing, injections, symbols: symbol_list, journal, guards: compiled }
 }
 
-/// Assemble a report from finished actors — shared by [`run_instance`]
-/// and the sharded executor ([`crate::parallel`]).
-pub(crate) fn collect_report(
+/// Assemble a report from finished actors, read in place through
+/// `actor_of` (symbol → its actor).
+fn collect_report<'a>(
     spec: &WorkflowSpec,
     symbol_list: &[SymbolId],
-    actor_for: impl Fn(SymbolId) -> usize,
-    nodes: &[Node],
+    actor_of: impl Fn(SymbolId) -> &'a SymbolActor,
     duration: Time,
     outcome: sim::RunOutcome,
     net: sim::NetStats,
@@ -535,7 +523,7 @@ pub(crate) fn collect_report(
     let mut canon: BTreeMap<u64, Literal> = BTreeMap::new();
     let mut divergence: Vec<(u64, Literal, Literal)> = Vec::new();
     for &s in symbol_list {
-        let Node::Actor(a) = &nodes[actor_for(s)] else { unreachable!() };
+        let a = actor_of(s);
         actor_stats.insert(s, a.stats.clone());
         // Divergence audit: every actor's view of the global occurrence
         // order must agree wherever the views overlap.
@@ -776,10 +764,10 @@ impl Process<Msg> for NetNode {
 /// Wrap built nodes in the fault-tolerance machinery ([`NetNode`]):
 /// per-node at-least-once transport when `reliable` is set, write-ahead
 /// logging (and the pristine copies restarts reset to) when `store` is
-/// set. `instance` keys the store slice and stamps the transport; the
-/// single-instance executors pass [`InstanceId::ROOT`], the tenant
-/// engine passes each instance's id (actors' own instance fields are the
-/// caller's responsibility — they are part of the role's cloned state).
+/// set. `instance` keys the store slice and stamps the transport; a solo
+/// run passes [`InstanceId::ROOT`], a fleet each instance's id (actors'
+/// own instance fields are the caller's responsibility — they are part
+/// of the role's cloned state).
 pub(crate) fn wrap_nodes(
     nodes: Vec<(SiteId, Node)>,
     reliable: Option<ReliableConfig>,
@@ -829,14 +817,8 @@ pub(crate) fn wrap_nodes(
         .collect()
 }
 
-/// Compile and run a workflow on the deterministic simulated network —
-/// or, when [`ExecConfig::parallel`] is set, on the sharded round
-/// executor (whose results the tenth conformance audit holds to the
-/// single-queue simulator's).
+/// Compile and run a workflow on the deterministic simulated network.
 pub fn run_workflow(spec: &WorkflowSpec, config: ExecConfig) -> RunReport {
-    if config.parallel.is_some() {
-        return crate::parallel::run_workflow_parallel(spec, &config).report;
-    }
     run_workflow_inner(spec, config, None)
 }
 
@@ -864,7 +846,7 @@ fn run_workflow_inner(
     // Durable storage (and the pristine copies restarts reset to) are
     // only materialized when a fault plan could actually crash a node.
     let faults = plan.map(|p| (p, NodeStore::new()));
-    let (mut report, transport) =
+    let (mut report, totals) =
         run_instance(spec, &built, nodes, injections, &config, faults, InstanceId::ROOT);
 
     // ----- unified metrics -----
@@ -873,9 +855,9 @@ fn run_workflow_inner(
     if let Some(fs) = &report.fault_stats {
         fs.record_into(&reg);
     }
-    reg.add("transport.retransmissions", &[], transport.retransmissions);
-    reg.add("transport.dedup_dropped", &[], transport.dedup_dropped);
-    reg.add("transport.gave_up", &[], transport.gave_up);
+    reg.add("transport.retransmissions", &[], totals.retransmissions);
+    reg.add("transport.dedup_dropped", &[], totals.dedup_dropped);
+    reg.add("transport.gave_up", &[], totals.gave_up);
     reg.add("run.steps", &[], report.steps);
     reg.set_gauge("run.duration", &[], report.duration as i64);
     let mut sched = [0u64; 5];
@@ -927,16 +909,19 @@ fn run_workflow_inner(
     report
 }
 
-/// Transport counters of one finished instance, summed over its nodes.
+/// What a finished instance totals up besides its report: the transport
+/// counters summed over its nodes, and the host time its event loop took.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct TransportTotals {
+pub(crate) struct InstanceTotals {
     pub(crate) retransmissions: u64,
     pub(crate) dedup_dropped: u64,
     pub(crate) gave_up: u64,
     pub(crate) cross_instance_dropped: u64,
+    /// Nanoseconds inside [`Network::run_to_quiescence`].
+    pub(crate) run_ns: u64,
 }
 
-/// The one way an instance runs on the single-queue simulator: wrap its
+/// The one way an instance runs, on every entry point: wrap its
 /// `nodes` in the fault-tolerance machinery, arm the fused monitor, seed
 /// its own [`Network`] from `config.sim`, install the fault plan with its
 /// write-ahead-log store, inject, run to quiescence under
@@ -957,7 +942,7 @@ pub(crate) fn run_instance(
     config: &ExecConfig,
     faults: Option<(FaultPlan, NodeStore)>,
     instance: InstanceId,
-) -> (RunReport, TransportTotals) {
+) -> (RunReport, InstanceTotals) {
     // The online monitors run the faithful guards and machines the
     // builder compiled (shared, not recompiled — `GuardScope::Mentioning`
     // is the unweakened set, independent of whatever dep runtime the
@@ -995,33 +980,24 @@ pub(crate) fn run_instance(
     for (from, to, msg, extra) in injections {
         net.inject_after(from, to, msg, extra);
     }
+    let started = Instant::now();
     let outcome = net.run_to_quiescence(config.step_budget());
+    let mut totals =
+        InstanceTotals { run_ns: started.elapsed().as_nanos() as u64, ..InstanceTotals::default() };
     let duration = net.now();
-    let stats = net.stats().clone();
     let fault_stats = net.fault_stats().copied();
-    let mut transport = TransportTotals::default();
-    let roles: Vec<Node> = net
-        .into_nodes()
-        .into_iter()
-        .map(|n| {
-            if let Some(r) = &n.reliable {
-                transport.retransmissions += r.retransmissions;
-                transport.dedup_dropped += r.duplicates_suppressed;
-                transport.gave_up += r.gave_up;
-                transport.cross_instance_dropped += r.cross_instance_dropped;
-            }
-            n.role
-        })
-        .collect();
-    let mut report = collect_report(
-        spec,
-        &built.symbols,
-        |s| built.routing.actor_of[&s].0 as usize,
-        &roles,
-        duration,
-        outcome,
-        stats,
-    );
+    let (nodes, stats) = net.into_parts();
+    for r in nodes.iter().filter_map(|n| n.reliable.as_ref()) {
+        totals.retransmissions += r.retransmissions;
+        totals.dedup_dropped += r.duplicates_suppressed;
+        totals.gave_up += r.gave_up;
+        totals.cross_instance_dropped += r.cross_instance_dropped;
+    }
+    let actor_of = |s: SymbolId| match &nodes[built.routing.actor_of[&s].0 as usize].role {
+        Node::Actor(a) => a,
+        _ => unreachable!("routing maps every symbol to an actor node"),
+    };
+    let mut report = collect_report(spec, &built.symbols, actor_of, duration, outcome, stats);
     if let Some(fs) = fault_stats {
         report.fault_stats = Some(fs);
     }
@@ -1043,7 +1019,7 @@ pub(crate) fn run_instance(
         events: rec.take_events(),
         metrics: MetricsSnapshot::default(),
     });
-    (report, transport)
+    (report, totals)
 }
 
 #[cfg(test)]
@@ -1178,8 +1154,8 @@ mod tests {
     }
 
     /// `max_steps = 0` (what `ExecConfig::default()` leaves) means the
-    /// seeded default on every executor: the same steps as asking for one
-    /// million outright.
+    /// seeded default on every entry point: the same steps as asking for
+    /// one million outright.
     #[test]
     fn zero_max_steps_means_the_default_budget_on_every_executor() {
         let mut table = SymbolTable::new();

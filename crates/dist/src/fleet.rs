@@ -1,19 +1,25 @@
-//! What every fleet engine shares: the [`Arrival`] that names one
-//! instance, the [`InstanceOutcome`] it finishes as, the arrival
-//! validation, and the one loop that puts whole instances on worker
-//! threads.
+//! The one fleet runner: the [`Arrival`] that names an instance, the
+//! [`InstanceOutcome`] it finishes as, and [`run_instances`], which puts
+//! whole instances on worker threads.
 //!
 //! Events interact only through the guards they share, and two instances
-//! of a workflow share none — so the instance is the unit of work. Both
-//! [`crate::run_tenant`] and [`crate::run_parallel_fleet`] hand
-//! [`run_fleet`] a closure that runs *one* arrival to completion; the
-//! workers claim arrivals from one atomic counter and never make two
-//! instances meet.
+//! of a workflow share none — so the instance is the unit of parallel
+//! work (the paper's Theorem 4 / Lemma 5 put the independence *between*
+//! workflows, not inside an event loop). [`crate::run_tenant`] and
+//! [`crate::run_parallel_fleet`] are two report roll-ups over
+//! [`run_instances`]: it validates the arrivals, gives every worker its
+//! own prototypes, lets the workers claim arrivals from one atomic
+//! counter, and runs each claim to completion through
+//! `exec::run_instance` — the function that also runs a solo workflow —
+//! on the claiming thread. Two instances never meet.
 
-use crate::exec::{BuiltWorkflow, Node, RunReport, WorkflowSpec};
+use crate::exec::{
+    build_workflow, run_instance, BuiltWorkflow, ExecConfig, Node, RunReport, WorkflowSpec,
+};
+use crate::journal::NodeStore;
 use crate::msg::{InstanceId, Msg};
 use event_algebra::Literal;
-use sim::{NodeId, SiteId, Time, WorkerLoad};
+use sim::{FaultPlan, NodeId, SiteId, Time, WorkerLoad};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -64,6 +70,17 @@ impl Arrival {
             }
         }
         out
+    }
+
+    /// The [`ExecConfig`] this arrival runs under, in a fleet and in its
+    /// isolated baseline alike: `base` with the arrival's seed, journal
+    /// and flight recording off (per-run artifacts a fleet does not keep).
+    pub(crate) fn exec(&self, base: &ExecConfig) -> ExecConfig {
+        let mut exec = base.clone();
+        exec.sim.seed = self.seed;
+        exec.journal = false;
+        exec.record = None;
+        exec
     }
 
     /// This arrival's nodes: the prototype's roles cloned, every actor
@@ -119,100 +136,130 @@ pub struct InstanceOutcome {
     /// Fleet-clock completion time: the instance's last delivery.
     pub finished_at: Time,
     /// Foreign envelopes the instance's transport dropped (always 0
-    /// unless something is genuinely cross-wired; the parallel fleet
-    /// runs no transport).
+    /// unless something is genuinely cross-wired).
     pub cross_instance_dropped: u64,
-    /// The instance's run report. From [`crate::run_tenant`] it is
-    /// identical to what an independent single-instance run of the same
-    /// seed produces, timestamps instance-local. From
-    /// [`crate::run_parallel_fleet`] occurrence timestamps are
-    /// *fleet-clock* values; sequence numbers, `steps` and `termination`
-    /// are the instance's own; `net` is empty — traffic is accounted
-    /// fleet-wide on [`crate::ParallelFleetReport::net`].
+    /// The instance's run report, identical to what an independent
+    /// single-instance run of the same seed produces — traffic
+    /// statistics, monitor report and all — with one exception: from
+    /// [`crate::run_parallel_fleet`] every occurrence tick has
+    /// `arrived_at` added, so occurrence timestamps are *fleet-clock*
+    /// values there and instance-local from [`crate::run_tenant`].
     pub report: RunReport,
 }
 
-/// Reject a fleet no engine can run.
-///
-/// # Panics
-///
-/// Panics when an arrival's `spec_ix` is out of range or two arrivals
-/// share an [`InstanceId`] (ids key the shared write-ahead log, so a
-/// collision would silently entangle two instances' recovery state).
-pub(crate) fn check_arrivals(specs: &[WorkflowSpec], arrivals: &[Arrival]) {
-    let mut seen = BTreeSet::new();
-    for a in arrivals {
-        assert!(
-            a.spec_ix < specs.len(),
-            "arrival {} names spec {} of {}",
-            a.instance,
-            a.spec_ix,
-            specs.len()
-        );
-        assert!(seen.insert(a.instance), "duplicate instance id {}", a.instance);
-    }
+/// What [`run_instances`] returns.
+pub(crate) struct FleetRun {
+    /// One outcome per arrival, in arrival order.
+    pub(crate) outcomes: Vec<InstanceOutcome>,
+    /// What each worker thread did, worker 0 (the caller) first.
+    pub(crate) loads: Vec<WorkerLoad>,
+    /// Nanoseconds inside the event loop, summed over the instances.
+    pub(crate) run_ns: u64,
 }
 
 /// Run every arrival exactly once, whole instances in parallel.
 ///
 /// `workers` threads (clamped to `1..=arrivals.len()`; the calling
 /// thread is worker 0) claim arrival indices from one counter, and a
-/// claim runs `run(ix, prototypes, fold)` to completion on the claiming
-/// thread. The caller lends worker 0 its `own` prototypes; every
-/// *spawned* worker `build`s a set for itself, because instantiating an
-/// actor bumps the reference counts of its prototype's guards, machines
-/// and routing tables, and two threads cloning from one prototype spend
-/// their time trading those cache lines (measured on 1 000 pipeline10
-/// instances: 1.35x at two workers shared, 1.8x apart).
+/// claim runs that arrival to completion on the claiming thread:
+/// instantiate it from the worker's prototype of its template, run it
+/// through [`run_instance`] under [`Arrival::exec`] of `exec` (and under
+/// `faults`, every instance logging to its own slice of the one store),
+/// wrap the report in an [`InstanceOutcome`]. Every worker builds its
+/// own prototypes, because instantiating an actor bumps the reference
+/// counts of its prototype's guards, machines and routing tables, and
+/// two threads cloning from one prototype spend their time trading those
+/// cache lines (measured on 1 000 pipeline10 instances: 1.35x at two
+/// workers shared, 1.8x apart).
 ///
-/// Returns the outcomes in arrival order, and per worker its fold and
-/// load (deliveries, busy time, and claims whose round-robin home
-/// `ix % workers` was another worker).
-pub(crate) fn run_fleet<P: Sync, F: Default + Send>(
+/// `cross_wire` is the isolation audit's mutation knob: the named
+/// instance's actors stamp their *outgoing* announcements with a foreign
+/// id; its own actors then reject them, which the audit must notice as
+/// divergence from the instance's isolated baseline.
+///
+/// # Panics
+///
+/// Panics when an arrival's `spec_ix` is out of range or two arrivals
+/// share an [`InstanceId`] (ids key the shared write-ahead log, so a
+/// collision would silently entangle two instances' recovery state).
+pub(crate) fn run_instances(
+    specs: &[WorkflowSpec],
     arrivals: &[Arrival],
+    exec: &ExecConfig,
     workers: usize,
-    own: &P,
-    build: impl Fn() -> P + Sync,
-    run: impl Fn(usize, &P, &mut F) -> InstanceOutcome + Sync,
-) -> (Vec<InstanceOutcome>, Vec<(F, WorkerLoad)>) {
+    faults: Option<(FaultPlan, NodeStore)>,
+    cross_wire: Option<InstanceId>,
+) -> FleetRun {
+    let mut seen = BTreeSet::new();
+    for a in arrivals {
+        let (id, specs) = (a.instance, specs.len());
+        assert!(a.spec_ix < specs, "arrival {id} names spec {} of {specs}", a.spec_ix);
+        assert!(seen.insert(id), "duplicate instance id {id}");
+    }
     let workers = workers.clamp(1, arrivals.len().max(1));
+    // One compiled prototype per template and worker: guards compiled
+    // once, dependency machines Arc'd once, shared by every clone.
+    let proto_exec = ExecConfig { journal: false, record: None, ..exec.clone() };
     // The claim counter publishes nothing but the index itself.
     let claimed = AtomicUsize::new(0);
-    let work = |w: usize, protos: &P| {
+    let work = |w: usize| {
+        let protos: Vec<BuiltWorkflow> =
+            specs.iter().map(|s| build_workflow(s, proto_exec.clone())).collect();
         let started = Instant::now();
-        let (mut fold, mut load) = (F::default(), WorkerLoad::default());
+        let (mut load, mut run_ns) = (WorkerLoad::default(), 0u64);
         let mut outcomes = Vec::new();
         loop {
             let ix = claimed.fetch_add(1, Ordering::Relaxed);
-            if ix >= arrivals.len() {
-                break;
-            }
+            let Some(a) = arrivals.get(ix) else { break };
             load.steals += u64::from(ix % workers != w);
-            let outcome = run(ix, protos, &mut fold);
-            load.delivered += outcome.report.steps;
+            let proto = &protos[a.spec_ix];
+            let announce_as = if cross_wire == Some(a.instance) {
+                InstanceId(a.instance.0.wrapping_add(1))
+            } else {
+                a.instance
+            };
+            let (report, totals) = run_instance(
+                &specs[a.spec_ix],
+                proto,
+                a.instantiate(proto, announce_as),
+                a.injections(proto),
+                &a.exec(exec),
+                faults.clone(),
+                a.instance,
+            );
+            load.delivered += report.steps;
+            run_ns += totals.run_ns;
+            let outcome = InstanceOutcome {
+                instance: a.instance,
+                spec_ix: a.spec_ix,
+                arrived_at: a.at,
+                finished_at: a.at + report.duration,
+                cross_instance_dropped: totals.cross_instance_dropped,
+                report,
+            };
             outcomes.push((ix, outcome));
         }
         load.busy_ns = started.elapsed().as_nanos() as u64;
-        (outcomes, fold, load)
+        (outcomes, load, run_ns)
     };
     let shares = std::thread::scope(|scope| {
-        let (work, build) = (&work, &build);
-        let spawned: Vec<_> =
-            (1..workers).map(|w| scope.spawn(move || work(w, &build()))).collect();
-        let mut shares = vec![work(0, own)];
+        let work = &work;
+        let spawned: Vec<_> = (1..workers).map(|w| scope.spawn(move || work(w))).collect();
+        let mut shares = vec![work(0)];
         shares.extend(spawned.into_iter().map(|h| h.join().expect("fleet worker panicked")));
         shares
     });
     let mut slots: Vec<Option<InstanceOutcome>> = Vec::new();
     slots.resize_with(arrivals.len(), || None);
-    let mut folds = Vec::with_capacity(workers);
-    for (outcomes, fold, load) in shares {
+    let (mut loads, mut run_ns) = (Vec::with_capacity(workers), 0);
+    for (outcomes, load, ns) in shares {
         for (ix, outcome) in outcomes {
             slots[ix] = Some(outcome);
         }
-        folds.push((fold, load));
+        loads.push(load);
+        run_ns += ns;
     }
     let outcomes =
         slots.into_iter().map(|o| o.expect("every arrival is claimed exactly once")).collect();
-    (outcomes, folds)
+    FleetRun { outcomes, loads, run_ns }
 }

@@ -31,6 +31,6 @@ pub use exec::{
 pub use fleet::{Arrival, InstanceOutcome};
 pub use journal::{Journal, JournalEntry, JournalKind, NodeStore, WalEntry};
 pub use msg::{InstanceId, Msg};
-pub use parallel::{run_parallel_fleet, run_workflow_parallel, ParallelFleetReport, ParallelRun};
+pub use parallel::{run_parallel_fleet, ParallelFleetReport};
 pub use reliable::{Reliable, ReliableConfig};
 pub use tenant::{run_tenant, TenantConfig, TenantReport};

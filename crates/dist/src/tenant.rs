@@ -5,17 +5,18 @@
 //! The paper's scheduler is specified per workflow *template*; a real
 //! deployment runs many live *instances* of a few templates at once.
 //! This engine admits a seeded stream of [`Arrival`]s and instantiates
-//! each one by cloning a prototype [`BuiltWorkflow`] of its template (the
-//! compiled [`event_algebra::DependencyMachine`] tables are `Arc`-shared,
-//! so per-instance dependency state collapses to one `StateId` per
-//! dependency plus the guard-literal bitmaps inside each actor).
+//! each one by cloning a prototype [`crate::BuiltWorkflow`] of its
+//! template (the compiled [`event_algebra::DependencyMachine`] tables are
+//! `Arc`-shared, so per-instance dependency state collapses to one
+//! `StateId` per dependency plus the guard-literal bitmaps inside each
+//! actor).
 //!
 //! **Isolation by construction.** An instance is run by the very function
-//! that runs a solo workflow (`exec::run_instance`): it owns its own
-//! seeded [`sim::Network`], its announcements and envelopes are stamped
-//! with its [`InstanceId`] (and filtered on receipt), and its
-//! write-ahead-log slice in the shared [`NodeStore`] is keyed by
-//! `(instance, node)`. A tenant run of instance *i* is therefore
+//! that runs a solo workflow (`exec::run_instance`, reached through the
+//! one fleet runner in `fleet.rs`): it owns its own seeded
+//! [`sim::Network`], its announcements and envelopes are stamped with its
+//! [`InstanceId`] (and filtered on receipt), and its write-ahead-log
+//! slice in the shared [`NodeStore`] is keyed by `(instance, node)`. A tenant run of instance *i* is therefore
 //! byte-identical to an independent [`crate::run_workflow_with_faults`]
 //! of the same spec, seed and fault plan — there is no second code path
 //! to keep in step. The ninth conformance audit
@@ -23,8 +24,8 @@
 //! equivalence end-to-end, and [`TenantConfig::cross_wire`] is the
 //! mutation knob that proves the audit can fail.
 
-use crate::exec::{build_workflow, run_instance, BuiltWorkflow, ExecConfig, WorkflowSpec};
-use crate::fleet::{check_arrivals, run_fleet, Arrival, InstanceOutcome};
+use crate::exec::{ExecConfig, WorkflowSpec};
+use crate::fleet::{run_instances, Arrival, InstanceOutcome};
 use crate::journal::NodeStore;
 use crate::msg::InstanceId;
 use obs::{MetricsRegistry, MetricsSnapshot};
@@ -63,16 +64,10 @@ impl TenantConfig {
     }
 
     /// The [`ExecConfig`] an *independent* run of `arrival` uses: the
-    /// base config with the arrival's seed, journal/recording off and no
-    /// parallel section (a fleet instance always runs the single-queue
-    /// simulator) — it is the config [`run_tenant`] hands the instance.
+    /// base config with the arrival's seed and journal/recording off —
+    /// it is the config the fleet itself hands the instance.
     pub fn instance_exec(&self, arrival: &Arrival) -> ExecConfig {
-        let mut exec = self.exec.clone();
-        exec.sim.seed = arrival.seed;
-        exec.journal = false;
-        exec.record = None;
-        exec.parallel = None;
-        exec
+        arrival.exec(&self.exec)
     }
 }
 
@@ -163,52 +158,13 @@ pub fn run_tenant(
     config: &TenantConfig,
 ) -> TenantReport {
     let started = std::time::Instant::now();
-    check_arrivals(specs, arrivals);
-    // One compiled prototype per template and worker: guards compiled
-    // once, dependency machines Arc'd once, shared by every clone.
-    let mut proto_exec = config.exec.clone();
-    proto_exec.journal = false;
-    proto_exec.record = None;
-    let build = || -> Vec<BuiltWorkflow> {
-        specs.iter().map(|s| build_workflow(s, proto_exec.clone())).collect()
-    };
     // The WAL is shared across the whole fleet and keyed by
     // (instance, node) — the point of the instance-keyed store.
     let wal = config.plan.is_some().then(NodeStore::new);
     let faults = config.plan.clone().zip(wal.clone());
-
-    let shards = config.shards.clamp(1, arrivals.len().max(1));
-    let run = |ix: usize, protos: &Vec<BuiltWorkflow>, _: &mut ()| {
-        let a = &arrivals[ix];
-        let proto = &protos[a.spec_ix];
-        // The cross-wire mutation stamps this instance's *outgoing*
-        // announcements with a foreign id; its own actors then reject
-        // them, which the isolation audit must notice as divergence from
-        // the instance's isolated baseline.
-        let announce_as = if config.cross_wire == Some(a.instance) {
-            InstanceId(a.instance.0.wrapping_add(1))
-        } else {
-            a.instance
-        };
-        let (report, transport) = run_instance(
-            &specs[a.spec_ix],
-            proto,
-            a.instantiate(proto, announce_as),
-            a.injections(proto),
-            &config.instance_exec(a),
-            faults.clone(),
-            a.instance,
-        );
-        InstanceOutcome {
-            instance: a.instance,
-            spec_ix: a.spec_ix,
-            arrived_at: a.at,
-            finished_at: a.at + report.duration,
-            cross_instance_dropped: transport.cross_instance_dropped,
-            report,
-        }
-    };
-    let (mut outcomes, _) = run_fleet(arrivals, shards, &build(), build, run);
+    let run =
+        run_instances(specs, arrivals, &config.exec, config.shards, faults, config.cross_wire);
+    let (mut outcomes, shards) = (run.outcomes, run.loads.len());
     outcomes.sort_by_key(|o| o.instance);
 
     // ----- fleet roll-up -----

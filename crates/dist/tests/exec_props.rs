@@ -1,11 +1,10 @@
 //! End-to-end property tests of the distributed scheduler: safety on
 //! random workflows, empirical liveness on the well-behaved Klein
-//! families, determinism per seed, and safety on the sharded round
-//! executor.
+//! families, and determinism per seed.
 
 use dist::{run_workflow, ExecConfig, GuardMode};
 use event_algebra::{Literal, SymbolId};
-use sim::{LatencyModel, ParallelConfig, SimConfig};
+use sim::{LatencyModel, SimConfig};
 use testkit::{check, free_event_spec, Exprs};
 
 fn config(seed: u64, mode: GuardMode) -> ExecConfig {
@@ -110,40 +109,4 @@ fn arrow_fanout_completes() {
         assert!(report.all_satisfied(), "seed {seed}: {report:#?}");
         assert!(report.unresolved.is_empty(), "seed {seed}: {report:#?}");
     });
-}
-
-/// The sharded round executor on `seed` (a single workflow is one
-/// island: it runs on the calling thread whatever the worker count).
-fn parallel(seed: u64) -> ExecConfig {
-    ExecConfig { parallel: Some(ParallelConfig::new(2)), ..config(seed, GuardMode::Weakened) }
-}
-
-/// Barrier rounds on the Klein pipeline: safety and liveness.
-#[test]
-fn parallel_pipeline_is_safe() {
-    for round in 0..5 {
-        let syms: Vec<SymbolId> = (0..4).map(SymbolId).collect();
-        let deps = testkit::klein_pipeline(&syms);
-        let spec = free_event_spec(deps, &syms);
-        let report = run_workflow(&spec, parallel(round));
-        assert!(report.all_satisfied(), "round {round}: {report:#?}");
-        assert!(report.unresolved.is_empty(), "round {round}: {report:#?}");
-    }
-}
-
-/// The same random workflows in barrier rounds: safety assertions only.
-#[test]
-fn parallel_random_workflows_are_safe() {
-    for gen_seed in 0..8u64 {
-        let syms: Vec<SymbolId> = (0..4).map(SymbolId).collect();
-        let deps = testkit::Gen::new(gen_seed).workflow(&syms, 2, 2);
-        let spec = free_event_spec(deps.clone(), &syms);
-        let report = run_workflow(&spec, parallel(gen_seed));
-        if report.unresolved.is_empty() && report.broken_promises.is_empty() {
-            assert!(
-                report.all_satisfied(),
-                "UNSAFE parallel gen {gen_seed}: {report:#?} deps {deps:?}"
-            );
-        }
-    }
 }

@@ -1,23 +1,19 @@
-//! Property tests of the sharded parallel runtime: random specs and
-//! fleets always match the deterministic single-queue simulator
-//! (occurrence sets, verdicts and final □-views — the tenth audit),
-//! full fleet reports are identical at every worker count, fleet
-//! timestamps are pinned to the values one merged network gave, and a
-//! forged [`ShardPlan`] independence claim is always caught by the
-//! transposition audit with the racy pair correctly attributed.
+//! Property tests of `run_parallel_fleet`: it is the tenant fleet on the
+//! fleet clock (every instance equals the `run_tenant` instance of the
+//! same arrival, and so its isolated run), and full fleet reports are
+//! identical at every worker count.
 
 use agent::EventAttrs;
-use dist::{run_parallel_fleet, ExecConfig, FreeEventSpec, WorkflowSpec};
-use event_algebra::{parse_expr, ShardClass, ShardPlan, SymbolId, SymbolTable};
+use dist::{run_parallel_fleet, run_tenant, ExecConfig, FreeEventSpec, TenantConfig, WorkflowSpec};
+use event_algebra::{parse_expr, SymbolId, SymbolTable};
+use monitor::MonitorConfig;
 use sim::{ParallelConfig, SiteId};
-use std::sync::Arc;
-use testkit::conformance::{audit_parallel_conformance, audit_parallel_fleet};
+use testkit::conformance::{audit_tenant_isolation, diff_fleet_reports};
 use testkit::workload::{drive, generate, WorkloadConfig};
 use testkit::{check, free_event_spec, klein_pipeline};
 
-/// An arrow chain `□e0 → e1 → … → e{n-1}`: every dependency commutes,
-/// so the Lemma 5 coupling fallback shards each event alone and the
-/// parallel runtime actually runs multi-shard rounds.
+/// An arrow chain `□e0 → e1 → … → e{n-1}`, one site per event: every
+/// hop is remote, so latencies are actually drawn.
 fn chain_spec(n: u32) -> WorkflowSpec {
     let mut table = SymbolTable::new();
     let mut deps = Vec::new();
@@ -36,8 +32,7 @@ fn chain_spec(n: u32) -> WorkflowSpec {
 }
 
 /// A precedence pipeline `e0 < e1 < … < e{n-1}`: sequential-composition
-/// dependencies do *not* commute, so consecutive events colocate and
-/// the fallback plan mixes multi-event classes with real coupling.
+/// dependencies, so events park on `□`-announcements.
 fn precedence_spec(n: u32) -> WorkflowSpec {
     let syms: Vec<SymbolId> = (0..n).map(SymbolId).collect();
     free_event_spec(klein_pipeline(&syms), &syms)
@@ -45,28 +40,17 @@ fn precedence_spec(n: u32) -> WorkflowSpec {
 
 const CASES: u32 = 10;
 
-/// ORACLE CONFORMANCE: on random seeds and sizes, both the commuting
-/// chain (singleton shards) and the coupled precedence pipeline
-/// (multi-event classes) pass the tenth audit — sharded occurrence
-/// sets, verdicts and final □-views equal the single-queue
-/// simulator's, and the transposition audits stay green over the
-/// sharded schedule.
-#[test]
-fn random_specs_conform_to_the_oracle() {
-    check("random_specs_conform_to_the_oracle", CASES, |g| {
-        let seed = g.range(0u64..12);
-        let n = g.range(2u32..7);
-        for spec in [chain_spec(n), precedence_spec(n)] {
-            let (failures, run) = audit_parallel_conformance(&spec, &ExecConfig::seeded(seed));
-            assert!(failures.is_empty(), "seed {seed} n {n}: {failures:?}");
-            assert!(run.report.all_satisfied(), "seed {seed} n {n}");
-        }
-    });
+fn fleet_exec(seed: u64, workers: usize) -> ExecConfig {
+    let mut config = ExecConfig::seeded(seed);
+    config.monitor = Some(MonitorConfig::default());
+    config.parallel = Some(ParallelConfig::new(workers));
+    config
 }
 
 /// FLEET CONFORMANCE: random open-loop fleets (workload-generated
-/// arrivals with think-time overrides) run on the parallel engine
-/// match their isolated single-queue baselines instance by instance.
+/// arrivals with think-time overrides) run on the parallel entry point
+/// match their isolated baselines instance by instance — through the
+/// tenant fleet, which the ninth audit holds to independent runs.
 #[test]
 fn random_fleets_match_solo_baselines() {
     check("random_fleets_match_solo_baselines", CASES, |g| {
@@ -75,9 +59,12 @@ fn random_fleets_match_solo_baselines() {
         let workers = g.range(1usize..5);
         let specs = vec![drive(&precedence_spec(3)), drive(&chain_spec(4))];
         let arrivals = generate(&specs, &WorkloadConfig::new(n, seed));
-        let mut config = ExecConfig::seeded(seed);
-        config.parallel = Some(ParallelConfig::new(workers));
-        let (failures, fleet) = audit_parallel_fleet(&specs, &arrivals, &config);
+        let exec = fleet_exec(seed, workers);
+        let (failures, tenant) =
+            audit_tenant_isolation(&specs, &arrivals, &TenantConfig::new(exec.clone()));
+        assert!(failures.is_empty(), "seed {seed} n {n}: {failures:?}");
+        let fleet = run_parallel_fleet(&specs, &arrivals, &exec);
+        let failures = diff_fleet_reports(&fleet, &tenant);
         assert!(failures.is_empty(), "seed {seed} n {n} workers {workers}: {failures:?}");
         assert_eq!(fleet.instances.len(), arrivals.len());
     });
@@ -86,10 +73,10 @@ fn random_fleets_match_solo_baselines() {
 /// WORKER-COUNT DETERMINISM: how many instances are in flight is an
 /// execution detail. Random mixed fleets give the identical full report
 /// at 1–4 workers — occurrences with their sequences, per-instance
-/// steps and termination, traffic statistics, and every metric that
-/// describes the round structure (rounds, shards, round width); only
-/// wall-clock timings, steals and the per-worker split may differ. And
-/// within every instance, sequence order refines tick order.
+/// steps and termination, traffic statistics and the fleet's virtual
+/// duration; only wall-clock timings, steals and the per-worker split
+/// may differ. And within every instance, sequence order refines tick
+/// order.
 #[test]
 fn metrics_are_worker_count_invariant() {
     check("metrics_are_worker_count_invariant", CASES, |g| {
@@ -124,9 +111,6 @@ fn metrics_are_worker_count_invariant() {
                 assert_eq!(x.finished_at, y.finished_at);
             }
             assert_eq!(a.net, b.net);
-            assert_eq!(a.stats.rounds, b.stats.rounds);
-            assert_eq!(a.stats.shards, b.stats.shards);
-            assert_eq!(a.stats.max_round_width, b.stats.max_round_width);
             assert_eq!(a.stats.duration, b.stats.duration);
             assert_eq!(b.stats.workers, workers.min(arrivals.len()));
             assert_eq!(b.stats.per_worker.len(), b.stats.workers);
@@ -134,62 +118,10 @@ fn metrics_are_worker_count_invariant() {
     });
 }
 
-/// MUTATION: a shard plan that forges independence of a
-/// non-commuting precedence pair is caught by the tenth audit on
-/// every seed — through the transposition replay over the
-/// shard-keying plan at the latest — and the failure names the pair.
-#[test]
-fn forged_independence_claims_are_always_caught() {
-    check("forged_independence_claims_are_always_caught", CASES, |g| {
-        let seed = g.range(0u64..10);
-        let mut table = SymbolTable::new();
-        let d = parse_expr("~e + ~f + e.f", &mut table).unwrap();
-        let e = table.event("e");
-        let f = table.event("f");
-        let spec = WorkflowSpec {
-            table,
-            dependencies: vec![d],
-            agents: vec![],
-            free_events: vec![
-                FreeEventSpec {
-                    site: SiteId(0),
-                    lit: e,
-                    attrs: EventAttrs::controllable(),
-                    attempt_after: Some(1),
-                },
-                FreeEventSpec {
-                    site: SiteId(0),
-                    lit: f,
-                    attrs: EventAttrs::controllable(),
-                    attempt_after: Some(1),
-                },
-            ],
-        };
-        let pair = event_algebra::shard::canonical(e.symbol(), f.symbol());
-        let forged = ShardPlan {
-            classes: vec![
-                ShardClass { id: 0, events: vec![pair.0], site: None },
-                ShardClass { id: 1, events: vec![pair.1], site: None },
-            ],
-            commuting: vec![pair],
-            independent: vec![pair],
-            ..ShardPlan::default()
-        };
-        let mut config = ExecConfig::seeded(seed);
-        config.shard_plan = Some(Arc::new(forged));
-        let (failures, _) = audit_parallel_conformance(&spec, &config);
-        assert!(!failures.is_empty(), "seed {seed}: forged plan went undetected");
-        assert!(
-            failures.iter().any(|fl| fl.contains("schedule race") && fl.contains('e')),
-            "seed {seed}: the race must be attributed to the forged pair: {failures:?}"
-        );
-    });
-}
-
-/// The fixed mixed fleet of the timestamp pin: 30 arrivals over travel,
-/// pipeline10 and diamond, workload seed `0xF1EE7` (so about half the
-/// driven events carry think-time overrides), default `PerHop` latency.
-fn pinned_fleet() -> (Vec<WorkflowSpec>, Vec<dist::Arrival>) {
+/// The fixed mixed fleet: 30 arrivals over travel, pipeline10 and
+/// diamond, workload seed `0xF1EE7` (so about half the driven events
+/// carry think-time overrides), default `PerHop` latency.
+fn mixed_fleet() -> (Vec<WorkflowSpec>, Vec<dist::Arrival>) {
     let text = |name: &str| {
         let path = format!("{}/../../examples/specs/{name}.wf", env!("CARGO_MANIFEST_DIR"));
         let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -204,37 +136,39 @@ fn pinned_fleet() -> (Vec<WorkflowSpec>, Vec<dist::Arrival>) {
     (specs, arrivals)
 }
 
-/// FNV-1a over every occurrence's `(instance, symbol, polarity, tick)`,
-/// instances in arrival order, occurrences in report order.
-fn timestamp_digest(fleet: &dist::ParallelFleetReport) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for o in &fleet.instances {
-        for &(lit, at, _) in &o.report.occurrences {
-            for x in [o.instance.0, u64::from(lit.symbol().0), u64::from(lit.is_pos()), at] {
-                h = (h ^ x).wrapping_mul(0x0100_0000_01B3);
-            }
-        }
-    }
-    h
-}
-
-/// Running instances apart may not move a single occurrence: the digest
-/// was computed at the commit whose fleet was still ONE merged network
-/// with a global barrier per tick (274 events, identical there at 1, 2
-/// and 4 workers).
+/// ONE RUNNER, TWO REPORT SHAPES: over the fixed mixed fleet and over
+/// random workload fleets, at 1, 2 and 4 workers, every
+/// `run_parallel_fleet` instance is the `run_tenant` instance of the
+/// same arrival — occurrences once `arrived_at` is subtracted, sequences,
+/// steps, duration, termination, fused-monitor verdicts and alert kinds
+/// — and `ParallelFleetReport::net` is the sum of the instances'
+/// `NetStats`.
 #[test]
-fn fleet_timestamps_are_pinned() {
-    let (specs, arrivals) = pinned_fleet();
+fn parallel_fleet_is_the_tenant_fleet_on_the_fleet_clock() {
+    let against_tenant = |specs: &[WorkflowSpec], arrivals: &[dist::Arrival], seed: u64| {
+        let tenant = run_tenant(specs, arrivals, &TenantConfig::new(fleet_exec(seed, 1)));
+        for workers in [1, 2, 4] {
+            let fleet = run_parallel_fleet(specs, arrivals, &fleet_exec(seed, workers));
+            let failures = diff_fleet_reports(&fleet, &tenant);
+            assert!(failures.is_empty(), "seed {seed}, {workers} workers: {failures:?}");
+            assert!(fleet.instances.iter().all(|o| o.report.monitor.is_some()), "fused monitors");
+        }
+        tenant
+    };
+    let (specs, arrivals) = mixed_fleet();
     for spec_ix in 0..specs.len() {
         assert!(arrivals.iter().any(|a| a.spec_ix == spec_ix), "template {spec_ix} is in the mix");
     }
     assert!(arrivals.iter().any(|a| !a.think.is_empty()), "think-time overrides are in the mix");
-    for workers in [1, 2, 4] {
-        let mut config = ExecConfig::seeded(5);
-        config.parallel = Some(ParallelConfig::new(workers));
-        let fleet = run_parallel_fleet(&specs, &arrivals, &config);
-        assert!(fleet.all_satisfied(), "{workers} workers");
-        assert_eq!(fleet.events, 274, "{workers} workers");
-        assert_eq!(timestamp_digest(&fleet), 0xE841_8ACB_11D5_E535, "{workers} workers");
-    }
+    let tenant = against_tenant(&specs, &arrivals, 5);
+    assert!(tenant.all_satisfied());
+    assert_eq!(tenant.events, 274);
+
+    check("parallel_fleet_is_the_tenant_fleet_on_the_fleet_clock", CASES, |g| {
+        let seed = g.range(0u64..10);
+        let n = g.range(1u64..9);
+        let specs = vec![drive(&chain_spec(5)), drive(&precedence_spec(3)), drive(&chain_spec(2))];
+        let arrivals = generate(&specs, &WorkloadConfig::new(n, seed));
+        against_tenant(&specs, &arrivals, seed);
+    });
 }

@@ -9,7 +9,7 @@ use dist::{
     WorkflowSpec,
 };
 use event_algebra::SymbolId;
-use sim::{FaultPlan, LatencyModel, NodeId, ParallelConfig, SimConfig, Termination};
+use sim::{FaultPlan, LatencyModel, NodeId, SimConfig, Termination};
 use testkit::conformance::audit_tenant_isolation;
 use testkit::workload::{drive, generate, WorkloadConfig};
 use testkit::{check, free_event_spec, klein_pipeline};
@@ -55,25 +55,6 @@ fn random_fleets_pass_the_isolation_audit() {
         assert!(failures.is_empty(), "seed {seed} n {n}: {failures:?}");
         assert_eq!(report.cross_instance_dropped, 0);
         assert_eq!(report.cross_instance_rejected, 0);
-    });
-}
-
-/// BASELINE HONESTY: `run_tenant` never dispatches on
-/// `ExecConfig::parallel`, so the isolation baseline
-/// (`TenantConfig::instance_exec`) may not either — a fleet whose base
-/// config carries a parallel section is still byte-identical to its
-/// isolated single-queue runs.
-#[test]
-fn isolation_baseline_ignores_the_parallel_section() {
-    check("isolation_baseline_ignores_the_parallel_section", CASES, |g| {
-        let seed = g.range(0u64..24);
-        let specs = templates();
-        let arrivals = generate(&specs, &WorkloadConfig::new(5, seed));
-        let mut config = TenantConfig::new(ExecConfig::seeded(seed));
-        config.exec.parallel = Some(ParallelConfig::new(2));
-        config.shards = 1 + (seed as usize % 2);
-        let (failures, _) = audit_tenant_isolation(&specs, &arrivals, &config);
-        assert!(failures.is_empty(), "seed {seed}: {failures:?}");
     });
 }
 

@@ -13,14 +13,18 @@
 //! Lemma 5) serializes it.
 //!
 //! The plan is a plain data type in the algebra crate so both the
-//! analyzer (which builds it) and the distributed executor (which pins
-//! actor placement with it) can share it without a dependency cycle.
+//! analyzer (which builds it) and its readers can share it without a
+//! dependency cycle. No executor is keyed by it — every instance runs on
+//! the one event loop, whatever the plan says. It is read for actor
+//! *placement* (`dist::ExecConfig::shard_plan` colocates each class on
+//! one site), for the monitors' intra- vs cross-shard divergence labels,
+//! by conformance audit 8 (transposing pairs the plan calls independent
+//! must change no machine's state), and — ROADMAP item 2 — as the
+//! independence relation of the explorer's sleep sets.
 //! Serialization is hand-rolled JSON, like every other artifact in this
 //! workspace.
 
-use crate::machine::DependencyMachine;
 use crate::symbol::{SymbolId, SymbolTable};
-use std::collections::BTreeMap;
 
 /// One colocation class: events that must be scheduled from the same
 /// shard because some dependency machine does not commute on them.
@@ -153,115 +157,6 @@ impl ShardPlan {
         self.classes.iter().map(|c| c.events.len()).max().unwrap_or(0)
     }
 
-    /// Mapping symbol → class id, for consumers that index repeatedly.
-    pub fn class_index(&self) -> BTreeMap<SymbolId, u32> {
-        let mut ix = BTreeMap::new();
-        for c in &self.classes {
-            for &s in &c.events {
-                ix.insert(s, c.id);
-            }
-        }
-        ix
-    }
-
-    /// Map each of `symbols` to a shard key: its colocation class id
-    /// when analyzed, or a fresh singleton key (numbered from
-    /// [`ShardPlan::class_count`] upward, in first-appearance order) when
-    /// the analyzer never saw it — unconstrained events commute with
-    /// everything, so each safely gets a shard of its own. This is the
-    /// class→worker mapping the parallel runtime keys its shards by.
-    pub fn shard_keys(&self, symbols: &[SymbolId]) -> Vec<usize> {
-        let ix = self.class_index();
-        let mut fresh: BTreeMap<SymbolId, usize> = BTreeMap::new();
-        let mut next = self.class_count();
-        symbols
-            .iter()
-            .map(|s| match ix.get(s) {
-                Some(&c) => c as usize,
-                None => *fresh.entry(*s).or_insert_with(|| {
-                    let k = next;
-                    next += 1;
-                    k
-                }),
-            })
-            .collect()
-    }
-
-    /// The Lemma 5 fallback plan, built directly from compiled machines
-    /// when no analyzer certificate is supplied: colocation classes are
-    /// the connected components of pairwise non-commutation (two symbols
-    /// join a class when some machine mentions both and fails the
-    /// all-states transposition check), and `commuting` lists exactly
-    /// the pairs every shared machine commutes on. The plan is
-    /// deliberately conservative — it claims *no* independence and
-    /// discharges no obligations, so a runtime keyed by it colocates at
-    /// least as much as the analyzer would.
-    pub fn from_coupling(symbols: &[SymbolId], machines: &[DependencyMachine]) -> ShardPlan {
-        let mut syms: Vec<SymbolId> = symbols.to_vec();
-        syms.sort_unstable();
-        syms.dedup();
-        let n = syms.len();
-        let mentioned: Vec<Vec<usize>> = syms
-            .iter()
-            .map(|&s| {
-                machines
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.alphabet.iter().any(|l| l.symbol() == s))
-                    .map(|(ix, _)| ix)
-                    .collect()
-            })
-            .collect();
-        // Minimal union-find with min-root convention, so components
-        // enumerate in order of their smallest member.
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], x: usize) -> usize {
-            if parent[x] != x {
-                let root = find(parent, parent[x]);
-                parent[x] = root;
-            }
-            parent[x]
-        }
-        let mut commuting = Vec::new();
-        for i in 0..n {
-            for j in i + 1..n {
-                let (a, b) = (syms[i], syms[j]);
-                let conflicted = mentioned[i]
-                    .iter()
-                    .filter(|ix| mentioned[j].contains(ix))
-                    .any(|&ix| !machines[ix].symbols_commute(a, b));
-                if conflicted {
-                    let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
-                    if ra != rb {
-                        parent[ra.max(rb)] = ra.min(rb);
-                    }
-                } else {
-                    commuting.push((a, b));
-                }
-            }
-        }
-        let mut components: BTreeMap<usize, Vec<SymbolId>> = BTreeMap::new();
-        for (i, &sym) in syms.iter().enumerate().take(n) {
-            let root = find(&mut parent, i);
-            components.entry(root).or_default().push(sym);
-        }
-        let classes = components
-            .into_values()
-            .enumerate()
-            .map(|(id, events)| ShardClass { id: id as u32, events, site: None })
-            .collect();
-        ShardPlan {
-            workflow: None,
-            classes,
-            commuting,
-            independent: Vec::new(),
-            obligations: Vec::new(),
-            // Not checked here: the fallback never inspects guard
-            // coupling, so it does not claim the refinement.
-            refines_site_coupling: false,
-        }
-    }
-
     /// Render the certificate as deterministic JSON, resolving symbol
     /// names through `table`.
     pub fn to_json(&self, table: &SymbolTable) -> String {
@@ -377,57 +272,6 @@ mod tests {
         assert_eq!(p.class_count(), 2);
         assert_eq!(p.pinned_count(), 1);
         assert_eq!(p.max_class_size(), 2);
-        assert_eq!(p.class_index()[&SymbolId(2)], 1);
-    }
-
-    #[test]
-    fn shard_keys_cover_analyzed_and_fresh_symbols() {
-        let p = plan2();
-        let keys = p.shard_keys(&[
-            SymbolId(0),
-            SymbolId(1),
-            SymbolId(2),
-            SymbolId(9),
-            SymbolId(7),
-            SymbolId(9),
-        ]);
-        assert_eq!(keys, vec![0, 0, 1, 2, 3, 2], "classes first, then fresh singletons");
-    }
-
-    #[test]
-    fn coupling_fallback_colocates_noncommuting_pairs() {
-        use crate::expr::Expr;
-        use crate::machine::DependencyMachine;
-        use crate::symbol::SymbolTable;
-        let mut t = SymbolTable::new();
-        let e = t.event("e");
-        let f = t.event("f");
-        let g = t.event("g");
-        // The sequential precedence ē ∨ f̄ ∨ (e;f) is order-sensitive
-        // (e then f accepts, f then e violates), so e and f must
-        // colocate; g is untouched by any machine.
-        let precedes = Expr::or([
-            Expr::lit(e.complement()),
-            Expr::lit(f.complement()),
-            Expr::seq([Expr::lit(e), Expr::lit(f)]),
-        ]);
-        let machines = vec![DependencyMachine::compile(&precedes)];
-        let syms = [e.symbol(), f.symbol(), g.symbol()];
-        let plan = ShardPlan::from_coupling(&syms, &machines);
-        assert_eq!(plan.class_count(), 2);
-        assert!(plan.colocated(e.symbol(), f.symbol()));
-        assert!(!plan.colocated(e.symbol(), g.symbol()));
-        assert!(plan.commutes(e.symbol(), g.symbol()));
-        assert!(!plan.commutes(e.symbol(), f.symbol()));
-        assert!(!plan.is_independent(e.symbol(), f.symbol()));
-        assert!(
-            !plan.is_independent(e.symbol(), g.symbol()),
-            "the fallback claims no independence for analyzed symbols"
-        );
-        assert!(!plan.refines_site_coupling, "refinement is not checked by the fallback");
-        let keys = plan.shard_keys(&syms);
-        assert_eq!(keys[0], keys[1]);
-        assert_ne!(keys[0], keys[2]);
     }
 
     #[test]

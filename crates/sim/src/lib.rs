@@ -18,5 +18,5 @@ pub use faults::{Crash, FaultPlan, FaultStats, LinkFaults, Partition};
 pub use net::{
     Ctx, LatencyModel, Network, NodeId, Process, RunOutcome, SimConfig, SiteId, Termination, Time,
 };
-pub use parallel::{run_sharded, Island, ParallelConfig, ParallelStats, ShardedRun, WorkerLoad};
+pub use parallel::{ParallelConfig, ParallelStats, WorkerLoad};
 pub use stats::NetStats;

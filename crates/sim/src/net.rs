@@ -7,11 +7,17 @@
 //! single virtual-time event queue with deterministic tie-breaking, so
 //! every run is exactly reproducible from its seed while still exhibiting
 //! genuine asynchrony (messages reorder across links).
+//!
+//! [`Network::step`] is the only event loop in the workspace: every
+//! workflow instance on every entry point — solo, tenant fleet, parallel
+//! fleet — is one `Network` run to quiescence, with faults, the
+//! write-ahead log, the flight recorder and the fused monitors all
+//! hanging off this one loop.
 
 use crate::faults::{FaultPlan, FaultState, FaultStats, LinkDecision};
 use crate::stats::NetStats;
 use obs::{Obs, SpanId, SpanKind};
-use seeded::Rng;
+use seeded::{mix64, Rng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -194,6 +200,26 @@ impl RunOutcome {
     }
 }
 
+/// A single-`u64` multiplicative hasher for the link-clock map. Link
+/// keys are packed id pairs mixed through [`mix64`]; SipHash would
+/// be pure overhead on this per-send hot path.
+#[derive(Default)]
+struct LinkHasher(u64);
+
+impl std::hash::Hasher for LinkHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("link keys hash as u64")
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = mix64(n);
+    }
+}
+
+type BuildLinkHasher = std::hash::BuildHasherDefault<LinkHasher>;
+
 /// The simulated network: owns the nodes, the event queue and the clock.
 pub struct Network<M, P: Process<M>> {
     nodes: Vec<P>,
@@ -203,7 +229,10 @@ pub struct Network<M, P: Process<M>> {
     seq: u64,
     rng: Rng,
     config: SimConfig,
-    link_clock: HashMap<(NodeId, NodeId), Time>,
+    /// Per-link FIFO clocks, keyed by `from << 32 | to`.
+    link_clock: HashMap<u64, Time, BuildLinkHasher>,
+    /// The buffer every handler's sends land in, reused across deliveries.
+    outbox: Vec<(NodeId, M, Time)>,
     stats: NetStats,
     faults: Option<FaultState>,
     obs: Obs,
@@ -215,15 +244,19 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
     /// in order.
     pub fn new(config: SimConfig, nodes: impl IntoIterator<Item = (SiteId, P)>) -> Network<M, P> {
         let (sites, nodes): (Vec<SiteId>, Vec<P>) = nodes.into_iter().unzip();
+        // Sized for a few messages in flight and a few peers per node, so
+        // a small workflow never regrows either.
+        let n = nodes.len();
         Network {
             nodes,
             sites,
-            queue: BinaryHeap::new(),
+            queue: BinaryHeap::with_capacity(4 * n),
             time: 0,
             seq: 0,
             rng: Rng::seed_from_u64(config.seed),
             config,
-            link_clock: HashMap::new(),
+            link_clock: HashMap::with_capacity_and_hasher(4 * n, BuildLinkHasher::default()),
+            outbox: Vec::new(),
             stats: NetStats::default(),
             faults: None,
             obs: Obs::off(),
@@ -274,8 +307,18 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
     }
 
     /// The site of `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the id, when `node` is outside this network — an
+    /// injection or a process addressed a node that does not exist.
     pub fn site_of(&self, node: NodeId) -> SiteId {
-        self.sites[node.0 as usize]
+        match self.sites.get(node.0 as usize) {
+            Some(&site) => site,
+            None => {
+                panic!("node id {} is outside this network of {} nodes", node.0, self.sites.len())
+            }
+        }
     }
 
     /// Current virtual time.
@@ -368,9 +411,12 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
         let Some(primary_delay) = decision.primary else {
             return;
         };
-        self.schedule(from, to, msg.clone(), extra, primary_delay);
-        if let Some(dup_delay) = decision.duplicate {
-            self.schedule(from, to, msg, extra, dup_delay);
+        match decision.duplicate {
+            Some(dup_delay) => {
+                self.schedule(from, to, msg.clone(), extra, primary_delay);
+                self.schedule(from, to, msg, extra, dup_delay);
+            }
+            None => self.schedule(from, to, msg, extra, primary_delay),
         }
     }
 
@@ -381,7 +427,8 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
         // late: it bypasses the FIFO clamp, which is exactly what makes
         // nonzero jitter produce reordering on FIFO links.
         if self.config.fifo_links && fault_delay == 0 {
-            let clock = self.link_clock.entry((from, to)).or_insert(0);
+            let key = (u64::from(from.0) << 32) | u64::from(to.0);
+            let clock = self.link_clock.entry(key).or_insert(0);
             at = at.max(*clock + 1);
             *clock = at;
         }
@@ -436,7 +483,7 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
                 let span = self.obs.rec_under(m.span, self.time, m.to.0, to_site, kind);
                 self.obs.set_cursor(span);
             }
-            let mut outbox: Vec<(NodeId, M, Time)> = Vec::new();
+            let mut outbox = std::mem::take(&mut self.outbox);
             {
                 let node = &mut self.nodes[m.to.0 as usize];
                 let mut ctx = Ctx {
@@ -447,9 +494,7 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
                 };
                 node.on_message(&mut ctx, m.from, m.msg);
             }
-            for (to, msg, extra) in outbox {
-                self.enqueue(m.to, to, msg, extra, false);
-            }
+            self.flush(m.to, outbox);
             if recording {
                 self.obs.set_cursor(None);
             }
@@ -468,7 +513,7 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
             let span = self.obs.rec_under(None, self.time, node.0, self.site_of(node).0, kind);
             self.obs.set_cursor(span);
         }
-        let mut outbox: Vec<(NodeId, M, Time)> = Vec::new();
+        let mut outbox = std::mem::take(&mut self.outbox);
         {
             let n = &mut self.nodes[node.0 as usize];
             let mut ctx = Ctx {
@@ -479,12 +524,19 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
             };
             n.on_restart(&mut ctx);
         }
-        for (to, msg, extra) in outbox {
-            self.enqueue(node, to, msg, extra, false);
-        }
+        self.flush(node, outbox);
         if recording {
             self.obs.set_cursor(None);
         }
+    }
+
+    /// Put a handler's sends on the wire and keep its buffer for the next
+    /// delivery.
+    fn flush(&mut self, from: NodeId, mut outbox: Vec<(NodeId, M, Time)>) {
+        for (to, msg, extra) in outbox.drain(..) {
+            self.enqueue(from, to, msg, extra, false);
+        }
+        self.outbox = outbox;
     }
 
     /// Run until no work remains or `max_steps` deliveries happened.
@@ -521,6 +573,11 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
     /// Consume the network, returning its nodes for post-run inspection.
     pub fn into_nodes(self) -> Vec<P> {
         self.nodes
+    }
+
+    /// Consume the network, returning its nodes and traffic statistics.
+    pub fn into_parts(self) -> (Vec<P>, NetStats) {
+        (self.nodes, self.stats)
     }
 }
 
@@ -698,6 +755,48 @@ mod tests {
         net.inject(NodeId(0), NodeId(1), 2);
         let out = net.run_to_quiescence(3);
         assert_eq!(out, RunOutcome { steps: 3, termination: Termination::Quiescent });
+    }
+
+    #[test]
+    fn delivery_seqs_are_unique_and_time_monotone() {
+        /// Records `(now, delivery_seq)` without replying.
+        struct SeqSink(Vec<(Time, u64)>);
+        impl Process<u64> for SeqSink {
+            fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, _from: NodeId, _msg: u64) {
+                self.0.push((ctx.now(), ctx.delivery_seq()));
+            }
+        }
+        let config = SimConfig {
+            seed: 3,
+            latency: LatencyModel::Uniform { min: 1, max: 6 },
+            fifo_links: true,
+        };
+        let mut net = Network::new(config, (0..4).map(|i| (SiteId(i), SeqSink(vec![]))));
+        for i in 0..16u64 {
+            net.inject_after(NodeId(0), NodeId((i % 4) as u32), i, i % 5);
+        }
+        assert!(net.run_to_quiescence(1_000).is_quiescent());
+        let mut all: Vec<(Time, u64)> = net.into_nodes().into_iter().flat_map(|s| s.0).collect();
+        all.sort_unstable_by_key(|&(_, q)| q);
+        let seqs: Vec<u64> = all.iter().map(|&(_, q)| q).collect();
+        assert_eq!(seqs, (1..=16).collect::<Vec<u64>>(), "delivery sequences are dense from 1");
+        assert!(all.windows(2).all(|w| w[0].0 <= w[1].0), "seq order refines time order");
+    }
+
+    /// A process that addresses a node outside its network is a wiring
+    /// bug; it must say which id, not die on a slice index.
+    #[test]
+    #[should_panic(expected = "node id 7 is outside this network of 2 nodes")]
+    fn a_send_outside_the_network_names_the_id() {
+        struct Stray;
+        impl Process<u64> for Stray {
+            fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, _from: NodeId, msg: u64) {
+                ctx.send(NodeId(7), msg);
+            }
+        }
+        let mut net = Network::new(SimConfig::default(), [(SiteId(0), Stray), (SiteId(0), Stray)]);
+        net.inject(NodeId(0), NodeId(1), 1);
+        net.run_to_quiescence(10);
     }
 
     use crate::faults::FaultPlan;

@@ -31,8 +31,8 @@ impl NetStats {
         self.latency_buckets[bucket] += 1;
     }
 
-    /// Fold another stats block into this one (used by the parallel
-    /// executor, where each worker accumulates locally).
+    /// Fold another stats block into this one (a fleet's total is the
+    /// sum of its instances').
     pub fn absorb(&mut self, other: &NetStats) {
         for (site, count) in &other.per_site_deliveries {
             *self.per_site_deliveries.entry(*site).or_insert(0) += count;

@@ -66,23 +66,15 @@
 //! [`dist::TenantConfig::cross_wire`] is the mutation knob proving the
 //! audit can fail.
 //!
-//! A tenth audit holds the sharded parallel runtime to the
-//! deterministic simulator: [`audit_parallel_conformance`] runs the same
-//! (spec, seed) on [`dist::run_workflow_parallel`] and on the
-//! single-queue oracle, and demands identical
-//! occurrence sets, unresolved symbols, dependency verdicts, termination
-//! honesty and final `□`-views ([`machine_views`]) — timing may differ
-//! only through latency-RNG draw *order*, never through a lost or
-//! reordered *fact*. All sharded runs must additionally be
-//! byte-identical to each other (a single workflow runs on the calling
-//! thread whatever worker count is configured, so this is repeat
-//! determinism), and the eighth audit's transposition check re-runs
-//! over the sharded schedule as the safety net that catches a forged
-//! [`ShardPlan`] independence claim. [`audit_parallel_fleet`] is the
-//! fleet-scale variant, holding every instance of a
-//! [`dist::run_parallel_fleet`] run to its isolated single-queue
-//! baseline and the whole fleet to its own one-worker run — worker
-//! counts only mean something for a fleet.
+//! The tenth audit is retired (the numbering of the eleventh is kept):
+//! it held a second, sharded round executor to the single-queue
+//! simulator, and that executor is deleted — every instance on every
+//! entry point now runs on the one event loop, so there is no second
+//! delivery order to audit. What is left of it is [`diff_fleet_reports`]:
+//! [`dist::run_parallel_fleet`] and [`dist::run_tenant`] are two report
+//! shapes over one fleet runner, and the diff holds them to each other
+//! instance by instance. A forged [`ShardPlan`] independence claim is
+//! the eighth audit's to catch, on any run.
 //!
 //! An eleventh audit pins the *fused* monitor feed to an offline replay:
 //! [`audit_monitor_equivalence`] runs each (spec, seed, fault plan)
@@ -99,9 +91,8 @@
 //! because both feeds perform the same final sweep at quiescence.
 
 use dist::{
-    guard_gated, run_parallel_fleet, run_tenant, run_workflow_parallel, run_workflow_with_faults,
-    Arrival, ExecConfig, ParallelFleetReport, ParallelRun, RunReport, TenantConfig, TenantReport,
-    WorkflowSpec,
+    guard_gated, run_tenant, run_workflow_with_faults, Arrival, ExecConfig, ParallelFleetReport,
+    RunReport, TenantConfig, TenantReport, WorkflowSpec,
 };
 use event_algebra::{DependencyMachine, Literal, ShardPlan, StateId};
 use guard::{CompiledWorkflow, GuardScope};
@@ -474,167 +465,66 @@ pub fn audit_tenant_isolation(
     (failures, report)
 }
 
-/// Shared core of the parallel audits: compare a parallel run's logical
-/// results against the single-queue oracle's. `tag` prefixes failures.
-fn diff_parallel_vs_oracle(
-    spec: &WorkflowSpec,
-    tag: &str,
-    par: &RunReport,
-    oracle: &RunReport,
-) -> Vec<String> {
+/// Hold a [`dist::run_parallel_fleet`] report to the
+/// [`dist::run_tenant`] report of the same specs, arrivals and
+/// [`ExecConfig`]. Both are roll-ups over one fleet runner, so every
+/// instance must be the same run on a different clock: occurrences equal
+/// once `arrived_at` is subtracted from each fleet-clock tick (sequence
+/// numbers included), and `steps`, `duration`, [`Termination`],
+/// `finished_at`, monitor verdicts and alert kinds equal outright; the
+/// fleet's traffic total must be the sum of its instances'. Returns the
+/// differences (empty iff the two reports agree).
+pub fn diff_fleet_reports(fleet: &ParallelFleetReport, tenant: &TenantReport) -> Vec<String> {
     let mut failures = Vec::new();
-    let lits = |r: &RunReport| -> std::collections::BTreeSet<Literal> {
-        r.occurrences.iter().map(|&(l, _, _)| l).collect()
-    };
-    if lits(par) != lits(oracle) {
+    let by_instance: BTreeMap<_, _> = tenant.instances.iter().map(|o| (o.instance, o)).collect();
+    if fleet.instances.len() != tenant.instances.len() {
         failures.push(format!(
-            "{tag}: occurrence sets diverge: parallel {:?} vs oracle {:?}",
-            lits(par),
-            lits(oracle)
+            "{} parallel instances vs {} tenant instances",
+            fleet.instances.len(),
+            tenant.instances.len()
         ));
     }
-    if par.unresolved != oracle.unresolved {
-        failures.push(format!(
-            "{tag}: unresolved symbols diverge: parallel {:?} vs oracle {:?}",
-            par.unresolved, oracle.unresolved
-        ));
-    }
-    if par.satisfied != oracle.satisfied {
-        failures.push(format!(
-            "{tag}: dependency verdicts diverge: parallel {:?} vs oracle {:?}",
-            par.satisfied, oracle.satisfied
-        ));
-    }
-    if par.termination != oracle.termination {
-        failures.push(format!(
-            "{tag}: termination honesty diverges: parallel {:?} vs oracle {:?}",
-            par.termination, oracle.termination
-        ));
-    }
-    for (side, rep) in [("parallel", par), ("oracle", oracle)] {
-        if !rep.divergence.is_empty() {
-            failures.push(format!(
-                "{tag}: {side} run has internal view divergence: {:?}",
-                rep.divergence
-            ));
-        }
-    }
-    let machines = DependencyMachine::compile_all(&spec.dependencies);
-    let par_views = machine_views(&machines, par.maximal_trace.events());
-    let oracle_views = machine_views(&machines, oracle.maximal_trace.events());
-    if par_views != oracle_views {
-        failures.push(format!(
-            "{tag}: final □-views diverge: parallel {par_views:?} vs oracle {oracle_views:?}"
-        ));
-    }
-    failures
-}
-
-/// The tenth audit: parallel conformance. Run `spec` on the sharded
-/// round executor and on the single-queue simulator (the oracle), both
-/// from the same `config`. Demands:
-///
-/// - **Logical identity with the oracle**: same occurrence *set*, same
-///   unresolved symbols, same per-dependency verdicts, same
-///   [`Termination`], no internal view divergence on either side, and
-///   identical final `□`-views under [`machine_views`]. (Timestamps and
-///   delivery sequences may differ: the sharded executor samples
-///   latency statelessly per send, not from the oracle's serial RNG.)
-/// - **Determinism**: a second sharded run is byte-identical —
-///   occurrences with timestamps and sequences, duration, step count.
-///   (A single workflow is one island on the calling thread; worker
-///   counts are [`audit_parallel_fleet`]'s to vary.)
-/// - **No schedule races**: the eighth audit's transposition check over
-///   the *sharded* schedule, both against the analyzer-derived plan
-///   ([`audit_schedule_races`]) and against the plan that actually keyed
-///   the shards — the safety net for forged independence claims.
-///
-/// Returns the failures (empty iff conformant) and the sharded run for
-/// inspection.
-pub fn audit_parallel_conformance(
-    spec: &WorkflowSpec,
-    config: &ExecConfig,
-) -> (Vec<String>, ParallelRun) {
-    let mut oracle_cfg = config.clone();
-    oracle_cfg.parallel = None;
-    let oracle = dist::run_workflow(spec, oracle_cfg);
-    let run = run_workflow_parallel(spec, config);
-    let mut failures = diff_parallel_vs_oracle(spec, "sharded run", &run.report, &oracle);
-    failures.extend(audit_schedule_races(spec, &run.report));
-    failures.extend(
-        audit_schedule_races_against(spec, &run.report, &run.plan)
-            .into_iter()
-            .map(|f| format!("(shard-keying plan) {f}")),
-    );
-    let again = run_workflow_parallel(spec, config).report;
-    if (&again.occurrences, again.duration, again.steps)
-        != (&run.report.occurrences, run.report.duration, run.report.steps)
-    {
-        failures.push(
-            "a second sharded run differs from the first — the executor broke its \
-             determinism guarantee"
-                .to_owned(),
-        );
-    }
-    (failures, run)
-}
-
-/// Fleet-scale tenth audit: run a whole fleet through
-/// [`dist::run_parallel_fleet`] and hold every instance to its isolated
-/// single-queue baseline (same specialized spec, same seed), with the
-/// same logical-identity contract as [`audit_parallel_conformance`] —
-/// occurrence sets, unresolved symbols, verdicts and final `□`-views;
-/// fleet-clock timestamps are instance-relative only in duration, so
-/// timing is not compared against the baseline. **Worker-count
-/// determinism** is a fleet property (a single workflow never leaves
-/// its thread): the same fleet at one worker must be byte-identical —
-/// every instance's occurrences with timestamps and sequences, steps
-/// and termination, the traffic statistics and the round count.
-pub fn audit_parallel_fleet(
-    specs: &[WorkflowSpec],
-    arrivals: &[Arrival],
-    config: &ExecConfig,
-) -> (Vec<String>, ParallelFleetReport) {
-    let fleet = run_parallel_fleet(specs, arrivals, config);
-    let mut failures = Vec::new();
-    let mut one_cfg = config.clone();
-    one_cfg.parallel = Some(sim::ParallelConfig::new(1));
-    let one = run_parallel_fleet(specs, arrivals, &one_cfg);
-    if (&fleet.net, fleet.stats.rounds, fleet.instances.len())
-        != (&one.net, one.stats.rounds, one.instances.len())
-    {
-        failures.push(format!(
-            "fleet totals differ from the 1-worker run: {} vs {} rounds, {} vs {} sends",
-            fleet.stats.rounds, one.stats.rounds, fleet.net.sent_total, one.net.sent_total
-        ));
-    }
-    for (o, b) in fleet.instances.iter().zip(&one.instances) {
-        let same = o.instance == b.instance
-            && o.report.occurrences == b.report.occurrences
-            && o.report.steps == b.report.steps
-            && o.report.termination == b.report.termination
-            && o.finished_at == b.finished_at;
+    let mut net = sim::NetStats::default();
+    for p in &fleet.instances {
+        net.absorb(&p.report.net);
+        let Some(t) = by_instance.get(&p.instance) else {
+            failures.push(format!("instance {}: missing from the tenant fleet", p.instance));
+            continue;
+        };
+        let local: Vec<_> = p
+            .report
+            .occurrences
+            .iter()
+            .map(|&(l, at, q)| (l, at.wrapping_sub(p.arrived_at), q))
+            .collect();
+        let (pr, tr) = (&p.report, &t.report);
+        let verdicts = |r: &RunReport| r.monitor.as_ref().map(|m| m.verdicts.clone());
+        let alert_kinds = |r: &RunReport| r.alerts.iter().map(|a| a.kind.tag()).collect::<Vec<_>>();
+        let same = local == tr.occurrences
+            && (pr.steps, pr.duration, pr.termination) == (tr.steps, tr.duration, tr.termination)
+            && (p.arrived_at, p.finished_at) == (t.arrived_at, t.finished_at)
+            && pr.net == tr.net
+            && verdicts(pr) == verdicts(tr)
+            && alert_kinds(pr) == alert_kinds(tr);
         if !same {
             failures.push(format!(
-                "instance {}: {} workers and 1 worker disagree — the fleet broke its \
-                 worker-count determinism guarantee",
-                o.instance, fleet.stats.workers
+                "instance {}: the parallel fleet and the tenant fleet disagree: \
+                 {local:?} ({} steps, t={}, {:?}) vs {:?} ({} steps, t={}, {:?})",
+                p.instance,
+                pr.steps,
+                pr.duration,
+                pr.termination,
+                tr.occurrences,
+                tr.steps,
+                tr.duration,
+                tr.termination
             ));
         }
     }
-    for (a, o) in arrivals.iter().zip(&fleet.instances) {
-        let spec = a.apply_to_spec(&specs[a.spec_ix]);
-        let mut solo_cfg = config.clone();
-        solo_cfg.sim.seed = a.seed;
-        solo_cfg.parallel = None;
-        solo_cfg.journal = false;
-        solo_cfg.record = None;
-        solo_cfg.monitor = None;
-        let solo = dist::run_workflow(&spec, solo_cfg);
-        let tag = format!("instance {}", a.instance);
-        failures.extend(diff_parallel_vs_oracle(&spec, &tag, &o.report, &solo));
+    if fleet.net != net {
+        failures.push("the fleet's traffic total is not the sum of its instances'".to_owned());
     }
-    (failures, fleet)
+    failures
 }
 
 /// The eleventh audit: fused-monitor equivalence. Run the scenario once
@@ -1159,98 +1049,24 @@ mod tests {
         assert!(violations.contains(&(f, 0)), "{violations:?}");
     }
 
-    /// A precedence chain whose arrow dependencies all commute: the
-    /// coupling fallback gives singleton classes, so the parallel run
-    /// actually exercises multi-shard rounds.
-    fn chain_spec(n: usize) -> WorkflowSpec {
-        let mut table = SymbolTable::new();
-        let mut deps = Vec::new();
-        for i in 0..n.saturating_sub(1) {
-            deps.push(parse_expr(&format!("~e{i} + e{}", i + 1), &mut table).unwrap());
-        }
-        let free_events = (0..n)
-            .map(|i| dist::FreeEventSpec {
-                site: SiteId(i as u32),
-                lit: table.event(&format!("e{i}")),
-                attrs: EventAttrs::controllable(),
-                attempt_after: Some(1),
-            })
-            .collect();
-        WorkflowSpec { table, dependencies: deps, agents: vec![], free_events }
-    }
-
     #[test]
-    fn parallel_conformance_audit_green_on_clean_specs() {
-        // The tenth audit across worker counts 1/2/4 on both a
-        // promise-consensus spec and a commuting pipeline, two seeds.
-        for seed in [0, 23] {
-            for spec in [mutual_promise_spec(), chain_spec(5)] {
-                let (failures, run) = audit_parallel_conformance(&spec, &ExecConfig::seeded(seed));
-                assert_eq!(failures, Vec::<String>::new(), "seed {seed}");
-                assert!(run.report.all_satisfied(), "seed {seed}: {:?}", run.report);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_fleet_audit_green() {
-        let spec = chain_spec(4);
+    fn fleet_report_diff_is_green_and_catches_a_moved_tick() {
+        let spec = mutual_promise_spec();
         let arrivals: Vec<Arrival> = (0..5).map(|i| Arrival::new(i, 0, i * 7, 0xACE ^ i)).collect();
-        let mut config = ExecConfig::seeded(0);
-        config.parallel = Some(sim::ParallelConfig::new(2));
-        let (failures, fleet) =
-            audit_parallel_fleet(std::slice::from_ref(&spec), &arrivals, &config);
-        assert_eq!(failures, Vec::<String>::new());
-        assert_eq!(fleet.instances.len(), 5);
-        assert!(fleet.all_satisfied());
-    }
-
-    #[test]
-    fn parallel_audit_catches_a_forged_shard_plan() {
-        // Mutation: key the shards with a plan that falsely claims the
-        // non-commuting precedence pair (e, f) independent. Whatever the
-        // racy schedule produces, the audit must come back red — through
-        // the transposition replay over the shard-keying plan at least.
-        let mut table = SymbolTable::new();
-        let d = parse_expr("~e + ~f + e.f", &mut table).unwrap();
-        let e = table.event("e");
-        let f = table.event("f");
-        let spec = WorkflowSpec {
-            table,
-            dependencies: vec![d],
-            agents: vec![],
-            free_events: vec![
-                dist::FreeEventSpec {
-                    site: SiteId(0),
-                    lit: e,
-                    attrs: EventAttrs::controllable(),
-                    attempt_after: Some(1),
-                },
-                dist::FreeEventSpec {
-                    site: SiteId(0),
-                    lit: f,
-                    attrs: EventAttrs::controllable(),
-                    attempt_after: Some(1),
-                },
-            ],
-        };
-        let pair = event_algebra::shard::canonical(e.symbol(), f.symbol());
-        let forged = ShardPlan {
-            classes: vec![
-                event_algebra::ShardClass { id: 0, events: vec![pair.0], site: None },
-                event_algebra::ShardClass { id: 1, events: vec![pair.1], site: None },
-            ],
-            commuting: vec![pair],
-            independent: vec![pair],
-            ..ShardPlan::default()
-        };
-        let mut config = ExecConfig::seeded(2);
-        config.shard_plan = Some(std::sync::Arc::new(forged));
-        let (failures, _) = audit_parallel_conformance(&spec, &config);
-        assert!(!failures.is_empty(), "forged plan went undetected");
+        let mut exec = ExecConfig::seeded(0);
+        exec.monitor = Some(monitor::MonitorConfig::default());
+        exec.parallel = Some(sim::ParallelConfig::new(2));
+        let specs = std::slice::from_ref(&spec);
+        let tenant = run_tenant(specs, &arrivals, &TenantConfig::new(exec.clone()));
+        let mut fleet = dist::run_parallel_fleet(specs, &arrivals, &exec);
+        assert_eq!(diff_fleet_reports(&fleet, &tenant), Vec::<String>::new());
         assert!(
-            failures.iter().any(|fl| fl.contains("schedule race") && fl.contains("e")),
-            "the race must be attributed to the forged pair: {failures:?}"
+            fleet.all_satisfied() && fleet.instances.iter().all(|o| o.report.monitor.is_some())
         );
+        // Mutation: one occurrence of the last instance left on the
+        // instance-local clock.
+        fleet.instances[4].report.occurrences[0].1 -= 28;
+        let failures = diff_fleet_reports(&fleet, &tenant);
+        assert!(failures.len() == 1 && failures[0].contains("instance i4"), "{failures:?}");
     }
 }

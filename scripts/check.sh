@@ -24,8 +24,11 @@
 # executes one mixed fleet of the clean example specs (40 instances per
 # spec, monitors armed) through `dist::run_tenant`, fault-free and under
 # the chaos plan, at one shard and at two; every instance must quiesce,
-# raise no monitor violation and equal its isolated run. Fleet speed is
-# measured by `benchmark/run.sh --workload fleet_steady`, not gated here.
+# raise no monitor violation and equal its isolated run. The same fleet
+# then runs through `dist::run_parallel_fleet` on two worker threads and
+# must equal the fault-free tenant fleet instance by instance on the
+# fleet clock. Fleet speed is measured by `benchmark/run.sh --workload
+# fleet_steady | fleet_parallel`, not gated here.
 #
 # `check.sh --obs` runs the always-on observability tier: the
 # `conformance --monitor-equiv` audit proves the fused (scheduler-stepped)
@@ -33,15 +36,6 @@
 # the same run's flight recording across the standard fault-plan matrix
 # on 20 seeds, then the same `conformance --tenant` fleet as `--scale`
 # gates a monitored multi-tenant fleet on zero violations.
-#
-# `check.sh --parallel` runs the parallel-runtime tier: the
-# `conformance --parallel` audit proves the sharded round executor
-# reproduces the deterministic simulator oracle on the example specs,
-# then runs one mixed fleet of them on two real worker threads and on
-# one — the two must agree byte for byte (occurrences with sequences,
-# steps, termination, traffic totals, round count) and every instance
-# must match its isolated baseline. Parallel speed is measured by
-# `benchmark/run.sh --workload fleet_parallel`, not gated here.
 set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
@@ -69,18 +63,9 @@ fi
 if [ "${1:-}" = "--scale" ]; then
     echo "==> cargo build --release --offline --bin conformance"
     cargo build --release --offline --bin conformance
-    echo "==> conformance --tenant (mixed fleet: clean and chaos, 1 and 2 shards)"
+    echo "==> conformance --tenant (mixed fleet: clean and chaos, 1 and 2 shards; parallel fleet at 2 workers)"
     "$REPO/target/release/conformance" --tenant
     echo "==> scale tier passed"
-    exit 0
-fi
-
-if [ "${1:-}" = "--parallel" ]; then
-    echo "==> cargo build --release --offline --bin conformance"
-    cargo build --release --offline --bin conformance
-    echo "==> conformance --parallel (sharded runs vs oracle; fleet at 2 workers vs 1)"
-    "$REPO/target/release/conformance" --parallel
-    echo "==> parallel tier passed"
     exit 0
 fi
 

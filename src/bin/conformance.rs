@@ -5,21 +5,12 @@
 //!
 //! ```text
 //! conformance [--seeds N] [--max-steps N]
-//!             [--parallel | --monitor-equiv | --tenant] [SPEC.wf ...]
+//!             [--monitor-equiv | --tenant] [SPEC.wf ...]
 //! ```
 //!
 //! With no spec arguments, sweeps `examples/specs/*.wf`. Liveness is
 //! only demanded of specs the static analyzer reports error-free — a
 //! spec wfcheck already rejects is run for safety alone.
-//!
-//! `--parallel` switches to the tenth audit instead of the fault
-//! matrix: every spec runs fault-free on the sharded round executor,
-//! held to the single-queue simulator oracle
-//! (`testkit::conformance::audit_parallel_conformance`) for each seed;
-//! then one mixed fleet of all the specs runs on two real worker
-//! threads and on one, which must agree byte for byte, every instance
-//! matching its isolated baseline
-//! (`testkit::conformance::audit_parallel_fleet`).
 //!
 //! `--monitor-equiv` switches to the eleventh audit: every spec runs
 //! each (seed, fault plan) scenario once with the fused monitor and the
@@ -32,7 +23,10 @@
 //! spec, `testkit::workload` arrivals, monitors armed) runs fault-free
 //! and under the `chaos` plan, at one shard and at two; every instance
 //! must quiesce, raise no monitor violation and equal its isolated run
-//! (`testkit::conformance::audit_tenant_isolation`).
+//! (`testkit::conformance::audit_tenant_isolation`). The same fleet then
+//! goes through `run_parallel_fleet` on two worker threads, whose report
+//! must be the fault-free tenant report on the fleet clock
+//! (`testkit::conformance::diff_fleet_reports`).
 
 use analyze::{analyze_workflow, AnalyzeOptions, Severity};
 use constrained_events::{
@@ -42,15 +36,13 @@ use dist::{TenantConfig, WorkflowSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use testkit::conformance::{
-    audit_monitor_equivalence, audit_parallel_conformance, audit_parallel_fleet,
-    audit_tenant_isolation, explore, standard_plans,
+    audit_monitor_equivalence, audit_tenant_isolation, diff_fleet_reports, explore, standard_plans,
 };
 use testkit::workload::{drive, generate, WorkloadConfig};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     Faults,
-    Parallel,
     MonitorEquiv,
     Tenant,
 }
@@ -75,13 +67,12 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--max-steps needs a value")?;
                 args.max_steps = v.parse().map_err(|e| format!("--max-steps {v}: {e}"))?;
             }
-            "--parallel" => args.mode = Mode::Parallel,
             "--monitor-equiv" => args.mode = Mode::MonitorEquiv,
             "--tenant" => args.mode = Mode::Tenant,
             "--help" | "-h" => {
                 println!(
                     "usage: conformance [--seeds N] [--max-steps N] \
-                     [--parallel | --monitor-equiv | --tenant] [SPEC.wf ...]"
+                     [--monitor-equiv | --tenant] [SPEC.wf ...]"
                 );
                 std::process::exit(0);
             }
@@ -193,50 +184,6 @@ fn main() -> ExitCode {
             continue;
         }
 
-        if args.mode == Mode::Parallel {
-            // Tenth audit: fault-free sharded runs held to the
-            // single-queue oracle per seed. The raw (unwrapped) transport
-            // is the parallel runtime's scope.
-            let mut failures = Vec::new();
-            for seed in 0..args.seeds {
-                let mut cfg = config.clone();
-                cfg.reliable = None;
-                cfg.sim.seed = seed;
-                let (fails, run) = audit_parallel_conformance(&workflow.spec, &cfg);
-                failures.extend(
-                    fails.into_iter().map(|f| format!("[{}/seed {seed}] {f}", workflow.name)),
-                );
-                if expect_live && !run.report.all_satisfied() {
-                    failures.push(format!(
-                        "[{}/seed {seed}] sharded run left dependencies unsatisfied",
-                        workflow.name
-                    ));
-                }
-            }
-            if failures.is_empty() {
-                println!(
-                    "conformance: {:<12} {} sharded scenarios ok (== single-queue oracle)",
-                    workflow.name, args.seeds
-                );
-            } else {
-                for f in &failures {
-                    eprintln!("FAIL {f}");
-                }
-                eprintln!(
-                    "conformance: {:<12} {}/{} sharded scenarios nonconforming",
-                    workflow.name,
-                    failures.len(),
-                    args.seeds
-                );
-                total_failures += failures.len();
-            }
-            // The fleet below demands satisfaction, so it takes clean specs only.
-            if expect_live {
-                fleet_specs.push(drive(&workflow.spec));
-            }
-            continue;
-        }
-
         let failures = explore(&workflow.name, &workflow.spec, config, 0..args.seeds, expect_live);
         let scenarios = args.seeds * plan_count;
         if failures.is_empty() {
@@ -263,32 +210,6 @@ fn main() -> ExitCode {
     }
     if args.mode == Mode::Tenant {
         total_failures += tenant_fleet(&fleet_specs, args.max_steps);
-    } else if !fleet_specs.is_empty() {
-        // Worker counts only mean something for a fleet: one mixed fleet
-        // of every spec, on two real worker threads and on one.
-        let instances = 40 * fleet_specs.len() as u64;
-        let arrivals = generate(&fleet_specs, &WorkloadConfig::new(instances, 0xF1EE7));
-        let mut config = ExecConfig::seeded(0);
-        config.max_steps = args.max_steps;
-        config.parallel = Some(sim::ParallelConfig::new(2));
-        let (failures, fleet) = audit_parallel_fleet(&fleet_specs, &arrivals, &config);
-        if failures.is_empty() && fleet.all_satisfied() {
-            println!(
-                "conformance: fleet        {instances} instances, {} events ok \
-                 (2 workers == 1 worker, every instance == its solo baseline)",
-                fleet.events
-            );
-        } else {
-            for f in &failures {
-                eprintln!("FAIL [fleet] {f}");
-            }
-            eprintln!(
-                "conformance: fleet        nonconforming ({} failures, {} exhausted)",
-                failures.len(),
-                fleet.exhausted
-            );
-            total_failures += failures.len().max(1);
-        }
     }
     if total_failures > 0 {
         ExitCode::from(1)
@@ -299,7 +220,9 @@ fn main() -> ExitCode {
 
 /// The `--tenant` tier: one mixed fleet of `specs`, monitors armed,
 /// through the isolation audit fault-free and under the `chaos` plan at
-/// one shard and at two. Returns the number of failures.
+/// one shard and at two, then through `run_parallel_fleet` at two
+/// workers against the fault-free tenant report. Returns the number of
+/// failures.
 fn tenant_fleet(specs: &[WorkflowSpec], max_steps: u64) -> usize {
     if specs.is_empty() {
         eprintln!("conformance: tenant       no statically clean spec to build a fleet from");
@@ -342,6 +265,26 @@ fn tenant_fleet(specs: &[WorkflowSpec], max_steps: u64) -> usize {
                 total += failures.len();
             }
         }
+    }
+    // The other report shape over the same runner, on two worker threads.
+    let mut exec = ExecConfig::seeded(0);
+    exec.max_steps = max_steps;
+    exec.monitor = Some(MonitorConfig::default());
+    exec.parallel = Some(sim::ParallelConfig::new(2));
+    let tenant = dist::run_tenant(specs, &arrivals, &TenantConfig::new(exec.clone()));
+    let fleet = dist::run_parallel_fleet(specs, &arrivals, &exec);
+    let failures = diff_fleet_reports(&fleet, &tenant);
+    if failures.is_empty() {
+        println!(
+            "conformance: tenant       parallel/2 workers: {instances} instances, {} events ok \
+             (every instance == its tenant instance on the fleet clock)",
+            fleet.events
+        );
+    } else {
+        for f in &failures {
+            eprintln!("FAIL [tenant/parallel/2 workers] {f}");
+        }
+        total += failures.len();
     }
     total
 }

@@ -1,11 +1,10 @@
-//! Integration test X3: the travel workflow of Example 4 across seeds,
-//! executors and schedulers — every realized run satisfies all three
+//! Integration test X3: the travel workflow of Example 4 across seeds
+//! and schedulers — every realized run satisfies all three
 //! dependencies, the commit order of dependency 2 always holds, and the
 //! compensation of dependency 3 triggers exactly when buy fails.
 
 use constrained_events::agents::library::{rda_transaction, typical_application};
-use constrained_events::{Engine, ExecConfig, Script, Workflow, WorkflowBuilder};
-use sim::ParallelConfig;
+use constrained_events::{Engine, Script, Workflow, WorkflowBuilder};
 
 fn build(buy_script: &[&str]) -> Workflow {
     let mut b = WorkflowBuilder::new("travel");
@@ -78,22 +77,6 @@ fn centralized_schedulers_agree_on_correctness() {
             {
                 assert!(b < a, "seed {seed} {engine:?}: order violated");
             }
-        }
-    }
-}
-
-#[test]
-fn parallel_executor_is_safe_on_travel() {
-    for round in 0..5 {
-        let wf = build(&["start", "commit"]);
-        let mut config = ExecConfig::seeded(round);
-        config.parallel = Some(ParallelConfig::new(2));
-        let report = wf.run_with(config);
-        assert!(report.all_satisfied(), "round {round}: {report:#?}");
-        if let (Some(b), Some(a)) =
-            (pos_of(&report, &wf, "book.commit"), pos_of(&report, &wf, "buy.commit"))
-        {
-            assert!(b < a, "round {round}: order violated: {}", report.trace);
         }
     }
 }
