@@ -63,11 +63,14 @@ mod needgraph;
 
 pub use diag::{json_str, Diagnostic, LabeledSpan, Severity};
 pub use event_algebra::{Obligation, ObligationKind, ShardClass, ShardPlan};
-pub use guard::DEFAULT_STATE_BUDGET;
 
 use event_algebra::{Expr, Literal, SymbolId, SymbolTable};
 use guard::{CompiledWorkflow, GuardScope};
 use speclang::{DepOrigin, LoweredEvent, LoweredWorkflow, Span};
+
+/// Default product-state budget of [`AnalyzeOptions`]. Generous: typical
+/// workflow products stay well under a thousand states.
+pub const DEFAULT_STATE_BUDGET: usize = 1 << 20;
 
 /// Tunables for an analysis run.
 #[derive(Debug, Clone)]

@@ -10,8 +10,8 @@
 //! mixed components interleave "will occur" with "has not yet occurred"
 //! and can deadlock a distributed execution outright (`WF022`).
 //!
-//! Tarjan's algorithm (iterative) finds components of *any* length — the
-//! pairwise scan in `guard::analysis` only sees 2-cycles. A component
+//! Tarjan's algorithm (iterative) finds components of *any* length, where
+//! a pairwise scan of mutual needs would only see 2-cycles. A component
 //! whose literal set is the exact complement of one already reported is
 //! suppressed: it is the mirror image of the same consensus group on the
 //! rejecting branch.

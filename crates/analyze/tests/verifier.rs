@@ -93,13 +93,10 @@ fn three_event_consensus_cycle_is_found_beyond_pairwise() {
                \x20   dep d2: f -> g;\n\
                \x20   dep d3: g -> e;\n\
                }\n";
-    let w = LoweredWorkflow::parse(src).unwrap();
-    // The pairwise scan in guard::analysis cannot see a 3-cycle…
-    let pairwise = guard::analyze(&w.ground_deps);
-    assert!(pairwise.consensus_pairs.is_empty(), "{pairwise:?}");
-    // …but the SCC pass reports the consensus group exactly once (its
-    // complement mirror is suppressed).
-    let r = analyze_workflow(&w, &AnalyzeOptions::default());
+    // No two of the three guards need each other, so a pairwise scan of
+    // mutual needs sees nothing; the SCC pass reports the consensus group
+    // exactly once (its complement mirror is suppressed).
+    let r = check(src);
     let cycles: Vec<_> = r.diagnostics.iter().filter(|d| d.code == "WF020").collect();
     assert_eq!(cycles.len(), 1, "{:?}", r.diagnostics);
     let d = cycles[0];
@@ -110,6 +107,40 @@ fn three_event_consensus_cycle_is_found_beyond_pairwise() {
     // Spans point at all three event declarations.
     assert_eq!(d.spans.len(), 3, "{:?}", d.spans);
     assert_eq!(r.exit_code(true), 1);
+
+    // The same pass at the other sizes: Example 11's pair (D→ and its
+    // transpose) is one group, and three arrow 2-cycles sharing events
+    // merge into one group, not three overlapping reports.
+    let groups = |body: &str| {
+        let r = check(&format!("workflow w {{ event a; event b; event c; {body} }}"));
+        r.diagnostics.iter().filter(|d| d.code == "WF020").count()
+    };
+    assert_eq!(groups("dep d1: a -> b; dep d2: b -> a;"), 1);
+    assert_eq!(
+        groups(
+            "dep d1: a -> b; dep d2: b -> a; dep d3: a -> c; dep d4: c -> a; \
+                dep d5: b -> c; dep d6: c -> b;"
+        ),
+        1
+    );
+}
+
+#[test]
+fn opposing_precedences_need_promises_not_agreements() {
+    // e < f plus f < e: jointly "not both occur". The conjoined guards
+    // strengthen ¬f ∧ (◇ē+□e)-style into promises of the complements,
+    // so no hold cycle is reported, and either event may still occur.
+    let r = check(
+        "workflow opposed {\n\
+         \x20   event e;\n\
+         \x20   event f;\n\
+         \x20   dep d1: e < f;\n\
+         \x20   dep d2: f < e;\n\
+         }\n",
+    );
+    assert!(!r.jointly_contradictory);
+    assert!(!r.has_code("WF021") && !r.has_code("WF022"), "{:?}", codes(&r));
+    assert!(r.dead.is_empty(), "either may occur (just not both): {:?}", r.dead);
 }
 
 #[test]
@@ -197,6 +228,19 @@ fn tight_budget_degrades_to_wf006_instead_of_hanging() {
     assert_eq!(d.severity, Severity::Warning);
     assert!(d.message.contains("budget of 4"), "{}", d.message);
     assert_eq!(r.exit_code(true), 1);
+
+    // A cut-off joint query runs no dead/forced query after it, and the
+    // count reported is exactly what the budget was charged.
+    let mut t = SymbolTable::new();
+    let ds: Vec<_> = ["~e1 + e2", "~e2 + e3", "~e3 + e4", "~e4 + e1"]
+        .iter()
+        .map(|s| parse_expr(s, &mut t).unwrap())
+        .collect();
+    let opts = AnalyzeOptions { state_budget: 3, ..AnalyzeOptions::default() };
+    let r = analyze_dependencies(&ds, &t, &opts);
+    assert!(r.incomplete && !r.is_clean(), "{:?}", r.diagnostics);
+    assert!(r.dead.is_empty() && r.forced.is_empty() && !r.jointly_contradictory, "{r:?}");
+    assert_eq!(r.states_explored, 3);
 }
 
 #[test]

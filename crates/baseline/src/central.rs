@@ -498,7 +498,6 @@ pub fn run_centralized(spec: &WorkflowSpec, config: CentralConfig) -> RunReport 
         actor_stats: BTreeMap::new(),
         parked: central.parked.iter().copied().collect(),
         broken_promises: Vec::new(),
-        journal: Vec::new(),
         termination: outcome.termination,
         fault_stats: None,
         divergence: Vec::new(),

@@ -17,7 +17,6 @@
 //! - on rejection of an attempted event, makes the complement occur
 //!   (Section 3.3(c)).
 
-use crate::journal::{Journal, JournalKind};
 use crate::msg::{InstanceId, Msg};
 use agent::EventAttrs;
 use event_algebra::{
@@ -291,8 +290,6 @@ pub struct SymbolActor {
     /// are only re-evaluated on periodic `Tick`s — the polling ablation
     /// of experiment C3.
     pub lazy: bool,
-    /// Optional shared execution journal.
-    pub journal: Option<Journal>,
     /// Activity counters.
     pub stats: ActorStats,
     /// When set, every outgoing promise request arms a self-addressed
@@ -354,7 +351,6 @@ impl SymbolActor {
             pending_requests: BTreeSet::new(),
             routing,
             lazy: false,
-            journal: None,
             stats: ActorStats::default(),
             promise_timeout: None,
             max_promise_retries: 8,
@@ -418,15 +414,8 @@ impl SymbolActor {
 
     // ----- agent-facing -----
 
-    fn journal(&self, time: sim::Time, kind: JournalKind) {
-        if let Some(j) = &self.journal {
-            j.record(time, kind);
-        }
-    }
-
     fn on_attempt(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal) {
         self.stats.attempts += 1;
-        self.journal(ctx.now(), JournalKind::Attempt(lit));
         self.obs.rec(ctx.now(), SpanKind::Attempt { lit: olit(lit) });
         if let Some((occ, _, _)) = self.occurred {
             let reply = if occ == lit { Msg::Granted { lit } } else { Msg::Rejected { lit } };
@@ -501,7 +490,6 @@ impl SymbolActor {
             return; // answered (grant/deny arrived) or attempt withdrawn
         }
         self.stats.promise_aborts += 1;
-        self.journal(ctx.now(), JournalKind::PromiseAborted { lit, for_lit });
         self.obs.rec(ctx.now(), SpanKind::PromiseAbort { lit: olit(lit) });
         if let Some(m) = &self.mon {
             m.on_promise_abort(ctx.now(), self.obs.node, olit(lit));
@@ -648,7 +636,6 @@ impl SymbolActor {
                     || (!lit.is_pos() && !self.lit_state_ref(lit.complement()).attempted);
                 self.lit_state(lit).triggered = true;
                 self.stats.triggers += 1;
-                self.journal(ctx.now(), JournalKind::Triggered(lit));
                 self.obs.rec(ctx.now(), SpanKind::Triggered { lit: olit(lit) });
                 if force_here {
                     let st = self.lit_state(lit);
@@ -821,7 +808,6 @@ impl SymbolActor {
                 self.rec_guard_eval(ctx.now(), lit, Verdict::Parked);
                 if self.stats.first_parked_at.is_none() {
                     self.stats.first_parked_at = Some(ctx.now());
-                    self.journal(ctx.now(), JournalKind::Parked(lit));
                     self.obs.rec(ctx.now(), SpanKind::Parked { lit: olit(lit) });
                 }
                 self.pursue_needs(ctx, lit);
@@ -872,10 +858,6 @@ impl SymbolActor {
             match &m {
                 Msg::PromiseRequest { lit: f, .. } => {
                     let target = self.routing.actor_of[&f.symbol()];
-                    self.journal(
-                        ctx.now(),
-                        JournalKind::PromiseRequested { lit: *f, for_lit: lit },
-                    );
                     self.obs.rec(
                         ctx.now(),
                         SpanKind::PromiseOpen { lit: olit(*f), for_lit: olit(lit) },
@@ -922,7 +904,6 @@ impl SymbolActor {
         let seq = ctx.delivery_seq();
         self.occurred = Some((lit, at, seq));
         self.stats.occurred_at = Some(at);
-        self.journal(at, JournalKind::Occurred(lit));
         if self.obs.enabled() {
             let kind = SpanKind::Occurred { lit: olit(lit), seq, by_acceptance };
             match eval_span {
@@ -965,19 +946,14 @@ impl SymbolActor {
         }
         // Announce to every subscriber.
         if let Some(subs) = self.routing.subscribers_of.get(&self.sym) {
-            let mut notified = 0;
             for &node in subs {
                 if node != ctx.self_id {
                     self.stats.announces_out += 1;
-                    notified += 1;
                     ctx.send(
                         node,
                         Msg::Announce { lit, at, seq, instance: self.announce_instance },
                     );
                 }
-            }
-            if notified > 0 {
-                self.journal(at, JournalKind::Announced { lit, subscribers: notified });
             }
         }
         self.release_all_requested(ctx);
@@ -993,7 +969,6 @@ impl SymbolActor {
     /// unresolved (reported by the executor).
     fn reject(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal) {
         self.stats.rejected += 1;
-        self.journal(ctx.now(), JournalKind::Rejected(lit));
         self.obs.rec(ctx.now(), SpanKind::Rejected { lit: olit(lit) });
         let was_forced = self.lit_state_ref(lit).forced;
         self.lit_state(lit).attempted = false;
@@ -1115,7 +1090,6 @@ impl SymbolActor {
         for &p in &party {
             let requester = self.routing.actor_of[&p.symbol()];
             self.stats.promises_granted += 1;
-            self.journal(ctx.now(), JournalKind::PromiseGranted(lit));
             self.obs.rec(ctx.now(), SpanKind::PromiseGrant { lit: olit(lit), to: requester.0 });
             ctx.send(requester, Msg::PromiseGrant { lit });
             self.pending_requests.remove(&(lit, p));
@@ -1179,7 +1153,6 @@ impl SymbolActor {
         }
         self.holds.insert(for_lit);
         self.stats.holds_granted += 1;
-        self.journal(ctx.now(), JournalKind::Held { lit, for_lit });
         ctx.send(requester, Msg::NotYetGrant { lit });
     }
 
@@ -1258,11 +1231,7 @@ impl SymbolActor {
 
     fn on_release(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId) {
         // Clear every hold whose requester lives at the releasing actor.
-        let before = self.holds.len();
         self.holds.retain(|h| self.routing.actor_of.get(&h.symbol()) != Some(&from));
-        if self.holds.len() != before {
-            self.journal(ctx.now(), JournalKind::Released(Literal::pos(self.sym)));
-        }
         if self.holds.is_empty() {
             self.after_fact(ctx, None);
         }

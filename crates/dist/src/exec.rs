@@ -10,9 +10,9 @@
 
 use crate::actor::{ActorStats, DepTracker, Routing, SymbolActor};
 use crate::agent_node::{AgentNode, Script};
-use crate::journal::{JournalKind, NodeStore};
 use crate::msg::{InstanceId, Msg};
 use crate::reliable::{Reliable, ReliableConfig};
+use crate::wal::{NodeStore, WalEntry};
 use agent::{EventAttrs, TaskAgent};
 use event_algebra::{
     normalize, satisfies, DependencyMachine, Expr, Literal, ShardPlan, SymbolId, SymbolTable, Trace,
@@ -93,8 +93,12 @@ pub struct WorkflowSpec {
     pub free_events: Vec<FreeEventSpec>,
 }
 
-/// Executor configuration. `Clone` (no longer `Copy`): the optional
-/// shard plan is shared by reference.
+/// Executor configuration. Every entry point — [`run_workflow`],
+/// [`run_workflow_with_faults`], [`crate::run_tenant`],
+/// [`crate::run_parallel_fleet`] — reads every field the same way, with
+/// two exceptions: a fleet takes each instance's `sim.seed` from its
+/// [`crate::Arrival`], and only `run_parallel_fleet` reads `parallel`.
+/// `Clone`, not `Copy`: the optional shard plan is shared by reference.
 #[derive(Debug, Clone, Default)]
 pub struct ExecConfig {
     /// Network parameters.
@@ -107,8 +111,6 @@ pub struct ExecConfig {
     /// re-evaluation to periodic ticks of this period, broadcast for the
     /// given number of rounds. `None` = the paper's eager scheduler.
     pub lazy: Option<(Time, u32)>,
-    /// Record a structured journal of every scheduling decision.
-    pub journal: bool,
     /// Protocol hardening for lossy networks: wrap cross-node messages in
     /// the at-least-once transport ([`Reliable`]) and arm promise-round
     /// timeouts on the actors. `None` (the default) sends raw messages —
@@ -118,11 +120,14 @@ pub struct ExecConfig {
     /// Dependency-residual tracking: precompiled machines (the default)
     /// or symbolic tree residuation (the reference oracle).
     pub dep_runtime: DepRuntime,
-    /// Attach a flight recorder: every guard evaluation, residual step,
-    /// message, promise-round phase, WAL append/replay and fault
-    /// injection becomes a causal trace span, returned on
-    /// [`RunReport::recording`]. `None` (the default) records nothing and
-    /// adds no work to the scheduling hot path.
+    /// Attach a flight recorder — the one decision log: every attempt,
+    /// guard evaluation, park, rejection, residual step, message,
+    /// promise-round phase, WAL append/replay and fault injection becomes
+    /// a causal trace span, returned on [`RunReport::recording`]. Each
+    /// instance of a fleet gets a recorder of its own and records exactly
+    /// the spans its solo run records, on the instance-local clock.
+    /// `None` (the default) constructs no recorder and adds no work to
+    /// the scheduling hot path.
     pub record: Option<RecordConfig>,
     /// Arm the online runtime monitors: per-dependency verdict machines,
     /// the guard-faithfulness check, the `□`-view divergence watch and the
@@ -155,7 +160,6 @@ impl ExecConfig {
             guard_mode: GuardMode::default(),
             max_steps: 1_000_000,
             lazy: None,
-            journal: false,
             reliable: None,
             dep_runtime: DepRuntime::default(),
             record: None,
@@ -282,8 +286,6 @@ pub struct RunReport {
     pub parked: Vec<Literal>,
     /// Promises granted but unfulfilled at quiescence.
     pub broken_promises: Vec<Literal>,
-    /// The execution journal (empty unless `ExecConfig::journal`).
-    pub journal: Vec<crate::journal::JournalEntry>,
     /// Whether the run actually converged or merely ran out of budget —
     /// a budget-exhausted report is not evidence of anything.
     pub termination: Termination,
@@ -331,8 +333,6 @@ pub struct BuiltWorkflow {
     pub injections: Vec<(NodeId, NodeId, Msg, Time)>,
     /// All symbols, in actor order.
     pub symbols: Vec<SymbolId>,
-    /// The shared journal, when enabled.
-    pub journal: Option<crate::journal::Journal>,
     /// The compiled faithful guards and dependency machines. Shared with
     /// the online monitors so arming them never recompiles the workflow
     /// — at small-spec scale the compile costs a sizable fraction of a
@@ -424,7 +424,6 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
     }
     let routing = Arc::new(routing);
     let lazy = config.lazy.is_some();
-    let journal = config.journal.then(crate::journal::Journal::new);
 
     // ----- instantiate nodes -----
     let mut nodes: Vec<(SiteId, Node)> = Vec::new();
@@ -467,7 +466,6 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
             Arc::clone(&routing),
         );
         actor.lazy = lazy;
-        actor.journal = journal.clone();
         actor.promise_timeout = config.reliable.map(|r| r.promise_timeout);
         let site = site_of_sym.get(&s).copied().unwrap_or(SiteId(0));
         nodes.push((site, Node::Actor(actor)));
@@ -501,7 +499,7 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
             injections.push((actor, actor, msg, after.saturating_sub(1)));
         }
     }
-    BuiltWorkflow { nodes, routing, injections, symbols: symbol_list, journal, guards: compiled }
+    BuiltWorkflow { nodes, routing, injections, symbols: symbol_list, guards: compiled }
 }
 
 /// Assemble a report from finished actors, read in place through
@@ -570,7 +568,6 @@ fn collect_report<'a>(
         actor_stats,
         parked,
         broken_promises,
-        journal: Vec::new(),
         termination,
         // Populated even on the fault-free path, so consumers can read
         // all-zero counters instead of special-casing `None`.
@@ -598,11 +595,10 @@ pub struct NetNode {
     /// Durable storage shared across the run (possibly across a whole
     /// tenant fleet), plus this node's instance and id keying its slice.
     store: Option<(NodeStore, InstanceId, u32)>,
-    /// The node as originally built (journal and recorder detached):
+    /// The node as originally built (recorder and monitor detached):
     /// volatile state is reset to this on restart before the log replays
     /// over it.
     pristine: Option<Box<Node>>,
-    journal: Option<crate::journal::Journal>,
     /// Flight-recorder handle for this node: WAL appends/replays are
     /// recorded here, and the handle is re-attached to the role after a
     /// crash rebuild (replay itself runs with recording detached, so
@@ -665,7 +661,7 @@ impl Process<Msg> for NetNode {
             store.append(
                 *instance,
                 *id,
-                crate::journal::WalEntry {
+                WalEntry {
                     from,
                     msg: payload.clone(),
                     at: ctx.now(),
@@ -726,7 +722,7 @@ impl Process<Msg> for NetNode {
         // instead of fabricating a fresh sequence number. Sends are
         // suppressed: everything the pre-crash node sent was either
         // delivered, or is covered by peers' retransmissions and the
-        // resume step below. The journal stays detached during replay so
+        // resume step below. The recorder stays detached during replay so
         // rebuilt decisions are not re-recorded.
         let replayed = log.len();
         {
@@ -737,14 +733,10 @@ impl Process<Msg> for NetNode {
             }
         }
         if let Node::Actor(a) = &mut self.role {
-            a.journal = self.journal.clone();
             a.obs = self.obs.clone();
             a.mon = self.mon.clone();
         }
         self.obs.rec(ctx.now(), SpanKind::WalReplay { entries: replayed as u64 });
-        if let Some(j) = &self.journal {
-            j.record(ctx.now(), JournalKind::Restarted { node: ctx.self_id.0, replayed });
-        }
         // Re-kick in-flight work; outputs go through the transport.
         let mut out: Vec<(NodeId, Msg, Time)> = Vec::new();
         {
@@ -772,7 +764,6 @@ pub(crate) fn wrap_nodes(
     nodes: Vec<(SiteId, Node)>,
     reliable: Option<ReliableConfig>,
     store: Option<NodeStore>,
-    journal: Option<crate::journal::Journal>,
     obs: &Obs,
     mon: Option<Arc<WorkflowMonitor>>,
     instance: InstanceId,
@@ -792,7 +783,6 @@ pub(crate) fn wrap_nodes(
             let pristine = store.is_some().then(|| {
                 let mut p = role.clone();
                 if let Node::Actor(a) = &mut p {
-                    a.journal = None;
                     a.obs = NodeObs::off();
                     a.mon = None;
                 }
@@ -808,7 +798,6 @@ pub(crate) fn wrap_nodes(
                 reliable: r,
                 store: store.clone().map(|s| (s, instance, ix as u32)),
                 pristine,
-                journal: journal.clone(),
                 obs: node_obs,
                 mon: mon.clone(),
             };
@@ -928,8 +917,8 @@ pub(crate) struct InstanceTotals {
 /// [`ExecConfig::step_budget`], and tear everything down into a report.
 ///
 /// `built` is the workflow the nodes were built (or cloned) from: its
-/// routing, symbols, compiled guards and journal are borrowed, so a
-/// fleet runs every instance of a template against one prototype.
+/// routing, symbols and compiled guards are borrowed, so a fleet runs
+/// every instance of a template against one prototype.
 /// `instance` stamps the transport and keys the store slice. The report's
 /// metrics snapshot is left empty — solo callers record one on top,
 /// fleets roll their own up, so no instance pays for a registry it does
@@ -963,15 +952,7 @@ pub(crate) fn run_instance(
     });
     let obs = config.record.map_or_else(Obs::off, Obs::on);
     let (plan, store) = faults.unzip();
-    let nodes = wrap_nodes(
-        nodes,
-        config.reliable,
-        store,
-        built.journal.clone(),
-        &obs,
-        mon.clone(),
-        instance,
-    );
+    let nodes = wrap_nodes(nodes, config.reliable, store, &obs, mon.clone(), instance);
     let mut net: Network<Msg, NetNode> = Network::new(config.sim, nodes);
     net.set_recorder(obs.clone(), Msg::kind_label);
     if let Some(plan) = plan {
@@ -1000,9 +981,6 @@ pub(crate) fn run_instance(
     let mut report = collect_report(spec, &built.symbols, actor_of, duration, outcome, stats);
     if let Some(fs) = fault_stats {
         report.fault_stats = Some(fs);
-    }
-    if let Some(j) = &built.journal {
-        report.journal = j.entries();
     }
     if let Some(m) = mon {
         let mrep = m.finish(duration);

@@ -11,13 +11,15 @@
 //! own prototypes, lets the workers claim arrivals from one atomic
 //! counter, and runs each claim to completion through
 //! `exec::run_instance` — the function that also runs a solo workflow —
-//! on the claiming thread. Two instances never meet.
+//! on the claiming thread, under the fleet's [`ExecConfig`] with the
+//! arrival's seed and no other change (so a recorded fleet records every
+//! instance). Two instances never meet.
 
 use crate::exec::{
     build_workflow, run_instance, BuiltWorkflow, ExecConfig, Node, RunReport, WorkflowSpec,
 };
-use crate::journal::NodeStore;
 use crate::msg::{InstanceId, Msg};
+use crate::wal::NodeStore;
 use event_algebra::Literal;
 use sim::{FaultPlan, NodeId, SiteId, Time, WorkerLoad};
 use std::collections::{BTreeMap, BTreeSet};
@@ -73,13 +75,10 @@ impl Arrival {
     }
 
     /// The [`ExecConfig`] this arrival runs under, in a fleet and in its
-    /// isolated baseline alike: `base` with the arrival's seed, journal
-    /// and flight recording off (per-run artifacts a fleet does not keep).
+    /// isolated baseline alike: `base` with the arrival's seed.
     pub(crate) fn exec(&self, base: &ExecConfig) -> ExecConfig {
         let mut exec = base.clone();
         exec.sim.seed = self.seed;
-        exec.journal = false;
-        exec.record = None;
         exec
     }
 
@@ -140,10 +139,14 @@ pub struct InstanceOutcome {
     pub cross_instance_dropped: u64,
     /// The instance's run report, identical to what an independent
     /// single-instance run of the same seed produces — traffic
-    /// statistics, monitor report and all — with one exception: from
+    /// statistics, monitor report, the spans of the flight recording
+    /// (when [`ExecConfig::record`] is set) and all — with two
+    /// exceptions. The `metrics` snapshot, and the copy of it inside
+    /// `recording`, stay empty: fleets roll their own up. And from
     /// [`crate::run_parallel_fleet`] every occurrence tick has
-    /// `arrived_at` added, so occurrence timestamps are *fleet-clock*
-    /// values there and instance-local from [`crate::run_tenant`].
+    /// `arrived_at` added, so `occurrences` timestamps are *fleet-clock*
+    /// values there and instance-local from [`crate::run_tenant`];
+    /// recorded spans keep instance-local timestamps on both.
     pub report: RunReport,
 }
 
@@ -197,14 +200,13 @@ pub(crate) fn run_instances(
         assert!(seen.insert(id), "duplicate instance id {id}");
     }
     let workers = workers.clamp(1, arrivals.len().max(1));
-    // One compiled prototype per template and worker: guards compiled
-    // once, dependency machines Arc'd once, shared by every clone.
-    let proto_exec = ExecConfig { journal: false, record: None, ..exec.clone() };
     // The claim counter publishes nothing but the index itself.
     let claimed = AtomicUsize::new(0);
     let work = |w: usize| {
+        // One compiled prototype per template and worker: guards compiled
+        // once, dependency machines Arc'd once, shared by every clone.
         let protos: Vec<BuiltWorkflow> =
-            specs.iter().map(|s| build_workflow(s, proto_exec.clone())).collect();
+            specs.iter().map(|s| build_workflow(s, exec.clone())).collect();
         let started = Instant::now();
         let (mut load, mut run_ns) = (WorkerLoad::default(), 0u64);
         let mut outcomes = Vec::new();

@@ -15,12 +15,12 @@ mod actor;
 mod agent_node;
 mod exec;
 mod fleet;
-mod journal;
 mod msg;
 pub mod parallel;
 pub mod param;
 mod reliable;
 pub mod tenant;
+mod wal;
 
 pub use actor::{ActorStats, DepTracker, LitState, Routing, SymbolActor};
 pub use agent_node::{AgentNode, Script, ScriptStep};
@@ -29,8 +29,8 @@ pub use exec::{
     DepRuntime, ExecConfig, FreeEventSpec, GuardMode, NetNode, Node, RunReport, WorkflowSpec,
 };
 pub use fleet::{Arrival, InstanceOutcome};
-pub use journal::{Journal, JournalEntry, JournalKind, NodeStore, WalEntry};
 pub use msg::{InstanceId, Msg};
 pub use parallel::{run_parallel_fleet, ParallelFleetReport};
 pub use reliable::{Reliable, ReliableConfig};
 pub use tenant::{run_tenant, TenantConfig, TenantReport};
+pub use wal::{NodeStore, WalEntry};

@@ -52,8 +52,9 @@ impl ParallelFleetReport {
 /// difference is the clock the report is written on: every occurrence
 /// tick has the arrival's admission time added, so timestamps are
 /// fleet-clock values (`tick - arrived_at` is the instance-local one).
-/// Sequence numbers, `duration`, `steps`, `termination`, traffic and
-/// monitor reports stay the instance's own.
+/// Sequence numbers, `duration`, `steps`, `termination`, traffic,
+/// monitor reports and flight recordings (instance-local timestamps)
+/// stay the instance's own.
 ///
 /// # Panics
 ///

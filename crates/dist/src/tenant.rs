@@ -14,20 +14,22 @@
 //! **Isolation by construction.** An instance is run by the very function
 //! that runs a solo workflow (`exec::run_instance`, reached through the
 //! one fleet runner in `fleet.rs`): it owns its own seeded
-//! [`sim::Network`], its announcements and envelopes are stamped with its
-//! [`InstanceId`] (and filtered on receipt), and its write-ahead-log
-//! slice in the shared [`NodeStore`] is keyed by `(instance, node)`. A tenant run of instance *i* is therefore
+//! [`sim::Network`] and its own flight recorder (when
+//! [`ExecConfig::record`] is set), its announcements and envelopes are
+//! stamped with its [`InstanceId`] (and filtered on receipt), and its
+//! write-ahead-log slice in the shared [`NodeStore`] is keyed by
+//! `(instance, node)`. A tenant run of instance *i* is therefore
 //! byte-identical to an independent [`crate::run_workflow_with_faults`]
-//! of the same spec, seed and fault plan — there is no second code path
-//! to keep in step. The ninth conformance audit
+//! of the same spec, seed and fault plan, recorded spans included —
+//! there is no second code path to keep in step. The ninth conformance audit
 //! (`testkit::conformance::audit_tenant_isolation`) checks exactly this
 //! equivalence end-to-end, and [`TenantConfig::cross_wire`] is the
 //! mutation knob that proves the audit can fail.
 
 use crate::exec::{ExecConfig, WorkflowSpec};
 use crate::fleet::{run_instances, Arrival, InstanceOutcome};
-use crate::journal::NodeStore;
 use crate::msg::InstanceId;
+use crate::wal::NodeStore;
 use obs::{MetricsRegistry, MetricsSnapshot};
 use sim::{FaultPlan, Termination, Time};
 use std::collections::BTreeMap;
@@ -35,10 +37,10 @@ use std::collections::BTreeMap;
 /// Fleet configuration.
 #[derive(Debug, Clone)]
 pub struct TenantConfig {
-    /// Base executor configuration shared by every instance (each
+    /// Base executor configuration shared by every instance. Each
     /// instance's network seed comes from its [`Arrival`], not from
-    /// here). Journals and flight recording are per-run artifacts and
-    /// are forced off inside the fleet.
+    /// here; every other field means what it means on a solo run —
+    /// `record` gives every instance a flight recorder of its own.
     pub exec: ExecConfig,
     /// Fault plan applied to every instance's network (cloned per
     /// instance, so fault decisions are also per-instance
@@ -64,8 +66,8 @@ impl TenantConfig {
     }
 
     /// The [`ExecConfig`] an *independent* run of `arrival` uses: the
-    /// base config with the arrival's seed and journal/recording off —
-    /// it is the config the fleet itself hands the instance.
+    /// base config with the arrival's seed — it is the config the fleet
+    /// itself hands the instance.
     pub fn instance_exec(&self, arrival: &Arrival) -> ExecConfig {
         arrival.exec(&self.exec)
     }

@@ -1,5 +1,5 @@
 //! Crash–restart recovery: a `SymbolActor` killed mid-promise-round must
-//! rebuild its state from the durable journal on restart and either
+//! rebuild its state from the write-ahead log on restart and either
 //! complete the round or abort it cleanly — never leave a phantom
 //! promise behind.
 //!
@@ -8,10 +8,9 @@
 //! between their actors, so a well-timed crash lands inside a round.
 
 use agent::EventAttrs;
-use dist::{
-    run_workflow_with_faults, ExecConfig, FreeEventSpec, JournalKind, ReliableConfig, WorkflowSpec,
-};
+use dist::{run_workflow_with_faults, ExecConfig, FreeEventSpec, ReliableConfig, WorkflowSpec};
 use event_algebra::{parse_expr, SymbolTable};
+use obs::SpanKind;
 use sim::{FaultPlan, NodeId, SiteId, Termination};
 use testkit::conformance::{audit_guards, check_determinism};
 
@@ -47,15 +46,15 @@ fn mutual_promise_spec() -> WorkflowSpec {
 fn reliable_config(seed: u64) -> ExecConfig {
     let mut config = ExecConfig::seeded(seed);
     config.reliable = Some(ReliableConfig::default());
-    config.journal = true;
+    config.record = Some(obs::RecordConfig::default());
     config
 }
 
 /// Kill actor 0 (symbol `e`) shortly after startup — inside the first
 /// promise round — and restart it. The restarted actor replays its
-/// journal, the retransmission layer re-delivers what the crash ate, and
-/// the round completes: both events fire, views agree, no broken
-/// promises.
+/// write-ahead log, the retransmission layer re-delivers what the crash
+/// ate, and the round completes: both events fire, views agree, no
+/// broken promises.
 #[test]
 fn killed_actor_recovers_and_round_completes() {
     let spec = mutual_promise_spec();
@@ -69,13 +68,14 @@ fn killed_actor_recovers_and_round_completes() {
     assert!(report.broken_promises.is_empty(), "phantom promise: {:?}", report.broken_promises);
     assert!(audit_guards(&spec, &report).is_empty());
 
-    let restarted = report
-        .journal
-        .iter()
-        .any(|entry| matches!(entry.kind, JournalKind::Restarted { node: 0, .. }));
-    let rendered: Vec<String> =
-        report.journal.iter().map(|entry| entry.kind.display(&spec.table)).collect();
-    assert!(restarted, "journal records the restart: {rendered:?}");
+    // The recording shows the recovery: node 0 restarts, then replays
+    // its log, in that order.
+    let rec = report.recording.as_ref().expect("recording on");
+    let at =
+        |want: fn(&SpanKind) -> bool| rec.events.iter().position(|e| e.node == 0 && want(&e.kind));
+    let restart = at(|k| matches!(k, SpanKind::Restart { node: 0 }));
+    let replay = at(|k| matches!(k, SpanKind::WalReplay { .. }));
+    assert!(restart.is_some() && restart < replay, "{}", obs::stats_text(rec));
 }
 
 /// Same crash, but the node never comes back. The surviving actor's
@@ -99,8 +99,9 @@ fn permanently_crashed_peer_aborts_round_cleanly() {
 }
 
 /// The crash–restart schedule is part of the deterministic simulation:
-/// the same (workflow, plan, seed) triple reproduces the journal byte
-/// for byte, including the `Restarted` entry and replay count.
+/// the same (workflow, plan, seed) triple reproduces the flight
+/// recording span for span, including the `restart` span and the
+/// `wal_replay` span's entry count.
 #[test]
 fn crash_restart_runs_are_deterministic() {
     let spec = mutual_promise_spec();
@@ -111,8 +112,8 @@ fn crash_restart_runs_are_deterministic() {
 
 /// A crash window that opens *before* the seed injections land: the
 /// actor loses its initial `Attempt` entirely and must be revived by the
-/// retransmission layer alone. State is re-derived from an empty journal
-/// (`replayed == 0` is legal) and the workflow still completes.
+/// retransmission layer alone. State is re-derived from an empty log
+/// (replaying 0 entries is legal) and the workflow still completes.
 #[test]
 fn crash_before_first_delivery_still_recovers() {
     let spec = mutual_promise_spec();

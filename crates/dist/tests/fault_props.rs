@@ -94,7 +94,7 @@ fn disjoint_arrows_fixpoint_survives_faults() {
 }
 
 /// REPLAY: a faulty run is a pure function of (workflow, plan, seed) —
-/// re-running reproduces the journal byte for byte and the trace,
+/// re-running reproduces the flight recording span for span and the trace,
 /// duration and step count exactly.
 #[test]
 fn faulty_runs_replay_bit_for_bit() {

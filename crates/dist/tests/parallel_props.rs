@@ -4,7 +4,7 @@
 //! identical at every worker count.
 
 use agent::EventAttrs;
-use dist::{run_parallel_fleet, run_tenant, ExecConfig, FreeEventSpec, TenantConfig, WorkflowSpec};
+use dist::{run_parallel_fleet, ExecConfig, FreeEventSpec, TenantConfig, WorkflowSpec};
 use event_algebra::{parse_expr, SymbolId, SymbolTable};
 use monitor::MonitorConfig;
 use sim::{ParallelConfig, SiteId};
@@ -136,39 +136,58 @@ fn mixed_fleet() -> (Vec<WorkflowSpec>, Vec<dist::Arrival>) {
     (specs, arrivals)
 }
 
-/// ONE RUNNER, TWO REPORT SHAPES: over the fixed mixed fleet and over
-/// random workload fleets, at 1, 2 and 4 workers, every
-/// `run_parallel_fleet` instance is the `run_tenant` instance of the
-/// same arrival — occurrences once `arrived_at` is subtracted, sequences,
-/// steps, duration, termination, fused-monitor verdicts and alert kinds
-/// — and `ParallelFleetReport::net` is the sum of the instances'
-/// `NetStats`.
+/// ONE RUNNER, TWO REPORT SHAPES: over the fixed mixed fleet — unrecorded
+/// and with the flight recorder on — and over random workload fleets, at
+/// 1, 2 and 4 workers, every `run_parallel_fleet` instance is the
+/// `run_tenant` instance of the same arrival — occurrences once
+/// `arrived_at` is subtracted, sequences, steps, duration, termination,
+/// fused-monitor verdicts, alert kinds and recorded spans — and
+/// `ParallelFleetReport::net` is the sum of the instances' `NetStats`.
+/// The tenant side goes through the ninth audit, so both equal the
+/// arrival's isolated run.
 #[test]
 fn parallel_fleet_is_the_tenant_fleet_on_the_fleet_clock() {
-    let against_tenant = |specs: &[WorkflowSpec], arrivals: &[dist::Arrival], seed: u64| {
-        let tenant = run_tenant(specs, arrivals, &TenantConfig::new(fleet_exec(seed, 1)));
-        for workers in [1, 2, 4] {
-            let fleet = run_parallel_fleet(specs, arrivals, &fleet_exec(seed, workers));
-            let failures = diff_fleet_reports(&fleet, &tenant);
-            assert!(failures.is_empty(), "seed {seed}, {workers} workers: {failures:?}");
-            assert!(fleet.instances.iter().all(|o| o.report.monitor.is_some()), "fused monitors");
-        }
-        tenant
-    };
+    let against_tenant =
+        |specs: &[WorkflowSpec], arrivals: &[dist::Arrival], seed: u64, record: bool| {
+            let exec = |workers: usize| {
+                let mut exec = fleet_exec(seed, workers);
+                exec.record = record.then(obs::RecordConfig::default);
+                exec
+            };
+            let (failures, tenant) =
+                audit_tenant_isolation(specs, arrivals, &TenantConfig::new(exec(1)));
+            assert!(failures.is_empty(), "seed {seed}: {failures:?}");
+            for workers in [1, 2, 4] {
+                let fleet = run_parallel_fleet(specs, arrivals, &exec(workers));
+                let failures = diff_fleet_reports(&fleet, &tenant);
+                assert!(failures.is_empty(), "seed {seed}, {workers} workers: {failures:?}");
+                for o in &fleet.instances {
+                    assert!(o.report.monitor.is_some(), "fused monitors");
+                    assert_eq!(o.report.recording.is_some(), record, "recorded iff asked");
+                    if let Some(rec) = &o.report.recording {
+                        assert_eq!(rec.dropped, 0, "instance {}", o.instance);
+                        assert_eq!(obs::causal_audit(rec), Vec::<String>::new(), "{}", o.instance);
+                    }
+                }
+            }
+            tenant
+        };
     let (specs, arrivals) = mixed_fleet();
     for spec_ix in 0..specs.len() {
         assert!(arrivals.iter().any(|a| a.spec_ix == spec_ix), "template {spec_ix} is in the mix");
     }
     assert!(arrivals.iter().any(|a| !a.think.is_empty()), "think-time overrides are in the mix");
-    let tenant = against_tenant(&specs, &arrivals, 5);
-    assert!(tenant.all_satisfied());
-    assert_eq!(tenant.events, 274);
+    for record in [false, true] {
+        let tenant = against_tenant(&specs, &arrivals, 5, record);
+        assert!(tenant.all_satisfied());
+        assert_eq!(tenant.events, 274);
+    }
 
     check("parallel_fleet_is_the_tenant_fleet_on_the_fleet_clock", CASES, |g| {
         let seed = g.range(0u64..10);
         let n = g.range(1u64..9);
         let specs = vec![drive(&chain_spec(5)), drive(&precedence_spec(3)), drive(&chain_spec(2))];
         let arrivals = generate(&specs, &WorkloadConfig::new(n, seed));
-        against_tenant(&specs, &arrivals, seed);
+        against_tenant(&specs, &arrivals, seed, false);
     });
 }

@@ -1,8 +1,9 @@
 //! Property tests of the multi-tenant engine: random seeded workloads
 //! never leak facts across instance boundaries (the isolation audit
 //! stays green under lossy links), fleets are shard-invariant, budget
-//! exhaustion is reported honestly, and a deliberately cross-wired
-//! instance is always caught and correctly attributed.
+//! exhaustion is reported honestly, a deliberately cross-wired
+//! instance is always caught and correctly attributed, and a recorded
+//! fleet hands back every instance's solo flight recording.
 
 use dist::{
     run_tenant, Arrival, ExecConfig, InstanceId, ReliableConfig, TenantConfig, TenantReport,
@@ -225,6 +226,45 @@ fn fleet_histories_are_pinned() {
                 faulty,
                 "{name}: {dropped} drops, {restarts} restarts"
             );
+        }
+    }
+}
+
+/// RECORDED FLEETS: with `exec.record` set, every instance of the pinned
+/// fleet comes back with a complete, causally sound flight recording
+/// that is its isolated run's span for span (the ninth audit compares
+/// them), fault-free and under drop20 + crash, at one shard and at two —
+/// and turning the recorder on moves no delivery. Without it no
+/// instance carries a recording.
+#[test]
+fn recorded_fleets_carry_every_instances_solo_recording() {
+    let (specs, arrivals) = pinned_fleet();
+    let clean = TenantConfig::new(ExecConfig::seeded(5));
+    let mut faulty = clean.clone();
+    faulty.exec.reliable = Some(ReliableConfig::default());
+    faulty.plan = Some(FaultPlan::new(0xD20C).drop_rate(0.2).crash(NodeId(0), 40, Some(300)));
+    for (name, quiet) in [("fault-free", clean), ("drop20+crash", faulty)] {
+        let unrecorded = run_tenant(&specs, &arrivals, &quiet);
+        assert!(unrecorded.instances.iter().all(|o| o.report.recording.is_none()), "{name}");
+        for shards in [1, 2] {
+            let mut config = quiet.clone();
+            config.shards = shards;
+            config.exec.record = Some(obs::RecordConfig::default());
+            let (failures, fleet) = audit_tenant_isolation(&specs, &arrivals, &config);
+            assert_eq!(failures, Vec::<String>::new(), "{name}, {shards} shards");
+            assert_eq!(history_digest(&fleet), history_digest(&unrecorded), "{name}, {shards}");
+            for o in &fleet.instances {
+                let rec = o.report.recording.as_ref().expect("every instance is recorded");
+                assert!(!rec.events.is_empty() && rec.dropped == 0, "{name}, {}", o.instance);
+                assert_eq!(obs::causal_audit(rec), Vec::<String>::new(), "{name}, {}", o.instance);
+            }
+            let replays = fleet
+                .instances
+                .iter()
+                .flat_map(|o| &o.report.recording.as_ref().expect("recorded").events)
+                .filter(|e| matches!(e.kind, obs::SpanKind::WalReplay { .. }))
+                .count();
+            assert_eq!(replays > 0, config.plan.is_some(), "{name}: {replays} WAL replays");
         }
     }
 }

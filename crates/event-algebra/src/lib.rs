@@ -66,7 +66,7 @@ pub use expr::{Expr, ExprDisplay};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use machine::{DependencyMachine, StateId};
 pub use norm::{is_normal, normalize};
-pub use parse::{parse_expr, ParseError};
+pub use parse::{parse_expr, ParseError, MAX_NESTING};
 pub use pexpr::{Binding, PEvent, PExpr, PLit, Term};
 pub use product::{Classification, ProductMachine, Reach, StateBudget};
 pub use residue::{

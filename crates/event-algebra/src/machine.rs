@@ -11,11 +11,8 @@
 use crate::arena::{ExprArena, ExprId};
 use crate::expr::Expr;
 use crate::fxhash::FxHashMap;
-use crate::norm::normalize;
-use crate::residue::residuate;
 use crate::symbol::{Literal, SymbolId, SymbolTable};
 use crate::trace::Trace;
-use std::collections::HashMap;
 
 /// Index of a state in a [`DependencyMachine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -135,13 +132,14 @@ impl DependencyMachine {
     }
 
     /// Reference compilation on the tree representation (the pre-arena
-    /// code path), kept as the oracle for the arena ≡ tree isomorphism
-    /// tests and the "before" leg of the benches.
-    pub fn compile_tree_reference(dependency: &Expr) -> DependencyMachine {
-        let dep = normalize(dependency);
+    /// code path): the oracle of the arena ≡ tree isomorphism tests in
+    /// this crate, and compiled for them only.
+    #[cfg(test)]
+    pub(crate) fn compile_tree_reference(dependency: &Expr) -> DependencyMachine {
+        let dep = crate::norm::normalize(dependency);
         let alphabet: Vec<Literal> = dep.gamma().into_iter().collect();
         let mut states: Vec<Expr> = vec![dep.clone()];
-        let mut index: HashMap<Expr, StateId> = HashMap::new();
+        let mut index: std::collections::HashMap<Expr, StateId> = Default::default();
         index.insert(dep.clone(), StateId(0));
         let mut transitions = FxHashMap::default();
         let mut frontier = vec![StateId(0)];
@@ -151,7 +149,7 @@ impl DependencyMachine {
                 if !state.mentions(lit.symbol()) {
                     continue; // R6: self-loop, left implicit.
                 }
-                let next = residuate(&state, lit);
+                let next = crate::residue::residuate(&state, lit);
                 let nid = *index.entry(next.clone()).or_insert_with(|| {
                     let id = StateId(states.len() as u32);
                     states.push(next.clone());
@@ -407,6 +405,7 @@ mod tests {
     use crate::semantics::satisfies;
     use crate::symbol::SymbolId;
     use crate::trace::enumerate_maximal;
+    use std::collections::HashMap;
 
     fn setup() -> (SymbolTable, Literal, Literal) {
         let mut t = SymbolTable::new();

@@ -40,9 +40,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deeply parentheses, brackets and prefix operators may nest in any
+/// text this workspace parses (`parse_expr`, `temporal::parse_texpr`, the
+/// `speclang` workflow parser; `obs::json` carries the same number).
+/// The parsers are recursive-descent, so input nested deeper than the
+/// stack allows would abort the process; past this depth they return an
+/// ordinary parse error instead. Hand-written specifications nest a
+/// handful of levels.
+pub const MAX_NESTING: usize = 128;
+
 /// Parse an event-algebra expression, interning identifiers into `table`.
 pub fn parse_expr(input: &str, table: &mut SymbolTable) -> Result<Expr, ParseError> {
-    let mut p = Parser { input: input.as_bytes(), pos: 0, table };
+    let mut p = Parser { input: input.as_bytes(), pos: 0, depth: 0, table };
     let e = p.expr()?;
     p.skip_ws();
     if p.pos != p.input.len() {
@@ -54,6 +63,8 @@ pub fn parse_expr(input: &str, table: &mut SymbolTable) -> Result<Expr, ParseErr
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Open parentheses around `pos`, capped at [`MAX_NESTING`].
+    depth: usize,
     table: &'a mut SymbolTable,
 }
 
@@ -109,8 +120,13 @@ impl Parser<'_> {
     fn atom(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
             Some(b'(') => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.err(&format!("nested deeper than {MAX_NESTING} levels")));
+                }
                 self.pos += 1;
+                self.depth += 1;
                 let e = self.expr()?;
+                self.depth -= 1;
                 if !self.eat(b')') {
                     return Err(self.err("expected ')'"));
                 }
@@ -232,6 +248,17 @@ mod tests {
         assert!(parse_expr("a b", &mut t).is_err());
         assert!(parse_expr("", &mut t).is_err());
         assert!(parse_expr("~", &mut t).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}e{}", "(".repeat(n), ")".repeat(n));
+        let mut t = SymbolTable::new();
+        assert!(parse_expr(&nested(MAX_NESTING), &mut t).is_ok());
+        let err = parse_expr(&nested(MAX_NESTING + 1), &mut t).unwrap_err();
+        assert_eq!(err.offset, MAX_NESTING);
+        assert!(err.message.contains("nested deeper"), "{err}");
+        assert!(parse_expr(&nested(100_000), &mut t).is_err());
     }
 
     #[test]

@@ -12,13 +12,11 @@
 
 #![warn(missing_docs)]
 
-mod analysis;
 mod paths;
 mod synth;
 pub mod theorems;
 mod workflow;
 
-pub use analysis::{analyze, analyze_with_budget, Analysis, DEFAULT_STATE_BUDGET};
 pub use paths::{guard_via_paths, path_guard, paths_to_top};
 pub use synth::{guard_of, pairwise_disjoint, GuardSynth};
 pub use workflow::{CompiledWorkflow, GuardScope};

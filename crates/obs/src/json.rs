@@ -8,6 +8,14 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// How deeply arrays and objects may nest in a document [`Json::parse`]
+/// accepts — the number `event_algebra::MAX_NESTING` caps the
+/// specification parsers at (this crate stays dependency-free, so it is
+/// repeated here). The parser is recursive-descent: past this depth it
+/// returns an error instead of overflowing the stack. A recording nests
+/// five levels.
+pub const MAX_NESTING: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -156,7 +164,7 @@ impl Json {
     /// Parse a JSON document. Errors carry a byte offset and message.
     pub fn parse(src: &str) -> Result<Json, String> {
         let bytes = src.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { bytes, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -188,6 +196,8 @@ fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`, capped at [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -229,12 +239,23 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!("unexpected {:?} at byte {}", other as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parse an array or object, one nesting level down.
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!("nested deeper than {MAX_NESTING} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = inner(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -403,6 +424,16 @@ mod tests {
         assert!(Json::parse("{} x").is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&arrays(MAX_NESTING)).is_ok());
+        let err = Json::parse(&arrays(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nested deeper") && err.contains("byte 128"), "{err}");
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"k\":".repeat(200_000)).is_err());
     }
 
     #[test]

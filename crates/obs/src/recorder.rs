@@ -1,5 +1,5 @@
-//! The [`Recorder`] trait, the ring-buffered [`FlightRecorder`], and the
-//! cheap handles ([`Obs`], [`NodeObs`]) the runtime threads through itself.
+//! The ring-buffered [`FlightRecorder`] and the cheap handles ([`Obs`],
+//! [`NodeObs`]) the runtime threads through itself.
 //!
 //! # Zero cost when disabled
 //!
@@ -73,52 +73,6 @@ pub enum ParentRef {
     Span(SpanId),
 }
 
-/// A sink for trace events.
-pub trait Recorder {
-    /// Append one record; returns its id, or `None` if recording is off.
-    fn record_event(
-        &self,
-        at: Time,
-        node: u32,
-        site: u32,
-        parent: ParentRef,
-        kind: SpanKind,
-    ) -> Option<SpanId>;
-
-    /// Set the cursor (current causal scope).
-    fn set_cursor(&self, _cursor: Option<SpanId>) {}
-
-    /// The current cursor.
-    fn cursor(&self) -> Option<SpanId> {
-        None
-    }
-
-    /// `true` if records are actually kept. Call sites use this to skip
-    /// payload construction entirely.
-    fn enabled(&self) -> bool;
-}
-
-/// The default recorder: keeps nothing, reports itself disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn record_event(
-        &self,
-        _at: Time,
-        _node: u32,
-        _site: u32,
-        _parent: ParentRef,
-        _kind: SpanKind,
-    ) -> Option<SpanId> {
-        None
-    }
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
 #[derive(Debug)]
 struct RecorderInner {
     ring: VecDeque<TraceEvent>,
@@ -133,8 +87,8 @@ struct RecorderInner {
 
 /// A shared, ring-buffered event sink.
 ///
-/// Clones share the same buffer (`Arc<Mutex<..>>`), mirroring how the
-/// journal is threaded through actors. Span ids come from one monotone
+/// Clones share the same buffer (`Arc<Mutex<..>>`): one recorder is
+/// threaded through every node of a run. Span ids come from one monotone
 /// counter, so id order is global record order even after the ring wraps.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
@@ -197,17 +151,17 @@ impl FlightRecorder {
     pub fn take_events(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.inner.lock().expect("recorder lock").ring).into()
     }
-}
 
-impl Recorder for FlightRecorder {
-    fn record_event(
+    /// Append one record and return its id (allocated even when sampling
+    /// elides the payload).
+    pub fn record_event(
         &self,
         at: Time,
         node: u32,
         site: u32,
         parent: ParentRef,
         kind: SpanKind,
-    ) -> Option<SpanId> {
+    ) -> SpanId {
         let mut inner = self.inner.lock().expect("recorder lock");
         let id = SpanId(inner.next_id);
         inner.next_id += 1;
@@ -216,7 +170,7 @@ impl Recorder for FlightRecorder {
             && !mix64(inner.sample_seed ^ id.0).is_multiple_of(inner.sample as u64)
         {
             inner.sampled_out += 1;
-            return Some(id);
+            return id;
         }
         let parent = match parent {
             ParentRef::Cursor => inner.cursor,
@@ -228,19 +182,17 @@ impl Recorder for FlightRecorder {
             inner.dropped += 1;
         }
         inner.ring.push_back(TraceEvent { id, parent, at, node, site, kind });
-        Some(id)
+        id
     }
 
-    fn set_cursor(&self, cursor: Option<SpanId>) {
+    /// Set the cursor (current causal scope).
+    pub fn set_cursor(&self, cursor: Option<SpanId>) {
         self.inner.lock().expect("recorder lock").cursor = cursor;
     }
 
-    fn cursor(&self) -> Option<SpanId> {
+    /// The current cursor.
+    pub fn cursor(&self) -> Option<SpanId> {
         self.inner.lock().expect("recorder lock").cursor
-    }
-
-    fn enabled(&self) -> bool {
-        true
     }
 }
 
@@ -315,21 +267,8 @@ impl Obs {
         self.record_event(at, node, site, parent, kind)
     }
 
-    /// Set the causal cursor.
-    #[inline]
-    pub fn set_cursor(&self, cursor: Option<SpanId>) {
-        Recorder::set_cursor(self, cursor);
-    }
-
-    /// The causal cursor.
-    #[inline]
-    pub fn cursor(&self) -> Option<SpanId> {
-        Recorder::cursor(self)
-    }
-}
-
-impl Recorder for Obs {
-    fn record_event(
+    /// Append one record; returns its id, or `None` if recording is off.
+    pub fn record_event(
         &self,
         at: Time,
         node: u32,
@@ -337,21 +276,21 @@ impl Recorder for Obs {
         parent: ParentRef,
         kind: SpanKind,
     ) -> Option<SpanId> {
-        self.rec.as_ref()?.record_event(at, node, site, parent, kind)
+        Some(self.rec.as_ref()?.record_event(at, node, site, parent, kind))
     }
 
-    fn set_cursor(&self, cursor: Option<SpanId>) {
+    /// Set the causal cursor.
+    #[inline]
+    pub fn set_cursor(&self, cursor: Option<SpanId>) {
         if let Some(rec) = &self.rec {
             rec.set_cursor(cursor);
         }
     }
 
-    fn cursor(&self) -> Option<SpanId> {
-        self.rec.as_ref().and_then(Recorder::cursor)
-    }
-
-    fn enabled(&self) -> bool {
-        Obs::enabled(self)
+    /// The causal cursor.
+    #[inline]
+    pub fn cursor(&self) -> Option<SpanId> {
+        self.rec.as_ref().and_then(FlightRecorder::cursor)
     }
 }
 
@@ -408,13 +347,6 @@ mod tests {
 
     fn attempt(sym: u32) -> SpanKind {
         SpanKind::Attempt { lit: ObsLit::pos(sym) }
-    }
-
-    #[test]
-    fn noop_records_nothing() {
-        let r = NoopRecorder;
-        assert!(!r.enabled());
-        assert_eq!(r.record_event(0, 0, 0, ParentRef::Root, attempt(0)), None);
     }
 
     #[test]

@@ -316,7 +316,7 @@ pub enum SpanKind {
         lit: ObsLit,
     },
 
-    // -- write-ahead log (dist::exec / dist::journal) --
+    // -- write-ahead log (dist::exec / dist::wal) --
     /// A post-dedup message was appended to the node's WAL.
     WalAppend {
         /// Global delivery sequence number of the logged message.

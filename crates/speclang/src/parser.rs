@@ -23,7 +23,7 @@ use crate::ast::{
     expand_macro, klein_arrow, klein_precedes, AgentDecl, DepDecl, EventDecl, ScriptItem, Span,
     WorkflowDecl,
 };
-use event_algebra::{PExpr, PLit, Polarity, Term};
+use event_algebra::{PExpr, PLit, Polarity, Term, MAX_NESTING};
 use std::fmt;
 
 /// A parse error with line/column context.
@@ -241,9 +241,22 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Two declarations of one name would drive the same symbols twice: an
+/// error at the second, naming the first.
+fn redeclared(what: &str, name: &str, first: Span, again: Span) -> SpecError {
+    SpecError {
+        line: again.line,
+        col: again.col,
+        message: format!("{what} '{name}' is declared twice: first at {first}, again at {again}"),
+    }
+}
+
 struct Parser {
     toks: Vec<(Tok, usize, usize)>,
     pos: usize,
+    /// Complements, parentheses and macro calls open around `pos`, capped
+    /// at [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -296,8 +309,8 @@ impl Parser {
         }
         let name = self.ident("workflow name")?;
         self.expect(&Tok::LBrace, "'{'")?;
-        let mut events = Vec::new();
-        let mut agents = Vec::new();
+        let mut events: Vec<EventDecl> = Vec::new();
+        let mut agents: Vec<AgentDecl> = Vec::new();
         let mut deps = Vec::new();
         loop {
             match self.peek() {
@@ -308,12 +321,20 @@ impl Parser {
                 Some(Tok::Ident(kw)) if kw == "event" => {
                     let span = self.span_here();
                     self.pos += 1;
-                    events.push(self.event_decl(span)?);
+                    let decl = self.event_decl(span)?;
+                    if let Some(first) = events.iter().find(|e| e.name == decl.name) {
+                        return Err(redeclared("event", &decl.name, first.span, span));
+                    }
+                    events.push(decl);
                 }
                 Some(Tok::Ident(kw)) if kw == "agent" => {
                     let span = self.span_here();
                     self.pos += 1;
-                    agents.push(self.agent_decl(span)?);
+                    let decl = self.agent_decl(span)?;
+                    if let Some(first) = agents.iter().find(|a| a.name == decl.name) {
+                        return Err(redeclared("agent", &decl.name, first.span, span));
+                    }
+                    agents.push(decl);
                 }
                 Some(Tok::Ident(kw)) if kw == "dep" => {
                     let span = self.span_here();
@@ -486,16 +507,31 @@ impl Parser {
         Ok(if parts.len() == 1 { parts.pop().expect("one") } else { PExpr::Seq(parts) })
     }
 
+    /// Parse what a complement, an open parenthesis or a macro call
+    /// governs, one nesting level down.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<PExpr, SpecError>,
+    ) -> Result<PExpr, SpecError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err_at(format!("nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let e = inner(self)?;
+        self.depth -= 1;
+        Ok(e)
+    }
+
     fn atom(&mut self) -> Result<PExpr, SpecError> {
         match self.next() {
             Some(Tok::Tilde) => {
-                let inner = self.atom()?;
+                let inner = self.nested(Self::atom)?;
                 Ok(crate::ast::complement(inner))
             }
             Some(Tok::Zero) => Ok(PExpr::Zero),
             Some(Tok::Top) => Ok(PExpr::Top),
             Some(Tok::LParen) => {
-                let e = self.klein_expr()?;
+                let e = self.nested(Self::klein_expr)?;
                 self.expect(&Tok::RParen, "')'")?;
                 Ok(e)
             }
@@ -528,7 +564,7 @@ impl Parser {
                     let mut margs = Vec::new();
                     if self.peek() != Some(&Tok::RParen) {
                         loop {
-                            margs.push(self.klein_expr()?);
+                            margs.push(self.nested(Self::klein_expr)?);
                             match self.next() {
                                 Some(Tok::Comma) => continue,
                                 Some(Tok::RParen) => break,
@@ -550,7 +586,7 @@ impl Parser {
 /// Parse a workflow specification file.
 pub fn parse_workflow(src: &str) -> Result<WorkflowDecl, SpecError> {
     let toks = Lexer::new(src).tokens()?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     p.workflow()
 }
 
@@ -558,7 +594,7 @@ pub fn parse_workflow(src: &str) -> Result<WorkflowDecl, SpecError> {
 /// parameters).
 pub fn parse_dependency(src: &str) -> Result<PExpr, SpecError> {
     let toks = Lexer::new(src).tokens()?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     let e = p.klein_expr()?;
     if p.pos != p.toks.len() {
         return Err(p.err_at("trailing input"));
@@ -641,6 +677,26 @@ mod tests {
         assert!(parse_workflow("workflow x { event ; }").is_err());
         assert!(parse_dependency("e +").is_err());
         assert!(parse_dependency("e ^ f").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let parens = |n: usize| format!("{}e{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_dependency(&parens(MAX_NESTING)).is_ok());
+        let err = parse_dependency(&parens(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        assert!(parse_dependency(&format!("{}e", "~".repeat(100_000))).is_err());
+        assert!(parse_dependency(&"mutex(".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn a_name_declared_twice_is_an_error_at_the_second() {
+        // (`wfcheck/tests/cli.rs` checks the rendered message for both kinds.)
+        let err = parse_workflow("workflow w {\n  event e;\n  event f;\n  event e @ site 1;\n}")
+            .unwrap_err();
+        assert_eq!((err.line, err.col), (4, 3));
+        // An agent and an event may share a name: they name different symbols.
+        assert!(parse_workflow("workflow w { agent a: rda; event a; }").is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! `<>` / `!` over compounds keep their general readings.
 
 use crate::texpr::TExpr;
-use event_algebra::SymbolTable;
+use event_algebra::{SymbolTable, MAX_NESTING};
 use std::fmt;
 
 /// A `T` parse failure.
@@ -36,7 +36,7 @@ impl std::error::Error for TParseError {}
 
 /// Parse a `T` expression, interning identifiers into `table`.
 pub fn parse_texpr(input: &str, table: &mut SymbolTable) -> Result<TExpr, TParseError> {
-    let mut p = P { input: input.as_bytes(), pos: 0, table };
+    let mut p = P { input: input.as_bytes(), pos: 0, depth: 0, table };
     let e = p.texpr()?;
     p.skip_ws();
     if p.pos != p.input.len() {
@@ -48,6 +48,9 @@ pub fn parse_texpr(input: &str, table: &mut SymbolTable) -> Result<TExpr, TParse
 struct P<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Prefix operators and parentheses open around `pos`, capped at
+    /// [`MAX_NESTING`].
+    depth: usize,
     table: &'a mut SymbolTable,
 }
 
@@ -105,11 +108,26 @@ impl P<'_> {
         Ok(if parts.len() == 1 { parts.pop().expect("one") } else { TExpr::Seq(parts) })
     }
 
+    /// Parse what a prefix operator or an open parenthesis governs, one
+    /// nesting level down.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<TExpr, TParseError>,
+    ) -> Result<TExpr, TParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let e = inner(self)?;
+        self.depth -= 1;
+        Ok(e)
+    }
+
     fn tatom(&mut self) -> Result<TExpr, TParseError> {
         match (self.peek(), self.peek2()) {
             (Some(b'['), Some(b']')) => {
                 self.pos += 2;
-                let inner = self.tatom()?;
+                let inner = self.nested(Self::tatom)?;
                 // Stability: □(Occ e) = Occ e.
                 Ok(match inner {
                     TExpr::Occ(l) => TExpr::Occ(l),
@@ -118,17 +136,17 @@ impl P<'_> {
             }
             (Some(b'<'), Some(b'>')) => {
                 self.pos += 2;
-                let inner = self.tatom()?;
+                let inner = self.nested(Self::tatom)?;
                 Ok(TExpr::Eventually(Box::new(inner)))
             }
             (Some(b'!'), _) => {
                 self.pos += 1;
-                let inner = self.tatom()?;
+                let inner = self.nested(Self::tatom)?;
                 Ok(TExpr::Not(Box::new(inner)))
             }
             (Some(b'('), _) => {
                 self.pos += 1;
-                let e = self.texpr()?;
+                let e = self.nested(Self::texpr)?;
                 if !self.eat(b')') {
                     return Err(self.err("expected ')'"));
                 }
@@ -236,5 +254,17 @@ mod tests {
         assert!(parse_texpr("<>", &mut t).is_err());
         assert!(parse_texpr("(e", &mut t).is_err());
         assert!(parse_texpr("e !", &mut t).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let mut t = SymbolTable::new();
+        let parens = |n: usize| format!("{}e{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_texpr(&parens(MAX_NESTING), &mut t).is_ok());
+        let err = parse_texpr(&parens(MAX_NESTING + 1), &mut t).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        for prefix in ["!", "<>", "[]", "("] {
+            assert!(parse_texpr(&format!("{}e", prefix.repeat(100_000)), &mut t).is_err());
+        }
     }
 }

@@ -13,8 +13,8 @@
 //!    exhausting its step budget.
 //! 4. **Liveness** (opt-in, for statically clean workflows under healed
 //!    fault plans): every dependency ends satisfied.
-//! 5. **Determinism**: re-running the same triple reproduces the journal
-//!    byte for byte.
+//! 5. **Determinism**: re-running the same triple reproduces the flight
+//!    recording — the one decision log — span for span.
 //!
 //! The audits deliberately re-derive everything from first principles —
 //! guards are recompiled here and evaluated against the final trace with
@@ -59,7 +59,8 @@
 //! through the single-instance executor on the same (spec, seed, fault
 //! plan) and demands byte-identical outcomes — same occurrences, same
 //! timing, same termination honesty, same final `□`-views
-//! ([`machine_views`]) and same online-monitor verdicts — plus zero
+//! ([`machine_views`]), same online-monitor verdicts and, when the fleet
+//! was recorded, the same flight recording span for span — plus zero
 //! cross-instance transport/actor rejections and no phantom instance in
 //! the shared write-ahead log. Sharing compiled machines, worker
 //! threads and a WAL across tenants must be *unobservable* per tenant;
@@ -319,28 +320,23 @@ pub fn run_unguarded_monitored(spec: &WorkflowSpec, config: ExecConfig) -> monit
     )
 }
 
-/// Run the same scenario twice and check the executions are identical:
-/// byte-identical journals and equal traces. Returns failures (empty when
+/// Run the same scenario twice with the flight recorder on and check the
+/// executions are identical ([`diff_runs`]). Returns failures (empty when
 /// deterministic).
 pub fn check_determinism(spec: &WorkflowSpec, config: ExecConfig, plan: FaultPlan) -> Vec<String> {
     let mut cfg = config;
-    cfg.journal = true;
+    cfg.record.get_or_insert_with(obs::RecordConfig::default);
     let a = run_workflow_with_faults(spec, cfg.clone(), plan.clone());
     let b = run_workflow_with_faults(spec, cfg, plan);
-    let mut failures = Vec::new();
-    let ja: String = a
-        .journal
-        .iter()
-        .map(|e| format!("{:>6} {}\n", e.time, e.kind.display(&spec.table)))
-        .collect();
-    let jb: String = b
-        .journal
-        .iter()
-        .map(|e| format!("{:>6} {}\n", e.time, e.kind.display(&spec.table)))
-        .collect();
-    if ja != jb {
-        failures.push("journals differ between identical runs".to_owned());
-    }
+    diff_runs(&a, &b)
+}
+
+/// The fifth audit's comparison: two runs are the same execution when
+/// their flight recordings agree span for span ([`diff_recordings`]; a
+/// run without a recording fails — two absent logs prove nothing) and
+/// their traces, durations and delivery counts are equal.
+pub fn diff_runs(a: &RunReport, b: &RunReport) -> Vec<String> {
+    let mut failures = Vec::from_iter(diff_recordings(a, b));
     if a.trace.events() != b.trace.events() {
         failures.push("traces differ between identical runs".to_owned());
     }
@@ -351,6 +347,31 @@ pub fn check_determinism(spec: &WorkflowSpec, config: ExecConfig, plan: FaultPla
         ));
     }
     failures
+}
+
+/// Hold two runs' flight recordings to each other: the same spans in
+/// the same order (ids, causal parents, timestamps, nodes and payloads)
+/// and the same overwritten/sampled-out counts. The embedded metrics
+/// snapshot is not compared — a fleet instance carries none. Returns the
+/// first difference, or that a side has no recording to compare.
+pub fn diff_recordings(a: &RunReport, b: &RunReport) -> Option<String> {
+    let (Some(ra), Some(rb)) = (&a.recording, &b.recording) else {
+        return Some(format!(
+            "no flight recording to compare (first run recorded: {}, second: {})",
+            a.recording.is_some(),
+            b.recording.is_some()
+        ));
+    };
+    if let Some((ix, (x, y))) =
+        ra.events.iter().zip(&rb.events).enumerate().find(|(_, (x, y))| x != y)
+    {
+        return Some(format!("recordings differ at span {ix}: {x:?} vs {y:?}"));
+    }
+    let counts = |r: &obs::Recording| (r.events.len(), r.dropped, r.sampled_out);
+    (counts(ra) != counts(rb)).then(|| {
+        let (ca, cb) = (counts(ra), counts(rb));
+        format!("recordings differ in (spans, overwritten, sampled out): {ca:?} vs {cb:?}")
+    })
 }
 
 /// The ninth audit: tenant isolation. Run the fleet, then re-run every
@@ -367,6 +388,9 @@ pub fn check_determinism(spec: &WorkflowSpec, config: ExecConfig, plan: FaultPla
 ///   and neither side reports internal view divergence.
 /// - **Monitor verdicts**: when monitors are armed, per-dependency
 ///   final verdicts agree.
+/// - **Flight recordings**: when `config.exec.record` is set, both sides
+///   recorded and the recordings agree span for span
+///   ([`diff_recordings`]).
 /// - **No cross-instance traffic**: the transport's foreign-envelope
 ///   and the actors' foreign-announcement counters are zero fleet-wide.
 /// - **WAL hygiene**: the shared write-ahead log holds slices only for
@@ -461,6 +485,9 @@ pub fn audit_tenant_isolation(
             }
             _ => {}
         }
+        if config.exec.record.is_some() {
+            failures.extend(diff_recordings(&o.report, &solo).map(|f| format!("{tag}: {f}")));
+        }
     }
     (failures, report)
 }
@@ -471,8 +498,10 @@ pub fn audit_tenant_isolation(
 /// instance must be the same run on a different clock: occurrences equal
 /// once `arrived_at` is subtracted from each fleet-clock tick (sequence
 /// numbers included), and `steps`, `duration`, [`Termination`],
-/// `finished_at`, monitor verdicts and alert kinds equal outright; the
-/// fleet's traffic total must be the sum of its instances'. Returns the
+/// `finished_at`, monitor verdicts, alert kinds and — when either fleet
+/// was recorded — flight recordings ([`diff_recordings`]; spans carry
+/// instance-local timestamps on both) equal outright; the fleet's
+/// traffic total must be the sum of its instances'. Returns the
 /// differences (empty iff the two reports agree).
 pub fn diff_fleet_reports(fleet: &ParallelFleetReport, tenant: &TenantReport) -> Vec<String> {
     let mut failures = Vec::new();
@@ -519,6 +548,10 @@ pub fn diff_fleet_reports(fleet: &ParallelFleetReport, tenant: &TenantReport) ->
                 tr.duration,
                 tr.termination
             ));
+        }
+        if pr.recording.is_some() || tr.recording.is_some() {
+            failures
+                .extend(diff_recordings(pr, tr).map(|f| format!("instance {}: {f}", p.instance)));
         }
     }
     if fleet.net != net {
@@ -764,6 +797,25 @@ mod tests {
         config.reliable = Some(dist::ReliableConfig::default());
         let plan = standard_plans(9).pop().expect("chaos plan").1;
         assert_eq!(check_determinism(&spec, config, plan), Vec::<String>::new());
+    }
+
+    #[test]
+    fn determinism_audit_has_teeth() {
+        // Audit 5 compares flight recordings, so it must tell two
+        // different executions apart and must refuse to pass on absence.
+        let spec = mutual_promise_spec();
+        let run = |seed: u64, record: bool| {
+            let mut config = ExecConfig::seeded(seed);
+            config.record = record.then(obs::RecordConfig::default);
+            dist::run_workflow(&spec, config)
+        };
+        assert_eq!(diff_runs(&run(5, true), &run(5, true)), Vec::<String>::new());
+        let adjacent = diff_runs(&run(5, true), &run(6, true));
+        assert!(adjacent.iter().any(|f| f.contains("recordings differ")), "{adjacent:?}");
+        for (a, b) in [(true, false), (false, true), (false, false)] {
+            let failures = diff_runs(&run(5, a), &run(5, b));
+            assert!(failures.iter().any(|f| f.contains("no flight recording")), "{failures:?}");
+        }
     }
 
     #[test]

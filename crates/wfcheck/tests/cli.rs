@@ -91,6 +91,43 @@ fn parse_error_is_wf000_with_position() {
 }
 
 #[test]
+fn hostile_nesting_is_a_parse_error_not_a_crash() {
+    // 10 000 parentheses used to overflow the recursive-descent parser's
+    // stack (SIGABRT, exit 134); the cap makes it an ordinary WF000.
+    let deep =
+        format!("workflow x {{\n  dep d: {}e{};\n}}\n", "(".repeat(10_000), ")".repeat(10_000));
+    let out = run(&[write_spec(&deep).to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = stdout(&out);
+    assert!(text.contains("error[WF000]") && text.contains("nested deeper"), "{text}");
+    // Nesting a specification actually uses stays legal.
+    let fine = format!(
+        "workflow x {{\n  event e;\n  dep d: {}e{};\n}}\n",
+        "(".repeat(100),
+        ")".repeat(100)
+    );
+    assert_eq!(run(&[write_spec(&fine).to_str().unwrap()]).status.code(), Some(0));
+}
+
+#[test]
+fn a_name_declared_twice_is_wf000() {
+    for (src, what) in [
+        ("workflow x {\n  event e;\n  event e;\n}\n", "event 'e'"),
+        (
+            "workflow x {\n  agent a: rda { script: start, commit };\n  \
+             agent a: rda { script: start, abort };\n}\n",
+            "agent 'a'",
+        ),
+    ] {
+        let out = run(&[write_spec(src).to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{src}");
+        let text = stdout(&out);
+        assert!(text.contains("3:3: error[WF000]"), "{text}");
+        assert!(text.contains(what) && text.contains("first at 2:3"), "{text}");
+    }
+}
+
+#[test]
 fn three_cycle_and_cross_site_are_denied() {
     let ring = write_spec(
         "workflow ring {\n\

@@ -113,6 +113,20 @@ fn chrome_export_round_trips_as_json() {
 }
 
 #[test]
+fn hostile_nesting_is_a_parse_error_not_a_crash() {
+    // 200 000 brackets used to overflow the JSON parser's stack (SIGABRT,
+    // exit 134); the nesting cap makes it the usual unreadable-trace error.
+    let deep = temp_path("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).expect("write trace");
+    for cmd in ["stats", "audit"] {
+        let out = run(&[cmd, deep.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("nested deeper than 128 levels"), "{cmd}: {err}");
+    }
+}
+
+#[test]
 fn usage_errors_exit_two() {
     assert_eq!(run(&[]).status.code(), Some(2));
     assert_eq!(run(&["frobnicate"]).status.code(), Some(2));

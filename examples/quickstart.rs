@@ -22,10 +22,15 @@ fn main() {
     }
 
     // Static analysis (the paper's compilation phase, Section 6).
-    let analysis = constrained_events::guards::analyze(&workflow.spec.dependencies);
+    let analysis = analyze::analyze_dependencies(
+        &workflow.spec.dependencies,
+        &workflow.spec.table,
+        &analyze::AnalyzeOptions::default(),
+    );
+    let consensus = analysis.diagnostics.iter().filter(|d| d.code == "WF020").count();
     println!("\n== compile-time analysis ==");
     println!("  jointly contradictory: {}", analysis.jointly_contradictory);
-    println!("  consensus pairs (Example 11 promises): {}", analysis.consensus_pairs.len());
+    println!("  consensus groups (Example 11 promises): {consensus}");
 
     // Distributed execution on the simulated network.
     let report = workflow.run(42);

@@ -5,7 +5,8 @@
 # included), benches built, clippy, fmt, rustdoc with warnings denied (a
 # deleted public name may not leave a dangling intra-doc link), the CLI
 # smokes (with a ceiling on the product states wfcheck explores per
-# example spec) and the benchmark's own selfcheck.
+# example spec, and two hostile inputs that must come back as parse
+# errors, not crashes) and the benchmark's own selfcheck.
 #
 # `check.sh --faults` runs the fault-conformance tier instead: the
 # `conformance` driver sweeps every example spec through the standard
@@ -24,11 +25,14 @@
 # executes one mixed fleet of the clean example specs (40 instances per
 # spec, monitors armed) through `dist::run_tenant`, fault-free and under
 # the chaos plan, at one shard and at two; every instance must quiesce,
-# raise no monitor violation and equal its isolated run. The same fleet
-# then runs through `dist::run_parallel_fleet` on two worker threads and
-# must equal the fault-free tenant fleet instance by instance on the
-# fleet clock. Fleet speed is measured by `benchmark/run.sh --workload
-# fleet_steady | fleet_parallel`, not gated here.
+# raise no monitor violation and equal its isolated run. One more leg
+# runs it fault-free with the flight recorder on: every instance's
+# recording must be complete, causally sound and its isolated run's span
+# for span. The same fleet then runs through `dist::run_parallel_fleet`
+# on two worker threads and must equal the fault-free tenant fleet
+# instance by instance on the fleet clock. Fleet speed is measured by
+# `benchmark/run.sh --workload fleet_steady | fleet_parallel`, not gated
+# here.
 #
 # `check.sh --obs` runs the always-on observability tier: the
 # `conformance --monitor-equiv` audit proves the fused (scheduler-stepped)
@@ -63,7 +67,7 @@ fi
 if [ "${1:-}" = "--scale" ]; then
     echo "==> cargo build --release --offline --bin conformance"
     cargo build --release --offline --bin conformance
-    echo "==> conformance --tenant (mixed fleet: clean and chaos, 1 and 2 shards; parallel fleet at 2 workers)"
+    echo "==> conformance --tenant (mixed fleet: clean and chaos, 1 and 2 shards; recorded; parallel fleet at 2 workers)"
     "$REPO/target/release/conformance" --tenant
     echo "==> scale tier passed"
     exit 0
@@ -153,6 +157,28 @@ trap 'rm -rf "$TRACE_TMP"' EXIT
     "$TRACE_TMP/travel.trace.json"
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEvents'], 'empty trace'" \
     "$TRACE_TMP/travel.chrome.json"
+
+echo "==> malformed-input smokes: hostile nesting is a parse error, never a stack overflow (exit 134)"
+# 10 000 parentheses in a dependency, 200 000 brackets of JSON.
+python3 - "$TRACE_TMP" <<'PY'
+import sys
+d = sys.argv[1]
+open(f"{d}/deep.wf", "w").write("workflow x {\n  dep d: " + "(" * 10000 + "e" + ")" * 10000 + ";\n}\n")
+open(f"{d}/deep.json", "w").write("[" * 200000)
+PY
+expect_exit() {
+    local want="$1" rc=0
+    shift
+    "$@" > "$TRACE_TMP/hostile.out" 2>&1 || rc=$?
+    if [ "$rc" != "$want" ]; then
+        echo "expected exit $want, got $rc: $*" >&2
+        exit 1
+    fi
+}
+expect_exit 1 "$WFCHECK" "$TRACE_TMP/deep.wf"
+grep -q "error\[WF000\]" "$TRACE_TMP/hostile.out"
+expect_exit 2 "$WFTRACE" stats "$TRACE_TMP/deep.json"
+grep -q "nested deeper" "$TRACE_TMP/hostile.out"
 
 echo "==> benchmark/run.sh --selfcheck (the benchmark's wiring against this tree)"
 bash "$REPO/benchmark/run.sh" --selfcheck

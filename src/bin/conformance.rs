@@ -23,9 +23,12 @@
 //! spec, `testkit::workload` arrivals, monitors armed) runs fault-free
 //! and under the `chaos` plan, at one shard and at two; every instance
 //! must quiesce, raise no monitor violation and equal its isolated run
-//! (`testkit::conformance::audit_tenant_isolation`). The same fleet then
-//! goes through `run_parallel_fleet` on two worker threads, whose report
-//! must be the fault-free tenant report on the fleet clock
+//! (`testkit::conformance::audit_tenant_isolation`). One more leg runs
+//! it fault-free at one shard with the flight recorder on: every
+//! instance's recording must be complete, causally sound
+//! (`obs::causal_audit`) and its isolated run's span for span. The same
+//! fleet then goes through `run_parallel_fleet` on two worker threads,
+//! whose report must be the fault-free tenant report on the fleet clock
 //! (`testkit::conformance::diff_fleet_reports`).
 
 use analyze::{analyze_workflow, AnalyzeOptions, Severity};
@@ -220,9 +223,9 @@ fn main() -> ExitCode {
 
 /// The `--tenant` tier: one mixed fleet of `specs`, monitors armed,
 /// through the isolation audit fault-free and under the `chaos` plan at
-/// one shard and at two, then through `run_parallel_fleet` at two
-/// workers against the fault-free tenant report. Returns the number of
-/// failures.
+/// one shard and at two, once more fault-free with every instance
+/// recorded, then through `run_parallel_fleet` at two workers against
+/// the fault-free tenant report. Returns the number of failures.
 fn tenant_fleet(specs: &[WorkflowSpec], max_steps: u64) -> usize {
     if specs.is_empty() {
         eprintln!("conformance: tenant       no statically clean spec to build a fleet from");
@@ -232,38 +235,61 @@ fn tenant_fleet(specs: &[WorkflowSpec], max_steps: u64) -> usize {
     let arrivals = generate(specs, &WorkloadConfig::new(instances, 0xF1EE7));
     let chaos = standard_plans(0x5EED).pop().expect("the matrix ends with chaos").1;
     let mut total = 0;
-    for (plan_name, plan) in [("clean", None), ("chaos", Some(chaos))] {
-        for shards in [1, 2] {
-            let mut exec = ExecConfig::seeded(0);
-            exec.max_steps = max_steps;
-            exec.monitor = Some(MonitorConfig::default());
-            exec.reliable = plan.is_some().then(ReliableConfig::default);
-            let mut config = TenantConfig::new(exec);
-            config.plan = plan.clone();
-            config.shards = shards;
-            let (mut failures, fleet) = audit_tenant_isolation(specs, &arrivals, &config);
-            if fleet.exhausted > 0 {
-                failures.push(format!("{} instances ran out of budget", fleet.exhausted));
+    let legs = [
+        ("clean", None, 1, false),
+        ("clean", None, 2, false),
+        ("chaos", Some(chaos.clone()), 1, false),
+        ("chaos", Some(chaos), 2, false),
+        ("recorded", None, 1, true),
+    ];
+    for (leg, plan, shards, record) in legs {
+        let mut exec = ExecConfig::seeded(0);
+        exec.max_steps = max_steps;
+        exec.monitor = Some(MonitorConfig::default());
+        exec.reliable = plan.is_some().then(ReliableConfig::default);
+        exec.record = record.then(obs::RecordConfig::default);
+        let mut config = TenantConfig::new(exec);
+        config.plan = plan;
+        config.shards = shards;
+        let (mut failures, fleet) = audit_tenant_isolation(specs, &arrivals, &config);
+        if fleet.exhausted > 0 {
+            failures.push(format!("{} instances ran out of budget", fleet.exhausted));
+        }
+        if fleet.monitor_violations > 0 {
+            failures.push(format!("{} monitor violations", fleet.monitor_violations));
+        }
+        if !fleet.all_satisfied() {
+            failures.push("an instance left dependencies unsatisfied".to_owned());
+        }
+        // On a recorded leg audit 9 held every recording to its solo
+        // run's (and failed on a missing one); each must also be complete
+        // and causally sound.
+        let mut spans = 0;
+        for o in &fleet.instances {
+            let Some(rec) = &o.report.recording else { continue };
+            spans += rec.events.len();
+            if rec.dropped > 0 {
+                failures.push(format!("instance {}: {} spans lost", o.instance, rec.dropped));
             }
-            if fleet.monitor_violations > 0 {
-                failures.push(format!("{} monitor violations", fleet.monitor_violations));
-            }
-            if !fleet.all_satisfied() {
-                failures.push("an instance left dependencies unsatisfied".to_owned());
-            }
-            if failures.is_empty() {
-                println!(
-                    "conformance: tenant       {plan_name}/{shards} shards: {instances} \
-                     instances, {} events ok (all quiescent, 0 violations, every instance == \
-                     its solo run)",
-                    fleet.events
-                );
+            let unsound = obs::causal_audit(rec);
+            failures.extend(unsound.into_iter().map(|f| format!("instance {}: {f}", o.instance)));
+        }
+        if failures.is_empty() {
+            let recorded = if record {
+                format!(", {spans} spans causally sound and == the solo recordings")
             } else {
-                for f in &failures {
-                    eprintln!("FAIL [tenant/{plan_name}/{shards} shards] {f}");
-                }
-                total += failures.len();
+                String::new()
+            };
+            println!(
+                "conformance: tenant       {leg}/{shards} shards: {instances} instances, {} \
+                 events ok (all quiescent, 0 violations, every instance == its solo run{recorded})",
+                fleet.events
+            );
+        } else {
+            for f in &failures {
+                eprintln!("FAIL [tenant/{leg}/{shards} shards] {f}");
             }
+            total += failures.len();
         }
     }
     // The other report shape over the same runner, on two worker threads.

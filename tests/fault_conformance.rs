@@ -1,7 +1,7 @@
 //! Acceptance: every example spec, run under the acceptance fault plan
 //! (20% drop + 20% duplication + a partition that heals), reaches
 //! `all_satisfied()` with zero false guard firings across 50 seeds, and
-//! identical scenarios produce byte-identical journals.
+//! identical scenarios produce identical flight recordings.
 
 use constrained_events::{
     run_workflow, run_workflow_with_faults, DepRuntime, ExecConfig, FaultPlan, ReliableConfig,
@@ -36,7 +36,7 @@ fn accept(spec_path: &str) {
         assert!(run.is_conformant(), "{} seed {seed}: {:?}", workflow.name, run.failures);
     }
     // Replay determinism on a sample of the band (every run above was
-    // already audited; journal comparison doubles the cost per seed).
+    // already audited; comparing recordings doubles the cost per seed).
     for seed in [0, SEEDS / 2, SEEDS - 1] {
         let failures = check_determinism(&workflow.spec, hardened(seed), acceptance_plan(seed));
         assert!(failures.is_empty(), "{} seed {seed}: {failures:?}", workflow.name);

@@ -4,8 +4,12 @@
 //! across the standard fault matrix, and the unified metrics snapshot
 //! subsumes the net/fault counters on every run — recorder on or off.
 
-use constrained_events::{ExecConfig, ReliableConfig, WorkflowBuilder};
-use obs::{explain, recording::Dag, RecordConfig};
+use constrained_events::{
+    EventAttrs, ExecConfig, FreeEventSpec, Literal, ReliableConfig, SymbolTable, WorkflowBuilder,
+    WorkflowSpec,
+};
+use obs::{explain, recording::Dag, ObsLit, RecordConfig, SpanKind};
+use sim::SiteId;
 use testkit::conformance::{check_run, standard_plans};
 
 fn travel() -> constrained_events::Workflow {
@@ -140,4 +144,75 @@ fn metrics_snapshot_subsumes_net_and_fault_stats() {
     // JSON round trip of a real run (not just the generated ones).
     let back = obs::Recording::parse(&rec.to_json_string()).expect("parses");
     assert_eq!(&back, rec);
+}
+
+#[test]
+fn every_parser_shares_one_nesting_cap() {
+    // `obs` is dependency-free, so its JSON parser repeats the number.
+    assert_eq!(obs::json::MAX_NESTING, event_algebra::MAX_NESTING);
+}
+
+#[test]
+fn recording_tells_the_d_precedes_story() {
+    // D<: e must precede f, and f is the one attempted from the start.
+    // The decision log has to read attempt f → parked f → occurred e →
+    // occurred f, on a non-decreasing clock, with every reported
+    // occurrence present as an `occurred` span.
+    let mut table = SymbolTable::new();
+    let d = event_algebra::parse_expr("~e + ~f + e.f", &mut table).unwrap();
+    let (e, f) = (table.event("e"), table.event("f"));
+    let free = |site, lit| FreeEventSpec {
+        site: SiteId(site),
+        lit,
+        attrs: EventAttrs::controllable(),
+        attempt_after: Some(1),
+    };
+    let spec = WorkflowSpec {
+        table,
+        dependencies: vec![d],
+        agents: vec![],
+        free_events: vec![free(0, f), free(1, e)],
+    };
+    let report = constrained_events::run_workflow(&spec, recording_config(5));
+    assert!(report.all_satisfied(), "{report:#?}");
+    let rec = report.recording.as_ref().expect("recording on");
+    assert_eq!(rec.dropped, 0);
+    assert!(rec.events.windows(2).all(|w| w[0].at <= w[1].at), "timeline out of order");
+
+    let olit = |l: Literal| ObsLit(l.index() as u32);
+    let first = |what: &str, want: &dyn Fn(&SpanKind) -> bool| {
+        rec.events
+            .iter()
+            .position(|ev| want(&ev.kind))
+            .unwrap_or_else(|| panic!("no {what} span:\n{}", obs::stats_text(rec)))
+    };
+    let occurred = |l: Literal| {
+        first("occurred", &|k| matches!(k, SpanKind::Occurred { lit, .. } if *lit == olit(l)))
+    };
+    let story = [
+        first("attempt f", &|k| matches!(k, SpanKind::Attempt { lit } if *lit == olit(f))),
+        first("parked f", &|k| matches!(k, SpanKind::Parked { lit } if *lit == olit(f))),
+        occurred(e),
+        occurred(f),
+    ];
+    assert!(story.windows(2).all(|w| w[0] < w[1]), "story out of order: {story:?}");
+    for &(lit, at, seq) in &report.occurrences {
+        let span = &rec.events[occurred(lit)];
+        assert_eq!(span.at, at, "occurrence {lit}");
+        assert!(matches!(span.kind, SpanKind::Occurred { seq: s, .. } if s == seq), "{lit}");
+    }
+    assert_eq!(rec.symbols, ["e", "f"], "the recording names the events");
+    // e's guard is ¬f: f holds still for it and is released once e has
+    // occurred and announced. Holds, releases and announcements are the
+    // network's spans for the messages that carry them.
+    for label in ["notyet_grant", "announce", "release"] {
+        let delivered =
+            |k: &SpanKind| matches!(k, SpanKind::MsgDeliver { label: l, .. } if l == label);
+        assert!(rec.events.iter().any(|ev| delivered(&ev.kind)), "no {label} was delivered");
+    }
+
+    // Recording is opt-in: no recorder, no log.
+    let quiet = constrained_events::run_workflow(&spec, ExecConfig::seeded(5));
+    assert!(quiet.recording.is_none());
+    assert_eq!(quiet.occurrences, report.occurrences, "recording does not move the run");
 }
