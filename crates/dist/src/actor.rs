@@ -16,19 +16,29 @@
 //!   that have become required (Section 3.3(b));
 //! - on rejection of an attempted event, makes the complement occur
 //!   (Section 3.3(c)).
+//!
+//! An actor is a template part (symbol, attributes, compiled guards,
+//! routing) and an instance part, and only the second changes while it
+//! runs: one residual state per dependency, one index per guard into the
+//! actor's table of reductions (`memo.rs` — the guard side of an actor is
+//! tabulated the way its dependency side is compiled), flags, and a few
+//! small sorted vectors. [`SymbolActor::reset`] rewinds the instance part
+//! and keeps every buffer, so the actor an instance slot assembled once
+//! serves instance after instance without allocating.
 
+use crate::memo::{GuardInfo, GuardIx, GuardMemo};
 use crate::msg::{InstanceId, Msg};
 use agent::EventAttrs;
 use event_algebra::{
-    requires, residuate, DependencyMachine, Expr, Literal, Polarity, StateId, SymbolId,
+    requires, residuate, DependencyMachine, Expr, Literal, Polarity, SortedMap, SortedSet, StateId,
+    SymbolId, SymbolMap,
 };
 use monitor::WorkflowMonitor;
-use obs::{Fact, NodeObs, ObsLit, SpanId, SpanKind, Verdict};
+use obs::{NodeObs, ObsLit, SpanId, SpanKind, Verdict};
 use sim::{Ctx, NodeId, Time};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use temporal::{
-    eventually_mask, needs, occurred_mask, status, Guard, GuardStatus, Need, ST_C, ST_D, ST_FULL,
+    eventually_mask, occurred_mask, Fact, Guard, GuardStatus, Need, ST_C, ST_D, ST_FULL,
 };
 
 /// Literal → trace encoding (the same packed `sym << 1 | polarity`
@@ -37,31 +47,24 @@ fn olit(l: Literal) -> ObsLit {
     ObsLit(l.index() as u32)
 }
 
-/// 32-bit fingerprint of a guard's canonical form — the residual id
-/// recorded on guard-evaluation spans. Two evaluations in one recording
-/// with equal fingerprints saw the same residual guard; the value itself
-/// is opaque (it is whatever the hasher makes of the conjuncts' flat
-/// words) and means nothing across recordings or builds. Hashes the
-/// structure directly (guards are kept canonical, so structural equality
-/// is semantic equality) rather than a Debug rendering: this runs on
-/// every recorded guard evaluation and must not allocate.
-fn guard_fingerprint(g: &Guard) -> u32 {
-    use std::hash::{Hash, Hasher};
-    let mut h = event_algebra::FxHasher::default();
-    g.hash(&mut h);
-    let x = h.finish();
-    (x as u32) ^ ((x >> 32) as u32)
-}
+/// The most symbols a guard may constrain for an actor's coverage
+/// evaluation (is the guard true in every state its symbols can be in
+/// right now?) to enumerate those states: the enumeration is exponential
+/// in this, and its digits live in arrays of this length. A wider guard
+/// is not evaluated; the give-up is counted in
+/// [`ActorStats::coverage_cutoffs`].
+pub const MAX_COVERAGE_SYMBOLS: usize = 12;
 
-/// Routing tables shared by all nodes of one execution.
+/// Routing tables shared by all nodes of one execution, dense over the
+/// symbol ids.
 #[derive(Debug, Default, Clone)]
 pub struct Routing {
     /// Actor node for each symbol.
-    pub actor_of: BTreeMap<SymbolId, NodeId>,
+    pub actor_of: SymbolMap<NodeId>,
     /// Agent node owning each symbol's events (absent for free events).
-    pub agent_of: BTreeMap<SymbolId, NodeId>,
+    pub agent_of: SymbolMap<NodeId>,
     /// Actors subscribed to each symbol's announcements.
-    pub subscribers_of: BTreeMap<SymbolId, Vec<NodeId>>,
+    pub subscribers_of: SymbolMap<Vec<NodeId>>,
 }
 
 /// Counters describing one actor's activity.
@@ -92,20 +95,25 @@ pub struct ActorStats {
     /// Announcements dropped because they carried a foreign
     /// [`InstanceId`] — always zero unless instance wiring is broken.
     pub cross_instance_rejected: u64,
+    /// Coverage evaluations given up because the guard constrains more
+    /// than [`MAX_COVERAGE_SYMBOLS`] symbols: the attempt parked without
+    /// its guard having been judged.
+    pub coverage_cutoffs: u64,
     /// Virtual time the first attempt parked, if it ever parked.
     pub first_parked_at: Option<Time>,
     /// Virtual time of the occurrence, if any.
     pub occurred_at: Option<Time>,
 }
 
-/// Per-polarity scheduling state.
+/// Per-polarity scheduling state. Everything here describes one
+/// instance; the sets are sorted vectors, so a reset keeps their buffers.
 #[derive(Debug, Clone)]
 pub struct LitState {
-    /// The current (reduced) guard; shares the compiled guard's
-    /// allocation until the first fact that touches it.
-    pub guard: Arc<Guard>,
+    /// The current (reduced) guard, as an index into the actor's table
+    /// ([`SymbolActor::guard_info`] reads it).
+    guard: GuardIx,
     /// The compiled guard before any reduction (for ordered rebuilds).
-    pub base_guard: Arc<Guard>,
+    base_guard: GuardIx,
     /// Event attributes.
     pub attrs: EventAttrs,
     /// An agent has requested this event and awaits a decision.
@@ -118,11 +126,11 @@ pub struct LitState {
     /// The actor promised `◇lit` to some requester: the event is obligated.
     pub promised_out: bool,
     /// Promise requests currently in flight (targets).
-    pub requested_promises: BTreeSet<Literal>,
+    pub requested_promises: SortedSet<Literal>,
     /// Not-yet queries in flight (target symbols).
-    pub notyet_pending: BTreeSet<SymbolId>,
+    pub notyet_pending: SortedSet<SymbolId>,
     /// Symbols currently holding still for us (granted not-yet).
-    pub notyet_granted: BTreeSet<SymbolId>,
+    pub notyet_granted: SortedSet<SymbolId>,
     /// A trigger has been sent to the agent for this literal.
     pub triggered: bool,
 }
@@ -224,41 +232,45 @@ impl DepTracker {
 }
 
 impl LitState {
-    fn new(guard: Guard, attrs: EventAttrs) -> LitState {
-        let guard = Arc::new(guard);
+    fn new(base_guard: GuardIx, attrs: EventAttrs) -> LitState {
         LitState {
-            base_guard: Arc::clone(&guard),
-            guard,
+            guard: base_guard,
+            base_guard,
             attrs,
             attempted: false,
             forced: false,
             dead: false,
             promised_out: false,
-            requested_promises: BTreeSet::new(),
-            notyet_pending: BTreeSet::new(),
-            notyet_granted: BTreeSet::new(),
+            requested_promises: SortedSet::new(),
+            notyet_pending: SortedSet::new(),
+            notyet_granted: SortedSet::new(),
             triggered: false,
         }
     }
 
-    /// Fold the occurrence of `l` into the current guard. A fact about a
-    /// symbol the guard does not mention reduces it to itself, so the
-    /// shared value stays shared.
-    fn assume_occurred(&mut self, l: Literal) {
-        if self.guard.mentions(l.symbol()) {
-            self.guard = Arc::new(self.guard.assume_occurred(l));
-        }
-    }
-
-    /// Fold the promise `◇l` into the current guard.
-    fn assume_promised(&mut self, l: Literal) {
-        if self.guard.mentions(l.symbol()) {
-            self.guard = Arc::new(self.guard.assume_promised(l));
-        }
+    /// Back to the state [`LitState::new`] builds.
+    fn reset(&mut self) {
+        self.guard = self.base_guard;
+        self.attempted = false;
+        self.forced = false;
+        self.dead = false;
+        self.promised_out = false;
+        self.requested_promises.clear();
+        self.notyet_pending.clear();
+        self.notyet_granted.clear();
+        self.triggered = false;
     }
 }
 
 /// The actor managing one symbol's event and complement.
+///
+/// An actor is built once per instance slot and serves the slot's
+/// instances one after another: [`SymbolActor::reset`] returns everything
+/// that describes an instance to its initial value and keeps every
+/// buffer, so a warm actor handles its messages without touching the
+/// allocator. What is not reset is the template part (symbol, attributes,
+/// routing, timeouts), the stamps the slot re-applies (instance ids,
+/// recorder and monitor handles) and the guard table, which is a cache.
 #[derive(Debug, Clone)]
 pub struct SymbolActor {
     /// The symbol this actor owns.
@@ -272,18 +284,29 @@ pub struct SymbolActor {
     /// Residual tracker of every dependency mentioning this symbol
     /// (`(dep index, tracker)`) — drives triggering and forced acceptance.
     pub dep_residuals: Vec<(usize, DepTracker)>,
+    /// Every guard this actor has reduced its two compiled guards to.
+    memo: GuardMemo,
     /// Occurrence facts seen, by global sequence (for ordered rebuilds).
-    facts_seen: BTreeMap<u64, Literal>,
+    facts_seen: SortedMap<u64, Literal>,
     /// Promises received.
-    promises_seen: BTreeSet<Literal>,
+    promises_seen: SortedSet<Literal>,
     /// Highest fact sequence already folded into the guards.
     applied_up_to: u64,
     /// Requesters currently holding this symbol still.
-    pub holds: BTreeSet<Literal>,
+    pub holds: SortedSet<Literal>,
     /// Promise requests that could not be decided yet (the event is not
     /// attempted, or its guard is not dischargeable under the assumption
     /// so far); re-examined whenever this actor's state advances.
-    pending_requests: BTreeSet<(Literal, Literal)>,
+    pending_requests: SortedSet<(Literal, Literal)>,
+    /// Buffers for what a handler works through while it changes the
+    /// sets it took them from — the requests [`SymbolActor::pursue_needs`]
+    /// sends, the party of a promise round or the holds to release, the
+    /// held requests being re-examined. Empty between handlers.
+    asks: Vec<Need>,
+    /// See [`SymbolActor::asks`].
+    lits: Vec<Literal>,
+    /// See [`SymbolActor::asks`].
+    held: Vec<(Literal, Literal)>,
     /// Shared routing.
     pub routing: Arc<Routing>,
     /// Lazy mode: facts are recorded as they arrive, but parked attempts
@@ -303,7 +326,7 @@ pub struct SymbolActor {
     /// unresolved rather than looping forever).
     pub max_promise_retries: u32,
     /// Aborted-round counts per `(requested, requester)` pair.
-    promise_retries: BTreeMap<(Literal, Literal), u32>,
+    promise_retries: SortedMap<(Literal, Literal), u32>,
     /// Flight-recorder handle (off by default): guard evaluations,
     /// occurrences, residual steps and promise-round phases become causal
     /// trace spans when a recorder is attached.
@@ -341,20 +364,24 @@ impl SymbolActor {
         SymbolActor {
             sym,
             occurred: None,
-            pos: LitState::new(pos_guard, pos_attrs),
-            neg: LitState::new(neg_guard, neg_attrs),
+            pos: LitState::new(GuardMemo::POS, pos_attrs),
+            neg: LitState::new(GuardMemo::NEG, neg_attrs),
             dep_residuals: deps,
-            facts_seen: BTreeMap::new(),
-            promises_seen: BTreeSet::new(),
+            memo: GuardMemo::new(pos_guard, neg_guard),
+            facts_seen: SortedMap::new(),
+            promises_seen: SortedSet::new(),
             applied_up_to: 0,
-            holds: BTreeSet::new(),
-            pending_requests: BTreeSet::new(),
+            holds: SortedSet::new(),
+            pending_requests: SortedSet::new(),
+            asks: Vec::new(),
+            lits: Vec::new(),
+            held: Vec::new(),
             routing,
             lazy: false,
             stats: ActorStats::default(),
             promise_timeout: None,
             max_promise_retries: 8,
-            promise_retries: BTreeMap::new(),
+            promise_retries: SortedMap::new(),
             obs: NodeObs::off(),
             mon: None,
             instance: InstanceId::ROOT,
@@ -362,11 +389,45 @@ impl SymbolActor {
         }
     }
 
-    /// The ordered occurrence facts this actor has recorded, keyed by
-    /// global sequence — exposed so harnesses can check that no two
-    /// actors diverge on what occurred (`□e`/`□ē` consistency).
-    pub fn facts(&self) -> &BTreeMap<u64, Literal> {
+    /// Forget the instance served so far: the actor is again what
+    /// [`SymbolActor::new`] built, with the configuration and stamps set
+    /// on it since, ready for the next instance of the same template.
+    pub fn reset(&mut self) {
+        self.occurred = None;
+        self.pos.reset();
+        self.neg.reset();
+        for (_, t) in &mut self.dep_residuals {
+            t.reset();
+        }
+        self.memo.reset();
+        self.facts_seen.clear();
+        self.promises_seen.clear();
+        self.applied_up_to = 0;
+        self.holds.clear();
+        self.pending_requests.clear();
+        self.stats = ActorStats::default();
+        self.promise_retries.clear();
+    }
+
+    /// The ordered occurrence facts this actor has recorded, as
+    /// `(global sequence, literal)` in sequence order — exposed so
+    /// harnesses can check that no two actors diverge on what occurred
+    /// (`□e`/`□ē` consistency).
+    pub fn facts(&self) -> &[(u64, Literal)] {
         &self.facts_seen
+    }
+
+    /// The current (reduced) guard of `lit` with what the actor derives
+    /// from it.
+    pub fn guard_info(&self, lit: Literal) -> &GuardInfo {
+        self.memo.get(self.lit_state_ref(lit).guard)
+    }
+
+    /// Fold `fact` into both guards.
+    fn reduce_guards(&mut self, fact: Fact) {
+        for st in [&mut self.pos, &mut self.neg] {
+            st.guard = self.memo.reduce(st.guard, fact);
+        }
     }
 
     fn lit_state(&mut self, lit: Literal) -> &mut LitState {
@@ -457,9 +518,7 @@ impl SymbolActor {
             if let Some(m) = &self.mon {
                 m.on_promise_commit(ctx.now(), self.obs.node, olit(lit));
             }
-            for st in [&mut self.pos, &mut self.neg] {
-                st.assume_promised(lit);
-            }
+            self.reduce_guards(Fact::Promised(lit));
             self.stats.reductions += 2;
         }
         for l in [Literal::pos(self.sym), Literal::neg(self.sym)] {
@@ -495,7 +554,7 @@ impl SymbolActor {
             m.on_promise_abort(ctx.now(), self.obs.node, olit(lit));
         }
         self.lit_state(for_lit).requested_promises.remove(&lit);
-        let retries = self.promise_retries.entry((lit, for_lit)).or_insert(0);
+        let retries = self.promise_retries.get_or_insert_with((lit, for_lit), || 0);
         if *retries < self.max_promise_retries {
             *retries += 1;
             // Re-evaluating re-runs pursue_needs, which re-sends the
@@ -519,32 +578,30 @@ impl SymbolActor {
             // Out-of-order arrival: full ordered replay. Residual steps
             // are not re-recorded — the replay re-derives state already
             // captured by earlier `DepStep` spans.
-            self.pos.guard = Arc::clone(&self.pos.base_guard);
-            self.neg.guard = Arc::clone(&self.neg.base_guard);
+            self.pos.guard = self.pos.base_guard;
+            self.neg.guard = self.neg.base_guard;
             for (_, t) in &mut self.dep_residuals {
                 t.reset();
             }
-            for (_, &l) in self.facts_seen.iter() {
-                self.pos.assume_occurred(l);
-                self.neg.assume_occurred(l);
+            for at in 0..self.facts_seen.len() {
+                let (_, l) = self.facts_seen[at];
+                self.reduce_guards(Fact::Occurred(l));
                 self.stats.reductions += 2;
                 for (_, t) in &mut self.dep_residuals {
                     t.step(l);
                 }
             }
-            for &p in &self.promises_seen {
-                self.pos.assume_promised(p);
-                self.neg.assume_promised(p);
+            for at in 0..self.promises_seen.len() {
+                self.reduce_guards(Fact::Promised(self.promises_seen[at]));
             }
             // Our own occurrence (if any) is part of the order too; it
             // was already folded into the residuals when it happened and
             // is replayed here through facts_seen (we record it there).
         } else {
-            let pending: Vec<Literal> =
-                self.facts_seen.range(self.applied_up_to + 1..).map(|(_, &l)| l).collect();
-            for l in pending {
-                self.pos.assume_occurred(l);
-                self.neg.assume_occurred(l);
+            let first = self.facts_seen.rank(self.applied_up_to + 1);
+            for at in first..self.facts_seen.len() {
+                let (_, l) = self.facts_seen[at];
+                self.reduce_guards(Fact::Occurred(l));
                 self.stats.reductions += 2;
                 for (_, t) in &mut self.dep_residuals {
                     t.step(l);
@@ -559,7 +616,7 @@ impl SymbolActor {
                 }
             }
         }
-        let max_seen = self.facts_seen.keys().next_back().copied().unwrap_or(0);
+        let max_seen = self.facts_seen.last().map_or(0, |&(seq, _)| seq);
         self.applied_up_to = max_seen.max(self.applied_up_to);
     }
 
@@ -677,33 +734,33 @@ impl SymbolActor {
     /// symbols. Sound under asynchrony (unannounced remote occurrences
     /// are inside the possible sets) and complete for literal-level
     /// guards; conjuncts with `◇(sequence)` atoms cannot witness coverage.
-    fn guard_enabled(&self, lit: Literal) -> bool {
-        let g = &self.lit_state_ref(lit).guard;
-        if g.holds_now() {
+    ///
+    /// A guard constraining more than [`MAX_COVERAGE_SYMBOLS`] symbols is
+    /// not enumerated: it reads as not enabled, and the give-up is
+    /// counted.
+    fn guard_enabled(&mut self, lit: Literal) -> bool {
+        let info = self.guard_info(lit);
+        if info.status == GuardStatus::EnabledNow {
             return true;
         }
-        let syms: Vec<SymbolId> = g
-            .conjuncts()
-            .iter()
-            .flat_map(|c| c.constrained_symbols().map(|(s, _)| s))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        if syms.is_empty() || syms.len() > 12 {
+        let syms = info.cover();
+        if syms.len() > MAX_COVERAGE_SYMBOLS {
+            self.stats.coverage_cutoffs += 1;
             return false;
         }
-        let usable: Vec<_> =
-            g.conjuncts().iter().filter(|c| c.seq_atoms().next().is_none()).collect();
-        if usable.is_empty() {
+        let usable = || info.guard.conjuncts().iter().filter(|c| c.seq_atoms().next().is_none());
+        if syms.is_empty() || usable().next().is_none() {
             return false;
         }
-        let possible: Vec<u8> = syms.iter().map(|&s| self.possible_states(lit, s)).collect();
         // Odometer over the possible state sets.
-        let mut states: Vec<u8> = possible.iter().map(|&p| p & p.wrapping_neg()).collect();
+        let (mut possible, mut states) = ([0u8; MAX_COVERAGE_SYMBOLS], [0u8; MAX_COVERAGE_SYMBOLS]);
+        for (k, &s) in syms.iter().enumerate() {
+            possible[k] = self.possible_states(lit, s);
+            states[k] = possible[k] & possible[k].wrapping_neg();
+        }
         loop {
-            let covered = usable
-                .iter()
-                .any(|c| syms.iter().zip(&states).all(|(&s, &st)| c.mask(s) & st != 0));
+            let covered =
+                usable().any(|c| syms.iter().zip(&states).all(|(&s, &st)| c.mask(s) & st != 0));
             if !covered {
                 return false;
             }
@@ -742,9 +799,12 @@ impl SymbolActor {
         if !self.obs.enabled() {
             return None;
         }
-        let facts: Vec<Fact> =
-            self.facts_seen.iter().map(|(&seq, &l)| Fact { seq, lit: olit(l), at: 0 }).collect();
-        let residual = guard_fingerprint(&self.lit_state_ref(lit).guard);
+        let facts: Vec<obs::Fact> = self
+            .facts_seen
+            .iter()
+            .map(|&(seq, l)| obs::Fact { seq, lit: olit(l), at: 0 })
+            .collect();
+        let residual = self.guard_info(lit).fingerprint();
         self.obs.rec(now, SpanKind::GuardEval { lit: olit(lit), verdict, residual, facts })
     }
 
@@ -778,7 +838,8 @@ impl SymbolActor {
                 return;
             }
         }
-        match status(&st.guard) {
+        let (status, base_guard) = (self.memo.get(st.guard).status, st.base_guard);
+        match status {
             // A guard whose compiled form carries ◇(sequence) atoms can
             // look *prematurely* dead when announcements arrive out of
             // order (residuating the sequence by a later event kills it;
@@ -786,7 +847,7 @@ impl SymbolActor {
             // fact arrives). Rejection is irreversible, so such guards
             // park instead of rejecting — Weakened mode (the default) has
             // no sequence atoms and keeps eager rejection.
-            GuardStatus::Dead if !st.base_guard.has_seq_atoms() => {
+            GuardStatus::Dead if !self.memo.get(base_guard).guard.has_seq_atoms() => {
                 self.rec_guard_eval(ctx.now(), lit, Verdict::Dead);
                 self.lit_state(lit).dead = true;
                 self.reject(ctx, lit);
@@ -820,70 +881,56 @@ impl SymbolActor {
     /// promise to an unattempted triggerable event is given only when the
     /// event is required — see [`SymbolActor::try_grant`]).
     fn pursue_needs(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal) {
-        let needs_per_conjunct = needs(&self.lit_state_ref(lit).guard);
-        let mut to_send: Vec<Msg> = Vec::new();
+        // Decide what to ask for before asking for anything: a request
+        // sent changes the sets the next one is checked against.
+        let mut to_send = std::mem::take(&mut self.asks);
         {
             let st = self.lit_state_ref(lit);
-            for conj in &needs_per_conjunct {
-                for need in conj {
-                    match need {
-                        Need::Promise(f) => {
-                            // Skip promises already in flight — and
-                            // promises already *held*: a constraint that
-                            // survives a held promise (e.g. the {D} mask
-                            // ◇l̄∧¬l̄) needs an agreement or an occurrence,
-                            // not the same promise again.
-                            if !st.requested_promises.contains(f) && !self.promises_seen.contains(f)
-                            {
-                                to_send.push(Msg::PromiseRequest { lit: *f, for_lit: lit });
-                            }
-                        }
-                        Need::NotYetAgreement(f) => {
-                            if !st.notyet_pending.contains(&f.symbol())
-                                && !st.notyet_granted.contains(&f.symbol())
-                            {
-                                to_send.push(Msg::NotYetQuery { lit: *f, for_lit: lit });
-                            }
-                        }
-                        Need::Occurrence(_) | Need::SequenceHead(_) => {
-                            // Passive: discharged by announcements.
-                        }
-                    }
+            let wanted = |need: &&Need| match need {
+                // Skip promises already in flight — and promises already
+                // *held*: a constraint that survives a held promise (e.g.
+                // the {D} mask ◇l̄∧¬l̄) needs an agreement or an
+                // occurrence, not the same promise again.
+                Need::Promise(f) => {
+                    !st.requested_promises.contains(f) && !self.promises_seen.contains(f)
                 }
-            }
+                Need::NotYetAgreement(f) => {
+                    !st.notyet_pending.contains(&f.symbol())
+                        && !st.notyet_granted.contains(&f.symbol())
+                }
+                Need::Occurrence(_) | Need::SequenceHead(_) => false,
+            };
+            to_send.extend(self.memo.get(st.guard).asks().iter().filter(wanted).cloned());
         }
-        to_send.sort_by_key(|m| (m.literal(), matches!(m, Msg::NotYetQuery { .. })));
-        to_send.dedup();
-        for m in to_send {
-            match &m {
-                Msg::PromiseRequest { lit: f, .. } => {
-                    let target = self.routing.actor_of[&f.symbol()];
-                    self.obs.rec(
-                        ctx.now(),
-                        SpanKind::PromiseOpen { lit: olit(*f), for_lit: olit(lit) },
-                    );
+        for need in to_send.drain(..) {
+            match need {
+                Need::Promise(f) => {
+                    let target = self.routing.actor_of[f.symbol()];
+                    self.obs
+                        .rec(ctx.now(), SpanKind::PromiseOpen { lit: olit(f), for_lit: olit(lit) });
                     if let Some(m) = &self.mon {
-                        m.on_promise_open(ctx.now(), self.obs.node, olit(*f));
+                        m.on_promise_open(ctx.now(), self.obs.node, olit(f));
                     }
-                    self.lit_state(lit).requested_promises.insert(*f);
+                    self.lit_state(lit).requested_promises.insert(f);
                     self.stats.promises_requested += 1;
                     if let Some(timeout) = self.promise_timeout {
                         ctx.send_after(
                             ctx.self_id,
-                            Msg::PromiseExpire { lit: *f, for_lit: lit },
+                            Msg::PromiseExpire { lit: f, for_lit: lit },
                             timeout,
                         );
                     }
-                    ctx.send(target, m);
+                    ctx.send(target, Msg::PromiseRequest { lit: f, for_lit: lit });
                 }
-                Msg::NotYetQuery { lit: f, .. } => {
-                    let target = self.routing.actor_of[&f.symbol()];
+                Need::NotYetAgreement(f) => {
+                    let target = self.routing.actor_of[f.symbol()];
                     self.lit_state(lit).notyet_pending.insert(f.symbol());
-                    ctx.send(target, m);
+                    ctx.send(target, Msg::NotYetQuery { lit: f, for_lit: lit });
                 }
-                _ => unreachable!(),
+                Need::Occurrence(_) | Need::SequenceHead(_) => unreachable!("not an ask"),
             }
         }
+        self.asks = to_send;
     }
 
     // ----- occurrence / rejection -----
@@ -944,18 +991,7 @@ impl SymbolActor {
         if ost.attempted && !ost.forced {
             self.reply_agent(ctx, Msg::Rejected { lit: other });
         }
-        // Announce to every subscriber.
-        if let Some(subs) = self.routing.subscribers_of.get(&self.sym) {
-            for &node in subs {
-                if node != ctx.self_id {
-                    self.stats.announces_out += 1;
-                    ctx.send(
-                        node,
-                        Msg::Announce { lit, at, seq, instance: self.announce_instance },
-                    );
-                }
-            }
-        }
+        self.announce(ctx, lit, at, seq);
         self.release_all_requested(ctx);
         self.check_triggering(ctx);
     }
@@ -985,19 +1021,33 @@ impl SymbolActor {
         }
     }
 
-    /// Release every hold we were granted or asked for (we have decided).
+    /// `□lit` to every subscriber.
+    fn announce(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, at: Time, seq: u64) {
+        let instance = self.announce_instance;
+        for &node in self.routing.subscribers_of.get(&self.sym).into_iter().flatten() {
+            if node != ctx.self_id {
+                self.stats.announces_out += 1;
+                ctx.send(node, Msg::Announce { lit, at, seq, instance });
+            }
+        }
+    }
+
+    /// Release every hold we were granted or asked for (we have decided):
+    /// one message per symbol, in symbol order.
     fn release_all_requested(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let mut targets: BTreeSet<SymbolId> = BTreeSet::new();
+        let mut held = std::mem::take(&mut self.lits);
         for st in [&mut self.pos, &mut self.neg] {
-            targets.extend(st.notyet_granted.iter().copied());
-            targets.extend(st.notyet_pending.iter().copied());
+            let asked = st.notyet_granted.iter().chain(st.notyet_pending.iter());
+            held.extend(asked.map(|&t| Literal::pos(t)));
             st.notyet_granted.clear();
             st.notyet_pending.clear();
         }
-        for t in targets {
-            let node = self.routing.actor_of[&t];
-            ctx.send(node, Msg::Release { lit: Literal::pos(t) });
+        held.sort_unstable();
+        held.dedup();
+        for lit in held.drain(..) {
+            ctx.send(self.routing.actor_of[lit.symbol()], Msg::Release { lit });
         }
+        self.lits = held;
     }
 
     fn reply_agent(&self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
@@ -1051,21 +1101,20 @@ impl SymbolActor {
         // the obligation ever becomes *required* — so the promise is a
         // deferred obligation, and alternative disjuncts (compensation
         // tasks) do not run unless unavoidable (Section 6).
-        let can_happen = st.attempted || st.attrs.triggerable;
+        let (can_happen, current) = (st.attempted || st.attrs.triggerable, st.guard);
         // Multi-party consensus (Example 11 generalized): the assumption
         // set includes *every* requester currently waiting on this
         // literal — a fork/join's two branch commits jointly assume each
         // other through the join's promise, and all grants go out
         // together as one mutual commitment.
-        let mut party: BTreeSet<Literal> =
-            self.pending_requests.iter().filter(|(l, _)| *l == lit).map(|&(_, f)| f).collect();
-        party.insert(for_lit);
-        let mut assumed = Guard::clone(&st.guard);
-        for &p in &party {
-            assumed = assumed.assume_promised(p);
+        let mut party = std::mem::take(&mut self.lits);
+        party.extend(self.pending_requests.iter().filter(|(l, _)| *l == lit).map(|&(_, f)| f));
+        if let Err(at) = party.binary_search(&for_lit) {
+            party.insert(at, for_lit);
         }
-        let mut assumptions: BTreeSet<Literal> = self.promises_seen.clone();
-        assumptions.extend(party.iter().copied());
+        let assumed = party.iter().fold(current, |g, &p| self.memo.reduce(g, Fact::Promised(p)));
+        let assumed = &self.memo.get(assumed).guard;
+        let assumptions = || self.promises_seen.iter().chain(&party);
         // A conjunct is eventually dischargeable when every constraint is
         // (a) implied by some assumed occurrence's final state (□f with
         // ◇f assumed), or (b) a not-yet-style mask (admits both
@@ -1077,31 +1126,38 @@ impl SymbolActor {
             || assumed.conjuncts().iter().any(|c| {
                 c.seq_atoms().next().is_none()
                     && c.constrained_symbols().all(|(s, m)| {
-                        assumptions
-                            .iter()
+                        assumptions()
                             .any(|l| l.symbol() == s && occurred_mask(l.polarity()) & !m == 0)
                             || (m & (ST_C | ST_D)) == (ST_C | ST_D)
                     })
             });
-        if !(can_happen && eventually_discharged) {
-            return false;
+        let granted = can_happen && eventually_discharged;
+        if granted {
+            self.lit_state(lit).promised_out = true;
+            for &p in &party {
+                let requester = self.routing.actor_of[p.symbol()];
+                self.stats.promises_granted += 1;
+                self.obs.rec(ctx.now(), SpanKind::PromiseGrant { lit: olit(lit), to: requester.0 });
+                ctx.send(requester, Msg::PromiseGrant { lit });
+                self.pending_requests.remove(&(lit, p));
+            }
         }
-        self.lit_state(lit).promised_out = true;
-        for &p in &party {
-            let requester = self.routing.actor_of[&p.symbol()];
-            self.stats.promises_granted += 1;
-            self.obs.rec(ctx.now(), SpanKind::PromiseGrant { lit: olit(lit), to: requester.0 });
-            ctx.send(requester, Msg::PromiseGrant { lit });
-            self.pending_requests.remove(&(lit, p));
-        }
-        true
+        party.clear();
+        self.lits = party;
+        granted
     }
 
     /// Re-examine held promise requests after any state change; grant the
     /// now-grantable, deny those that became impossible, keep the rest.
     fn service_pending_requests(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let pending: Vec<(Literal, Literal)> = self.pending_requests.iter().copied().collect();
-        for (lit, for_lit) in pending {
+        // A snapshot: a grant answers its whole party, and the loop still
+        // visits the requests it took out from under it.
+        if self.pending_requests.is_empty() {
+            return;
+        }
+        let mut held = std::mem::take(&mut self.held);
+        held.extend_from_slice(&self.pending_requests);
+        for (lit, for_lit) in held.drain(..) {
             if let Some((occ, at, seq)) = self.occurred {
                 let requester = self.routing.actor_of[&for_lit.symbol()];
                 if occ == lit {
@@ -1121,6 +1177,7 @@ impl SymbolActor {
                 self.pending_requests.remove(&(lit, for_lit));
             }
         }
+        self.held = held;
     }
 
     // ----- not-yet agreement -----
@@ -1177,9 +1234,7 @@ impl SymbolActor {
             // only the order-insensitive consequence ◇lit — promise
             // reduction is sound in isolation, unlike occurrence
             // reduction of ◇(sequence) atoms.
-            for st in [&mut self.pos, &mut self.neg] {
-                st.assume_promised(lit);
-            }
+            self.reduce_guards(Fact::Promised(lit));
             self.after_fact(ctx, Some(lit));
         }
         // Otherwise: we yielded; retry on the next fact arrival.
@@ -1201,15 +1256,7 @@ impl SymbolActor {
     ///   rebuilt guards — requests are idempotent at the granter.
     pub fn resume_after_restart(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if let Some((lit, at, seq)) = self.occurred {
-            if let Some(subs) = self.routing.subscribers_of.get(&self.sym) {
-                for &node in subs {
-                    if node != ctx.self_id {
-                        self.stats.announces_out += 1;
-                        let instance = self.announce_instance;
-                        ctx.send(node, Msg::Announce { lit, at, seq, instance });
-                    }
-                }
-            }
+            self.announce(ctx, lit, at, seq);
             let st = self.lit_state_ref(lit);
             if st.attempted && !st.forced {
                 self.reply_agent(ctx, Msg::Granted { lit });
@@ -1231,7 +1278,8 @@ impl SymbolActor {
 
     fn on_release(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId) {
         // Clear every hold whose requester lives at the releasing actor.
-        self.holds.retain(|h| self.routing.actor_of.get(&h.symbol()) != Some(&from));
+        let routing = &self.routing;
+        self.holds.retain(|h| routing.actor_of.get(&h.symbol()) != Some(&from));
         if self.holds.is_empty() {
             self.after_fact(ctx, None);
         }
@@ -1244,11 +1292,20 @@ mod tests {
 
     #[test]
     fn lit_state_construction() {
-        let g = Guard::top();
-        let st = LitState::new(g.clone(), EventAttrs::controllable());
-        assert_eq!(*st.guard, g);
-        assert!(!st.attempted);
-        assert!(!st.promised_out);
+        let g = Guard::eventually(Literal::pos(SymbolId(1)));
+        let actor = SymbolActor::new(
+            SymbolId(0),
+            g.clone(),
+            Guard::top(),
+            EventAttrs::controllable(),
+            EventAttrs::immediate(),
+            Vec::new(),
+            Arc::new(Routing::default()),
+        );
+        assert_eq!(actor.guard_info(Literal::pos(SymbolId(0))).guard, g);
+        assert_eq!(actor.guard_info(Literal::neg(SymbolId(0))).status, GuardStatus::EnabledNow);
+        assert!(!actor.pos.attempted);
+        assert!(!actor.pos.promised_out);
     }
     // Full actor behavior is exercised through the executor integration
     // tests in `exec.rs` and `tests/` — the actor is meaningless without

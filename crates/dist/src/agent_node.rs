@@ -3,7 +3,7 @@
 //! reports immediate ones, and services scheduler triggers (Section 2).
 
 use crate::msg::Msg;
-use agent::{EventIx, TaskAgent};
+use agent::{EventIx, StateIx, TaskAgent};
 use event_algebra::Literal;
 use sim::{Ctx, NodeId};
 use std::collections::VecDeque;
@@ -60,11 +60,19 @@ enum Step {
     Wait(u64),
 }
 
-/// The agent process: a task skeleton plus a driver.
+/// The agent process: a task skeleton plus a driver. Built once per
+/// instance slot; [`AgentNode::reset`] rewinds it for the next instance.
 #[derive(Debug, Clone)]
 pub struct AgentNode {
     /// The task skeleton.
     pub agent: TaskAgent,
+    /// The state the skeleton starts every instance in.
+    start: StateIx,
+    /// The resolved script, as every instance starts it.
+    plan: Vec<Step>,
+    /// Per skeleton state, the events fireable from it now or later
+    /// (sorted): a property of the skeleton, tabulated once.
+    reachable: Vec<Vec<EventIx>>,
     script: VecDeque<Step>,
     pending_triggers: VecDeque<EventIx>,
     /// An attempt outstanding at the actor (event index).
@@ -81,7 +89,7 @@ pub struct AgentNode {
 impl AgentNode {
     /// Wrap `agent` with a script (event names must exist in the agent).
     pub fn new(agent: TaskAgent, script: &Script, routing: Arc<Routing>) -> AgentNode {
-        let steps = script
+        let plan: Vec<Step> = script
             .steps
             .iter()
             .map(|step| match step {
@@ -94,8 +102,11 @@ impl AgentNode {
             })
             .collect();
         AgentNode {
+            start: agent.current,
+            reachable: (0..agent.states.len()).map(|s| reachable_from(&agent, s)).collect(),
             agent,
-            script: steps,
+            script: plan.iter().copied().collect(),
+            plan,
             pending_triggers: VecDeque::new(),
             waiting: None,
             sleeping: false,
@@ -105,9 +116,22 @@ impl AgentNode {
         }
     }
 
+    /// Rewind to the state [`AgentNode::new`] builds, keeping every
+    /// buffer.
+    pub fn reset(&mut self) {
+        self.agent.current = self.start;
+        self.script.clear();
+        self.script.extend(&self.plan);
+        self.pending_triggers.clear();
+        self.waiting = None;
+        self.sleeping = false;
+        self.rejected.clear();
+        self.fired.clear();
+    }
+
     fn actor_for(&self, ev: EventIx) -> NodeId {
         let lit = self.agent.literal_of(ev);
-        self.routing.actor_of[&lit.symbol()]
+        self.routing.actor_of[lit.symbol()]
     }
 
     /// Handle a message from the scheduler (or the initial kick / a
@@ -149,13 +173,13 @@ impl AgentNode {
     /// Fire a granted/triggered event locally and notify of any events
     /// that have become unreachable (their complements occurred).
     fn fire(&mut self, ctx: &mut Ctx<'_, Msg>, ev: EventIx) {
-        let before = self.reachable_events();
+        let before = self.agent.current;
         self.agent.fire(ev).expect("scheduler granted an illegal transition");
         self.fired.push(self.agent.literal_of(ev));
         // Complements: events reachable before but not after are now
         // impossible in this task — their complements occur.
         let after = self.reachable_events();
-        for e in before {
+        for &e in &self.reachable[before] {
             if e != ev && !after.contains(&e) && !self.fired.contains(&self.agent.literal_of(e)) {
                 let lit = self.agent.literal_of(e);
                 ctx.send(self.actor_for(e), Msg::Inform { lit: lit.complement() });
@@ -164,28 +188,8 @@ impl AgentNode {
     }
 
     /// Events reachable (fireable eventually) from the current state.
-    fn reachable_events(&self) -> Vec<EventIx> {
-        let mut reach_states = vec![false; self.agent.states.len()];
-        let mut stack = vec![self.agent.current];
-        reach_states[self.agent.current] = true;
-        while let Some(s) = stack.pop() {
-            for &(from, _, to) in &self.agent.transitions {
-                if from == s && !reach_states[to] {
-                    reach_states[to] = true;
-                    stack.push(to);
-                }
-            }
-        }
-        let mut evs: Vec<EventIx> = self
-            .agent
-            .transitions
-            .iter()
-            .filter(|&&(from, _, _)| reach_states[from])
-            .map(|&(_, e, _)| e)
-            .collect();
-        evs.sort_unstable();
-        evs.dedup();
-        evs
+    fn reachable_events(&self) -> &[EventIx] {
+        &self.reachable[self.agent.current]
     }
 
     /// Take the next action: service a trigger if possible, else the next
@@ -256,6 +260,31 @@ impl AgentNode {
             self.advance(ctx);
         }
     }
+}
+
+/// The events fireable, now or after other transitions, from `state` of
+/// `agent`, sorted.
+fn reachable_from(agent: &TaskAgent, state: StateIx) -> Vec<EventIx> {
+    let mut reach_states = vec![false; agent.states.len()];
+    let mut stack = vec![state];
+    reach_states[state] = true;
+    while let Some(s) = stack.pop() {
+        for &(from, _, to) in &agent.transitions {
+            if from == s && !reach_states[to] {
+                reach_states[to] = true;
+                stack.push(to);
+            }
+        }
+    }
+    let mut evs: Vec<EventIx> = agent
+        .transitions
+        .iter()
+        .filter(|&&(from, _, _)| reach_states[from])
+        .map(|&(_, e, _)| e)
+        .collect();
+    evs.sort_unstable();
+    evs.dedup();
+    evs
 }
 
 #[cfg(test)]

@@ -1,7 +1,13 @@
-//! The distributed executor: compiles a workflow into per-event guards,
-//! instantiates one actor per symbol and one node per task agent on a
-//! simulated network, runs to quiescence, and reports the realized trace
-//! together with satisfaction verdicts for every dependency.
+//! The distributed executor: what a workflow is ([`WorkflowSpec`]), how
+//! it is run ([`ExecConfig`]), what comes back ([`RunReport`]), and the
+//! compile step between them — [`build_workflow`] turns a spec into a
+//! [`BuiltWorkflow`], the *template*: per-event guards, dependency
+//! machines, routing tables and one prototype node per task agent and per
+//! symbol, compiled once and only read afterwards. Running is
+//! `slot.rs`'s: an [`InstanceSlot`] assembles a template's nodes on a
+//! simulated network once and runs instance after instance over them.
+//! [`run_workflow`] is a slot used once, with the run's metrics snapshot
+//! on top.
 //!
 //! This is the end-to-end pipeline the paper describes: declarative
 //! specification → guard synthesis (Section 4.2) → localized, distributed
@@ -10,22 +16,22 @@
 
 use crate::actor::{ActorStats, DepTracker, Routing, SymbolActor};
 use crate::agent_node::{AgentNode, Script};
+use crate::fleet::Arrival;
 use crate::msg::{InstanceId, Msg};
-use crate::reliable::{Reliable, ReliableConfig};
-use crate::wal::{NodeStore, WalEntry};
+use crate::reliable::ReliableConfig;
+use crate::slot::{InstanceSlot, InstanceTotals};
+use crate::wal::NodeStore;
 use agent::{EventAttrs, TaskAgent};
 use event_algebra::{
-    normalize, satisfies, DependencyMachine, Expr, Literal, ShardPlan, SymbolId, SymbolTable, Trace,
+    normalize, DependencyMachine, Expr, Literal, ShardPlan, SymbolId, SymbolTable, Trace,
 };
 use guard::{CompiledWorkflow, GuardScope};
-use monitor::{MonitorConfig, WorkflowMonitor};
-use obs::{MetricsRegistry, MetricsSnapshot, NodeObs, Obs, RecordConfig, Recording, SpanKind};
-use sim::{
-    Ctx, FaultPlan, FaultStats, Network, NodeId, Process, SimConfig, SiteId, Termination, Time,
-};
+use monitor::MonitorConfig;
+use obs::{MetricSink, MetricsSnapshot, RecordConfig, Recording};
+use sim::{Ctx, FaultPlan, FaultStats, NodeId, Process, SimConfig, SiteId, Termination, Time};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 use std::sync::Arc;
-use std::time::Instant;
 use temporal::Guard;
 
 /// How sequence atoms in guards are handled at runtime.
@@ -112,7 +118,7 @@ pub struct ExecConfig {
     /// given number of rounds. `None` = the paper's eager scheduler.
     pub lazy: Option<(Time, u32)>,
     /// Protocol hardening for lossy networks: wrap cross-node messages in
-    /// the at-least-once transport ([`Reliable`]) and arm promise-round
+    /// the at-least-once transport ([`crate::Reliable`]) and arm promise-round
     /// timeouts on the actors. `None` (the default) sends raw messages —
     /// correct on the fault-free simulator and bit-identical to the
     /// behavior before the fault layer existed.
@@ -209,7 +215,7 @@ pub fn guard_gated(spec: &WorkflowSpec) -> BTreeSet<Literal> {
 // Vec and only ever borrowed after that — boxing would tax every message
 // dispatch to save memory that is never moved.
 #[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub enum Node {
     /// Per-symbol event actor.
     Actor(SymbolActor),
@@ -223,8 +229,10 @@ pub enum Node {
         /// Tick period in virtual time: the value `countdown` is reset to
         /// after every broadcast.
         period: Time,
-        /// Remaining rounds.
+        /// Rounds an instance is ticked for.
         rounds: u32,
+        /// Rounds left in this instance.
+        left: u32,
         /// Self-hops left until the next broadcast. A self-send takes one
         /// tick, so the ticker kicks itself once per tick, decrements
         /// this on every kick and broadcasts when it reaches 1.
@@ -232,15 +240,32 @@ pub enum Node {
     },
 }
 
+impl Node {
+    /// Forget the instance served so far: the node is again as built
+    /// (configuration and stamps set on it since stay), every buffer
+    /// kept. An instance slot does this between instances, and a crash
+    /// does it to the node it hits.
+    pub fn reset(&mut self) {
+        match self {
+            Node::Actor(a) => a.reset(),
+            Node::Agent(a) => a.reset(),
+            Node::Ticker { period, rounds, left, countdown, .. } => {
+                *left = *rounds;
+                *countdown = *period;
+            }
+        }
+    }
+}
+
 impl Process<Msg> for Node {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         match self {
             Node::Actor(a) => a.handle(ctx, from, msg),
             Node::Agent(a) => a.handle(ctx, msg),
-            Node::Ticker { actors, period, rounds, countdown } => {
+            Node::Ticker { actors, period, left, countdown, .. } => {
                 // Self-messages have latency ≥ 1 tick; chain them to
                 // approximate the period, then broadcast.
-                if *rounds == 0 {
+                if *left == 0 {
                     return;
                 }
                 if *countdown > 1 {
@@ -249,10 +274,10 @@ impl Process<Msg> for Node {
                     for &a in actors.iter() {
                         ctx.send(a, Msg::Tick);
                     }
-                    *rounds -= 1;
+                    *left -= 1;
                     *countdown = *period;
                 }
-                if *rounds > 0 {
+                if *left > 0 {
                     ctx.send(ctx.self_id, Msg::Kick);
                 }
             }
@@ -321,9 +346,14 @@ impl RunReport {
     }
 }
 
-/// The assembled network, ready to run.
+/// A compiled workflow — the template its instances are states over.
+/// Nothing here changes once built: an [`InstanceSlot`] clones the
+/// prototype nodes when it is assembled and borrows the rest, so one
+/// `BuiltWorkflow` serves every slot of every worker of a fleet.
 pub struct BuiltWorkflow {
-    /// `(site, node)` pairs; agents first, then actors.
+    /// `(site, node)` pairs, each node in its initial state; agents
+    /// first, then actors in symbol order. The prototype a slot clones —
+    /// or, run standalone, nodes ready to be placed on a network.
     pub nodes: Vec<(SiteId, Node)>,
     /// Shared routing tables.
     pub routing: Arc<Routing>,
@@ -340,8 +370,15 @@ pub struct BuiltWorkflow {
     pub guards: Arc<CompiledWorkflow>,
 }
 
-/// Compile guards and assemble the nodes for `spec`.
+/// Compile `spec` under `config` into its template: guards and machines,
+/// routing, one prototype node per agent and per symbol, seed messages.
 pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow {
+    build(spec, &config)
+}
+
+/// [`build_workflow`] by reference: a fleet compiles each of its
+/// templates once, under the one configuration it keeps.
+pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
     let compiled = Arc::new(CompiledWorkflow::compile(&spec.dependencies, GuardScope::Mentioning));
     // In compiled mode every actor tracking dependency `ix` shares (an Arc
     // of) the same precompiled machine; only the u32 state is per-actor.
@@ -419,7 +456,7 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
         interest.remove(&t);
         for s in interest {
             let subs = routing.subscribers_of.get_mut(&s).expect("a mentioned symbol has an actor");
-            subs.push(routing.actor_of[&t]);
+            subs.push(routing.actor_of[t]);
         }
     }
     let routing = Arc::new(routing);
@@ -472,7 +509,8 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
     }
     if let Some((period, rounds)) = config.lazy {
         let actors: Vec<NodeId> = routing.actor_of.values().copied().collect();
-        nodes.push((SiteId(0), Node::Ticker { actors, period, rounds, countdown: period }));
+        let ticker = Node::Ticker { actors, period, rounds, left: rounds, countdown: period };
+        nodes.push((SiteId(0), ticker));
     }
 
     // ----- seed messages -----
@@ -487,7 +525,7 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
     }
     for f in &spec.free_events {
         if let Some(after) = f.attempt_after {
-            let actor = routing.actor_of[&f.lit.symbol()];
+            let actor = routing.actor_of[f.lit.symbol()];
             let msg = if f.attrs.controllable {
                 Msg::Attempt { lit: f.lit }
             } else {
@@ -500,310 +538,6 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
         }
     }
     BuiltWorkflow { nodes, routing, injections, symbols: symbol_list, guards: compiled }
-}
-
-/// Assemble a report from finished actors, read in place through
-/// `actor_of` (symbol → its actor).
-fn collect_report<'a>(
-    spec: &WorkflowSpec,
-    symbol_list: &[SymbolId],
-    actor_of: impl Fn(SymbolId) -> &'a SymbolActor,
-    duration: Time,
-    outcome: sim::RunOutcome,
-    net: sim::NetStats,
-) -> RunReport {
-    let sim::RunOutcome { steps, termination } = outcome;
-    let mut occurrences: Vec<(Literal, Time, u64)> = Vec::new();
-    let mut unresolved: Vec<SymbolId> = Vec::new();
-    let mut actor_stats = BTreeMap::new();
-    let mut parked = Vec::new();
-    let mut broken_promises = Vec::new();
-    let mut canon: BTreeMap<u64, Literal> = BTreeMap::new();
-    let mut divergence: Vec<(u64, Literal, Literal)> = Vec::new();
-    for &s in symbol_list {
-        let a = actor_of(s);
-        actor_stats.insert(s, a.stats.clone());
-        // Divergence audit: every actor's view of the global occurrence
-        // order must agree wherever the views overlap.
-        for (&seq, &lit) in a.facts() {
-            match canon.get(&seq) {
-                Some(&first) if first != lit => divergence.push((seq, first, lit)),
-                Some(_) => {}
-                None => {
-                    canon.insert(seq, lit);
-                }
-            }
-        }
-        match a.occurred {
-            Some(occ) => occurrences.push(occ),
-            None => {
-                unresolved.push(s);
-                for (lit, st) in [(Literal::pos(s), &a.pos), (Literal::neg(s), &a.neg)] {
-                    if st.attempted {
-                        parked.push(lit);
-                    }
-                    if st.promised_out {
-                        broken_promises.push(lit);
-                    }
-                }
-            }
-        }
-    }
-    occurrences.sort_by_key(|&(_, t, q)| (t, q));
-    let trace = Trace::new(occurrences.iter().map(|&(l, _, _)| l))
-        .expect("actors enforce single resolution per symbol");
-    let mut maximal_events: Vec<Literal> = occurrences.iter().map(|&(l, _, _)| l).collect();
-    maximal_events.extend(unresolved.iter().map(|&s| Literal::neg(s)));
-    let maximal_trace = Trace::new(maximal_events).expect("complement extension cannot clash");
-    let satisfied = spec.dependencies.iter().map(|d| satisfies(&maximal_trace, d)).collect();
-    RunReport {
-        trace,
-        occurrences,
-        unresolved,
-        maximal_trace,
-        satisfied,
-        duration,
-        steps,
-        net,
-        actor_stats,
-        parked,
-        broken_promises,
-        termination,
-        // Populated even on the fault-free path, so consumers can read
-        // all-zero counters instead of special-casing `None`.
-        fault_stats: Some(FaultStats::default()),
-        divergence,
-        metrics: MetricsSnapshot::default(),
-        recording: None,
-        alerts: Vec::new(),
-        monitor: None,
-    }
-}
-
-/// A network node wrapped in the fault-tolerance machinery: an optional
-/// at-least-once transport ([`Reliable`]) for every cross-node message the
-/// wrapped role sends, and an optional write-ahead log ([`NodeStore`])
-/// from which the role is rebuilt after a crash.
-///
-/// With both disabled it is a transparent passthrough — the role handles
-/// messages on the real network context, with zero behavioral difference
-/// from running the role directly.
-pub struct NetNode {
-    /// The wrapped protocol role.
-    pub role: Node,
-    pub(crate) reliable: Option<Reliable>,
-    /// Durable storage shared across the run (possibly across a whole
-    /// tenant fleet), plus this node's instance and id keying its slice.
-    store: Option<(NodeStore, InstanceId, u32)>,
-    /// The node as originally built (recorder and monitor detached):
-    /// volatile state is reset to this on restart before the log replays
-    /// over it.
-    pristine: Option<Box<Node>>,
-    /// Flight-recorder handle for this node: WAL appends/replays are
-    /// recorded here, and the handle is re-attached to the role after a
-    /// crash rebuild (replay itself runs with recording detached, so
-    /// rebuilt decisions are not re-recorded).
-    obs: NodeObs,
-    /// Fused monitor handle: ticked at the start of every delivery and
-    /// restart (the stall watchdog's sweep points — exactly where an
-    /// offline replay of the recording sweeps on the `MsgDeliver` /
-    /// `Restart` span, which the network records *before* invoking the
-    /// handler). Like `obs`, re-attached to actor roles after a crash
-    /// rebuild.
-    mon: Option<Arc<WorkflowMonitor>>,
-}
-
-impl NetNode {
-    /// Route one outgoing message: cross-node immediate sends go through
-    /// the reliability layer (when enabled); self-sends are local timers
-    /// and delayed sends are think-time — both stay raw.
-    fn forward(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, msg: Msg, extra: Time) {
-        match &mut self.reliable {
-            Some(r) if to != ctx.self_id && extra == 0 => {
-                let seq = r.send(ctx, to, msg);
-                if let Some((store, instance, id)) = &self.store {
-                    store.record_seq(*instance, *id, to, seq);
-                }
-            }
-            Some(_) => {
-                // Only self-addressed timers may stay raw: a *cross-node*
-                // delayed send would silently skip the envelope and lose
-                // its at-least-once protection. No role emits one today;
-                // the assert keeps the invariant explicit.
-                debug_assert!(
-                    to == ctx.self_id,
-                    "delayed cross-node send would bypass the at-least-once transport"
-                );
-                ctx.send_after(to, msg, extra);
-            }
-            None => ctx.send_after(to, msg, extra),
-        }
-    }
-}
-
-impl Process<Msg> for NetNode {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
-        if let Some(m) = &self.mon {
-            m.tick(ctx.now());
-        }
-        let (payload, env_seq) = match &mut self.reliable {
-            Some(r) => match r.on_message(ctx, from, msg) {
-                Some(p) => p,
-                None => return, // ack, retry timer, or suppressed duplicate
-            },
-            None => (msg, None),
-        };
-        // Write-ahead: log every message the role actually processes
-        // (post-dedup), with the delivery context it is processed under,
-        // so a restart can replay exactly this stream — same payloads,
-        // same times, same global delivery sequence numbers.
-        if let Some((store, instance, id)) = &self.store {
-            store.append(
-                *instance,
-                *id,
-                WalEntry {
-                    from,
-                    msg: payload.clone(),
-                    at: ctx.now(),
-                    delivery_seq: ctx.delivery_seq(),
-                    env_seq,
-                },
-            );
-            self.obs.rec(ctx.now(), SpanKind::WalAppend { seq: ctx.delivery_seq() });
-        }
-        if self.reliable.is_some() {
-            let mut out: Vec<(NodeId, Msg, Time)> = Vec::new();
-            {
-                let mut inner = Ctx::manual(ctx.self_id, ctx.now(), ctx.delivery_seq(), &mut out);
-                self.role.on_message(&mut inner, from, payload);
-            }
-            for (to, m, extra) in out {
-                self.forward(ctx, to, m, extra);
-            }
-        } else {
-            self.role.on_message(ctx, from, payload);
-        }
-    }
-
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if let Some(m) = &self.mon {
-            m.tick(ctx.now());
-        }
-        let Some(pristine) = &self.pristine else { return };
-        self.role = (**pristine).clone();
-        let log = match &self.store {
-            Some((store, instance, id)) => store.log_of(*instance, *id),
-            None => Vec::new(),
-        };
-        // Fresh transport state — but outgoing sequence counters continue
-        // past every number ever used (or receivers' dedup sets would
-        // silently discard the restarted node's new messages), and the
-        // receive-side dedup sets are rebuilt from the logged envelopes
-        // (or a peer retransmitting a pre-crash envelope would pass as a
-        // first delivery and be processed — and logged — twice).
-        if let Some(r) = &mut self.reliable {
-            let mut fresh = Reliable::new(r.config());
-            fresh.obs = r.obs.clone();
-            // The instance stamp is part of the node's identity, not its
-            // volatile state: a restarted tenant node must keep speaking
-            // for its instance (or it would reject every peer envelope).
-            fresh.instance = r.instance;
-            if let Some((store, instance, id)) = &self.store {
-                fresh.restore_seqs(store.seqs_of(*instance, *id));
-            }
-            fresh.restore_seen(log.iter().filter_map(|e| e.env_seq.map(|s| (e.from, s))));
-            *r = fresh;
-        }
-        // Replay the write-ahead log to rebuild volatile protocol state.
-        // Each entry is replayed under its *original* delivery context
-        // (time and global sequence), so an occurrence decided during
-        // replay is rebuilt with its pre-crash `(time, seq)` and the
-        // resume step's re-announcement deduplicates at subscribers
-        // instead of fabricating a fresh sequence number. Sends are
-        // suppressed: everything the pre-crash node sent was either
-        // delivered, or is covered by peers' retransmissions and the
-        // resume step below. The recorder stays detached during replay so
-        // rebuilt decisions are not re-recorded.
-        let replayed = log.len();
-        {
-            let mut discard: Vec<(NodeId, Msg, Time)> = Vec::new();
-            for e in log {
-                let mut inner = Ctx::manual(ctx.self_id, e.at, e.delivery_seq, &mut discard);
-                self.role.on_message(&mut inner, e.from, e.msg);
-            }
-        }
-        if let Node::Actor(a) = &mut self.role {
-            a.obs = self.obs.clone();
-            a.mon = self.mon.clone();
-        }
-        self.obs.rec(ctx.now(), SpanKind::WalReplay { entries: replayed as u64 });
-        // Re-kick in-flight work; outputs go through the transport.
-        let mut out: Vec<(NodeId, Msg, Time)> = Vec::new();
-        {
-            let mut inner = Ctx::manual(ctx.self_id, ctx.now(), ctx.delivery_seq(), &mut out);
-            match &mut self.role {
-                Node::Actor(a) => a.resume_after_restart(&mut inner),
-                Node::Agent(a) => a.resume(&mut inner),
-                Node::Ticker { .. } => inner.send(ctx.self_id, Msg::Kick),
-            }
-        }
-        for (to, m, extra) in out {
-            self.forward(ctx, to, m, extra);
-        }
-    }
-}
-
-/// Wrap built nodes in the fault-tolerance machinery ([`NetNode`]):
-/// per-node at-least-once transport when `reliable` is set, write-ahead
-/// logging (and the pristine copies restarts reset to) when `store` is
-/// set. `instance` keys the store slice and stamps the transport; a solo
-/// run passes [`InstanceId::ROOT`], a fleet each instance's id (actors'
-/// own instance fields are the caller's responsibility — they are part
-/// of the role's cloned state).
-pub(crate) fn wrap_nodes(
-    nodes: Vec<(SiteId, Node)>,
-    reliable: Option<ReliableConfig>,
-    store: Option<NodeStore>,
-    obs: &Obs,
-    mon: Option<Arc<WorkflowMonitor>>,
-    instance: InstanceId,
-) -> Vec<(SiteId, NetNode)> {
-    nodes
-        .into_iter()
-        .enumerate()
-        .map(|(ix, (site, mut role))| {
-            let node_obs = NodeObs::new(obs.clone(), ix as u32, site.0);
-            if let Node::Actor(a) = &mut role {
-                a.obs = node_obs.clone();
-                a.mon = mon.clone();
-            }
-            // Pristine copies replay with monitor (and recorder)
-            // detached: WAL replay re-derives state the monitor already
-            // observed before the crash, and must not re-step it.
-            let pristine = store.is_some().then(|| {
-                let mut p = role.clone();
-                if let Node::Actor(a) = &mut p {
-                    a.obs = NodeObs::off();
-                    a.mon = None;
-                }
-                Box::new(p)
-            });
-            let mut r = reliable.map(Reliable::new);
-            if let Some(r) = &mut r {
-                r.obs = node_obs.clone();
-                r.instance = instance;
-            }
-            let node = NetNode {
-                role,
-                reliable: r,
-                store: store.clone().map(|s| (s, instance, ix as u32)),
-                pristine,
-                obs: node_obs,
-                mon: mon.clone(),
-            };
-            (site, node)
-        })
-        .collect()
 }
 
 /// Compile and run a workflow on the deterministic simulated network.
@@ -829,175 +563,95 @@ fn run_workflow_inner(
     config: ExecConfig,
     plan: Option<FaultPlan>,
 ) -> RunReport {
-    let mut built = build_workflow(spec, config.clone());
+    let mut built = build(spec, &config);
     let nodes = std::mem::take(&mut built.nodes);
-    let injections = std::mem::take(&mut built.injections);
-    // Durable storage (and the pristine copies restarts reset to) are
-    // only materialized when a fault plan could actually crash a node.
-    let faults = plan.map(|p| (p, NodeStore::new()));
-    let (mut report, totals) =
-        run_instance(spec, &built, nodes, injections, &config, faults, InstanceId::ROOT);
-
-    // ----- unified metrics -----
-    let reg = MetricsRegistry::new();
-    report.net.record_into(&reg);
-    if let Some(fs) = &report.fault_stats {
-        fs.record_into(&reg);
-    }
-    reg.add("transport.retransmissions", &[], totals.retransmissions);
-    reg.add("transport.dedup_dropped", &[], totals.dedup_dropped);
-    reg.add("transport.gave_up", &[], totals.gave_up);
-    reg.add("run.steps", &[], report.steps);
-    reg.set_gauge("run.duration", &[], report.duration as i64);
-    let mut sched = [0u64; 5];
-    for (sym, st) in &report.actor_stats {
-        let name = spec.table.name(*sym).unwrap_or("?");
-        let labels: &[(&str, &str)] = &[("event", name)];
-        reg.add("actor.attempts", labels, st.attempts);
-        reg.add("actor.granted", labels, st.granted);
-        reg.add("actor.rejected", labels, st.rejected);
-        reg.add("actor.triggers", labels, st.triggers);
-        sched[0] += st.promises_requested;
-        sched[1] += st.promises_granted;
-        sched[2] += st.promise_aborts;
-        sched[3] += st.reductions;
-        sched[4] += st.announces_out;
-    }
-    reg.add("sched.promises_requested", &[], sched[0]);
-    reg.add("sched.promises_granted", &[], sched[1]);
-    reg.add("sched.promise_aborts", &[], sched[2]);
-    reg.add("sched.reductions", &[], sched[3]);
-    reg.add("sched.announces", &[], sched[4]);
-    for (i, &ok) in report.satisfied.iter().enumerate() {
-        reg.set_gauge("dep.satisfied", &[("dep", &i.to_string())], i64::from(ok));
-    }
-    if let Some(plan) = &config.shard_plan {
-        reg.set_gauge("shard.classes", &[], plan.class_count() as i64);
-        reg.set_gauge("shard.pinned_classes", &[], plan.pinned_count() as i64);
-        reg.set_gauge("shard.max_class_size", &[], plan.max_class_size() as i64);
-        reg.set_gauge("shard.independent_pairs", &[], plan.independent.len() as i64);
-    }
-    if let Some(rec) = &report.recording {
-        reg.add("obs.recorder.dropped_spans", &[], rec.dropped);
-        reg.add("obs.recorder.sampled_out", &[], rec.sampled_out);
-    }
-    if let Some(mrep) = &report.monitor {
-        reg.add("monitor.facts", &[], mrep.facts);
-        reg.add("monitor.guard_checks", &[], mrep.guard_checks);
-        for alert in &mrep.alerts {
-            reg.add("monitor.alerts", &[("kind", alert.kind.tag())], 1);
-        }
-        for (ix, v) in mrep.verdicts.iter().enumerate() {
-            reg.add("monitor.verdicts", &[("dep", &ix.to_string()), ("verdict", v.label())], 1);
-        }
-    }
-    report.metrics = reg.snapshot();
+    // Durable storage is only materialized when a fault plan could
+    // actually crash a node.
+    let store = plan.is_some().then(NodeStore::new);
+    let mut slot = InstanceSlot::with_nodes(spec, &built, nodes, &config, store);
+    let root = Arrival::new(InstanceId::ROOT.0, 0, 0, config.sim.seed);
+    slot.prepare(&root, root.instance, plan);
+    let (mut report, totals) = slot.execute();
+    report.metrics = solo_metrics(spec, &config, &report, &totals);
     if let Some(rec) = &mut report.recording {
         rec.metrics = report.metrics.clone();
     }
     report
 }
 
-/// What a finished instance totals up besides its report: the transport
-/// counters summed over its nodes, and the host time its event loop took.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct InstanceTotals {
-    pub(crate) retransmissions: u64,
-    pub(crate) dedup_dropped: u64,
-    pub(crate) gave_up: u64,
-    pub(crate) cross_instance_dropped: u64,
-    /// Nanoseconds inside [`Network::run_to_quiescence`].
-    pub(crate) run_ns: u64,
+/// The unified metrics of one solo run: network, fault, transport,
+/// scheduler, per-dependency and monitor series. Every series is known
+/// here, so they are written straight into the snapshot and sorted once.
+fn solo_metrics(
+    spec: &WorkflowSpec,
+    config: &ExecConfig,
+    report: &RunReport,
+    totals: &InstanceTotals,
+) -> MetricsSnapshot {
+    let mut m = MetricsSnapshot::default();
+    report.net.record_into(&mut m);
+    if let Some(fs) = &report.fault_stats {
+        fs.record_into(&mut m);
+    }
+    m.add("transport.retransmissions", &[], totals.retransmissions);
+    m.add("transport.dedup_dropped", &[], totals.dedup_dropped);
+    m.add("transport.gave_up", &[], totals.gave_up);
+    m.add("run.steps", &[], report.steps);
+    m.set_gauge("run.duration", &[], report.duration as i64);
+    let mut sched = [0u64; 6];
+    for (sym, st) in &report.actor_stats {
+        let name = spec.table.name(*sym).unwrap_or("?");
+        let labels: &[(&str, &str)] = &[("event", name)];
+        m.add("actor.attempts", labels, st.attempts);
+        m.add("actor.granted", labels, st.granted);
+        m.add("actor.rejected", labels, st.rejected);
+        m.add("actor.triggers", labels, st.triggers);
+        sched[0] += st.promises_requested;
+        sched[1] += st.promises_granted;
+        sched[2] += st.promise_aborts;
+        sched[3] += st.reductions;
+        sched[4] += st.announces_out;
+        sched[5] += st.coverage_cutoffs;
+    }
+    m.add("sched.promises_requested", &[], sched[0]);
+    m.add("sched.promises_granted", &[], sched[1]);
+    m.add("sched.promise_aborts", &[], sched[2]);
+    m.add("sched.reductions", &[], sched[3]);
+    m.add("sched.announces", &[], sched[4]);
+    m.add("sched.coverage_cutoffs", &[], sched[5]);
+    let mut dep = String::new();
+    for (ix, &ok) in report.satisfied.iter().enumerate() {
+        m.set_gauge("dep.satisfied", &[("dep", index_label(&mut dep, ix))], i64::from(ok));
+    }
+    if let Some(plan) = &config.shard_plan {
+        m.set_gauge("shard.classes", &[], plan.class_count() as i64);
+        m.set_gauge("shard.pinned_classes", &[], plan.pinned_count() as i64);
+        m.set_gauge("shard.max_class_size", &[], plan.max_class_size() as i64);
+        m.set_gauge("shard.independent_pairs", &[], plan.independent.len() as i64);
+    }
+    if let Some(rec) = &report.recording {
+        m.add("obs.recorder.dropped_spans", &[], rec.dropped);
+        m.add("obs.recorder.sampled_out", &[], rec.sampled_out);
+    }
+    if let Some(mrep) = &report.monitor {
+        m.add("monitor.facts", &[], mrep.facts);
+        m.add("monitor.guard_checks", &[], mrep.guard_checks);
+        for alert in &mrep.alerts {
+            m.add("monitor.alerts", &[("kind", alert.kind.tag())], 1);
+        }
+        for (ix, v) in mrep.verdicts.iter().enumerate() {
+            let labels = [("dep", index_label(&mut dep, ix)), ("verdict", v.label())];
+            m.add("monitor.verdicts", &labels, 1);
+        }
+    }
+    m.sorted()
 }
 
-/// The one way an instance runs, on every entry point: wrap its
-/// `nodes` in the fault-tolerance machinery, arm the fused monitor, seed
-/// its own [`Network`] from `config.sim`, install the fault plan with its
-/// write-ahead-log store, inject, run to quiescence under
-/// [`ExecConfig::step_budget`], and tear everything down into a report.
-///
-/// `built` is the workflow the nodes were built (or cloned) from: its
-/// routing, symbols and compiled guards are borrowed, so a fleet runs
-/// every instance of a template against one prototype.
-/// `instance` stamps the transport and keys the store slice. The report's
-/// metrics snapshot is left empty — solo callers record one on top,
-/// fleets roll their own up, so no instance pays for a registry it does
-/// not publish.
-pub(crate) fn run_instance(
-    spec: &WorkflowSpec,
-    built: &BuiltWorkflow,
-    nodes: Vec<(SiteId, Node)>,
-    injections: impl IntoIterator<Item = (NodeId, NodeId, Msg, Time)>,
-    config: &ExecConfig,
-    faults: Option<(FaultPlan, NodeStore)>,
-    instance: InstanceId,
-) -> (RunReport, InstanceTotals) {
-    // The online monitors run the faithful guards and machines the
-    // builder compiled (shared, not recompiled — `GuardScope::Mentioning`
-    // is the unweakened set, independent of whatever dep runtime the
-    // actors use); the scheduler steps them directly.
-    let mon = config.monitor.map(|mc| {
-        let m = WorkflowMonitor::from_compiled(
-            &spec.table,
-            Arc::clone(&built.guards),
-            guard_gated(spec),
-            mc,
-        );
-        // The view-divergence checker learns the shard boundaries, so a
-        // disagreement across colocation classes is labeled as such.
-        if let Some(plan) = &config.shard_plan {
-            m.set_shard_plan(Arc::clone(plan));
-        }
-        Arc::new(m)
-    });
-    let obs = config.record.map_or_else(Obs::off, Obs::on);
-    let (plan, store) = faults.unzip();
-    let nodes = wrap_nodes(nodes, config.reliable, store, &obs, mon.clone(), instance);
-    let mut net: Network<Msg, NetNode> = Network::new(config.sim, nodes);
-    net.set_recorder(obs.clone(), Msg::kind_label);
-    if let Some(plan) = plan {
-        net.set_faults(plan);
-    }
-    for (from, to, msg, extra) in injections {
-        net.inject_after(from, to, msg, extra);
-    }
-    let started = Instant::now();
-    let outcome = net.run_to_quiescence(config.step_budget());
-    let mut totals =
-        InstanceTotals { run_ns: started.elapsed().as_nanos() as u64, ..InstanceTotals::default() };
-    let duration = net.now();
-    let fault_stats = net.fault_stats().copied();
-    let (nodes, stats) = net.into_parts();
-    for r in nodes.iter().filter_map(|n| n.reliable.as_ref()) {
-        totals.retransmissions += r.retransmissions;
-        totals.dedup_dropped += r.duplicates_suppressed;
-        totals.gave_up += r.gave_up;
-        totals.cross_instance_dropped += r.cross_instance_dropped;
-    }
-    let actor_of = |s: SymbolId| match &nodes[built.routing.actor_of[&s].0 as usize].role {
-        Node::Actor(a) => a,
-        _ => unreachable!("routing maps every symbol to an actor node"),
-    };
-    let mut report = collect_report(spec, &built.symbols, actor_of, duration, outcome, stats);
-    if let Some(fs) = fault_stats {
-        report.fault_stats = Some(fs);
-    }
-    if let Some(m) = mon {
-        let mrep = m.finish(duration);
-        report.alerts = mrep.alerts.clone();
-        report.monitor = Some(mrep);
-    }
-    report.recording = obs.recorder().map(|rec| Recording {
-        workflow: String::new(),
-        symbols: (0..spec.table.len())
-            .map(|i| spec.table.name(SymbolId(i as u32)).unwrap_or("?").to_string())
-            .collect(),
-        dropped: rec.dropped(),
-        sampled_out: rec.sampled_out(),
-        events: rec.take_events(),
-        metrics: MetricsSnapshot::default(),
-    });
-    (report, totals)
+/// `ix` as a label value, rendered into the caller's buffer.
+fn index_label(buf: &mut String, ix: usize) -> &str {
+    buf.clear();
+    write!(buf, "{ix}").expect("writing to a String cannot fail");
+    buf
 }
 
 #[cfg(test)]
@@ -1129,6 +783,47 @@ mod tests {
         let report = run_workflow(&spec, ExecConfig::seeded(1));
         assert!(report.maximal_trace.contains(commit.complement()), "{report:?}");
         assert!(!report.unresolved.contains(&commit.symbol()), "informed, not implicit");
+    }
+
+    /// A guard constraining more symbols than the coverage evaluation
+    /// enumerates is not judged: the attempt parks, and the give-up is
+    /// counted and published. `a` needs all of `b1..b13`; its attempt
+    /// meets the 13-symbol guard once, before any announcement has
+    /// narrowed it. The outcome is the one the silent cutoff produced.
+    #[test]
+    fn a_guard_wider_than_the_coverage_bound_parks_and_says_so() {
+        let wide = crate::MAX_COVERAGE_SYMBOLS + 1;
+        let mut table = SymbolTable::new();
+        let dependencies: Vec<Expr> =
+            (1..=wide).map(|i| parse_expr(&format!("~a + b{i}"), &mut table).unwrap()).collect();
+        let names = std::iter::once("a".to_owned()).chain((1..=wide).map(|i| format!("b{i}")));
+        let free_events: Vec<FreeEventSpec> = names
+            .zip(0..)
+            .map(|(name, site)| FreeEventSpec {
+                site: SiteId(site),
+                lit: table.event(&name),
+                attrs: EventAttrs::controllable(),
+                attempt_after: Some(1),
+            })
+            .collect();
+        let a = free_events[0].lit;
+        let spec = WorkflowSpec { table, dependencies, agents: vec![], free_events };
+        let report = run_workflow(&spec, ExecConfig::seeded(7));
+
+        let stats = &report.actor_stats[&a.symbol()];
+        assert_eq!(stats.coverage_cutoffs, 1, "{stats:?}");
+        assert_eq!(report.metrics.counter("sched.coverage_cutoffs", &[]), Some(1));
+        let others: u64 = report.actor_stats.values().map(|s| s.coverage_cutoffs).sum();
+        assert_eq!(others, 1, "no other guard is that wide");
+
+        assert!(report.all_satisfied() && report.parked.is_empty(), "{report:?}");
+        let mut expected: Vec<(Literal, Time, u64)> =
+            spec.free_events[1..].iter().zip(2..).map(|(f, seq)| (f.lit, 1, seq)).collect();
+        expected.push((a, 20, 40));
+        assert_eq!(report.occurrences, expected);
+        assert_eq!((report.steps, report.duration), (66, 40));
+        assert_eq!((stats.first_parked_at, stats.promises_requested), (Some(1), 13));
+        assert_eq!(stats.reductions, 176);
     }
 
     /// `max_steps = 0` (what `ExecConfig::default()` leaves) means the

@@ -7,23 +7,26 @@
 //! work (the paper's Theorem 4 / Lemma 5 put the independence *between*
 //! workflows, not inside an event loop). [`crate::run_tenant`] and
 //! [`crate::run_parallel_fleet`] are two report roll-ups over
-//! [`run_instances`]: it validates the arrivals, gives every worker its
-//! own prototypes, lets the workers claim arrivals from one atomic
-//! counter, and runs each claim to completion through
-//! `exec::run_instance` — the function that also runs a solo workflow —
-//! on the claiming thread, under the fleet's [`ExecConfig`] with the
-//! arrival's seed and no other change (so a recorded fleet records every
-//! instance). Two instances never meet.
+//! [`run_instances`]: it validates the arrivals, lets the workers claim
+//! arrivals from one atomic counter, and runs each claim to completion on
+//! the claiming thread in the worker's [`InstanceSlot`] for that template
+//! — the way a solo workflow runs too — under the fleet's [`ExecConfig`]
+//! with the arrival's seed and no other change (so a recorded fleet
+//! records every instance). A template is compiled once per call,
+//! whatever the number of workers; a slot is assembled once per worker
+//! and template, and reset per arrival. Two instances never meet: a slot
+//! serves one at a time, and the templates the workers share are only
+//! read.
 
-use crate::exec::{
-    build_workflow, run_instance, BuiltWorkflow, ExecConfig, Node, RunReport, WorkflowSpec,
-};
-use crate::msg::{InstanceId, Msg};
+use crate::exec::{build, BuiltWorkflow, ExecConfig, RunReport, WorkflowSpec};
+use crate::msg::InstanceId;
+use crate::slot::InstanceSlot;
 use crate::wal::NodeStore;
 use event_algebra::Literal;
-use sim::{FaultPlan, NodeId, SiteId, Time, WorkerLoad};
-use std::collections::{BTreeMap, BTreeSet};
+use sim::{FaultPlan, Time, WorkerLoad};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// One instance admission: which template to instantiate, when it
@@ -73,54 +76,6 @@ impl Arrival {
         }
         out
     }
-
-    /// The [`ExecConfig`] this arrival runs under, in a fleet and in its
-    /// isolated baseline alike: `base` with the arrival's seed.
-    pub(crate) fn exec(&self, base: &ExecConfig) -> ExecConfig {
-        let mut exec = base.clone();
-        exec.sim.seed = self.seed;
-        exec
-    }
-
-    /// This arrival's nodes: the prototype's roles cloned, every actor
-    /// stamped with the instance id and announcing as `announce_as`
-    /// (the instance id again in every healthy configuration).
-    pub(crate) fn instantiate(
-        &self,
-        proto: &BuiltWorkflow,
-        announce_as: InstanceId,
-    ) -> Vec<(SiteId, Node)> {
-        proto
-            .nodes
-            .iter()
-            .map(|(site, role)| {
-                let mut role = role.clone();
-                if let Node::Actor(a) = &mut role {
-                    a.instance = self.instance;
-                    a.announce_instance = announce_as;
-                }
-                (*site, role)
-            })
-            .collect()
-    }
-
-    /// This arrival's seed messages: the prototype's, with think-time
-    /// overrides replacing the extra delay of the attempts they name.
-    pub(crate) fn injections<'a>(
-        &self,
-        proto: &'a BuiltWorkflow,
-    ) -> impl Iterator<Item = (NodeId, NodeId, Msg, Time)> + 'a {
-        let think: BTreeMap<Literal, Time> = self.think.iter().copied().collect();
-        proto.injections.iter().map(move |(from, to, msg, extra)| {
-            let extra = match msg.literal().and_then(|l| think.get(&l)) {
-                // Same "at start" convention as the template path: the
-                // injection itself pays a 1-tick latency.
-                Some(&t) => t.saturating_sub(1),
-                None => *extra,
-            };
-            (*from, *to, msg.clone(), extra)
-        })
-    }
 }
 
 /// One finished instance of a fleet run.
@@ -164,16 +119,18 @@ pub(crate) struct FleetRun {
 ///
 /// `workers` threads (clamped to `1..=arrivals.len()`; the calling
 /// thread is worker 0) claim arrival indices from one counter, and a
-/// claim runs that arrival to completion on the claiming thread:
-/// instantiate it from the worker's prototype of its template, run it
-/// through [`run_instance`] under [`Arrival::exec`] of `exec` (and under
-/// `faults`, every instance logging to its own slice of the one store),
-/// wrap the report in an [`InstanceOutcome`]. Every worker builds its
-/// own prototypes, because instantiating an actor bumps the reference
-/// counts of its prototype's guards, machines and routing tables, and
-/// two threads cloning from one prototype spend their time trading those
-/// cache lines (measured on 1 000 pipeline10 instances: 1.35x at two
-/// workers shared, 1.8x apart).
+/// claim runs that arrival to completion on the claiming thread: prepare
+/// the worker's slot for the arrival's template, execute it under `exec`
+/// with the arrival's seed (and under `faults`, every instance logging
+/// to its own slice of the one store), wrap the report in an
+/// [`InstanceOutcome`]. The first worker to claim an arrival of a
+/// template compiles it — once per call, and never if no arrival names
+/// it; a worker assembles its slot for a template the first time it
+/// claims one and resets it every time after. The workers share the
+/// compiled templates by plain reference and touch no reference count of
+/// theirs per instance: what a slot shares with its template it takes
+/// when it is assembled (DESIGN.md §9 has the measurement behind the
+/// rule).
 ///
 /// `cross_wire` is the isolation audit's mutation knob: the named
 /// instance's actors stamp their *outgoing* announcements with a foreign
@@ -200,13 +157,12 @@ pub(crate) fn run_instances(
         assert!(seen.insert(id), "duplicate instance id {id}");
     }
     let workers = workers.clamp(1, arrivals.len().max(1));
+    let templates: Vec<OnceLock<BuiltWorkflow>> = specs.iter().map(|_| OnceLock::new()).collect();
+    let (plan, store) = faults.unzip();
     // The claim counter publishes nothing but the index itself.
     let claimed = AtomicUsize::new(0);
     let work = |w: usize| {
-        // One compiled prototype per template and worker: guards compiled
-        // once, dependency machines Arc'd once, shared by every clone.
-        let protos: Vec<BuiltWorkflow> =
-            specs.iter().map(|s| build_workflow(s, exec.clone())).collect();
+        let mut slots: Vec<Option<InstanceSlot<'_>>> = specs.iter().map(|_| None).collect();
         let started = Instant::now();
         let (mut load, mut run_ns) = (WorkerLoad::default(), 0u64);
         let mut outcomes = Vec::new();
@@ -214,21 +170,18 @@ pub(crate) fn run_instances(
             let ix = claimed.fetch_add(1, Ordering::Relaxed);
             let Some(a) = arrivals.get(ix) else { break };
             load.steals += u64::from(ix % workers != w);
-            let proto = &protos[a.spec_ix];
+            let slot = slots[a.spec_ix].get_or_insert_with(|| {
+                let spec = &specs[a.spec_ix];
+                let template = templates[a.spec_ix].get_or_init(|| build(spec, exec));
+                InstanceSlot::assemble(spec, template, exec, store.clone())
+            });
             let announce_as = if cross_wire == Some(a.instance) {
                 InstanceId(a.instance.0.wrapping_add(1))
             } else {
                 a.instance
             };
-            let (report, totals) = run_instance(
-                &specs[a.spec_ix],
-                proto,
-                a.instantiate(proto, announce_as),
-                a.injections(proto),
-                &a.exec(exec),
-                faults.clone(),
-                a.instance,
-            );
+            slot.prepare(a, announce_as, plan.clone());
+            let (report, totals) = slot.execute();
             load.delivered += report.steps;
             run_ns += totals.run_ns;
             let outcome = InstanceOutcome {
@@ -251,17 +204,17 @@ pub(crate) fn run_instances(
         shares.extend(spawned.into_iter().map(|h| h.join().expect("fleet worker panicked")));
         shares
     });
-    let mut slots: Vec<Option<InstanceOutcome>> = Vec::new();
-    slots.resize_with(arrivals.len(), || None);
+    let mut by_arrival: Vec<Option<InstanceOutcome>> = Vec::new();
+    by_arrival.resize_with(arrivals.len(), || None);
     let (mut loads, mut run_ns) = (Vec::with_capacity(workers), 0);
     for (outcomes, load, ns) in shares {
         for (ix, outcome) in outcomes {
-            slots[ix] = Some(outcome);
+            by_arrival[ix] = Some(outcome);
         }
         loads.push(load);
         run_ns += ns;
     }
     let outcomes =
-        slots.into_iter().map(|o| o.expect("every arrival is claimed exactly once")).collect();
+        by_arrival.into_iter().map(|o| o.expect("every arrival is claimed exactly once")).collect();
     FleetRun { outcomes, loads, run_ns }
 }

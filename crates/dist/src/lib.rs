@@ -15,22 +15,26 @@ mod actor;
 mod agent_node;
 mod exec;
 mod fleet;
+mod memo;
 mod msg;
 pub mod parallel;
 pub mod param;
 mod reliable;
+mod slot;
 pub mod tenant;
 mod wal;
 
-pub use actor::{ActorStats, DepTracker, LitState, Routing, SymbolActor};
+pub use actor::{ActorStats, DepTracker, LitState, Routing, SymbolActor, MAX_COVERAGE_SYMBOLS};
 pub use agent_node::{AgentNode, Script, ScriptStep};
 pub use exec::{
     build_workflow, guard_gated, run_workflow, run_workflow_with_faults, AgentSpec, BuiltWorkflow,
-    DepRuntime, ExecConfig, FreeEventSpec, GuardMode, NetNode, Node, RunReport, WorkflowSpec,
+    DepRuntime, ExecConfig, FreeEventSpec, GuardMode, Node, RunReport, WorkflowSpec,
 };
 pub use fleet::{Arrival, InstanceOutcome};
+pub use memo::GuardInfo;
 pub use msg::{InstanceId, Msg};
 pub use parallel::{run_parallel_fleet, ParallelFleetReport};
 pub use reliable::{Reliable, ReliableConfig};
+pub use slot::{InstanceSlot, InstanceTotals, NetNode};
 pub use tenant::{run_tenant, TenantConfig, TenantReport};
 pub use wal::{NodeStore, WalEntry};

@@ -14,9 +14,10 @@
 //! the same fact stream it would see on a perfect network, just later.
 
 use crate::msg::{InstanceId, Msg};
+use event_algebra::{SortedMap, SortedSet};
 use obs::{NodeObs, SpanKind};
 use sim::{Ctx, NodeId, Time};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Tuning knobs of the reliability layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,16 +43,18 @@ impl Default for ReliableConfig {
 }
 
 /// Per-node reliability state: outgoing sequence counters, the
-/// retransmission buffer, and the receive-side dedup sets.
+/// retransmission buffer, and the receive-side dedup set — sorted
+/// vectors, so [`Reliable::reset`] keeps their buffers for the next
+/// instance the node serves.
 #[derive(Debug, Default)]
 pub struct Reliable {
     config: ReliableConfig,
     /// Next sequence number per receiver.
-    next_seq: BTreeMap<NodeId, u64>,
+    next_seq: SortedMap<NodeId, u64>,
     /// Unacked envelopes: `(receiver, seq) → (payload, attempts so far)`.
-    unacked: BTreeMap<(NodeId, u64), (Msg, u32)>,
-    /// Sequence numbers already delivered, per sender.
-    seen: BTreeMap<NodeId, BTreeSet<u64>>,
+    unacked: SortedMap<(NodeId, u64), (Msg, u32)>,
+    /// `(sender, seq)` of every envelope already delivered.
+    seen: SortedSet<(NodeId, u64)>,
     /// The workflow instance this node belongs to, stamped on every
     /// outgoing envelope and checked on every incoming one. Defaults to
     /// [`InstanceId::ROOT`] for single-instance runs.
@@ -82,6 +85,20 @@ impl Reliable {
         self.config
     }
 
+    /// Forget every envelope sent, awaited or seen and zero the counters:
+    /// the state [`Reliable::new`] builds, with the instance stamp and
+    /// recorder handle set since. A crash does this to a transport, and
+    /// so does its slot moving on to the next instance.
+    pub fn reset(&mut self) {
+        self.next_seq.clear();
+        self.unacked.clear();
+        self.seen.clear();
+        self.gave_up = 0;
+        self.cross_instance_dropped = 0;
+        self.duplicates_suppressed = 0;
+        self.retransmissions = 0;
+    }
+
     /// Number of envelopes awaiting ack.
     pub fn pending(&self) -> usize {
         self.unacked.len()
@@ -92,7 +109,7 @@ impl Reliable {
     /// sequence number used, so callers can persist it durably (see
     /// [`restore_seqs`](Reliable::restore_seqs)).
     pub fn send(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, msg: Msg) -> u64 {
-        let seq = self.next_seq.entry(to).or_insert(0);
+        let seq = self.next_seq.get_or_insert_with(to, || 0);
         *seq += 1;
         let seq = *seq;
         self.obs.rec(ctx.now(), SpanKind::EnvSend { to: to.0, seq });
@@ -107,7 +124,10 @@ impl Reliable {
     /// its fresh messages silently discarded by receivers' dedup sets, so
     /// counters must continue past every number ever used.
     pub fn restore_seqs(&mut self, seqs: BTreeMap<NodeId, u64>) {
-        self.next_seq = seqs;
+        self.next_seq.clear();
+        for (to, seq) in seqs {
+            self.next_seq.insert(to, seq);
+        }
     }
 
     /// Restore the receive-side dedup sets from durable storage after a
@@ -116,8 +136,8 @@ impl Reliable {
     /// envelope after the restart would pass dedup as a first delivery
     /// and the payload would be processed — and logged — a second time.
     pub fn restore_seen(&mut self, envelopes: impl IntoIterator<Item = (NodeId, u64)>) {
-        for (from, seq) in envelopes {
-            self.seen.entry(from).or_default().insert(seq);
+        for envelope in envelopes {
+            self.seen.insert(envelope);
         }
     }
 
@@ -147,7 +167,7 @@ impl Reliable {
                 }
                 // Ack every copy: the sender may have missed earlier acks.
                 ctx.send(from, Msg::Ack { seq });
-                if self.seen.entry(from).or_default().insert(seq) {
+                if self.seen.insert((from, seq)) {
                     Some((*inner, Some(seq)))
                 } else {
                     self.duplicates_suppressed += 1;
@@ -156,7 +176,7 @@ impl Reliable {
                 }
             }
             Msg::Ack { seq } => {
-                self.unacked.remove(&(from, seq));
+                self.unacked.remove((from, seq));
                 self.obs.rec(ctx.now(), SpanKind::EnvAck { peer: from.0, seq });
                 None
             }
@@ -169,11 +189,11 @@ impl Reliable {
     }
 
     fn retransmit(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, seq: u64) {
-        let Some((msg, attempts)) = self.unacked.get_mut(&(to, seq)) else {
+        let Some((msg, attempts)) = self.unacked.get_mut((to, seq)) else {
             return; // acked in the meantime
         };
         if *attempts >= self.config.max_attempts {
-            self.unacked.remove(&(to, seq));
+            self.unacked.remove((to, seq));
             self.gave_up += 1;
             self.obs.rec(ctx.now(), SpanKind::EnvGiveUp { to: to.0, seq });
             return;

@@ -4,24 +4,26 @@
 //!
 //! The paper's scheduler is specified per workflow *template*; a real
 //! deployment runs many live *instances* of a few templates at once.
-//! This engine admits a seeded stream of [`Arrival`]s and instantiates
-//! each one by cloning a prototype [`crate::BuiltWorkflow`] of its
-//! template (the compiled [`event_algebra::DependencyMachine`] tables are
-//! `Arc`-shared, so per-instance dependency state collapses to one
-//! `StateId` per dependency plus the guard-literal bitmaps inside each
-//! actor).
+//! This engine admits a seeded stream of [`Arrival`]s and runs each one
+//! as a state of an [`crate::InstanceSlot`] over its template's
+//! [`crate::BuiltWorkflow`]: the template is compiled once per call and
+//! only read, the slot (one per worker and template) is assembled once
+//! and reset per arrival, and what an instance is collapses to one
+//! `StateId` per dependency, one table index per guard and a few small
+//! sorted vectors inside each actor.
 //!
-//! **Isolation by construction.** An instance is run by the very function
-//! that runs a solo workflow (`exec::run_instance`, reached through the
-//! one fleet runner in `fleet.rs`): it owns its own seeded
-//! [`sim::Network`] and its own flight recorder (when
+//! **Isolation by construction.** An instance runs the way a solo
+//! workflow does (`InstanceSlot::prepare` + `execute`, reached through
+//! the one fleet runner in `fleet.rs`): it starts from a reset seeded
+//! [`sim::Network`] and gets its own flight recorder (when
 //! [`ExecConfig::record`] is set), its announcements and envelopes are
 //! stamped with its [`InstanceId`] (and filtered on receipt), and its
 //! write-ahead-log slice in the shared [`NodeStore`] is keyed by
 //! `(instance, node)`. A tenant run of instance *i* is therefore
 //! byte-identical to an independent [`crate::run_workflow_with_faults`]
 //! of the same spec, seed and fault plan, recorded spans included —
-//! there is no second code path to keep in step. The ninth conformance audit
+//! provided a reset slot is a fresh one, which `tests/slot_props.rs`
+//! holds field by field. The ninth conformance audit
 //! (`testkit::conformance::audit_tenant_isolation`) checks exactly this
 //! equivalence end-to-end, and [`TenantConfig::cross_wire`] is the
 //! mutation knob that proves the audit can fail.
@@ -30,9 +32,8 @@ use crate::exec::{ExecConfig, WorkflowSpec};
 use crate::fleet::{run_instances, Arrival, InstanceOutcome};
 use crate::msg::InstanceId;
 use crate::wal::NodeStore;
-use obs::{MetricsRegistry, MetricsSnapshot};
+use obs::{Log2Histogram, MetricsRegistry, MetricsSnapshot};
 use sim::{FaultPlan, Termination, Time};
-use std::collections::BTreeMap;
 
 /// Fleet configuration.
 #[derive(Debug, Clone)]
@@ -66,10 +67,12 @@ impl TenantConfig {
     }
 
     /// The [`ExecConfig`] an *independent* run of `arrival` uses: the
-    /// base config with the arrival's seed — it is the config the fleet
-    /// itself hands the instance.
+    /// base config with the arrival's seed — the one field the fleet's
+    /// slots, assembled under the base config, take from an arrival.
     pub fn instance_exec(&self, arrival: &Arrival) -> ExecConfig {
-        arrival.exec(&self.exec)
+        let mut exec = self.exec.clone();
+        exec.sim.seed = arrival.seed;
+        exec
     }
 }
 
@@ -167,13 +170,14 @@ pub fn run_tenant(
     let run =
         run_instances(specs, arrivals, &config.exec, config.shards, faults, config.cross_wire);
     let (mut outcomes, shards) = (run.outcomes, run.loads.len());
-    outcomes.sort_by_key(|o| o.instance);
 
     // ----- fleet roll-up -----
-    // Each instance's round-robin home shard — keys the per-shard
-    // telemetry labels, whichever thread claimed it.
-    let shard_of: BTreeMap<InstanceId, usize> =
-        arrivals.iter().enumerate().map(|(ix, a)| (a.instance, ix % shards)).collect();
+    // Accumulated locally, published once per series: the outcomes are
+    // still in arrival order, so an instance's round-robin home shard —
+    // the per-shard telemetry label, whichever thread claimed it — is its
+    // index modulo the shard count.
+    let (mut fire_latency, mut durations) = (Log2Histogram::default(), Log2Histogram::default());
+    let mut by_shard = vec![ShardTotals::default(); shards];
     let reg = MetricsRegistry::new();
     let mut events = 0u64;
     let mut quiesced = 0usize;
@@ -185,12 +189,12 @@ pub fn run_tenant(
     let mut monitor_violations = 0u64;
     let mut monitor_facts = 0u64;
     let mut monitor_guard_checks = 0u64;
-    for o in &outcomes {
+    for (ix, o) in outcomes.iter().enumerate() {
         for &(_, t, _) in &o.report.occurrences {
-            reg.observe("tenant.fire_latency", &[], t);
-            events += 1;
+            fire_latency.observe(t);
         }
-        reg.observe("tenant.instance_duration", &[], o.report.duration);
+        events += o.report.occurrences.len() as u64;
+        durations.observe(o.report.duration);
         match o.report.termination {
             Termination::Quiescent => quiesced += 1,
             Termination::BudgetExhausted => exhausted += 1,
@@ -199,10 +203,9 @@ pub fn run_tenant(
         cross_dropped += o.cross_instance_dropped;
         cross_rejected +=
             o.report.actor_stats.values().map(|s| s.cross_instance_rejected).sum::<u64>();
-        let shard = shard_of[&o.instance].to_string();
-        let by_shard: &[(&str, &str)] = &[("shard", &shard)];
-        reg.add("tenant.shard.instances", by_shard, 1);
-        reg.add("tenant.shard.events", by_shard, o.report.occurrences.len() as u64);
+        let shard = &mut by_shard[ix % shards];
+        shard.instances += 1;
+        shard.events += o.report.occurrences.len() as u64;
         if let Some(m) = &o.report.monitor {
             monitor_facts += m.facts;
             monitor_guard_checks += m.guard_checks;
@@ -211,10 +214,29 @@ pub fn run_tenant(
                 if alert.kind.is_violation() {
                     monitor_violations += 1;
                 }
+                // Alerts are the exception: each goes straight in.
                 reg.add("tenant.monitor.alerts", &[("kind", alert.kind.tag())], 1);
             }
-            reg.add("tenant.shard.monitor_alerts", by_shard, m.alerts.len() as u64);
-            reg.add("tenant.shard.guard_checks", by_shard, m.guard_checks);
+            shard.monitor_alerts += m.alerts.len() as u64;
+            shard.guard_checks += m.guard_checks;
+        }
+    }
+    outcomes.sort_by_key(|o| o.instance);
+
+    if events > 0 {
+        reg.merge_histogram("tenant.fire_latency", &[], &fire_latency);
+    }
+    if !outcomes.is_empty() {
+        reg.merge_histogram("tenant.instance_duration", &[], &durations);
+    }
+    for (shard, totals) in by_shard.iter().enumerate().filter(|(_, t)| t.instances > 0) {
+        let shard = shard.to_string();
+        let by_shard: &[(&str, &str)] = &[("shard", &shard)];
+        reg.add("tenant.shard.instances", by_shard, totals.instances);
+        reg.add("tenant.shard.events", by_shard, totals.events);
+        if config.exec.monitor.is_some() {
+            reg.add("tenant.shard.monitor_alerts", by_shard, totals.monitor_alerts);
+            reg.add("tenant.shard.guard_checks", by_shard, totals.guard_checks);
         }
     }
     if outcomes.iter().any(|o| o.report.monitor.is_some()) {
@@ -247,6 +269,15 @@ pub fn run_tenant(
         wal,
         wall_ns: started.elapsed().as_nanos() as u64,
     }
+}
+
+/// What one home shard's instances add up to.
+#[derive(Debug, Clone, Default)]
+struct ShardTotals {
+    instances: u64,
+    events: u64,
+    monitor_alerts: u64,
+    guard_checks: u64,
 }
 
 #[cfg(test)]

@@ -53,10 +53,18 @@ pub struct WalEntry {
 /// [`InstanceId::ROOT`].
 ///
 /// [`InstanceId::ROOT`]: crate::msg::InstanceId::ROOT
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct NodeStore {
     logs: Arc<Mutex<PerNode<Vec<WalEntry>>>>,
     seqs: Arc<Mutex<PerNode<SeqCounters>>>,
+}
+
+// Every node of a fleet holds a handle: the handle prints as one, not as
+// the fleet's whole log.
+impl std::fmt::Debug for NodeStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NodeStore").finish_non_exhaustive()
+    }
 }
 
 /// Per-`(instance, node)` storage slices inside a [`NodeStore`].

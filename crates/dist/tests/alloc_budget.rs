@@ -1,0 +1,124 @@
+//! A host-independent performance gate: how many heap allocations one
+//! more instance costs a warm fleet. Counts repeat exactly on every
+//! machine, so — like the checker's ≤ 1 000 product states per example
+//! spec — this runs under plain `cargo test` and gates tier-1.
+//!
+//! The file holds one test on purpose: the counter is process-wide, and
+//! a second test running beside it would be counted too.
+
+use dist::{run_tenant, Arrival, ExecConfig, TenantConfig, WorkflowSpec};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use testkit::workload::{drive, generate, WorkloadConfig};
+
+struct Counting;
+
+static ARMED: AtomicBool = AtomicBool::new(false);
+static COUNT: AtomicU64 = AtomicU64::new(0);
+
+#[inline]
+fn note() {
+    // Relaxed: a statistic that publishes no other data.
+    if ARMED.load(Ordering::Relaxed) {
+        COUNT.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+#[allow(unsafe_code)]
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations for `alloc` are passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // this layout, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A grow or shrink counts as one allocation.
+        note();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Allocations made while `f` runs (its result dropped inside the count).
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = COUNT.load(Ordering::Relaxed);
+    ARMED.store(true, Ordering::Relaxed);
+    f();
+    ARMED.store(false, Ordering::Relaxed);
+    COUNT.load(Ordering::Relaxed) - before
+}
+
+fn example(name: &str) -> WorkflowSpec {
+    let path = format!("{}/../../examples/specs/{name}.wf", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    drive(&constrained_events::WorkflowBuilder::from_spec(&src).expect("spec parses").build().spec)
+}
+
+const N: usize = 200;
+
+/// Allocations per instance at the margin: a fleet of `2N` arrivals
+/// against the fleet of its first `N`, one shard, monitors armed. The
+/// difference cancels what a call pays once (compiling the templates,
+/// assembling the slots, filling the guard tables) and leaves what every
+/// further instance pays.
+fn marginal_allocations_per_instance(specs: &[WorkflowSpec], seed: u64) -> f64 {
+    let arrivals: Vec<Arrival> = generate(specs, &WorkloadConfig::new(2 * N as u64, seed));
+    let mut exec = ExecConfig::seeded(5);
+    exec.monitor = Some(monitor::MonitorConfig::default());
+    let config = TenantConfig::new(exec);
+    let fleet = |arrivals: &[Arrival]| {
+        allocations(|| {
+            let report = run_tenant(specs, arrivals, &config);
+            assert!(report.all_satisfied() && report.instances.len() == arrivals.len());
+        })
+    };
+    (fleet(&arrivals) - fleet(&arrivals[..N])) as f64 / N as f64
+}
+
+/// An instance of a warm slot allocates its `RunReport` and nothing else.
+///
+/// Measured by this test:
+///
+/// | fleet                                  | parent (a3fe22c) | this design | ceiling |
+/// |----------------------------------------|-----------------:|------------:|--------:|
+/// | pipeline10                             |           369.41 |        7.17 |       9 |
+/// | travel + pipeline10 + diamond (pinned) |           359.28 |        7.88 |      10 |
+///
+/// The ceilings sit about 25 % above what the design reaches (and far
+/// below half the parent's figures): an allocation creeping back into a
+/// handler — a set that became a tree again, a guard rebuilt per message,
+/// a scratch vector per call — costs several per instance and trips them;
+/// so does a report that grows by two fields, which is then the time to
+/// move the ceiling knowingly.
+#[test]
+fn a_warm_fleet_allocates_little_per_instance() {
+    let pipeline = marginal_allocations_per_instance(&[example("pipeline10")], 0xA110C);
+    // The fleet `tenant_props::fleet_histories_are_pinned` runs.
+    let mixed = [
+        example("travel"),
+        example("pipeline10"),
+        drive(&constrained_events::models::diamond(3).spec),
+    ];
+    let mixed = marginal_allocations_per_instance(&mixed, 0x7E_4A47);
+    println!("marginal allocations per instance: pipeline10 {pipeline}, mixed {mixed}");
+    assert!(pipeline <= 9.0, "pipeline10: {pipeline} allocations per instance");
+    assert!(mixed <= 10.0, "travel + pipeline10 + diamond: {mixed} allocations per instance");
+}

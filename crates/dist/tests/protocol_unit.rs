@@ -6,9 +6,11 @@
 use agent::EventAttrs;
 use dist::{DepTracker, InstanceId, Msg, Node, Routing, SymbolActor};
 use event_algebra::{Expr, Literal, SymbolId};
-use sim::{LatencyModel, Network, NodeId, SimConfig, SiteId};
+use sim::{Ctx, LatencyModel, Network, NodeId, SimConfig, SiteId};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::sync::Arc;
-use temporal::Guard;
+use temporal::{Guard, Need};
 
 fn fixed_net(nodes: Vec<(SiteId, Node)>) -> Network<Msg, Node> {
     Network::new(SimConfig { seed: 1, latency: LatencyModel::Fixed(1), fifo_links: true }, nodes)
@@ -263,4 +265,111 @@ fn announcements_tolerate_reordering_for_sequence_guards() {
         Some(Literal::pos(c)),
         "ordered rebuild recovered a-before-b"
     );
+}
+
+/// MEMO TRANSPARENCY: an actor's guard table is a cache of pure
+/// functions. Random fact and promise sequences — announcements in and
+/// out of sequence order (the ordered-rebuild path), promises, occurred
+/// not-yet denials, the actor's own attempt, promise requests against it —
+/// drive one actor that has served every earlier case (reset in between,
+/// table warm) and one built for the case (table cold). After every
+/// message both hold the same guards with the same derived status, asks
+/// and coverage symbols, those are what `temporal` derives from the guard
+/// directly, and both sent the same messages.
+#[test]
+fn a_warm_guard_table_changes_nothing() {
+    const OTHERS: u32 = 5;
+    let own = SymbolId(0);
+    let (pos, neg) = (|s: u32| Literal::pos(SymbolId(s)), |s: u32| Literal::neg(SymbolId(s)));
+    let mut routing = Routing::default();
+    for s in 0..=OTHERS {
+        routing.actor_of.insert(SymbolId(s), NodeId(s));
+    }
+    routing.subscribers_of.insert(own, (1..=OTHERS).map(NodeId).collect());
+    let routing = Arc::new(routing);
+    let seq3 = Expr::seq([Expr::lit(pos(1)), Expr::lit(pos(2)), Expr::lit(pos(3))]);
+    let guards = [
+        Guard::eventually(pos(1))
+            .and(&Guard::occurred(pos(2)))
+            .and(&Guard::not_yet(pos(3)))
+            .or(&Guard::eventually(neg(1)).and(&Guard::eventually(pos(4)))),
+        Guard::eventually_expr(&seq3).or(&Guard::occurred(neg(4))),
+        (1..=OTHERS).fold(Guard::top(), |g, s| g.and(&Guard::eventually(pos(s)))),
+    ];
+    let build = |guard: &Guard| {
+        SymbolActor::new(
+            own,
+            guard.clone(),
+            Guard::occurred(neg(1)).or(&Guard::not_yet(pos(2))),
+            EventAttrs::controllable(),
+            EventAttrs::immediate(),
+            vec![],
+            Arc::clone(&routing),
+        )
+    };
+    let warm: Vec<RefCell<SymbolActor>> = guards.iter().map(|g| RefCell::new(build(g))).collect();
+
+    testkit::check("a_warm_guard_table_changes_nothing", 200, |g| {
+        let which = g.range(0..guards.len());
+        let mut warm = warm[which].borrow_mut();
+        warm.reset();
+        let mut cold = build(&guards[which]);
+
+        // Every other symbol resolves one way, under a sequence number of
+        // its own; a promise of that polarity may come first; the
+        // messages arrive in any order.
+        let mut msgs = vec![Msg::Attempt { lit: pos(0) }];
+        for s in 1..=OTHERS {
+            let lit = if g.flip() { pos(s) } else { neg(s) };
+            let seq = 10 * u64::from(s) + g.range(0..40u64);
+            if g.flip() {
+                msgs.push(Msg::Announce { lit, at: seq, seq, instance: InstanceId::ROOT });
+            }
+            match g.range(0..4u32) {
+                0 => msgs.push(Msg::PromiseGrant { lit }),
+                1 => msgs.push(Msg::NotYetDeny { lit, occurred: true }),
+                2 => msgs.push(Msg::PromiseRequest { lit: pos(0), for_lit: lit }),
+                _ => {}
+            }
+        }
+        for i in (1..msgs.len()).rev() {
+            msgs.swap(i, g.range(0..=i));
+        }
+
+        for (step, msg) in msgs.into_iter().enumerate() {
+            let (now, delivery) = (100 + step as u64, 1_000 + step as u64);
+            let (mut warm_out, mut cold_out) = (Vec::new(), Vec::new());
+            warm.handle(
+                &mut Ctx::manual(NodeId(0), now, delivery, &mut warm_out),
+                NodeId(1),
+                msg.clone(),
+            );
+            cold.handle(
+                &mut Ctx::manual(NodeId(0), now, delivery, &mut cold_out),
+                NodeId(1),
+                msg.clone(),
+            );
+            assert_eq!(warm_out, cold_out, "after {msg:?}");
+            assert_eq!(warm.occurred, cold.occurred, "after {msg:?}");
+            for lit in [pos(0), neg(0)] {
+                let (w, c) = (warm.guard_info(lit), cold.guard_info(lit));
+                assert_eq!(w.guard, c.guard, "{lit:?} after {msg:?}");
+                assert_eq!((w.status, w.asks(), w.cover()), (c.status, c.asks(), c.cover()));
+                assert_eq!(w.status, temporal::status(&w.guard));
+                let mut asks: Vec<Need> = temporal::needs(&w.guard)
+                    .into_iter()
+                    .flatten()
+                    .filter(|n| matches!(n, Need::Promise(_) | Need::NotYetAgreement(_)))
+                    .collect();
+                asks.sort();
+                asks.dedup();
+                let mut cached = w.asks().to_vec();
+                cached.sort();
+                assert_eq!(cached, asks, "{lit:?} after {msg:?}");
+                let masked = w.guard.conjuncts().iter().flat_map(|c| c.constrained_symbols());
+                let masked: BTreeSet<SymbolId> = masked.map(|(s, _)| s).collect();
+                assert_eq!(w.cover(), masked.into_iter().collect::<Vec<_>>());
+            }
+        }
+    });
 }

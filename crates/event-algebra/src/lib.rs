@@ -23,7 +23,9 @@
 //! - [`ProductMachine`] — budgeted reachability over the product of the
 //!   per-dependency machines, the engine of the compile-time workflow
 //!   analyzer (Section 6);
-//! - a text [`parse_expr`] parser for dependency expressions.
+//! - a text [`parse_expr`] parser for dependency expressions;
+//! - [`SortedSet`] / [`SortedMap`] / [`SymbolMap`] — the flat collections
+//!   the runtime keeps its per-instance state and routing tables in.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@
 
 mod arena;
 mod expr;
+mod flat;
 mod fxhash;
 mod machine;
 mod norm;
@@ -63,6 +66,7 @@ mod trace;
 
 pub use arena::{ExprArena, ExprId};
 pub use expr::{Expr, ExprDisplay};
+pub use flat::{SortedMap, SortedSet, SymbolMap};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use machine::{DependencyMachine, StateId};
 pub use norm::{is_normal, normalize};

@@ -6,30 +6,39 @@
 //! universe sweeps.
 
 use crate::expr::Expr;
-use crate::symbol::SymbolId;
+use crate::symbol::{Literal, SymbolId};
 use crate::trace::{enumerate_universe, Trace};
 
 /// `u ⊨ E` (Semantics 1–5).
 pub fn satisfies(u: &Trace, e: &Expr) -> bool {
+    holds_on(u.events(), e)
+}
+
+/// [`satisfies`] on the events of a trace. A prefix or suffix of a trace
+/// is a trace, so the splits of Semantics 3 are sub-slices: the executor
+/// judges every dependency of every instance through this function, and
+/// copying both halves of every split was most of what that cost.
+fn holds_on(u: &[Literal], e: &Expr) -> bool {
     match e {
         Expr::Zero => false,
         Expr::Top => true,
-        Expr::Lit(l) => u.contains(*l),
-        Expr::Or(parts) => parts.iter().any(|p| satisfies(u, p)),
-        Expr::And(parts) => parts.iter().all(|p| satisfies(u, p)),
-        Expr::Seq(parts) => satisfies_seq(u, parts),
+        Expr::Lit(l) => u.contains(l),
+        Expr::Or(parts) => parts.iter().any(|p| holds_on(u, p)),
+        Expr::And(parts) => parts.iter().all(|p| holds_on(u, p)),
+        Expr::Seq(parts) => seq_holds_on(u, parts),
     }
 }
 
 /// `u ⊨ E₁·E₂·…·Eₙ`: some consecutive split of `u` into `n` parts
 /// satisfies the factors pointwise (Semantics 3, n-ary by associativity).
-fn satisfies_seq(u: &Trace, parts: &[Expr]) -> bool {
+fn seq_holds_on(u: &[Literal], parts: &[Expr]) -> bool {
     match parts {
         [] => true,
-        [only] => satisfies(u, only),
-        [head, rest @ ..] => {
-            u.splits().any(|(v, w)| satisfies(&v, head) && satisfies_seq(&w, rest))
-        }
+        [only] => holds_on(u, only),
+        [head, rest @ ..] => (0..=u.len()).any(|j| {
+            let (v, w) = u.split_at(j);
+            holds_on(v, head) && seq_holds_on(w, rest)
+        }),
     }
 }
 

@@ -25,15 +25,23 @@ impl Trace {
     /// Returns `None` if some symbol appears twice (this covers both the
     /// no-complement-pair and the no-repetition condition of Definition 1).
     pub fn new(events: impl IntoIterator<Item = Literal>) -> Option<Trace> {
-        let events: Vec<Literal> = events.into_iter().collect();
-        let mut syms: Vec<SymbolId> = events.iter().map(|l| l.symbol()).collect();
-        syms.sort_unstable();
-        let before = syms.len();
-        syms.dedup();
-        if syms.len() != before {
-            return None;
+        let mut trace = Trace::empty();
+        trace.refill(events).then_some(trace)
+    }
+
+    /// Replace this trace's events by `events`, keeping its buffer — for
+    /// a caller that rebuilds a trace over and over (the online monitor
+    /// completes its observed trace after every gated firing). Checks
+    /// what [`Trace::new`] checks; on a repeated symbol the trace is left
+    /// empty and `false` is returned.
+    pub fn refill(&mut self, events: impl IntoIterator<Item = Literal>) -> bool {
+        self.0.clear();
+        self.0.extend(events);
+        let distinct = distinct_symbols(&self.0);
+        if !distinct {
+            self.0.clear();
         }
-        Some(Trace(events))
+        distinct
     }
 
     /// Build a trace without validity checks (for internal enumeration,
@@ -121,6 +129,25 @@ impl Trace {
     }
 }
 
+/// `true` if no two events share a symbol. Sorts a copy of the symbols;
+/// the copy of a workflow-sized trace lives on the stack.
+fn distinct_symbols(events: &[Literal]) -> bool {
+    const INLINE: usize = 64;
+    let mut inline = [SymbolId(0); INLINE];
+    let mut spilled;
+    let syms: &mut [SymbolId] = if events.len() <= INLINE {
+        &mut inline[..events.len()]
+    } else {
+        spilled = vec![SymbolId(0); events.len()];
+        &mut spilled
+    };
+    for (s, l) in syms.iter_mut().zip(events) {
+        *s = l.symbol();
+    }
+    syms.sort_unstable();
+    syms.windows(2).all(|w| w[0] != w[1])
+}
+
 impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "<")?;
@@ -198,6 +225,21 @@ mod tests {
         assert!(Trace::new([e, e]).is_none());
         assert!(Trace::new([e, e.complement()]).is_none());
         assert!(Trace::new([e, Literal::pos(SymbolId(1))]).is_some());
+    }
+
+    #[test]
+    fn refill_checks_like_new_and_reuses_the_trace() {
+        let lits: Vec<Literal> = (0..100).map(|i| Literal::pos(SymbolId(i))).collect();
+        let mut t = Trace::empty();
+        // Below and above the inline bound of the distinctness check.
+        for n in [0, 1, 2, 64, 65, 100] {
+            assert!(t.refill(lits[..n].iter().copied()), "{n} distinct symbols");
+            assert_eq!(t.events(), &lits[..n]);
+            assert_eq!(Some(&t), Trace::new(lits[..n].iter().copied()).as_ref());
+            let repeated = lits[..n].iter().copied().chain(lits.first().map(|l| l.complement()));
+            assert_eq!(t.refill(repeated), n == 0, "{n} symbols and the first one again");
+            assert!(n == 0 || t.is_empty(), "a rejected refill leaves the trace empty");
+        }
     }
 
     #[test]

@@ -55,11 +55,12 @@
 //! identical because state cannot change between the two sweep points.
 
 use event_algebra::{
-    DependencyMachine, Expr, Literal, ShardPlan, StateId, SymbolId, SymbolTable, Trace,
+    DependencyMachine, Expr, Literal, ShardPlan, SortedMap, SortedSet, StateId, SymbolId,
+    SymbolTable, Trace,
 };
 use guard::{CompiledWorkflow, GuardScope};
 use obs::{ObsLit, SpanKind, TraceEvent, Verdict};
-use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Configuration for the armed monitors. `Copy` so it can ride inside
@@ -242,21 +243,23 @@ fn olit(l: Literal) -> ObsLit {
     ObsLit(l.index() as u32)
 }
 
-/// Membership test on the resolved-symbols bitset (out-of-range ids —
-/// a span naming a symbol the table never interned — read as
-/// unresolved).
-fn resolved_bit(set: &[u64], sym: SymbolId) -> bool {
-    set.get((sym.0 / 64) as usize).is_some_and(|w| w & (1 << (sym.0 % 64)) != 0)
+/// Membership test on a bitset (an index past its end — a span naming
+/// a symbol the table never interned — reads as absent).
+fn bit(set: &[u64], ix: usize) -> bool {
+    set.get(ix / 64).is_some_and(|w| w & (1 << (ix % 64)) != 0)
 }
 
-/// Set `sym` in the resolved-symbols bitset, growing it if a span names
-/// a symbol past the table's length.
-fn resolve_bit(set: &mut Vec<u64>, sym: SymbolId) {
-    let w = (sym.0 / 64) as usize;
-    if w >= set.len() {
-        set.resize(w + 1, 0);
+/// Set bit `ix`, growing the set if it lies past the end.
+fn set_bit(set: &mut Vec<u64>, ix: usize) {
+    if ix / 64 >= set.len() {
+        set.resize(ix / 64 + 1, 0);
     }
-    set[w] |= 1 << (sym.0 % 64);
+    set[ix / 64] |= 1 << (ix % 64);
+}
+
+/// Membership test on the resolved-symbols bitset.
+fn resolved_bit(set: &[u64], sym: SymbolId) -> bool {
+    bit(set, sym.0 as usize)
 }
 
 /// A guard-gated firing whose faithful guard was false when it fired;
@@ -276,6 +279,14 @@ struct OpenSince {
     flagged: bool,
 }
 
+/// What a monitor knows. The template part — table, configuration,
+/// compiled guards, gated literals, shard plan — is fixed at
+/// construction; everything else describes one run and is what
+/// [`WorkflowMonitor::reset`] returns to its initial value. The per-run
+/// collections are flat (sorted vectors, bitsets), so a reset monitor
+/// keeps their buffers and a warm one observes a healthy run without
+/// allocating.
+#[derive(Debug)]
 struct MonitorState {
     table: SymbolTable,
     config: MonitorConfig,
@@ -288,9 +299,10 @@ struct MonitorState {
     /// cloned) with whoever compiled them: monitor construction must be
     /// cheap enough to arm on every run of every fleet instance.
     guards: Arc<CompiledWorkflow>,
-    gated: BTreeSet<Literal>,
+    /// The guard-gated literals, as a bitset over `Literal::index`.
+    gated: Vec<u64>,
     /// Globally-ordered occurrences: delivery seq → literal.
-    facts: BTreeMap<u64, Literal>,
+    facts: SortedMap<u64, Literal>,
     /// Symbols resolved by an observed occurrence (either polarity), as
     /// a bitset over `SymbolId` indices. The guard-decidability pre-pass
     /// probes membership once per guard symbol per gated firing — and
@@ -300,18 +312,18 @@ struct MonitorState {
     resolved: Vec<u64>,
     /// seq → literal as claimed by *any* record (`Occurred` or
     /// `FactApplied`); the divergence monitor's canonical view.
-    canon: BTreeMap<u64, Literal>,
+    canon: SortedMap<u64, Literal>,
     /// Divergent seqs already alerted.
-    diverged: BTreeSet<u64>,
+    diverged: SortedSet<u64>,
     /// Shard colocation classes, when the run was placed by a certified
     /// plan: lets the divergence checker label cross-shard conflicts.
     shard: Option<Arc<ShardPlan>>,
     cross_shard_divergence: u64,
     pending_guards: Vec<PendingGuard>,
     /// Open promise rounds keyed by (requesting node, round literal).
-    open_rounds: BTreeMap<(u32, u32), OpenSince>,
+    open_rounds: SortedMap<(u32, u32), OpenSince>,
     /// Enabled-but-unfired evaluations keyed by (node, literal).
-    open_evals: BTreeMap<(u32, u32), OpenSince>,
+    open_evals: SortedMap<(u32, u32), OpenSince>,
     alerts: Vec<Alert>,
     guard_checks: u64,
     last_stall_check: u64,
@@ -323,6 +335,9 @@ struct MonitorState {
     /// min-update it; removals and flaggings may leave it stale-low,
     /// which costs at most a spurious full scan (that recomputes it).
     stall_bound: u64,
+    /// The buffer the completed trace is rebuilt in for every batch of
+    /// decidable guard checks (empty in between).
+    completed: Trace,
 }
 
 /// The armed monitor set for one workflow: accumulates verdicts and
@@ -342,7 +357,7 @@ pub struct WorkflowMonitor {
     /// tick is answered by this one relaxed load, no lock taken. Updated
     /// (under the state lock) wherever `stall_bound` changes; `u64::MAX`
     /// while no watch is armed.
-    stall_deadline: std::sync::atomic::AtomicU64,
+    stall_deadline: AtomicU64,
 }
 
 // Actors carry an `Option<Arc<WorkflowMonitor>>` in fused mode and
@@ -386,8 +401,12 @@ impl WorkflowMonitor {
         let verdicts: Vec<DepVerdict> =
             guards.machines.iter().zip(&dep_states).map(|(m, &s)| classify(m, s)).collect();
         let dep_alerted = vec![false; dep_states.len()];
+        let mut gated_bits = vec![0; (2 * table.len()).div_ceil(64)];
+        for lit in gated {
+            set_bit(&mut gated_bits, lit.index());
+        }
         WorkflowMonitor {
-            stall_deadline: std::sync::atomic::AtomicU64::new(u64::MAX),
+            stall_deadline: AtomicU64::new(u64::MAX),
             state: Mutex::new(MonitorState {
                 table: table.clone(),
                 config,
@@ -395,21 +414,49 @@ impl WorkflowMonitor {
                 verdicts,
                 dep_alerted,
                 guards,
-                gated: gated.into_iter().collect(),
-                facts: BTreeMap::new(),
+                gated: gated_bits,
+                facts: SortedMap::new(),
                 resolved: vec![0; (table.len()).div_ceil(64)],
-                canon: BTreeMap::new(),
-                diverged: BTreeSet::new(),
+                canon: SortedMap::new(),
+                diverged: SortedSet::new(),
                 shard: None,
                 cross_shard_divergence: 0,
                 pending_guards: Vec::new(),
-                open_rounds: BTreeMap::new(),
-                open_evals: BTreeMap::new(),
+                open_rounds: SortedMap::new(),
+                open_evals: SortedMap::new(),
                 alerts: Vec::new(),
                 guard_checks: 0,
                 last_stall_check: 0,
                 stall_bound: u64::MAX,
+                completed: Trace::empty(),
             }),
+        }
+    }
+
+    /// Forget the run observed so far: the monitor is again what
+    /// [`WorkflowMonitor::from_compiled`] returned (the shard plan, part
+    /// of the template, stays), ready to watch the next instance of the
+    /// same workflow. Every collection keeps its buffer.
+    pub fn reset(&self) {
+        let mut st = self.state.lock().expect("monitor lock");
+        st.reset();
+        self.sync_deadline(&st);
+    }
+
+    /// The monitor's whole state for `{:?}` — the observed run together
+    /// with the lock-free deadline mirror. A monitor that was
+    /// [`WorkflowMonitor::reset`] must render like a new one; the handle's
+    /// own `Debug` stays opaque because every actor carries one.
+    pub fn state_debug(&self) -> impl std::fmt::Debug + '_ {
+        #[derive(Debug)]
+        #[allow(dead_code)] // read by `Debug` only
+        struct State<'a> {
+            state: std::sync::MutexGuard<'a, MonitorState>,
+            stall_deadline: u64,
+        }
+        State {
+            state: self.state.lock().expect("monitor lock"),
+            stall_deadline: self.stall_deadline.load(Ordering::Relaxed),
         }
     }
 
@@ -417,10 +464,8 @@ impl WorkflowMonitor {
     /// bound; called (with the lock held) at the end of every entry
     /// point that may arm a watch or recompute the bound.
     fn sync_deadline(&self, st: &MonitorState) {
-        self.stall_deadline.store(
-            st.stall_bound.saturating_add(st.config.stall_budget),
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        self.stall_deadline
+            .store(st.stall_bound.saturating_add(st.config.stall_budget), Ordering::Relaxed);
     }
 
     /// Observe one recorded trace event (the offline-replay entry point).
@@ -490,7 +535,7 @@ impl WorkflowMonitor {
     /// `(node, lit)`.
     pub fn on_guard_enabled(&self, at: u64, node: u32, lit: ObsLit) {
         let mut st = self.state.lock().expect("monitor lock");
-        st.open_evals.entry((node, lit.0)).or_insert(OpenSince { at, flagged: false });
+        st.open_evals.get_or_insert_with((node, lit.0), || OpenSince { at, flagged: false });
         st.stall_bound = st.stall_bound.min(at);
         st.sweep(at);
         self.sync_deadline(&st);
@@ -500,7 +545,7 @@ impl WorkflowMonitor {
     /// promise round for `lit`.
     pub fn on_promise_open(&self, at: u64, node: u32, lit: ObsLit) {
         let mut st = self.state.lock().expect("monitor lock");
-        st.open_rounds.entry((node, lit.0)).or_insert(OpenSince { at, flagged: false });
+        st.open_rounds.get_or_insert_with((node, lit.0), || OpenSince { at, flagged: false });
         st.stall_bound = st.stall_bound.min(at);
         st.sweep(at);
         self.sync_deadline(&st);
@@ -510,7 +555,7 @@ impl WorkflowMonitor {
     /// opened for `lit` closed with a commit.
     pub fn on_promise_commit(&self, at: u64, node: u32, lit: ObsLit) {
         let mut st = self.state.lock().expect("monitor lock");
-        st.open_rounds.remove(&(node, lit.0));
+        st.open_rounds.remove((node, lit.0));
         st.sweep(at);
         self.sync_deadline(&st);
     }
@@ -519,7 +564,7 @@ impl WorkflowMonitor {
     /// opened for `lit` closed with an abort.
     pub fn on_promise_abort(&self, at: u64, node: u32, lit: ObsLit) {
         let mut st = self.state.lock().expect("monitor lock");
-        st.open_rounds.remove(&(node, lit.0));
+        st.open_rounds.remove((node, lit.0));
         st.sweep(at);
         self.sync_deadline(&st);
     }
@@ -529,7 +574,7 @@ impl WorkflowMonitor {
     /// for `lit`.
     pub fn on_promise_deny(&self, at: u64, to: u32, lit: ObsLit) {
         let mut st = self.state.lock().expect("monitor lock");
-        st.open_rounds.remove(&(to, lit.0));
+        st.open_rounds.remove((to, lit.0));
         st.sweep(at);
         self.sync_deadline(&st);
     }
@@ -543,7 +588,7 @@ impl WorkflowMonitor {
         // One relaxed load on the healthy path: no open watch can be
         // past its budget before the mirrored deadline, so there is
         // nothing to sweep and no reason to take the lock.
-        if at <= self.stall_deadline.load(std::sync::atomic::Ordering::Relaxed) {
+        if at <= self.stall_deadline.load(Ordering::Relaxed) {
             return;
         }
         let mut st = self.state.lock().expect("monitor lock");
@@ -553,6 +598,30 @@ impl WorkflowMonitor {
 }
 
 impl MonitorState {
+    fn reset(&mut self) {
+        let machines = &self.guards.machines;
+        for ((state, verdict), machine) in
+            self.dep_states.iter_mut().zip(&mut self.verdicts).zip(machines)
+        {
+            *state = machine.initial;
+            *verdict = classify(machine, machine.initial);
+        }
+        self.dep_alerted.fill(false);
+        self.facts.clear();
+        self.resolved.truncate(self.table.len().div_ceil(64));
+        self.resolved.fill(0);
+        self.canon.clear();
+        self.diverged.clear();
+        self.cross_shard_divergence = 0;
+        self.pending_guards.clear();
+        self.open_rounds.clear();
+        self.open_evals.clear();
+        self.alerts.clear();
+        self.guard_checks = 0;
+        self.last_stall_check = 0;
+        self.stall_bound = u64::MAX;
+    }
+
     fn alert(&mut self, at: u64, node: u32, kind: AlertKind, detail: String) {
         self.alerts.push(Alert { at, node, kind, detail });
     }
@@ -566,24 +635,26 @@ impl MonitorState {
                 self.check_divergence(event.at, event.node, *lit, *seq);
             }
             SpanKind::GuardEval { lit, verdict, .. } if *verdict == Verdict::Enabled => {
-                self.open_evals
-                    .entry((event.node, lit.0))
-                    .or_insert(OpenSince { at: event.at, flagged: false });
+                self.open_evals.get_or_insert_with((event.node, lit.0), || OpenSince {
+                    at: event.at,
+                    flagged: false,
+                });
                 self.stall_bound = self.stall_bound.min(event.at);
             }
             SpanKind::PromiseOpen { lit, .. } => {
-                self.open_rounds
-                    .entry((event.node, lit.0))
-                    .or_insert(OpenSince { at: event.at, flagged: false });
+                self.open_rounds.get_or_insert_with((event.node, lit.0), || OpenSince {
+                    at: event.at,
+                    flagged: false,
+                });
                 self.stall_bound = self.stall_bound.min(event.at);
             }
             SpanKind::PromiseCommit { lit } | SpanKind::PromiseAbort { lit } => {
-                self.open_rounds.remove(&(event.node, lit.0));
+                self.open_rounds.remove((event.node, lit.0));
             }
             // A deny is recorded on the *granter*; `to` names the
             // requester whose round it closes.
             SpanKind::PromiseDeny { lit, to } => {
-                self.open_rounds.remove(&(*to, lit.0));
+                self.open_rounds.remove((*to, lit.0));
             }
             _ => {}
         }
@@ -605,7 +676,7 @@ impl MonitorState {
     /// `□`-views of all sites stay consistent).
     fn check_divergence(&mut self, at: u64, node: u32, lit: ObsLit, seq: u64) {
         let lit = lit_of(lit);
-        match self.canon.get(&seq) {
+        match self.canon.get(seq) {
             None => {
                 self.canon.insert(seq, lit);
             }
@@ -637,16 +708,14 @@ impl MonitorState {
         let lit = lit_of(lit);
         // An occurrence discharges any pending enabled-eval watch for its
         // node (either polarity: a rejection force-fires the complement).
-        self.open_evals.remove(&(node, olit(lit).0));
-        self.open_evals.remove(&(node, olit(lit.complement()).0));
-        match self.facts.get(&seq) {
-            Some(&prev) if prev == lit => return, // duplicate record
-            Some(_) => return,                    // divergence, already alerted
-            None => {}
+        self.open_evals.remove((node, olit(lit).0));
+        self.open_evals.remove((node, olit(lit.complement()).0));
+        if self.facts.get(seq).is_some() {
+            return; // a duplicate record, or a divergence already alerted
         }
-        let in_order = self.facts.last_key_value().is_none_or(|(&max, _)| seq > max);
+        let in_order = self.facts.last().is_none_or(|&(max, _)| seq > max);
         self.facts.insert(seq, lit);
-        resolve_bit(&mut self.resolved, lit.symbol());
+        set_bit(&mut self.resolved, lit.symbol().0 as usize);
         if in_order {
             self.step_machines(at, node, lit);
         } else {
@@ -654,45 +723,37 @@ impl MonitorState {
             // so machine states reflect the true global order.
             self.replay_machines(at, node);
         }
-        if self.gated.contains(&lit) {
+        if bit(&self.gated, lit.index()) {
             self.check_guard(at, node, lit, seq);
         }
         self.recheck_pending(at);
     }
 
     fn step_machines(&mut self, at: u64, node: u32, lit: Literal) {
-        let mut transitions = Vec::new();
-        for (ix, (machine, state)) in
-            self.guards.machines.iter().zip(self.dep_states.iter_mut()).enumerate()
-        {
-            *state = machine.step(*state, lit);
-            let verdict = classify(machine, *state);
-            if verdict != self.verdicts[ix] {
-                self.verdicts[ix] = verdict;
-                transitions.push((ix, verdict));
-            }
-        }
-        for (ix, verdict) in transitions {
-            self.alert_dep_transition(at, node, ix, verdict);
+        for ix in 0..self.dep_states.len() {
+            let machine = &self.guards.machines[ix];
+            self.dep_states[ix] = machine.step(self.dep_states[ix], lit);
+            self.note_verdict(at, node, ix);
         }
     }
 
     fn replay_machines(&mut self, at: u64, node: u32) {
-        let mut transitions = Vec::new();
-        for (ix, (machine, state)) in
-            self.guards.machines.iter().zip(self.dep_states.iter_mut()).enumerate()
-        {
-            *state = machine.initial;
-            for &lit in self.facts.values() {
-                *state = machine.step(*state, lit);
-            }
-            let verdict = classify(machine, *state);
-            if verdict != self.verdicts[ix] {
-                self.verdicts[ix] = verdict;
-                transitions.push((ix, verdict));
-            }
+        for ix in 0..self.dep_states.len() {
+            let machine = &self.guards.machines[ix];
+            self.dep_states[ix] = self
+                .facts
+                .iter()
+                .fold(machine.initial, |state, &(_, lit)| machine.step(state, lit));
+            self.note_verdict(at, node, ix);
         }
-        for (ix, verdict) in transitions {
+    }
+
+    /// Re-classify dependency `ix` after its machine moved; a changed
+    /// verdict is recorded and, when it is a bad one, alerted.
+    fn note_verdict(&mut self, at: u64, node: u32, ix: usize) {
+        let verdict = classify(&self.guards.machines[ix], self.dep_states[ix]);
+        if verdict != self.verdicts[ix] {
+            self.verdicts[ix] = verdict;
             self.alert_dep_transition(at, node, ix, verdict);
         }
     }
@@ -715,21 +776,23 @@ impl MonitorState {
         self.alert(at, node, kind, detail);
     }
 
-    /// The observed occurrences completed with the complements of every
-    /// unresolved symbol — "the maximal trace if the run quiesced now".
-    /// `Guard::eval` demands a maximal trace, so every evaluation goes
-    /// through this. Positions of real facts are unchanged (complements
-    /// append after them). `None` on a duplicated symbol, which the
-    /// divergence monitor has already alerted.
-    fn completed_trace(&self) -> Option<Trace> {
-        Trace::new(
-            self.facts.values().copied().chain(
-                (0..self.table.len() as u32)
-                    .map(SymbolId)
-                    .filter(|&s| !resolved_bit(&self.resolved, s))
-                    .map(Literal::neg),
-            ),
-        )
+    /// The symbols no observed occurrence resolved, as their complements,
+    /// in symbol order.
+    fn unresolved_complements(&self) -> impl Iterator<Item = Literal> + '_ {
+        (0..self.table.len() as u32)
+            .map(SymbolId)
+            .filter(|&s| !resolved_bit(&self.resolved, s))
+            .map(Literal::neg)
+    }
+
+    /// Rebuild `into` as the observed occurrences completed with the
+    /// complements of every unresolved symbol — "the maximal trace if the
+    /// run quiesced now". `Guard::eval` demands a maximal trace, so every
+    /// evaluation goes through this. Positions of real facts are
+    /// unchanged (complements append after them). `false` on a duplicated
+    /// symbol, which the divergence monitor has already alerted.
+    fn complete_trace(&self, into: &mut Trace) -> bool {
+        into.refill(self.facts.iter().map(|&(_, lit)| lit).chain(self.unresolved_complements()))
     }
 
     /// Faithful-guard check for a gated firing. The guard's truth at the
@@ -766,22 +829,29 @@ impl MonitorState {
         if !self.pending_guards.iter().any(decidable) {
             return;
         }
-        let Some(trace) = self.completed_trace() else {
-            return;
-        };
+        let mut trace = std::mem::take(&mut self.completed);
+        if self.complete_trace(&mut trace) {
+            self.decide_pending(now, &trace, false);
+        }
+        trace.refill([]);
+        self.completed = trace;
+    }
+
+    /// Evaluate pending guard checks on the completed `trace` and alert
+    /// the false ones: those whose symbols are all resolved — or, with
+    /// `all` (the run is over, nothing can swing any more), every one.
+    fn decide_pending(&mut self, now: u64, trace: &Trace, all: bool) {
+        let (resolved, guards, facts) = (&self.resolved, &self.guards, &self.facts);
         let mut failed = Vec::new();
-        let facts = &self.facts;
         self.pending_guards.retain(|p| {
-            match guards.guard_ref(p.lit) {
-                None => {} // guard ⊤: trivially faithful, decided now
-                Some(g) => {
-                    if !g.symbols_all(|s| resolved_bit(resolved, s)) {
-                        return true; // still swingable by future facts
-                    }
-                    let pos = facts.range(..p.seq).count();
-                    if !g.eval(&trace, pos) {
-                        failed.push((p.lit, p.seq, p.node, p.at));
-                    }
+            // A guard outside the compiled alphabet is ⊤: trivially
+            // faithful, decided now.
+            if let Some(g) = guards.guard_ref(p.lit) {
+                if !all && !g.symbols_all(|s| resolved_bit(resolved, s)) {
+                    return true; // still swingable by future facts
+                }
+                if !g.eval(trace, facts.rank(p.seq)) {
+                    failed.push((p.lit, p.seq, p.node, p.at));
                 }
             }
             false
@@ -810,7 +880,7 @@ impl MonitorState {
         }
         let mut bound = u64::MAX;
         let mut stalls: Vec<(u64, u32, AlertKind, String)> = Vec::new();
-        for (&(node, lit), open) in self.open_rounds.iter_mut() {
+        for ((node, lit), open) in self.open_rounds.iter_mut() {
             if open.flagged {
                 continue;
             }
@@ -831,7 +901,7 @@ impl MonitorState {
                 bound = bound.min(open.at);
             }
         }
-        for (&(node, lit), open) in self.open_evals.iter_mut() {
+        for ((node, lit), open) in self.open_evals.iter_mut() {
             if open.flagged {
                 continue;
             }
@@ -864,46 +934,28 @@ impl MonitorState {
         // symbols — the maximal-trace convention of the executor's own
         // satisfaction check — and let the machines and the pending
         // guard checks see the completed run.
-        let complements: Vec<Literal> = (0..self.table.len() as u32)
-            .map(SymbolId)
-            .filter(|&s| !resolved_bit(&self.resolved, s))
-            .map(Literal::neg)
-            .collect();
-        let mut transitions = Vec::new();
-        for (ix, (machine, state)) in
-            self.guards.machines.iter().zip(self.dep_states.iter_mut()).enumerate()
-        {
+        for ix in 0..self.dep_states.len() {
+            let machine = &self.guards.machines[ix];
+            let state = self.dep_states[ix];
             // `⊤` and `0` are absorbing (every literal residuates them to
             // themselves), so complements cannot move a machine that has
             // already reached a terminal — which on a clean run is all of
             // them.
-            if machine.is_accepting(*state) || machine.is_violated(*state) {
+            if machine.is_accepting(state) || machine.is_violated(state) {
                 continue;
             }
-            for &lit in &complements {
-                *state = machine.step(*state, lit);
-            }
-            let verdict = classify(machine, *state);
-            if verdict != self.verdicts[ix] {
-                self.verdicts[ix] = verdict;
-                transitions.push((ix, verdict));
-            }
+            self.dep_states[ix] =
+                self.unresolved_complements().fold(state, |state, lit| machine.step(state, lit));
+            self.note_verdict(final_at, u32::MAX, ix);
         }
-        for (ix, verdict) in transitions {
-            self.alert_dep_transition(final_at, u32::MAX, ix, verdict);
-        }
-        let pending = std::mem::take(&mut self.pending_guards);
-        if !pending.is_empty() {
-            let maximal =
-                Trace::new(self.facts.values().copied().chain(complements.iter().copied()));
-            if let Some(maximal) = maximal {
-                for p in pending {
-                    let pos = self.facts.range(..p.seq).count();
-                    if !self.guards.guard_ref(p.lit).is_none_or(|g| g.eval(&maximal, pos)) {
-                        self.alert_unfaithful(final_at, p.node, p.lit, p.seq);
-                    }
-                }
+        if !self.pending_guards.is_empty() {
+            let mut maximal = std::mem::take(&mut self.completed);
+            if self.complete_trace(&mut maximal) {
+                self.decide_pending(final_at, &maximal, true);
             }
+            self.pending_guards.clear();
+            maximal.refill([]);
+            self.completed = maximal;
         }
         MonitorReport {
             verdicts: self.verdicts.clone(),

@@ -31,7 +31,7 @@ pub mod span;
 
 pub use inspect::{chrome_trace, explain, sampling_text, stats_text, Explanation};
 pub use json::Json;
-pub use metrics::{Log2Histogram, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Log2Histogram, MetricKey, MetricSink, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{FlightRecorder, NodeObs, Obs, ParentRef, RecordConfig};
 pub use recording::{causal_audit, Dag, Recording};
 pub use span::{Fact, ObsLit, SpanId, SpanKind, Time, TraceEvent, Verdict};

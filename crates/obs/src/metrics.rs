@@ -1,11 +1,14 @@
-//! A unified metrics registry: counters, gauges, and log2 histograms keyed
-//! by name + labels, with one snapshotting API.
+//! Unified metrics: counters, gauges, and log2 histograms keyed by name +
+//! labels, behind one writing interface ([`MetricSink`]) and one reading
+//! one ([`MetricsSnapshot`]).
 //!
 //! This subsumes the ad-hoc `sim::NetStats` and `sim::FaultStats` counter
 //! structs: after a run, the executor folds both (plus per-actor and
-//! transport counters) into a [`MetricsRegistry`] and exposes the
-//! [`MetricsSnapshot`] on the run report, serialized to JSON alongside the
-//! recorded trace.
+//! transport counters) into the [`MetricsSnapshot`] on the run report,
+//! serialized to JSON alongside the recorded trace. A run knows all of
+//! its series when it ends, so it writes them straight into a snapshot
+//! and sorts once ([`MetricsSnapshot::sorted`]); the [`MetricsRegistry`]
+//! is the sink for values that accumulate under a shared handle.
 
 use crate::json::Json;
 use std::collections::BTreeMap;
@@ -22,7 +25,8 @@ pub struct MetricKey {
 }
 
 impl MetricKey {
-    fn new(name: &str, labels: &[(&str, &str)]) -> MetricKey {
+    /// The key for `name` with `labels`, in any order.
+    pub fn new(name: &str, labels: &[(&str, &str)]) -> MetricKey {
         let mut labels: Vec<(String, String)> =
             labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
         labels.sort();
@@ -90,6 +94,70 @@ impl Log2Histogram {
             self.sum as f64 / self.count as f64
         }
     }
+
+    /// Fold in every observation `other` holds: exactly the histogram
+    /// that observing both streams into one would have given.
+    pub fn merge(&mut self, other: &Log2Histogram) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
+    /// Fold in a pre-counted log2 bucket array with the same
+    /// `[2^i, 2^(i+1))` layout (e.g. `NetStats`'s 16-bucket latency
+    /// table). The observations themselves are gone, so `max` can only be
+    /// raised to the upper bound of the highest occupied bucket.
+    pub fn merge_buckets(&mut self, buckets: &[u64], sum: u64) {
+        for (i, &c) in buckets.iter().enumerate() {
+            let slot = i.min(31);
+            self.buckets[slot] += c;
+            self.count += c;
+            if c > 0 {
+                self.max = self.max.max(if slot == 0 { 1 } else { (1u64 << (slot + 1)) - 1 });
+            }
+        }
+        self.sum += sum;
+    }
+}
+
+/// Somewhere measurements are written: the shared [`MetricsRegistry`], or
+/// a [`MetricsSnapshot`] being assembled by the one thread that owns it.
+/// Code that publishes a fixed set of series (`NetStats::record_into`)
+/// is written once against this.
+pub trait MetricSink {
+    /// Add `by` to a counter.
+    fn add(&mut self, name: &str, labels: &[(&str, &str)], by: u64);
+    /// Set a gauge to `v`.
+    fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], v: i64);
+    /// Merge a pre-counted bucket array ([`Log2Histogram::merge_buckets`]).
+    fn merge_buckets(&mut self, name: &str, labels: &[(&str, &str)], buckets: &[u64], sum: u64);
+}
+
+impl<S: MetricSink> MetricSink for &mut S {
+    fn add(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
+        (**self).add(name, labels, by);
+    }
+    fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], v: i64) {
+        (**self).set_gauge(name, labels, v);
+    }
+    fn merge_buckets(&mut self, name: &str, labels: &[(&str, &str)], buckets: &[u64], sum: u64) {
+        (**self).merge_buckets(name, labels, buckets, sum);
+    }
+}
+
+impl MetricSink for &MetricsRegistry {
+    fn add(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
+        MetricsRegistry::add(self, name, labels, by);
+    }
+    fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], v: i64) {
+        MetricsRegistry::set_gauge(self, name, labels, v);
+    }
+    fn merge_buckets(&mut self, name: &str, labels: &[(&str, &str)], buckets: &[u64], sum: u64) {
+        MetricsRegistry::merge_buckets(self, name, labels, buckets, sum);
+    }
 }
 
 #[derive(Debug, Default)]
@@ -134,16 +202,16 @@ impl MetricsRegistry {
     pub fn merge_buckets(&self, name: &str, labels: &[(&str, &str)], buckets: &[u64], sum: u64) {
         let key = MetricKey::new(name, labels);
         let mut inner = self.inner.lock().expect("metrics lock");
-        let h = inner.histograms.entry(key).or_default();
-        for (i, &c) in buckets.iter().enumerate() {
-            let slot = i.min(31);
-            h.buckets[slot] += c;
-            h.count += c;
-            if c > 0 {
-                h.max = h.max.max(if slot == 0 { 1 } else { (1u64 << (slot + 1)) - 1 });
-            }
-        }
-        h.sum += sum;
+        inner.histograms.entry(key).or_default().merge_buckets(buckets, sum);
+    }
+
+    /// Merge a histogram accumulated elsewhere, exactly
+    /// ([`Log2Histogram::merge`]): a caller that observes many values
+    /// into a local histogram and publishes it once ends with the series
+    /// that observing each value here would have built.
+    pub fn merge_histogram(&self, name: &str, labels: &[(&str, &str)], h: &Log2Histogram) {
+        let key = MetricKey::new(name, labels);
+        self.inner.lock().expect("metrics lock").histograms.entry(key).or_default().merge(h);
     }
 
     /// A point-in-time copy of every metric, sorted by key.
@@ -169,7 +237,46 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<(MetricKey, Log2Histogram)>,
 }
 
+/// Written to directly, a snapshot takes each series as it comes; sort it
+/// ([`MetricsSnapshot::sorted`]) before handing it on.
+impl MetricSink for MetricsSnapshot {
+    fn add(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
+        self.counters.push((MetricKey::new(name, labels), by));
+    }
+    fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], v: i64) {
+        self.gauges.push((MetricKey::new(name, labels), v));
+    }
+    fn merge_buckets(&mut self, name: &str, labels: &[(&str, &str)], buckets: &[u64], sum: u64) {
+        let mut h = Log2Histogram::default();
+        h.merge_buckets(buckets, sum);
+        self.histograms.push((MetricKey::new(name, labels), h));
+    }
+}
+
+/// Sort `series` by key and fold every run of equal keys into its first
+/// entry with `fold(kept, later)`.
+fn sort_and_fold<V>(series: &mut Vec<(MetricKey, V)>, mut fold: impl FnMut(&mut V, &V)) {
+    series.sort_by(|a, b| a.0.cmp(&b.0)); // stable: equal keys keep write order
+    series.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            fold(&mut kept.1, &later.1);
+        }
+        same
+    });
+}
+
 impl MetricsSnapshot {
+    /// The snapshot a [`MetricsRegistry`] would give after the same
+    /// writes: every series sorted by key, writes to one key folded — a
+    /// counter's added up, a gauge's last one kept, a histogram's merged.
+    pub fn sorted(mut self) -> MetricsSnapshot {
+        sort_and_fold(&mut self.counters, |kept, later| *kept += later);
+        sort_and_fold(&mut self.gauges, |kept, later| *kept = *later);
+        sort_and_fold(&mut self.histograms, Log2Histogram::merge);
+        self
+    }
+
     /// Look up a counter by name + labels.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
         let key = MetricKey::new(name, labels);
@@ -370,6 +477,49 @@ mod tests {
         let snap = m.snapshot();
         let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap);
+    }
+
+    /// The two sinks agree: the same writes, in the same order, through
+    /// the registry and straight into a snapshot.
+    #[test]
+    fn a_sorted_snapshot_is_the_registrys_snapshot() {
+        fn write(mut sink: impl MetricSink) {
+            sink.add("z.last", &[], 1);
+            sink.add("a.count", &[("site", "1"), ("actor", "buy")], 4);
+            sink.add("a.count", &[("site", "0")], 2);
+            sink.add("a.count", &[("actor", "buy"), ("site", "1")], 3);
+            sink.set_gauge("g.level", &[], 5);
+            sink.set_gauge("g.level", &[], -2);
+            sink.set_gauge("a.gauge", &[("dep", "10")], 1);
+            sink.set_gauge("a.gauge", &[("dep", "9")], 0);
+            sink.merge_buckets("lat", &[], &[1, 0, 2], 11);
+            sink.merge_buckets("lat", &[], &[0, 0, 0, 0, 1], 17);
+        }
+        let reg = MetricsRegistry::new();
+        write(&reg);
+        let mut direct = MetricsSnapshot::default();
+        write(&mut direct);
+        let direct = direct.sorted();
+        assert_eq!(direct, reg.snapshot());
+        assert_eq!(direct.counter("a.count", &[("site", "1"), ("actor", "buy")]), Some(7));
+        assert_eq!(direct.gauge("g.level", &[]), Some(-2));
+    }
+
+    /// `merge_histogram` is exact where `merge_buckets` has to round.
+    #[test]
+    fn merging_a_local_histogram_equals_observing_into_the_registry() {
+        let values = [0u64, 1, 5, 5, 900, 70_000];
+        let (observed, merged) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let mut local = [Log2Histogram::default(), Log2Histogram::default()];
+        for (i, &v) in values.iter().enumerate() {
+            observed.observe("lat", &[("k", "v")], v);
+            local[i % 2].observe(v);
+        }
+        for h in &local {
+            merged.merge_histogram("lat", &[("k", "v")], h);
+        }
+        assert_eq!(merged.snapshot(), observed.snapshot());
+        assert_eq!(merged.snapshot().histogram("lat", &[("k", "v")]).unwrap().max, 70_000);
     }
 
     #[test]

@@ -202,10 +202,11 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Fold these counters into a [`obs::MetricsRegistry`] under the
-    /// `faults.*` namespace — the snapshotting API that subsumes this
-    /// struct on run reports.
-    pub fn record_into(&self, metrics: &obs::MetricsRegistry) {
+    /// Write these counters to a metrics sink (`&MetricsRegistry`, or a
+    /// `&mut MetricsSnapshot` under assembly) under the `faults.*`
+    /// namespace — the snapshotting API that subsumes this struct on run
+    /// reports.
+    pub fn record_into(&self, mut metrics: impl obs::MetricSink) {
         metrics.add("faults.dropped", &[], self.dropped);
         metrics.add("faults.duplicated", &[], self.duplicated);
         metrics.add("faults.delayed", &[], self.delayed);

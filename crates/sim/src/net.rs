@@ -13,6 +13,14 @@
 //! fleet — is one `Network` run to quiescence, with faults, the
 //! write-ahead log, the flight recorder and the fused monitors all
 //! hanging off this one loop.
+//!
+//! A network outlives its runs. [`Network::reset`] returns everything the
+//! network itself owns — queue, link clocks, clock, send sequence,
+//! statistics, fault state, recorder, latency stream — to what
+//! [`Network::new`] builds, every buffer kept, so the instances of a
+//! fleet run one after another on the network their nodes were placed on
+//! once; the nodes' own state is their owner's to reset
+//! ([`Network::nodes_mut`]).
 
 use crate::faults::{FaultPlan, FaultState, FaultStats, LinkDecision};
 use crate::stats::NetStats;
@@ -264,6 +272,28 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
         }
     }
 
+    /// Return the network to the state [`Network::new`] leaves it in, for
+    /// the next run over the same nodes: the queue (with whatever a
+    /// budget-exhausted run left in it), the per-link FIFO clocks, the
+    /// clock, the send sequence, the statistics, the installed fault plan
+    /// and the recorder are cleared, and the latency stream restarts from
+    /// `config.seed`. Every buffer keeps its capacity. The nodes are the
+    /// caller's to reset ([`Network::nodes_mut`]); the network never looks
+    /// inside them.
+    pub fn reset(&mut self, config: SimConfig) {
+        self.queue.clear();
+        self.time = 0;
+        self.seq = 0;
+        self.rng = Rng::seed_from_u64(config.seed);
+        self.config = config;
+        self.link_clock.clear();
+        self.outbox.clear();
+        self.stats = NetStats::default();
+        self.faults = None;
+        self.obs = Obs::off();
+        self.label_fn = None;
+    }
+
     /// Attach a flight recorder. Every send, delivery, fault injection and
     /// restart is recorded from here on; `label` renders a message to a
     /// short discriminant for the `MsgSend`/`MsgDeliver` spans. The
@@ -326,6 +356,16 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
         self.time
     }
 
+    /// Every node's process, by node id.
+    pub fn nodes(&self) -> &[P] {
+        &self.nodes
+    }
+
+    /// Mutable access to every node's process, by node id.
+    pub fn nodes_mut(&mut self) -> &mut [P] {
+        &mut self.nodes
+    }
+
     /// Immutable access to a node's process (for post-run inspection).
     pub fn node(&self, id: NodeId) -> &P {
         &self.nodes[id.0 as usize]
@@ -339,6 +379,13 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats
+    }
+
+    /// Move the traffic statistics out (a finished run's report keeps
+    /// them), leaving zeroed ones behind. Delivery sequence numbers are
+    /// read off the statistics: [`Network::reset`] before running again.
+    pub fn take_stats(&mut self) -> NetStats {
+        std::mem::take(&mut self.stats)
     }
 
     fn sample_latency(&mut self, from: NodeId, to: NodeId) -> Time {
@@ -574,11 +621,6 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
     pub fn into_nodes(self) -> Vec<P> {
         self.nodes
     }
-
-    /// Consume the network, returning its nodes and traffic statistics.
-    pub fn into_parts(self) -> (Vec<P>, NetStats) {
-        (self.nodes, self.stats)
-    }
 }
 
 #[cfg(test)]
@@ -800,6 +842,42 @@ mod tests {
     }
 
     use crate::faults::FaultPlan;
+
+    /// A reset network repeats a fresh one's run: same deliveries at the
+    /// same times with the same sequence numbers and statistics, also
+    /// after a run that ended with messages queued, faults installed and
+    /// another seed.
+    #[test]
+    fn a_reset_network_runs_like_a_new_one() {
+        let config = SimConfig {
+            seed: 9,
+            latency: LatencyModel::Uniform { min: 1, max: 40 },
+            fifo_links: true,
+        };
+        let run = |net: &mut Network<u64, Countdown>| {
+            net.inject(NodeId(0), NodeId(1), 9);
+            net.inject_after(NodeId(1), NodeId(0), 4, 7);
+            let outcome = net.run_to_quiescence(1_000);
+            let received: Vec<_> = net.nodes().iter().map(|n| n.received.clone()).collect();
+            (outcome, net.now(), net.stats().clone(), received)
+        };
+        let fresh = run(&mut two_nodes(config));
+
+        let mut net = two_nodes(SimConfig { seed: 3, ..config });
+        net.set_faults(FaultPlan::new(1).duplicate_rate(1.0).jitter(0, 30));
+        net.inject(NodeId(0), NodeId(1), 50);
+        let cut_short = net.run_to_quiescence(5);
+        assert_eq!(cut_short.termination, Termination::BudgetExhausted);
+        assert!(net.in_flight() > 0 && net.fault_stats().is_some());
+
+        net.reset(config);
+        assert!(net.idle() && net.now() == 0 && net.fault_stats().is_none());
+        assert_eq!(net.stats(), &NetStats::default());
+        for node in net.nodes_mut() {
+            node.received.clear();
+        }
+        assert_eq!(run(&mut net), fresh);
+    }
 
     #[test]
     fn dropped_messages_never_arrive() {

@@ -110,10 +110,11 @@ impl NetStats {
         self.latency_quantile(0.99)
     }
 
-    /// Fold these counters into a [`obs::MetricsRegistry`] under the
-    /// `net.*` namespace — the snapshotting API that subsumes this
-    /// struct on run reports.
-    pub fn record_into(&self, metrics: &obs::MetricsRegistry) {
+    /// Write these counters to a metrics sink (`&MetricsRegistry`, or a
+    /// `&mut MetricsSnapshot` under assembly) under the `net.*`
+    /// namespace — the snapshotting API that subsumes this struct on run
+    /// reports.
+    pub fn record_into(&self, mut metrics: impl obs::MetricSink) {
         metrics.add("net.sent_total", &[], self.sent_total);
         metrics.add("net.sent_remote", &[], self.sent_remote);
         metrics.add("net.delivered_total", &[], self.delivered_total);
