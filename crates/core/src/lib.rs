@@ -121,23 +121,25 @@ impl WorkflowBuilder {
             });
         }
         for a in &lowered.agents {
+            let at = |message: String| speclang::SpecError {
+                line: a.span.line,
+                col: a.span.col,
+                message,
+            };
             let task = match a.kind.as_str() {
                 "rda" => agent::library::rda_transaction(&a.name, &mut b.table),
                 "app" => agent::library::typical_application(&a.name, &mut b.table),
                 "compensatable" => agent::library::compensatable_task(&a.name, &mut b.table),
                 "two_phase" => agent::library::two_phase_participant(&a.name, &mut b.table),
                 "looper" => agent::library::looping_task(&a.name, &mut b.table),
-                other => {
-                    return Err(speclang::SpecError {
-                        line: 0,
-                        col: 0,
-                        message: format!("unknown agent kind {other}"),
-                    })
-                }
+                other => return Err(at(format!("unknown agent kind {other}"))),
             };
             let mut script = Script::default();
             for step in &a.script {
                 script = match step {
+                    speclang::ScriptItem::Event(name) if task.event_named(name).is_none() => {
+                        return Err(at(format!("agent {} has no event {name}", a.name)));
+                    }
                     speclang::ScriptItem::Event(name) => script.then(name),
                     speclang::ScriptItem::Wait(t) => script.wait(*t),
                 };

@@ -27,7 +27,7 @@
 //! serves instance after instance without allocating.
 
 use crate::memo::{GuardInfo, GuardIx, GuardMemo};
-use crate::msg::{InstanceId, Msg};
+use crate::msg::Msg;
 use agent::EventAttrs;
 use event_algebra::{
     requires, residuate, DependencyMachine, Expr, Literal, Polarity, SortedMap, SortedSet, StateId,
@@ -92,9 +92,6 @@ pub struct ActorStats {
     pub triggers: u64,
     /// Promise rounds aborted by timeout (and possibly retried).
     pub promise_aborts: u64,
-    /// Announcements dropped because they carried a foreign
-    /// [`InstanceId`] — always zero unless instance wiring is broken.
-    pub cross_instance_rejected: u64,
     /// Coverage evaluations given up because the guard constrains more
     /// than [`MAX_COVERAGE_SYMBOLS`] symbols: the attempt parked without
     /// its guard having been judged.
@@ -269,8 +266,8 @@ impl LitState {
 /// that describes an instance to its initial value and keeps every
 /// buffer, so a warm actor handles its messages without touching the
 /// allocator. What is not reset is the template part (symbol, attributes,
-/// routing, timeouts), the stamps the slot re-applies (instance ids,
-/// recorder and monitor handles) and the guard table, which is a cache.
+/// routing, timeouts), the stamps the slot re-applies (recorder and
+/// monitor handles) and the guard table, which is a cache.
 #[derive(Debug, Clone)]
 pub struct SymbolActor {
     /// The symbol this actor owns.
@@ -338,15 +335,6 @@ pub struct SymbolActor {
     /// Costs nothing when `None`, and nothing extra when armed: no
     /// trace-event payload is constructed on this path.
     pub mon: Option<Arc<WorkflowMonitor>>,
-    /// The workflow instance this actor belongs to: announcements from a
-    /// different instance are dropped (and counted). Single-instance runs
-    /// leave the default [`InstanceId::ROOT`] everywhere.
-    pub instance: InstanceId,
-    /// The instance stamped on outgoing announcements — equal to
-    /// [`SymbolActor::instance`] in every healthy configuration. The
-    /// tenant engine's mutation harness deliberately diverges the two to
-    /// prove the isolation audit catches cross-wired instances.
-    pub announce_instance: InstanceId,
 }
 
 impl SymbolActor {
@@ -384,8 +372,6 @@ impl SymbolActor {
             promise_retries: SortedMap::new(),
             obs: NodeObs::off(),
             mon: None,
-            instance: InstanceId::ROOT,
-            announce_instance: InstanceId::ROOT,
         }
     }
 
@@ -451,15 +437,7 @@ impl SymbolActor {
         match msg {
             Msg::Attempt { lit } => self.on_attempt(ctx, lit),
             Msg::Inform { lit } => self.on_inform(ctx, lit),
-            Msg::Announce { lit, at, seq, instance } => {
-                // Facts are instance-scoped: an announcement belonging to
-                // another live instance is not a fact of this one.
-                if instance != self.instance {
-                    self.stats.cross_instance_rejected += 1;
-                    return;
-                }
-                self.on_announce(ctx, lit, at, seq);
-            }
+            Msg::Announce { lit, at, seq } => self.on_announce(ctx, lit, at, seq),
             Msg::PromiseRequest { lit, for_lit } => self.on_promise_request(ctx, lit, for_lit),
             Msg::PromiseGrant { lit } => self.on_promise_grant(ctx, lit),
             Msg::PromiseDeny { lit } => self.on_promise_deny(lit),
@@ -1023,11 +1001,10 @@ impl SymbolActor {
 
     /// `□lit` to every subscriber.
     fn announce(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, at: Time, seq: u64) {
-        let instance = self.announce_instance;
         for &node in self.routing.subscribers_of.get(&self.sym).into_iter().flatten() {
             if node != ctx.self_id {
                 self.stats.announces_out += 1;
-                ctx.send(node, Msg::Announce { lit, at, seq, instance });
+                ctx.send(node, Msg::Announce { lit, at, seq });
             }
         }
     }
@@ -1064,8 +1041,7 @@ impl SymbolActor {
             if occ == lit {
                 // Already occurred: the announcement is the strongest
                 // promise (re-sent in case the requester subscribed late).
-                let instance = self.announce_instance;
-                ctx.send(requester, Msg::Announce { lit, at, seq, instance });
+                ctx.send(requester, Msg::Announce { lit, at, seq });
             } else {
                 self.rec_promise_deny(ctx.now(), lit, requester);
                 ctx.send(requester, Msg::PromiseDeny { lit });
@@ -1161,8 +1137,7 @@ impl SymbolActor {
             if let Some((occ, at, seq)) = self.occurred {
                 let requester = self.routing.actor_of[&for_lit.symbol()];
                 if occ == lit {
-                    let instance = self.announce_instance;
-                    ctx.send(requester, Msg::Announce { lit, at, seq, instance });
+                    ctx.send(requester, Msg::Announce { lit, at, seq });
                 } else {
                     self.rec_promise_deny(ctx.now(), lit, requester);
                     ctx.send(requester, Msg::PromiseDeny { lit });
@@ -1190,8 +1165,7 @@ impl SymbolActor {
             } else {
                 // The complement occurred: ¬lit holds forever; the
                 // announcement carries that fact.
-                let instance = self.announce_instance;
-                ctx.send(requester, Msg::Announce { lit: occ, at, seq, instance });
+                ctx.send(requester, Msg::Announce { lit: occ, at, seq });
             }
             return;
         }

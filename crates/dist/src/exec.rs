@@ -570,7 +570,7 @@ fn run_workflow_inner(
     let store = plan.is_some().then(NodeStore::new);
     let mut slot = InstanceSlot::with_nodes(spec, &built, nodes, &config, store);
     let root = Arrival::new(InstanceId::ROOT.0, 0, 0, config.sim.seed);
-    slot.prepare(&root, root.instance, plan);
+    slot.prepare(&root, plan);
     let (mut report, totals) = slot.execute();
     report.metrics = solo_metrics(spec, &config, &report, &totals);
     if let Some(rec) = &mut report.recording {

@@ -15,8 +15,10 @@
 //! records every instance). A template is compiled once per call,
 //! whatever the number of workers; a slot is assembled once per worker
 //! and template, and reset per arrival. Two instances never meet: a slot
-//! serves one at a time, and the templates the workers share are only
-//! read.
+//! serves one at a time on a network of its own, reset (queue included)
+//! before the next, and the templates the workers share are only read —
+//! so no message names its instance; an [`InstanceId`] names the arrival,
+//! its outcome and its write-ahead-log slice.
 
 use crate::exec::{build, BuiltWorkflow, ExecConfig, RunReport, WorkflowSpec};
 use crate::msg::InstanceId;
@@ -89,9 +91,6 @@ pub struct InstanceOutcome {
     pub arrived_at: Time,
     /// Fleet-clock completion time: the instance's last delivery.
     pub finished_at: Time,
-    /// Foreign envelopes the instance's transport dropped (always 0
-    /// unless something is genuinely cross-wired).
-    pub cross_instance_dropped: u64,
     /// The instance's run report, identical to what an independent
     /// single-instance run of the same seed produces — traffic
     /// statistics, monitor report, the spans of the flight recording
@@ -132,11 +131,6 @@ pub(crate) struct FleetRun {
 /// when it is assembled (DESIGN.md §9 has the measurement behind the
 /// rule).
 ///
-/// `cross_wire` is the isolation audit's mutation knob: the named
-/// instance's actors stamp their *outgoing* announcements with a foreign
-/// id; its own actors then reject them, which the audit must notice as
-/// divergence from the instance's isolated baseline.
-///
 /// # Panics
 ///
 /// Panics when an arrival's `spec_ix` is out of range or two arrivals
@@ -148,7 +142,6 @@ pub(crate) fn run_instances(
     exec: &ExecConfig,
     workers: usize,
     faults: Option<(FaultPlan, NodeStore)>,
-    cross_wire: Option<InstanceId>,
 ) -> FleetRun {
     let mut seen = BTreeSet::new();
     for a in arrivals {
@@ -175,12 +168,7 @@ pub(crate) fn run_instances(
                 let template = templates[a.spec_ix].get_or_init(|| build(spec, exec));
                 InstanceSlot::assemble(spec, template, exec, store.clone())
             });
-            let announce_as = if cross_wire == Some(a.instance) {
-                InstanceId(a.instance.0.wrapping_add(1))
-            } else {
-                a.instance
-            };
-            slot.prepare(a, announce_as, plan.clone());
+            slot.prepare(a, plan.clone());
             let (report, totals) = slot.execute();
             load.delivered += report.steps;
             run_ns += totals.run_ns;
@@ -189,7 +177,6 @@ pub(crate) fn run_instances(
                 spec_ix: a.spec_ix,
                 arrived_at: a.at,
                 finished_at: a.at + report.duration,
-                cross_instance_dropped: totals.cross_instance_dropped,
                 report,
             };
             outcomes.push((ix, outcome));

@@ -13,15 +13,15 @@
 use event_algebra::Literal;
 use sim::{NodeId, Time};
 
-/// Identifies one live workflow instance in a multi-tenant run.
+/// Identifies one workflow instance of a fleet.
 ///
-/// Every fact-bearing wire message (occurrence announcements and
-/// at-least-once envelopes) carries the instance it belongs to, and
-/// receivers ignore foreign-instance traffic — the addressing layer that
-/// keeps co-resident instances from leaking facts into each other.
-/// Single-instance runs use [`InstanceId::ROOT`] everywhere, which is the
-/// `Default` and keeps their behavior byte-identical to before instances
-/// existed.
+/// It names an [`Arrival`](crate::Arrival) and its
+/// [`InstanceOutcome`](crate::InstanceOutcome), and keys the instance's
+/// slice of a shared [`NodeStore`](crate::NodeStore). No wire message
+/// carries it: an instance runs alone on its slot's network, which is
+/// reset before the next one, so there is no foreign traffic to address
+/// (DESIGN.md §9, "Isolation by construction"). Single-instance runs are
+/// [`InstanceId::ROOT`], the `Default`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct InstanceId(pub u64);
 
@@ -88,9 +88,6 @@ pub enum Msg {
         at: Time,
         /// Global occurrence sequence number.
         seq: u64,
-        /// The workflow instance the occurrence belongs to; receivers
-        /// drop announcements from foreign instances.
-        instance: InstanceId,
     },
     /// Request: "promise `◇lit` so that `for_lit` may proceed"
     /// (Example 11's consensus).
@@ -149,9 +146,6 @@ pub enum Msg {
         /// Sender-assigned sequence number, monotone per (sender,
         /// receiver) pair.
         seq: u64,
-        /// The sending node's workflow instance: a receiver belonging to
-        /// a different instance drops the envelope without acking it.
-        instance: InstanceId,
         /// The wrapped protocol message.
         inner: Box<Msg>,
     },
@@ -250,7 +244,7 @@ mod tests {
             Msg::Granted { lit: l },
             Msg::Rejected { lit: l },
             Msg::Trigger { lit: l },
-            Msg::Announce { lit: l, at: 5, seq: 1, instance: InstanceId::ROOT },
+            Msg::Announce { lit: l, at: 5, seq: 1 },
             Msg::PromiseRequest { lit: l, for_lit: l.complement() },
             Msg::PromiseGrant { lit: l },
             Msg::PromiseDeny { lit: l },
@@ -258,16 +252,7 @@ mod tests {
             Msg::NotYetGrant { lit: l },
             Msg::NotYetDeny { lit: l, occurred: false },
             Msg::Release { lit: l },
-            Msg::Seq {
-                seq: 9,
-                instance: InstanceId::ROOT,
-                inner: Box::new(Msg::Announce {
-                    lit: l,
-                    at: 5,
-                    seq: 1,
-                    instance: InstanceId::ROOT,
-                }),
-            },
+            Msg::Seq { seq: 9, inner: Box::new(Msg::Announce { lit: l, at: 5, seq: 1 }) },
             Msg::PromiseExpire { lit: l, for_lit: l.complement() },
         ];
         for m in msgs {
@@ -278,9 +263,17 @@ mod tests {
         assert_eq!(Msg::Ack { seq: 1 }.literal(), None);
         assert_eq!(Msg::RetryTimer { to: NodeId(2), seq: 1 }.literal(), None);
         assert_eq!(
-            Msg::Seq { seq: 1, instance: InstanceId::ROOT, inner: Box::new(Msg::Kick) }.literal(),
+            Msg::Seq { seq: 1, inner: Box::new(Msg::Kick) }.literal(),
             None,
             "envelope defers to payload"
         );
+    }
+
+    /// Every queue slot, envelope box and retransmission buffer entry is
+    /// one `Msg`: the widest variant is `Announce` (literal, tick,
+    /// sequence number) and nothing may grow the enum past it.
+    #[test]
+    fn a_message_is_three_words() {
+        assert!(std::mem::size_of::<Msg>() <= 24, "{}", std::mem::size_of::<Msg>());
     }
 }

@@ -67,7 +67,7 @@ pub fn run_parallel_fleet(
 ) -> ParallelFleetReport {
     let wall_start = Instant::now();
     let workers = config.parallel.as_ref().map_or(1, |p| p.workers);
-    let run = run_instances(specs, arrivals, config, workers, None, None);
+    let run = run_instances(specs, arrivals, config, workers, None);
 
     let merge_start = Instant::now();
     let mut instances = run.outcomes;

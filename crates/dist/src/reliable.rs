@@ -13,7 +13,7 @@
 //! evaluated against deduplicated, per-link-ordered announcements sees
 //! the same fact stream it would see on a perfect network, just later.
 
-use crate::msg::{InstanceId, Msg};
+use crate::msg::Msg;
 use event_algebra::{SortedMap, SortedSet};
 use obs::{NodeObs, SpanKind};
 use sim::{Ctx, NodeId, Time};
@@ -55,15 +55,8 @@ pub struct Reliable {
     unacked: SortedMap<(NodeId, u64), (Msg, u32)>,
     /// `(sender, seq)` of every envelope already delivered.
     seen: SortedSet<(NodeId, u64)>,
-    /// The workflow instance this node belongs to, stamped on every
-    /// outgoing envelope and checked on every incoming one. Defaults to
-    /// [`InstanceId::ROOT`] for single-instance runs.
-    pub instance: InstanceId,
     /// Envelopes abandoned after `max_attempts` transmissions.
     pub gave_up: u64,
-    /// Envelopes dropped because they carried a foreign [`InstanceId`]
-    /// (never acked: a cross-wired sender must not believe it was heard).
-    pub cross_instance_dropped: u64,
     /// Duplicate envelopes suppressed.
     pub duplicates_suppressed: u64,
     /// Retransmissions performed.
@@ -86,15 +79,14 @@ impl Reliable {
     }
 
     /// Forget every envelope sent, awaited or seen and zero the counters:
-    /// the state [`Reliable::new`] builds, with the instance stamp and
-    /// recorder handle set since. A crash does this to a transport, and
-    /// so does its slot moving on to the next instance.
+    /// the state [`Reliable::new`] builds, with the recorder handle set
+    /// since. A crash does this to a transport, and so does its slot
+    /// moving on to the next instance.
     pub fn reset(&mut self) {
         self.next_seq.clear();
         self.unacked.clear();
         self.seen.clear();
         self.gave_up = 0;
-        self.cross_instance_dropped = 0;
         self.duplicates_suppressed = 0;
         self.retransmissions = 0;
     }
@@ -113,7 +105,7 @@ impl Reliable {
         *seq += 1;
         let seq = *seq;
         self.obs.rec(ctx.now(), SpanKind::EnvSend { to: to.0, seq });
-        ctx.send(to, Msg::Seq { seq, instance: self.instance, inner: Box::new(msg.clone()) });
+        ctx.send(to, Msg::Seq { seq, inner: Box::new(msg.clone()) });
         self.unacked.insert((to, seq), (msg, 1));
         ctx.send_after(ctx.self_id, Msg::RetryTimer { to, seq }, self.config.rto);
         seq
@@ -157,14 +149,7 @@ impl Reliable {
         msg: Msg,
     ) -> Option<(Msg, Option<u64>)> {
         match msg {
-            Msg::Seq { seq, instance, inner } => {
-                // An envelope from a foreign instance is not ours to ack:
-                // dropping it silently keeps instance state from leaking
-                // and leaves the cross-wired sender visibly unheard.
-                if instance != self.instance {
-                    self.cross_instance_dropped += 1;
-                    return None;
-                }
+            Msg::Seq { seq, inner } => {
                 // Ack every copy: the sender may have missed earlier acks.
                 ctx.send(from, Msg::Ack { seq });
                 if self.seen.insert((from, seq)) {
@@ -203,7 +188,7 @@ impl Reliable {
         let exponent = (*attempts - 1).min(16);
         let rto = self.config.rto.saturating_mul(u64::from(self.config.backoff).pow(exponent));
         self.obs.rec(ctx.now(), SpanKind::EnvRetransmit { to: to.0, seq, attempt });
-        ctx.send(to, Msg::Seq { seq, instance: self.instance, inner: Box::new(msg.clone()) });
+        ctx.send(to, Msg::Seq { seq, inner: Box::new(msg.clone()) });
         self.retransmissions += 1;
         ctx.send_after(ctx.self_id, Msg::RetryTimer { to, seq }, rto);
     }
@@ -220,16 +205,11 @@ mod tests {
     }
 
     fn announce(sym: u32) -> Msg {
-        Msg::Announce {
-            lit: Literal::pos(SymbolId(sym)),
-            at: 1,
-            seq: 1,
-            instance: InstanceId::ROOT,
-        }
+        Msg::Announce { lit: Literal::pos(SymbolId(sym)), at: 1, seq: 1 }
     }
 
     fn env(seq: u64, inner: Msg) -> Msg {
-        Msg::Seq { seq, instance: InstanceId::ROOT, inner: Box::new(inner) }
+        Msg::Seq { seq, inner: Box::new(inner) }
     }
 
     #[test]
@@ -307,26 +287,6 @@ mod tests {
         assert!(out.is_empty(), "gave up after max_attempts");
         assert_eq!(r.gave_up, 1);
         assert_eq!(r.pending(), 0);
-    }
-
-    #[test]
-    fn foreign_instance_envelope_dropped_without_ack() {
-        let mut r = Reliable::new(ReliableConfig::default());
-        r.instance = InstanceId(7);
-        let mut out = ctx_parts();
-        {
-            let mut ctx = Ctx::manual(NodeId(1), 0, 0, &mut out);
-            let foreign =
-                Msg::Seq { seq: 1, instance: InstanceId(8), inner: Box::new(announce(2)) };
-            assert_eq!(r.on_message(&mut ctx, NodeId(0), foreign), None);
-            assert_eq!(r.cross_instance_dropped, 1);
-            let ours = Msg::Seq { seq: 1, instance: InstanceId(7), inner: Box::new(announce(2)) };
-            assert!(r.on_message(&mut ctx, NodeId(0), ours).is_some());
-        }
-        // No ack for the foreign envelope: the cross-wired sender must
-        // not believe it was heard. (The matching envelope was acked.)
-        let acks = out.iter().filter(|(_, m, _)| matches!(m, Msg::Ack { .. })).count();
-        assert_eq!(acks, 1);
     }
 
     #[test]

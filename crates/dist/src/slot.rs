@@ -106,21 +106,18 @@ impl NetNode {
         self.role.reset();
     }
 
-    /// Name the instance this node serves next: its id on the transport,
-    /// the WAL slice and the actor, the id its announcements carry, and
-    /// the recorder its spans go to (off unless instances are recorded).
-    fn stamp(&mut self, instance: InstanceId, announce_as: InstanceId, obs: &Obs) {
+    /// Name the instance this node serves next: the WAL slice it logs to
+    /// and replays from, and the recorder its spans go to (off unless
+    /// instances are recorded).
+    fn stamp(&mut self, instance: InstanceId, obs: &Obs) {
         self.obs = NodeObs::new(obs.clone(), self.obs.node, self.obs.site);
         if let Some(r) = &mut self.reliable {
-            r.instance = instance;
             r.obs = self.obs.clone();
         }
         if let Some((_, of, _)) = &mut self.store {
             *of = instance;
         }
         if let Node::Actor(a) = &mut self.role {
-            a.instance = instance;
-            a.announce_instance = announce_as;
             a.obs = self.obs.clone();
         }
     }
@@ -183,10 +180,9 @@ impl Process<Msg> for NetNode {
         // silently discard the restarted node's new messages), and the
         // receive-side dedup sets are rebuilt from the logged envelopes
         // (or a peer retransmitting a pre-crash envelope would pass as a
-        // first delivery and be processed — and logged — twice). The
-        // instance stamp is part of the node's identity, not its volatile
-        // state: a restarted tenant node must keep speaking for its
-        // instance (or it would reject every peer envelope).
+        // first delivery and be processed — and logged — twice). Which
+        // instance's slice to read is the node's identity, not volatile
+        // state: the store stamp survives the crash.
         if let Some(r) = &mut self.reliable {
             r.reset();
             r.restore_seqs(store.seqs_of(*instance, *id));
@@ -242,8 +238,6 @@ pub struct InstanceTotals {
     pub dedup_dropped: u64,
     /// Envelopes abandoned after the last retransmission.
     pub gave_up: u64,
-    /// Foreign-instance envelopes dropped (0 unless cross-wired).
-    pub cross_instance_dropped: u64,
     /// Nanoseconds inside [`Network::run_to_quiescence`].
     pub run_ns: u64,
 }
@@ -361,14 +355,13 @@ impl<'t> InstanceSlot<'t> {
     ///    clock, sequence, statistics, fault state, recorder;
     /// 2. if an instance ran here before, every node's transport and role
     ///    and the monitor return to their assembled state, buffers kept;
-    /// 3. the stamps are applied: instance id on transports, WAL slices
-    ///    and actors, `announce_as` on outgoing announcements (the id
-    ///    again unless the isolation audit is cross-wiring), a fresh
-    ///    recorder when instances are recorded, the fault plan;
+    /// 3. the stamps are applied: the instance id on the nodes' WAL
+    ///    slices, a fresh recorder when instances are recorded, the fault
+    ///    plan;
     /// 4. the template's seed messages are injected, the arrival's
     ///    think-time overrides replacing the delay of the attempts they
     ///    name.
-    pub fn prepare(&mut self, arrival: &Arrival, announce_as: InstanceId, plan: Option<FaultPlan>) {
+    pub fn prepare(&mut self, arrival: &Arrival, plan: Option<FaultPlan>) {
         self.net.reset(SimConfig { seed: arrival.seed, ..self.sim });
         if std::mem::replace(&mut self.used, true) {
             for node in self.net.nodes_mut() {
@@ -380,7 +373,7 @@ impl<'t> InstanceSlot<'t> {
         }
         let obs = self.record.map_or_else(Obs::off, Obs::on);
         for node in self.net.nodes_mut() {
-            node.stamp(arrival.instance, announce_as, &obs);
+            node.stamp(arrival.instance, &obs);
         }
         self.net.set_recorder(obs, Msg::kind_label);
         if let Some(plan) = plan {
@@ -415,7 +408,6 @@ impl<'t> InstanceSlot<'t> {
             totals.retransmissions += r.retransmissions;
             totals.dedup_dropped += r.duplicates_suppressed;
             totals.gave_up += r.gave_up;
-            totals.cross_instance_dropped += r.cross_instance_dropped;
         }
         let mut report = self.collect_report(outcome);
         if let Some(m) = &self.mon {

@@ -15,22 +15,22 @@
 //! **Isolation by construction.** An instance runs the way a solo
 //! workflow does (`InstanceSlot::prepare` + `execute`, reached through
 //! the one fleet runner in `fleet.rs`): it starts from a reset seeded
-//! [`sim::Network`] and gets its own flight recorder (when
-//! [`ExecConfig::record`] is set), its announcements and envelopes are
-//! stamped with its [`InstanceId`] (and filtered on receipt), and its
-//! write-ahead-log slice in the shared [`NodeStore`] is keyed by
-//! `(instance, node)`. A tenant run of instance *i* is therefore
+//! [`sim::Network`] — queue included, so nothing a previous instance
+//! sent is left to arrive — and gets its own flight recorder (when
+//! [`ExecConfig::record`] is set), and its write-ahead-log slice in the
+//! shared [`NodeStore`] is keyed by `(instance, node)`. There is no
+//! channel between two instances, so no message names its instance and
+//! no receiver filters. A tenant run of instance *i* is therefore
 //! byte-identical to an independent [`crate::run_workflow_with_faults`]
 //! of the same spec, seed and fault plan, recorded spans included —
 //! provided a reset slot is a fresh one, which `tests/slot_props.rs`
 //! holds field by field. The ninth conformance audit
 //! (`testkit::conformance::audit_tenant_isolation`) checks exactly this
-//! equivalence end-to-end, and [`TenantConfig::cross_wire`] is the
-//! mutation knob that proves the audit can fail.
+//! equivalence end-to-end; its own tests show it fail on a fleet audited
+//! against the wrong arrival.
 
 use crate::exec::{ExecConfig, WorkflowSpec};
 use crate::fleet::{run_instances, Arrival, InstanceOutcome};
-use crate::msg::InstanceId;
 use crate::wal::NodeStore;
 use obs::{Log2Histogram, MetricsRegistry, MetricsSnapshot};
 use sim::{FaultPlan, Termination, Time};
@@ -49,21 +49,14 @@ pub struct TenantConfig {
     /// instance-keyed write-ahead log.
     pub plan: Option<FaultPlan>,
     /// Number of OS threads that claim arrivals (the calling thread is
-    /// one of them). `0` and `1` both mean sequential. The per-shard
-    /// telemetry labels stay each arrival's round-robin home
-    /// `index % shards`, whichever thread claimed it.
+    /// one of them). `0` and `1` both mean sequential.
     pub shards: usize,
-    /// Mutation knob for the conformance audit: the named instance's
-    /// actors stamp their announcements with the *wrong* instance id,
-    /// so receivers (correctly) reject them and the instance diverges
-    /// from its isolated baseline. Healthy fleets leave this `None`.
-    pub cross_wire: Option<InstanceId>,
 }
 
 impl TenantConfig {
     /// A sequential fleet with no faults.
     pub fn new(exec: ExecConfig) -> TenantConfig {
-        TenantConfig { exec, plan: None, shards: 1, cross_wire: None }
+        TenantConfig { exec, plan: None, shards: 1 }
     }
 
     /// The [`ExecConfig`] an *independent* run of `arrival` uses: the
@@ -90,13 +83,9 @@ pub struct TenantReport {
     pub exhausted: usize,
     /// Fleet-clock time at which the last instance finished.
     pub makespan: Time,
-    /// Foreign envelopes dropped by transports, fleet-wide.
-    pub cross_instance_dropped: u64,
-    /// Foreign announcements rejected by actors, fleet-wide.
-    pub cross_instance_rejected: u64,
     /// Monitor alerts raised across the fleet (0 when monitors are not
-    /// armed). Per-kind and per-shard breakdowns live in
-    /// [`TenantReport::metrics`] (`tenant.monitor.*`, `tenant.shard.*`).
+    /// armed). The per-kind breakdown lives in [`TenantReport::metrics`]
+    /// (`tenant.monitor.alerts`).
     pub monitor_alerts: u64,
     /// Violation-class monitor alerts across the fleet (the subset of
     /// [`TenantReport::monitor_alerts`] where
@@ -106,10 +95,7 @@ pub struct TenantReport {
     /// histogram (`tenant.fire_latency`: instance-local time from
     /// admission to each occurrence), instance-duration histogram, and —
     /// when monitors are armed — fleet monitor telemetry
-    /// (`tenant.monitor.facts` / `.guard_checks` / `.alerts` by kind)
-    /// plus per-shard counters labeled by home shard
-    /// (`tenant.shard.instances` / `.events` / `.monitor_alerts` /
-    /// `.guard_checks`).
+    /// (`tenant.monitor.facts` / `.guard_checks` / `.alerts` by kind).
     pub metrics: MetricsSnapshot,
     /// The shared instance-keyed write-ahead log, when a fault plan
     /// made one necessary.
@@ -125,23 +111,6 @@ impl TenantReport {
     pub fn all_satisfied(&self) -> bool {
         self.exhausted == 0 && self.instances.iter().all(|o| o.report.all_satisfied())
     }
-
-    /// Quantile of the firing-latency histogram (instance-local ticks
-    /// from admission to occurrence), rounded down to a log2 bucket
-    /// lower bound. Returns 0 when no event fired.
-    pub fn fire_quantile(&self, q: f64) -> u64 {
-        self.metrics.histogram("tenant.fire_latency", &[]).map_or(0, |h| h.quantile(q))
-    }
-
-    /// Completed instances per wall-clock second.
-    pub fn instances_per_sec(&self) -> f64 {
-        self.instances.len() as f64 / (self.wall_ns.max(1) as f64 / 1e9)
-    }
-
-    /// Event occurrences per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / (self.wall_ns.max(1) as f64 / 1e9)
-    }
 }
 
 /// Run a fleet of workflow instances to completion.
@@ -155,7 +124,7 @@ impl TenantReport {
 /// # Panics
 ///
 /// Panics when an arrival's `spec_ix` is out of range or two arrivals
-/// share an [`InstanceId`] (ids key the shared write-ahead log, so a
+/// share an [`crate::InstanceId`] (ids key the shared write-ahead log, so a
 /// collision would silently entangle two instances' recovery state).
 pub fn run_tenant(
     specs: &[WorkflowSpec],
@@ -167,29 +136,22 @@ pub fn run_tenant(
     // (instance, node) — the point of the instance-keyed store.
     let wal = config.plan.is_some().then(NodeStore::new);
     let faults = config.plan.clone().zip(wal.clone());
-    let run =
-        run_instances(specs, arrivals, &config.exec, config.shards, faults, config.cross_wire);
+    let run = run_instances(specs, arrivals, &config.exec, config.shards, faults);
     let (mut outcomes, shards) = (run.outcomes, run.loads.len());
 
     // ----- fleet roll-up -----
-    // Accumulated locally, published once per series: the outcomes are
-    // still in arrival order, so an instance's round-robin home shard —
-    // the per-shard telemetry label, whichever thread claimed it — is its
-    // index modulo the shard count.
+    // Accumulated locally, published once per series.
     let (mut fire_latency, mut durations) = (Log2Histogram::default(), Log2Histogram::default());
-    let mut by_shard = vec![ShardTotals::default(); shards];
     let reg = MetricsRegistry::new();
     let mut events = 0u64;
     let mut quiesced = 0usize;
     let mut exhausted = 0usize;
     let mut makespan = 0;
-    let mut cross_dropped = 0u64;
-    let mut cross_rejected = 0u64;
     let mut monitor_alerts = 0u64;
     let mut monitor_violations = 0u64;
     let mut monitor_facts = 0u64;
     let mut monitor_guard_checks = 0u64;
-    for (ix, o) in outcomes.iter().enumerate() {
+    for o in &outcomes {
         for &(_, t, _) in &o.report.occurrences {
             fire_latency.observe(t);
         }
@@ -200,12 +162,6 @@ pub fn run_tenant(
             Termination::BudgetExhausted => exhausted += 1,
         }
         makespan = makespan.max(o.finished_at);
-        cross_dropped += o.cross_instance_dropped;
-        cross_rejected +=
-            o.report.actor_stats.values().map(|s| s.cross_instance_rejected).sum::<u64>();
-        let shard = &mut by_shard[ix % shards];
-        shard.instances += 1;
-        shard.events += o.report.occurrences.len() as u64;
         if let Some(m) = &o.report.monitor {
             monitor_facts += m.facts;
             monitor_guard_checks += m.guard_checks;
@@ -217,8 +173,6 @@ pub fn run_tenant(
                 // Alerts are the exception: each goes straight in.
                 reg.add("tenant.monitor.alerts", &[("kind", alert.kind.tag())], 1);
             }
-            shard.monitor_alerts += m.alerts.len() as u64;
-            shard.guard_checks += m.guard_checks;
         }
     }
     outcomes.sort_by_key(|o| o.instance);
@@ -229,16 +183,6 @@ pub fn run_tenant(
     if !outcomes.is_empty() {
         reg.merge_histogram("tenant.instance_duration", &[], &durations);
     }
-    for (shard, totals) in by_shard.iter().enumerate().filter(|(_, t)| t.instances > 0) {
-        let shard = shard.to_string();
-        let by_shard: &[(&str, &str)] = &[("shard", &shard)];
-        reg.add("tenant.shard.instances", by_shard, totals.instances);
-        reg.add("tenant.shard.events", by_shard, totals.events);
-        if config.exec.monitor.is_some() {
-            reg.add("tenant.shard.monitor_alerts", by_shard, totals.monitor_alerts);
-            reg.add("tenant.shard.guard_checks", by_shard, totals.guard_checks);
-        }
-    }
     if outcomes.iter().any(|o| o.report.monitor.is_some()) {
         reg.add("tenant.monitor.facts", &[], monitor_facts);
         reg.add("tenant.monitor.guard_checks", &[], monitor_guard_checks);
@@ -248,8 +192,6 @@ pub fn run_tenant(
     reg.add("tenant.events", &[], events);
     reg.add("tenant.quiesced", &[], quiesced as u64);
     reg.add("tenant.exhausted", &[], exhausted as u64);
-    reg.add("tenant.cross_instance_dropped", &[], cross_dropped);
-    reg.add("tenant.cross_instance_rejected", &[], cross_rejected);
     reg.set_gauge("tenant.makespan", &[], makespan as i64);
     reg.set_gauge("tenant.shards", &[], shards as i64);
     if let Some(w) = &wal {
@@ -261,23 +203,12 @@ pub fn run_tenant(
         quiesced,
         exhausted,
         makespan,
-        cross_instance_dropped: cross_dropped,
-        cross_instance_rejected: cross_rejected,
         monitor_alerts,
         monitor_violations,
         metrics: reg.snapshot(),
         wal,
         wall_ns: started.elapsed().as_nanos() as u64,
     }
-}
-
-/// What one home shard's instances add up to.
-#[derive(Debug, Clone, Default)]
-struct ShardTotals {
-    instances: u64,
-    events: u64,
-    monitor_alerts: u64,
-    guard_checks: u64,
 }
 
 #[cfg(test)]
@@ -315,36 +246,6 @@ mod tests {
         }
     }
 
-    /// `D<`: e must precede f. f's firing waits on e's `□`-announcement,
-    /// so a cross-wired instance (whose announcements are rejected)
-    /// visibly wedges — unlike the mutual-promise spec, which resolves
-    /// through the promise round alone.
-    fn precedence_spec() -> WorkflowSpec {
-        let mut table = SymbolTable::new();
-        let d = parse_expr("~e + ~f + e.f", &mut table).unwrap();
-        let e = table.event("e");
-        let f = table.event("f");
-        WorkflowSpec {
-            table,
-            dependencies: vec![d],
-            agents: vec![],
-            free_events: vec![
-                FreeEventSpec {
-                    site: SiteId(0),
-                    lit: e,
-                    attrs: EventAttrs::controllable(),
-                    attempt_after: Some(1),
-                },
-                FreeEventSpec {
-                    site: SiteId(1),
-                    lit: f,
-                    attrs: EventAttrs::controllable(),
-                    attempt_after: Some(1),
-                },
-            ],
-        }
-    }
-
     fn fleet(n: u64) -> Vec<Arrival> {
         (0..n).map(|i| Arrival::new(i, 0, i * 3, 0x9E37 ^ i)).collect()
     }
@@ -357,8 +258,6 @@ mod tests {
         let rep = run_tenant(std::slice::from_ref(&spec), &arrivals, &config);
         assert_eq!(rep.instances.len(), 8);
         assert!(rep.all_satisfied(), "{rep:?}");
-        assert_eq!(rep.cross_instance_dropped, 0);
-        assert_eq!(rep.cross_instance_rejected, 0);
         for (a, o) in arrivals.iter().zip(&rep.instances) {
             let solo = crate::run_workflow(&spec, config.instance_exec(a));
             assert_eq!(o.report.occurrences, solo.occurrences, "instance {}", a.instance);
@@ -382,27 +281,6 @@ mod tests {
         for (a, b) in r1.instances.iter().zip(&r4.instances) {
             assert_eq!(a.instance, b.instance);
             assert_eq!(a.report.occurrences, b.report.occurrences);
-        }
-    }
-
-    #[test]
-    fn cross_wired_instance_diverges_and_is_counted() {
-        let spec = precedence_spec();
-        let arrivals = fleet(3);
-        let mut config = TenantConfig::new(ExecConfig::seeded(0));
-        config.cross_wire = Some(InstanceId(1));
-        let rep = run_tenant(&[spec], &arrivals, &config);
-        assert!(rep.cross_instance_rejected > 0, "mutation must be visible: {rep:?}");
-        let mutant = &rep.instances[1];
-        assert!(
-            mutant.report.trace.len() < 2,
-            "cross-wired instance should wedge on the rejected announcement: {:?}",
-            mutant.report
-        );
-        // The healthy neighbours are untouched: both events fire.
-        for o in [&rep.instances[0], &rep.instances[2]] {
-            assert_eq!(o.report.trace.len(), 2, "{:?}", o.report);
-            assert!(o.report.all_satisfied(), "{:?}", o.report);
         }
     }
 

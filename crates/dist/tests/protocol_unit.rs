@@ -4,7 +4,7 @@
 //! compilation pipeline.
 
 use agent::EventAttrs;
-use dist::{DepTracker, InstanceId, Msg, Node, Routing, SymbolActor};
+use dist::{DepTracker, Msg, Node, Routing, SymbolActor};
 use event_algebra::{Expr, Literal, SymbolId};
 use sim::{Ctx, LatencyModel, Network, NodeId, SimConfig, SiteId};
 use std::cell::RefCell;
@@ -247,18 +247,10 @@ fn announcements_tolerate_reordering_for_sequence_guards() {
     net.inject(NodeId(0), NodeId(0), Msg::Attempt { lit: Literal::pos(c) });
     // Deliver b's announcement (occurrence seq 20) before a's (seq 10):
     // naive in-arrival-order residuation would kill the sequence.
-    net.inject(
-        NodeId(0),
-        NodeId(0),
-        Msg::Announce { lit: b, at: 20, seq: 20, instance: InstanceId::ROOT },
-    );
+    net.inject(NodeId(0), NodeId(0), Msg::Announce { lit: b, at: 20, seq: 20 });
     net.run_to_quiescence(100);
     assert_eq!(occurred(&net, NodeId(0)), None);
-    net.inject(
-        NodeId(0),
-        NodeId(0),
-        Msg::Announce { lit: a, at: 10, seq: 10, instance: InstanceId::ROOT },
-    );
+    net.inject(NodeId(0), NodeId(0), Msg::Announce { lit: a, at: 10, seq: 10 });
     net.run_to_quiescence(100);
     assert_eq!(
         occurred(&net, NodeId(0)),
@@ -323,7 +315,7 @@ fn a_warm_guard_table_changes_nothing() {
             let lit = if g.flip() { pos(s) } else { neg(s) };
             let seq = 10 * u64::from(s) + g.range(0..40u64);
             if g.flip() {
-                msgs.push(Msg::Announce { lit, at: seq, seq, instance: InstanceId::ROOT });
+                msgs.push(Msg::Announce { lit, at: seq, seq });
             }
             match g.range(0..4u32) {
                 0 => msgs.push(Msg::PromiseGrant { lit }),

@@ -6,8 +6,9 @@
 
 use crate::paths::guard_via_paths;
 use crate::synth::GuardSynth;
-use crate::workflow::{CompiledWorkflow, GuardScope};
+use crate::workflow::GuardScope;
 use event_algebra::{enumerate_maximal, satisfies, Expr, Literal, SymbolId, Trace};
+use std::collections::{BTreeMap, BTreeSet};
 use temporal::{guards_equivalent, Guard};
 
 fn union_symbols(exprs: &[&Expr], extra: Literal) -> Vec<SymbolId> {
@@ -93,20 +94,41 @@ pub fn check_lemma5(d: &Expr, ev: Literal) -> bool {
     guards_equivalent(&def2, &via, &union_symbols(&[d], ev))
 }
 
+/// The guards Definition 4 reads: for every literal `e` of the workflow's
+/// alphabet, `G(D, e)` of each dependency `D` in scope for it — one guard
+/// per dependency, synthesized here and never conjoined, so the reference
+/// does not rest on [`crate::CompiledWorkflow`]'s conjunction.
+pub fn guards_by_dependency(deps: &[Expr], scope: GuardScope) -> BTreeMap<Literal, Vec<Guard>> {
+    let mut synth = GuardSynth::new();
+    let ids: Vec<_> = deps.iter().map(|d| synth.intern(d)).collect();
+    let symbols: Vec<BTreeSet<SymbolId>> = deps.iter().map(Expr::symbols).collect();
+    let alphabet: BTreeSet<SymbolId> = symbols.iter().flatten().copied().collect();
+    let literals = alphabet.iter().flat_map(|&s| [Literal::pos(s), Literal::neg(s)]);
+    literals
+        .map(|lit| {
+            let in_scope = ids.iter().zip(&symbols).filter(|(_, syms)| scope.covers(syms, lit));
+            (lit, in_scope.map(|(&id, _)| synth.guard_at(id, lit).clone()).collect())
+        })
+        .collect()
+}
+
 /// Definition 4: workflow `W` *generates* trace `u` iff before each event
-/// `u_{j+1} = e`, every in-scope dependency's guard on `e` holds at `j`.
-pub fn generates(w: &CompiledWorkflow, u: &Trace) -> bool {
-    u.events().iter().enumerate().all(|(j, &ev)| {
-        w.per_dependency.get(&ev).map(|deps| deps.iter().all(|(_, g)| g.eval(u, j))).unwrap_or(true)
-    })
+/// `u_{j+1} = e`, every in-scope dependency's guard on `e`
+/// ([`guards_by_dependency`]) holds at `j`.
+pub fn generates(guards: &BTreeMap<Literal, Vec<Guard>>, u: &Trace) -> bool {
+    u.events()
+        .iter()
+        .enumerate()
+        .all(|(j, ev)| guards.get(ev).is_none_or(|deps| deps.iter().all(|g| g.eval(u, j))))
 }
 
 /// Theorem 6 for one workflow: over every maximal trace of the workflow's
 /// alphabet, `W generates u ⟺ ∀D ∈ W: u ⊨ D`. Returns the first
 /// counterexample if any.
 pub fn check_thm6(deps: &[Expr], scope: GuardScope) -> Result<(), Trace> {
-    let w = CompiledWorkflow::compile(deps, scope);
-    let syms: Vec<SymbolId> = w.symbols.iter().copied().collect();
+    let w = guards_by_dependency(deps, scope);
+    let syms: BTreeSet<SymbolId> = deps.iter().flat_map(Expr::symbols).collect();
+    let syms: Vec<SymbolId> = syms.into_iter().collect();
     for u in enumerate_maximal(&syms) {
         let gen = generates(&w, &u);
         let sat = deps.iter().all(|d| satisfies(&u, d));
@@ -236,7 +258,7 @@ mod tests {
         // In D<'s guards, f must not precede e unless ē is guaranteed:
         // the trace ⟨f e⟩ is not generated.
         let (_, [e, f, _, _]) = setup4();
-        let w = CompiledWorkflow::compile(&[d_precedes(e, f)], GuardScope::Mentioning);
+        let w = guards_by_dependency(&[d_precedes(e, f)], GuardScope::Mentioning);
         let bad = Trace::new([f, e]).unwrap();
         assert!(!generates(&w, &bad));
         let good = Trace::new([e, f]).unwrap();

@@ -26,6 +26,16 @@ pub enum GuardScope {
     All,
 }
 
+impl GuardScope {
+    /// Does a dependency mentioning `symbols` contribute to `lit`'s guard?
+    pub(crate) fn covers(self, symbols: &BTreeSet<SymbolId>, lit: Literal) -> bool {
+        match self {
+            GuardScope::Mentioning => symbols.contains(&lit.symbol()),
+            GuardScope::All => true,
+        }
+    }
+}
+
 /// A workflow compiled into localized event guards.
 #[derive(Debug, Clone)]
 pub struct CompiledWorkflow {
@@ -34,9 +44,6 @@ pub struct CompiledWorkflow {
     /// Per-literal conjoined guard. Contains an entry for every literal of
     /// every dependency's `Γ_D`.
     pub guards: BTreeMap<Literal, Guard>,
-    /// Per-literal, per-dependency guards (for Definition 4 / Theorem 6
-    /// checks and for diagnostics).
-    pub per_dependency: BTreeMap<Literal, Vec<(usize, Guard)>>,
     /// The residual machine of each dependency (triggering analysis and
     /// the baseline schedulers reuse these).
     pub machines: Vec<DependencyMachine>,
@@ -59,24 +66,14 @@ impl CompiledWorkflow {
             dependencies.iter().map(Expr::symbols).collect();
         let symbols: BTreeSet<SymbolId> = dependency_symbols.iter().flatten().copied().collect();
         let mut guards = BTreeMap::new();
-        let mut per_dependency: BTreeMap<Literal, Vec<(usize, Guard)>> = BTreeMap::new();
         for lit in symbols.iter().flat_map(|&s| [Literal::pos(s), Literal::neg(s)]) {
             let mut combined = Guard::top();
-            let mut per_dep = Vec::new();
             for (ix, &id) in ids.iter().enumerate() {
-                let relevant = match scope {
-                    GuardScope::Mentioning => dependency_symbols[ix].contains(&lit.symbol()),
-                    GuardScope::All => true,
-                };
-                if !relevant {
-                    continue;
+                if scope.covers(&dependency_symbols[ix], lit) {
+                    combined = combined.and(synth.guard_at(id, lit));
                 }
-                let g = synth.guard_at(id, lit);
-                combined = combined.and(g);
-                per_dep.push((ix, g.clone()));
             }
             guards.insert(lit, combined);
-            per_dependency.insert(lit, per_dep);
         }
         // One shared arena for all machine compilations; structurally
         // identical dependencies share a machine.
@@ -84,7 +81,6 @@ impl CompiledWorkflow {
         CompiledWorkflow {
             dependencies: dependencies.to_vec(),
             guards,
-            per_dependency,
             machines,
             symbols,
             dependency_symbols,
@@ -104,16 +100,6 @@ impl CompiledWorkflow {
     /// allocation per conjunct) would dominate the whole check.
     pub fn guard_ref(&self, lit: Literal) -> Option<&Guard> {
         self.guards.get(&lit)
-    }
-
-    /// The guard of `lit` due to dependency `ix` alone (`⊤` if that
-    /// dependency is out of scope for `lit`).
-    pub fn guard_due_to(&self, lit: Literal, ix: usize) -> Guard {
-        self.per_dependency
-            .get(&lit)
-            .and_then(|v| v.iter().find(|(i, _)| *i == ix))
-            .map(|(_, g)| g.clone())
-            .unwrap_or_else(Guard::top)
     }
 
     /// The symbols whose announcements `lit`'s actor must subscribe to:
@@ -145,6 +131,7 @@ impl CompiledWorkflow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synth::guard_of;
     use event_algebra::SymbolTable;
     use temporal::guards_equivalent_auto;
 
@@ -173,12 +160,12 @@ mod tests {
         assert_eq!(w.symbols.len(), 5);
         assert_eq!(w.guards.len(), 10);
         assert_eq!(w.machines.len(), 3);
+        let mentioning =
+            |l: Literal| w.dependency_symbols.iter().filter(|s| s.contains(&l.symbol())).count();
         // c_buy is mentioned by d2 and d3: its guard conjoins both.
-        let c_buy = t.event("c_buy");
-        assert_eq!(w.per_dependency[&c_buy].len(), 2);
+        assert_eq!(mentioning(t.event("c_buy")), 2);
         // s_buy is mentioned only by d1.
-        let s_buy = t.event("s_buy");
-        assert_eq!(w.per_dependency[&s_buy].len(), 1);
+        assert_eq!(mentioning(t.event("s_buy")), 1);
     }
 
     #[test]
@@ -203,8 +190,11 @@ mod tests {
         let s_cancel = t.event("s_cancel");
         // d1 does not mention s_cancel; under All scope it contributes a
         // guard gating on d1's eventual satisfaction.
-        let g = w_all.guard_due_to(s_cancel, 0);
-        assert!(!g.is_bottom());
+        assert!(!w_all.dependency_symbols[0].contains(&s_cancel.symbol()));
+        let g = guard_of(&deps[0], s_cancel);
+        assert!(!g.is_bottom() && !g.is_top());
+        let every = deps.iter().fold(Guard::top(), |acc, d| acc.and(&guard_of(d, s_cancel)));
+        assert!(guards_equivalent_auto(&w_all.guard(s_cancel), &every));
     }
 
     #[test]
@@ -235,9 +225,13 @@ mod tests {
     fn conjoined_guard_equals_product_of_per_dep_guards() {
         let (_, deps) = travel();
         let w = CompiledWorkflow::compile(&deps, GuardScope::Mentioning);
-        for (lit, per_dep) in &w.per_dependency {
-            let product = per_dep.iter().fold(Guard::top(), |acc, (_, g)| acc.and(g));
-            assert!(guards_equivalent_auto(&product, &w.guard(*lit)), "literal {lit}");
+        for &lit in w.guards.keys() {
+            let product = deps
+                .iter()
+                .zip(&w.dependency_symbols)
+                .filter(|(_, syms)| syms.contains(&lit.symbol()))
+                .fold(Guard::top(), |acc, (d, _)| acc.and(&guard_of(d, lit)));
+            assert!(guards_equivalent_auto(&product, &w.guard(lit)), "literal {lit}");
         }
     }
 

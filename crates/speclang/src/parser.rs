@@ -251,6 +251,9 @@ fn redeclared(what: &str, name: &str, first: Span, again: Span) -> SpecError {
     }
 }
 
+/// The agent library's kinds — what an `agent NAME: KIND` may name.
+const AGENT_KINDS: [&str; 5] = ["rda", "app", "compensatable", "two_phase", "looper"];
+
 struct Parser {
     toks: Vec<(Tok, usize, usize)>,
     pos: usize,
@@ -354,7 +357,13 @@ impl Parser {
     fn agent_decl(&mut self, span: Span) -> Result<AgentDecl, SpecError> {
         let name = self.ident("agent name")?;
         self.expect(&Tok::Colon, "':'")?;
+        let at = self.span_here();
         let kind = self.ident("agent kind")?;
+        if !AGENT_KINDS.contains(&kind.as_str()) {
+            let message =
+                format!("unknown agent kind '{kind}': expected one of {}", AGENT_KINDS.join(", "));
+            return Err(SpecError { line: at.line, col: at.col, message });
+        }
         let mut decl = AgentDecl { name, kind, site: 0, script: Vec::new(), span };
         if self.peek() == Some(&Tok::At) {
             self.pos += 1;
@@ -697,6 +706,18 @@ mod tests {
         assert_eq!((err.line, err.col), (4, 3));
         // An agent and an event may share a name: they name different symbols.
         assert!(parse_workflow("workflow w { agent a: rda; event a; }").is_ok());
+    }
+
+    #[test]
+    fn an_unknown_agent_kind_is_an_error_at_the_kind() {
+        let err = parse_workflow("workflow w {\n  agent buy: frob { script: start, commit };\n}")
+            .unwrap_err();
+        assert_eq!((err.line, err.col), (2, 14));
+        assert!(err.message.contains("unknown agent kind 'frob'"), "{err}");
+        for kind in AGENT_KINDS {
+            assert!(err.message.contains(kind), "{err}");
+            assert!(parse_workflow(&format!("workflow w {{ agent a: {kind}; }}")).is_ok());
+        }
     }
 
     #[test]

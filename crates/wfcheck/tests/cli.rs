@@ -128,6 +128,17 @@ fn a_name_declared_twice_is_wf000() {
 }
 
 #[test]
+fn an_unknown_agent_kind_is_wf000_at_the_kind() {
+    // Used to pass with exit 0 and surface at run time without a position.
+    let spec = write_spec("workflow x {\n  agent buy: frob { script: start, commit };\n}\n");
+    let out = run(&[spec.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let text = stdout(&out);
+    assert!(text.contains("2:14: error[WF000]"), "{text}");
+    assert!(text.contains("unknown agent kind 'frob'") && text.contains("two_phase"), "{text}");
+}
+
+#[test]
 fn three_cycle_and_cross_site_are_denied() {
     let ring = write_spec(
         "workflow ring {\n\

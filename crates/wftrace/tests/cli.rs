@@ -127,6 +127,28 @@ fn hostile_nesting_is_a_parse_error_not_a_crash() {
 }
 
 #[test]
+fn a_bad_agent_declaration_is_a_positioned_error_not_a_panic() {
+    // An unknown script step used to panic in `AgentNode::new` (exit 101);
+    // an unknown kind used to be reported at 0:0.
+    for (decl, at, what) in [
+        (
+            "agent buy: rda { script: start, frobnicate };",
+            ":2:3: ",
+            "agent buy has no event frobnicate",
+        ),
+        ("agent buy: frob { script: start, commit };", ":2:14: ", "unknown agent kind 'frob'"),
+    ] {
+        let spec = temp_path("agent.wf");
+        std::fs::write(&spec, format!("workflow x {{\n  {decl}\n}}\n")).expect("write spec");
+        let out = run(&["record", "--spec", spec.to_str().unwrap(), "--out", "/dev/null"]);
+        assert_eq!(out.status.code(), Some(2), "{decl}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(at) && err.contains(what), "{decl}: {err}");
+        assert!(!err.contains("panicked"), "{decl}: {err}");
+    }
+}
+
+#[test]
 fn usage_errors_exit_two() {
     assert_eq!(run(&[]).status.code(), Some(2));
     assert_eq!(run(&["frobnicate"]).status.code(), Some(2));

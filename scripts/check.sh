@@ -5,8 +5,9 @@
 # included), benches built, clippy, fmt, rustdoc with warnings denied (a
 # deleted public name may not leave a dangling intra-doc link), the CLI
 # smokes (with a ceiling on the product states wfcheck explores per
-# example spec, and two hostile inputs that must come back as parse
-# errors, not crashes) and the benchmark's own selfcheck.
+# example spec, and four malformed inputs — two hostile nestings, two bad
+# agent declarations — that must come back as positioned errors, not
+# crashes) and the benchmark's own selfcheck.
 #
 # `check.sh --faults` runs the fault-conformance tier instead: the
 # `conformance` driver sweeps every example spec through the standard
@@ -158,13 +159,16 @@ trap 'rm -rf "$TRACE_TMP"' EXIT
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEvents'], 'empty trace'" \
     "$TRACE_TMP/travel.chrome.json"
 
-echo "==> malformed-input smokes: hostile nesting is a parse error, never a stack overflow (exit 134)"
-# 10 000 parentheses in a dependency, 200 000 brackets of JSON.
+echo "==> malformed-input smokes: hostile nesting and bad agent declarations are errors with a position, never a stack overflow (exit 134) or a panic (exit 101)"
+# 10 000 parentheses in a dependency, 200 000 brackets of JSON; an agent
+# of no library kind, an agent scripted with an event it does not have.
 python3 - "$TRACE_TMP" <<'PY'
 import sys
 d = sys.argv[1]
 open(f"{d}/deep.wf", "w").write("workflow x {\n  dep d: " + "(" * 10000 + "e" + ")" * 10000 + ";\n}\n")
 open(f"{d}/deep.json", "w").write("[" * 200000)
+open(f"{d}/kind.wf", "w").write("workflow x {\n  agent buy: frob { script: start, commit };\n}\n")
+open(f"{d}/step.wf", "w").write("workflow x {\n  agent buy: rda { script: start, frobnicate };\n}\n")
 PY
 expect_exit() {
     local want="$1" rc=0
@@ -179,6 +183,10 @@ expect_exit 1 "$WFCHECK" "$TRACE_TMP/deep.wf"
 grep -q "error\[WF000\]" "$TRACE_TMP/hostile.out"
 expect_exit 2 "$WFTRACE" stats "$TRACE_TMP/deep.json"
 grep -q "nested deeper" "$TRACE_TMP/hostile.out"
+expect_exit 1 "$WFCHECK" "$TRACE_TMP/kind.wf"
+grep -q "unknown agent kind" "$TRACE_TMP/hostile.out"
+expect_exit 2 "$WFTRACE" record --spec "$TRACE_TMP/step.wf" --out "$TRACE_TMP/step.trace.json"
+grep -q "has no event" "$TRACE_TMP/hostile.out"
 
 echo "==> benchmark/run.sh --selfcheck (the benchmark's wiring against this tree)"
 bash "$REPO/benchmark/run.sh" --selfcheck
