@@ -98,6 +98,13 @@ pub struct Report {
     pub workflow: Option<String>,
     /// All findings, sorted by source position then code.
     pub diagnostics: Vec<Diagnostic>,
+    /// How many (ground) dependencies were checked.
+    pub dependencies: usize,
+    /// How many distinct shapes they have — dependencies modulo an
+    /// order-preserving renaming of their symbols, which is how many the
+    /// compile synthesized guards and explored a machine for
+    /// ([`CompiledWorkflow::shape_count`]).
+    pub dependency_shapes: usize,
     /// Product states the reachability core interned and charged to the
     /// state budget, summed over all queries. The initial state is free,
     /// so a verdict settled without a search reports `0`.
@@ -123,6 +130,8 @@ impl Report {
         Report {
             workflow,
             diagnostics: Vec::new(),
+            dependencies: 0,
+            dependency_shapes: 0,
             states_explored: 0,
             incomplete: false,
             jointly_contradictory: false,
@@ -204,6 +213,8 @@ impl Report {
         if let Some(w) = &self.workflow {
             fields.push(format!("\"workflow\":{}", json_str(w)));
         }
+        fields.push(format!("\"dependencies\":{}", self.dependencies));
+        fields.push(format!("\"dependency_shapes\":{}", self.dependency_shapes));
         fields.push(format!("\"states_explored\":{}", self.states_explored));
         fields.push(format!("\"incomplete\":{}", self.incomplete));
         fields.push(format!("\"errors\":{}", self.count(Severity::Error)));
@@ -346,6 +357,8 @@ pub fn analyze_dependencies(deps: &[Expr], table: &SymbolTable, opts: &AnalyzeOp
 }
 
 fn run_passes(ctx: &Ctx<'_>, opts: &AnalyzeOptions, report: &mut Report) {
+    report.dependencies = ctx.deps.len();
+    report.dependency_shapes = ctx.compiled.shape_count();
     automaton::run(ctx, opts.state_budget, report);
     independence::run(ctx, report);
     needgraph::run(ctx, report);

@@ -145,8 +145,9 @@ pub struct LitState {
 pub enum DepTracker {
     /// Precompiled automaton plus its current state (the fast path).
     Machine {
-        /// The dependency's residual machine, shared across actors.
-        machine: Arc<DependencyMachine>,
+        /// The dependency's residual machine: a handle on the shape the
+        /// compiled workflow owns.
+        machine: DependencyMachine,
         /// Current residual state.
         state: StateId,
     },
@@ -161,7 +162,7 @@ pub enum DepTracker {
 
 impl DepTracker {
     /// Track via a precompiled machine, starting at its initial state.
-    pub fn compiled(machine: Arc<DependencyMachine>) -> DepTracker {
+    pub fn compiled(machine: DependencyMachine) -> DepTracker {
         let state = machine.initial;
         DepTracker::Machine { machine, state }
     }
@@ -213,7 +214,7 @@ impl DepTracker {
     /// machine form materializes its state's stored expression).
     pub fn residual(&self) -> Expr {
         match self {
-            DepTracker::Machine { machine, state } => machine.state(*state).clone(),
+            DepTracker::Machine { machine, state } => machine.state(*state),
             DepTracker::Symbolic { residual, .. } => residual.clone(),
         }
     }
@@ -222,7 +223,7 @@ impl DepTracker {
     /// Symbolic trackers have no compiled state id and report 0.
     pub fn obs_state(&self) -> (u32, bool) {
         match self {
-            DepTracker::Machine { machine, state } => (state.0, !machine.state(*state).is_zero()),
+            DepTracker::Machine { machine, state } => (state.0, !machine.is_violated(*state)),
             DepTracker::Symbolic { residual, .. } => (0, !residual.is_zero()),
         }
     }

@@ -22,9 +22,7 @@ use crate::reliable::ReliableConfig;
 use crate::slot::{InstanceSlot, InstanceTotals};
 use crate::wal::NodeStore;
 use agent::{EventAttrs, TaskAgent};
-use event_algebra::{
-    normalize, DependencyMachine, Expr, Literal, ShardPlan, SymbolId, SymbolTable, Trace,
-};
+use event_algebra::{normalize, Expr, Literal, ShardPlan, SymbolId, SymbolTable, Trace};
 use guard::{CompiledWorkflow, GuardScope};
 use monitor::MonitorConfig;
 use obs::{MetricSink, MetricsSnapshot, RecordConfig, Recording};
@@ -50,9 +48,9 @@ pub enum GuardMode {
 /// How each actor tracks its dependencies' residuals at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DepRuntime {
-    /// Step precompiled [`DependencyMachine`]s: per-fact work is one
-    /// transition-table lookup and the triggering/acceptance queries are
-    /// compile-time reachability tables.
+    /// Step precompiled [`event_algebra::DependencyMachine`]s: per-fact
+    /// work is one transition-table lookup and the triggering/acceptance
+    /// queries are compile-time reachability tables.
     #[default]
     Compiled,
     /// Residuate the dependency expression tree on every fact — the
@@ -380,12 +378,6 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
 /// templates once, under the one configuration it keeps.
 pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
     let compiled = Arc::new(CompiledWorkflow::compile(&spec.dependencies, GuardScope::Mentioning));
-    // In compiled mode every actor tracking dependency `ix` shares (an Arc
-    // of) the same precompiled machine; only the u32 state is per-actor.
-    let machines: Vec<Arc<DependencyMachine>> = match config.dep_runtime {
-        DepRuntime::Compiled => compiled.machines.iter().cloned().map(Arc::new).collect(),
-        DepRuntime::Symbolic => Vec::new(),
-    };
 
     // ----- gather all symbols and their attributes/sites -----
     let mut attrs_of: BTreeMap<Literal, EventAttrs> = BTreeMap::new();
@@ -439,17 +431,15 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
     }
 
     // ----- interest/subscription map -----
-    // Actor t is interested in symbol s if any of t's guards mention s or
-    // a dependency mentioning t also mentions s (residual tracking).
-    // Subscribers are listed in actor order.
+    // Actor t is interested in symbol s if a dependency mentioning t also
+    // mentions s: its residual trackers follow s, and its guards mention
+    // nothing else (`G(D, e)` mentions only `Γ_D`, and the scope is
+    // `Mentioning`). Subscribers are listed in actor order.
     for &s in &symbol_list {
         routing.subscribers_of.insert(s, Vec::new());
     }
     for &t in &symbol_list {
         let mut interest: BTreeSet<SymbolId> = BTreeSet::new();
-        for lit in [Literal::pos(t), Literal::neg(t)] {
-            interest.extend(compiled.guard_ref(lit).map(Guard::symbols).unwrap_or_default());
-        }
         for syms in compiled.dependency_symbols.iter().filter(|syms| syms.contains(&t)) {
             interest.extend(syms);
         }
@@ -487,7 +477,7 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
             .filter(|&(ix, _)| compiled.dependency_symbols[ix].contains(&s))
             .map(|(ix, d)| {
                 let tracker = match config.dep_runtime {
-                    DepRuntime::Compiled => DepTracker::compiled(Arc::clone(&machines[ix])),
+                    DepRuntime::Compiled => DepTracker::compiled(compiled.machines[ix].clone()),
                     DepRuntime::Symbolic => DepTracker::symbolic(normalize(d)),
                 };
                 (ix, tracker)

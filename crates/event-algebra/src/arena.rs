@@ -20,7 +20,7 @@
 //! implementation stays as the reference oracle; the property suite in
 //! `tests/arena_oracle.rs` checks agreement on random expressions.
 
-use crate::expr::Expr;
+use crate::expr::{rank_literal, Expr};
 use crate::fxhash::FxHashMap;
 use crate::symbol::{Literal, SymbolId};
 use std::collections::BTreeSet;
@@ -256,20 +256,36 @@ impl ExprArena {
     /// in (trees built via `Expr`'s own smart constructors are preserved
     /// structurally).
     pub fn intern(&mut self, e: &Expr) -> ExprId {
+        self.intern_mapped(e, &|l| l)
+    }
+
+    /// Intern the [shape](Expr::shape) of `e` and return its binding:
+    /// `(intern(&shape), binding)` for `(shape, binding) = e.shape()`,
+    /// with the ranks substituted during the one interning walk instead
+    /// of in a second tree. Hash-consing makes the id the shape's key:
+    /// two dependencies have the same id iff they differ by an
+    /// order-preserving renaming of their symbols.
+    pub fn intern_shape(&mut self, e: &Expr) -> (ExprId, Vec<SymbolId>) {
+        let binding = e.binding();
+        let id = self.intern_mapped(e, &|l| rank_literal(&binding, l));
+        (id, binding)
+    }
+
+    fn intern_mapped(&mut self, e: &Expr, f: &impl Fn(Literal) -> Literal) -> ExprId {
         match e {
             Expr::Zero => Self::ZERO,
             Expr::Top => Self::TOP,
-            Expr::Lit(l) => self.lit(*l),
+            Expr::Lit(l) => self.lit(f(*l)),
             Expr::Seq(v) => {
-                let kids: Vec<ExprId> = v.iter().map(|p| self.intern(p)).collect();
+                let kids: Vec<ExprId> = v.iter().map(|p| self.intern_mapped(p, f)).collect();
                 self.seq(kids)
             }
             Expr::Or(v) => {
-                let kids: Vec<ExprId> = v.iter().map(|p| self.intern(p)).collect();
+                let kids: Vec<ExprId> = v.iter().map(|p| self.intern_mapped(p, f)).collect();
                 self.or(kids)
             }
             Expr::And(v) => {
-                let kids: Vec<ExprId> = v.iter().map(|p| self.intern(p)).collect();
+                let kids: Vec<ExprId> = v.iter().map(|p| self.intern_mapped(p, f)).collect();
                 self.and(kids)
             }
         }
@@ -580,6 +596,27 @@ mod tests {
         let before = arena.len();
         let _ = arena.intern(&d_precedes(e, f));
         assert_eq!(arena.len(), before, "re-interning allocates nothing");
+    }
+
+    #[test]
+    fn intern_shape_is_intern_of_the_shape() {
+        let lit = |s: u32| Expr::event(SymbolId(s));
+        let cases = [
+            Expr::Top,
+            lit(9),
+            Expr::or([Expr::comp(SymbolId(7)), Expr::seq([lit(3), lit(40)])]),
+            Expr::and([lit(12), Expr::or([lit(5), Expr::comp(SymbolId(30))])]),
+        ];
+        let mut arena = ExprArena::new();
+        for d in cases {
+            let (shape, binding) = d.shape();
+            assert_eq!(arena.intern_shape(&d), (arena.intern(&shape), binding), "{d}");
+        }
+        // One key for every order-preserving renaming, another otherwise.
+        let arrow = |a: u32, b: u32| Expr::or([Expr::comp(SymbolId(a)), lit(b)]);
+        let key = |arena: &mut ExprArena, d: &Expr| arena.intern_shape(d).0;
+        assert_eq!(key(&mut arena, &arrow(1, 2)), key(&mut arena, &arrow(10, 77)));
+        assert_ne!(key(&mut arena, &arrow(1, 2)), key(&mut arena, &arrow(2, 1)));
     }
 
     #[test]

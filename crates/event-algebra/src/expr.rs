@@ -9,6 +9,14 @@
 //! so that structurally equal expressions compare equal; *semantic*
 //! canonicalization (distribution into the normal form required by the
 //! residuation rules) lives in [`crate::norm`].
+//!
+//! The canonical order of `+`/`|` children is the derived structural
+//! order, which bottoms out in comparing [`Literal`]s — `symbol << 1 |
+//! polarity` — with each other. An expression's canonical form therefore
+//! depends only on the *relative* order of its symbols, and
+//! [`Expr::shape`] splits a dependency into what is compiled (the
+//! expression over symbol ranks) and what is merely substituted (the
+//! sorted symbols themselves).
 
 use crate::symbol::{Literal, SymbolId, SymbolTable};
 use std::collections::BTreeSet;
@@ -84,7 +92,6 @@ impl Expr {
             _ => {
                 // An all-literal sequence repeating a symbol denotes ∅.
                 let mut syms = BTreeSet::new();
-                let mut all_lits = true;
                 for p in &out {
                     match p {
                         Expr::Lit(l) => {
@@ -92,13 +99,9 @@ impl Expr {
                                 return Expr::Zero;
                             }
                         }
-                        _ => {
-                            all_lits = false;
-                            break;
-                        }
+                        _ => break,
                     }
                 }
-                let _ = all_lits;
                 Expr::Seq(out)
             }
         }
@@ -175,23 +178,7 @@ impl Expr {
     /// described by the symbol set, which is what rule R6's side condition
     /// (`e, ē ∉ Γ_E`) inspects.
     pub fn symbols(&self) -> BTreeSet<SymbolId> {
-        let mut acc = BTreeSet::new();
-        self.collect_symbols(&mut acc);
-        acc
-    }
-
-    fn collect_symbols(&self, acc: &mut BTreeSet<SymbolId>) {
-        match self {
-            Expr::Zero | Expr::Top => {}
-            Expr::Lit(l) => {
-                acc.insert(l.symbol());
-            }
-            Expr::Seq(v) | Expr::Or(v) | Expr::And(v) => {
-                for p in v {
-                    p.collect_symbols(acc);
-                }
-            }
-        }
+        self.binding().into_iter().collect()
     }
 
     /// The set of literals syntactically present in `E` (without adding
@@ -233,6 +220,68 @@ impl Expr {
         }
     }
 
+    /// `Γ_E` modulo polarity as a sorted vector: position `r` holds the
+    /// symbol of rank `r`. This is the *binding* of [`Expr::shape`].
+    pub(crate) fn binding(&self) -> Vec<SymbolId> {
+        fn collect(e: &Expr, acc: &mut Vec<SymbolId>) {
+            match e {
+                Expr::Zero | Expr::Top => {}
+                Expr::Lit(l) => acc.push(l.symbol()),
+                Expr::Seq(v) | Expr::Or(v) | Expr::And(v) => v.iter().for_each(|p| collect(p, acc)),
+            }
+        }
+        let mut syms = Vec::new();
+        collect(self, &mut syms);
+        syms.sort_unstable();
+        syms.dedup();
+        syms
+    }
+
+    /// The same tree with every literal replaced by `f` of it. Canonical
+    /// trees stay canonical only under an `f` that preserves the relative
+    /// order of literals: the sorted `+`/`|` children are not re-sorted.
+    pub(crate) fn map_literals(&self, f: &impl Fn(Literal) -> Literal) -> Expr {
+        let map = |v: &[Expr]| v.iter().map(|p| p.map_literals(f)).collect();
+        match self {
+            Expr::Zero => Expr::Zero,
+            Expr::Top => Expr::Top,
+            Expr::Lit(l) => Expr::Lit(f(*l)),
+            Expr::Seq(v) => Expr::Seq(map(v)),
+            Expr::Or(v) => Expr::Or(map(v)),
+            Expr::And(v) => Expr::And(map(v)),
+        }
+    }
+
+    /// The dependency's *shape* and *binding*: the expression with each
+    /// symbol replaced by its rank in the sorted symbol set, and that
+    /// sorted set (`shape.rebind(&binding) == self`).
+    ///
+    /// A workflow's dependencies are tokens of a few dependency types
+    /// (Section 5): `~a + b` and `~c + d` are both the shape `~0 + 1`.
+    /// Everything this workspace computes from a dependency — normal form,
+    /// residuals, machine numbering, synthesized guards — compares symbol
+    /// ids only with each other, never with a constant, so it commutes with
+    /// any *order-preserving* renaming; a shape is compiled once and every
+    /// token of it is the result rebound (see DESIGN.md, "Compile by
+    /// shape").
+    pub fn shape(&self) -> (Expr, Vec<SymbolId>) {
+        let binding = self.binding();
+        let shape = self.map_literals(&|l| rank_literal(&binding, l));
+        (shape, binding)
+    }
+
+    /// Replace every symbol `SymbolId(r)` by `binding[r]` — the inverse of
+    /// [`Expr::shape`]. `binding` must be strictly increasing (an
+    /// order-preserving renaming), or the result is not canonical.
+    ///
+    /// # Panics
+    ///
+    /// If the expression mentions a rank `binding` does not cover.
+    pub fn rebind(&self, binding: &[SymbolId]) -> Expr {
+        debug_assert!(binding.windows(2).all(|w| w[0] < w[1]), "binding must preserve order");
+        self.map_literals(&|l| l.rebind(binding))
+    }
+
     /// Count of nodes in the expression tree (a size measure for benches).
     pub fn node_count(&self) -> usize {
         match self {
@@ -257,6 +306,12 @@ impl Expr {
     pub fn display<'a>(&'a self, table: &'a SymbolTable) -> ExprDisplay<'a> {
         ExprDisplay { expr: self, table: Some(table) }
     }
+}
+
+/// `l` over the rank of its symbol in `binding` (which must hold it).
+pub(crate) fn rank_literal(binding: &[SymbolId], l: Literal) -> Literal {
+    let rank = binding.binary_search(&l.symbol()).expect("the binding holds every symbol");
+    Literal::new(SymbolId(rank as u32), l.polarity())
 }
 
 /// Display adaptor produced by [`Expr::display`].
@@ -433,6 +488,24 @@ mod tests {
         // Or under Seq gets parenthesized.
         let x = Expr::seq([Expr::or([e(), f()]), Expr::event(SymbolId(2))]);
         assert!(x.to_string().contains('('), "{x}");
+    }
+
+    #[test]
+    fn shape_ranks_symbols_and_rebind_inverts() {
+        let lit = |s: u32| Expr::event(SymbolId(s));
+        // ~s7 + s3·s40 has the shape ~1 + 0·2 over [s3, s7, s40].
+        let d = Expr::or([Expr::comp(SymbolId(7)), Expr::seq([lit(3), lit(40)])]);
+        let (shape, binding) = d.shape();
+        assert_eq!(binding, [SymbolId(3), SymbolId(7), SymbolId(40)]);
+        assert_eq!(shape, Expr::or([Expr::comp(SymbolId(1)), Expr::seq([lit(0), lit(2)])]));
+        assert_eq!(shape.rebind(&binding), d);
+        // An order-preserving renaming keeps the shape; swapping two
+        // symbols' roles does not.
+        let moved = Expr::or([Expr::comp(SymbolId(8)), Expr::seq([lit(5), lit(9)])]);
+        assert_eq!(moved.shape().0, shape);
+        let swapped = Expr::or([Expr::comp(SymbolId(3)), Expr::seq([lit(7), lit(40)])]);
+        assert_ne!(swapped.shape().0, shape);
+        assert_eq!(Expr::Top.shape(), (Expr::Top, vec![]));
     }
 
     #[test]

@@ -7,45 +7,55 @@
 //! Attie et al. [2], obtained here for free from residuation; the machine
 //! also powers the centralized baseline scheduler and the triggering
 //! analysis.
+//!
+//! # One machine per shape
+//!
+//! Exploration orders everything by the relative order of literals — the
+//! sorted alphabet it iterates, the structural order of `+`/`|` children
+//! in a residual — and compares symbols only with each other, so the
+//! machine of `ρD` is the machine of `D` relabelled, state for state, for
+//! every order-preserving renaming `ρ`. A [`DependencyMachine`] is
+//! therefore a *binding* (its own alphabet) over a shared, immutable
+//! machine compiled from the dependency's [shape](Expr::shape):
+//! [`DependencyMachine::compile_all`] explores each distinct shape once,
+//! every further dependency of that shape costs a reference count and its
+//! alphabet, and cloning a machine costs the same.
 
 use crate::arena::{ExprArena, ExprId};
 use crate::expr::Expr;
 use crate::fxhash::FxHashMap;
 use crate::symbol::{Literal, SymbolId, SymbolTable};
 use crate::trace::Trace;
+use std::sync::Arc;
 
 /// Index of a state in a [`DependencyMachine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(pub u32);
 
 impl StateId {
-    /// The state's index into [`DependencyMachine::states`].
+    /// The state's index among the machine's states.
     pub fn index(self) -> usize {
         self.0 as usize
     }
 }
 
-/// The residual state machine of one dependency.
-#[derive(Debug, Clone)]
-pub struct DependencyMachine {
-    /// The (normalized) dependency this machine enforces.
-    pub dependency: Expr,
-    /// All reachable residuals; `states[initial]` is the dependency itself.
-    pub states: Vec<Expr>,
-    /// The start state.
-    pub initial: StateId,
-    /// Transition function over `Γ_D`; literals outside the alphabet
-    /// self-loop implicitly.
-    pub transitions: FxHashMap<(StateId, Literal), StateId>,
-    /// `Γ_D`: the relevant literals, closed under complement.
-    pub alphabet: Vec<Literal>,
+/// The residual machine of one dependency shape, over symbol ranks: what
+/// every [`DependencyMachine`] of that shape shares.
+#[derive(Debug)]
+struct MachineShape {
+    /// All reachable residuals; `states[0]` is the normalized shape.
+    states: Vec<Expr>,
+    /// `Γ` of the normalized shape, sorted and closed under complement.
+    alphabet: Vec<Literal>,
+    /// `next[s * alphabet.len() + k]`: the state after `alphabet[k]` in
+    /// state `s`, self-loops (R6) included.
+    next: Vec<StateId>,
     /// `live[s]`: some accepting state is reachable from `s` (computed
     /// once at compile time; queried per-message by the scheduler).
     live: Vec<bool>,
-    /// All accepting (`⊤`) states, computed at compile time.
+    /// All accepting (`⊤`) states.
     accepting: Vec<StateId>,
-    /// All trap states (no accepting state reachable), computed at
-    /// compile time.
+    /// All trap states (no accepting state reachable).
     traps: Vec<StateId>,
     /// `avoid_live[k][s]`: an accepting state is reachable from `s`
     /// without taking any edge labeled `alphabet[k]` — the machine form
@@ -54,162 +64,193 @@ pub struct DependencyMachine {
     avoid_live: Vec<Vec<bool>>,
 }
 
-impl DependencyMachine {
-    /// Compile `dependency` into its residual machine by exploring the
-    /// residuals in a private [`ExprArena`]. Terminates because
-    /// residuation strictly removes the residuated symbol from the
-    /// expression.
-    pub fn compile(dependency: &Expr) -> DependencyMachine {
-        Self::compile_in(&mut ExprArena::new(), dependency)
-    }
-
-    /// Like [`DependencyMachine::compile`], but interning residuals into a
-    /// caller-supplied arena so repeated compilations (e.g. of a whole
-    /// workflow's dependencies) share subterms and memo caches. States are
-    /// keyed by `ExprId` — structural equality is an id comparison.
-    pub fn compile_in(arena: &mut ExprArena, dependency: &Expr) -> DependencyMachine {
-        let raw = arena.intern(dependency);
-        let dep = arena.normalize(raw);
-        Self::compile_normalized(arena, dep)
-    }
-
-    /// Compile from an id already interned and normalized in `arena` —
-    /// the shared core of [`DependencyMachine::compile_in`] and
-    /// [`DependencyMachine::compile_all`], which avoids re-walking the
-    /// tree when the caller interned it to dedup.
-    fn compile_normalized(arena: &mut ExprArena, dep: ExprId) -> DependencyMachine {
+impl MachineShape {
+    /// Explore the residuals of `dep` (interned and normal in `arena`).
+    /// Terminates because residuation strictly removes the residuated
+    /// symbol from the expression. States are keyed by `ExprId` —
+    /// structural equality is an id comparison.
+    fn compile(arena: &mut ExprArena, dep: ExprId) -> MachineShape {
         let alphabet = arena.alphabet(dep);
         let mut ids: Vec<ExprId> = vec![dep];
         let mut index: FxHashMap<ExprId, StateId> = FxHashMap::default();
         index.insert(dep, StateId(0));
-        let mut transitions = FxHashMap::default();
+        // A state's row starts as self-loops (R6) and is filled in when
+        // the state is expanded.
+        let mut next: Vec<StateId> = vec![StateId(0); alphabet.len()];
         let mut frontier = vec![StateId(0)];
         while let Some(sid) = frontier.pop() {
             let state = ids[sid.index()];
-            for &lit in &alphabet {
+            for (k, &lit) in alphabet.iter().enumerate() {
                 if !arena.mentions(state, lit.symbol()) {
-                    continue; // R6: self-loop, left implicit.
+                    continue;
                 }
-                let next = arena.residuate_normal(state, lit);
-                let nid = *index.entry(next).or_insert_with(|| {
+                let to = arena.residuate_normal(state, lit);
+                let nid = *index.entry(to).or_insert_with(|| {
                     let id = StateId(ids.len() as u32);
-                    ids.push(next);
+                    ids.push(to);
+                    next.extend(std::iter::repeat_n(id, alphabet.len()));
                     frontier.push(id);
                     id
                 });
-                transitions.insert((sid, lit), nid);
+                next[sid.index() * alphabet.len() + k] = nid;
             }
         }
         let states: Vec<Expr> = ids.iter().map(|&i| arena.expr(i)).collect();
-        Self::finish(arena.expr(dep), states, transitions, alphabet)
+        MachineShape::finish(states, alphabet, next)
     }
 
-    /// Compile one machine per dependency in a single shared arena.
-    /// Structurally identical dependencies (after normalization, decided
-    /// by id equality) are compiled once and cloned — the common case for
-    /// replicated workflow patterns.
-    pub fn compile_all(dependencies: &[Expr]) -> Vec<DependencyMachine> {
-        let mut arena = ExprArena::new();
-        // Maps the normalized id to the first compiled machine's position:
-        // distinct dependencies are never cloned, repeats clone once.
-        let mut cache: FxHashMap<ExprId, usize> = FxHashMap::default();
-        let mut machines: Vec<DependencyMachine> = Vec::with_capacity(dependencies.len());
-        for d in dependencies {
-            let raw = arena.intern(d);
-            let id = arena.normalize(raw);
-            match cache.get(&id) {
-                Some(&ix) => {
-                    let m = machines[ix].clone();
-                    machines.push(m);
-                }
-                None => {
-                    cache.insert(id, machines.len());
-                    machines.push(DependencyMachine::compile_normalized(&mut arena, id));
-                }
+    /// Assemble the shape and precompute every per-state table the
+    /// scheduler and the analyzer query: accepting states, liveness (one
+    /// backward reachability), traps, and per-alphabet-literal avoidance
+    /// liveness (backward reachability on the subgraph without that
+    /// literal's edges).
+    fn finish(states: Vec<Expr>, alphabet: Vec<Literal>, next: Vec<StateId>) -> MachineShape {
+        let n = states.len();
+        let accepting: Vec<StateId> =
+            (0..n as u32).map(StateId).filter(|s| states[s.index()].is_top()).collect();
+        // Reverse edges `(source, column)` by target, built once for all
+        // the passes below. Self-loops never change the state, so they
+        // are irrelevant to reachability and left out.
+        let mut preds: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        for (at, dst) in next.iter().enumerate() {
+            let (src, k) = (at / alphabet.len(), at % alphabet.len());
+            if dst.index() != src {
+                preds[dst.index()].push((src, k));
             }
         }
-        machines
+        let live = backward_reachable(&preds, &accepting, None);
+        let traps: Vec<StateId> =
+            live.iter().enumerate().filter(|(_, &l)| !l).map(|(s, _)| StateId(s as u32)).collect();
+        let avoid_live: Vec<Vec<bool>> =
+            (0..alphabet.len()).map(|k| backward_reachable(&preds, &accepting, Some(k))).collect();
+        MachineShape { states, alphabet, next, live, accepting, traps, avoid_live }
+    }
+}
+
+/// The residual state machine of one dependency: a shape shared with
+/// every dependency that differs from this one by an order-preserving
+/// renaming, and this dependency's alphabet (see the module docs).
+#[derive(Debug, Clone)]
+pub struct DependencyMachine {
+    shape: Arc<MachineShape>,
+    /// The start state.
+    pub initial: StateId,
+    /// `Γ_D`: the relevant literals, sorted and closed under complement;
+    /// literals outside it self-loop. `alphabet[k]` stands where the
+    /// shape has its `k`-th literal.
+    pub alphabet: Vec<Literal>,
+}
+
+impl DependencyMachine {
+    /// Compile `dependency` into its residual machine.
+    pub fn compile(dependency: &Expr) -> DependencyMachine {
+        let mut all = Self::compile_all(std::slice::from_ref(dependency));
+        all.pop().expect("one machine per dependency")
+    }
+
+    /// Compile one machine per dependency in a single shared arena,
+    /// exploring each distinct [shape](Expr::shape) once: dependencies
+    /// that differ by an order-preserving renaming — identical ones
+    /// included — share one table.
+    pub fn compile_all(dependencies: &[Expr]) -> Vec<DependencyMachine> {
+        let mut arena = ExprArena::new();
+        let shaped: Vec<(ExprId, Vec<SymbolId>)> = (dependencies.iter())
+            .map(|d| {
+                let (raw, binding) = arena.intern_shape(d);
+                (arena.normalize(raw), binding)
+            })
+            .collect();
+        Self::compile_shaped(&mut arena, &shaped)
+    }
+
+    /// [`DependencyMachine::compile_all`] for dependencies `arena` already
+    /// holds: each is the id of its normalized shape
+    /// ([`ExprArena::intern_shape`], then [`ExprArena::normalize`]) and
+    /// its binding. A caller that has residuated the shapes in `arena`
+    /// for its own purposes — guard synthesis walks the same residuals —
+    /// gets the machines from the arena's memo.
+    pub fn compile_shaped(
+        arena: &mut ExprArena,
+        shaped: &[(ExprId, Vec<SymbolId>)],
+    ) -> Vec<DependencyMachine> {
+        let mut shapes: FxHashMap<ExprId, Arc<MachineShape>> = FxHashMap::default();
+        (shaped.iter())
+            .map(|(id, binding)| {
+                let shape = (shapes.entry(*id))
+                    .or_insert_with(|| Arc::new(MachineShape::compile(arena, *id)));
+                let alphabet = shape.alphabet.iter().map(|l| l.rebind(binding)).collect();
+                DependencyMachine { shape: Arc::clone(shape), initial: StateId(0), alphabet }
+            })
+            .collect()
     }
 
     /// Reference compilation on the tree representation (the pre-arena
     /// code path): the oracle of the arena ≡ tree isomorphism tests in
-    /// this crate, and compiled for them only.
+    /// this crate, and compiled for them only. No shape is taken: the
+    /// machine is its own shape under the identity binding.
     #[cfg(test)]
     pub(crate) fn compile_tree_reference(dependency: &Expr) -> DependencyMachine {
         let dep = crate::norm::normalize(dependency);
         let alphabet: Vec<Literal> = dep.gamma().into_iter().collect();
         let mut states: Vec<Expr> = vec![dep.clone()];
         let mut index: std::collections::HashMap<Expr, StateId> = Default::default();
-        index.insert(dep.clone(), StateId(0));
-        let mut transitions = FxHashMap::default();
+        index.insert(dep, StateId(0));
+        let mut next: Vec<StateId> = vec![StateId(0); alphabet.len()];
         let mut frontier = vec![StateId(0)];
         while let Some(sid) = frontier.pop() {
             let state = states[sid.index()].clone();
-            for &lit in &alphabet {
+            for (k, &lit) in alphabet.iter().enumerate() {
                 if !state.mentions(lit.symbol()) {
-                    continue; // R6: self-loop, left implicit.
+                    continue; // R6: self-loop.
                 }
-                let next = crate::residue::residuate(&state, lit);
-                let nid = *index.entry(next.clone()).or_insert_with(|| {
+                let to = crate::residue::residuate(&state, lit);
+                let nid = *index.entry(to.clone()).or_insert_with(|| {
                     let id = StateId(states.len() as u32);
-                    states.push(next.clone());
+                    states.push(to.clone());
+                    next.extend(std::iter::repeat_n(id, alphabet.len()));
                     frontier.push(id);
                     id
                 });
-                transitions.insert((sid, lit), nid);
+                next[sid.index() * alphabet.len() + k] = nid;
             }
         }
-        Self::finish(dep, states, transitions, alphabet)
+        let shape = Arc::new(MachineShape::finish(states, alphabet.clone(), next));
+        DependencyMachine { shape, initial: StateId(0), alphabet }
     }
 
-    /// Assemble the machine and precompute every per-state table the
-    /// scheduler and the analyzer query: accepting states, liveness (one
-    /// backward reachability), traps, and per-alphabet-literal avoidance
-    /// liveness (backward reachability on the subgraph without that
-    /// literal's edges).
-    fn finish(
-        dependency: Expr,
-        states: Vec<Expr>,
-        transitions: FxHashMap<(StateId, Literal), StateId>,
-        alphabet: Vec<Literal>,
-    ) -> DependencyMachine {
-        let n = states.len();
-        let accepting: Vec<StateId> =
-            (0..n as u32).map(StateId).filter(|s| states[s.index()].is_top()).collect();
-        let live = backward_reachable(n, &states, &transitions, None);
-        let traps: Vec<StateId> =
-            live.iter().enumerate().filter(|(_, &l)| !l).map(|(s, _)| StateId(s as u32)).collect();
-        let avoid_live: Vec<Vec<bool>> = alphabet
-            .iter()
-            .map(|&lit| backward_reachable(n, &states, &transitions, Some(lit)))
-            .collect();
-        DependencyMachine {
-            dependency,
-            states,
-            initial: StateId(0),
-            transitions,
-            alphabet,
-            live,
-            accepting,
-            traps,
-            avoid_live,
-        }
+    /// `true` if both machines are bindings over one compiled shape: the
+    /// two dependencies came out of one [`DependencyMachine::compile_all`]
+    /// call and differ by an order-preserving renaming at most.
+    pub fn same_shape(&self, other: &DependencyMachine) -> bool {
+        Arc::ptr_eq(&self.shape, &other.shape)
     }
 
     /// Number of states (the size metric compared against guard sizes in
     /// experiment C5).
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.shape.states.len()
     }
 
-    /// The residual expression at `sid`.
-    pub fn state(&self, sid: StateId) -> &Expr {
-        &self.states[sid.index()]
+    /// The residual expression at `sid`: the shape's, over this
+    /// machine's symbols.
+    pub fn state(&self, sid: StateId) -> Expr {
+        self.shape.states[sid.index()].map_literals(&|l| {
+            let k = self.shape.alphabet.binary_search(&l).expect("a residual stays inside Γ_D");
+            self.alphabet[k]
+        })
+    }
+
+    /// The (normalized) dependency this machine enforces.
+    pub fn dependency(&self) -> Expr {
+        self.state(self.initial)
     }
 
     /// Step the machine: events outside `Γ_D` self-loop.
     pub fn step(&self, sid: StateId, lit: Literal) -> StateId {
-        self.transitions.get(&(sid, lit)).copied().unwrap_or(sid)
+        match self.alphabet_ix(lit) {
+            Some(k) => self.shape.next[sid.index() * self.alphabet.len() + k],
+            None => sid,
+        }
     }
 
     /// Run a whole trace from the initial state.
@@ -219,19 +260,19 @@ impl DependencyMachine {
 
     /// `true` if the state is the satisfied terminal `⊤`.
     pub fn is_accepting(&self, sid: StateId) -> bool {
-        self.state(sid).is_top()
+        self.shape.states[sid.index()].is_top()
     }
 
     /// `true` if the state is the violated terminal `0`.
     pub fn is_violated(&self, sid: StateId) -> bool {
-        self.state(sid).is_zero()
+        self.shape.states[sid.index()].is_zero()
     }
 
     /// `true` if some maximal completion from `sid` satisfies the
     /// dependency — the safety condition a scheduler must preserve.
     /// O(1): liveness was computed once at compile time.
     pub fn is_live(&self, sid: StateId) -> bool {
-        self.live[sid.index()]
+        self.shape.live[sid.index()]
     }
 
     /// Position of `lit` in the sorted alphabet, if it belongs to `Γ_D`.
@@ -245,8 +286,8 @@ impl DependencyMachine {
     /// table lookup. Literals outside `Γ_D` restrict nothing.
     pub fn may_reach_avoiding(&self, sid: StateId, avoid: Literal) -> bool {
         match self.alphabet_ix(avoid) {
-            Some(k) => self.avoid_live[k][sid.index()],
-            None => self.live[sid.index()],
+            Some(k) => self.shape.avoid_live[k][sid.index()],
+            None => self.shape.live[sid.index()],
         }
     }
 
@@ -255,7 +296,7 @@ impl DependencyMachine {
     /// the compile-time avoidance tables.
     pub fn requires_event(&self, sid: StateId, lit: Literal) -> bool {
         match self.alphabet_ix(lit) {
-            Some(k) => self.live[sid.index()] && !self.avoid_live[k][sid.index()],
+            Some(k) => self.shape.live[sid.index()] && !self.shape.avoid_live[k][sid.index()],
             // Events outside Γ_D never become required (R6).
             None => false,
         }
@@ -275,7 +316,7 @@ impl DependencyMachine {
     /// dependency's residual (and hence its verdict) — the per-machine
     /// core of the interference analyzer's independence relation.
     pub fn literals_commute(&self, a: Literal, b: Literal) -> bool {
-        (0..self.states.len() as u32)
+        (0..self.state_count() as u32)
             .map(StateId)
             .all(|q| self.step(self.step(q, a), b) == self.step(self.step(q, b), a))
     }
@@ -296,26 +337,26 @@ impl DependencyMachine {
     /// empty result means the dependency admits no satisfying trace at
     /// all.
     pub fn accepting_states(&self) -> Vec<StateId> {
-        self.accepting.clone()
+        self.shape.accepting.clone()
     }
 
     /// `true` if the machine has any accepting state — i.e. the
     /// dependency is satisfiable on its own.
     pub fn has_accepting(&self) -> bool {
-        !self.accepting.is_empty()
+        !self.shape.accepting.is_empty()
     }
 
     /// Per-state liveness: `live[s]` is `true` when some accepting state
     /// is reachable from `s`. Agrees with satisfiability of the residual
     /// expression; computed once at compile time by backward reachability.
     pub fn live(&self) -> &[bool] {
-        &self.live
+        &self.shape.live
     }
 
     /// Owned copy of the compile-time liveness mask (see
     /// [`DependencyMachine::live`]).
     pub fn live_mask(&self) -> Vec<bool> {
-        self.live.clone()
+        self.shape.live.clone()
     }
 
     /// Trap states: states from which no accepting state is reachable
@@ -324,7 +365,7 @@ impl DependencyMachine {
     /// scheduler must reject the event that would move there. Computed at
     /// compile time.
     pub fn trap_states(&self) -> Vec<StateId> {
-        self.traps.clone()
+        self.shape.traps.clone()
     }
 
     /// Render the full transition relation, one line per edge, with state
@@ -335,11 +376,11 @@ impl DependencyMachine {
         let _ = writeln!(
             out,
             "machine for {} ({} states)",
-            self.dependency.display(table),
+            self.dependency().display(table),
             self.state_count()
         );
-        for (sid, st) in self.states.iter().enumerate() {
-            let sid = StateId(sid as u32);
+        for sid in (0..self.state_count() as u32).map(StateId) {
+            let st = self.state(sid);
             let marker = if st.is_top() {
                 " [accept]"
             } else if st.is_zero() {
@@ -350,47 +391,36 @@ impl DependencyMachine {
                 ""
             };
             let _ = writeln!(out, "  S{}: {}{}", sid.0, st.display(table), marker);
-            let mut edges: Vec<(&Literal, &StateId)> = self
-                .transitions
-                .iter()
-                .filter(|((s, _), _)| *s == sid)
-                .map(|((_, l), t)| (l, t))
-                .collect();
-            edges.sort();
-            for (l, t) in edges {
-                let _ = writeln!(out, "    --{}--> S{}", table.literal_name(*l), t.0);
+            // Residuating by a mentioned symbol removes it, so the edges
+            // that leave a state are exactly the non-loops.
+            for &l in &self.alphabet {
+                let t = self.step(sid, l);
+                if t != sid {
+                    let _ = writeln!(out, "    --{}--> S{}", table.literal_name(l), t.0);
+                }
             }
         }
         out
     }
 }
 
-/// Backward reachability from the accepting (`⊤`) states over the
-/// transition graph. With `forbidden` set, edges labeled with that literal
-/// are excluded: the result is liveness under the constraint that
-/// `forbidden` never occurs (implicit self-loops never change the state,
-/// so they are irrelevant to reachability).
+/// Backward reachability from the `accepting` states over the reverse
+/// edges `preds[target] = [(source, column)]`. With `forbidden` set,
+/// edges of that column are excluded: the result is liveness under the
+/// constraint that the column's literal never occurs.
 fn backward_reachable(
-    n: usize,
-    states: &[Expr],
-    transitions: &FxHashMap<(StateId, Literal), StateId>,
-    forbidden: Option<Literal>,
+    preds: &[Vec<(usize, usize)>],
+    accepting: &[StateId],
+    forbidden: Option<usize>,
 ) -> Vec<bool> {
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (&(src, lit), &dst) in transitions {
-        if forbidden == Some(lit) {
-            continue;
-        }
-        preds[dst.index()].push(src.index());
-    }
-    let mut live = vec![false; n];
-    let mut stack: Vec<usize> = (0..n).filter(|&s| states[s].is_top()).collect();
+    let mut live = vec![false; preds.len()];
+    let mut stack: Vec<usize> = accepting.iter().map(|s| s.index()).collect();
     for &s in &stack {
         live[s] = true;
     }
     while let Some(s) = stack.pop() {
-        for &p in &preds[s] {
-            if !live[p] {
+        for &(p, k) in &preds[s] {
+            if forbidden != Some(k) && !live[p] {
                 live[p] = true;
                 stack.push(p);
             }
@@ -435,9 +465,9 @@ mod tests {
         assert!(m.is_accepting(m.step(m.initial, e.complement())));
         assert!(m.is_accepting(m.step(m.initial, f.complement())));
         let after_e = m.step(m.initial, e);
-        assert_eq!(*m.state(after_e), Expr::or([Expr::lit(f), Expr::lit(f.complement())]));
+        assert_eq!(m.state(after_e), Expr::or([Expr::lit(f), Expr::lit(f.complement())]));
         let after_f = m.step(m.initial, f);
-        assert_eq!(*m.state(after_f), Expr::lit(e.complement()));
+        assert_eq!(m.state(after_f), Expr::lit(e.complement()));
         assert!(m.is_violated(m.step(after_f, e)));
         assert!(m.is_accepting(m.step(after_f, e.complement())));
     }
@@ -448,11 +478,11 @@ mod tests {
         let m = DependencyMachine::compile(&d_arrow(e, f));
         // States: D→, ⊤, f (after e), ē (after f̄), and 0.
         assert_eq!(m.state_count(), 5);
-        assert_eq!(*m.state(m.step(m.initial, f.complement())), Expr::lit(e.complement()));
+        assert_eq!(m.state(m.step(m.initial, f.complement())), Expr::lit(e.complement()));
         assert!(m.is_accepting(m.step(m.initial, f)));
         assert!(m.is_accepting(m.step(m.initial, e.complement())));
         let after_e = m.step(m.initial, e);
-        assert_eq!(*m.state(after_e), Expr::lit(f));
+        assert_eq!(m.state(after_e), Expr::lit(f));
         assert!(m.is_violated(m.step(after_e, f.complement())));
     }
 
@@ -553,21 +583,18 @@ mod tests {
     fn assert_isomorphic(a: &DependencyMachine, b: &DependencyMachine) {
         assert_eq!(a.state_count(), b.state_count());
         assert_eq!(a.alphabet, b.alphabet);
+        let ids = |m: &DependencyMachine| (0..m.state_count() as u32).map(StateId);
         // States are distinct residuals, so the label map is the bijection.
-        let to_b: HashMap<&Expr, StateId> =
-            b.states.iter().enumerate().map(|(i, s)| (s, StateId(i as u32))).collect();
+        let to_b: HashMap<Expr, StateId> = ids(b).map(|s| (b.state(s), s)).collect();
         assert_eq!(to_b.len(), b.state_count(), "states must be distinct");
-        let map = |s: StateId| *to_b.get(a.state(s)).expect("state label present in both");
+        let map = |s: StateId| *to_b.get(&a.state(s)).expect("state label present in both");
         assert_eq!(map(a.initial), b.initial);
-        assert_eq!(a.transitions.len(), b.transitions.len());
-        for (&(src, lit), &dst) in &a.transitions {
-            assert_eq!(b.step(map(src), lit), map(dst), "edge {src:?} --{lit}-->");
-        }
         // The compile-time tables must agree under the bijection too.
-        for s in 0..a.state_count() as u32 {
-            let (sa, sb) = (StateId(s), map(StateId(s)));
+        for sa in ids(a) {
+            let sb = map(sa);
             assert_eq!(a.is_live(sa), b.is_live(sb));
             for &lit in &a.alphabet {
+                assert_eq!(b.step(sb, lit), map(a.step(sa, lit)), "edge {sa:?} --{lit}-->");
                 assert_eq!(a.requires_event(sa, lit), b.requires_event(sb, lit));
                 assert_eq!(a.may_reach_avoiding(sa, lit), b.may_reach_avoiding(sb, lit));
             }
@@ -595,21 +622,39 @@ mod tests {
     }
 
     #[test]
+    fn renamed_dependencies_share_one_shape() {
+        let (mut t, e, f) = setup();
+        let (g, h) = (t.event("g"), t.event("h"));
+        let deps = [d_arrow(e, f), d_arrow(g, h), d_arrow(f, e), d_arrow(e, f), d_precedes(f, h)];
+        let ms = DependencyMachine::compile_all(&deps);
+        // e→f, g→h and the repeat are one shape; f→e reverses the order of
+        // its symbols and D< is another dependency altogether.
+        assert!(ms[0].same_shape(&ms[1]) && ms[0].same_shape(&ms[3]));
+        assert!(!ms[0].same_shape(&ms[2]) && !ms[0].same_shape(&ms[4]));
+        for (m, d) in ms.iter().zip(&deps) {
+            assert_isomorphic(m, &DependencyMachine::compile_tree_reference(d));
+            assert_eq!(m.dependency(), crate::norm::normalize(d));
+        }
+        // A clone is another binding over the same shape.
+        assert!(ms[4].clone().same_shape(&ms[4]));
+    }
+
+    #[test]
     fn compile_time_tables_match_recomputation() {
         let (_, e, f) = setup();
         let m = DependencyMachine::compile(&d_precedes(e, f));
         for s in 0..m.state_count() as u32 {
             let s = StateId(s);
-            assert_eq!(m.is_live(s), crate::satisfiable(m.state(s)), "live at {s:?}");
+            assert_eq!(m.is_live(s), crate::satisfiable(&m.state(s)), "live at {s:?}");
             for &lit in &m.alphabet {
                 assert_eq!(
                     m.requires_event(s, lit),
-                    crate::requires(m.state(s), lit),
+                    crate::requires(&m.state(s), lit),
                     "requires {lit} at {s:?}"
                 );
                 assert_eq!(
                     m.may_reach_avoiding(s, lit),
-                    crate::satisfiable_avoiding(m.state(s), lit),
+                    crate::satisfiable_avoiding(&m.state(s), lit),
                     "avoiding {lit} at {s:?}"
                 );
             }

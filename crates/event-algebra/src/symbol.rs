@@ -117,6 +117,17 @@ impl Literal {
         self.0 ^ 1 == other.0
     }
 
+    /// This literal over `binding[symbol]`: its symbol read as a rank
+    /// into a binding (see [`crate::Expr::shape`]).
+    ///
+    /// # Panics
+    ///
+    /// If `binding` does not cover the rank.
+    #[inline]
+    pub fn rebind(self, binding: &[SymbolId]) -> Literal {
+        Literal::new(binding[self.symbol().index()], self.polarity())
+    }
+
     /// A dense index over `Γ` (`2 * symbol + polarity`), usable for bitsets.
     #[inline]
     pub fn index(self) -> usize {

@@ -65,7 +65,7 @@ fn assert_witness(p: &ProductMachine, avoid: Option<Literal>) {
     assert!(path.iter().all(|&l| Some(l) != avoid), "witness {path:?} contains {avoid:?}");
     for m in p.machines() {
         let end = path.iter().fold(m.initial, |s, &l| m.step(s, l));
-        assert!(m.is_accepting(end), "{} not accepted by {path:?}", m.dependency);
+        assert!(m.is_accepting(end), "{} not accepted by {path:?}", m.dependency());
     }
 }
 

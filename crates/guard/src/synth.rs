@@ -15,8 +15,21 @@
 //! keyed by hash-consed [`ExprId`] so a memo probe hashes one word
 //! instead of a cloned tree — since different interleavings reconverge on
 //! the same residuals.
+//!
+//! Nothing in the recursion compares a symbol with anything but another
+//! symbol (`Γ_{D^e}` is walked in literal order, `◇(D/e)` folded in the
+//! tree's structural order, every guard operation is a merge over sorted
+//! symbols), so `G(ρD, ρe) = ρ·G(D, e)` for every order-preserving
+//! renaming `ρ`. [`GuardSynth::intern_shape`] interns a dependency's
+//! [shape](Expr::shape): every dependency of that shape then hits the
+//! same memo entries, and a workflow of nine `e → f` arrows runs the
+//! recursion once (`tests/shape_props.rs` holds the equation to a
+//! per-token synthesis, and shows the order-*reversing* renaming that
+//! breaks it).
 
-use event_algebra::{normalize, Expr, ExprArena, ExprId, FxHashMap, Literal};
+use event_algebra::{
+    normalize, DependencyMachine, Expr, ExprArena, ExprId, FxHashMap, Literal, SymbolId,
+};
 use std::collections::BTreeSet;
 use temporal::Guard;
 
@@ -48,6 +61,24 @@ impl GuardSynth {
     pub fn intern(&mut self, d: &Expr) -> ExprId {
         let raw = self.arena.intern(d);
         self.arena.normalize(raw)
+    }
+
+    /// Intern and normalize the [shape](Expr::shape) of a dependency and
+    /// return its binding: `G(D, e)` is then
+    /// `guard_at(id, e over its rank).rebind(&binding)`, and every
+    /// dependency of the same shape gets the same id — so the same memo
+    /// entries.
+    pub fn intern_shape(&mut self, d: &Expr) -> (ExprId, Vec<SymbolId>) {
+        let (raw, binding) = self.arena.intern_shape(d);
+        (self.arena.normalize(raw), binding)
+    }
+
+    /// The residual machines of dependencies interned by
+    /// [`GuardSynth::intern_shape`], one per `(id, binding)` in order:
+    /// the synthesis recursion has residuated every state a machine
+    /// explores, so after the guards this is a walk over the arena's memo.
+    pub fn machines(&mut self, shaped: &[(ExprId, Vec<SymbolId>)]) -> Vec<DependencyMachine> {
+        DependencyMachine::compile_shaped(&mut self.arena, shaped)
     }
 
     /// `G(D, e)` per Definition 2.
@@ -143,7 +174,7 @@ impl GuardSynth {
 /// `true` if the parts mention pairwise disjoint symbol sets — the side
 /// condition `Γ_D ∩ Γ_E = ∅` of Theorems 2 and 4.
 pub fn pairwise_disjoint(parts: &[Expr]) -> bool {
-    let mut seen: BTreeSet<event_algebra::SymbolId> = BTreeSet::new();
+    let mut seen: BTreeSet<SymbolId> = BTreeSet::new();
     for p in parts {
         let syms = p.symbols();
         if syms.iter().any(|s| seen.contains(s)) {

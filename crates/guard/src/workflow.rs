@@ -8,9 +8,18 @@
 //! the schedulers consume: one guard per literal, per-dependency machines
 //! for triggering analysis, and the subscription map that tells each event
 //! which other events' announcements it needs.
+//!
+//! A workflow is written from a few dependency *types* (Section 5), so
+//! [`CompiledWorkflow::compile`] compiles by [shape](Expr::shape): one
+//! synthesis recursion and one machine exploration per distinct shape,
+//! every dependency of that shape a rebinding of the result
+//! ([`CompiledWorkflow::shape_count`] says how many there were). The
+//! per-literal conjunction then multiplies guards that almost always
+//! constrain disjoint symbols, which [`Guard::and`] sorts instead of
+//! re-canonicalising.
 
 use crate::synth::GuardSynth;
-use event_algebra::{DependencyMachine, Expr, Literal, SymbolId};
+use event_algebra::{DependencyMachine, Expr, ExprId, Literal, SymbolId};
 use std::collections::{BTreeMap, BTreeSet};
 use temporal::Guard;
 
@@ -56,28 +65,43 @@ pub struct CompiledWorkflow {
 }
 
 impl CompiledWorkflow {
-    /// Compile a workflow: synthesize `G(D, e)` for every dependency `D`
-    /// and every literal `e` in scope, and conjoin per literal.
+    /// Compile a workflow: `G(D, e)` for every dependency `D` and every
+    /// literal `e` in scope, conjoined per literal in dependency order.
+    ///
+    /// Each distinct [shape](Expr::shape) among the dependencies is
+    /// synthesized once, over symbol ranks — the synthesizer's memo is
+    /// keyed by the shape's interned id — and a dependency's guard is its
+    /// shape's, [rebound](Guard::rebind). A literal foreign to a
+    /// dependency (only [`GuardScope::All`] asks) stands at the first
+    /// rank past the shape: `G(D, e)` never mentions `e`, so every
+    /// foreign literal has the same guard.
     pub fn compile(dependencies: &[Expr], scope: GuardScope) -> CompiledWorkflow {
         let mut synth = GuardSynth::new();
-        // Per dependency, once: its interned normal form and its symbols.
-        let ids: Vec<_> = dependencies.iter().map(|d| synth.intern(d)).collect();
+        let shaped: Vec<(ExprId, Vec<SymbolId>)> =
+            dependencies.iter().map(|d| synth.intern_shape(d)).collect();
         let dependency_symbols: Vec<BTreeSet<SymbolId>> =
-            dependencies.iter().map(Expr::symbols).collect();
+            shaped.iter().map(|(_, binding)| binding.iter().copied().collect()).collect();
         let symbols: BTreeSet<SymbolId> = dependency_symbols.iter().flatten().copied().collect();
         let mut guards = BTreeMap::new();
         for lit in symbols.iter().flat_map(|&s| [Literal::pos(s), Literal::neg(s)]) {
-            let mut combined = Guard::top();
-            for (ix, &id) in ids.iter().enumerate() {
-                if scope.covers(&dependency_symbols[ix], lit) {
-                    combined = combined.and(synth.guard_at(id, lit));
+            let mut combined: Option<Guard> = None;
+            for (ix, (id, binding)) in shaped.iter().enumerate() {
+                if !scope.covers(&dependency_symbols[ix], lit) {
+                    continue;
                 }
+                let at_rank = match binding.binary_search(&lit.symbol()) {
+                    Ok(rank) => Literal::new(SymbolId(rank as u32), lit.polarity()),
+                    Err(_) => Literal::pos(SymbolId(binding.len() as u32)),
+                };
+                let guard = synth.guard_at(*id, at_rank).rebind(binding);
+                combined = Some(match combined {
+                    Some(so_far) => so_far.and(&guard),
+                    None => guard,
+                });
             }
-            guards.insert(lit, combined);
+            guards.insert(lit, combined.unwrap_or_else(Guard::top));
         }
-        // One shared arena for all machine compilations; structurally
-        // identical dependencies share a machine.
-        let machines = DependencyMachine::compile_all(dependencies);
+        let machines = synth.machines(&shaped);
         CompiledWorkflow {
             dependencies: dependencies.to_vec(),
             guards,
@@ -85,6 +109,16 @@ impl CompiledWorkflow {
             symbols,
             dependency_symbols,
         }
+    }
+
+    /// How many distinct [shapes](Expr::shape) the dependencies have:
+    /// the number of machines (and of guard recursions per literal rank)
+    /// the compile actually ran.
+    pub fn shape_count(&self) -> usize {
+        let machines = &self.machines;
+        (0..machines.len())
+            .filter(|&ix| !machines[..ix].iter().any(|m| m.same_shape(&machines[ix])))
+            .count()
     }
 
     /// The conjoined guard on `lit` (`⊤` for literals outside the

@@ -770,7 +770,7 @@ impl MonitorState {
         self.dep_alerted[ix] = true;
         let detail = format!(
             "dependency {ix} ({}) entered the {} state",
-            self.guards.machines[ix].dependency.display(&self.table),
+            self.guards.machines[ix].dependency().display(&self.table),
             verdict.label(),
         );
         self.alert(at, node, kind, detail);

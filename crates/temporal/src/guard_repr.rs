@@ -22,6 +22,16 @@
 //! arrive; Definition 2's "small insight" (replacing sequences by
 //! conjunctions, sound because the other events' guards enforce the
 //! order) is available as [`Guard::weaken_sequences`].
+//!
+//! Two properties of the representation carry the workflow compile.
+//! *Equivariance*: masks are sorted by symbol, sequence atoms and
+//! conjuncts lexicographically, and the canonicaliser scans in that
+//! order, so every operation commutes with an order-preserving renaming
+//! of the symbols and a guard synthesized over symbol ranks is
+//! [rebound](Guard::rebind) rather than recomputed. *Disjoint products*:
+//! the conjunction of canonical guards over disjoint symbol sets has
+//! nothing to absorb or merge, so [`Guard::and`] returns the sorted cross
+//! product — the representation-level twin of Theorems 2/4.
 
 use crate::texpr::TExpr;
 use event_algebra::{normalize, Expr, Literal, Polarity, SymbolId, Trace};
@@ -466,7 +476,66 @@ impl Guard {
             // still combine with `a`.
             cs.extend(other.conjuncts.iter().filter_map(|b| a.meet(b)));
         }
+        if self.disjoint_from(other) {
+            // Over disjoint alphabets `aᵢ|bⱼ` implies `aₖ|bₗ` iff `aᵢ`
+            // implies `aₖ` and `bⱼ` implies `bₗ`, and two products are one
+            // mask apart only if they share one factor and the other two
+            // are one mask apart: the operands are canonical, so nothing
+            // is equal, absorbed or merged and `canonical` would only sort.
+            cs.sort_unstable();
+            return Guard { conjuncts: cs };
+        }
         Guard::canonical(cs)
+    }
+
+    /// `true` if no symbol is mentioned (by a mask or a sequence atom) in
+    /// both guards: the smaller guard's symbols are collected, the other's
+    /// conjuncts tested against them behind the signature filter.
+    fn disjoint_from(&self, other: &Guard) -> bool {
+        let (small, big) = if self.conjuncts.len() <= other.conjuncts.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let mut syms: Vec<SymbolId> = Vec::new();
+        small.symbols_all(|s| {
+            sorted_insert(&mut syms, s);
+            true
+        });
+        let sig = syms.iter().fold(0, |sig, &s| sig | sig_bit(s));
+        let held = |s: SymbolId| syms.binary_search(&s).is_ok();
+        !big.conjuncts.iter().any(|c| {
+            (c.sig & sig != 0 && c.masks.iter().any(|&(s, _)| held(s)))
+                || c.seqs.iter().flatten().any(|l| held(l.symbol()))
+        })
+    }
+
+    /// The guard over `binding`'s symbols: every `SymbolId(r)` becomes
+    /// `binding[r]`. `binding` must be strictly increasing. Every order
+    /// this module relies on — masks by symbol, sequence atoms and
+    /// conjuncts lexicographically, the canonicaliser's scan — compares
+    /// symbols only with each other (the signature is a one-sided filter
+    /// and is recomputed here), so the operations commute with an
+    /// order-preserving renaming and the result is canonical as it stands:
+    /// a guard synthesized once over a dependency's
+    /// [shape](event_algebra::Expr::shape) is rebound per dependency.
+    ///
+    /// # Panics
+    ///
+    /// If the guard mentions a rank `binding` does not cover.
+    pub fn rebind(&self, binding: &[SymbolId]) -> Guard {
+        debug_assert!(binding.windows(2).all(|w| w[0] < w[1]), "binding must preserve order");
+        let conjuncts = (self.conjuncts.iter())
+            .map(|c| {
+                let masks: Vec<Cell> =
+                    c.masks.iter().map(|&(s, m)| (binding[s.index()], m)).collect();
+                let seqs =
+                    c.seqs.iter().map(|q| q.iter().map(|l| l.rebind(binding)).collect()).collect();
+                let sig = masks.iter().fold(0, |sig, &(s, _)| sig | sig_bit(s));
+                Conjunct { masks, seqs, sig }
+            })
+            .collect();
+        Guard { conjuncts }
     }
 
     /// `self | ¬f₁ | ¬f₂ | …`, one conjunction per literal in order — the

@@ -718,6 +718,33 @@ fn merge_order_agrees_on_sibling_rich_guards() {
     });
 }
 
+/// `and` skips canonicalisation when its operands mention disjoint
+/// symbols and only sorts the cross product; the reference always
+/// canonicalises it. Interleaved alphabets (so product masks interleave),
+/// `◇(sequence)` atoms, `⊤` and `0` operands — and, in half the cases,
+/// exactly one shared symbol, where the skip must *not* fire.
+#[test]
+fn disjoint_products_are_the_canonical_cross_product() {
+    let all = syms(9);
+    check("disjoint_products_are_the_canonical_cross_product", 320, |g| {
+        let (mut left, mut right): (Vec<SymbolId>, Vec<SymbolId>) =
+            all[..8].iter().partition(|s| s.0 % 2 == 0);
+        if g.flip() {
+            left.push(all[8]);
+            right.push(all[8]);
+        }
+        let operand = |g: &mut Gen, pool: &[SymbolId]| match g.range(0..8u32) {
+            0 => Recipe::Atom(g.range(3..5u32), g.literal(pool)),
+            1 | 2 => siblings(g, pool),
+            _ => recipe(g, pool, 4),
+        };
+        let (ra, rb) = (operand(g, &left), operand(g, &right));
+        let ((a, ref_a), (b, ref_b)) = (agree(&ra), agree(&rb));
+        assert_eq!(a.and(&b).shapes(), ref_a.and(&ref_b).shapes(), "{ra:?} | {rb:?}");
+        assert_eq!(b.and(&a).shapes(), ref_b.and(&ref_a).shapes(), "{rb:?} | {ra:?}");
+    });
+}
+
 /// `◇(E)` over the whole grammar of `E` (sequences of compound parts
 /// included) builds the same guard.
 #[test]

@@ -183,6 +183,8 @@ fn state_budget_cutoff_reports_wf006() {
     let json = stdout(&none);
     assert!(json.contains("\"WF006\"") && json.contains("\"states_explored\":0"), "{json}");
     assert!(json.contains("\"incomplete\":true"), "{json}");
+    // Nine arrows up a chain of ten events: nine dependencies, one shape.
+    assert!(json.contains("\"dependencies\":9,\"dependency_shapes\":1,"), "{json}");
 }
 
 #[test]

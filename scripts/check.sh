@@ -120,8 +120,10 @@ specs=("$REPO"/examples/specs/*.wf)
 "$WFCHECK" --deny warnings "${specs[@]}"
 
 echo "==> wfcheck --json: every example spec decided within 1000 product states"
-# A count, so host-independent: the search regressing to enumerating
-# interleavings shows here (pipeline10 took 5 825 states when it did).
+# Counts, so host-independent: the search regressing to enumerating
+# interleavings shows here (pipeline10 took 5 825 states when it did),
+# and so does the compile going back to one synthesis per dependency
+# instead of one per shape (pipeline10's nine dependencies are one shape).
 STATES_TMP="$(mktemp)"
 "$WFCHECK" --json "${specs[@]}" > "$STATES_TMP"
 python3 - "$STATES_TMP" <<'PY'
@@ -132,7 +134,13 @@ for r in reports:
     assert r["incomplete"] is False, f"{r['file']}: verdict incomplete"
     assert r["states_explored"] <= 1000, (
         f"{r['file']}: {r['states_explored']} product states explored")
-    print(f"  {r['file']}: {r['states_explored']} states")
+    assert r["dependency_shapes"] <= r["dependencies"], (
+        f"{r['file']}: {r['dependency_shapes']} shapes of {r['dependencies']} dependencies")
+    if r["file"].endswith("pipeline10.wf"):
+        assert r["dependency_shapes"] == 1, (
+            f"{r['file']}: {r['dependency_shapes']} dependency shapes, expected 1")
+    print(f"  {r['file']}: {r['states_explored']} states, "
+          f"{r['dependency_shapes']} shape(s) of {r['dependencies']} dependencies")
 PY
 rm -f "$STATES_TMP"
 
