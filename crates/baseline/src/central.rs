@@ -17,12 +17,17 @@
 //!   enumeration for cheap runtime steps; it "avoids generating product
 //!   automata, but the individual automata themselves can be quite
 //!   large").
+//!
+//! The two engines are the two constructors of one
+//! [`event_algebra::DepTracker`]: the scheduler follows every dependency
+//! through its tracker and decides by [`event_algebra::acceptance`], the
+//! test the distributed actors' trackers and the Section 5 scheduler
+//! answer too.
 
 use agent::EventAttrs;
 use dist::{AgentNode, Msg, Routing, RunReport, WorkflowSpec};
 use event_algebra::{
-    normalize, requires, residuate, satisfiable, satisfiable_avoiding, satisfies,
-    DependencyMachine, Expr, Literal, StateId, SymbolId, Trace,
+    acceptance, verdict, Acceptance, DepTracker, DependencyMachine, Expr, Literal, SymbolId, Trace,
 };
 use sim::{Ctx, Network, NodeId, Process, SimConfig, SiteId, Time};
 use std::collections::{BTreeMap, BTreeSet};
@@ -37,57 +42,22 @@ pub enum Engine {
     Automata,
 }
 
-/// Precomputed per-dependency automaton tables: next-state, liveness,
-/// required-event and can-ever-occur bitmaps, so the runtime is pure
-/// lookups.
-#[derive(Debug)]
-struct CompiledMachine {
-    machine: DependencyMachine,
-    live: Vec<bool>,
-    /// `required[state][k]` — alphabet literal `k` must occur from here.
-    required: Vec<Vec<bool>>,
-    /// `can_ever[state][k]` — some satisfying completion from here
-    /// contains alphabet literal `k` (not necessarily immediately).
-    can_ever: Vec<Vec<bool>>,
-}
-
-impl CompiledMachine {
-    fn compile(d: &Expr) -> CompiledMachine {
-        let machine = DependencyMachine::compile(d);
-        // All three tables are now O(1) reads of the machine's own
-        // compile-time reachability analysis (can-ever is the avoidance
-        // table at the literal's complement, which is in Γ_D by closure).
-        let live = machine.live_mask();
-        let required = (0..machine.state_count())
-            .map(|s| {
-                machine
-                    .alphabet
-                    .iter()
-                    .map(|&l| machine.requires_event(StateId(s as u32), l))
-                    .collect()
-            })
-            .collect();
-        let can_ever = (0..machine.state_count())
-            .map(|s| {
-                machine
-                    .alphabet
-                    .iter()
-                    .map(|&l| machine.may_reach_avoiding(StateId(s as u32), l.complement()))
-                    .collect()
-            })
-            .collect();
-        CompiledMachine { machine, live, required, can_ever }
+impl Engine {
+    /// One tracker per dependency, the way this engine follows them.
+    fn trackers(self, deps: &[Expr]) -> Vec<DepTracker> {
+        match self {
+            Engine::Symbolic => deps.iter().map(DepTracker::symbolic).collect(),
+            Engine::Automata => {
+                DependencyMachine::compile_all(deps).into_iter().map(DepTracker::compiled).collect()
+            }
+        }
     }
 }
 
 /// The single scheduler node holding every dependency.
 pub struct CentralNode {
-    engine: Engine,
-    /// Symbolic engine state: current residuals.
-    residuals: Vec<Expr>,
-    /// Automata engine state: compiled machines + current states.
-    machines: Vec<CompiledMachine>,
-    states: Vec<StateId>,
+    /// Every dependency's residual, followed the engine's way.
+    trackers: Vec<DepTracker>,
     attrs: BTreeMap<Literal, EventAttrs>,
     occurred: BTreeMap<SymbolId, (Literal, Time, u64)>,
     parked: BTreeSet<Literal>,
@@ -111,10 +81,7 @@ impl CentralNode {
         routing: Arc<Routing>,
     ) -> CentralNode {
         CentralNode {
-            engine,
-            residuals: deps.iter().map(normalize).collect(),
-            machines: deps.iter().map(CompiledMachine::compile).collect(),
-            states: deps.iter().map(|_| StateId(0)).collect(),
+            trackers: engine.trackers(deps),
             attrs,
             occurred: BTreeMap::new(),
             parked: BTreeSet::new(),
@@ -130,48 +97,16 @@ impl CentralNode {
         self.occurred.contains_key(&sym)
     }
 
-    /// Acceptance per Section 3.4: every dependency stays satisfiable.
-    fn acceptable(&self, lit: Literal) -> bool {
-        match self.engine {
-            Engine::Symbolic => self.residuals.iter().all(|r| satisfiable(&residuate(r, lit))),
-            Engine::Automata => self.machines.iter().zip(&self.states).all(|(m, &s)| {
-                let next = m.machine.step(s, lit);
-                m.live[next.index()]
-            }),
-        }
-    }
-
-    /// `lit` is dead iff no satisfying completion of some residual ever
-    /// contains it — only then is the complement forced. (An immediately
-    /// unsatisfiable residual after `lit` merely means *not yet*: the
-    /// attempt parks.)
-    fn dead(&self, lit: Literal) -> bool {
-        match self.engine {
-            Engine::Symbolic => {
-                self.residuals.iter().any(|r| !satisfiable_avoiding(r, lit.complement()))
-            }
-            Engine::Automata => self.machines.iter().zip(&self.states).any(|(m, &s)| {
-                m.machine
-                    .alphabet
-                    .iter()
-                    .position(|&a| a == lit)
-                    .is_some_and(|k| !m.can_ever[s.index()][k])
-            }),
-        }
+    /// Section 3.4's test over every dependency. `Dead` — no satisfying
+    /// completion of some residual ever contains `lit` — forces the
+    /// complement; `Unsafe` merely means *not yet*: the attempt parks.
+    fn acceptance(&self, lit: Literal) -> Acceptance {
+        acceptance(&self.trackers, lit, &BTreeSet::new())
     }
 
     fn advance(&mut self, lit: Literal) {
-        match self.engine {
-            Engine::Symbolic => {
-                for r in &mut self.residuals {
-                    *r = residuate(r, lit);
-                }
-            }
-            Engine::Automata => {
-                for (m, s) in self.machines.iter().zip(self.states.iter_mut()) {
-                    *s = m.machine.step(*s, lit);
-                }
-            }
+        for t in &mut self.trackers {
+            t.step(lit);
         }
     }
 
@@ -190,32 +125,15 @@ impl CentralNode {
     fn check_triggers(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // A triggerable, unoccurred literal required by some dependency's
         // remaining obligation is proactively triggered.
-        let mut to_trigger: Vec<Literal> = Vec::new();
-        let candidates: Vec<Literal> = self
+        let to_trigger: Vec<Literal> = self
             .attrs
             .iter()
             .filter(|(l, a)| {
                 a.triggerable && !self.resolved(l.symbol()) && !self.triggered.contains(l)
             })
             .map(|(&l, _)| l)
+            .filter(|&l| self.trackers.iter().any(|t| t.requires(l)))
             .collect();
-        for l in candidates {
-            let needed = match self.engine {
-                Engine::Symbolic => {
-                    self.residuals.iter().any(|r| !r.is_top() && !r.is_zero() && requires(r, l))
-                }
-                Engine::Automata => self.machines.iter().zip(&self.states).any(|(m, &s)| {
-                    m.machine
-                        .alphabet
-                        .iter()
-                        .position(|&a| a == l)
-                        .is_some_and(|k| m.required[s.index()][k])
-                }),
-            };
-            if needed {
-                to_trigger.push(l);
-            }
-        }
         for l in to_trigger {
             if let Some(&agent) = self.routing.agent_of.get(&l.symbol()) {
                 self.triggered.insert(l);
@@ -235,26 +153,30 @@ impl CentralNode {
                     continue;
                 }
                 let forced = self.forced.contains(&p);
-                if self.acceptable(p) {
-                    self.parked.remove(&p);
-                    self.forced.remove(&p);
-                    if forced {
-                        self.occur_silent(ctx, p);
-                    } else {
-                        self.occur(ctx, p);
-                    }
-                    progressed = true;
-                } else if self.dead(p) {
-                    self.parked.remove(&p);
-                    self.forced.remove(&p);
-                    self.decisions += 1;
-                    if !forced {
-                        if let Some(&agent) = self.routing.agent_of.get(&p.symbol()) {
-                            ctx.send(agent, Msg::Rejected { lit: p });
+                match self.acceptance(p) {
+                    Acceptance::Safe => {
+                        self.parked.remove(&p);
+                        self.forced.remove(&p);
+                        if forced {
+                            self.occur_silent(ctx, p);
+                        } else {
+                            self.occur(ctx, p);
                         }
+                        progressed = true;
                     }
-                    self.occur_complement(ctx, p);
-                    progressed = true;
+                    Acceptance::Dead => {
+                        self.parked.remove(&p);
+                        self.forced.remove(&p);
+                        self.decisions += 1;
+                        if !forced {
+                            if let Some(&agent) = self.routing.agent_of.get(&p.symbol()) {
+                                ctx.send(agent, Msg::Rejected { lit: p });
+                            }
+                        }
+                        self.occur_complement(ctx, p);
+                        progressed = true;
+                    }
+                    Acceptance::Unsafe => {}
                 }
             }
             if !progressed {
@@ -268,14 +190,16 @@ impl CentralNode {
     fn occur_complement(&mut self, ctx: &mut Ctx<'_, Msg>, rejected: Literal) {
         if !self.resolved(rejected.symbol()) {
             let c = rejected.complement();
-            if self.acceptable(c) {
-                self.occur_silent(ctx, c);
-            } else if !self.dead(c) {
-                self.parked.insert(c);
-                self.forced.insert(c);
+            match self.acceptance(c) {
+                Acceptance::Safe => self.occur_silent(ctx, c),
+                Acceptance::Unsafe => {
+                    self.parked.insert(c);
+                    self.forced.insert(c);
+                }
+                // Both polarities dead: jointly contradictory; the symbol
+                // stays unresolved and is reported by the harness.
+                Acceptance::Dead => {}
             }
-            // Both polarities dead: jointly contradictory; the symbol
-            // stays unresolved and is reported by the harness.
         }
     }
 
@@ -300,16 +224,18 @@ impl CentralNode {
                     }
                     return;
                 }
-                if self.acceptable(lit) {
-                    self.occur(ctx, lit);
-                } else if self.dead(lit) {
-                    self.decisions += 1;
-                    if let Some(&agent) = self.routing.agent_of.get(&lit.symbol()) {
-                        ctx.send(agent, Msg::Rejected { lit });
+                match self.acceptance(lit) {
+                    Acceptance::Safe => self.occur(ctx, lit),
+                    Acceptance::Dead => {
+                        self.decisions += 1;
+                        if let Some(&agent) = self.routing.agent_of.get(&lit.symbol()) {
+                            ctx.send(agent, Msg::Rejected { lit });
+                        }
+                        self.occur_complement(ctx, lit);
                     }
-                    self.occur_complement(ctx, lit);
-                } else {
-                    self.parked.insert(lit);
+                    Acceptance::Unsafe => {
+                        self.parked.insert(lit);
+                    }
                 }
             }
             Msg::Inform { lit } => {
@@ -431,12 +357,12 @@ pub fn run_centralized(spec: &WorkflowSpec, config: CentralConfig) -> RunReport 
     // site; their node ids follow agents and the scheduler.
     let mut routing = routing.as_ref().clone();
     let client_base = agent_count + 1;
-    let mut clients: Vec<(SiteId, Literal, bool)> = Vec::new();
+    let mut clients: Vec<(SiteId, Literal, bool, Time)> = Vec::new();
     for f in &spec.free_events {
-        if f.attempt_after.is_some() {
+        if let Some(after) = f.attempt_after {
             let id = NodeId((client_base + clients.len()) as u32);
             routing.agent_of.insert(f.lit.symbol(), id);
-            clients.push((f.site, f.lit, f.attrs.controllable));
+            clients.push((f.site, f.lit, f.attrs.controllable, after));
         }
     }
     let routing = Arc::new(routing);
@@ -457,7 +383,7 @@ pub fn run_centralized(spec: &WorkflowSpec, config: CentralConfig) -> RunReport 
             Arc::clone(&routing),
         )),
     ));
-    for &(site, lit, controllable) in &clients {
+    for &(site, lit, controllable, _) in &clients {
         nodes.push((site, CNode::Client { lit, controllable, central: central_id, decided: None }));
     }
 
@@ -466,9 +392,11 @@ pub fn run_centralized(spec: &WorkflowSpec, config: CentralConfig) -> RunReport 
         let id = NodeId(aix as u32);
         net.inject(id, id, Msg::Kick);
     }
-    for ix in 0..clients.len() {
+    // A client's kick arrives when the distributed engine's attempt does
+    // (`dist` injects it `attempt_after - 1` ticks late too).
+    for (ix, &(.., after)) in clients.iter().enumerate() {
         let id = NodeId((client_base + ix) as u32);
-        net.inject(id, id, Msg::Kick);
+        net.inject_after(id, id, Msg::Kick, after.saturating_sub(1));
     }
     let outcome = net.run_to_quiescence(config.max_steps);
     let duration = net.now();
@@ -482,10 +410,7 @@ pub fn run_centralized(spec: &WorkflowSpec, config: CentralConfig) -> RunReport 
     let unresolved: Vec<SymbolId> =
         symbols.iter().copied().filter(|s| !central.occurred.contains_key(s)).collect();
     let trace = Trace::new(occurrences.iter().map(|&(l, _, _)| l)).expect("unique symbols");
-    let mut maximal: Vec<Literal> = occurrences.iter().map(|&(l, _, _)| l).collect();
-    maximal.extend(unresolved.iter().map(|&s| Literal::neg(s)));
-    let maximal_trace = Trace::new(maximal).expect("distinct");
-    let satisfied = spec.dependencies.iter().map(|d| satisfies(&maximal_trace, d)).collect();
+    let (maximal_trace, satisfied) = verdict(&trace, &unresolved, &spec.dependencies);
     RunReport {
         trace,
         occurrences,
@@ -614,6 +539,21 @@ mod tests {
         let report = run_centralized(&spec, CentralConfig::new(5, Engine::Symbolic));
         assert!(report.all_satisfied(), "{report:?}");
         assert_eq!(report.trace.len(), 2, "{report:?}");
+    }
+
+    #[test]
+    fn late_attempt_arrives_late() {
+        // D< with f attempted at start and e at tick 40, by which time f's
+        // attempt (at most 21 ticks away) has been granted: e after f
+        // violates D<, so e is rejected on every seed — as under `dist`,
+        // which injects the attempt at the same tick.
+        for seed in 0..10 {
+            let (mut spec, e, f) = d_precedes_spec();
+            spec.free_events[0].attempt_after = Some(40);
+            let report = run_centralized(&spec, CentralConfig::new(seed, Engine::Symbolic));
+            assert_eq!(report.trace.events(), [f, e.complement()], "seed {seed}: {report:?}");
+            assert!(report.occurrences[1].1 >= 40, "seed {seed}: {report:?}");
+        }
     }
 
     #[test]

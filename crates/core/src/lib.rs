@@ -32,12 +32,13 @@
 //! ```
 //!
 //! The re-exported crates provide the full stack: [`algebra`] (event
-//! expressions, residuation, dependency machines), [`logic`] (the guard
-//! language `T`), [`guards`] (guard synthesis), [`network`] (the
-//! deterministic simulator), [`agents`] (task skeletons),
-//! [`distributed`] (the event-centric scheduler), [`centralized`]
-//! (baselines), [`monitors`] (online runtime verification) and [`spec`]
-//! (the declarative language).
+//! expressions, residuation, dependency machines and the
+//! [`algebra::DepTracker`] every scheduler follows them through),
+//! [`logic`] (the guard language `T`), [`guards`] (guard synthesis),
+//! [`network`] (the deterministic simulator), [`agents`] (task
+//! skeletons), [`distributed`] (the event-centric scheduler),
+//! [`centralized`] (baselines), [`monitors`] (online runtime
+//! verification) and [`spec`] (the declarative language).
 
 #![warn(missing_docs)]
 

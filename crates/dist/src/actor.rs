@@ -29,10 +29,7 @@
 use crate::memo::{GuardInfo, GuardIx, GuardMemo};
 use crate::msg::Msg;
 use agent::EventAttrs;
-use event_algebra::{
-    requires, residuate, DependencyMachine, Expr, Literal, Polarity, SortedMap, SortedSet, StateId,
-    SymbolId, SymbolMap,
-};
+use event_algebra::{DepTracker, Literal, Polarity, SortedMap, SortedSet, SymbolId, SymbolMap};
 use monitor::WorkflowMonitor;
 use obs::{NodeObs, ObsLit, SpanId, SpanKind, Verdict};
 use sim::{Ctx, NodeId, Time};
@@ -130,103 +127,6 @@ pub struct LitState {
     pub notyet_granted: SortedSet<SymbolId>,
     /// A trigger has been sent to the agent for this literal.
     pub triggered: bool,
-}
-
-/// Per-dependency residual tracking state — the machinery behind
-/// Section 3.3(b) triggering and the Section 3.4 acceptance test.
-///
-/// The compiled form steps a precompiled [`DependencyMachine`]: each
-/// occurrence fact is one transition-table lookup, and the triggering /
-/// acceptance queries read compile-time reachability tables. The symbolic
-/// form re-residuates the expression tree on every fact — semantically
-/// identical, kept selectable as the reference oracle the conformance
-/// harness audits the fast path against.
-#[derive(Debug, Clone)]
-pub enum DepTracker {
-    /// Precompiled automaton plus its current state (the fast path).
-    Machine {
-        /// The dependency's residual machine: a handle on the shape the
-        /// compiled workflow owns.
-        machine: DependencyMachine,
-        /// Current residual state.
-        state: StateId,
-    },
-    /// The residual expression, reduced by tree residuation (the oracle).
-    Symbolic {
-        /// The normalized dependency (rebuild base for ordered replays).
-        base: Expr,
-        /// The current residual.
-        residual: Expr,
-    },
-}
-
-impl DepTracker {
-    /// Track via a precompiled machine, starting at its initial state.
-    pub fn compiled(machine: DependencyMachine) -> DepTracker {
-        let state = machine.initial;
-        DepTracker::Machine { machine, state }
-    }
-
-    /// Track symbolically from the (normalized) dependency expression.
-    pub fn symbolic(dependency: Expr) -> DepTracker {
-        DepTracker::Symbolic { residual: dependency.clone(), base: dependency }
-    }
-
-    /// Fold one occurrence fact into the residual.
-    fn step(&mut self, lit: Literal) {
-        match self {
-            DepTracker::Machine { machine, state } => *state = machine.step(*state, lit),
-            DepTracker::Symbolic { residual, .. } => *residual = residuate(residual, lit),
-        }
-    }
-
-    /// Back to the unreduced dependency (for ordered replays).
-    fn reset(&mut self) {
-        match self {
-            DepTracker::Machine { machine, state } => *state = machine.initial,
-            DepTracker::Symbolic { base, residual } => *residual = base.clone(),
-        }
-    }
-
-    /// `true` if the dependency is undecided and every satisfying
-    /// completion contains `lit` — the Section 3.3(b) triggering test.
-    fn requires(&self, lit: Literal) -> bool {
-        match self {
-            DepTracker::Machine { machine, state } => machine.requires_event(*state, lit),
-            DepTracker::Symbolic { residual, .. } => {
-                !residual.is_top() && !residual.is_zero() && requires(residual, lit)
-            }
-        }
-    }
-
-    /// `true` if accepting `lit` now keeps the dependency satisfiable —
-    /// the Section 3.4 acceptance test for scheduler-forced literals.
-    fn live_after(&self, lit: Literal) -> bool {
-        match self {
-            DepTracker::Machine { machine, state } => machine.may_accept(*state, lit),
-            DepTracker::Symbolic { residual, .. } => {
-                event_algebra::satisfiable(&residuate(residual, lit))
-            }
-        }
-    }
-
-    /// The current residual as an expression (diagnostics and audits; the
-    /// machine form materializes its state's stored expression).
-    pub fn residual(&self) -> Expr {
-        match self {
-            DepTracker::Machine { machine, state } => machine.state(*state),
-            DepTracker::Symbolic { residual, .. } => residual.clone(),
-        }
-    }
-
-    /// `(state id, liveness)` of the current residual, for trace records.
-    /// Symbolic trackers have no compiled state id and report 0.
-    pub fn obs_state(&self) -> (u32, bool) {
-        match self {
-            DepTracker::Machine { machine, state } => (state.0, !machine.is_violated(*state)),
-            DepTracker::Symbolic { residual, .. } => (0, !residual.is_zero()),
-        }
-    }
 }
 
 impl LitState {

@@ -14,7 +14,7 @@
 //! evaluation (Section 4.3) — with **no centralized scheduler** in the
 //! running system.
 
-use crate::actor::{ActorStats, DepTracker, Routing, SymbolActor};
+use crate::actor::{ActorStats, Routing, SymbolActor};
 use crate::agent_node::{AgentNode, Script};
 use crate::fleet::Arrival;
 use crate::msg::{InstanceId, Msg};
@@ -22,7 +22,7 @@ use crate::reliable::ReliableConfig;
 use crate::slot::{InstanceSlot, InstanceTotals};
 use crate::wal::NodeStore;
 use agent::{EventAttrs, TaskAgent};
-use event_algebra::{normalize, Expr, Literal, ShardPlan, SymbolId, SymbolTable, Trace};
+use event_algebra::{DepTracker, Expr, Literal, SymbolId, SymbolTable, Trace};
 use guard::{CompiledWorkflow, GuardScope};
 use monitor::MonitorConfig;
 use obs::{MetricSink, MetricsSnapshot, RecordConfig, Recording};
@@ -102,7 +102,6 @@ pub struct WorkflowSpec {
 /// [`crate::run_parallel_fleet`] — reads every field the same way, with
 /// two exceptions: a fleet takes each instance's `sim.seed` from its
 /// [`crate::Arrival`], and only `run_parallel_fleet` reads `parallel`.
-/// `Clone`, not `Copy`: the optional shard plan is shared by reference.
 #[derive(Debug, Clone, Default)]
 pub struct ExecConfig {
     /// Network parameters.
@@ -141,16 +140,6 @@ pub struct ExecConfig {
     /// arming it costs no trace-event construction. `None` (the default)
     /// attaches nothing and adds no work to the hot path.
     pub monitor: Option<MonitorConfig>,
-    /// Pin actor placement from a certified [`ShardPlan`] (the
-    /// interference analyzer's artifact): every member of a colocation
-    /// class is placed at the same site — the class's declared site when
-    /// one exists, otherwise the spec placement of its smallest member.
-    /// The armed monitors also learn the class boundaries, so
-    /// view-divergence alerts distinguish intra- from cross-shard
-    /// disagreements. `None` (the default) leaves spec placement
-    /// untouched. No executor is keyed by the plan: placement and monitor
-    /// labels are its only runtime readers.
-    pub shard_plan: Option<Arc<ShardPlan>>,
     /// Worker threads of [`crate::run_parallel_fleet`]; nothing else
     /// reads it.
     pub parallel: Option<sim::ParallelConfig>,
@@ -168,7 +157,6 @@ impl ExecConfig {
             dep_runtime: DepRuntime::default(),
             record: None,
             monitor: None,
-            shard_plan: None,
             parallel: None,
         }
     }
@@ -400,23 +388,6 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
         site_of_sym.insert(f.lit.symbol(), f.site);
     }
 
-    // ----- shard-plan placement pinning -----
-    if let Some(plan) = &config.shard_plan {
-        // Colocation classes share a site: a declared class site wins,
-        // otherwise the smallest spec placement among members anchors the
-        // class (so singleton classes keep their spec site).
-        for class in &plan.classes {
-            let site = class
-                .site
-                .map(SiteId)
-                .or_else(|| class.events.iter().filter_map(|s| site_of_sym.get(s)).min().copied())
-                .unwrap_or(SiteId(0));
-            for &s in &class.events {
-                site_of_sym.insert(s, site);
-            }
-        }
-    }
-
     // ----- assign node ids: agents first, then actors -----
     let mut routing = Routing::default();
     let agent_count = spec.agents.len();
@@ -478,7 +449,7 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
             .map(|(ix, d)| {
                 let tracker = match config.dep_runtime {
                     DepRuntime::Compiled => DepTracker::compiled(compiled.machines[ix].clone()),
-                    DepRuntime::Symbolic => DepTracker::symbolic(normalize(d)),
+                    DepRuntime::Symbolic => DepTracker::symbolic(d),
                 };
                 (ix, tracker)
             })
@@ -562,7 +533,7 @@ fn run_workflow_inner(
     let root = Arrival::new(InstanceId::ROOT.0, 0, 0, config.sim.seed);
     slot.prepare(&root, plan);
     let (mut report, totals) = slot.execute();
-    report.metrics = solo_metrics(spec, &config, &report, &totals);
+    report.metrics = solo_metrics(spec, &report, &totals);
     if let Some(rec) = &mut report.recording {
         rec.metrics = report.metrics.clone();
     }
@@ -574,7 +545,6 @@ fn run_workflow_inner(
 /// here, so they are written straight into the snapshot and sorted once.
 fn solo_metrics(
     spec: &WorkflowSpec,
-    config: &ExecConfig,
     report: &RunReport,
     totals: &InstanceTotals,
 ) -> MetricsSnapshot {
@@ -612,12 +582,6 @@ fn solo_metrics(
     let mut dep = String::new();
     for (ix, &ok) in report.satisfied.iter().enumerate() {
         m.set_gauge("dep.satisfied", &[("dep", index_label(&mut dep, ix))], i64::from(ok));
-    }
-    if let Some(plan) = &config.shard_plan {
-        m.set_gauge("shard.classes", &[], plan.class_count() as i64);
-        m.set_gauge("shard.pinned_classes", &[], plan.pinned_count() as i64);
-        m.set_gauge("shard.max_class_size", &[], plan.max_class_size() as i64);
-        m.set_gauge("shard.independent_pairs", &[], plan.independent.len() as i64);
     }
     if let Some(rec) = &report.recording {
         m.add("obs.recorder.dropped_spans", &[], rec.dropped);

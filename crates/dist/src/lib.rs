@@ -24,8 +24,9 @@ mod slot;
 pub mod tenant;
 mod wal;
 
-pub use actor::{ActorStats, DepTracker, LitState, Routing, SymbolActor, MAX_COVERAGE_SYMBOLS};
+pub use actor::{ActorStats, LitState, Routing, SymbolActor, MAX_COVERAGE_SYMBOLS};
 pub use agent_node::{AgentNode, Script, ScriptStep};
+pub use event_algebra::DepTracker;
 pub use exec::{
     build_workflow, guard_gated, run_workflow, run_workflow_with_faults, AgentSpec, BuiltWorkflow,
     DepRuntime, ExecConfig, FreeEventSpec, GuardMode, Node, RunReport, WorkflowSpec,

@@ -12,7 +12,9 @@
 //!   combination, and guards grow, shrink, and *resurrect* as instances
 //!   discharge ([`ParamGuard`]).
 
-use event_algebra::{Expr, Literal, SymbolId, SymbolTable, Trace};
+use event_algebra::{
+    acceptance, verdict, Acceptance, DepTracker, Expr, Literal, SymbolId, SymbolTable, Trace,
+};
 use guard::GuardSynth;
 use std::collections::{BTreeMap, BTreeSet};
 use temporal::Guard;
@@ -116,8 +118,8 @@ pub struct DynamicScheduler {
     instantiated: BTreeSet<Vec<(String, u64)>>,
     /// Ground dependencies instantiated so far.
     pub ground_deps: Vec<Expr>,
-    /// Current residual of each ground dependency.
-    pub residuals: Vec<Expr>,
+    /// One tracker per ground dependency, following its residual.
+    trackers: Vec<DepTracker>,
     occurred: Vec<Literal>,
     resolved: BTreeSet<SymbolId>,
     parked: BTreeSet<Literal>,
@@ -134,7 +136,7 @@ impl DynamicScheduler {
             var_values: BTreeMap::new(),
             instantiated: BTreeSet::new(),
             ground_deps: Vec::new(),
-            residuals: Vec::new(),
+            trackers: Vec::new(),
             occurred: Vec::new(),
             resolved: BTreeSet::new(),
             parked: BTreeSet::new(),
@@ -204,12 +206,12 @@ impl DynamicScheduler {
         // The new dependency's residual starts at the dependency itself,
         // advanced by all past occurrences in order (the obligation
         // "grows" — Example 14's dynamics at the dependency level).
-        let mut residual = event_algebra::normalize(&dep);
+        let mut tracker = DepTracker::symbolic(&dep);
         for &f in &self.occurred {
-            residual = event_algebra::residuate(&residual, f);
+            tracker.step(f);
         }
         self.ground_deps.push(dep);
-        self.residuals.push(residual);
+        self.trackers.push(tracker);
     }
 
     /// Declare `instance` *inevitable*: some task guarantees it will
@@ -249,17 +251,17 @@ impl DynamicScheduler {
             return if self.occurred.contains(&lit) { Outcome::Granted } else { Outcome::Rejected };
         }
         match self.acceptability(lit) {
-            Acceptability::Safe => {
+            Acceptance::Safe => {
                 self.parked.remove(&lit);
                 self.occur(lit);
                 Outcome::Granted
             }
-            Acceptability::Dead => {
+            Acceptance::Dead => {
                 self.parked.remove(&lit);
                 self.occur(lit.complement());
                 Outcome::Rejected
             }
-            Acceptability::Unsafe => {
+            Acceptance::Unsafe => {
                 self.parked.insert(lit);
                 Outcome::Parked
             }
@@ -269,36 +271,18 @@ impl DynamicScheduler {
     /// Section 3.4's acceptance test, instantiated with inevitability:
     /// `lit` may occur iff for every ground dependency, the residual after
     /// `lit` remains satisfiable by a completion avoiding the complements
-    /// of all inevitable events. `Dead` only when *no satisfying
-    /// completion of some residual ever contains* `lit` (an immediately
-    /// fatal residual merely means "not yet": the attempt parks).
-    fn acceptability(&self, lit: Literal) -> Acceptability {
+    /// of all inevitable events.
+    fn acceptability(&self, lit: Literal) -> Acceptance {
         let avoid: BTreeSet<Literal> = self.inevitable.iter().map(|l| l.complement()).collect();
-        let mut safe = true;
-        for r in &self.residuals {
-            if !event_algebra::satisfiable_avoiding(r, lit.complement()) {
-                return Acceptability::Dead;
-            }
-            let next = event_algebra::residuate(r, lit);
-            if !event_algebra::satisfiable(&next)
-                || !event_algebra::satisfiable_avoiding_all(&next, &avoid)
-            {
-                safe = false;
-            }
-        }
-        if safe {
-            Acceptability::Safe
-        } else {
-            Acceptability::Unsafe
-        }
+        acceptance(&self.trackers, lit, &avoid)
     }
 
     fn occur(&mut self, lit: Literal) {
         self.occurred.push(lit);
         self.resolved.insert(lit.symbol());
         self.inevitable.remove(&lit);
-        for r in &mut self.residuals {
-            *r = event_algebra::residuate(r, lit);
+        for t in &mut self.trackers {
+            t.step(lit);
         }
         self.wake_parked();
     }
@@ -313,17 +297,17 @@ impl DynamicScheduler {
                     continue;
                 }
                 match self.acceptability(p) {
-                    Acceptability::Safe => {
+                    Acceptance::Safe => {
                         self.parked.remove(&p);
                         self.occur(p);
                         progressed = true;
                     }
-                    Acceptability::Dead => {
+                    Acceptance::Dead => {
                         self.parked.remove(&p);
                         self.occur(p.complement());
                         progressed = true;
                     }
-                    Acceptability::Unsafe => {}
+                    Acceptance::Unsafe => {}
                 }
             }
             if !progressed {
@@ -355,31 +339,11 @@ impl DynamicScheduler {
     /// Verify every instantiated ground dependency against the maximal
     /// extension of the realized trace (unresolved symbols complemented).
     pub fn all_satisfied(&self) -> bool {
-        let mut events: Vec<Literal> = self.occurred.clone();
-        let mut syms: BTreeSet<SymbolId> = BTreeSet::new();
-        for d in &self.ground_deps {
-            syms.extend(d.symbols());
-        }
-        for s in syms {
-            if !self.resolved.contains(&s) {
-                events.push(Literal::neg(s));
-            }
-        }
-        let u = Trace::new(events).expect("distinct");
-        self.ground_deps.iter().all(|d| event_algebra::satisfies(&u, d))
+        let symbols: BTreeSet<SymbolId> = self.ground_deps.iter().flat_map(Expr::symbols).collect();
+        let unresolved: Vec<SymbolId> =
+            symbols.into_iter().filter(|s| !self.resolved.contains(s)).collect();
+        verdict(&self.trace(), &unresolved, &self.ground_deps).1.into_iter().all(|ok| ok)
     }
-}
-
-/// Classification of an acceptance decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Acceptability {
-    /// Every residual stays satisfiable consistently with guarantees.
-    Safe,
-    /// Some residual becomes flatly unsatisfiable: the event can never
-    /// occur (its complement does).
-    Dead,
-    /// Satisfiable in general but not consistently with guarantees: park.
-    Unsafe,
 }
 
 /// Instantiates the ground guard a template demands for one binding.

@@ -21,7 +21,7 @@ use crate::fleet::Arrival;
 use crate::msg::{InstanceId, Msg};
 use crate::reliable::Reliable;
 use crate::wal::{NodeStore, WalEntry};
-use event_algebra::{satisfies, Literal, SortedMap, SymbolId, Trace};
+use event_algebra::{verdict, Literal, SortedMap, SymbolId, Trace};
 use monitor::WorkflowMonitor;
 use obs::{MetricsSnapshot, NodeObs, Obs, RecordConfig, Recording, SpanKind};
 use sim::{Ctx, FaultPlan, Network, NodeId, Process, SimConfig, SiteId, Time};
@@ -307,18 +307,12 @@ impl<'t> InstanceSlot<'t> {
         // is the unweakened set, independent of whatever dep runtime the
         // actors use); the scheduler steps them directly.
         let mon = config.monitor.map(|mc| {
-            let m = WorkflowMonitor::from_compiled(
+            Arc::new(WorkflowMonitor::from_compiled(
                 &spec.table,
                 Arc::clone(&built.guards),
                 guard_gated(spec),
                 mc,
-            );
-            // The view-divergence checker learns the shard boundaries, so a
-            // disagreement across colocation classes is labeled as such.
-            if let Some(plan) = &config.shard_plan {
-                m.set_shard_plan(Arc::clone(plan));
-            }
-            Arc::new(m)
+            ))
         });
         let nodes = nodes.into_iter().enumerate().map(|(ix, (site, mut role))| {
             if let Node::Actor(a) = &mut role {
@@ -483,15 +477,7 @@ impl<'t> InstanceSlot<'t> {
         occurrences.sort_by_key(|&(_, t, q)| (t, q));
         let trace = Trace::new(occurrences.iter().map(|&(l, _, _)| l))
             .expect("actors enforce single resolution per symbol");
-        let maximal_trace = Trace::new(
-            occurrences
-                .iter()
-                .map(|&(l, _, _)| l)
-                .chain(unresolved.iter().map(|&s| Literal::neg(s))),
-        )
-        .expect("complement extension cannot clash");
-        let satisfied =
-            self.spec.dependencies.iter().map(|d| satisfies(&maximal_trace, d)).collect();
+        let (maximal_trace, satisfied) = verdict(&trace, &unresolved, &self.spec.dependencies);
         RunReport {
             trace,
             occurrences,

@@ -20,6 +20,9 @@
 //!   functions above remain the reference oracle);
 //! - [`DependencyMachine`] — the residual state machine of Figure 2,
 //!   doubling as the per-dependency automaton of the centralized baseline;
+//! - [`DepTracker`] — one dependency's residual followed through a run,
+//!   on the machine or on the expression tree, with the triggering and
+//!   acceptance questions every scheduler asks of it ([`acceptance`]);
 //! - [`ProductMachine`] — budgeted reachability over the product of the
 //!   per-dependency machines, the engine of the compile-time workflow
 //!   analyzer (Section 6);
@@ -63,6 +66,7 @@ mod semantics;
 pub mod shard;
 mod symbol;
 mod trace;
+mod tracker;
 
 pub use arena::{ExprArena, ExprId};
 pub use expr::{Expr, ExprDisplay};
@@ -77,7 +81,8 @@ pub use residue::{
     requires, residual_oracle, residuate, residuate_trace, residuation_sound, satisfiable,
     satisfiable_avoiding, satisfiable_avoiding_all,
 };
-pub use semantics::{denotation, equivalent, equivalent_auto, satisfies};
+pub use semantics::{denotation, equivalent, equivalent_auto, satisfies, verdict};
 pub use shard::{Obligation, ObligationKind, ShardClass, ShardPlan};
 pub use symbol::{Literal, Polarity, SymbolId, SymbolTable};
 pub use trace::{enumerate_maximal, enumerate_universe, Trace};
+pub use tracker::{acceptance, Acceptance, DepTracker};

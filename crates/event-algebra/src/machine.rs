@@ -26,6 +26,7 @@ use crate::expr::Expr;
 use crate::fxhash::FxHashMap;
 use crate::symbol::{Literal, SymbolId, SymbolTable};
 use crate::trace::Trace;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Index of a state in a [`DependencyMachine`].
@@ -289,6 +290,35 @@ impl DependencyMachine {
             Some(k) => self.shape.avoid_live[k][sid.index()],
             None => self.shape.live[sid.index()],
         }
+    }
+
+    /// [`DependencyMachine::may_reach_avoiding`] for a set of literals —
+    /// the machine form of [`crate::satisfiable_avoiding_all`]. Avoiding
+    /// at most one literal of `Γ_D` is a table lookup; more is a search of
+    /// the states reachable from `sid` without the avoided edges.
+    pub fn may_reach_avoiding_all(&self, sid: StateId, avoid: &BTreeSet<Literal>) -> bool {
+        let columns: Vec<usize> = avoid.iter().filter_map(|&l| self.alphabet_ix(l)).collect();
+        match columns[..] {
+            [] => return self.shape.live[sid.index()],
+            [k] => return self.shape.avoid_live[k][sid.index()],
+            _ => {}
+        }
+        let width = self.alphabet.len();
+        let mut seen = vec![false; self.state_count()];
+        seen[sid.index()] = true;
+        let mut stack = vec![sid];
+        while let Some(s) = stack.pop() {
+            if self.is_accepting(s) {
+                return true;
+            }
+            for k in (0..width).filter(|k| !columns.contains(k)) {
+                let to = self.shape.next[s.index() * width + k];
+                if !std::mem::replace(&mut seen[to.index()], true) {
+                    stack.push(to);
+                }
+            }
+        }
+        false
     }
 
     /// `true` if, at `sid`, every satisfying completion contains `lit`

@@ -42,6 +42,27 @@ fn seq_holds_on(u: &[Literal], parts: &[Expr]) -> bool {
     }
 }
 
+/// The verdict on a finished run: `trace`, the events that occurred,
+/// extended by the complement of every `unresolved` symbol — an event that
+/// never happens is judged as its complement, which makes the trace
+/// maximal (Definition 1) — and, per dependency, whether that maximal
+/// trace satisfies it. Every scheduler's report is this one judgement.
+///
+/// # Panics
+///
+/// If `unresolved` names a symbol `trace` resolves, or one twice.
+pub fn verdict(
+    trace: &Trace,
+    unresolved: &[SymbolId],
+    dependencies: &[Expr],
+) -> (Trace, Vec<bool>) {
+    let complements = unresolved.iter().map(|&s| Literal::neg(s));
+    let maximal = Trace::new(trace.events().iter().copied().chain(complements))
+        .expect("an unresolved symbol is not on the trace");
+    let satisfied = dependencies.iter().map(|d| satisfies(&maximal, d)).collect();
+    (maximal, satisfied)
+}
+
 /// The denotation `[E]` restricted to the universe over `syms`:
 /// `{u ∈ U_E : u ⊨ E}`.
 pub fn denotation(e: &Expr, syms: &[SymbolId]) -> Vec<Trace> {

@@ -14,13 +14,12 @@
 //!
 //! The plan is a plain data type in the algebra crate so both the
 //! analyzer (which builds it) and its readers can share it without a
-//! dependency cycle. No executor is keyed by it — every instance runs on
-//! the one event loop, whatever the plan says. It is read for actor
-//! *placement* (`dist::ExecConfig::shard_plan` colocates each class on
-//! one site), for the monitors' intra- vs cross-shard divergence labels,
-//! by conformance audit 8 (transposing pairs the plan calls independent
-//! must change no machine's state), and — ROADMAP item 2 — as the
-//! independence relation of the explorer's sleep sets.
+//! dependency cycle. No executor reads it — every instance runs on the
+//! one event loop, placed as its spec says. Its readers are `wfcheck
+//! --shard-plan` (which writes it), the golden diffs, conformance audit 8
+//! (transposing pairs the plan calls independent must change no
+//! machine's state) and — ROADMAP item 2 — the explorer's sleep sets,
+//! which take it as their independence relation.
 //! Serialization is hand-rolled JSON, like every other artifact in this
 //! workspace.
 
@@ -147,11 +146,6 @@ impl ShardPlan {
         self.classes.len()
     }
 
-    /// Number of classes pinned to a declared site.
-    pub fn pinned_count(&self) -> usize {
-        self.classes.iter().filter(|c| c.site.is_some()).count()
-    }
-
     /// Largest class size — 1 means the plan is maximally parallel.
     pub fn max_class_size(&self) -> usize {
         self.classes.iter().map(|c| c.events.len()).max().unwrap_or(0)
@@ -270,7 +264,6 @@ mod tests {
         assert!(!p.is_independent(SymbolId(0), SymbolId(2)), "commuting but coupled");
         assert!(p.is_independent(SymbolId(0), SymbolId(9)), "unanalyzed symbols are free");
         assert_eq!(p.class_count(), 2);
-        assert_eq!(p.pinned_count(), 1);
         assert_eq!(p.max_class_size(), 2);
     }
 

@@ -55,8 +55,7 @@
 //! identical because state cannot change between the two sweep points.
 
 use event_algebra::{
-    DependencyMachine, Expr, Literal, ShardPlan, SortedMap, SortedSet, StateId, SymbolId,
-    SymbolTable, Trace,
+    DependencyMachine, Expr, Literal, SortedMap, SortedSet, StateId, SymbolId, SymbolTable, Trace,
 };
 use guard::{CompiledWorkflow, GuardScope};
 use obs::{ObsLit, SpanKind, TraceEvent, Verdict};
@@ -198,13 +197,6 @@ pub struct MonitorReport {
     pub facts: u64,
     /// Guard-faithfulness evaluations performed.
     pub guard_checks: u64,
-    /// Divergence alerts whose two claimed literals live in *different*
-    /// shard colocation classes — only counted when a [`ShardPlan`] was
-    /// installed. A cross-shard divergence means the class boundaries the
-    /// analyzer certified as independent disagreed about global order,
-    /// which a sharded runtime must treat as fatal; intra-shard
-    /// divergence would be an ordinary protocol bug.
-    pub cross_shard_divergence: u64,
 }
 
 impl MonitorReport {
@@ -280,7 +272,7 @@ struct OpenSince {
 }
 
 /// What a monitor knows. The template part — table, configuration,
-/// compiled guards, gated literals, shard plan — is fixed at
+/// compiled guards, gated literals — is fixed at
 /// construction; everything else describes one run and is what
 /// [`WorkflowMonitor::reset`] returns to its initial value. The per-run
 /// collections are flat (sorted vectors, bitsets), so a reset monitor
@@ -315,10 +307,6 @@ struct MonitorState {
     canon: SortedMap<u64, Literal>,
     /// Divergent seqs already alerted.
     diverged: SortedSet<u64>,
-    /// Shard colocation classes, when the run was placed by a certified
-    /// plan: lets the divergence checker label cross-shard conflicts.
-    shard: Option<Arc<ShardPlan>>,
-    cross_shard_divergence: u64,
     pending_guards: Vec<PendingGuard>,
     /// Open promise rounds keyed by (requesting node, round literal).
     open_rounds: SortedMap<(u32, u32), OpenSince>,
@@ -419,8 +407,6 @@ impl WorkflowMonitor {
                 resolved: vec![0; (table.len()).div_ceil(64)],
                 canon: SortedMap::new(),
                 diverged: SortedSet::new(),
-                shard: None,
-                cross_shard_divergence: 0,
                 pending_guards: Vec::new(),
                 open_rounds: SortedMap::new(),
                 open_evals: SortedMap::new(),
@@ -434,9 +420,8 @@ impl WorkflowMonitor {
     }
 
     /// Forget the run observed so far: the monitor is again what
-    /// [`WorkflowMonitor::from_compiled`] returned (the shard plan, part
-    /// of the template, stays), ready to watch the next instance of the
-    /// same workflow. Every collection keeps its buffer.
+    /// [`WorkflowMonitor::from_compiled`] returned, ready to watch the next
+    /// instance of the same workflow. Every collection keeps its buffer.
     pub fn reset(&self) {
         let mut st = self.state.lock().expect("monitor lock");
         st.reset();
@@ -473,15 +458,6 @@ impl WorkflowMonitor {
         let mut st = self.state.lock().expect("monitor lock");
         st.observe(event);
         self.sync_deadline(&st);
-    }
-
-    /// Teach the divergence checker the shard boundaries of a certified
-    /// [`ShardPlan`]: subsequent view-divergence alerts distinguish
-    /// cross-shard conflicts (class boundaries disagreed about global
-    /// order — fatal for a sharded runtime) from intra-shard ones, and
-    /// [`MonitorReport::cross_shard_divergence`] counts the former.
-    pub fn set_shard_plan(&self, plan: Arc<ShardPlan>) {
-        self.state.lock().expect("monitor lock").shard = Some(plan);
     }
 
     /// Current per-dependency verdicts (mid-run snapshot).
@@ -612,7 +588,6 @@ impl MonitorState {
         self.resolved.fill(0);
         self.canon.clear();
         self.diverged.clear();
-        self.cross_shard_divergence = 0;
         self.pending_guards.clear();
         self.open_rounds.clear();
         self.open_evals.clear();
@@ -683,20 +658,11 @@ impl MonitorState {
             Some(&prev) if prev == lit => {}
             Some(&prev) => {
                 if self.diverged.insert(seq) {
-                    let mut detail = format!(
+                    let detail = format!(
                         "seq {seq} announced as {} but node {node} applied {}",
                         self.table.literal_name(prev),
                         self.table.literal_name(lit),
                     );
-                    if let Some(plan) = &self.shard {
-                        match (plan.class_of(prev.symbol()), plan.class_of(lit.symbol())) {
-                            (Some(a), Some(b)) if a != b => {
-                                self.cross_shard_divergence += 1;
-                                detail.push_str(&format!(" (cross-shard: classes {a} vs {b})"));
-                            }
-                            _ => detail.push_str(" (intra-shard)"),
-                        }
-                    }
                     self.alert(at, node, AlertKind::ViewDivergence { seq }, detail);
                 }
             }
@@ -962,7 +928,6 @@ impl MonitorState {
             alerts: self.alerts.clone(),
             facts: self.facts.len() as u64,
             guard_checks: self.guard_checks,
-            cross_shard_divergence: self.cross_shard_divergence,
         }
     }
 }

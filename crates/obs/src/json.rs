@@ -72,14 +72,6 @@ impl Json {
         }
     }
 
-    /// The value as `f64`, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The value as `bool`.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

@@ -371,11 +371,6 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
         &self.nodes[id.0 as usize]
     }
 
-    /// Mutable access to a node's process.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.nodes[id.0 as usize]
-    }
-
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats

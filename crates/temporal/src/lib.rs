@@ -10,7 +10,7 @@
 //! - [`Guard`] — a canonical DNF representation over per-symbol knowledge
 //!   states, on which the identities of Example 8 are decided exactly,
 //!   with symbolic `◇(sequence)` atoms reduced by residuation;
-//! - [`Fact`], [`Knowledge`], [`status`], [`needs`] — the announcement
+//! - [`Fact`], [`status`], [`needs`] — the announcement
 //!   machinery of Section 4.3 (`□e` occurrence messages, `◇e` promises,
 //!   and the reduction proof rules);
 //! - equivalence oracles by exhaustive trace enumeration for the theorem
@@ -33,7 +33,7 @@ pub use guard_repr::{
     eventually_mask, not_yet_mask, occurred_mask, state_on, Conjunct, Guard, ST_A, ST_B, ST_C,
     ST_D, ST_FULL,
 };
-pub use message::{need_edges, needs, status, Fact, GuardStatus, Know, Knowledge, Need};
+pub use message::{need_edges, needs, status, Fact, GuardStatus, Need};
 pub use parse::{parse_texpr, TParseError};
 pub use semantics::{sat_at, sat_profile};
 pub use texpr::{TExpr, TExprDisplay};

@@ -1,16 +1,16 @@
-//! Announcement facts and event-local knowledge (Section 4.3).
+//! Announcement facts and what a guard still waits for (Section 4.3).
 //!
 //! When an event occurs, `□e` announcements flow to the actors of
 //! dependent events; `◇e` promises flow during the consensus protocol.
-//! Each actor keeps a [`Knowledge`] map of what it has heard, applies
-//! arriving [`Fact`]s to its [`Guard`] via the proof rules, and inspects
-//! the [`GuardStatus`] to decide whether to allow a parked event.
+//! Each actor applies arriving [`Fact`]s to its [`Guard`] via the proof
+//! rules — what it has heard lives in the reduced guard itself, tabulated
+//! per actor by `dist::memo` — and inspects the [`GuardStatus`] to decide
+//! whether to allow a parked event, or the [`Need`]s to ask for.
 
 use crate::guard_repr::{
-    eventually_mask, not_yet_mask, occurred_mask, Guard, ST_A, ST_B, ST_C, ST_D, ST_FULL,
+    eventually_mask, not_yet_mask, occurred_mask, Guard, ST_A, ST_B, ST_C, ST_D,
 };
-use event_algebra::{Literal, Polarity, SymbolId};
-use std::collections::BTreeMap;
+use event_algebra::{Literal, Polarity};
 
 /// A fact an actor can learn about another event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -36,77 +36,6 @@ impl Fact {
             Fact::Occurred(l) => occurred_mask(l.polarity()),
             Fact::Promised(l) => eventually_mask(l.polarity()),
         }
-    }
-}
-
-/// What one actor knows about one symbol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Know {
-    /// Heard `□e` or `□ē`.
-    Occurred(Polarity),
-    /// Heard a promise `◇e` or `◇ē` (not yet confirmed occurred).
-    Promised(Polarity),
-}
-
-/// An actor's accumulated knowledge about remote events.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Knowledge {
-    map: BTreeMap<SymbolId, Know>,
-}
-
-impl Knowledge {
-    /// Empty knowledge.
-    pub fn new() -> Knowledge {
-        Knowledge::default()
-    }
-
-    /// Learn a fact. Occurrence supersedes promise; conflicting
-    /// occurrences are impossible in `U_E` and panic loudly, since they
-    /// indicate a broken execution substrate.
-    pub fn learn(&mut self, fact: Fact) {
-        let l = fact.literal();
-        let entry = self.map.get(&l.symbol()).copied();
-        let next = match (entry, fact) {
-            (Some(Know::Occurred(p)), Fact::Occurred(l2)) => {
-                assert_eq!(p, l2.polarity(), "both an event and its complement reported occurred");
-                Know::Occurred(p)
-            }
-            (Some(Know::Occurred(p)), Fact::Promised(_)) => Know::Occurred(p),
-            (_, Fact::Occurred(l2)) => Know::Occurred(l2.polarity()),
-            (Some(Know::Promised(p)), Fact::Promised(l2)) => {
-                assert_eq!(p, l2.polarity(), "promises for both polarities received");
-                Know::Promised(p)
-            }
-            (None, Fact::Promised(l2)) => Know::Promised(l2.polarity()),
-        };
-        self.map.insert(l.symbol(), next);
-    }
-
-    /// What this actor knows about `sym`.
-    pub fn about(&self, sym: SymbolId) -> Option<Know> {
-        self.map.get(&sym).copied()
-    }
-
-    /// The set of knowledge states the symbol could *currently* be in,
-    /// as far as this actor can tell.
-    pub fn possible_states(&self, sym: SymbolId) -> u8 {
-        match self.map.get(&sym) {
-            Some(Know::Occurred(Polarity::Pos)) => ST_A,
-            Some(Know::Occurred(Polarity::Neg)) => ST_B,
-            Some(Know::Promised(Polarity::Pos)) => ST_A | ST_C,
-            Some(Know::Promised(Polarity::Neg)) => ST_B | ST_D,
-            None => ST_FULL,
-        }
-    }
-
-    /// Number of symbols with any knowledge.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing has been learned.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -233,32 +162,6 @@ mod tests {
         let e = t.event("e");
         let f = t.event("f");
         (t, e, f)
-    }
-
-    #[test]
-    fn knowledge_learning_and_states() {
-        let (_, e, f) = setup();
-        let mut k = Knowledge::new();
-        assert_eq!(k.possible_states(e.symbol()), ST_FULL);
-        k.learn(Fact::Promised(e));
-        assert_eq!(k.possible_states(e.symbol()), ST_A | ST_C);
-        k.learn(Fact::Occurred(e));
-        assert_eq!(k.possible_states(e.symbol()), ST_A);
-        // Promise after occurrence is a no-op.
-        k.learn(Fact::Promised(e));
-        assert_eq!(k.about(e.symbol()), Some(Know::Occurred(Polarity::Pos)));
-        k.learn(Fact::Occurred(f.complement()));
-        assert_eq!(k.possible_states(f.symbol()), ST_B);
-        assert_eq!(k.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "complement")]
-    fn conflicting_occurrences_panic() {
-        let (_, e, _) = setup();
-        let mut k = Knowledge::new();
-        k.learn(Fact::Occurred(e));
-        k.learn(Fact::Occurred(e.complement()));
     }
 
     #[test]

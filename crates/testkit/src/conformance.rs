@@ -590,12 +590,10 @@ pub fn audit_monitor_equivalence(
 
 /// Feed `events` — the recording of `run`, or a mutation of it — to a
 /// fresh monitor armed like `run`'s (same [`monitor::MonitorConfig`],
-/// same shard plan, finished at the same sim time) and compare the two
-/// monitor reports:
+/// finished at the same sim time) and compare the two monitor reports:
 ///
-/// - **Verdicts**, **observation counters** (`facts`,
-///   `guard_checks`, `cross_shard_divergence`) and **violation-class
-///   alerts** exactly, including timestamps.
+/// - **Verdicts**, **observation counters** (`facts`, `guard_checks`)
+///   and **violation-class alerts** exactly, including timestamps.
 /// - **Stall alerts** as a multiset over (kind, node, detail),
 ///   ignoring `at`: a replay sweeps on `CrashDrop` spans where no
 ///   handler (and hence no fused tick) runs, which can stamp an
@@ -619,9 +617,6 @@ pub fn audit_monitor_replay(
         guard_gated(spec),
         config.monitor.unwrap_or_default(),
     );
-    if let Some(plan) = &config.shard_plan {
-        oracle.set_shard_plan(std::sync::Arc::clone(plan));
-    }
     for e in events {
         oracle.observe(e);
     }
@@ -638,12 +633,6 @@ pub fn audit_monitor_replay(
             "observation counters diverge: fused ({} facts, {} guard checks) vs \
              replay ({} facts, {} guard checks)",
             fm.facts, fm.guard_checks, om.facts, om.guard_checks
-        ));
-    }
-    if fm.cross_shard_divergence != om.cross_shard_divergence {
-        failures.push(format!(
-            "cross-shard divergence counters diverge: fused {} vs replay {}",
-            fm.cross_shard_divergence, om.cross_shard_divergence
         ));
     }
     let violations = |m: &monitor::MonitorReport| -> Vec<monitor::Alert> {

@@ -1,13 +1,11 @@
 //! Acceptance for the static interference analyzer: certified shard
-//! plans on the example specifications, shard-pinned execution with plan
-//! stats in the metrics snapshot, dynamic validation of independence
-//! claims across the standard fault matrix, and the mutation harness
-//! proving a falsified claim is detected.
+//! plans on the example specifications, dynamic validation of
+//! independence claims across the standard fault matrix, and the mutation
+//! harness proving a falsified claim is detected.
 
 use analyze::{analyze_workflow, AnalyzeOptions, ShardPlan};
 use constrained_events::{ExecConfig, Literal, LoweredWorkflow, ReliableConfig, WorkflowBuilder};
 use event_algebra::ShardClass;
-use std::sync::Arc;
 use testkit::conformance::{audit_schedule_races, audit_schedule_races_against, explore};
 
 fn plan_for(path: &str) -> (ShardPlan, LoweredWorkflow) {
@@ -46,26 +44,6 @@ fn travel_plan_colocates_the_noncommutable_commit_pair() {
     assert!(plan.colocated(buy, book));
     assert!(plan.max_class_size() >= 2);
     assert!(plan.refines_site_coupling, "colocation stays inside the coupling component");
-}
-
-#[test]
-fn pinned_plan_drives_placement_and_surfaces_metrics() {
-    let (plan, _) = plan_for("examples/specs/pipeline10.wf");
-    let src = std::fs::read_to_string("examples/specs/pipeline10.wf").unwrap();
-    let wf = WorkflowBuilder::from_spec(&src).unwrap().build();
-    let mut config = ExecConfig::seeded(3);
-    config.shard_plan = Some(Arc::new(plan));
-    config.monitor = Some(constrained_events::MonitorConfig::default());
-    let report = wf.run_with(config);
-    assert!(report.all_satisfied(), "{report:#?}");
-    assert_eq!(report.metrics.gauge("shard.classes", &[]), Some(10));
-    assert_eq!(report.metrics.gauge("shard.max_class_size", &[]), Some(1));
-    assert_eq!(report.metrics.gauge("shard.pinned_classes", &[]), Some(0));
-    assert!(report.metrics.gauge("shard.independent_pairs", &[]).unwrap_or(0) > 0);
-    // The monitor learned the shard boundaries; a clean run never sees a
-    // cross-shard divergence.
-    let mrep = report.monitor.as_ref().expect("monitors armed");
-    assert_eq!(mrep.cross_shard_divergence, 0);
 }
 
 #[test]
