@@ -99,24 +99,56 @@ fn occurrence_digest(report: &RunReport) -> u64 {
     h
 }
 
+/// FNV-1a over every occurrence's (symbol, polarity, time) — the
+/// schedule without the delivery sequence numbers, which renumber
+/// whenever a transport-internal delivery (a timer, an ack) is added or
+/// removed although no event fires at another tick.
+fn schedule_digest(report: &RunReport) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &(lit, at, _) in &report.occurrences {
+        for x in [u64::from(lit.symbol().0), u64::from(lit.is_pos()), at] {
+            h = (h ^ x).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+    h
+}
+
 /// The seeded streams may not move silently: `travel.wf` at seed 3 under
 /// uniform 1..=30 latency, on the fault-free simulator (latency draws)
 /// and under the `chaos` plan (drop, duplicate and jitter draws on top),
 /// fires exactly the occurrences these digests were computed from at the
-/// commit before the generator moved in-tree.
+/// commit before the generator moved in-tree. A third leg runs the
+/// hardened transport fault-free under the default per-hop latency, where
+/// a node's self-addressed timers draw nothing from the latency stream:
+/// its schedule digest is the one that says whether a transport change
+/// moved an event or only renumbered deliveries.
 #[test]
 fn travel_seed3_occurrence_digests_are_pinned() {
     let src = std::fs::read_to_string("examples/specs/travel.wf").expect("travel.wf");
     let workflow = WorkflowBuilder::from_spec(&src).expect("travel.wf").build();
+    let per_hop = run_workflow(&workflow.spec, hardened(3));
+    assert!(per_hop.all_satisfied());
+    assert_eq!(
+        schedule_digest(&per_hop),
+        0x0415_4CB0_CBDD_B0CE,
+        "per-hop fault-free schedule moved"
+    );
+    assert_eq!(
+        occurrence_digest(&per_hop),
+        0xDCBB_DA0D_0858_9E95,
+        "per-hop fault-free stream moved"
+    );
     let mut config = hardened(3);
     config.sim.latency = LatencyModel::Uniform { min: 1, max: 30 };
     let clean = run_workflow(&workflow.spec, config.clone());
     assert!(clean.all_satisfied());
+    assert_eq!(schedule_digest(&clean), 0x2995_FF42_9679_5708, "fault-free schedule moved");
     assert_eq!(occurrence_digest(&clean), 0x498E_8C4A_1254_96FD, "fault-free stream moved");
     let (_, chaos) = standard_plans(3 ^ 0x5EED).pop().expect("chaos is the last standard plan");
     let faulty = run_workflow_with_faults(&workflow.spec, config, chaos);
     assert!(faulty.all_satisfied());
     assert!(faulty.fault_stats.is_some_and(|f| f.dropped > 0 && f.duplicated > 0));
+    assert_eq!(schedule_digest(&faulty), 0xA2EA_4041_8F6A_3110, "chaos schedule moved");
     assert_eq!(occurrence_digest(&faulty), 0x0014_6087_625F_FD69, "chaos stream moved");
 }
 
