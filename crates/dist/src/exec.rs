@@ -556,6 +556,8 @@ fn solo_metrics(
     m.add("transport.retransmissions", &[], totals.retransmissions);
     m.add("transport.dedup_dropped", &[], totals.dedup_dropped);
     m.add("transport.gave_up", &[], totals.gave_up);
+    m.add("transport.timer_fires", &[], totals.timer_fires);
+    m.add("transport.timer_idle", &[], totals.timer_idle);
     m.add("run.steps", &[], report.steps);
     m.set_gauge("run.duration", &[], report.duration as i64);
     let mut sched = [0u64; 6];

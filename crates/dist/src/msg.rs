@@ -11,7 +11,7 @@
 //!    not-yet agreement used for `¬e` guards.
 
 use event_algebra::Literal;
-use sim::{NodeId, Time};
+use sim::Time;
 
 /// Identifies one workflow instance of a fleet.
 ///
@@ -156,13 +156,14 @@ pub enum Msg {
         /// The acknowledged sequence number.
         seq: u64,
     },
-    /// Self-addressed retransmission timer: if envelope `seq` to `to` is
-    /// still unacked when this fires, resend it and re-arm with backoff.
+    /// Self-addressed retransmission timer, one per node: when it fires,
+    /// every envelope still unacked past its deadline is resent with
+    /// backoff, and the timer is re-armed for the earliest deadline left.
     RetryTimer {
-        /// The receiver of the guarded envelope.
-        to: NodeId,
-        /// The guarded sequence number.
-        seq: u64,
+        /// The deadline this timer was armed for. A timer that is not
+        /// the one its node has armed — it outlived a crash, or a sooner
+        /// deadline superseded it — is ignored.
+        at: Time,
     },
     /// Self-addressed promise-round timer: if the `◇lit` request made on
     /// behalf of `for_lit` is still unanswered when this fires, the round
@@ -261,7 +262,7 @@ mod tests {
         assert_eq!(Msg::Kick.literal(), None);
         assert_eq!(Msg::Tick.literal(), None);
         assert_eq!(Msg::Ack { seq: 1 }.literal(), None);
-        assert_eq!(Msg::RetryTimer { to: NodeId(2), seq: 1 }.literal(), None);
+        assert_eq!(Msg::RetryTimer { at: 64 }.literal(), None);
         assert_eq!(
             Msg::Seq { seq: 1, inner: Box::new(Msg::Kick) }.literal(),
             None,

@@ -17,13 +17,21 @@ use crate::msg::Msg;
 use event_algebra::{SortedMap, SortedSet};
 use obs::{NodeObs, SpanKind};
 use sim::{Ctx, NodeId, Time};
-use std::collections::BTreeMap;
 
 /// Tuning knobs of the reliability layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReliableConfig {
     /// Initial retransmission timeout, in virtual ticks. Should exceed
-    /// one round trip at the configured latency model.
+    /// one round trip at the configured latency model, and the default 64
+    /// does on the default network (a 10–20-tick remote hop: envelope and
+    /// ack take at most 40). It does not under the standard fault plans'
+    /// `jitter(0, 20)`, which stretches a remote hop to 10–40 ticks and a
+    /// round trip to 80: an envelope whose ack is merely late is then
+    /// resent. That is safe — the receiver acks the copy and drops it
+    /// unprocessed — and costs one envelope, one ack and one dedup lookup
+    /// each time (`transport.dedup_dropped`; the benchmark's
+    /// `dist.reliable.dedup_dropped_per_msg` reads about 0.09 on
+    /// `fleet_faulty`, duplicates the fault layer injects included).
     pub rto: Time,
     /// Multiplier applied to the timeout after every retransmission.
     pub backoff: u32,
@@ -42,25 +50,60 @@ impl Default for ReliableConfig {
     }
 }
 
+impl ReliableConfig {
+    /// When an envelope transmitted for the `attempts`-th time at `now`
+    /// is due for the next transmission: `now + rto · backoff^(attempts-1)`.
+    fn deadline(&self, now: Time, attempts: u32) -> Time {
+        let exponent = (attempts - 1).min(16);
+        now.saturating_add(self.rto.saturating_mul(u64::from(self.backoff).pow(exponent)))
+    }
+}
+
+/// An envelope awaiting its ack.
+#[derive(Debug)]
+struct Unacked {
+    /// The payload, kept for retransmission.
+    msg: Msg,
+    /// Transmissions so far.
+    attempts: u32,
+    /// The tick from which the next timer firing retransmits it (or gives
+    /// up on it): the last transmission's tick plus `rto · backoff^k`.
+    due: Time,
+}
+
 /// Per-node reliability state: outgoing sequence counters, the
 /// retransmission buffer, and the receive-side dedup set — sorted
 /// vectors, so [`Reliable::reset`] keeps their buffers for the next
 /// instance the node serves.
+///
+/// | part | fields | a crash ([`Reliable::crash`]) |
+/// |---|---|---|
+/// | durable | `next_seq` | keeps it: a restarted sender that reused a number would have its fresh messages discarded by receivers' dedup sets |
+/// | volatile | `unacked`, `seen`, `armed`, the counters | forgets it: peers' retransmissions and the resume step cover what was unacked, and `seen` is rebuilt from the write-ahead log ([`Reliable::restore_seen`]) |
 #[derive(Debug, Default)]
 pub struct Reliable {
     config: ReliableConfig,
-    /// Next sequence number per receiver.
+    /// Last sequence number used per receiver. Durable: written in place
+    /// on every send, so there is nothing to restore after a crash.
     next_seq: SortedMap<NodeId, u64>,
-    /// Unacked envelopes: `(receiver, seq) → (payload, attempts so far)`.
-    unacked: SortedMap<(NodeId, u64), (Msg, u32)>,
+    /// Unacked envelopes by `(receiver, seq)`.
+    unacked: SortedMap<(NodeId, u64), Unacked>,
     /// `(sender, seq)` of every envelope already delivered.
     seen: SortedSet<(NodeId, u64)>,
+    /// The deadline the node's one [`Msg::RetryTimer`] in flight was sent
+    /// for; `None` when no timer is armed.
+    armed: Option<Time>,
     /// Envelopes abandoned after `max_attempts` transmissions.
     pub gave_up: u64,
     /// Duplicate envelopes suppressed.
     pub duplicates_suppressed: u64,
     /// Retransmissions performed.
     pub retransmissions: u64,
+    /// Retransmission timers delivered to this node.
+    pub timer_fires: u64,
+    /// Of those, the ones that found nothing due: every envelope acked in
+    /// time, or a timer that was not the armed one.
+    pub timer_idle: u64,
     /// Flight-recorder handle (off by default): envelope sends,
     /// retransmissions, acks, dedup drops and give-ups become trace spans
     /// when a recorder is attached.
@@ -78,17 +121,28 @@ impl Reliable {
         self.config
     }
 
-    /// Forget every envelope sent, awaited or seen and zero the counters:
-    /// the state [`Reliable::new`] builds, with the recorder handle set
-    /// since. A crash does this to a transport, and so does its slot
-    /// moving on to the next instance.
+    /// The state [`Reliable::new`] builds, with the recorder handle set
+    /// since: what a slot moving on to the next instance does to a
+    /// transport.
     pub fn reset(&mut self) {
         self.next_seq.clear();
+        self.crash();
+    }
+
+    /// Lose the volatile part — every envelope awaited or seen, the armed
+    /// timer, the counters — and keep the outgoing sequence counters (see
+    /// the table on [`Reliable`]). A timer armed before the crash may
+    /// still be delivered after it; it is no longer the armed one and is
+    /// ignored.
+    pub fn crash(&mut self) {
         self.unacked.clear();
         self.seen.clear();
+        self.armed = None;
         self.gave_up = 0;
         self.duplicates_suppressed = 0;
         self.retransmissions = 0;
+        self.timer_fires = 0;
+        self.timer_idle = 0;
     }
 
     /// Number of envelopes awaiting ack.
@@ -96,29 +150,26 @@ impl Reliable {
         self.unacked.len()
     }
 
-    /// Send `msg` to `to` under an envelope, arming the retransmission
-    /// timer. Used for every cross-node protocol message. Returns the
-    /// sequence number used, so callers can persist it durably (see
-    /// [`restore_seqs`](Reliable::restore_seqs)).
-    pub fn send(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, msg: Msg) -> u64 {
+    /// Put the node's timer in flight for deadline `at`.
+    fn arm(&mut self, ctx: &mut Ctx<'_, Msg>, at: Time) {
+        self.armed = Some(at);
+        ctx.send_after(ctx.self_id, Msg::RetryTimer { at }, at.saturating_sub(ctx.now()));
+    }
+
+    /// Send `msg` to `to` under an envelope. Used for every cross-node
+    /// protocol message. The retransmission timer is armed only when none
+    /// is in flight for a deadline at least as early: a burst of sends
+    /// shares one timer.
+    pub fn send(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, msg: Msg) {
         let seq = self.next_seq.get_or_insert_with(to, || 0);
         *seq += 1;
         let seq = *seq;
         self.obs.rec(ctx.now(), SpanKind::EnvSend { to: to.0, seq });
         ctx.send(to, Msg::Seq { seq, inner: Box::new(msg.clone()) });
-        self.unacked.insert((to, seq), (msg, 1));
-        ctx.send_after(ctx.self_id, Msg::RetryTimer { to, seq }, self.config.rto);
-        seq
-    }
-
-    /// Restore outgoing sequence counters from durable storage after a
-    /// crash. A restarted sender that reused sequence numbers would have
-    /// its fresh messages silently discarded by receivers' dedup sets, so
-    /// counters must continue past every number ever used.
-    pub fn restore_seqs(&mut self, seqs: BTreeMap<NodeId, u64>) {
-        self.next_seq.clear();
-        for (to, seq) in seqs {
-            self.next_seq.insert(to, seq);
+        let due = self.config.deadline(ctx.now(), 1);
+        self.unacked.insert((to, seq), Unacked { msg, attempts: 1, due });
+        if self.armed.is_none_or(|armed| due < armed) {
+            self.arm(ctx, due);
         }
     }
 
@@ -165,32 +216,50 @@ impl Reliable {
                 self.obs.rec(ctx.now(), SpanKind::EnvAck { peer: from.0, seq });
                 None
             }
-            Msg::RetryTimer { to, seq } => {
-                self.retransmit(ctx, to, seq);
+            Msg::RetryTimer { at } => {
+                self.on_timer(ctx, at);
                 None
             }
             other => Some((other, None)),
         }
     }
 
-    fn retransmit(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, seq: u64) {
-        let Some((msg, attempts)) = self.unacked.get_mut((to, seq)) else {
-            return; // acked in the meantime
-        };
-        if *attempts >= self.config.max_attempts {
-            self.unacked.remove((to, seq));
-            self.gave_up += 1;
-            self.obs.rec(ctx.now(), SpanKind::EnvGiveUp { to: to.0, seq });
+    /// The node's timer fired: retransmit — or, after `max_attempts`
+    /// transmissions, give up on — every envelope due by now, in
+    /// `(receiver, seq)` order, and re-arm for the earliest deadline
+    /// left. With nothing unacked no timer stays armed; the next send
+    /// arms one.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, at: Time) {
+        self.timer_fires += 1;
+        if self.armed != Some(at) {
+            self.timer_idle += 1;
             return;
         }
-        *attempts += 1;
-        let attempt = *attempts;
-        let exponent = (*attempts - 1).min(16);
-        let rto = self.config.rto.saturating_mul(u64::from(self.config.backoff).pow(exponent));
-        self.obs.rec(ctx.now(), SpanKind::EnvRetransmit { to: to.0, seq, attempt });
-        ctx.send(to, Msg::Seq { seq, inner: Box::new(msg.clone()) });
-        self.retransmissions += 1;
-        ctx.send_after(ctx.self_id, Msg::RetryTimer { to, seq }, rto);
+        self.armed = None;
+        let (now, config) = (ctx.now(), self.config);
+        let (mut handled, mut earliest) = (0u64, None::<Time>);
+        self.unacked.retain(|(to, seq), e| {
+            if e.due <= now {
+                handled += 1;
+                if e.attempts >= config.max_attempts {
+                    self.gave_up += 1;
+                    self.obs.rec(now, SpanKind::EnvGiveUp { to: to.0, seq });
+                    return false;
+                }
+                e.attempts += 1;
+                e.due = config.deadline(now, e.attempts);
+                let kind = SpanKind::EnvRetransmit { to: to.0, seq, attempt: e.attempts };
+                self.obs.rec(now, kind);
+                ctx.send(to, Msg::Seq { seq, inner: Box::new(e.msg.clone()) });
+                self.retransmissions += 1;
+            }
+            earliest = Some(earliest.map_or(e.due, |d| d.min(e.due)));
+            true
+        });
+        self.timer_idle += u64::from(handled == 0);
+        if let Some(due) = earliest {
+            self.arm(ctx, due);
+        }
     }
 }
 
@@ -198,11 +267,9 @@ impl Reliable {
 mod tests {
     use super::*;
     use event_algebra::{Literal, SymbolId};
-    use sim::Time;
+    use std::collections::BTreeMap;
 
-    fn ctx_parts() -> Vec<(NodeId, Msg, Time)> {
-        Vec::new()
-    }
+    const ME: NodeId = NodeId(0);
 
     fn announce(sym: u32) -> Msg {
         Msg::Announce { lit: Literal::pos(SymbolId(sym)), at: 1, seq: 1 }
@@ -212,23 +279,137 @@ mod tests {
         Msg::Seq { seq, inner: Box::new(inner) }
     }
 
+    /// One transport driven by hand as node 0: handler calls at chosen
+    /// ticks, and the node's self-addressed timers queued here and
+    /// delivered exactly at the deadline they were sent for (a timer
+    /// link without latency).
+    struct Bench {
+        r: Reliable,
+        /// The `at` of every timer in flight.
+        timers: Vec<Time>,
+    }
+
+    impl Bench {
+        fn new(config: ReliableConfig) -> Bench {
+            Bench { r: Reliable::new(config), timers: Vec::new() }
+        }
+
+        /// Run `f` as one handler call at `now`. Timers it sends are
+        /// queued; the `(receiver, seq)` of every envelope it sends are
+        /// returned in send order; beyond acks it sends nothing else.
+        fn handler(
+            &mut self,
+            now: Time,
+            f: impl FnOnce(&mut Reliable, &mut Ctx<'_, Msg>),
+        ) -> Vec<(NodeId, u64)> {
+            let mut out = Vec::new();
+            f(&mut self.r, &mut Ctx::manual(ME, now, 0, &mut out));
+            let mut envelopes = Vec::new();
+            for (to, msg, extra) in out {
+                match msg {
+                    Msg::RetryTimer { at } => {
+                        assert_eq!((to, now + extra), (ME, at), "a timer arrives at its deadline");
+                        self.timers.push(at);
+                    }
+                    Msg::Seq { seq, .. } => envelopes.push((to, seq)),
+                    Msg::Ack { .. } => {}
+                    other => panic!("unexpected {other:?} to {to:?}"),
+                }
+            }
+            envelopes
+        }
+
+        fn send(&mut self, now: Time, to: u32, sym: u32) -> Vec<(NodeId, u64)> {
+            self.handler(now, |r, ctx| r.send(ctx, NodeId(to), announce(sym)))
+        }
+
+        fn ack(&mut self, now: Time, from: u32, seq: u64) {
+            let sent = self.handler(now, |r, ctx| {
+                assert_eq!(r.on_message(ctx, NodeId(from), Msg::Ack { seq }), None);
+            });
+            assert!(sent.is_empty() && !self.timers.contains(&now), "an ack sends nothing");
+        }
+
+        /// Deliver every queued timer whose deadline is `now`, one
+        /// handler call each; returns the envelopes they resent.
+        fn fire(&mut self, now: Time) -> Vec<(NodeId, u64)> {
+            let mut resent = Vec::new();
+            while let Some(ix) = self.timers.iter().position(|&at| at == now) {
+                let at = self.timers.remove(ix);
+                resent.extend(self.handler(now, |r, ctx| {
+                    assert_eq!(r.on_message(ctx, ME, Msg::RetryTimer { at }), None);
+                }));
+            }
+            resent
+        }
+    }
+
     #[test]
     fn send_wraps_and_arms_timer() {
         let mut r = Reliable::new(ReliableConfig::default());
-        let mut out = ctx_parts();
-        let mut ctx = Ctx::manual(NodeId(0), 0, 0, &mut out);
+        let mut out = Vec::new();
+        let mut ctx = Ctx::manual(ME, 7, 0, &mut out);
         r.send(&mut ctx, NodeId(1), announce(3));
         assert_eq!(r.pending(), 1);
         assert_eq!(out.len(), 2, "envelope + timer");
         assert!(matches!(&out[0], (NodeId(1), Msg::Seq { seq: 1, .. }, 0)));
-        assert!(matches!(&out[1], (NodeId(0), Msg::RetryTimer { to: NodeId(1), seq: 1 }, _)));
+        assert!(matches!(&out[1], (ME, Msg::RetryTimer { at: 71 }, 64)), "due at now + rto");
+    }
+
+    #[test]
+    fn a_burst_of_sends_arms_one_timer() {
+        let mut bench = Bench::new(ReliableConfig::default());
+        let sent = bench.handler(5, |r, ctx| {
+            for k in 0..6 {
+                r.send(ctx, NodeId(1 + k % 3), announce(k));
+            }
+        });
+        assert_eq!(sent.len(), 6);
+        assert_eq!(bench.timers, vec![69], "one timer, for the burst's deadline");
+        // A later handler, the timer still in flight, arms none either.
+        assert_eq!(bench.send(20, 2, 9), vec![(NodeId(2), 3)]);
+        assert_eq!(bench.timers, vec![69]);
+        assert_eq!(bench.r.pending(), 7);
+    }
+
+    #[test]
+    fn ack_cancels_retransmission() {
+        let mut bench = Bench::new(ReliableConfig::default());
+        bench.handler(0, |r, ctx| {
+            r.send(ctx, NodeId(1), announce(1));
+            r.send(ctx, NodeId(2), announce(2));
+        });
+        bench.ack(30, 1, 1);
+        bench.ack(31, 2, 1);
+        assert_eq!(bench.r.pending(), 0);
+        assert_eq!(bench.fire(64), vec![], "nothing to resend");
+        assert!(bench.timers.is_empty() && bench.r.armed.is_none(), "and no timer re-armed");
+        assert_eq!((bench.r.timer_fires, bench.r.timer_idle, bench.r.retransmissions), (1, 1, 0));
+        // The next send starts the next timer.
+        bench.send(100, 1, 3);
+        assert_eq!(bench.timers, vec![164]);
+    }
+
+    #[test]
+    fn the_timer_is_rearmed_for_the_earliest_deadline_left() {
+        let mut bench = Bench::new(ReliableConfig::default());
+        bench.send(0, 1, 1);
+        bench.send(10, 1, 2);
+        bench.send(25, 2, 3);
+        bench.ack(40, 1, 1);
+        bench.ack(50, 1, 2);
+        assert_eq!(bench.fire(64), vec![], "the envelope it was armed for is acked");
+        assert_eq!(bench.timers, vec![89], "(n2, 1), sent at 25, is what is left");
+        assert_eq!(bench.fire(89), vec![(NodeId(2), 1)]);
+        assert_eq!(bench.timers, vec![89 + 128], "retransmitted once: backoff");
+        assert_eq!((bench.r.timer_fires, bench.r.timer_idle, bench.r.retransmissions), (2, 1, 1));
     }
 
     #[test]
     fn first_delivery_passes_then_duplicates_suppressed() {
         let mut r = Reliable::new(ReliableConfig::default());
         let env = env(5, announce(2));
-        let mut out = ctx_parts();
+        let mut out = Vec::new();
         let mut ctx = Ctx::manual(NodeId(1), 0, 0, &mut out);
         let first = r.on_message(&mut ctx, NodeId(0), env.clone());
         assert_eq!(first, Some((announce(2), Some(5))));
@@ -244,55 +425,89 @@ mod tests {
     }
 
     #[test]
-    fn ack_cancels_retransmission() {
-        let mut r = Reliable::new(ReliableConfig::default());
-        let mut out = ctx_parts();
-        let mut ctx = Ctx::manual(NodeId(0), 0, 0, &mut out);
-        r.send(&mut ctx, NodeId(1), announce(1));
-        assert_eq!(r.on_message(&mut ctx, NodeId(1), Msg::Ack { seq: 1 }), None);
-        assert_eq!(r.pending(), 0);
-        // The timer still fires, but finds nothing to resend.
-        out.clear();
-        let mut ctx = Ctx::manual(NodeId(0), 100, 0, &mut out);
-        assert_eq!(
-            r.on_message(&mut ctx, NodeId(0), Msg::RetryTimer { to: NodeId(1), seq: 1 }),
-            None
-        );
-        assert!(out.is_empty());
-        assert_eq!(r.retransmissions, 0);
-    }
-
-    #[test]
     fn unacked_envelope_is_retransmitted_with_backoff() {
         let cfg = ReliableConfig { rto: 10, backoff: 3, max_attempts: 3, promise_timeout: 99 };
-        let mut r = Reliable::new(cfg);
-        let mut out = ctx_parts();
-        let mut ctx = Ctx::manual(NodeId(0), 0, 0, &mut out);
-        r.send(&mut ctx, NodeId(1), announce(1));
-        out.clear();
-        let mut ctx = Ctx::manual(NodeId(0), 10, 0, &mut out);
-        r.on_message(&mut ctx, NodeId(0), Msg::RetryTimer { to: NodeId(1), seq: 1 });
-        assert_eq!(r.retransmissions, 1);
-        assert!(matches!(&out[0], (NodeId(1), Msg::Seq { seq: 1, .. }, 0)));
-        // Backoff: the re-armed timer waits rto * backoff.
-        assert!(matches!(&out[1], (NodeId(0), Msg::RetryTimer { .. }, 30)));
-        // Third timer firing hits max_attempts and gives up.
-        out.clear();
-        let mut ctx = Ctx::manual(NodeId(0), 40, 0, &mut out);
-        r.on_message(&mut ctx, NodeId(0), Msg::RetryTimer { to: NodeId(1), seq: 1 });
-        assert_eq!(r.retransmissions, 2);
-        out.clear();
-        let mut ctx = Ctx::manual(NodeId(0), 130, 0, &mut out);
-        r.on_message(&mut ctx, NodeId(0), Msg::RetryTimer { to: NodeId(1), seq: 1 });
-        assert!(out.is_empty(), "gave up after max_attempts");
-        assert_eq!(r.gave_up, 1);
-        assert_eq!(r.pending(), 0);
+        let mut bench = Bench::new(cfg);
+        bench.send(0, 1, 1);
+        assert_eq!(bench.fire(10), vec![(NodeId(1), 1)]);
+        assert_eq!(bench.timers, vec![40], "backoff: the next deadline is rto * backoff away");
+        assert_eq!(bench.fire(40), vec![(NodeId(1), 1)]);
+        assert_eq!(bench.timers, vec![130]);
+        assert_eq!(bench.r.retransmissions, 2);
+        // Three transmissions made: the third firing gives up.
+        assert_eq!(bench.fire(130), vec![]);
+        assert_eq!((bench.r.gave_up, bench.r.pending()), (1, 0));
+        assert!(bench.timers.is_empty(), "nothing left to guard");
+        assert_eq!((bench.r.timer_fires, bench.r.timer_idle), (3, 0), "giving up is not idling");
+    }
+
+    /// The one timer against the rule it replaces — a timer per
+    /// envelope, re-armed `rto · backoff^k` after its k-th firing: over
+    /// a random schedule of bursts, acks and envelopes never acked
+    /// (dropped), every retransmission and every give-up happens at the
+    /// tick the per-envelope rule puts it, a tick's retransmissions
+    /// leaving in `(receiver, seq)` order.
+    #[test]
+    fn one_timer_retransmits_at_the_ticks_a_timer_per_envelope_would() {
+        seeded::check("one_timer_retransmits_at_the_ticks_a_timer_per_envelope_would", 48, |g| {
+            let cfg = ReliableConfig {
+                rto: g.range(1u64..7),
+                backoff: g.range(1u32..4),
+                max_attempts: g.range(1u32..5),
+                promise_timeout: 99,
+            };
+            let mut bench = Bench::new(cfg);
+            // The model: per unacked envelope, transmissions so far and
+            // the tick its own timer fires next.
+            let mut model: BTreeMap<(NodeId, u64), (u32, Time)> = BTreeMap::new();
+            let mut gave_up = 0;
+            let busy = 10 + 10 * g.size() as Time;
+            // Past `busy` nothing is sent or acked; every envelope left
+            // runs out of attempts within 6 * (1 + 3 + 9 + 27) ticks.
+            for now in 0..busy + 250 {
+                let mut due = Vec::new();
+                model.retain(|&key, (attempts, at)| {
+                    if *at != now {
+                        return true;
+                    }
+                    if *attempts >= cfg.max_attempts {
+                        gave_up += 1;
+                        return false;
+                    }
+                    *attempts += 1;
+                    *at = now + cfg.rto * u64::from(cfg.backoff).pow(*attempts - 1);
+                    due.push(key);
+                    true
+                });
+                assert_eq!(bench.fire(now), due, "tick {now}");
+                assert_eq!(bench.r.gave_up, gave_up, "tick {now}");
+                if now < busy {
+                    let burst: Vec<u32> = (0..g.range(0u32..4)).map(|_| g.range(1u32..4)).collect();
+                    let sent = bench.handler(now, |r, ctx| {
+                        for &to in &burst {
+                            r.send(ctx, NodeId(to), announce(to));
+                        }
+                    });
+                    model.extend(sent.into_iter().map(|key| (key, (1, now + cfg.rto))));
+                    let outstanding: Vec<(NodeId, u64)> = model.keys().copied().collect();
+                    for (from, seq) in outstanding {
+                        if g.range(0u32..4) == 0 {
+                            bench.ack(now, from.0, seq);
+                            model.remove(&(from, seq));
+                        }
+                    }
+                }
+                assert_eq!(bench.r.pending(), model.len(), "tick {now}");
+            }
+            assert!(model.is_empty(), "the horizon outlasts every envelope");
+            assert!(bench.timers.is_empty() && bench.r.armed.is_none(), "no timer outlives them");
+        });
     }
 
     #[test]
     fn non_transport_messages_pass_through() {
         let mut r = Reliable::new(ReliableConfig::default());
-        let mut out = ctx_parts();
+        let mut out = Vec::new();
         let mut ctx = Ctx::manual(NodeId(1), 0, 0, &mut out);
         assert_eq!(r.on_message(&mut ctx, NodeId(0), Msg::Kick), Some((Msg::Kick, None)));
         assert!(out.is_empty());
@@ -306,7 +521,7 @@ mod tests {
         // new envelope still passes.
         let mut r = Reliable::new(ReliableConfig::default());
         r.restore_seen([(NodeId(0), 4)]);
-        let mut out = ctx_parts();
+        let mut out = Vec::new();
         {
             let mut ctx = Ctx::manual(NodeId(1), 200, 0, &mut out);
             let dup = env(4, announce(2));
@@ -322,35 +537,69 @@ mod tests {
     }
 
     #[test]
-    fn restored_seq_counters_continue_past_old_numbers() {
-        let mut r = Reliable::new(ReliableConfig::default());
-        let mut out = ctx_parts();
-        let mut ctx = Ctx::manual(NodeId(0), 0, 0, &mut out);
-        assert_eq!(r.send(&mut ctx, NodeId(1), announce(1)), 1);
-        assert_eq!(r.send(&mut ctx, NodeId(1), announce(2)), 2);
-        // Crash: volatile state lost, counters restored from storage.
-        let mut r2 = Reliable::new(ReliableConfig::default());
-        r2.restore_seqs(BTreeMap::from([(NodeId(1), 2)]));
-        out.clear();
-        let mut ctx = Ctx::manual(NodeId(0), 50, 0, &mut out);
-        assert_eq!(r2.send(&mut ctx, NodeId(1), announce(3)), 3, "no reuse");
+    fn a_crash_keeps_the_sequence_counters_and_forgets_the_rest() {
+        let mut bench = Bench::new(ReliableConfig::default());
+        assert_eq!(bench.send(0, 1, 1), vec![(NodeId(1), 1)]);
+        assert_eq!(bench.send(0, 1, 2), vec![(NodeId(1), 2)]);
+        assert_eq!(bench.send(0, 2, 3), vec![(NodeId(2), 1)]);
+        bench.handler(3, |r, ctx| {
+            assert!(r.on_message(ctx, NodeId(1), env(9, announce(4))).is_some());
+            assert!(r.on_message(ctx, NodeId(1), env(9, announce(4))).is_none());
+        });
+        assert_eq!(bench.fire(64).len(), 3);
+        bench.r.crash();
+        let r = &bench.r;
+        assert!(r.unacked.is_empty() && r.seen.is_empty() && r.armed.is_none());
+        let counters =
+            [r.gave_up, r.duplicates_suppressed, r.retransmissions, r.timer_fires, r.timer_idle];
+        assert_eq!(counters, [0; 5]);
+        // Sequence numbers continue past every one used before the crash:
+        // receivers' dedup sets would discard a reused one.
+        assert_eq!(bench.send(300, 1, 5), vec![(NodeId(1), 3)], "no reuse");
+        assert_eq!(bench.send(300, 2, 6), vec![(NodeId(2), 2)], "no reuse");
+        bench.r.reset();
+        assert!(bench.r.next_seq.is_empty(), "a reset forgets them too: the next instance");
+    }
+
+    #[test]
+    fn a_timer_that_outlived_a_crash_is_ignored_and_starts_no_second_chain() {
+        let mut bench = Bench::new(ReliableConfig::default());
+        bench.send(0, 1, 1); // arms the timer for 64
+        bench.r.crash();
+        // The restarted node sends again before the old timer lands.
+        bench.send(40, 1, 2);
+        assert_eq!(bench.timers, vec![64, 104], "the pre-crash timer is still in flight");
+        assert_eq!(bench.fire(64), vec![], "not the armed one: ignored");
+        assert_eq!(bench.timers, vec![104], "and it re-armed nothing");
+        assert_eq!((bench.r.timer_fires, bench.r.timer_idle), (1, 1));
+        assert_eq!(bench.fire(104), vec![(NodeId(1), 2)], "the live chain is untouched");
+        assert_eq!(bench.timers, vec![104 + 128], "one timer in flight, as ever");
+    }
+
+    #[test]
+    fn a_sooner_deadline_supersedes_the_armed_timer() {
+        // All that is unacked is deep in backoff, so the armed deadline is
+        // far off; a fresh envelope is due sooner and may not wait for it.
+        let mut bench = Bench::new(ReliableConfig::default());
+        bench.send(0, 1, 1);
+        assert_eq!(bench.fire(64), vec![(NodeId(1), 1)]);
+        assert_eq!(bench.timers, vec![192]);
+        bench.send(70, 2, 2);
+        assert_eq!(bench.timers, vec![192, 134]);
+        assert_eq!(bench.fire(134), vec![(NodeId(2), 1)]);
+        assert_eq!(bench.timers, vec![192, 192], "re-armed for the older envelope's deadline");
+        assert_eq!(bench.fire(192), vec![(NodeId(1), 1)], "resent once, by whichever lands first");
+        assert_eq!(bench.r.retransmissions, 3);
     }
 
     #[test]
     fn per_receiver_sequence_spaces_are_independent() {
-        let mut r = Reliable::new(ReliableConfig::default());
-        let mut out = ctx_parts();
-        let mut ctx = Ctx::manual(NodeId(0), 0, 0, &mut out);
-        r.send(&mut ctx, NodeId(1), announce(1));
-        r.send(&mut ctx, NodeId(2), announce(2));
-        r.send(&mut ctx, NodeId(1), announce(3));
-        let seqs: Vec<(NodeId, u64)> = out
-            .iter()
-            .filter_map(|(to, m, _)| match m {
-                Msg::Seq { seq, .. } => Some((*to, *seq)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(seqs, vec![(NodeId(1), 1), (NodeId(2), 1), (NodeId(1), 2)]);
+        let mut bench = Bench::new(ReliableConfig::default());
+        let sent = bench.handler(0, |r, ctx| {
+            r.send(ctx, NodeId(1), announce(1));
+            r.send(ctx, NodeId(2), announce(2));
+            r.send(ctx, NodeId(1), announce(3));
+        });
+        assert_eq!(sent, vec![(NodeId(1), 1), (NodeId(2), 1), (NodeId(1), 2)]);
     }
 }

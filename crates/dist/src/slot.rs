@@ -31,8 +31,8 @@ use std::time::Instant;
 
 /// A network node wrapped in the fault-tolerance machinery: an optional
 /// at-least-once transport ([`Reliable`]) for every cross-node message the
-/// wrapped role sends, and an optional write-ahead log ([`NodeStore`])
-/// from which the role is rebuilt after a crash.
+/// wrapped role sends, and an optional write-ahead log from which the
+/// role is rebuilt after a crash.
 ///
 /// With both disabled it is a transparent passthrough — the role handles
 /// messages on the real network context, with zero behavioral difference
@@ -42,10 +42,16 @@ pub struct NetNode {
     /// The wrapped protocol role.
     pub role: Node,
     pub(crate) reliable: Option<Reliable>,
-    /// Durable storage shared across the run (possibly across a whole
-    /// tenant fleet), plus the instance this node currently serves and
-    /// its id, which key its slice.
+    /// Set when the node logs ahead: where its slice is published when
+    /// the instance ends (a store shared across the run, possibly across
+    /// a whole tenant fleet), plus the instance this node currently
+    /// serves and its id, which key the slice there.
     store: Option<(NodeStore, InstanceId, u32)>,
+    /// The node's stable storage: its write-ahead-log slice for the
+    /// instance it serves, with the transport's outgoing sequence
+    /// counters all that survives a crash. Only this node reads or
+    /// writes it while the instance runs, so it takes no lock.
+    log: Vec<WalEntry>,
     /// Flight-recorder handle for this node: WAL appends/replays are
     /// recorded here, and the handle is re-attached to the role after a
     /// crash rebuild (replay itself runs with recording detached, so
@@ -68,12 +74,7 @@ impl NetNode {
     /// and delayed sends are think-time — both stay raw.
     fn forward(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, msg: Msg, extra: Time) {
         match &mut self.reliable {
-            Some(r) if to != ctx.self_id && extra == 0 => {
-                let seq = r.send(ctx, to, msg);
-                if let Some((store, instance, id)) = &self.store {
-                    store.record_seq(*instance, *id, to, seq);
-                }
-            }
+            Some(r) if to != ctx.self_id && extra == 0 => r.send(ctx, to, msg),
             Some(_) => {
                 // Only self-addressed timers may stay raw: a *cross-node*
                 // delayed send would silently skip the envelope and lose
@@ -106,9 +107,9 @@ impl NetNode {
         self.role.reset();
     }
 
-    /// Name the instance this node serves next: the WAL slice it logs to
-    /// and replays from, and the recorder its spans go to (off unless
-    /// instances are recorded).
+    /// Name the instance this node serves next: whose WAL slice it
+    /// logs, and the recorder its spans go to (off unless instances are
+    /// recorded).
     fn stamp(&mut self, instance: InstanceId, obs: &Obs) {
         self.obs = NodeObs::new(obs.clone(), self.obs.node, self.obs.site);
         if let Some(r) = &mut self.reliable {
@@ -119,6 +120,16 @@ impl NetNode {
         }
         if let Node::Actor(a) = &mut self.role {
             a.obs = self.obs.clone();
+        }
+    }
+
+    /// The instance is over: hand its WAL slice to the shared store,
+    /// keeping the buffer for the next instance.
+    fn publish(&mut self) {
+        if let Some((store, instance, id)) = &self.store {
+            if !self.log.is_empty() {
+                store.append_all(*instance, *id, &mut self.log);
+            }
         }
     }
 }
@@ -139,18 +150,14 @@ impl Process<Msg> for NetNode {
         // (post-dedup), with the delivery context it is processed under,
         // so a restart can replay exactly this stream — same payloads,
         // same times, same global delivery sequence numbers.
-        if let Some((store, instance, id)) = &self.store {
-            store.append(
-                *instance,
-                *id,
-                WalEntry {
-                    from,
-                    msg: payload.clone(),
-                    at: ctx.now(),
-                    delivery_seq: ctx.delivery_seq(),
-                    env_seq,
-                },
-            );
+        if self.store.is_some() {
+            self.log.push(WalEntry {
+                from,
+                msg: payload.clone(),
+                at: ctx.now(),
+                delivery_seq: ctx.delivery_seq(),
+                env_seq,
+            });
             self.obs.rec(ctx.now(), SpanKind::WalAppend { seq: ctx.delivery_seq() });
         }
         if self.reliable.is_some() {
@@ -170,23 +177,24 @@ impl Process<Msg> for NetNode {
             m.tick(ctx.now());
         }
         // Without stable storage there is nothing to come back from.
-        let Some((store, instance, id)) = &self.store else { return };
-        let log = store.log_of(*instance, *id);
+        if self.store.is_none() {
+            return;
+        }
         // Volatile state is lost: the role is again the node as
         // assembled, before the log replays over it.
         self.role.reset();
-        // Fresh transport state — but outgoing sequence counters continue
-        // past every number ever used (or receivers' dedup sets would
-        // silently discard the restarted node's new messages), and the
-        // receive-side dedup sets are rebuilt from the logged envelopes
-        // (or a peer retransmitting a pre-crash envelope would pass as a
-        // first delivery and be processed — and logged — twice). Which
-        // instance's slice to read is the node's identity, not volatile
-        // state: the store stamp survives the crash.
+        // Fresh transport state — but outgoing sequence counters, durable
+        // in place, continue past every number ever used (or receivers'
+        // dedup sets would silently discard the restarted node's new
+        // messages), and the receive-side dedup sets are rebuilt from the
+        // logged envelopes (or a peer retransmitting a pre-crash envelope
+        // would pass as a first delivery and be processed — and logged —
+        // twice). The slice and the stamp naming whose it is are the
+        // node's stable storage, not volatile state: both survive the
+        // crash.
         if let Some(r) = &mut self.reliable {
-            r.reset();
-            r.restore_seqs(store.seqs_of(*instance, *id));
-            r.restore_seen(log.iter().filter_map(|e| e.env_seq.map(|s| (e.from, s))));
+            r.crash();
+            r.restore_seen(self.log.iter().filter_map(|e| e.env_seq.map(|s| (e.from, s))));
         }
         // Replay the write-ahead log to rebuild volatile protocol state.
         // Each entry is replayed under its *original* delivery context
@@ -203,11 +211,11 @@ impl Process<Msg> for NetNode {
             Node::Actor(a) => Some((std::mem::take(&mut a.obs), a.mon.take())),
             _ => None,
         };
-        let replayed = log.len();
+        let replayed = self.log.len();
         let mut out = std::mem::take(&mut self.out);
-        for e in log {
+        for e in &self.log {
             let mut inner = Ctx::manual(ctx.self_id, e.at, e.delivery_seq, &mut out);
-            self.role.on_message(&mut inner, e.from, e.msg);
+            self.role.on_message(&mut inner, e.from, e.msg.clone());
         }
         out.clear();
         if let (Node::Actor(a), Some((obs, mon))) = (&mut self.role, attached) {
@@ -238,6 +246,10 @@ pub struct InstanceTotals {
     pub dedup_dropped: u64,
     /// Envelopes abandoned after the last retransmission.
     pub gave_up: u64,
+    /// Retransmission timers delivered.
+    pub timer_fires: u64,
+    /// Of those, the ones that found nothing due.
+    pub timer_idle: u64,
     /// Nanoseconds inside [`Network::run_to_quiescence`].
     pub run_ns: u64,
 }
@@ -322,6 +334,7 @@ impl<'t> InstanceSlot<'t> {
                 role,
                 reliable: config.reliable.map(Reliable::new),
                 store: store.clone().map(|s| (s, InstanceId::ROOT, ix as u32)),
+                log: Vec::new(),
                 // Who the node is; `stamp` attaches each instance's recorder.
                 obs: NodeObs::new(Obs::off(), ix as u32, site.0),
                 mon: mon.clone(),
@@ -349,9 +362,9 @@ impl<'t> InstanceSlot<'t> {
     ///    clock, sequence, statistics, fault state, recorder;
     /// 2. if an instance ran here before, every node's transport and role
     ///    and the monitor return to their assembled state, buffers kept;
-    /// 3. the stamps are applied: the instance id on the nodes' WAL
-    ///    slices, a fresh recorder when instances are recorded, the fault
-    ///    plan;
+    /// 3. the stamps are applied: the instance id the nodes' WAL slices
+    ///    are published under, a fresh recorder when instances are
+    ///    recorded, the fault plan;
     /// 4. the template's seed messages are injected, the arrival's
     ///    think-time overrides replacing the delay of the attempts they
     ///    name.
@@ -387,8 +400,10 @@ impl<'t> InstanceSlot<'t> {
         }
     }
 
-    /// Run the prepared instance to quiescence under the step budget and
-    /// read its report off the slot. The report's metrics snapshot is
+    /// Run the prepared instance to quiescence under the step budget,
+    /// publish its nodes' WAL slices to the shared store — one append per
+    /// `(instance, node)` that logged anything — and read its report off
+    /// the slot. The report's metrics snapshot is
     /// left empty — solo callers record one on top, fleets roll their own
     /// up, so no instance pays for a snapshot it does not publish.
     pub fn execute(&mut self) -> (RunReport, InstanceTotals) {
@@ -398,10 +413,15 @@ impl<'t> InstanceSlot<'t> {
             run_ns: started.elapsed().as_nanos() as u64,
             ..InstanceTotals::default()
         };
-        for r in self.net.nodes().iter().filter_map(|n| n.reliable.as_ref()) {
-            totals.retransmissions += r.retransmissions;
-            totals.dedup_dropped += r.duplicates_suppressed;
-            totals.gave_up += r.gave_up;
+        for node in self.net.nodes_mut() {
+            if let Some(r) = &node.reliable {
+                totals.retransmissions += r.retransmissions;
+                totals.dedup_dropped += r.duplicates_suppressed;
+                totals.gave_up += r.gave_up;
+                totals.timer_fires += r.timer_fires;
+                totals.timer_idle += r.timer_idle;
+            }
+            node.publish();
         }
         let mut report = self.collect_report(outcome);
         if let Some(m) = &self.mon {

@@ -1,9 +1,11 @@
 //! The write-ahead log behind crash–restart recovery: [`WalEntry`], one
 //! processed message with the delivery context it was processed under,
-//! and [`NodeStore`], the per-`(instance, node)` logs and transport
-//! sequence counters standing in for each site's stable storage.
-//! Scheduling decisions are not logged here: the one decision log is
-//! the flight recording (`ExecConfig::record`).
+//! and [`NodeStore`], where a run's per-`(instance, node)` logs are
+//! published. While an instance runs, each node appends to a slice of its
+//! own (`slot::NetNode`) — its stable storage, which it alone reads, on
+//! restart; the slot hands every slice to the store once, when the
+//! instance ends. Scheduling decisions are not logged here: the one
+//! decision log is the flight recording (`ExecConfig::record`).
 
 use crate::msg::InstanceId;
 use sim::Time;
@@ -39,24 +41,19 @@ pub struct WalEntry {
     pub env_seq: Option<u64>,
 }
 
-/// Durable per-node write-ahead log used by crash–restart recovery: the
-/// executor appends every *processed* (post-dedup) protocol message
-/// before handing it to the node, and a restarting node replays its log
-/// to re-derive exactly the volatile state it had built from those
-/// messages. Shared via `Arc`, standing in for each site's stable
-/// storage.
-///
-/// Logs and sequence counters are keyed by `(instance, node)`: one store
-/// can back a whole multi-tenant fleet, and a node crashing with several
-/// live instances replays each instance's stream under its own original
-/// delivery context. Single-instance runs key everything under
+/// The write-ahead logs of a run, by `(instance, node)`: every
+/// *processed* (post-dedup) protocol message a node logged before
+/// handling it, in the order it did — the stream a restarting node
+/// replays to re-derive exactly the volatile state it had built from
+/// those messages. Shared via `Arc`: one store backs a whole
+/// multi-tenant fleet, each instance's nodes publishing their slices
+/// when the instance ends. Single-instance runs key everything under
 /// [`InstanceId::ROOT`].
 ///
 /// [`InstanceId::ROOT`]: crate::msg::InstanceId::ROOT
 #[derive(Clone, Default)]
 pub struct NodeStore {
     logs: Arc<Mutex<PerNode<Vec<WalEntry>>>>,
-    seqs: Arc<Mutex<PerNode<SeqCounters>>>,
 }
 
 // Every node of a fleet holds a handle: the handle prints as one, not as
@@ -70,31 +67,21 @@ impl std::fmt::Debug for NodeStore {
 /// Per-`(instance, node)` storage slices inside a [`NodeStore`].
 type PerNode<T> = std::collections::BTreeMap<(InstanceId, u32), T>;
 
-/// Latest outgoing transport sequence number per receiver.
-type SeqCounters = std::collections::BTreeMap<sim::NodeId, u64>;
-
 impl NodeStore {
     /// Fresh empty store.
     pub fn new() -> NodeStore {
         NodeStore::default()
     }
 
-    /// Durably record the latest outgoing transport sequence number
-    /// `node` (of `instance`) used towards `to`, so a restarted sender
-    /// never reuses one.
-    pub fn record_seq(&self, instance: InstanceId, node: u32, to: sim::NodeId, seq: u64) {
-        locked(&self.seqs).entry((instance, node)).or_default().insert(to, seq);
-    }
-
-    /// The per-receiver sequence counters `node` (of `instance`) had
-    /// persisted.
-    pub fn seqs_of(&self, instance: InstanceId, node: u32) -> SeqCounters {
-        locked(&self.seqs).get(&(instance, node)).cloned().unwrap_or_default()
-    }
-
     /// Append one processed message to `node`'s log under `instance`.
     pub fn append(&self, instance: InstanceId, node: u32, entry: WalEntry) {
         locked(&self.logs).entry((instance, node)).or_default().push(entry);
+    }
+
+    /// Append a node's whole slice to its log under `instance`, in order,
+    /// leaving `slice` empty with its buffer.
+    pub fn append_all(&self, instance: InstanceId, node: u32, slice: &mut Vec<WalEntry>) {
+        locked(&self.logs).entry((instance, node)).or_default().append(slice);
     }
 
     /// Snapshot `node`'s log for `instance` in append order.
@@ -142,10 +129,12 @@ mod tests {
         assert_eq!(log[0], entry(0, Msg::Attempt { lit }, 4, None));
         assert_eq!(log[1], entry(1, Msg::Granted { lit }, 6, Some(3)));
         assert!(store.log_of(I, 9).is_empty());
-        store.record_seq(I, 2, sim::NodeId(1), 7);
-        store.record_seq(I, 2, sim::NodeId(1), 9);
-        assert_eq!(store.seqs_of(I, 2).get(&sim::NodeId(1)), Some(&9), "latest wins");
-        assert!(store.seqs_of(I, 3).is_empty());
+        let mut slice = vec![entry(3, Msg::Kick, 11, None), entry(3, Msg::Tick, 12, Some(1))];
+        let published = slice.clone();
+        store.append_all(I, 5, &mut slice);
+        assert!(slice.is_empty() && slice.capacity() >= 2, "drained, buffer kept");
+        assert_eq!(store.log_of(I, 5)[1..], published[..], "a slice lands after what is there");
+        assert_eq!(store.total(), 5);
     }
 
     #[test]
@@ -162,10 +151,8 @@ mod tests {
         };
         store.append(a, 0, e.clone());
         store.append(b, 0, e);
-        store.record_seq(a, 0, sim::NodeId(1), 5);
         assert_eq!(store.log_of(a, 0).len(), 1, "same node, separate logs per instance");
         assert_eq!(store.log_of(b, 0).len(), 1);
-        assert!(store.seqs_of(b, 0).is_empty(), "seq counters do not bleed across instances");
         assert_eq!(store.instances(), vec![a, b]);
     }
 }

@@ -45,9 +45,10 @@ fn hardened(seed: u64) -> ExecConfig {
 /// alone — every node (transport, role, stamps) and the monitor, by their
 /// `Debug` rendering, so a field added later takes part without anyone
 /// remembering to list it (the guard tables print opaquely: they are
-/// caches). Lossy links, a crash and the write-ahead log make the first
-/// instance leave as much behind as an instance can. Then both slots run
-/// the second arrival and must report the same.
+/// caches). Lossy links, a crash (with and without a restart) and the
+/// write-ahead log make the first instance leave as much behind as an
+/// instance can. Then both slots run the second arrival and must report
+/// the same.
 #[test]
 fn a_reset_slot_is_a_freshly_assembled_one() {
     for (name, spec) in templates() {
@@ -56,9 +57,13 @@ fn a_reset_slot_is_a_freshly_assembled_one() {
             let arrivals = generate(std::slice::from_ref(&spec), &WorkloadConfig::new(2, seed));
             let exec = hardened(seed);
             let built = build_workflow(&spec, exec.clone());
+            // Half the cases never restart node 0: it ends the instance
+            // down, its envelopes unacked and its retransmission timer
+            // armed, and its peers give up on it.
+            let restart = g.flip().then_some(200);
             let plan = || {
                 let plan = FaultPlan::new(seed ^ 0x5107).drop_rate(0.15).duplicate_rate(0.15);
-                Some(plan.crash(NodeId(0), 30, Some(200)))
+                Some(plan.crash(NodeId(0), 30, restart))
             };
 
             let mut reused = InstanceSlot::assemble(&spec, &built, &exec, Some(NodeStore::new()));
@@ -91,7 +96,9 @@ fn the_rendering_compared_is_the_state() {
     let before = format!("{slot:#?}");
     slot.execute();
     assert_ne!(format!("{slot:#?}"), before);
-    for field in ["facts_seen", "promises_seen", "unacked", "dep_states", "open_rounds"] {
+    let fields =
+        ["facts_seen", "promises_seen", "unacked", "armed", "log: [", "dep_states", "open_rounds"];
+    for field in fields {
         assert!(before.contains(field), "no `{field}` in the rendering");
     }
     assert!(format!("{slot:?}").contains("InstanceId(7)"), "the store stamp is part of it");

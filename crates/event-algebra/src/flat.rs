@@ -159,6 +159,12 @@ impl<K: Ord + Copy, V> SortedMap<K, V> {
         self.0.iter_mut().map(|(k, v)| (*k, v))
     }
 
+    /// Keep only the entries `keep` accepts, visited in key order; it may
+    /// change the values it keeps.
+    pub fn retain(&mut self, mut keep: impl FnMut(K, &mut V) -> bool) {
+        self.0.retain_mut(|(k, v)| keep(*k, v));
+    }
+
     /// Empty the map, keeping its buffer.
     pub fn clear(&mut self) {
         self.0.clear();
@@ -281,6 +287,12 @@ mod tests {
             *v += 1;
         }
         assert!(map.iter().map(|&(k, v)| (k, v - 1)).eq(tree_map.iter().map(|(&k, &v)| (k, v))));
+        map.retain(|k, v| {
+            *v -= 1;
+            k % 3 != 0
+        });
+        tree_map.retain(|k, _| k % 3 != 0);
+        assert!(map.iter().map(|(k, v)| (k, v)).eq(tree_map.iter()));
         set.clear();
         map.clear();
         assert!(set.is_empty() && map.is_empty());

@@ -207,6 +207,14 @@ pub fn stats_text(rec: &Recording) -> String {
     for (n, c) in &rtx {
         out.push_str(&format!("  node {n}: {c} retransmissions\n"));
     }
+    // Timer deliveries leave no span of their own; the run's counters
+    // carry them (a recording from before they existed has none).
+    let timers = |series| rec.metrics.counter(series, &[]);
+    if let (Some(fires), Some(idle)) =
+        (timers("transport.timer_fires"), timers("transport.timer_idle"))
+    {
+        out.push_str(&format!("  retransmission timers: {fires} fired, {idle} with nothing due\n"));
+    }
     if round_latencies.is_empty() {
         out.push_str("\npromise rounds: none recorded\n");
     } else {
@@ -409,6 +417,11 @@ mod tests {
         assert!(text.contains("site 1: 0 sent, 1 delivered"), "{text}");
         assert!(text.contains("1 retransmissions, 1 dedup drops"), "{text}");
         assert!(text.contains("2 occurrences"), "{text}");
+        assert!(!text.contains("retransmission timers"), "no transport counters, no line: {text}");
+        crate::MetricSink::add(&mut rec.metrics, "transport.timer_fires", &[], 5);
+        crate::MetricSink::add(&mut rec.metrics, "transport.timer_idle", &[], 4);
+        let text = stats_text(&rec);
+        assert!(text.contains("retransmission timers: 5 fired, 4 with nothing due"), "{text}");
     }
 
     #[test]
