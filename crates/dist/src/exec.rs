@@ -508,7 +508,7 @@ pub fn run_workflow(spec: &WorkflowSpec, config: ExecConfig) -> RunReport {
 
 /// Compile and run a workflow under a [`FaultPlan`]: link faults, site
 /// partitions and crash–restarts from the plan are applied to the
-/// network, a shared [`NodeStore`] write-ahead log backs crash recovery,
+/// network, every node's write-ahead log backs its crash recovery,
 /// and (when `config.reliable` is set) every cross-node protocol message
 /// rides the at-least-once transport.
 pub fn run_workflow_with_faults(

@@ -120,9 +120,9 @@ pub(crate) struct FleetRun {
 /// thread is worker 0) claim arrival indices from one counter, and a
 /// claim runs that arrival to completion on the claiming thread: prepare
 /// the worker's slot for the arrival's template, execute it under `exec`
-/// with the arrival's seed (and under `faults`, every instance logging
-/// to its own slice of the one store), wrap the report in an
-/// [`InstanceOutcome`]. The first worker to claim an arrival of a
+/// with the arrival's seed (and under `faults`, every instance
+/// publishing its nodes' log slices to the one store), wrap the report
+/// in an [`InstanceOutcome`]. The first worker to claim an arrival of a
 /// template compiles it — once per call, and never if no arrival names
 /// it; a worker assembles its slot for a template the first time it
 /// claims one and resets it every time after. The workers share the

@@ -16,8 +16,8 @@ use sim::Time;
 /// Identifies one workflow instance of a fleet.
 ///
 /// It names an [`Arrival`](crate::Arrival) and its
-/// [`InstanceOutcome`](crate::InstanceOutcome), and keys the instance's
-/// slice of a shared [`NodeStore`](crate::NodeStore). No wire message
+/// [`InstanceOutcome`](crate::InstanceOutcome), and keys the log slices
+/// the instance's nodes publish to a shared [`NodeStore`](crate::NodeStore). No wire message
 /// carries it: an instance runs alone on its slot's network, which is
 /// reset before the next one, so there is no foreign traffic to address
 /// (DESIGN.md §9, "Isolation by construction"). Single-instance runs are

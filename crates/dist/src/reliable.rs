@@ -237,27 +237,26 @@ impl Reliable {
         }
         self.armed = None;
         let (now, config) = (ctx.now(), self.config);
-        let (mut handled, mut earliest) = (0u64, None::<Time>);
+        let mut idle = true;
         self.unacked.retain(|(to, seq), e| {
-            if e.due <= now {
-                handled += 1;
-                if e.attempts >= config.max_attempts {
-                    self.gave_up += 1;
-                    self.obs.rec(now, SpanKind::EnvGiveUp { to: to.0, seq });
-                    return false;
-                }
-                e.attempts += 1;
-                e.due = config.deadline(now, e.attempts);
-                let kind = SpanKind::EnvRetransmit { to: to.0, seq, attempt: e.attempts };
-                self.obs.rec(now, kind);
-                ctx.send(to, Msg::Seq { seq, inner: Box::new(e.msg.clone()) });
-                self.retransmissions += 1;
+            if e.due > now {
+                return true;
             }
-            earliest = Some(earliest.map_or(e.due, |d| d.min(e.due)));
+            idle = false;
+            if e.attempts >= config.max_attempts {
+                self.gave_up += 1;
+                self.obs.rec(now, SpanKind::EnvGiveUp { to: to.0, seq });
+                return false;
+            }
+            e.attempts += 1;
+            e.due = config.deadline(now, e.attempts);
+            self.obs.rec(now, SpanKind::EnvRetransmit { to: to.0, seq, attempt: e.attempts });
+            ctx.send(to, Msg::Seq { seq, inner: Box::new(e.msg.clone()) });
+            self.retransmissions += 1;
             true
         });
-        self.timer_idle += u64::from(handled == 0);
-        if let Some(due) = earliest {
+        self.timer_idle += u64::from(idle);
+        if let Some(due) = self.unacked.iter().map(|(_, e)| e.due).min() {
             self.arm(ctx, due);
         }
     }
@@ -324,10 +323,11 @@ mod tests {
         }
 
         fn ack(&mut self, now: Time, from: u32, seq: u64) {
+            let timers = self.timers.len();
             let sent = self.handler(now, |r, ctx| {
                 assert_eq!(r.on_message(ctx, NodeId(from), Msg::Ack { seq }), None);
             });
-            assert!(sent.is_empty() && !self.timers.contains(&now), "an ack sends nothing");
+            assert!(sent.is_empty() && self.timers.len() == timers, "an ack sends nothing");
         }
 
         /// Deliver every queued timer whose deadline is `now`, one

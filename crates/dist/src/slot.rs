@@ -48,8 +48,8 @@ pub struct NetNode {
     /// serves and its id, which key the slice there.
     store: Option<(NodeStore, InstanceId, u32)>,
     /// The node's stable storage: its write-ahead-log slice for the
-    /// instance it serves, with the transport's outgoing sequence
-    /// counters all that survives a crash. Only this node reads or
+    /// instance it serves. It and the transport's outgoing sequence
+    /// counters are all that survives a crash. Only this node reads or
     /// writes it while the instance runs, so it takes no lock.
     log: Vec<WalEntry>,
     /// Flight-recorder handle for this node: WAL appends/replays are

@@ -17,8 +17,9 @@
 //! the one fleet runner in `fleet.rs`): it starts from a reset seeded
 //! [`sim::Network`] — queue included, so nothing a previous instance
 //! sent is left to arrive — and gets its own flight recorder (when
-//! [`ExecConfig::record`] is set), and its write-ahead-log slice in the
-//! shared [`NodeStore`] is keyed by `(instance, node)`. There is no
+//! [`ExecConfig::record`] is set), and its nodes log ahead to slices of
+//! their own, published under `(instance, node)` in the shared
+//! [`NodeStore`] when the instance ends. There is no
 //! channel between two instances, so no message names its instance and
 //! no receiver filters. A tenant run of instance *i* is therefore
 //! byte-identical to an independent [`crate::run_workflow_with_faults`]
@@ -97,8 +98,9 @@ pub struct TenantReport {
     /// when monitors are armed — fleet monitor telemetry
     /// (`tenant.monitor.facts` / `.guard_checks` / `.alerts` by kind).
     pub metrics: MetricsSnapshot,
-    /// The shared instance-keyed write-ahead log, when a fault plan
-    /// made one necessary.
+    /// The instance-keyed write-ahead log every finished instance
+    /// published its nodes' slices to, when a fault plan made one
+    /// necessary.
     pub wal: Option<NodeStore>,
     /// Wall-clock nanoseconds the fleet took (the only nondeterministic
     /// field; everything else is a pure function of inputs).
