@@ -53,6 +53,18 @@ pub fn saga(steps: usize, think: u64, fail_at: Option<usize>) -> Workflow {
     b.build()
 }
 
+/// The sagas the lossy-link gates run (`tests/fault_conformance.rs` and
+/// the `conformance` driver's fault mode): two, three and four steps,
+/// and three steps with the second aborting.
+pub fn gate_sagas() -> [(&'static str, Workflow); 4] {
+    [
+        ("saga2", saga(2, 3, None)),
+        ("saga3", saga(3, 3, None)),
+        ("saga4", saga(4, 3, None)),
+        ("saga3-abort1", saga(3, 3, Some(1))),
+    ]
+}
+
 /// A **contingency** pair: try `primary`; if it aborts, run `alternate`
 /// (Günthör-style alternative tasks). At most one of the two commits.
 pub fn contingency(think: u64, primary_fails: bool) -> Workflow {

@@ -11,7 +11,11 @@
 //! - reduces guards as [`Msg::Announce`]/[`Msg::PromiseGrant`] facts arrive
 //!   (Section 4.3's proof rules), re-evaluating parked attempts;
 //! - runs the promise protocol (Example 11) and the not-yet agreement for
-//!   `¬f` guards, with symbol-id priority for deadlock freedom;
+//!   `¬f` guards, with symbol-id priority for deadlock freedom. A promise
+//!   round stays open until it is granted or denied (no timeout: a lost
+//!   message is the transport's to resend), and every [`Msg::NotYetGrant`]
+//!   is either used or released by its receiver, so a hold never depends
+//!   on a query reaching the granter before the `Release` that follows it;
 //! - tracks each dependency's residual to *trigger* triggerable events
 //!   that have become required (Section 3.3(b));
 //! - on rejection of an attempted event, makes the complement occur
@@ -87,7 +91,10 @@ pub struct ActorStats {
     pub reductions: u64,
     /// Triggers sent to the agent.
     pub triggers: u64,
-    /// Promise rounds aborted by timeout (and possibly retried).
+    /// Retired, always 0: no promise round is aborted — a round stays
+    /// open until it is granted or denied, and a lost request or answer
+    /// is the transport's to recover. The field exists because the
+    /// benchmark reads it (`dist.promise_abort_share`).
     pub promise_aborts: u64,
     /// Coverage evaluations given up because the guard constrains more
     /// than [`MAX_COVERAGE_SYMBOLS`] symbols: the attempt parked without
@@ -167,7 +174,7 @@ impl LitState {
 /// that describes an instance to its initial value and keeps every
 /// buffer, so a warm actor handles its messages without touching the
 /// allocator. What is not reset is the template part (symbol, attributes,
-/// routing, timeouts), the stamps the slot re-applies (recorder and
+/// routing), the stamps the slot re-applies (recorder and
 /// monitor handles) and the guard table, which is a cache.
 #[derive(Debug, Clone)]
 pub struct SymbolActor {
@@ -213,18 +220,6 @@ pub struct SymbolActor {
     pub lazy: bool,
     /// Activity counters.
     pub stats: ActorStats,
-    /// When set, every outgoing promise request arms a self-addressed
-    /// [`Msg::PromiseExpire`] timer with this delay; an unanswered round
-    /// is aborted and retried so mutually-`◇` consensus cannot wedge on a
-    /// lost promise. `None` (the default) disables the timers — the
-    /// behavior on an idealized network is bit-for-bit unchanged.
-    pub promise_timeout: Option<Time>,
-    /// Give up re-entering a promise round after this many aborts (the
-    /// counterpart actor is presumed gone; the symbol is then reported
-    /// unresolved rather than looping forever).
-    pub max_promise_retries: u32,
-    /// Aborted-round counts per `(requested, requester)` pair.
-    promise_retries: SortedMap<(Literal, Literal), u32>,
     /// Flight-recorder handle (off by default): guard evaluations,
     /// occurrences, residual steps and promise-round phases become causal
     /// trace spans when a recorder is attached.
@@ -268,9 +263,6 @@ impl SymbolActor {
             routing,
             lazy: false,
             stats: ActorStats::default(),
-            promise_timeout: None,
-            max_promise_retries: 8,
-            promise_retries: SortedMap::new(),
             obs: NodeObs::off(),
             mon: None,
         }
@@ -293,7 +285,6 @@ impl SymbolActor {
         self.holds.clear();
         self.pending_requests.clear();
         self.stats = ActorStats::default();
-        self.promise_retries.clear();
     }
 
     /// The ordered occurrence facts this actor has recorded, as
@@ -347,7 +338,6 @@ impl SymbolActor {
             Msg::NotYetDeny { lit, occurred } => self.on_notyet_deny(ctx, lit, occurred),
             Msg::Release { .. } => self.on_release(ctx, from),
             Msg::Tick => self.on_tick(ctx),
-            Msg::PromiseExpire { lit, for_lit } => self.on_promise_expire(ctx, lit, for_lit),
             other => panic!("actor for {:?} received non-actor message {other:?}", self.sym),
         }
     }
@@ -411,38 +401,6 @@ impl SymbolActor {
             self.lit_state(l).requested_promises.remove(&lit);
         }
         // The need stays; a later fact arrival re-evaluates and may retry.
-    }
-
-    /// The timeout armed alongside a promise request fired. If the round
-    /// is still unanswered — no grant, no deny, and our own symbol still
-    /// unresolved — abort it and re-enter: the request (or its answer)
-    /// was lost, and waiting forever would wedge the mutual-`◇`
-    /// consensus. Answered or resolved rounds make this a no-op, so a
-    /// stale timer can never disturb a healthy run.
-    fn on_promise_expire(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, for_lit: Literal) {
-        if self.occurred.is_some() {
-            return;
-        }
-        let st = self.lit_state_ref(for_lit);
-        if !st.attempted || !st.requested_promises.contains(&lit) {
-            return; // answered (grant/deny arrived) or attempt withdrawn
-        }
-        self.stats.promise_aborts += 1;
-        self.obs.rec(ctx.now(), SpanKind::PromiseAbort { lit: olit(lit) });
-        if let Some(m) = &self.mon {
-            m.on_promise_abort(ctx.now(), self.obs.node, olit(lit));
-        }
-        self.lit_state(for_lit).requested_promises.remove(&lit);
-        let retries = self.promise_retries.get_or_insert_with((lit, for_lit), || 0);
-        if *retries < self.max_promise_retries {
-            *retries += 1;
-            // Re-evaluating re-runs pursue_needs, which re-sends the
-            // request (idempotent at the granter) and arms a fresh timer.
-            self.evaluate(ctx, for_lit);
-        }
-        // Retry budget exhausted: the need stays outstanding and the
-        // symbol is reported unresolved by the executor — a permanently
-        // unreachable peer is surfaced, not masked.
     }
 
     /// Fold newly seen occurrence facts into both guards and the
@@ -792,13 +750,6 @@ impl SymbolActor {
                     }
                     self.lit_state(lit).requested_promises.insert(f);
                     self.stats.promises_requested += 1;
-                    if let Some(timeout) = self.promise_timeout {
-                        ctx.send_after(
-                            ctx.self_id,
-                            Msg::PromiseExpire { lit: f, for_lit: lit },
-                            timeout,
-                        );
-                    }
                     ctx.send(target, Msg::PromiseRequest { lit: f, for_lit: lit });
                 }
                 Need::NotYetAgreement(f) => {
@@ -1088,11 +1039,24 @@ impl SymbolActor {
         ctx.send(requester, Msg::NotYetGrant { lit });
     }
 
+    /// Every grant is used or released by its receiver. A grant neither
+    /// literal waits for or holds answers a query our own decision
+    /// overtook — its `Release` reached the granter first, because the
+    /// transport resends a lost envelope but does not reorder — so the
+    /// granter is holding still for a requester that will never release
+    /// it: release it now.
     fn on_notyet_grant(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal) {
+        let sym = lit.symbol();
+        let asked =
+            |st: &LitState| st.notyet_pending.contains(&sym) || st.notyet_granted.contains(&sym);
+        if !asked(&self.pos) && !asked(&self.neg) {
+            ctx.send(self.routing.actor_of[sym], Msg::Release { lit });
+            return;
+        }
         for l in [Literal::pos(self.sym), Literal::neg(self.sym)] {
             let st = self.lit_state(l);
-            if st.notyet_pending.remove(&lit.symbol()) {
-                st.notyet_granted.insert(lit.symbol());
+            if st.notyet_pending.remove(&sym) {
+                st.notyet_granted.insert(sym);
             }
         }
         self.after_fact(ctx, None);

@@ -115,8 +115,8 @@ pub struct ExecConfig {
     /// given number of rounds. `None` = the paper's eager scheduler.
     pub lazy: Option<(Time, u32)>,
     /// Protocol hardening for lossy networks: wrap cross-node messages in
-    /// the at-least-once transport ([`crate::Reliable`]) and arm promise-round
-    /// timeouts on the actors. `None` (the default) sends raw messages —
+    /// the at-least-once transport ([`crate::Reliable`]), the one layer
+    /// that recovers a lost message. `None` (the default) sends raw messages —
     /// correct on the fault-free simulator and bit-identical to the
     /// behavior before the fault layer existed.
     pub reliable: Option<ReliableConfig>,
@@ -464,7 +464,6 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
             Arc::clone(&routing),
         );
         actor.lazy = lazy;
-        actor.promise_timeout = config.reliable.map(|r| r.promise_timeout);
         let site = site_of_sym.get(&s).copied().unwrap_or(SiteId(0));
         nodes.push((site, Node::Actor(actor)));
     }
@@ -560,7 +559,7 @@ fn solo_metrics(
     m.add("transport.timer_idle", &[], totals.timer_idle);
     m.add("run.steps", &[], report.steps);
     m.set_gauge("run.duration", &[], report.duration as i64);
-    let mut sched = [0u64; 6];
+    let mut sched = [0u64; 5];
     for (sym, st) in &report.actor_stats {
         let name = spec.table.name(*sym).unwrap_or("?");
         let labels: &[(&str, &str)] = &[("event", name)];
@@ -570,17 +569,15 @@ fn solo_metrics(
         m.add("actor.triggers", labels, st.triggers);
         sched[0] += st.promises_requested;
         sched[1] += st.promises_granted;
-        sched[2] += st.promise_aborts;
-        sched[3] += st.reductions;
-        sched[4] += st.announces_out;
-        sched[5] += st.coverage_cutoffs;
+        sched[2] += st.reductions;
+        sched[3] += st.announces_out;
+        sched[4] += st.coverage_cutoffs;
     }
     m.add("sched.promises_requested", &[], sched[0]);
     m.add("sched.promises_granted", &[], sched[1]);
-    m.add("sched.promise_aborts", &[], sched[2]);
-    m.add("sched.reductions", &[], sched[3]);
-    m.add("sched.announces", &[], sched[4]);
-    m.add("sched.coverage_cutoffs", &[], sched[5]);
+    m.add("sched.reductions", &[], sched[2]);
+    m.add("sched.announces", &[], sched[3]);
+    m.add("sched.coverage_cutoffs", &[], sched[4]);
     let mut dep = String::new();
     for (ix, &ok) in report.satisfied.iter().enumerate() {
         m.set_gauge("dep.satisfied", &[("dep", index_label(&mut dep, ix))], i64::from(ok));

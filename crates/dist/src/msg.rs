@@ -165,16 +165,6 @@ pub enum Msg {
         /// deadline superseded it — is ignored.
         at: Time,
     },
-    /// Self-addressed promise-round timer: if the `◇lit` request made on
-    /// behalf of `for_lit` is still unanswered when this fires, the round
-    /// is aborted and re-entered, so mutually-`◇` consensus cannot wedge
-    /// on a lost or long-delayed promise.
-    PromiseExpire {
-        /// The event whose promise was requested.
-        lit: Literal,
-        /// The requester's event.
-        for_lit: Literal,
-    },
 }
 
 impl Msg {
@@ -202,7 +192,6 @@ impl Msg {
             Msg::Seq { inner, .. } => inner.kind_label(),
             Msg::Ack { .. } => "ack",
             Msg::RetryTimer { .. } => "retry_timer",
-            Msg::PromiseExpire { .. } => "promise_expire",
         }
     }
 
@@ -213,7 +202,6 @@ impl Msg {
         match self {
             Msg::Kick | Msg::Tick | Msg::Ack { .. } | Msg::RetryTimer { .. } => None,
             Msg::Seq { inner, .. } => inner.literal(),
-            Msg::PromiseExpire { lit, .. } => Some(*lit),
             Msg::Attempt { lit }
             | Msg::Inform { lit }
             | Msg::Granted { lit }
@@ -254,7 +242,6 @@ mod tests {
             Msg::NotYetDeny { lit: l, occurred: false },
             Msg::Release { lit: l },
             Msg::Seq { seq: 9, inner: Box::new(Msg::Announce { lit: l, at: 5, seq: 1 }) },
-            Msg::PromiseExpire { lit: l, for_lit: l.complement() },
         ];
         for m in msgs {
             assert_eq!(m.literal(), Some(l), "{m:?}");

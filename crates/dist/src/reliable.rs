@@ -10,8 +10,18 @@
 //!
 //! At-least-once delivery plus exactly-once processing restores the
 //! idealized-channel premise of Theorem 2's safety argument: a guard
-//! evaluated against deduplicated, per-link-ordered announcements sees
-//! the same fact stream it would see on a perfect network, just later.
+//! evaluated against deduplicated announcements sees the same fact set
+//! it would see on a perfect network, just later. Order is *not*
+//! restored: a retransmitted envelope is processed after anything its
+//! sender sent since on the same link, so the protocol above may rely on
+//! every message arriving once, never on two arriving in the order they
+//! were sent (announcements carry their own occurrence sequence; a
+//! not-yet grant is used or released by whoever receives it — see
+//! [`SymbolActor`](crate::SymbolActor)).
+//!
+//! This is the only layer that recovers a lost message. The actors above
+//! it keep no timeouts: a request stays outstanding until its envelope,
+//! and the answer's, get through.
 
 use crate::msg::Msg;
 use event_algebra::{SortedMap, SortedSet};
@@ -39,14 +49,11 @@ pub struct ReliableConfig {
     /// protocol treats a peer as unreachable; a healed partition within
     /// the retry horizon is survived, a permanent one is not masked).
     pub max_attempts: u32,
-    /// How long a `◇` promise request may stay unanswered before the
-    /// round is aborted and retried ([`Msg::PromiseExpire`]).
-    pub promise_timeout: Time,
 }
 
 impl Default for ReliableConfig {
     fn default() -> ReliableConfig {
-        ReliableConfig { rto: 64, backoff: 2, max_attempts: 12, promise_timeout: 512 }
+        ReliableConfig { rto: 64, backoff: 2, max_attempts: 12 }
     }
 }
 
@@ -426,7 +433,7 @@ mod tests {
 
     #[test]
     fn unacked_envelope_is_retransmitted_with_backoff() {
-        let cfg = ReliableConfig { rto: 10, backoff: 3, max_attempts: 3, promise_timeout: 99 };
+        let cfg = ReliableConfig { rto: 10, backoff: 3, max_attempts: 3 };
         let mut bench = Bench::new(cfg);
         bench.send(0, 1, 1);
         assert_eq!(bench.fire(10), vec![(NodeId(1), 1)]);
@@ -454,7 +461,6 @@ mod tests {
                 rto: g.range(1u64..7),
                 backoff: g.range(1u32..4),
                 max_attempts: g.range(1u32..5),
-                promise_timeout: 99,
             };
             let mut bench = Bench::new(cfg);
             // The model: per unacked envelope, transmissions so far and

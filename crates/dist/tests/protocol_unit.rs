@@ -185,6 +185,56 @@ fn not_yet_agreement_holds_and_releases() {
     assert_eq!(occurred(&net, NodeId(1)), Some(Literal::pos(f)));
 }
 
+/// Every `NotYetGrant` is used or released by its receiver: a grant
+/// nobody asked for (the query it answers was overtaken by the
+/// requester's own `Release`) goes straight back as a `Release` and
+/// changes nothing; a grant awaited becomes a hold; a second grant for a
+/// hold already had is absorbed.
+#[test]
+fn a_not_yet_grant_is_used_or_released() {
+    let (e, f, g) = (SymbolId(0), SymbolId(1), SymbolId(2));
+    let mut routing = Routing::default();
+    for s in 0..3 {
+        routing.actor_of.insert(SymbolId(s), NodeId(s));
+    }
+    routing.subscribers_of.insert(e, vec![]);
+    // e's guard ¬f ∧ □g: the agreement alone does not let e occur.
+    let guard = Guard::not_yet(Literal::pos(f)).and(&Guard::occurred(Literal::pos(g)));
+    let mut actor = SymbolActor::new(
+        e,
+        guard,
+        Guard::top(),
+        EventAttrs::controllable(),
+        EventAttrs::immediate(),
+        vec![],
+        Arc::new(routing),
+    );
+    let deliver = |actor: &mut SymbolActor, from: u32, msg: Msg| {
+        let mut out = Vec::new();
+        actor.handle(&mut Ctx::manual(NodeId(0), 10, 1, &mut out), NodeId(from), msg);
+        out
+    };
+    let grant = Msg::NotYetGrant { lit: Literal::pos(f) };
+    let asks = |a: &SymbolActor| (a.pos.notyet_pending.to_vec(), a.pos.notyet_granted.to_vec());
+
+    let out = deliver(&mut actor, 1, grant.clone());
+    assert_eq!(out, vec![(NodeId(1), Msg::Release { lit: Literal::pos(f) }, 0)], "orphan grant");
+    assert_eq!(asks(&actor), (vec![], vec![]));
+    assert_eq!((actor.occurred, actor.pos.attempted), (None, false));
+
+    let out = deliver(&mut actor, 0, Msg::Attempt { lit: Literal::pos(e) });
+    let query = Msg::NotYetQuery { lit: Literal::pos(f), for_lit: Literal::pos(e) };
+    assert_eq!(out, vec![(NodeId(1), query, 0)]);
+    assert_eq!(asks(&actor), (vec![f], vec![]));
+
+    assert_eq!(deliver(&mut actor, 1, grant.clone()), vec![], "awaited grant");
+    assert_eq!(asks(&actor), (vec![], vec![f]));
+
+    assert_eq!(deliver(&mut actor, 1, grant), vec![], "grant for a hold already had");
+    assert_eq!(asks(&actor), (vec![], vec![f]));
+    assert_eq!(actor.occurred, None);
+}
+
 #[test]
 fn rejection_forces_complement_through_its_guard() {
     // e's guard: 0 (can never occur). Attempting e rejects it and the

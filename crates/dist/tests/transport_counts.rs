@@ -36,9 +36,8 @@ fn hardened_fault_free(spec: &WorkflowSpec) -> RunReport {
 #[test]
 fn a_fault_free_hardened_run_arms_a_timer_per_sending_handler_at_most() {
     // (spec, net.sent_total, envelopes, transport.timer_fires). With a
-    // timer per envelope the same runs sent 127 and 64 messages: 36 and
-    // 20 timers.
-    for (name, sent, envelopes, timer_fires) in [("pipeline10", 101, 36, 10), ("travel", 51, 20, 7)]
+    // timer per envelope the same runs armed 36 and 20.
+    for (name, sent, envelopes, timer_fires) in [("pipeline10", 92, 36, 10), ("travel", 50, 20, 7)]
     {
         let report = hardened_fault_free(&example(name));
         let counter = |series: &str| report.metrics.counter(series, &[]).expect(series);
@@ -61,8 +60,21 @@ fn a_fault_free_hardened_run_arms_a_timer_per_sending_handler_at_most() {
         );
         assert!(sending_handlers.len() < sends().count(), "{name}: some handler sends a burst");
 
+        // The transport is the one layer that recovers a lost message:
+        // all a handler sends its own node (a send with no parent is the
+        // executor's seed message) is the retransmission timer and an
+        // agent's think time.
+        for e in recording.events.iter().filter(|e| e.parent.is_some()) {
+            if let SpanKind::MsgSend { from, to, label } = &e.kind {
+                assert!(
+                    from != to || matches!(&**label, "retry_timer" | "kick"),
+                    "{name}: node {to} sent itself a {label}"
+                );
+            }
+        }
+
         // The pins: the queue holds each envelope, its ack, the timers,
-        // and the raw traffic (seed messages, think-time, promise timers).
+        // and the raw traffic (seed messages, think time).
         let counts = (counter("net.sent_total"), sends().count(), counter("transport.timer_fires"));
         assert_eq!(counts, (sent, envelopes, timer_fires), "{name}");
     }

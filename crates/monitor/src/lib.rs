@@ -68,9 +68,10 @@ use std::sync::{Arc, Mutex};
 pub struct MonitorConfig {
     /// Sim-time budget for the stall watchdog: an open promise round or
     /// an enabled-but-unfired event older than this is flagged. The
-    /// default comfortably exceeds the reliable transport's promise
-    /// timeout (512 ticks) plus one retry, so healthy runs — including
-    /// healed partitions — stay quiet.
+    /// default exceeds the reliable transport's first five retransmission
+    /// deadlines (the fifth falls 64 · (2⁵ − 1) = 1 984 ticks after the
+    /// first send), so healthy runs — including healed partitions — stay
+    /// quiet.
     pub stall_budget: u64,
 }
 
@@ -536,15 +537,6 @@ impl WorkflowMonitor {
         self.sync_deadline(&st);
     }
 
-    /// Fused counterpart of a `PromiseAbort` span: the round `node`
-    /// opened for `lit` closed with an abort.
-    pub fn on_promise_abort(&self, at: u64, node: u32, lit: ObsLit) {
-        let mut st = self.state.lock().expect("monitor lock");
-        st.open_rounds.remove((node, lit.0));
-        st.sweep(at);
-        self.sync_deadline(&st);
-    }
-
     /// Fused counterpart of a `PromiseDeny` span recorded on the
     /// *granter*: closes the round the requesting node `to` had open
     /// for `lit`.
@@ -623,7 +615,7 @@ impl MonitorState {
                 });
                 self.stall_bound = self.stall_bound.min(event.at);
             }
-            SpanKind::PromiseCommit { lit } | SpanKind::PromiseAbort { lit } => {
+            SpanKind::PromiseCommit { lit } => {
                 self.open_rounds.remove((event.node, lit.0));
             }
             // A deny is recorded on the *granter*; `to` names the

@@ -168,7 +168,7 @@ pub fn stats_text(rec: &Recording) -> String {
             SpanKind::EnvGiveUp { .. } => giveups += 1,
             SpanKind::Occurred { .. } => occurrences += 1,
             SpanKind::PromiseOpen { .. } => opens.push(e),
-            SpanKind::PromiseCommit { lit } | SpanKind::PromiseAbort { lit } => {
+            SpanKind::PromiseCommit { lit } => {
                 // Close the earliest still-open round for this literal.
                 if let Some(i) = opens.iter().position(|o| {
                     matches!(&o.kind, SpanKind::PromiseOpen { lit: l, .. } if l == lit)

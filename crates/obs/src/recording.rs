@@ -371,7 +371,6 @@ fn kind_fields(kind: &SpanKind) -> Vec<(&'static str, Json)> {
         | SpanKind::Parked { lit: l }
         | SpanKind::Rejected { lit: l }
         | SpanKind::Triggered { lit: l }
-        | SpanKind::PromiseAbort { lit: l }
         | SpanKind::PromiseCommit { lit: l } => vec![("lit", lit(l))],
         SpanKind::GuardEval { lit: l, verdict, residual, facts } => vec![
             ("lit", lit(l)),
@@ -521,7 +520,6 @@ fn event_from_json(v: &Json) -> Result<TraceEvent, String> {
         }
         "promise_grant" => SpanKind::PromiseGrant { lit: lit_field("lit")?, to: u32_field("to")? },
         "promise_deny" => SpanKind::PromiseDeny { lit: lit_field("lit")?, to: u32_field("to")? },
-        "promise_abort" => SpanKind::PromiseAbort { lit: lit_field("lit")? },
         "promise_commit" => SpanKind::PromiseCommit { lit: lit_field("lit")? },
         "wal_append" => SpanKind::WalAppend { seq: u64_field("seq")? },
         "wal_replay" => SpanKind::WalReplay { entries: u64_field("entries")? },

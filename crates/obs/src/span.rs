@@ -305,11 +305,6 @@ pub enum SpanKind {
         /// The requesting node.
         to: u32,
     },
-    /// A promise round aborted (timeout) and released its holds.
-    PromiseAbort {
-        /// The literal whose round aborted.
-        lit: ObsLit,
-    },
     /// A promise round committed: mutual `◇` closed into an occurrence.
     PromiseCommit {
         /// The literal whose round committed.
@@ -358,7 +353,6 @@ impl SpanKind {
             SpanKind::PromiseOpen { .. } => "promise_open",
             SpanKind::PromiseGrant { .. } => "promise_grant",
             SpanKind::PromiseDeny { .. } => "promise_deny",
-            SpanKind::PromiseAbort { .. } => "promise_abort",
             SpanKind::PromiseCommit { .. } => "promise_commit",
             SpanKind::WalAppend { .. } => "wal_append",
             SpanKind::WalReplay { .. } => "wal_replay",
@@ -382,7 +376,6 @@ impl SpanKind {
                 | SpanKind::PromiseOpen { .. }
                 | SpanKind::PromiseGrant { .. }
                 | SpanKind::PromiseDeny { .. }
-                | SpanKind::PromiseAbort { .. }
                 | SpanKind::PromiseCommit { .. }
                 | SpanKind::WalAppend { .. }
                 | SpanKind::WalReplay { .. }
@@ -439,7 +432,6 @@ impl SpanKind {
             SpanKind::PromiseDeny { lit, to } => {
                 format!("promise deny {} ->n{to}", lit.name(symbols))
             }
-            SpanKind::PromiseAbort { lit } => format!("promise abort {}", lit.name(symbols)),
             SpanKind::PromiseCommit { lit } => format!("promise commit {}", lit.name(symbols)),
             SpanKind::WalAppend { seq } => format!("wal append seq={seq}"),
             SpanKind::WalReplay { entries } => format!("wal replay {entries} entries"),

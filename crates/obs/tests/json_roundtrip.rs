@@ -17,7 +17,7 @@ fn kind(r: &mut Rng) -> SpanKind {
     let a = (r.next_u64() % 6) as u32;
     let b = (r.next_u64() % 6) as u32;
     let seq = r.next_u64() % 1000;
-    match r.next_u64() % 28 {
+    match r.next_u64() % 27 {
         0 => SpanKind::MsgSend { from: a, to: b, label: "announce".into() },
         1 => SpanKind::MsgDeliver { from: a, to: b, label: "attempt".into() },
         2 => SpanKind::FaultDrop { from: a, to: b },
@@ -64,9 +64,8 @@ fn kind(r: &mut Rng) -> SpanKind {
         21 => SpanKind::PromiseOpen { lit: lit(r), for_lit: lit(r) },
         22 => SpanKind::PromiseGrant { lit: lit(r), to: b },
         23 => SpanKind::PromiseDeny { lit: lit(r), to: b },
-        24 => SpanKind::PromiseAbort { lit: lit(r) },
-        25 => SpanKind::PromiseCommit { lit: lit(r) },
-        26 => SpanKind::WalAppend { seq },
+        24 => SpanKind::PromiseCommit { lit: lit(r) },
+        25 => SpanKind::WalAppend { seq },
         _ => SpanKind::WalReplay { entries: seq },
     }
 }

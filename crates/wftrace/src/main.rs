@@ -219,7 +219,6 @@ fn span_lit(kind: &SpanKind) -> Option<ObsLit> {
         | SpanKind::PromiseOpen { lit, .. }
         | SpanKind::PromiseGrant { lit, .. }
         | SpanKind::PromiseDeny { lit, .. }
-        | SpanKind::PromiseAbort { lit }
         | SpanKind::PromiseCommit { lit } => Some(*lit),
         _ => None,
     }

@@ -10,7 +10,9 @@
 # crashes) and the benchmark's own selfcheck.
 #
 # `check.sh --faults` runs the fault-conformance tier instead: the
-# `conformance` driver sweeps every example spec through the standard
+# `conformance` driver sweeps every example spec, then the four model
+# sagas (two to four steps, one with an aborting step: the workflows
+# whose not-yet holds a lost message can orphan), through the standard
 # fault-plan matrix (clean, drop20, dup20, jitter, partition, crash,
 # chaos) on fixed seeds with a hard step budget. Budgeted to finish well
 # under a minute. Since the conformance harness arms the online monitors
@@ -88,7 +90,7 @@ fi
 if [ "${1:-}" = "--faults" ]; then
     echo "==> cargo build --release --offline --bin conformance"
     cargo build --release --offline --bin conformance
-    echo "==> conformance over examples/specs/*.wf x fault matrix"
+    echo "==> conformance over examples/specs/*.wf and the model sagas x fault matrix"
     "$REPO/target/release/conformance" --seeds 8 --max-steps 2000000 \
         "$REPO"/examples/specs/*.wf
     echo "==> fault tier passed"

@@ -10,7 +10,11 @@
 //!
 //! With no spec arguments, sweeps `examples/specs/*.wf`. Liveness is
 //! only demanded of specs the static analyzer reports error-free — a
-//! spec wfcheck already rejects is run for safety alone.
+//! spec wfcheck already rejects is run for safety alone. After the
+//! specs, the default (fault) mode always sweeps the four model sagas
+//! of `constrained_events::models::gate_sagas` through the same matrix:
+//! they are the workflows whose not-yet agreements a lost message can
+//! leave half done.
 //!
 //! `--monitor-equiv` switches to the eleventh audit: every spec runs
 //! each (seed, fault plan) scenario once with the fused monitor and the
@@ -109,6 +113,9 @@ fn main() -> ExitCode {
     };
 
     let plan_count = standard_plans(0).len() as u64;
+    let mut config = ExecConfig::seeded(0);
+    config.reliable = Some(ReliableConfig::default());
+    config.max_steps = args.max_steps;
     let mut total_failures = 0usize;
     let mut fleet_specs = Vec::new();
     for path in &args.specs {
@@ -137,10 +144,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let mut config = ExecConfig::seeded(0);
-        config.reliable = Some(ReliableConfig::default());
-        config.max_steps = args.max_steps;
-
         if args.mode == Mode::Tenant {
             // The fleet below demands satisfaction, so it takes clean specs only.
             if expect_live {
@@ -187,28 +190,15 @@ fn main() -> ExitCode {
             continue;
         }
 
-        let failures = explore(&workflow.name, &workflow.spec, config, 0..args.seeds, expect_live);
-        let scenarios = args.seeds * plan_count;
-        if failures.is_empty() {
-            println!(
-                "conformance: {:<12} {} scenarios ok ({} seeds x {} plans, liveness {})",
-                workflow.name,
-                scenarios,
-                args.seeds,
-                plan_count,
-                if expect_live { "checked" } else { "waived: static errors" }
-            );
-        } else {
-            for f in &failures {
-                eprintln!("FAIL {f}");
-            }
-            eprintln!(
-                "conformance: {:<12} {}/{} scenarios nonconforming",
-                workflow.name,
-                failures.len(),
-                scenarios
-            );
-            total_failures += failures.len();
+        total_failures +=
+            fault_sweep(&workflow.name, &workflow.spec, &config, args.seeds, expect_live);
+    }
+    if args.mode == Mode::Faults {
+        // The model sagas: their not-yet agreements are what a lost
+        // message can leave half done (DESIGN.md §5b), and no example
+        // spec asks for one.
+        for (name, workflow) in constrained_events::models::gate_sagas() {
+            total_failures += fault_sweep(name, &workflow.spec, &config, args.seeds, true);
         }
     }
     if args.mode == Mode::Tenant {
@@ -219,6 +209,33 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// Fault mode: `spec` through the standard plan matrix over `seeds`
+/// seeds, one line printed. Returns the number of failures.
+fn fault_sweep(
+    name: &str,
+    spec: &WorkflowSpec,
+    config: &ExecConfig,
+    seeds: u64,
+    expect_live: bool,
+) -> usize {
+    let plan_count = standard_plans(0).len() as u64;
+    let failures = explore(name, spec, config.clone(), 0..seeds, expect_live);
+    let scenarios = seeds * plan_count;
+    if failures.is_empty() {
+        println!(
+            "conformance: {name:<12} {scenarios} scenarios ok ({seeds} seeds x {plan_count} \
+             plans, liveness {})",
+            if expect_live { "checked" } else { "waived: static errors" }
+        );
+    } else {
+        for f in &failures {
+            eprintln!("FAIL {f}");
+        }
+        eprintln!("conformance: {name:<12} {}/{scenarios} scenarios nonconforming", failures.len());
+    }
+    failures.len()
 }
 
 /// The `--tenant` tier: one mixed fleet of `specs`, monitors armed,
