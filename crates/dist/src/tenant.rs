@@ -44,10 +44,13 @@ pub struct TenantConfig {
     /// here; every other field means what it means on a solo run —
     /// `record` gives every instance a flight recorder of its own.
     pub exec: ExecConfig,
-    /// Fault plan applied to every instance's network (cloned per
-    /// instance, so fault decisions are also per-instance
-    /// deterministic). Installing one materializes the shared
-    /// instance-keyed write-ahead log.
+    /// Fault plan applied to every instance's network. It is cloned per
+    /// instance *with its seed*, so every instance replays one and the
+    /// same fault-decision stream: the `k`-th send that reaches the fault
+    /// layer draws the same random numbers in every instance of the
+    /// fleet. Runs are deterministic per instance, but a fleet does not
+    /// sample independent faults (ROADMAP item 1(i)). Installing one
+    /// materializes the shared instance-keyed write-ahead log.
     pub plan: Option<FaultPlan>,
     /// Number of OS threads that claim arrivals (the calling thread is
     /// one of them). `0` and `1` both mean sequential.

@@ -31,7 +31,7 @@ impl Trace {
 
     /// Replace this trace's events by `events`, keeping its buffer — for
     /// a caller that rebuilds a trace over and over (the online monitor
-    /// completes its observed trace after every gated firing). Checks
+    /// rebuilds its observed trace after every out-of-order fact). Checks
     /// what [`Trace::new`] checks; on a repeated symbol the trace is left
     /// empty and `false` is returned.
     pub fn refill(&mut self, events: impl IntoIterator<Item = Literal>) -> bool {
@@ -42,6 +42,12 @@ impl Trace {
             self.0.clear();
         }
         distinct
+    }
+
+    /// Append `l` without checking that its symbol is new — for a caller
+    /// that tracks resolved symbols itself (the online monitor).
+    pub fn push_unchecked(&mut self, l: Literal) {
+        self.0.push(l);
     }
 
     /// Build a trace without validity checks (for internal enumeration,

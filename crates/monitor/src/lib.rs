@@ -294,6 +294,10 @@ struct MonitorState {
     guards: Arc<CompiledWorkflow>,
     /// The guard-gated literals, as a bitset over `Literal::index`.
     gated: Vec<u64>,
+    /// `deps_of[symbol]`: the dependencies that mention the symbol, in
+    /// index order. A machine self-loops on every literal outside its
+    /// alphabet, so an occurrence steps only these.
+    deps_of: Vec<Vec<u32>>,
     /// Globally-ordered occurrences: delivery seq → literal.
     facts: SortedMap<u64, Literal>,
     /// Symbols resolved by an observed occurrence (either polarity), as
@@ -309,6 +313,13 @@ struct MonitorState {
     /// Divergent seqs already alerted.
     diverged: SortedSet<u64>,
     pending_guards: Vec<PendingGuard>,
+    /// The observed occurrences in `seq` order, as a trace: appended to
+    /// by an in-order fact, rebuilt after an out-of-order one, and dropped
+    /// (`None`) once a symbol occurs twice — the run then has no trace to
+    /// judge a guard on, and no check is decided. A decidable guard
+    /// mentions only resolved symbols, whose positions here are their
+    /// positions on the completed trace, so its checks evaluate on this.
+    observed: Option<Trace>,
     /// Open promise rounds keyed by (requesting node, round literal).
     open_rounds: SortedMap<(u32, u32), OpenSince>,
     /// Enabled-but-unfired evaluations keyed by (node, literal).
@@ -324,8 +335,8 @@ struct MonitorState {
     /// min-update it; removals and flaggings may leave it stale-low,
     /// which costs at most a spurious full scan (that recomputes it).
     stall_bound: u64,
-    /// The buffer the completed trace is rebuilt in for every batch of
-    /// decidable guard checks (empty in between).
+    /// The buffer [`MonitorState::finish`] completes the trace in (empty
+    /// in between).
     completed: Trace,
 }
 
@@ -394,6 +405,16 @@ impl WorkflowMonitor {
         for lit in gated {
             set_bit(&mut gated_bits, lit.index());
         }
+        let mut deps_of: Vec<Vec<u32>> = Vec::new();
+        for (ix, symbols) in guards.dependency_symbols.iter().enumerate() {
+            for s in symbols {
+                let s = s.0 as usize;
+                if s >= deps_of.len() {
+                    deps_of.resize_with(s + 1, Vec::new);
+                }
+                deps_of[s].push(ix as u32);
+            }
+        }
         WorkflowMonitor {
             stall_deadline: AtomicU64::new(u64::MAX),
             state: Mutex::new(MonitorState {
@@ -404,11 +425,13 @@ impl WorkflowMonitor {
                 dep_alerted,
                 guards,
                 gated: gated_bits,
+                deps_of,
                 facts: SortedMap::new(),
                 resolved: vec![0; (table.len()).div_ceil(64)],
                 canon: SortedMap::new(),
                 diverged: SortedSet::new(),
                 pending_guards: Vec::new(),
+                observed: Some(Trace::empty()),
                 open_rounds: SortedMap::new(),
                 open_evals: SortedMap::new(),
                 alerts: Vec::new(),
@@ -581,6 +604,7 @@ impl MonitorState {
         self.canon.clear();
         self.diverged.clear();
         self.pending_guards.clear();
+        self.observed.get_or_insert_with(Trace::empty).refill([]);
         self.open_rounds.clear();
         self.open_evals.clear();
         self.alerts.clear();
@@ -672,14 +696,32 @@ impl MonitorState {
             return; // a duplicate record, or a divergence already alerted
         }
         let in_order = self.facts.last().is_none_or(|&(max, _)| seq > max);
+        let repeated = resolved_bit(&self.resolved, lit.symbol());
         self.facts.insert(seq, lit);
         set_bit(&mut self.resolved, lit.symbol().0 as usize);
-        if in_order {
-            self.step_machines(at, node, lit);
-        } else {
-            // A fact slotted into the past: replay the whole ordered log
-            // so machine states reflect the true global order.
-            self.replay_machines(at, node);
+        if repeated {
+            self.observed = None;
+        } else if let Some(observed) = &mut self.observed {
+            if in_order {
+                observed.push_unchecked(lit);
+            } else {
+                let distinct = observed.refill(self.facts.iter().map(|&(_, l)| l));
+                debug_assert!(distinct, "a trace is dropped at its first repeated symbol");
+            }
+        }
+        // Only the machines of the dependencies mentioning `lit` can move:
+        // every other one self-loops on it. A fact slotted into the past
+        // replays the ordered log through them, so their states reflect
+        // the true global order.
+        for k in 0..self.deps_of(lit).len() {
+            let ix = self.deps_of(lit)[k] as usize;
+            let machine = &self.guards.machines[ix];
+            self.dep_states[ix] = if in_order {
+                machine.step(self.dep_states[ix], lit)
+            } else {
+                self.facts.iter().fold(machine.initial, |state, &(_, l)| machine.step(state, l))
+            };
+            self.note_verdict(at, node, ix);
         }
         if bit(&self.gated, lit.index()) {
             self.check_guard(at, node, lit, seq);
@@ -687,23 +729,9 @@ impl MonitorState {
         self.recheck_pending(at);
     }
 
-    fn step_machines(&mut self, at: u64, node: u32, lit: Literal) {
-        for ix in 0..self.dep_states.len() {
-            let machine = &self.guards.machines[ix];
-            self.dep_states[ix] = machine.step(self.dep_states[ix], lit);
-            self.note_verdict(at, node, ix);
-        }
-    }
-
-    fn replay_machines(&mut self, at: u64, node: u32) {
-        for ix in 0..self.dep_states.len() {
-            let machine = &self.guards.machines[ix];
-            self.dep_states[ix] = self
-                .facts
-                .iter()
-                .fold(machine.initial, |state, &(_, lit)| machine.step(state, lit));
-            self.note_verdict(at, node, ix);
-        }
+    /// The dependencies `lit` can move: those mentioning its symbol.
+    fn deps_of(&self, lit: Literal) -> &[u32] {
+        self.deps_of.get(lit.symbol().0 as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Re-classify dependency `ix` after its machine moved; a changed
@@ -744,11 +772,11 @@ impl MonitorState {
     }
 
     /// Rebuild `into` as the observed occurrences completed with the
-    /// complements of every unresolved symbol — "the maximal trace if the
-    /// run quiesced now". `Guard::eval` demands a maximal trace, so every
-    /// evaluation goes through this. Positions of real facts are
-    /// unchanged (complements append after them). `false` on a duplicated
-    /// symbol, which the divergence monitor has already alerted.
+    /// complements of every unresolved symbol — the maximal trace of the
+    /// finished run, on which [`MonitorState::finish`] decides the checks
+    /// still pending. Positions of real facts are unchanged (complements
+    /// append after them). `false` on a duplicated symbol, which the
+    /// divergence monitor has already alerted.
     fn complete_trace(&self, into: &mut Trace) -> bool {
         into.refill(self.facts.iter().map(|&(_, lit)| lit).chain(self.unresolved_complements()))
     }
@@ -758,46 +786,33 @@ impl MonitorState {
     /// unresolved (`◇e` flips true when `e` lands; `◇ē` flips false), so
     /// the check is queued and *decided* — alerting on a discrepancy —
     /// the moment every symbol the guard mentions is resolved; usually
-    /// that is immediately, at fire time.
+    /// that is immediately, at fire time, by the recheck that ends
+    /// [`MonitorState::on_occurrence`].
     fn check_guard(&mut self, at: u64, node: u32, lit: Literal, seq: u64) {
         self.guard_checks += 1;
         self.pending_guards.push(PendingGuard { lit, seq, node, at });
-        self.recheck_pending(at);
     }
 
     /// Decide every pending guard check whose mentioned symbols are all
     /// resolved: from that point no future fact can change the
     /// evaluation, so a false guard is alerted now — within one
-    /// transition of whatever firing decided it.
+    /// transition of whatever firing decided it. Such a guard reads only
+    /// resolved symbols, so the observed trace decides it exactly as the
+    /// completed one would.
     fn recheck_pending(&mut self, now: u64) {
         if self.pending_guards.is_empty() {
             return;
         }
-        // Decidability pre-pass: this runs after every gated firing, and
-        // only when some pending check actually became decidable is the
-        // completed trace worth materialising. `symbols_all` walks the
-        // guard's conjuncts without allocating; a gated literal outside
-        // the compiled alphabet has the trivial guard `⊤` — decidable at
-        // once.
-        let resolved = &self.resolved;
-        let guards = &self.guards;
-        let decidable = |p: &PendingGuard| {
-            guards.guard_ref(p.lit).is_none_or(|g| g.symbols_all(|s| resolved_bit(resolved, s)))
-        };
-        if !self.pending_guards.iter().any(decidable) {
-            return;
+        if let Some(observed) = self.observed.take() {
+            self.decide_pending(now, &observed, false);
+            self.observed = Some(observed);
         }
-        let mut trace = std::mem::take(&mut self.completed);
-        if self.complete_trace(&mut trace) {
-            self.decide_pending(now, &trace, false);
-        }
-        trace.refill([]);
-        self.completed = trace;
     }
 
-    /// Evaluate pending guard checks on the completed `trace` and alert
-    /// the false ones: those whose symbols are all resolved — or, with
-    /// `all` (the run is over, nothing can swing any more), every one.
+    /// Evaluate pending guard checks on `trace` and alert the false ones:
+    /// those whose symbols are all resolved — or, with `all` (the run is
+    /// over, nothing can swing any more, and `trace` is the completed
+    /// one), every one.
     fn decide_pending(&mut self, now: u64, trace: &Trace, all: bool) {
         let (resolved, guards, facts) = (&self.resolved, &self.guards, &self.facts);
         let mut failed = Vec::new();

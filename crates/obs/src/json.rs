@@ -155,12 +155,11 @@ impl Json {
 
     /// Parse a JSON document. Errors carry a byte offset and message.
     pub fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
-        let mut p = Parser { bytes, pos: 0, depth: 0 };
+        let mut p = Parser { src, bytes: src.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != src.len() {
             return Err(format!("trailing input at byte {}", p.pos));
         }
         Ok(v)
@@ -186,6 +185,8 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    /// The document; `pos` always stands on one of its char boundaries.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`, capped at [`MAX_NESTING`].
@@ -318,13 +319,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| format!("invalid utf-8 at byte {}", self.pos))?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape. Both are
+                    // ASCII, which never occurs inside a multi-byte scalar,
+                    // so the run ends on a char boundary.
+                    let rest = &self.src[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -426,6 +427,33 @@ mod tests {
         assert!(err.contains("nested deeper") && err.contains("byte 128"), "{err}");
         assert!(Json::parse(&"[".repeat(200_000)).is_err());
         assert!(Json::parse(&"{\"k\":".repeat(200_000)).is_err());
+    }
+
+    /// Multi-byte scalars of every width, next to escapes and quotes,
+    /// come back as they went in, and so does a document past 1 MB —
+    /// which a parser that re-validated the rest of the input at every
+    /// character would take minutes over.
+    #[test]
+    fn multi_byte_strings_and_a_large_document_round_trip() {
+        let texts = ["é", "漢字", "🦀", "aé漢🦀z", "\"é\"\\漢\n🦀", "🦀🦀🦀é", ""];
+        for t in texts {
+            let v = Json::str(t);
+            assert_eq!(Json::parse(&v.to_string_compact()).unwrap(), v, "{t:?}");
+        }
+        let big = Json::Arr(
+            (0..16_000)
+                .map(|i| {
+                    Json::obj(vec![("k", Json::u64(i)), ("s", Json::str(texts[i as usize % 7]))])
+                })
+                .collect(),
+        );
+        let text = big.to_string_compact();
+        assert!(text.len() > 300_000, "{} bytes", text.len());
+        let doc = format!("[{}]", [text.as_str(); 4].join(","));
+        assert!(doc.len() >= 1 << 20, "{} bytes", doc.len());
+        let back = Json::parse(&doc).unwrap();
+        assert_eq!(back.as_arr().map(<[Json]>::len), Some(4));
+        assert!(back.as_arr().unwrap().iter().all(|part| *part == big));
     }
 
     #[test]

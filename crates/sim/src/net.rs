@@ -8,6 +8,13 @@
 //! every run is exactly reproducible from its seed while still exhibiting
 //! genuine asynchrony (messages reorder across links).
 //!
+//! The queue is a calendar queue (`calendar`): a ring of 512 one-tick
+//! buckets, found by a bitmap scan, plus an overflow heap for the rare
+//! message due a full ring or more ahead. A send and a delivery each
+//! touch one bucket, and the pop order is `(at, seq)` — the order a
+//! binary heap over every in-flight message gives, which is what it
+//! replaced (DESIGN.md §10).
+//!
 //! [`Network::step`] is the only event loop in the workspace: every
 //! workflow instance on every entry point — solo, tenant fleet, parallel
 //! fleet — is one `Network` run to quiescence, with faults, the
@@ -24,10 +31,12 @@
 
 use crate::faults::{FaultPlan, FaultState, FaultStats, LinkDecision};
 use crate::stats::NetStats;
-use obs::{Obs, SpanId, SpanKind};
+use calendar::{Calendar, InFlight};
+use obs::{Obs, SpanKind};
 use seeded::{mix64, Rng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
+
+mod calendar;
 
 /// Address of a node (an actor or task agent) in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -150,37 +159,6 @@ pub trait Process<M> {
     fn on_restart(&mut self, _ctx: &mut Ctx<'_, M>) {}
 }
 
-#[derive(Debug)]
-struct InFlight<M> {
-    at: Time,
-    seq: u64,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-    /// The `MsgSend` span of this message, when recording: the delivery
-    /// record is parented under it, giving the happens-before DAG its
-    /// cross-node edges.
-    span: Option<SpanId>,
-}
-
-// Order by (at, seq) — seq breaks ties deterministically.
-impl<M> PartialEq for InFlight<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for InFlight<M> {}
-impl<M> PartialOrd for InFlight<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for InFlight<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// How a [`Network::run_to_quiescence`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Termination {
@@ -232,7 +210,7 @@ type BuildLinkHasher = std::hash::BuildHasherDefault<LinkHasher>;
 pub struct Network<M, P: Process<M>> {
     nodes: Vec<P>,
     sites: Vec<SiteId>,
-    queue: BinaryHeap<Reverse<InFlight<M>>>,
+    queue: Calendar<M>,
     time: Time,
     seq: u64,
     rng: Rng,
@@ -252,13 +230,15 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
     /// in order.
     pub fn new(config: SimConfig, nodes: impl IntoIterator<Item = (SiteId, P)>) -> Network<M, P> {
         let (sites, nodes): (Vec<SiteId>, Vec<P>) = nodes.into_iter().unzip();
-        // Sized for a few messages in flight and a few peers per node, so
-        // a small workflow never regrows either.
+        // Room for a few messages in flight and a few peers per node. The
+        // queue's slab and the link map keep whatever they grow to across
+        // `reset`, so a fleet's instances on this network stop allocating
+        // here after the first.
         let n = nodes.len();
         Network {
             nodes,
             sites,
-            queue: BinaryHeap::with_capacity(4 * n),
+            queue: Calendar::with_capacity(4 * n),
             time: 0,
             seq: 0,
             rng: Rng::seed_from_u64(config.seed),
@@ -483,7 +463,7 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
         } else {
             None
         };
-        self.queue.push(Reverse(InFlight { at, seq: self.seq, from, to, msg, span }));
+        self.queue.push(self.time, InFlight { at, seq: self.seq, from, to, msg, span });
     }
 
     /// Deliver the next message, if any. Returns `false` when quiescent.
@@ -493,13 +473,15 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
     /// any delivery scheduled after it.
     pub fn step(&mut self) -> bool {
         loop {
-            let horizon = self.queue.peek().map(|Reverse(m)| m.at);
-            let due = self.faults.as_ref().and_then(|fs| fs.due_restart(horizon));
+            // Only a fault plan has restarts, so only then is the front's
+            // tick worth finding twice.
+            let (queue, now) = (&self.queue, self.time);
+            let due = self.faults.as_ref().and_then(|fs| fs.due_restart(queue.peek_at(now)));
             if let Some((ix, node, at)) = due {
                 self.perform_restart(ix, node, at);
                 return true;
             }
-            let Some(Reverse(m)) = self.queue.pop() else {
+            let Some(m) = self.queue.pop(self.time) else {
                 return false;
             };
             self.time = self.time.max(m.at);
@@ -621,6 +603,8 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::{BTreeSet, BinaryHeap};
 
     /// Echoes every `u64` message back, decremented, until zero.
     struct Countdown {
@@ -1067,5 +1051,169 @@ mod tests {
         sorted.sort_unstable();
         assert_ne!(seen, sorted, "expected at least one reordering");
         assert!(net.fault_stats().unwrap().delayed > 0);
+    }
+
+    /// A queued message as the reference sees it: `(at, seq, from, to)`.
+    type Key = (Time, u64, NodeId, NodeId);
+
+    /// Relays every message to one or two random nodes, some sends held
+    /// back past the calendar's wheel, until its budget is spent; on a
+    /// restart it pings node 0.
+    struct Spray {
+        rng: Rng,
+        nodes: u32,
+        left: u32,
+    }
+
+    impl Process<u64> for Spray {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, _from: NodeId, msg: u64) {
+            if self.left == 0 {
+                return;
+            }
+            self.left -= 1;
+            for _ in 0..self.rng.random_range(1..=2u32) {
+                let to = NodeId(self.rng.random_range(0..self.nodes));
+                let span = calendar::WHEEL as Time;
+                let extra = match self.rng.random_range(0..10u32) {
+                    0 => self.rng.random_range(span - 30..=span + 30),
+                    1 => self.rng.random_range(0..=3 * span),
+                    _ => self.rng.random_range(0..=4),
+                };
+                ctx.send_after(to, msg + 1, extra);
+            }
+        }
+
+        fn on_restart(&mut self, ctx: &mut Ctx<'_, u64>) {
+            ctx.send(NodeId(0), 0);
+        }
+    }
+
+    fn spray(config: SimConfig, nodes: u32, left: u32) -> Network<u64, Spray> {
+        Network::new(
+            config,
+            (0..nodes).map(|i| {
+                let rng = Rng::seed_from_u64(config.seed ^ u64::from(i));
+                (SiteId(i % 2), Spray { rng, nodes, left })
+            }),
+        )
+    }
+
+    /// Step `net` at most `budget` times, holding its queue to a
+    /// `BinaryHeap` kept here: before every step the restart horizon the
+    /// network sees is the heap's front, and the messages a step takes
+    /// off the queue (one delivery, after any crash-dropped ones) are the
+    /// heap's next ones. Returns them in `(at, seq)` order, and how many
+    /// messages were sent a full wheel turn or more ahead of the clock.
+    fn step_against_heap<P: Process<u64>>(
+        net: &mut Network<u64, P>,
+        budget: usize,
+    ) -> (Vec<Key>, usize) {
+        let mut reference: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
+        let mut known: BTreeSet<u64> = BTreeSet::new();
+        let (mut taken, mut far) = (Vec::new(), 0);
+        for _ in 0..budget {
+            for key in net.queue.entries() {
+                if known.insert(key.1) {
+                    far += usize::from(key.0 - net.now() >= calendar::WHEEL as Time);
+                    reference.push(Reverse(key));
+                }
+            }
+            assert_eq!(net.queue.peek_at(net.now()), reference.peek().map(|Reverse(k)| k.0));
+            if !net.step() {
+                assert!(reference.is_empty(), "an idle network left {} queued", reference.len());
+                break;
+            }
+            let left: BTreeSet<u64> = net.queue.entries().iter().map(|k| k.1).collect();
+            let gone = known.iter().filter(|seq| !left.contains(seq)).count();
+            for _ in 0..gone {
+                let Reverse(next) = reference.pop().expect("the reference holds what was taken");
+                assert!(!left.contains(&next.1), "{next:?} is still queued, later ones are not");
+                known.remove(&next.1);
+                taken.push(next);
+            }
+        }
+        (taken, far)
+    }
+
+    /// The calendar queue delivers what a binary heap would, through the
+    /// network: random latencies and extra delays on both sides of the
+    /// wheel span, FIFO and non-FIFO links, with and without jitter,
+    /// duplicates and drops.
+    #[test]
+    fn the_calendar_queue_delivers_in_binary_heap_order() {
+        let span = calendar::WHEEL as Time;
+        for seed in 0..12 {
+            let latency = if seed % 2 == 0 {
+                LatencyModel::Uniform { min: 1, max: span + 40 }
+            } else {
+                LatencyModel::PerHop { local: 1, remote_min: 10, remote_max: 20 }
+            };
+            let config = SimConfig { seed, latency, fifo_links: seed % 3 != 0 };
+            let mut net = spray(config, 5, 40);
+            if seed % 4 < 2 {
+                net.set_faults(
+                    FaultPlan::new(seed).duplicate_rate(0.3).drop_rate(0.1).jitter(0, span + 100),
+                );
+            }
+            net.inject(NodeId(0), NodeId(1), 0);
+            net.inject_after(NodeId(2), NodeId(3), 0, 2 * span);
+            let (taken, far) = step_against_heap(&mut net, 100_000);
+            assert!(net.idle(), "seed {seed}");
+            assert!(taken.len() > 100, "seed {seed}: only {} deliveries", taken.len());
+            assert!(far > 5, "seed {seed}: {far} sends past the wheel");
+        }
+    }
+
+    /// A restart due between queued messages fires exactly there: the
+    /// horizon the network compares it with is the heap's front.
+    #[test]
+    fn a_restart_between_queued_messages_keeps_heap_order() {
+        for seed in 0..8 {
+            let config = SimConfig {
+                seed,
+                latency: LatencyModel::Uniform { min: 1, max: 60 },
+                fifo_links: true,
+            };
+            let mut net = spray(config, 4, 60);
+            net.set_faults(FaultPlan::new(seed).crash(NodeId(1), 40, Some(300)).jitter(0, 700));
+            net.inject(NodeId(0), NodeId(1), 0);
+            net.inject(NodeId(0), NodeId(2), 0);
+            let (taken, _) = step_against_heap(&mut net, 100_000);
+            let stats = *net.fault_stats().expect("faults installed");
+            assert_eq!(stats.restarts, 1, "seed {seed}");
+            assert!(taken.iter().any(|k| k.0 < 300) && taken.iter().any(|k| k.0 > 300));
+        }
+    }
+
+    /// A reset with messages still queued leaves nothing of them behind:
+    /// the next run is held to a fresh heap and repeats a new network's.
+    #[test]
+    fn a_reset_mid_run_empties_the_calendar() {
+        let span = calendar::WHEEL as Time;
+        let config = SimConfig {
+            seed: 4,
+            latency: LatencyModel::Uniform { min: 1, max: 90 },
+            fifo_links: true,
+        };
+        let start = |net: &mut Network<u64, Spray>| {
+            net.inject(NodeId(0), NodeId(1), 0);
+            net.inject_after(NodeId(1), NodeId(2), 0, span + 3);
+        };
+        let mut fresh = spray(config, 3, 30);
+        start(&mut fresh);
+        let (whole, _) = step_against_heap(&mut fresh, 100_000);
+
+        let mut net = spray(SimConfig { seed: 9, ..config }, 3, 30);
+        net.set_faults(FaultPlan::new(2).duplicate_rate(0.5).jitter(0, 2 * span));
+        start(&mut net);
+        step_against_heap(&mut net, 40);
+        assert!(net.in_flight() > 0, "the cut-short run left messages queued");
+        net.reset(config);
+        assert_eq!(net.in_flight(), 0);
+        for (i, node) in net.nodes_mut().iter_mut().enumerate() {
+            *node = Spray { rng: Rng::seed_from_u64(config.seed ^ i as u64), nodes: 3, left: 30 };
+        }
+        start(&mut net);
+        assert_eq!(step_against_heap(&mut net, 100_000).0, whole);
     }
 }
