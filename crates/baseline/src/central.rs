@@ -27,7 +27,8 @@
 use agent::EventAttrs;
 use dist::{AgentNode, Msg, Routing, RunReport, WorkflowSpec};
 use event_algebra::{
-    acceptance, verdict, Acceptance, DepTracker, DependencyMachine, Expr, Literal, SymbolId, Trace,
+    acceptance, verdict, Acceptance, DepTracker, DependencyMachine, Expr, Literal, SymbolId,
+    SymbolMap, Trace,
 };
 use sim::{Ctx, Network, NodeId, Process, SimConfig, SiteId, Time};
 use std::collections::{BTreeMap, BTreeSet};
@@ -420,7 +421,7 @@ pub fn run_centralized(spec: &WorkflowSpec, config: CentralConfig) -> RunReport 
         duration,
         steps: outcome.steps,
         net: stats,
-        actor_stats: BTreeMap::new(),
+        actor_stats: SymbolMap::new(),
         parked: central.parked.iter().copied().collect(),
         broken_promises: Vec::new(),
         termination: outcome.termination,

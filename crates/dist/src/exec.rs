@@ -22,7 +22,7 @@ use crate::reliable::ReliableConfig;
 use crate::slot::{InstanceSlot, InstanceTotals};
 use crate::wal::NodeStore;
 use agent::{EventAttrs, TaskAgent};
-use event_algebra::{DepTracker, Expr, Literal, SymbolId, SymbolTable, Trace};
+use event_algebra::{DepTracker, Expr, Literal, SymbolId, SymbolMap, SymbolTable, Trace};
 use guard::{CompiledWorkflow, GuardScope};
 use monitor::MonitorConfig;
 use obs::{MetricSink, MetricsSnapshot, RecordConfig, Recording};
@@ -291,8 +291,8 @@ pub struct RunReport {
     pub steps: u64,
     /// Network statistics.
     pub net: sim::NetStats,
-    /// Per-symbol actor statistics.
-    pub actor_stats: BTreeMap<SymbolId, ActorStats>,
+    /// Per-symbol actor statistics, dense by symbol id.
+    pub actor_stats: SymbolMap<ActorStats>,
     /// Events still parked (attempted, undecided) at quiescence.
     pub parked: Vec<Literal>,
     /// Promises granted but unfulfilled at quiescence.
@@ -536,7 +536,7 @@ fn run_workflow_inner(
     if let Some(rec) = &mut report.recording {
         rec.metrics = report.metrics.clone();
     }
-    report
+    *report
 }
 
 /// The unified metrics of one solo run: network, fault, transport,
@@ -560,8 +560,8 @@ fn solo_metrics(
     m.add("run.steps", &[], report.steps);
     m.set_gauge("run.duration", &[], report.duration as i64);
     let mut sched = [0u64; 5];
-    for (sym, st) in &report.actor_stats {
-        let name = spec.table.name(*sym).unwrap_or("?");
+    for (sym, st) in report.actor_stats.iter() {
+        let name = spec.table.name(sym).unwrap_or("?");
         let labels: &[(&str, &str)] = &[("event", name)];
         m.add("actor.attempts", labels, st.attempts);
         m.add("actor.granted", labels, st.granted);

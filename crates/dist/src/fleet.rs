@@ -26,7 +26,6 @@ use crate::slot::InstanceSlot;
 use crate::wal::NodeStore;
 use event_algebra::Literal;
 use sim::{FaultPlan, Time, WorkerLoad};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -100,8 +99,9 @@ pub struct InstanceOutcome {
     /// [`crate::run_parallel_fleet`] every occurrence tick has
     /// `arrived_at` added, so `occurrences` timestamps are *fleet-clock*
     /// values there and instance-local from [`crate::run_tenant`];
-    /// recorded spans keep instance-local timestamps on both.
-    pub report: RunReport,
+    /// recorded spans keep instance-local timestamps on both. Boxed, so
+    /// that moving an outcome moves a pointer, not the report.
+    pub report: Box<RunReport>,
 }
 
 /// What [`run_instances`] returns.
@@ -143,11 +143,14 @@ pub(crate) fn run_instances(
     workers: usize,
     faults: Option<(FaultPlan, NodeStore)>,
 ) -> FleetRun {
-    let mut seen = BTreeSet::new();
     for a in arrivals {
         let (id, specs) = (a.instance, specs.len());
         assert!(a.spec_ix < specs, "arrival {id} names spec {} of {specs}", a.spec_ix);
-        assert!(seen.insert(id), "duplicate instance id {id}");
+    }
+    let mut ids: Vec<InstanceId> = arrivals.iter().map(|a| a.instance).collect();
+    ids.sort_unstable();
+    if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+        panic!("duplicate instance id {}", w[0]);
     }
     let workers = workers.clamp(1, arrivals.len().max(1));
     let templates: Vec<OnceLock<BuiltWorkflow>> = specs.iter().map(|_| OnceLock::new()).collect();
@@ -191,17 +194,116 @@ pub(crate) fn run_instances(
         shares.extend(spawned.into_iter().map(|h| h.join().expect("fleet worker panicked")));
         shares
     });
-    let mut by_arrival: Vec<Option<InstanceOutcome>> = Vec::new();
-    by_arrival.resize_with(arrivals.len(), || None);
     let (mut loads, mut run_ns) = (Vec::with_capacity(workers), 0);
+    let mut by_arrival = Vec::with_capacity(arrivals.len());
     for (outcomes, load, ns) in shares {
-        for (ix, outcome) in outcomes {
-            by_arrival[ix] = Some(outcome);
-        }
+        by_arrival.extend(outcomes);
         loads.push(load);
         run_ns += ns;
     }
-    let outcomes =
-        by_arrival.into_iter().map(|o| o.expect("every arrival is claimed exactly once")).collect();
+    // Each worker's claims are increasing: one worker's list is already
+    // in arrival order, and the sort finds it so.
+    by_arrival.sort_unstable_by_key(|&(ix, _)| ix);
+    let outcomes = by_arrival.into_iter().map(|(_, outcome)| outcome).collect();
     FleetRun { outcomes, loads, run_ns }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::FreeEventSpec;
+    use crate::{run_parallel_fleet, run_tenant, TenantConfig};
+    use agent::EventAttrs;
+    use event_algebra::{parse_expr, SymbolTable};
+    use sim::{ParallelConfig, SiteId};
+
+    /// An `n`-event chain of arrows, one site per event, so every
+    /// instance's timings follow its own seed.
+    fn chain(n: usize) -> WorkflowSpec {
+        let mut table = SymbolTable::new();
+        let dependencies = (1..n)
+            .map(|i| parse_expr(&format!("~e{} + e{i}", i - 1), &mut table).unwrap())
+            .collect();
+        let free_events = (0..n)
+            .map(|i| FreeEventSpec {
+                site: SiteId(i as u32),
+                lit: table.event(&format!("e{i}")),
+                attrs: EventAttrs::controllable(),
+                attempt_after: Some(1),
+            })
+            .collect();
+        WorkflowSpec { table, dependencies, agents: vec![], free_events }
+    }
+
+    /// Two templates of different lengths, and instance ids that are not
+    /// in arrival order.
+    fn mixed_fleet() -> (Vec<WorkflowSpec>, Vec<Arrival>) {
+        let ids = [5, 2, 9, 0, 7, 3, 8, 1, 6, 4];
+        let arrivals =
+            ids.iter().zip(0..).map(|(&id, i)| Arrival::new(id, i % 2, 3 * i as u64, 0x51 ^ id));
+        (vec![chain(2), chain(5)], arrivals.collect())
+    }
+
+    /// `run_parallel_fleet` keeps arrival order and `run_tenant` sorts by
+    /// instance id, at every worker count; either way each outcome is its
+    /// own arrival's run.
+    #[test]
+    fn fleets_return_outcomes_in_their_documented_order() {
+        let (specs, arrivals) = mixed_fleet();
+        let tenant_config = TenantConfig::new(ExecConfig::seeded(3));
+        let solo: Vec<(InstanceId, u64, Time)> = arrivals
+            .iter()
+            .map(|a| {
+                let spec = a.apply_to_spec(&specs[a.spec_ix]);
+                let r = crate::run_workflow(&spec, tenant_config.instance_exec(a));
+                (a.instance, r.steps, r.duration)
+            })
+            .collect();
+        let mut by_id = solo.clone();
+        by_id.sort_unstable();
+        let runs = |outcomes: &[InstanceOutcome]| -> Vec<(InstanceId, u64, Time)> {
+            outcomes.iter().map(|o| (o.instance, o.report.steps, o.report.duration)).collect()
+        };
+        for workers in [1, 2, 4] {
+            let mut exec = ExecConfig::seeded(3);
+            exec.parallel = Some(ParallelConfig::new(workers));
+            let fleet = run_parallel_fleet(&specs, &arrivals, &exec);
+            assert_eq!(runs(&fleet.instances), solo, "{workers} workers: arrival order");
+            for (o, a) in fleet.instances.iter().zip(&arrivals) {
+                assert_eq!((o.spec_ix, o.arrived_at), (a.spec_ix, a.at), "{workers} workers");
+            }
+
+            let config = TenantConfig { shards: workers, ..tenant_config.clone() };
+            let tenant = run_tenant(&specs, &arrivals, &config);
+            assert_eq!(runs(&tenant.instances), by_id, "{workers} shards: instance order");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate instance id i7")]
+    fn a_duplicate_instance_id_panics() {
+        let (specs, mut arrivals) = mixed_fleet();
+        arrivals[8].instance = InstanceId(7);
+        let mut config = TenantConfig::new(ExecConfig::seeded(3));
+        config.shards = 2;
+        run_tenant(&specs, &arrivals, &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival i3 names spec 2 of 2")]
+    fn an_out_of_range_spec_index_panics() {
+        let (specs, mut arrivals) = mixed_fleet();
+        arrivals[5].spec_ix = 2;
+        let mut exec = ExecConfig::seeded(3);
+        exec.parallel = Some(ParallelConfig::new(4));
+        run_parallel_fleet(&specs, &arrivals, &exec);
+    }
+
+    /// An outcome is moved into a worker's list, through the merge and
+    /// through a sort: it stays a few words, its report behind a box.
+    #[test]
+    fn an_outcome_is_a_few_words() {
+        let size = std::mem::size_of::<InstanceOutcome>();
+        assert!(size <= 64, "{size}");
+    }
 }

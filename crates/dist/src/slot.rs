@@ -21,11 +21,10 @@ use crate::fleet::Arrival;
 use crate::msg::{InstanceId, Msg};
 use crate::reliable::Reliable;
 use crate::wal::{NodeStore, WalEntry};
-use event_algebra::{verdict, Literal, SortedMap, SymbolId, Trace};
+use event_algebra::{verdict, Literal, SortedMap, SymbolId, SymbolMap, Trace};
 use monitor::WorkflowMonitor;
 use obs::{MetricsSnapshot, NodeObs, Obs, RecordConfig, Recording, SpanKind};
 use sim::{Ctx, FaultPlan, Network, NodeId, Process, SimConfig, SiteId, Time};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -405,8 +404,10 @@ impl<'t> InstanceSlot<'t> {
     /// `(instance, node)` that logged anything — and read its report off
     /// the slot. The report's metrics snapshot is
     /// left empty — solo callers record one on top, fleets roll their own
-    /// up, so no instance pays for a snapshot it does not publish.
-    pub fn execute(&mut self) -> (RunReport, InstanceTotals) {
+    /// up, so no instance pays for a snapshot it does not publish. The
+    /// report is built in its box and handed on in it: a fleet keeps it
+    /// there, and nothing copies its few hundred bytes on the way.
+    pub fn execute(&mut self) -> (Box<RunReport>, InstanceTotals) {
         let started = Instant::now();
         let outcome = self.net.run_to_quiescence(self.step_budget);
         let mut totals = InstanceTotals {
@@ -452,13 +453,13 @@ impl<'t> InstanceSlot<'t> {
 
     /// Assemble the report of the run that just ended from the actors,
     /// read in place.
-    fn collect_report(&mut self, outcome: sim::RunOutcome) -> RunReport {
+    fn collect_report(&mut self, outcome: sim::RunOutcome) -> Box<RunReport> {
         let sim::RunOutcome { steps, termination } = outcome;
         let built = self.built;
         let symbols = &built.symbols;
         let mut occurrences: Vec<(Literal, Time, u64)> = Vec::with_capacity(symbols.len());
         let mut unresolved: Vec<SymbolId> = Vec::new();
-        let mut actor_stats = BTreeMap::new();
+        let mut actor_stats = SymbolMap::with_capacity(symbols.last().map_or(0, |s| s.index() + 1));
         let mut parked = Vec::new();
         let mut broken_promises = Vec::new();
         let mut canon = std::mem::take(&mut self.canon);
@@ -498,7 +499,7 @@ impl<'t> InstanceSlot<'t> {
         let trace = Trace::new(occurrences.iter().map(|&(l, _, _)| l))
             .expect("actors enforce single resolution per symbol");
         let (maximal_trace, satisfied) = verdict(&trace, &unresolved, &self.spec.dependencies);
-        RunReport {
+        Box::new(RunReport {
             trace,
             occurrences,
             unresolved,
@@ -509,7 +510,7 @@ impl<'t> InstanceSlot<'t> {
             // Populated even on the fault-free path, so consumers can read
             // all-zero counters instead of special-casing `None`.
             fault_stats: Some(self.net.fault_stats().copied().unwrap_or_default()),
-            net: self.net.take_stats(),
+            net: self.net.stats().clone(),
             actor_stats,
             parked,
             broken_promises,
@@ -519,6 +520,6 @@ impl<'t> InstanceSlot<'t> {
             recording: None,
             alerts: Vec::new(),
             monitor: None,
-        }
+        })
     }
 }

@@ -107,32 +107,35 @@ fn marginal_allocations_per_instance(specs: &[WorkflowSpec], seed: u64, hardened
 ///
 /// Measured by this test:
 ///
-/// | fleet                                  | parent (a3fe22c) | this design | ceiling |
-/// |----------------------------------------|-----------------:|------------:|--------:|
-/// | pipeline10                             |           369.41 |        7.17 |       9 |
-/// | travel + pipeline10 + diamond (pinned) |           359.28 |        7.88 |      10 |
+/// | fleet                                  | no slots (a3fe22c) | report of maps (46219ed) | boxed report, dense tables | ceiling |
+/// |----------------------------------------|-------------------:|-------------------------:|---------------------------:|--------:|
+/// | pipeline10                             |             369.41 |                     7.17 |                      8.005 |       9 |
+/// | travel + pipeline10 + diamond (pinned) |             359.28 |                     7.88 |                      8.005 |      10 |
 ///
-/// The ceilings sit about 25 % above what the design reaches (and far
-/// below half the parent's figures): an allocation creeping back into a
-/// handler — a set that became a tree again, a guard rebuilt per message,
-/// a scratch vector per call — costs several per instance and trips them;
-/// so does a report that grows by two fields, which is then the time to
-/// move the ceiling knowingly.
+/// The report's box is one allocation more; its per-symbol and per-site
+/// tables are one vector each, where the maps they replaced took a tree
+/// node per eleven symbols or sites — so the count is now the same for
+/// every template here. The ceilings sit one and two allocations above what the
+/// design reaches (and far below half the first column): an allocation
+/// creeping back into a handler — a set that became a tree again, a guard
+/// rebuilt per message, a scratch vector per call — costs several per
+/// instance and trips them; so does a report that grows by two fields,
+/// which is then the time to move the ceiling knowingly.
 ///
 /// The hardened fleet pays for what the protocol keeps: a box per
 /// envelope transmitted (and per copy the fault layer duplicates), the
 /// payload clones the log and a replay take, and the published log itself
 /// — one vector per `(instance, node)` and the store's map nodes.
 ///
-/// | fleet                        | parent (3cb0ebb) | this design | ceiling |
-/// |------------------------------|-----------------:|------------:|--------:|
-/// | the pinned mix, hardened     |           120.54 |      100.60 |     110 |
+/// | fleet                        | shared slices (3cb0ebb) | node-local slices (46219ed) | boxed report | ceiling |
+/// |------------------------------|------------------------:|----------------------------:|-------------:|--------:|
+/// | the pinned mix, hardened     |                  120.54 |                       97.16 |       97.285 |     110 |
 ///
-/// The parent's extra twenty were bookkeeping: per-message appends growing
-/// every slice inside the shared store, the mirrored sequence counters'
-/// map nodes, and the cloned slice a restart replayed from. The ceiling
-/// sits below the parent's figure on purpose: any of the three coming
-/// back trips it.
+/// The first column's extra twenty-odd were bookkeeping: per-message
+/// appends growing every slice inside the shared store, the mirrored
+/// sequence counters' map nodes, and the cloned slice a restart replayed
+/// from. The ceiling sits below that figure on purpose: any of the three
+/// coming back trips it.
 #[test]
 fn a_warm_fleet_allocates_little_per_instance() {
     let pipeline = marginal_allocations_per_instance(&[example("pipeline10")], 0xA110C, false);

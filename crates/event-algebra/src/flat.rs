@@ -9,7 +9,8 @@
 //! order, and at these sizes a binary search beats a tree descent.
 //! Tables keyed by symbol (which node hosts an event's actor, who
 //! subscribes to it) are read on every message and never change: those
-//! are dense vectors indexed by the symbol id ([`SymbolMap`]).
+//! are dense vectors indexed by the symbol id ([`SymbolMap`]), and so is a
+//! run report's per-symbol table, filled once in symbol order.
 
 use crate::symbol::SymbolId;
 
@@ -196,6 +197,11 @@ impl<T> SymbolMap<T> {
         SymbolMap::default()
     }
 
+    /// The empty map, with room for symbols `0..n` before it reallocates.
+    pub fn with_capacity(n: usize) -> SymbolMap<T> {
+        SymbolMap(Vec::with_capacity(n))
+    }
+
     /// Set `sym` to `value`, returning the value it replaces.
     pub fn insert(&mut self, sym: SymbolId, value: T) -> Option<T> {
         let ix = sym.0 as usize;
@@ -218,6 +224,11 @@ impl<T> SymbolMap<T> {
     /// The values, in symbol order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.0.iter().flatten()
+    }
+
+    /// Every entry, in symbol order.
+    pub fn iter(&self) -> impl Iterator<Item = (SymbolId, &T)> {
+        self.0.iter().enumerate().filter_map(|(ix, v)| Some((SymbolId(ix as u32), v.as_ref()?)))
     }
 }
 
@@ -252,6 +263,9 @@ mod tests {
         assert_eq!(map.get(&SymbolId(9)), None, "past the last key");
         *map.get_mut(&SymbolId(1)).unwrap() = 'b';
         assert_eq!(map.values().copied().collect::<String>(), "bd", "symbol order");
+        let entries: Vec<_> = map.iter().map(|(s, &v)| (s.0, v)).collect();
+        assert_eq!(entries, [(1, 'b'), (3, 'd')], "keys with their values, gaps skipped");
+        assert_eq!(SymbolMap::<char>::with_capacity(8), SymbolMap::new());
     }
 
     /// The same operations on the flat and the tree collection give the

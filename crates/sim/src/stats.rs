@@ -4,9 +4,12 @@
 /// Counters describing one run's traffic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Deliveries handled per site — the per-site load whose maximum is
-    /// the system's bottleneck (experiment C1/C4).
-    pub per_site_deliveries: std::collections::BTreeMap<u32, u64>,
+    /// Deliveries handled per site, as `(site, count)` sorted by site —
+    /// the per-site load whose maximum is the system's bottleneck
+    /// (experiment C1/C4). A network's statistics hold one entry for each
+    /// site it places a node on, zero counts included, so a delivery
+    /// bumps an entry found once per node instead of searching for one.
+    pub per_site_deliveries: Vec<(u32, u64)>,
     /// Messages sent, total.
     pub sent_total: u64,
     /// Messages that crossed a site boundary.
@@ -21,6 +24,21 @@ pub struct NetStats {
 }
 
 impl NetStats {
+    /// Zeroed counters with one per-site entry for each of `sites`.
+    pub(crate) fn for_sites(sites: impl IntoIterator<Item = u32>) -> NetStats {
+        let mut per_site: Vec<(u32, u64)> = sites.into_iter().map(|s| (s, 0)).collect();
+        per_site.sort_unstable();
+        per_site.dedup();
+        NetStats { per_site_deliveries: per_site, ..NetStats::default() }
+    }
+
+    /// Zero every counter, keeping the per-site entries (and their buffer).
+    pub(crate) fn clear(&mut self) {
+        let per_site = std::mem::take(&mut self.per_site_deliveries);
+        *self = NetStats { per_site_deliveries: per_site, ..NetStats::default() };
+        self.per_site_deliveries.iter_mut().for_each(|(_, count)| *count = 0);
+    }
+
     pub(crate) fn record_send(&mut self, remote: bool, latency: u64) {
         self.sent_total += 1;
         if remote {
@@ -34,8 +52,11 @@ impl NetStats {
     /// Fold another stats block into this one (a fleet's total is the
     /// sum of its instances').
     pub fn absorb(&mut self, other: &NetStats) {
-        for (site, count) in &other.per_site_deliveries {
-            *self.per_site_deliveries.entry(*site).or_insert(0) += count;
+        for &(site, count) in &other.per_site_deliveries {
+            match self.per_site_deliveries.binary_search_by_key(&site, |&(s, _)| s) {
+                Ok(ix) => self.per_site_deliveries[ix].1 += count,
+                Err(at) => self.per_site_deliveries.insert(at, (site, count)),
+            }
         }
         self.sent_total += other.sent_total;
         self.sent_remote += other.sent_remote;
@@ -46,14 +67,15 @@ impl NetStats {
         }
     }
 
-    pub(crate) fn record_delivery(&mut self, site: u32) {
+    /// Count a delivery at the site whose entry is `per_site_deliveries[site_ix]`.
+    pub(crate) fn record_delivery(&mut self, site_ix: usize) {
         self.delivered_total += 1;
-        *self.per_site_deliveries.entry(site).or_insert(0) += 1;
+        self.per_site_deliveries[site_ix].1 += 1;
     }
 
     /// The busiest site's delivery count.
     pub fn max_site_load(&self) -> u64 {
-        self.per_site_deliveries.values().copied().max().unwrap_or(0)
+        self.per_site_deliveries.iter().map(|&(_, count)| count).max().unwrap_or(0)
     }
 
     /// Fraction of traffic that crossed sites (0.0 when nothing was sent).
@@ -65,73 +87,45 @@ impl NetStats {
         }
     }
 
-    /// Mean sampled latency (0.0 when nothing was sent).
-    pub fn mean_latency(&self) -> f64 {
-        if self.sent_total == 0 {
-            0.0
-        } else {
-            self.latency_sum as f64 / self.sent_total as f64
-        }
-    }
-
-    /// Latency quantile estimated from `latency_buckets`.
-    ///
-    /// Bucket `i` counts latencies in `[2^i, 2^(i+1))` (latency 0 is
-    /// clamped into bucket 0), so the estimator can only answer with a
-    /// bucket boundary: it returns the **inclusive lower bound** `2^i` of
-    /// the bucket where the cumulative count reaches `ceil(q * total)` —
-    /// i.e. quantiles round *down* to the nearest power of two. Returns 0
-    /// when nothing was sampled.
-    pub fn latency_quantile(&self, q: f64) -> u64 {
-        let total: u64 = self.latency_buckets.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, &count) in self.latency_buckets.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return if i == 0 { 1 } else { 1u64 << i };
-            }
-        }
-        unreachable!("cumulative bucket count reaches total")
-    }
-
-    /// Median latency estimate (lower bucket bound; see
-    /// [`NetStats::latency_quantile`]).
-    pub fn p50(&self) -> u64 {
-        self.latency_quantile(0.50)
-    }
-
-    /// 99th-percentile latency estimate (lower bucket bound; see
-    /// [`NetStats::latency_quantile`]).
-    pub fn p99(&self) -> u64 {
-        self.latency_quantile(0.99)
-    }
-
     /// Write these counters to a metrics sink (`&MetricsRegistry`, or a
     /// `&mut MetricsSnapshot` under assembly) under the `net.*`
     /// namespace — the snapshotting API that subsumes this struct on run
-    /// reports.
+    /// reports. A site with no deliveries has no `net.deliveries` series.
     pub fn record_into(&self, mut metrics: impl obs::MetricSink) {
         metrics.add("net.sent_total", &[], self.sent_total);
         metrics.add("net.sent_remote", &[], self.sent_remote);
         metrics.add("net.delivered_total", &[], self.delivered_total);
-        for (site, count) in &self.per_site_deliveries {
-            metrics.add("net.deliveries", &[("site", &site.to_string())], *count);
+        for &(site, count) in self.per_site_deliveries.iter().filter(|&&(_, count)| count > 0) {
+            metrics.add("net.deliveries", &[("site", &site.to_string())], count);
         }
         metrics.merge_buckets("net.latency", &[], &self.latency_buckets, self.latency_sum);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// The `net.deliveries` series `stats` publishes, by site.
+    pub(crate) fn deliveries_series(stats: &NetStats) -> BTreeMap<u32, u64> {
+        let reg = obs::MetricsRegistry::new();
+        stats.record_into(&reg);
+        let snap = reg.snapshot();
+        let series = snap.counters.iter().filter(|(k, _)| k.name == "net.deliveries");
+        series
+            .map(|(k, count)| {
+                assert_eq!(k.labels.len(), 1, "{k:?}");
+                let (label, site) = &k.labels[0];
+                assert_eq!(label, "site");
+                (site.parse().expect("a site label is a number"), *count)
+            })
+            .collect()
+    }
 
     #[test]
     fn records_accumulate() {
-        let mut s = NetStats::default();
+        let mut s = NetStats::for_sites([0]);
         s.record_send(false, 1);
         s.record_send(true, 16);
         s.record_delivery(0);
@@ -139,7 +133,7 @@ mod tests {
         assert_eq!(s.sent_remote, 1);
         assert_eq!(s.delivered_total, 1);
         assert!((s.remote_fraction() - 0.5).abs() < 1e-9);
-        assert!((s.mean_latency() - 8.5).abs() < 1e-9);
+        assert_eq!(s.latency_sum, 17);
         assert_eq!(s.latency_buckets[0], 1);
         assert_eq!(s.latency_buckets[4], 1);
         assert_eq!(s.max_site_load(), 1);
@@ -149,7 +143,6 @@ mod tests {
     fn empty_stats_divide_safely() {
         let s = NetStats::default();
         assert_eq!(s.remote_fraction(), 0.0);
-        assert_eq!(s.mean_latency(), 0.0);
     }
 
     #[test]
@@ -160,62 +153,59 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_round_down_to_bucket_lower_bounds() {
-        let mut s = NetStats::default();
-        // Latencies 2..=3 share bucket 1 ([2, 4)): any quantile landing
-        // there answers the inclusive lower bound 2, never 3 or 4.
-        s.record_send(false, 2);
-        s.record_send(false, 3);
-        assert_eq!(s.p50(), 2);
-        assert_eq!(s.p99(), 2);
-        // A boundary value opens the next bucket: 4 lands in [4, 8).
-        s.record_send(false, 4);
-        assert_eq!(s.p99(), 4);
-    }
-
-    #[test]
-    fn p50_p99_split_across_buckets() {
-        let mut s = NetStats::default();
-        // 98 fast sends at latency 1, two stragglers at 1000 ([512, 1024)).
-        for _ in 0..98 {
-            s.record_send(false, 1);
-        }
-        s.record_send(false, 1000);
-        s.record_send(false, 1000);
-        assert_eq!(s.p50(), 1);
-        assert_eq!(s.p99(), 512, "rank 99 of 100 falls on the straggler bucket");
-    }
-
-    #[test]
-    fn quantiles_handle_edge_ranks() {
-        let mut s = NetStats::default();
-        assert_eq!(s.p50(), 0, "empty histogram answers 0");
-        // Latency 0 is clamped into bucket 0, whose reported bound is 1
-        // (the clamp target `latency.max(1)`).
-        s.record_send(false, 0);
-        assert_eq!(s.p50(), 1);
-        assert_eq!(s.latency_quantile(0.0), 1, "rank clamps to the first sample");
-        assert_eq!(s.latency_quantile(1.0), 1);
-        // u64::MAX clamps into the last bucket, reported as 2^15.
-        s.record_send(false, u64::MAX);
-        assert_eq!(s.latency_quantile(1.0), 1 << 15);
-    }
-
-    #[test]
     fn record_into_registry_preserves_counts_and_quantiles() {
-        let mut s = NetStats::default();
+        let mut s = NetStats::for_sites([8, 3]);
         s.record_send(true, 5);
         s.record_send(false, 900);
-        s.record_delivery(3);
-        s.record_delivery(3);
+        s.record_delivery(0);
+        s.record_delivery(0);
         let reg = obs::MetricsRegistry::new();
         s.record_into(&reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("net.sent_total", &[]), Some(2));
         assert_eq!(snap.counter("net.deliveries", &[("site", "3")]), Some(2));
+        assert_eq!(
+            snap.counter("net.deliveries", &[("site", "8")]),
+            None,
+            "no deliveries, no series"
+        );
         let h = snap.histogram("net.latency", &[]).unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 905);
-        assert_eq!(h.quantile(0.5), s.p50());
+        assert_eq!(h.quantile(0.5), 4, "rank 1 of 2 is latency 5, in [4, 8)");
+    }
+
+    /// Folding statistics over different site sets adds the counts of
+    /// shared sites and keeps every other entry in site order: the sum a
+    /// `BTreeMap` per site gives, series and busiest site included.
+    #[test]
+    fn absorb_merges_different_site_sets() {
+        let mut a = NetStats::for_sites([5, 1]);
+        for ix in [0, 0, 1] {
+            a.record_delivery(ix);
+        }
+        let mut b = NetStats::for_sites([1_000_000, 9, 5, 0]);
+        for ix in [1, 1, 1, 1, 3] {
+            b.record_delivery(ix);
+        }
+        let mut reference: BTreeMap<u32, u64> = BTreeMap::new();
+        for &(site, count) in a.per_site_deliveries.iter().chain(&b.per_site_deliveries) {
+            *reference.entry(site).or_insert(0) += count;
+        }
+        let mut total = NetStats::default();
+        total.absorb(&a);
+        assert_eq!(total, a, "absorbing into nothing copies");
+        total.absorb(&b);
+        assert_eq!(
+            total.per_site_deliveries,
+            reference.iter().map(|(&s, &n)| (s, n)).collect::<Vec<_>>()
+        );
+        assert_eq!(total.delivered_total, 8);
+        assert_eq!(total.max_site_load(), 5, "site 5: one delivery in a, four in b");
+        assert_eq!(total.max_site_load(), reference.values().copied().max().unwrap());
+        reference.retain(|_, &mut n| n > 0);
+        assert_eq!(deliveries_series(&total), reference);
+        assert_eq!(NetStats::for_sites([4]).max_site_load(), 0);
+        assert_eq!(NetStats::default().max_site_load(), 0);
     }
 }

@@ -462,7 +462,7 @@ pub fn diff_against_isolated(
                 solo.duration
             ));
         }
-        for (side, rep) in [("fleet", &o.report), ("solo", &solo)] {
+        for (side, rep) in [("fleet", &*o.report), ("solo", &solo)] {
             if !rep.divergence.is_empty() {
                 failures.push(format!("{tag}: {side} run has internal view divergence"));
             }

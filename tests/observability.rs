@@ -10,6 +10,7 @@ use constrained_events::{
 };
 use obs::{explain, recording::Dag, ObsLit, RecordConfig, SpanKind};
 use sim::SiteId;
+use std::collections::BTreeMap;
 use testkit::conformance::{check_run, standard_plans};
 
 fn travel() -> constrained_events::Workflow {
@@ -63,6 +64,45 @@ fn causal_audit_green_across_fault_matrix() {
         assert!(run.is_conformant(), "{name}: {:?}", run.failures);
         let rec = run.report.recording.as_ref().expect("recording on");
         assert!(!rec.events.is_empty(), "{name}: recorder captured nothing");
+    }
+}
+
+/// A run's `net.deliveries` series are what its recording shows: one
+/// series per site that handled a delivery, counting that site's
+/// `MsgDeliver` spans — on travel as written (one site) and with its
+/// agents on sites 7 and 1 000 000, fault-free and hardened under every
+/// standard plan (crash drops and restarts are not deliveries).
+#[test]
+fn per_site_delivery_series_count_the_recorded_deliveries() {
+    let src = std::fs::read_to_string("examples/specs/travel.wf").expect("travel.wf");
+    let spread = src
+        .replace("agent buy:  rda", "agent buy: rda @ site 7")
+        .replace("agent book: rda", "agent book: rda @ site 1000000");
+    let mut hardened = recording_config(11);
+    hardened.reliable = Some(ReliableConfig::default());
+    for (src, sites) in [(src, 1), (spread, 2)] {
+        let workflow = WorkflowBuilder::from_spec(&src).expect("travel parses").build();
+        let faulty =
+            standard_plans(11).into_iter().map(|(_, p)| workflow.run_faulty(hardened.clone(), p));
+        for report in std::iter::once(workflow.run_with(recording_config(3))).chain(faulty) {
+            let rec = report.recording.as_ref().expect("recording on");
+            assert_eq!((rec.dropped, rec.sampled_out), (0, 0), "every span kept");
+            let mut recorded: BTreeMap<String, u64> = BTreeMap::new();
+            for span in rec.events.iter().filter(|e| matches!(e.kind, SpanKind::MsgDeliver { .. }))
+            {
+                *recorded.entry(span.site.to_string()).or_insert(0) += 1;
+            }
+            let series: BTreeMap<String, u64> = report
+                .metrics
+                .counters
+                .iter()
+                .filter(|(key, _)| key.name == "net.deliveries")
+                .map(|(key, count)| (key.labels[0].1.clone(), *count))
+                .collect();
+            assert_eq!(recorded.len(), sites, "{recorded:?}");
+            assert_eq!(series, recorded);
+            assert_eq!(recorded.values().sum::<u64>(), report.net.delivered_total);
+        }
     }
 }
 
@@ -130,7 +170,7 @@ fn metrics_snapshot_subsumes_net_and_fault_stats() {
     let commits: u64 = report
         .actor_stats
         .iter()
-        .filter(|(sym, _)| workflow.spec.table.name(**sym).is_some_and(|n| n.ends_with(".commit")))
+        .filter(|(sym, _)| workflow.spec.table.name(*sym).is_some_and(|n| n.ends_with(".commit")))
         .map(|(_, st)| st.granted)
         .sum();
     let metric_commits = m.counter("actor.granted", &[("event", "buy.commit")]).unwrap_or(0)
