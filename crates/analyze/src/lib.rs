@@ -2,7 +2,7 @@
 //!
 //! The schedulers in this workspace enforce dependencies at runtime; this
 //! crate answers, *before* any event is attempted, whether a workflow can
-//! work at all and what coordination it will cost. Five passes, one
+//! work at all and what coordination it will cost. Three passes, one
 //! [`Report`]:
 //!
 //! 1. **Automaton core** — product reachability over the per-dependency
@@ -21,15 +21,10 @@
 //!    connected components expose `◇`-consensus groups and `¬`-hold
 //!    contention cycles of any length, and mixed cycles that can deadlock
 //!    a distributed execution.
-//! 4. **Static interference** — per-event read/write footprints from the
-//!    compiled guard and machine tables, a conflict graph over event
-//!    pairs (non-commutable machine steps, racing trigger writes), its
-//!    complement independence relation, and a certified [`ShardPlan`]:
-//!    colocation classes refining the Lemma 5 quotient, with one
-//!    discharged commutativity proof obligation per cross-class pair.
-//! 5. **Diagnostics** — every finding is a [`Diagnostic`] with a stable
-//!    `WF0xx` code, severity, and source spans threaded from the spec
-//!    language, rendered as compiler-style text or JSON.
+//!
+//! Every finding is a [`Diagnostic`] with a stable `WF0xx` code, severity,
+//! and source spans threaded from the spec language, rendered as
+//! compiler-style text or JSON.
 //!
 //! # Diagnostic codes
 //!
@@ -48,21 +43,15 @@
 //! | WF020 | warning  | `◇`-consensus cycle: promises must be granted jointly |
 //! | WF021 | warning  | `¬`-hold contention cycle: not-yet agreements chase each other |
 //! | WF022 | warning  | mixed `◇`/`¬` cycle: potential distributed deadlock |
-//! | WF030 | warning  | write-write race: two uncoupled events trigger the same literal |
-//! | WF031 | warning  | guard read races a concurrent trigger writer |
-//! | WF032 | error    | non-commutable pair pinned to different sites — unshardable |
-//! | WF033 | info     | serialization bottleneck: event touches more shards than the threshold |
 
 #![warn(missing_docs)]
 
 mod automaton;
 mod diag;
 mod independence;
-mod interference;
 mod needgraph;
 
 pub use diag::{json_str, Diagnostic, LabeledSpan, Severity};
-pub use event_algebra::{Obligation, ObligationKind, ShardClass, ShardPlan};
 
 use event_algebra::{Expr, Literal, SymbolId, SymbolTable};
 use guard::{CompiledWorkflow, GuardScope};
@@ -79,15 +68,11 @@ pub struct AnalyzeOptions {
     /// across all queries; exceeding it yields `WF006` instead of an
     /// unbounded search.
     pub state_budget: usize,
-    /// `WF033` advisory threshold: an event whose footprint spans more
-    /// than this many shard classes is flagged as a serialization
-    /// bottleneck for a parallel runtime.
-    pub bottleneck_shards: usize,
 }
 
 impl Default for AnalyzeOptions {
     fn default() -> AnalyzeOptions {
-        AnalyzeOptions { state_budget: DEFAULT_STATE_BUDGET, bottleneck_shards: 4 }
+        AnalyzeOptions { state_budget: DEFAULT_STATE_BUDGET }
     }
 }
 
@@ -118,11 +103,6 @@ pub struct Report {
     /// Events (positive literals) that occur in every satisfying
     /// execution.
     pub forced: Vec<Literal>,
-    /// The shard-plan certificate from the interference pass: colocation
-    /// classes, the independence relation, and discharged cross-class
-    /// proof obligations. `None` only when the pass never ran (parse
-    /// errors).
-    pub shard_plan: Option<ShardPlan>,
 }
 
 impl Report {
@@ -137,7 +117,6 @@ impl Report {
             jointly_contradictory: false,
             dead: Vec::new(),
             forced: Vec::new(),
-            shard_plan: None,
         }
     }
 
@@ -219,10 +198,6 @@ impl Report {
         fields.push(format!("\"incomplete\":{}", self.incomplete));
         fields.push(format!("\"errors\":{}", self.count(Severity::Error)));
         fields.push(format!("\"warnings\":{}", self.count(Severity::Warning)));
-        if let Some(plan) = &self.shard_plan {
-            fields.push(format!("\"shard_classes\":{}", plan.class_count()));
-            fields.push(format!("\"independent_pairs\":{}", plan.independent.len()));
-        }
         fields.push(format!("\"diagnostics\":[{}]", diags.join(",")));
         format!("{{{}}}", fields.join(","))
     }
@@ -268,14 +243,6 @@ impl Ctx<'_> {
         self.event_of(s).and_then(|e| e.site)
     }
 
-    /// `true` when `s` is declared triggerable: its occurrence can be
-    /// proactively caused by the scheduler, so it counts as a *write*
-    /// target in the interference pass. Bare dependency sets declare
-    /// nothing, so nothing is triggerable there.
-    pub fn triggerable(&self, s: SymbolId) -> bool {
-        self.event_of(s).is_some_and(|e| e.triggerable)
-    }
-
     /// Span + label for the event declaring `s` (synthetic when the
     /// symbol only appears inside dependencies).
     pub fn event_span(&self, s: SymbolId) -> (Span, String) {
@@ -307,7 +274,7 @@ impl Ctx<'_> {
     }
 }
 
-/// Verify a lowered workflow specification: all four passes, with spans
+/// Verify a lowered workflow specification: all three passes, with spans
 /// taken from the declarations.
 pub fn analyze_workflow(w: &LoweredWorkflow, opts: &AnalyzeOptions) -> Report {
     let mut report = Report::new(Some(w.name.clone()));
@@ -362,6 +329,5 @@ fn run_passes(ctx: &Ctx<'_>, opts: &AnalyzeOptions, report: &mut Report) {
     automaton::run(ctx, opts.state_budget, report);
     independence::run(ctx, report);
     needgraph::run(ctx, report);
-    interference::run(ctx, opts.bottleneck_shards, report);
     report.finish();
 }

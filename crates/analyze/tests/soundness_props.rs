@@ -55,11 +55,7 @@ fn cutoff_is_sound_not_wrong() {
         let budget = g.range(1usize..6);
         let table = SymbolTable::new();
         let full = analyze_dependencies(&deps, &table, &AnalyzeOptions::default());
-        let tight = analyze_dependencies(
-            &deps,
-            &table,
-            &AnalyzeOptions { state_budget: budget, ..AnalyzeOptions::default() },
-        );
+        let tight = analyze_dependencies(&deps, &table, &AnalyzeOptions { state_budget: budget });
         assert!(!full.incomplete, "default budget must cover 4 symbols");
         if !tight.incomplete {
             assert_eq!(tight.jointly_contradictory, full.jointly_contradictory);

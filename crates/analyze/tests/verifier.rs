@@ -221,8 +221,7 @@ fn ten_symbol_workflow_completes_under_default_budget() {
 
 #[test]
 fn tight_budget_degrades_to_wf006_instead_of_hanging() {
-    let r =
-        check_with(&chain(10), &AnalyzeOptions { state_budget: 4, ..AnalyzeOptions::default() });
+    let r = check_with(&chain(10), &AnalyzeOptions { state_budget: 4 });
     assert!(r.incomplete);
     let d = r.diagnostics.iter().find(|d| d.code == "WF006").expect("WF006");
     assert_eq!(d.severity, Severity::Warning);
@@ -236,7 +235,7 @@ fn tight_budget_degrades_to_wf006_instead_of_hanging() {
         .iter()
         .map(|s| parse_expr(s, &mut t).unwrap())
         .collect();
-    let opts = AnalyzeOptions { state_budget: 3, ..AnalyzeOptions::default() };
+    let opts = AnalyzeOptions { state_budget: 3 };
     let r = analyze_dependencies(&ds, &t, &opts);
     assert!(r.incomplete && !r.is_clean(), "{:?}", r.diagnostics);
     assert!(r.dead.is_empty() && r.forced.is_empty() && !r.jointly_contradictory, "{r:?}");

@@ -63,7 +63,6 @@ mod pexpr;
 mod product;
 mod residue;
 mod semantics;
-pub mod shard;
 mod symbol;
 mod trace;
 mod tracker;
@@ -82,7 +81,6 @@ pub use residue::{
     satisfiable_avoiding, satisfiable_avoiding_all,
 };
 pub use semantics::{denotation, equivalent, equivalent_auto, satisfies, verdict};
-pub use shard::{Obligation, ObligationKind, ShardClass, ShardPlan};
 pub use symbol::{Literal, Polarity, SymbolId, SymbolTable};
 pub use trace::{enumerate_maximal, enumerate_universe, Trace};
 pub use tracker::{acceptance, Acceptance, DepTracker};

@@ -344,7 +344,7 @@ impl DependencyMachine {
     /// residuals, this decides whether adjacent occurrences of the two
     /// literals can be transposed in any trace without changing this
     /// dependency's residual (and hence its verdict) — the per-machine
-    /// core of the interference analyzer's independence relation.
+    /// independence fact a partial-order reduction of schedules needs.
     pub fn literals_commute(&self, a: Literal, b: Literal) -> bool {
         (0..self.state_count() as u32)
             .map(StateId)
@@ -352,7 +352,7 @@ impl DependencyMachine {
     }
 
     /// `true` if the symbols commute in every polarity combination —
-    /// the schedule-level independence test, used when the analyzer does
+    /// the schedule-level independence test, for when the caller does
     /// not know which polarities a run will realize. Trivially `true`
     /// when either symbol is outside `Γ_D` (R6 self-loops commute with
     /// everything).

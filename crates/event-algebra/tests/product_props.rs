@@ -1,10 +1,12 @@
 //! Differential property tests for the goal-directed product search: on
 //! random workflows every query must agree with a plain exhaustive search
 //! written here, whatever propagation, pruning, ordering and witness
-//! reuse did to get there.
+//! reuse did to get there. One more property holds the machines'
+//! commutation test to brute-force schedule permutation.
 
 use event_algebra::{
-    DependencyMachine, Expr, Literal, ProductMachine, Reach, StateBudget, StateId, SymbolId,
+    enumerate_maximal, DependencyMachine, Expr, Literal, ProductMachine, Reach, StateBudget,
+    StateId, SymbolId,
 };
 use std::collections::HashSet;
 use testkit::{check, Exprs, Gen};
@@ -129,6 +131,48 @@ fn a_tight_budget_cuts_off_but_never_lies() {
                 assert_witness(&p, avoid);
             }
             assert!(budget.spent() <= budget.limit());
+        }
+    });
+}
+
+/// Soundness of commutation: a pair of symbols that `symbols_commute`
+/// accepts on every machine may be transposed at any adjacent position of
+/// any maximal trace without moving any machine to a different state. (The
+/// converse need not hold — the all-states check is conservative about
+/// states no consistent trace revisits — so only this direction is
+/// asserted.)
+#[test]
+fn claimed_commutation_survives_every_adjacent_transposition() {
+    check("claimed_commutation_survives_every_adjacent_transposition", 40, |g| {
+        let syms: Vec<SymbolId> = (0..4).map(SymbolId).collect();
+        let deps: Vec<Expr> = (0..g.len(1, 3)).map(|_| g.term(&syms, 2)).collect();
+        let machines = DependencyMachine::compile_all(&deps);
+        let commute =
+            |a: SymbolId, b: SymbolId| a != b && machines.iter().all(|m| m.symbols_commute(a, b));
+        let mut used: Vec<SymbolId> = deps.iter().flat_map(|d| d.symbols()).collect();
+        used.sort();
+        used.dedup();
+        for u in enumerate_maximal(&used) {
+            let ev = u.events();
+            for i in 0..ev.len().saturating_sub(1) {
+                if !commute(ev[i].symbol(), ev[i + 1].symbol()) {
+                    continue;
+                }
+                let mut w = ev.to_vec();
+                w.swap(i, i + 1);
+                for m in &machines {
+                    let q0 = ev.iter().fold(m.initial, |q, &l| m.step(q, l));
+                    let q1 = w.iter().fold(m.initial, |q, &l| m.step(q, l));
+                    assert_eq!(
+                        q0,
+                        q1,
+                        "{} tells {} {} apart at {i}",
+                        m.dependency(),
+                        ev[i],
+                        ev[i + 1]
+                    );
+                }
+            }
         }
     });
 }

@@ -114,26 +114,31 @@ impl DepDecl {
 }
 
 /// Klein's `e -> f`: if `e` occurs then `f` occurs (either order) —
-/// formalized as `ē + f` (Example 2).
-pub fn klein_arrow(e: PExpr, f: PExpr) -> PExpr {
-    PExpr::Or(vec![complement(e), f])
+/// formalized as `ē + f` (Example 2). `e` must be an event atom.
+pub fn klein_arrow(e: PExpr, f: PExpr) -> Result<PExpr, String> {
+    let not_e = complement(e).map_err(|_| "`->` applies to an event atom on its left")?;
+    Ok(PExpr::Or(vec![not_e, f]))
 }
 
 /// Klein's `e < f`: if both occur, `e` precedes `f` — formalized as
-/// `ē + f̄ + e·f` (Example 3).
-pub fn klein_precedes(e: PExpr, f: PExpr) -> PExpr {
-    PExpr::Or(vec![complement(e.clone()), complement(f.clone()), PExpr::Seq(vec![e, f])])
+/// `ē + f̄ + e·f` (Example 3). Both sides must be event atoms.
+pub fn klein_precedes(e: PExpr, f: PExpr) -> Result<PExpr, String> {
+    let atoms = || "`<` applies to event atoms".to_owned();
+    let not_e = complement(e.clone()).map_err(|_| atoms())?;
+    let not_f = complement(f.clone()).map_err(|_| atoms())?;
+    Ok(PExpr::Or(vec![not_e, not_f, PExpr::Seq(vec![e, f])]))
 }
 
-/// Complement an atom (or map complements through `+`/`|` is *not*
-/// defined — the sugar applies to atoms only, as in the paper).
-pub fn complement(e: PExpr) -> PExpr {
+/// Complement an event atom. The sugar applies to atoms only, as in the
+/// paper: a complement is not mapped through `+`, `|` or `·`, and `0`
+/// and `⊤` have none.
+pub fn complement(e: PExpr) -> Result<PExpr, String> {
     match e {
         PExpr::Lit(mut l) => {
             l.polarity = l.polarity.flipped();
-            PExpr::Lit(l)
+            Ok(PExpr::Lit(l))
         }
-        other => panic!("`->`/`<` sugar applies to event atoms, got {other:?}"),
+        _ => Err("`~` applies to an event atom".to_owned()),
     }
 }
 
@@ -146,6 +151,7 @@ pub fn expand_macro(name: &str, args: &[PExpr]) -> Result<PExpr, String> {
     let atom = |ix: usize| -> Result<PExpr, String> {
         args.get(ix).cloned().ok_or_else(|| format!("macro {name}: missing argument {ix}"))
     };
+    let in_macro = |m: String| format!("macro {name}: {m}");
     let task_event = |ix: usize, ev: &str| -> Result<PExpr, String> {
         match args.get(ix) {
             Some(PExpr::Lit(l)) => {
@@ -158,15 +164,15 @@ pub fn expand_macro(name: &str, args: &[PExpr]) -> Result<PExpr, String> {
     };
     match name {
         // Klein primitives on explicit events.
-        "arrow" => Ok(klein_arrow(atom(0)?, atom(1)?)),
-        "prec" => Ok(klein_precedes(atom(0)?, atom(1)?)),
+        "arrow" => klein_arrow(atom(0)?, atom(1)?).map_err(in_macro),
+        "prec" => klein_precedes(atom(0)?, atom(1)?).map_err(in_macro),
         // ACTA-style primitives on tasks (convention: task.start /
         // task.commit / task.abort / task.compensate).
         //
         // commit_dep(a, b): b's commit requires a's commit to precede it.
-        "commit_dep" => Ok(klein_precedes(task_event(0, "commit")?, task_event(1, "commit")?)),
+        "commit_dep" => klein_precedes(task_event(0, "commit")?, task_event(1, "commit")?),
         // abort_dep(a, b): if a aborts, b aborts.
-        "abort_dep" => Ok(klein_arrow(task_event(0, "abort")?, task_event(1, "abort")?)),
+        "abort_dep" => klein_arrow(task_event(0, "abort")?, task_event(1, "abort")?),
         // begin_on_commit(a, b): b starts exactly when a commits — the
         // ordering (b starts only after a's commit) conjoined with the
         // initiation (if a commits, b starts), so the scheduler both
@@ -175,8 +181,8 @@ pub fn expand_macro(name: &str, args: &[PExpr]) -> Result<PExpr, String> {
             let s = task_event(1, "start")?;
             let c = task_event(0, "commit")?;
             Ok(PExpr::And(vec![
-                PExpr::Or(vec![complement(s.clone()), PExpr::Seq(vec![c.clone(), s.clone()])]),
-                PExpr::Or(vec![complement(c), s]),
+                PExpr::Or(vec![complement(s.clone())?, PExpr::Seq(vec![c.clone(), s.clone()])]),
+                PExpr::Or(vec![complement(c)?, s]),
             ]))
         }
         // exclusion(a, b): at most one of the two commits (Günthör-style
@@ -184,7 +190,7 @@ pub fn expand_macro(name: &str, args: &[PExpr]) -> Result<PExpr, String> {
         "exclusion" => {
             let ca = task_event(0, "commit")?;
             let cb = task_event(1, "commit")?;
-            Ok(PExpr::Or(vec![complement(ca), complement(cb)]))
+            Ok(PExpr::Or(vec![complement(ca)?, complement(cb)?]))
         }
         // compensate(t, parent, c): if t committed but the parent's commit
         // never happens, start the compensating task c (Example 4's dep 3).
@@ -192,7 +198,7 @@ pub fn expand_macro(name: &str, args: &[PExpr]) -> Result<PExpr, String> {
             let ct = task_event(0, "commit")?;
             let cp = task_event(1, "commit")?;
             let sc = task_event(2, "start")?;
-            Ok(PExpr::Or(vec![complement(ct), cp, sc]))
+            Ok(PExpr::Or(vec![complement(ct)?, cp, sc]))
         }
         // mutex(b1, e1, b2, e2): Example 13's one-direction critical
         // section dependency over parametrized enters/exits.
@@ -202,8 +208,8 @@ pub fn expand_macro(name: &str, args: &[PExpr]) -> Result<PExpr, String> {
             let b2 = atom(2)?;
             Ok(PExpr::Or(vec![
                 PExpr::Seq(vec![b2.clone(), b1]),
-                complement(e1.clone()),
-                complement(b2.clone()),
+                complement(e1.clone()).map_err(in_macro)?,
+                complement(b2.clone()).map_err(in_macro)?,
                 PExpr::Seq(vec![e1, b2]),
             ]))
         }
@@ -230,10 +236,11 @@ mod tests {
     #[test]
     fn klein_sugar_matches_paper_formalization() {
         let mut t = SymbolTable::new();
-        let arrow = klein_arrow(atom("e"), atom("f")).instantiate(&Binding::new(), &mut t);
+        let arrow = klein_arrow(atom("e"), atom("f")).unwrap().instantiate(&Binding::new(), &mut t);
         let expected = event_algebra::parse_expr("~e + f", &mut t).unwrap();
         assert_eq!(arrow, expected);
-        let prec = klein_precedes(atom("e"), atom("f")).instantiate(&Binding::new(), &mut t);
+        let prec =
+            klein_precedes(atom("e"), atom("f")).unwrap().instantiate(&Binding::new(), &mut t);
         let expected = event_algebra::parse_expr("~e + ~f + e.f", &mut t).unwrap();
         assert_eq!(prec, expected);
     }
@@ -280,8 +287,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sugar applies to event atoms")]
-    fn complement_of_compound_panics() {
-        let _ = complement(PExpr::Or(vec![atom("a"), atom("b")]));
+    fn complement_of_a_non_atom_is_an_error() {
+        for e in [PExpr::Or(vec![atom("a"), atom("b")]), PExpr::Top, PExpr::Zero] {
+            assert_eq!(complement(e), Err("`~` applies to an event atom".to_owned()));
+        }
+        let compound = PExpr::Seq(vec![atom("a"), atom("b")]);
+        assert!(klein_arrow(compound.clone(), atom("c")).is_err());
+        assert!(klein_arrow(atom("c"), compound.clone()).is_ok(), "any right side");
+        assert!(klein_precedes(atom("c"), compound).is_err());
+        let err = expand_macro("mutex", &[atom("a"), PExpr::Top, atom("b")]).unwrap_err();
+        assert!(err.starts_with("macro mutex: `~`"), "{err}");
     }
 }

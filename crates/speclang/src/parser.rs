@@ -264,9 +264,14 @@ struct Parser {
 
 impl Parser {
     fn err_at(&self, message: impl Into<String>) -> SpecError {
+        self.err_at_token(self.pos, message)
+    }
+
+    /// An error at the token with index `ix` (the last token past the end).
+    fn err_at_token(&self, ix: usize, message: impl Into<String>) -> SpecError {
         let (line, col) = self
             .toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
+            .get(ix.min(self.toks.len().saturating_sub(1)))
             .map(|&(_, l, c)| (l, c))
             .unwrap_or((0, 0));
         SpecError { line, col, message: message.into() }
@@ -474,19 +479,15 @@ impl Parser {
     /// `expr ('->' expr | '<' expr)?` — Klein sugar at the top level.
     fn klein_expr(&mut self) -> Result<PExpr, SpecError> {
         let lhs = self.or_expr()?;
-        match self.peek() {
-            Some(Tok::Arrow) => {
-                self.pos += 1;
-                let rhs = self.or_expr()?;
-                Ok(klein_arrow(lhs, rhs))
-            }
-            Some(Tok::Less) => {
-                self.pos += 1;
-                let rhs = self.or_expr()?;
-                Ok(klein_precedes(lhs, rhs))
-            }
-            _ => Ok(lhs),
-        }
+        let sugar = match self.peek() {
+            Some(Tok::Arrow) => klein_arrow,
+            Some(Tok::Less) => klein_precedes,
+            _ => return Ok(lhs),
+        };
+        let op = self.pos;
+        self.pos += 1;
+        let rhs = self.or_expr()?;
+        sugar(lhs, rhs).map_err(|m| self.err_at_token(op, m))
     }
 
     fn or_expr(&mut self) -> Result<PExpr, SpecError> {
@@ -532,10 +533,11 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<PExpr, SpecError> {
+        let at = self.pos;
         match self.next() {
             Some(Tok::Tilde) => {
                 let inner = self.nested(Self::atom)?;
-                Ok(crate::ast::complement(inner))
+                crate::ast::complement(inner).map_err(|m| self.err_at_token(at, m))
             }
             Some(Tok::Zero) => Ok(PExpr::Zero),
             Some(Tok::Top) => Ok(PExpr::Top),
@@ -583,7 +585,7 @@ impl Parser {
                     } else {
                         self.pos += 1;
                     }
-                    return expand_macro(&name, &margs).map_err(|m| self.err_at(m));
+                    return expand_macro(&name, &margs).map_err(|m| self.err_at_token(at, m));
                 }
                 Ok(PExpr::lit(&name, &[]))
             }

@@ -41,17 +41,11 @@
 //! plans (a partitioned promise round *should* stall) and never fail
 //! conformance.
 //!
-//! An eighth audit validates the static interference analyzer against
-//! the realized schedule: for every *adjacent* pair of occurrences the
-//! certified [`ShardPlan`] claims independent, transposing them must
-//! leave every dependency machine in a byte-identical final state (the
-//! □-view each actor derives) with unchanged acceptance — and the
-//! occurrence set is preserved by construction. A pair whose
-//! transposition changes any machine's destiny was *not* independent,
-//! so the analyzer's certificate is falsified by a concrete schedule
-//! race. [`audit_schedule_races_against`] takes the plan explicitly so
-//! the mutation harness can inject a deliberately mis-classified pair
-//! and prove the audit catches it.
+//! The eighth audit is retired (the numbering of the later audits is
+//! kept): it held a static shard plan's independence claims to the
+//! realized schedule, and that plan is deleted — no executor shards an
+//! instance, and order across sites is the `□`/`◇` protocol's job, which
+//! audits 1, 2 and 7 already check on every run.
 //!
 //! A ninth audit covers the multi-tenant engine:
 //! [`audit_tenant_isolation`] runs a whole fleet through
@@ -77,8 +71,7 @@
 //! delivery order to audit. What is left of it is [`diff_fleet_reports`]:
 //! [`dist::run_parallel_fleet`] and [`dist::run_tenant`] are two report
 //! shapes over one fleet runner, and the diff holds them to each other
-//! instance by instance. A forged [`ShardPlan`] independence claim is
-//! the eighth audit's to catch, on any run.
+//! instance by instance.
 //!
 //! An eleventh audit pins the *fused* monitor feed to an offline replay:
 //! [`audit_monitor_equivalence`] runs each (spec, seed, fault plan)
@@ -98,7 +91,7 @@ use dist::{
     guard_gated, run_tenant, run_workflow_with_faults, Arrival, ExecConfig, ParallelFleetReport,
     RunReport, TenantConfig, TenantReport, WorkflowSpec,
 };
-use event_algebra::{DependencyMachine, Literal, ShardPlan, StateId};
+use event_algebra::{DependencyMachine, Literal, StateId};
 use guard::{CompiledWorkflow, GuardScope};
 use sim::{FaultPlan, Termination};
 use std::collections::BTreeMap;
@@ -145,66 +138,6 @@ pub fn machine_views(machines: &[DependencyMachine], events: &[Literal]) -> Vec<
     machines.iter().map(|m| events.iter().fold(m.initial, |q, &l| m.step(q, l))).collect()
 }
 
-/// Audit the interference analyzer's independence claims against the
-/// realized schedule: re-derive the [`ShardPlan`] from the spec's
-/// dependencies and delegate to [`audit_schedule_races_against`].
-pub fn audit_schedule_races(spec: &WorkflowSpec, report: &RunReport) -> Vec<String> {
-    let areport = analyze::analyze_dependencies(
-        &spec.dependencies,
-        &spec.table,
-        &analyze::AnalyzeOptions::default(),
-    );
-    match areport.shard_plan {
-        Some(plan) => audit_schedule_races_against(spec, report, &plan),
-        None => Vec::new(),
-    }
-}
-
-/// Audit an explicit independence relation against the realized
-/// schedule. For each adjacent pair of the maximal trace that `plan`
-/// claims independent, transpose the two occurrences and replay every
-/// dependency machine: the final states (□-views) and acceptance must be
-/// byte-identical to the unpermuted run's, and the occurrence set is
-/// identical by construction (a transposition permutes, never drops).
-/// Any difference is a schedule race the analyzer failed to certify.
-///
-/// Taking `plan` as a parameter (rather than re-deriving it) lets the
-/// mutation harness feed a falsified relation and prove detection.
-pub fn audit_schedule_races_against(
-    spec: &WorkflowSpec,
-    report: &RunReport,
-    plan: &ShardPlan,
-) -> Vec<String> {
-    let machines = DependencyMachine::compile_all(&spec.dependencies);
-    let events = report.maximal_trace.events();
-    let baseline = machine_views(&machines, events);
-    let mut failures = Vec::new();
-    let mut permuted = events.to_vec();
-    for i in 0..events.len().saturating_sub(1) {
-        let (a, b) = (events[i], events[i + 1]);
-        if !plan.is_independent(a.symbol(), b.symbol()) {
-            continue;
-        }
-        permuted.swap(i, i + 1);
-        let swapped = machine_views(&machines, &permuted);
-        permuted.swap(i, i + 1); // restore for the next window
-        for (ix, (&q0, &q1)) in baseline.iter().zip(&swapped).enumerate() {
-            if q0 != q1 || machines[ix].is_accepting(q0) != machines[ix].is_accepting(q1) {
-                failures.push(format!(
-                    "schedule race: transposing independent pair ({}, {}) at position {i} \
-                     moves dependency {ix} from state {} to {} — the shard plan's \
-                     independence claim is falsified by this schedule",
-                    spec.table.literal_name(a),
-                    spec.table.literal_name(b),
-                    q0.0,
-                    q1.0,
-                ));
-            }
-        }
-    }
-    failures
-}
-
 /// Run one scenario to quiescence and audit it. `expect_live` additionally
 /// demands `all_satisfied()` — set it for statically clean workflows under
 /// fault plans whose partitions heal and whose crashed nodes restart.
@@ -222,7 +155,6 @@ pub fn check_run(
     }
     let report = run_workflow_with_faults(spec, config, plan);
     let mut failures = Vec::new();
-    failures.extend(audit_schedule_races(spec, &report));
     if report.termination != Termination::Quiescent {
         failures.push(format!("run exhausted its {} step budget without quiescing", report.steps));
     }
@@ -932,54 +864,6 @@ mod tests {
                 "deleting span {victim} went unnoticed: {failures:?}"
             );
         }
-    }
-
-    #[test]
-    fn schedule_race_audit_catches_a_forged_independence_claim() {
-        // Precedence e < f does not commute (e·f reaches ⊤, f·e reaches
-        // 0), so the honest analyzer colocates the pair and never claims
-        // independence — the audit is green on a real run. Mutation: forge
-        // a plan that mis-classifies (e, f) as independent and prove the
-        // transposition replay catches it on the very same run.
-        let mut table = SymbolTable::new();
-        let d = parse_expr("~e + ~f + e.f", &mut table).unwrap();
-        let e = table.event("e");
-        let f = table.event("f");
-        let spec = WorkflowSpec {
-            table,
-            dependencies: vec![d],
-            agents: vec![],
-            free_events: vec![
-                dist::FreeEventSpec {
-                    site: SiteId(0),
-                    lit: e,
-                    attrs: EventAttrs::controllable(),
-                    attempt_after: Some(1),
-                },
-                dist::FreeEventSpec {
-                    site: SiteId(0),
-                    lit: f,
-                    attrs: EventAttrs::controllable(),
-                    attempt_after: Some(1),
-                },
-            ],
-        };
-        let report = dist::run_workflow(&spec, ExecConfig::seeded(2));
-        assert!(report.all_satisfied(), "clean run should satisfy e < f");
-        assert_eq!(audit_schedule_races(&spec, &report), Vec::<String>::new());
-        let pair = event_algebra::shard::canonical(e.symbol(), f.symbol());
-        let forged = ShardPlan {
-            classes: vec![
-                event_algebra::ShardClass { id: 0, events: vec![pair.0], site: None },
-                event_algebra::ShardClass { id: 1, events: vec![pair.1], site: None },
-            ],
-            commuting: vec![pair],
-            independent: vec![pair],
-            ..ShardPlan::default()
-        };
-        let failures = audit_schedule_races_against(&spec, &report, &forged);
-        assert!(!failures.is_empty(), "forged independence claim went undetected");
-        assert!(failures[0].contains("schedule race"), "{failures:?}");
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! `wfcheck` — static verification of workflow specifications.
 //!
-//! Parses each `.wf` file, runs the five analysis passes of the
+//! Parses each `.wf` file, runs the three analysis passes of the
 //! [`analyze`] crate, and reports `WF0xx` diagnostics as compiler-style
-//! text or JSON. `--shard-plan` additionally writes the interference
-//! pass's certified [`analyze::ShardPlan`] as JSON. Exit code 0 means
-//! clean, 1 means findings at or above the deny level, 2 means a usage
-//! or I/O error.
+//! text or JSON. Exit code 0 means clean, 1 means findings at or above
+//! the deny level, 2 means a usage or I/O error.
 
 use analyze::{analyze_workflow, AnalyzeOptions, Report, DEFAULT_STATE_BUDGET};
 use speclang::LoweredWorkflow;
@@ -24,10 +22,6 @@ OPTIONS:
     --state-budget <N>    product-state cap for reachability queries
                           (default 1048576); exceeding it degrades to a
                           WF006 diagnostic instead of an unbounded search
-    --shard-plan <PATH>   write the interference pass's shard-plan
-                          certificate (colocation classes, independence
-                          relation, proof obligations) as JSON; requires
-                          exactly one spec file; '-' writes to stdout
     -h, --help            print this help
 
 EXIT CODES:
@@ -41,7 +35,6 @@ struct Args {
     json: bool,
     deny_warnings: bool,
     state_budget: usize,
-    shard_plan: Option<String>,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -50,7 +43,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         json: false,
         deny_warnings: false,
         state_budget: DEFAULT_STATE_BUDGET,
-        shard_plan: None,
     };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -70,22 +62,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let v = &s["--state-budget=".len()..];
                 args.state_budget = v.parse().map_err(|_| format!("invalid state budget '{v}'"))?;
             }
-            "--shard-plan" => {
-                let v = it.next().ok_or("--shard-plan expects a path")?;
-                args.shard_plan = Some(v.clone());
-            }
-            s if s.starts_with("--shard-plan=") => {
-                args.shard_plan = Some(s["--shard-plan=".len()..].to_owned());
-            }
             s if s.starts_with('-') => return Err(format!("unknown option '{s}'")),
             s => args.files.push(s.to_owned()),
         }
     }
     if args.files.is_empty() {
         return Err("no specification files given".to_owned());
-    }
-    if args.shard_plan.is_some() && args.files.len() != 1 {
-        return Err("--shard-plan requires exactly one specification file".to_owned());
     }
     Ok(args)
 }
@@ -104,7 +86,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let opts = AnalyzeOptions { state_budget: args.state_budget, ..AnalyzeOptions::default() };
+    let opts = AnalyzeOptions { state_budget: args.state_budget };
     let mut worst = 0i32;
     for file in &args.files {
         let src = match std::fs::read_to_string(file) {
@@ -114,28 +96,10 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let (report, table) = match LoweredWorkflow::parse(&src) {
-            Ok(w) => (analyze_workflow(&w, &opts), Some(w.table)),
-            Err(e) => (Report::from_spec_error(&e), None),
+        let report = match LoweredWorkflow::parse(&src) {
+            Ok(w) => analyze_workflow(&w, &opts),
+            Err(e) => Report::from_spec_error(&e),
         };
-        if let Some(path) = &args.shard_plan {
-            match (&report.shard_plan, &table) {
-                (Some(plan), Some(table)) => {
-                    let mut json = plan.to_json(table);
-                    json.push('\n');
-                    if path == "-" {
-                        let _ = std::io::stdout().write_all(json.as_bytes());
-                    } else if let Err(e) = std::fs::write(path, &json) {
-                        eprintln!("wfcheck: {path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-                _ => {
-                    eprintln!("wfcheck: {file}: no shard plan emitted (spec did not parse)");
-                    return ExitCode::from(2);
-                }
-            }
-        }
         let rendered = if args.json {
             let mut line = report.to_json(Some(file));
             line.push('\n');

@@ -5,9 +5,9 @@
 # included), benches built, clippy, fmt, rustdoc with warnings denied (a
 # deleted public name may not leave a dangling intra-doc link), the CLI
 # smokes (with a ceiling on the product states wfcheck explores per
-# example spec, and four malformed inputs — two hostile nestings, two bad
-# agent declarations — that must come back as positioned errors, not
-# crashes) and the benchmark's own selfcheck.
+# example spec, and six malformed inputs — two hostile nestings, two bad
+# agent declarations, two complements of a non-atom — that must come back
+# as positioned errors, not crashes) and the benchmark's own selfcheck.
 #
 # `check.sh --faults` runs the fault-conformance tier instead: the
 # `conformance` driver sweeps every example spec, then the four model
@@ -145,15 +145,6 @@ for r in reports:
 PY
 rm -f "$STATES_TMP"
 
-echo "==> wfcheck --shard-plan golden diff (travel, pipeline10)"
-PLAN_TMP="$(mktemp -d)"
-for spec in travel pipeline10; do
-    "$WFCHECK" --deny warnings --shard-plan "$PLAN_TMP/$spec.plan.json" \
-        "$REPO/examples/specs/$spec.wf" > /dev/null
-    diff -u "$REPO/examples/specs/golden/$spec.plan.json" "$PLAN_TMP/$spec.plan.json"
-done
-rm -rf "$PLAN_TMP"
-
 echo "==> wftrace smoke: record travel -> explain -> export --chrome"
 WFTRACE="$REPO/target/release/wftrace"
 TRACE_TMP="$(mktemp -d)"
@@ -168,9 +159,10 @@ trap 'rm -rf "$TRACE_TMP"' EXIT
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEvents'], 'empty trace'" \
     "$TRACE_TMP/travel.chrome.json"
 
-echo "==> malformed-input smokes: hostile nesting and bad agent declarations are errors with a position, never a stack overflow (exit 134) or a panic (exit 101)"
+echo "==> malformed-input smokes: hostile nesting, bad agent declarations and complements of non-atoms are errors with a position, never a stack overflow (exit 134) or a panic (exit 101)"
 # 10 000 parentheses in a dependency, 200 000 brackets of JSON; an agent
-# of no library kind, an agent scripted with an event it does not have.
+# of no library kind, an agent scripted with an event it does not have;
+# `~` and `->` applied to a choice.
 python3 - "$TRACE_TMP" <<'PY'
 import sys
 d = sys.argv[1]
@@ -178,6 +170,8 @@ open(f"{d}/deep.wf", "w").write("workflow x {\n  dep d: " + "(" * 10000 + "e" + 
 open(f"{d}/deep.json", "w").write("[" * 200000)
 open(f"{d}/kind.wf", "w").write("workflow x {\n  agent buy: frob { script: start, commit };\n}\n")
 open(f"{d}/step.wf", "w").write("workflow x {\n  agent buy: rda { script: start, frobnicate };\n}\n")
+open(f"{d}/not.wf", "w").write("workflow x {\n  dep d: ~(a + b);\n}\n")
+open(f"{d}/arrow.wf", "w").write("workflow x {\n  dep d: (a + b) -> c;\n}\n")
 PY
 expect_exit() {
     local want="$1" rc=0
@@ -196,6 +190,12 @@ expect_exit 1 "$WFCHECK" "$TRACE_TMP/kind.wf"
 grep -q "unknown agent kind" "$TRACE_TMP/hostile.out"
 expect_exit 2 "$WFTRACE" record --spec "$TRACE_TMP/step.wf" --out "$TRACE_TMP/step.trace.json"
 grep -q "has no event" "$TRACE_TMP/hostile.out"
+for spec in not arrow; do
+    expect_exit 1 "$WFCHECK" "$TRACE_TMP/$spec.wf"
+    grep -q "error\[WF000\]" "$TRACE_TMP/hostile.out"
+    expect_exit 2 "$WFTRACE" record --spec "$TRACE_TMP/$spec.wf" --out "$TRACE_TMP/$spec.trace.json"
+    grep -q "applies to" "$TRACE_TMP/hostile.out"
+done
 
 echo "==> benchmark/run.sh --selfcheck (the benchmark's wiring against this tree)"
 bash "$REPO/benchmark/run.sh" --selfcheck

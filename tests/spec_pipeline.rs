@@ -6,9 +6,8 @@ use guard::CompiledWorkflow;
 
 const SPEC: &str = r#"
     workflow demo {
-        // The `<`-ordered trio shares site 1 (non-commutable pairs must
-        // colocate — WF032 would reject a cross-site placement); the
-        // triggerable archive lives on its own site.
+        // The `<`-ordered trio shares site 1; the triggerable archive
+        // lives on its own site.
         event submit              @ site 1;
         event approve             @ site 1;
         event reject  { immediate } @ site 1;
@@ -86,6 +85,39 @@ fn spec_driven_execution_satisfies_dependencies() {
             (evs.iter().position(|&l| l == submit), evs.iter().position(|&l| l == approve))
         {
             assert!(s < a, "seed {seed}: {}", r.trace);
+        }
+    }
+}
+
+/// `e < f` with the two events on different sites, and `wftrace`'s CLI
+/// test spec (its `d1` is `submit < approve` read as an arrow).
+const CROSS_SITE: [&str; 2] = [
+    "workflow x { event e @ site 0; event f @ site 1; dep d: e < f; }",
+    "workflow chain { event submit @ site 0; event approve @ site 1; \
+     dep d1: ~approve + submit . approve; }",
+];
+
+#[test]
+fn cross_site_order_is_accepted_statically_and_kept_at_runtime() {
+    // The paper's core case: order across sites is the `□`/`◇` protocol's
+    // job. The checker may report the coordination (WF011) but must not
+    // reject the placement, and the runtime must keep the order.
+    for src in CROSS_SITE {
+        let lowered = speclang::LoweredWorkflow::parse(src).unwrap();
+        let report = analyze::analyze_workflow(&lowered, &analyze::AnalyzeOptions::default());
+        assert_eq!(report.count(analyze::Severity::Error), 0, "{}", report.render_text(None));
+        assert!(report.has_code("WF011"), "{}", report.render_text(None));
+
+        let mut wf = WorkflowBuilder::from_spec(src).unwrap().build();
+        // A bare spec drives nothing: attempt every event at t=1, as
+        // `wftrace record` does.
+        for f in &mut wf.spec.free_events {
+            f.attempt_after = Some(1);
+        }
+        for seed in 0..20 {
+            let r = wf.run(seed);
+            assert!(r.all_satisfied(), "{src}, seed {seed}: {r:#?}");
+            assert_eq!(r.trace.len(), 2, "{src}, seed {seed}: both events decided: {}", r.trace);
         }
     }
 }
