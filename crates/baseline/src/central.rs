@@ -303,8 +303,6 @@ pub struct CentralConfig {
     pub sim: SimConfig,
     /// Enforcement engine.
     pub engine: Engine,
-    /// Site hosting the scheduler.
-    pub scheduler_site: SiteId,
     /// Delivery budget.
     pub max_steps: u64,
 }
@@ -315,7 +313,6 @@ impl CentralConfig {
         CentralConfig {
             sim: SimConfig { seed, ..SimConfig::default() },
             engine,
-            scheduler_site: SiteId(0),
             max_steps: 1_000_000,
         }
     }
@@ -323,7 +320,7 @@ impl CentralConfig {
 
 /// Run `spec` under the centralized scheduler. Agents live on their
 /// declared sites; every scheduling decision crosses the network to the
-/// scheduler's site.
+/// scheduler's site, site 0.
 pub fn run_centralized(spec: &WorkflowSpec, config: CentralConfig) -> RunReport {
     // Routing: every symbol's "actor" is the central node (node 0 after
     // agents); agents keep their ids. AgentNode sends attempts through
@@ -376,7 +373,7 @@ pub fn run_centralized(spec: &WorkflowSpec, config: CentralConfig) -> RunReport 
         ));
     }
     nodes.push((
-        config.scheduler_site,
+        SiteId(0),
         CNode::Central(CentralNode::new(
             config.engine,
             &spec.dependencies,

@@ -9,11 +9,9 @@
 use agent::library::rda_transaction;
 use agent::EventAttrs;
 use baseline::{run_centralized, CentralConfig, Engine};
-use dist::{
-    run_workflow, AgentSpec, ExecConfig, FreeEventSpec, GuardMode, RunReport, Script, WorkflowSpec,
-};
+use dist::{run_workflow, AgentSpec, ExecConfig, FreeEventSpec, RunReport, Script, WorkflowSpec};
 use event_algebra::{Expr, Literal, SymbolId, SymbolTable};
-use sim::{LatencyModel, SimConfig, SiteId};
+use sim::SiteId;
 use speclang::parse_dependency;
 
 /// A workload: dependencies plus free controllable events spread over
@@ -125,12 +123,7 @@ pub fn reactive_pipeline_spec(n: u32, think: u64) -> WorkflowSpec {
 pub fn run_reactive_distributed(n: u32, think: u64, seed: u64) -> RunReport {
     run_workflow(
         &reactive_pipeline_spec(n, think),
-        ExecConfig {
-            sim: standard_sim(seed),
-            guard_mode: GuardMode::Weakened,
-            max_steps: 5_000_000,
-            ..ExecConfig::seeded(seed)
-        },
+        ExecConfig { max_steps: 5_000_000, ..ExecConfig::seeded(seed) },
     )
 }
 
@@ -138,36 +131,13 @@ pub fn run_reactive_distributed(n: u32, think: u64, seed: u64) -> RunReport {
 pub fn run_reactive_central(n: u32, think: u64, seed: u64, engine: Engine) -> RunReport {
     run_centralized(
         &reactive_pipeline_spec(n, think),
-        CentralConfig {
-            sim: standard_sim(seed),
-            engine,
-            scheduler_site: SiteId(0),
-            max_steps: 5_000_000,
-        },
+        CentralConfig { max_steps: 5_000_000, ..CentralConfig::new(seed, engine) },
     )
-}
-
-/// Standard network parameters used by the experiments: local messages
-/// cost 1 tick, cross-site 10–20.
-pub fn standard_sim(seed: u64) -> SimConfig {
-    SimConfig {
-        seed,
-        latency: LatencyModel::PerHop { local: 1, remote_min: 10, remote_max: 20 },
-        fifo_links: true,
-    }
 }
 
 /// Run a workload on the distributed event-centric scheduler.
 pub fn run_distributed(w: &Workload, seed: u64) -> RunReport {
-    run_workflow(
-        &w.spec(),
-        ExecConfig {
-            sim: standard_sim(seed),
-            guard_mode: GuardMode::Weakened,
-            max_steps: 5_000_000,
-            ..ExecConfig::seeded(seed)
-        },
-    )
+    run_workflow(&w.spec(), ExecConfig { max_steps: 5_000_000, ..ExecConfig::seeded(seed) })
 }
 
 /// Run a workload with the lazy (polling) ablation: parked attempts are
@@ -175,13 +145,7 @@ pub fn run_distributed(w: &Workload, seed: u64) -> RunReport {
 pub fn run_lazy(w: &Workload, seed: u64, period: u64) -> RunReport {
     run_workflow(
         &w.spec(),
-        ExecConfig {
-            sim: standard_sim(seed),
-            guard_mode: GuardMode::Weakened,
-            max_steps: 5_000_000,
-            lazy: Some((period, 400)),
-            ..ExecConfig::seeded(seed)
-        },
+        ExecConfig { max_steps: 5_000_000, lazy: Some((period, 400)), ..ExecConfig::seeded(seed) },
     )
 }
 
@@ -189,12 +153,7 @@ pub fn run_lazy(w: &Workload, seed: u64, period: u64) -> RunReport {
 pub fn run_central(w: &Workload, seed: u64, engine: Engine) -> RunReport {
     run_centralized(
         &w.spec(),
-        CentralConfig {
-            sim: standard_sim(seed),
-            engine,
-            scheduler_site: SiteId(0),
-            max_steps: 5_000_000,
-        },
+        CentralConfig { max_steps: 5_000_000, ..CentralConfig::new(seed, engine) },
     )
 }
 

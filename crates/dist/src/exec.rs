@@ -45,20 +45,6 @@ pub enum GuardMode {
     Weakened,
 }
 
-/// How each actor tracks its dependencies' residuals at runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DepRuntime {
-    /// Step precompiled [`event_algebra::DependencyMachine`]s: per-fact
-    /// work is one transition-table lookup and the triggering/acceptance
-    /// queries are compile-time reachability tables.
-    #[default]
-    Compiled,
-    /// Residuate the dependency expression tree on every fact — the
-    /// symbolic reference oracle, selectable so the conformance harness
-    /// can audit the compiled path against it.
-    Symbolic,
-}
-
 /// A task agent placed on a site with a script.
 #[derive(Debug, Clone)]
 pub struct AgentSpec {
@@ -120,9 +106,6 @@ pub struct ExecConfig {
     /// correct on the fault-free simulator and bit-identical to the
     /// behavior before the fault layer existed.
     pub reliable: Option<ReliableConfig>,
-    /// Dependency-residual tracking: precompiled machines (the default)
-    /// or symbolic tree residuation (the reference oracle).
-    pub dep_runtime: DepRuntime,
     /// Attach a flight recorder — the one decision log: every attempt,
     /// guard evaluation, park, rejection, residual step, message,
     /// promise-round phase, WAL append/replay and fault injection becomes
@@ -154,7 +137,6 @@ impl ExecConfig {
             max_steps: 1_000_000,
             lazy: None,
             reliable: None,
-            dep_runtime: DepRuntime::default(),
             record: None,
             monitor: None,
             parallel: None,
@@ -441,18 +423,9 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
     for &s in &symbol_list {
         let pos = Literal::pos(s);
         let neg = Literal::neg(s);
-        let deps: Vec<(usize, DepTracker)> = spec
-            .dependencies
-            .iter()
-            .enumerate()
-            .filter(|&(ix, _)| compiled.dependency_symbols[ix].contains(&s))
-            .map(|(ix, d)| {
-                let tracker = match config.dep_runtime {
-                    DepRuntime::Compiled => DepTracker::compiled(compiled.machines[ix].clone()),
-                    DepRuntime::Symbolic => DepTracker::symbolic(d),
-                };
-                (ix, tracker)
-            })
+        let deps: Vec<(usize, DepTracker)> = (0..spec.dependencies.len())
+            .filter(|&ix| compiled.dependency_symbols[ix].contains(&s))
+            .map(|ix| (ix, DepTracker::compiled(compiled.machines[ix].clone())))
             .collect();
         let mut actor = SymbolActor::new(
             s,

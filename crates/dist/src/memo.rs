@@ -1,12 +1,11 @@
 //! Guards as lazily tabulated automata.
 //!
-//! A dependency has been a [`event_algebra::DependencyMachine`] since the
-//! compiled runtime exists: its residuals are enumerated at compile time
-//! and an actor holds a state id. A guard's reductions cannot be
-//! enumerated ahead of time — the reachable set depends on the order
-//! facts arrive in and grows exponentially with the guard's fan-in — but
-//! the instances of one template walk the same few paths through it over
-//! and over. So each actor tabulates the reductions it performs: a guard
+//! A dependency is a [`event_algebra::DependencyMachine`]: its residuals
+//! are enumerated at compile time and an actor holds a state id. A
+//! guard's reductions cannot be enumerated ahead of time — the reachable
+//! set depends on the order facts arrive in and grows exponentially with
+//! the guard's fan-in — but the instances of one template walk the same
+//! few paths through it over and over. So each actor tabulates the reductions it performs: a guard
 //! is an index into the actor's table, `(guard, □l | ◇l) → guard` is an
 //! edge recorded the first time it is computed, and everything an actor
 //! reads off a guard besides its conjuncts ([`GuardInfo`]) is derived

@@ -315,8 +315,8 @@ impl<'t> InstanceSlot<'t> {
     ) -> InstanceSlot<'t> {
         // The online monitors run the faithful guards and machines the
         // builder compiled (shared, not recompiled — `GuardScope::Mentioning`
-        // is the unweakened set, independent of whatever dep runtime the
-        // actors use); the scheduler steps them directly.
+        // is the unweakened set, whatever `guard_mode` the actors run);
+        // the scheduler steps them directly.
         let mon = config.monitor.map(|mc| {
             Arc::new(WorkflowMonitor::from_compiled(
                 &spec.table,

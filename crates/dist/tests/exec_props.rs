@@ -9,11 +9,7 @@ use testkit::{check, free_event_spec, Exprs};
 
 fn config(seed: u64, mode: GuardMode) -> ExecConfig {
     ExecConfig {
-        sim: SimConfig {
-            seed,
-            latency: LatencyModel::Uniform { min: 1, max: 30 },
-            fifo_links: true,
-        },
+        sim: SimConfig { seed, latency: LatencyModel::Uniform { min: 1, max: 30 } },
         guard_mode: mode,
         max_steps: 200_000,
         ..ExecConfig::seeded(seed)

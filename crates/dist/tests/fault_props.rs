@@ -11,8 +11,7 @@ use testkit::{check, free_event_spec, Exprs};
 
 fn faulty_config(seed: u64) -> ExecConfig {
     let mut config = ExecConfig::seeded(seed);
-    config.sim =
-        SimConfig { seed, latency: LatencyModel::Uniform { min: 1, max: 30 }, fifo_links: true };
+    config.sim = SimConfig { seed, latency: LatencyModel::Uniform { min: 1, max: 30 } };
     config.reliable = Some(ReliableConfig::default());
     config
 }

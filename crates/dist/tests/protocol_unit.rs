@@ -13,7 +13,7 @@ use std::sync::Arc;
 use temporal::{Guard, Need};
 
 fn fixed_net(nodes: Vec<(SiteId, Node)>) -> Network<Msg, Node> {
-    Network::new(SimConfig { seed: 1, latency: LatencyModel::Fixed(1), fifo_links: true }, nodes)
+    Network::new(SimConfig { seed: 1, latency: LatencyModel::Fixed(1) }, nodes)
 }
 
 fn actor_node(

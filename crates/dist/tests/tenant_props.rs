@@ -27,8 +27,7 @@ fn templates() -> Vec<WorkflowSpec> {
 
 fn hardened(seed: u64) -> ExecConfig {
     let mut config = ExecConfig::seeded(seed);
-    config.sim =
-        SimConfig { seed, latency: LatencyModel::Uniform { min: 1, max: 20 }, fifo_links: true };
+    config.sim = SimConfig { seed, latency: LatencyModel::Uniform { min: 1, max: 20 } };
     config.reliable = Some(ReliableConfig::default());
     config
 }

@@ -6,10 +6,14 @@
 //!
 //! - structural equality and hashing are O(1) (id comparison),
 //! - shared subterms cost nothing to "clone",
-//! - memo caches for [`normalize`](ExprArena::normalize),
-//!   [`residuate`](ExprArena::residuate) and
-//!   [`satisfiable`](ExprArena::satisfiable) persist across calls — the
-//!   second residuation of a scheduler state is a table lookup.
+//! - memo caches for [`normalize`](ExprArena::normalize) and
+//!   [`residuate`](ExprArena::residuate) persist across calls — the
+//!   second residuation of a state is a table lookup.
+//!
+//! The arena's one job is compiling: [`crate::DependencyMachine`]s are
+//! built on it. Questions about a state (satisfiable? required?) are
+//! answered by the machine's tables at run time and by the tree algebra
+//! (`residue.rs`) as the reference.
 //!
 //! The arena's smart constructors maintain the same canonical invariants
 //! as [`Expr`]'s ([`Expr::seq`]/[`Expr::or`]/[`Expr::and`]): flattened
@@ -63,7 +67,7 @@ struct Meta {
 }
 
 /// A hash-consing arena for event expressions with persistent memo caches
-/// for normalization, residuation and satisfiability.
+/// for normalization and residuation.
 #[derive(Debug, Clone)]
 pub struct ExprArena {
     nodes: Vec<Node>,
@@ -71,8 +75,6 @@ pub struct ExprArena {
     index: FxHashMap<Node, ExprId>,
     norm_cache: FxHashMap<ExprId, ExprId>,
     residue_cache: FxHashMap<(ExprId, Literal), ExprId>,
-    sat_cache: FxHashMap<ExprId, bool>,
-    sat_avoid_cache: FxHashMap<(ExprId, Literal), bool>,
 }
 
 impl Default for ExprArena {
@@ -95,8 +97,6 @@ impl ExprArena {
             index: FxHashMap::default(),
             norm_cache: FxHashMap::default(),
             residue_cache: FxHashMap::default(),
-            sat_cache: FxHashMap::default(),
-            sat_avoid_cache: FxHashMap::default(),
         };
         let zero = arena.mk(Node::Zero);
         let top = arena.mk(Node::Top);
@@ -319,14 +319,6 @@ impl ExprArena {
         id == Self::TOP
     }
 
-    /// The literal, if `id` is an atom.
-    pub fn as_lit(&self, id: ExprId) -> Option<Literal> {
-        match self.nodes[id.index()] {
-            Node::Lit(l) => Some(l),
-            _ => None,
-        }
-    }
-
     /// Sorted symbols mentioned by `id` (`Γ_E` modulo polarity).
     pub fn symbols(&self, id: ExprId) -> &[SymbolId] {
         &self.meta[id.index()].syms
@@ -468,86 +460,12 @@ impl ExprArena {
         self.residue_cache.insert((id, by), r);
         r
     }
-
-    /// Does some maximal completion from state `id` reach `⊤`? Mirrors
-    /// [`crate::satisfiable`], memoized persistently per id.
-    pub fn satisfiable(&mut self, id: ExprId) -> bool {
-        let n = self.normalize(id);
-        self.sat_rec(n)
-    }
-
-    fn sat_rec(&mut self, id: ExprId) -> bool {
-        if id == Self::TOP {
-            return true;
-        }
-        if id == Self::ZERO {
-            return false;
-        }
-        if let Some(&r) = self.sat_cache.get(&id) {
-            return r;
-        }
-        let syms: Vec<SymbolId> = self.meta[id.index()].syms.to_vec();
-        let mut found = false;
-        'outer: for s in syms {
-            for lit in [Literal::pos(s), Literal::neg(s)] {
-                let next = self.residuate_normal(id, lit);
-                if self.sat_rec(next) {
-                    found = true;
-                    break 'outer;
-                }
-            }
-        }
-        self.sat_cache.insert(id, found);
-        found
-    }
-
-    /// Like [`ExprArena::satisfiable`] with `avoid` forbidden from
-    /// occurring. Mirrors [`crate::satisfiable_avoiding`]; memoized
-    /// persistently on `(ExprId, Literal)`.
-    pub fn satisfiable_avoiding(&mut self, id: ExprId, avoid: Literal) -> bool {
-        let n = self.normalize(id);
-        self.sat_avoid_rec(n, avoid)
-    }
-
-    fn sat_avoid_rec(&mut self, id: ExprId, avoid: Literal) -> bool {
-        if id == Self::TOP {
-            return true;
-        }
-        if id == Self::ZERO {
-            return false;
-        }
-        if let Some(&r) = self.sat_avoid_cache.get(&(id, avoid)) {
-            return r;
-        }
-        let syms: Vec<SymbolId> = self.meta[id.index()].syms.to_vec();
-        let mut found = false;
-        'outer: for s in syms {
-            for lit in [Literal::pos(s), Literal::neg(s)] {
-                if lit == avoid {
-                    continue;
-                }
-                let next = self.residuate_normal(id, lit);
-                if self.sat_avoid_rec(next, avoid) {
-                    found = true;
-                    break 'outer;
-                }
-            }
-        }
-        self.sat_avoid_cache.insert((id, avoid), found);
-        found
-    }
-
-    /// `true` if every satisfying completion from state `id` contains
-    /// `lit` (mirrors [`crate::requires`]).
-    pub fn requires(&mut self, id: ExprId, lit: Literal) -> bool {
-        self.satisfiable(id) && !self.satisfiable_avoiding(id, lit)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::residue::{requires, residuate, satisfiable, satisfiable_avoiding};
+    use crate::residue::residuate;
     use crate::symbol::SymbolTable;
     use crate::{normalize, Expr};
 
@@ -665,25 +583,6 @@ mod tests {
         let n = arena.normalize(id);
         assert!(arena.is_normal(n));
         assert_eq!(arena.expr(n), normalize(&raw));
-    }
-
-    #[test]
-    fn satisfiability_and_requires_agree_with_tree() {
-        let (_, e, f) = setup();
-        let d = d_precedes(e, f);
-        let mut arena = ExprArena::new();
-        let id = arena.intern(&d);
-        assert_eq!(arena.satisfiable(id), satisfiable(&d));
-        for lit in [e, e.complement(), f, f.complement()] {
-            assert_eq!(arena.satisfiable_avoiding(id, lit), satisfiable_avoiding(&d, lit));
-            assert_eq!(arena.requires(id, lit), requires(&d, lit));
-            let r = arena.residuate(id, lit);
-            let rt = residuate(&d, lit);
-            assert_eq!(arena.satisfiable(r), satisfiable(&rt));
-            for lit2 in [e, e.complement(), f, f.complement()] {
-                assert_eq!(arena.requires(r, lit2), requires(&rt, lit2), "state {rt} req {lit2}");
-            }
-        }
     }
 
     #[test]

@@ -383,12 +383,6 @@ impl DependencyMachine {
         &self.shape.live
     }
 
-    /// Owned copy of the compile-time liveness mask (see
-    /// [`DependencyMachine::live`]).
-    pub fn live_mask(&self) -> Vec<bool> {
-        self.shape.live.clone()
-    }
-
     /// Trap states: states from which no accepting state is reachable
     /// (the violated terminal `0` and any other dead residual). A run
     /// entering a trap can only end with the dependency violated, so the

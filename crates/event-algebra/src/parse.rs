@@ -41,8 +41,8 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// How deeply parentheses, brackets and prefix operators may nest in any
-/// text this workspace parses (`parse_expr`, `temporal::parse_texpr`, the
-/// `speclang` workflow parser; `obs::json` carries the same number).
+/// text this workspace parses (`parse_expr`, the `speclang` workflow
+/// parser; `obs::json` carries the same number).
 /// The parsers are recursive-descent, so input nested deeper than the
 /// stack allows would abort the process; past this depth they return an
 /// ordinary parse error instead. Hand-written specifications nest a

@@ -12,12 +12,15 @@
 //!
 //! The tracker has two arms. The compiled one steps a precompiled
 //! [`DependencyMachine`]: an occurrence is one transition-table lookup
-//! and the questions read compile-time reachability tables. The symbolic
-//! one re-residuates the expression tree on every occurrence —
-//! semantically identical (`tests/tracker_props.rs` holds the arms to
-//! each other query for query), and the only caller the tree algebra has
-//! at run time: the reference every scheduler's fast path is audited
-//! against.
+//! and the questions read compile-time reachability tables. Every
+//! distributed actor uses it. The symbolic one re-residuates the
+//! expression tree on every occurrence; it is semantically identical
+//! (`tests/tracker_props.rs` holds the arms to each other query for
+//! query, on random and on fixed dependencies) and has two run-time
+//! callers: the centralized symbolic baseline (`baseline::Engine::Symbolic`,
+//! the paper's Section 3.3 scheduler) and Section 5's
+//! `dist::param::DynamicScheduler`, whose dependencies are instantiated
+//! while it runs.
 
 use crate::expr::Expr;
 use crate::machine::{DependencyMachine, StateId};

@@ -1,13 +1,10 @@
 //! Oracle property tests for the hash-consed [`ExprArena`]: on random
 //! expressions over a small alphabet, every arena operation must agree
-//! with the reference tree implementation it replaces — normalization,
-//! residuation, satisfiability, avoidance and the triggering predicate.
-//! The arena is the hot-path representation; the tree functions are the
-//! specification.
+//! with the reference tree implementation — interning, normalization and
+//! residuation. The arena is what dependency machines are compiled on;
+//! the tree functions are the specification.
 
-use event_algebra::{
-    normalize, requires, residuate, satisfiable, satisfiable_avoiding, Expr, ExprArena, SymbolId,
-};
+use event_algebra::{normalize, residuate, Expr, ExprArena, SymbolId};
 use testkit::{check, Exprs, Gen};
 
 const NSYMS: u32 = 6;
@@ -76,30 +73,6 @@ fn residuate_matches_tree() {
     });
 }
 
-/// Satisfiability, avoidance-satisfiability and the triggering
-/// predicate agree with the tree implementations for every literal of
-/// the alphabet (and a sample literal possibly outside it).
-#[test]
-fn satisfiability_matches_tree() {
-    check("satisfiability_matches_tree", CASES, |g| {
-        let e = term(g);
-        let probe = g.literal(&syms());
-        let mut arena = ExprArena::new();
-        let id = arena.intern(&e);
-        assert_eq!(arena.satisfiable(id), satisfiable(&e));
-        let mut lits = arena.alphabet(id);
-        lits.push(probe);
-        for l in lits {
-            assert_eq!(
-                arena.satisfiable_avoiding(id, l),
-                satisfiable_avoiding(&e, l),
-                "avoiding {l:?}"
-            );
-            assert_eq!(arena.requires(id, l), requires(&e, l), "requires {l:?}");
-        }
-    });
-}
-
 /// One arena serving many expressions stays consistent: interleaved
 /// queries against fresh single-use arenas give identical answers.
 #[test]
@@ -114,7 +87,6 @@ fn shared_arena_is_isolated() {
             let fid = fresh.intern(e);
             let (shared_res, fresh_res) = (shared.residuate(id, l), fresh.residuate(fid, l));
             assert_eq!(shared.expr(shared_res), fresh.expr(fresh_res));
-            assert_eq!(shared.satisfiable(id), fresh.satisfiable(fid));
         }
     });
 }

@@ -233,8 +233,8 @@ pub enum SpanKind {
         lit: ObsLit,
         /// The verdict on the current trace prefix.
         verdict: Verdict,
-        /// Residual id: compiled-FSM state or arena `ExprId` index
-        /// (`u32::MAX` when the symbolic runtime carries a bare tree).
+        /// Residual id: a fingerprint of the residual guard, equal for
+        /// two evaluations of one recording that saw the same residual.
         residual: u32,
         /// The facts (announced occurrences) the evaluation consumed.
         facts: Vec<Fact>,
@@ -245,7 +245,7 @@ pub enum SpanKind {
         dep: u32,
         /// The input literal folded into the residual.
         input: ObsLit,
-        /// Post-step state id (compiled) or `u32::MAX` (symbolic).
+        /// Post-step state id of the dependency's machine.
         state: u32,
         /// Whether the dependency is still satisfiable after the step.
         live: bool,

@@ -31,8 +31,7 @@ pub struct LinkFaults {
     pub duplicate: f64,
     /// Extra delay sampled uniformly from `[min, max]` and added on top
     /// of the regular latency. A fault-delayed copy bypasses the per-link
-    /// FIFO clamp, so nonzero bounds produce reordering even when
-    /// `SimConfig::fifo_links` is on.
+    /// FIFO clamp, so nonzero bounds produce reordering.
     pub extra_delay: (Time, Time),
 }
 

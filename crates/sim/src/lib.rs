@@ -2,10 +2,11 @@
 //!
 //! This crate is the execution substrate substituting for the paper's
 //! distributed actor prototype (see DESIGN.md §5, "Substitutions"): it
-//! provides sites, nodes, latency models, per-link FIFO or reordering
-//! delivery, a virtual clock, and traffic statistics — everything the
-//! event-centric scheduler of the `dist` crate needs to run *distributed*
-//! executions reproducibly on one machine.
+//! provides sites, nodes, latency models, per-link FIFO delivery (which
+//! only a fault plan's jitter reorders), a virtual clock, and traffic
+//! statistics — everything the event-centric scheduler of the `dist`
+//! crate needs to run *distributed* executions reproducibly on one
+//! machine.
 
 #![warn(missing_docs)]
 

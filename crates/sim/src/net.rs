@@ -85,16 +85,15 @@ impl Default for LatencyModel {
 pub struct SimConfig {
     /// RNG seed; two runs with equal seeds and inputs are identical.
     pub seed: u64,
-    /// Latency sampling model.
+    /// Latency sampling model. Whatever it samples, messages on the same
+    /// (src, dst) link never overtake each other (per-link FIFO), as most
+    /// transports guarantee; only a fault plan's jitter reorders them.
     pub latency: LatencyModel,
-    /// When `true`, messages on the same (src, dst) link never overtake
-    /// each other (per-link FIFO), as most transports guarantee.
-    pub fifo_links: bool,
 }
 
 impl Default for SimConfig {
     fn default() -> SimConfig {
-        SimConfig { seed: 0xC0FFEE, latency: LatencyModel::default(), fifo_links: true }
+        SimConfig { seed: 0xC0FFEE, latency: LatencyModel::default() }
     }
 }
 
@@ -425,7 +424,7 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
         // A fault-delayed copy is held "in the network" and released
         // late: it bypasses the FIFO clamp, which is exactly what makes
         // nonzero jitter produce reordering on FIFO links.
-        if self.config.fifo_links && fault_delay == 0 {
+        if fault_delay == 0 {
             let clock = &mut self.link_clock[from.0 as usize * self.nodes.len() + to.0 as usize];
             at = at.max(*clock + 1);
             *clock = at;
@@ -622,11 +621,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic_per_seed() {
         let run = |seed| {
-            let mut net = two_nodes(SimConfig {
-                seed,
-                latency: LatencyModel::Uniform { min: 1, max: 50 },
-                fifo_links: false,
-            });
+            let mut net =
+                two_nodes(SimConfig { seed, latency: LatencyModel::Uniform { min: 1, max: 50 } });
             net.inject(NodeId(0), NodeId(1), 8);
             net.run_to_quiescence(1_000);
             (net.now(), net.node(NodeId(1)).received.clone())
@@ -667,13 +663,10 @@ mod tests {
 
     #[test]
     fn fifo_links_preserve_order() {
-        let mut net = two_sinks(SimConfig {
-            seed: 7,
-            latency: LatencyModel::Uniform { min: 1, max: 100 },
-            fifo_links: true,
-        });
-        // All messages flow node0 → node1 on one link: with FIFO on, they
-        // must arrive in injection order despite jittered latencies.
+        let mut net =
+            two_sinks(SimConfig { seed: 7, latency: LatencyModel::Uniform { min: 1, max: 100 } });
+        // All messages flow node0 → node1 on one link: they must arrive in
+        // injection order despite jittered latencies.
         for i in 0..20u64 {
             net.inject(NodeId(0), NodeId(1), 100 + i);
         }
@@ -683,32 +676,10 @@ mod tests {
     }
 
     #[test]
-    fn non_fifo_links_can_reorder() {
-        // With wide jitter and FIFO off, some pair must reorder.
-        let mut net = two_sinks(SimConfig {
-            seed: 1,
-            latency: LatencyModel::Uniform { min: 1, max: 1000 },
-            fifo_links: false,
-        });
-        for i in 0..50u64 {
-            net.inject(NodeId(0), NodeId(1), 100 + i);
-        }
-        net.run_to_quiescence(10_000);
-        let seen: Vec<u64> = net.node(NodeId(1)).received.iter().map(|&(_, m)| m).collect();
-        let sorted = {
-            let mut s = seen.clone();
-            s.sort_unstable();
-            s
-        };
-        assert_ne!(seen, sorted, "expected at least one reordering");
-    }
-
-    #[test]
     fn per_hop_latency_distinguishes_sites() {
         let config = SimConfig {
             seed: 3,
             latency: LatencyModel::PerHop { local: 1, remote_min: 50, remote_max: 60 },
-            fifo_links: false,
         };
         let mut net = Network::new(
             config,
@@ -763,11 +734,7 @@ mod tests {
                 self.0.push((ctx.now(), ctx.delivery_seq()));
             }
         }
-        let config = SimConfig {
-            seed: 3,
-            latency: LatencyModel::Uniform { min: 1, max: 6 },
-            fifo_links: true,
-        };
+        let config = SimConfig { seed: 3, latency: LatencyModel::Uniform { min: 1, max: 6 } };
         let mut net = Network::new(config, (0..4).map(|i| (SiteId(i), SeqSink(vec![]))));
         for i in 0..16u64 {
             net.inject_after(NodeId(0), NodeId((i % 4) as u32), i, i % 5);
@@ -804,11 +771,7 @@ mod tests {
     /// another seed.
     #[test]
     fn a_reset_network_runs_like_a_new_one() {
-        let config = SimConfig {
-            seed: 9,
-            latency: LatencyModel::Uniform { min: 1, max: 40 },
-            fifo_links: true,
-        };
+        let config = SimConfig { seed: 9, latency: LatencyModel::Uniform { min: 1, max: 40 } };
         let run = |net: &mut Network<u64, Countdown>| {
             net.inject(NodeId(0), NodeId(1), 9);
             net.inject_after(NodeId(1), NodeId(0), 4, 7);
@@ -924,8 +887,7 @@ mod tests {
 
     #[test]
     fn partition_blocks_then_heals() {
-        let mut net =
-            two_nodes(SimConfig { seed: 5, latency: LatencyModel::Fixed(1), fifo_links: true });
+        let mut net = two_nodes(SimConfig { seed: 5, latency: LatencyModel::Fixed(1) });
         net.set_faults(FaultPlan::new(5).partition(SiteId(0), SiteId(1), 0, 50));
         net.inject(NodeId(0), NodeId(1), 3);
         net.run_to_quiescence(1_000);
@@ -935,8 +897,7 @@ mod tests {
         assert_eq!(net.fault_stats().unwrap().partition_dropped, 1);
 
         // Same scenario after the heal time: full ping-pong completes.
-        let mut net =
-            two_nodes(SimConfig { seed: 5, latency: LatencyModel::Fixed(60), fifo_links: true });
+        let mut net = two_nodes(SimConfig { seed: 5, latency: LatencyModel::Fixed(60) });
         net.set_faults(FaultPlan::new(5).partition(SiteId(0), SiteId(1), 0, 50));
         net.inject(NodeId(0), NodeId(1), 3);
         let out = net.run_to_quiescence(1_000);
@@ -960,7 +921,7 @@ mod tests {
                 ctx.send(NodeId(0), 999);
             }
         }
-        let config = SimConfig { seed: 1, latency: LatencyModel::Fixed(1), fifo_links: true };
+        let config = SimConfig { seed: 1, latency: LatencyModel::Fixed(1) };
         let mut net = Network::new(
             config,
             [
@@ -989,7 +950,6 @@ mod tests {
             let mut net = two_nodes(SimConfig {
                 seed: 42,
                 latency: LatencyModel::Uniform { min: 1, max: 30 },
-                fifo_links: false,
             });
             net.set_faults(
                 FaultPlan::new(fault_seed).drop_rate(0.2).duplicate_rate(0.2).jitter(0, 9),
@@ -1009,7 +969,7 @@ mod tests {
         // base latency: without jitter they arrive in order, with jitter
         // the fault-delayed copies bypass the FIFO clamp and overtake.
         let mut net = Network::new(
-            SimConfig { seed: 11, latency: LatencyModel::Fixed(2), fifo_links: true },
+            SimConfig { seed: 11, latency: LatencyModel::Fixed(2) },
             [
                 (SiteId(0), BurstOrSink::Burst(Burst { count: 30 })),
                 (SiteId(1), BurstOrSink::Sink(Sink { received: vec![] })),
@@ -1113,7 +1073,7 @@ mod tests {
 
     /// The calendar queue delivers what a binary heap would, through the
     /// network: random latencies and extra delays on both sides of the
-    /// wheel span, FIFO and non-FIFO links, with and without jitter,
+    /// wheel span, with and without jitter,
     /// duplicates and drops.
     #[test]
     fn the_calendar_queue_delivers_in_binary_heap_order() {
@@ -1124,7 +1084,7 @@ mod tests {
             } else {
                 LatencyModel::PerHop { local: 1, remote_min: 10, remote_max: 20 }
             };
-            let config = SimConfig { seed, latency, fifo_links: seed % 3 != 0 };
+            let config = SimConfig { seed, latency };
             let mut net = spray(config, 5, 40);
             if seed % 4 < 2 {
                 net.set_faults(
@@ -1145,11 +1105,7 @@ mod tests {
     #[test]
     fn a_restart_between_queued_messages_keeps_heap_order() {
         for seed in 0..8 {
-            let config = SimConfig {
-                seed,
-                latency: LatencyModel::Uniform { min: 1, max: 60 },
-                fifo_links: true,
-            };
+            let config = SimConfig { seed, latency: LatencyModel::Uniform { min: 1, max: 60 } };
             let mut net = spray(config, 4, 60);
             net.set_faults(FaultPlan::new(seed).crash(NodeId(1), 40, Some(300)).jitter(0, 700));
             net.inject(NodeId(0), NodeId(1), 0);
@@ -1166,11 +1122,7 @@ mod tests {
     #[test]
     fn a_reset_mid_run_empties_the_calendar() {
         let span = calendar::WHEEL as Time;
-        let config = SimConfig {
-            seed: 4,
-            latency: LatencyModel::Uniform { min: 1, max: 90 },
-            fifo_links: true,
-        };
+        let config = SimConfig { seed: 4, latency: LatencyModel::Uniform { min: 1, max: 90 } };
         let start = |net: &mut Network<u64, Spray>| {
             net.inject(NodeId(0), NodeId(1), 0);
             net.inject_after(NodeId(1), NodeId(2), 0, span + 3);
@@ -1199,11 +1151,7 @@ mod tests {
     /// with a delivery, none for a site without.
     #[test]
     fn sparse_sites_publish_the_series_a_map_would() {
-        let config = SimConfig {
-            seed: 2,
-            latency: LatencyModel::Uniform { min: 1, max: 9 },
-            fifo_links: true,
-        };
+        let config = SimConfig { seed: 2, latency: LatencyModel::Uniform { min: 1, max: 9 } };
         let sites = [1_000_000, 7, 7, 42];
         let run = |net: &mut Network<u64, Countdown>| {
             net.inject(NodeId(0), NodeId(1), 6);
@@ -1242,7 +1190,7 @@ mod tests {
     /// in between, with a reset halfway that leaves messages queued.
     #[test]
     fn the_fifo_clamp_matches_a_map_of_link_clocks() {
-        let config = SimConfig { seed: 6, latency: LatencyModel::Fixed(3), fifo_links: true };
+        let config = SimConfig { seed: 6, latency: LatencyModel::Fixed(3) };
         let nodes = 6u32;
         let mut net =
             Network::new(config, (0..nodes).map(|i| (SiteId(i % 3), Sink { received: vec![] })));

@@ -21,7 +21,6 @@
 mod equiv;
 mod guard_repr;
 mod message;
-mod parse;
 mod semantics;
 mod texpr;
 
@@ -34,6 +33,5 @@ pub use guard_repr::{
     ST_D, ST_FULL,
 };
 pub use message::{need_edges, needs, status, Fact, GuardStatus, Need};
-pub use parse::{parse_texpr, TParseError};
 pub use semantics::{sat_at, sat_profile};
 pub use texpr::{TExpr, TExprDisplay};

@@ -7,7 +7,11 @@
 # smokes (with a ceiling on the product states wfcheck explores per
 # example spec, and six malformed inputs — two hostile nestings, two bad
 # agent declarations, two complements of a non-atom — that must come back
-# as positioned errors, not crashes) and the benchmark's own selfcheck.
+# as positioned errors, not crashes), the eight experiment binaries'
+# stdout diffed against `crates/bench/golden/<bin>.txt` (they are
+# deterministic: the distributed, lazy and both centralized schedulers
+# must not move an occurrence, a message or a tick) and the benchmark's
+# own selfcheck.
 #
 # `check.sh --faults` runs the fault-conformance tier instead: the
 # `conformance` driver sweeps every example spec, then the four model
@@ -195,6 +199,13 @@ for spec in not arrow; do
     grep -q "error\[WF000\]" "$TRACE_TMP/hostile.out"
     expect_exit 2 "$WFTRACE" record --spec "$TRACE_TMP/$spec.wf" --out "$TRACE_TMP/$spec.trace.json"
     grep -q "applies to" "$TRACE_TMP/hostile.out"
+done
+
+echo "==> experiment binaries: stdout == crates/bench/golden/<bin>.txt"
+for bin in fig1_agents fig2_states fig3_table fig4_guards \
+    c1_locality c3_eagerness c4_sweep c5_automata_size; do
+    "$REPO/target/release/$bin" > "$TRACE_TMP/$bin.out"
+    diff -u "$REPO/crates/bench/golden/$bin.txt" "$TRACE_TMP/$bin.out"
 done
 
 echo "==> benchmark/run.sh --selfcheck (the benchmark's wiring against this tree)"

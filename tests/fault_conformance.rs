@@ -4,8 +4,8 @@
 //! identical scenarios produce identical flight recordings.
 
 use constrained_events::{
-    run_workflow, run_workflow_with_faults, DepRuntime, ExecConfig, FaultPlan, ReliableConfig,
-    RunReport, WorkflowBuilder,
+    run_workflow, run_workflow_with_faults, ExecConfig, FaultPlan, ReliableConfig, RunReport,
+    WorkflowBuilder,
 };
 use sim::{LatencyModel, SiteId};
 use testkit::conformance::{check_determinism, check_run, standard_plans};
@@ -51,41 +51,6 @@ fn pipeline10_conforms_under_acceptance_faults() {
 #[test]
 fn travel_conforms_under_acceptance_faults() {
     accept("examples/specs/travel.wf");
-}
-
-/// The symbolic residuation path stays selectable as the reference
-/// oracle, and the default compiled-automaton runtime is observationally
-/// identical to it: same conformance verdicts and, scenario for
-/// scenario, the very same occurrence sequence.
-#[test]
-fn compiled_runtime_matches_symbolic_oracle_under_faults() {
-    for spec_path in ["examples/specs/pipeline10.wf", "examples/specs/travel.wf"] {
-        let src = std::fs::read_to_string(spec_path).expect(spec_path);
-        let workflow = WorkflowBuilder::from_spec(&src).expect(spec_path).build();
-        for seed in 0..10 {
-            let mut symbolic = hardened(seed);
-            symbolic.dep_runtime = DepRuntime::Symbolic;
-            let oracle = check_run(&workflow.spec, symbolic, acceptance_plan(seed), true);
-            assert!(
-                oracle.is_conformant(),
-                "{} seed {seed} (symbolic): {:?}",
-                workflow.name,
-                oracle.failures
-            );
-            let fast = check_run(&workflow.spec, hardened(seed), acceptance_plan(seed), true);
-            assert!(
-                fast.is_conformant(),
-                "{} seed {seed} (compiled): {:?}",
-                workflow.name,
-                fast.failures
-            );
-            assert_eq!(
-                fast.report.occurrences, oracle.report.occurrences,
-                "{} seed {seed}: compiled and symbolic runtimes diverged",
-                workflow.name
-            );
-        }
-    }
 }
 
 /// FNV-1a over every occurrence's (symbol, polarity, time, sequence).
