@@ -39,7 +39,8 @@ use obs::{NodeObs, ObsLit, SpanId, SpanKind, Verdict};
 use sim::{Ctx, NodeId, Time};
 use std::sync::Arc;
 use temporal::{
-    eventually_mask, occurred_mask, Fact, Guard, GuardStatus, Need, ST_C, ST_D, ST_FULL,
+    ask_order, eventually_mask, occurred_mask, Fact, FactoredGuard, GuardStatus, Need, ST_C, ST_D,
+    ST_FULL,
 };
 
 /// Literal → trace encoding (the same packed `sym << 1 | polarity`
@@ -54,6 +55,11 @@ fn olit(l: Literal) -> ObsLit {
 /// in this, and its digits live in arrays of this length. A wider guard
 /// is not evaluated; the give-up is counted in
 /// [`ActorStats::coverage_cutoffs`].
+///
+/// The count is over the *union* of the factors' constrained symbols —
+/// what the multiplied-out guard constrains — even though each factor is
+/// enumerated on its own: the cutoff, and so every schedule it decides,
+/// is the one the unfactored guard had.
 pub const MAX_COVERAGE_SYMBOLS: usize = 12;
 
 /// Routing tables shared by all nodes of one execution, dense over the
@@ -100,6 +106,10 @@ pub struct ActorStats {
     /// than [`MAX_COVERAGE_SYMBOLS`] symbols: the attempt parked without
     /// its guard having been judged.
     pub coverage_cutoffs: u64,
+    /// The most conjuncts any factor of this actor's two guards had
+    /// after a reduction: what a cold reduction's work grows with. A
+    /// guard multiplied out shows here as the product of its factors'.
+    pub widest_factor: usize,
     /// Virtual time the first attempt parked, if it ever parked.
     pub first_parked_at: Option<Time>,
     /// Virtual time of the occurrence, if any.
@@ -238,8 +248,8 @@ impl SymbolActor {
     /// both polarities, plus the dependencies mentioning the symbol.
     pub fn new(
         sym: SymbolId,
-        pos_guard: Guard,
-        neg_guard: Guard,
+        pos_guard: &FactoredGuard,
+        neg_guard: &FactoredGuard,
         pos_attrs: EventAttrs,
         neg_attrs: EventAttrs,
         deps: Vec<(usize, DepTracker)>,
@@ -297,7 +307,7 @@ impl SymbolActor {
 
     /// The current (reduced) guard of `lit` with what the actor derives
     /// from it.
-    pub fn guard_info(&self, lit: Literal) -> &GuardInfo {
+    pub fn guard_info(&self, lit: Literal) -> GuardInfo<'_> {
         self.memo.get(self.lit_state_ref(lit).guard)
     }
 
@@ -305,6 +315,8 @@ impl SymbolActor {
     fn reduce_guards(&mut self, fact: Fact) {
         for st in [&mut self.pos, &mut self.neg] {
             st.guard = self.memo.reduce(st.guard, fact);
+            let width = self.memo.get(st.guard).width();
+            self.stats.widest_factor = self.stats.widest_factor.max(width);
         }
     }
 
@@ -574,49 +586,21 @@ impl SymbolActor {
     ///
     /// A guard constraining more than [`MAX_COVERAGE_SYMBOLS`] symbols is
     /// not enumerated: it reads as not enabled, and the give-up is
-    /// counted.
+    /// counted. Below that, each factor is enumerated on its own
+    /// ([`temporal::Guard::covered`]): the factors constrain disjoint symbols, so
+    /// every assignment is covered by some conjunct of the product iff
+    /// each factor covers its share.
     fn guard_enabled(&mut self, lit: Literal) -> bool {
         let info = self.guard_info(lit);
-        if info.status == GuardStatus::EnabledNow {
+        if info.status() == GuardStatus::EnabledNow {
             return true;
         }
-        let syms = info.cover();
-        if syms.len() > MAX_COVERAGE_SYMBOLS {
+        if info.factor_covers().map(|(_, syms)| syms.len()).sum::<usize>() > MAX_COVERAGE_SYMBOLS {
             self.stats.coverage_cutoffs += 1;
             return false;
         }
-        let usable = || info.guard.conjuncts().iter().filter(|c| c.seq_atoms().next().is_none());
-        if syms.is_empty() || usable().next().is_none() {
-            return false;
-        }
-        // Odometer over the possible state sets.
-        let (mut possible, mut states) = ([0u8; MAX_COVERAGE_SYMBOLS], [0u8; MAX_COVERAGE_SYMBOLS]);
-        for (k, &s) in syms.iter().enumerate() {
-            possible[k] = self.possible_states(lit, s);
-            states[k] = possible[k] & possible[k].wrapping_neg();
-        }
-        loop {
-            let covered =
-                usable().any(|c| syms.iter().zip(&states).all(|(&s, &st)| c.mask(s) & st != 0));
-            if !covered {
-                return false;
-            }
-            // Advance to the next state combination.
-            let mut k = 0;
-            loop {
-                if k == syms.len() {
-                    return true;
-                }
-                // Next set bit of possible[k] above states[k].
-                let above = possible[k] & !(states[k] | (states[k] - 1));
-                if above != 0 {
-                    states[k] = above & above.wrapping_neg();
-                    break;
-                }
-                states[k] = possible[k] & possible[k].wrapping_neg();
-                k += 1;
-            }
-        }
+        let possible = |s| self.possible_states(lit, s);
+        info.factor_covers().all(|(factor, syms)| factor.covered(syms, possible))
     }
 
     /// Record a guard-evaluation span: the verdict, the residual guard's
@@ -675,7 +659,7 @@ impl SymbolActor {
                 return;
             }
         }
-        let (status, base_guard) = (self.memo.get(st.guard).status, st.base_guard);
+        let (status, base_guard) = (self.memo.get(st.guard).status(), st.base_guard);
         match status {
             // A guard whose compiled form carries ◇(sequence) atoms can
             // look *prematurely* dead when announcements arrive out of
@@ -684,7 +668,7 @@ impl SymbolActor {
             // fact arrives). Rejection is irreversible, so such guards
             // park instead of rejecting — Weakened mode (the default) has
             // no sequence atoms and keeps eager rejection.
-            GuardStatus::Dead if !self.memo.get(base_guard).guard.has_seq_atoms() => {
+            GuardStatus::Dead if !self.memo.get(base_guard).has_seq_atoms() => {
                 self.rec_guard_eval(ctx.now(), lit, Verdict::Dead);
                 self.lit_state(lit).dead = true;
                 self.reject(ctx, lit);
@@ -737,7 +721,11 @@ impl SymbolActor {
                 }
                 Need::Occurrence(_) | Need::SequenceHead(_) => false,
             };
-            to_send.extend(self.memo.get(st.guard).asks().iter().filter(wanted).cloned());
+            // The factors' asks, merged: they are about disjoint symbols.
+            for asks in self.memo.get(st.guard).factor_asks() {
+                to_send.extend(asks.iter().filter(wanted).cloned());
+            }
+            to_send.sort_by_key(ask_order);
         }
         for need in to_send.drain(..) {
             match need {
@@ -941,7 +929,6 @@ impl SymbolActor {
             party.insert(at, for_lit);
         }
         let assumed = party.iter().fold(current, |g, &p| self.memo.reduce(g, Fact::Promised(p)));
-        let assumed = &self.memo.get(assumed).guard;
         let assumptions = || self.promises_seen.iter().chain(&party);
         // A conjunct is eventually dischargeable when every constraint is
         // (a) implied by some assumed occurrence's final state (□f with
@@ -949,16 +936,15 @@ impl SymbolActor {
         // unresolved states): such constraints hold while the symbol is
         // unheard-of — occurrences fold into the guard eagerly, so a
         // surviving ¬-mask means unresolved here — and are pinned by the
-        // agreement protocol at the promised event's own occurrence.
-        let eventually_discharged = assumed.holds_now()
-            || assumed.conjuncts().iter().any(|c| {
-                c.seq_atoms().next().is_none()
-                    && c.constrained_symbols().all(|(s, m)| {
-                        assumptions()
-                            .any(|l| l.symbol() == s && occurred_mask(l.polarity()) & !m == 0)
-                            || (m & (ST_C | ST_D)) == (ST_C | ST_D)
-                    })
-            });
+        // agreement protocol at the promised event's own occurrence. The
+        // product has such a conjunct iff every factor does (a guard that
+        // holds now has no factors left).
+        let eventually_discharged = self.memo.get(assumed).factors().all(|factor| {
+            factor.dischargeable(|s, m| {
+                assumptions().any(|l| l.symbol() == s && occurred_mask(l.polarity()) & !m == 0)
+                    || (m & (ST_C | ST_D)) == (ST_C | ST_D)
+            })
+        });
         let granted = can_happen && eventually_discharged;
         if granted {
             self.lit_state(lit).promised_out = true;
@@ -1128,21 +1114,22 @@ impl SymbolActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use temporal::Guard;
 
     #[test]
     fn lit_state_construction() {
         let g = Guard::eventually(Literal::pos(SymbolId(1)));
         let actor = SymbolActor::new(
             SymbolId(0),
-            g.clone(),
-            Guard::top(),
+            &g.clone().into(),
+            &FactoredGuard::top(),
             EventAttrs::controllable(),
             EventAttrs::immediate(),
             Vec::new(),
             Arc::new(Routing::default()),
         );
-        assert_eq!(actor.guard_info(Literal::pos(SymbolId(0))).guard, g);
-        assert_eq!(actor.guard_info(Literal::neg(SymbolId(0))).status, GuardStatus::EnabledNow);
+        assert_eq!(actor.guard_info(Literal::pos(SymbolId(0))).guard(), g);
+        assert_eq!(actor.guard_info(Literal::neg(SymbolId(0))).status(), GuardStatus::EnabledNow);
         assert!(!actor.pos.attempted);
         assert!(!actor.pos.promised_out);
     }

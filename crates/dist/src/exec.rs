@@ -27,10 +27,11 @@ use guard::{CompiledWorkflow, GuardScope};
 use monitor::MonitorConfig;
 use obs::{MetricSink, MetricsSnapshot, RecordConfig, Recording};
 use sim::{Ctx, FaultPlan, FaultStats, NodeId, Process, SimConfig, SiteId, Termination, Time};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 use std::sync::Arc;
-use temporal::Guard;
+use temporal::FactoredGuard;
 
 /// How sequence atoms in guards are handled at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -413,12 +414,14 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
             Node::Agent(AgentNode::new(a.agent.clone(), &a.script, Arc::clone(&routing))),
         ));
     }
-    // The one copy of a literal's guard this build makes: the actor owns
-    // it, shared between its base and current guard.
+    // The actor copies a literal's factors into its table, shared between
+    // its base and current guard; only a weakened sequence guard is built
+    // here first.
+    let top = FactoredGuard::top();
     let actor_guard = |lit: Literal| match (compiled.guard_ref(lit), config.guard_mode) {
-        (None, _) => Guard::top(),
-        (Some(g), GuardMode::Faithful) => g.clone(),
-        (Some(g), GuardMode::Weakened) => g.weaken_sequences(),
+        (None, _) => Cow::Borrowed(&top),
+        (Some(g), GuardMode::Weakened) if g.has_seq_atoms() => Cow::Owned(g.weaken_sequences()),
+        (Some(g), _) => Cow::Borrowed(g),
     };
     for &s in &symbol_list {
         let pos = Literal::pos(s);
@@ -429,8 +432,8 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
             .collect();
         let mut actor = SymbolActor::new(
             s,
-            actor_guard(pos),
-            actor_guard(neg),
+            &actor_guard(pos),
+            &actor_guard(neg),
             attrs_of.get(&pos).copied().unwrap_or_else(EventAttrs::controllable),
             attrs_of.get(&neg).copied().unwrap_or_else(EventAttrs::immediate),
             deps,

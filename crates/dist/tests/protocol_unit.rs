@@ -10,7 +10,7 @@ use sim::{Ctx, LatencyModel, Network, NodeId, SimConfig, SiteId};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use temporal::{Guard, Need};
+use temporal::{FactoredGuard, Guard, Need};
 
 fn fixed_net(nodes: Vec<(SiteId, Node)>) -> Network<Msg, Node> {
     Network::new(SimConfig { seed: 1, latency: LatencyModel::Fixed(1) }, nodes)
@@ -25,8 +25,8 @@ fn actor_node(
 ) -> Node {
     Node::Actor(SymbolActor::new(
         SymbolId(sym),
-        pos_guard,
-        Guard::top(),
+        &pos_guard.into(),
+        &FactoredGuard::top(),
         attrs,
         EventAttrs::immediate(),
         deps,
@@ -202,8 +202,8 @@ fn a_not_yet_grant_is_used_or_released() {
     let guard = Guard::not_yet(Literal::pos(f)).and(&Guard::occurred(Literal::pos(g)));
     let mut actor = SymbolActor::new(
         e,
-        guard,
-        Guard::top(),
+        &guard.into(),
+        &FactoredGuard::top(),
         EventAttrs::controllable(),
         EventAttrs::immediate(),
         vec![],
@@ -337,12 +337,21 @@ fn a_warm_guard_table_changes_nothing() {
             .or(&Guard::eventually(neg(1)).and(&Guard::eventually(pos(4)))),
         Guard::eventually_expr(&seq3).or(&Guard::occurred(neg(4))),
         (1..=OTHERS).fold(Guard::top(), |g, s| g.and(&Guard::eventually(pos(s)))),
-    ];
-    let build = |guard: &Guard| {
+    ]
+    .map(FactoredGuard::from);
+    // Three factors, as a compiled guard on a join keeps them: a fact
+    // reduces only the one that mentions it.
+    let factored = FactoredGuard::new(vec![
+        Guard::eventually(pos(1)).or(&Guard::occurred(neg(2)).and(&Guard::not_yet(pos(1)))),
+        Guard::not_yet(pos(3)).or(&Guard::eventually(neg(4))),
+        Guard::occurred(pos(5)).or(&Guard::eventually(neg(5))),
+    ]);
+    let guards: Vec<FactoredGuard> = guards.into_iter().chain([factored]).collect();
+    let build = |guard: &FactoredGuard| {
         SymbolActor::new(
             own,
-            guard.clone(),
-            Guard::occurred(neg(1)).or(&Guard::not_yet(pos(2))),
+            guard,
+            &Guard::occurred(neg(1)).or(&Guard::not_yet(pos(2))).into(),
             EventAttrs::controllable(),
             EventAttrs::immediate(),
             vec![],
@@ -395,10 +404,11 @@ fn a_warm_guard_table_changes_nothing() {
             assert_eq!(warm.occurred, cold.occurred, "after {msg:?}");
             for lit in [pos(0), neg(0)] {
                 let (w, c) = (warm.guard_info(lit), cold.guard_info(lit));
-                assert_eq!(w.guard, c.guard, "{lit:?} after {msg:?}");
-                assert_eq!((w.status, w.asks(), w.cover()), (c.status, c.asks(), c.cover()));
-                assert_eq!(w.status, temporal::status(&w.guard));
-                let mut asks: Vec<Need> = temporal::needs(&w.guard)
+                let guard = w.guard();
+                assert_eq!(guard, c.guard(), "{lit:?} after {msg:?}");
+                assert_eq!((w.status(), w.asks(), w.cover()), (c.status(), c.asks(), c.cover()));
+                assert_eq!(w.status(), temporal::status(&guard));
+                let mut asks: Vec<Need> = temporal::needs(&guard)
                     .into_iter()
                     .flatten()
                     .filter(|n| matches!(n, Need::Promise(_) | Need::NotYetAgreement(_)))
@@ -408,7 +418,7 @@ fn a_warm_guard_table_changes_nothing() {
                 let mut cached = w.asks().to_vec();
                 cached.sort();
                 assert_eq!(cached, asks, "{lit:?} after {msg:?}");
-                let masked = w.guard.conjuncts().iter().flat_map(|c| c.constrained_symbols());
+                let masked = guard.conjuncts().iter().flat_map(|c| c.constrained_symbols());
                 let masked: BTreeSet<SymbolId> = masked.map(|(s, _)| s).collect();
                 assert_eq!(w.cover(), masked.into_iter().collect::<Vec<_>>());
             }

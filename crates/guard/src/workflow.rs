@@ -14,14 +14,16 @@
 //! synthesis recursion and one machine exploration per distinct shape,
 //! every dependency of that shape a rebinding of the result
 //! ([`CompiledWorkflow::shape_count`] says how many there were). The
-//! per-literal conjunction then multiplies guards that almost always
-//! constrain disjoint symbols, which [`Guard::and`] sorts instead of
-//! re-canonicalising.
+//! per-literal conjunction is never multiplied out: the guards of
+//! dependencies that share no symbol besides the literal's own constrain
+//! disjoint symbols, so each literal keeps a [`FactoredGuard`] — one
+//! factor per group of dependencies linked by a shared symbol — and a
+//! scheduler reduces only the factor a fact touches.
 
 use crate::synth::GuardSynth;
 use event_algebra::{DependencyMachine, Expr, ExprId, Literal, SymbolId};
 use std::collections::{BTreeMap, BTreeSet};
-use temporal::Guard;
+use temporal::{FactoredGuard, Guard};
 
 /// Which dependencies contribute to an event's conjoined guard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,9 +52,13 @@ impl GuardScope {
 pub struct CompiledWorkflow {
     /// The dependencies, as given.
     pub dependencies: Vec<Expr>,
-    /// Per-literal conjoined guard. Contains an entry for every literal of
-    /// every dependency's `Γ_D`.
-    pub guards: BTreeMap<Literal, Guard>,
+    /// Per-literal conjoined guard, as its factors: one per group of the
+    /// contributing dependencies linked by a symbol other than the
+    /// literal's own, conjoined in dependency order within the group,
+    /// except that a one-conjunct factor is multiplied into the first
+    /// wider one. Contains an entry for every literal of every
+    /// dependency's `Γ_D`.
+    pub guards: BTreeMap<Literal, FactoredGuard>,
     /// The residual machine of each dependency (triggering analysis and
     /// the baseline schedulers reuse these).
     pub machines: Vec<DependencyMachine>,
@@ -66,7 +72,8 @@ pub struct CompiledWorkflow {
 
 impl CompiledWorkflow {
     /// Compile a workflow: `G(D, e)` for every dependency `D` and every
-    /// literal `e` in scope, conjoined per literal in dependency order.
+    /// literal `e` in scope, conjoined per literal in dependency order
+    /// within each factor.
     ///
     /// Each distinct [shape](Expr::shape) among the dependencies is
     /// synthesized once, over symbol ranks — the synthesizer's memo is
@@ -75,6 +82,15 @@ impl CompiledWorkflow {
     /// dependency (only [`GuardScope::All`] asks) stands at the first
     /// rank past the shape: `G(D, e)` never mentions `e`, so every
     /// foreign literal has the same guard.
+    ///
+    /// `G(D, e)` mentions only `Γ_D` minus `e`'s symbol, so two
+    /// contributing dependencies can share a constrained symbol only if
+    /// they share one other than `e`'s. Those are merged into one factor
+    /// (union–find over the dependencies, linked through their symbols);
+    /// the factors, in order of their first dependency, are disjoint.
+    /// A factor of one conjunct is then multiplied into the first wider
+    /// one: that never widens it, and saves a level of indirection on
+    /// every reduction.
     pub fn compile(dependencies: &[Expr], scope: GuardScope) -> CompiledWorkflow {
         let mut synth = GuardSynth::new();
         let shaped: Vec<(ExprId, Vec<SymbolId>)> =
@@ -82,24 +98,27 @@ impl CompiledWorkflow {
         let dependency_symbols: Vec<BTreeSet<SymbolId>> =
             shaped.iter().map(|(_, binding)| binding.iter().copied().collect()).collect();
         let symbols: BTreeSet<SymbolId> = dependency_symbols.iter().flatten().copied().collect();
-        let mut guards = BTreeMap::new();
-        for lit in symbols.iter().flat_map(|&s| [Literal::pos(s), Literal::neg(s)]) {
-            let mut combined: Option<Guard> = None;
-            for (ix, (id, binding)) in shaped.iter().enumerate() {
-                if !scope.covers(&dependency_symbols[ix], lit) {
-                    continue;
+        let (mut guards, mut plan) = (BTreeMap::new(), Vec::new());
+        for &sym in &symbols {
+            factor_plan(&mut plan, &dependency_symbols, sym, scope);
+            let factor_count = plan.iter().map(|&(_, slot)| slot + 1).max().unwrap_or(0);
+            for lit in [Literal::pos(sym), Literal::neg(sym)] {
+                let mut factors: Vec<Guard> = Vec::with_capacity(factor_count);
+                for &(ix, slot) in &plan {
+                    let (id, binding) = &shaped[ix];
+                    let at_rank = match binding.binary_search(&sym) {
+                        Ok(rank) => Literal::new(SymbolId(rank as u32), lit.polarity()),
+                        Err(_) => Literal::pos(SymbolId(binding.len() as u32)),
+                    };
+                    let guard = synth.guard_at(*id, at_rank).rebind(binding);
+                    match factors.get_mut(slot) {
+                        Some(so_far) => *so_far = so_far.and(&guard),
+                        None => factors.push(guard),
+                    }
                 }
-                let at_rank = match binding.binary_search(&lit.symbol()) {
-                    Ok(rank) => Literal::new(SymbolId(rank as u32), lit.polarity()),
-                    Err(_) => Literal::pos(SymbolId(binding.len() as u32)),
-                };
-                let guard = synth.guard_at(*id, at_rank).rebind(binding);
-                combined = Some(match combined {
-                    Some(so_far) => so_far.and(&guard),
-                    None => guard,
-                });
+                multiply_narrow(&mut factors);
+                guards.insert(lit, FactoredGuard::new(factors));
             }
-            guards.insert(lit, combined.unwrap_or_else(Guard::top));
         }
         let machines = synth.machines(&shaped);
         CompiledWorkflow {
@@ -121,25 +140,26 @@ impl CompiledWorkflow {
             .count()
     }
 
-    /// The conjoined guard on `lit` (`⊤` for literals outside the
-    /// workflow's alphabet).
+    /// The conjoined guard on `lit`, multiplied out (`⊤` for literals
+    /// outside the workflow's alphabet): what static callers render and
+    /// analyse. Built on demand; a scheduler reads
+    /// [`CompiledWorkflow::guard_ref`]'s factors instead.
     pub fn guard(&self, lit: Literal) -> Guard {
-        self.guards.get(&lit).cloned().unwrap_or_else(Guard::top)
+        self.guard_ref(lit).map_or_else(Guard::top, FactoredGuard::expand)
     }
 
-    /// Borrowed view of the conjoined guard on `lit`; `None` means the
-    /// literal is outside the workflow's alphabet and its guard is `⊤`.
-    /// The online monitor evaluates guards on every gated firing, where
-    /// the owned clone [`CompiledWorkflow::guard`] hands out (an
-    /// allocation per conjunct) would dominate the whole check.
-    pub fn guard_ref(&self, lit: Literal) -> Option<&Guard> {
+    /// Borrowed view of the conjoined guard on `lit`, as its factors;
+    /// `None` means the literal is outside the workflow's alphabet and its
+    /// guard is `⊤`. The online monitor evaluates guards on every gated
+    /// firing, factor by factor, without expanding or cloning them.
+    pub fn guard_ref(&self, lit: Literal) -> Option<&FactoredGuard> {
         self.guards.get(&lit)
     }
 
     /// The symbols whose announcements `lit`'s actor must subscribe to:
     /// every symbol its guard mentions (excluding its own).
     pub fn subscriptions(&self, lit: Literal) -> BTreeSet<SymbolId> {
-        let mut s = self.guard_ref(lit).map(Guard::symbols).unwrap_or_default();
+        let mut s = self.guard_ref(lit).map(FactoredGuard::symbols).unwrap_or_default();
         s.remove(&lit.symbol());
         s
     }
@@ -159,6 +179,74 @@ impl CompiledWorkflow {
     /// Total automata size (state count across dependency machines).
     pub fn total_machine_states(&self) -> usize {
         self.machines.iter().map(DependencyMachine::state_count).sum()
+    }
+}
+
+/// `factors` with every one-conjunct factor multiplied into the first
+/// wider one (into one another when none is wider): multiplying by one
+/// conjunct never widens a guard, and a product reduced as one factor
+/// costs less than the same product reduced as two.
+fn multiply_narrow(factors: &mut Vec<Guard>) {
+    if factors.len() < 2 {
+        return;
+    }
+    let mut into = factors.iter().position(|f| f.conjuncts().len() > 1).unwrap_or(0);
+    let mut k = 0;
+    while k < factors.len() {
+        if k == into || factors[k].conjuncts().len() != 1 {
+            k += 1;
+            continue;
+        }
+        let narrow = factors.remove(k);
+        into -= usize::from(k < into);
+        factors[into] = factors[into].and(&narrow);
+    }
+}
+
+/// Fill `plan` with the dependencies contributing to the guards on
+/// `own`'s literals, in order, each with the factor it joins: union–find
+/// over those dependencies, two linked when they share a symbol other
+/// than `own`; factors are numbered in order of their first dependency.
+fn factor_plan(
+    plan: &mut Vec<(usize, usize)>,
+    symbols: &[BTreeSet<SymbolId>],
+    own: SymbolId,
+    scope: GuardScope,
+) {
+    let lit = Literal::pos(own);
+    // `(dependency, parent)`; a parent is never after its child.
+    plan.clear();
+    let in_scope = (0..symbols.len()).filter(|&ix| scope.covers(&symbols[ix], lit));
+    plan.extend(in_scope.enumerate().map(|(k, ix)| (ix, k)));
+    let root = |plan: &[(usize, usize)], mut k: usize| {
+        while plan[k].1 != k {
+            k = plan[k].1;
+        }
+        k
+    };
+    for k in 1..plan.len() {
+        for j in 0..k {
+            let (a, b) = (&symbols[plan[j].0], &symbols[plan[k].0]);
+            if a.iter().any(|s| *s != own && b.contains(s)) {
+                let (rj, rk) = (root(plan, j), root(plan, k));
+                plan[rj.max(rk)].1 = rj.min(rk);
+            }
+        }
+    }
+    // Parents come first, so one pass in order points every entry at its
+    // root and a second numbers the roots.
+    for k in 0..plan.len() {
+        plan[k].1 = plan[plan[k].1].1;
+    }
+    let mut factors = 0;
+    for k in 0..plan.len() {
+        let parent = plan[k].1;
+        plan[k].1 = if parent == k {
+            factors += 1;
+            factors - 1
+        } else {
+            plan[parent].1
+        };
     }
 }
 

@@ -1,0 +1,286 @@
+//! Factored guards against the multiplied-out guard they stand for.
+//!
+//! A compiled guard is a [`FactoredGuard`]: canonical factors over
+//! disjoint symbols, never multiplied out at run time. The actors reduce
+//! it one factor at a time and read everything else off per-factor
+//! values. That is sound only if, after every fact, the factors expand to
+//! the guard a product-level reduction would have reached — conjunct for
+//! conjunct, since the actors read conjuncts and `canonical`'s merge
+//! order is part of a guard's value — and every derived answer agrees
+//! with the one computed on that guard. Both are walked here: random
+//! dependencies sharing one literal, and every multi-factor literal of
+//! the benchmark's templates and the sagas up to `saga(5)`.
+
+use constrained_events::{models, Workflow, WorkflowBuilder};
+use event_algebra::{enumerate_maximal, Expr, Literal, SymbolId, Trace};
+use guard::{guard_of, CompiledWorkflow, GuardScope};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use temporal::{
+    ask_order, asks, occurred_mask, product_status, status, Fact, FactoredGuard, Guard, Need, ST_A,
+    ST_B, ST_C, ST_D, ST_FULL,
+};
+use testkit::{check, Exprs, Gen};
+
+/// What the actors' promise-grant test accepts of a constraint `(s, m)`
+/// given the promises `assumed`: an assumed occurrence implies it, or it
+/// admits both unresolved states.
+fn grantable(assumed: &[Literal]) -> impl Fn(SymbolId, u8) -> bool + '_ {
+    move |s, m| {
+        assumed.iter().any(|l| l.symbol() == s && occurred_mask(l.polarity()) & !m == 0)
+            || (m & (ST_C | ST_D)) == (ST_C | ST_D)
+    }
+}
+
+/// A random possible-state set for each symbol: usually one or two
+/// states, sometimes all four, now and then none.
+fn possible_sets(g: &mut Gen, syms: &[SymbolId]) -> Vec<(SymbolId, u8)> {
+    let states = [ST_A, ST_B, ST_C, ST_D];
+    let pick = |g: &mut Gen| states[g.range(0..4usize)];
+    syms.iter()
+        .map(|&s| {
+            let m = match g.range(0..10u32) {
+                0 => 0,
+                1 => ST_FULL,
+                2..=5 => pick(g),
+                _ => pick(g) | pick(g),
+            };
+            (s, m)
+        })
+        .collect()
+}
+
+/// A random maximal trace over `syms`: every symbol resolved one way, in
+/// a random order.
+fn random_maximal(g: &mut Gen, syms: &[SymbolId]) -> Trace {
+    let mut lits: Vec<Literal> =
+        syms.iter().map(|&s| if g.flip() { Literal::pos(s) } else { Literal::neg(s) }).collect();
+    for i in (1..lits.len()).rev() {
+        lits.swap(i, g.range(0..=i));
+    }
+    Trace::new(lits).expect("distinct symbols")
+}
+
+/// Everything the actors and the monitor read off `factored`, combined
+/// from per-factor values the way they combine them, equals what the
+/// product code read off `product`.
+fn assert_agrees(g: &mut Gen, factored: &FactoredGuard, product: &Guard, at: &str) {
+    let factors = factored.factors();
+    assert_eq!(factored.expand(), *product, "expansion {at}");
+    assert_eq!(product_status(factors), status(product), "status {at}");
+    // Asks and cover: the factors', merged.
+    let mut merged: Vec<Need> = factors.iter().flat_map(asks).collect();
+    merged.sort_by_key(ask_order);
+    assert_eq!(merged, asks(product), "asks {at}");
+    let cover = product.constrained();
+    let mut merged: Vec<SymbolId> = factors.iter().flat_map(Guard::constrained).collect();
+    merged.sort_unstable();
+    assert_eq!(merged, cover, "cover {at}");
+
+    // Coverage, as `guard_enabled` decides it — every factor covers its
+    // share — for random possible sets small enough to enumerate on the
+    // product.
+    for _ in 0..4 {
+        let sets = possible_sets(g, &cover);
+        let combos: u32 = sets.iter().map(|(_, m)| m.count_ones().max(1)).product();
+        if cover.len() > 12 || combos > 1 << 12 {
+            break;
+        }
+        let possible = |s: SymbolId| sets.iter().find(|&&(t, _)| t == s).map_or(ST_FULL, |p| p.1);
+        let reference = product.holds_now() || product.covered(&cover, possible);
+        let by_factor = factors.iter().all(|f| f.covered(&f.constrained(), possible));
+        assert_eq!(by_factor, reference, "coverage {at} under {sets:?}");
+    }
+
+    // The grant test under random promised literals: every factor has a
+    // dischargeable conjunct.
+    let symbols: Vec<SymbolId> = product.symbols().into_iter().collect();
+    for _ in 0..3 {
+        let assumed: Vec<Literal> = (0..g.range(0..=3usize))
+            .filter(|_| !symbols.is_empty())
+            .map(|_| g.literal(&symbols))
+            .collect();
+        let reference = product.holds_now() || product.dischargeable(grantable(&assumed));
+        let by_factor = factors.iter().all(|f| f.dischargeable(grantable(&assumed)));
+        assert_eq!(by_factor, reference, "grant {at}");
+    }
+
+    // `eval` on every maximal trace over the guard's symbols (a random
+    // few past four symbols), at every index.
+    let traces: Vec<Trace> = if symbols.len() <= 4 {
+        enumerate_maximal(&symbols)
+    } else {
+        (0..6).map(|_| random_maximal(g, &symbols)).collect()
+    };
+    for u in &traces {
+        for i in 0..=u.len() {
+            assert_eq!(factored.eval(u, i), product.eval(u, i), "eval {at} on {u} at {i}");
+        }
+    }
+    assert!(factored.symbols_all(|s| symbols.contains(&s)), "symbols {at}");
+}
+
+/// A random fact sequence over `syms`: each symbol resolves one way,
+/// possibly promised first, and the facts arrive interleaved.
+fn fact_sequence(g: &mut Gen, syms: &[SymbolId]) -> Vec<Fact> {
+    let mut per_symbol: Vec<Vec<Fact>> = Vec::new();
+    for &s in syms {
+        if g.range(0..5u32) == 0 {
+            continue; // never heard of
+        }
+        let l = if g.flip() { Literal::pos(s) } else { Literal::neg(s) };
+        per_symbol.push(match g.range(0..3u32) {
+            0 => vec![Fact::Promised(l)],
+            1 => vec![Fact::Promised(l), Fact::Occurred(l)],
+            _ => vec![Fact::Occurred(l)],
+        });
+    }
+    let mut out = Vec::new();
+    while !per_symbol.is_empty() {
+        let k = g.range(0..per_symbol.len());
+        out.push(per_symbol[k].remove(0));
+        if per_symbol[k].is_empty() {
+            per_symbol.swap_remove(k);
+        }
+    }
+    out
+}
+
+/// Reduce the factored guard and the product side by side, comparing at
+/// every step; both the faithful and the weakened guard.
+fn walk(g: &mut Gen, factored: &FactoredGuard, product: &Guard, name: &str) {
+    let start = [(factored.clone(), product.clone()), {
+        (factored.weaken_sequences(), product.weaken_sequences())
+    }];
+    let syms: Vec<SymbolId> = product.symbols().into_iter().collect();
+    for (mut f, mut p) in start {
+        assert_agrees(g, &f, &p, &format!("{name} at the start"));
+        for fact in fact_sequence(g, &syms) {
+            f = f.reduce(fact);
+            p = match fact {
+                Fact::Occurred(l) => p.assume_occurred(l),
+                Fact::Promised(l) => p.assume_promised(l),
+            };
+            assert_agrees(g, &f, &p, &format!("{name} after {fact:?}"));
+        }
+    }
+}
+
+/// `lit`'s guard as one factor per dependency mentioning it, merged
+/// until no two share a symbol: the factoring before the compile
+/// multiplies its one-conjunct factors into wider ones, so every factor
+/// boundary a product can have is walked.
+fn per_dependency_factors(deps: &[Expr], lit: Literal) -> FactoredGuard {
+    let mut factors: Vec<Guard> =
+        deps.iter().filter(|d| d.mentions(lit.symbol())).map(|d| guard_of(d, lit)).collect();
+    'merge: loop {
+        for i in 0..factors.len() {
+            let mine = factors[i].symbols();
+            if let Some(j) =
+                (i + 1..factors.len()).find(|&j| !factors[j].symbols_all(|s| !mine.contains(&s)))
+            {
+                let other = factors.remove(j);
+                factors[i] = factors[i].and(&other);
+                continue 'merge;
+            }
+        }
+        break FactoredGuard::new(factors);
+    }
+}
+
+/// Multi-factor literals met by [`random_factor_lists_reduce_like_their_product`].
+static MULTI: AtomicUsize = AtomicUsize::new(0);
+
+/// Two or three random dependencies over a universe of seven symbols,
+/// each mentioning symbol 0: its literals' guards have a factor per
+/// dependency, merged where two share another symbol.
+#[test]
+fn random_factor_lists_reduce_like_their_product() {
+    check("random_factor_lists_reduce_like_their_product", 400, |g| {
+        let universe: Vec<SymbolId> = (0..7).map(SymbolId).collect();
+        let n = g.range(2..=3usize);
+        // Each dependency draws one or two symbols of its own; now and
+        // then it also takes one another dependency may have.
+        let mut pool: Vec<SymbolId> = universe[1..].to_vec();
+        let deps: Vec<Expr> = (0..n)
+            .map(|_| {
+                let mut syms = vec![universe[0]];
+                for _ in 0..g.range(1..=2usize) {
+                    if !pool.is_empty() {
+                        syms.push(pool.swap_remove(g.range(0..pool.len())));
+                    }
+                }
+                if syms.len() == 1 || g.range(0..4u32) == 0 {
+                    let s = universe[g.range(1..universe.len())];
+                    if !syms.contains(&s) {
+                        syms.push(s);
+                    }
+                }
+                loop {
+                    let d = g.dependency(&syms, 3);
+                    if d.mentions(universe[0]) {
+                        return d;
+                    }
+                }
+            })
+            .collect();
+        let compiled = CompiledWorkflow::compile(&deps, GuardScope::Mentioning);
+        for lit in [Literal::pos(universe[0]), Literal::neg(universe[0])] {
+            let product = deps.iter().fold(Guard::top(), |acc, d| acc.and(&guard_of(d, lit)));
+            let compiled = compiled.guard_ref(lit).expect("every dependency mentions it");
+            walk(g, compiled, &product, &format!("compiled {lit} of {deps:?}"));
+            let raw = per_dependency_factors(&deps, lit);
+            if raw.factors().len() > 1 {
+                MULTI.fetch_add(1, Ordering::Relaxed);
+            }
+            walk(g, &raw, &product, &format!("{lit} of {deps:?}"));
+        }
+    });
+    let multi = MULTI.load(Ordering::Relaxed);
+    assert!(multi >= 100, "only {multi} of 800 literals had two factors or more");
+}
+
+fn example(name: &str) -> Workflow {
+    let path = format!("{}/../../examples/specs/{name}.wf", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).expect(&path);
+    WorkflowBuilder::from_spec(&src).expect(name).build()
+}
+
+/// Every literal of the eight templates with two per-dependency factors
+/// or more, walked from its expanded guard — as those factors, and as the
+/// compiled factors where the compile kept more than one; `saga(5)`'s
+/// products run to 1 296 conjuncts, so it gets fewer walks.
+#[test]
+fn template_factor_lists_reduce_like_their_product() {
+    let templates = [
+        ("travel", example("travel"), 8),
+        ("pipeline10", example("pipeline10"), 8),
+        ("diamond(3)", models::diamond(3), 8),
+        ("contingency(3, false)", models::contingency(3, false), 8),
+        ("saga(3, 3, Some(1))", models::saga(3, 3, Some(1)), 8),
+        ("saga(3, 3, None)", models::saga(3, 3, None), 8),
+        ("saga(4, 3, None)", models::saga(4, 3, None), 3),
+        ("saga(5, 3, None)", models::saga(5, 3, None), 1),
+    ];
+    let mut multi = 0;
+    for (name, workflow, walks) in templates {
+        let compiled = workflow.compile_guards();
+        for (&lit, factored) in &compiled.guards {
+            let raw = per_dependency_factors(&workflow.spec.dependencies, lit);
+            if raw.factors().len() < 2 {
+                continue;
+            }
+            multi += 1;
+            let product = factored.expand();
+            assert_eq!(raw.expand(), product, "{name}: {lit}");
+            for seed in 0..walks {
+                let mut g = Gen::new(seed);
+                let at = format!("{name}: {lit}, walk {seed}");
+                walk(&mut g, &raw, &product, &at);
+                if factored.factors().len() > 1 {
+                    walk(&mut g, factored, &product, &format!("compiled {at}"));
+                }
+            }
+        }
+    }
+    assert!(multi >= 50, "only {multi} multi-factor literals");
+}

@@ -31,7 +31,9 @@
 //! [rebound](Guard::rebind) rather than recomputed. *Disjoint products*:
 //! the conjunction of canonical guards over disjoint symbol sets has
 //! nothing to absorb or merge, so [`Guard::and`] returns the sorted cross
-//! product — the representation-level twin of Theorems 2/4.
+//! product — the representation-level twin of Theorems 2/4, and the
+//! reason a compiled guard is kept as a [`crate::FactoredGuard`] and
+//! never multiplied out at run time.
 
 use crate::texpr::TExpr;
 use event_algebra::{normalize, Expr, Literal, Polarity, SymbolId, Trace};
@@ -48,6 +50,9 @@ pub const ST_C: u8 = 4;
 pub const ST_D: u8 = 8;
 /// All four states — an unconstrained symbol.
 pub const ST_FULL: u8 = 15;
+
+/// The most symbols [`Guard::covered`] enumerates states over.
+pub const COVERAGE_WIDTH: usize = 16;
 
 /// The mask of `□l`: the literal has occurred.
 pub fn occurred_mask(pol: Polarity) -> u8 {
@@ -470,22 +475,42 @@ impl Guard {
         if self.holds_now() {
             return other.clone();
         }
+        if self.disjoint_from(other) {
+            return self.disjoint_product(other);
+        }
         let mut cs = Vec::with_capacity(self.conjuncts.len() * other.conjuncts.len());
         for a in &self.conjuncts {
             // A contradictory pair drops out; the other b-conjuncts may
             // still combine with `a`.
             cs.extend(other.conjuncts.iter().filter_map(|b| a.meet(b)));
         }
-        if self.disjoint_from(other) {
-            // Over disjoint alphabets `aᵢ|bⱼ` implies `aₖ|bₗ` iff `aᵢ`
-            // implies `aₖ` and `bⱼ` implies `bₗ`, and two products are one
-            // mask apart only if they share one factor and the other two
-            // are one mask apart: the operands are canonical, so nothing
-            // is equal, absorbed or merged and `canonical` would only sort.
-            cs.sort_unstable();
-            return Guard { conjuncts: cs };
-        }
         Guard::canonical(cs)
+    }
+
+    /// The conjunction of two canonical guards over disjoint symbol sets:
+    /// the sorted cross product. Over disjoint alphabets `aᵢ|bⱼ` implies
+    /// `aₖ|bₗ` iff `aᵢ` implies `aₖ` and `bⱼ` implies `bₗ`, and two
+    /// products are one mask apart only if they share one factor and the
+    /// other two are one mask apart: the operands are canonical, so
+    /// nothing is equal, absorbed or merged and `canonical` would only
+    /// sort. [`Guard::and`] and [`FactoredGuard::expand`] both multiply
+    /// through here.
+    ///
+    /// [`FactoredGuard::expand`]: crate::FactoredGuard::expand
+    pub(crate) fn disjoint_product(&self, other: &Guard) -> Guard {
+        let mut cs = Vec::with_capacity(self.conjuncts.len() * other.conjuncts.len());
+        for a in &self.conjuncts {
+            cs.extend(
+                other.conjuncts.iter().map(|b| a.meet(b).expect("disjoint masks never clash")),
+            );
+        }
+        cs.sort_unstable();
+        Guard { conjuncts: cs }
+    }
+
+    /// The conjuncts, by value.
+    pub(crate) fn into_conjuncts(self) -> Vec<Conjunct> {
+        self.conjuncts
     }
 
     /// `true` if no symbol is mentioned (by a mask or a sequence atom) in
@@ -686,6 +711,70 @@ impl Guard {
     /// fact about any other symbol returns the guard unchanged.
     pub fn mentions(&self, sym: SymbolId) -> bool {
         self.conjuncts.iter().any(|c| c.mentions(sym, true))
+    }
+
+    /// The symbols the conjuncts' masks constrain, sorted: what a
+    /// coverage evaluation enumerates states over.
+    pub fn constrained(&self) -> Vec<SymbolId> {
+        let mut out: Vec<SymbolId> =
+            self.conjuncts.iter().flat_map(|c| c.masks.iter().map(|&(s, _)| s)).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Coverage: is the guard true for every assignment of a state from
+    /// `possible(s)` to each symbol `s` of `syms` — the symbols its
+    /// conjuncts constrain ([`Guard::constrained`]), at most
+    /// [`COVERAGE_WIDTH`] of them? Conjuncts with `◇(sequence)` atoms
+    /// cannot witness, and a guard with no usable conjunct, or over no
+    /// symbols, is not covered; nor is one whose symbols include an
+    /// impossible one (`possible(s) == 0`). An odometer over the possible
+    /// state sets, exponential in `syms.len()`.
+    ///
+    /// # Panics
+    ///
+    /// If `syms` has more than [`COVERAGE_WIDTH`] symbols.
+    pub fn covered(&self, syms: &[SymbolId], possible: impl Fn(SymbolId) -> u8) -> bool {
+        assert!(syms.len() <= COVERAGE_WIDTH, "coverage over {} symbols", syms.len());
+        let usable = || self.conjuncts.iter().filter(|c| c.seqs.is_empty());
+        if syms.is_empty() || usable().next().is_none() {
+            return false;
+        }
+        let (mut can, mut states) = ([0u8; COVERAGE_WIDTH], [0u8; COVERAGE_WIDTH]);
+        for (k, &s) in syms.iter().enumerate() {
+            can[k] = possible(s);
+            states[k] = can[k] & can[k].wrapping_neg();
+        }
+        loop {
+            let covered =
+                usable().any(|c| syms.iter().zip(&states).all(|(&s, &st)| c.mask(s) & st != 0));
+            if !covered {
+                return false;
+            }
+            // Advance to the next state combination.
+            let mut k = 0;
+            loop {
+                if k == syms.len() {
+                    return true;
+                }
+                // Next set bit of can[k] above states[k].
+                let above = can[k] & !(states[k] | (states[k] - 1));
+                if above != 0 {
+                    states[k] = above & above.wrapping_neg();
+                    break;
+                }
+                states[k] = can[k] & can[k].wrapping_neg();
+                k += 1;
+            }
+        }
+    }
+
+    /// `true` if some conjunct without `◇(sequence)` atoms has every mask
+    /// `(s, m)` accepted by `ok` — the promise-grant test's "eventually
+    /// dischargeable" (a guard that holds now has the empty conjunct).
+    pub fn dischargeable(&self, mut ok: impl FnMut(SymbolId, u8) -> bool) -> bool {
+        self.conjuncts.iter().any(|c| c.seqs.is_empty() && c.masks.iter().all(|&(s, m)| ok(s, m)))
     }
 
     /// Replace every `◇(l₁·…·lₖ)` atom by the conjunction `◇l₁|…|◇lₖ` —

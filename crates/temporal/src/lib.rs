@@ -10,6 +10,8 @@
 //! - [`Guard`] — a canonical DNF representation over per-symbol knowledge
 //!   states, on which the identities of Example 8 are decided exactly,
 //!   with symbolic `◇(sequence)` atoms reduced by residuation;
+//! - [`FactoredGuard`] — a conjunction of such guards over disjoint
+//!   symbols, kept as its factors (Theorems 2/4);
 //! - [`Fact`], [`status`], [`needs`] — the announcement
 //!   machinery of Section 4.3 (`□e` occurrence messages, `◇e` promises,
 //!   and the reduction proof rules);
@@ -19,6 +21,7 @@
 #![warn(missing_docs)]
 
 mod equiv;
+mod factored;
 mod guard_repr;
 mod message;
 mod semantics;
@@ -28,10 +31,11 @@ pub use equiv::{
     guards_equivalent, guards_equivalent_auto, texpr_symbols, texprs_equivalent,
     texprs_equivalent_auto,
 };
+pub use factored::{product_status, FactoredGuard};
 pub use guard_repr::{
-    eventually_mask, not_yet_mask, occurred_mask, state_on, Conjunct, Guard, ST_A, ST_B, ST_C,
-    ST_D, ST_FULL,
+    eventually_mask, not_yet_mask, occurred_mask, state_on, Conjunct, Guard, COVERAGE_WIDTH, ST_A,
+    ST_B, ST_C, ST_D, ST_FULL,
 };
-pub use message::{need_edges, needs, status, Fact, GuardStatus, Need};
+pub use message::{ask_order, asks, need_edges, needs, status, Fact, GuardStatus, Need};
 pub use semantics::{sat_at, sat_profile};
 pub use texpr::{TExpr, TExprDisplay};

@@ -8,7 +8,7 @@
 //! whether to allow a parked event, or the [`Need`]s to ask for.
 
 use crate::guard_repr::{
-    eventually_mask, not_yet_mask, occurred_mask, Guard, ST_A, ST_B, ST_C, ST_D,
+    eventually_mask, not_yet_mask, occurred_mask, Conjunct, Guard, ST_A, ST_B, ST_C, ST_D,
 };
 use event_algebra::{Literal, Polarity};
 
@@ -86,58 +86,95 @@ pub fn needs(g: &Guard) -> Vec<Vec<Need>> {
         .iter()
         .map(|c| {
             let mut out = Vec::new();
-            for (s, m) in c.constrained_symbols() {
-                let pos = Literal::pos(s);
-                let neg = Literal::neg(s);
-                // Choose the weakest discharging facts for the mask. An
-                // exact ¬l mask uses the paper's not-yet agreement rather
-                // than a promise of the complement: agreement does not
-                // constrain the future of l's symbol.
-                if m == not_yet_mask(Polarity::Pos) {
-                    out.push(Need::NotYetAgreement(pos));
-                } else if m == not_yet_mask(Polarity::Neg) {
-                    out.push(Need::NotYetAgreement(neg));
-                } else if eventually_mask(Polarity::Pos) & !m == 0 {
-                    out.push(Need::Promise(pos));
-                } else if eventually_mask(Polarity::Neg) & !m == 0 {
-                    out.push(Need::Promise(neg));
-                } else if occurred_mask(Polarity::Pos) & !m == 0 {
-                    out.push(Need::Occurrence(pos));
-                } else if occurred_mask(Polarity::Neg) & !m == 0 {
-                    out.push(Need::Occurrence(neg));
-                } else if m == ST_C {
-                    // ◇l ∧ ¬l: promised but not yet occurred at this
-                    // instant.
-                    out.push(Need::Promise(pos));
-                    out.push(Need::NotYetAgreement(pos));
-                } else if m == ST_D {
-                    out.push(Need::Promise(neg));
-                    out.push(Need::NotYetAgreement(neg));
-                } else if m == (ST_C | ST_D) {
-                    // ¬l ∧ ¬l̄: neither resolved yet at this instant.
-                    out.push(Need::NotYetAgreement(pos));
-                } else {
-                    // Remaining composite masks (e.g. {A,B}): discharged
-                    // by an occurrence of whichever polarity the mask
-                    // admits as a final state.
-                    if m & ST_A != 0 {
-                        out.push(Need::Occurrence(pos));
-                    }
-                    if m & ST_B != 0 {
-                        out.push(Need::Occurrence(neg));
-                    }
-                }
-            }
-            for seq in c.seq_atoms() {
-                if let Some(&head) = seq.first() {
-                    out.push(Need::SequenceHead(head));
-                }
-            }
+            conjunct_needs(c, &mut out);
             out.sort();
             out.dedup();
             out
         })
         .collect()
+}
+
+/// The facts that would discharge one conjunct, appended to `out`
+/// unsorted.
+fn conjunct_needs(c: &Conjunct, out: &mut Vec<Need>) {
+    for (s, m) in c.constrained_symbols() {
+        let pos = Literal::pos(s);
+        let neg = Literal::neg(s);
+        // Choose the weakest discharging facts for the mask. An
+        // exact ¬l mask uses the paper's not-yet agreement rather
+        // than a promise of the complement: agreement does not
+        // constrain the future of l's symbol.
+        if m == not_yet_mask(Polarity::Pos) {
+            out.push(Need::NotYetAgreement(pos));
+        } else if m == not_yet_mask(Polarity::Neg) {
+            out.push(Need::NotYetAgreement(neg));
+        } else if eventually_mask(Polarity::Pos) & !m == 0 {
+            out.push(Need::Promise(pos));
+        } else if eventually_mask(Polarity::Neg) & !m == 0 {
+            out.push(Need::Promise(neg));
+        } else if occurred_mask(Polarity::Pos) & !m == 0 {
+            out.push(Need::Occurrence(pos));
+        } else if occurred_mask(Polarity::Neg) & !m == 0 {
+            out.push(Need::Occurrence(neg));
+        } else if m == ST_C {
+            // ◇l ∧ ¬l: promised but not yet occurred at this
+            // instant.
+            out.push(Need::Promise(pos));
+            out.push(Need::NotYetAgreement(pos));
+        } else if m == ST_D {
+            out.push(Need::Promise(neg));
+            out.push(Need::NotYetAgreement(neg));
+        } else if m == (ST_C | ST_D) {
+            // ¬l ∧ ¬l̄: neither resolved yet at this instant.
+            out.push(Need::NotYetAgreement(pos));
+        } else {
+            // Remaining composite masks (e.g. {A,B}): discharged
+            // by an occurrence of whichever polarity the mask
+            // admits as a final state.
+            if m & ST_A != 0 {
+                out.push(Need::Occurrence(pos));
+            }
+            if m & ST_B != 0 {
+                out.push(Need::Occurrence(neg));
+            }
+        }
+    }
+    for seq in c.seq_atoms() {
+        if let Some(&head) = seq.first() {
+            out.push(Need::SequenceHead(head));
+        }
+    }
+}
+
+/// The order requests leave in: by literal, a promise before a not-yet
+/// query about the same literal.
+///
+/// # Panics
+///
+/// On a passive need ([`Need::Occurrence`], [`Need::SequenceHead`]):
+/// announcements discharge those, nobody asks for them.
+pub fn ask_order(need: &Need) -> (Literal, bool) {
+    match *need {
+        Need::Promise(l) => (l, false),
+        Need::NotYetAgreement(l) => (l, true),
+        Need::Occurrence(_) | Need::SequenceHead(_) => unreachable!("passive needs are not asks"),
+    }
+}
+
+/// The protocol requests that could unblock `g`: the [`Need::Promise`]
+/// and [`Need::NotYetAgreement`] entries of [`needs`] over all conjuncts,
+/// deduplicated, in [`ask_order`].
+pub fn asks(g: &Guard) -> Vec<Need> {
+    let mut out = Vec::new();
+    for c in g.conjuncts() {
+        conjunct_needs(c, &mut out);
+    }
+    // Occurrences and sequence heads are passive: announcements
+    // discharge them.
+    out.retain(|n| matches!(n, Need::Promise(_) | Need::NotYetAgreement(_)));
+    out.sort_by_key(ask_order);
+    out.dedup();
+    out
 }
 
 /// The flattened, deduplicated requirements of a guard across all its
