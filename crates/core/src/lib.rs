@@ -104,10 +104,14 @@ impl WorkflowBuilder {
     /// lowered, parametrized templates retained.
     pub fn from_spec(src: &str) -> Result<WorkflowBuilder, speclang::SpecError> {
         let lowered = LoweredWorkflow::parse(src)?;
-        let mut b = WorkflowBuilder::new(&lowered.name);
-        b.table = lowered.table.clone();
-        b.deps = lowered.ground_deps.clone();
-        b.templates = lowered.templates.clone();
+        let mut b = WorkflowBuilder {
+            name: lowered.name,
+            table: lowered.table,
+            deps: lowered.ground_deps,
+            templates: lowered.templates,
+            agents: Vec::with_capacity(lowered.agents.len()),
+            free: Vec::with_capacity(lowered.events.len()),
+        };
         for ev in &lowered.events {
             let attrs = EventAttrs {
                 controllable: ev.controllable || ev.triggerable,

@@ -24,7 +24,8 @@ use crate::wal::NodeStore;
 use agent::{EventAttrs, TaskAgent};
 use event_algebra::{DepTracker, Expr, Literal, SymbolId, SymbolMap, SymbolTable, Trace};
 use guard::{CompiledWorkflow, GuardScope};
-use monitor::MonitorConfig;
+use monitor::{AlertKind, MonitorConfig};
+use obs::metrics::in_label_order;
 use obs::{MetricSink, MetricsSnapshot, RecordConfig, Recording};
 use sim::{Ctx, FaultPlan, FaultStats, NodeId, Process, SimConfig, SiteId, Termination, Time};
 use std::borrow::Cow;
@@ -499,15 +500,7 @@ fn run_workflow_inner(
     config: ExecConfig,
     plan: Option<FaultPlan>,
 ) -> RunReport {
-    let mut built = build(spec, &config);
-    let nodes = std::mem::take(&mut built.nodes);
-    // Durable storage is only materialized when a fault plan could
-    // actually crash a node.
-    let store = plan.is_some().then(NodeStore::new);
-    let mut slot = InstanceSlot::with_nodes(spec, &built, nodes, &config, store);
-    let root = Arrival::new(InstanceId::ROOT.0, 0, 0, config.sim.seed);
-    slot.prepare(&root, plan);
-    let (mut report, totals) = slot.execute();
+    let (mut report, totals) = execute_solo(spec, &config, plan);
     report.metrics = solo_metrics(spec, &report, &totals);
     if let Some(rec) = &mut report.recording {
         rec.metrics = report.metrics.clone();
@@ -515,69 +508,117 @@ fn run_workflow_inner(
     *report
 }
 
+/// One solo run up to its report, metrics not yet written.
+fn execute_solo(
+    spec: &WorkflowSpec,
+    config: &ExecConfig,
+    plan: Option<FaultPlan>,
+) -> (Box<RunReport>, InstanceTotals) {
+    let mut built = build(spec, config);
+    let nodes = std::mem::take(&mut built.nodes);
+    // Durable storage is only materialized when a fault plan could
+    // actually crash a node.
+    let store = plan.is_some().then(NodeStore::new);
+    let mut slot = InstanceSlot::with_nodes(spec, &built, nodes, config, store);
+    let root = Arrival::new(InstanceId::ROOT.0, 0, 0, config.sim.seed);
+    slot.prepare(&root, plan);
+    slot.execute()
+}
+
 /// The unified metrics of one solo run: network, fault, transport,
 /// scheduler, per-dependency and monitor series. Every series is known
-/// here, so they are written straight into the snapshot and sorted once.
+/// here, so they are written straight into a snapshot sized for them, in
+/// key order, and [`MetricsSnapshot::sorted`] only folds the repeats.
 fn solo_metrics(
     spec: &WorkflowSpec,
     report: &RunReport,
     totals: &InstanceTotals,
 ) -> MetricsSnapshot {
-    let mut m = MetricsSnapshot::default();
-    report.net.record_into(&mut m);
+    let sites = report.net.per_site_deliveries.len();
+    let deps = report.satisfied.len();
+    let verdicts = report.monitor.as_ref().map_or(0, |m| m.verdicts.len());
+    // Besides the labelled series: six alert kinds, 24 unlabelled counters.
+    let counters = 4 * report.actor_stats.values().count() + sites + verdicts + 30;
+    let mut m = MetricsSnapshot::with_capacity(counters, deps + 1, 1);
+    write_solo_metrics(spec, report, totals, &mut m);
+    m.sorted()
+}
+
+/// [`solo_metrics`]' writes, in key order: names in byte order, and
+/// within a name the label values in theirs (events by name, indices as
+/// their decimal renderings sort).
+fn write_solo_metrics(
+    spec: &WorkflowSpec,
+    report: &RunReport,
+    totals: &InstanceTotals,
+    mut m: impl MetricSink,
+) {
+    let mut by_name: Vec<(&str, &ActorStats)> = (report.actor_stats.iter())
+        .map(|(sym, st)| (spec.table.name(sym).unwrap_or("?"), st))
+        .collect();
+    by_name.sort_unstable_by_key(|&(name, _)| name);
+    let mut per_actor = |series, value: fn(&ActorStats) -> u64| {
+        for &(name, st) in &by_name {
+            m.add(series, &[("event", name)], value(st));
+        }
+    };
+    per_actor("actor.attempts", |st| st.attempts);
+    per_actor("actor.granted", |st| st.granted);
+    per_actor("actor.rejected", |st| st.rejected);
+    per_actor("actor.triggers", |st| st.triggers);
+    let mut dep = String::new();
+    in_label_order(report.satisfied.len() as u64, |ix| {
+        let ok = report.satisfied[ix as usize];
+        m.set_gauge("dep.satisfied", &[("dep", index_label(&mut dep, ix))], i64::from(ok));
+    });
     if let Some(fs) = &report.fault_stats {
         fs.record_into(&mut m);
     }
-    m.add("transport.retransmissions", &[], totals.retransmissions);
-    m.add("transport.dedup_dropped", &[], totals.dedup_dropped);
-    m.add("transport.gave_up", &[], totals.gave_up);
-    m.add("transport.timer_fires", &[], totals.timer_fires);
-    m.add("transport.timer_idle", &[], totals.timer_idle);
-    m.add("run.steps", &[], report.steps);
-    m.set_gauge("run.duration", &[], report.duration as i64);
-    let mut sched = [0u64; 5];
-    for (sym, st) in report.actor_stats.iter() {
-        let name = spec.table.name(sym).unwrap_or("?");
-        let labels: &[(&str, &str)] = &[("event", name)];
-        m.add("actor.attempts", labels, st.attempts);
-        m.add("actor.granted", labels, st.granted);
-        m.add("actor.rejected", labels, st.rejected);
-        m.add("actor.triggers", labels, st.triggers);
-        sched[0] += st.promises_requested;
-        sched[1] += st.promises_granted;
-        sched[2] += st.reductions;
-        sched[3] += st.announces_out;
-        sched[4] += st.coverage_cutoffs;
+    if let Some(mrep) = &report.monitor {
+        for tag in AlertKind::TAGS {
+            let n = mrep.alerts.iter().filter(|a| a.kind.tag() == tag).count() as u64;
+            if n > 0 {
+                m.add("monitor.alerts", &[("kind", tag)], n);
+            }
+        }
+        m.add("monitor.facts", &[], mrep.facts);
+        m.add("monitor.guard_checks", &[], mrep.guard_checks);
+        in_label_order(mrep.verdicts.len() as u64, |ix| {
+            let v = mrep.verdicts[ix as usize];
+            let labels = [("dep", index_label(&mut dep, ix)), ("verdict", v.label())];
+            m.add("monitor.verdicts", &labels, 1);
+        });
     }
-    m.add("sched.promises_requested", &[], sched[0]);
-    m.add("sched.promises_granted", &[], sched[1]);
-    m.add("sched.reductions", &[], sched[2]);
-    m.add("sched.announces", &[], sched[3]);
-    m.add("sched.coverage_cutoffs", &[], sched[4]);
-    let mut dep = String::new();
-    for (ix, &ok) in report.satisfied.iter().enumerate() {
-        m.set_gauge("dep.satisfied", &[("dep", index_label(&mut dep, ix))], i64::from(ok));
-    }
+    report.net.record_into(&mut m);
     if let Some(rec) = &report.recording {
         m.add("obs.recorder.dropped_spans", &[], rec.dropped);
         m.add("obs.recorder.sampled_out", &[], rec.sampled_out);
     }
-    if let Some(mrep) = &report.monitor {
-        m.add("monitor.facts", &[], mrep.facts);
-        m.add("monitor.guard_checks", &[], mrep.guard_checks);
-        for alert in &mrep.alerts {
-            m.add("monitor.alerts", &[("kind", alert.kind.tag())], 1);
-        }
-        for (ix, v) in mrep.verdicts.iter().enumerate() {
-            let labels = [("dep", index_label(&mut dep, ix)), ("verdict", v.label())];
-            m.add("monitor.verdicts", &labels, 1);
-        }
-    }
-    m.sorted()
+    m.set_gauge("run.duration", &[], report.duration as i64);
+    m.add("run.steps", &[], report.steps);
+    let stats = report.actor_stats.values();
+    let sched = stats.fold([0u64; 5], |mut acc, st| {
+        acc[0] += st.announces_out;
+        acc[1] += st.coverage_cutoffs;
+        acc[2] += st.promises_granted;
+        acc[3] += st.promises_requested;
+        acc[4] += st.reductions;
+        acc
+    });
+    m.add("sched.announces", &[], sched[0]);
+    m.add("sched.coverage_cutoffs", &[], sched[1]);
+    m.add("sched.promises_granted", &[], sched[2]);
+    m.add("sched.promises_requested", &[], sched[3]);
+    m.add("sched.reductions", &[], sched[4]);
+    m.add("transport.dedup_dropped", &[], totals.dedup_dropped);
+    m.add("transport.gave_up", &[], totals.gave_up);
+    m.add("transport.retransmissions", &[], totals.retransmissions);
+    m.add("transport.timer_fires", &[], totals.timer_fires);
+    m.add("transport.timer_idle", &[], totals.timer_idle);
 }
 
 /// `ix` as a label value, rendered into the caller's buffer.
-fn index_label(buf: &mut String, ix: usize) -> &str {
+fn index_label(buf: &mut String, ix: u64) -> &str {
     buf.clear();
     write!(buf, "{ix}").expect("writing to a String cannot fail");
     buf
@@ -622,6 +663,41 @@ mod tests {
         assert_eq!(report.trace.len(), 2, "both events occur: {report:?}");
         assert!(report.parked.is_empty());
         assert!(report.broken_promises.is_empty());
+    }
+
+    /// The solo writer needs no sort: on a chain of twelve arrows over
+    /// twelve sites (so dependency and site labels run past `"9"`), with
+    /// monitors armed, every series arrives in key order and each key
+    /// once.
+    #[test]
+    fn the_solo_metrics_are_written_in_key_order() {
+        let mut table = SymbolTable::new();
+        let lits: Vec<Literal> = (0..13).map(|k| table.event(&format!("e{k}"))).collect();
+        let dependencies = (lits.windows(2))
+            .map(|w| Expr::or([Expr::lit(w[0].complement()), Expr::lit(w[1])]))
+            .collect();
+        let free_events = (lits.iter().enumerate())
+            .map(|(k, &lit)| FreeEventSpec {
+                site: SiteId(k as u32),
+                lit,
+                attrs: EventAttrs::controllable(),
+                attempt_after: Some(1),
+            })
+            .collect();
+        let spec = WorkflowSpec { table, dependencies, agents: vec![], free_events };
+        let mut config = ExecConfig::seeded(2);
+        config.monitor = Some(MonitorConfig::default());
+        let (report, totals) = execute_solo(&spec, &config, None);
+        assert!(report.all_satisfied(), "{report:?}");
+        let mut raw = MetricsSnapshot::default();
+        write_solo_metrics(&spec, &report, &totals, &mut raw);
+        assert!(raw.counters.is_sorted_by(|a, b| a.0 < b.0), "{:#?}", raw.counters);
+        assert!(raw.gauges.is_sorted_by(|a, b| a.0 < b.0), "{:#?}", raw.gauges);
+        assert_eq!(raw.gauges.len(), 13, "twelve dep.satisfied and run.duration");
+        let sites = raw.counters.iter().filter(|(k, _)| k.name == "net.deliveries").count();
+        assert_eq!(sites, 13);
+        assert_eq!(raw.clone().sorted(), raw);
+        assert_eq!(solo_metrics(&spec, &report, &totals), raw);
     }
 
     /// Example 10: with D<'s guards, f parks until ē occurs.

@@ -28,6 +28,7 @@ use crate::expr::{rank_literal, Expr};
 use crate::fxhash::FxHashMap;
 use crate::symbol::{Literal, SymbolId};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Interned handle to an expression in an [`ExprArena`].
 ///
@@ -45,15 +46,17 @@ impl ExprId {
     }
 }
 
-/// One interned node: children are ids, not trees.
+/// One interned node: children are ids, not trees. The child list is
+/// shared, so the node table, the interning index and a walk that holds a
+/// node while it extends the arena all copy a pointer, not the list.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Node {
     Zero,
     Top,
     Lit(Literal),
-    Seq(Box<[ExprId]>),
-    Or(Box<[ExprId]>),
-    And(Box<[ExprId]>),
+    Seq(Arc<[ExprId]>),
+    Or(Arc<[ExprId]>),
+    And(Arc<[ExprId]>),
 }
 
 /// Per-node cached facts, computed once at interning time.
@@ -103,6 +106,15 @@ impl ExprArena {
         debug_assert_eq!(zero, Self::ZERO);
         debug_assert_eq!(top, Self::TOP);
         arena
+    }
+
+    /// Room for `nodes` more interned nodes and `residuals` more memoized
+    /// residuations without growing a table.
+    pub fn reserve(&mut self, nodes: usize, residuals: usize) {
+        self.nodes.reserve(nodes);
+        self.meta.reserve(nodes);
+        self.index.reserve(nodes);
+        self.residue_cache.reserve(residuals);
     }
 
     /// Number of distinct interned subterms.
@@ -188,7 +200,7 @@ impl ExprArena {
                         _ => break,
                     }
                 }
-                self.mk(Node::Seq(out.into_boxed_slice()))
+                self.mk(Node::Seq(Arc::from(out)))
             }
         }
     }
@@ -209,7 +221,7 @@ impl ExprArena {
         match out.len() {
             0 => Self::ZERO,
             1 => out[0],
-            _ => self.mk(Node::Or(out.into_boxed_slice())),
+            _ => self.mk(Node::Or(Arc::from(out))),
         }
     }
 
@@ -243,7 +255,7 @@ impl ExprArena {
         match out.len() {
             0 => Self::TOP,
             1 => out[0],
-            _ => self.mk(Node::And(out.into_boxed_slice())),
+            _ => self.mk(Node::And(Arc::from(out))),
         }
     }
 

@@ -7,6 +7,7 @@
 
 use crate::expr::Expr;
 use crate::symbol::{Literal, Polarity, SymbolTable};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A parameter term: a variable or a bound value.
@@ -35,9 +36,9 @@ impl PEvent {
 
     /// Ground name under a binding: `b1[3]` (a bare `b1` when the event
     /// has no parameters).
-    fn ground_name(&self, binding: &Binding) -> String {
+    fn ground_name(&self, binding: &Binding) -> Cow<'_, str> {
         if self.args.is_empty() {
-            return self.name.clone();
+            return Cow::Borrowed(&self.name);
         }
         let vals: Vec<String> = self
             .args
@@ -49,7 +50,7 @@ impl PEvent {
                 }
             })
             .collect();
-        format!("{}[{}]", self.name, vals.join(","))
+        Cow::Owned(format!("{}[{}]", self.name, vals.join(",")))
     }
 }
 

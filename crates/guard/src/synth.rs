@@ -31,7 +31,7 @@ use event_algebra::{
     normalize, DependencyMachine, Expr, ExprArena, ExprId, FxHashMap, Literal, SymbolId,
 };
 use std::collections::BTreeSet;
-use temporal::Guard;
+use temporal::{occurred_mask, Guard};
 
 /// A memo table for guard synthesis, reusable across events and
 /// dependencies of one workflow. Owns an [`ExprArena`]: every residual
@@ -47,6 +47,10 @@ pub struct GuardSynth {
     /// id, the tree by structure, and the order sums are folded in is
     /// part of the resulting guard — so it is built once per id.
     eventually: FxHashMap<ExprId, Guard>,
+    /// `Γ_{D^e}` of every memo entry under construction, innermost last:
+    /// an entry pushes its literals and pops them when it is done, so one
+    /// buffer serves the whole recursion.
+    gamma: Vec<Literal>,
 }
 
 impl GuardSynth {
@@ -71,6 +75,18 @@ impl GuardSynth {
     pub fn intern_shape(&mut self, d: &Expr) -> (ExprId, Vec<SymbolId>) {
         let (raw, binding) = self.arena.intern_shape(d);
         (self.arena.normalize(raw), binding)
+    }
+
+    /// Size the arena's and the memo's tables for the shapes interned so
+    /// far, `n` nodes: compiling the benchmark templates ends with at most
+    /// `1.4 n` nodes, `5.4 n` residuations, `3.9 n` guard entries and
+    /// `n` `◇(R)` guards, so the tables are allocated once instead of
+    /// growing through every power of two.
+    pub(crate) fn reserve_for_shapes(&mut self) {
+        let n = self.arena.len();
+        self.arena.reserve(n, 6 * n);
+        self.memo.reserve(4 * n);
+        self.eventually.reserve(n);
     }
 
     /// The residual machines of dependencies interned by
@@ -105,22 +121,30 @@ impl GuardSynth {
         if self.memo.contains_key(&(id, e)) {
             return;
         }
-        // Γ_{D^e}: the relevant literals other than e's symbol.
-        let gamma: Vec<Literal> =
-            self.arena.alphabet(id).into_iter().filter(|l| l.symbol() != e.symbol()).collect();
+        // Γ_{D^e}: the relevant literals other than e's symbol, in the
+        // alphabet's order.
+        let start = self.gamma.len();
+        for &s in self.arena.symbols(id).iter().filter(|&&s| s != e.symbol()) {
+            self.gamma.extend([Literal::pos(s), Literal::neg(s)]);
+        }
+        let end = self.gamma.len();
         // First term: e occurs before any other relevant event.
         let after_e = self.arena.residuate_normal(id, e);
         let arena = &self.arena;
         let rest = (self.eventually.entry(after_e))
             // Residuals of a normal form are normal.
             .or_insert_with(|| Guard::eventually_normal(&arena.expr(after_e)));
-        let mut result = rest.and_not_yet(&gamma);
-        // Sum terms: f occurred first.
-        for &f in &gamma {
+        let mut result = rest.and_not_yet(&self.gamma[start..end]);
+        // Sum terms: f occurred first. `□f | G(D/f, e)` is the memo entry
+        // conjoined with `□f` in place, and the sum is folded by value.
+        for k in start..end {
+            let f = self.gamma[k];
             let sub_id = self.arena.residuate_normal(id, f);
             self.synthesize(sub_id, e);
-            result = result.or(&Guard::occurred(f).and(&self.memo[&(sub_id, e)]));
+            let term = self.memo[&(sub_id, e)].clone();
+            result = result.or_owned(term.and_mask(f.symbol(), occurred_mask(f.polarity())));
         }
+        self.gamma.truncate(start);
         self.memo.insert((id, e), result);
     }
 

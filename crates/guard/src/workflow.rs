@@ -95,6 +95,7 @@ impl CompiledWorkflow {
         let mut synth = GuardSynth::new();
         let shaped: Vec<(ExprId, Vec<SymbolId>)> =
             dependencies.iter().map(|d| synth.intern_shape(d)).collect();
+        synth.reserve_for_shapes();
         let dependency_symbols: Vec<BTreeSet<SymbolId>> =
             shaped.iter().map(|(_, binding)| binding.iter().copied().collect()).collect();
         let symbols: BTreeSet<SymbolId> = dependency_symbols.iter().flatten().copied().collect();

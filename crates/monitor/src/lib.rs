@@ -146,6 +146,17 @@ pub enum AlertKind {
 }
 
 impl AlertKind {
+    /// Every [`AlertKind::tag`], in byte order: the order of the
+    /// `monitor.alerts` series in a metrics snapshot.
+    pub const TAGS: [&'static str; 6] = [
+        "dep_at_risk",
+        "dep_violated",
+        "enabled_stall",
+        "guard_unfaithful",
+        "promise_stall",
+        "view_divergence",
+    ];
+
     /// Stable snake-case tag (metrics label, CLI output).
     pub fn tag(&self) -> &'static str {
         match self {
@@ -962,6 +973,22 @@ pub fn replay(
 mod tests {
     use super::*;
     use event_algebra::parse_expr;
+
+    #[test]
+    fn the_tag_list_is_every_tag_sorted() {
+        let lit = ObsLit::pos(0);
+        let kinds = [
+            AlertKind::DepViolated { dep: 0 },
+            AlertKind::DepAtRisk { dep: 0 },
+            AlertKind::GuardUnfaithful { lit },
+            AlertKind::ViewDivergence { seq: 0 },
+            AlertKind::PromiseStall { lit },
+            AlertKind::EnabledStall { lit },
+        ];
+        let mut tags: Vec<&str> = kinds.iter().map(AlertKind::tag).collect();
+        tags.sort_unstable();
+        assert_eq!(tags, AlertKind::TAGS);
+    }
 
     /// `D< = ~e + ~f + e·f` over fresh symbols; returns (table, dep, e, f).
     fn d_before() -> (SymbolTable, Expr, Literal, Literal) {

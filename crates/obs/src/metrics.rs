@@ -6,11 +6,14 @@
 //! structs: after a run, the executor folds both (plus per-actor and
 //! transport counters) into the [`MetricsSnapshot`] on the run report,
 //! serialized to JSON alongside the recorded trace. A run knows all of
-//! its series when it ends, so it writes them straight into a snapshot
-//! and sorts once ([`MetricsSnapshot::sorted`]); the [`MetricsRegistry`]
-//! is the sink for values that accumulate under a shared handle.
+//! its series when it ends, so it writes them straight into a snapshot,
+//! in key order, and [`MetricsSnapshot::sorted`] only checks that order
+//! and folds repeated keys; the [`MetricsRegistry`] is the sink for
+//! values that accumulate under a shared handle.
 
 use crate::json::Json;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -18,24 +21,33 @@ use std::sync::{Arc, Mutex};
 /// (site/actor/dependency labels by convention).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricKey {
-    /// Dotted metric name, e.g. `net.sent_total`.
-    pub name: String,
+    /// Dotted metric name, e.g. `net.sent_total`: borrowed when the
+    /// series was written under a static name (every [`MetricSink`]
+    /// write), owned when it came from a registry call or from JSON.
+    pub name: Cow<'static, str>,
     /// Label pairs, kept sorted so equal label sets compare equal.
     pub labels: Vec<(String, String)>,
 }
 
 impl MetricKey {
     /// The key for `name` with `labels`, in any order.
-    pub fn new(name: &str, labels: &[(&str, &str)]) -> MetricKey {
+    pub fn new(name: impl Into<Cow<'static, str>>, labels: &[(&str, &str)]) -> MetricKey {
         let mut labels: Vec<(String, String)> =
             labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
         labels.sort();
-        MetricKey { name: name.to_string(), labels }
+        MetricKey { name: name.into(), labels }
+    }
+
+    /// This key against `name` with `labels` sorted, without building a
+    /// key from them.
+    fn cmp_borrowed(&self, name: &str, labels: &[(&str, &str)]) -> Ordering {
+        let mine = self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        (*self.name).cmp(name).then_with(|| mine.cmp(labels.iter().copied()))
     }
 
     fn render(&self) -> String {
         if self.labels.is_empty() {
-            return self.name.clone();
+            return self.name.to_string();
         }
         let labels =
             self.labels.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(",");
@@ -126,37 +138,77 @@ impl Log2Histogram {
 /// Somewhere measurements are written: the shared [`MetricsRegistry`], or
 /// a [`MetricsSnapshot`] being assembled by the one thread that owns it.
 /// Code that publishes a fixed set of series (`NetStats::record_into`)
-/// is written once against this.
+/// is written once against this. Series names are static, so a snapshot
+/// borrows them.
 pub trait MetricSink {
     /// Add `by` to a counter.
-    fn add(&mut self, name: &str, labels: &[(&str, &str)], by: u64);
+    fn add(&mut self, name: &'static str, labels: &[(&str, &str)], by: u64);
     /// Set a gauge to `v`.
-    fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], v: i64);
+    fn set_gauge(&mut self, name: &'static str, labels: &[(&str, &str)], v: i64);
     /// Merge a pre-counted bucket array ([`Log2Histogram::merge_buckets`]).
-    fn merge_buckets(&mut self, name: &str, labels: &[(&str, &str)], buckets: &[u64], sum: u64);
+    fn merge_buckets(
+        &mut self,
+        name: &'static str,
+        labels: &[(&str, &str)],
+        buckets: &[u64],
+        sum: u64,
+    );
 }
 
 impl<S: MetricSink> MetricSink for &mut S {
-    fn add(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
+    fn add(&mut self, name: &'static str, labels: &[(&str, &str)], by: u64) {
         (**self).add(name, labels, by);
     }
-    fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], v: i64) {
+    fn set_gauge(&mut self, name: &'static str, labels: &[(&str, &str)], v: i64) {
         (**self).set_gauge(name, labels, v);
     }
-    fn merge_buckets(&mut self, name: &str, labels: &[(&str, &str)], buckets: &[u64], sum: u64) {
+    fn merge_buckets(
+        &mut self,
+        name: &'static str,
+        labels: &[(&str, &str)],
+        buckets: &[u64],
+        sum: u64,
+    ) {
         (**self).merge_buckets(name, labels, buckets, sum);
     }
 }
 
 impl MetricSink for &MetricsRegistry {
-    fn add(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
+    fn add(&mut self, name: &'static str, labels: &[(&str, &str)], by: u64) {
         MetricsRegistry::add(self, name, labels, by);
     }
-    fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], v: i64) {
+    fn set_gauge(&mut self, name: &'static str, labels: &[(&str, &str)], v: i64) {
         MetricsRegistry::set_gauge(self, name, labels, v);
     }
-    fn merge_buckets(&mut self, name: &str, labels: &[(&str, &str)], buckets: &[u64], sum: u64) {
+    fn merge_buckets(
+        &mut self,
+        name: &'static str,
+        labels: &[(&str, &str)],
+        buckets: &[u64],
+        sum: u64,
+    ) {
         MetricsRegistry::merge_buckets(self, name, labels, buckets, sum);
+    }
+}
+
+/// Call `f` with `0..n` in the order of their decimal renderings — the
+/// order of label values `"0"`, `"1"`, `"10"`, `"11"`, …, `"2"`. A writer
+/// labelling series by index emits them in key order this way.
+pub fn in_label_order(n: u64, mut f: impl FnMut(u64)) {
+    fn visit(x: u64, n: u64, f: &mut dyn FnMut(u64)) {
+        f(x);
+        if x == 0 {
+            return; // "0" prefixes no other rendering
+        }
+        for d in 0..10 {
+            match x.checked_mul(10).and_then(|y| y.checked_add(d)) {
+                Some(y) if y < n => visit(y, n, f),
+                _ => return,
+            }
+        }
+    }
+    for first in 0..n.min(10) {
+        visit(first, n, &mut f);
     }
 }
 
@@ -181,26 +233,26 @@ impl MetricsRegistry {
 
     /// Add `by` to a counter.
     pub fn add(&self, name: &str, labels: &[(&str, &str)], by: u64) {
-        let key = MetricKey::new(name, labels);
+        let key = MetricKey::new(name.to_owned(), labels);
         *self.inner.lock().expect("metrics lock").counters.entry(key).or_insert(0) += by;
     }
 
     /// Set a gauge to `v`.
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], v: i64) {
-        let key = MetricKey::new(name, labels);
+        let key = MetricKey::new(name.to_owned(), labels);
         self.inner.lock().expect("metrics lock").gauges.insert(key, v);
     }
 
     /// Record one histogram observation.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], v: u64) {
-        let key = MetricKey::new(name, labels);
+        let key = MetricKey::new(name.to_owned(), labels);
         self.inner.lock().expect("metrics lock").histograms.entry(key).or_default().observe(v);
     }
 
     /// Merge a pre-counted log2 bucket array (e.g. `NetStats`'s 16-bucket
     /// latency table, whose buckets use the same `[2^i, 2^(i+1))` layout).
     pub fn merge_buckets(&self, name: &str, labels: &[(&str, &str)], buckets: &[u64], sum: u64) {
-        let key = MetricKey::new(name, labels);
+        let key = MetricKey::new(name.to_owned(), labels);
         let mut inner = self.inner.lock().expect("metrics lock");
         inner.histograms.entry(key).or_default().merge_buckets(buckets, sum);
     }
@@ -210,7 +262,7 @@ impl MetricsRegistry {
     /// into a local histogram and publishes it once ends with the series
     /// that observing each value here would have built.
     pub fn merge_histogram(&self, name: &str, labels: &[(&str, &str)], h: &Log2Histogram) {
-        let key = MetricKey::new(name, labels);
+        let key = MetricKey::new(name.to_owned(), labels);
         self.inner.lock().expect("metrics lock").histograms.entry(key).or_default().merge(h);
     }
 
@@ -237,26 +289,34 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<(MetricKey, Log2Histogram)>,
 }
 
-/// Written to directly, a snapshot takes each series as it comes; sort it
-/// ([`MetricsSnapshot::sorted`]) before handing it on.
+/// Written to directly, a snapshot takes each series as it comes; pass
+/// it through [`MetricsSnapshot::sorted`] before handing it on.
 impl MetricSink for MetricsSnapshot {
-    fn add(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
+    fn add(&mut self, name: &'static str, labels: &[(&str, &str)], by: u64) {
         self.counters.push((MetricKey::new(name, labels), by));
     }
-    fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], v: i64) {
+    fn set_gauge(&mut self, name: &'static str, labels: &[(&str, &str)], v: i64) {
         self.gauges.push((MetricKey::new(name, labels), v));
     }
-    fn merge_buckets(&mut self, name: &str, labels: &[(&str, &str)], buckets: &[u64], sum: u64) {
+    fn merge_buckets(
+        &mut self,
+        name: &'static str,
+        labels: &[(&str, &str)],
+        buckets: &[u64],
+        sum: u64,
+    ) {
         let mut h = Log2Histogram::default();
         h.merge_buckets(buckets, sum);
         self.histograms.push((MetricKey::new(name, labels), h));
     }
 }
 
-/// Sort `series` by key and fold every run of equal keys into its first
-/// entry with `fold(kept, later)`.
+/// Sort `series` by key unless it already is, and fold every run of equal
+/// keys into its first entry with `fold(kept, later)`.
 fn sort_and_fold<V>(series: &mut Vec<(MetricKey, V)>, mut fold: impl FnMut(&mut V, &V)) {
-    series.sort_by(|a, b| a.0.cmp(&b.0)); // stable: equal keys keep write order
+    if !series.is_sorted_by(|a, b| a.0 <= b.0) {
+        series.sort_by(|a, b| a.0.cmp(&b.0)); // stable: equal keys keep write order
+    }
     series.dedup_by(|later, kept| {
         let same = later.0 == kept.0;
         if same {
@@ -266,10 +326,41 @@ fn sort_and_fold<V>(series: &mut Vec<(MetricKey, V)>, mut fold: impl FnMut(&mut 
     });
 }
 
+/// The value under `name` with `labels` (in any order) in a series sorted
+/// by key: a binary search over borrowed strings. Labels arrive sorted
+/// from every caller in this workspace; others are sorted into a copy.
+fn lookup<'s, V>(
+    series: &'s [(MetricKey, V)],
+    name: &str,
+    labels: &[(&str, &str)],
+) -> Option<&'s V> {
+    let find = |labels: &[(&str, &str)]| {
+        let at = series.binary_search_by(|(k, _)| k.cmp_borrowed(name, labels)).ok()?;
+        Some(&series[at].1)
+    };
+    if labels.is_sorted() {
+        find(labels)
+    } else {
+        let mut sorted = labels.to_vec();
+        sorted.sort_unstable();
+        find(&sorted)
+    }
+}
+
 impl MetricsSnapshot {
+    /// An empty snapshot with room for the given numbers of series.
+    pub fn with_capacity(counters: usize, gauges: usize, histograms: usize) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: Vec::with_capacity(counters),
+            gauges: Vec::with_capacity(gauges),
+            histograms: Vec::with_capacity(histograms),
+        }
+    }
+
     /// The snapshot a [`MetricsRegistry`] would give after the same
     /// writes: every series sorted by key, writes to one key folded — a
     /// counter's added up, a gauge's last one kept, a histogram's merged.
+    /// Series written in key order are only checked, not sorted.
     pub fn sorted(mut self) -> MetricsSnapshot {
         sort_and_fold(&mut self.counters, |kept, later| *kept += later);
         sort_and_fold(&mut self.gauges, |kept, later| *kept = *later);
@@ -277,22 +368,20 @@ impl MetricsSnapshot {
         self
     }
 
-    /// Look up a counter by name + labels.
+    /// Look up a counter by name + labels (the snapshot is sorted, as
+    /// [`MetricsSnapshot::sorted`] and a registry leave it).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        let key = MetricKey::new(name, labels);
-        self.counters.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+        lookup(&self.counters, name, labels).copied()
     }
 
-    /// Look up a gauge by name + labels.
+    /// Look up a gauge by name + labels, as [`MetricsSnapshot::counter`].
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<i64> {
-        let key = MetricKey::new(name, labels);
-        self.gauges.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+        lookup(&self.gauges, name, labels).copied()
     }
 
-    /// Look up a histogram by name + labels.
+    /// Look up a histogram by name + labels, as [`MetricsSnapshot::counter`].
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Log2Histogram> {
-        let key = MetricKey::new(name, labels);
-        self.histograms.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+        lookup(&self.histograms, name, labels)
     }
 
     /// Serialize to a JSON value.
@@ -366,6 +455,7 @@ impl MetricsSnapshot {
         let key_of = |o: &Json| -> Result<MetricKey, String> {
             let name =
                 o.get("name").and_then(Json::as_str).ok_or("metric missing name")?.to_string();
+            let name = Cow::Owned(name);
             let labels = o
                 .get("labels")
                 .and_then(Json::as_obj)
@@ -503,6 +593,47 @@ mod tests {
         assert_eq!(direct, reg.snapshot());
         assert_eq!(direct.counter("a.count", &[("site", "1"), ("actor", "buy")]), Some(7));
         assert_eq!(direct.gauge("g.level", &[]), Some(-2));
+    }
+
+    #[test]
+    fn label_order_is_the_order_of_the_renderings() {
+        for n in [0u64, 1, 2, 10, 11, 23, 101, 1000] {
+            let mut seen = Vec::new();
+            in_label_order(n, |ix| seen.push(ix));
+            let mut want: Vec<u64> = (0..n).collect();
+            want.sort_by_key(|ix| ix.to_string());
+            assert_eq!(seen, want, "n = {n}");
+        }
+    }
+
+    /// Lookups binary-search the sorted series by borrowed name and
+    /// labels, in any label order, and agree with a linear scan for a
+    /// built key.
+    #[test]
+    fn lookups_find_every_series_and_nothing_else() {
+        let m = MetricsRegistry::new();
+        for site in 0..12u32 {
+            let site = site.to_string();
+            m.add("net.deliveries", &[("site", &site)], 1 + site.len() as u64);
+            m.set_gauge("dep.satisfied", &[("dep", &site), ("z", "1")], -1);
+        }
+        m.add("net.sent_total", &[], 7);
+        m.merge_buckets("net.latency", &[], &[1], 1);
+        let snap = m.snapshot();
+        for (k, v) in &snap.counters {
+            let labels: Vec<(&str, &str)> =
+                k.labels.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
+            assert_eq!(snap.counter(&k.name, &labels), Some(*v), "{k:?}");
+        }
+        assert_eq!(snap.gauge("dep.satisfied", &[("z", "1"), ("dep", "10")]), Some(-1));
+        assert_eq!(snap.gauge("dep.satisfied", &[("dep", "10")]), None);
+        assert_eq!(snap.counter("net.sent_total", &[]), Some(7));
+        assert_eq!(snap.counter("net.sent_total", &[("site", "0")]), None);
+        assert_eq!(snap.counter("net.deliveries", &[("site", "12")]), None);
+        assert_eq!(snap.counter("net", &[]), None);
+        assert_eq!(snap.counter("net.sent_totals", &[]), None);
+        assert_eq!(snap.histogram("net.latency", &[]).map(|h| h.count), Some(1));
+        assert_eq!(snap.gauge("net.sent_total", &[]), None);
     }
 
     /// `merge_histogram` is exact where `merge_buckets` has to round.

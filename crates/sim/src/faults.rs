@@ -204,13 +204,13 @@ impl FaultStats {
     /// Write these counters to a metrics sink (`&MetricsRegistry`, or a
     /// `&mut MetricsSnapshot` under assembly) under the `faults.*`
     /// namespace — the snapshotting API that subsumes this struct on run
-    /// reports.
+    /// reports. The series are written in key order.
     pub fn record_into(&self, mut metrics: impl obs::MetricSink) {
+        metrics.add("faults.crash_dropped", &[], self.crash_dropped);
+        metrics.add("faults.delayed", &[], self.delayed);
         metrics.add("faults.dropped", &[], self.dropped);
         metrics.add("faults.duplicated", &[], self.duplicated);
-        metrics.add("faults.delayed", &[], self.delayed);
         metrics.add("faults.partition_dropped", &[], self.partition_dropped);
-        metrics.add("faults.crash_dropped", &[], self.crash_dropped);
         metrics.add("faults.restarts", &[], self.restarts);
     }
 }

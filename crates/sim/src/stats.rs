@@ -1,6 +1,9 @@
 //! Traffic statistics collected by the simulated network — the raw
 //! measurements behind the locality/scalability experiments (C1, C3, C4).
 
+use std::cmp::Ordering;
+use std::fmt::Write;
+
 /// Counters describing one run's traffic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
@@ -91,15 +94,36 @@ impl NetStats {
     /// `&mut MetricsSnapshot` under assembly) under the `net.*`
     /// namespace — the snapshotting API that subsumes this struct on run
     /// reports. A site with no deliveries has no `net.deliveries` series.
+    /// The series are written in key order: the sites as their labels
+    /// sort (`"10"` before `"2"`).
     pub fn record_into(&self, mut metrics: impl obs::MetricSink) {
-        metrics.add("net.sent_total", &[], self.sent_total);
-        metrics.add("net.sent_remote", &[], self.sent_remote);
         metrics.add("net.delivered_total", &[], self.delivered_total);
-        for &(site, count) in self.per_site_deliveries.iter().filter(|&&(_, count)| count > 0) {
-            metrics.add("net.deliveries", &[("site", &site.to_string())], count);
+        let live = || self.per_site_deliveries.iter().filter(|&&(_, count)| count > 0);
+        let mut label = String::new();
+        let mut after: Option<u32> = None;
+        // Selection in label order: a network has few sites.
+        while let Some(&(site, count)) = live()
+            .filter(|&&(s, _)| after.is_none_or(|a| label_cmp(s, a).is_gt()))
+            .min_by(|a, b| label_cmp(a.0, b.0))
+        {
+            label.clear();
+            write!(label, "{site}").expect("writing to a String cannot fail");
+            metrics.add("net.deliveries", &[("site", &label)], count);
+            after = Some(site);
         }
         metrics.merge_buckets("net.latency", &[], &self.latency_buckets, self.latency_sum);
+        metrics.add("net.sent_remote", &[], self.sent_remote);
+        metrics.add("net.sent_total", &[], self.sent_total);
     }
+}
+
+/// `a` against `b` as their decimal renderings compare: both scaled to
+/// the same number of digits, the shorter first on a tie (`"1" < "10"`).
+fn label_cmp(a: u32, b: u32) -> Ordering {
+    let digits = |x: u32| x.checked_ilog10().unwrap_or(0) + 1;
+    let (da, db) = (digits(a), digits(b));
+    let scaled = |x: u32, d: u32| u64::from(x) * 10u64.pow(da.max(db) - d);
+    scaled(a, da).cmp(&scaled(b, db)).then(da.cmp(&db))
 }
 
 #[cfg(test)]
@@ -137,6 +161,36 @@ pub(crate) mod tests {
         assert_eq!(s.latency_buckets[0], 1);
         assert_eq!(s.latency_buckets[4], 1);
         assert_eq!(s.max_site_load(), 1);
+    }
+
+    #[test]
+    fn labels_compare_as_their_renderings() {
+        let values = [0, 1, 2, 9, 10, 11, 19, 20, 99, 100, 101, 1000, 4_294_967_295];
+        for a in values {
+            for b in values {
+                assert_eq!(label_cmp(a, b), a.to_string().cmp(&b.to_string()), "{a} vs {b}");
+            }
+        }
+    }
+
+    /// Written into a snapshot, the series already stand in key order.
+    #[test]
+    fn record_into_writes_in_key_order() {
+        let mut s = NetStats::for_sites([2, 10, 3, 100, 7]);
+        for ix in 0..5 {
+            s.record_delivery(ix);
+        }
+        let mut snap = obs::MetricsSnapshot::default();
+        s.record_into(&mut snap);
+        let sites: Vec<&str> = (snap.counters.iter())
+            .filter(|(k, _)| k.name == "net.deliveries")
+            .map(|(k, _)| k.labels[0].1.as_str())
+            .collect();
+        assert_eq!(sites, ["10", "100", "2", "3", "7"]);
+        assert!(snap.counters.is_sorted_by(|a, b| a.0 < b.0));
+        let reg = obs::MetricsRegistry::new();
+        s.record_into(&reg);
+        assert_eq!(snap.sorted(), reg.snapshot());
     }
 
     #[test]

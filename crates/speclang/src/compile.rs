@@ -59,15 +59,13 @@ pub struct LoweredWorkflow {
 }
 
 impl LoweredWorkflow {
-    /// Lower a parsed declaration.
-    pub fn from_decl(decl: &WorkflowDecl) -> LoweredWorkflow {
+    /// Lower a parsed declaration, keeping its names and agents.
+    pub fn from_decl(decl: WorkflowDecl) -> LoweredWorkflow {
         let mut table = SymbolTable::new();
-        let events: Vec<LoweredEvent> = decl
-            .events
-            .iter()
+        let events: Vec<LoweredEvent> = (decl.events.into_iter())
             .map(|e| LoweredEvent {
-                name: e.name.clone(),
                 literal: table.event(&e.name),
+                name: e.name,
                 controllable: e.controllable,
                 triggerable: e.triggerable,
                 immediate: e.immediate,
@@ -79,31 +77,32 @@ impl LoweredWorkflow {
         let mut templates = Vec::new();
         let mut dep_origins = Vec::new();
         let mut template_origins = Vec::new();
-        for d in &decl.deps {
-            let origin = DepOrigin { label: d.label.clone(), span: d.span };
-            if d.is_ground() {
+        for d in decl.deps {
+            let ground = d.is_ground();
+            let origin = DepOrigin { span: d.span, label: d.label };
+            if ground {
                 ground_deps.push(d.body.instantiate(&Binding::new(), &mut table));
                 dep_origins.push(origin);
             } else {
-                templates.push(d.body.clone());
+                templates.push(d.body);
                 template_origins.push(origin);
             }
         }
         LoweredWorkflow {
-            name: decl.name.clone(),
+            name: decl.name,
             table,
             ground_deps,
             templates,
             dep_origins,
             template_origins,
             events,
-            agents: decl.agents.clone(),
+            agents: decl.agents,
         }
     }
 
     /// Parse and lower in one step.
     pub fn parse(src: &str) -> Result<LoweredWorkflow, SpecError> {
-        Ok(LoweredWorkflow::from_decl(&parse_workflow(src)?))
+        Ok(LoweredWorkflow::from_decl(parse_workflow(src)?))
     }
 
     /// Find a lowered event by name.

@@ -24,6 +24,7 @@ use crate::ast::{
     WorkflowDecl,
 };
 use event_algebra::{PExpr, PLit, Polarity, Term, MAX_NESTING};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parse error with line/column context.
@@ -45,9 +46,12 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token. An identifier borrows its text from the source, `::`
+/// separators included: the parser folds them to `.` only for the names
+/// it keeps ([`folded`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Num(u64),
     LBrace,
     RBrace,
@@ -69,7 +73,18 @@ enum Tok {
     Top,
 }
 
+/// An identifier's name as the symbol table spells it: `agent::event`
+/// becomes `agent.event`.
+fn folded(raw: &str) -> Cow<'_, str> {
+    if raw.contains("::") {
+        Cow::Owned(raw.replace("::", "."))
+    } else {
+        Cow::Borrowed(raw)
+    }
+}
+
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: usize,
@@ -78,7 +93,7 @@ struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Lexer<'a> {
-        Lexer { src: src.as_bytes(), pos: 0, line: 1, col: 1 }
+        Lexer { text: src, src: src.as_bytes(), pos: 0, line: 1, col: 1 }
     }
 
     fn err(&self, message: impl Into<String>) -> SpecError {
@@ -101,8 +116,9 @@ impl<'a> Lexer<'a> {
         self.src.get(self.pos).copied()
     }
 
-    fn tokens(mut self) -> Result<Vec<(Tok, usize, usize)>, SpecError> {
-        let mut out = Vec::new();
+    fn tokens(mut self) -> Result<Vec<(Tok<'a>, usize, usize)>, SpecError> {
+        // About one token per four bytes of a spec: one allocation, as a rule.
+        let mut out = Vec::with_capacity(self.src.len() / 4);
         loop {
             // Skip whitespace and // comments.
             loop {
@@ -212,25 +228,23 @@ impl<'a> Lexer<'a> {
                     Tok::Num(n)
                 }
                 b if b.is_ascii_alphabetic() || b == b'_' => {
-                    let mut name = String::new();
+                    let start = self.pos;
                     loop {
                         match self.peek() {
                             Some(c) if c.is_ascii_alphanumeric() || c == b'_' => {
-                                name.push(c as char);
                                 self.bump();
                             }
                             Some(b':') if self.src.get(self.pos + 1) == Some(&b':') => {
                                 self.bump();
                                 self.bump();
-                                name.push('.');
                             }
                             _ => break,
                         }
                     }
-                    if name == "T" {
-                        Tok::Top
-                    } else {
-                        Tok::Ident(name)
+                    // ASCII bytes only, so both ends are char boundaries.
+                    match &self.text[start..self.pos] {
+                        "T" => Tok::Top,
+                        name => Tok::Ident(name),
                     }
                 }
                 other => return Err(self.err(format!("unexpected character {:?}", other as char))),
@@ -254,15 +268,15 @@ fn redeclared(what: &str, name: &str, first: Span, again: Span) -> SpecError {
 /// The agent library's kinds — what an `agent NAME: KIND` may name.
 const AGENT_KINDS: [&str; 5] = ["rda", "app", "compensatable", "two_phase", "looper"];
 
-struct Parser {
-    toks: Vec<(Tok, usize, usize)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, usize, usize)>,
     pos: usize,
     /// Complements, parentheses and macro calls open around `pos`, capped
     /// at [`MAX_NESTING`].
     depth: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn err_at(&self, message: impl Into<String>) -> SpecError {
         self.err_at_token(self.pos, message)
     }
@@ -277,8 +291,8 @@ impl Parser {
         SpecError { line, col, message: message.into() }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _, _)| t)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|&(t, _, _)| t)
     }
 
     /// The source position of the token about to be consumed.
@@ -286,15 +300,15 @@ impl Parser {
         self.toks.get(self.pos).map(|&(_, l, c)| Span::at(l, c)).unwrap_or_default()
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _, _)| t.clone());
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, tok: &Tok, what: &str) -> Result<(), SpecError> {
+    fn expect(&mut self, tok: Tok<'a>, what: &str) -> Result<(), SpecError> {
         if self.peek() == Some(tok) {
             self.pos += 1;
             Ok(())
@@ -303,7 +317,8 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, SpecError> {
+    /// The next token's identifier, as written.
+    fn ident(&mut self, what: &str) -> Result<&'a str, SpecError> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
             _ => Err(self.err_at(format!("expected {what}"))),
@@ -315,8 +330,8 @@ impl Parser {
         if kw != "workflow" {
             return Err(self.err_at("expected 'workflow'"));
         }
-        let name = self.ident("workflow name")?;
-        self.expect(&Tok::LBrace, "'{'")?;
+        let name = folded(self.ident("workflow name")?).into_owned();
+        self.expect(Tok::LBrace, "'{'")?;
         let mut events: Vec<EventDecl> = Vec::new();
         let mut agents: Vec<AgentDecl> = Vec::new();
         let mut deps = Vec::new();
@@ -326,7 +341,7 @@ impl Parser {
                     self.pos += 1;
                     break;
                 }
-                Some(Tok::Ident(kw)) if kw == "event" => {
+                Some(Tok::Ident("event")) => {
                     let span = self.span_here();
                     self.pos += 1;
                     let decl = self.event_decl(span)?;
@@ -335,7 +350,7 @@ impl Parser {
                     }
                     events.push(decl);
                 }
-                Some(Tok::Ident(kw)) if kw == "agent" => {
+                Some(Tok::Ident("agent")) => {
                     let span = self.span_here();
                     self.pos += 1;
                     let decl = self.agent_decl(span)?;
@@ -344,7 +359,7 @@ impl Parser {
                     }
                     agents.push(decl);
                 }
-                Some(Tok::Ident(kw)) if kw == "dep" => {
+                Some(Tok::Ident("dep")) => {
                     let span = self.span_here();
                     self.pos += 1;
                     deps.push(self.dep_decl(span)?);
@@ -360,17 +375,20 @@ impl Parser {
 
     /// `agent NAME: KIND (@ site N)? ({ script: item, item, ... })? ;`
     fn agent_decl(&mut self, span: Span) -> Result<AgentDecl, SpecError> {
-        let name = self.ident("agent name")?;
-        self.expect(&Tok::Colon, "':'")?;
+        let name = folded(self.ident("agent name")?).into_owned();
+        self.expect(Tok::Colon, "':'")?;
         let at = self.span_here();
         let kind = self.ident("agent kind")?;
-        if !AGENT_KINDS.contains(&kind.as_str()) {
-            let message =
-                format!("unknown agent kind '{kind}': expected one of {}", AGENT_KINDS.join(", "));
+        if !AGENT_KINDS.contains(&kind) {
+            let message = format!(
+                "unknown agent kind '{}': expected one of {}",
+                folded(kind),
+                AGENT_KINDS.join(", ")
+            );
             return Err(SpecError { line: at.line, col: at.col, message });
         }
-        let mut decl = AgentDecl { name, kind, site: 0, script: Vec::new(), span };
-        if self.peek() == Some(&Tok::At) {
+        let mut decl = AgentDecl { name, kind: kind.to_owned(), site: 0, script: Vec::new(), span };
+        if self.peek() == Some(Tok::At) {
             self.pos += 1;
             let kw = self.ident("'site'")?;
             if kw != "site" {
@@ -382,22 +400,24 @@ impl Parser {
                 _ => return Err(self.err_at("expected site number")),
             }
         }
-        if self.peek() == Some(&Tok::LBrace) {
+        if self.peek() == Some(Tok::LBrace) {
             self.pos += 1;
             let kw = self.ident("'script'")?;
             if kw != "script" {
                 return Err(self.err_at("expected 'script'"));
             }
-            self.expect(&Tok::Colon, "':'")?;
-            if self.peek() != Some(&Tok::RBrace) {
+            self.expect(Tok::Colon, "':'")?;
+            if self.peek() != Some(Tok::RBrace) {
                 loop {
                     match self.next() {
-                        Some(Tok::Ident(w)) if w == "wait" => match self.next() {
+                        Some(Tok::Ident("wait")) => match self.next() {
                             Some(Tok::Num(n)) => decl.script.push(ScriptItem::Wait(n)),
                             Some(Tok::Zero) => decl.script.push(ScriptItem::Wait(0)),
                             _ => return Err(self.err_at("expected wait duration")),
                         },
-                        Some(Tok::Ident(ev)) => decl.script.push(ScriptItem::Event(ev)),
+                        Some(Tok::Ident(ev)) => {
+                            decl.script.push(ScriptItem::Event(folded(ev).into_owned()));
+                        }
                         _ => return Err(self.err_at("expected script step")),
                     }
                     match self.next() {
@@ -410,12 +430,12 @@ impl Parser {
                 self.pos += 1;
             }
         }
-        self.expect(&Tok::Semi, "';'")?;
+        self.expect(Tok::Semi, "';'")?;
         Ok(decl)
     }
 
     fn event_decl(&mut self, span: Span) -> Result<EventDecl, SpecError> {
-        let name = self.ident("event name")?;
+        let name = folded(self.ident("event name")?).into_owned();
         let mut decl = EventDecl {
             name,
             controllable: false,
@@ -424,15 +444,17 @@ impl Parser {
             site: None,
             span,
         };
-        if self.peek() == Some(&Tok::LBrace) {
+        if self.peek() == Some(Tok::LBrace) {
             self.pos += 1;
             loop {
                 let attr = self.ident("attribute")?;
-                match attr.as_str() {
+                match attr {
                     "controllable" => decl.controllable = true,
                     "triggerable" => decl.triggerable = true,
                     "immediate" => decl.immediate = true,
-                    other => return Err(self.err_at(format!("unknown attribute {other}"))),
+                    other => {
+                        return Err(self.err_at(format!("unknown attribute {}", folded(other))))
+                    }
                 }
                 match self.next() {
                     Some(Tok::Comma) => continue,
@@ -441,7 +463,7 @@ impl Parser {
                 }
             }
         }
-        if self.peek() == Some(&Tok::At) {
+        if self.peek() == Some(Tok::At) {
             self.pos += 1;
             let kw = self.ident("'site'")?;
             if kw != "site" {
@@ -453,7 +475,7 @@ impl Parser {
                 _ => return Err(self.err_at("expected site number")),
             }
         }
-        self.expect(&Tok::Semi, "';'")?;
+        self.expect(Tok::Semi, "';'")?;
         // Defaults: an event with no attributes is controllable.
         if !decl.controllable && !decl.triggerable && !decl.immediate {
             decl.controllable = true;
@@ -464,15 +486,15 @@ impl Parser {
     fn dep_decl(&mut self, span: Span) -> Result<DepDecl, SpecError> {
         // Optional label before ':'.
         let label = if let (Some(Tok::Ident(name)), Some((Tok::Colon, _, _))) =
-            (self.peek().cloned(), self.toks.get(self.pos + 1))
+            (self.peek(), self.toks.get(self.pos + 1))
         {
             self.pos += 2;
-            Some(name)
+            Some(folded(name).into_owned())
         } else {
             return Err(self.err_at("expected 'dep <label>:'"));
         };
         let body = self.klein_expr()?;
-        self.expect(&Tok::Semi, "';'")?;
+        self.expect(Tok::Semi, "';'")?;
         Ok(DepDecl { label, body, span })
     }
 
@@ -491,30 +513,35 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<PExpr, SpecError> {
-        let mut parts = vec![self.and_expr()?];
-        while self.peek() == Some(&Tok::Plus) {
-            self.pos += 1;
-            parts.push(self.and_expr()?);
-        }
-        Ok(if parts.len() == 1 { parts.pop().expect("one") } else { PExpr::Or(parts) })
+        self.chain(Tok::Plus, Self::and_expr, PExpr::Or)
     }
 
     fn and_expr(&mut self) -> Result<PExpr, SpecError> {
-        let mut parts = vec![self.seq_expr()?];
-        while self.peek() == Some(&Tok::Pipe) {
-            self.pos += 1;
-            parts.push(self.seq_expr()?);
-        }
-        Ok(if parts.len() == 1 { parts.pop().expect("one") } else { PExpr::And(parts) })
+        self.chain(Tok::Pipe, Self::seq_expr, PExpr::And)
     }
 
     fn seq_expr(&mut self) -> Result<PExpr, SpecError> {
-        let mut parts = vec![self.atom()?];
-        while self.peek() == Some(&Tok::Dot) {
-            self.pos += 1;
-            parts.push(self.atom()?);
+        self.chain(Tok::Dot, Self::atom, PExpr::Seq)
+    }
+
+    /// `inner (op inner)*`: a lone operand as itself, two or more as
+    /// `node` of them.
+    fn chain(
+        &mut self,
+        op: Tok<'a>,
+        inner: fn(&mut Self) -> Result<PExpr, SpecError>,
+        node: fn(Vec<PExpr>) -> PExpr,
+    ) -> Result<PExpr, SpecError> {
+        let first = inner(self)?;
+        if self.peek() != Some(op) {
+            return Ok(first);
         }
-        Ok(if parts.len() == 1 { parts.pop().expect("one") } else { PExpr::Seq(parts) })
+        let mut parts = vec![first];
+        while self.peek() == Some(op) {
+            self.pos += 1;
+            parts.push(inner(self)?);
+        }
+        Ok(node(parts))
     }
 
     /// Parse what a complement, an open parenthesis or a macro call
@@ -543,17 +570,18 @@ impl Parser {
             Some(Tok::Top) => Ok(PExpr::Top),
             Some(Tok::LParen) => {
                 let e = self.nested(Self::klein_expr)?;
-                self.expect(&Tok::RParen, "')'")?;
+                self.expect(Tok::RParen, "')'")?;
                 Ok(e)
             }
-            Some(Tok::Ident(name)) => {
+            Some(Tok::Ident(raw)) => {
+                let name = folded(raw);
                 // Parameter tuple?
                 let mut args: Vec<Term> = Vec::new();
-                if self.peek() == Some(&Tok::LBracket) {
+                if self.peek() == Some(Tok::LBracket) {
                     self.pos += 1;
                     loop {
                         match self.next() {
-                            Some(Tok::Ident(v)) => args.push(Term::Var(v)),
+                            Some(Tok::Ident(v)) => args.push(Term::Var(folded(v).into_owned())),
                             Some(Tok::Num(n)) => args.push(Term::Val(n)),
                             Some(Tok::Zero) => args.push(Term::Val(0)),
                             _ => return Err(self.err_at("expected parameter")),
@@ -570,10 +598,10 @@ impl Parser {
                     }));
                 }
                 // Macro call?
-                if self.peek() == Some(&Tok::LParen) {
+                if self.peek() == Some(Tok::LParen) {
                     self.pos += 1;
                     let mut margs = Vec::new();
-                    if self.peek() != Some(&Tok::RParen) {
+                    if self.peek() != Some(Tok::RParen) {
                         loop {
                             margs.push(self.nested(Self::klein_expr)?);
                             match self.next() {
@@ -720,6 +748,26 @@ mod tests {
             assert!(err.message.contains(kind), "{err}");
             assert!(parse_workflow(&format!("workflow w {{ agent a: {kind}; }}")).is_ok());
         }
+    }
+
+    /// Tokens keep `::` as written; every name the declaration keeps, and
+    /// every message that quotes one, has it folded to `.`.
+    #[test]
+    fn kept_names_fold_the_agent_separator() {
+        let w = parse_workflow(
+            "workflow w::x {\n  event buy::start;\n  agent a::b: rda { script: s::t, wait 2 };\n  \
+             dep d::1: buy::start -> mutex(p::q[v::w], r, s);\n}",
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!((w.name.as_str(), w.events[0].name.as_str()), ("w.x", "buy.start"));
+        assert_eq!(w.agents[0].name, "a.b");
+        assert_eq!(w.agents[0].script[0], ScriptItem::Event("s.t".to_owned()));
+        assert_eq!(w.deps[0].label.as_deref(), Some("d.1"));
+        assert!(w.deps[0].body.vars().contains("v.w"), "{:?}", w.deps[0].body);
+        let attr = parse_workflow("workflow w { event e { a::b }; }").unwrap_err();
+        assert!(attr.message.ends_with("unknown attribute a.b"), "{attr}");
+        let kind = parse_workflow("workflow w { agent a: r::da; }").unwrap_err();
+        assert!(kind.message.starts_with("unknown agent kind 'r.da'"), "{kind}");
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! reason a compiled guard is kept as a [`crate::FactoredGuard`] and
 //! never multiplied out at run time.
 
+use crate::cells::{Cell, Cells};
 use crate::texpr::TExpr;
 use event_algebra::{normalize, Expr, Literal, Polarity, SymbolId, Trace};
 use std::cmp::Ordering;
@@ -135,19 +136,16 @@ fn sorted_insert<T: Ord>(v: &mut Vec<T>, x: T) {
     }
 }
 
-/// One symbol's mask inside a conjunct.
-type Cell = (SymbolId, u8);
-
 /// One DNF conjunct: a mask per constrained symbol plus residual `◇(seq)`
-/// atoms, both as flat sorted vectors — every binary operation on
+/// atoms, both as flat sorted sequences — every binary operation on
 /// conjuncts is a merge walk over them. The derived order (masks, then
 /// sequence atoms, lexicographically) is the canonical conjunct order.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Conjunct {
     /// Per-symbol state masks, sorted by symbol; absent symbols are
     /// unconstrained ([`ST_FULL`]). Invariant: stored masks are never `0`
-    /// or `ST_FULL`.
-    masks: Vec<Cell>,
+    /// or `ST_FULL`. Inline up to `INLINE_CELLS` cells.
+    masks: Cells,
     /// `◇(l₁·l₂·…)` atoms, sorted and deduplicated, each with ≥ 2 literals
     /// (single literals fold into the mask) over pairwise distinct
     /// symbols.
@@ -233,7 +231,7 @@ impl Conjunct {
     /// are disjoint.
     fn meet(&self, other: &Conjunct) -> Option<Conjunct> {
         let (a, b): (&[Cell], &[Cell]) = (&self.masks, &other.masks);
-        let mut masks = Vec::with_capacity(a.len() + b.len());
+        let mut masks = Cells::default();
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             match a[i].0.cmp(&b[j].0) {
@@ -427,7 +425,7 @@ impl Guard {
             Expr::Top => Guard::top(),
             Expr::Lit(l) => Guard::eventually(*l),
             Expr::Or(v) => {
-                v.iter().fold(Guard::bottom(), |acc, p| acc.or(&Guard::eventually_normal(p)))
+                v.iter().fold(Guard::bottom(), |acc, p| acc.or_owned(Guard::eventually_normal(p)))
             }
             Expr::And(v) => {
                 v.iter().fold(Guard::top(), |acc, p| acc.and(&Guard::eventually_normal(p)))
@@ -460,8 +458,24 @@ impl Guard {
         if self.is_bottom() {
             return other.clone();
         }
-        let mut cs = self.conjuncts.clone();
-        cs.extend(other.conjuncts.iter().cloned());
+        let mut cs = Vec::with_capacity(self.conjuncts.len() + other.conjuncts.len());
+        cs.extend(self.conjuncts.iter().chain(&other.conjuncts).cloned());
+        Guard::canonical(cs)
+    }
+
+    /// [`Guard::or`] by value: the accumulator of a sum keeps its
+    /// conjuncts instead of copying them per term. Canonicalisation sorts
+    /// its input first, so which operand's conjuncts come first is
+    /// immaterial.
+    pub fn or_owned(self, other: Guard) -> Guard {
+        if other.is_bottom() {
+            return self;
+        }
+        if self.is_bottom() {
+            return other;
+        }
+        let mut cs = self.conjuncts;
+        cs.extend(other.conjuncts);
         Guard::canonical(cs)
     }
 
@@ -514,25 +528,15 @@ impl Guard {
     }
 
     /// `true` if no symbol is mentioned (by a mask or a sequence atom) in
-    /// both guards: the smaller guard's symbols are collected, the other's
-    /// conjuncts tested against them behind the signature filter.
+    /// both guards: each symbol of the guard with fewer conjuncts is
+    /// looked up in the other's, behind its conjuncts' signature filters.
     fn disjoint_from(&self, other: &Guard) -> bool {
         let (small, big) = if self.conjuncts.len() <= other.conjuncts.len() {
             (self, other)
         } else {
             (other, self)
         };
-        let mut syms: Vec<SymbolId> = Vec::new();
-        small.symbols_all(|s| {
-            sorted_insert(&mut syms, s);
-            true
-        });
-        let sig = syms.iter().fold(0, |sig, &s| sig | sig_bit(s));
-        let held = |s: SymbolId| syms.binary_search(&s).is_ok();
-        !big.conjuncts.iter().any(|c| {
-            (c.sig & sig != 0 && c.masks.iter().any(|&(s, _)| held(s)))
-                || c.seqs.iter().flatten().any(|l| held(l.symbol()))
-        })
+        small.symbols_all(|s| !big.mentions(s))
     }
 
     /// The guard over `binding`'s symbols: every `SymbolId(r)` becomes
@@ -552,8 +556,7 @@ impl Guard {
         debug_assert!(binding.windows(2).all(|w| w[0] < w[1]), "binding must preserve order");
         let conjuncts = (self.conjuncts.iter())
             .map(|c| {
-                let masks: Vec<Cell> =
-                    c.masks.iter().map(|&(s, m)| (binding[s.index()], m)).collect();
+                let masks: Cells = c.masks.iter().map(|&(s, m)| (binding[s.index()], m)).collect();
                 let seqs =
                     c.seqs.iter().map(|q| q.iter().map(|l| l.rebind(binding)).collect()).collect();
                 let sig = masks.iter().fold(0, |sig, &(s, _)| sig | sig_bit(s));
@@ -565,17 +568,27 @@ impl Guard {
 
     /// `self | ¬f₁ | ¬f₂ | …`, one conjunction per literal in order — the
     /// "nothing else has happened yet" factor of Definition 2's first
-    /// term. With a single conjunct no round has anything to absorb or
-    /// merge, so the masks are intersected in place.
+    /// term.
     pub fn and_not_yet(&self, lits: &[Literal]) -> Guard {
-        match &self.conjuncts[..] {
-            [only] => {
-                let mut c = only.clone();
-                let alive =
-                    lits.iter().all(|f| c.constrain(f.symbol(), not_yet_mask(f.polarity())));
-                Guard { conjuncts: if alive { vec![c] } else { Vec::new() } }
-            }
-            _ => lits.iter().fold(self.clone(), |acc, &f| acc.and(&Guard::not_yet(f))),
+        let not_yet =
+            |acc: Guard, f: &Literal| acc.and_mask(f.symbol(), not_yet_mask(f.polarity()));
+        lits.iter().fold(self.clone(), not_yet)
+    }
+
+    /// `self | `[`Guard::from_mask`]`(sym, mask)` by value: every conjunct
+    /// is constrained in place, and the one-cell guard is never built.
+    /// When no conjunct mentions `sym` the result is the disjoint product
+    /// and is only re-sorted, as in [`Guard::and`]; otherwise it is
+    /// canonicalised as `and` would the same cross product.
+    pub fn and_mask(self, sym: SymbolId, mask: u8) -> Guard {
+        let mentioned = self.mentions(sym);
+        let mut cs = self.conjuncts;
+        cs.retain_mut(|c| c.constrain(sym, mask));
+        if mentioned {
+            Guard::canonical(cs)
+        } else {
+            cs.sort_unstable();
+            Guard { conjuncts: cs }
         }
     }
 
@@ -588,21 +601,37 @@ impl Guard {
     /// promises, so the scan order below (first mergeable pair in `(i, j)`
     /// order, the two `swap_remove`s, re-absorption, restart) is part of
     /// what a guard *is*, not an implementation detail.
+    ///
+    /// The passes work inside `cs`'s buffer: equal conjuncts are equal in
+    /// every field, so an unstable sort orders them as a stable one would.
     fn canonical(mut cs: Vec<Conjunct>) -> Guard {
         if cs.len() < 2 {
             return Guard { conjuncts: cs };
         }
-        // Absorption: drop any conjunct that implies another.
-        let mut keep: Vec<Conjunct> = Vec::with_capacity(cs.len());
-        cs.sort();
+        // Absorption: drop any conjunct that implies another. The kept
+        // conjuncts are `cs[..kept]`, in the order they were kept.
+        cs.sort_unstable();
         cs.dedup();
-        for c in cs {
-            if keep.iter().any(|k| c.implies(k)) {
+        let mut kept = 0;
+        for i in 0..cs.len() {
+            let (keep, rest) = cs.split_at_mut(i);
+            let c = &rest[0];
+            if keep[..kept].iter().any(|k| c.implies(k)) {
                 continue;
             }
-            keep.retain(|k| !k.implies(&c));
-            keep.push(c);
+            // `keep.retain(|k| !k.implies(c))`, then `keep.push(c)`.
+            let mut still = 0;
+            for j in 0..kept {
+                if !keep[j].implies(c) {
+                    keep.swap(still, j);
+                    still += 1;
+                }
+            }
+            cs.swap(still, i);
+            kept = still + 1;
         }
+        cs.truncate(kept);
+        let mut keep = cs;
         // Merge: two conjuncts identical except one symbol's mask unite
         // into a single conjunct with the mask union (repeat to fixpoint).
         loop {
@@ -610,10 +639,9 @@ impl Guard {
             'pairs: for i in 0..keep.len() {
                 for j in (i + 1)..keep.len() {
                     let Some((only, union)) = keep[i].sibling(&keep[j]) else { continue };
-                    let mut c = keep[i].clone();
-                    c.set_mask(only, union);
                     keep.swap_remove(j);
-                    keep.swap_remove(i);
+                    let mut c = keep.swap_remove(i);
+                    c.set_mask(only, union);
                     // Re-run absorption against the merged conjunct.
                     keep.retain(|k| !k.implies(&c));
                     if !keep.iter().any(|k| c.implies(k)) {
@@ -627,7 +655,7 @@ impl Guard {
                 break;
             }
         }
-        keep.sort();
+        keep.sort_unstable();
         Guard { conjuncts: keep }
     }
 
@@ -828,8 +856,8 @@ impl Guard {
                 continue;
             }
             // Masks: intersect with the closure; discharge when implied.
-            let mut n = Conjunct { masks: Vec::with_capacity(c.masks.len()), ..Conjunct::top() };
-            for &(s, mut m) in &c.masks {
+            let mut n = Conjunct { masks: Cells::with_capacity(c.masks.len()), ..Conjunct::top() };
+            for &(s, mut m) in c.masks.iter() {
                 if s == sym {
                     if m & closure == 0 {
                         continue 'conj; // contradiction: conjunct dies
@@ -889,7 +917,7 @@ impl Guard {
         }
         let parts = self.conjuncts.iter().map(|c| {
             let mut factors: Vec<TExpr> = Vec::new();
-            for &(s, m) in &c.masks {
+            for &(s, m) in c.masks.iter() {
                 factors.push(mask_to_texpr(s, m));
             }
             for seq in &c.seqs {
@@ -1226,6 +1254,55 @@ mod tests {
         assert_eq!(g.conjuncts()[0].mask(b), ST_A);
         assert_eq!(g.conjuncts()[0].mask(a), ST_FULL);
         assert!(g.mentions(b) && !g.mentions(a));
+    }
+
+    /// The by-value forms are the borrowed ones: `and_mask` is `and` with
+    /// the one-mask guard (a mentioned symbol, a fresh one, `0` and
+    /// `ST_FULL` masks, `⊤` and `0` operands), `or_owned` is `or`.
+    #[test]
+    fn by_value_forms_are_and_and_or() {
+        let mut t = SymbolTable::new();
+        let [e, f, h] = ["e", "f", "h"].map(|n| t.event(n));
+        let samples = [
+            Guard::top(),
+            Guard::bottom(),
+            Guard::not_yet(e),
+            Guard::eventually(e).or(&Guard::occurred(f)),
+            Guard::eventually_expr(&Expr::seq([Expr::lit(e), Expr::lit(f)])),
+            Guard::occurred(f).and(&Guard::not_yet(e)).or(&Guard::eventually(h.complement())),
+        ];
+        for g in &samples {
+            for sym in [e, f, h].map(|l| l.symbol()) {
+                for mask in 0..=ST_FULL {
+                    let want = g.and(&Guard::from_mask(sym, mask));
+                    assert_eq!(g.clone().and_mask(sym, mask), want, "{g:?} | {sym}:{mask}");
+                }
+            }
+            for other in &samples {
+                assert_eq!(g.clone().or_owned(other.clone()), g.or(other), "{g:?} + {other:?}");
+            }
+        }
+    }
+
+    /// `tests/guard_kernel_props.rs` compares the kernel with its
+    /// reference on guards over six symbols: a conjunct wide enough to
+    /// spill must be among them, or the heap layout goes untested there.
+    #[test]
+    fn the_inline_capacity_leaves_the_heap_layout_under_test() {
+        const KERNEL_PROPS_SYMBOLS: u32 = 6;
+        assert!(crate::cells::INLINE_CELLS < KERNEL_PROPS_SYMBOLS as usize);
+        let g = (0..KERNEL_PROPS_SYMBOLS)
+            .fold(Guard::top(), |acc, s| acc.and(&Guard::from_mask(SymbolId(s), ST_A | ST_C)));
+        let [c] = g.conjuncts() else { panic!("one conjunct: {g:?}") };
+        assert!(c.masks.spilled());
+        assert_eq!(c.constrained_symbols().count(), KERNEL_PROPS_SYMBOLS as usize);
+        let narrow =
+            g.assume_occurred(Literal::pos(SymbolId(0))).assume_occurred(Literal::pos(SymbolId(1)));
+        assert_eq!(
+            narrow,
+            (2..KERNEL_PROPS_SYMBOLS)
+                .fold(Guard::top(), |acc, s| acc.and(&Guard::from_mask(SymbolId(s), ST_A | ST_C)))
+        );
     }
 
     #[test]

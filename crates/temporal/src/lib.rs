@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+mod cells;
 mod equiv;
 mod factored;
 mod guard_repr;

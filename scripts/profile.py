@@ -21,7 +21,11 @@ sample), inclusive shares by crate, and every sample that stopped in
 libc (malloc, free, a stripped memmove) or in Rust's `alloc` crate,
 charged to its nearest product frame — the first caller that belongs to
 one of the workspace's own crates — so copying, allocating and freeing
-show up under the code that asked for them.
+show up under the code that asked for them. Where the frame-pointer walk
+ends without reaching a product frame — it dies inside the precompiled
+`alloc` crate, built without frame pointers, as readily as inside libc —
+the caller is recovered by the same stack scan, taking the first return
+address into a product crate's code.
 Addresses are named from `nm`:
 the binary's full symbol table, a shared library's dynamic one. A
 shared library address that lies in no exported symbol — libc's malloc
@@ -230,6 +234,17 @@ def read_words(mem, addr, n):
     return list(struct.unpack(f"<{len(data) // 8}Q", data[: len(data) // 8 * 8]))
 
 
+def scanned_product_frame(sym, words, product):
+    """The first of `words` (read up the stack from the sampled `rsp`)
+    that returns into a product crate's code, named; `None` if none does."""
+    for word in words:
+        if sym.in_exe(word):
+            name = sym.name(word - 1)
+            if crate_of(name) in product:
+                return name
+    return None
+
+
 def stack_of(mem, sym, rip, rbp, rsp):
     """Return addresses from the leaf outwards, by the frame-pointer chain."""
     frames = [rip]
@@ -306,6 +321,9 @@ def main():
             try:
                 rip, rbp, rsp = tracer.registers()
                 frames = stack_of(mem, sym, rip, rbp, rsp)
+                # Read while the thread is stopped; scanned only if the walk
+                # finds no product frame.
+                scan = read_words(mem, rsp, SCAN_WORDS)
             finally:
                 tracer.resume()
             names = [sym.name(a if i == 0 else a - 1) for i, a in enumerate(frames)]
@@ -318,9 +336,12 @@ def main():
             inclusive.update(named)
             crates.update({crate_of(n) for n in named})
             if in_runtime(names[0]):
-                # A stack the walk lost inside libc ends early; name where.
-                ends = f"[no product frame; stack ends at {names[-1]}]"
-                callers[next((n for n in names[1:] if crate_of(n) in product), ends)] += 1
+                caller = next((n for n in names[1:] if crate_of(n) in product), None)
+                # A stack the walk lost in code without frame pointers ends
+                # early: scan for the caller, and name where it ended if
+                # even that finds none.
+                caller = caller or scanned_product_frame(sym, scan, product)
+                callers[caller or f"[no product frame; stack ends at {names[-1]}]"] += 1
             time.sleep(period)
     tracer.detach()
     child.wait()
