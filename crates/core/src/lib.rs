@@ -55,8 +55,8 @@ pub use temporal as logic;
 pub use agent::{EventAttrs, TaskAgent};
 pub use baseline::{run_centralized, CentralConfig, Engine};
 pub use dist::{
-    run_workflow, run_workflow_with_faults, AgentSpec, ExecConfig, FreeEventSpec, GuardMode,
-    ReliableConfig, RunReport, Script, WorkflowSpec,
+    run_workflow, run_workflow_with_faults, AgentSpec, ExecConfig, FreeEventSpec, ReliableConfig,
+    RunReport, Script, WorkflowSpec,
 };
 pub use event_algebra::{Expr, Literal, SymbolId, SymbolTable, Trace};
 pub use guard::{CompiledWorkflow, GuardScope};

@@ -120,11 +120,10 @@ pub struct ActorStats {
 /// instance; the sets are sorted vectors, so a reset keeps their buffers.
 #[derive(Debug, Clone)]
 pub struct LitState {
-    /// The current (reduced) guard, as an index into the actor's table
+    /// The current guard — the compiled one, weakened, with every fact
+    /// seen so far folded in — as an index into the actor's table
     /// ([`SymbolActor::guard_info`] reads it).
     guard: GuardIx,
-    /// The compiled guard before any reduction (for ordered rebuilds).
-    base_guard: GuardIx,
     /// Event attributes.
     pub attrs: EventAttrs,
     /// An agent has requested this event and awaits a decision.
@@ -147,10 +146,9 @@ pub struct LitState {
 }
 
 impl LitState {
-    fn new(base_guard: GuardIx, attrs: EventAttrs) -> LitState {
+    fn new(guard: GuardIx, attrs: EventAttrs) -> LitState {
         LitState {
-            guard: base_guard,
-            base_guard,
+            guard,
             attrs,
             attempted: false,
             forced: false,
@@ -163,9 +161,9 @@ impl LitState {
         }
     }
 
-    /// Back to the state [`LitState::new`] builds.
-    fn reset(&mut self) {
-        self.guard = self.base_guard;
+    /// Back to the state [`LitState::new`] builds from `guard`.
+    fn reset(&mut self, guard: GuardIx) {
+        self.guard = guard;
         self.attempted = false;
         self.forced = false;
         self.dead = false;
@@ -201,11 +199,12 @@ pub struct SymbolActor {
     pub dep_residuals: Vec<(usize, DepTracker)>,
     /// Every guard this actor has reduced its two compiled guards to.
     memo: GuardMemo,
-    /// Occurrence facts seen, by global sequence (for ordered rebuilds).
+    /// Occurrence facts seen, by global sequence: the order the
+    /// dependency residuals are stepped in.
     facts_seen: SortedMap<u64, Literal>,
     /// Promises received.
     promises_seen: SortedSet<Literal>,
-    /// Highest fact sequence already folded into the guards.
+    /// Highest fact sequence the residuals have been stepped past.
     applied_up_to: u64,
     /// Requesters currently holding this symbol still.
     pub holds: SortedSet<Literal>,
@@ -283,8 +282,8 @@ impl SymbolActor {
     /// on it since, ready for the next instance of the same template.
     pub fn reset(&mut self) {
         self.occurred = None;
-        self.pos.reset();
-        self.neg.reset();
+        self.pos.reset(GuardMemo::POS);
+        self.neg.reset(GuardMemo::NEG);
         for (_, t) in &mut self.dep_residuals {
             t.reset();
         }
@@ -389,7 +388,7 @@ impl SymbolActor {
         if let Some(m) = &self.mon {
             m.on_fact_applied(ctx.now(), self.obs.node, olit(lit), seq);
         }
-        self.apply_facts(seq, ctx.now());
+        self.apply_facts(seq, lit, ctx.now());
         self.after_fact(ctx, Some(lit));
     }
 
@@ -415,58 +414,38 @@ impl SymbolActor {
         // The need stays; a later fact arrival re-evaluates and may retry.
     }
 
-    /// Fold newly seen occurrence facts into both guards and the
-    /// dependency residuals. Facts are applied in global occurrence
-    /// order; when a fact arrives with a sequence *below* one already
-    /// applied (possible across links with independent latencies), both
-    /// guards and residuals are rebuilt from their compiled bases by
-    /// replaying the full ordered log — required for `◇(sequence)` atoms
-    /// and sequence dependencies, whose reductions do not commute.
-    fn apply_facts(&mut self, new_seq: u64, now: Time) {
-        if new_seq < self.applied_up_to {
-            // Out-of-order arrival: full ordered replay. Residual steps
-            // are not re-recorded — the replay re-derives state already
-            // captured by earlier `DepStep` spans.
-            self.pos.guard = self.pos.base_guard;
-            self.neg.guard = self.neg.base_guard;
+    /// Fold the occurrence `lit`, just recorded under `seq`, into both
+    /// guards and the dependency residuals. The guards take it in place,
+    /// whatever its sequence: they are masks only (see `memo.rs`). The
+    /// residuals of a sequence dependency do not commute, so a fact that
+    /// arrives below one already applied (possible across links with
+    /// independent latencies) resets them and replays the ordered log.
+    fn apply_facts(&mut self, seq: u64, lit: Literal, now: Time) {
+        self.reduce_guards(Fact::Occurred(lit));
+        self.stats.reductions += 2;
+        if seq < self.applied_up_to {
+            // Residual steps are not re-recorded — the replay re-derives
+            // state already captured by earlier `DepStep` spans. Our own
+            // occurrence, if any, is in the log too.
             for (_, t) in &mut self.dep_residuals {
                 t.reset();
-            }
-            for at in 0..self.facts_seen.len() {
-                let (_, l) = self.facts_seen[at];
-                self.reduce_guards(Fact::Occurred(l));
-                self.stats.reductions += 2;
-                for (_, t) in &mut self.dep_residuals {
+                for &(_, l) in self.facts_seen.iter() {
                     t.step(l);
                 }
             }
-            for at in 0..self.promises_seen.len() {
-                self.reduce_guards(Fact::Promised(self.promises_seen[at]));
-            }
-            // Our own occurrence (if any) is part of the order too; it
-            // was already folded into the residuals when it happened and
-            // is replayed here through facts_seen (we record it there).
-        } else {
-            let first = self.facts_seen.rank(self.applied_up_to + 1);
-            for at in first..self.facts_seen.len() {
-                let (_, l) = self.facts_seen[at];
-                self.reduce_guards(Fact::Occurred(l));
-                self.stats.reductions += 2;
-                for (_, t) in &mut self.dep_residuals {
-                    t.step(l);
-                }
-                if self.obs.enabled() {
-                    for (ix, t) in &self.dep_residuals {
-                        let (state, live) = t.obs_state();
-                        let input = olit(l);
-                        let kind = SpanKind::DepStep { dep: *ix as u32, input, state, live };
-                        self.obs.rec(now, kind);
-                    }
-                }
+            return;
+        }
+        self.applied_up_to = seq;
+        for (_, t) in &mut self.dep_residuals {
+            t.step(lit);
+        }
+        if self.obs.enabled() {
+            for (ix, t) in &self.dep_residuals {
+                let (state, live) = t.obs_state();
+                let kind = SpanKind::DepStep { dep: *ix as u32, input: olit(lit), state, live };
+                self.obs.rec(now, kind);
             }
         }
-        let max_seen = self.facts_seen.last().map_or(0, |&(seq, _)| seq);
-        self.applied_up_to = max_seen.max(self.applied_up_to);
     }
 
     /// Lazy-mode periodic wake-up: run the deferred re-evaluation.
@@ -581,8 +560,8 @@ impl SymbolActor {
     /// Coverage evaluation: the guard holds *now* iff it is true for
     /// every assignment of currently-possible states to its constrained
     /// symbols. Sound under asynchrony (unannounced remote occurrences
-    /// are inside the possible sets) and complete for literal-level
-    /// guards; conjuncts with `◇(sequence)` atoms cannot witness coverage.
+    /// are inside the possible sets) and complete for the actors' guards,
+    /// which are masks only.
     ///
     /// A guard constraining more than [`MAX_COVERAGE_SYMBOLS`] symbols is
     /// not enumerated: it reads as not enabled, and the give-up is
@@ -659,25 +638,11 @@ impl SymbolActor {
                 return;
             }
         }
-        let (status, base_guard) = (self.memo.get(st.guard).status(), st.base_guard);
-        match status {
-            // A guard whose compiled form carries ◇(sequence) atoms can
-            // look *prematurely* dead when announcements arrive out of
-            // order (residuating the sequence by a later event kills it;
-            // the ordered rebuild recovers the guard once the earlier
-            // fact arrives). Rejection is irreversible, so such guards
-            // park instead of rejecting — Weakened mode (the default) has
-            // no sequence atoms and keeps eager rejection.
-            GuardStatus::Dead if !self.memo.get(base_guard).has_seq_atoms() => {
+        match self.memo.get(st.guard).status() {
+            GuardStatus::Dead => {
                 self.rec_guard_eval(ctx.now(), lit, Verdict::Dead);
                 self.lit_state(lit).dead = true;
                 self.reject(ctx, lit);
-            }
-            GuardStatus::Dead => {
-                self.rec_guard_eval(ctx.now(), lit, Verdict::Parked);
-                if self.stats.first_parked_at.is_none() {
-                    self.stats.first_parked_at = Some(ctx.now());
-                }
             }
             _ if self.guard_enabled(lit) => {
                 let span = self.rec_guard_eval(ctx.now(), lit, Verdict::Enabled);
@@ -782,8 +747,8 @@ impl SymbolActor {
         if by_acceptance {
             self.stats.granted += 1;
         }
-        // Record our own occurrence in the ordered fact log (rebuilds
-        // replay it) and advance the residuals now.
+        // Record our own occurrence in the ordered fact log (a late
+        // fact's residual replay steps it) and advance the residuals now.
         self.facts_seen.insert(seq, lit);
         self.applied_up_to = self.applied_up_to.max(seq);
         self.obs.rec(at, SpanKind::FactApplied { lit: olit(lit), seq });
@@ -1054,11 +1019,10 @@ impl SymbolActor {
         }
         if occurred {
             // The event occurred, but we have no position in the global
-            // occurrence order for it (the real announcement is still in
-            // flight and will be applied through the ordered log). Apply
-            // only the order-insensitive consequence ◇lit — promise
-            // reduction is sound in isolation, unlike occurrence
-            // reduction of ◇(sequence) atoms.
+            // occurrence order for it: the residuals cannot take it until
+            // the announcement, still in flight, brings its sequence.
+            // Apply only its consequence ◇lit to the guards; the
+            // announcement folds in □lit.
             self.reduce_guards(Fact::Promised(lit));
             self.after_fact(ctx, Some(lit));
         }

@@ -28,24 +28,10 @@ use monitor::{AlertKind, MonitorConfig};
 use obs::metrics::in_label_order;
 use obs::{MetricSink, MetricsSnapshot, RecordConfig, Recording};
 use sim::{Ctx, FaultPlan, FaultStats, NodeId, Process, SimConfig, SiteId, Termination, Time};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 use std::sync::Arc;
 use temporal::FactoredGuard;
-
-/// How sequence atoms in guards are handled at runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GuardMode {
-    /// Keep `◇(sequence)` atoms and reduce them by residuation — fully
-    /// faithful to Definition 2.
-    Faithful,
-    /// Apply the paper's "small insight": replace sequences by
-    /// conjunctions of eventualities; the other events' guards enforce the
-    /// order. Enables promise-based consensus through sequences.
-    #[default]
-    Weakened,
-}
 
 /// A task agent placed on a site with a script.
 #[derive(Debug, Clone)]
@@ -90,12 +76,10 @@ pub struct WorkflowSpec {
 /// [`crate::run_parallel_fleet`] — reads every field the same way, with
 /// two exceptions: a fleet takes each instance's `sim.seed` from its
 /// [`crate::Arrival`], and only `run_parallel_fleet` reads `parallel`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Network parameters.
     pub sim: SimConfig,
-    /// Sequence-atom handling.
-    pub guard_mode: GuardMode,
     /// Upper bound on message deliveries (safety valve).
     pub max_steps: u64,
     /// Lazy re-evaluation ablation (experiment C3): actors defer parked
@@ -135,7 +119,6 @@ impl ExecConfig {
     pub fn seeded(seed: u64) -> ExecConfig {
         ExecConfig {
             sim: SimConfig { seed, ..SimConfig::default() },
-            guard_mode: GuardMode::default(),
             max_steps: 1_000_000,
             lazy: None,
             reliable: None,
@@ -144,16 +127,12 @@ impl ExecConfig {
             parallel: None,
         }
     }
+}
 
-    /// The delivery budget every instance runs under: `max_steps`, with
-    /// `0` (what `ExecConfig::default()` leaves) meaning the seeded
-    /// default of one million.
-    pub fn step_budget(&self) -> u64 {
-        if self.max_steps == 0 {
-            1_000_000
-        } else {
-            self.max_steps
-        }
+impl Default for ExecConfig {
+    /// [`ExecConfig::seeded`] at the default seed.
+    fn default() -> ExecConfig {
+        ExecConfig::seeded(SimConfig::default().seed)
     }
 }
 
@@ -415,15 +394,9 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
             Node::Agent(AgentNode::new(a.agent.clone(), &a.script, Arc::clone(&routing))),
         ));
     }
-    // The actor copies a literal's factors into its table, shared between
-    // its base and current guard; only a weakened sequence guard is built
-    // here first.
+    // The actor weakens a literal's factors into its table.
     let top = FactoredGuard::top();
-    let actor_guard = |lit: Literal| match (compiled.guard_ref(lit), config.guard_mode) {
-        (None, _) => Cow::Borrowed(&top),
-        (Some(g), GuardMode::Weakened) if g.has_seq_atoms() => Cow::Owned(g.weaken_sequences()),
-        (Some(g), _) => Cow::Borrowed(g),
-    };
+    let actor_guard = |lit: Literal| compiled.guard_ref(lit).unwrap_or(&top);
     for &s in &symbol_list {
         let pos = Literal::pos(s);
         let neg = Literal::neg(s);
@@ -433,8 +406,8 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
             .collect();
         let mut actor = SymbolActor::new(
             s,
-            &actor_guard(pos),
-            &actor_guard(neg),
+            actor_guard(pos),
+            actor_guard(neg),
             attrs_of.get(&pos).copied().unwrap_or_else(EventAttrs::controllable),
             attrs_of.get(&neg).copied().unwrap_or_else(EventAttrs::immediate),
             deps,
@@ -828,14 +801,13 @@ mod tests {
         assert_eq!(report.occurrences, expected);
         assert_eq!((report.steps, report.duration), (66, 40));
         assert_eq!((stats.first_parked_at, stats.promises_requested), (Some(1), 13));
-        assert_eq!(stats.reductions, 176);
+        assert_eq!(stats.reductions, 26, "two per announcement: a late one is not a replay");
     }
 
-    /// `max_steps = 0` (what `ExecConfig::default()` leaves) means the
-    /// seeded default on every entry point: the same steps as asking for
-    /// one million outright.
+    /// `ExecConfig::default()` is `seeded` at the default seed: every
+    /// entry point runs it exactly as it runs the seeded config.
     #[test]
-    fn zero_max_steps_means_the_default_budget_on_every_executor() {
+    fn the_default_config_runs_like_the_seeded_one_on_every_executor() {
         let mut table = SymbolTable::new();
         let d1 = parse_expr("~e + f", &mut table).unwrap();
         let d2 = parse_expr("~f + e", &mut table).unwrap();
@@ -853,25 +825,24 @@ mod tests {
             [WorkflowSpec { table, dependencies: vec![d1, d2], agents: vec![], free_events }];
         let arrivals: Vec<_> = (0..3).map(|i| crate::Arrival::new(i, 0, i * 5, 40 + i)).collect();
 
-        let steps = |max_steps: u64| {
-            let exec = ExecConfig { max_steps, ..ExecConfig::seeded(7) };
-            assert_eq!(exec.step_budget(), 1_000_000);
-            let solo = run_workflow(&specs[0], exec.clone()).steps;
-            let tenant: Vec<u64> =
+        let runs = |exec: ExecConfig| {
+            let solo = run_workflow(&specs[0], exec.clone());
+            let solo = (solo.steps, solo.occurrences);
+            let tenant: Vec<_> =
                 crate::run_tenant(&specs, &arrivals, &crate::TenantConfig::new(exec.clone()))
                     .instances
                     .iter()
-                    .map(|o| o.report.steps)
+                    .map(|o| (o.report.steps, o.report.occurrences.clone()))
                     .collect();
-            let fleet: Vec<u64> = crate::run_parallel_fleet(&specs, &arrivals, &exec)
+            let fleet: Vec<_> = crate::run_parallel_fleet(&specs, &arrivals, &exec)
                 .instances
                 .iter()
-                .map(|o| o.report.steps)
+                .map(|o| (o.report.steps, o.report.occurrences.clone()))
                 .collect();
             (solo, tenant, fleet)
         };
-        let (solo, tenant, fleet) = steps(0);
-        assert!(solo > 0 && tenant.iter().chain(&fleet).all(|&s| s > 0), "the runs did work");
-        assert_eq!(steps(1_000_000), (solo, tenant, fleet));
+        let (solo, tenant, fleet) = runs(ExecConfig::default());
+        assert!(solo.0 > 0 && tenant.iter().chain(&fleet).all(|r| r.0 > 0), "the runs did work");
+        assert_eq!(runs(ExecConfig::seeded(SimConfig::default().seed)), (solo, tenant, fleet));
     }
 }

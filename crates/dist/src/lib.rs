@@ -29,7 +29,7 @@ pub use agent_node::{AgentNode, Script, ScriptStep};
 pub use event_algebra::DepTracker;
 pub use exec::{
     build_workflow, guard_gated, run_workflow, run_workflow_with_faults, AgentSpec, BuiltWorkflow,
-    ExecConfig, FreeEventSpec, GuardMode, Node, RunReport, WorkflowSpec,
+    ExecConfig, FreeEventSpec, Node, RunReport, WorkflowSpec,
 };
 pub use fleet::{Arrival, InstanceOutcome};
 pub use memo::GuardInfo;

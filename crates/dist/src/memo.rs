@@ -239,11 +239,6 @@ impl<'a> GuardInfo<'a> {
         FactoredGuard::new(self.factors().cloned().collect()).expand()
     }
 
-    /// `true` if some factor carries a `◇(sequence)` atom.
-    pub fn has_seq_atoms(&self) -> bool {
-        self.factors().any(Guard::has_seq_atoms)
-    }
-
     /// The most conjuncts any factor has.
     pub fn width(&self) -> usize {
         self.state.width
@@ -276,7 +271,14 @@ impl<'a> GuardInfo<'a> {
 }
 
 /// One actor's table of guards. States 0 and 1 are the compiled guards
-/// of the actor's positive and negative literal.
+/// of the actor's positive and negative literal, weakened: the run time
+/// schedules with the paper's "small insight" (Section 4.2), every
+/// `◇(sequence)` atom a conjunction of eventualities, and the other
+/// events' guards enforce the order. Every guard in the table is then
+/// masks only, and the actor folds each fact in as it arrives. On the
+/// shipped templates the guard reached does not depend on the arrival
+/// order (`crates/guard/tests/factored_props.rs`); `Guard::canonical`'s
+/// sibling merge can make it depend on it elsewhere (ROADMAP.md).
 ///
 /// Copy-on-write: a clone of the actor (a slot assembled from the
 /// prototype, a branch of an interleaving explorer) shares the table
@@ -324,12 +326,12 @@ impl GuardMemo {
             let at = match guard.factors() {
                 [] => tables.intern_state(&[]),
                 [only] => {
-                    let only = tables.intern_factor(only.clone());
+                    let only = tables.intern_factor(only.weaken_sequences());
                     tables.intern_state(&[only])
                 }
                 many => {
                     let ids: Vec<FactorIx> =
-                        many.iter().map(|f| tables.intern_factor(f.clone())).collect();
+                        many.iter().map(|f| tables.intern_factor(f.weaken_sequences())).collect();
                     tables.intern_state(&ids)
                 }
             } as usize;

@@ -209,7 +209,11 @@ mod tests {
             config.parallel = Some(ParallelConfig::new(workers));
             run_parallel_fleet(&specs, &arrivals, &config)
         };
-        let steps: Vec<u64> = fleet(1, 0).instances.iter().map(|o| o.report.steps).collect();
+        let steps: Vec<u64> = fleet(1, ExecConfig::seeded(2).max_steps)
+            .instances
+            .iter()
+            .map(|o| o.report.steps)
+            .collect();
         let budget = steps[0].max(steps[2]).max(steps[3]) + 1;
         assert!(steps[1] > budget, "the large instance needs more: {steps:?}");
         let base = fleet(1, budget);

@@ -270,7 +270,7 @@ pub struct InstanceSlot<'t> {
     /// The fleet's network parameters; every instance brings its seed.
     sim: SimConfig,
     record: Option<RecordConfig>,
-    step_budget: u64,
+    max_steps: u64,
     /// An instance has run here: the next one starts with a reset.
     used: bool,
     /// Buffer of the report's `□`-view audit (empty between reports).
@@ -315,8 +315,8 @@ impl<'t> InstanceSlot<'t> {
     ) -> InstanceSlot<'t> {
         // The online monitors run the faithful guards and machines the
         // builder compiled (shared, not recompiled — `GuardScope::Mentioning`
-        // is the unweakened set, whatever `guard_mode` the actors run);
-        // the scheduler steps them directly.
+        // is the unweakened set; the actors weaken their own copies); the
+        // scheduler steps them directly.
         let mon = config.monitor.map(|mc| {
             Arc::new(WorkflowMonitor::from_compiled(
                 &spec.table,
@@ -348,7 +348,7 @@ impl<'t> InstanceSlot<'t> {
             mon,
             sim: config.sim,
             record: config.record,
-            step_budget: config.step_budget(),
+            max_steps: config.max_steps,
             used: false,
             canon: SortedMap::new(),
         }
@@ -409,7 +409,7 @@ impl<'t> InstanceSlot<'t> {
     /// there, and nothing copies its few hundred bytes on the way.
     pub fn execute(&mut self) -> (Box<RunReport>, InstanceTotals) {
         let started = Instant::now();
-        let outcome = self.net.run_to_quiescence(self.step_budget);
+        let outcome = self.net.run_to_quiescence(self.max_steps);
         let mut totals = InstanceTotals {
             run_ns: started.elapsed().as_nanos() as u64,
             ..InstanceTotals::default()

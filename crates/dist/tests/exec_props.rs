@@ -2,15 +2,14 @@
 //! random workflows, empirical liveness on the well-behaved Klein
 //! families, and determinism per seed.
 
-use dist::{run_workflow, ExecConfig, GuardMode};
+use dist::{run_workflow, ExecConfig};
 use event_algebra::{Literal, SymbolId};
 use sim::{LatencyModel, SimConfig};
 use testkit::{check, free_event_spec, Exprs};
 
-fn config(seed: u64, mode: GuardMode) -> ExecConfig {
+fn config(seed: u64) -> ExecConfig {
     ExecConfig {
         sim: SimConfig { seed, latency: LatencyModel::Uniform { min: 1, max: 30 } },
-        guard_mode: mode,
         max_steps: 200_000,
         ..ExecConfig::seeded(seed)
     }
@@ -29,16 +28,11 @@ fn random_workflows_are_safe() {
         let seed = g.range(0u64..500);
         let syms: Vec<SymbolId> = (0..4).map(SymbolId).collect();
         let deps = g.workflow(&syms, 2, 2);
-        for mode in [GuardMode::Weakened, GuardMode::Faithful] {
-            let spec = free_event_spec(deps.clone(), &syms);
-            let report = run_workflow(&spec, config(seed, mode));
-            assert!(report.steps < 200_000, "runaway at seed {seed}");
-            if report.unresolved.is_empty() && report.broken_promises.is_empty() {
-                assert!(
-                    report.all_satisfied(),
-                    "UNSAFE seed {seed} mode {mode:?}: {report:#?} deps {deps:?}"
-                );
-            }
+        let spec = free_event_spec(deps.clone(), &syms);
+        let report = run_workflow(&spec, config(seed));
+        assert!(report.steps < 200_000, "runaway at seed {seed}");
+        if report.unresolved.is_empty() && report.broken_promises.is_empty() {
+            assert!(report.all_satisfied(), "UNSAFE seed {seed}: {report:#?} deps {deps:?}");
         }
     });
 }
@@ -50,8 +44,8 @@ fn runs_are_deterministic() {
         let seed = g.range(0u64..100);
         let syms: Vec<SymbolId> = (0..4).map(SymbolId).collect();
         let spec = free_event_spec(g.workflow(&syms, 2, 2), &syms);
-        let r1 = run_workflow(&spec, config(seed, GuardMode::Weakened));
-        let r2 = run_workflow(&spec, config(seed, GuardMode::Weakened));
+        let r1 = run_workflow(&spec, config(seed));
+        let r2 = run_workflow(&spec, config(seed));
         assert_eq!(r1.trace, r2.trace);
         assert_eq!(r1.duration, r2.duration);
         assert_eq!(r1.net.sent_total, r2.net.sent_total);
@@ -64,7 +58,7 @@ fn klein_pipeline_completes_at(seed: u64, n: usize) {
     let syms: Vec<SymbolId> = (0..n as u32).map(SymbolId).collect();
     let deps = testkit::klein_pipeline(&syms);
     let spec = free_event_spec(deps, &syms);
-    let report = run_workflow(&spec, config(seed, GuardMode::Weakened));
+    let report = run_workflow(&spec, config(seed));
     assert!(report.all_satisfied(), "seed {seed}: {report:#?}");
     assert!(report.unresolved.is_empty(), "seed {seed}: {report:#?}");
     // Every event occurred positively, in pipeline order.
@@ -101,7 +95,7 @@ fn arrow_fanout_completes() {
         let syms: Vec<SymbolId> = (0..=n as u32).map(SymbolId).collect();
         let deps = testkit::arrow_fanout(syms[0], &syms[1..]);
         let spec = free_event_spec(deps, &syms);
-        let report = run_workflow(&spec, config(seed, GuardMode::Weakened));
+        let report = run_workflow(&spec, config(seed));
         assert!(report.all_satisfied(), "seed {seed}: {report:#?}");
         assert!(report.unresolved.is_empty(), "seed {seed}: {report:#?}");
     });

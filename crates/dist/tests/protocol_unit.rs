@@ -5,7 +5,7 @@
 
 use agent::EventAttrs;
 use dist::{DepTracker, Msg, Node, Routing, SymbolActor};
-use event_algebra::{Expr, Literal, SymbolId};
+use event_algebra::{DependencyMachine, Expr, Literal, SymbolId};
 use sim::{Ctx, LatencyModel, Network, NodeId, SimConfig, SiteId};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -278,46 +278,55 @@ fn attempt_after_occurrence_is_idempotent() {
     assert_eq!(a.stats.granted, 1);
 }
 
+/// A sequence dependency's residual does not commute: `a·b·c` stepped by
+/// `b` then `a` is violated, by `a` then `b` it waits for `c`. An actor
+/// that hears `□b` (seq 20) before `□a` (seq 10) replays its residuals
+/// in sequence order and ends where in-order delivery does.
 #[test]
-fn announcements_tolerate_reordering_for_sequence_guards() {
-    // Faithful-mode guard ◇(a·b) at actor c: facts □a (seq 10) and □b
-    // (seq 20) arriving *out of order* must still discharge correctly.
-    let a = Literal::pos(SymbolId(0));
-    let b = Literal::pos(SymbolId(1));
-    let c = SymbolId(2);
+fn a_late_announcement_replays_the_residuals_in_sequence_order() {
+    let (a, b, c) = (Literal::pos(SymbolId(0)), Literal::pos(SymbolId(1)), SymbolId(2));
     let mut routing = Routing::default();
     routing.actor_of.insert(c, NodeId(0));
     routing.subscribers_of.insert(c, vec![]);
     let routing = Arc::new(routing);
-    let seq_guard = Guard::eventually_expr(&Expr::seq([Expr::lit(a), Expr::lit(b)]));
+    let machine = DependencyMachine::compile(&Expr::seq([
+        Expr::lit(a),
+        Expr::lit(b),
+        Expr::lit(Literal::pos(c)),
+    ]));
+    let stepped = |order: [Literal; 2]| {
+        let mut t = DepTracker::compiled(machine.clone());
+        order.into_iter().for_each(|l| t.step(l));
+        t.obs_state()
+    };
+    let in_order = stepped([a, b]);
+    assert_ne!(in_order, stepped([b, a]), "the steps do not commute");
+
+    let deps = vec![(0, DepTracker::compiled(machine))];
     let mut net = fixed_net(vec![(
         SiteId(0),
-        actor_node(2, seq_guard, EventAttrs::controllable(), vec![], &routing),
+        actor_node(2, Guard::top(), EventAttrs::controllable(), deps, &routing),
     )]);
-    net.inject(NodeId(0), NodeId(0), Msg::Attempt { lit: Literal::pos(c) });
-    // Deliver b's announcement (occurrence seq 20) before a's (seq 10):
-    // naive in-arrival-order residuation would kill the sequence.
     net.inject(NodeId(0), NodeId(0), Msg::Announce { lit: b, at: 20, seq: 20 });
     net.run_to_quiescence(100);
-    assert_eq!(occurred(&net, NodeId(0)), None);
     net.inject(NodeId(0), NodeId(0), Msg::Announce { lit: a, at: 10, seq: 10 });
     net.run_to_quiescence(100);
-    assert_eq!(
-        occurred(&net, NodeId(0)),
-        Some(Literal::pos(c)),
-        "ordered rebuild recovered a-before-b"
-    );
+    let Node::Actor(actor) = net.node(NodeId(0)) else { unreachable!() };
+    assert_eq!(actor.facts(), [(10, a), (20, b)]);
+    assert_eq!(actor.dep_residuals[0].1.obs_state(), in_order);
+    assert!(actor.dep_residuals[0].1.requires(Literal::pos(c)), "c is still to come");
 }
 
 /// MEMO TRANSPARENCY: an actor's guard table is a cache of pure
 /// functions. Random fact and promise sequences — announcements in and
-/// out of sequence order (the ordered-rebuild path), promises, occurred
-/// not-yet denials, the actor's own attempt, promise requests against it —
-/// drive one actor that has served every earlier case (reset in between,
-/// table warm) and one built for the case (table cold). After every
-/// message both hold the same guards with the same derived status, asks
-/// and coverage symbols, those are what `temporal` derives from the guard
-/// directly, and both sent the same messages.
+/// out of sequence order, promises, occurred not-yet denials, the
+/// actor's own attempt, promise requests against it — drive one actor
+/// that has served every earlier case (reset in between, table warm) and
+/// one built for the case (table cold). After every message both hold
+/// the same guards with the same derived status, asks and coverage
+/// symbols, those are what `temporal` derives from the guard directly,
+/// and both sent the same messages. The `◇(e1·e2·e3)` case is weakened
+/// on entry, as every actor's guard is.
 #[test]
 fn a_warm_guard_table_changes_nothing() {
     const OTHERS: u32 = 5;

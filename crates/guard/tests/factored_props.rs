@@ -245,13 +245,11 @@ fn example(name: &str) -> Workflow {
     WorkflowBuilder::from_spec(&src).expect(name).build()
 }
 
-/// Every literal of the eight templates with two per-dependency factors
-/// or more, walked from its expanded guard — as those factors, and as the
-/// compiled factors where the compile kept more than one; `saga(5)`'s
-/// products run to 1 296 conjuncts, so it gets fewer walks.
-#[test]
-fn template_factor_lists_reduce_like_their_product() {
-    let templates = [
+/// The shipped templates and the sagas up to `saga(5)`, each with how
+/// many walks its literals get: `saga(5)`'s products run to 1 296
+/// conjuncts, so it gets fewer.
+fn templates() -> [(&'static str, Workflow, u64); 8] {
+    [
         ("travel", example("travel"), 8),
         ("pipeline10", example("pipeline10"), 8),
         ("diamond(3)", models::diamond(3), 8),
@@ -260,9 +258,16 @@ fn template_factor_lists_reduce_like_their_product() {
         ("saga(3, 3, None)", models::saga(3, 3, None), 8),
         ("saga(4, 3, None)", models::saga(4, 3, None), 3),
         ("saga(5, 3, None)", models::saga(5, 3, None), 1),
-    ];
+    ]
+}
+
+/// Every literal of the eight templates with two per-dependency factors
+/// or more, walked from its expanded guard — as those factors, and as the
+/// compiled factors where the compile kept more than one.
+#[test]
+fn template_factor_lists_reduce_like_their_product() {
     let mut multi = 0;
-    for (name, workflow, walks) in templates {
+    for (name, workflow, walks) in templates() {
         let compiled = workflow.compile_guards();
         for (&lit, factored) in &compiled.guards {
             let raw = per_dependency_factors(&workflow.spec.dependencies, lit);
@@ -283,4 +288,67 @@ fn template_factor_lists_reduce_like_their_product() {
         }
     }
     assert!(multi >= 50, "only {multi} multi-factor literals");
+}
+
+/// No constraint of `guard` is one a fact in `seen` already decides: a
+/// mask containing the fact's [closure](Fact::closure_mask) holds, and
+/// one disjoint from it fails, whatever comes next.
+fn assert_nothing_decided_is_kept(guard: &FactoredGuard, seen: &[Fact], at: &str) {
+    for fact in seen {
+        let (sym, closure) = (fact.literal().symbol(), fact.closure_mask());
+        let cells = guard.factors().iter().flat_map(Guard::conjuncts);
+        for (s, m) in cells.flat_map(|c| c.constrained_symbols()) {
+            let decided = s == sym && (m & closure == closure || m & closure == 0);
+            assert!(!decided, "{at}: {guard:?} keeps ({s:?}, {m:#06b}) after {fact:?}");
+        }
+    }
+}
+
+/// The actors fold every fact into their weakened guards as it arrives.
+/// A late announcement used to rebuild the guards instead, replaying the
+/// occurrences in sequence order and then the promises. On the shipped
+/// templates both orders reach the same guard, conjunct for conjunct,
+/// after every fact, and neither keeps a constraint a fact it has seen
+/// decides. Each walk draws the occurrences' sequence order on its own.
+#[test]
+fn template_reductions_do_not_depend_on_fact_order() {
+    const WALKS: u64 = 64;
+    let mut reordered = 0;
+    for (name, workflow, _) in templates() {
+        let compiled = workflow.compile_guards();
+        for (&lit, factored) in &compiled.guards {
+            let weakened = factored.weaken_sequences();
+            let syms: Vec<SymbolId> = weakened.symbols().into_iter().collect();
+            for seed in 0..WALKS {
+                let mut g = Gen::new(seed);
+                let arrival = fact_sequence(&mut g, &syms);
+                let occurrences = arrival.iter().filter(|f| matches!(f, Fact::Occurred(_)));
+                let mut by_seq: Vec<Literal> = occurrences.map(|f| f.literal()).collect();
+                for i in (1..by_seq.len()).rev() {
+                    by_seq.swap(i, g.range(0..=i));
+                }
+                let mut guard = weakened.clone();
+                for (n, &fact) in arrival.iter().enumerate() {
+                    let seen = &arrival[..=n];
+                    let at = format!("{name}: {lit}, walk {seed}, after {seen:?}");
+                    guard = guard.reduce(fact);
+                    assert_nothing_decided_is_kept(&guard, seen, &at);
+
+                    let mut replay = seen.to_vec();
+                    replay.sort_by_key(|f| match f {
+                        Fact::Occurred(l) => (0, by_seq.iter().position(|o| o == l)),
+                        Fact::Promised(l) => (1, Some(l.index())),
+                    });
+                    reordered += usize::from(replay != seen);
+                    let mut replayed = weakened.clone();
+                    for k in 0..replay.len() {
+                        replayed = replayed.reduce(replay[k]);
+                        assert_nothing_decided_is_kept(&replayed, &replay[..=k], &at);
+                    }
+                    assert_eq!(guard, replayed, "{at}");
+                }
+            }
+        }
+    }
+    assert!(reordered >= 5_000, "only {reordered} fact sets came in out of replay order");
 }
