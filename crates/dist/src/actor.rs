@@ -23,14 +23,15 @@
 //!
 //! An actor is a template part (symbol, attributes, compiled guards,
 //! routing) and an instance part, and only the second changes while it
-//! runs: one residual state per dependency, one index per guard into the
-//! actor's table of reductions (`memo.rs` — the guard side of an actor is
-//! tabulated the way its dependency side is compiled), flags, and a few
-//! small sorted vectors. [`SymbolActor::reset`] rewinds the instance part
-//! and keeps every buffer, so the actor an instance slot assembled once
-//! serves instance after instance without allocating.
+//! runs: one residual state per dependency, one index per compiled guard
+//! factor into the actor's table of guards by fact set (`memo.rs` — the
+//! guard side of an actor is tabulated the way its dependency side is
+//! compiled), flags, and a few small sorted vectors.
+//! [`SymbolActor::reset`] rewinds the instance part and keeps every
+//! buffer, so the actor an instance slot assembled once serves instance
+//! after instance without allocating.
 
-use crate::memo::{GuardInfo, GuardIx, GuardMemo};
+use crate::memo::{GuardInfo, GuardMemo};
 use crate::msg::Msg;
 use agent::EventAttrs;
 use event_algebra::{DepTracker, Literal, Polarity, SortedMap, SortedSet, SymbolId, SymbolMap};
@@ -120,10 +121,6 @@ pub struct ActorStats {
 /// instance; the sets are sorted vectors, so a reset keeps their buffers.
 #[derive(Debug, Clone)]
 pub struct LitState {
-    /// The current guard — the compiled one, weakened, with every fact
-    /// seen so far folded in — as an index into the actor's table
-    /// ([`SymbolActor::guard_info`] reads it).
-    guard: GuardIx,
     /// Event attributes.
     pub attrs: EventAttrs,
     /// An agent has requested this event and awaits a decision.
@@ -146,9 +143,8 @@ pub struct LitState {
 }
 
 impl LitState {
-    fn new(guard: GuardIx, attrs: EventAttrs) -> LitState {
+    fn new(attrs: EventAttrs) -> LitState {
         LitState {
-            guard,
             attrs,
             attempted: false,
             forced: false,
@@ -161,9 +157,8 @@ impl LitState {
         }
     }
 
-    /// Back to the state [`LitState::new`] builds from `guard`.
-    fn reset(&mut self, guard: GuardIx) {
-        self.guard = guard;
+    /// Back to the state [`LitState::new`] builds.
+    fn reset(&mut self) {
         self.attempted = false;
         self.forced = false;
         self.dead = false;
@@ -197,7 +192,8 @@ pub struct SymbolActor {
     /// Residual tracker of every dependency mentioning this symbol
     /// (`(dep index, tracker)`) — drives triggering and forced acceptance.
     pub dep_residuals: Vec<(usize, DepTracker)>,
-    /// Every guard this actor has reduced its two compiled guards to.
+    /// The guards: the fact sets heard on each compiled factor's
+    /// symbols, and the guard at every fact set this actor has met.
     memo: GuardMemo,
     /// Occurrence facts seen, by global sequence: the order the
     /// dependency residuals are stepped in.
@@ -257,8 +253,8 @@ impl SymbolActor {
         SymbolActor {
             sym,
             occurred: None,
-            pos: LitState::new(GuardMemo::POS, pos_attrs),
-            neg: LitState::new(GuardMemo::NEG, neg_attrs),
+            pos: LitState::new(pos_attrs),
+            neg: LitState::new(neg_attrs),
             dep_residuals: deps,
             memo: GuardMemo::new(pos_guard, neg_guard),
             facts_seen: SortedMap::new(),
@@ -282,8 +278,8 @@ impl SymbolActor {
     /// on it since, ready for the next instance of the same template.
     pub fn reset(&mut self) {
         self.occurred = None;
-        self.pos.reset(GuardMemo::POS);
-        self.neg.reset(GuardMemo::NEG);
+        self.pos.reset();
+        self.neg.reset();
         for (_, t) in &mut self.dep_residuals {
             t.reset();
         }
@@ -307,14 +303,14 @@ impl SymbolActor {
     /// The current (reduced) guard of `lit` with what the actor derives
     /// from it.
     pub fn guard_info(&self, lit: Literal) -> GuardInfo<'_> {
-        self.memo.get(self.lit_state_ref(lit).guard)
+        self.memo.get(lit.polarity())
     }
 
-    /// Fold `fact` into both guards.
+    /// Add `fact` to both guards' fact sets.
     fn reduce_guards(&mut self, fact: Fact) {
-        for st in [&mut self.pos, &mut self.neg] {
-            st.guard = self.memo.reduce(st.guard, fact);
-            let width = self.memo.get(st.guard).width();
+        self.memo.reduce(fact);
+        for lit in [Literal::pos(self.sym), Literal::neg(self.sym)] {
+            let width = self.guard_info(lit).width();
             self.stats.widest_factor = self.stats.widest_factor.max(width);
         }
     }
@@ -416,7 +412,8 @@ impl SymbolActor {
 
     /// Fold the occurrence `lit`, just recorded under `seq`, into both
     /// guards and the dependency residuals. The guards take it in place,
-    /// whatever its sequence: they are masks only (see `memo.rs`). The
+    /// whatever its sequence: a guard is a function of the fact set (see
+    /// `memo.rs`). The
     /// residuals of a sequence dependency do not commute, so a fact that
     /// arrives below one already applied (possible across links with
     /// independent latencies) resets them and replays the ordered log.
@@ -638,7 +635,7 @@ impl SymbolActor {
                 return;
             }
         }
-        match self.memo.get(st.guard).status() {
+        match self.guard_info(lit).status() {
             GuardStatus::Dead => {
                 self.rec_guard_eval(ctx.now(), lit, Verdict::Dead);
                 self.lit_state(lit).dead = true;
@@ -687,7 +684,7 @@ impl SymbolActor {
                 Need::Occurrence(_) | Need::SequenceHead(_) => false,
             };
             // The factors' asks, merged: they are about disjoint symbols.
-            for asks in self.memo.get(st.guard).factor_asks() {
+            for asks in self.guard_info(lit).factor_asks() {
                 to_send.extend(asks.iter().filter(wanted).cloned());
             }
             to_send.sort_by_key(ask_order);
@@ -882,7 +879,7 @@ impl SymbolActor {
         // the obligation ever becomes *required* — so the promise is a
         // deferred obligation, and alternative disjuncts (compensation
         // tasks) do not run unless unavoidable (Section 6).
-        let (can_happen, current) = (st.attempted || st.attrs.triggerable, st.guard);
+        let can_happen = st.attempted || st.attrs.triggerable;
         // Multi-party consensus (Example 11 generalized): the assumption
         // set includes *every* requester currently waiting on this
         // literal — a fork/join's two branch commits jointly assume each
@@ -893,7 +890,7 @@ impl SymbolActor {
         if let Err(at) = party.binary_search(&for_lit) {
             party.insert(at, for_lit);
         }
-        let assumed = party.iter().fold(current, |g, &p| self.memo.reduce(g, Fact::Promised(p)));
+        let assumed = self.memo.assuming(lit.polarity(), &party);
         let assumptions = || self.promises_seen.iter().chain(&party);
         // A conjunct is eventually dischargeable when every constraint is
         // (a) implied by some assumed occurrence's final state (□f with
@@ -904,7 +901,7 @@ impl SymbolActor {
         // agreement protocol at the promised event's own occurrence. The
         // product has such a conjunct iff every factor does (a guard that
         // holds now has no factors left).
-        let eventually_discharged = self.memo.get(assumed).factors().all(|factor| {
+        let eventually_discharged = assumed.factors().all(|factor| {
             factor.dischargeable(|s, m| {
                 assumptions().any(|l| l.symbol() == s && occurred_mask(l.polarity()) & !m == 0)
                     || (m & (ST_C | ST_D)) == (ST_C | ST_D)

@@ -1,80 +1,125 @@
-//! Guards as lazily tabulated automata, one factor at a time.
+//! Guards as lazily tabulated functions of the facts heard, one factor at
+//! a time.
 //!
 //! A dependency is a [`event_algebra::DependencyMachine`]: its residuals
-//! are enumerated at compile time and an actor holds a state id. A
-//! guard's reductions cannot be enumerated ahead of time — the reachable
-//! set depends on the order facts arrive in — but the instances of one
-//! template walk the same few paths through it over and over. So each
-//! actor tabulates the reductions it performs.
+//! are enumerated at compile time and an actor holds a state id. A guard
+//! depends only on which `□`/`◇` facts about its symbols have been heard
+//! (Section 4.3's proof rules), and the instances of one template hear
+//! the same few fact sets over and over. So each actor tabulates its
+//! guards by fact set, as it meets them.
 //!
 //! A compiled guard is a [`FactoredGuard`]: canonical factors over
-//! disjoint symbols. The table has two levels:
+//! disjoint symbols. An instance's guard state is one fact set per
+//! factor, on that factor's symbols ([`FactSet`]), held as the index of
+//! the table entry for it. An entry keeps the factor's guard at its fact
+//! set ([`Guard::under`]), its status and its hash; what only a parked
+//! attempt needs — its asks and cover — is derived the first time one
+//! asks. A fact changes the fact set of the one factor that mentions its
+//! symbol: a warm actor pays one key lookup in that factor, a cold one
+//! computes that factor alone, so what it computes grows with the widest
+//! factor, not with the product of all of them. Two arrival orders of
+//! one fact set reach one entry by construction.
 //!
-//! - *factors*: every factor guard the actor has held, each with the
-//!   edges `(factor, □l | ◇l) → factor` computed from it so far;
-//! - *states*: every product the actor has held, as a list of factor
-//!   indices, with the edges `(state, □l | ◇l) → state`.
-//!
-//! A guard is an index into the state table. A warm actor pays one edge
-//! lookup per fact; a cold one reduces only the factor that mentions the
-//! fact's symbol — the others are untouched by it — so what it computes
-//! grows with the widest factor, not with the product of all of them.
-//! Everything an actor reads off a guard besides its factors
-//! ([`GuardInfo`]) is combined from per-factor values, each derived once,
-//! the first time it is asked for.
-//!
-//! The table is a cache of pure functions ([`Guard::assume_occurred`],
-//! [`Guard::assume_promised`], [`temporal::status`], [`temporal::needs`]):
-//! an actor with a warm table and one with a cold table compute the same
-//! guards and send the same messages (`tests/protocol_unit.rs` holds them
-//! to that), so it survives an instance reset and a crash–restart alike.
-//! It is actor-local — no lock, no reference count — and bounded: factors
-//! and states past [`MEMO_CAP`] are scratch entries dropped at the next
-//! reset, and nothing kept remembers a path into them.
+//! The table is a cache of pure functions ([`Guard::under`],
+//! [`temporal::status`], [`temporal::asks`]): an actor with a warm table
+//! and one with a cold table compute the same guards and send the same
+//! messages (`tests/protocol_unit.rs` holds them to that), so it survives
+//! an instance reset and a crash–restart alike. It is actor-local — no
+//! lock, no reference count — and bounded: entries past [`MEMO_CAP`] are
+//! dropped at the next reset, and only the instance's own entry indices,
+//! which the reset rewinds, ever point at them.
 
-use event_algebra::{FxHasher, SymbolId};
+use event_algebra::{FxHasher, Literal, Polarity, SymbolId};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
-use temporal::{ask_order, asks, product_status, Fact, FactoredGuard, Guard, GuardStatus, Need};
+use temporal::{
+    ask_order, asks, product_status, status, Fact, FactoredGuard, Guard, GuardStatus, Need, ST_FULL,
+};
 
-/// How many factors, and how many states, an actor tabulates for good.
-/// Wide joins reach many reductions over a fleet's arrival orders; past
-/// this many the actor keeps computing them, it just stops remembering.
+/// How many entries an actor tabulates for good. Wide joins meet many
+/// fact sets over a fleet's arrival orders; past this many the actor
+/// keeps computing them, it just stops remembering.
 pub(crate) const MEMO_CAP: usize = 256;
 
-/// Index of a guard (a state: a product of factors) in its actor's table.
-pub(crate) type GuardIx = u32;
+/// Index of an entry in an actor's table.
+pub(crate) type EntryIx = u32;
 
-/// Index of a factor in its actor's table.
-type FactorIx = u32;
+/// The end of a factor's list of entries.
+const END: EntryIx = EntryIx::MAX;
 
-fn fx_hash(x: &impl Hash) -> u64 {
-    let mut hasher = FxHasher::default();
-    x.hash(&mut hasher);
-    hasher.finish()
+/// The facts heard on one factor's symbols: four bits per symbol, at the
+/// symbol's rank among the factor's, holding the knowledge states
+/// ([`temporal::ST_A`] … [`temporal::ST_D`]) the facts rule out. `□l`
+/// rules out every state but `l`'s occurred one and `◇l` the
+/// complement's two, so a symbol's five consistent fact sets — none,
+/// `◇l`, `◇l̄`, `□l`, `□l̄` (`□` implies `◇`) — are five distinct nibbles,
+/// and every order of one fact set packs to one key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum FactSet {
+    /// A factor of at most 32 symbols.
+    Inline(u128),
+    /// A wider one: 16 symbols a word.
+    Wide(Box<[u64]>),
 }
 
-/// One factor guard in an actor's table. What only a parked attempt
-/// needs to know is derived when one first asks — most guards an actor
-/// passes through are never evaluated — and shared by every product the
-/// factor is part of.
+impl FactSet {
+    fn empty(width: usize) -> FactSet {
+        if width <= 32 {
+            FactSet::Inline(0)
+        } else {
+            FactSet::Wide(vec![0; width.div_ceil(16)].into())
+        }
+    }
+
+    /// The states ruled out for the symbol at `rank`.
+    fn ruled_out(&self, rank: usize) -> u8 {
+        let nibble = match self {
+            FactSet::Inline(k) => (k >> (4 * rank)) as u64,
+            FactSet::Wide(w) => w[rank / 16] >> (4 * (rank % 16)),
+        };
+        nibble as u8 & ST_FULL
+    }
+
+    /// This set with `states` ruled out for the symbol at `rank` too.
+    fn with(&self, rank: usize, states: u8) -> FactSet {
+        match self {
+            FactSet::Inline(k) => FactSet::Inline(k | u128::from(states) << (4 * rank)),
+            FactSet::Wide(w) => {
+                let mut w = w.clone();
+                w[rank / 16] |= u64::from(states) << (4 * (rank % 16));
+                FactSet::Wide(w)
+            }
+        }
+    }
+}
+
+/// One fact set of one factor in an actor's table.
 #[derive(Debug, Clone)]
-struct Factor {
+struct Entry {
+    key: FactSet,
+    /// The factor's next entry, or [`END`]: a lookup walks one factor's
+    /// entries only.
+    next: EntryIx,
+    /// The factor's compiled guard, weakened, at the fact set.
     guard: Guard,
-    /// Hash of the guard's canonical form: the interning filter.
+    /// [`temporal::status`] of the guard.
+    status: GuardStatus,
+    /// Hash of the guard: what a fingerprint folds.
     hash: u64,
     /// [`temporal::asks`] of the guard.
     asks: OnceLock<Vec<Need>>,
     /// The symbols the guard's conjuncts constrain, in order.
     cover: OnceLock<Vec<SymbolId>>,
-    /// Reductions already computed from this factor: `(fact, result)`.
-    edges: Vec<(u32, FactorIx)>,
 }
 
-impl Factor {
-    fn of(guard: Guard) -> Factor {
-        let (asks, cover, edges) = (OnceLock::new(), OnceLock::new(), Vec::new());
-        Factor { hash: fx_hash(&guard), asks, cover, edges, guard }
+impl Entry {
+    fn new(key: FactSet, guard: Guard) -> Entry {
+        let mut hasher = FxHasher::default();
+        guard.hash(&mut hasher);
+        let (status, hash) = (status(&guard), hasher.finish());
+        let (asks, cover) = (OnceLock::new(), OnceLock::new());
+        Entry { key, next: END, guard, status, hash, asks, cover }
     }
 
     fn asks(&self) -> &[Need] {
@@ -86,151 +131,71 @@ impl Factor {
     }
 }
 
-/// One product of factors in an actor's table. No factor is `⊤`, and a
-/// product with a `0` factor is that factor alone (as in
-/// [`FactoredGuard`]).
-#[derive(Debug, Clone)]
-struct State {
-    /// The one factor's index when there is one; where the factor
-    /// indices sit in [`Tables::lists`] when there are more.
-    start: u32,
-    /// How many factors.
-    len: u32,
-    /// ⊤ iff every factor is ⊤ (there are none), 0 iff a factor is 0.
-    status: GuardStatus,
-    /// The factors' hashes folded in order: a function of the factor
-    /// guards, not of where this table keeps them.
-    hash: u64,
-    /// The most conjuncts of any factor.
-    width: usize,
-    /// Reductions already computed from this state: `(fact, result)`.
-    edges: Vec<(u32, GuardIx)>,
-}
-
-/// Both levels of one actor's table.
+/// One actor's table.
 #[derive(Debug, Clone)]
 struct Tables {
-    factors: Vec<Factor>,
-    states: Vec<State>,
-    /// The factor indices of every state with two or more, back to back
-    /// in the order the states were added: a new state costs no
-    /// allocation of its own, and an actor whose guards are one factor
-    /// each never allocates it.
-    lists: Vec<FactorIx>,
-    /// The next state's factor indices while a reduction builds them.
-    scratch: Vec<FactorIx>,
-    /// States below this index are kept at a reset. It starts at
-    /// [`MEMO_CAP`] and drops to the index of the first state that lists
-    /// a scratch factor, so a kept state never names a dropped factor.
-    kept: usize,
+    /// Each compiled factor's symbols, a range of [`Tables::syms`]; the
+    /// positive literal's factors come first. Factor `f` at the empty
+    /// fact set is entry `f`.
+    factors: Vec<Range<u32>>,
+    /// How many of the factors are the positive literal's.
+    pos: usize,
+    /// Every factor's symbols, sorted per factor, back to back.
+    syms: Vec<SymbolId>,
+    entries: Vec<Entry>,
 }
 
 impl Tables {
-    fn intern_factor(&mut self, guard: Guard) -> FactorIx {
-        let factor = Factor::of(guard);
-        let found =
-            self.factors.iter().position(|f| f.hash == factor.hash && f.guard == factor.guard);
-        found.unwrap_or_else(|| {
-            self.factors.push(factor);
-            self.factors.len() - 1
-        }) as FactorIx
-    }
-
-    fn list<'a>(&'a self, state: &'a State) -> &'a [FactorIx] {
-        match state.len {
-            0 => &[],
-            1 => std::slice::from_ref(&state.start),
-            n => &self.lists[state.start as usize..][..n as usize],
-        }
-    }
-
-    /// The state whose factors are `factors`: an existing one or a new one.
-    fn intern_state(&mut self, factors: &[FactorIx]) -> GuardIx {
-        let hash = factors.iter().fold(0u64, |h, &f| {
-            (h.rotate_left(5) ^ self.factors[f as usize].hash).wrapping_mul(0x517C_C1B7_2722_0A95)
-        });
-        let same = |s: &State| s.hash == hash && self.list(s) == factors;
-        if let Some(at) = self.states.iter().position(same) {
-            return at as GuardIx;
-        }
-        let guards = || factors.iter().map(|&f| &self.factors[f as usize].guard);
-        let status = product_status(guards());
-        let width = guards().map(|g| g.conjuncts().len()).max().unwrap_or(1);
-        let at = self.states.len();
-        if factors.iter().any(|&f| f as usize >= MEMO_CAP) {
-            self.kept = self.kept.min(at);
-        }
-        let start = match factors {
-            [] => 0,
-            &[only] => only,
-            many => {
-                self.lists.extend_from_slice(many);
-                (self.lists.len() - many.len()) as u32
-            }
-        };
-        let len = factors.len() as u32;
-        self.states.push(State { start, len, status, hash, width, edges: Vec::new() });
-        at as GuardIx
-    }
-
-    /// The factor `from` reduced by `fact`: a table hit from the second
-    /// time on. `remember` says whether to record a new edge: a product
-    /// of one factor has its own edge, and no other path into the factor
-    /// is worth a second one.
-    fn reduce_factor(&mut self, from: FactorIx, fact: Fact, remember: bool) -> FactorIx {
-        let key = edge_key(fact);
-        let factor = &self.factors[from as usize];
-        if let Some(&(_, to)) = factor.edges.iter().find(|&&(k, _)| k == key) {
-            return to;
-        }
-        let reduced = match fact {
-            Fact::Occurred(l) => factor.guard.assume_occurred(l),
-            Fact::Promised(l) => factor.guard.assume_promised(l),
-        };
-        let to = self.intern_factor(reduced);
-        // A kept factor must not remember a way into a scratch one.
-        if remember && ((to as usize) < MEMO_CAP || (from as usize) >= MEMO_CAP) {
-            self.factors[from as usize].edges.push((key, to));
-        }
-        to
+    fn syms(&self, factor: usize) -> &[SymbolId] {
+        let Range { start, end } = self.factors[factor];
+        &self.syms[start as usize..end as usize]
     }
 }
 
-/// A guard in an actor's table, with what the actor derives from it.
+/// A guard in an actor's table — one entry per factor — with what the
+/// actor derives from it.
 #[derive(Debug, Clone, Copy)]
 pub struct GuardInfo<'a> {
-    tables: &'a Tables,
-    state: &'a State,
+    entries: &'a [Entry],
+    at: &'a [EntryIx],
 }
 
 impl<'a> GuardInfo<'a> {
+    fn all(self) -> impl Iterator<Item = &'a Entry> + Clone {
+        self.at.iter().map(move |&e| &self.entries[e as usize])
+    }
+
+    /// The factors that still constrain, as [`FactoredGuard::new`] keeps
+    /// them: none is `⊤`, and a `0` stands alone.
+    fn live(self) -> impl Iterator<Item = &'a Entry> {
+        let dead = self.all().find(|e| e.status == GuardStatus::Dead);
+        self.all().filter(move |e| match dead {
+            Some(dead) => std::ptr::eq(*e, dead),
+            None => e.status != GuardStatus::EnabledNow,
+        })
+    }
+
     /// [`temporal::status`] of the guard, from its factors': enabled now
     /// iff every factor is, dead iff some factor is.
     pub fn status(&self) -> GuardStatus {
-        self.state.status
+        product_status(self.all().map(|e| e.status))
     }
 
     /// The factors: canonical guards over disjoint symbols.
     pub fn factors(&self) -> impl Iterator<Item = &'a Guard> + 'a {
-        let tables = self.tables;
-        tables.list(self.state).iter().map(move |&f| &tables.factors[f as usize].guard)
+        self.live().map(|e| &e.guard)
     }
 
     /// The factors, each with the symbols its conjuncts constrain (its
     /// share of [`GuardInfo::cover`]).
     pub fn factor_covers(&self) -> impl Iterator<Item = (&'a Guard, &'a [SymbolId])> + 'a {
-        let tables = self.tables;
-        tables.list(self.state).iter().map(move |&f| {
-            let factor = &tables.factors[f as usize];
-            (&factor.guard, factor.cover())
-        })
+        self.live().map(|e| (&e.guard, e.cover()))
     }
 
     /// Each factor's [`temporal::asks`], in [`ask_order`]; they are about
     /// disjoint symbols, so the product's asks are these merged.
     pub fn factor_asks(&self) -> impl Iterator<Item = &'a [Need]> + 'a {
-        let tables = self.tables;
-        tables.list(self.state).iter().map(move |&f| tables.factors[f as usize].asks())
+        self.live().map(Entry::asks)
     }
 
     /// The guard multiplied out (for inspection and tests; the actor
@@ -241,7 +206,7 @@ impl<'a> GuardInfo<'a> {
 
     /// The most conjuncts any factor has.
     pub fn width(&self) -> usize {
-        self.state.width
+        self.live().map(|e| e.guard.conjuncts().len()).max().unwrap_or(1)
     }
 
     /// The protocol requests that could unblock the guard:
@@ -266,19 +231,20 @@ impl<'a> GuardInfo<'a> {
     /// recording with equal fingerprints saw the same residual guard; the
     /// value itself is opaque and means nothing across builds.
     pub(crate) fn fingerprint(&self) -> u32 {
-        (self.state.hash as u32) ^ ((self.state.hash >> 32) as u32)
+        let hash = self
+            .live()
+            .fold(0u64, |h, e| (h.rotate_left(5) ^ e.hash).wrapping_mul(0x517C_C1B7_2722_0A95));
+        (hash as u32) ^ ((hash >> 32) as u32)
     }
 }
 
-/// One actor's table of guards. States 0 and 1 are the compiled guards
-/// of the actor's positive and negative literal, weakened: the run time
+/// One actor's guards: its table, over the factors of the compiled
+/// guards of its positive and negative literal, weakened — the run time
 /// schedules with the paper's "small insight" (Section 4.2), every
 /// `◇(sequence)` atom a conjunction of eventualities, and the other
-/// events' guards enforce the order. Every guard in the table is then
-/// masks only, and the actor folds each fact in as it arrives. On the
-/// shipped templates the guard reached does not depend on the arrival
-/// order (`crates/guard/tests/factored_props.rs`); `Guard::canonical`'s
-/// sibling merge can make it depend on it elsewhere (ROADMAP.md).
+/// events' guards enforce the order, so every guard in the table is masks
+/// only, a function of the fact set it is keyed by — and the entry each
+/// factor is at for the facts the instance has heard.
 ///
 /// Copy-on-write: a clone of the actor (a slot assembled from the
 /// prototype, a branch of an interleaving explorer) shares the table
@@ -288,231 +254,306 @@ impl<'a> GuardInfo<'a> {
 #[derive(Clone)]
 pub(crate) struct GuardMemo {
     tables: Arc<Tables>,
+    /// Each factor's entry for the facts the instance has heard: the
+    /// positive literal's factors, then the negative's.
+    at: Vec<EntryIx>,
+    /// A literal's entries under the promises a grant would assume
+    /// ([`GuardMemo::assuming`]).
+    assumed: Vec<EntryIx>,
 }
 
-// A cache: what it holds depends on the instances the actor has served,
-// never on the one it is serving, so it stays out of an actor's `{:?}`.
+// The table is a cache: what it holds depends on the instances the actor
+// has served, never on the one it is serving, so of the memo only the
+// instance's entries are in an actor's `{:?}`.
 impl std::fmt::Debug for GuardMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("GuardMemo")
-    }
-}
-
-fn edge_key(fact: Fact) -> u32 {
-    match fact {
-        Fact::Occurred(l) => (l.index() as u32) << 1,
-        Fact::Promised(l) => (l.index() as u32) << 1 | 1,
+        f.debug_tuple("GuardMemo").field(&self.at).finish()
     }
 }
 
 impl GuardMemo {
-    /// The index of the positive literal's compiled guard.
-    pub(crate) const POS: GuardIx = 0;
-    /// The index of the negative literal's compiled guard.
-    pub(crate) const NEG: GuardIx = 1;
-
     pub(crate) fn new(pos: &FactoredGuard, neg: &FactoredGuard) -> GuardMemo {
-        // Room for the first reductions: most actors reach a state or two
-        // past their compiled guards and no further.
-        let initial = pos.factors().len() + neg.factors().len();
+        let compiled = pos.factors().iter().chain(neg.factors());
+        let n = compiled.clone().count();
+        // Room for the factors' symbols and first fact sets: on the
+        // templates a factor spans at most four symbols, and an actor
+        // meets a few fact sets per factor.
         let mut tables = Tables {
-            factors: Vec::with_capacity(initial + 2),
-            states: Vec::with_capacity(4),
-            lists: Vec::new(),
-            scratch: Vec::new(),
-            kept: MEMO_CAP,
+            factors: Vec::with_capacity(n),
+            pos: pos.factors().len(),
+            syms: Vec::with_capacity(4 * n),
+            entries: Vec::with_capacity(4 * n),
         };
-        for (slot, guard) in [pos, neg].into_iter().enumerate() {
-            let at = match guard.factors() {
-                [] => tables.intern_state(&[]),
-                [only] => {
-                    let only = tables.intern_factor(only.weaken_sequences());
-                    tables.intern_state(&[only])
+        for factor in compiled {
+            let guard = factor.weaken_sequences();
+            let start = tables.syms.len();
+            guard.symbols_all(|s| {
+                if let Err(at) = tables.syms[start..].binary_search(&s) {
+                    tables.syms.insert(start + at, s);
                 }
-                many => {
-                    let ids: Vec<FactorIx> =
-                        many.iter().map(|f| tables.intern_factor(f.weaken_sequences())).collect();
-                    tables.intern_state(&ids)
-                }
-            } as usize;
-            // The two literals keep their two slots even when their
-            // guards are equal.
-            if at != slot {
-                let twin = tables.states[at].clone();
-                tables.states.push(State { edges: Vec::new(), ..twin });
-            }
+                true
+            });
+            let end = tables.syms.len();
+            tables.factors.push(start as u32..end as u32);
+            tables.entries.push(Entry::new(FactSet::empty(end - start), guard));
         }
-        GuardMemo { tables: Arc::new(tables) }
+        let at = (0..n as EntryIx).collect();
+        GuardMemo { tables: Arc::new(tables), at, assumed: Vec::new() }
     }
 
-    pub(crate) fn get(&self, ix: GuardIx) -> GuardInfo<'_> {
-        GuardInfo { tables: &self.tables, state: &self.tables.states[ix as usize] }
+    /// The place of `pol`'s factors in [`GuardMemo::at`].
+    fn span(&self, pol: Polarity) -> Range<usize> {
+        match pol {
+            Polarity::Pos => 0..self.tables.pos,
+            Polarity::Neg => self.tables.pos..self.tables.factors.len(),
+        }
     }
 
-    /// The guard `from` reduced by `fact`: a table hit from the second
-    /// time on.
-    pub(crate) fn reduce(&mut self, from: GuardIx, fact: Fact) -> GuardIx {
-        let key = edge_key(fact);
-        let state = &self.tables.states[from as usize];
-        if let Some(&(_, to)) = state.edges.iter().find(|&&(k, _)| k == key) {
-            return to;
-        }
-        // The factors mention disjoint symbols, so at most one of them
-        // can change; a fact about a symbol none mentions reduces the
-        // guard to itself.
-        let sym = fact.literal().symbol();
-        let t = &*self.tables;
-        let touched = t.list(state).iter().position(|&f| t.factors[f as usize].guard.mentions(sym));
-        let tables = Arc::make_mut(&mut self.tables);
-        let to = match touched {
-            None => from,
-            Some(k) => {
-                let state = &tables.states[from as usize];
-                let (was, len) = (tables.list(state)[k], state.len as usize);
-                let reduced = tables.reduce_factor(was, fact, len > 1);
-                let guard = &tables.factors[reduced as usize].guard;
-                let (dead, gone) = (guard.is_bottom(), guard.holds_now());
-                if len == 1 || dead {
-                    let one = [reduced];
-                    tables.intern_state(if gone { &[] } else { &one })
-                } else {
-                    let mut next = std::mem::take(&mut tables.scratch);
-                    next.clear();
-                    next.extend_from_slice(tables.list(&tables.states[from as usize]));
-                    if gone {
-                        next.remove(k);
-                    } else {
-                        next[k] = reduced;
-                    }
-                    let to = tables.intern_state(&next);
-                    tables.scratch = next;
-                    to
-                }
-            }
-        };
-        // A kept state must not remember a way into a scratch one.
-        let kept = tables.kept;
-        if (to as usize) < kept || (from as usize) >= kept {
-            tables.states[from as usize].edges.push((key, to));
-        }
-        to
+    /// The guard of `pol`'s literal.
+    pub(crate) fn get(&self, pol: Polarity) -> GuardInfo<'_> {
+        GuardInfo { entries: &self.tables.entries, at: &self.at[self.span(pol)] }
     }
 
-    /// Drop the scratch entries of the instance that just ended.
+    /// Add `fact` to the fact sets the instance has heard.
+    pub(crate) fn reduce(&mut self, fact: Fact) {
+        step(&mut self.tables, &mut self.at, 0, fact);
+    }
+
+    /// The guard of `pol`'s literal were `promised` promised too.
+    pub(crate) fn assuming(&mut self, pol: Polarity, promised: &[Literal]) -> GuardInfo<'_> {
+        let span = self.span(pol);
+        self.assumed.clear();
+        self.assumed.extend_from_slice(&self.at[span.clone()]);
+        for &p in promised {
+            step(&mut self.tables, &mut self.assumed, span.start, Fact::Promised(p));
+        }
+        GuardInfo { entries: &self.tables.entries, at: &self.assumed }
+    }
+
+    /// Back to the empty fact sets for the next instance, dropping the
+    /// entries past the cap: only the instance that just ended pointed at
+    /// them.
     pub(crate) fn reset(&mut self) {
-        let t = &self.tables;
-        if t.factors.len() > MEMO_CAP || t.states.len() > t.kept {
-            let tables = Arc::make_mut(&mut self.tables);
-            tables.factors.truncate(MEMO_CAP);
-            tables.states.truncate(tables.kept);
-            let pooled = tables.states.iter().filter(|s| s.len > 1);
-            let end = pooled.map(|s| (s.start + s.len) as usize).max();
-            tables.lists.truncate(end.unwrap_or(0));
+        let keep = MEMO_CAP.max(self.tables.factors.len());
+        if self.tables.entries.len() > keep {
+            let entries = &mut Arc::make_mut(&mut self.tables).entries;
+            entries.truncate(keep);
+            for entry in entries.iter_mut().filter(|e| e.next as usize >= keep) {
+                entry.next = END;
+            }
+        }
+        self.at.clear();
+        self.at.extend(0..self.tables.factors.len() as EntryIx);
+    }
+}
+
+/// Add `fact` to the fact sets of the entries `at`, which are those of
+/// the factors from `first` on: each factor that mentions its symbol —
+/// one per literal, a literal's factors mention disjoint symbols — moves
+/// to the entry for its new set, the others stay where they are. A table
+/// hit from the second time on.
+fn step(tables: &mut Arc<Tables>, at: &mut [EntryIx], first: usize, fact: Fact) {
+    let sym = fact.literal().symbol();
+    let states = ST_FULL & !fact.closure_mask();
+    for (factor, ix) in (first..).zip(at) {
+        let Ok(rank) = tables.syms(factor).binary_search(&sym) else { continue };
+        let key = &tables.entries[*ix as usize].key;
+        let had = key.ruled_out(rank);
+        if had | states != had {
+            let key = key.with(rank, states);
+            *ix = entry(tables, factor, key);
         }
     }
+}
+
+/// The entry of `factor` at `key`: an existing one or a new one at the
+/// end of the factor's list.
+fn entry(tables: &mut Arc<Tables>, factor: usize, key: FactSet) -> EntryIx {
+    let t = &**tables;
+    let mut last = factor as EntryIx;
+    loop {
+        let entry = &t.entries[last as usize];
+        if entry.key == key {
+            return last;
+        }
+        if entry.next == END {
+            break;
+        }
+        last = entry.next;
+    }
+    let syms = t.syms(factor);
+    let rank = |s| syms.binary_search(&s).expect("its own symbol");
+    let guard = t.entries[factor].guard.under(|s| ST_FULL & !key.ruled_out(rank(s)));
+    let tables = Arc::make_mut(tables);
+    let at = tables.entries.len() as EntryIx;
+    tables.entries[last as usize].next = at;
+    tables.entries.push(Entry::new(key, guard));
+    at
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use event_algebra::Literal;
 
     fn lit(sym: u32) -> Literal {
         Literal::pos(SymbolId(sym))
     }
 
-    fn memo(pos: Guard) -> GuardMemo {
+    /// The guards of an actor whose positive literal's compiled guard is
+    /// `pos` (the negative literal's is `⊤`).
+    fn memo(pos: impl Into<FactoredGuard>) -> GuardMemo {
         GuardMemo::new(&pos.into(), &FactoredGuard::top())
     }
 
-    #[test]
-    fn reductions_are_tabulated_and_shared_across_paths() {
-        let g = Guard::eventually(lit(1)).and(&Guard::occurred(lit(2)));
-        let mut memo = memo(g.clone());
-        let a = memo.reduce(GuardMemo::POS, Fact::Occurred(lit(1)));
-        assert_eq!(memo.get(a).guard(), g.assume_occurred(lit(1)));
-        let ab = memo.reduce(a, Fact::Occurred(lit(2)));
-        let b = memo.reduce(GuardMemo::POS, Fact::Occurred(lit(2)));
-        let ba = memo.reduce(b, Fact::Occurred(lit(1)));
-        assert_eq!(ab, ba, "both orders reach one entry");
-        assert_eq!(memo.get(ab).status(), GuardStatus::EnabledNow);
-        let size = memo.tables.states.len();
-        assert_eq!(memo.reduce(GuardMemo::POS, Fact::Occurred(lit(1))), a, "an edge, not a copy");
-        assert_eq!(memo.reduce(GuardMemo::POS, Fact::Promised(lit(7))), GuardMemo::POS);
-        assert_eq!(memo.tables.states.len(), size);
+    /// `guard` reduced by `facts` in order, fact by fact.
+    fn fold(guard: &FactoredGuard, facts: &[Fact]) -> Guard {
+        facts.iter().fold(guard.clone(), |g, &fact| g.reduce(fact)).expand()
     }
 
-    /// A fact reduces the one factor that mentions it: the others keep
-    /// their table entries, and the product moves as the expanded guard
-    /// would.
+    /// How many entries each factor has.
+    fn per_factor(memo: &GuardMemo) -> Vec<usize> {
+        let t = &memo.tables;
+        let next = |&e: &EntryIx| Some(t.entries[e as usize].next).filter(|&n| n != END);
+        let factors = 0..t.factors.len() as EntryIx;
+        factors.map(|f| std::iter::successors(Some(f), next).count()).collect()
+    }
+
     #[test]
-    fn a_fact_reduces_only_the_factor_it_touches() {
+    fn two_orders_of_the_same_facts_reach_one_entry() {
+        let g = Guard::eventually(lit(1)).and(&Guard::occurred(lit(2)));
+        let mut memo = memo(g.clone());
+        memo.reduce(Fact::Occurred(lit(1)));
+        assert_eq!(memo.get(Polarity::Pos).guard(), g.assume_occurred(lit(1)));
+        let a = memo.at.clone();
+        memo.reduce(Fact::Occurred(lit(2)));
+        let ab = memo.at.clone();
+        memo.reset();
+        memo.reduce(Fact::Occurred(lit(2)));
+        memo.reduce(Fact::Promised(lit(1)));
+        memo.reduce(Fact::Occurred(lit(1)));
+        assert_eq!(memo.at, ab, "both orders reach one entry");
+        assert_eq!(memo.get(Polarity::Pos).status(), GuardStatus::EnabledNow);
+        // A repeated fact, one implied by what was heard, and one about a
+        // symbol the guard does not mention leave the entries alone.
+        let size = memo.tables.entries.len();
+        memo.reset();
+        memo.reduce(Fact::Occurred(lit(1)));
+        assert_eq!(memo.at, a, "a lookup, not a copy");
+        for fact in [Fact::Occurred(lit(1)), Fact::Promised(lit(1)), Fact::Promised(lit(7))] {
+            memo.reduce(fact);
+            assert_eq!(memo.at, a, "after {fact:?}");
+        }
+        assert_eq!(memo.tables.entries.len(), size);
+    }
+
+    /// A fact moves the one factor that mentions it: the others keep
+    /// their entries, no other factor's list grows, and the product moves
+    /// as the expanded guard would.
+    #[test]
+    fn a_fact_adds_an_entry_only_to_the_factor_it_touches() {
         let a = Guard::eventually(lit(1)).or(&Guard::occurred(lit(2)));
         let b = Guard::not_yet(lit(3)).or(&Guard::eventually(lit(4)));
         let c = Guard::occurred(lit(5)).or(&Guard::eventually(lit(6).complement()));
         let factored = FactoredGuard::new(vec![a, b, c]);
-        let mut memo = GuardMemo::new(&factored, &FactoredGuard::top());
-        let (mut ix, mut expect) = (GuardMemo::POS, factored.expand());
-        let edges =
-            |memo: &GuardMemo| -> usize { memo.tables.factors.iter().map(|f| f.edges.len()).sum() };
-        for fact in [Fact::Promised(lit(4)), Fact::Occurred(lit(2)), Fact::Occurred(lit(5))] {
-            let (before, visited) = (memo.tables.factors.len(), edges(&memo));
-            ix = memo.reduce(ix, fact);
+        let mut memo = memo(factored.clone());
+        let mut expect = factored.expand();
+        let facts = [Fact::Promised(lit(4)), Fact::Occurred(lit(2)), Fact::Occurred(lit(5))];
+        for (k, &fact) in facts.iter().enumerate() {
+            let (before, was) = (per_factor(&memo), memo.at.clone());
+            memo.reduce(fact);
             expect = match fact {
                 Fact::Occurred(l) => expect.assume_occurred(l),
                 Fact::Promised(l) => expect.assume_promised(l),
             };
-            assert_eq!(memo.get(ix).guard(), expect, "after {fact:?}");
-            assert!(memo.tables.factors.len() <= before + 1, "one factor reduced");
-            assert!(edges(&memo) <= visited + 1, "no other factor visited");
+            assert_eq!(memo.get(Polarity::Pos).guard(), expect, "after {fact:?}");
+            let touched = [1, 0, 2][k];
+            for f in 0..3 {
+                let grew = per_factor(&memo)[f] - before[f];
+                assert_eq!(grew, usize::from(f == touched), "factor {f} after {fact:?}");
+                assert_eq!(memo.at[f] == was[f], f != touched, "factor {f} after {fact:?}");
+            }
         }
-        assert_eq!(memo.get(ix).status(), GuardStatus::EnabledNow);
-        assert_eq!(memo.get(ix).factors().count(), 0);
-        let dead = memo.reduce(GuardMemo::POS, Fact::Occurred(lit(6)));
-        assert_eq!(memo.get(dead).status(), GuardStatus::Blocked);
-        let dead = memo.reduce(dead, Fact::Occurred(lit(5).complement()));
-        assert_eq!(memo.get(dead).status(), GuardStatus::Dead);
-        assert!(memo.get(dead).asks().is_empty() && memo.get(dead).cover().is_empty());
+        let info = memo.get(Polarity::Pos);
+        assert_eq!(info.status(), GuardStatus::EnabledNow);
+        assert_eq!(info.factors().count(), 0);
+        memo.reset();
+        memo.reduce(Fact::Occurred(lit(6)));
+        assert_eq!(memo.get(Polarity::Pos).status(), GuardStatus::Blocked);
+        memo.reduce(Fact::Occurred(lit(5).complement()));
+        let dead = memo.get(Polarity::Pos);
+        assert_eq!(dead.status(), GuardStatus::Dead);
+        assert_eq!(dead.factors().collect::<Vec<_>>(), [&Guard::bottom()]);
+        assert!(dead.asks().is_empty() && dead.cover().is_empty());
     }
 
     #[test]
     fn asks_and_cover_follow_the_guard() {
         let g = Guard::eventually(lit(3)).and(&Guard::not_yet(lit(1))).or(&Guard::occurred(lit(2)));
-        let memo = memo(g);
-        let info = memo.get(GuardMemo::POS);
+        let mut memo = memo(g);
+        let info = memo.get(Polarity::Pos);
         assert_eq!(info.asks(), [Need::NotYetAgreement(lit(1)), Need::Promise(lit(3))]);
         assert_eq!(info.cover(), [SymbolId(1), SymbolId(2), SymbolId(3)]);
         assert_eq!(info.status(), GuardStatus::Blocked);
+        // At a fact set, and under an assumed promise: the asks and cover
+        // of the guard there.
+        let assumed = memo.assuming(Polarity::Pos, &[lit(3)]);
+        assert_eq!(assumed.asks(), [Need::NotYetAgreement(lit(1))]);
+        assert_eq!(memo.get(Polarity::Pos).cover(), [SymbolId(1), SymbolId(2), SymbolId(3)]);
+        memo.reduce(Fact::Promised(lit(3)));
+        let info = memo.get(Polarity::Pos);
+        assert_eq!(info.asks(), [Need::NotYetAgreement(lit(1))]);
+        assert_eq!(info.cover(), [SymbolId(1), SymbolId(2)]);
         // Across factors: the sorted union.
         let factored = FactoredGuard::new(vec![Guard::eventually(lit(5)), Guard::not_yet(lit(2))]);
-        let memo = GuardMemo::new(&factored, &FactoredGuard::top());
-        let info = memo.get(GuardMemo::POS);
+        let memo = self::memo(factored);
+        let info = memo.get(Polarity::Pos);
         assert_eq!(info.asks(), [Need::NotYetAgreement(lit(2)), Need::Promise(lit(5))]);
         assert_eq!(info.cover(), [SymbolId(2), SymbolId(5)]);
     }
 
-    /// Past the cap reductions still come out right; the scratch entries
-    /// go at reset and no kept entry points at one.
+    /// Past the cap the guards still come out right; the entries past it
+    /// go at reset.
     #[test]
     fn a_full_table_stops_remembering() {
-        let n = 10; // 2^10 subsets of discharged conjuncts
+        let n = 10; // 2^10 fact sets
         let wide = (0..n).fold(Guard::top(), |g, s| g.and(&Guard::occurred(lit(s))));
         let mut memo = memo(wide.clone());
         for subset in 0..1u32 << n {
-            let (mut ix, mut expect) = (GuardMemo::POS, wide.clone());
-            for s in (0..n).filter(|s| subset >> s & 1 == 1) {
-                ix = memo.reduce(ix, Fact::Occurred(lit(s)));
-                expect = expect.assume_occurred(lit(s));
+            let facts: Vec<Fact> =
+                (0..n).filter(|s| subset >> s & 1 == 1).map(|s| Fact::Occurred(lit(s))).collect();
+            for &fact in &facts {
+                memo.reduce(fact);
             }
-            assert_eq!(memo.get(ix).guard(), expect, "subset {subset:#b}");
+            let guard = memo.get(Polarity::Pos).guard();
+            assert_eq!(guard, fold(&wide.clone().into(), &facts), "{subset:#b}");
             memo.reset();
-            let t = &memo.tables;
-            assert!(t.states.len() <= MEMO_CAP && t.factors.len() <= MEMO_CAP);
-            let (kept, kept_factors) = (t.states.len() as GuardIx, t.factors.len() as FactorIx);
-            assert!(t.states.iter().all(|g| g.edges.iter().all(|&(_, to)| to < kept)));
-            assert!(t.states.iter().all(|g| t.list(g).iter().all(|&f| f < kept_factors)));
-            assert!(t.factors.iter().all(|f| f.edges.iter().all(|&(_, to)| to < kept_factors)));
+            assert!(memo.tables.entries.len() <= MEMO_CAP);
         }
-        assert_eq!(memo.tables.states.len(), MEMO_CAP);
+        assert_eq!(memo.tables.entries.len(), MEMO_CAP);
+    }
+
+    /// A factor wider than one key word — `□s₀ ∧ … ∧ □s₃₉` — in random
+    /// orders: every prefix is the fold's guard.
+    #[test]
+    fn a_factor_wider_than_a_key_word_is_keyed_losslessly() {
+        let n = 40;
+        let wide = (0..n).fold(Guard::top(), |g, s| g.and(&Guard::occurred(lit(s))));
+        let factored = FactoredGuard::from(wide);
+        let mut memo = memo(factored.clone());
+        assert!(matches!(memo.tables.entries[0].key, FactSet::Wide(_)));
+        let mut g = seeded::Gen::new(7);
+        for _ in 0..20 {
+            let mut facts: Vec<Fact> = (0..n)
+                .map(|s| if g.flip() { Fact::Promised(lit(s)) } else { Fact::Occurred(lit(s)) })
+                .collect();
+            for i in (1..facts.len()).rev() {
+                facts.swap(i, g.range(0..=i));
+            }
+            for k in 0..facts.len() {
+                memo.reduce(facts[k]);
+                assert_eq!(memo.get(Polarity::Pos).guard(), fold(&factored, &facts[..=k]));
+            }
+            memo.reset();
+        }
     }
 }

@@ -5,12 +5,13 @@
 
 use agent::EventAttrs;
 use dist::{DepTracker, Msg, Node, Routing, SymbolActor};
-use event_algebra::{DependencyMachine, Expr, Literal, SymbolId};
+use event_algebra::{parse_expr, DependencyMachine, Expr, Literal, SymbolId, SymbolTable};
+use guard::{CompiledWorkflow, GuardScope};
 use sim::{Ctx, LatencyModel, Network, NodeId, SimConfig, SiteId};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use temporal::{FactoredGuard, Guard, Need};
+use temporal::{FactoredGuard, Guard, GuardStatus, Need};
 
 fn fixed_net(nodes: Vec<(SiteId, Node)>) -> Network<Msg, Node> {
     Network::new(SimConfig { seed: 1, latency: LatencyModel::Fixed(1) }, nodes)
@@ -317,6 +318,64 @@ fn a_late_announcement_replays_the_residuals_in_sequence_order() {
     assert!(actor.dep_residuals[0].1.requires(Literal::pos(c)), "c is still to come");
 }
 
+/// The fact-order reproducer: `e0`…`e4` and three dependencies under
+/// which literal `~e2`'s weakened compiled guard is one factor of eleven
+/// conjuncts. Its symbols and `e2`'s two compiled guards.
+fn fact_order_reproducer() -> (Vec<Literal>, FactoredGuard, FactoredGuard) {
+    let mut table = SymbolTable::new();
+    let e: Vec<Literal> = (0..5).map(|i| table.event(&format!("e{i}"))).collect();
+    let deps: Vec<Expr> = ["~e2 + ~e4.~e0.e1 + e0 | e3 | ~e4", "~e2.~e1 + ~e3.~e1.e0", "e1"]
+        .iter()
+        .map(|d| parse_expr(d, &mut table).expect("parses"))
+        .collect();
+    let compiled = CompiledWorkflow::compile(&deps, GuardScope::Mentioning);
+    let guard = |l: Literal| compiled.guard_ref(l).expect("a dependency mentions e2").clone();
+    let (pos, neg) = (guard(e[2]), guard(e[2].complement()));
+    (e, pos, neg)
+}
+
+/// The reproducer's facts, `◇~e1, □~e3, □e0`, in two orders. When the
+/// actors reduced a guard one fact at a time, `~e2` ended Blocked on the
+/// promise `◇~e1` it already held in the first order and `⊤` in the
+/// second. A guard is now the function of the fact set: both orders
+/// reach one guard, and it is enabled.
+#[test]
+fn two_orders_of_one_fact_set_reach_one_guard() {
+    let (e, pos, neg) = fact_order_reproducer();
+    let weakened = neg.weaken_sequences();
+    assert_eq!(weakened.factors().len(), 1);
+    assert_eq!(weakened.factors()[0].conjuncts().len(), 11);
+    let mut routing = Routing::default();
+    for (i, l) in e.iter().enumerate() {
+        routing.actor_of.insert(l.symbol(), NodeId(i as u32));
+    }
+    let routing = Arc::new(routing);
+    let promise = Msg::PromiseGrant { lit: e[1].complement() };
+    let announce = |lit: Literal, seq: u64| Msg::Announce { lit, at: seq, seq };
+    let (e3, e0) = (announce(e[3].complement(), 30), announce(e[0], 40));
+    let orders = [[promise.clone(), e3.clone(), e0.clone()], [e3, e0, promise]];
+    let guards = orders.map(|order| {
+        let mut actor = SymbolActor::new(
+            e[2].symbol(),
+            &pos,
+            &neg,
+            EventAttrs::controllable(),
+            EventAttrs::controllable(),
+            vec![],
+            Arc::clone(&routing),
+        );
+        for (step, msg) in order.iter().enumerate() {
+            let mut out = Vec::new();
+            let mut ctx = Ctx::manual(NodeId(2), 100 + step as u64, 1_000 + step as u64, &mut out);
+            actor.handle(&mut ctx, NodeId(0), msg.clone());
+        }
+        let info = actor.guard_info(e[2].complement());
+        assert_eq!(info.status(), GuardStatus::EnabledNow, "after {order:?}");
+        info.guard()
+    });
+    assert_eq!(guards[0], guards[1]);
+}
+
 /// MEMO TRANSPARENCY: an actor's guard table is a cache of pure
 /// functions. Random fact and promise sequences — announcements in and
 /// out of sequence order, promises, occurred not-yet denials, the
@@ -326,7 +385,10 @@ fn a_late_announcement_replays_the_residuals_in_sequence_order() {
 /// the same guards with the same derived status, asks and coverage
 /// symbols, those are what `temporal` derives from the guard directly,
 /// and both sent the same messages. The `◇(e1·e2·e3)` case is weakened
-/// on entry, as every actor's guard is.
+/// on entry, as every actor's guard is. After the last message a third
+/// actor, fed the same messages in another order, holds the same guards.
+/// The last case is the fact-order reproducer's `~e2` guard, its symbols
+/// renamed into this test's.
 #[test]
 fn a_warm_guard_table_changes_nothing() {
     const OTHERS: u32 = 5;
@@ -355,7 +417,11 @@ fn a_warm_guard_table_changes_nothing() {
         Guard::not_yet(pos(3)).or(&Guard::eventually(neg(4))),
         Guard::occurred(pos(5)).or(&Guard::eventually(neg(5))),
     ]);
-    let guards: Vec<FactoredGuard> = guards.into_iter().chain([factored]).collect();
+    let (_, _, reproducer) = fact_order_reproducer();
+    let binding: Vec<SymbolId> = (1..=OTHERS).map(SymbolId).collect();
+    let reproducer =
+        FactoredGuard::new(reproducer.factors().iter().map(|f| f.rebind(&binding)).collect());
+    let guards: Vec<FactoredGuard> = guards.into_iter().chain([factored, reproducer]).collect();
     let build = |guard: &FactoredGuard| {
         SymbolActor::new(
             own,
@@ -376,12 +442,13 @@ fn a_warm_guard_table_changes_nothing() {
         let mut cold = build(&guards[which]);
 
         // Every other symbol resolves one way, under a sequence number of
-        // its own; a promise of that polarity may come first; the
-        // messages arrive in any order.
+        // its own (ties broken by symbol: an actor takes a second
+        // announcement under one number for a duplicate); a promise of
+        // that polarity may come first; the messages arrive in any order.
         let mut msgs = vec![Msg::Attempt { lit: pos(0) }];
         for s in 1..=OTHERS {
             let lit = if g.flip() { pos(s) } else { neg(s) };
-            let seq = 10 * u64::from(s) + g.range(0..40u64);
+            let seq = 8 * (10 * u64::from(s) + g.range(0..40u64)) + u64::from(s);
             if g.flip() {
                 msgs.push(Msg::Announce { lit, at: seq, seq });
             }
@@ -394,6 +461,10 @@ fn a_warm_guard_table_changes_nothing() {
         }
         for i in (1..msgs.len()).rev() {
             msgs.swap(i, g.range(0..=i));
+        }
+        let mut reordered = msgs.clone();
+        for i in (1..reordered.len()).rev() {
+            reordered.swap(i, g.range(0..=i));
         }
 
         for (step, msg) in msgs.into_iter().enumerate() {
@@ -431,6 +502,19 @@ fn a_warm_guard_table_changes_nothing() {
                 let masked: BTreeSet<SymbolId> = masked.map(|(s, _)| s).collect();
                 assert_eq!(w.cover(), masked.into_iter().collect::<Vec<_>>());
             }
+        }
+
+        let mut third = build(&guards[which]);
+        for (step, msg) in reordered.into_iter().enumerate() {
+            let (now, delivery) = (100 + step as u64, 1_000 + step as u64);
+            third.handle(
+                &mut Ctx::manual(NodeId(0), now, delivery, &mut Vec::new()),
+                NodeId(1),
+                msg,
+            );
+        }
+        for lit in [pos(0), neg(0)] {
+            assert_eq!(third.guard_info(lit).guard(), warm.guard_info(lit).guard(), "{lit:?}");
         }
     });
 }

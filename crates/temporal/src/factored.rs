@@ -17,7 +17,7 @@
 //! DNF they always saw.
 
 use crate::guard_repr::{Conjunct, Guard};
-use crate::message::{status, Fact, GuardStatus};
+use crate::message::{Fact, GuardStatus};
 use crate::texpr::TExpr;
 use event_algebra::{SymbolId, Trace};
 use std::collections::BTreeSet;
@@ -62,8 +62,9 @@ impl FactoredGuard {
 
     /// Incorporate `fact`: the one factor that mentions its symbol — at
     /// most one does, the factors mention disjoint symbols — is reduced,
-    /// the others are kept as they are. The value-level statement of
-    /// what `dist`'s per-actor tables do by index.
+    /// the others are kept as they are. The fact-at-a-time reference the
+    /// tests hold the actors' fact-set tables ([`Guard::under`] per
+    /// factor) to.
     pub fn reduce(&self, fact: Fact) -> FactoredGuard {
         let sym = fact.literal().symbol();
         let Some(k) = self.factors.iter().position(|f| f.mentions(sym)) else {
@@ -126,12 +127,13 @@ impl FactoredGuard {
     }
 }
 
-/// The [`status`] of a product from its factors: enabled now iff every
-/// factor is (the empty product is `⊤`), dead iff some factor is.
-pub fn product_status<'a>(factors: impl IntoIterator<Item = &'a Guard>) -> GuardStatus {
+/// The [`status`](crate::status) of a product from its factors' statuses: enabled now
+/// iff every factor is (the empty product is `⊤`), dead iff some factor
+/// is.
+pub fn product_status(factors: impl IntoIterator<Item = GuardStatus>) -> GuardStatus {
     let mut out = GuardStatus::EnabledNow;
     for f in factors {
-        match status(f) {
+        match f {
             GuardStatus::Dead => return GuardStatus::Dead,
             GuardStatus::Blocked => out = GuardStatus::Blocked,
             GuardStatus::EnabledNow => {}

@@ -303,6 +303,34 @@ impl Conjunct {
         only
     }
 
+    /// The masks as far as `known(s)`, the states each symbol can still be
+    /// in, allows: each narrowed to it, one it implies discharged
+    /// forever; `None` when one contradicts it (the conjunct dies).
+    /// Sequence atoms are not kept.
+    fn narrowed(&self, known: impl Fn(SymbolId) -> u8) -> Option<Conjunct> {
+        let mut n = Conjunct { masks: Cells::with_capacity(self.masks.len()), ..Conjunct::top() };
+        for &(s, m) in self.masks.iter() {
+            let k = known(s) & ST_FULL;
+            if k & m == 0 {
+                return None;
+            }
+            if k & !m != 0 {
+                n.masks.push((s, k & m));
+                n.sig |= sig_bit(s);
+            }
+        }
+        Some(n)
+    }
+
+    /// `true` if `known` narrows, discharges or contradicts some mask:
+    /// [`Conjunct::narrowed`] would change the conjunct.
+    fn open_under(&self, known: impl Fn(SymbolId) -> u8) -> bool {
+        self.masks.iter().any(|&(s, m)| {
+            let k = known(s) & ST_FULL;
+            k & m != m || k & !m == 0
+        })
+    }
+
     /// `true` if `sym` is constrained by a mask, or (with `in_seqs`)
     /// mentioned by a sequence atom.
     fn mentions(&self, sym: SymbolId, in_seqs: bool) -> bool {
@@ -843,6 +871,31 @@ impl Guard {
         self.assume_mask(l.symbol(), eventually_mask(l.polarity()), None)
     }
 
+    /// The guard at a set of facts, for a guard without `◇(sequence)`
+    /// atoms: `known(s)` is the set of knowledge states the facts heard
+    /// about `s` leave it ([`ST_FULL`] when nothing was heard, the
+    /// intersection of their [closures](crate::Fact::closure_mask)
+    /// otherwise). Every constraint is narrowed to what is known of its
+    /// symbol; one the knowledge implies is dropped and one it
+    /// contradicts kills its conjunct, as [`Guard::assume_occurred`] and
+    /// [`Guard::assume_promised`] do one fact at a time. Canonicalising
+    /// can merge two narrowed masks into one the knowledge implies
+    /// (`{B} ∪ {D}` after `◇l̄`), so the step repeats until it decides
+    /// nothing more. The result depends on the knowledge alone, never on
+    /// the order the facts came in.
+    pub fn under(&self, known: impl Fn(SymbolId) -> u8) -> Guard {
+        debug_assert!(!self.has_seq_atoms(), "a fact set decides masks only");
+        let open = |g: &Guard| g.conjuncts.iter().any(|c| c.open_under(&known));
+        let narrow = |g: &Guard| {
+            Guard::canonical(g.conjuncts.iter().filter_map(|c| c.narrowed(&known)).collect())
+        };
+        let mut guard = narrow(self);
+        while open(&guard) {
+            guard = narrow(&guard);
+        }
+        guard
+    }
+
     fn assume_mask(&self, sym: SymbolId, closure: u8, occurred: Option<Literal>) -> Guard {
         // Sequence atoms only step on occurrence facts.
         let in_seqs = occurred.is_some();
@@ -856,20 +909,9 @@ impl Guard {
                 continue;
             }
             // Masks: intersect with the closure; discharge when implied.
-            let mut n = Conjunct { masks: Cells::with_capacity(c.masks.len()), ..Conjunct::top() };
-            for &(s, mut m) in c.masks.iter() {
-                if s == sym {
-                    if m & closure == 0 {
-                        continue 'conj; // contradiction: conjunct dies
-                    }
-                    if closure & !m == 0 {
-                        continue; // constraint discharged forever
-                    }
-                    m &= closure;
-                }
-                n.masks.push((s, m));
-                n.sig |= sig_bit(s);
-            }
+            let Some(mut n) = c.narrowed(|s| if s == sym { closure } else { ST_FULL }) else {
+                continue;
+            };
             // Sequence atoms: step on occurrence facts. A `◇(l₁·…·lₖ)`
             // atom over pairwise-distinct symbols is its own linear
             // automaton whose state is the remaining suffix, so rules

@@ -2,10 +2,12 @@
 //!
 //! When an event occurs, `□e` announcements flow to the actors of
 //! dependent events; `◇e` promises flow during the consensus protocol.
-//! Each actor applies arriving [`Fact`]s to its [`Guard`] via the proof
-//! rules — what it has heard lives in the reduced guard itself, tabulated
-//! per actor by `dist::memo` — and inspects the [`GuardStatus`] to decide
-//! whether to allow a parked event, or the [`Need`]s to ask for.
+//! The proof rules reduce a [`Guard`] by arriving [`Fact`]s, and they
+//! depend only on which facts hold: each actor keeps the set of facts it
+//! has heard on each guard factor's symbols, its guard is that factor at
+//! the fact set ([`Guard::under`], tabulated per actor by `dist::memo`),
+//! and it inspects the [`GuardStatus`] to decide whether to allow a
+//! parked event, or the [`Need`]s to ask for.
 
 use crate::guard_repr::{
     eventually_mask, not_yet_mask, occurred_mask, Conjunct, Guard, ST_A, ST_B, ST_C, ST_D,
