@@ -16,8 +16,9 @@
 //!    event pairs are coupled through some dependency's guard, and which
 //!    of those straddle sites and therefore need cross-site coordination
 //!    messages.
-//! 3. **Need-graph deadlock** — a wait-for graph over the facts each
-//!    synthesized guard awaits ([`temporal::need_edges`]); strongly
+//! 3. **Need-graph deadlock** — a wait-for graph over the promises and
+//!    not-yet agreements each synthesized guard asks for
+//!    ([`temporal::asks`]); strongly
 //!    connected components expose `◇`-consensus groups and `¬`-hold
 //!    contention cycles of any length, and mixed cycles that can deadlock
 //!    a distributed execution.

@@ -1,8 +1,10 @@
 //! Pass 3: wait-for analysis over the synthesized guards.
 //!
-//! Each literal's guard awaits facts about other literals
-//! ([`temporal::need_edges`]): promises (`◇l`) and not-yet agreements
-//! (`¬l`). Those waits form a directed graph; a strongly connected
+//! Each literal's guard asks for facts about other literals
+//! ([`temporal::asks`]): promises (`◇l`) and not-yet agreements (`¬l`).
+//! A wait for an occurrence is one-directional by construction (the
+//! fact precedes the waiter), cannot close a cycle and is asked for by
+//! nobody. The asks form a directed graph; a strongly connected
 //! component of size ≥ 2 (or a self-loop) means the waits chase each
 //! other. All-promise components are `◇`-consensus groups — the promise
 //! protocol must grant them atomically (`WF020`); all-not-yet components
@@ -19,7 +21,7 @@
 use crate::{Ctx, Diagnostic, Report, Severity};
 use event_algebra::Literal;
 use std::collections::{BTreeMap, BTreeSet};
-use temporal::{need_edges, Need};
+use temporal::{asks, Need};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Wait {
@@ -36,14 +38,14 @@ pub(crate) fn run(ctx: &Ctx<'_>, report: &mut Report) {
     let mut adj: Vec<Vec<(usize, Wait)>> = vec![Vec::new(); nodes.len()];
     for (&lit, &from) in &index {
         let g = ctx.compiled.guard(lit).weaken_sequences();
-        for need in need_edges(&g) {
+        // Edges in `Need`'s order — every promise, then every not-yet
+        // agreement — which fixes the order components are reported in.
+        let mut needs = asks(&g);
+        needs.sort();
+        for need in needs {
             let (target, wait) = match need {
                 Need::Promise(l) => (l, Wait::Promise),
                 Need::NotYetAgreement(l) => (l, Wait::NotYet),
-                // Occurrence and sequence-head waits are one-directional
-                // by construction (the fact precedes the waiter) and
-                // cannot close a consensus cycle.
-                Need::Occurrence(_) | Need::SequenceHead(_) => continue,
             };
             if let Some(&to) = index.get(&target) {
                 if to != from {

@@ -40,8 +40,8 @@ use obs::{NodeObs, ObsLit, SpanId, SpanKind, Verdict};
 use sim::{Ctx, NodeId, Time};
 use std::sync::Arc;
 use temporal::{
-    ask_order, eventually_mask, occurred_mask, Fact, FactoredGuard, GuardStatus, Need, ST_C, ST_D,
-    ST_FULL,
+    ask_order, eventually_mask, occurred_mask, Fact, FactoredGuard, GuardStatus, Need,
+    COVERAGE_WIDTH, ST_C, ST_D, ST_FULL,
 };
 
 /// Literal → trace encoding (the same packed `sym << 1 | polarity`
@@ -49,19 +49,6 @@ use temporal::{
 fn olit(l: Literal) -> ObsLit {
     ObsLit(l.index() as u32)
 }
-
-/// The most symbols a guard may constrain for an actor's coverage
-/// evaluation (is the guard true in every state its symbols can be in
-/// right now?) to enumerate those states: the enumeration is exponential
-/// in this, and its digits live in arrays of this length. A wider guard
-/// is not evaluated; the give-up is counted in
-/// [`ActorStats::coverage_cutoffs`].
-///
-/// The count is over the *union* of the factors' constrained symbols —
-/// what the multiplied-out guard constrains — even though each factor is
-/// enumerated on its own: the cutoff, and so every schedule it decides,
-/// is the one the unfactored guard had.
-pub const MAX_COVERAGE_SYMBOLS: usize = 12;
 
 /// Routing tables shared by all nodes of one execution, dense over the
 /// symbol ids.
@@ -104,7 +91,7 @@ pub struct ActorStats {
     /// benchmark reads it (`dist.promise_abort_share`).
     pub promise_aborts: u64,
     /// Coverage evaluations given up because the guard constrains more
-    /// than [`MAX_COVERAGE_SYMBOLS`] symbols: the attempt parked without
+    /// than [`COVERAGE_WIDTH`] symbols: the attempt parked without
     /// its guard having been judged.
     pub coverage_cutoffs: u64,
     /// The most conjuncts any factor of this actor's two guards had
@@ -336,7 +323,7 @@ impl SymbolActor {
         match msg {
             Msg::Attempt { lit } => self.on_attempt(ctx, lit),
             Msg::Inform { lit } => self.on_inform(ctx, lit),
-            Msg::Announce { lit, at, seq } => self.on_announce(ctx, lit, at, seq),
+            Msg::Announce { lit, seq } => self.on_announce(ctx, lit, seq),
             Msg::PromiseRequest { lit, for_lit } => self.on_promise_request(ctx, lit, for_lit),
             Msg::PromiseGrant { lit } => self.on_promise_grant(ctx, lit),
             Msg::PromiseDeny { lit } => self.on_promise_deny(lit),
@@ -375,7 +362,7 @@ impl SymbolActor {
 
     // ----- facts -----
 
-    fn on_announce(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, _at: Time, seq: u64) {
+    fn on_announce(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, seq: u64) {
         self.stats.announces_in += 1;
         if self.facts_seen.insert(seq, lit).is_some() {
             return; // duplicate
@@ -560,18 +547,21 @@ impl SymbolActor {
     /// are inside the possible sets) and complete for the actors' guards,
     /// which are masks only.
     ///
-    /// A guard constraining more than [`MAX_COVERAGE_SYMBOLS`] symbols is
-    /// not enumerated: it reads as not enabled, and the give-up is
-    /// counted. Below that, each factor is enumerated on its own
-    /// ([`temporal::Guard::covered`]): the factors constrain disjoint symbols, so
-    /// every assignment is covered by some conjunct of the product iff
-    /// each factor covers its share.
+    /// A guard constraining more than [`COVERAGE_WIDTH`] symbols is not
+    /// enumerated: it reads as not enabled, and the give-up is counted.
+    /// The count is over the *union* of the factors' constrained symbols
+    /// — what the multiplied-out guard constrains — so the cutoff, and
+    /// every schedule it decides, is the one the unfactored guard had.
+    /// Below it, each factor is enumerated on its own
+    /// ([`temporal::Guard::covered`]): the factors constrain disjoint
+    /// symbols, so every assignment is covered by some conjunct of the
+    /// product iff each factor covers its share.
     fn guard_enabled(&mut self, lit: Literal) -> bool {
         let info = self.guard_info(lit);
         if info.status() == GuardStatus::EnabledNow {
             return true;
         }
-        if info.factor_covers().map(|(_, syms)| syms.len()).sum::<usize>() > MAX_COVERAGE_SYMBOLS {
+        if info.factor_covers().map(|(_, syms)| syms.len()).sum::<usize>() > COVERAGE_WIDTH {
             self.stats.coverage_cutoffs += 1;
             return false;
         }
@@ -681,7 +671,6 @@ impl SymbolActor {
                     !st.notyet_pending.contains(&f.symbol())
                         && !st.notyet_granted.contains(&f.symbol())
                 }
-                Need::Occurrence(_) | Need::SequenceHead(_) => false,
             };
             // The factors' asks, merged: they are about disjoint symbols.
             for asks in self.guard_info(lit).factor_asks() {
@@ -707,7 +696,6 @@ impl SymbolActor {
                     self.lit_state(lit).notyet_pending.insert(f.symbol());
                     ctx.send(target, Msg::NotYetQuery { lit: f, for_lit: lit });
                 }
-                Need::Occurrence(_) | Need::SequenceHead(_) => unreachable!("not an ask"),
             }
         }
         self.asks = to_send;
@@ -771,7 +759,7 @@ impl SymbolActor {
         if ost.attempted && !ost.forced {
             self.reply_agent(ctx, Msg::Rejected { lit: other });
         }
-        self.announce(ctx, lit, at, seq);
+        self.announce(ctx, lit, seq);
         self.release_all_requested(ctx);
         self.check_triggering(ctx);
     }
@@ -802,11 +790,11 @@ impl SymbolActor {
     }
 
     /// `□lit` to every subscriber.
-    fn announce(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, at: Time, seq: u64) {
+    fn announce(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, seq: u64) {
         for &node in self.routing.subscribers_of.get(&self.sym).into_iter().flatten() {
             if node != ctx.self_id {
                 self.stats.announces_out += 1;
-                ctx.send(node, Msg::Announce { lit, at, seq });
+                ctx.send(node, Msg::Announce { lit, seq });
             }
         }
     }
@@ -839,11 +827,11 @@ impl SymbolActor {
 
     fn on_promise_request(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, for_lit: Literal) {
         let requester = self.routing.actor_of[&for_lit.symbol()];
-        if let Some((occ, at, seq)) = self.occurred {
+        if let Some((occ, _, seq)) = self.occurred {
             if occ == lit {
                 // Already occurred: the announcement is the strongest
                 // promise (re-sent in case the requester subscribed late).
-                ctx.send(requester, Msg::Announce { lit, at, seq });
+                ctx.send(requester, Msg::Announce { lit, seq });
             } else {
                 self.rec_promise_deny(ctx.now(), lit, requester);
                 ctx.send(requester, Msg::PromiseDeny { lit });
@@ -934,10 +922,10 @@ impl SymbolActor {
         let mut held = std::mem::take(&mut self.held);
         held.extend_from_slice(&self.pending_requests);
         for (lit, for_lit) in held.drain(..) {
-            if let Some((occ, at, seq)) = self.occurred {
+            if let Some((occ, _, seq)) = self.occurred {
                 let requester = self.routing.actor_of[&for_lit.symbol()];
                 if occ == lit {
-                    ctx.send(requester, Msg::Announce { lit, at, seq });
+                    ctx.send(requester, Msg::Announce { lit, seq });
                 } else {
                     self.rec_promise_deny(ctx.now(), lit, requester);
                     ctx.send(requester, Msg::PromiseDeny { lit });
@@ -959,13 +947,13 @@ impl SymbolActor {
 
     fn on_notyet_query(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, for_lit: Literal) {
         let requester = self.routing.actor_of[&for_lit.symbol()];
-        if let Some((occ, at, seq)) = self.occurred {
+        if let Some((occ, _, seq)) = self.occurred {
             if occ == lit {
                 ctx.send(requester, Msg::NotYetDeny { lit, occurred: true });
             } else {
                 // The complement occurred: ¬lit holds forever; the
                 // announcement carries that fact.
-                ctx.send(requester, Msg::Announce { lit: occ, at, seq });
+                ctx.send(requester, Msg::Announce { lit: occ, seq });
             }
             return;
         }
@@ -1041,8 +1029,8 @@ impl SymbolActor {
     ///   were in flight (their fate is unknowable) and re-pursue from the
     ///   rebuilt guards — requests are idempotent at the granter.
     pub fn resume_after_restart(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if let Some((lit, at, seq)) = self.occurred {
-            self.announce(ctx, lit, at, seq);
+        if let Some((lit, _, seq)) = self.occurred {
+            self.announce(ctx, lit, seq);
             let st = self.lit_state_ref(lit);
             if st.attempted && !st.forced {
                 self.reply_agent(ctx, Msg::Granted { lit });

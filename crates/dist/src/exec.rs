@@ -770,7 +770,7 @@ mod tests {
     /// narrowed it. The outcome is the one the silent cutoff produced.
     #[test]
     fn a_guard_wider_than_the_coverage_bound_parks_and_says_so() {
-        let wide = crate::MAX_COVERAGE_SYMBOLS + 1;
+        let wide = temporal::COVERAGE_WIDTH + 1;
         let mut table = SymbolTable::new();
         let dependencies: Vec<Expr> =
             (1..=wide).map(|i| parse_expr(&format!("~a + b{i}"), &mut table).unwrap()).collect();

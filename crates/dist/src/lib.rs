@@ -24,7 +24,7 @@ mod slot;
 pub mod tenant;
 mod wal;
 
-pub use actor::{ActorStats, LitState, Routing, SymbolActor, MAX_COVERAGE_SYMBOLS};
+pub use actor::{ActorStats, LitState, Routing, SymbolActor};
 pub use agent_node::{AgentNode, Script, ScriptStep};
 pub use event_algebra::DepTracker;
 pub use exec::{

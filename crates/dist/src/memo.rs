@@ -405,9 +405,9 @@ mod tests {
         GuardMemo::new(&pos.into(), &FactoredGuard::top())
     }
 
-    /// `guard` reduced by `facts` in order, fact by fact.
-    fn fold(guard: &FactoredGuard, facts: &[Fact]) -> Guard {
-        facts.iter().fold(guard.clone(), |g, &fact| g.reduce(fact)).expand()
+    /// `□s` for every `s` of `syms`.
+    fn all_occurred(syms: impl IntoIterator<Item = u32>) -> Guard {
+        syms.into_iter().fold(Guard::top(), |g, s| g.and(&Guard::occurred(lit(s))))
     }
 
     /// How many entries each factor has.
@@ -423,7 +423,7 @@ mod tests {
         let g = Guard::eventually(lit(1)).and(&Guard::occurred(lit(2)));
         let mut memo = memo(g.clone());
         memo.reduce(Fact::Occurred(lit(1)));
-        assert_eq!(memo.get(Polarity::Pos).guard(), g.assume_occurred(lit(1)));
+        assert_eq!(memo.get(Polarity::Pos).guard(), Guard::occurred(lit(2)));
         let a = memo.at.clone();
         memo.reduce(Fact::Occurred(lit(2)));
         let ab = memo.at.clone();
@@ -447,8 +447,8 @@ mod tests {
     }
 
     /// A fact moves the one factor that mentions it: the others keep
-    /// their entries, no other factor's list grows, and the product moves
-    /// as the expanded guard would.
+    /// their entries, no other factor's list grows, and the product is
+    /// the expanded guard at the same fact set.
     #[test]
     fn a_fact_adds_an_entry_only_to_the_factor_it_touches() {
         let a = Guard::eventually(lit(1)).or(&Guard::occurred(lit(2)));
@@ -456,15 +456,15 @@ mod tests {
         let c = Guard::occurred(lit(5)).or(&Guard::eventually(lit(6).complement()));
         let factored = FactoredGuard::new(vec![a, b, c]);
         let mut memo = memo(factored.clone());
-        let mut expect = factored.expand();
+        let product = factored.expand();
         let facts = [Fact::Promised(lit(4)), Fact::Occurred(lit(2)), Fact::Occurred(lit(5))];
         for (k, &fact) in facts.iter().enumerate() {
             let (before, was) = (per_factor(&memo), memo.at.clone());
             memo.reduce(fact);
-            expect = match fact {
-                Fact::Occurred(l) => expect.assume_occurred(l),
-                Fact::Promised(l) => expect.assume_promised(l),
-            };
+            let expect = product.under(|s| {
+                let about = facts[..=k].iter().filter(|f| f.literal().symbol() == s);
+                about.fold(ST_FULL, |k, f| k & f.closure_mask())
+            });
             assert_eq!(memo.get(Polarity::Pos).guard(), expect, "after {fact:?}");
             let touched = [1, 0, 2][k];
             for f in 0..3 {
@@ -516,16 +516,14 @@ mod tests {
     #[test]
     fn a_full_table_stops_remembering() {
         let n = 10; // 2^10 fact sets
-        let wide = (0..n).fold(Guard::top(), |g, s| g.and(&Guard::occurred(lit(s))));
-        let mut memo = memo(wide.clone());
+        let mut memo = memo(all_occurred(0..n));
         for subset in 0..1u32 << n {
-            let facts: Vec<Fact> =
-                (0..n).filter(|s| subset >> s & 1 == 1).map(|s| Fact::Occurred(lit(s))).collect();
-            for &fact in &facts {
-                memo.reduce(fact);
+            let heard = |s: &u32| subset >> s & 1 == 1;
+            for s in (0..n).filter(heard) {
+                memo.reduce(Fact::Occurred(lit(s)));
             }
             let guard = memo.get(Polarity::Pos).guard();
-            assert_eq!(guard, fold(&wide.clone().into(), &facts), "{subset:#b}");
+            assert_eq!(guard, all_occurred((0..n).filter(|s| !heard(s))), "{subset:#b}");
             memo.reset();
             assert!(memo.tables.entries.len() <= MEMO_CAP);
         }
@@ -533,13 +531,12 @@ mod tests {
     }
 
     /// A factor wider than one key word — `□s₀ ∧ … ∧ □s₃₉` — in random
-    /// orders: every prefix is the fold's guard.
+    /// orders: at every prefix the guard is `□s` for each `s` not yet
+    /// heard to occur (a promise leaves `□s` pending).
     #[test]
     fn a_factor_wider_than_a_key_word_is_keyed_losslessly() {
         let n = 40;
-        let wide = (0..n).fold(Guard::top(), |g, s| g.and(&Guard::occurred(lit(s))));
-        let factored = FactoredGuard::from(wide);
-        let mut memo = memo(factored.clone());
+        let mut memo = memo(all_occurred(0..n));
         assert!(matches!(memo.tables.entries[0].key, FactSet::Wide(_)));
         let mut g = seeded::Gen::new(7);
         for _ in 0..20 {
@@ -551,7 +548,8 @@ mod tests {
             }
             for k in 0..facts.len() {
                 memo.reduce(facts[k]);
-                assert_eq!(memo.get(Polarity::Pos).guard(), fold(&factored, &facts[..=k]));
+                let pending = (0..n).filter(|&s| !facts[..=k].contains(&Fact::Occurred(lit(s))));
+                assert_eq!(memo.get(Polarity::Pos).guard(), all_occurred(pending));
             }
             memo.reset();
         }

@@ -78,14 +78,12 @@ pub enum Msg {
     },
 
     // ----- actor → actor -----
-    /// `□e`: the event occurred (with its occurrence timestamp, so
-    /// receivers can apply facts in temporal order — the "consistent view
-    /// of the temporal order of events" of Section 6).
+    /// `□e`: the event occurred. Receivers order the facts they hear by
+    /// the occurrence's sequence number — the "consistent view of the
+    /// temporal order of events" of Section 6 — and drop a repeat by it.
     Announce {
         /// The occurred event.
         lit: Literal,
-        /// Virtual time of the occurrence.
-        at: Time,
         /// Global occurrence sequence number.
         seq: u64,
     },
@@ -233,7 +231,7 @@ mod tests {
             Msg::Granted { lit: l },
             Msg::Rejected { lit: l },
             Msg::Trigger { lit: l },
-            Msg::Announce { lit: l, at: 5, seq: 1 },
+            Msg::Announce { lit: l, seq: 1 },
             Msg::PromiseRequest { lit: l, for_lit: l.complement() },
             Msg::PromiseGrant { lit: l },
             Msg::PromiseDeny { lit: l },
@@ -241,7 +239,7 @@ mod tests {
             Msg::NotYetGrant { lit: l },
             Msg::NotYetDeny { lit: l, occurred: false },
             Msg::Release { lit: l },
-            Msg::Seq { seq: 9, inner: Box::new(Msg::Announce { lit: l, at: 5, seq: 1 }) },
+            Msg::Seq { seq: 9, inner: Box::new(Msg::Announce { lit: l, seq: 1 }) },
         ];
         for m in msgs {
             assert_eq!(m.literal(), Some(l), "{m:?}");

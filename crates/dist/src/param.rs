@@ -15,9 +15,8 @@
 use event_algebra::{
     acceptance, verdict, Acceptance, DepTracker, Expr, Literal, SymbolId, SymbolTable, Trace,
 };
-use guard::GuardSynth;
 use std::collections::{BTreeMap, BTreeSet};
-use temporal::Guard;
+use temporal::{occurred_mask, status, Guard, GuardStatus, ST_FULL};
 
 pub use event_algebra::{Binding, PEvent, PExpr, PLit, Term};
 
@@ -124,7 +123,6 @@ pub struct DynamicScheduler {
     resolved: BTreeSet<SymbolId>,
     parked: BTreeSet<Literal>,
     inevitable: BTreeSet<Literal>,
-    synth: GuardSynth,
 }
 
 impl DynamicScheduler {
@@ -141,7 +139,6 @@ impl DynamicScheduler {
             resolved: BTreeSet::new(),
             parked: BTreeSet::new(),
             inevitable: BTreeSet::new(),
-            synth: GuardSynth::new(),
         }
     }
 
@@ -221,22 +218,6 @@ impl DynamicScheduler {
         let sym = self.table.intern(instance);
         self.inevitable.insert(Literal::pos(sym));
         self.wake_parked();
-    }
-
-    /// Current synthesized (weakened) guard of a ground literal — for
-    /// introspection and the figure-regeneration harness.
-    pub fn guard_of(&mut self, lit: Literal) -> Guard {
-        let mut g = Guard::top();
-        let deps = self.ground_deps.clone();
-        for d in &deps {
-            if d.mentions(lit.symbol()) {
-                g = g.and(&self.synth.guard(d, lit).weaken_sequences());
-            }
-        }
-        for &f in &self.occurred.clone() {
-            g = g.assume_occurred(f);
-        }
-        g
     }
 
     /// Attempt a ground event by instance name (e.g. `"b1[3]"`).
@@ -350,13 +331,19 @@ impl DynamicScheduler {
 type TemplateFn = Box<dyn Fn(u64, &mut SymbolTable) -> Guard + Send>;
 
 /// Example 14's parametrized guard: a template over a free variable whose
-/// instances appear when matching tokens occur, reduce under facts, and
-/// *resurrect* back to the template when discharged.
+/// instances appear when matching tokens occur, are read at the facts
+/// heard about their binding, and *resurrect* back to the template when
+/// discharged.
 pub struct ParamGuard {
     /// Template: for each binding of the free variable, this ground guard
     /// must hold (universal quantification).
     template: TemplateFn,
-    /// Live instances that are neither discharged nor dead.
+    /// Each binding met: its weakened instance and the occurrences heard
+    /// about it. An instance is a function of that fact set alone
+    /// ([`Guard::under`]), whatever order the facts came in.
+    heard: BTreeMap<u64, (Guard, Vec<Literal>)>,
+    /// Live instances that are neither discharged nor dead, each at its
+    /// binding's facts.
     pub instances: BTreeMap<u64, Guard>,
     /// Bindings whose instance died (the guard is 0 overall while any
     /// exists).
@@ -377,22 +364,37 @@ impl ParamGuard {
     pub fn new(template: impl Fn(u64, &mut SymbolTable) -> Guard + Send + 'static) -> ParamGuard {
         ParamGuard {
             template: Box::new(template),
+            heard: BTreeMap::new(),
             instances: BTreeMap::new(),
             dead: BTreeSet::new(),
         }
     }
 
-    /// A token `value` became relevant (e.g. `f[ŷ]` occurred): ensure an
-    /// instance exists, then apply the fact to that instance.
+    /// A token `value` became relevant (e.g. `f[ŷ]` occurred): ensure the
+    /// binding has an instance, add the fact to the binding's facts and
+    /// read the instance at them. A discharged instance resurrects the
+    /// template for that binding (it leaves [`ParamGuard::instances`]); a
+    /// dead one moves to [`ParamGuard::dead`].
     pub fn on_fact(&mut self, value: u64, fact: Literal, table: &mut SymbolTable) {
-        let inst = self.instances.entry(value).or_insert_with(|| (self.template)(value, table));
-        *inst = inst.assume_occurred(fact);
-        if inst.holds_now() {
-            // Discharged: resurrect to the template (drop the instance).
-            self.instances.remove(&value);
-        } else if self.instances[&value].is_bottom() {
-            self.instances.remove(&value);
-            self.dead.insert(value);
+        let template = &self.template;
+        let (instance, facts) = self
+            .heard
+            .entry(value)
+            .or_insert_with(|| (template(value, table).weaken_sequences(), Vec::new()));
+        facts.push(fact);
+        let at = instance.under(|s| {
+            let about = facts.iter().filter(|l| l.symbol() == s);
+            about.fold(ST_FULL, |k, l| k & occurred_mask(l.polarity()))
+        });
+        self.instances.remove(&value);
+        match status(&at) {
+            GuardStatus::EnabledNow => {}
+            GuardStatus::Blocked => {
+                self.instances.insert(value, at);
+            }
+            GuardStatus::Dead => {
+                self.dead.insert(value);
+            }
         }
     }
 
@@ -400,7 +402,7 @@ impl ParamGuard {
     /// exists (unseen bindings hold vacuously — `¬f[y]` is true for all
     /// fresh `y`).
     pub fn enabled_now(&self) -> bool {
-        self.dead.is_empty() && self.instances.values().all(Guard::holds_now)
+        self.dead.is_empty() && self.instances.is_empty()
     }
 }
 
@@ -467,6 +469,66 @@ mod tests {
         let f9 = table.event("f[9]");
         pg.on_fact(9, f9, &mut table);
         assert!(!pg.enabled_now());
+    }
+
+    /// Every order of `items`.
+    fn orders(items: &[Literal]) -> Vec<Vec<Literal>> {
+        if items.is_empty() {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for (k, &first) in items.iter().enumerate() {
+            let mut rest = items.to_vec();
+            rest.remove(k);
+            for mut tail in orders(&rest) {
+                tail.insert(0, first);
+                out.push(tail);
+            }
+        }
+        out
+    }
+
+    /// Example 14's template widened to three symbols per binding,
+    /// `¬f[y] + □g[y] ∧ □h[y]`, fed every consistent set of occurrences
+    /// of one binding in every order: one `enabled_now` and one instance
+    /// guard per fact set. (Reducing one fact at a time and dropping a
+    /// discharged instance made `g[7] h[7] f[7]` block where `f[7] g[7]
+    /// h[7]` enables.)
+    #[test]
+    fn a_bindings_facts_decide_its_instance_in_any_order() {
+        let template = |y: u64, table: &mut SymbolTable| {
+            let [f, g, h] = ["f", "g", "h"].map(|n| table.event(&format!("{n}[{y}]")));
+            Guard::not_yet(f).or(&Guard::occurred(g).and(&Guard::occurred(h)))
+        };
+        let mut table = SymbolTable::new();
+        let lits = ["f", "g", "h"].map(|n| table.event(&format!("{n}[7]")));
+        // Each symbol: not heard of, occurred, or its complement occurred.
+        for code in 0..27u32 {
+            let facts: Vec<Literal> = (0..3)
+                .filter_map(|k| match code / 3u32.pow(k) % 3 {
+                    0 => None,
+                    1 => Some(lits[k as usize]),
+                    _ => Some(lits[k as usize].complement()),
+                })
+                .collect();
+            let outcomes: Vec<(bool, Option<Guard>, bool)> = orders(&facts)
+                .into_iter()
+                .map(|order| {
+                    let mut pg = ParamGuard::new(template);
+                    for fact in order {
+                        pg.on_fact(7, fact, &mut table);
+                    }
+                    (pg.enabled_now(), pg.instances.get(&7).cloned(), pg.dead.contains(&7))
+                })
+                .collect();
+            assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{facts:?}: {outcomes:?}");
+        }
+        // All three occurred: discharged, in every order.
+        let mut pg = ParamGuard::new(template);
+        for fact in [lits[1], lits[2], lits[0]] {
+            pg.on_fact(7, fact, &mut table);
+        }
+        assert!(pg.enabled_now() && pg.instances.is_empty() && pg.dead.is_empty());
     }
 
     #[test]

@@ -278,7 +278,7 @@ mod tests {
     const ME: NodeId = NodeId(0);
 
     fn announce(sym: u32) -> Msg {
-        Msg::Announce { lit: Literal::pos(SymbolId(sym)), at: 1, seq: 1 }
+        Msg::Announce { lit: Literal::pos(SymbolId(sym)), seq: 1 }
     }
 
     fn env(seq: u64, inner: Msg) -> Msg {

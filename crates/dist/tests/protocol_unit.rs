@@ -11,7 +11,7 @@ use sim::{Ctx, LatencyModel, Network, NodeId, SimConfig, SiteId};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use temporal::{FactoredGuard, Guard, GuardStatus, Need};
+use temporal::{FactoredGuard, Guard, GuardStatus};
 
 fn fixed_net(nodes: Vec<(SiteId, Node)>) -> Network<Msg, Node> {
     Network::new(SimConfig { seed: 1, latency: LatencyModel::Fixed(1) }, nodes)
@@ -308,9 +308,9 @@ fn a_late_announcement_replays_the_residuals_in_sequence_order() {
         SiteId(0),
         actor_node(2, Guard::top(), EventAttrs::controllable(), deps, &routing),
     )]);
-    net.inject(NodeId(0), NodeId(0), Msg::Announce { lit: b, at: 20, seq: 20 });
+    net.inject(NodeId(0), NodeId(0), Msg::Announce { lit: b, seq: 20 });
     net.run_to_quiescence(100);
-    net.inject(NodeId(0), NodeId(0), Msg::Announce { lit: a, at: 10, seq: 10 });
+    net.inject(NodeId(0), NodeId(0), Msg::Announce { lit: a, seq: 10 });
     net.run_to_quiescence(100);
     let Node::Actor(actor) = net.node(NodeId(0)) else { unreachable!() };
     assert_eq!(actor.facts(), [(10, a), (20, b)]);
@@ -351,7 +351,7 @@ fn two_orders_of_one_fact_set_reach_one_guard() {
     }
     let routing = Arc::new(routing);
     let promise = Msg::PromiseGrant { lit: e[1].complement() };
-    let announce = |lit: Literal, seq: u64| Msg::Announce { lit, at: seq, seq };
+    let announce = |lit: Literal, seq: u64| Msg::Announce { lit, seq };
     let (e3, e0) = (announce(e[3].complement(), 30), announce(e[0], 40));
     let orders = [[promise.clone(), e3.clone(), e0.clone()], [e3, e0, promise]];
     let guards = orders.map(|order| {
@@ -450,7 +450,7 @@ fn a_warm_guard_table_changes_nothing() {
             let lit = if g.flip() { pos(s) } else { neg(s) };
             let seq = 8 * (10 * u64::from(s) + g.range(0..40u64)) + u64::from(s);
             if g.flip() {
-                msgs.push(Msg::Announce { lit, at: seq, seq });
+                msgs.push(Msg::Announce { lit, seq });
             }
             match g.range(0..4u32) {
                 0 => msgs.push(Msg::PromiseGrant { lit }),
@@ -488,16 +488,7 @@ fn a_warm_guard_table_changes_nothing() {
                 assert_eq!(guard, c.guard(), "{lit:?} after {msg:?}");
                 assert_eq!((w.status(), w.asks(), w.cover()), (c.status(), c.asks(), c.cover()));
                 assert_eq!(w.status(), temporal::status(&guard));
-                let mut asks: Vec<Need> = temporal::needs(&guard)
-                    .into_iter()
-                    .flatten()
-                    .filter(|n| matches!(n, Need::Promise(_) | Need::NotYetAgreement(_)))
-                    .collect();
-                asks.sort();
-                asks.dedup();
-                let mut cached = w.asks().to_vec();
-                cached.sort();
-                assert_eq!(cached, asks, "{lit:?} after {msg:?}");
+                assert_eq!(w.asks(), temporal::asks(&guard), "{lit:?} after {msg:?}");
                 let masked = guard.conjuncts().iter().flat_map(|c| c.constrained_symbols());
                 let masked: BTreeSet<SymbolId> = masked.map(|(s, _)| s).collect();
                 assert_eq!(w.cover(), masked.into_iter().collect::<Vec<_>>());

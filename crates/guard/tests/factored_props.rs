@@ -1,10 +1,10 @@
 //! Factored guards against the multiplied-out guard they stand for.
 //!
 //! A compiled guard is a [`FactoredGuard`]: canonical factors over
-//! disjoint symbols, never multiplied out at run time. The actors reduce
-//! it one factor at a time and read everything else off per-factor
-//! values. That is sound only if, after every fact, the factors expand to
-//! the guard a product-level reduction would have reached — conjunct for
+//! disjoint symbols, never multiplied out at run time. The actors read
+//! each factor at the facts heard on its symbols and everything else off
+//! per-factor values. That is sound only if, at every fact set, the
+//! factors expand to the product at that fact set — conjunct for
 //! conjunct, since the actors read conjuncts and `canonical`'s merge
 //! order is part of a guard's value — and every derived answer agrees
 //! with the one computed on that guard. Both are walked here: random
@@ -145,23 +145,29 @@ fn fact_sequence(g: &mut Gen, syms: &[SymbolId]) -> Vec<Fact> {
     out
 }
 
-/// Reduce the factored guard and the product side by side, comparing at
-/// every step; both the faithful and the weakened guard.
+/// What the facts `seen` leave each symbol: the intersection of their
+/// [closures](Fact::closure_mask).
+fn known(seen: &[Fact]) -> impl Fn(SymbolId) -> u8 + '_ {
+    move |s| {
+        let about = seen.iter().filter(|f| f.literal().symbol() == s);
+        about.fold(ST_FULL, |k, f| k & f.closure_mask())
+    }
+}
+
+/// The factored guard and the product side by side: the faithful ones
+/// as they are (facts never reduce a `◇(sequence)` atom), then the
+/// weakened ones at every prefix of a random fact sequence — each factor
+/// at the facts on its symbols, the product at all of them.
 fn walk(g: &mut Gen, factored: &FactoredGuard, product: &Guard, name: &str) {
-    let start = [(factored.clone(), product.clone()), {
-        (factored.weaken_sequences(), product.weaken_sequences())
-    }];
+    assert_agrees(g, factored, product, &format!("{name} at the start"));
+    let (factored, product) = (factored.weaken_sequences(), product.weaken_sequences());
+    assert_agrees(g, &factored, &product, &format!("{name} weakened"));
     let syms: Vec<SymbolId> = product.symbols().into_iter().collect();
-    for (mut f, mut p) in start {
-        assert_agrees(g, &f, &p, &format!("{name} at the start"));
-        for fact in fact_sequence(g, &syms) {
-            f = f.reduce(fact);
-            p = match fact {
-                Fact::Occurred(l) => p.assume_occurred(l),
-                Fact::Promised(l) => p.assume_promised(l),
-            };
-            assert_agrees(g, &f, &p, &format!("{name} after {fact:?}"));
-        }
+    let facts = fact_sequence(g, &syms);
+    for n in 1..=facts.len() {
+        let seen = &facts[..n];
+        let at = format!("{name} after {seen:?}");
+        assert_agrees(g, &at_fact_set(&factored, seen), &product.under(known(seen)), &at);
     }
 }
 
@@ -307,20 +313,45 @@ fn assert_nothing_decided_is_kept(guard: &FactoredGuard, seen: &[Fact], at: &str
 /// `weakened` at the fact set `seen`, factor by factor ([`Guard::under`]):
 /// the guard an actor's table holds for it.
 fn at_fact_set(weakened: &FactoredGuard, seen: &[Fact]) -> FactoredGuard {
-    let known = |s: SymbolId| {
-        let about = seen.iter().filter(|f| f.literal().symbol() == s);
-        about.fold(ST_FULL, |k, f| k & f.closure_mask())
-    };
-    FactoredGuard::new(weakened.factors().iter().map(|f| f.under(known)).collect())
+    FactoredGuard::new(weakened.factors().iter().map(|f| f.under(known(seen))).collect())
 }
 
-/// Three sides, on the shipped templates, after every fact: the weakened
-/// guard reduced one fact at a time in arrival order; the same facts
-/// replayed as a late announcement used to replay them, the occurrences
-/// in sequence order and then the promises; and the guard at the fact
-/// set, which is what the actors hold. All three are one guard,
-/// conjunct for conjunct, and none keeps a constraint a fact it has seen
-/// decides. Each walk draws the occurrences' sequence order on its own.
+/// A random maximal trace over `syms` that the facts `seen` allow from
+/// the index it returns on: the occurred literals first, in a random
+/// order, then every other symbol — promised ones the promised way,
+/// unheard ones either way — in a random order.
+fn consistent_trace(g: &mut Gen, syms: &[SymbolId], seen: &[Fact]) -> (Trace, usize) {
+    let (mut occurred, mut later) = (Vec::new(), Vec::new());
+    for &s in syms {
+        let heard = seen.iter().filter(|f| f.literal().symbol() == s);
+        let (mut lit, mut occ) = (if g.flip() { Literal::pos(s) } else { Literal::neg(s) }, false);
+        for f in heard {
+            lit = f.literal();
+            occ |= matches!(f, Fact::Occurred(_));
+        }
+        if occ { &mut occurred } else { &mut later }.push(lit);
+    }
+    for part in [&mut occurred, &mut later] {
+        for i in (1..part.len()).rev() {
+            part.swap(i, g.range(0..=i));
+        }
+    }
+    let from = occurred.len();
+    occurred.extend(later);
+    (Trace::new(occurred).expect("distinct symbols"), from)
+}
+
+/// An actor's guard is a function of the facts it has heard, so no
+/// arrival order can move it: what is left to hold on the shipped
+/// templates is that the function is right. At every prefix of random
+/// fact sequences, the weakened guard at the fact set keeps no
+/// constraint a fact it has seen decides, and on random maximal traces
+/// the facts allow it agrees with the weakened guard at every index they
+/// allow. The fact sets counted are those that arrived out of the order
+/// a late announcement replays them in (the occurrences in sequence
+/// order, then the promises), where the fact-at-a-time reductions once
+/// disagreed with themselves. Each walk draws the occurrences' sequence
+/// order on its own.
 #[test]
 fn template_reductions_do_not_depend_on_fact_order() {
     const WALKS: u64 = 64;
@@ -338,26 +369,25 @@ fn template_reductions_do_not_depend_on_fact_order() {
                 for i in (1..by_seq.len()).rev() {
                     by_seq.swap(i, g.range(0..=i));
                 }
-                let mut guard = weakened.clone();
-                for (n, &fact) in arrival.iter().enumerate() {
-                    let seen = &arrival[..=n];
+                for n in 1..=arrival.len() {
+                    let seen = &arrival[..n];
                     let at = format!("{name}: {lit}, walk {seed}, after {seen:?}");
-                    guard = guard.reduce(fact);
-                    assert_nothing_decided_is_kept(&guard, seen, &at);
-
                     let mut replay = seen.to_vec();
                     replay.sort_by_key(|f| match f {
                         Fact::Occurred(l) => (0, by_seq.iter().position(|o| o == l)),
                         Fact::Promised(l) => (1, Some(l.index())),
                     });
                     reordered += usize::from(replay != seen);
-                    let mut replayed = weakened.clone();
-                    for k in 0..replay.len() {
-                        replayed = replayed.reduce(replay[k]);
-                        assert_nothing_decided_is_kept(&replayed, &replay[..=k], &at);
+
+                    let guard = at_fact_set(&weakened, seen);
+                    assert_nothing_decided_is_kept(&guard, seen, &at);
+                    for _ in 0..2 {
+                        let (u, from) = consistent_trace(&mut g, &syms, seen);
+                        for i in from..=u.len() {
+                            let want = weakened.eval(&u, i);
+                            assert_eq!(guard.eval(&u, i), want, "{at} on {u} at {i}");
+                        }
                     }
-                    assert_eq!(guard, replayed, "{at}");
-                    assert_eq!(guard, at_fact_set(&weakened, seen), "{at}");
                 }
             }
         }

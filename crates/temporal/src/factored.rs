@@ -6,10 +6,12 @@
 //! dependencies share a second symbol. A [`FactoredGuard`] keeps that
 //! conjunction as a list of canonical [`Guard`]s over pairwise disjoint
 //! symbols instead of multiplying it out: `saga(4)`'s last commit is
-//! three six-conjunct factors, not one 216-conjunct DNF. A fact about a
-//! symbol changes only the factor that mentions it, and everything a
-//! scheduler reads off the product — its status, its asks, its coverage,
-//! its truth on a trace — is a combination of per-factor answers.
+//! three six-conjunct factors, not one 216-conjunct DNF. The facts heard
+//! about a symbol change only the factor that mentions it (each factor is
+//! read at the facts on its own symbols, [`Guard::under`]), and
+//! everything a scheduler reads off the product — its status, its asks,
+//! its coverage, its truth on a trace — is a combination of per-factor
+//! answers.
 //!
 //! The product is still a value: [`FactoredGuard::expand`] builds it as
 //! the sorted cross product, which is exactly what [`Guard::and`] returns
@@ -17,7 +19,7 @@
 //! DNF they always saw.
 
 use crate::guard_repr::{Conjunct, Guard};
-use crate::message::{Fact, GuardStatus};
+use crate::message::GuardStatus;
 use crate::texpr::TExpr;
 use event_algebra::{SymbolId, Trace};
 use std::collections::BTreeSet;
@@ -58,24 +60,6 @@ impl FactoredGuard {
     /// The factors, in the order given.
     pub fn factors(&self) -> &[Guard] {
         &self.factors
-    }
-
-    /// Incorporate `fact`: the one factor that mentions its symbol — at
-    /// most one does, the factors mention disjoint symbols — is reduced,
-    /// the others are kept as they are. The fact-at-a-time reference the
-    /// tests hold the actors' fact-set tables ([`Guard::under`] per
-    /// factor) to.
-    pub fn reduce(&self, fact: Fact) -> FactoredGuard {
-        let sym = fact.literal().symbol();
-        let Some(k) = self.factors.iter().position(|f| f.mentions(sym)) else {
-            return self.clone();
-        };
-        let mut factors = self.factors.clone();
-        factors[k] = match fact {
-            Fact::Occurred(l) => factors[k].assume_occurred(l),
-            Fact::Promised(l) => factors[k].assume_promised(l),
-        };
-        FactoredGuard::new(factors)
     }
 
     /// The multiplied-out guard: the sorted cross product of the factors,

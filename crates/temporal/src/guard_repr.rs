@@ -18,10 +18,12 @@
 //!
 //! The one construct that escapes per-symbol masks is `◇(E)` for a
 //! sequence `E = l₁·l₂·…` (order matters across symbols). Those are kept
-//! as symbolic atoms and reduced by residuation as occurrence facts
-//! arrive; Definition 2's "small insight" (replacing sequences by
+//! as symbolic atoms and never reduced by facts: a guard carrying one is
+//! evaluated on traces ([`Guard::eval`]) or weakened first by Definition
+//! 2's "small insight" ([`Guard::weaken_sequences`]: sequences become
 //! conjunctions, sound because the other events' guards enforce the
-//! order) is available as [`Guard::weaken_sequences`].
+//! order). Facts enter a guard in one way, as the set of facts heard
+//! ([`Guard::under`]), so the result never depends on their order.
 //!
 //! Two properties of the representation carry the workflow compile.
 //! *Equivariance*: masks are sorted by symbol, sequence atoms and
@@ -52,8 +54,11 @@ pub const ST_D: u8 = 8;
 /// All four states — an unconstrained symbol.
 pub const ST_FULL: u8 = 15;
 
-/// The most symbols [`Guard::covered`] enumerates states over.
-pub const COVERAGE_WIDTH: usize = 16;
+/// The most symbols [`Guard::covered`] enumerates states over: the
+/// odometer is exponential in this. An actor does not evaluate a guard
+/// whose factors constrain more symbols than this together, and counts
+/// the give-up.
+pub const COVERAGE_WIDTH: usize = 12;
 
 /// The mask of `□l`: the literal has occurred.
 pub fn occurred_mask(pol: Polarity) -> u8 {
@@ -329,13 +334,6 @@ impl Conjunct {
             let k = known(s) & ST_FULL;
             k & m != m || k & !m == 0
         })
-    }
-
-    /// `true` if `sym` is constrained by a mask, or (with `in_seqs`)
-    /// mentioned by a sequence atom.
-    fn mentions(&self, sym: SymbolId, in_seqs: bool) -> bool {
-        self.mask(sym) != ST_FULL
-            || (in_seqs && self.seqs.iter().flatten().any(|l| l.symbol() == sym))
     }
 
     /// Evaluate on a maximal trace at an index (sequence atoms are
@@ -762,11 +760,12 @@ impl Guard {
         })
     }
 
-    /// `true` if a fact about `sym` can change the guard: some mask
-    /// constrains it or some sequence atom mentions it. Reducing by a
-    /// fact about any other symbol returns the guard unchanged.
+    /// `true` if some mask constrains `sym` or some sequence atom
+    /// mentions it.
     pub fn mentions(&self, sym: SymbolId) -> bool {
-        self.conjuncts.iter().any(|c| c.mentions(sym, true))
+        self.conjuncts
+            .iter()
+            .any(|c| c.mask(sym) != ST_FULL || c.seqs.iter().flatten().any(|l| l.symbol() == sym))
     }
 
     /// The symbols the conjuncts' masks constrain, sorted: what a
@@ -854,31 +853,16 @@ impl Guard {
         Guard::canonical(out)
     }
 
-    /// Incorporate the fact "`l` has occurred" (an arriving `□l`
-    /// announcement): Section 4.3's proof rules. For each conjunct, the
-    /// symbol's constraint is resolved (`□l`, `◇l` → discharged; `¬l` → the
-    /// conjunct dies; complements symmetrically), and sequence atoms are
-    /// residuated by `l`.
-    pub fn assume_occurred(&self, l: Literal) -> Guard {
-        self.assume_mask(l.symbol(), occurred_mask(l.polarity()), Some(l))
-    }
-
-    /// Incorporate the fact "`l` is guaranteed to occur" (an arriving `◇l`
-    /// promise): `◇l` constraints discharge, `◇l̄`/`□l̄` constraints die,
-    /// `□l` and `¬l` remain (the paper: they are "unaffected when ◇e is
-    /// received").
-    pub fn assume_promised(&self, l: Literal) -> Guard {
-        self.assume_mask(l.symbol(), eventually_mask(l.polarity()), None)
-    }
-
-    /// The guard at a set of facts, for a guard without `◇(sequence)`
-    /// atoms: `known(s)` is the set of knowledge states the facts heard
-    /// about `s` leave it ([`ST_FULL`] when nothing was heard, the
-    /// intersection of their [closures](crate::Fact::closure_mask)
-    /// otherwise). Every constraint is narrowed to what is known of its
-    /// symbol; one the knowledge implies is dropped and one it
-    /// contradicts kills its conjunct, as [`Guard::assume_occurred`] and
-    /// [`Guard::assume_promised`] do one fact at a time. Canonicalising
+    /// The guard at a set of facts — Section 4.3's proof rules — for a
+    /// guard without `◇(sequence)` atoms (weaken those first):
+    /// `known(s)` is the set of knowledge states the facts heard about
+    /// `s` leave it ([`ST_FULL`] when nothing was heard, the intersection
+    /// of their [closures](crate::Fact::closure_mask) otherwise). Every
+    /// constraint is narrowed to what is known of its symbol; one the
+    /// knowledge implies is dropped (`□l` and `◇l` once `□l` is heard,
+    /// `◇l` once `◇l` is) and one it contradicts kills its conjunct (`¬l`
+    /// once `□l` is heard, `◇l̄` once `◇l` is), while a promise leaves
+    /// `□l` and `¬l` pending. Canonicalising
     /// can merge two narrowed masks into one the knowledge implies
     /// (`{B} ∪ {D}` after `◇l̄`), so the step repeats until it decides
     /// nothing more. The result depends on the knowledge alone, never on
@@ -894,59 +878,6 @@ impl Guard {
             guard = narrow(&guard);
         }
         guard
-    }
-
-    fn assume_mask(&self, sym: SymbolId, closure: u8, occurred: Option<Literal>) -> Guard {
-        // Sequence atoms only step on occurrence facts.
-        let in_seqs = occurred.is_some();
-        if !self.conjuncts.iter().any(|c| c.mentions(sym, in_seqs)) {
-            return self.clone();
-        }
-        let mut out = Vec::with_capacity(self.conjuncts.len());
-        'conj: for c in &self.conjuncts {
-            if !c.mentions(sym, in_seqs) {
-                out.push(c.clone());
-                continue;
-            }
-            // Masks: intersect with the closure; discharge when implied.
-            let Some(mut n) = c.narrowed(|s| if s == sym { closure } else { ST_FULL }) else {
-                continue;
-            };
-            // Sequence atoms: step on occurrence facts. A `◇(l₁·…·lₖ)`
-            // atom over pairwise-distinct symbols is its own linear
-            // automaton whose state is the remaining suffix, so rules
-            // R3/R6/R7/R8 reduce to direct suffix manipulation — no
-            // `Expr` allocation or symbolic rewriting on the per-message
-            // path (the tree `residuate` remains the oracle; see
-            // `stepping_sequences_matches_residuation` below).
-            for seq in &c.seqs {
-                if let Some(l) = occurred {
-                    if seq.iter().any(|x| x.symbol() == sym) {
-                        if seq[0] != l {
-                            // R7/R8: `l`'s symbol is needed later in the
-                            // sequence (or as the head's complement) —
-                            // the ordering can no longer be met.
-                            continue 'conj;
-                        }
-                        // R3: advance past the head.
-                        match seq.len() - 1 {
-                            0 => {} // fully discharged
-                            1 => {
-                                let rest = seq[1];
-                                if !n.constrain(rest.symbol(), eventually_mask(rest.polarity())) {
-                                    continue 'conj;
-                                }
-                            }
-                            _ => sorted_insert(&mut n.seqs, seq[1..].to_vec()),
-                        }
-                        continue;
-                    }
-                }
-                sorted_insert(&mut n.seqs, seq.clone());
-            }
-            out.push(n);
-        }
-        Guard::canonical(out)
     }
 }
 
@@ -1007,7 +938,16 @@ fn mask_to_texpr(s: SymbolId, m: u8) -> TExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fact;
     use event_algebra::SymbolTable;
+
+    /// `g` at the fact set `facts`.
+    fn at(g: &Guard, facts: &[Fact]) -> Guard {
+        g.under(|s| {
+            let about = facts.iter().filter(|f| f.literal().symbol() == s);
+            about.fold(ST_FULL, |k, f| k & f.closure_mask())
+        })
+    }
 
     fn setup() -> (SymbolTable, Literal, Literal) {
         let mut t = SymbolTable::new();
@@ -1078,71 +1018,39 @@ mod tests {
     }
 
     #[test]
-    fn assume_occurred_proof_rules() {
+    fn occurrence_proof_rules() {
         let (_, e, f) = setup();
+        let occurred = |g: Guard, l: Literal| at(&g, &[Fact::Occurred(l)]);
         // □e arriving reduces ◇e and □e to ⊤ and ¬e to 0.
-        assert!(Guard::eventually(e).assume_occurred(e).is_top());
-        assert!(Guard::occurred(e).assume_occurred(e).is_top());
-        assert!(Guard::not_yet(e).assume_occurred(e).is_bottom());
+        assert!(occurred(Guard::eventually(e), e).is_top());
+        assert!(occurred(Guard::occurred(e), e).is_top());
+        assert!(occurred(Guard::not_yet(e), e).is_bottom());
         // □ē arriving reduces □e/◇e to 0 and ¬e to ⊤.
-        assert!(Guard::occurred(e).assume_occurred(e.complement()).is_bottom());
-        assert!(Guard::eventually(e).assume_occurred(e.complement()).is_bottom());
-        assert!(Guard::not_yet(e).assume_occurred(e.complement()).is_top());
+        assert!(occurred(Guard::occurred(e), e.complement()).is_bottom());
+        assert!(occurred(Guard::eventually(e), e.complement()).is_bottom());
+        assert!(occurred(Guard::not_yet(e), e.complement()).is_top());
         // Unrelated symbols are untouched.
         let g = Guard::eventually(f);
-        assert_eq!(g.assume_occurred(e), g);
+        assert_eq!(occurred(g.clone(), e), g);
     }
 
     #[test]
-    fn assume_promised_proof_rules() {
+    fn promise_proof_rules() {
         let (_, e, _) = setup();
+        let promised = |g: Guard| at(&g, &[Fact::Promised(e)]);
         // ◇e arriving discharges ◇e…
-        assert!(Guard::eventually(e).assume_promised(e).is_top());
+        assert!(promised(Guard::eventually(e)).is_top());
         // …kills ◇ē and □ē…
-        assert!(Guard::eventually(e.complement()).assume_promised(e).is_bottom());
-        assert!(Guard::occurred(e.complement()).assume_promised(e).is_bottom());
+        assert!(promised(Guard::eventually(e.complement())).is_bottom());
+        assert!(promised(Guard::occurred(e.complement())).is_bottom());
         // …and leaves □e and ¬e pending (narrowed but not discharged).
-        assert!(!Guard::occurred(e).assume_promised(e).holds_now());
-        assert!(!Guard::occurred(e).assume_promised(e).is_bottom());
-        assert!(!Guard::not_yet(e).assume_promised(e).holds_now());
-        assert!(!Guard::not_yet(e).assume_promised(e).is_bottom());
-    }
-
-    #[test]
-    fn seq_atoms_residuate_on_occurrence() {
-        let (_, e, f) = setup();
-        let seq = Expr::seq([Expr::lit(e), Expr::lit(f)]);
-        let g = Guard::eventually_expr(&seq);
-        assert!(g.has_seq_atoms());
-        // After e occurs, ◇(e·f) becomes ◇f.
-        let after_e = g.assume_occurred(e);
-        assert_eq!(after_e, Guard::eventually(f));
-        // After f occurs first, ◇(e·f) is dead.
-        let after_f = g.assume_occurred(f);
-        assert!(after_f.is_bottom());
-        // ē kills it too.
-        assert!(g.assume_occurred(e.complement()).is_bottom());
-    }
-
-    #[test]
-    fn stepping_sequences_matches_residuation() {
-        // The direct suffix stepping in `assume_mask` must agree with the
-        // symbolic oracle `residuate` on every literal of a longer chain.
-        let mut t = SymbolTable::new();
-        let lits: Vec<Literal> = ["a", "b", "c", "d"].iter().map(|n| t.event(n)).collect();
-        let seq = Expr::seq(lits.iter().map(|&l| Expr::lit(l)));
-        let g = Guard::eventually_expr(&seq);
-        for &l in &lits {
-            for by in [l, l.complement()] {
-                let stepped = g.assume_occurred(by);
-                let oracle = Guard::eventually_expr(&event_algebra::residuate(&seq, by));
-                assert_eq!(stepped, oracle, "◇({seq})/{by}");
-            }
-        }
-        // Two steps down the chain: ◇(a·b·c·d)/a/b = ◇(c·d).
-        let two = g.assume_occurred(lits[0]).assume_occurred(lits[1]);
-        let tail = Expr::seq([Expr::lit(lits[2]), Expr::lit(lits[3])]);
-        assert_eq!(two, Guard::eventually_expr(&tail));
+        assert_eq!(promised(Guard::occurred(e)), Guard::occurred(e));
+        assert_eq!(promised(Guard::not_yet(e)), Guard::from_mask(e.symbol(), ST_C));
+        // Both facts about e: its occurrence decides what the promise
+        // left pending, whichever came first.
+        let both = [Fact::Promised(e), Fact::Occurred(e)];
+        assert!(at(&Guard::occurred(e), &both).is_top());
+        assert!(at(&Guard::not_yet(e), &both).is_bottom());
     }
 
     #[test]
@@ -1277,12 +1185,9 @@ mod tests {
         let g = Guard::not_yet(e)
             .and(&Guard::eventually_expr(&Expr::seq([Expr::lit(e), Expr::lit(f)])));
         assert!(g.mentions(e.symbol()) && g.mentions(f.symbol()) && !g.mentions(h.symbol()));
-        assert_eq!(g.assume_occurred(h), g);
-        assert_eq!(g.assume_promised(h.complement()), g);
-        // f is only inside the sequence atom: a promise leaves it alone,
-        // an occurrence out of order kills it.
-        assert_eq!(g.assume_promised(f), g);
-        assert!(g.assume_occurred(f).is_bottom());
+        let w = g.weaken_sequences();
+        assert_eq!(at(&w, &[Fact::Occurred(h)]), w);
+        assert_eq!(at(&w, &[Fact::Promised(h.complement())]), w);
     }
 
     #[test]
@@ -1338,8 +1243,7 @@ mod tests {
         let [c] = g.conjuncts() else { panic!("one conjunct: {g:?}") };
         assert!(c.masks.spilled());
         assert_eq!(c.constrained_symbols().count(), KERNEL_PROPS_SYMBOLS as usize);
-        let narrow =
-            g.assume_occurred(Literal::pos(SymbolId(0))).assume_occurred(Literal::pos(SymbolId(1)));
+        let narrow = at(&g, &[0, 1].map(|s| Fact::Occurred(Literal::pos(SymbolId(s)))));
         assert_eq!(
             narrow,
             (2..KERNEL_PROPS_SYMBOLS)

@@ -8,13 +8,16 @@
 //! - [`sat_at`] — the indexed semantics over maximal traces
 //!   (Semantics 7–14), which regenerates the truth table of Figure 3;
 //! - [`Guard`] — a canonical DNF representation over per-symbol knowledge
-//!   states, on which the identities of Example 8 are decided exactly,
-//!   with symbolic `◇(sequence)` atoms reduced by residuation;
+//!   states, on which the identities of Example 8 are decided exactly;
+//!   symbolic `◇(sequence)` atoms are evaluated on traces or weakened,
+//!   never reduced;
 //! - [`FactoredGuard`] — a conjunction of such guards over disjoint
 //!   symbols, kept as its factors (Theorems 2/4);
-//! - [`Fact`], [`status`], [`needs`] — the announcement
-//!   machinery of Section 4.3 (`□e` occurrence messages, `◇e` promises,
-//!   and the reduction proof rules);
+//! - [`Fact`], [`Guard::under`], [`status`], [`asks`] — the announcement
+//!   machinery of Section 4.3: `□e` occurrence messages and `◇e`
+//!   promises enter a guard only as the set of facts heard, where the
+//!   proof rules read it, and a blocked guard says which promises and
+//!   not-yet agreements to ask for;
 //! - equivalence oracles by exhaustive trace enumeration for the theorem
 //!   tests.
 
@@ -37,6 +40,6 @@ pub use guard_repr::{
     eventually_mask, not_yet_mask, occurred_mask, state_on, Conjunct, Guard, COVERAGE_WIDTH, ST_A,
     ST_B, ST_C, ST_D, ST_FULL,
 };
-pub use message::{ask_order, asks, need_edges, needs, status, Fact, GuardStatus, Need};
+pub use message::{ask_order, asks, status, Fact, GuardStatus, Need};
 pub use semantics::{sat_at, sat_profile};
 pub use texpr::{TExpr, TExprDisplay};

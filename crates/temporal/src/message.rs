@@ -7,10 +7,10 @@
 //! has heard on each guard factor's symbols, its guard is that factor at
 //! the fact set ([`Guard::under`], tabulated per actor by `dist::memo`),
 //! and it inspects the [`GuardStatus`] to decide whether to allow a
-//! parked event, or the [`Need`]s to ask for.
+//! parked event, or the requests ([`asks`]) that could unblock it.
 
 use crate::guard_repr::{
-    eventually_mask, not_yet_mask, occurred_mask, Conjunct, Guard, ST_A, ST_B, ST_C, ST_D,
+    eventually_mask, not_yet_mask, occurred_mask, Conjunct, Guard, ST_C, ST_D,
 };
 use event_algebra::{Literal, Polarity};
 
@@ -63,42 +63,23 @@ pub fn status(g: &Guard) -> GuardStatus {
     }
 }
 
-/// A single outstanding requirement of a blocked conjunct.
+/// A protocol request that could discharge a constraint of a blocked
+/// guard. A constraint an occurrence would discharge is asked for by
+/// nobody: the `□l` announcement comes unasked.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Need {
-    /// Discharged by hearing `□l`.
-    Occurrence(Literal),
     /// Discharged by a promise `◇l` (weaker than occurrence — preferred,
     /// because it can be granted before the event happens).
     Promise(Literal),
     /// Requires agreement that `l` has *not yet* occurred at the instant
     /// this event occurs (the `¬l` consensus of Section 4.3).
     NotYetAgreement(Literal),
-    /// A residual `◇(l₁·…)` sequence: needs the head to occur first.
-    SequenceHead(Literal),
 }
 
-/// For each conjunct of `g`, the facts that would discharge it — the
-/// input to the promise/consensus protocol. Conjuncts are returned in
-/// canonical order; an empty inner vector means the conjunct already
-/// holds. A constraint may require several facts at once: the `{C}` mask
-/// (`◇l ∧ ¬l`) needs a promise *and* a not-yet agreement.
-pub fn needs(g: &Guard) -> Vec<Vec<Need>> {
-    g.conjuncts()
-        .iter()
-        .map(|c| {
-            let mut out = Vec::new();
-            conjunct_needs(c, &mut out);
-            out.sort();
-            out.dedup();
-            out
-        })
-        .collect()
-}
-
-/// The facts that would discharge one conjunct, appended to `out`
-/// unsorted.
-fn conjunct_needs(c: &Conjunct, out: &mut Vec<Need>) {
+/// The requests that would discharge one conjunct's constraints,
+/// appended to `out` unsorted. A constraint may require several at once:
+/// the `{C}` mask (`◇l ∧ ¬l`) needs a promise *and* a not-yet agreement.
+fn conjunct_asks(c: &Conjunct, out: &mut Vec<Need>) {
     for (s, m) in c.constrained_symbols() {
         let pos = Literal::pos(s);
         let neg = Literal::neg(s);
@@ -114,10 +95,6 @@ fn conjunct_needs(c: &Conjunct, out: &mut Vec<Need>) {
             out.push(Need::Promise(pos));
         } else if eventually_mask(Polarity::Neg) & !m == 0 {
             out.push(Need::Promise(neg));
-        } else if occurred_mask(Polarity::Pos) & !m == 0 {
-            out.push(Need::Occurrence(pos));
-        } else if occurred_mask(Polarity::Neg) & !m == 0 {
-            out.push(Need::Occurrence(neg));
         } else if m == ST_C {
             // ◇l ∧ ¬l: promised but not yet occurred at this
             // instant.
@@ -129,64 +106,30 @@ fn conjunct_needs(c: &Conjunct, out: &mut Vec<Need>) {
         } else if m == (ST_C | ST_D) {
             // ¬l ∧ ¬l̄: neither resolved yet at this instant.
             out.push(Need::NotYetAgreement(pos));
-        } else {
-            // Remaining composite masks (e.g. {A,B}): discharged
-            // by an occurrence of whichever polarity the mask
-            // admits as a final state.
-            if m & ST_A != 0 {
-                out.push(Need::Occurrence(pos));
-            }
-            if m & ST_B != 0 {
-                out.push(Need::Occurrence(neg));
-            }
         }
-    }
-    for seq in c.seq_atoms() {
-        if let Some(&head) = seq.first() {
-            out.push(Need::SequenceHead(head));
-        }
+        // Every other mask admits an occurred state: an announcement
+        // discharges it.
     }
 }
 
 /// The order requests leave in: by literal, a promise before a not-yet
 /// query about the same literal.
-///
-/// # Panics
-///
-/// On a passive need ([`Need::Occurrence`], [`Need::SequenceHead`]):
-/// announcements discharge those, nobody asks for them.
 pub fn ask_order(need: &Need) -> (Literal, bool) {
     match *need {
         Need::Promise(l) => (l, false),
         Need::NotYetAgreement(l) => (l, true),
-        Need::Occurrence(_) | Need::SequenceHead(_) => unreachable!("passive needs are not asks"),
     }
 }
 
-/// The protocol requests that could unblock `g`: the [`Need::Promise`]
-/// and [`Need::NotYetAgreement`] entries of [`needs`] over all conjuncts,
-/// deduplicated, in [`ask_order`].
+/// The protocol requests that could unblock `g`, over all conjuncts,
+/// deduplicated, in [`ask_order`]. A guard's sequence atoms ask for
+/// nothing: the actors hold weakened guards.
 pub fn asks(g: &Guard) -> Vec<Need> {
     let mut out = Vec::new();
     for c in g.conjuncts() {
-        conjunct_needs(c, &mut out);
+        conjunct_asks(c, &mut out);
     }
-    // Occurrences and sequence heads are passive: announcements
-    // discharge them.
-    out.retain(|n| matches!(n, Need::Promise(_) | Need::NotYetAgreement(_)));
     out.sort_by_key(ask_order);
-    out.dedup();
-    out
-}
-
-/// The flattened, deduplicated requirements of a guard across all its
-/// conjuncts — the edge set a static analyzer hangs a wait-for graph on.
-/// Unlike [`needs`], which preserves the per-conjunct structure the
-/// runtime protocol wants, this answers "which facts about which other
-/// events does this guard mention at all".
-pub fn need_edges(g: &Guard) -> Vec<Need> {
-    let mut out: Vec<Need> = needs(g).into_iter().flatten().collect();
-    out.sort();
     out.dedup();
     out
 }
@@ -194,6 +137,7 @@ pub fn need_edges(g: &Guard) -> Vec<Need> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guard_repr::{ST_A, ST_B, ST_FULL};
     use event_algebra::SymbolTable;
 
     fn setup() -> (SymbolTable, Literal, Literal) {
@@ -218,7 +162,7 @@ mod tests {
         let (_, e, _) = setup();
         let g_f = Guard::eventually(e.complement()).or(&Guard::occurred(e));
         assert_eq!(status(&g_f), GuardStatus::Blocked);
-        let after = g_f.assume_occurred(e.complement());
+        let after = g_f.under(|s| if s == e.symbol() { ST_B } else { ST_FULL });
         assert_eq!(status(&after), GuardStatus::EnabledNow);
     }
 
@@ -226,22 +170,25 @@ mod tests {
     fn needs_reports_weakest_discharging_facts() {
         let (_, e, f) = setup();
         // ◇f → a promise of f suffices.
-        assert_eq!(needs(&Guard::eventually(f)), vec![vec![Need::Promise(f)]]);
-        // □e → must hear the occurrence.
-        assert_eq!(needs(&Guard::occurred(e)), vec![vec![Need::Occurrence(e)]]);
+        assert_eq!(asks(&Guard::eventually(f)), [Need::Promise(f)]);
+        // □e → the occurrence is announced unasked.
+        assert_eq!(asks(&Guard::occurred(e)), []);
         // ¬f → not-yet agreement.
-        assert_eq!(needs(&Guard::not_yet(f)), vec![vec![Need::NotYetAgreement(f)]]);
-        // ◇ē + □e → two conjuncts... but they merge into one mask {A,B,D};
-        // the mask is not dischargeable by a single promise, falls back to
-        // reporting per the table.
+        assert_eq!(asks(&Guard::not_yet(f)), [Need::NotYetAgreement(f)]);
+        // ◇f ∧ ¬f → both, the promise first.
+        let g = Guard::eventually(f).and(&Guard::not_yet(f));
+        assert_eq!(asks(&g), [Need::Promise(f), Need::NotYetAgreement(f)]);
+        // ◇ē + □e merges into the one mask {A,B,D} ⊇ ◇ē: a promise of ē.
         let g = Guard::eventually(e.complement()).or(&Guard::occurred(e));
-        let n = needs(&g);
-        assert_eq!(n.len(), g.conjuncts().len());
+        assert_eq!(asks(&g), [Need::Promise(e.complement())]);
+        // Across conjuncts: by literal.
+        let g = Guard::not_yet(f).or(&Guard::eventually(e));
+        assert_eq!(asks(&g), [Need::Promise(e), Need::NotYetAgreement(f)]);
     }
 
     #[test]
     fn needs_empty_for_top() {
-        assert_eq!(needs(&Guard::top()), vec![Vec::<Need>::new()]);
+        assert_eq!(asks(&Guard::top()), []);
     }
 
     #[test]

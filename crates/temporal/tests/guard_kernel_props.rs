@@ -2,7 +2,8 @@
 //!
 //! [`reference`] holds the guard implementation the kernel replaced —
 //! `BTreeMap` masks, `BTreeSet` sequence atoms, a canonicaliser that
-//! allocates per conjunct pair — moved here verbatim as `RefGuard`.
+//! allocates per conjunct pair — moved here verbatim as `RefGuard`, with
+//! a fact-set reduction of its own (`RefGuard::under`) written since.
 //! Canonicalisation is not confluent and the actors read the conjunct
 //! structure, so "the same guard" means the same conjuncts in the same
 //! order, not just the same predicate: every operation is run on both
@@ -12,7 +13,7 @@
 use event_algebra::{enumerate_maximal, Expr, Literal, SymbolId};
 use reference::{RefConjunct, RefGuard};
 use std::cmp::Ordering;
-use temporal::{Conjunct, Guard};
+use temporal::{Conjunct, Fact, Guard, ST_FULL};
 use testkit::{check, Exprs, Gen};
 
 /// The implementation at the commit before the flat kernel. Test-only;
@@ -453,81 +454,38 @@ mod reference {
             RefGuard::canonical(out)
         }
 
-        /// Incorporate the fact "`l` has occurred" (an arriving `□l`
-        /// announcement): Section 4.3's proof rules. For each conjunct, the
-        /// symbol's constraint is resolved (`□l`, `◇l` → discharged; `¬l` → the
-        /// conjunct dies; complements symmetrically), and sequence atoms are
-        /// residuated by `l`.
-        pub fn assume_occurred(&self, l: Literal) -> RefGuard {
-            self.assume_mask(l.symbol(), occurred_mask(l.polarity()), Some(l))
-        }
-
-        /// Incorporate the fact "`l` is guaranteed to occur" (an arriving `◇l`
-        /// promise): `◇l` constraints discharge, `◇l̄`/`□l̄` constraints die,
-        /// `□l` and `¬l` remain (the paper: they are "unaffected when ◇e is
-        /// received").
-        pub fn assume_promised(&self, l: Literal) -> RefGuard {
-            self.assume_mask(l.symbol(), eventually_mask(l.polarity()), None)
-        }
-
-        fn assume_mask(&self, sym: SymbolId, closure: u8, occurred: Option<Literal>) -> RefGuard {
-            let mut out = Vec::new();
-            'conj: for c in &self.conjuncts {
-                let mut n = RefConjunct::top();
-                // Masks: intersect with the closure; discharge when implied.
-                for (&s, &m) in &c.masks {
-                    if s == sym {
-                        if m & closure == 0 {
+        /// The guard at a set of facts, for a guard without sequence
+        /// atoms: `known(s)` is the set of states the facts heard about
+        /// `s` leave it. Each constraint is narrowed to what is known of
+        /// its symbol — dropped when the knowledge implies it, its
+        /// conjunct dropped when the knowledge contradicts it — and the
+        /// result canonicalised, pass after pass, until a pass changes
+        /// nothing. Written for these tests; the kernel it replaced had
+        /// none.
+        pub fn under(&self, known: impl Fn(SymbolId) -> u8) -> RefGuard {
+            assert!(!self.has_seq_atoms(), "a fact set decides masks only");
+            let mut guard = self.clone();
+            loop {
+                let mut out = Vec::new();
+                'conj: for c in &guard.conjuncts {
+                    let mut n = RefConjunct::top();
+                    for (&s, &m) in &c.masks {
+                        let k = known(s) & ST_FULL;
+                        if k & m == 0 {
                             continue 'conj; // contradiction: conjunct dies
                         }
-                        if closure & !m == 0 {
-                            continue; // constraint discharged forever
-                        }
-                        if !n.constrain(s, m & closure) {
+                        if k & !m != 0 && !n.constrain(s, k & m) {
                             continue 'conj;
                         }
-                    } else if !n.constrain(s, m) {
-                        continue 'conj;
                     }
+                    out.push(n);
                 }
-                // Sequence atoms: step on occurrence facts. A `◇(l₁·…·lₖ)`
-                // atom over pairwise-distinct symbols is its own linear
-                // automaton whose state is the remaining suffix, so rules
-                // R3/R6/R7/R8 reduce to direct suffix manipulation — no
-                // `Expr` allocation or symbolic rewriting on the per-message
-                // path (the tree `residuate` remains the oracle; see
-                // `stepping_sequences_matches_residuation` below).
-                for seq in &c.seqs {
-                    if let Some(l) = occurred {
-                        if seq.iter().any(|x| x.symbol() == sym) {
-                            if seq[0] != l {
-                                // R7/R8: `l`'s symbol is needed later in the
-                                // sequence (or as the head's complement) —
-                                // the ordering can no longer be met.
-                                continue 'conj;
-                            }
-                            // R3: advance past the head.
-                            match seq.len() - 1 {
-                                0 => {} // fully discharged
-                                1 => {
-                                    let rest = seq[1];
-                                    if !n.constrain(rest.symbol(), eventually_mask(rest.polarity()))
-                                    {
-                                        continue 'conj;
-                                    }
-                                }
-                                _ => {
-                                    n.seqs.insert(seq[1..].to_vec());
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    n.seqs.insert(seq.clone());
+                let next = RefGuard::canonical(out);
+                if next == guard {
+                    return guard;
                 }
-                out.push(n);
+                guard = next;
             }
-            RefGuard::canonical(out)
         }
     }
 }
@@ -543,8 +501,8 @@ trait Kernel: Sized + Clone {
     fn dia(e: &Expr) -> Self;
     fn or(&self, other: &Self) -> Self;
     fn and(&self, other: &Self) -> Self;
-    fn occurred(&self, l: Literal) -> Self;
-    fn promised(&self, l: Literal) -> Self;
+    /// The guard at the fact set `facts`.
+    fn at(&self, facts: &[Fact]) -> Self;
     fn weaken(&self) -> Self;
     fn conjs(&self) -> &[Self::Conj];
     fn shape(c: &Self::Conj) -> Shape;
@@ -578,11 +536,11 @@ macro_rules! kernel {
             fn and(&self, other: &Self) -> Self {
                 $guard::and(self, other)
             }
-            fn occurred(&self, l: Literal) -> Self {
-                self.assume_occurred(l)
-            }
-            fn promised(&self, l: Literal) -> Self {
-                self.assume_promised(l)
+            fn at(&self, facts: &[Fact]) -> Self {
+                $guard::under(self, |s| {
+                    let about = facts.iter().filter(|f| f.literal().symbol() == s);
+                    about.fold(ST_FULL, |k, f| k & f.closure_mask())
+                })
             }
             fn weaken(&self) -> Self {
                 self.weaken_sequences()
@@ -607,8 +565,8 @@ enum Recipe {
     Dia(Expr),
     Or(Box<Recipe>, Box<Recipe>),
     And(Box<Recipe>, Box<Recipe>),
-    Occurred(Box<Recipe>, Literal),
-    Promised(Box<Recipe>, Literal),
+    /// The weakened guard at a fact set.
+    At(Box<Recipe>, Vec<Fact>),
     Weaken(Box<Recipe>),
 }
 
@@ -620,8 +578,7 @@ impl Recipe {
             Recipe::Dia(e) => K::dia(e),
             Recipe::Or(a, b) => a.build::<K>().or(&b.build()),
             Recipe::And(a, b) => a.build::<K>().and(&b.build()),
-            Recipe::Occurred(a, l) => a.build::<K>().occurred(*l),
-            Recipe::Promised(a, l) => a.build::<K>().promised(*l),
+            Recipe::At(a, facts) => a.build::<K>().weaken().at(facts),
             Recipe::Weaken(a) => a.build::<K>().weaken(),
         }
     }
@@ -648,6 +605,21 @@ fn siblings(g: &mut Gen, syms: &[SymbolId]) -> Recipe {
         .expect("two terms")
 }
 
+/// One to three facts about random literals of `syms`: a promise, an
+/// occurrence, or both. Two about one symbol may contradict each other.
+fn fact_set(g: &mut Gen, syms: &[SymbolId]) -> Vec<Fact> {
+    let mut out = Vec::new();
+    for _ in 0..g.range(1..=3usize) {
+        let l = g.literal(syms);
+        match g.range(0..3u32) {
+            0 => out.push(Fact::Promised(l)),
+            1 => out.push(Fact::Occurred(l)),
+            _ => out.extend([Fact::Promised(l), Fact::Occurred(l)]),
+        }
+    }
+    out
+}
+
 /// A random recipe over `syms`, at most `depth` (and the case's size)
 /// operations deep. Constants are rare and `+` outweighs `|`, so the
 /// guards keep several conjuncts for absorption and merging to work on.
@@ -664,8 +636,7 @@ fn recipe(g: &mut Gen, syms: &[SymbolId], depth: usize) -> Recipe {
     match g.range(0..10u32) {
         0..=4 => Recipe::Or(sub(g), sub(g)),
         5..=7 => Recipe::And(sub(g), sub(g)),
-        8 if g.flip() => Recipe::Occurred(sub(g), g.literal(syms)),
-        8 => Recipe::Promised(sub(g), g.literal(syms)),
+        8 => Recipe::At(sub(g), fact_set(g, syms)),
         _ => Recipe::Weaken(sub(g)),
     }
 }
@@ -678,7 +649,7 @@ fn agree(r: &Recipe) -> (Guard, RefGuard) {
     (new, old)
 }
 
-/// `and`, `or`, the two fact reductions and sequence weakening agree
+/// `and`, `or`, the guard at a fact set and sequence weakening agree
 /// conjunct for conjunct on random guard pairs over six symbols, and the
 /// conjunct order is the same total order.
 #[test]
@@ -690,9 +661,9 @@ fn operations_agree_conjunct_for_conjunct() {
         assert_eq!(a.or(&b).shapes(), ref_a.or(&ref_b).shapes(), "{ra:?} + {rb:?}");
         assert_eq!(a.and(&b).shapes(), ref_a.and(&ref_b).shapes(), "{ra:?} | {rb:?}");
         assert_eq!(a.weaken_sequences().shapes(), ref_a.weaken_sequences().shapes(), "{ra:?}");
-        let l = g.literal(&syms);
-        assert_eq!(a.assume_occurred(l).shapes(), ref_a.assume_occurred(l).shapes(), "{ra:?}/{l}");
-        assert_eq!(a.assume_promised(l).shapes(), ref_a.assume_promised(l).shapes(), "{ra:?}/◇{l}");
+        let facts = fact_set(g, &syms);
+        let (w, ref_w) = (a.weaken_sequences(), ref_a.weaken_sequences());
+        assert_eq!(w.at(&facts).shapes(), ref_w.at(&facts).shapes(), "{ra:?} at {facts:?}");
         let all: Vec<&Conjunct> = a.conjuncts().iter().chain(b.conjuncts()).collect();
         let ref_all: Vec<&RefConjunct> =
             ref_a.conjuncts().iter().chain(ref_b.conjuncts()).collect();
@@ -713,8 +684,8 @@ fn merge_order_agrees_on_sibling_rich_guards() {
         agree(&Recipe::Or(Box::new(ra.clone()), Box::new(rb.clone())));
         agree(&Recipe::And(Box::new(ra.clone()), Box::new(rb)));
         let l = g.literal(&syms);
-        agree(&Recipe::Occurred(Box::new(ra.clone()), l));
-        agree(&Recipe::Promised(Box::new(ra), l));
+        agree(&Recipe::At(Box::new(ra.clone()), vec![Fact::Occurred(l)]));
+        agree(&Recipe::At(Box::new(ra), vec![Fact::Promised(l)]));
     });
 }
 

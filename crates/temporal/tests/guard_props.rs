@@ -1,9 +1,9 @@
 //! Property tests for the canonical guard representation: the mask
-//! algebra agrees with the trace semantics, reductions by facts are
+//! algebra agrees with the trace semantics, a guard at a set of facts is
 //! sound, and the `T` rendering round-trips.
 
 use event_algebra::{enumerate_maximal, Expr, Literal, SymbolId};
-use temporal::{guards_equivalent_auto, sat_at, Guard};
+use temporal::{guards_equivalent_auto, sat_at, Fact, Guard, ST_FULL};
 use testkit::{check, Exprs, Gen};
 
 const NSYMS: u32 = 3;
@@ -102,22 +102,28 @@ fn is_bottom_exact_on_literal_guards() {
     });
 }
 
-/// Soundness of occurrence reduction (the Section 4.3 proof rules):
-/// folding the first `k` events of a trace into the guard *in
-/// occurrence order* (exactly what the actor's ordered fact log does)
-/// yields a guard that agrees with the original at every index ≥ k.
-/// Note the ordering is essential for `◇(sequence)` atoms: a single
-/// fact applied out of context may residuate a sequence to 0 even
-/// though earlier events had already discharged its prefix.
+/// `g` at the fact set `facts` ([`Guard::under`]).
+fn at(g: &Guard, facts: &[Fact]) -> Guard {
+    g.under(|s| {
+        let about = facts.iter().filter(|f| f.literal().symbol() == s);
+        about.fold(ST_FULL, |k, f| k & f.closure_mask())
+    })
+}
+
+/// Soundness of occurrence facts (the Section 4.3 proof rules): the
+/// weakened guard at the occurrences of a trace's first `k` events
+/// agrees with it at every index ≥ k — what an actor that has heard
+/// that prefix's announcements holds. Sequence atoms are weakened first:
+/// facts never reduce them.
 #[test]
 fn assume_occurred_prefix_sound() {
     check("assume_occurred_prefix_sound", CASES, |gen| {
-        let g = seq_guard(gen);
+        let g = seq_guard(gen).weaken_sequences();
         for u in enumerate_maximal(&syms()) {
-            let mut reduced = g.clone();
-            for k in 0..u.len() {
-                reduced = reduced.assume_occurred(u.events()[k]);
-                for i in (k + 1)..=u.len() {
+            let facts: Vec<Fact> = u.events().iter().map(|&l| Fact::Occurred(l)).collect();
+            for k in 1..=u.len() {
+                let reduced = at(&g, &facts[..k]);
+                for i in k..=u.len() {
                     assert_eq!(
                         reduced.eval(&u, i),
                         g.eval(&u, i),
@@ -129,14 +135,14 @@ fn assume_occurred_prefix_sound() {
     });
 }
 
-/// Literal-level guards (no sequence atoms) reduce soundly even under
-/// a single isolated fact.
+/// Literal-level guards at a single occurrence fact agree with the
+/// guard wherever the occurrence has happened.
 #[test]
 fn assume_occurred_single_fact_sound_without_seqs() {
     check("assume_occurred_single_fact_sound_without_seqs", CASES, |gen| {
         let g = guard(gen, 3);
         let l = gen.literal(&syms());
-        let reduced = g.assume_occurred(l);
+        let reduced = at(&g, &[Fact::Occurred(l)]);
         for u in enumerate_maximal(&syms()) {
             let Some(k) = u.events().iter().position(|&x| x == l) else { continue };
             for i in (k + 1)..=u.len() {
@@ -146,10 +152,11 @@ fn assume_occurred_single_fact_sound_without_seqs() {
     });
 }
 
-/// Soundness of promise reduction: on any trace where `l` eventually
-/// occurs, the promised-reduced guard agrees at *every* index.
+/// Soundness of a promise fact: on any trace where `l` eventually
+/// occurs, the (weakened) guard at `◇l` agrees with it at *every* index.
 fn promise_reduction_is_sound(g: &Guard, l: Literal) {
-    let reduced = g.assume_promised(l);
+    let g = g.weaken_sequences();
+    let reduced = at(&g, &[Fact::Promised(l)]);
     for u in enumerate_maximal(&syms()) {
         if !u.contains(l) {
             continue;
@@ -173,12 +180,17 @@ fn assume_promised_sound() {
 }
 
 /// Recorded counter-example: a promise for the *last* literal of a
-/// sequence atom, `◇(ē₀·ē₂·ē₁)` with `l = ē₁`.
+/// sequence atom, `◇(ē₀·ē₂·ē₁)` with `l = ē₁`. It was a bug in the
+/// fact-at-a-time reduction, which stepped sequence atoms; the weakened
+/// guard is `◇ē₀ ∧ ◇ē₂ ∧ ◇ē₁`, and the promise discharges its last
+/// constraint.
 #[test]
 fn assume_promised_sound_on_a_sequence_tail() {
     let [e0, e1, e2] = [0, 1, 2].map(|s| Literal::neg(SymbolId(s)));
     let g = Guard::eventually_expr(&Expr::seq([e0, e2, e1].map(Expr::lit)));
     promise_reduction_is_sound(&g, e1);
+    let weakened = Guard::eventually(e0).and(&Guard::eventually(e2));
+    assert_eq!(at(&g.weaken_sequences(), &[Fact::Promised(e1)]), weakened);
 }
 
 /// Weakening sequences only ever *widens* the guard (the "small

@@ -11,7 +11,9 @@
 # stdout diffed against `crates/bench/golden/<bin>.txt` (they are
 # deterministic: the distributed, lazy and both centralized schedulers
 # must not move an occurrence, a message or a tick) and the benchmark's
-# own selfcheck.
+# own selfcheck. It ends by printing the product-source line total
+# (`scripts/loc.sh`), the "lines removed" metric, so every gate run
+# reports it.
 #
 # `check.sh --faults` runs the fault-conformance tier instead: the
 # `conformance` driver sweeps every example spec, then the four model
@@ -210,5 +212,8 @@ done
 
 echo "==> benchmark/run.sh --selfcheck (the benchmark's wiring against this tree)"
 bash "$REPO/benchmark/run.sh" --selfcheck
+
+echo "==> product source lines (scripts/loc.sh; per crate: scripts/loc.sh, change: scripts/loc.sh REV1 REV2)"
+"$REPO/scripts/loc.sh" | grep '^total'
 
 echo "==> tier-1 gate passed"
