@@ -369,7 +369,7 @@ pub fn run_centralized(spec: &WorkflowSpec, config: CentralConfig) -> RunReport 
     for a in &spec.agents {
         nodes.push((
             a.site,
-            CNode::Agent(AgentNode::new(a.agent.clone(), &a.script, Arc::clone(&routing))),
+            CNode::Agent(AgentNode::new(&a.agent, &a.script, Arc::clone(&routing))),
         ));
     }
     nodes.push((

@@ -3,7 +3,7 @@
 //! reports immediate ones, and services scheduler triggers (Section 2).
 
 use crate::msg::Msg;
-use agent::{EventIx, StateIx, TaskAgent};
+use agent::{EventAttrs, EventIx, StateIx, TaskAgent};
 use event_algebra::Literal;
 use sim::{Ctx, NodeId};
 use std::collections::VecDeque;
@@ -62,18 +62,28 @@ enum Step {
 
 /// The agent process: a task skeleton plus a driver. Built once per
 /// instance slot; [`AgentNode::reset`] rewinds it for the next instance.
+/// The skeleton is kept as flat tables — what a run reads of it — not as
+/// the named [`TaskAgent`] it was built from.
 #[derive(Debug, Clone)]
 pub struct AgentNode {
-    /// The task skeleton.
-    pub agent: TaskAgent,
+    /// Each event's literal and attributes, by event index.
+    events: Box<[(Literal, EventAttrs)]>,
+    /// The skeleton's transitions, `(from, event, to)`.
+    transitions: Box<[(StateIx, EventIx, StateIx)]>,
+    /// Per skeleton state, one bit row over the events: those fireable
+    /// from it now or later. A property of the skeleton, tabulated once;
+    /// state `s`'s row is `reachable[s * row..(s + 1) * row]`.
+    reachable: Box<[u64]>,
+    /// Words per row of [`AgentNode::reachable`].
+    row: usize,
+    /// The skeleton's current state.
+    current: StateIx,
     /// The state the skeleton starts every instance in.
     start: StateIx,
     /// The resolved script, as every instance starts it.
-    plan: Vec<Step>,
-    /// Per skeleton state, the events fireable from it now or later
-    /// (sorted): a property of the skeleton, tabulated once.
-    reachable: Vec<Vec<EventIx>>,
-    script: VecDeque<Step>,
+    plan: Box<[Step]>,
+    /// The next step of [`AgentNode::plan`] to take.
+    next_step: usize,
     pending_triggers: VecDeque<EventIx>,
     /// An attempt outstanding at the actor (event index).
     waiting: Option<EventIx>,
@@ -88,10 +98,8 @@ pub struct AgentNode {
 
 impl AgentNode {
     /// Wrap `agent` with a script (event names must exist in the agent).
-    pub fn new(agent: TaskAgent, script: &Script, routing: Arc<Routing>) -> AgentNode {
-        let plan: Vec<Step> = script
-            .steps
-            .iter()
+    pub fn new(agent: &TaskAgent, script: &Script, routing: Arc<Routing>) -> AgentNode {
+        let plan = (script.steps.iter())
             .map(|step| match step {
                 ScriptStep::Event(name) => Step::Event(
                     agent
@@ -101,12 +109,16 @@ impl AgentNode {
                 ScriptStep::Wait(t) => Step::Wait(*t),
             })
             .collect();
+        let row = agent.events.len().div_ceil(64);
         AgentNode {
+            events: agent.events.iter().map(|e| (e.literal, e.attrs)).collect(),
+            transitions: agent.transitions.as_slice().into(),
+            reachable: reachable_events(agent, row),
+            row,
+            current: agent.current,
             start: agent.current,
-            reachable: (0..agent.states.len()).map(|s| reachable_from(&agent, s)).collect(),
-            agent,
-            script: plan.iter().copied().collect(),
             plan,
+            next_step: 0,
             pending_triggers: VecDeque::new(),
             waiting: None,
             sleeping: false,
@@ -119,9 +131,8 @@ impl AgentNode {
     /// Rewind to the state [`AgentNode::new`] builds, keeping every
     /// buffer.
     pub fn reset(&mut self) {
-        self.agent.current = self.start;
-        self.script.clear();
-        self.script.extend(&self.plan);
+        self.current = self.start;
+        self.next_step = 0;
         self.pending_triggers.clear();
         self.waiting = None;
         self.sleeping = false;
@@ -129,9 +140,28 @@ impl AgentNode {
         self.fired.clear();
     }
 
+    fn literal_of(&self, ev: EventIx) -> Literal {
+        self.events[ev].0
+    }
+
+    /// The target of `ev` from the current state, if it can fire there.
+    fn target(&self, ev: EventIx) -> Option<StateIx> {
+        let from_here =
+            self.transitions.iter().find(|&&(from, e, _)| from == self.current && e == ev);
+        from_here.map(|&(_, _, to)| to)
+    }
+
+    fn can_fire(&self, ev: EventIx) -> bool {
+        self.target(ev).is_some()
+    }
+
+    /// `true` if `ev` is fireable, now or later, from `state`.
+    fn reaches(&self, state: StateIx, ev: EventIx) -> bool {
+        self.reachable[state * self.row + ev / 64] >> (ev % 64) & 1 == 1
+    }
+
     fn actor_for(&self, ev: EventIx) -> NodeId {
-        let lit = self.agent.literal_of(ev);
-        self.routing.actor_of[lit.symbol()]
+        self.routing.actor_of[self.literal_of(ev).symbol()]
     }
 
     /// Handle a message from the scheduler (or the initial kick / a
@@ -147,25 +177,25 @@ impl AgentNode {
                 // duplicate or stale verdict can arrive when we are not
                 // (or no longer) waiting on that event — firing the wrong
                 // transition on it would corrupt the task state machine.
-                if self.waiting.map(|ev| self.agent.literal_of(ev)) == Some(lit) {
+                if self.waiting.map(|ev| self.literal_of(ev)) == Some(lit) {
                     let ev = self.waiting.take().expect("checked above");
                     self.fire(ctx, ev);
                 }
             }
             Msg::Rejected { lit } => {
-                if self.waiting.map(|ev| self.agent.literal_of(ev)) == Some(lit) {
+                if self.waiting.map(|ev| self.literal_of(ev)) == Some(lit) {
                     let ev = self.waiting.take().expect("checked above");
                     self.rejected.push(ev);
                 }
             }
             Msg::Trigger { lit } => {
-                if let Some(ev) = self.agent.events.iter().position(|e| e.literal == lit) {
+                if let Some(ev) = self.events.iter().position(|e| e.0 == lit) {
                     if !self.pending_triggers.contains(&ev) {
                         self.pending_triggers.push_back(ev);
                     }
                 }
             }
-            other => panic!("agent {} received {other:?}", self.agent.name),
+            other => panic!("agent node {} received {other:?}", ctx.self_id.0),
         }
         self.advance(ctx);
     }
@@ -173,23 +203,17 @@ impl AgentNode {
     /// Fire a granted/triggered event locally and notify of any events
     /// that have become unreachable (their complements occurred).
     fn fire(&mut self, ctx: &mut Ctx<'_, Msg>, ev: EventIx) {
-        let before = self.agent.current;
-        self.agent.fire(ev).expect("scheduler granted an illegal transition");
-        self.fired.push(self.agent.literal_of(ev));
+        let before = self.current;
+        self.current = self.target(ev).expect("scheduler granted an illegal transition");
+        self.fired.push(self.literal_of(ev));
         // Complements: events reachable before but not after are now
         // impossible in this task — their complements occur.
-        let after = self.reachable_events();
-        for &e in &self.reachable[before] {
-            if e != ev && !after.contains(&e) && !self.fired.contains(&self.agent.literal_of(e)) {
-                let lit = self.agent.literal_of(e);
+        for e in (0..self.events.len()).filter(|&e| self.reaches(before, e)) {
+            let lit = self.literal_of(e);
+            if e != ev && !self.reaches(self.current, e) && !self.fired.contains(&lit) {
                 ctx.send(self.actor_for(e), Msg::Inform { lit: lit.complement() });
             }
         }
-    }
-
-    /// Events reachable (fireable eventually) from the current state.
-    fn reachable_events(&self) -> &[EventIx] {
-        &self.reachable[self.agent.current]
     }
 
     /// Take the next action: service a trigger if possible, else the next
@@ -199,34 +223,34 @@ impl AgentNode {
             return;
         }
         // Triggers first (the scheduler's proactive requests).
-        if let Some(pos) = self.pending_triggers.iter().position(|&ev| self.agent.can_fire(ev)) {
+        if let Some(pos) = self.pending_triggers.iter().position(|&ev| self.can_fire(ev)) {
             let ev = self.pending_triggers.remove(pos).expect("index valid");
             self.start_attempt(ctx, ev);
             return;
         }
         // Script steps: skip steps that can no longer fire.
-        while let Some(&step) = self.script.front() {
+        while let Some(&step) = self.plan.get(self.next_step) {
             match step {
                 Step::Wait(ticks) => {
-                    self.script.pop_front();
+                    self.next_step += 1;
                     self.sleeping = true;
                     // Wake ourselves after the think time.
                     ctx.send_after(ctx.self_id, Msg::Kick, ticks);
                     return;
                 }
                 Step::Event(ev) => {
-                    if self.agent.can_fire(ev) {
-                        self.script.pop_front();
+                    if self.can_fire(ev) {
+                        self.next_step += 1;
                         self.start_attempt(ctx, ev);
                         return;
                     }
                     // Unfireable right now: if it can never fire again,
                     // drop it; otherwise wait (a trigger may move the
                     // state machine).
-                    if self.reachable_events().contains(&ev) {
+                    if self.reaches(self.current, ev) {
                         return;
                     }
-                    self.script.pop_front();
+                    self.next_step += 1;
                 }
             }
         }
@@ -239,7 +263,7 @@ impl AgentNode {
     /// is cut short — its wake-up timer died with the node.
     pub fn resume(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if let Some(ev) = self.waiting {
-            let lit = self.agent.literal_of(ev);
+            let lit = self.literal_of(ev);
             ctx.send(self.actor_for(ev), Msg::Attempt { lit });
             return;
         }
@@ -248,8 +272,7 @@ impl AgentNode {
     }
 
     fn start_attempt(&mut self, ctx: &mut Ctx<'_, Msg>, ev: EventIx) {
-        let lit = self.agent.literal_of(ev);
-        let attrs = self.agent.events[ev].attrs;
+        let (lit, attrs) = self.events[ev];
         if attrs.controllable {
             self.waiting = Some(ev);
             ctx.send(self.actor_for(ev), Msg::Attempt { lit });
@@ -262,29 +285,26 @@ impl AgentNode {
     }
 }
 
-/// The events fireable, now or after other transitions, from `state` of
-/// `agent`, sorted.
-fn reachable_from(agent: &TaskAgent, state: StateIx) -> Vec<EventIx> {
-    let mut reach_states = vec![false; agent.states.len()];
-    let mut stack = vec![state];
-    reach_states[state] = true;
-    while let Some(s) = stack.pop() {
+/// Per state of `agent`, the bit row of `row` words over the events
+/// fireable from it, now or after other transitions: the events leaving
+/// the state, closed under the rows of its successors.
+fn reachable_events(agent: &TaskAgent, row: usize) -> Box<[u64]> {
+    let mut bits = vec![0u64; agent.states.len() * row].into_boxed_slice();
+    for &(from, e, _) in &agent.transitions {
+        bits[from * row + e / 64] |= 1 << (e % 64);
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
         for &(from, _, to) in &agent.transitions {
-            if from == s && !reach_states[to] {
-                reach_states[to] = true;
-                stack.push(to);
+            for w in 0..row {
+                let grown = bits[from * row + w] | bits[to * row + w];
+                changed |= grown != bits[from * row + w];
+                bits[from * row + w] = grown;
             }
         }
     }
-    let mut evs: Vec<EventIx> = agent
-        .transitions
-        .iter()
-        .filter(|&&(from, _, _)| reach_states[from])
-        .map(|&(_, e, _)| e)
-        .collect();
-    evs.sort_unstable();
-    evs.dedup();
-    evs
+    bits
 }
 
 #[cfg(test)]
@@ -299,7 +319,7 @@ mod tests {
         let a = rda_transaction("x", &mut t);
         let routing = Arc::new(Routing::default());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            AgentNode::new(a, &Script::of(&["frobnicate"]), routing)
+            AgentNode::new(&a, &Script::of(&["frobnicate"]), routing)
         }));
         assert!(result.is_err());
     }

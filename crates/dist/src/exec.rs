@@ -9,6 +9,12 @@
 //! [`run_workflow`] is a slot used once, with the run's metrics snapshot
 //! on top.
 //!
+//! The build keeps what it gathers in flat tables sized before they are
+//! filled: one record per symbol id (whether the workflow uses it, its
+//! literals' attributes, its site, a marker for the subscription walk)
+//! and the symbol list in actor order; prototype agent nodes copy out of
+//! their skeleton only the tables a run reads.
+//!
 //! This is the end-to-end pipeline the paper describes: declarative
 //! specification → guard synthesis (Section 4.2) → localized, distributed
 //! evaluation (Section 4.3) — with **no centralized scheduler** in the
@@ -28,7 +34,7 @@ use monitor::{AlertKind, MonitorConfig};
 use obs::metrics::in_label_order;
 use obs::{MetricSink, MetricsSnapshot, RecordConfig, Recording};
 use sim::{Ctx, FaultPlan, FaultStats, NodeId, Process, SimConfig, SiteId, Termination, Time};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::Write;
 use std::sync::Arc;
 use temporal::FactoredGuard;
@@ -143,20 +149,16 @@ impl Default for ExecConfig {
 /// conformance auditor exempt them (their safety is judged by dependency
 /// satisfaction instead).
 pub fn guard_gated(spec: &WorkflowSpec) -> BTreeSet<Literal> {
-    let mut gated = BTreeSet::new();
-    for a in &spec.agents {
-        for ev in &a.agent.events {
-            if ev.attrs.controllable {
-                gated.insert(ev.literal);
-            }
-        }
-    }
-    for f in &spec.free_events {
-        if f.attrs.controllable {
-            gated.insert(f.lit);
-        }
-    }
-    gated
+    gated_literals(spec).collect()
+}
+
+/// [`guard_gated`]'s literals in spec order, repeats kept: what arming a
+/// monitor writes into its bit set.
+pub(crate) fn gated_literals(spec: &WorkflowSpec) -> impl Iterator<Item = Literal> + '_ {
+    let agents = spec.agents.iter().flat_map(|a| a.agent.events.iter());
+    let agents = agents.map(|ev| (ev.attrs, ev.literal));
+    let free = spec.free_events.iter().map(|f| (f.attrs, f.lit));
+    agents.chain(free).filter(|(attrs, _)| attrs.controllable).map(|(_, lit)| lit)
 }
 
 /// One network node: an event actor, an agent, or the lazy-mode ticker.
@@ -330,31 +332,43 @@ pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow 
 pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
     let compiled = Arc::new(CompiledWorkflow::compile(&spec.dependencies, GuardScope::Mentioning));
 
-    // ----- gather all symbols and their attributes/sites -----
-    let mut attrs_of: BTreeMap<Literal, EventAttrs> = BTreeMap::new();
-    let mut site_of_sym: BTreeMap<SymbolId, SiteId> = BTreeMap::new();
-    let mut symbols: BTreeSet<SymbolId> = compiled.symbols.clone();
-    for a in &spec.agents {
-        for ev in &a.agent.events {
-            symbols.insert(ev.literal.symbol());
-            attrs_of.insert(ev.literal, ev.attrs);
-            // Complements occur by rejection/unreachability, never by
-            // attempt: immediate.
-            attrs_of.insert(ev.literal.complement(), EventAttrs::immediate());
-            site_of_sym.insert(ev.literal.symbol(), a.site);
-        }
+    // ----- every symbol's attributes and site, by symbol id -----
+    let agent_events =
+        spec.agents.iter().flat_map(|a| a.agent.events.iter().map(move |ev| (a, ev)));
+    let width = (compiled.symbols.iter().copied())
+        .chain(agent_events.clone().map(|(_, ev)| ev.literal.symbol()))
+        .chain(spec.free_events.iter().map(|f| f.lit.symbol()))
+        .map(|s| s.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut info = vec![SymbolInfo::default(); width];
+    compiled.symbols.iter().for_each(|s| info[s.index()].used = true);
+    for (a, ev) in agent_events {
+        let at = &mut info[ev.literal.symbol().index()];
+        at.used = true;
+        at.attrs[ev.literal.polarity() as usize] = Some(ev.attrs);
+        // Complements occur by rejection/unreachability, never by
+        // attempt: immediate.
+        at.attrs[ev.literal.complement().polarity() as usize] = Some(EventAttrs::immediate());
+        at.site = a.site;
     }
     for f in &spec.free_events {
-        symbols.insert(f.lit.symbol());
-        attrs_of.insert(f.lit, f.attrs);
-        attrs_of.entry(f.lit.complement()).or_insert_with(EventAttrs::immediate);
-        site_of_sym.insert(f.lit.symbol(), f.site);
+        let at = &mut info[f.lit.symbol().index()];
+        at.used = true;
+        at.attrs[f.lit.polarity() as usize] = Some(f.attrs);
+        at.attrs[f.lit.complement().polarity() as usize].get_or_insert_with(EventAttrs::immediate);
+        at.site = f.site;
     }
 
     // ----- assign node ids: agents first, then actors -----
-    let mut routing = Routing::default();
     let agent_count = spec.agents.len();
-    let symbol_list: Vec<SymbolId> = symbols.iter().copied().collect();
+    let mut symbol_list: Vec<SymbolId> = Vec::with_capacity(width);
+    symbol_list.extend((0..width as u32).map(SymbolId).filter(|s| info[s.index()].used));
+    let mut routing = Routing {
+        actor_of: SymbolMap::with_capacity(width),
+        agent_of: SymbolMap::with_capacity(width),
+        subscribers_of: SymbolMap::with_capacity(width),
+    };
     for (ix, &s) in symbol_list.iter().enumerate() {
         routing.actor_of.insert(s, NodeId((agent_count + ix) as u32));
     }
@@ -368,31 +382,32 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
     // Actor t is interested in symbol s if a dependency mentioning t also
     // mentions s: its residual trackers follow s, and its guards mention
     // nothing else (`G(D, e)` mentions only `Γ_D`, and the scope is
-    // `Mentioning`). Subscribers are listed in actor order.
+    // `Mentioning`). Subscribers are listed in actor order; a symbol's
+    // `seen` stamp names the last actor subscribed to it, so a symbol two
+    // of an actor's dependencies share subscribes it once.
     for &s in &symbol_list {
         routing.subscribers_of.insert(s, Vec::new());
     }
-    for &t in &symbol_list {
-        let mut interest: BTreeSet<SymbolId> = BTreeSet::new();
-        for syms in compiled.dependency_symbols.iter().filter(|syms| syms.contains(&t)) {
-            interest.extend(syms);
-        }
-        interest.remove(&t);
-        for s in interest {
-            let subs = routing.subscribers_of.get_mut(&s).expect("a mentioned symbol has an actor");
-            subs.push(routing.actor_of[t]);
+    for (ix, &t) in symbol_list.iter().enumerate() {
+        let stamp = ix as u32 + 1;
+        let mentioning = compiled.dependency_symbols.iter().filter(|syms| mentions(syms, t));
+        for &s in mentioning.flatten() {
+            if s != t && std::mem::replace(&mut info[s.index()].seen, stamp) != stamp {
+                let subs =
+                    routing.subscribers_of.get_mut(&s).expect("a mentioned symbol has an actor");
+                subs.push(NodeId((agent_count + ix) as u32));
+            }
         }
     }
     let routing = Arc::new(routing);
     let lazy = config.lazy.is_some();
 
     // ----- instantiate nodes -----
-    let mut nodes: Vec<(SiteId, Node)> = Vec::new();
+    let mut nodes: Vec<(SiteId, Node)> =
+        Vec::with_capacity(agent_count + symbol_list.len() + usize::from(lazy));
     for a in &spec.agents {
-        nodes.push((
-            a.site,
-            Node::Agent(AgentNode::new(a.agent.clone(), &a.script, Arc::clone(&routing))),
-        ));
+        nodes
+            .push((a.site, Node::Agent(AgentNode::new(&a.agent, &a.script, Arc::clone(&routing)))));
     }
     // The actor weakens a literal's factors into its table.
     let top = FactoredGuard::top();
@@ -400,21 +415,21 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
     for &s in &symbol_list {
         let pos = Literal::pos(s);
         let neg = Literal::neg(s);
-        let deps: Vec<(usize, DepTracker)> = (0..spec.dependencies.len())
-            .filter(|&ix| compiled.dependency_symbols[ix].contains(&s))
-            .map(|ix| (ix, DepTracker::compiled(compiled.machines[ix].clone())))
+        let deps: Vec<(usize, DepTracker)> = (compiled.dependency_symbols.iter().enumerate())
+            .filter(|(_, syms)| mentions(syms, s))
+            .map(|(ix, _)| (ix, DepTracker::compiled(compiled.machines[ix].clone())))
             .collect();
+        let SymbolInfo { attrs: [pos_attrs, neg_attrs], site, .. } = info[s.index()];
         let mut actor = SymbolActor::new(
             s,
             actor_guard(pos),
             actor_guard(neg),
-            attrs_of.get(&pos).copied().unwrap_or_else(EventAttrs::controllable),
-            attrs_of.get(&neg).copied().unwrap_or_else(EventAttrs::immediate),
+            pos_attrs.unwrap_or_else(EventAttrs::controllable),
+            neg_attrs.unwrap_or_else(EventAttrs::immediate),
             deps,
             Arc::clone(&routing),
         );
         actor.lazy = lazy;
-        let site = site_of_sym.get(&s).copied().unwrap_or(SiteId(0));
         nodes.push((site, Node::Actor(actor)));
     }
     if let Some((period, rounds)) = config.lazy {
@@ -424,7 +439,8 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
     }
 
     // ----- seed messages -----
-    let mut injections = Vec::new();
+    let mut injections =
+        Vec::with_capacity(agent_count + usize::from(lazy) + spec.free_events.len());
     for aix in 0..agent_count {
         let id = NodeId(aix as u32);
         injections.push((id, id, Msg::Kick, 0));
@@ -448,6 +464,32 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
         }
     }
     BuiltWorkflow { nodes, routing, injections, symbols: symbol_list, guards: compiled }
+}
+
+/// What the builder gathers about one symbol from the spec.
+#[derive(Debug, Clone, Copy)]
+struct SymbolInfo {
+    /// The workflow mentions it, or an event of an agent or a free event
+    /// is it.
+    used: bool,
+    /// The attributes of its positive and negative literal, where given.
+    attrs: [Option<EventAttrs>; 2],
+    /// Its actor's site.
+    site: SiteId,
+    /// The last actor found interested in it (position plus one), while
+    /// the subscriptions are walked.
+    seen: u32,
+}
+
+impl Default for SymbolInfo {
+    fn default() -> SymbolInfo {
+        SymbolInfo { used: false, attrs: [None; 2], site: SiteId(0), seen: 0 }
+    }
+}
+
+/// `true` if the sorted `symbols` hold `s`.
+fn mentions(symbols: &[SymbolId], s: SymbolId) -> bool {
+    symbols.binary_search(&s).is_ok()
 }
 
 /// Compile and run a workflow on the deterministic simulated network.

@@ -134,21 +134,25 @@ impl Entry {
 /// One actor's table.
 #[derive(Debug, Clone)]
 struct Tables {
-    /// Each compiled factor's symbols, a range of [`Tables::syms`]; the
-    /// positive literal's factors come first. Factor `f` at the empty
-    /// fact set is entry `f`.
-    factors: Vec<Range<u32>>,
+    /// Each compiled factor's symbols, sorted, back to back, after a
+    /// header of `factors + 1` bounds: factor `f`'s symbols are
+    /// `syms[syms[f]..syms[f + 1]]` (a bound is held as a `SymbolId` of
+    /// its position). The positive literal's factors come first. Factor
+    /// `f` at the empty fact set is entry `f`.
+    syms: Vec<SymbolId>,
     /// How many of the factors are the positive literal's.
     pos: usize,
-    /// Every factor's symbols, sorted per factor, back to back.
-    syms: Vec<SymbolId>,
     entries: Vec<Entry>,
 }
 
 impl Tables {
     fn syms(&self, factor: usize) -> &[SymbolId] {
-        let Range { start, end } = self.factors[factor];
-        &self.syms[start as usize..end as usize]
+        &self.syms[self.syms[factor].index()..self.syms[factor + 1].index()]
+    }
+
+    /// How many compiled factors the table is over.
+    fn factors(&self) -> usize {
+        self.syms[0].index() - 1
     }
 }
 
@@ -275,16 +279,16 @@ impl GuardMemo {
     pub(crate) fn new(pos: &FactoredGuard, neg: &FactoredGuard) -> GuardMemo {
         let compiled = pos.factors().iter().chain(neg.factors());
         let n = compiled.clone().count();
-        // Room for the factors' symbols and first fact sets: on the
-        // templates a factor spans at most four symbols, and an actor
-        // meets a few fact sets per factor.
+        // Sized in one go: the factors' bounds and symbols (on the
+        // templates a factor spans at most four symbols), and room for a
+        // few fact sets per factor.
         let mut tables = Tables {
-            factors: Vec::with_capacity(n),
+            syms: Vec::with_capacity(n + 1 + 4 * n),
             pos: pos.factors().len(),
-            syms: Vec::with_capacity(4 * n),
             entries: Vec::with_capacity(4 * n),
         };
-        for factor in compiled {
+        tables.syms.resize(n + 1, SymbolId(n as u32 + 1));
+        for (f, factor) in compiled.enumerate() {
             let guard = factor.weaken_sequences();
             let start = tables.syms.len();
             guard.symbols_all(|s| {
@@ -294,7 +298,7 @@ impl GuardMemo {
                 true
             });
             let end = tables.syms.len();
-            tables.factors.push(start as u32..end as u32);
+            tables.syms[f + 1] = SymbolId(end as u32);
             tables.entries.push(Entry::new(FactSet::empty(end - start), guard));
         }
         let at = (0..n as EntryIx).collect();
@@ -305,7 +309,7 @@ impl GuardMemo {
     fn span(&self, pol: Polarity) -> Range<usize> {
         match pol {
             Polarity::Pos => 0..self.tables.pos,
-            Polarity::Neg => self.tables.pos..self.tables.factors.len(),
+            Polarity::Neg => self.tables.pos..self.tables.factors(),
         }
     }
 
@@ -334,7 +338,7 @@ impl GuardMemo {
     /// entries past the cap: only the instance that just ended pointed at
     /// them.
     pub(crate) fn reset(&mut self) {
-        let keep = MEMO_CAP.max(self.tables.factors.len());
+        let keep = MEMO_CAP.max(self.tables.factors());
         if self.tables.entries.len() > keep {
             let entries = &mut Arc::make_mut(&mut self.tables).entries;
             entries.truncate(keep);
@@ -343,7 +347,7 @@ impl GuardMemo {
             }
         }
         self.at.clear();
-        self.at.extend(0..self.tables.factors.len() as EntryIx);
+        self.at.extend(0..self.tables.factors() as EntryIx);
     }
 }
 
@@ -414,7 +418,7 @@ mod tests {
     fn per_factor(memo: &GuardMemo) -> Vec<usize> {
         let t = &memo.tables;
         let next = |&e: &EntryIx| Some(t.entries[e as usize].next).filter(|&n| n != END);
-        let factors = 0..t.factors.len() as EntryIx;
+        let factors = 0..t.factors() as EntryIx;
         factors.map(|f| std::iter::successors(Some(f), next).count()).collect()
     }
 

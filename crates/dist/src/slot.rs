@@ -16,7 +16,7 @@
 //! [`RunReport`] the caller keeps (DESIGN.md §9 has the accounting).
 
 use crate::actor::SymbolActor;
-use crate::exec::{guard_gated, BuiltWorkflow, ExecConfig, Node, RunReport, WorkflowSpec};
+use crate::exec::{gated_literals, BuiltWorkflow, ExecConfig, Node, RunReport, WorkflowSpec};
 use crate::fleet::Arrival;
 use crate::msg::{InstanceId, Msg};
 use crate::reliable::Reliable;
@@ -321,7 +321,7 @@ impl<'t> InstanceSlot<'t> {
             Arc::new(WorkflowMonitor::from_compiled(
                 &spec.table,
                 Arc::clone(&built.guards),
-                guard_gated(spec),
+                gated_literals(spec),
                 mc,
             ))
         });

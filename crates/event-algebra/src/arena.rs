@@ -23,12 +23,20 @@
 //! tree constructors to the same canonical [`Expr`]). The tree
 //! implementation stays as the reference oracle; the property suite in
 //! `tests/arena_oracle.rs` checks agreement on random expressions.
+//!
+//! Storage is flat: a node is a kind and two spans, one into a shared
+//! pool of children and one into a shared pool of symbols, and the
+//! interning index is an open-addressed table of ids that hashes a
+//! candidate's children where they are gathered (a stack the
+//! constructors share) and probes the pool to compare. Interning a node
+//! allocates nothing of its own; the arena's few buffers grow, and a
+//! compile sizes them up front ([`ExprArena::reserve`]).
 
 use crate::expr::{rank_literal, Expr};
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::symbol::{Literal, SymbolId};
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::hash::Hasher;
+use std::ops::Range;
 
 /// Interned handle to an expression in an [`ExprArena`].
 ///
@@ -46,36 +54,50 @@ impl ExprId {
     }
 }
 
-/// One interned node: children are ids, not trees. The child list is
-/// shared, so the node table, the interning index and a walk that holds a
-/// node while it extends the arena all copy a pointer, not the list.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Node {
+/// What an interned node is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
     Zero,
     Top,
-    Lit(Literal),
-    Seq(Arc<[ExprId]>),
-    Or(Arc<[ExprId]>),
-    And(Arc<[ExprId]>),
+    Lit,
+    Seq,
+    Or,
+    And,
 }
 
-/// Per-node cached facts, computed once at interning time.
-#[derive(Debug, Clone)]
-struct Meta {
-    /// Sorted, deduplicated symbols mentioned by the node (`Γ_E` modulo
-    /// polarity).
-    syms: Box<[SymbolId]>,
+/// One interned node: a kind and two spans into the arena's pools. A
+/// literal's span is its one symbol, and `lit` holds it; an n-ary node's
+/// children are `kids[kids.start..kids.end]` of [`ExprArena::kids`].
+/// Every node's sorted, deduplicated symbols (`Γ_E` modulo polarity) are
+/// its span of [`ExprArena::syms`].
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    kind: Kind,
+    lit: Literal,
+    kids: (u32, u32),
+    syms: (u32, u32),
     /// `true` if no `+`/`|` occurs under `·` (precondition of R3/R7/R8).
     normal: bool,
 }
 
 /// A hash-consing arena for event expressions with persistent memo caches
-/// for normalization and residuation.
+/// for normalization and residuation. Nodes keep their children and
+/// symbols as spans into two shared pools, and the interning index is an
+/// open-addressed table of ids that probes those pools: a node costs no
+/// allocation of its own.
 #[derive(Debug, Clone)]
 pub struct ExprArena {
     nodes: Vec<Node>,
-    meta: Vec<Meta>,
-    index: FxHashMap<Node, ExprId>,
+    /// Every n-ary node's children, back to back.
+    kids: Vec<ExprId>,
+    /// Every node's symbols, back to back.
+    syms: Vec<SymbolId>,
+    /// The interning index: `id + 1` of the node hashed to each slot (by
+    /// linear probing), 0 for an empty slot; never more than half full.
+    slots: Vec<u32>,
+    /// Children being gathered for a constructor: each call works above
+    /// the height it found and leaves the stack there.
+    stack: Vec<ExprId>,
     norm_cache: FxHashMap<ExprId, ExprId>,
     residue_cache: FxHashMap<(ExprId, Literal), ExprId>,
 }
@@ -86,23 +108,50 @@ impl Default for ExprArena {
     }
 }
 
+/// Sort and deduplicate `v[from..]`.
+fn sort_dedup<T: Ord + Copy>(v: &mut Vec<T>, from: usize) {
+    v[from..].sort_unstable();
+    let mut end = from;
+    for k in from..v.len() {
+        if end == from || v[end - 1] != v[k] {
+            v[end] = v[k];
+            end += 1;
+        }
+    }
+    v.truncate(end);
+}
+
+/// Hash of a node by its content: its kind and its literal or children.
+fn content_hash(kind: Kind, lit: Literal, kids: &[ExprId]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_u8(kind as u8);
+    match kind {
+        Kind::Lit => h.write_u32(lit.index() as u32),
+        _ => kids.iter().for_each(|k| h.write_u32(k.0)),
+    }
+    h.finish()
+}
+
 impl ExprArena {
     /// The interned `0`.
     pub const ZERO: ExprId = ExprId(0);
     /// The interned `⊤`.
     pub const TOP: ExprId = ExprId(1);
 
-    /// An arena holding only the constants `0` and `⊤`.
+    /// An arena holding only the constants `0` and `⊤`, with room for
+    /// the expressions of a few small dependencies.
     pub fn new() -> ExprArena {
         let mut arena = ExprArena {
-            nodes: Vec::new(),
-            meta: Vec::new(),
-            index: FxHashMap::default(),
+            nodes: Vec::with_capacity(64),
+            kids: Vec::with_capacity(128),
+            syms: Vec::with_capacity(128),
+            slots: vec![0; 128],
+            stack: Vec::with_capacity(32),
             norm_cache: FxHashMap::default(),
             residue_cache: FxHashMap::default(),
         };
-        let zero = arena.mk(Node::Zero);
-        let top = arena.mk(Node::Top);
+        let zero = arena.mk(Kind::Zero, Literal::from_index(0), 0);
+        let top = arena.mk(Kind::Top, Literal::from_index(0), 0);
         debug_assert_eq!(zero, Self::ZERO);
         debug_assert_eq!(top, Self::TOP);
         arena
@@ -112,8 +161,9 @@ impl ExprArena {
     /// residuations without growing a table.
     pub fn reserve(&mut self, nodes: usize, residuals: usize) {
         self.nodes.reserve(nodes);
-        self.meta.reserve(nodes);
-        self.index.reserve(nodes);
+        self.kids.reserve(2 * nodes);
+        self.syms.reserve(2 * nodes);
+        self.grow_slots(self.nodes.len() + nodes);
         self.residue_cache.reserve(residuals);
     }
 
@@ -127,41 +177,80 @@ impl ExprArena {
         self.nodes.len() <= 2
     }
 
-    fn mk(&mut self, node: Node) -> ExprId {
-        if let Some(&id) = self.index.get(&node) {
-            return id;
+    fn kids_of(&self, node: Node) -> Range<usize> {
+        node.kids.0 as usize..node.kids.1 as usize
+    }
+
+    /// Make the interning table big enough for `nodes` nodes at most
+    /// half full, re-placing every node if it grows.
+    fn grow_slots(&mut self, nodes: usize) {
+        if 2 * nodes <= self.slots.len() {
+            return;
         }
-        let meta = self.meta_of(&node);
+        let size = (2 * nodes).next_power_of_two();
+        self.slots.clear();
+        self.slots.resize(size, 0);
+        for ix in 0..self.nodes.len() {
+            let node = self.nodes[ix];
+            let hash = content_hash(node.kind, node.lit, &self.kids[self.kids_of(node)]);
+            let mut at = hash as usize & (size - 1);
+            while self.slots[at] != 0 {
+                at = (at + 1) & (size - 1);
+            }
+            self.slots[at] = ix as u32 + 1;
+        }
+    }
+
+    /// Intern the node of `kind` over `lit` (a literal) or over the
+    /// children `stack[from..]` (an n-ary node), and drop those from the
+    /// stack.
+    fn mk(&mut self, kind: Kind, lit: Literal, from: usize) -> ExprId {
+        let hash = content_hash(kind, lit, &self.stack[from..]);
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while let Some(id) = self.slots[at].checked_sub(1) {
+            let node = self.nodes[id as usize];
+            let same = node.kind == kind
+                && match kind {
+                    Kind::Lit => node.lit == lit,
+                    _ => self.kids[self.kids_of(node)] == self.stack[from..],
+                };
+            if same {
+                self.stack.truncate(from);
+                return ExprId(id);
+            }
+            at = (at + 1) & mask;
+        }
         let id = ExprId(u32::try_from(self.nodes.len()).expect("arena overflow"));
-        self.nodes.push(node.clone());
-        self.meta.push(meta);
-        self.index.insert(node, id);
+        self.slots[at] = id.0 + 1;
+        let kids = (self.kids.len() as u32, (self.kids.len() + self.stack.len() - from) as u32);
+        self.kids.extend_from_slice(&self.stack[from..]);
+        self.stack.truncate(from);
+        let syms_from = self.syms.len();
+        let normal = match kind {
+            Kind::Zero | Kind::Top => true,
+            Kind::Lit => {
+                self.syms.push(lit.symbol());
+                true
+            }
+            Kind::Seq | Kind::Or | Kind::And => {
+                let mut normal = true;
+                for k in kids.0 as usize..kids.1 as usize {
+                    let child = self.nodes[self.kids[k].index()];
+                    normal &= match kind {
+                        Kind::Seq => child.kind == Kind::Lit,
+                        _ => child.normal,
+                    };
+                    self.syms.extend_from_within(child.syms.0 as usize..child.syms.1 as usize);
+                }
+                sort_dedup(&mut self.syms, syms_from);
+                normal
+            }
+        };
+        let syms = (syms_from as u32, self.syms.len() as u32);
+        self.nodes.push(Node { kind, lit, kids, syms, normal });
+        self.grow_slots(self.nodes.len());
         id
-    }
-
-    fn meta_of(&self, node: &Node) -> Meta {
-        match node {
-            Node::Zero | Node::Top => Meta { syms: Box::new([]), normal: true },
-            Node::Lit(l) => Meta { syms: Box::new([l.symbol()]), normal: true },
-            Node::Seq(v) => Meta {
-                syms: self.merge_syms(v),
-                normal: v.iter().all(|&c| matches!(self.nodes[c.index()], Node::Lit(_))),
-            },
-            Node::Or(v) | Node::And(v) => Meta {
-                syms: self.merge_syms(v),
-                normal: v.iter().all(|&c| self.meta[c.index()].normal),
-            },
-        }
-    }
-
-    fn merge_syms(&self, kids: &[ExprId]) -> Box<[SymbolId]> {
-        let mut syms: Vec<SymbolId> = Vec::new();
-        for &c in kids {
-            syms.extend_from_slice(&self.meta[c.index()].syms);
-        }
-        syms.sort_unstable();
-        syms.dedup();
-        syms.into_boxed_slice()
     }
 
     // ------------------------------------------------------------------
@@ -170,92 +259,135 @@ impl ExprArena {
 
     /// The atom for literal `l`.
     pub fn lit(&mut self, l: Literal) -> ExprId {
-        self.mk(Node::Lit(l))
+        let from = self.stack.len();
+        self.mk(Kind::Lit, l, from)
     }
 
     /// Smart constructor for `E₁ · E₂ · …` (see [`Expr::seq`]).
     pub fn seq(&mut self, parts: impl IntoIterator<Item = ExprId>) -> ExprId {
-        let mut out: Vec<ExprId> = Vec::new();
-        for p in parts {
-            match &self.nodes[p.index()] {
-                Node::Zero => return Self::ZERO,
-                Node::Top => {}
-                Node::Seq(inner) => out.extend(inner.iter().copied()),
-                _ => out.push(p),
-            }
-        }
-        match out.len() {
-            0 => Self::TOP,
-            1 => out[0],
-            _ => {
-                // An all-literal sequence repeating a symbol denotes ∅.
-                let mut syms = BTreeSet::new();
-                for &p in &out {
-                    match self.nodes[p.index()] {
-                        Node::Lit(l) => {
-                            if !syms.insert(l.symbol()) {
-                                return Self::ZERO;
-                            }
-                        }
-                        _ => break,
-                    }
-                }
-                self.mk(Node::Seq(Arc::from(out)))
-            }
-        }
+        let from = self.stack.len();
+        self.stack.extend(parts);
+        self.seq_from(from)
     }
 
     /// Smart constructor for `E₁ + E₂ + …` (see [`Expr::or`]).
     pub fn or(&mut self, parts: impl IntoIterator<Item = ExprId>) -> ExprId {
-        let mut out: Vec<ExprId> = Vec::new();
-        for p in parts {
-            match &self.nodes[p.index()] {
-                Node::Zero => {}
-                Node::Top => return Self::TOP,
-                Node::Or(inner) => out.extend(inner.iter().copied()),
-                _ => out.push(p),
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        match out.len() {
-            0 => Self::ZERO,
-            1 => out[0],
-            _ => self.mk(Node::Or(Arc::from(out))),
-        }
+        let from = self.stack.len();
+        self.stack.extend(parts);
+        self.or_from(from)
     }
 
     /// Smart constructor for `E₁ | E₂ | …` (see [`Expr::and`]).
     pub fn and(&mut self, parts: impl IntoIterator<Item = ExprId>) -> ExprId {
-        let mut out: Vec<ExprId> = Vec::new();
-        for p in parts {
-            match &self.nodes[p.index()] {
-                Node::Top => {}
-                Node::Zero => return Self::ZERO,
-                Node::And(inner) => out.extend(inner.iter().copied()),
-                _ => out.push(p),
+        let from = self.stack.len();
+        self.stack.extend(parts);
+        self.and_from(from)
+    }
+
+    /// Replace the parts `stack[from..]` of an n-ary `kind` node with its
+    /// flattened children — a part of the same kind contributes its own —
+    /// skipping the unit; `false` if a part is the annihilator.
+    fn flatten(&mut self, kind: Kind, from: usize, unit: ExprId, annihilator: ExprId) -> bool {
+        let parts = self.stack.len();
+        for ix in from..parts {
+            let p = self.stack[ix];
+            if p == annihilator {
+                self.stack.truncate(from);
+                return false;
+            }
+            let node = self.nodes[p.index()];
+            if node.kind == kind {
+                let kids = self.kids_of(node);
+                self.stack.extend_from_slice(&self.kids[kids]);
+            } else if p != unit {
+                self.stack.push(p);
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        // e | ē denotes ∅: complementary literals always sort adjacent.
-        let mut lits: Vec<Literal> = out
-            .iter()
-            .filter_map(|&p| match self.nodes[p.index()] {
-                Node::Lit(l) => Some(l),
-                _ => None,
-            })
-            .collect();
-        lits.sort_unstable();
-        for w in lits.windows(2) {
-            if w[0].is_complement_of(w[1]) {
+        self.stack.drain(from..parts);
+        true
+    }
+
+    /// The one child `stack[from]` (dropped from the stack), if it is
+    /// the only one.
+    fn single(&mut self, from: usize) -> Option<ExprId> {
+        (self.stack.len() == from + 1).then(|| self.stack.pop().expect("one child"))
+    }
+
+    /// [`ExprArena::seq`] of the parts `stack[from..]`.
+    fn seq_from(&mut self, from: usize) -> ExprId {
+        if !self.flatten(Kind::Seq, from, Self::TOP, Self::ZERO) {
+            return Self::ZERO;
+        }
+        if self.stack.len() == from {
+            return Self::TOP;
+        }
+        if let Some(only) = self.single(from) {
+            return only;
+        }
+        // An all-literal sequence repeating a symbol denotes ∅.
+        for k in from..self.stack.len() {
+            let node = self.nodes[self.stack[k].index()];
+            if node.kind != Kind::Lit {
+                break;
+            }
+            let repeats = (from..k)
+                .any(|j| self.nodes[self.stack[j].index()].lit.symbol() == node.lit.symbol());
+            if repeats {
+                self.stack.truncate(from);
                 return Self::ZERO;
             }
         }
-        match out.len() {
-            0 => Self::TOP,
-            1 => out[0],
-            _ => self.mk(Node::And(Arc::from(out))),
+        self.mk(Kind::Seq, Literal::from_index(0), from)
+    }
+
+    /// [`ExprArena::or`] of the parts `stack[from..]`.
+    fn or_from(&mut self, from: usize) -> ExprId {
+        if !self.flatten(Kind::Or, from, Self::ZERO, Self::TOP) {
+            return Self::TOP;
+        }
+        sort_dedup(&mut self.stack, from);
+        if self.stack.len() == from {
+            return Self::ZERO;
+        }
+        if let Some(only) = self.single(from) {
+            return only;
+        }
+        self.mk(Kind::Or, Literal::from_index(0), from)
+    }
+
+    /// [`ExprArena::and`] of the parts `stack[from..]`.
+    fn and_from(&mut self, from: usize) -> ExprId {
+        if !self.flatten(Kind::And, from, Self::TOP, Self::ZERO) {
+            return Self::ZERO;
+        }
+        sort_dedup(&mut self.stack, from);
+        // e | ē denotes ∅.
+        let lit = |arena: &ExprArena, k: usize| {
+            let node = arena.nodes[arena.stack[k].index()];
+            (node.kind == Kind::Lit).then_some(node.lit)
+        };
+        for k in from..self.stack.len() {
+            let Some(l) = lit(self, k) else { continue };
+            if (from..k).any(|j| lit(self, j).is_some_and(|m| m.is_complement_of(l))) {
+                self.stack.truncate(from);
+                return Self::ZERO;
+            }
+        }
+        if self.stack.len() == from {
+            return Self::TOP;
+        }
+        if let Some(only) = self.single(from) {
+            return only;
+        }
+        self.mk(Kind::And, Literal::from_index(0), from)
+    }
+
+    /// The constructor of an n-ary `kind` over the parts `stack[from..]`.
+    fn build(&mut self, kind: Kind, from: usize) -> ExprId {
+        match kind {
+            Kind::Seq => self.seq_from(from),
+            Kind::Or => self.or_from(from),
+            _ => self.and_from(from),
         }
     }
 
@@ -284,36 +416,35 @@ impl ExprArena {
     }
 
     fn intern_mapped(&mut self, e: &Expr, f: &impl Fn(Literal) -> Literal) -> ExprId {
-        match e {
-            Expr::Zero => Self::ZERO,
-            Expr::Top => Self::TOP,
-            Expr::Lit(l) => self.lit(f(*l)),
-            Expr::Seq(v) => {
-                let kids: Vec<ExprId> = v.iter().map(|p| self.intern_mapped(p, f)).collect();
-                self.seq(kids)
-            }
-            Expr::Or(v) => {
-                let kids: Vec<ExprId> = v.iter().map(|p| self.intern_mapped(p, f)).collect();
-                self.or(kids)
-            }
-            Expr::And(v) => {
-                let kids: Vec<ExprId> = v.iter().map(|p| self.intern_mapped(p, f)).collect();
-                self.and(kids)
-            }
+        let (kind, parts) = match e {
+            Expr::Zero => return Self::ZERO,
+            Expr::Top => return Self::TOP,
+            Expr::Lit(l) => return self.lit(f(*l)),
+            Expr::Seq(v) => (Kind::Seq, v),
+            Expr::Or(v) => (Kind::Or, v),
+            Expr::And(v) => (Kind::And, v),
+        };
+        let from = self.stack.len();
+        for p in parts {
+            let id = self.intern_mapped(p, f);
+            self.stack.push(id);
         }
+        self.build(kind, from)
     }
 
     /// Materialize `id` back into a canonical tree [`Expr`]. Rebuilding
     /// through the tree smart constructors restores `Expr`'s child order
     /// for `+`/`|`, so `expr(intern(e)) == e` for canonical `e`.
     pub fn expr(&self, id: ExprId) -> Expr {
-        match &self.nodes[id.index()] {
-            Node::Zero => Expr::Zero,
-            Node::Top => Expr::Top,
-            Node::Lit(l) => Expr::Lit(*l),
-            Node::Seq(v) => Expr::seq(v.iter().map(|&c| self.expr(c))),
-            Node::Or(v) => Expr::or(v.iter().map(|&c| self.expr(c))),
-            Node::And(v) => Expr::and(v.iter().map(|&c| self.expr(c))),
+        let node = self.nodes[id.index()];
+        let kids = self.kids[self.kids_of(node)].iter().map(|&c| self.expr(c));
+        match node.kind {
+            Kind::Zero => Expr::Zero,
+            Kind::Top => Expr::Top,
+            Kind::Lit => Expr::Lit(node.lit),
+            Kind::Seq => Expr::seq(kids),
+            Kind::Or => Expr::or(kids),
+            Kind::And => Expr::and(kids),
         }
     }
 
@@ -333,27 +464,24 @@ impl ExprArena {
 
     /// Sorted symbols mentioned by `id` (`Γ_E` modulo polarity).
     pub fn symbols(&self, id: ExprId) -> &[SymbolId] {
-        &self.meta[id.index()].syms
+        let (start, end) = self.nodes[id.index()].syms;
+        &self.syms[start as usize..end as usize]
     }
 
     /// `true` if `sym` (either polarity) is mentioned by `id`.
     pub fn mentions(&self, id: ExprId, sym: SymbolId) -> bool {
-        self.meta[id.index()].syms.binary_search(&sym).is_ok()
+        self.symbols(id).binary_search(&sym).is_ok()
     }
 
     /// `true` if `id` has no `+`/`|` under `·` (cached at intern time).
     pub fn is_normal(&self, id: ExprId) -> bool {
-        self.meta[id.index()].normal
+        self.nodes[id.index()].normal
     }
 
     /// `Γ_E` as a sorted literal vector: both polarities of every
     /// mentioned symbol (agrees with [`Expr::gamma`] iteration order).
     pub fn alphabet(&self, id: ExprId) -> Vec<Literal> {
-        self.meta[id.index()]
-            .syms
-            .iter()
-            .flat_map(|&s| [Literal::pos(s), Literal::neg(s)])
-            .collect()
+        (self.symbols(id).iter()).flat_map(|&s| [Literal::pos(s), Literal::neg(s)]).collect()
     }
 
     // ------------------------------------------------------------------
@@ -364,26 +492,27 @@ impl ExprArena {
     /// residuation rules. Already-normal nodes return themselves without a
     /// cache probe; results persist for the arena's lifetime.
     pub fn normalize(&mut self, id: ExprId) -> ExprId {
-        if self.meta[id.index()].normal {
+        let node = self.nodes[id.index()];
+        if node.normal {
             return id;
         }
         if let Some(&n) = self.norm_cache.get(&id) {
             return n;
         }
-        let n = match self.nodes[id.index()].clone() {
-            Node::Zero | Node::Top | Node::Lit(_) => id,
-            Node::Or(v) => {
-                let kids: Vec<ExprId> = v.iter().map(|&c| self.normalize(c)).collect();
-                self.or(kids)
+        let n = match node.kind {
+            Kind::Zero | Kind::Top | Kind::Lit => id,
+            Kind::Or | Kind::And => {
+                let from = self.stack.len();
+                for k in self.kids_of(node) {
+                    let c = self.normalize(self.kids[k]);
+                    self.stack.push(c);
+                }
+                self.build(node.kind, from)
             }
-            Node::And(v) => {
-                let kids: Vec<ExprId> = v.iter().map(|&c| self.normalize(c)).collect();
-                self.and(kids)
-            }
-            Node::Seq(v) => {
+            Kind::Seq => {
                 let mut acc = Self::TOP;
-                for &c in v.iter() {
-                    let nc = self.normalize(c);
+                for k in self.kids_of(node) {
+                    let nc = self.normalize(self.kids[k]);
                     acc = self.product(acc, nc);
                 }
                 acc
@@ -397,28 +526,24 @@ impl ExprArena {
     /// distributing `·` outward over `+` and `|` on either side (mirrors
     /// `norm::product`).
     fn product(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        match (self.nodes[a.index()].clone(), self.nodes[b.index()].clone()) {
-            (Node::Zero, _) | (_, Node::Zero) => Self::ZERO,
-            (Node::Top, _) => b,
-            (_, Node::Top) => a,
-            (Node::Or(xs), _) => {
-                let kids: Vec<ExprId> = xs.iter().map(|&x| self.product(x, b)).collect();
-                self.or(kids)
-            }
-            (_, Node::Or(ys)) => {
-                let kids: Vec<ExprId> = ys.iter().map(|&y| self.product(a, y)).collect();
-                self.or(kids)
-            }
-            (Node::And(xs), _) => {
-                let kids: Vec<ExprId> = xs.iter().map(|&x| self.product(x, b)).collect();
-                self.and(kids)
-            }
-            (_, Node::And(ys)) => {
-                let kids: Vec<ExprId> = ys.iter().map(|&y| self.product(a, y)).collect();
-                self.and(kids)
-            }
-            _ => self.seq([a, b]),
+        let (na, nb) = (self.nodes[a.index()], self.nodes[b.index()]);
+        let (kind, left) = match (na.kind, nb.kind) {
+            (Kind::Zero, _) | (_, Kind::Zero) => return Self::ZERO,
+            (Kind::Top, _) => return b,
+            (_, Kind::Top) => return a,
+            (Kind::Or, _) => (Kind::Or, true),
+            (_, Kind::Or) => (Kind::Or, false),
+            (Kind::And, _) => (Kind::And, true),
+            (_, Kind::And) => (Kind::And, false),
+            _ => return self.seq([a, b]),
+        };
+        let from = self.stack.len();
+        for k in self.kids_of(if left { na } else { nb }) {
+            let c = self.kids[k];
+            let p = if left { self.product(c, b) } else { self.product(a, c) };
+            self.stack.push(p);
         }
+        self.build(kind, from)
     }
 
     /// Symbolic residuation `id / by` (rules R1–R8). Normalizes first if
@@ -431,39 +556,43 @@ impl ExprArena {
 
     /// Residuation on an id known to be normal.
     pub fn residuate_normal(&mut self, id: ExprId, by: Literal) -> ExprId {
-        debug_assert!(self.meta[id.index()].normal);
+        let node = self.nodes[id.index()];
+        debug_assert!(node.normal);
         if let Some(&r) = self.residue_cache.get(&(id, by)) {
             return r;
         }
-        let r = match self.nodes[id.index()].clone() {
+        let r = match node.kind {
             // R1: 0/e = 0.  R2: ⊤/e = ⊤.
-            Node::Zero => Self::ZERO,
-            Node::Top => Self::TOP,
-            Node::Lit(l) => {
-                if l == by {
+            Kind::Zero => Self::ZERO,
+            Kind::Top => Self::TOP,
+            Kind::Lit => {
+                if node.lit == by {
                     Self::TOP // R3 with empty tail.
-                } else if l.is_complement_of(by) {
+                } else if node.lit.is_complement_of(by) {
                     Self::ZERO // R8 degenerate.
                 } else {
                     id // R6.
                 }
             }
             // R4/R5: distribute over + and |.
-            Node::Or(v) => {
-                let kids: Vec<ExprId> = v.iter().map(|&c| self.residuate_normal(c, by)).collect();
-                self.or(kids)
+            Kind::Or | Kind::And => {
+                let from = self.stack.len();
+                for k in self.kids_of(node) {
+                    let c = self.residuate_normal(self.kids[k], by);
+                    self.stack.push(c);
+                }
+                self.build(node.kind, from)
             }
-            Node::And(v) => {
-                let kids: Vec<ExprId> = v.iter().map(|&c| self.residuate_normal(c, by)).collect();
-                self.and(kids)
-            }
-            Node::Seq(v) => {
+            Kind::Seq => {
+                let head = self.nodes[self.kids[node.kids.0 as usize].index()];
                 if !self.mentions(id, by.symbol()) {
                     id // R6.
-                } else if self.nodes[v[0].index()] == Node::Lit(by) {
+                } else if head.kind == Kind::Lit && head.lit == by {
                     // R3: (e·E)/e = E.
-                    let tail: Vec<ExprId> = v[1..].to_vec();
-                    self.seq(tail)
+                    let from = self.stack.len();
+                    let tail = node.kids.0 as usize + 1..node.kids.1 as usize;
+                    self.stack.extend_from_slice(&self.kids[tail]);
+                    self.seq_from(from)
                 } else {
                     Self::ZERO // R7/R8.
                 }

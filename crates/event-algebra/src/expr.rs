@@ -230,7 +230,8 @@ impl Expr {
                 Expr::Seq(v) | Expr::Or(v) | Expr::And(v) => v.iter().for_each(|p| collect(p, acc)),
             }
         }
-        let mut syms = Vec::new();
+        // Room for the literals of a dependency over a few symbols.
+        let mut syms = Vec::with_capacity(8);
         collect(self, &mut syms);
         syms.sort_unstable();
         syms.dedup();

@@ -20,6 +20,19 @@
 //! [`DependencyMachine::compile_all`] explores each distinct shape once,
 //! every further dependency of that shape costs a reference count and its
 //! alphabet, and cloning a machine costs the same.
+//!
+//! # Flat tables
+//!
+//! A shape is a handful of flat tables indexed by state: the transition
+//! table `next[state × |Γ|]`, one byte per state saying whether its
+//! residual is `⊤` or `0`, and one `(|Γ| + 1) × states` matrix of
+//! reachability — the first row liveness, row `k + 1` "an accepting
+//! state is reachable without an edge labeled `Γ[k]`" — filled by one
+//! backward search per row over the reverse edges, stored as one CSR
+//! pair. Of the residual expressions only the dependency's own is kept:
+//! [`DependencyMachine::state`] renders any other on demand, by
+//! residuating it along a word that reaches the state, for diagnostics
+//! and tests — nothing on the run-time path reads a residual tree.
 
 use crate::arena::{ExprArena, ExprId};
 use crate::expr::Expr;
@@ -40,29 +53,47 @@ impl StateId {
     }
 }
 
+/// A state whose residual is `⊤`.
+const TOP: u8 = 1;
+/// A state whose residual is `0`.
+const ZERO: u8 = 2;
+
 /// The residual machine of one dependency shape, over symbol ranks: what
-/// every [`DependencyMachine`] of that shape shares.
+/// every [`DependencyMachine`] of that shape shares. Every table is flat
+/// and indexed by state; of the residuals only the first is kept as a
+/// tree, and the others are rendered from it when asked for
+/// ([`MachineShape::residual`]).
 #[derive(Debug)]
 struct MachineShape {
-    /// All reachable residuals; `states[0]` is the normalized shape.
-    states: Vec<Expr>,
+    /// The normalized shape: the residual at state 0.
+    root: Expr,
     /// `Γ` of the normalized shape, sorted and closed under complement.
     alphabet: Vec<Literal>,
     /// `next[s * alphabet.len() + k]`: the state after `alphabet[k]` in
     /// state `s`, self-loops (R6) included.
     next: Vec<StateId>,
-    /// `live[s]`: some accepting state is reachable from `s` (computed
-    /// once at compile time; queried per-message by the scheduler).
-    live: Vec<bool>,
-    /// All accepting (`⊤`) states.
-    accepting: Vec<StateId>,
-    /// All trap states (no accepting state reachable).
-    traps: Vec<StateId>,
-    /// `avoid_live[k][s]`: an accepting state is reachable from `s`
-    /// without taking any edge labeled `alphabet[k]` — the machine form
-    /// of `satisfiable_avoiding`, precomputed so `requires_event` is a
-    /// table lookup.
-    avoid_live: Vec<Vec<bool>>,
+    /// Per state, [`TOP`] or [`ZERO`] when its residual is that constant.
+    kind: Vec<u8>,
+    /// Reachability of an accepting state, one row of the `n` states per
+    /// question. Row 0 is liveness: `reach[s]`, an accepting state is
+    /// reachable from `s` at all. Row `k + 1` avoids `alphabet[k]`:
+    /// `reach[(k + 1) * n + s]`, one is reachable without taking an edge
+    /// labeled `alphabet[k]` — the machine form of `satisfiable_avoiding`,
+    /// so `requires_event` is a table lookup.
+    reach: Vec<bool>,
+}
+
+/// The buffers one compile reuses from shape to shape.
+#[derive(Default)]
+struct Scratch {
+    ids: Vec<ExprId>,
+    index: FxHashMap<ExprId, StateId>,
+    /// The states to expand, then to walk back from.
+    stack: Vec<StateId>,
+    /// Reverse edges by target, as one CSR pair: the `(source, column)`
+    /// pairs of target `t` are `edges[starts[t]..starts[t + 1]]`.
+    starts: Vec<u32>,
+    edges: Vec<(u32, u32)>,
 }
 
 impl MachineShape {
@@ -70,15 +101,25 @@ impl MachineShape {
     /// Terminates because residuation strictly removes the residuated
     /// symbol from the expression. States are keyed by `ExprId` —
     /// structural equality is an id comparison.
-    fn compile(arena: &mut ExprArena, dep: ExprId) -> MachineShape {
+    fn compile(arena: &mut ExprArena, dep: ExprId, scratch: &mut Scratch) -> MachineShape {
         let alphabet = arena.alphabet(dep);
-        let mut ids: Vec<ExprId> = vec![dep];
-        let mut index: FxHashMap<ExprId, StateId> = FxHashMap::default();
+        let width = alphabet.len();
+        let Scratch { ids, index, stack: frontier, .. } = scratch;
+        // Room for the residuals of a dependency over a few symbols: the
+        // buffers outlive the shape, so they grow on the first few only.
+        ids.reserve(16);
+        index.reserve(16);
+        frontier.reserve(16);
+        ids.clear();
+        ids.push(dep);
+        index.clear();
         index.insert(dep, StateId(0));
         // A state's row starts as self-loops (R6) and is filled in when
         // the state is expanded.
-        let mut next: Vec<StateId> = vec![StateId(0); alphabet.len()];
-        let mut frontier = vec![StateId(0)];
+        let mut next = Vec::with_capacity(16 * width);
+        next.resize(width, StateId(0));
+        frontier.clear();
+        frontier.push(StateId(0));
         while let Some(sid) = frontier.pop() {
             let state = ids[sid.index()];
             for (k, &lit) in alphabet.iter().enumerate() {
@@ -89,42 +130,118 @@ impl MachineShape {
                 let nid = *index.entry(to).or_insert_with(|| {
                     let id = StateId(ids.len() as u32);
                     ids.push(to);
-                    next.extend(std::iter::repeat_n(id, alphabet.len()));
+                    next.extend(std::iter::repeat_n(id, width));
                     frontier.push(id);
                     id
                 });
-                next[sid.index() * alphabet.len() + k] = nid;
+                next[sid.index() * width + k] = nid;
             }
         }
-        let states: Vec<Expr> = ids.iter().map(|&i| arena.expr(i)).collect();
-        MachineShape::finish(states, alphabet, next)
+        let kind = (ids.iter())
+            .map(|&id| match id {
+                ExprArena::TOP => TOP,
+                ExprArena::ZERO => ZERO,
+                _ => 0,
+            })
+            .collect();
+        MachineShape::finish(arena.expr(dep), alphabet, next, kind, scratch)
     }
 
-    /// Assemble the shape and precompute every per-state table the
-    /// scheduler and the analyzer query: accepting states, liveness (one
-    /// backward reachability), traps, and per-alphabet-literal avoidance
-    /// liveness (backward reachability on the subgraph without that
-    /// literal's edges).
-    fn finish(states: Vec<Expr>, alphabet: Vec<Literal>, next: Vec<StateId>) -> MachineShape {
-        let n = states.len();
-        let accepting: Vec<StateId> =
-            (0..n as u32).map(StateId).filter(|s| states[s.index()].is_top()).collect();
-        // Reverse edges `(source, column)` by target, built once for all
-        // the passes below. Self-loops never change the state, so they
-        // are irrelevant to reachability and left out.
-        let mut preds: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        for (at, dst) in next.iter().enumerate() {
-            let (src, k) = (at / alphabet.len(), at % alphabet.len());
-            if dst.index() != src {
-                preds[dst.index()].push((src, k));
+    /// Assemble the shape and fill the reachability matrix the scheduler
+    /// and the analyzer query: one backward reachability from the
+    /// accepting states per alphabet literal (on the subgraph without that
+    /// literal's edges), and one over every edge.
+    fn finish(
+        root: Expr,
+        alphabet: Vec<Literal>,
+        next: Vec<StateId>,
+        kind: Vec<u8>,
+        scratch: &mut Scratch,
+    ) -> MachineShape {
+        let (n, width) = (kind.len(), alphabet.len());
+        // Reverse edges, built once for every row below. Self-loops never
+        // change the state, so they are irrelevant to reachability and
+        // left out.
+        let Scratch { starts, edges, stack, .. } = scratch;
+        starts.clear();
+        starts.resize(n + 1, 0);
+        let moves = || {
+            (next.iter().enumerate())
+                .map(move |(at, dst)| (at / width, at % width, dst.index()))
+                .filter(|&(src, _, dst)| dst != src)
+        };
+        for (_, _, dst) in moves() {
+            starts[dst + 1] += 1;
+        }
+        for t in 0..n {
+            starts[t + 1] += starts[t];
+        }
+        edges.clear();
+        edges.resize(starts[n] as usize, (0, 0));
+        for (src, k, dst) in moves() {
+            edges[starts[dst] as usize] = (src as u32, k as u32);
+            starts[dst] += 1;
+        }
+        // Each target's cursor ended on the next one's start: shift back.
+        starts.copy_within(0..n, 1);
+        starts[0] = 0;
+        let mut reach = vec![false; (width + 1) * n];
+        for (r, row) in reach.chunks_exact_mut(n).enumerate() {
+            let avoided = r.checked_sub(1);
+            stack.clear();
+            for s in (0..n).filter(|&s| kind[s] & TOP != 0) {
+                row[s] = true;
+                stack.push(StateId(s as u32));
+            }
+            while let Some(s) = stack.pop() {
+                let s = s.index();
+                for &(p, col) in &edges[starts[s] as usize..starts[s + 1] as usize] {
+                    if Some(col as usize) != avoided && !row[p as usize] {
+                        row[p as usize] = true;
+                        stack.push(StateId(p));
+                    }
+                }
             }
         }
-        let live = backward_reachable(&preds, &accepting, None);
-        let traps: Vec<StateId> =
-            live.iter().enumerate().filter(|(_, &l)| !l).map(|(s, _)| StateId(s as u32)).collect();
-        let avoid_live: Vec<Vec<bool>> =
-            (0..alphabet.len()).map(|k| backward_reachable(&preds, &accepting, Some(k))).collect();
-        MachineShape { states, alphabet, next, live, accepting, traps, avoid_live }
+        MachineShape { root, alphabet, next, kind, reach }
+    }
+
+    fn state_count(&self) -> usize {
+        self.kind.len()
+    }
+
+    /// Liveness of every state: the first row of the matrix.
+    fn live(&self) -> &[bool] {
+        &self.reach[..self.state_count()]
+    }
+
+    /// The residual at `sid`: the root residuated along a shortest word
+    /// that reaches `sid` — every word that does reaches the same
+    /// residual, which is what makes it a state.
+    fn residual(&self, sid: StateId) -> Expr {
+        let (n, width) = (self.state_count(), self.alphabet.len());
+        // Breadth-first from the root, each state's parent edge kept.
+        let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
+        let mut queue = std::collections::VecDeque::from([0]);
+        while let Some(s) = queue.pop_front() {
+            if s == sid.index() {
+                break;
+            }
+            for k in 0..width {
+                let t = self.next[s * width + k].index();
+                if t != 0 && parent[t].is_none() {
+                    parent[t] = Some((s, k));
+                    queue.push_back(t);
+                }
+            }
+        }
+        let mut word = Vec::new();
+        let mut at = sid.index();
+        while let Some((s, k)) = parent[at] {
+            word.push(self.alphabet[k]);
+            at = s;
+        }
+        (word.iter().rev()).fold(self.root.clone(), |e, &l| crate::residue::residuate(&e, l))
     }
 }
 
@@ -175,10 +292,11 @@ impl DependencyMachine {
         shaped: &[(ExprId, Vec<SymbolId>)],
     ) -> Vec<DependencyMachine> {
         let mut shapes: FxHashMap<ExprId, Arc<MachineShape>> = FxHashMap::default();
+        let mut scratch = Scratch::default();
         (shaped.iter())
             .map(|(id, binding)| {
                 let shape = (shapes.entry(*id))
-                    .or_insert_with(|| Arc::new(MachineShape::compile(arena, *id)));
+                    .or_insert_with(|| Arc::new(MachineShape::compile(arena, *id, &mut scratch)));
                 let alphabet = shape.alphabet.iter().map(|l| l.rebind(binding)).collect();
                 DependencyMachine { shape: Arc::clone(shape), initial: StateId(0), alphabet }
             })
@@ -215,7 +333,16 @@ impl DependencyMachine {
                 next[sid.index() * alphabet.len() + k] = nid;
             }
         }
-        let shape = Arc::new(MachineShape::finish(states, alphabet.clone(), next));
+        let kind = (states.iter())
+            .map(|st| match st {
+                Expr::Top => TOP,
+                Expr::Zero => ZERO,
+                _ => 0,
+            })
+            .collect();
+        let root = states.swap_remove(0);
+        let scratch = &mut Scratch::default();
+        let shape = Arc::new(MachineShape::finish(root, alphabet.clone(), next, kind, scratch));
         DependencyMachine { shape, initial: StateId(0), alphabet }
     }
 
@@ -229,21 +356,27 @@ impl DependencyMachine {
     /// Number of states (the size metric compared against guard sizes in
     /// experiment C5).
     pub fn state_count(&self) -> usize {
-        self.shape.states.len()
+        self.shape.state_count()
     }
 
     /// The residual expression at `sid`: the shape's, over this
-    /// machine's symbols.
+    /// machine's symbols. Rendered on demand (the machine keeps the
+    /// dependency's tree only), for diagnostics and tests.
     pub fn state(&self, sid: StateId) -> Expr {
-        self.shape.states[sid.index()].map_literals(&|l| {
-            let k = self.shape.alphabet.binary_search(&l).expect("a residual stays inside Γ_D");
-            self.alphabet[k]
-        })
+        self.rebound(&self.shape.residual(sid))
     }
 
     /// The (normalized) dependency this machine enforces.
     pub fn dependency(&self) -> Expr {
-        self.state(self.initial)
+        self.rebound(&self.shape.root)
+    }
+
+    /// `residual`, over the shape's ranks, over this machine's symbols.
+    fn rebound(&self, residual: &Expr) -> Expr {
+        residual.map_literals(&|l| {
+            let k = self.shape.alphabet.binary_search(&l).expect("a residual stays inside Γ_D");
+            self.alphabet[k]
+        })
     }
 
     /// Step the machine: events outside `Γ_D` self-loop.
@@ -261,19 +394,25 @@ impl DependencyMachine {
 
     /// `true` if the state is the satisfied terminal `⊤`.
     pub fn is_accepting(&self, sid: StateId) -> bool {
-        self.shape.states[sid.index()].is_top()
+        self.shape.kind[sid.index()] & TOP != 0
     }
 
     /// `true` if the state is the violated terminal `0`.
     pub fn is_violated(&self, sid: StateId) -> bool {
-        self.shape.states[sid.index()].is_zero()
+        self.shape.kind[sid.index()] & ZERO != 0
     }
 
     /// `true` if some maximal completion from `sid` satisfies the
     /// dependency — the safety condition a scheduler must preserve.
     /// O(1): liveness was computed once at compile time.
     pub fn is_live(&self, sid: StateId) -> bool {
-        self.shape.live[sid.index()]
+        self.shape.reach[sid.index()]
+    }
+
+    /// `true` if an accepting state is reachable from `sid` without taking
+    /// an edge labeled `alphabet[k]`.
+    fn avoid_live(&self, k: usize, sid: StateId) -> bool {
+        self.shape.reach[(k + 1) * self.state_count() + sid.index()]
     }
 
     /// Position of `lit` in the sorted alphabet, if it belongs to `Γ_D`.
@@ -287,8 +426,8 @@ impl DependencyMachine {
     /// table lookup. Literals outside `Γ_D` restrict nothing.
     pub fn may_reach_avoiding(&self, sid: StateId, avoid: Literal) -> bool {
         match self.alphabet_ix(avoid) {
-            Some(k) => self.shape.avoid_live[k][sid.index()],
-            None => self.shape.live[sid.index()],
+            Some(k) => self.avoid_live(k, sid),
+            None => self.is_live(sid),
         }
     }
 
@@ -299,8 +438,8 @@ impl DependencyMachine {
     pub fn may_reach_avoiding_all(&self, sid: StateId, avoid: &BTreeSet<Literal>) -> bool {
         let columns: Vec<usize> = avoid.iter().filter_map(|&l| self.alphabet_ix(l)).collect();
         match columns[..] {
-            [] => return self.shape.live[sid.index()],
-            [k] => return self.shape.avoid_live[k][sid.index()],
+            [] => return self.is_live(sid),
+            [k] => return self.avoid_live(k, sid),
             _ => {}
         }
         let width = self.alphabet.len();
@@ -326,7 +465,7 @@ impl DependencyMachine {
     /// the compile-time avoidance tables.
     pub fn requires_event(&self, sid: StateId, lit: Literal) -> bool {
         match self.alphabet_ix(lit) {
-            Some(k) => self.shape.live[sid.index()] && !self.shape.avoid_live[k][sid.index()],
+            Some(k) => self.is_live(sid) && !self.avoid_live(k, sid),
             // Events outside Γ_D never become required (R6).
             None => false,
         }
@@ -362,34 +501,33 @@ impl DependencyMachine {
         })
     }
 
-    /// All accepting (`⊤`) states, computed at compile time. Every state
+    /// All accepting (`⊤`) states, in order. Every state
     /// of a compiled machine is reachable from the initial state, so an
     /// empty result means the dependency admits no satisfying trace at
     /// all.
     pub fn accepting_states(&self) -> Vec<StateId> {
-        self.shape.accepting.clone()
+        (0..self.state_count() as u32).map(StateId).filter(|&s| self.is_accepting(s)).collect()
     }
 
     /// `true` if the machine has any accepting state — i.e. the
     /// dependency is satisfiable on its own.
     pub fn has_accepting(&self) -> bool {
-        !self.shape.accepting.is_empty()
+        self.shape.kind.iter().any(|&k| k & TOP != 0)
     }
 
     /// Per-state liveness: `live[s]` is `true` when some accepting state
     /// is reachable from `s`. Agrees with satisfiability of the residual
     /// expression; computed once at compile time by backward reachability.
     pub fn live(&self) -> &[bool] {
-        &self.shape.live
+        self.shape.live()
     }
 
     /// Trap states: states from which no accepting state is reachable
     /// (the violated terminal `0` and any other dead residual). A run
     /// entering a trap can only end with the dependency violated, so the
-    /// scheduler must reject the event that would move there. Computed at
-    /// compile time.
+    /// scheduler must reject the event that would move there.
     pub fn trap_states(&self) -> Vec<StateId> {
-        self.shape.traps.clone()
+        (0..self.state_count() as u32).map(StateId).filter(|&s| !self.is_live(s)).collect()
     }
 
     /// Render the full transition relation, one line per edge, with state
@@ -405,9 +543,9 @@ impl DependencyMachine {
         );
         for sid in (0..self.state_count() as u32).map(StateId) {
             let st = self.state(sid);
-            let marker = if st.is_top() {
+            let marker = if self.is_accepting(sid) {
                 " [accept]"
-            } else if st.is_zero() {
+            } else if self.is_violated(sid) {
                 " [violate]"
             } else if sid == self.initial {
                 " [initial]"
@@ -426,31 +564,6 @@ impl DependencyMachine {
         }
         out
     }
-}
-
-/// Backward reachability from the `accepting` states over the reverse
-/// edges `preds[target] = [(source, column)]`. With `forbidden` set,
-/// edges of that column are excluded: the result is liveness under the
-/// constraint that the column's literal never occurs.
-fn backward_reachable(
-    preds: &[Vec<(usize, usize)>],
-    accepting: &[StateId],
-    forbidden: Option<usize>,
-) -> Vec<bool> {
-    let mut live = vec![false; preds.len()];
-    let mut stack: Vec<usize> = accepting.iter().map(|s| s.index()).collect();
-    for &s in &stack {
-        live[s] = true;
-    }
-    while let Some(s) = stack.pop() {
-        for &(p, k) in &preds[s] {
-            if forbidden != Some(k) && !live[p] {
-                live[p] = true;
-                stack.push(p);
-            }
-        }
-    }
-    live
 }
 
 #[cfg(test)]

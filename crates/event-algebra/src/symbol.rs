@@ -6,7 +6,6 @@
 //! never touch strings on hot paths, and represent a member of `Γ` as a
 //! [`Literal`]: a symbol id plus a polarity bit.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A dense identifier for an event symbol in `Σ`.
@@ -166,10 +165,19 @@ impl fmt::Display for Literal {
 /// A table corresponds to the set `Σ` of significant events of one workflow
 /// universe. Complements are not named separately: the complement of the
 /// event named `"commit"` is displayed as `~commit`.
+///
+/// The names are kept back to back in one string, and the index is the
+/// ids sorted by name: a table is three buffers however many names it
+/// holds, so copying one costs three allocations.
 #[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
-    names: Vec<String>,
-    index: HashMap<String, SymbolId>,
+    /// Every name, back to back, in id order.
+    text: String,
+    /// `ends[id]`: where name `id` ends in `text`; it starts where the
+    /// name before it ends.
+    ends: Vec<u32>,
+    /// The ids in name order, which [`SymbolTable::lookup`] searches.
+    by_name: Vec<SymbolId>,
 }
 
 impl SymbolTable {
@@ -178,16 +186,23 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
+    /// Where `name` is in `by_name`, or where it would go.
+    fn search(&self, name: &str) -> Result<usize, usize> {
+        self.by_name.binary_search_by(|&id| self.name(id).expect("an interned id").cmp(name))
+    }
+
     /// Intern `name`, returning the existing id if already present.
     pub fn intern(&mut self, name: &str) -> SymbolId {
-        if let Some(&id) = self.index.get(name) {
-            return id;
-        }
+        let at = match self.search(name) {
+            Ok(found) => return self.by_name[found],
+            Err(at) => at,
+        };
         let id = SymbolId(
-            u32::try_from(self.names.len()).expect("more than u32::MAX event symbols interned"),
+            u32::try_from(self.ends.len()).expect("more than u32::MAX event symbols interned"),
         );
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), id);
+        self.text.push_str(name);
+        self.ends.push(u32::try_from(self.text.len()).expect("event names past 4 GiB"));
+        self.by_name.insert(at, id);
         id
     }
 
@@ -203,12 +218,14 @@ impl SymbolTable {
 
     /// Look up an already-interned name.
     pub fn lookup(&self, name: &str) -> Option<SymbolId> {
-        self.index.get(name).copied()
+        self.search(name).ok().map(|found| self.by_name[found])
     }
 
     /// The name for `id`, if `id` was allocated by this table.
     pub fn name(&self, id: SymbolId) -> Option<&str> {
-        self.names.get(id.index()).map(String::as_str)
+        let end = *self.ends.get(id.index())? as usize;
+        let start = id.index().checked_sub(1).map_or(0, |before| self.ends[before] as usize);
+        Some(&self.text[start..end])
     }
 
     /// Render a literal using this table's names (`commit` / `~commit`).
@@ -226,17 +243,17 @@ impl SymbolTable {
 
     /// Number of interned symbols.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// `true` if no symbols have been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterate over all interned symbol ids.
     pub fn ids(&self) -> impl Iterator<Item = SymbolId> + '_ {
-        (0..self.names.len() as u32).map(SymbolId)
+        (0..self.ends.len() as u32).map(SymbolId)
     }
 }
 
@@ -262,6 +279,24 @@ mod tests {
         assert_eq!((a.0, b.0, c.0), (0, 1, 2));
         assert_eq!(t.name(b), Some("b"));
         assert_eq!(t.name(SymbolId(99)), None);
+    }
+
+    #[test]
+    fn every_name_is_found_among_many() {
+        let mut t = SymbolTable::new();
+        assert_eq!(t.lookup("a"), None);
+        let names: Vec<String> = (0..200).map(|i| format!("t{i}.commit")).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(t.intern(name), SymbolId(i as u32));
+        }
+        assert_eq!(t.intern(""), SymbolId(200));
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(t.lookup(name), Some(SymbolId(i as u32)), "{name}");
+            assert_eq!(t.name(SymbolId(i as u32)), Some(name.as_str()));
+        }
+        assert_eq!((t.lookup(""), t.name(SymbolId(200))), (Some(SymbolId(200)), Some("")));
+        assert_eq!((t.lookup("t200.commit"), t.len()), (None, 201));
+        assert_eq!(t.clone().lookup("t7.commit"), Some(SymbolId(7)));
     }
 
     #[test]

@@ -101,7 +101,8 @@ pub fn check_lemma5(d: &Expr, ev: Literal) -> bool {
 pub fn guards_by_dependency(deps: &[Expr], scope: GuardScope) -> BTreeMap<Literal, Vec<Guard>> {
     let mut synth = GuardSynth::new();
     let ids: Vec<_> = deps.iter().map(|d| synth.intern(d)).collect();
-    let symbols: Vec<BTreeSet<SymbolId>> = deps.iter().map(Expr::symbols).collect();
+    let symbols: Vec<Vec<SymbolId>> =
+        deps.iter().map(|d| d.symbols().into_iter().collect()).collect();
     let alphabet: BTreeSet<SymbolId> = symbols.iter().flatten().copied().collect();
     let literals = alphabet.iter().flat_map(|&s| [Literal::pos(s), Literal::neg(s)]);
     literals

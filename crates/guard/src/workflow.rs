@@ -38,10 +38,11 @@ pub enum GuardScope {
 }
 
 impl GuardScope {
-    /// Does a dependency mentioning `symbols` contribute to `lit`'s guard?
-    pub(crate) fn covers(self, symbols: &BTreeSet<SymbolId>, lit: Literal) -> bool {
+    /// Does a dependency mentioning `symbols` (sorted) contribute to
+    /// `lit`'s guard?
+    pub(crate) fn covers(self, symbols: &[SymbolId], lit: Literal) -> bool {
         match self {
-            GuardScope::Mentioning => symbols.contains(&lit.symbol()),
+            GuardScope::Mentioning => symbols.binary_search(&lit.symbol()).is_ok(),
             GuardScope::All => true,
         }
     }
@@ -50,8 +51,6 @@ impl GuardScope {
 /// A workflow compiled into localized event guards.
 #[derive(Debug, Clone)]
 pub struct CompiledWorkflow {
-    /// The dependencies, as given.
-    pub dependencies: Vec<Expr>,
     /// Per-literal conjoined guard, as its factors: one per group of the
     /// contributing dependencies linked by a symbol other than the
     /// literal's own, conjoined in dependency order within the group,
@@ -62,12 +61,12 @@ pub struct CompiledWorkflow {
     /// The residual machine of each dependency (triggering analysis and
     /// the baseline schedulers reuse these).
     pub machines: Vec<DependencyMachine>,
-    /// All symbols mentioned by the workflow.
-    pub symbols: BTreeSet<SymbolId>,
-    /// The symbols each dependency mentions, by dependency index — what
-    /// decides which guards a dependency contributes to and which
+    /// All symbols mentioned by the workflow, sorted.
+    pub symbols: Vec<SymbolId>,
+    /// The symbols each dependency mentions, sorted, by dependency index —
+    /// what decides which guards a dependency contributes to and which
     /// announcements its residual trackers follow.
-    pub dependency_symbols: Vec<BTreeSet<SymbolId>>,
+    pub dependency_symbols: Vec<Vec<SymbolId>>,
 }
 
 impl CompiledWorkflow {
@@ -96,12 +95,15 @@ impl CompiledWorkflow {
         let shaped: Vec<(ExprId, Vec<SymbolId>)> =
             dependencies.iter().map(|d| synth.intern_shape(d)).collect();
         synth.reserve_for_shapes();
-        let dependency_symbols: Vec<BTreeSet<SymbolId>> =
-            shaped.iter().map(|(_, binding)| binding.iter().copied().collect()).collect();
-        let symbols: BTreeSet<SymbolId> = dependency_symbols.iter().flatten().copied().collect();
+        // A shape's binding is its dependency's sorted symbols.
+        let mut symbols: Vec<SymbolId> =
+            Vec::with_capacity(shaped.iter().map(|(_, binding)| binding.len()).sum());
+        shaped.iter().for_each(|(_, binding)| symbols.extend_from_slice(binding));
+        symbols.sort_unstable();
+        symbols.dedup();
         let (mut guards, mut plan) = (BTreeMap::new(), Vec::new());
         for &sym in &symbols {
-            factor_plan(&mut plan, &dependency_symbols, sym, scope);
+            factor_plan(&mut plan, &shaped, sym, scope);
             let factor_count = plan.iter().map(|&(_, slot)| slot + 1).max().unwrap_or(0);
             for lit in [Literal::pos(sym), Literal::neg(sym)] {
                 let mut factors: Vec<Guard> = Vec::with_capacity(factor_count);
@@ -122,13 +124,8 @@ impl CompiledWorkflow {
             }
         }
         let machines = synth.machines(&shaped);
-        CompiledWorkflow {
-            dependencies: dependencies.to_vec(),
-            guards,
-            machines,
-            symbols,
-            dependency_symbols,
-        }
+        let dependency_symbols = shaped.into_iter().map(|(_, binding)| binding).collect();
+        CompiledWorkflow { guards, machines, symbols, dependency_symbols }
     }
 
     /// How many distinct [shapes](Expr::shape) the dependencies have:
@@ -210,14 +207,15 @@ fn multiply_narrow(factors: &mut Vec<Guard>) {
 /// than `own`; factors are numbered in order of their first dependency.
 fn factor_plan(
     plan: &mut Vec<(usize, usize)>,
-    symbols: &[BTreeSet<SymbolId>],
+    shaped: &[(ExprId, Vec<SymbolId>)],
     own: SymbolId,
     scope: GuardScope,
 ) {
     let lit = Literal::pos(own);
+    let symbols = |ix: usize| shaped[ix].1.as_slice();
     // `(dependency, parent)`; a parent is never after its child.
     plan.clear();
-    let in_scope = (0..symbols.len()).filter(|&ix| scope.covers(&symbols[ix], lit));
+    let in_scope = (0..shaped.len()).filter(|&ix| scope.covers(symbols(ix), lit));
     plan.extend(in_scope.enumerate().map(|(k, ix)| (ix, k)));
     let root = |plan: &[(usize, usize)], mut k: usize| {
         while plan[k].1 != k {
@@ -227,8 +225,8 @@ fn factor_plan(
     };
     for k in 1..plan.len() {
         for j in 0..k {
-            let (a, b) = (&symbols[plan[j].0], &symbols[plan[k].0]);
-            if a.iter().any(|s| *s != own && b.contains(s)) {
+            let (a, b) = (symbols(plan[j].0), symbols(plan[k].0));
+            if a.iter().any(|s| *s != own && b.binary_search(s).is_ok()) {
                 let (rj, rk) = (root(plan, j), root(plan, k));
                 plan[rj.max(rk)].1 = rj.min(rk);
             }

@@ -29,7 +29,8 @@ fn templates_compile_one_machine_and_one_recursion_per_shape() {
     ];
     for (name, workflow, dependencies, shapes) in templates {
         let compiled = workflow.compile_guards();
-        assert_eq!(compiled.dependencies.len(), dependencies, "{name}");
+        assert_eq!(workflow.spec.dependencies.len(), dependencies, "{name}");
+        assert_eq!(compiled.machines.len(), dependencies, "{name}");
         assert_eq!(compiled.shape_count(), shapes, "{name}");
     }
 }

@@ -305,10 +305,12 @@ struct MonitorState {
     guards: Arc<CompiledWorkflow>,
     /// The guard-gated literals, as a bitset over `Literal::index`.
     gated: Vec<u64>,
-    /// `deps_of[symbol]`: the dependencies that mention the symbol, in
-    /// index order. A machine self-loops on every literal outside its
-    /// alphabet, so an occurrence steps only these.
-    deps_of: Vec<Vec<u32>>,
+    /// The dependencies that mention each symbol, in index order, as one
+    /// CSR pair: symbol `s`'s are `deps[deps_start[s]..deps_start[s + 1]]`.
+    /// A machine self-loops on every literal outside its alphabet, so an
+    /// occurrence steps only these.
+    deps_start: Vec<u32>,
+    deps: Vec<u32>,
     /// Globally-ordered occurrences: delivery seq → literal.
     facts: SortedMap<u64, Literal>,
     /// Symbols resolved by an observed occurrence (either polarity), as
@@ -416,16 +418,25 @@ impl WorkflowMonitor {
         for lit in gated {
             set_bit(&mut gated_bits, lit.index());
         }
-        let mut deps_of: Vec<Vec<u32>> = Vec::new();
-        for (ix, symbols) in guards.dependency_symbols.iter().enumerate() {
-            for s in symbols {
-                let s = s.0 as usize;
-                if s >= deps_of.len() {
-                    deps_of.resize_with(s + 1, Vec::new);
-                }
-                deps_of[s].push(ix as u32);
-            }
+        let mentions = || {
+            (guards.dependency_symbols.iter().enumerate())
+                .flat_map(|(ix, symbols)| symbols.iter().map(move |s| (ix as u32, s.index())))
+        };
+        let symbols = mentions().map(|(_, s)| s + 1).max().unwrap_or(0);
+        let mut deps_start = vec![0u32; symbols + 1];
+        mentions().for_each(|(_, s)| deps_start[s + 1] += 1);
+        for s in 0..symbols {
+            deps_start[s + 1] += deps_start[s];
         }
+        // Each symbol's start is its cursor, in dependency order; a
+        // cursor ends on the next symbol's start, so shift them back.
+        let mut deps = vec![0u32; deps_start[symbols] as usize];
+        for (ix, s) in mentions() {
+            deps[deps_start[s] as usize] = ix;
+            deps_start[s] += 1;
+        }
+        deps_start.copy_within(0..symbols, 1);
+        deps_start[0] = 0;
         WorkflowMonitor {
             stall_deadline: AtomicU64::new(u64::MAX),
             state: Mutex::new(MonitorState {
@@ -436,7 +447,8 @@ impl WorkflowMonitor {
                 dep_alerted,
                 guards,
                 gated: gated_bits,
-                deps_of,
+                deps_start,
+                deps,
                 facts: SortedMap::new(),
                 resolved: vec![0; (table.len()).div_ceil(64)],
                 canon: SortedMap::new(),
@@ -742,7 +754,11 @@ impl MonitorState {
 
     /// The dependencies `lit` can move: those mentioning its symbol.
     fn deps_of(&self, lit: Literal) -> &[u32] {
-        self.deps_of.get(lit.symbol().0 as usize).map_or(&[], Vec::as_slice)
+        let s = lit.symbol().index();
+        match self.deps_start.get(s..s + 2) {
+            Some(&[start, end]) => &self.deps[start as usize..end as usize],
+            _ => &[],
+        }
     }
 
     /// Re-classify dependency `ix` after its machine moved; a changed

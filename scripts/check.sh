@@ -12,8 +12,10 @@
 # deterministic: the distributed, lazy and both centralized schedulers
 # must not move an occurrence, a message or a tick) and the benchmark's
 # own selfcheck. It ends by printing the product-source line total
-# (`scripts/loc.sh`), the "lines removed" metric, so every gate run
-# reports it.
+# (`scripts/loc.sh`), the "lines removed" metric, and the allocations
+# per cold solo operation weighted over the benchmark's `solo_cold` mix
+# (the cold budget test, release profile), so every gate run reports
+# both.
 #
 # `check.sh --faults` runs the fault-conformance tier instead: the
 # `conformance` driver sweeps every example spec, then the four model
@@ -215,5 +217,8 @@ bash "$REPO/benchmark/run.sh" --selfcheck
 
 echo "==> product source lines (scripts/loc.sh; per crate: scripts/loc.sh, change: scripts/loc.sh REV1 REV2)"
 "$REPO/scripts/loc.sh" | grep '^total'
+
+echo "==> allocations per cold solo operation, weighted over the solo_cold mix (crates/dist/tests/cold_alloc_budget.rs, release)"
+cargo test --release --offline -q -p dist --test cold_alloc_budget -- --nocapture | grep '^weighted:'
 
 echo "==> tier-1 gate passed"

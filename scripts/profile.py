@@ -30,8 +30,13 @@ Addresses are named from `nm`:
 the binary's full symbol table, a shared library's dynamic one. A
 shared library address that lies in no exported symbol — libc's malloc
 internals (`_int_malloc`, `_int_free`, ...) are static and stripped — is
-reported as `[libc.so.6: unexported code]`, not charged to whichever
-export happens to precede it. When a sample stops in such code, whose
+not charged to whichever export happens to precede it. It is reported
+as `[libc.so.6: allocator internals]` when a malloc-family export
+(`malloc`, `free`, `realloc`, `calloc`, `memalign`, `__libc_*`,
+`__default_morecore`) is its nearest exported neighbour on either side,
+and as `[libc.so.6: unexported code]` otherwise; the last line gives the
+allocator's total share — its exports and its internals — and that of
+the other unexported code. When a sample stops in unexported code, whose
 frame pointer is not trustworthy, the caller is recovered by scanning the
 stack for the first return address into the binary.
 
@@ -220,9 +225,26 @@ class Symbolizer:
                 if os.path.realpath(path) != self.exe:
                     label = f"{base}!{label}"
             else:
-                label = f"[{base}: unexported code]"
+                # Unexported: name it by the exports on either side.
+                near = [syms[j][2] for j in (i, i + 1) if 0 <= j < len(syms)]
+                kind = "allocator internals" if any(map(is_malloc_export, near)) else "unexported code"
+                label = f"[{base}: {kind}]"
         self.cache[addr] = label
         return label
+
+
+def is_malloc_export(name):
+    """A malloc-family export of libc: the allocator's public face."""
+    return (name in ("malloc", "free", "realloc", "calloc", "memalign")
+            or name.startswith("__libc_") or name == "__default_morecore")
+
+
+def in_allocator(name):
+    """A sampled frame inside libc's allocator, exported or not."""
+    if name.endswith(": allocator internals]"):
+        return True
+    lib, _, export = name.partition("!")
+    return "libc.so" in lib and is_malloc_export(export)
 
 
 def read_words(mem, addr, n):
@@ -354,6 +376,10 @@ def main():
     share = 100.0 * sum(callers.values()) / samples
     title = f"libc and alloc:: samples ({share:.2f}% of all) by nearest product frame"
     table(title, callers, samples, args.top)
+    allocator = sum(n for name, n in flat.items() if in_allocator(name))
+    unexported = sum(n for name, n in flat.items() if name.endswith(": unexported code]"))
+    print(f"\nallocator (malloc-family exports and internals): {100.0 * allocator / samples:.2f}%"
+          f" of all samples; other unexported code: {100.0 * unexported / samples:.2f}%")
 
 
 if __name__ == "__main__":
