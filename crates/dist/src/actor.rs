@@ -7,7 +7,11 @@
 //! actor is the serialization point deciding which).
 //!
 //! The actor:
-//! - evaluates guards on [`Msg::Attempt`]s, granting, rejecting or parking;
+//! - evaluates guards on [`Msg::Attempt`]s, granting, rejecting or parking:
+//!   a guard is enabled when it holds on every state its symbols may
+//!   still be in, which the guard kernel's one validity test
+//!   ([`temporal::Guard::covered`]) decides exactly, at any width, on a
+//!   stack the actor keeps;
 //! - reduces guards as [`Msg::Announce`]/[`Msg::PromiseGrant`] facts arrive
 //!   (Section 4.3's proof rules), re-evaluating parked attempts;
 //! - runs the promise protocol (Example 11) and the not-yet agreement for
@@ -40,8 +44,8 @@ use obs::{NodeObs, ObsLit, SpanId, SpanKind, Verdict};
 use sim::{Ctx, NodeId, Time};
 use std::sync::Arc;
 use temporal::{
-    ask_order, eventually_mask, occurred_mask, Fact, FactoredGuard, GuardStatus, Need,
-    COVERAGE_WIDTH, ST_C, ST_D, ST_FULL,
+    ask_order, eventually_mask, occurred_mask, CoverScratch, Fact, FactoredGuard, GuardStatus,
+    Need, ST_C, ST_D, ST_FULL,
 };
 
 /// Literal → trace encoding (the same packed `sym << 1 | polarity`
@@ -71,8 +75,6 @@ pub struct ActorStats {
     pub granted: u64,
     /// Attempts rejected (guard died) — the complement occurred.
     pub rejected: u64,
-    /// Announcements received.
-    pub announces_in: u64,
     /// Announcements sent.
     pub announces_out: u64,
     /// Promises granted to other events.
@@ -90,18 +92,12 @@ pub struct ActorStats {
     /// is the transport's to recover. The field exists because the
     /// benchmark reads it (`dist.promise_abort_share`).
     pub promise_aborts: u64,
-    /// Coverage evaluations given up because the guard constrains more
-    /// than [`COVERAGE_WIDTH`] symbols: the attempt parked without
-    /// its guard having been judged.
-    pub coverage_cutoffs: u64,
     /// The most conjuncts any factor of this actor's two guards had
     /// after a reduction: what a cold reduction's work grows with. A
     /// guard multiplied out shows here as the product of its factors'.
     pub widest_factor: usize,
     /// Virtual time the first attempt parked, if it ever parked.
     pub first_parked_at: Option<Time>,
-    /// Virtual time of the occurrence, if any.
-    pub occurred_at: Option<Time>,
 }
 
 /// Per-polarity scheduling state. Everything here describes one
@@ -204,6 +200,8 @@ pub struct SymbolActor {
     lits: Vec<Literal>,
     /// See [`SymbolActor::asks`].
     held: Vec<(Literal, Literal)>,
+    /// The stack [`SymbolActor::guard_enabled`]'s coverage walk runs on.
+    cover: CoverScratch,
     /// Shared routing.
     pub routing: Arc<Routing>,
     /// Lazy mode: facts are recorded as they arrive, but parked attempts
@@ -252,6 +250,7 @@ impl SymbolActor {
             asks: Vec::new(),
             lits: Vec::new(),
             held: Vec::new(),
+            cover: CoverScratch::default(),
             routing,
             lazy: false,
             stats: ActorStats::default(),
@@ -363,7 +362,6 @@ impl SymbolActor {
     // ----- facts -----
 
     fn on_announce(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, seq: u64) {
-        self.stats.announces_in += 1;
         if self.facts_seen.insert(seq, lit).is_some() {
             return; // duplicate
         }
@@ -542,31 +540,21 @@ impl SymbolActor {
     }
 
     /// Coverage evaluation: the guard holds *now* iff it is true for
-    /// every assignment of currently-possible states to its constrained
-    /// symbols. Sound under asynchrony (unannounced remote occurrences
-    /// are inside the possible sets) and complete for the actors' guards,
-    /// which are masks only.
-    ///
-    /// A guard constraining more than [`COVERAGE_WIDTH`] symbols is not
-    /// enumerated: it reads as not enabled, and the give-up is counted.
-    /// The count is over the *union* of the factors' constrained symbols
-    /// — what the multiplied-out guard constrains — so the cutoff, and
-    /// every schedule it decides, is the one the unfactored guard had.
-    /// Below it, each factor is enumerated on its own
-    /// ([`temporal::Guard::covered`]): the factors constrain disjoint
-    /// symbols, so every assignment is covered by some conjunct of the
-    /// product iff each factor covers its share.
+    /// every assignment of currently-possible states to its symbols.
+    /// Sound under asynchrony (unannounced remote occurrences are inside
+    /// the possible sets) and complete for the actors' guards, which are
+    /// masks only. Each live factor is decided on its own
+    /// ([`temporal::Guard::covered`], exact at any width): the factors
+    /// constrain disjoint symbols, so every assignment is covered by some
+    /// conjunct of the product iff each factor covers its share.
     fn guard_enabled(&mut self, lit: Literal) -> bool {
+        let mut cover = std::mem::take(&mut self.cover);
         let info = self.guard_info(lit);
-        if info.status() == GuardStatus::EnabledNow {
-            return true;
-        }
-        if info.factor_covers().map(|(_, syms)| syms.len()).sum::<usize>() > COVERAGE_WIDTH {
-            self.stats.coverage_cutoffs += 1;
-            return false;
-        }
         let possible = |s| self.possible_states(lit, s);
-        info.factor_covers().all(|(factor, syms)| factor.covered(syms, possible))
+        let enabled = info.status() == GuardStatus::EnabledNow
+            || info.factors().all(|factor| factor.covered(possible, &mut cover));
+        self.cover = cover;
+        enabled
     }
 
     /// Record a guard-evaluation span: the verdict, the residual guard's
@@ -718,7 +706,6 @@ impl SymbolActor {
         let at = ctx.now();
         let seq = ctx.delivery_seq();
         self.occurred = Some((lit, at, seq));
-        self.stats.occurred_at = Some(at);
         if self.obs.enabled() {
             let kind = SpanKind::Occurred { lit: olit(lit), seq, by_acceptance };
             match eval_span {

@@ -552,8 +552,8 @@ fn solo_metrics(
     let sites = report.net.per_site_deliveries.len();
     let deps = report.satisfied.len();
     let verdicts = report.monitor.as_ref().map_or(0, |m| m.verdicts.len());
-    // Besides the labelled series: six alert kinds, 24 unlabelled counters.
-    let counters = 4 * report.actor_stats.values().count() + sites + verdicts + 30;
+    // Besides the labelled series: six alert kinds, 23 unlabelled counters.
+    let counters = 4 * report.actor_stats.values().count() + sites + verdicts + 29;
     let mut m = MetricsSnapshot::with_capacity(counters, deps + 1, 1);
     write_solo_metrics(spec, report, totals, &mut m);
     m.sorted()
@@ -612,19 +612,17 @@ fn write_solo_metrics(
     m.set_gauge("run.duration", &[], report.duration as i64);
     m.add("run.steps", &[], report.steps);
     let stats = report.actor_stats.values();
-    let sched = stats.fold([0u64; 5], |mut acc, st| {
+    let sched = stats.fold([0u64; 4], |mut acc, st| {
         acc[0] += st.announces_out;
-        acc[1] += st.coverage_cutoffs;
-        acc[2] += st.promises_granted;
-        acc[3] += st.promises_requested;
-        acc[4] += st.reductions;
+        acc[1] += st.promises_granted;
+        acc[2] += st.promises_requested;
+        acc[3] += st.reductions;
         acc
     });
     m.add("sched.announces", &[], sched[0]);
-    m.add("sched.coverage_cutoffs", &[], sched[1]);
-    m.add("sched.promises_granted", &[], sched[2]);
-    m.add("sched.promises_requested", &[], sched[3]);
-    m.add("sched.reductions", &[], sched[4]);
+    m.add("sched.promises_granted", &[], sched[1]);
+    m.add("sched.promises_requested", &[], sched[2]);
+    m.add("sched.reductions", &[], sched[3]);
     m.add("transport.dedup_dropped", &[], totals.dedup_dropped);
     m.add("transport.gave_up", &[], totals.gave_up);
     m.add("transport.retransmissions", &[], totals.retransmissions);
@@ -805,18 +803,14 @@ mod tests {
         assert!(!report.unresolved.contains(&commit.symbol()), "informed, not implicit");
     }
 
-    /// A guard constraining more symbols than the coverage evaluation
-    /// enumerates is not judged: the attempt parks, and the give-up is
-    /// counted and published. `a` needs all of `b1..b13`; its attempt
-    /// meets the 13-symbol guard once, before any announcement has
-    /// narrowed it. The outcome is the one the silent cutoff produced.
-    #[test]
-    fn a_guard_wider_than_the_coverage_bound_parks_and_says_so() {
-        let wide = temporal::COVERAGE_WIDTH + 1;
+    /// `a` and `b1..bn`, each a controllable free event on a site of its
+    /// own, attempted at tick 1, under the dependency `dep(i)` for every
+    /// `i` in `1..=n`.
+    fn one_and_many(n: usize, dep: impl Fn(usize) -> String) -> WorkflowSpec {
         let mut table = SymbolTable::new();
         let dependencies: Vec<Expr> =
-            (1..=wide).map(|i| parse_expr(&format!("~a + b{i}"), &mut table).unwrap()).collect();
-        let names = std::iter::once("a".to_owned()).chain((1..=wide).map(|i| format!("b{i}")));
+            (1..=n).map(|i| parse_expr(&dep(i), &mut table).unwrap()).collect();
+        let names = std::iter::once("a".to_owned()).chain((1..=n).map(|i| format!("b{i}")));
         let free_events: Vec<FreeEventSpec> = names
             .zip(0..)
             .map(|(name, site)| FreeEventSpec {
@@ -826,15 +820,18 @@ mod tests {
                 attempt_after: Some(1),
             })
             .collect();
-        let a = free_events[0].lit;
-        let spec = WorkflowSpec { table, dependencies, agents: vec![], free_events };
-        let report = run_workflow(&spec, ExecConfig::seeded(7));
+        WorkflowSpec { table, dependencies, agents: vec![], free_events }
+    }
 
-        let stats = &report.actor_stats[&a.symbol()];
-        assert_eq!(stats.coverage_cutoffs, 1, "{stats:?}");
-        assert_eq!(report.metrics.counter("sched.coverage_cutoffs", &[]), Some(1));
-        let others: u64 = report.actor_stats.values().map(|s| s.coverage_cutoffs).sum();
-        assert_eq!(others, 1, "no other guard is that wide");
+    /// A guard over 13 symbols is judged like any other. `a` needs all
+    /// of `b1..b13`; its attempt meets the 13-symbol guard once, before
+    /// any announcement has narrowed it, parks and asks for the 13
+    /// promises.
+    #[test]
+    fn a_thirteen_symbol_guard_is_judged() {
+        let spec = one_and_many(13, |i| format!("~a + b{i}"));
+        let a = spec.free_events[0].lit;
+        let report = run_workflow(&spec, ExecConfig::seeded(7));
 
         assert!(report.all_satisfied() && report.parked.is_empty(), "{report:?}");
         let mut expected: Vec<(Literal, Time, u64)> =
@@ -842,8 +839,38 @@ mod tests {
         expected.push((a, 20, 40));
         assert_eq!(report.occurrences, expected);
         assert_eq!((report.steps, report.duration), (66, 40));
+        let stats = &report.actor_stats[&a.symbol()];
         assert_eq!((stats.first_parked_at, stats.promises_requested), (Some(1), 13));
         assert_eq!(stats.reductions, 26, "two per announcement: a late one is not a replay");
+    }
+
+    /// The join `a < bi` for every `i`, all on one site: `a`'s guard
+    /// constrains every `bi`. At 12, 13 and 14 of them every event
+    /// occurs, `a` at tick 3, and the armed monitors raise nothing.
+    #[test]
+    fn wide_joins_fire_every_event() {
+        for n in [12, 13, 14] {
+            let mut spec = one_and_many(n, |i| format!("~a + ~b{i} + a.b{i}"));
+            for f in &mut spec.free_events {
+                f.site = SiteId(0);
+            }
+            let a = spec.free_events[0].lit;
+            for seed in 1..=3 {
+                let mut config = ExecConfig::seeded(seed);
+                config.monitor = Some(MonitorConfig::default());
+                let report = run_workflow(&spec, config);
+                let at = format!("n = {n}, seed {seed}");
+                assert_eq!(report.termination, Termination::Quiescent, "{at}");
+                assert!(report.all_satisfied() && report.parked.is_empty(), "{at}: {report:?}");
+                assert!(report.alerts.is_empty(), "{at}: {:?}", report.alerts);
+                assert_eq!(report.occurrences.len(), n + 1, "{at}: {report:?}");
+                for f in &spec.free_events {
+                    assert!(report.trace.contains(f.lit), "{at}: {:?} did not occur", f.lit);
+                }
+                let fired = report.occurrences.iter().find(|o| o.0 == a).map(|o| o.1);
+                assert_eq!(fired, Some(3), "{at}");
+            }
+        }
     }
 
     /// `ExecConfig::default()` is `seeded` at the default seed: every

@@ -13,12 +13,15 @@
 //! factor, on that factor's symbols ([`FactSet`]), held as the index of
 //! the table entry for it. An entry keeps the factor's guard at its fact
 //! set ([`Guard::under`]), its status and its hash; what only a parked
-//! attempt needs — its asks and cover — is derived the first time one
-//! asks. A fact changes the fact set of the one factor that mentions its
-//! symbol: a warm actor pays one key lookup in that factor, a cold one
-//! computes that factor alone, so what it computes grows with the widest
-//! factor, not with the product of all of them. Two arrival orders of
-//! one fact set reach one entry by construction.
+//! attempt needs — its asks — is derived the first time one asks.
+//! Whether a factor is covered depends on the actor's promises and holds
+//! too, so the actor decides that each time it asks
+//! ([`Guard::covered`], the kernel's one validity test), and nothing
+//! about it is kept here. A fact changes the fact set of the one factor
+//! that mentions its symbol: a warm actor pays one key lookup in that
+//! factor, a cold one computes that factor alone, so what it computes
+//! grows with the widest factor, not with the product of all of them.
+//! Two arrival orders of one fact set reach one entry by construction.
 //!
 //! The table is a cache of pure functions ([`Guard::under`],
 //! [`temporal::status`], [`temporal::asks`]): an actor with a warm table
@@ -109,8 +112,6 @@ struct Entry {
     hash: u64,
     /// [`temporal::asks`] of the guard.
     asks: OnceLock<Vec<Need>>,
-    /// The symbols the guard's conjuncts constrain, in order.
-    cover: OnceLock<Vec<SymbolId>>,
 }
 
 impl Entry {
@@ -118,16 +119,11 @@ impl Entry {
         let mut hasher = FxHasher::default();
         guard.hash(&mut hasher);
         let (status, hash) = (status(&guard), hasher.finish());
-        let (asks, cover) = (OnceLock::new(), OnceLock::new());
-        Entry { key, next: END, guard, status, hash, asks, cover }
+        Entry { key, next: END, guard, status, hash, asks: OnceLock::new() }
     }
 
     fn asks(&self) -> &[Need] {
         self.asks.get_or_init(|| asks(&self.guard))
-    }
-
-    fn cover(&self) -> &[SymbolId] {
-        self.cover.get_or_init(|| self.guard.constrained())
     }
 }
 
@@ -190,12 +186,6 @@ impl<'a> GuardInfo<'a> {
         self.live().map(|e| &e.guard)
     }
 
-    /// The factors, each with the symbols its conjuncts constrain (its
-    /// share of [`GuardInfo::cover`]).
-    pub fn factor_covers(&self) -> impl Iterator<Item = (&'a Guard, &'a [SymbolId])> + 'a {
-        self.live().map(|e| (&e.guard, e.cover()))
-    }
-
     /// Each factor's [`temporal::asks`], in [`ask_order`]; they are about
     /// disjoint symbols, so the product's asks are these merged.
     pub fn factor_asks(&self) -> impl Iterator<Item = &'a [Need]> + 'a {
@@ -219,14 +209,6 @@ impl<'a> GuardInfo<'a> {
     pub fn asks(&self) -> Vec<Need> {
         let mut out: Vec<Need> = self.factor_asks().flatten().cloned().collect();
         out.sort_by_key(ask_order);
-        out
-    }
-
-    /// The symbols the guard's conjuncts constrain, in order — the
-    /// factors' merged: what the coverage evaluation is sized by.
-    pub fn cover(&self) -> Vec<SymbolId> {
-        let mut out: Vec<SymbolId> = self.factor_covers().flat_map(|(_, c)| c).copied().collect();
-        out.sort_unstable();
         out
     }
 
@@ -398,6 +380,7 @@ fn entry(tables: &mut Arc<Tables>, factor: usize, key: FactSet) -> EntryIx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use temporal::{CoverScratch, ST_A, ST_C, ST_D};
 
     fn lit(sym: u32) -> Literal {
         Literal::pos(SymbolId(sym))
@@ -487,7 +470,20 @@ mod tests {
         let dead = memo.get(Polarity::Pos);
         assert_eq!(dead.status(), GuardStatus::Dead);
         assert_eq!(dead.factors().collect::<Vec<_>>(), [&Guard::bottom()]);
-        assert!(dead.asks().is_empty() && dead.cover().is_empty());
+        assert!(dead.asks().is_empty());
+        assert!(!covered(dead, |_| ST_FULL), "a dead guard is never covered");
+    }
+
+    /// The guard is covered, as the actor decides it, where every factor
+    /// is: each symbol `s` may be in the states `possible(s)`.
+    fn covered(info: GuardInfo<'_>, possible: impl Fn(SymbolId) -> u8) -> bool {
+        let mut scratch = CoverScratch::default();
+        info.factors().all(|f| f.covered(&possible, &mut scratch))
+    }
+
+    /// `possible` with `sym` narrowed to `states`.
+    fn narrowed(sym: u32, states: u8) -> impl Fn(SymbolId) -> u8 {
+        move |s| if s == SymbolId(sym) { states } else { ST_FULL }
     }
 
     #[test]
@@ -496,23 +492,29 @@ mod tests {
         let mut memo = memo(g);
         let info = memo.get(Polarity::Pos);
         assert_eq!(info.asks(), [Need::NotYetAgreement(lit(1)), Need::Promise(lit(3))]);
-        assert_eq!(info.cover(), [SymbolId(1), SymbolId(2), SymbolId(3)]);
         assert_eq!(info.status(), GuardStatus::Blocked);
-        // At a fact set, and under an assumed promise: the asks and cover
-        // of the guard there.
+        // A hold on 1 leaves 3 open: not covered.
+        assert!(!covered(info, narrowed(1, ST_C | ST_D)));
+        // At a fact set, and under an assumed promise: the asks and
+        // coverage of the guard there.
         let assumed = memo.assuming(Polarity::Pos, &[lit(3)]);
         assert_eq!(assumed.asks(), [Need::NotYetAgreement(lit(1))]);
-        assert_eq!(memo.get(Polarity::Pos).cover(), [SymbolId(1), SymbolId(2), SymbolId(3)]);
+        assert!(covered(assumed, narrowed(1, ST_C | ST_D)));
+        assert!(!covered(memo.get(Polarity::Pos), narrowed(1, ST_C | ST_D)));
         memo.reduce(Fact::Promised(lit(3)));
         let info = memo.get(Polarity::Pos);
         assert_eq!(info.asks(), [Need::NotYetAgreement(lit(1))]);
-        assert_eq!(info.cover(), [SymbolId(1), SymbolId(2)]);
-        // Across factors: the sorted union.
+        assert!(covered(info, narrowed(1, ST_C | ST_D)));
+        assert!(!covered(info, |_| ST_FULL));
+        // Across factors: every factor covers its share.
         let factored = FactoredGuard::new(vec![Guard::eventually(lit(5)), Guard::not_yet(lit(2))]);
         let memo = self::memo(factored);
         let info = memo.get(Polarity::Pos);
         assert_eq!(info.asks(), [Need::NotYetAgreement(lit(2)), Need::Promise(lit(5))]);
-        assert_eq!(info.cover(), [SymbolId(2), SymbolId(5)]);
+        assert!(!covered(info, narrowed(2, ST_C | ST_D)));
+        assert!(!covered(info, narrowed(5, ST_A | ST_C)));
+        let both = |s| narrowed(2, ST_C | ST_D)(s) & narrowed(5, ST_A | ST_C)(s);
+        assert!(covered(info, both));
     }
 
     /// Past the cap the guards still come out right; the entries past it

@@ -9,7 +9,6 @@ use event_algebra::{parse_expr, DependencyMachine, Expr, Literal, SymbolId, Symb
 use guard::{CompiledWorkflow, GuardScope};
 use sim::{Ctx, LatencyModel, Network, NodeId, SimConfig, SiteId};
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use temporal::{FactoredGuard, Guard, GuardStatus};
 
@@ -486,12 +485,9 @@ fn a_warm_guard_table_changes_nothing() {
                 let (w, c) = (warm.guard_info(lit), cold.guard_info(lit));
                 let guard = w.guard();
                 assert_eq!(guard, c.guard(), "{lit:?} after {msg:?}");
-                assert_eq!((w.status(), w.asks(), w.cover()), (c.status(), c.asks(), c.cover()));
+                assert_eq!((w.status(), w.asks()), (c.status(), c.asks()));
                 assert_eq!(w.status(), temporal::status(&guard));
                 assert_eq!(w.asks(), temporal::asks(&guard), "{lit:?} after {msg:?}");
-                let masked = guard.conjuncts().iter().flat_map(|c| c.constrained_symbols());
-                let masked: BTreeSet<SymbolId> = masked.map(|(s, _)| s).collect();
-                assert_eq!(w.cover(), masked.into_iter().collect::<Vec<_>>());
             }
         }
 

@@ -57,7 +57,7 @@ fn write_reference(spec: &WorkflowSpec, report: &RunReport, mut m: impl MetricSi
     }
     m.add("run.steps", &[], report.steps);
     m.set_gauge("run.duration", &[], report.duration as i64);
-    let mut sched = [0u64; 5];
+    let mut sched = [0u64; 4];
     for (sym, st) in report.actor_stats.iter() {
         let labels: &[(&str, &str)] = &[("event", spec.table.name(sym).unwrap_or("?"))];
         m.add("actor.attempts", labels, st.attempts);
@@ -68,13 +68,11 @@ fn write_reference(spec: &WorkflowSpec, report: &RunReport, mut m: impl MetricSi
         sched[1] += st.promises_granted;
         sched[2] += st.reductions;
         sched[3] += st.announces_out;
-        sched[4] += st.coverage_cutoffs;
     }
     m.add("sched.promises_requested", &[], sched[0]);
     m.add("sched.promises_granted", &[], sched[1]);
     m.add("sched.reductions", &[], sched[2]);
     m.add("sched.announces", &[], sched[3]);
-    m.add("sched.coverage_cutoffs", &[], sched[4]);
     for (ix, &ok) in report.satisfied.iter().enumerate() {
         m.set_gauge("dep.satisfied", &[("dep", &ix.to_string())], i64::from(ok));
     }

@@ -16,8 +16,8 @@ use event_algebra::{enumerate_maximal, Expr, Literal, Polarity, SymbolId, Trace}
 use guard::{guard_of, CompiledWorkflow, GuardScope};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use temporal::{
-    ask_order, asks, eventually_mask, occurred_mask, product_status, state_on, status, Fact,
-    FactoredGuard, Guard, GuardStatus, Need, ST_A, ST_B, ST_C, ST_D, ST_FULL,
+    ask_order, asks, eventually_mask, occurred_mask, product_status, state_on, status,
+    CoverScratch, Fact, FactoredGuard, Guard, GuardStatus, Need, ST_A, ST_B, ST_C, ST_D, ST_FULL,
 };
 use testkit::{check, Exprs, Gen};
 
@@ -67,18 +67,16 @@ fn assert_agrees(g: &mut Gen, factored: &FactoredGuard, product: &Guard, at: &st
     let factors = factored.factors();
     assert_eq!(factored.expand(), *product, "expansion {at}");
     assert_eq!(product_status(factors.iter().map(status)), status(product), "status {at}");
-    // Asks and cover: the factors', merged.
+    // Asks: the factors', merged.
     let mut merged: Vec<Need> = factors.iter().flat_map(asks).collect();
     merged.sort_by_key(ask_order);
     assert_eq!(merged, asks(product), "asks {at}");
-    let cover = product.constrained();
-    let mut merged: Vec<SymbolId> = factors.iter().flat_map(Guard::constrained).collect();
-    merged.sort_unstable();
-    assert_eq!(merged, cover, "cover {at}");
 
     // Coverage, as `guard_enabled` decides it — every factor covers its
     // share — for random possible sets small enough to enumerate on the
     // product.
+    let cover: Vec<SymbolId> = product.symbols().into_iter().collect();
+    let mut scratch = CoverScratch::default();
     for _ in 0..4 {
         let sets = possible_sets(g, &cover);
         let combos: u32 = sets.iter().map(|(_, m)| m.count_ones().max(1)).product();
@@ -86,8 +84,8 @@ fn assert_agrees(g: &mut Gen, factored: &FactoredGuard, product: &Guard, at: &st
             break;
         }
         let possible = |s: SymbolId| sets.iter().find(|&&(t, _)| t == s).map_or(ST_FULL, |p| p.1);
-        let reference = product.holds_now() || product.covered(&cover, possible);
-        let by_factor = factors.iter().all(|f| f.covered(&f.constrained(), possible));
+        let reference = product.holds_now() || product.covered(possible, &mut scratch);
+        let by_factor = factors.iter().all(|f| f.covered(possible, &mut scratch));
         assert_eq!(by_factor, reference, "coverage {at} under {sets:?}");
     }
 

@@ -25,6 +25,14 @@
 //! order). Facts enter a guard in one way, as the set of facts heard
 //! ([`Guard::under`]), so the result never depends on their order.
 //!
+//! One test decides validity: the cofactor walk behind
+//! [`Guard::covered`] — does the guard hold on every assignment of a
+//! possible state to each symbol? — which [`Guard::is_top`] and
+//! [`Guard::equiv_masks`] run too. It splits on one symbol at a time, is
+//! exact at any number of symbols, and works on a caller's reusable
+//! stack ([`CoverScratch`]), so an actor deciding coverage on every
+//! attempt does not allocate for it.
+//!
 //! Two properties of the representation carry the workflow compile.
 //! *Equivariance*: masks are sorted by symbol, sequence atoms and
 //! conjuncts lexicographically, and the canonicaliser scans in that
@@ -53,12 +61,6 @@ pub const ST_C: u8 = 4;
 pub const ST_D: u8 = 8;
 /// All four states — an unconstrained symbol.
 pub const ST_FULL: u8 = 15;
-
-/// The most symbols [`Guard::covered`] enumerates states over: the
-/// odometer is exponential in this. An actor does not evaluate a guard
-/// whose factors constrain more symbols than this together, and counts
-/// the give-up.
-pub const COVERAGE_WIDTH: usize = 12;
 
 /// The mask of `□l`: the literal has occurred.
 pub fn occurred_mask(pol: Polarity) -> u8 {
@@ -345,50 +347,116 @@ impl Conjunct {
     }
 }
 
-/// The mask rows of a sequence-free DNF, as the cofactor walk sees them.
-type Row<'a> = &'a [Cell];
-
-/// `true` if some row is empty: the DNF holds on every state vector.
-fn rows_hold(rows: &[Row<'_>]) -> bool {
-    rows.iter().any(|r| r.is_empty())
+/// A row of the cofactor walk: what is left of conjunct `conj` of guard
+/// `side` once the symbols before its cell `at` are fixed to states it
+/// admits.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    side: u8,
+    conj: u32,
+    at: u32,
 }
 
-/// The rows that survive fixing `sym` (no row's head is smaller) to the
-/// single state `st`, with `sym` dropped from them.
-fn cofactor<'a>(rows: &[Row<'a>], sym: SymbolId, st: u8) -> Vec<Row<'a>> {
-    if rows_hold(rows) {
-        return vec![&[]];
+/// The masks admitting each state `1 << k`, by `k`, as 16-bit sets: bit
+/// `m` is set iff mask `m` contains the state.
+const ADMITTING: [u16; 4] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
+
+/// The cofactor walk's stack of rows. A caller that keeps one across
+/// calls of [`Guard::covered`] walks without allocating once the stack
+/// has grown to what its guards need.
+#[derive(Debug, Clone, Default)]
+pub struct CoverScratch {
+    rows: Vec<Row>,
+}
+
+impl CoverScratch {
+    /// `true` iff the conjuncts without `◇(sequence)` atoms of the two
+    /// guards `g` hold on exactly the same assignments of a state in
+    /// `possible(s)` to each symbol `s` — the kernel's one validity test;
+    /// an empty `possible(s)` leaves nothing to tell them apart. Leaves
+    /// the stack empty.
+    fn agree(&mut self, g: [&[Conjunct]; 2], possible: impl Fn(SymbolId) -> u8) -> bool {
+        for (side, cs) in (0..).zip(g) {
+            let usable = (0..).zip(cs).filter(|(_, c)| c.seqs.is_empty());
+            self.rows.extend(usable.map(|(conj, _)| Row { side, conj, at: 0 }));
+        }
+        let same = cofactors_agree(g, &mut self.rows, 0, [false; 2], &possible);
+        self.rows.clear();
+        same
     }
-    rows.iter()
-        .filter_map(|&r| match r.first() {
-            Some(&(s, m)) if s == sym => (m & st != 0).then_some(&r[1..]),
-            _ => Some(r),
-        })
-        .collect()
 }
 
-/// `true` iff two sequence-free DNFs hold on exactly the same state
-/// vectors. Splits on the smallest constrained symbol and recurses into
-/// the cofactor of each of its four states (rows are sorted, so taking a
-/// cofactor drops a row or its head); states that select the same rows
-/// share one recursion. Exact at any width, exponential only when the
+/// [`CoverScratch::agree`] on the rows `rows[from..]`, for guards that do
+/// not hold yet, and `holds` for those that do. A guard with an empty row
+/// holds on every assignment below, and one with no row on none: where
+/// both guards are decided so, the walk stops. Otherwise it splits on the
+/// smallest symbol the rows constrain and walks the cofactor of each of
+/// its possible states: the rows the state admits, with the symbol
+/// dropped (rows are sorted, so fixing it drops a row or its head).
+/// States that select the same rows share one cofactor, pushed onto the
+/// stack and popped again. Exact at any width, exponential only when the
 /// guards are.
-fn dnf_agree(a: &[Row<'_>], b: &[Row<'_>]) -> bool {
-    if rows_hold(a) && rows_hold(b) {
-        return true;
-    }
-    let heads = || a.iter().chain(b).filter_map(|r| r.first().copied());
-    let Some(sym) = heads().map(|(s, _)| s).min() else {
-        return rows_hold(a) == rows_hold(b);
-    };
-    let states = [ST_A, ST_B, ST_C, ST_D];
-    states.iter().enumerate().all(|(k, &st)| {
-        let selects_like = |prev: u8| {
-            heads().filter(|&(s, _)| s == sym).all(|(_, m)| (m & prev != 0) == (m & st != 0))
+fn cofactors_agree(
+    g: [&[Conjunct]; 2],
+    rows: &mut Vec<Row>,
+    from: usize,
+    mut holds: [bool; 2],
+    possible: &impl Fn(SymbolId) -> u8,
+) -> bool {
+    let cells = |r: Row| &g[usize::from(r.side)][r.conj as usize].masks[r.at as usize..];
+    // Which guards still have rows, and the split: the smallest head and
+    // the masks met on it.
+    let (mut open, mut split) = ([false; 2], None);
+    for &r in &rows[from..] {
+        let Some(&(s, m)) = cells(r).first() else {
+            holds[usize::from(r.side)] = true;
+            continue;
         };
-        states[..k].iter().any(|&prev| selects_like(prev))
-            || dnf_agree(&cofactor(a, sym, st), &cofactor(b, sym, st))
+        open[usize::from(r.side)] = true;
+        match split {
+            Some((t, ref mut seen)) if t == s => *seen |= 1 << m,
+            Some((t, _)) if t < s => {}
+            _ => split = Some((s, 1u16 << m)),
+        }
+    }
+    if let Some(same) = decided(holds, open) {
+        return same;
+    }
+    let (sym, seen) = split.expect("an undecided guard has a row");
+    let can = possible(sym);
+    (0..4).filter(|&k| can >> k & 1 == 1).all(|k| {
+        if (0..k).any(|j| can >> j & 1 == 1 && seen & ADMITTING[j] == seen & ADMITTING[k]) {
+            return true;
+        }
+        let (st, to) = (1 << k, rows.len());
+        let (mut below, mut open) = (holds, [false; 2]);
+        for i in from..to {
+            let (r, c) = (rows[i], cells(rows[i]));
+            let side = usize::from(r.side);
+            match c.first() {
+                _ if below[side] => {}
+                Some(&(s, m)) if s == sym && m & st == 0 => {}
+                Some(&(s, _)) if s == sym && c.len() == 1 => below[side] = true,
+                head => {
+                    open[side] = true;
+                    let at = r.at + u32::from(head.is_some_and(|&(s, _)| s == sym));
+                    rows.push(Row { at, ..r });
+                }
+            }
+        }
+        let same =
+            decided(below, open).unwrap_or_else(|| cofactors_agree(g, rows, to, below, possible));
+        rows.truncate(to);
+        same
     })
+}
+
+/// Whether two guards agree, where both are decided: a guard that holds
+/// (`holds`) is `⊤`, and one that does not and has no row left (not
+/// `open`) is `0`.
+fn decided(holds: [bool; 2], open: [bool; 2]) -> Option<bool> {
+    let value = |side: usize| if holds[side] { Some(true) } else { (!open[side]).then_some(false) };
+    Some(value(0)? == value(1)?)
 }
 
 /// A guard: a disjunction of [`Conjunct`]s, kept canonical (sorted,
@@ -697,24 +765,18 @@ impl Guard {
         self.conjuncts.iter().any(Conjunct::is_top)
     }
 
-    /// The mask rows of the conjuncts without sequence atoms.
-    fn mask_rows(&self) -> Vec<Row<'_>> {
-        self.conjuncts.iter().filter(|c| c.seqs.is_empty()).map(|c| &c.masks[..]).collect()
-    }
-
-    /// Semantic tautology check.
-    ///
-    /// Exact for guards without sequence atoms, at any number of symbols
-    /// (cofactor splitting, see `dnf_agree`); conjuncts carrying
-    /// sequence atoms are conservatively treated as non-covering, so
-    /// `true` is always sound.
+    /// Semantic tautology check: [`Guard::covered`] with every state
+    /// possible. Exact for guards without sequence atoms, at any number
+    /// of symbols; conjuncts carrying sequence atoms are conservatively
+    /// treated as non-covering, so `true` is always sound.
     pub fn is_top(&self) -> bool {
-        self.holds_now() || dnf_agree(&self.mask_rows(), &[&[]])
+        self.covered(|_| ST_FULL, &mut CoverScratch::default())
     }
 
-    /// Exact semantic equivalence for guards without sequence atoms;
-    /// guards with sequence atoms compare structurally (callers needing
-    /// exact equivalence with sequences use trace enumeration — see
+    /// Exact semantic equivalence for guards without sequence atoms (the
+    /// cofactor walk of [`Guard::covered`], on both guards); guards with
+    /// sequence atoms compare structurally (callers needing exact
+    /// equivalence with sequences use trace enumeration — see
     /// `equiv::guards_equivalent`).
     pub fn equiv_masks(&self, other: &Guard) -> bool {
         if self == other {
@@ -723,7 +785,8 @@ impl Guard {
         if self.has_seq_atoms() || other.has_seq_atoms() {
             return false;
         }
-        dnf_agree(&self.mask_rows(), &other.mask_rows())
+        let g = [&self.conjuncts[..], &other.conjuncts];
+        CoverScratch::default().agree(g, |_| ST_FULL)
     }
 
     /// `true` if any conjunct carries a `◇(sequence)` atom.
@@ -768,59 +831,29 @@ impl Guard {
             .any(|c| c.mask(sym) != ST_FULL || c.seqs.iter().flatten().any(|l| l.symbol() == sym))
     }
 
-    /// The symbols the conjuncts' masks constrain, sorted: what a
-    /// coverage evaluation enumerates states over.
-    pub fn constrained(&self) -> Vec<SymbolId> {
-        let mut out: Vec<SymbolId> =
-            self.conjuncts.iter().flat_map(|c| c.masks.iter().map(|&(s, _)| s)).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Coverage: is the guard true for every assignment of a state from
-    /// `possible(s)` to each symbol `s` of `syms` — the symbols its
-    /// conjuncts constrain ([`Guard::constrained`]), at most
-    /// [`COVERAGE_WIDTH`] of them? Conjuncts with `◇(sequence)` atoms
-    /// cannot witness, and a guard with no usable conjunct, or over no
-    /// symbols, is not covered; nor is one whose symbols include an
-    /// impossible one (`possible(s) == 0`). An odometer over the possible
-    /// state sets, exponential in `syms.len()`.
-    ///
-    /// # Panics
-    ///
-    /// If `syms` has more than [`COVERAGE_WIDTH`] symbols.
-    pub fn covered(&self, syms: &[SymbolId], possible: impl Fn(SymbolId) -> u8) -> bool {
-        assert!(syms.len() <= COVERAGE_WIDTH, "coverage over {} symbols", syms.len());
+    /// `possible(s)` to each symbol `s`? Conjuncts with `◇(sequence)`
+    /// atoms cannot witness: a guard with no other conjunct is not
+    /// covered, and neither is one whose other conjuncts constrain a
+    /// symbol with no possible state (`possible(s) == 0`). A lone
+    /// conjunct covers iff it admits every possible state of each of its
+    /// symbols; between more, the cofactor walk checked against `⊤`
+    /// decides, exact at any number of symbols, with `scratch` as its
+    /// stack.
+    pub fn covered(&self, possible: impl Fn(SymbolId) -> u8, scratch: &mut CoverScratch) -> bool {
         let usable = || self.conjuncts.iter().filter(|c| c.seqs.is_empty());
-        if syms.is_empty() || usable().next().is_none() {
-            return false;
-        }
-        let (mut can, mut states) = ([0u8; COVERAGE_WIDTH], [0u8; COVERAGE_WIDTH]);
-        for (k, &s) in syms.iter().enumerate() {
-            can[k] = possible(s);
-            states[k] = can[k] & can[k].wrapping_neg();
-        }
-        loop {
-            let covered =
-                usable().any(|c| syms.iter().zip(&states).all(|(&s, &st)| c.mask(s) & st != 0));
-            if !covered {
-                return false;
-            }
-            // Advance to the next state combination.
-            let mut k = 0;
-            loop {
-                if k == syms.len() {
-                    return true;
-                }
-                // Next set bit of can[k] above states[k].
-                let above = can[k] & !(states[k] | (states[k] - 1));
-                if above != 0 {
-                    states[k] = above & above.wrapping_neg();
-                    break;
-                }
-                states[k] = can[k] & can[k].wrapping_neg();
-                k += 1;
+        let mut first = usable();
+        match (first.next(), first.next()) {
+            (None, _) => false,
+            (Some(c), None) => c
+                .masks
+                .iter()
+                .all(|&(s, m)| matches!(possible(s), can if can != 0 && can & !m == 0)),
+            // The walk reads an empty possible set as no assignment to
+            // refute: it is looked for once the walk has said yes.
+            _ => {
+                scratch.agree([&self.conjuncts, &[Conjunct::top()]], &possible)
+                    && usable().all(|c| c.masks.iter().all(|&(s, _)| possible(s) != 0))
             }
         }
     }
@@ -1154,6 +1187,30 @@ mod tests {
         assert!(!g.is_top());
         assert!(!g.equiv_masks(&Guard::top()));
         assert!(!g.equiv_masks(&wide_tautology()));
+    }
+
+    /// `◇s₀ ∧ … ∧ ◇s₃₉`, one conjunct over 40 symbols, and the same or
+    /// `□s̄₃₉`, two conjuncts (so the walk runs), are decided where the
+    /// odometer would have enumerated 2⁴⁰ assignments: every symbol may be
+    /// in either state `◇sᵢ` admits.
+    #[test]
+    fn coverage_is_decided_at_forty_symbols() {
+        let wide = (0..40)
+            .fold(Guard::top(), |acc, s| acc.and(&Guard::eventually(Literal::pos(SymbolId(s)))));
+        let last = SymbolId(39);
+        let or_refused = wide.or(&Guard::occurred(Literal::neg(last)));
+        assert_eq!(or_refused.conjuncts().len(), 2);
+        let mut scratch = CoverScratch::default();
+        let promised = eventually_mask(Polarity::Pos);
+        let last_may_be = |states: u8| move |s: SymbolId| if s == last { states } else { promised };
+        for g in [&wide, &or_refused] {
+            assert!(g.covered(|_| promised, &mut scratch), "{g:?}");
+            assert!(!g.covered(last_may_be(ST_FULL), &mut scratch), "{g:?}");
+            assert!(!g.covered(|s| if s == SymbolId(0) { 0 } else { ST_A }, &mut scratch));
+            assert!(!g.is_top());
+        }
+        assert!(!wide.covered(last_may_be(ST_A | ST_B | ST_C), &mut scratch));
+        assert!(or_refused.covered(last_may_be(ST_A | ST_B | ST_C), &mut scratch));
     }
 
     #[test]

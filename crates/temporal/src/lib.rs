@@ -37,7 +37,7 @@ pub use equiv::{
 };
 pub use factored::{product_status, FactoredGuard};
 pub use guard_repr::{
-    eventually_mask, not_yet_mask, occurred_mask, state_on, Conjunct, Guard, COVERAGE_WIDTH, ST_A,
+    eventually_mask, not_yet_mask, occurred_mask, state_on, Conjunct, CoverScratch, Guard, ST_A,
     ST_B, ST_C, ST_D, ST_FULL,
 };
 pub use message::{ask_order, asks, status, Fact, GuardStatus, Need};

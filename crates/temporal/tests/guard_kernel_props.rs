@@ -13,7 +13,7 @@
 use event_algebra::{enumerate_maximal, Expr, Literal, SymbolId};
 use reference::{RefConjunct, RefGuard};
 use std::cmp::Ordering;
-use temporal::{Conjunct, Fact, Guard, ST_FULL};
+use temporal::{Conjunct, CoverScratch, Fact, Guard, ST_A, ST_B, ST_C, ST_D, ST_FULL};
 use testkit::{check, Exprs, Gen};
 
 /// The implementation at the commit before the flat kernel. Test-only;
@@ -766,4 +766,70 @@ fn non_confluent_triple_merges_in_scan_order() {
     let (h, _) = agree(&y_first);
     assert_eq!(h.shapes(), [shape(a, b), shape(a | b, a)]);
     assert_eq!(g.shapes().cmp(&h.shapes()), Ordering::Greater);
+}
+
+/// Coverage by enumeration: every assignment of a state from
+/// `possible[s]` to each symbol the conjuncts without `◇(sequence)` atoms
+/// constrain is covered by one of them. With no such conjunct, or one
+/// constraining a symbol with no possible state, the guard is not
+/// covered.
+fn covered_by_enumeration(g: &Guard, possible: &[u8]) -> bool {
+    let usable: Vec<&Conjunct> =
+        g.conjuncts().iter().filter(|c| c.seq_atoms().next().is_none()).collect();
+    let mut syms: Vec<SymbolId> =
+        usable.iter().flat_map(|c| c.constrained_symbols().map(|(s, _)| s)).collect();
+    syms.sort_unstable();
+    syms.dedup();
+    if usable.is_empty() || syms.iter().any(|s| possible[s.index()] == 0) {
+        return false;
+    }
+    fn every(usable: &[&Conjunct], syms: &[SymbolId], possible: &[u8], at: &mut Vec<u8>) -> bool {
+        let Some(&sym) = syms.get(at.len()) else {
+            return usable
+                .iter()
+                .any(|c| syms.iter().zip(&*at).all(|(&s, &st)| c.mask(s) & st != 0));
+        };
+        [ST_A, ST_B, ST_C, ST_D].into_iter().filter(|&st| possible[sym.index()] & st != 0).all(
+            |st| {
+                at.push(st);
+                let all = every(usable, syms, possible, at);
+                at.pop();
+                all
+            },
+        )
+    }
+    every(&usable, &syms, possible, &mut Vec::new())
+}
+
+/// `covered` is enumeration, on the weakened recipes over six symbols and
+/// on the edge cases — `0` and a guard of `◇(sequence)` atoms only (no
+/// usable conjunct), `⊤` (no symbols), an unweakened recipe (some
+/// conjuncts unusable) — under random possible-state sets, a few of them
+/// empty. One scratch serves every case.
+#[test]
+fn covered_is_enumeration() {
+    let syms = syms(6);
+    let scratch = std::cell::RefCell::new(CoverScratch::default());
+    check("covered_is_enumeration", 256, |g| {
+        let guard: Guard = match g.range(0..10u32) {
+            0 => Guard::bottom(),
+            1 => Guard::top(),
+            2 => {
+                let (a, b) = (g.literal(&syms[..3]), g.literal(&syms[3..]));
+                Guard::eventually_expr(&Expr::seq([Expr::lit(a), Expr::lit(b)]))
+            }
+            3 => recipe(g, &syms, 4).build(),
+            _ => Recipe::Weaken(Box::new(recipe(g, &syms, 4))).build(),
+        };
+        let possible: Vec<u8> = (0..syms.len())
+            .map(|_| match g.range(0..12u32) {
+                0 => 0,
+                1..=3 => ST_FULL,
+                _ => g.range(1..=ST_FULL),
+            })
+            .collect();
+        let expected = covered_by_enumeration(&guard, &possible);
+        let got = guard.covered(|s| possible[s.index()], &mut scratch.borrow_mut());
+        assert_eq!(got, expected, "{guard:?} under {possible:?}");
+    });
 }

@@ -7,7 +7,9 @@
 # smokes (with a ceiling on the product states wfcheck explores per
 # example spec, and six malformed inputs — two hostile nestings, two bad
 # agent declarations, two complements of a non-atom — that must come back
-# as positioned errors, not crashes), the eight experiment binaries'
+# as positioned errors, not crashes), a 13-way join `a < bᵢ` that must
+# fire `a` (`wftrace explain` verifies its chain, `wftrace monitor` finds
+# no alert), the eight experiment binaries'
 # stdout diffed against `crates/bench/golden/<bin>.txt` (they are
 # deterministic: the distributed, lazy and both centralized schedulers
 # must not move an occurrence, a message or a tick) and the benchmark's
@@ -204,6 +206,20 @@ for spec in not arrow; do
     expect_exit 2 "$WFTRACE" record --spec "$TRACE_TMP/$spec.wf" --out "$TRACE_TMP/$spec.trace.json"
     grep -q "applies to" "$TRACE_TMP/hostile.out"
 done
+
+echo "==> wide-join smoke: a < b1 … a < b13 fires a (a guard over 13 symbols is judged, not parked forever)"
+python3 - "$TRACE_TMP" <<'PY'
+import sys
+n = 13
+events = "".join(f"    event b{i};\n" for i in range(1, n + 1))
+deps = "".join(f"    dep d{i}: a < b{i};\n" for i in range(1, n + 1))
+open(f"{sys.argv[1]}/join13.wf", "w").write("workflow join13 {\n    event a;\n" + events + deps + "}\n")
+PY
+"$WFTRACE" record --spec "$TRACE_TMP/join13.wf" --out "$TRACE_TMP/join13.trace.json" --seed 1
+"$WFTRACE" explain --event a "$TRACE_TMP/join13.trace.json" > "$TRACE_TMP/join13.explain"
+grep -q "chain verified" "$TRACE_TMP/join13.explain"
+"$WFTRACE" monitor "$TRACE_TMP/join13.trace.json" > "$TRACE_TMP/join13.monitor"
+grep -q "alerts: none" "$TRACE_TMP/join13.monitor"
 
 echo "==> experiment binaries: stdout == crates/bench/golden/<bin>.txt"
 for bin in fig1_agents fig2_states fig3_table fig4_guards \
