@@ -424,7 +424,7 @@ pub fn run_centralized(spec: &WorkflowSpec, config: CentralConfig) -> RunReport 
         termination: outcome.termination,
         fault_stats: None,
         divergence: Vec::new(),
-        metrics: obs::MetricsSnapshot::default(),
+        metrics: dist::RunMetrics::default(),
         recording: None,
         alerts: Vec::new(),
         monitor: None,

@@ -6,8 +6,8 @@
 //! symbol, compiled once and only read afterwards. Running is
 //! `slot.rs`'s: an [`InstanceSlot`] assembles a template's nodes on a
 //! simulated network once and runs instance after instance over them.
-//! [`run_workflow`] is a slot used once, with the run's metrics snapshot
-//! on top.
+//! [`run_workflow`] is a slot used once, with what the run's metrics
+//! snapshot is rendered from, on first read, on top.
 //!
 //! The build keeps what it gathers in flat tables sized before they are
 //! filled: one record per symbol id (whether the workflow uses it, its
@@ -30,13 +30,16 @@ use crate::wal::NodeStore;
 use agent::{EventAttrs, TaskAgent};
 use event_algebra::{DepTracker, Expr, Literal, SymbolId, SymbolMap, SymbolTable, Trace};
 use guard::{CompiledWorkflow, GuardScope};
-use monitor::{AlertKind, MonitorConfig};
+use monitor::{AlertKind, DepVerdict, MonitorConfig};
 use obs::metrics::in_label_order;
 use obs::{MetricSink, MetricsSnapshot, RecordConfig, Recording};
-use sim::{Ctx, FaultPlan, FaultStats, NodeId, Process, SimConfig, SiteId, Termination, Time};
+use sim::{
+    Ctx, FaultPlan, FaultStats, NetStats, NodeId, Process, SimConfig, SiteId, Termination, Time,
+};
 use std::collections::BTreeSet;
-use std::fmt::Write;
-use std::sync::Arc;
+use std::fmt::{self, Write};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 use temporal::FactoredGuard;
 
 /// A task agent placed on a site with a script.
@@ -276,8 +279,12 @@ pub struct RunReport {
     /// Unified metrics snapshot: network, fault, transport, scheduler and
     /// per-dependency measurements behind one key/label API (subsumes
     /// [`RunReport::net`] and [`RunReport::fault_stats`], which stay for
-    /// compatibility).
-    pub metrics: MetricsSnapshot,
+    /// compatibility). A solo run ([`run_workflow`],
+    /// [`run_workflow_with_faults`]) renders it the first time it is read
+    /// — a recorded one at once, into its [`Recording`]. A fleet
+    /// instance ([`crate::run_tenant`], [`crate::run_parallel_fleet`])
+    /// carries the empty snapshot: its fleet report rolls the series up.
+    pub metrics: RunMetrics,
     /// The flight recording, when [`ExecConfig::record`] was set: the
     /// full causal span DAG plus the metrics snapshot, ready for
     /// `wftrace` or JSON export.
@@ -516,14 +523,14 @@ fn run_workflow_inner(
     plan: Option<FaultPlan>,
 ) -> RunReport {
     let (mut report, totals) = execute_solo(spec, &config, plan);
-    report.metrics = solo_metrics(spec, &report, &totals);
+    report.metrics = RunMetrics::deferred(SoloCounts::of(spec, &report, &totals));
     if let Some(rec) = &mut report.recording {
-        rec.metrics = report.metrics.clone();
+        rec.metrics = MetricsSnapshot::clone(&report.metrics);
     }
     *report
 }
 
-/// One solo run up to its report, metrics not yet written.
+/// One solo run up to its report, metrics not yet attached.
 fn execute_solo(
     spec: &WorkflowSpec,
     config: &ExecConfig,
@@ -540,94 +547,196 @@ fn execute_solo(
     slot.execute()
 }
 
+/// A run's metrics snapshot, rendered the first time it is read and
+/// never if nobody reads it. A solo run keeps the typed numbers its
+/// snapshot is written from and renders them once, on first read; a
+/// fleet instance and the centralized baseline keep none and read the
+/// empty snapshot. Reads go through `Deref`, so the field reads as the
+/// [`MetricsSnapshot`] it renders, and compares and prints as it.
+#[derive(Default)]
+pub struct RunMetrics {
+    /// What a solo run's snapshot is written from; `None` renders empty.
+    counts: Option<Box<SoloCounts>>,
+    /// The snapshot, once rendered.
+    snapshot: OnceLock<MetricsSnapshot>,
+}
+
+impl RunMetrics {
+    fn deferred(counts: SoloCounts) -> RunMetrics {
+        RunMetrics { counts: Some(Box::new(counts)), snapshot: OnceLock::new() }
+    }
+}
+
+impl Deref for RunMetrics {
+    type Target = MetricsSnapshot;
+
+    fn deref(&self) -> &MetricsSnapshot {
+        self.snapshot.get_or_init(|| self.counts.as_deref().map_or_else(Default::default, render))
+    }
+}
+
+impl fmt::Debug for RunMetrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq<MetricsSnapshot> for RunMetrics {
+    fn eq(&self, other: &MetricsSnapshot) -> bool {
+        **self == *other
+    }
+}
+
+impl PartialEq<RunMetrics> for MetricsSnapshot {
+    fn eq(&self, other: &RunMetrics) -> bool {
+        *self == **other
+    }
+}
+
+/// What a solo run's metrics are written from, copied off its report and
+/// its slot when it ends: names and numbers, no series.
+#[derive(Debug)]
+struct SoloCounts {
+    /// The actors' event names back to back, in symbol order.
+    names: String,
+    /// Per actor, in symbol order: where its name ends in `names`, and
+    /// its attempts, grants, rejections and triggers.
+    actors: Vec<(usize, [u64; 4])>,
+    /// Announcements, promises granted, promises requested and
+    /// reductions, summed over the actors.
+    sched: [u64; 4],
+    satisfied: Vec<bool>,
+    monitor: Option<MonitorCounts>,
+    net: NetStats,
+    faults: Option<FaultStats>,
+    transport: InstanceTotals,
+    /// The recorder's dropped and sampled-out spans, when one ran.
+    recorder: Option<(u64, u64)>,
+    duration: Time,
+    steps: u64,
+}
+
+/// The monitor's part of [`SoloCounts`].
+#[derive(Debug)]
+struct MonitorCounts {
+    facts: u64,
+    guard_checks: u64,
+    /// Alerts per kind, in [`AlertKind::TAGS`] order.
+    alerts: [u64; AlertKind::TAGS.len()],
+    verdicts: Vec<DepVerdict>,
+}
+
+impl SoloCounts {
+    fn of(spec: &WorkflowSpec, report: &RunReport, totals: &InstanceTotals) -> SoloCounts {
+        let name = |sym| spec.table.name(sym).unwrap_or("?");
+        let stats = &report.actor_stats;
+        let mut names = String::with_capacity(stats.iter().map(|(sym, _)| name(sym).len()).sum());
+        let mut actors = Vec::with_capacity(stats.values().count());
+        let mut sched = [0u64; 4];
+        for (sym, st) in stats.iter() {
+            names.push_str(name(sym));
+            actors.push((names.len(), [st.attempts, st.granted, st.rejected, st.triggers]));
+            let sums =
+                [st.announces_out, st.promises_granted, st.promises_requested, st.reductions];
+            sched.iter_mut().zip(sums).for_each(|(acc, n)| *acc += n);
+        }
+        let monitor = report.monitor.as_ref().map(|mrep| MonitorCounts {
+            facts: mrep.facts,
+            guard_checks: mrep.guard_checks,
+            alerts: AlertKind::TAGS
+                .map(|tag| mrep.alerts.iter().filter(|a| a.kind.tag() == tag).count() as u64),
+            verdicts: mrep.verdicts.clone(),
+        });
+        SoloCounts {
+            names,
+            actors,
+            sched,
+            satisfied: report.satisfied.clone(),
+            monitor,
+            net: report.net.clone(),
+            faults: report.fault_stats,
+            transport: *totals,
+            recorder: report.recording.as_ref().map(|rec| (rec.dropped, rec.sampled_out)),
+            duration: report.duration,
+            steps: report.steps,
+        }
+    }
+}
+
 /// The unified metrics of one solo run: network, fault, transport,
 /// scheduler, per-dependency and monitor series. Every series is known
-/// here, so they are written straight into a snapshot sized for them, in
-/// key order, and [`MetricsSnapshot::sorted`] only folds the repeats.
-fn solo_metrics(
-    spec: &WorkflowSpec,
-    report: &RunReport,
-    totals: &InstanceTotals,
-) -> MetricsSnapshot {
-    let sites = report.net.per_site_deliveries.len();
-    let deps = report.satisfied.len();
-    let verdicts = report.monitor.as_ref().map_or(0, |m| m.verdicts.len());
+/// from the counts, so they are written straight into a snapshot sized
+/// for them, in key order, and [`MetricsSnapshot::sorted`] only folds the
+/// repeats.
+fn render(counts: &SoloCounts) -> MetricsSnapshot {
+    let sites = counts.net.per_site_deliveries.len();
+    let deps = counts.satisfied.len();
+    let verdicts = counts.monitor.as_ref().map_or(0, |m| m.verdicts.len());
     // Besides the labelled series: six alert kinds, 23 unlabelled counters.
-    let counters = 4 * report.actor_stats.values().count() + sites + verdicts + 29;
-    let mut m = MetricsSnapshot::with_capacity(counters, deps + 1, 1);
-    write_solo_metrics(spec, report, totals, &mut m);
+    let series = 4 * counts.actors.len() + sites + verdicts + 29;
+    let mut m = MetricsSnapshot::with_capacity(series, deps + 1, 1);
+    write_solo_metrics(counts, &mut m);
     m.sorted()
 }
 
-/// [`solo_metrics`]' writes, in key order: names in byte order, and
-/// within a name the label values in theirs (events by name, indices as
-/// their decimal renderings sort).
-fn write_solo_metrics(
-    spec: &WorkflowSpec,
-    report: &RunReport,
-    totals: &InstanceTotals,
-    mut m: impl MetricSink,
-) {
-    let mut by_name: Vec<(&str, &ActorStats)> = (report.actor_stats.iter())
-        .map(|(sym, st)| (spec.table.name(sym).unwrap_or("?"), st))
+/// [`render`]'s writes, in key order: names in byte order, and within a
+/// name the label values in theirs (events by name, indices as their
+/// decimal renderings sort). The only writer of a solo run's series.
+fn write_solo_metrics(counts: &SoloCounts, mut m: impl MetricSink) {
+    let mut start = 0;
+    let mut by_name: Vec<(&str, &[u64; 4])> = (counts.actors.iter())
+        .map(|(end, n)| (&counts.names[std::mem::replace(&mut start, *end)..*end], n))
         .collect();
     by_name.sort_unstable_by_key(|&(name, _)| name);
-    let mut per_actor = |series, value: fn(&ActorStats) -> u64| {
-        for &(name, st) in &by_name {
-            m.add(series, &[("event", name)], value(st));
+    let mut per_actor = |series, k: usize| {
+        for &(name, n) in &by_name {
+            m.add(series, &[("event", name)], n[k]);
         }
     };
-    per_actor("actor.attempts", |st| st.attempts);
-    per_actor("actor.granted", |st| st.granted);
-    per_actor("actor.rejected", |st| st.rejected);
-    per_actor("actor.triggers", |st| st.triggers);
+    per_actor("actor.attempts", 0);
+    per_actor("actor.granted", 1);
+    per_actor("actor.rejected", 2);
+    per_actor("actor.triggers", 3);
     let mut dep = String::new();
-    in_label_order(report.satisfied.len() as u64, |ix| {
-        let ok = report.satisfied[ix as usize];
+    in_label_order(counts.satisfied.len() as u64, |ix| {
+        let ok = counts.satisfied[ix as usize];
         m.set_gauge("dep.satisfied", &[("dep", index_label(&mut dep, ix))], i64::from(ok));
     });
-    if let Some(fs) = &report.fault_stats {
+    if let Some(fs) = &counts.faults {
         fs.record_into(&mut m);
     }
-    if let Some(mrep) = &report.monitor {
-        for tag in AlertKind::TAGS {
-            let n = mrep.alerts.iter().filter(|a| a.kind.tag() == tag).count() as u64;
+    if let Some(mon) = &counts.monitor {
+        for (tag, &n) in AlertKind::TAGS.iter().zip(&mon.alerts) {
             if n > 0 {
                 m.add("monitor.alerts", &[("kind", tag)], n);
             }
         }
-        m.add("monitor.facts", &[], mrep.facts);
-        m.add("monitor.guard_checks", &[], mrep.guard_checks);
-        in_label_order(mrep.verdicts.len() as u64, |ix| {
-            let v = mrep.verdicts[ix as usize];
+        m.add("monitor.facts", &[], mon.facts);
+        m.add("monitor.guard_checks", &[], mon.guard_checks);
+        in_label_order(mon.verdicts.len() as u64, |ix| {
+            let v = mon.verdicts[ix as usize];
             let labels = [("dep", index_label(&mut dep, ix)), ("verdict", v.label())];
             m.add("monitor.verdicts", &labels, 1);
         });
     }
-    report.net.record_into(&mut m);
-    if let Some(rec) = &report.recording {
-        m.add("obs.recorder.dropped_spans", &[], rec.dropped);
-        m.add("obs.recorder.sampled_out", &[], rec.sampled_out);
+    counts.net.record_into(&mut m);
+    if let Some((dropped, sampled_out)) = counts.recorder {
+        m.add("obs.recorder.dropped_spans", &[], dropped);
+        m.add("obs.recorder.sampled_out", &[], sampled_out);
     }
-    m.set_gauge("run.duration", &[], report.duration as i64);
-    m.add("run.steps", &[], report.steps);
-    let stats = report.actor_stats.values();
-    let sched = stats.fold([0u64; 4], |mut acc, st| {
-        acc[0] += st.announces_out;
-        acc[1] += st.promises_granted;
-        acc[2] += st.promises_requested;
-        acc[3] += st.reductions;
-        acc
-    });
-    m.add("sched.announces", &[], sched[0]);
-    m.add("sched.promises_granted", &[], sched[1]);
-    m.add("sched.promises_requested", &[], sched[2]);
-    m.add("sched.reductions", &[], sched[3]);
-    m.add("transport.dedup_dropped", &[], totals.dedup_dropped);
-    m.add("transport.gave_up", &[], totals.gave_up);
-    m.add("transport.retransmissions", &[], totals.retransmissions);
-    m.add("transport.timer_fires", &[], totals.timer_fires);
-    m.add("transport.timer_idle", &[], totals.timer_idle);
+    m.set_gauge("run.duration", &[], counts.duration as i64);
+    m.add("run.steps", &[], counts.steps);
+    let [announces, granted, requested, reductions] = counts.sched;
+    m.add("sched.announces", &[], announces);
+    m.add("sched.promises_granted", &[], granted);
+    m.add("sched.promises_requested", &[], requested);
+    m.add("sched.reductions", &[], reductions);
+    let t = &counts.transport;
+    m.add("transport.dedup_dropped", &[], t.dedup_dropped);
+    m.add("transport.gave_up", &[], t.gave_up);
+    m.add("transport.retransmissions", &[], t.retransmissions);
+    m.add("transport.timer_fires", &[], t.timer_fires);
+    m.add("transport.timer_idle", &[], t.timer_idle);
 }
 
 /// `ix` as a label value, rendered into the caller's buffer.
@@ -702,15 +811,16 @@ mod tests {
         config.monitor = Some(MonitorConfig::default());
         let (report, totals) = execute_solo(&spec, &config, None);
         assert!(report.all_satisfied(), "{report:?}");
+        let counts = SoloCounts::of(&spec, &report, &totals);
         let mut raw = MetricsSnapshot::default();
-        write_solo_metrics(&spec, &report, &totals, &mut raw);
+        write_solo_metrics(&counts, &mut raw);
         assert!(raw.counters.is_sorted_by(|a, b| a.0 < b.0), "{:#?}", raw.counters);
         assert!(raw.gauges.is_sorted_by(|a, b| a.0 < b.0), "{:#?}", raw.gauges);
         assert_eq!(raw.gauges.len(), 13, "twelve dep.satisfied and run.duration");
         let sites = raw.counters.iter().filter(|(k, _)| k.name == "net.deliveries").count();
         assert_eq!(sites, 13);
         assert_eq!(raw.clone().sorted(), raw);
-        assert_eq!(solo_metrics(&spec, &report, &totals), raw);
+        assert_eq!(render(&counts), raw);
     }
 
     /// Example 10: with D<'s guards, f parks until ē occurs.

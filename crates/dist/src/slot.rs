@@ -16,7 +16,9 @@
 //! [`RunReport`] the caller keeps (DESIGN.md §9 has the accounting).
 
 use crate::actor::SymbolActor;
-use crate::exec::{gated_literals, BuiltWorkflow, ExecConfig, Node, RunReport, WorkflowSpec};
+use crate::exec::{
+    gated_literals, BuiltWorkflow, ExecConfig, Node, RunMetrics, RunReport, WorkflowSpec,
+};
 use crate::fleet::Arrival;
 use crate::msg::{InstanceId, Msg};
 use crate::reliable::Reliable;
@@ -402,11 +404,11 @@ impl<'t> InstanceSlot<'t> {
     /// Run the prepared instance to quiescence under the step budget,
     /// publish its nodes' WAL slices to the shared store — one append per
     /// `(instance, node)` that logged anything — and read its report off
-    /// the slot. The report's metrics snapshot is
-    /// left empty — solo callers record one on top, fleets roll their own
-    /// up, so no instance pays for a snapshot it does not publish. The
-    /// report is built in its box and handed on in it: a fleet keeps it
-    /// there, and nothing copies its few hundred bytes on the way.
+    /// the slot. The report's metrics are left empty: a solo caller
+    /// attaches what its snapshot renders from on first read, and a fleet
+    /// rolls its own up, so no instance pays for a snapshot nobody reads.
+    /// The report is built in its box and handed on in it: a fleet keeps
+    /// it there, and nothing copies its few hundred bytes on the way.
     pub fn execute(&mut self) -> (Box<RunReport>, InstanceTotals) {
         let started = Instant::now();
         let outcome = self.net.run_to_quiescence(self.max_steps);
@@ -516,7 +518,7 @@ impl<'t> InstanceSlot<'t> {
             broken_promises,
             termination,
             divergence,
-            metrics: MetricsSnapshot::default(),
+            metrics: RunMetrics::default(),
             recording: None,
             alerts: Vec::new(),
             monitor: None,

@@ -4,12 +4,18 @@
 //! template — and a run under faults, with the transport's and the fault
 //! layer's series — to what a [`MetricsRegistry`] returns after the
 //! same writes made in any order: the old writer's order, here.
+//!
+//! The snapshot is rendered the first time it is read, so the suite also
+//! holds that render to reading as an eager one would: once, the same on
+//! any thread, the same in the recording and under `Debug`, and empty
+//! where no solo run made the report.
 
-use constrained_events::{models, WorkflowBuilder};
+use constrained_events::{models, run_centralized, CentralConfig, Engine, WorkflowBuilder};
 use dist::{
-    run_workflow, run_workflow_with_faults, ExecConfig, ReliableConfig, RunReport, WorkflowSpec,
+    run_tenant, run_workflow, run_workflow_with_faults, Arrival, ExecConfig, ReliableConfig,
+    RunReport, TenantConfig, WorkflowSpec,
 };
-use obs::{MetricSink, MetricsRegistry, MetricsSnapshot};
+use obs::{MetricSink, MetricsRegistry, MetricsSnapshot, RecordConfig};
 use sim::{FaultPlan, NodeId, SiteId};
 use testkit::workload::drive;
 
@@ -131,4 +137,71 @@ fn a_faulty_run_writes_the_registrys_snapshot() {
     assert!(faults.dropped > 0 && faults.restarts == 1, "{faults:?}");
     assert!(report.metrics.counter("transport.retransmissions", &[]).unwrap() > 0);
     assert_registry_equivalent("pipeline10 under faults", &spec, &report);
+}
+
+/// `run`'s report reads its snapshot as an eager one would. `run` is
+/// deterministic, so each check gets a fresh report, unread until then:
+/// its `Debug` is the `Debug` of one already read, a second read is the
+/// first (the very same snapshot: it rendered once), one moved to
+/// another thread and read there equals one read in place, and a
+/// recording carries the report's snapshot.
+fn assert_renders_as_read(what: &str, run: &dyn Fn() -> RunReport) {
+    let unread = run();
+    let read = run();
+    let first = MetricsSnapshot::clone(&read.metrics);
+    assert!(first.counters.len() > 20, "{what}: {:?}", first.counters);
+    assert_eq!(format!("{unread:?}"), format!("{read:?}"), "{what}: Debug before the first read");
+    assert_eq!(read.metrics, first, "{what}: a second read");
+    assert!(std::ptr::eq(&*read.metrics, &*read.metrics), "{what}: rendered once");
+    let moved = run();
+    let there = std::thread::spawn(move || MetricsSnapshot::clone(&moved.metrics))
+        .join()
+        .expect("the reading thread finishes");
+    assert_eq!(there, read.metrics, "{what}: read on another thread");
+    if let Some(rec) = &read.recording {
+        assert_eq!(rec.metrics, read.metrics, "{what}: the recording's snapshot");
+    }
+}
+
+#[test]
+fn a_solo_snapshot_renders_on_first_read_as_an_eager_one_would() {
+    for (name, spec) in templates() {
+        assert_renders_as_read(name, &|| run_workflow(&spec, config(1)));
+    }
+    let spec = example("pipeline10");
+    let faulty = || {
+        let mut exec = config(3);
+        exec.reliable = Some(ReliableConfig::default());
+        let plan = FaultPlan::new(0xFA17).drop_rate(0.2).duplicate_rate(0.2).jitter(0, 20);
+        let plan = plan.partition(SiteId(0), SiteId(1), 20, 400).crash(NodeId(0), 40, Some(300));
+        run_workflow_with_faults(&spec, exec, plan)
+    };
+    assert_renders_as_read("pipeline10 under faults", &faulty);
+    let spec = example("travel");
+    let recorded = || {
+        let mut exec = config(3);
+        exec.record = Some(RecordConfig::default());
+        run_workflow(&spec, exec)
+    };
+    assert!(recorded().recording.is_some());
+    assert_renders_as_read("travel recorded", &recorded);
+}
+
+/// Only a solo run renders a snapshot: a fleet instance's report and
+/// the centralized baseline's read the empty one, and the fleet's own
+/// report carries the roll-up.
+#[test]
+fn fleet_instances_and_the_centralized_baseline_read_the_empty_snapshot() {
+    let spec = example("travel");
+    let arrivals: Vec<Arrival> = (0..3).map(|i| Arrival::new(i, 0, i * 5, 1 + i)).collect();
+    let fleet = run_tenant(std::slice::from_ref(&spec), &arrivals, &TenantConfig::new(config(1)));
+    assert_eq!(fleet.instances.len(), 3);
+    assert!(!fleet.metrics.counters.is_empty(), "the fleet rolls its series up");
+    for outcome in &fleet.instances {
+        assert!(!outcome.report.occurrences.is_empty());
+        assert_eq!(outcome.report.metrics, MetricsSnapshot::default());
+    }
+    let central = run_centralized(&spec, CentralConfig::new(1, Engine::Automata));
+    assert!(central.all_satisfied() && !central.occurrences.is_empty());
+    assert_eq!(central.metrics, MetricsSnapshot::default());
 }
