@@ -9,9 +9,10 @@
 //! The actor:
 //! - evaluates guards on [`Msg::Attempt`]s, granting, rejecting or parking:
 //!   a guard is enabled when it holds on every state its symbols may
-//!   still be in, which the guard kernel's one validity test
-//!   ([`temporal::Guard::covered`]) decides exactly, at any width, on a
-//!   stack the actor keeps;
+//!   still be in — what the facts heard allow, narrowed by the not-yet
+//!   holds granted to the literal — which the guard table decides
+//!   exactly, at any width, from its fact sets (`memo.rs`), as it decides
+//!   whether a promise may be granted;
 //! - reduces guards as [`Msg::Announce`]/[`Msg::PromiseGrant`] facts arrive
 //!   (Section 4.3's proof rules), re-evaluating parked attempts;
 //! - runs the promise protocol (Example 11) and the not-yet agreement for
@@ -43,10 +44,7 @@ use monitor::WorkflowMonitor;
 use obs::{NodeObs, ObsLit, SpanId, SpanKind, Verdict};
 use sim::{Ctx, NodeId, Time};
 use std::sync::Arc;
-use temporal::{
-    ask_order, eventually_mask, occurred_mask, CoverScratch, Fact, FactoredGuard, GuardStatus,
-    Need, ST_C, ST_D, ST_FULL,
-};
+use temporal::{ask_order, Fact, FactoredGuard, GuardStatus, Need};
 
 /// Literal → trace encoding (the same packed `sym << 1 | polarity`
 /// index; see [`obs::ObsLit`]).
@@ -200,8 +198,6 @@ pub struct SymbolActor {
     lits: Vec<Literal>,
     /// See [`SymbolActor::asks`].
     held: Vec<(Literal, Literal)>,
-    /// The stack [`SymbolActor::guard_enabled`]'s coverage walk runs on.
-    cover: CoverScratch,
     /// Shared routing.
     pub routing: Arc<Routing>,
     /// Lazy mode: facts are recorded as they arrive, but parked attempts
@@ -250,7 +246,6 @@ impl SymbolActor {
             asks: Vec::new(),
             lits: Vec::new(),
             held: Vec::new(),
-            cover: CoverScratch::default(),
             routing,
             lazy: false,
             stats: ActorStats::default(),
@@ -521,40 +516,11 @@ impl SymbolActor {
 
     // ----- evaluation -----
 
-    /// The set of states `sym` could currently be in, as far as this
-    /// actor can prove: promises pin the eventual polarity, active
-    /// not-yet grants (for `lit`) pin "unresolved at this instant".
-    /// Occurred facts were already folded into the guard masks, so they
-    /// do not appear here.
-    fn possible_states(&self, lit: Literal, sym: SymbolId) -> u8 {
-        let mut m = ST_FULL;
-        for p in &self.promises_seen {
-            if p.symbol() == sym {
-                m &= eventually_mask(p.polarity());
-            }
-        }
-        if self.lit_state_ref(lit).notyet_granted.contains(&sym) {
-            m &= ST_C | ST_D;
-        }
-        m
-    }
-
-    /// Coverage evaluation: the guard holds *now* iff it is true for
-    /// every assignment of currently-possible states to its symbols.
-    /// Sound under asynchrony (unannounced remote occurrences are inside
-    /// the possible sets) and complete for the actors' guards, which are
-    /// masks only. Each live factor is decided on its own
-    /// ([`temporal::Guard::covered`], exact at any width): the factors
-    /// constrain disjoint symbols, so every assignment is covered by some
-    /// conjunct of the product iff each factor covers its share.
+    /// Whether `lit` may occur now, as its guard table decides it under
+    /// the not-yet holds granted to `lit`.
     fn guard_enabled(&mut self, lit: Literal) -> bool {
-        let mut cover = std::mem::take(&mut self.cover);
-        let info = self.guard_info(lit);
-        let possible = |s| self.possible_states(lit, s);
-        let enabled = info.status() == GuardStatus::EnabledNow
-            || info.factors().all(|factor| factor.covered(possible, &mut cover));
-        self.cover = cover;
-        enabled
+        let (pos, neg) = (&self.pos.notyet_granted, &self.neg.notyet_granted);
+        self.memo.enabled(lit.polarity(), if lit.is_pos() { pos } else { neg })
     }
 
     /// Record a guard-evaluation span: the verdict, the residual guard's
@@ -840,12 +806,8 @@ impl SymbolActor {
 
     /// Grant `◇lit` to `for_lit`'s actor if we can guarantee the event:
     /// it is attempted or triggerable, and its guard — assuming the
-    /// requester's eventual occurrence — is *eventually discharged*:
-    /// every remaining constraint of some conjunct is guaranteed to hold
-    /// once the promised events have occurred. (A constraint □f with ◇f
-    /// assumed qualifies: when f occurs, □f holds and this event follows —
-    /// the paper's conditional promise, discharged by the requester's
-    /// occurrence message.)
+    /// requester's eventual occurrence — is *eventually discharged*
+    /// ([`GuardMemo::grantable`]).
     fn try_grant(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, for_lit: Literal) -> bool {
         let st = self.lit_state_ref(lit);
         // An attempted event can be guaranteed outright. A triggerable
@@ -865,24 +827,7 @@ impl SymbolActor {
         if let Err(at) = party.binary_search(&for_lit) {
             party.insert(at, for_lit);
         }
-        let assumed = self.memo.assuming(lit.polarity(), &party);
-        let assumptions = || self.promises_seen.iter().chain(&party);
-        // A conjunct is eventually dischargeable when every constraint is
-        // (a) implied by some assumed occurrence's final state (□f with
-        // ◇f assumed), or (b) a not-yet-style mask (admits both
-        // unresolved states): such constraints hold while the symbol is
-        // unheard-of — occurrences fold into the guard eagerly, so a
-        // surviving ¬-mask means unresolved here — and are pinned by the
-        // agreement protocol at the promised event's own occurrence. The
-        // product has such a conjunct iff every factor does (a guard that
-        // holds now has no factors left).
-        let eventually_discharged = assumed.factors().all(|factor| {
-            factor.dischargeable(|s, m| {
-                assumptions().any(|l| l.symbol() == s && occurred_mask(l.polarity()) & !m == 0)
-                    || (m & (ST_C | ST_D)) == (ST_C | ST_D)
-            })
-        });
-        let granted = can_happen && eventually_discharged;
+        let granted = can_happen && self.memo.grantable(lit.polarity(), &party);
         if granted {
             self.lit_state(lit).promised_out = true;
             for &p in &party {

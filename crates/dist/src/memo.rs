@@ -12,22 +12,31 @@
 //! disjoint symbols. An instance's guard state is one fact set per
 //! factor, on that factor's symbols ([`FactSet`]), held as the index of
 //! the table entry for it. An entry keeps the factor's guard at its fact
-//! set ([`Guard::under`]), its status and its hash; what only a parked
-//! attempt needs — its asks — is derived the first time one asks.
-//! Whether a factor is covered depends on the actor's promises and holds
-//! too, so the actor decides that each time it asks
-//! ([`Guard::covered`], the kernel's one validity test), and nothing
-//! about it is kept here. A fact changes the fact set of the one factor
-//! that mentions its symbol: a warm actor pays one key lookup in that
-//! factor, a cold one computes that factor alone, so what it computes
-//! grows with the widest factor, not with the product of all of them.
-//! Two arrival orders of one fact set reach one entry by construction.
+//! set ([`Guard::under`]), its status and its hash; what only some
+//! questions need — its asks, and whether the guard holds on every state
+//! the fact set allows — is derived the first time one asks.
+//!
+//! The table answers the actor's two guard questions from the entries'
+//! keys. "May the literal occur now?" ([`GuardMemo::enabled`]) is the
+//! status where it decides, else [`Guard::covered`] (the kernel's one
+//! validity test) over the states the key allows: kept in the entry for
+//! a factor no hold narrows, walked again only for one that mentions a
+//! symbol holding still for the literal. "May it be promised?"
+//! ([`GuardMemo::grantable`]) reads the promised polarities off the keys
+//! the party's promises lead to.
+//!
+//! A fact changes the fact set of the one factor that mentions its
+//! symbol: a warm actor pays one key lookup in that factor, a cold one
+//! computes that factor alone, so what it computes grows with the widest
+//! factor, not with the product of all of them. Two arrival orders of
+//! one fact set reach one entry by construction.
 //!
 //! The table is a cache of pure functions ([`Guard::under`],
-//! [`temporal::status`], [`temporal::asks`]): an actor with a warm table
-//! and one with a cold table compute the same guards and send the same
-//! messages (`tests/protocol_unit.rs` holds them to that), so it survives
-//! an instance reset and a crash–restart alike. It is actor-local — no
+//! [`temporal::status`], [`temporal::asks`], [`Guard::covered`] over the
+//! states a key allows): an actor with a warm table and one with a cold
+//! table compute the same guards and send the same messages
+//! (`tests/protocol_unit.rs` holds them to that), so it survives an
+//! instance reset and a crash–restart alike. It is actor-local — no
 //! lock, no reference count — and bounded: entries past [`MEMO_CAP`] are
 //! dropped at the next reset, and only the instance's own entry indices,
 //! which the reset rewinds, ever point at them.
@@ -37,7 +46,8 @@ use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use temporal::{
-    ask_order, asks, product_status, status, Fact, FactoredGuard, Guard, GuardStatus, Need, ST_FULL,
+    ask_order, asks, product_status, status, CoverScratch, Fact, FactoredGuard, Guard, GuardStatus,
+    Need, ST_A, ST_B, ST_C, ST_D, ST_FULL,
 };
 
 /// How many entries an actor tabulates for good. Wide joins meet many
@@ -84,6 +94,11 @@ impl FactSet {
         nibble as u8 & ST_FULL
     }
 
+    /// The states the facts leave `sym`, one of the factor's `syms`.
+    fn allows(&self, syms: &[SymbolId], sym: SymbolId) -> u8 {
+        ST_FULL & !self.ruled_out(syms.binary_search(&sym).expect("its own symbol"))
+    }
+
     /// This set with `states` ruled out for the symbol at `rank` too.
     fn with(&self, rank: usize, states: u8) -> FactSet {
         match self {
@@ -112,6 +127,9 @@ struct Entry {
     hash: u64,
     /// [`temporal::asks`] of the guard.
     asks: OnceLock<Vec<Need>>,
+    /// Whether the guard holds on every state vector the key allows: `⊤`
+    /// exactly, where the status is only sound.
+    top: OnceLock<bool>,
 }
 
 impl Entry {
@@ -119,11 +137,27 @@ impl Entry {
         let mut hasher = FxHasher::default();
         guard.hash(&mut hasher);
         let (status, hash) = (status(&guard), hasher.finish());
-        Entry { key, next: END, guard, status, hash, asks: OnceLock::new() }
+        Entry { key, next: END, guard, status, hash, asks: OnceLock::new(), top: OnceLock::new() }
     }
 
     fn asks(&self) -> &[Need] {
         self.asks.get_or_init(|| asks(&self.guard))
+    }
+
+    /// Whether the guard holds on every state its factor's `syms` may be
+    /// in: what the key allows, and for a symbol of `held` only the
+    /// unresolved states.
+    fn enabled(&self, syms: &[SymbolId], held: &[SymbolId], cover: &mut CoverScratch) -> bool {
+        let allows = |s| self.key.allows(syms, s);
+        match self.status {
+            GuardStatus::EnabledNow => true,
+            GuardStatus::Dead => false,
+            _ if held.iter().any(|s| syms.binary_search(s).is_ok()) => {
+                let narrow = |s| allows(s) & if held.contains(&s) { ST_C | ST_D } else { ST_FULL };
+                self.guard.covered(narrow, cover)
+            }
+            _ => *self.top.get_or_init(|| self.guard.covered(allows, cover)),
+        }
     }
 }
 
@@ -244,8 +278,10 @@ pub(crate) struct GuardMemo {
     /// positive literal's factors, then the negative's.
     at: Vec<EntryIx>,
     /// A literal's entries under the promises a grant would assume
-    /// ([`GuardMemo::assuming`]).
+    /// ([`GuardMemo::grantable`]).
     assumed: Vec<EntryIx>,
+    /// The stack the coverage walks run on.
+    cover: CoverScratch,
 }
 
 // The table is a cache: what it holds depends on the instances the actor
@@ -284,7 +320,7 @@ impl GuardMemo {
             tables.entries.push(Entry::new(FactSet::empty(end - start), guard));
         }
         let at = (0..n as EntryIx).collect();
-        GuardMemo { tables: Arc::new(tables), at, assumed: Vec::new() }
+        GuardMemo { tables: Arc::new(tables), at, assumed: Vec::new(), cover: Default::default() }
     }
 
     /// The place of `pol`'s factors in [`GuardMemo::at`].
@@ -305,15 +341,48 @@ impl GuardMemo {
         step(&mut self.tables, &mut self.at, 0, fact);
     }
 
-    /// The guard of `pol`'s literal were `promised` promised too.
-    pub(crate) fn assuming(&mut self, pol: Polarity, promised: &[Literal]) -> GuardInfo<'_> {
+    /// Whether `pol`'s literal may occur now: every factor holds on each
+    /// state its symbols may be in — what the facts heard allow, and for
+    /// a symbol holding still for the literal (`held`) only the
+    /// unresolved states. Sound under asynchrony (an unannounced remote
+    /// occurrence is among the states allowed) and exact: the factors
+    /// constrain disjoint symbols, so every state vector satisfies the
+    /// product iff each factor holds on its share.
+    pub(crate) fn enabled(&mut self, pol: Polarity, held: &[SymbolId]) -> bool {
+        let (span, t) = (self.span(pol), &*self.tables);
+        let at = &self.at[span.clone()];
+        span.zip(at).all(|(f, &e)| t.entries[e as usize].enabled(t.syms(f), held, &mut self.cover))
+    }
+
+    /// Whether `pol`'s literal may be promised to the requesters of
+    /// `party`: were their events all promised, every factor would have a
+    /// conjunct each constraint of which is (a) implied by the final
+    /// state of a promised occurrence (`□f` with `◇f` known: when `f`
+    /// occurs, `□f` holds and this event follows — the paper's
+    /// conditional promise, discharged by the requester's occurrence
+    /// message), or (b) a not-yet-style mask, admitting both unresolved
+    /// states: it holds while the symbol is unheard of and is pinned by
+    /// the agreement protocol at the promised event's own occurrence. A
+    /// factor that holds now has the empty conjunct.
+    pub(crate) fn grantable(&mut self, pol: Polarity, party: &[Literal]) -> bool {
         let span = self.span(pol);
         self.assumed.clear();
         self.assumed.extend_from_slice(&self.at[span.clone()]);
-        for &p in promised {
+        for &p in party {
             step(&mut self.tables, &mut self.assumed, span.start, Fact::Promised(p));
         }
-        GuardInfo { entries: &self.tables.entries, at: &self.assumed }
+        let t = &*self.tables;
+        span.zip(&self.assumed).all(|(f, &e)| {
+            let (entry, syms) = (&t.entries[e as usize], t.syms(f));
+            // What a constraint must admit: a promised symbol's occurred
+            // state (its key allows the promised polarity's two), else
+            // both unresolved ones.
+            entry.guard.dischargeable(|s, m| {
+                let can = entry.key.allows(syms, s);
+                let end = if can == ST_FULL { ST_C | ST_D } else { can & (ST_A | ST_B) };
+                m & end == end
+            })
+        })
     }
 
     /// Back to the empty fact sets for the next instance, dropping the
@@ -368,8 +437,7 @@ fn entry(tables: &mut Arc<Tables>, factor: usize, key: FactSet) -> EntryIx {
         last = entry.next;
     }
     let syms = t.syms(factor);
-    let rank = |s| syms.binary_search(&s).expect("its own symbol");
-    let guard = t.entries[factor].guard.under(|s| ST_FULL & !key.ruled_out(rank(s)));
+    let guard = t.entries[factor].guard.under(|s| key.allows(syms, s));
     let tables = Arc::make_mut(tables);
     let at = tables.entries.len() as EntryIx;
     tables.entries[last as usize].next = at;
@@ -380,7 +448,7 @@ fn entry(tables: &mut Arc<Tables>, factor: usize, key: FactSet) -> EntryIx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use temporal::{CoverScratch, ST_A, ST_C, ST_D};
+    use temporal::occurred_mask;
 
     fn lit(sym: u32) -> Literal {
         Literal::pos(SymbolId(sym))
@@ -471,19 +539,12 @@ mod tests {
         assert_eq!(dead.status(), GuardStatus::Dead);
         assert_eq!(dead.factors().collect::<Vec<_>>(), [&Guard::bottom()]);
         assert!(dead.asks().is_empty());
-        assert!(!covered(dead, |_| ST_FULL), "a dead guard is never covered");
+        assert!(!memo.enabled(Polarity::Pos, &[]), "a dead guard is never enabled");
     }
 
-    /// The guard is covered, as the actor decides it, where every factor
-    /// is: each symbol `s` may be in the states `possible(s)`.
-    fn covered(info: GuardInfo<'_>, possible: impl Fn(SymbolId) -> u8) -> bool {
-        let mut scratch = CoverScratch::default();
-        info.factors().all(|f| f.covered(&possible, &mut scratch))
-    }
-
-    /// `possible` with `sym` narrowed to `states`.
-    fn narrowed(sym: u32, states: u8) -> impl Fn(SymbolId) -> u8 {
-        move |s| if s == SymbolId(sym) { states } else { ST_FULL }
+    /// Symbols holding still for the literal.
+    fn held(syms: &[u32]) -> Vec<SymbolId> {
+        syms.iter().map(|&s| SymbolId(s)).collect()
     }
 
     #[test]
@@ -493,28 +554,45 @@ mod tests {
         let info = memo.get(Polarity::Pos);
         assert_eq!(info.asks(), [Need::NotYetAgreement(lit(1)), Need::Promise(lit(3))]);
         assert_eq!(info.status(), GuardStatus::Blocked);
-        // A hold on 1 leaves 3 open: not covered.
-        assert!(!covered(info, narrowed(1, ST_C | ST_D)));
-        // At a fact set, and under an assumed promise: the asks and
-        // coverage of the guard there.
-        let assumed = memo.assuming(Polarity::Pos, &[lit(3)]);
-        assert_eq!(assumed.asks(), [Need::NotYetAgreement(lit(1))]);
-        assert!(covered(assumed, narrowed(1, ST_C | ST_D)));
-        assert!(!covered(memo.get(Polarity::Pos), narrowed(1, ST_C | ST_D)));
+        // A hold on 1 leaves 3 open: not enabled.
+        assert!(!memo.enabled(Polarity::Pos, &held(&[1])));
+        // Promised to 3's requester, the event is grantable: ¬1 is left,
+        // which the agreement pins.
+        assert!(memo.grantable(Polarity::Pos, &[lit(3)]));
+        assert!(!memo.grantable(Polarity::Pos, &[lit(2).complement()]));
         memo.reduce(Fact::Promised(lit(3)));
         let info = memo.get(Polarity::Pos);
         assert_eq!(info.asks(), [Need::NotYetAgreement(lit(1))]);
-        assert!(covered(info, narrowed(1, ST_C | ST_D)));
-        assert!(!covered(info, |_| ST_FULL));
-        // Across factors: every factor covers its share.
+        assert!(memo.enabled(Polarity::Pos, &held(&[1])));
+        assert!(!memo.enabled(Polarity::Pos, &[]));
+        // Across factors: every factor holds on its share.
         let factored = FactoredGuard::new(vec![Guard::eventually(lit(5)), Guard::not_yet(lit(2))]);
-        let memo = self::memo(factored);
+        let mut memo = self::memo(factored);
         let info = memo.get(Polarity::Pos);
         assert_eq!(info.asks(), [Need::NotYetAgreement(lit(2)), Need::Promise(lit(5))]);
-        assert!(!covered(info, narrowed(2, ST_C | ST_D)));
-        assert!(!covered(info, narrowed(5, ST_A | ST_C)));
-        let both = |s| narrowed(2, ST_C | ST_D)(s) & narrowed(5, ST_A | ST_C)(s);
-        assert!(covered(info, both));
+        assert!(!memo.enabled(Polarity::Pos, &held(&[2])));
+        memo.reduce(Fact::Promised(lit(5)));
+        assert!(!memo.enabled(Polarity::Pos, &[]));
+        assert!(memo.enabled(Polarity::Pos, &held(&[2])));
+    }
+
+    /// `{1:A} + {1:C, 2:ABC} + {2:ABD}`: no conjunct holds alone, so the
+    /// status stays Blocked, but once `◇1` is heard every state vector
+    /// left satisfies some conjunct; holds alone do not do it.
+    #[test]
+    fn a_union_of_conjuncts_is_enabled_where_it_covers() {
+        let g = Guard::from_mask(SymbolId(1), ST_A)
+            .or(&Guard::from_mask(SymbolId(1), ST_C).and_mask(SymbolId(2), ST_FULL & !ST_D))
+            .or(&Guard::from_mask(SymbolId(2), ST_FULL & !ST_C));
+        let mut memo = memo(g);
+        assert!(!memo.enabled(Polarity::Pos, &[]));
+        assert!(!memo.enabled(Polarity::Pos, &held(&[1, 2])));
+        memo.reduce(Fact::Promised(lit(1)));
+        assert_eq!(memo.get(Polarity::Pos).status(), GuardStatus::Blocked);
+        assert!(memo.enabled(Polarity::Pos, &[]));
+        assert!(memo.enabled(Polarity::Pos, &held(&[1, 2])));
+        memo.reduce(Fact::Occurred(lit(2)));
+        assert_eq!(memo.get(Polarity::Pos).status(), GuardStatus::EnabledNow);
     }
 
     /// Past the cap the guards still come out right; the entries past it
@@ -559,5 +637,214 @@ mod tests {
             }
             memo.reset();
         }
+    }
+
+    /// The states each choice of facts about one symbol leaves it:
+    /// nothing heard, `◇l`, `◇l̄`, `□l`, `□l̄`.
+    const KNOWN: [u8; 5] = [ST_FULL, ST_A | ST_C, ST_B | ST_D, ST_A, ST_B];
+
+    /// The facts of choice `c` (an index into [`KNOWN`]) about `sym`.
+    fn facts_of(sym: SymbolId, c: usize) -> Option<Fact> {
+        let lit = if c % 2 == 1 { Literal::pos(sym) } else { Literal::neg(sym) };
+        match c {
+            0 => None,
+            1 | 2 => Some(Fact::Promised(lit)),
+            _ => Some(Fact::Occurred(lit)),
+        }
+    }
+
+    /// Whether `guard` — masks only — holds on every state vector that
+    /// gives each of `syms` a state of `can[k]`.
+    fn holds_on_every_vector(guard: &Guard, syms: &[SymbolId], can: &[u8]) -> bool {
+        let satisfied = |v: &[u8]| {
+            let state = |s| syms.binary_search(&s).map_or(ST_FULL, |k| v[k]);
+            guard
+                .conjuncts()
+                .iter()
+                .any(|c| c.constrained_symbols().all(|(s, m)| m & state(s) != 0))
+        };
+        let states: Vec<Vec<u8>> = can
+            .iter()
+            .map(|&m| [ST_A, ST_B, ST_C, ST_D].into_iter().filter(|&s| m & s != 0).collect())
+            .collect();
+        let mut v = vec![0; syms.len()];
+        (0..states.iter().map(Vec::len).product::<usize>()).all(|mut n| {
+            for (k, states) in states.iter().enumerate() {
+                v[k] = states[n % states.len()];
+                n /= states.len();
+            }
+            satisfied(&v)
+        })
+    }
+
+    /// What the grant test read before the table answered it: the guard
+    /// at the fact set and the party's promises, with a promised
+    /// occurrence taken from the promises heard and the party.
+    fn grantable_by_promises(guard: &Guard, known: &[(SymbolId, u8)], party: &[Literal]) -> bool {
+        let heard = |s| known.iter().find(|k| k.0 == s).map_or(ST_FULL, |k| k.1);
+        let assumed = guard.under(|s| {
+            let promised = party.iter().filter(|l| l.symbol() == s);
+            promised.fold(heard(s), |k, l| k & Fact::Promised(*l).closure_mask())
+        });
+        let promised = known.iter().filter_map(|&(s, k)| match k {
+            k if k == ST_A | ST_C => Some(Literal::pos(s)),
+            k if k == ST_B | ST_D => Some(Literal::neg(s)),
+            _ => None,
+        });
+        let promised: Vec<Literal> = promised.chain(party.iter().copied()).collect();
+        assumed.dischargeable(|s, m| {
+            promised.iter().any(|l| l.symbol() == s && occurred_mask(l.polarity()) & !m == 0)
+                || (m & (ST_C | ST_D)) == (ST_C | ST_D)
+        })
+    }
+
+    fn example(name: &str) -> constrained_events::Workflow {
+        let path = format!("{}/../../examples/specs/{name}.wf", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(&path).expect(&path);
+        constrained_events::WorkflowBuilder::from_spec(&src).expect(name).build()
+    }
+
+    /// Every distinct factor of the templates the factored-guard suite
+    /// walks, at every fact set on its symbols and under every set of
+    /// holds the actor can have (a symbol heard to occur holds still for
+    /// no one): [`GuardMemo::enabled`] is `⊤` over the state vectors
+    /// left, enumerated. At every fact set, [`GuardMemo::grantable`]
+    /// answers as the grant test on the promises heard did, for every
+    /// party of at most two requesters on the factor's symbols.
+    #[test]
+    fn template_factors_answer_exactly() {
+        use constrained_events::models;
+        let templates = [
+            example("travel"),
+            example("pipeline10"),
+            models::diamond(3),
+            models::contingency(3, false),
+            models::saga(3, 3, Some(1)),
+            models::saga(3, 3, None),
+            models::saga(4, 3, None),
+            models::saga(5, 3, None),
+        ];
+        // A factor over its symbols' ranks: the table is equivariant, so
+        // one factor stands for every renaming of it.
+        let at_ranks = |g: &Guard| {
+            let syms: Vec<SymbolId> = g.symbols().into_iter().collect();
+            let rank = |s| SymbolId(syms.binary_search(&s).expect("its symbol") as u32);
+            let conjunct = |c: &temporal::Conjunct| {
+                let masks = c.constrained_symbols();
+                masks.fold(Guard::top(), |g, (s, m)| g.and_mask(rank(s), m))
+            };
+            g.conjuncts().iter().fold(Guard::bottom(), |g, c| g.or(&conjunct(c)))
+        };
+        let mut factors: Vec<Guard> = (templates.iter())
+            .flat_map(|w| w.compile_guards().guards.into_values())
+            .flat_map(|f| f.weaken_sequences().factors().iter().map(at_ranks).collect::<Vec<_>>())
+            .collect();
+        factors.sort_by_key(|g| format!("{g:?}"));
+        factors.dedup();
+        let (mut questions, mut grants) = (0, 0);
+        for factor in &factors {
+            let syms: Vec<SymbolId> = factor.symbols().into_iter().collect();
+            let w = syms.len();
+            assert!(w <= 4, "{factor:?} is wider than the templates' four symbols");
+            let lits: Vec<Literal> =
+                syms.iter().flat_map(|&s| [Literal::pos(s), Literal::neg(s)]).collect();
+            let mut parties: Vec<Vec<Literal>> = vec![vec![]];
+            for (i, &a) in lits.iter().enumerate() {
+                parties.push(vec![a]);
+                let other = lits[i + 1..].iter().filter(|b| b.symbol() != a.symbol());
+                parties.extend(other.map(|&b| vec![a, b]));
+            }
+            let mut memo = memo(factor.clone());
+            for set in 0..5usize.pow(w as u32) {
+                let choice = |k: usize| set / 5usize.pow(k as u32) % 5;
+                memo.reset();
+                for (k, &s) in syms.iter().enumerate() {
+                    facts_of(s, choice(k)).into_iter().for_each(|f| memo.reduce(f));
+                }
+                for holds in 0..1u32 << w {
+                    let holding = |k: usize| holds >> k & 1 == 1;
+                    if (0..w).any(|k| holding(k) && choice(k) >= 3) {
+                        continue;
+                    }
+                    let held: Vec<SymbolId> =
+                        (0..w).filter(|&k| holding(k)).map(|k| syms[k]).collect();
+                    let can: Vec<u8> = (0..w)
+                        .map(|k| KNOWN[choice(k)] & if holding(k) { ST_C | ST_D } else { ST_FULL })
+                        .collect();
+                    let want = holds_on_every_vector(factor, &syms, &can);
+                    let at = format!("{factor:?} at {can:?} holding {held:?}");
+                    assert_eq!(memo.enabled(Polarity::Pos, &held), want, "{at}");
+                    questions += 1;
+                }
+                let known: Vec<(SymbolId, u8)> =
+                    (0..w).map(|k| (syms[k], KNOWN[choice(k)])).collect();
+                for party in &parties {
+                    let want = grantable_by_promises(factor, &known, party);
+                    let at = format!("{factor:?} at {known:?} for {party:?}");
+                    assert_eq!(memo.grantable(Polarity::Pos, party), want, "{at}");
+                    grants += 1;
+                }
+            }
+        }
+        assert!(factors.len() >= 10, "only {} distinct factors", factors.len());
+        println!(
+            "{} factors, {questions} enabled questions, {grants} grant decisions",
+            factors.len()
+        );
+    }
+
+    /// On random workflows of two to four symbols, at random fact sets
+    /// and holds on each weakened factor: the literal is enabled iff the
+    /// factor holds at every (maximal trace, index) pair the facts and
+    /// holds allow (a held symbol is unresolved there), and its entry is
+    /// `0` iff it holds at none.
+    #[test]
+    fn enabled_is_the_semantics_on_small_workflows() {
+        use guard::{CompiledWorkflow, GuardScope};
+        use temporal::state_on;
+        use testkit::Exprs;
+        testkit::check("enabled_is_the_semantics_on_small_workflows", 200, |g| {
+            let syms: Vec<SymbolId> = (0..g.range(2..=4u32)).map(SymbolId).collect();
+            let deps = g.workflow(&syms, 3, 3);
+            let compiled = CompiledWorkflow::compile(&deps, GuardScope::Mentioning);
+            let traces = event_algebra::enumerate_maximal(&syms);
+            for factored in compiled.guards.values() {
+                for factor in factored.weaken_sequences().factors() {
+                    let own: Vec<SymbolId> = factor.symbols().into_iter().collect();
+                    let mut memo = memo(factor.clone());
+                    for _ in 0..4 {
+                        memo.reset();
+                        let choice: Vec<usize> = own.iter().map(|_| g.range(0..5usize)).collect();
+                        for (&s, &c) in own.iter().zip(&choice) {
+                            facts_of(s, c).into_iter().for_each(|f| memo.reduce(f));
+                        }
+                        let held: Vec<SymbolId> = (own.iter().zip(&choice))
+                            .filter(|&(_, &c)| c < 3 && g.range(0..3u32) == 0)
+                            .map(|(&s, _)| s)
+                            .collect();
+                        let can = |s: SymbolId| {
+                            let k = own.binary_search(&s).map_or(ST_FULL, |k| KNOWN[choice[k]]);
+                            k & if held.contains(&s) { ST_C | ST_D } else { ST_FULL }
+                        };
+                        let (mut allowed, mut holding) = (0, 0);
+                        for u in &traces {
+                            for i in 0..=u.len() {
+                                if own.iter().all(|&s| state_on(u, i, s) & can(s) != 0) {
+                                    allowed += 1;
+                                    holding += usize::from(factor.eval(u, i));
+                                }
+                            }
+                        }
+                        assert!(allowed > 0, "{choice:?} holding {held:?} is consistent");
+                        let at = format!("{factor:?} at {choice:?} holding {held:?}");
+                        assert_eq!(memo.enabled(Polarity::Pos, &held), holding == allowed, "{at}");
+                        if held.is_empty() {
+                            let dead = memo.get(Polarity::Pos).status() == GuardStatus::Dead;
+                            assert_eq!(dead, holding == 0, "{at}");
+                        }
+                    }
+                }
+            }
+        });
     }
 }

@@ -235,6 +235,41 @@ fn a_not_yet_grant_is_used_or_released() {
     assert_eq!(actor.occurred, None);
 }
 
+/// An occurred not-yet denial tells the requester `◇f`, and its guard
+/// is decided on that at once. `e`'s guard `{f:A} + {f:C, z:ABC} +
+/// {z:ABD}` holds on every state `◇f` leaves (f in A or C, z anything)
+/// though no single conjunct does; `e` does not subscribe to `f`, so no
+/// announcement will come to wake it.
+#[test]
+fn an_occurred_not_yet_denial_decides_the_guard() {
+    use temporal::{ST_A, ST_B, ST_C, ST_D};
+    let (e, f, z) = (SymbolId(0), SymbolId(1), SymbolId(2));
+    let mut routing = Routing::default();
+    for s in 0..3 {
+        routing.actor_of.insert(SymbolId(s), NodeId(s));
+    }
+    routing.subscribers_of.insert(e, vec![]);
+    let guard = Guard::from_mask(f, ST_A)
+        .or(&Guard::from_mask(f, ST_C).and(&Guard::from_mask(z, ST_A | ST_B | ST_C)))
+        .or(&Guard::from_mask(z, ST_A | ST_B | ST_D));
+    let mut actor = SymbolActor::new(
+        e,
+        &guard.into(),
+        &FactoredGuard::top(),
+        EventAttrs::controllable(),
+        EventAttrs::immediate(),
+        vec![],
+        Arc::new(routing),
+    );
+    let mut deliver = |from: u32, msg: Msg| {
+        let mut out = Vec::new();
+        actor.handle(&mut Ctx::manual(NodeId(0), 10, 1, &mut out), NodeId(from), msg);
+    };
+    deliver(0, Msg::Attempt { lit: Literal::pos(e) });
+    deliver(1, Msg::NotYetDeny { lit: Literal::pos(f), occurred: true });
+    assert_eq!(actor.occurred.map(|(l, _, _)| l), Some(Literal::pos(e)));
+}
+
 #[test]
 fn rejection_forces_complement_through_its_guard() {
     // e's guard: 0 (can never occur). Attempting e rejects it and the

@@ -30,8 +30,9 @@
 //! possible state to each symbol? — which [`Guard::is_top`] and
 //! [`Guard::equiv_masks`] run too. It splits on one symbol at a time, is
 //! exact at any number of symbols, and works on a caller's reusable
-//! stack ([`CoverScratch`]), so an actor deciding coverage on every
-//! attempt does not allocate for it.
+//! stack ([`CoverScratch`]), so an actor's guard table deciding whether
+//! a guard holds on every state its facts allow does not allocate for
+//! it.
 //!
 //! Two properties of the representation carry the workflow compile.
 //! *Equivariance*: masks are sorted by symbol, sequence atoms and
