@@ -11,51 +11,50 @@
 //! them one [`ProductMachine::classify`] call on one [`StateBudget`];
 //! exhausting it degrades to an explicit `WF006` instead of hanging.
 
-use crate::{Ctx, Diagnostic, Report, Severity};
-use event_algebra::{Literal, ProductMachine, Reach, StateBudget};
+use crate::{Ctx, Diagnostic, LabeledSpan, Report, Severity};
+use event_algebra::{DependencyMachine, Literal, ProductMachine, Reach, StateBudget};
 
-pub(crate) fn run(ctx: &Ctx<'_>, state_budget: usize, report: &mut Report) {
+/// Check `machines` (the compiled workflow's, one per dependency) alone
+/// and then in their product.
+pub(crate) fn run(
+    ctx: &Ctx<'_>,
+    machines: Vec<DependencyMachine>,
+    state_budget: usize,
+    report: &mut Report,
+) {
+    report.diagnostics.reserve(machines.len());
     let mut any_unsat_alone = false;
-    for (ix, m) in ctx.compiled.machines.iter().enumerate() {
-        if m.has_accepting() {
-            let traps = m.trap_states();
-            if !traps.is_empty() {
-                report.push(
-                    Diagnostic::new(
-                        "WF005",
-                        Severity::Info,
-                        format!(
-                            "{} can be violated at runtime: {} of its {} machine states \
-                             are traps; the scheduler will refuse transitions entering them",
-                            ctx.dep_label(ix),
-                            traps.len(),
-                            m.state_count(),
-                        ),
-                    )
-                    .with_span(ctx.dep_span(ix), ctx.dep_label(ix)),
-                );
-            }
+    for (ix, m) in machines.iter().enumerate() {
+        let traps = m.live().iter().filter(|&&live| !live).count();
+        let accepting = m.has_accepting();
+        if accepting && traps == 0 {
+            continue;
+        }
+        let dep = ctx.dep(ix);
+        let (code, severity, message) = if accepting {
+            let message = format!(
+                "{} can be violated at runtime: {traps} of its {} machine states \
+                 are traps; the scheduler will refuse transitions entering them",
+                dep.label,
+                m.state_count(),
+            );
+            ("WF005", Severity::Info, message)
         } else {
             any_unsat_alone = true;
-            report.push(
-                Diagnostic::new(
-                    "WF004",
-                    Severity::Error,
-                    format!(
-                        "{} is unsatisfiable on its own: its residual machine \
-                         has no accepting state",
-                        ctx.dep_label(ix)
-                    ),
-                )
-                .with_span(ctx.dep_span(ix), ctx.dep_label(ix)),
+            let message = format!(
+                "{} is unsatisfiable on its own: its residual machine \
+                 has no accepting state",
+                dep.label
             );
-        }
+            ("WF004", Severity::Error, message)
+        };
+        report.push(Diagnostic::with_spans(code, severity, message, vec![dep]));
     }
     if ctx.deps.is_empty() {
         return;
     }
 
-    let mut pm = ProductMachine::from_machines(ctx.compiled.machines.clone());
+    let mut pm = ProductMachine::from_machines(machines);
     let mut budget = StateBudget::new(state_budget);
     let verdict = pm.classify(&mut budget);
     report.incomplete = verdict.incomplete;
@@ -65,7 +64,7 @@ pub(crate) fn run(ctx: &Ctx<'_>, state_budget: usize, report: &mut Report) {
         // Only report the joint contradiction when every dependency is
         // individually fine — otherwise WF004 already names the culprit.
         if !any_unsat_alone {
-            let mut d = Diagnostic::new(
+            report.push(Diagnostic::with_spans(
                 "WF001",
                 Severity::Error,
                 format!(
@@ -73,11 +72,8 @@ pub(crate) fn run(ctx: &Ctx<'_>, state_budget: usize, report: &mut Report) {
                      no execution satisfies all of them",
                     ctx.deps.len()
                 ),
-            );
-            for ix in 0..ctx.deps.len() {
-                d = d.with_span(ctx.dep_span(ix), ctx.dep_label(ix));
-            }
-            report.push(d);
+                (0..ctx.deps.len()).map(|ix| ctx.dep(ix)).collect(),
+            ));
         }
     }
 
@@ -86,8 +82,11 @@ pub(crate) fn run(ctx: &Ctx<'_>, state_budget: usize, report: &mut Report) {
         let pos = Literal::pos(sym);
         if verdict.dead.binary_search(&pos).is_ok() {
             report.dead.push(pos);
-            let (span, label) = ctx.event_span(sym);
-            let mut d = Diagnostic::new(
+            let deps = ctx.deps_mentioning_all(std::slice::from_ref(&sym));
+            let mut spans: Vec<LabeledSpan> = Vec::with_capacity(1 + deps.clone().count());
+            spans.push(ctx.event_span(sym));
+            spans.extend(deps.map(|ix| ctx.dep(ix)));
+            report.push(Diagnostic::with_spans(
                 "WF002",
                 Severity::Warning,
                 format!(
@@ -95,28 +94,21 @@ pub(crate) fn run(ctx: &Ctx<'_>, state_budget: usize, report: &mut Report) {
                      satisfying all dependencies",
                     ctx.sym_name(sym)
                 ),
-            )
-            .with_span(span, label);
-            for ix in ctx.deps_mentioning_all(&[sym]) {
-                d = d.with_span(ctx.dep_span(ix), ctx.dep_label(ix));
-            }
-            report.push(d);
+                spans,
+            ));
         } else if verdict.dead.binary_search(&Literal::neg(sym)).is_ok() {
             // forced(e) = dead(ē).
             report.forced.push(pos);
-            let (span, label) = ctx.event_span(sym);
-            report.push(
-                Diagnostic::new(
-                    "WF003",
-                    Severity::Info,
-                    format!(
-                        "event '{}' is forced: it occurs in every execution \
-                         satisfying all dependencies",
-                        ctx.sym_name(sym)
-                    ),
-                )
-                .with_span(span, label),
-            );
+            report.push(Diagnostic::with_spans(
+                "WF003",
+                Severity::Info,
+                format!(
+                    "event '{}' is forced: it occurs in every execution \
+                     satisfying all dependencies",
+                    ctx.sym_name(sym)
+                ),
+                vec![ctx.event_span(sym)],
+            ));
         }
     }
 

@@ -67,6 +67,16 @@ impl Diagnostic {
         Diagnostic { code, severity, message: message.into(), spans: Vec::new() }
     }
 
+    /// A new diagnostic with all its spans, primary first.
+    pub fn with_spans(
+        code: &'static str,
+        severity: Severity,
+        message: impl Into<String>,
+        spans: Vec<LabeledSpan>,
+    ) -> Diagnostic {
+        Diagnostic { code, severity, message: message.into(), spans }
+    }
+
     /// Attach a span (builder style).
     pub fn with_span(mut self, span: Span, label: impl Into<String>) -> Diagnostic {
         self.spans.push(LabeledSpan::new(span, label));

@@ -10,68 +10,80 @@
 //! the independence precondition and cost cross-site messages on the
 //! critical path (`WF011`).
 
-use crate::{Ctx, Diagnostic, Report, Severity};
+use crate::{Ctx, Diagnostic, LabeledSpan, Report, Severity};
 use event_algebra::{Literal, SymbolId};
-use std::collections::BTreeSet;
+use std::fmt;
 
 pub(crate) fn run(ctx: &Ctx<'_>, report: &mut Report) {
-    let mut pairs: BTreeSet<(SymbolId, SymbolId)> = BTreeSet::new();
+    // Every unordered pair of symbols one's guard mentions the other in,
+    // read off the guards' factors.
+    let mut pairs: Vec<(SymbolId, SymbolId)> = Vec::with_capacity(4 * ctx.compiled.symbols.len());
     for &sym in &ctx.compiled.symbols {
         for lit in [Literal::pos(sym), Literal::neg(sym)] {
-            for other in ctx.compiled.subscriptions(lit) {
-                let (a, b) = if sym < other { (sym, other) } else { (other, sym) };
-                pairs.insert((a, b));
-            }
+            let Some(guard) = ctx.compiled.guard_ref(lit) else { continue };
+            guard.symbols_all(|other| {
+                if other != sym {
+                    pairs.push(if sym < other { (sym, other) } else { (other, sym) });
+                }
+                true
+            });
         }
     }
+    pairs.sort_unstable();
+    pairs.dedup();
+    report.diagnostics.reserve(pairs.len());
     for (a, b) in pairs {
-        let via = ctx.deps_mentioning_all(&[a, b]);
-        let via_text = match via.len() {
-            0 => String::new(), // coupled only through conjoined guards
-            _ => format!(
-                " (coupled by {})",
-                via.iter().map(|&ix| ctx.dep_label(ix)).collect::<Vec<_>>().join(", ")
-            ),
-        };
-        let (sa, sb) = (ctx.site_of(a), ctx.site_of(b));
-        let (span_a, label_a) = ctx.event_span(a);
-        let (span_b, label_b) = ctx.event_span(b);
-        let mut d = match (sa, sb) {
-            (Some(x), Some(y)) if x != y => Diagnostic::new(
+        let pair = [a, b];
+        let via = ctx.deps_mentioning_all(&pair);
+        let mut spans: Vec<LabeledSpan> = Vec::with_capacity(2 + via.clone().count());
+        spans.push(ctx.event_span(a));
+        spans.push(ctx.event_span(b));
+        spans.extend(via.map(|ix| ctx.dep(ix)));
+        let via = Via(&spans[2..]);
+        let (na, nb) = (ctx.sym_name(a), ctx.sym_name(b));
+        let (code, severity, message) = match (ctx.site_of(a), ctx.site_of(b)) {
+            (Some(x), Some(y)) if x != y => (
                 "WF011",
                 Severity::Warning,
                 format!(
-                    "events '{}' (site {x}) and '{}' (site {y}) are not event-wise \
-                     independent{via_text}: enforcement requires coordination messages \
+                    "events '{na}' (site {x}) and '{nb}' (site {y}) are not event-wise \
+                     independent{via}: enforcement requires coordination messages \
                      between sites {x} and {y} (Lemma 5 precondition fails)",
-                    ctx.sym_name(a),
-                    ctx.sym_name(b),
                 ),
             ),
-            _ => {
-                let placement = match (sa, sb) {
-                    (Some(x), Some(_)) => {
-                        format!("they are co-located at site {x}, so messages stay local")
-                    }
-                    _ => "at least one of them is unplaced".to_owned(),
-                };
-                Diagnostic::new(
-                    "WF010",
-                    Severity::Info,
-                    format!(
-                        "events '{}' and '{}' must exchange coordination \
-                         messages{via_text}; {placement}",
-                        ctx.sym_name(a),
-                        ctx.sym_name(b),
-                    ),
-                )
-            }
+            (Some(x), Some(_)) => (
+                "WF010",
+                Severity::Info,
+                format!(
+                    "events '{na}' and '{nb}' must exchange coordination messages{via}; \
+                     they are co-located at site {x}, so messages stay local",
+                ),
+            ),
+            _ => (
+                "WF010",
+                Severity::Info,
+                format!(
+                    "events '{na}' and '{nb}' must exchange coordination messages{via}; \
+                     at least one of them is unplaced",
+                ),
+            ),
         };
-        d = d.with_span(span_a, label_a).with_span(span_b, label_b);
-        for ix in via {
-            d = d.with_span(ctx.dep_span(ix), ctx.dep_label(ix));
+        report.push(Diagnostic::with_spans(code, severity, message, spans));
+    }
+}
+
+/// ` (coupled by dep 'd1', dep 'd2')` from the dependencies' spans, or
+/// nothing when the pair is coupled only through conjoined guards.
+struct Via<'a>(&'a [LabeledSpan]);
+
+impl fmt::Display for Via<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Some((first, rest)) = self.0.split_first() else { return Ok(()) };
+        write!(f, " (coupled by {}", first.label)?;
+        for dep in rest {
+            write!(f, ", {}", dep.label)?;
         }
-        report.push(d);
+        f.write_str(")")
     }
 }
 

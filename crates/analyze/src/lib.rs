@@ -27,6 +27,12 @@
 //! and source spans threaded from the spec language, rendered as
 //! compiler-style text or JSON.
 //!
+//! A check allocates per declaration, per shape and per finding, not per
+//! query: the automaton pass hands the compiled machines to the product
+//! instead of copying them, the other two passes read the guards' factors
+//! in place, and a finding's message, labels and span list are each built
+//! once (`tests/check_alloc_budget.rs` holds the counts).
+//!
 //! # Diagnostic codes
 //!
 //! | code  | severity | meaning |
@@ -57,6 +63,7 @@ pub use diag::{json_str, Diagnostic, LabeledSpan, Severity};
 use event_algebra::{Expr, Literal, SymbolId, SymbolTable};
 use guard::{CompiledWorkflow, GuardScope};
 use speclang::{DepOrigin, LoweredEvent, LoweredWorkflow, Span};
+use std::fmt;
 
 /// Default product-state budget of [`AnalyzeOptions`]. Generous: typical
 /// workflow products stay well under a thousand states.
@@ -207,14 +214,14 @@ impl Report {
         self.diagnostics.push(d);
     }
 
+    /// Sort the findings by primary position, then code, then message.
     fn finish(&mut self) {
-        self.diagnostics.sort_by(|a, b| {
-            let key = |d: &Diagnostic| {
-                let sp = d.primary_span().unwrap_or(Span::at(usize::MAX, usize::MAX));
-                (sp.line, sp.col, d.code, d.message.clone())
-            };
-            key(a).cmp(&key(b))
-        });
+        let key = |d: &Diagnostic| {
+            let sp = d.primary_span().unwrap_or(Span::at(usize::MAX, usize::MAX));
+            (sp.line, sp.col, d.code)
+        };
+        self.diagnostics
+            .sort_by(|a, b| key(a).cmp(&key(b)).then_with(|| a.message.cmp(&b.message)));
     }
 }
 
@@ -227,13 +234,30 @@ pub(crate) struct Ctx<'a> {
     pub compiled: CompiledWorkflow,
 }
 
+/// A literal's name as [`SymbolTable::literal_name`] renders it, written
+/// straight into a message.
+pub(crate) struct Name<'a>(&'a SymbolTable, Literal);
+
+impl fmt::Display for Name<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Name(table, lit) = *self;
+        if !lit.is_pos() {
+            f.write_str("~")?;
+        }
+        match table.name(lit.symbol()) {
+            Some(name) => f.write_str(name),
+            None => write!(f, "e{}", lit.symbol().0),
+        }
+    }
+}
+
 impl Ctx<'_> {
-    pub fn lit_name(&self, l: Literal) -> String {
-        self.table.literal_name(l)
+    pub fn lit_name(&self, l: Literal) -> Name<'_> {
+        Name(self.table, l)
     }
 
-    pub fn sym_name(&self, s: SymbolId) -> String {
-        self.table.literal_name(Literal::pos(s))
+    pub fn sym_name(&self, s: SymbolId) -> Name<'_> {
+        Name(self.table, Literal::pos(s))
     }
 
     fn event_of(&self, s: SymbolId) -> Option<&LoweredEvent> {
@@ -246,32 +270,34 @@ impl Ctx<'_> {
 
     /// Span + label for the event declaring `s` (synthetic when the
     /// symbol only appears inside dependencies).
-    pub fn event_span(&self, s: SymbolId) -> (Span, String) {
+    pub fn event_span(&self, s: SymbolId) -> LabeledSpan {
         match self.event_of(s) {
-            Some(e) => (e.span, format!("event '{}'", e.name)),
-            None => (Span::default(), format!("event '{}' (undeclared)", self.sym_name(s))),
+            Some(e) => LabeledSpan::new(e.span, format!("event '{}'", e.name)),
+            None => LabeledSpan::new(
+                Span::default(),
+                format!("event '{}' (undeclared)", self.sym_name(s)),
+            ),
         }
     }
 
-    pub fn dep_label(&self, ix: usize) -> String {
-        match self.dep_origins.get(ix).and_then(|o| o.label.as_deref()) {
+    /// Dependency `ix`'s span, labelled with its name.
+    pub fn dep(&self, ix: usize) -> LabeledSpan {
+        let origin = self.dep_origins.get(ix);
+        let label = match origin.and_then(|o| o.label.as_deref()) {
             Some(l) => format!("dep '{l}'"),
             None => format!("dependency #{}", ix + 1),
-        }
-    }
-
-    pub fn dep_span(&self, ix: usize) -> Span {
-        self.dep_origins.get(ix).map_or_else(Span::default, |o| o.span)
+        };
+        LabeledSpan::new(origin.map_or_else(Span::default, |o| o.span), label)
     }
 
     /// Indices of dependencies mentioning every symbol in `syms`.
-    pub fn deps_mentioning_all(&self, syms: &[SymbolId]) -> Vec<usize> {
-        self.deps
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| syms.iter().all(|&s| d.mentions(s)))
-            .map(|(ix, _)| ix)
-            .collect()
+    pub fn deps_mentioning_all<'s>(
+        &'s self,
+        syms: &'s [SymbolId],
+    ) -> impl Iterator<Item = usize> + Clone + 's {
+        let mentioned = &self.compiled.dependency_symbols;
+        (0..mentioned.len())
+            .filter(move |&ix| syms.iter().all(|s| mentioned[ix].binary_search(s).is_ok()))
     }
 }
 
@@ -279,7 +305,7 @@ impl Ctx<'_> {
 /// taken from the declarations.
 pub fn analyze_workflow(w: &LoweredWorkflow, opts: &AnalyzeOptions) -> Report {
     let mut report = Report::new(Some(w.name.clone()));
-    let ctx = Ctx {
+    let mut ctx = Ctx {
         table: &w.table,
         deps: &w.ground_deps,
         dep_origins: &w.dep_origins,
@@ -287,7 +313,16 @@ pub fn analyze_workflow(w: &LoweredWorkflow, opts: &AnalyzeOptions) -> Report {
         compiled: CompiledWorkflow::compile(&w.ground_deps, GuardScope::Mentioning),
     };
     if !w.templates.is_empty() {
-        let mut d = Diagnostic::new(
+        let spans = (w.template_origins.iter())
+            .map(|o| {
+                let label = match &o.label {
+                    Some(l) => format!("template '{l}'"),
+                    None => "template".to_owned(),
+                };
+                LabeledSpan::new(o.span, label)
+            })
+            .collect();
+        report.push(Diagnostic::with_spans(
             "WF007",
             Severity::Info,
             format!(
@@ -295,17 +330,10 @@ pub fn analyze_workflow(w: &LoweredWorkflow, opts: &AnalyzeOptions) -> Report {
                  the dynamic scheduler instantiates them at runtime",
                 w.templates.len()
             ),
-        );
-        for o in &w.template_origins {
-            let label = match &o.label {
-                Some(l) => format!("template '{l}'"),
-                None => "template".to_owned(),
-            };
-            d = d.with_span(o.span, label);
-        }
-        report.push(d);
+            spans,
+        ));
     }
-    run_passes(&ctx, opts, &mut report);
+    run_passes(&mut ctx, opts, &mut report);
     report
 }
 
@@ -313,21 +341,24 @@ pub fn analyze_workflow(w: &LoweredWorkflow, opts: &AnalyzeOptions) -> Report {
 /// and site information is unavailable).
 pub fn analyze_dependencies(deps: &[Expr], table: &SymbolTable, opts: &AnalyzeOptions) -> Report {
     let mut report = Report::new(None);
-    let ctx = Ctx {
+    let mut ctx = Ctx {
         table,
         deps,
         dep_origins: &[],
         events: &[],
         compiled: CompiledWorkflow::compile(deps, GuardScope::Mentioning),
     };
-    run_passes(&ctx, opts, &mut report);
+    run_passes(&mut ctx, opts, &mut report);
     report
 }
 
-fn run_passes(ctx: &Ctx<'_>, opts: &AnalyzeOptions, report: &mut Report) {
+/// The three passes. The automaton pass takes the compiled machines into
+/// its product: no later pass reads them.
+fn run_passes(ctx: &mut Ctx<'_>, opts: &AnalyzeOptions, report: &mut Report) {
     report.dependencies = ctx.deps.len();
     report.dependency_shapes = ctx.compiled.shape_count();
-    automaton::run(ctx, opts.state_budget, report);
+    let machines = std::mem::take(&mut ctx.compiled.machines);
+    automaton::run(ctx, machines, opts.state_budget, report);
     independence::run(ctx, report);
     needgraph::run(ctx, report);
     report.finish();

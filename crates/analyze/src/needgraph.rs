@@ -20,8 +20,9 @@
 
 use crate::{Ctx, Diagnostic, Report, Severity};
 use event_algebra::Literal;
-use std::collections::{BTreeMap, BTreeSet};
-use temporal::{asks, Need};
+use std::collections::BTreeSet;
+use std::fmt::Write;
+use temporal::{weakened_asks_into, Need};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Wait {
@@ -30,168 +31,192 @@ enum Wait {
 }
 
 pub(crate) fn run(ctx: &Ctx<'_>, report: &mut Report) {
-    // Node universe: both polarities of every workflow symbol.
-    let nodes: Vec<Literal> =
-        ctx.compiled.symbols.iter().flat_map(|&s| [Literal::pos(s), Literal::neg(s)]).collect();
-    let index: BTreeMap<Literal, usize> = nodes.iter().enumerate().map(|(i, &l)| (l, i)).collect();
+    // Node universe: both polarities of every workflow symbol — the
+    // literals with a guard — node `Literal::index`; the other indices
+    // below the last are isolated.
+    let n = ctx.compiled.symbols.last().map_or(0, |s| 2 * (s.index() + 1));
 
-    let mut adj: Vec<Vec<(usize, Wait)>> = vec![Vec::new(); nodes.len()];
-    for (&lit, &from) in &index {
-        let g = ctx.compiled.guard(lit).weaken_sequences();
-        // Edges in `Need`'s order — every promise, then every not-yet
-        // agreement — which fixes the order components are reported in.
-        let mut needs = asks(&g);
-        needs.sort();
-        for need in needs {
-            let (target, wait) = match need {
-                Need::Promise(l) => (l, Wait::Promise),
-                Need::NotYetAgreement(l) => (l, Wait::NotYet),
-            };
-            if let Some(&to) = index.get(&target) {
-                if to != from {
-                    adj[from].push((to, wait));
+    // The waits as one CSR pair: node `v`'s are `edges[start[v]..start[v + 1]]`,
+    // in `Need`'s order — every promise, then every not-yet agreement —
+    // which fixes the order components are reported in.
+    let mut start: Vec<u32> = Vec::with_capacity(n + 1);
+    start.push(0);
+    let mut edges: Vec<(u32, Wait)> = Vec::with_capacity(2 * n);
+    let mut needs: Vec<Need> = Vec::new();
+    for v in 0..n {
+        let lit = Literal::from_index(v);
+        if let Some(guard) = ctx.compiled.guard_ref(lit) {
+            needs.clear();
+            weakened_asks_into(guard, &mut needs);
+            needs.sort_unstable();
+            needs.dedup();
+            for need in &needs {
+                let (target, wait) = match *need {
+                    Need::Promise(l) => (l, Wait::Promise),
+                    Need::NotYetAgreement(l) => (l, Wait::NotYet),
+                };
+                if target != lit {
+                    edges.push((target.index() as u32, wait));
                 }
             }
         }
+        start.push(edges.len() as u32);
     }
+    let waits = |v: u32| &edges[start[v as usize] as usize..start[v as usize + 1] as usize];
 
-    let plain: Vec<Vec<usize>> =
-        adj.iter().map(|v| v.iter().map(|&(to, _)| to).collect()).collect();
-    let mut reported: BTreeSet<BTreeSet<Literal>> = BTreeSet::new();
-    for comp in sccs(&plain) {
-        let in_comp: BTreeSet<usize> = comp.iter().copied().collect();
-        let cyclic = comp.len() > 1 || comp.iter().any(|&v| plain[v].contains(&v));
-        if !cyclic {
-            continue;
-        }
-        let members: BTreeSet<Literal> = comp.iter().map(|&v| nodes[v]).collect();
-        let mirror: BTreeSet<Literal> = members.iter().map(|l| l.complement()).collect();
-        if reported.contains(&mirror) {
-            continue;
-        }
-        reported.insert(members.clone());
+    // Self-waits are left out, so only a component of two or more nodes
+    // is a cycle.
+    let mut reported: Vec<Vec<Literal>> = Vec::new();
+    sccs(
+        n,
+        |v, i| waits(v as u32).get(i).map(|&(to, _)| to as usize),
+        |comp| {
+            if comp.len() < 2 {
+                return;
+            }
+            // Sorted by index, so by literal.
+            let members: Vec<Literal> =
+                comp.iter().map(|&v| Literal::from_index(v as usize)).collect();
+            let mut mirror: Vec<Literal> = members.iter().map(|l| l.complement()).collect();
+            mirror.sort_unstable();
+            if reported.contains(&mirror) {
+                return;
+            }
 
-        let mut waits = BTreeSet::new();
-        for &v in &comp {
-            for &(to, w) in &adj[v] {
-                if in_comp.contains(&to) {
-                    waits.insert(match w {
-                        Wait::Promise => 0u8,
-                        Wait::NotYet => 1u8,
-                    });
+            let (mut promise, mut not_yet) = (false, false);
+            for &(to, wait) in comp.iter().flat_map(|&v| waits(v)) {
+                if comp.binary_search(&to).is_ok() {
+                    match wait {
+                        Wait::Promise => promise = true,
+                        Wait::NotYet => not_yet = true,
+                    }
                 }
             }
-        }
-        let names = members.iter().map(|&l| ctx.lit_name(l)).collect::<Vec<_>>().join(", ");
-        let sites: BTreeSet<u32> = members.iter().filter_map(|l| ctx.site_of(l.symbol())).collect();
-        let site_note = if sites.len() > 1 {
-            format!(
-                ", spanning sites {}",
-                sites.iter().map(u32::to_string).collect::<Vec<_>>().join(", ")
-            )
-        } else {
-            String::new()
-        };
-        let (code, severity, message) = match (waits.contains(&0), waits.contains(&1)) {
-            (true, false) => (
-                "WF020",
-                Severity::Warning,
+            let mut names = String::new();
+            for (i, &l) in members.iter().enumerate() {
+                let sep = if i == 0 { "" } else { ", " };
+                let _ = write!(names, "{sep}{}", ctx.lit_name(l));
+            }
+            let sites: BTreeSet<u32> =
+                members.iter().filter_map(|l| ctx.site_of(l.symbol())).collect();
+            let site_note = if sites.len() > 1 {
                 format!(
-                    "◇-consensus cycle among {{{names}}}{site_note}: each guard awaits a \
+                    ", spanning sites {}",
+                    sites.iter().map(u32::to_string).collect::<Vec<_>>().join(", ")
+                )
+            } else {
+                String::new()
+            };
+            let (code, severity, message) = match (promise, not_yet) {
+                (true, false) => (
+                    "WF020",
+                    Severity::Warning,
+                    format!(
+                        "◇-consensus cycle among {{{names}}}{site_note}: each guard awaits a \
                      promise from the next, so the group must reach agreement jointly \
                      before any member can occur"
+                    ),
                 ),
-            ),
-            (false, true) => (
-                "WF021",
-                Severity::Warning,
-                format!(
-                    "¬-hold contention cycle among {{{names}}}{site_note}: each guard \
+                (false, true) => (
+                    "WF021",
+                    Severity::Warning,
+                    format!(
+                        "¬-hold contention cycle among {{{names}}}{site_note}: each guard \
                      requires agreement that the next has not yet occurred; the runtime \
                      must break the tie by priority"
+                    ),
                 ),
-            ),
-            _ => (
-                "WF022",
-                Severity::Warning,
-                format!(
-                    "mixed ◇/¬ cycle among {{{names}}}{site_note}: promises and not-yet \
+                _ => (
+                    "WF022",
+                    Severity::Warning,
+                    format!(
+                        "mixed ◇/¬ cycle among {{{names}}}{site_note}: promises and not-yet \
                      holds chase each other — potential distributed deadlock"
+                    ),
                 ),
-            ),
-        };
-        let mut d = Diagnostic::new(code, severity, message);
-        let mut seen_syms = BTreeSet::new();
-        for &l in &members {
-            if seen_syms.insert(l.symbol()) {
-                let (span, label) = ctx.event_span(l.symbol());
-                d = d.with_span(span, label);
+            };
+            // One span per symbol: its two literals are adjacent.
+            let mut spans = Vec::with_capacity(members.len());
+            for (i, l) in members.iter().enumerate() {
+                if i == 0 || members[i - 1].symbol() != l.symbol() {
+                    spans.push(ctx.event_span(l.symbol()));
+                }
             }
-        }
-        report.push(d);
-    }
+            report.push(Diagnostic::with_spans(code, severity, message, spans));
+            reported.push(members);
+        },
+    );
 }
 
-/// Iterative Tarjan SCC over an adjacency list; components are returned
-/// in reverse topological order.
-fn sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    const UNSET: usize = usize::MAX;
-    let n = adj.len();
-    let mut index = vec![UNSET; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next = 0usize;
-    let mut out = Vec::new();
-    let mut call: Vec<(usize, usize)> = Vec::new();
+/// Iterative Tarjan SCC over `n` nodes, `succ(v, i)` the `i`-th
+/// successor of `v`: `emit` gets every component, sorted, in reverse
+/// topological order. A component is a slice of the work stack, so
+/// finding one allocates nothing.
+fn sccs(n: usize, succ: impl Fn(usize, usize) -> Option<usize>, mut emit: impl FnMut(&[u32])) {
+    const UNSET: u32 = u32::MAX;
+    // Per node: its visit index and low-link, `UNSET` until visited;
+    // the index is `DONE` once its component was emitted.
+    const DONE: u32 = u32::MAX - 1;
+    let mut nodes: Vec<(u32, u32)> = vec![(UNSET, 0); n];
+    let mut stack: Vec<u32> = Vec::with_capacity(n);
+    let mut call: Vec<(usize, usize)> = Vec::with_capacity(n);
+    let mut next = 0u32;
     for root in 0..n {
-        if index[root] != UNSET {
+        if nodes[root].0 != UNSET {
             continue;
         }
         call.push((root, 0));
         while let Some(frame) = call.last_mut() {
             let (v, ei) = (frame.0, frame.1);
             if ei == 0 {
-                index[v] = next;
-                low[v] = next;
+                nodes[v] = (next, next);
                 next += 1;
-                stack.push(v);
-                on_stack[v] = true;
+                stack.push(v as u32);
             }
-            if let Some(&w) = adj[v].get(ei) {
+            if let Some(w) = succ(v, ei) {
                 frame.1 += 1;
-                if index[w] == UNSET {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
+                match nodes[w].0 {
+                    UNSET => call.push((w, 0)),
+                    DONE => {}
+                    // On the stack.
+                    index => nodes[v].1 = nodes[v].1.min(index),
                 }
             } else {
                 call.pop();
+                let low = nodes[v].1;
                 if let Some(&(u, _)) = call.last() {
-                    low[u] = low[u].min(low[v]);
+                    nodes[u].1 = nodes[u].1.min(low);
                 }
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
+                if low == nodes[v].0 {
+                    let at =
+                        stack.iter().rposition(|&w| w as usize == v).expect("v is on the stack");
+                    let comp = &mut stack[at..];
                     comp.sort_unstable();
-                    out.push(comp);
+                    for &w in comp.iter() {
+                        nodes[w as usize].0 = DONE;
+                    }
+                    emit(comp);
+                    stack.truncate(at);
                 }
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::sccs;
+    /// The components, each sorted, in the order they are found.
+    fn sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        super::sccs(
+            adj.len(),
+            |v, i| adj[v].get(i).copied(),
+            |comp| {
+                out.push(comp.iter().map(|&v| v as usize).collect());
+            },
+        );
+        out
+    }
 
     #[test]
     fn tarjan_finds_long_cycle_and_singletons() {

@@ -287,12 +287,21 @@ impl SymbolActor {
         self.memo.get(lit.polarity())
     }
 
-    /// Add `fact` to both guards' fact sets.
+    /// Add `fact` to both guards' fact sets, and count the widest factor
+    /// from the ones it moved. A factor the fact left where it was had its
+    /// width counted at the reduction before, and a guard with a dead
+    /// factor (which stays dead) counts none, so a guard is measured whole
+    /// only at the first reduction, or when a moved factor might widen
+    /// the count.
     fn reduce_guards(&mut self, fact: Fact) {
-        self.memo.reduce(fact);
-        for lit in [Literal::pos(self.sym), Literal::neg(self.sym)] {
-            let width = self.guard_info(lit).width();
-            self.stats.widest_factor = self.stats.widest_factor.max(width);
+        let moved = self.memo.reduce(fact);
+        let counted = self.stats.widest_factor;
+        for (lit, moved) in [Literal::pos(self.sym), Literal::neg(self.sym)].into_iter().zip(moved)
+        {
+            if counted == 0 || moved > counted {
+                let width = self.guard_info(lit).width();
+                self.stats.widest_factor = self.stats.widest_factor.max(width);
+            }
         }
     }
 

@@ -336,9 +336,18 @@ impl GuardMemo {
         GuardInfo { entries: &self.tables.entries, at: &self.at[self.span(pol)] }
     }
 
-    /// Add `fact` to the fact sets the instance has heard.
-    pub(crate) fn reduce(&mut self, fact: Fact) {
-        step(&mut self.tables, &mut self.at, 0, fact);
+    /// Add `fact` to the fact sets the instance has heard. Returns, per
+    /// polarity (positive first), the most conjuncts of an entry the fact
+    /// moved one of its factors to, `0` where it moved none: the only
+    /// factors whose width a fact can change.
+    pub(crate) fn reduce(&mut self, fact: Fact) -> [usize; 2] {
+        let mut widest = [0; 2];
+        let pos = self.tables.pos;
+        step(&mut self.tables, &mut self.at, 0, fact, |factor, entry| {
+            let w = &mut widest[usize::from(factor >= pos)];
+            *w = (*w).max(entry.guard.conjuncts().len());
+        });
+        widest
     }
 
     /// Whether `pol`'s literal may occur now: every factor holds on each
@@ -369,7 +378,7 @@ impl GuardMemo {
         self.assumed.clear();
         self.assumed.extend_from_slice(&self.at[span.clone()]);
         for &p in party {
-            step(&mut self.tables, &mut self.assumed, span.start, Fact::Promised(p));
+            step(&mut self.tables, &mut self.assumed, span.start, Fact::Promised(p), |_, _| {});
         }
         let t = &*self.tables;
         span.zip(&self.assumed).all(|(f, &e)| {
@@ -406,8 +415,15 @@ impl GuardMemo {
 /// the factors from `first` on: each factor that mentions its symbol —
 /// one per literal, a literal's factors mention disjoint symbols — moves
 /// to the entry for its new set, the others stay where they are. A table
-/// hit from the second time on.
-fn step(tables: &mut Arc<Tables>, at: &mut [EntryIx], first: usize, fact: Fact) {
+/// hit from the second time on. `moved` sees each factor that moves and
+/// its new entry.
+fn step(
+    tables: &mut Arc<Tables>,
+    at: &mut [EntryIx],
+    first: usize,
+    fact: Fact,
+    mut moved: impl FnMut(usize, &Entry),
+) {
     let sym = fact.literal().symbol();
     let states = ST_FULL & !fact.closure_mask();
     for (factor, ix) in (first..).zip(at) {
@@ -417,6 +433,7 @@ fn step(tables: &mut Arc<Tables>, at: &mut [EntryIx], first: usize, fact: Fact) 
         if had | states != had {
             let key = key.with(rank, states);
             *ix = entry(tables, factor, key);
+            moved(factor, &tables.entries[*ix as usize]);
         }
     }
 }
@@ -759,7 +776,9 @@ mod tests {
                 let choice = |k: usize| set / 5usize.pow(k as u32) % 5;
                 memo.reset();
                 for (k, &s) in syms.iter().enumerate() {
-                    facts_of(s, choice(k)).into_iter().for_each(|f| memo.reduce(f));
+                    facts_of(s, choice(k)).into_iter().for_each(|f| {
+                        memo.reduce(f);
+                    });
                 }
                 for holds in 0..1u32 << w {
                     let holding = |k: usize| holds >> k & 1 == 1;
@@ -816,7 +835,9 @@ mod tests {
                         memo.reset();
                         let choice: Vec<usize> = own.iter().map(|_| g.range(0..5usize)).collect();
                         for (&s, &c) in own.iter().zip(&choice) {
-                            facts_of(s, c).into_iter().for_each(|f| memo.reduce(f));
+                            facts_of(s, c).into_iter().for_each(|f| {
+                                memo.reduce(f);
+                            });
                         }
                         let held: Vec<SymbolId> = (own.iter().zip(&choice))
                             .filter(|&(_, &c)| c < 3 && g.range(0..3u32) == 0)

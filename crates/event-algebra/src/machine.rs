@@ -379,6 +379,13 @@ impl DependencyMachine {
         })
     }
 
+    /// The shape's transition table, `[s * alphabet.len() + k]` the state
+    /// after `alphabet[k]` in state `s`: what the product search flattens
+    /// once per shape.
+    pub(crate) fn transitions(&self) -> &[StateId] {
+        &self.shape.next
+    }
+
     /// Step the machine: events outside `Γ_D` self-loop.
     pub fn step(&self, sid: StateId, lit: Literal) -> StateId {
         match self.alphabet_ix(lit) {

@@ -29,6 +29,17 @@
 //! stored witness when an earlier `Yes` already avoids the literal.
 //! DESIGN.md §4b gives the soundness argument for each step.
 //!
+//! A workflow is written from a few dependency shapes, so the search
+//! works by shape too. Machines of one shape
+//! ([`DependencyMachine::same_shape`]) share one flattened copy of its
+//! transitions, reverse edges and accepting states; a component is only
+//! its binding, the union-alphabet positions of its literals. A machine's
+//! search tables under a forbidden set depend only on its shape and on
+//! the forbidden literals of its own alphabet, so each (shape, forbidden
+//! set) pair is filled once per product, as the queries meet it, and
+//! copied into the place of every component that needs it. All tables,
+//! witnesses and search state live in a few pooled vectors.
+//!
 //! Product spaces can still be exponential in the number of machines, so
 //! every search draws from an explicit [`StateBudget`]; on exhaustion the
 //! caller receives [`Reach::Cutoff`] and is expected to surface it as a
@@ -133,85 +144,107 @@ fn set_bit(mask: &mut [u64], ix: usize) {
     mask[ix / 64] |= 1 << (ix % 64);
 }
 
-/// Counting sort of `items` by their key in `0..groups`: group `k` is
-/// `sorted[start[k]..start[k + 1]]`, in input order.
-fn grouped<T: Copy + Default>(groups: usize, items: &[(usize, T)]) -> (Vec<u32>, Vec<T>) {
-    let mut start = vec![0u32; groups + 1];
-    for &(k, _) in items {
-        start[k + 1] += 1;
-    }
-    for k in 0..groups {
-        start[k + 1] += start[k];
-    }
-    let mut fill = start.clone();
-    let mut sorted = vec![T::default(); items.len()];
-    for &(k, item) in items {
-        sorted[fill[k] as usize] = item;
-        fill[k] += 1;
-    }
-    (start, sorted)
+/// One machine shape flattened for the search, shared by every component
+/// of that shape: its transitions, reverse edges and accepting states lie
+/// in the pools of [`Shapes`].
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    states: u32,
+    /// `|Γ|` of the shape: the width of a transition row.
+    width: u32,
+    /// `u64` words of a mask over the shape's own alphabet.
+    words: u32,
+    /// The shape's transitions: `next[next_at + s * width + local]`.
+    next_at: u32,
+    /// The shape's `states + 1` reverse-edge bounds start at
+    /// `pred_start[pred_at]`; they index `preds` directly.
+    pred_at: u32,
+    /// `accepting[accept.0..accept.1]`.
+    accept: (u32, u32),
+    /// The memo entry of the shape's tables under no forbidden literal.
+    base: u32,
 }
 
-/// One machine flattened for the search: dense transitions over its own
-/// alphabet and the reverse edges the per-query tables are computed on.
-#[derive(Debug, Clone)]
-struct Component {
-    /// Index of this machine's first state in [`Tables`].
-    offset: usize,
-    states: usize,
-    /// Position in the union alphabet of each literal of `Γ_D`.
-    global: Vec<u16>,
-    /// `global` as a bitmask over the union alphabet.
-    gamma: Vec<u64>,
-    /// `next[s * global.len() + local]`.
+/// The shapes of a product's machines, their tables pooled.
+#[derive(Debug, Clone, Default)]
+struct Shapes {
+    list: Vec<Shape>,
+    /// Transitions, `width` per state, self-loops (R6) included.
     next: Vec<u32>,
-    accepting: Vec<u32>,
-    /// Reverse edges grouped by target: `preds[pred_start[t]..pred_start[t + 1]]`
-    /// holds `(source, local literal)`; self-loops are left out.
+    /// Reverse edges grouped by target: `preds[pred_start[pred_at + t]..
+    /// pred_start[pred_at + t + 1]]` holds `(source, local literal)`;
+    /// self-loops are left out.
     pred_start: Vec<u32>,
     preds: Vec<(u32, u16)>,
+    accepting: Vec<u32>,
 }
 
-impl Component {
-    fn new(m: &DependencyMachine, offset: usize, alphabet: &[Literal], words: usize) -> Component {
-        let states = m.state_count();
-        let global: Vec<u16> = m
-            .alphabet
-            .iter()
-            .map(|l| alphabet.binary_search(l).expect("union alphabet covers Γ_D") as u16)
-            .collect();
-        let mut gamma = vec![0u64; words];
-        for &g in &global {
-            set_bit(&mut gamma, g as usize);
-        }
-        let mut next = Vec::with_capacity(states * global.len());
-        let mut edges = Vec::new();
-        for s in 0..states as u32 {
-            for (local, &lit) in m.alphabet.iter().enumerate() {
-                let t = m.step(StateId(s), lit).0;
-                next.push(t);
-                if t != s {
-                    edges.push((t as usize, (s, local as u16)));
-                }
-            }
-        }
-        let (pred_start, preds) = grouped(states, &edges);
-        Component {
-            offset,
-            states,
-            global,
-            gamma,
-            next,
-            accepting: (0..states as u32).filter(|&s| m.is_accepting(StateId(s))).collect(),
-            pred_start,
-            preds,
+impl Shapes {
+    /// Empty pools with room for every machine of `machines` to be a
+    /// shape of its own.
+    fn with_room(machines: &[DependencyMachine]) -> Shapes {
+        let states: usize = machines.iter().map(DependencyMachine::state_count).sum();
+        let cells: usize = machines.iter().map(|m| m.state_count() * m.alphabet.len()).sum();
+        Shapes {
+            list: Vec::with_capacity(machines.len()),
+            next: Vec::with_capacity(cells),
+            pred_start: Vec::with_capacity(states + machines.len()),
+            preds: Vec::with_capacity(cells),
+            accepting: Vec::with_capacity(states),
         }
     }
 
-    /// Hop distance from every state to acceptance (`NONE` where it is
-    /// unreachable) using no edge labeled in `forbidden` nor `skip`.
+    /// Flatten `m`'s shape into the pools.
+    fn push(&mut self, m: &DependencyMachine) {
+        let (n, width) = (m.state_count(), m.alphabet.len());
+        let next_at = self.next.len();
+        self.next.extend(m.transitions().iter().map(|t| t.0));
+        // Counting sort of the moves by target, in place: count, sum,
+        // place while advancing each target's cursor, shift back.
+        let first = self.preds.len() as u32;
+        let pred_at = self.pred_start.len();
+        self.pred_start.resize(pred_at + n + 1, 0);
+        let next = &self.next[next_at..];
+        let moves = || {
+            (next.iter().enumerate())
+                .map(move |(at, &t)| (at / width, at % width, t as usize))
+                .filter(|&(s, _, t)| s != t)
+        };
+        let starts = &mut self.pred_start[pred_at..];
+        for (_, _, t) in moves() {
+            starts[t + 1] += 1;
+        }
+        starts[0] = first;
+        for t in 0..n {
+            starts[t + 1] += starts[t];
+        }
+        self.preds.resize(starts[n] as usize, (0, 0));
+        for (s, local, t) in moves() {
+            self.preds[starts[t] as usize] = (s as u32, local as u16);
+            starts[t] += 1;
+        }
+        // Each target's cursor ended on the next one's start.
+        starts.copy_within(0..n, 1);
+        starts[0] = first;
+        let accept_at = self.accepting.len() as u32;
+        self.accepting.extend((0..n as u32).filter(|&s| m.is_accepting(StateId(s))));
+        self.list.push(Shape {
+            states: n as u32,
+            width: width as u32,
+            words: width.div_ceil(64).max(1) as u32,
+            next_at: next_at as u32,
+            pred_at: pred_at as u32,
+            accept: (accept_at, self.accepting.len() as u32),
+            base: NONE,
+        });
+    }
+
+    /// Hop distance from every state of `shape` to acceptance (`NONE`
+    /// where it is unreachable) using no edge labeled in `forbidden` (a
+    /// mask over the shape's alphabet) nor `skip`.
     fn depths(
         &self,
+        shape: &Shape,
         forbidden: &[u64],
         skip: Option<u16>,
         depth: &mut [u32],
@@ -219,17 +252,17 @@ impl Component {
     ) {
         depth.fill(NONE);
         queue.clear();
-        for &a in &self.accepting {
+        for &a in &self.accepting[shape.accept.0 as usize..shape.accept.1 as usize] {
             depth[a as usize] = 0;
             queue.push(a);
         }
+        let bounds = &self.pred_start[shape.pred_at as usize..];
         let mut head = 0;
         while head < queue.len() {
             let t = queue[head] as usize;
             head += 1;
-            let edges = self.pred_start[t] as usize..self.pred_start[t + 1] as usize;
-            for &(s, local) in &self.preds[edges] {
-                if Some(local) == skip || has_bit(forbidden, self.global[local as usize] as usize) {
+            for &(s, local) in &self.preds[bounds[t] as usize..bounds[t + 1] as usize] {
+                if Some(local) == skip || has_bit(forbidden, local as usize) {
                     continue;
                 }
                 if depth[s as usize] == NONE {
@@ -241,6 +274,22 @@ impl Component {
     }
 }
 
+/// One machine of the product: its shape and its binding into the union
+/// alphabet.
+#[derive(Debug, Clone, Copy)]
+struct Component {
+    shape: u32,
+    /// Index of this machine's first state in [`Tables`].
+    offset: u32,
+    /// `global[global_at..global_at + width]`: the position in the union
+    /// alphabet of each literal of `Γ_D`; `gamma[m * words..]` holds the
+    /// same positions as a bitmask.
+    global_at: u32,
+    /// The shape's, copied for the search's steps.
+    next_at: u32,
+    width: u32,
+}
+
 /// Per-machine-state search tables under one forbidden set, indexed by
 /// `Component::offset + state`.
 #[derive(Debug, Clone)]
@@ -250,25 +299,35 @@ struct Tables {
     /// Literals (union-alphabet bitmask, `words` per state) that label an
     /// edge of *every* accepting path from the state.
     req: Vec<u64>,
+    /// `u64` words per `req` row.
+    words: usize,
 }
 
 impl Tables {
-    /// Compute machine `c`'s rows under `forbidden`.
-    fn fill(&mut self, c: &Component, forbidden: &[u64], scratch: &mut Scratch) {
-        let words = forbidden.len();
-        let rows = c.offset..c.offset + c.states;
-        c.depths(forbidden, None, &mut self.dist[rows.clone()], &mut scratch.queue);
+    /// Write `tables`' rows into component `c`'s place, the required
+    /// literals moved from the shape's alphabet to the union alphabet.
+    fn place(
+        &mut self,
+        c: &Component,
+        shape: &Shape,
+        tables: &Filled,
+        memo: &Memo,
+        global: &[u16],
+    ) {
+        let words = self.words;
+        let (n, local_words) = (shape.states as usize, shape.words as usize);
+        let rows = c.offset as usize..c.offset as usize + n;
+        self.dist[rows.clone()].copy_from_slice(&memo.dist[tables.dist_at as usize..][..n]);
         let req = &mut self.req[rows.start * words..rows.end * words];
         req.fill(0);
-        scratch.depth.resize(c.states, NONE);
-        for (local, &g) in c.global.iter().enumerate() {
-            if has_bit(forbidden, g as usize) {
-                continue;
-            }
-            c.depths(forbidden, Some(local as u16), &mut scratch.depth, &mut scratch.queue);
-            for s in 0..c.states {
-                if self.dist[c.offset + s] != NONE && scratch.depth[s] == NONE {
-                    set_bit(&mut req[s * words..(s + 1) * words], g as usize);
+        let local = &memo.req[tables.req_at as usize..][..n * local_words];
+        let global = &global[c.global_at as usize..][..shape.width as usize];
+        for (row, masks) in req.chunks_exact_mut(words).zip(local.chunks_exact(local_words)) {
+            for (w, &mask) in masks.iter().enumerate() {
+                let mut bits = mask;
+                while bits != 0 {
+                    set_bit(row, global[w * 64 + bits.trailing_zeros() as usize] as usize);
+                    bits &= bits - 1;
                 }
             }
         }
@@ -282,7 +341,7 @@ impl Tables {
         acc.fill(0);
         let mut h = 0u32;
         for (c, &s) in components.iter().zip(tuple) {
-            let row = c.offset + s as usize;
+            let row = c.offset as usize + s as usize;
             let d = self.dist[row];
             if d == NONE {
                 return None;
@@ -298,6 +357,99 @@ impl Tables {
     }
 }
 
+/// One shape's search tables under one forbidden set of its literals.
+#[derive(Debug, Clone, Copy)]
+struct Filled {
+    shape: u32,
+    /// The forbidden set, a mask over the shape's alphabet:
+    /// `keys[key_at..key_at + words]`.
+    key_at: u32,
+    /// `dist[dist_at..dist_at + states]`.
+    dist_at: u32,
+    /// `req[req_at..req_at + states * words]`: per state, the literals
+    /// that label an edge of every accepting path, as a mask over the
+    /// shape's alphabet.
+    req_at: u32,
+}
+
+/// The tables of every (shape, forbidden set) pair the queries met, each
+/// filled once: a machine's tables depend on nothing else.
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    filled: Vec<Filled>,
+    keys: Vec<u64>,
+    dist: Vec<u32>,
+    req: Vec<u64>,
+}
+
+/// Forbidden sets per shape the memo has room for before it first grows.
+const INITIAL_FILLS: usize = 8;
+
+impl Memo {
+    /// An empty memo with room for [`INITIAL_FILLS`] entries per shape.
+    fn with_room(shapes: &Shapes) -> Memo {
+        let room =
+            |per: fn(&Shape) -> usize| INITIAL_FILLS * shapes.list.iter().map(per).sum::<usize>();
+        Memo {
+            filled: Vec::with_capacity(INITIAL_FILLS * shapes.list.len()),
+            keys: Vec::with_capacity(room(|sh| sh.words as usize)),
+            dist: Vec::with_capacity(room(|sh| sh.states as usize)),
+            req: Vec::with_capacity(room(|sh| (sh.states * sh.words) as usize)),
+        }
+    }
+
+    /// The entry of `shape` under `forbidden` (a mask over its alphabet),
+    /// filled on first use.
+    fn get(
+        &mut self,
+        shapes: &Shapes,
+        shape: u32,
+        forbidden: &[u64],
+        scratch: &mut Scratch,
+    ) -> u32 {
+        let known = self.filled.iter().position(|f| {
+            f.shape == shape && self.keys[f.key_at as usize..][..forbidden.len()] == *forbidden
+        });
+        if let Some(ix) = known {
+            return ix as u32;
+        }
+        let sh = &shapes.list[shape as usize];
+        let (n, words) = (sh.states as usize, sh.words as usize);
+        let entry = Filled {
+            shape,
+            key_at: self.keys.len() as u32,
+            dist_at: self.dist.len() as u32,
+            req_at: self.req.len() as u32,
+        };
+        self.keys.extend_from_slice(forbidden);
+        self.dist.resize(self.dist.len() + n, NONE);
+        let dist = &mut self.dist[entry.dist_at as usize..];
+        shapes.depths(sh, forbidden, None, dist, &mut scratch.queue);
+        self.req.resize(self.req.len() + n * words, 0);
+        let req = &mut self.req[entry.req_at as usize..];
+        scratch.depth.resize(n, NONE);
+        for local in 0..sh.width as usize {
+            if has_bit(forbidden, local) {
+                continue;
+            }
+            shapes.depths(
+                sh,
+                forbidden,
+                Some(local as u16),
+                &mut scratch.depth,
+                &mut scratch.queue,
+            );
+            for s in 0..n {
+                if dist[s] != NONE && scratch.depth[s] == NONE {
+                    set_bit(&mut req[s * words..(s + 1) * words], local);
+                }
+            }
+        }
+        self.filled.push(entry);
+        (self.filled.len() - 1) as u32
+    }
+}
+
 /// Reusable buffers of the table computation.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
@@ -305,11 +457,16 @@ struct Scratch {
     depth: Vec<u32>,
 }
 
-/// The trace behind a `Yes` answer and its literal set.
-#[derive(Debug, Clone)]
-struct Witness {
-    mask: Vec<u64>,
-    path: Vec<Literal>,
+/// What the running query knows of an interned product state.
+#[derive(Debug, Clone, Copy, Default)]
+struct Visit {
+    /// `seen == epoch` marks a state handled by the running query.
+    seen: u32,
+    /// The search-tree edge into the state: its source and literal.
+    parent: u32,
+    via: u16,
+    /// The state opened before this one at the same summed distance.
+    below: u32,
 }
 
 /// The product of a workflow's dependency machines, with an intern table
@@ -317,7 +474,12 @@ struct Witness {
 #[derive(Debug, Clone)]
 pub struct ProductMachine {
     machines: Vec<DependencyMachine>,
+    shapes: Shapes,
     components: Vec<Component>,
+    /// The components' union-alphabet positions, pooled.
+    global: Vec<u16>,
+    /// `global` as bitmasks, `words` per component.
+    gamma: Vec<u64>,
     /// Union alphabet: both polarities of every mentioned symbol, sorted,
     /// so positions `2k` and `2k+1` are complements.
     alphabet: Vec<Literal>,
@@ -335,32 +497,42 @@ pub struct ProductMachine {
     /// Memoized edges: `succ[state * |alphabet| + g]`, `NONE` = not yet
     /// computed (or pruned by the query that computed it).
     succ: Vec<u32>,
-    /// `seen[state] == epoch` marks a state handled by the running query.
-    seen: Vec<u32>,
+    /// One entry per interned state.
+    visits: Vec<Visit>,
     epoch: u32,
-    /// Search-tree edge into each state seen by the running query.
-    parent: Vec<(u32, u16)>,
-    /// Open states by summed distance.
-    buckets: Vec<Vec<u32>>,
+    /// Open states by summed distance: `open[h]` is the last one opened
+    /// at `h`, and each one's `below` the one opened before it (`NONE`
+    /// ends the stack).
+    open: Vec<u32>,
 
-    /// Tables under the empty forbidden set, built once.
-    base: Tables,
-    /// Tables under the running query's forbidden set: `base` except for
-    /// the rows of the machines flagged in `dirty`.
+    /// Every (shape, forbidden set) pair's tables met so far.
+    memo: Memo,
+    /// Tables under the running query's forbidden set: component `m`'s
+    /// rows are memo entry `held[m]`'s.
     current: Tables,
-    dirty: Vec<bool>,
+    held: Vec<u32>,
     forbidden: Vec<u64>,
     scratch: Scratch,
     /// Buffers: a candidate successor row, a union of `req` masks, the
-    /// literals the last propagation round added to `forbidden`.
+    /// literals the last propagation round added to `forbidden`, a
+    /// forbidden set over one shape's alphabet.
     row: Vec<u32>,
     acc: Vec<u64>,
     fresh: Vec<u64>,
+    key: Vec<u64>,
 
-    witnesses: Vec<Witness>,
+    /// The traces behind `Yes` answers: witness `w`'s literal set is
+    /// `witness_mask[w * words..]`, its path ends at `witness_end[w]` in
+    /// `witness_path` and starts where the one before ends.
+    witness_mask: Vec<u64>,
+    witness_path: Vec<Literal>,
+    witness_end: Vec<u32>,
     /// The witness behind the most recent `Yes`.
     last_witness: Option<usize>,
 }
+
+/// Product states the search tables are sized for before they first grow.
+const INITIAL_STATES: usize = 64;
 
 impl ProductMachine {
     /// Compile one machine per dependency and form their product.
@@ -372,61 +544,115 @@ impl ProductMachine {
     }
 
     /// Form the product of already-compiled machines (the compiled
-    /// workflow's machines can be reused directly). All search tables are
-    /// built here, so compiling a machine for the runtime pays for none.
+    /// workflow's machines can be reused directly). Machines of one shape
+    /// ([`DependencyMachine::same_shape`]) share one flattened copy of it;
+    /// a machine's search tables are filled once per shape and forbidden
+    /// set, as the queries meet them, so compiling a machine for the
+    /// runtime pays for none.
     pub fn from_machines(machines: Vec<DependencyMachine>) -> ProductMachine {
-        let mut alphabet: Vec<Literal> = machines
-            .iter()
-            .flat_map(|m| m.alphabet.iter().flat_map(|&l| [l, l.complement()]))
-            .collect();
-        alphabet.sort();
+        let literals: usize = machines.iter().map(|m| m.alphabet.len()).sum();
+        let mut alphabet: Vec<Literal> = Vec::with_capacity(2 * literals);
+        for m in &machines {
+            alphabet.extend(m.alphabet.iter().flat_map(|&l| [l, l.complement()]));
+        }
+        alphabet.sort_unstable();
         alphabet.dedup();
         assert!(alphabet.len() <= usize::from(u16::MAX), "alphabet positions are u16");
         let words = alphabet.len().div_ceil(64).max(1);
 
-        let mut components = Vec::with_capacity(machines.len());
+        let mut shapes = Shapes::with_room(&machines);
+        let mut components: Vec<Component> = Vec::with_capacity(machines.len());
+        let mut global = Vec::with_capacity(literals);
+        let mut gamma = vec![0u64; machines.len() * words];
         let mut rows = 0;
-        for m in &machines {
-            components.push(Component::new(m, rows, &alphabet, words));
+        for (ix, m) in machines.iter().enumerate() {
+            let shape = match machines[..ix].iter().position(|o| o.same_shape(m)) {
+                Some(o) => components[o].shape,
+                None => {
+                    shapes.push(m);
+                    shapes.list.len() as u32 - 1
+                }
+            };
+            let c = Component {
+                shape,
+                offset: rows as u32,
+                global_at: global.len() as u32,
+                next_at: shapes.list[shape as usize].next_at,
+                width: m.alphabet.len() as u32,
+            };
+            for &l in &m.alphabet {
+                let g = alphabet.binary_search(&l).expect("union alphabet covers Γ_D");
+                global.push(g as u16);
+                set_bit(&mut gamma[ix * words..(ix + 1) * words], g);
+            }
+            components.push(c);
             rows += m.state_count();
         }
 
-        let steppers: Vec<(usize, (u32, u16))> = components
-            .iter()
-            .enumerate()
-            .flat_map(|(m, c)| {
-                c.global.iter().enumerate().map(move |(l, &g)| (g as usize, (m as u32, l as u16)))
-            })
-            .collect();
-        let (touch_start, touch) = grouped(alphabet.len(), &steppers);
+        // The steppers of each literal, by the same in-place counting
+        // sort as the reverse edges: machine order, then local order.
+        let mut touch_start = vec![0u32; alphabet.len() + 1];
+        for &g in &global {
+            touch_start[g as usize + 1] += 1;
+        }
+        for g in 0..alphabet.len() {
+            touch_start[g + 1] += touch_start[g];
+        }
+        let mut touch = vec![(0u32, 0u16); global.len()];
+        for (m, c) in components.iter().enumerate() {
+            let locals = &global[c.global_at as usize..][..c.width as usize];
+            for (local, &g) in locals.iter().enumerate() {
+                touch[touch_start[g as usize] as usize] = (m as u32, local as u16);
+                touch_start[g as usize] += 1;
+            }
+        }
+        touch_start.copy_within(0..alphabet.len(), 1);
+        touch_start[0] = 0;
 
-        let mut base = Tables { dist: vec![NONE; rows], req: vec![0; rows * words] };
+        let mut memo = Memo::with_room(&shapes);
         let mut scratch = Scratch::default();
-        let forbidden = vec![0u64; words];
+        let mut key = Vec::new();
+        for ix in 0..shapes.list.len() {
+            key.clear();
+            key.resize(shapes.list[ix].words as usize, 0);
+            shapes.list[ix].base = memo.get(&shapes, ix as u32, &key, &mut scratch);
+        }
+        let mut current = Tables { dist: vec![NONE; rows], req: vec![0; rows * words], words };
+        let mut held = Vec::with_capacity(components.len());
         for c in &components {
-            base.fill(c, &forbidden, &mut scratch);
+            let shape = &shapes.list[c.shape as usize];
+            current.place(c, shape, &memo.filled[shape.base as usize], &memo, &global);
+            held.push(shape.base);
         }
 
+        let width = alphabet.len();
         let mut p = ProductMachine {
-            arena: Vec::new(),
-            slots: vec![NONE; 64],
-            succ: Vec::new(),
-            seen: Vec::new(),
+            arena: Vec::with_capacity(INITIAL_STATES * machines.len()),
+            slots: vec![NONE; INITIAL_STATES],
+            succ: Vec::with_capacity(INITIAL_STATES * width),
+            visits: Vec::with_capacity(INITIAL_STATES),
             epoch: 0,
-            parent: Vec::new(),
-            buckets: Vec::new(),
-            current: base.clone(),
-            base,
-            dirty: vec![false; components.len()],
-            forbidden,
+            open: Vec::with_capacity(INITIAL_STATES),
+            memo,
+            current,
+            held,
+            forbidden: vec![0; words],
             scratch,
             row: machines.iter().map(|m| m.initial.0).collect(),
             acc: vec![0; words],
             fresh: vec![0; words],
-            witnesses: Vec::new(),
+            key,
+            // At most one witness per query, one query per literal and
+            // the joint one; a path takes each symbol at most once.
+            witness_mask: Vec::with_capacity((width + 1) * words),
+            witness_path: Vec::with_capacity(2 * width),
+            witness_end: Vec::with_capacity(width + 1),
             last_witness: None,
             machines,
+            shapes,
             components,
+            global,
+            gamma,
             alphabet,
             words,
             touch_start,
@@ -450,13 +676,16 @@ impl ProductMachine {
     /// Number of product states interned so far (across all queries),
     /// counting the initial state.
     pub fn interned_states(&self) -> usize {
-        self.seen.len()
+        self.visits.len()
     }
 
     /// The trace behind the most recent [`Reach::Yes`]: it drives every
     /// machine to acceptance and does not contain that query's `avoid`.
     pub fn witness(&self) -> Option<&[Literal]> {
-        self.last_witness.map(|w| self.witnesses[w].path.as_slice())
+        self.last_witness.map(|w| {
+            let start = w.checked_sub(1).map_or(0, |before| self.witness_end[before] as usize);
+            &self.witness_path[start..self.witness_end[w] as usize]
+        })
     }
 
     /// Where `row` sits in the intern table: its state, or the empty slot
@@ -481,14 +710,13 @@ impl ProductMachine {
 
     /// Intern `self.row` at the empty `slot` [`Self::find`] returned for it.
     fn intern_row(&mut self, slot: usize) -> u32 {
-        let id = self.seen.len() as u32;
+        let id = self.visits.len() as u32;
         assert!(id != NONE, "product state ids are u32");
         self.arena.extend_from_slice(&self.row);
         self.slots[slot] = id;
         self.succ.resize(self.succ.len() + self.alphabet.len(), NONE);
-        self.seen.push(0);
-        self.parent.push((0, 0));
-        if self.seen.len() * 2 > self.slots.len() {
+        self.visits.push(Visit::default());
+        if self.visits.len() * 2 > self.slots.len() {
             self.grow_slots();
         }
         id
@@ -497,7 +725,7 @@ impl ProductMachine {
     fn grow_slots(&mut self) {
         let k = self.components.len();
         self.slots = vec![NONE; self.slots.len() * 2];
-        for id in 0..self.seen.len() {
+        for id in 0..self.visits.len() {
             let Err(slot) = self.find(&self.arena[id * k..][..k]) else {
                 unreachable!("interned rows are distinct")
             };
@@ -542,14 +770,43 @@ impl ProductMachine {
 
     fn reach(&mut self, avoid: Option<usize>, budget: &mut StateBudget) -> Reach {
         // Replaying a stored trace that lacks `avoid` answers the query.
-        let reusable = |w: &Witness| avoid.is_none_or(|g| !has_bit(&w.mask, g));
-        if let Some(w) = self.witnesses.iter().position(reusable) {
+        let words = self.words;
+        let masks = self.witness_mask.chunks_exact(words);
+        if let Some(w) = masks.clone().position(|mask| avoid.is_none_or(|g| !has_bit(mask, g))) {
             self.last_witness = Some(w);
             return Reach::Yes;
         }
         match self.propagate(avoid) {
             Some(h) => self.search(h, budget),
             None => Reach::No,
+        }
+    }
+
+    /// Give component `m` the rows of its shape under the forbidden
+    /// literals of its alphabet.
+    fn restrict(&mut self, m: usize) {
+        let c = self.components[m];
+        let shape = &self.shapes.list[c.shape as usize];
+        self.key.clear();
+        self.key.resize(shape.words as usize, 0);
+        let locals = &self.global[c.global_at as usize..][..c.width as usize];
+        for (local, &g) in locals.iter().enumerate() {
+            if has_bit(&self.forbidden, g as usize) {
+                set_bit(&mut self.key, local);
+            }
+        }
+        let entry = self.memo.get(&self.shapes, c.shape, &self.key, &mut self.scratch);
+        self.settle(m, entry);
+    }
+
+    /// Component `m`'s rows become memo entry `entry`'s.
+    fn settle(&mut self, m: usize, entry: u32) {
+        if self.held[m] != entry {
+            let c = &self.components[m];
+            let (filled, shape) =
+                (&self.memo.filled[entry as usize], &self.shapes.list[c.shape as usize]);
+            self.current.place(c, shape, filled, &self.memo, &self.global);
+            self.held[m] = entry;
         }
     }
 
@@ -561,15 +818,10 @@ impl ProductMachine {
     /// Returns the initial state's evaluation under the closure: `None`
     /// when it is pruned, so nothing accepts.
     fn propagate(&mut self, avoid: Option<usize>) -> Option<u32> {
-        let k = self.components.len();
-        for (m, dirty) in self.dirty.iter_mut().enumerate() {
-            if std::mem::take(dirty) {
-                let c = &self.components[m];
-                let rows = c.offset..c.offset + c.states;
-                self.current.dist[rows.clone()].copy_from_slice(&self.base.dist[rows.clone()]);
-                let masks = rows.start * self.words..rows.end * self.words;
-                self.current.req[masks.clone()].copy_from_slice(&self.base.req[masks]);
-            }
+        let (k, words) = (self.components.len(), self.words);
+        for m in 0..k {
+            let base = self.shapes.list[self.components[m].shape as usize].base;
+            self.settle(m, base);
         }
         self.forbidden.fill(0);
         self.fresh.fill(0);
@@ -580,10 +832,10 @@ impl ProductMachine {
             for (f, n) in self.forbidden.iter_mut().zip(&self.fresh) {
                 *f |= n;
             }
-            for (m, c) in self.components.iter().enumerate() {
-                if c.gamma.iter().zip(&self.fresh).any(|(a, b)| a & b != 0) {
-                    self.current.fill(c, &self.forbidden, &mut self.scratch);
-                    self.dirty[m] = true;
+            for m in 0..k {
+                let gamma = &self.gamma[m * words..(m + 1) * words];
+                if gamma.iter().zip(&self.fresh).any(|(a, b)| a & b != 0) {
+                    self.restrict(m);
                 }
             }
             // Leaves the union of the initial states' required literals in `acc`.
@@ -610,26 +862,25 @@ impl ProductMachine {
         let width = self.alphabet.len();
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.seen.fill(0);
+            self.visits.iter_mut().for_each(|v| v.seen = 0);
             self.epoch = 1;
         }
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.seen[0] = self.epoch;
+        self.open.fill(NONE);
+        self.visits[0].seen = self.epoch;
         if h == 0 {
             return self.found(0);
         }
-        self.open(h, 0);
+        self.push_open(h, 0);
         let mut lowest = h as usize;
         let mut cutoff = false;
         loop {
-            while lowest < self.buckets.len() && self.buckets[lowest].is_empty() {
+            while lowest < self.open.len() && self.open[lowest] == NONE {
                 lowest += 1;
             }
-            let Some(pid) = self.buckets.get_mut(lowest).and_then(Vec::pop) else {
+            let Some(&pid) = self.open.get(lowest) else {
                 return if cutoff { Reach::Cutoff } else { Reach::No };
             };
+            self.open[lowest] = self.visits[pid as usize].below;
             for g in 0..width {
                 if has_bit(&self.forbidden, g) {
                     continue;
@@ -647,7 +898,8 @@ impl ProductMachine {
                         for &(m, local) in &self.touch[steppers] {
                             let c = &self.components[m as usize];
                             let s = self.row[m as usize];
-                            let t = c.next[s as usize * c.global.len() + local as usize];
+                            let t = self.shapes.next
+                                [(c.next_at + s * c.width + u32::from(local)) as usize];
                             moved |= t != s;
                             self.row[m as usize] = t;
                         }
@@ -674,45 +926,49 @@ impl ProductMachine {
                     }
                     nid => (nid, None),
                 };
-                if self.seen[nid as usize] == self.epoch {
+                if self.visits[nid as usize].seen == self.epoch {
                     continue;
                 }
-                self.seen[nid as usize] = self.epoch;
+                self.visits[nid as usize].seen = self.epoch;
                 let tuple = &self.arena[nid as usize * k..][..k];
                 let Some(h) =
                     fresh_h.or_else(|| self.current.eval(&self.components, tuple, &mut self.acc))
                 else {
                     continue;
                 };
-                self.parent[nid as usize] = (pid, g as u16);
+                let visit = &mut self.visits[nid as usize];
+                (visit.parent, visit.via) = (pid, g as u16);
                 if h == 0 {
                     return self.found(nid);
                 }
-                self.open(h, nid);
+                self.push_open(h, nid);
                 lowest = lowest.min(h as usize);
             }
         }
     }
 
-    fn open(&mut self, h: u32, id: u32) {
-        if self.buckets.len() <= h as usize {
-            self.buckets.resize_with(h as usize + 1, Vec::new);
+    fn push_open(&mut self, h: u32, id: u32) {
+        if self.open.len() <= h as usize {
+            self.open.resize(h as usize + 1, NONE);
         }
-        self.buckets[h as usize].push(id);
+        self.visits[id as usize].below = self.open[h as usize];
+        self.open[h as usize] = id;
     }
 
     /// Record the search-tree path into the accepting state `id`.
     fn found(&mut self, mut id: u32) -> Reach {
-        let mut witness = Witness { mask: vec![0; self.words], path: Vec::new() };
+        let start = self.witness_path.len();
+        let mask = self.witness_mask.len();
+        self.witness_mask.resize(mask + self.words, 0);
         while id != 0 {
-            let (from, g) = self.parent[id as usize];
-            set_bit(&mut witness.mask, g as usize);
-            witness.path.push(self.alphabet[g as usize]);
-            id = from;
+            let Visit { parent, via, .. } = self.visits[id as usize];
+            set_bit(&mut self.witness_mask[mask..], via as usize);
+            self.witness_path.push(self.alphabet[via as usize]);
+            id = parent;
         }
-        witness.path.reverse();
-        self.last_witness = Some(self.witnesses.len());
-        self.witnesses.push(witness);
+        self.witness_path[start..].reverse();
+        self.witness_end.push(self.witness_path.len() as u32);
+        self.last_witness = Some(self.witness_end.len() - 1);
         Reach::Yes
     }
 }
@@ -853,6 +1109,41 @@ mod tests {
             let mut p = ProductMachine::compile(&ds);
             let mut b = StateBudget::new(100_000);
             assert_eq!(p.reach_accepting(None, &mut b).found(), brute, "{srcs:?}");
+        }
+    }
+
+    #[test]
+    fn machines_of_one_shape_share_its_tables() {
+        // Nine arrows of one shape and a sequence of another: two shapes,
+        // every table filled once per shape and forbidden set.
+        let mut srcs: Vec<String> = (0..9).map(|i| format!("~e{i} + e{}", i + 1)).collect();
+        srcs.push("e0.e9".to_owned());
+        let srcs: Vec<&str> = srcs.iter().map(String::as_str).collect();
+        let (_, ds) = deps(&srcs);
+        let mut p = ProductMachine::compile(&ds);
+        assert_eq!(p.shapes.list.len(), 2);
+        assert!(p.components[..9].iter().all(|c| c.shape == 0) && p.components[9].shape == 1);
+        let verdict = p.classify(&mut StateBudget::new(10_000));
+        assert_eq!(verdict.joint, Reach::Yes);
+        let key = |f: &Filled| {
+            let words = p.shapes.list[f.shape as usize].words as usize;
+            (f.shape, &p.memo.keys[f.key_at as usize..][..words])
+        };
+        let mut keys: Vec<_> = p.memo.filled.iter().map(key).collect();
+        let filled = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), filled, "a (shape, forbidden set) pair is filled once");
+        // Each component holds its shape's rows under its own forbidden
+        // literals: the last query's.
+        for (m, c) in p.components.iter().enumerate() {
+            let f = &p.memo.filled[p.held[m] as usize];
+            assert_eq!(f.shape, c.shape);
+            let locals = &p.global[c.global_at as usize..][..c.width as usize];
+            for (local, &g) in locals.iter().enumerate() {
+                let forbidden = has_bit(&p.forbidden, g as usize);
+                assert_eq!(has_bit(&p.memo.keys[f.key_at as usize..], local), forbidden);
+            }
         }
     }
 

@@ -40,6 +40,6 @@ pub use guard_repr::{
     eventually_mask, not_yet_mask, occurred_mask, state_on, Conjunct, CoverScratch, Guard, ST_A,
     ST_B, ST_C, ST_D, ST_FULL,
 };
-pub use message::{ask_order, asks, status, Fact, GuardStatus, Need};
+pub use message::{ask_order, asks, status, weakened_asks_into, Fact, GuardStatus, Need};
 pub use semantics::{sat_at, sat_profile};
 pub use texpr::{TExpr, TExprDisplay};

@@ -9,10 +9,12 @@
 //! and it inspects the [`GuardStatus`] to decide whether to allow a
 //! parked event, or the requests ([`asks`]) that could unblock it.
 
+use crate::factored::FactoredGuard;
 use crate::guard_repr::{
     eventually_mask, not_yet_mask, occurred_mask, Conjunct, Guard, ST_C, ST_D,
 };
 use event_algebra::{Literal, Polarity};
+use std::borrow::Cow;
 
 /// A fact an actor can learn about another event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -132,6 +134,29 @@ pub fn asks(g: &Guard) -> Vec<Need> {
     out.sort_by_key(ask_order);
     out.dedup();
     out
+}
+
+/// [`asks`] of `g` multiplied out with every `◇(sequence)` atom
+/// weakened — `asks(&g.weaken_sequences().expand())` — appended to `out`
+/// unsorted and with repeats, read off the factors in place. The factors
+/// constrain disjoint symbols, so the product asks what they ask; as in
+/// [`FactoredGuard::weaken_sequences`], a factor weakened to `0` absorbs
+/// the rest (nothing is asked) and one that holds now drops out.
+pub fn weakened_asks_into(g: &FactoredGuard, out: &mut Vec<Need>) {
+    let from = out.len();
+    for factor in g.factors() {
+        let weakened = match factor.has_seq_atoms() {
+            true => Cow::Owned(factor.weaken_sequences()),
+            false => Cow::Borrowed(factor),
+        };
+        if weakened.is_bottom() {
+            out.truncate(from);
+            return;
+        }
+        if !weakened.holds_now() {
+            weakened.conjuncts().iter().for_each(|c| conjunct_asks(c, out));
+        }
+    }
 }
 
 #[cfg(test)]

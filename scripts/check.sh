@@ -18,7 +18,9 @@
 # benchmark's `solo_cold` mix (the cold budget test, release profile),
 # the allocations per cold solo operation and, next to them, those of
 # the first read of its report's metrics snapshot, which renders it and
-# which no timed operation makes; so every gate run reports all three.
+# which no timed operation makes, and, weighted over the `check_static`
+# mix (the static check budget test, release profile), the allocations
+# per static check; so every gate run reports all four.
 #
 # `check.sh --faults` runs the fault-conformance tier instead: the
 # `conformance` driver sweeps every example spec, then the four model
@@ -237,5 +239,8 @@ echo "==> product source lines (scripts/loc.sh; per crate: scripts/loc.sh, chang
 
 echo "==> allocations per cold solo operation and per metrics render, weighted over the solo_cold mix (crates/dist/tests/cold_alloc_budget.rs, release)"
 cargo test --release --offline -q -p dist --test cold_alloc_budget -- --nocapture | grep '^weighted'
+
+echo "==> allocations per static check, weighted over the check_static mix (crates/analyze/tests/check_alloc_budget.rs, release)"
+cargo test --release --offline -q -p analyze --test check_alloc_budget -- --nocapture | grep '^weighted'
 
 echo "==> tier-1 gate passed"
