@@ -212,8 +212,9 @@ pub struct SymbolActor {
     pub obs: NodeObs,
     /// Fused monitor handle (off by default): the scheduler steps the
     /// armed monitor directly at each transition an offline replay
-    /// reconstructs from trace spans — occurrences, fact applications,
-    /// enabled guard verdicts and promise-round phases.
+    /// reconstructs from trace spans — occurrences, announced facts
+    /// applied, enabled guard verdicts that wait on a hold, and
+    /// promise-round phases — once per fact.
     /// Costs nothing when `None`, and nothing extra when armed: no
     /// trace-event payload is constructed on this path.
     pub mon: Option<Arc<WorkflowMonitor>>,
@@ -537,15 +538,6 @@ impl SymbolActor {
     /// guard so far — the facts the causal-consistency audit traces back
     /// to their establishing occurrences.
     fn rec_guard_eval(&self, now: Time, lit: Literal, verdict: Verdict) -> Option<SpanId> {
-        // The fused monitor only watches Enabled verdicts (the stall
-        // watchdog's enabled-but-unfired entries); it is stepped even
-        // with the recorder off — and before the occurrence that may
-        // immediately close the entry, mirroring span order.
-        if matches!(verdict, Verdict::Enabled) {
-            if let Some(m) = &self.mon {
-                m.on_guard_enabled(now, self.obs.node, olit(lit));
-            }
-        }
         if !self.obs.enabled() {
             return None;
         }
@@ -598,8 +590,13 @@ impl SymbolActor {
                 let span = self.rec_guard_eval(ctx.now(), lit, Verdict::Enabled);
                 if !held {
                     self.occur(ctx, lit, true, span);
+                } else if let Some(m) = &self.mon {
+                    // Held: wait for Release, then re-evaluate. Only this
+                    // verdict arms the fused monitor's enabled-but-unfired
+                    // watch: one that occurs in the same handler would
+                    // open and close it at a tick already swept.
+                    m.on_guard_enabled(ctx.now(), self.obs.node, olit(lit));
                 }
-                // Held: wait for Release, then re-evaluate.
             }
             _ => {
                 self.rec_guard_eval(ctx.now(), lit, Verdict::Parked);
@@ -698,10 +695,8 @@ impl SymbolActor {
         // fact's residual replay steps it) and advance the residuals now.
         self.facts_seen.insert(seq, lit);
         self.applied_up_to = self.applied_up_to.max(seq);
+        // The fused monitor took this fact with the occurrence above.
         self.obs.rec(at, SpanKind::FactApplied { lit: olit(lit), seq });
-        if let Some(m) = &self.mon {
-            m.on_fact_applied(at, self.obs.node, olit(lit), seq);
-        }
         for (_, t) in &mut self.dep_residuals {
             t.step(lit);
         }
@@ -785,15 +780,29 @@ impl SymbolActor {
         }
     }
 
+    /// A request about our decided symbol is answered by the occurrence's
+    /// announcement, which [`SymbolActor::announce`] sent once to every
+    /// subscriber and which is ahead of any answer on the requester's
+    /// link: a requester asks only about symbols its guard mentions, and
+    /// the routing subscribes it to exactly those.
+    fn answered_by_announcement(&self, requester: NodeId) {
+        debug_assert!(
+            self.routing.subscribers_of.get(&self.sym).is_some_and(|s| s.contains(&requester)),
+            "node {} asked about {:?} without subscribing to it",
+            requester.0,
+            self.sym
+        );
+    }
+
     // ----- promise protocol (Example 11) -----
 
     fn on_promise_request(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, for_lit: Literal) {
         let requester = self.routing.actor_of[&for_lit.symbol()];
-        if let Some((occ, _, seq)) = self.occurred {
+        if let Some((occ, _, _)) = self.occurred {
             if occ == lit {
                 // Already occurred: the announcement is the strongest
-                // promise (re-sent in case the requester subscribed late).
-                ctx.send(requester, Msg::Announce { lit, seq });
+                // promise, and it is already on its way.
+                self.answered_by_announcement(requester);
             } else {
                 self.rec_promise_deny(ctx.now(), lit, requester);
                 ctx.send(requester, Msg::PromiseDeny { lit });
@@ -863,10 +872,10 @@ impl SymbolActor {
         let mut held = std::mem::take(&mut self.held);
         held.extend_from_slice(&self.pending_requests);
         for (lit, for_lit) in held.drain(..) {
-            if let Some((occ, _, seq)) = self.occurred {
+            if let Some((occ, _, _)) = self.occurred {
                 let requester = self.routing.actor_of[&for_lit.symbol()];
                 if occ == lit {
-                    ctx.send(requester, Msg::Announce { lit, seq });
+                    self.answered_by_announcement(requester);
                 } else {
                     self.rec_promise_deny(ctx.now(), lit, requester);
                     ctx.send(requester, Msg::PromiseDeny { lit });
@@ -888,13 +897,13 @@ impl SymbolActor {
 
     fn on_notyet_query(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, for_lit: Literal) {
         let requester = self.routing.actor_of[&for_lit.symbol()];
-        if let Some((occ, _, seq)) = self.occurred {
+        if let Some((occ, _, _)) = self.occurred {
             if occ == lit {
                 ctx.send(requester, Msg::NotYetDeny { lit, occurred: true });
             } else {
-                // The complement occurred: ¬lit holds forever; the
+                // The complement occurred: ¬lit holds forever, and the
                 // announcement carries that fact.
-                ctx.send(requester, Msg::Announce { lit: occ, seq });
+                self.answered_by_announcement(requester);
             }
             return;
         }

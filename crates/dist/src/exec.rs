@@ -948,7 +948,7 @@ mod tests {
             spec.free_events[1..].iter().zip(2..).map(|(f, seq)| (f.lit, 1, seq)).collect();
         expected.push((a, 20, 40));
         assert_eq!(report.occurrences, expected);
-        assert_eq!((report.steps, report.duration), (66, 40));
+        assert_eq!((report.steps, report.duration), (53, 40));
         let stats = &report.actor_stats[&a.symbol()];
         assert_eq!((stats.first_parked_at, stats.promises_requested), (Some(1), 13));
         assert_eq!(stats.reductions, 26, "two per announcement: a late one is not a replay");

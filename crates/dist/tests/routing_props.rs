@@ -2,14 +2,23 @@
 //! dependencies that mention it and never reads a guard for it: under
 //! `GuardScope::Mentioning`, `G(D, e)` mentions only `Γ_D`, so a guard's
 //! symbols are among those already. Pinned here on every model, the
-//! benchmark's spec texts and random workflows, by rebuilding the
-//! subscriber lists *with* the guard symbols and comparing.
+//! benchmark's and the examples' spec texts and random workflows, by
+//! rebuilding the subscriber lists *with* the guard symbols and
+//! comparing.
+//!
+//! The actor relies on it: a promise request or not-yet query about a
+//! decided symbol is answered by that symbol's announcement alone, which
+//! reaches every subscriber once. So every symbol a guard reads
+//! subscribes the guard's actor, and a fault-free run sends each
+//! occurrence's announcement exactly once to each subscriber.
 
-use constrained_events::{models, WorkflowBuilder};
-use dist::{build_workflow, ExecConfig, WorkflowSpec};
+use constrained_events::{models, Workflow, WorkflowBuilder};
+use dist::{build_workflow, run_workflow, ExecConfig, WorkflowSpec};
 use event_algebra::{Literal, SymbolId};
+use obs::{RecordConfig, SpanKind};
 use sim::NodeId;
 use std::collections::BTreeSet;
+use testkit::workload::drive;
 use testkit::{check, free_event_spec, Exprs};
 
 fn assert_guards_add_no_interest(name: &str, spec: &WorkflowSpec) {
@@ -30,6 +39,13 @@ fn assert_guards_add_no_interest(name: &str, spec: &WorkflowSpec) {
     for &t in &built.symbols {
         let (from_dependencies, from_guards) = interest_of(t);
         assert!(from_guards.is_subset(&from_dependencies), "{name}: guards of {t} read more");
+        let reader = built.routing.actor_of[t];
+        for s in from_guards.into_iter().filter(|&s| s != t) {
+            assert!(
+                built.routing.subscribers_of[s].contains(&reader),
+                "{name}: the guards of {t} read {s}, whose subscribers miss their actor"
+            );
+        }
     }
     for &s in &built.symbols {
         let with_guards: Vec<NodeId> = (built.symbols.iter())
@@ -56,15 +72,81 @@ fn guard_symbols_add_nothing_to_the_interest_map() {
     for (name, workflow) in &models {
         assert_guards_add_no_interest(name, &workflow.spec);
     }
-    for name in ["travel", "pipeline10", "pipeline12"] {
-        let path = format!("{}/../../benchmark/specs/{name}.wf", env!("CARGO_MANIFEST_DIR"));
-        let src = std::fs::read_to_string(&path).expect(&path);
-        let workflow = WorkflowBuilder::from_spec(&src).expect(name).build();
-        assert_guards_add_no_interest(name, &workflow.spec);
+    for path in [
+        "benchmark/specs/travel.wf",
+        "benchmark/specs/pipeline10.wf",
+        "benchmark/specs/pipeline12.wf",
+        "examples/specs/travel.wf",
+        "examples/specs/pipeline10.wf",
+    ] {
+        assert_guards_add_no_interest(path, &spec_text(path).spec);
     }
     check("guard_symbols_add_nothing_to_the_interest_map", 300, |g| {
         let syms: Vec<SymbolId> = (0..5).map(SymbolId).collect();
         let spec = free_event_spec(g.workflow(&syms, 3, 3), &syms);
         assert_guards_add_no_interest("random", &spec);
     });
+}
+
+fn spec_text(path: &str) -> Workflow {
+    let path = format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).expect(&path);
+    WorkflowBuilder::from_spec(&src).expect(&path).build()
+}
+
+/// The benchmark's six templates and the example specs.
+fn templates() -> Vec<(&'static str, WorkflowSpec)> {
+    let mut out = vec![
+        ("diamond(3)", models::diamond(3).spec),
+        ("contingency(3, false)", models::contingency(3, false).spec),
+        ("saga(3, 3, Some(1))", models::saga(3, 3, Some(1)).spec),
+        ("saga(4, 3, None)", models::saga(4, 3, None).spec),
+    ];
+    for path in [
+        "benchmark/specs/travel.wf",
+        "benchmark/specs/pipeline10.wf",
+        "examples/specs/travel.wf",
+        "examples/specs/pipeline10.wf",
+    ] {
+        out.push((path, spec_text(path).spec));
+    }
+    out
+}
+
+/// Each template driven fault-free on seeds 1–3, recorded: the
+/// announcements sent are, sender and receiver, one per subscriber of
+/// each occurred symbol — no requester is sent a second copy.
+#[test]
+fn a_fault_free_run_announces_each_occurrence_once_per_subscriber() {
+    for (name, spec) in templates() {
+        let spec = drive(&spec);
+        let routing = build_workflow(&spec, ExecConfig::seeded(0)).routing;
+        for seed in 1..=3 {
+            let mut config = ExecConfig::seeded(seed);
+            config.record = Some(RecordConfig::default());
+            let report = run_workflow(&spec, config);
+            let at = format!("{name}, seed {seed}");
+            assert!(report.all_satisfied(), "{at}");
+            let recording = report.recording.as_ref().expect("recorded");
+            assert_eq!(recording.dropped, 0, "{at}: the recording is whole");
+            let mut sent: Vec<(u32, u32)> = (recording.events.iter())
+                .filter_map(|e| match &e.kind {
+                    SpanKind::MsgSend { from, to, label } if &**label == "announce" => {
+                        Some((*from, *to))
+                    }
+                    _ => None,
+                })
+                .collect();
+            sent.sort_unstable();
+            let mut subscribed: Vec<(u32, u32)> = (report.occurrences.iter())
+                .flat_map(|&(lit, _, _)| {
+                    let from = routing.actor_of[lit.symbol()].0;
+                    routing.subscribers_of[lit.symbol()].iter().map(move |to| (from, to.0))
+                })
+                .collect();
+            subscribed.sort_unstable();
+            assert!(!sent.is_empty(), "{at}: something was announced");
+            assert_eq!(sent, subscribed, "{at}");
+        }
+    }
 }

@@ -27,7 +27,10 @@
 //!   promise rounds and enabled-but-unfired events are expected to close
 //!   quickly; exceeding a configurable sim-time budget raises an
 //!   advisory alert (partitions and crashes legitimately delay rounds,
-//!   so stalls are warnings, not conformance failures).
+//!   so stalls are warnings, not conformance failures). A round closes
+//!   on a commit, on a deny, or when its requester applies the
+//!   announcement of the literal it asked about — Example 11's answer
+//!   to a request for an event that already occurred.
 //!
 //! Monitors are fed two ways, by the same dispatch:
 //!
@@ -545,10 +548,11 @@ impl WorkflowMonitor {
     }
 
     /// Fused counterpart of a `FactApplied` span: `node` applied
-    /// `(seq → lit)` to its `□`-view (feeds the divergence checker).
+    /// `(seq → lit)` to its `□`-view (feeds the divergence checker and
+    /// closes `node`'s promise round for `lit`).
     pub fn on_fact_applied(&self, at: u64, node: u32, lit: ObsLit, seq: u64) {
         let mut st = self.state.lock().expect("monitor lock");
-        st.check_divergence(at, node, lit, seq);
+        st.on_fact_applied(at, node, lit, seq);
         st.sweep(at);
         self.sync_deadline(&st);
     }
@@ -646,7 +650,7 @@ impl MonitorState {
                 self.on_occurrence(event.at, event.node, *lit, *seq);
             }
             SpanKind::FactApplied { lit, seq } => {
-                self.check_divergence(event.at, event.node, *lit, *seq);
+                self.on_fact_applied(event.at, event.node, *lit, *seq);
             }
             SpanKind::GuardEval { lit, verdict, .. } if *verdict == Verdict::Enabled => {
                 self.open_evals.get_or_insert_with((event.node, lit.0), || OpenSince {
@@ -683,6 +687,15 @@ impl MonitorState {
             self.last_stall_check = at;
             self.check_stalls(at);
         }
+    }
+
+    /// `node` applied `(seq → lit)`: a claim for the divergence monitor,
+    /// and the answer to any promise round `node` had open for `lit` —
+    /// the announcement is how a request for an event that already
+    /// occurred is answered.
+    fn on_fact_applied(&mut self, at: u64, node: u32, lit: ObsLit, seq: u64) {
+        self.check_divergence(at, node, lit, seq);
+        self.open_rounds.remove((node, lit.0));
     }
 
     /// The divergence monitor: every record claiming `(seq → lit)` must
@@ -1133,6 +1146,27 @@ mod tests {
         let report = mon.finish(100);
         assert_eq!(stalls(&report.alerts), 1);
         assert!(report.alerts.iter().all(|a| !a.kind.is_violation()), "{:?}", report.alerts);
+    }
+
+    #[test]
+    fn a_round_answered_by_the_announcement_closes() {
+        // Node 0 asks for ◇f; f has already occurred, so the answer is
+        // f's announcement, applied at node 0 — no commit, no deny.
+        let (table, dep, e, f) = d_before();
+        let mon = WorkflowMonitor::new(&table, &[dep], [e, f], MonitorConfig { stall_budget: 10 });
+        let span = |id, at, node, kind| TraceEvent {
+            id: obs::SpanId(id),
+            parent: None,
+            at,
+            node,
+            site: node,
+            kind,
+        };
+        mon.observe(&occurred(0, 1, 1, f, 1));
+        mon.observe(&span(1, 2, 0, SpanKind::PromiseOpen { lit: olit(f), for_lit: olit(e) }));
+        mon.observe(&span(2, 3, 0, SpanKind::FactApplied { lit: olit(f), seq: 1 }));
+        let report = mon.finish(100);
+        assert!(report.alerts.is_empty(), "{:?}", report.alerts);
     }
 
     #[test]

@@ -54,7 +54,9 @@
 # `conformance --monitor-equiv` audit proves the fused (scheduler-stepped)
 # monitor produces the same verdicts, counters, and alerts as a replay of
 # the same run's flight recording across the standard fault-plan matrix
-# on 20 seeds. The monitored fleet (all quiescent, zero violations) is
+# on 20 seeds, for travel, pipeline10 and then the four model sagas
+# (whose not-yet agreements hold events still, and an enabled verdict
+# that waits on a hold is the one the fused monitor watches). The monitored fleet (all quiescent, zero violations) is
 # `--scale`'s `conformance --tenant`, command for command, so it runs
 # there and not a second time here.
 set -euo pipefail
@@ -93,7 +95,7 @@ fi
 if [ "${1:-}" = "--obs" ]; then
     echo "==> cargo build --release --offline --bin conformance"
     cargo build --release --offline --bin conformance
-    echo "==> conformance --monitor-equiv (fused monitor vs replayed recording, 20 seeds)"
+    echo "==> conformance --monitor-equiv (fused monitor vs replayed recording, 20 seeds; specs, then the model sagas)"
     "$REPO/target/release/conformance" --monitor-equiv --seeds 20 \
         "$REPO/examples/specs/travel.wf" "$REPO/examples/specs/pipeline10.wf"
     echo "==> obs tier passed"

@@ -16,10 +16,10 @@
 //! they are the workflows whose not-yet agreements a lost message can
 //! leave half done.
 //!
-//! `--monitor-equiv` switches to the eleventh audit: every spec runs
-//! each (seed, fault plan) scenario once with the fused monitor and the
-//! flight recorder both on, and the fused report must equal a replay of
-//! that run's recording
+//! `--monitor-equiv` switches to the eleventh audit: every spec, then
+//! the same four model sagas, runs each (seed, fault plan) scenario once
+//! with the fused monitor and the flight recorder both on, and the fused
+//! report must equal a replay of that run's recording
 //! (`testkit::conformance::audit_monitor_equivalence`).
 //!
 //! `--tenant` switches to the ninth audit at fleet scale: one mixed
@@ -112,7 +112,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let plan_count = standard_plans(0).len() as u64;
     let mut config = ExecConfig::seeded(0);
     config.reliable = Some(ReliableConfig::default());
     config.max_steps = args.max_steps;
@@ -152,53 +151,24 @@ fn main() -> ExitCode {
             continue;
         }
 
-        if args.mode == Mode::MonitorEquiv {
-            // Eleventh audit: fused monitor stepping vs a replay of the
-            // same run's recording over the full (seed x fault plan)
-            // matrix.
-            let mut failures = Vec::new();
-            for seed in 0..args.seeds {
-                let mut cfg = config.clone();
-                cfg.sim.seed = seed;
-                for (plan_name, plan) in standard_plans(seed ^ 0x5EED) {
-                    failures.extend(
-                        audit_monitor_equivalence(&workflow.spec, &cfg, &plan)
-                            .into_iter()
-                            .map(|f| format!("[{}/{plan_name}/seed {seed}] {f}", workflow.name)),
-                    );
-                }
+        total_failures += match args.mode {
+            Mode::MonitorEquiv => {
+                monitor_equiv_sweep(&workflow.name, &workflow.spec, &config, args.seeds)
             }
-            let scenarios = args.seeds * plan_count;
-            if failures.is_empty() {
-                println!(
-                    "conformance: {:<12} {} monitor-equivalence scenarios ok \
-                     ({} seeds x {} plans, fused == replayed recording)",
-                    workflow.name, scenarios, args.seeds, plan_count
-                );
-            } else {
-                for f in &failures {
-                    eprintln!("FAIL {f}");
-                }
-                eprintln!(
-                    "conformance: {:<12} {}/{} monitor-equivalence scenarios nonconforming",
-                    workflow.name,
-                    failures.len(),
-                    scenarios
-                );
-                total_failures += failures.len();
-            }
-            continue;
-        }
-
-        total_failures +=
-            fault_sweep(&workflow.name, &workflow.spec, &config, args.seeds, expect_live);
+            _ => fault_sweep(&workflow.name, &workflow.spec, &config, args.seeds, expect_live),
+        };
     }
-    if args.mode == Mode::Faults {
+    if args.mode != Mode::Tenant {
         // The model sagas: their not-yet agreements are what a lost
         // message can leave half done (DESIGN.md §5b), and no example
         // spec asks for one.
         for (name, workflow) in constrained_events::models::gate_sagas() {
-            total_failures += fault_sweep(name, &workflow.spec, &config, args.seeds, true);
+            total_failures += match args.mode {
+                Mode::MonitorEquiv => {
+                    monitor_equiv_sweep(name, &workflow.spec, &config, args.seeds)
+                }
+                _ => fault_sweep(name, &workflow.spec, &config, args.seeds, true),
+            };
         }
     }
     if args.mode == Mode::Tenant {
@@ -234,6 +204,41 @@ fn fault_sweep(
             eprintln!("FAIL {f}");
         }
         eprintln!("conformance: {name:<12} {}/{scenarios} scenarios nonconforming", failures.len());
+    }
+    failures.len()
+}
+
+/// Monitor-equivalence mode, the eleventh audit: `spec`'s fused monitor
+/// against a replay of the same run's recording over the full (seed x
+/// fault plan) matrix, one line printed. Returns the number of failures.
+fn monitor_equiv_sweep(name: &str, spec: &WorkflowSpec, config: &ExecConfig, seeds: u64) -> usize {
+    let plan_count = standard_plans(0).len() as u64;
+    let mut failures = Vec::new();
+    for seed in 0..seeds {
+        let mut cfg = config.clone();
+        cfg.sim.seed = seed;
+        for (plan_name, plan) in standard_plans(seed ^ 0x5EED) {
+            failures.extend(
+                audit_monitor_equivalence(spec, &cfg, &plan)
+                    .into_iter()
+                    .map(|f| format!("[{name}/{plan_name}/seed {seed}] {f}")),
+            );
+        }
+    }
+    let scenarios = seeds * plan_count;
+    if failures.is_empty() {
+        println!(
+            "conformance: {name:<12} {scenarios} monitor-equivalence scenarios ok \
+             ({seeds} seeds x {plan_count} plans, fused == replayed recording)"
+        );
+    } else {
+        for f in &failures {
+            eprintln!("FAIL {f}");
+        }
+        eprintln!(
+            "conformance: {name:<12} {}/{scenarios} monitor-equivalence scenarios nonconforming",
+            failures.len()
+        );
     }
     failures.len()
 }
