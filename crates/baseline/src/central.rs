@@ -421,6 +421,7 @@ pub fn run_centralized(spec: &WorkflowSpec, config: CentralConfig) -> RunReport 
         actor_stats: SymbolMap::new(),
         parked: central.parked.iter().copied().collect(),
         broken_promises: Vec::new(),
+        standing_holds: Vec::new(),
         termination: outcome.termination,
         fault_stats: None,
         divergence: Vec::new(),

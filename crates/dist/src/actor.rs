@@ -17,10 +17,16 @@
 //!   (Section 4.3's proof rules), re-evaluating parked attempts;
 //! - runs the promise protocol (Example 11) and the not-yet agreement for
 //!   `¬f` guards, with symbol-id priority for deadlock freedom. A promise
-//!   round stays open until it is granted or denied (no timeout: a lost
-//!   message is the transport's to resend), and every [`Msg::NotYetGrant`]
-//!   is either used or released by its receiver, so a hold never depends
-//!   on a query reaching the granter before the `Release` that follows it;
+//!   is asked only of a literal that can grant it before it occurs
+//!   ([`Routing::early_grant`]); of any other the answer is the
+//!   announcement the requester hears anyway. A promise round stays open
+//!   until it is granted, denied or answered by that announcement (no
+//!   timeout: a lost message is the transport's to resend). A hold ends
+//!   at its requester's decision: an occurrence's announcement ends it
+//!   at the keeper, which subscribes to the requester and grants nothing
+//!   to a query the announcement overtook, and a `Release` is sent only
+//!   where no announcement follows — after a rejection, or for a grant
+//!   an undecided requester no longer waits for;
 //! - tracks each dependency's residual to *trigger* triggerable events
 //!   that have become required (Section 3.3(b));
 //! - on rejection of an attempted event, makes the complement occur
@@ -40,11 +46,15 @@ use crate::memo::{GuardInfo, GuardMemo};
 use crate::msg::Msg;
 use agent::EventAttrs;
 use event_algebra::{DepTracker, Literal, Polarity, SortedMap, SortedSet, SymbolId, SymbolMap};
+use guard::CompiledWorkflow;
 use monitor::WorkflowMonitor;
 use obs::{NodeObs, ObsLit, SpanId, SpanKind, Verdict};
 use sim::{Ctx, NodeId, Time};
 use std::sync::Arc;
-use temporal::{ask_order, Fact, FactoredGuard, GuardStatus, Need};
+use temporal::{
+    ask_order, eventually_mask, mask_needs, Conjunct, Fact, FactoredGuard, Guard, GuardStatus,
+    Need, ST_A, ST_B, ST_C, ST_D, ST_FULL,
+};
 
 /// Literal → trace encoding (the same packed `sym << 1 | polarity`
 /// index; see [`obs::ObsLit`]).
@@ -62,6 +72,186 @@ pub struct Routing {
     pub agent_of: SymbolMap<NodeId>,
     /// Actors subscribed to each symbol's announcements.
     pub subscribers_of: SymbolMap<Vec<NodeId>>,
+    /// Whether each literal's actor may grant a promise of it before it
+    /// occurs, by literal index, as the build computes it from the
+    /// compiled guards and the event attributes: a promise of any other
+    /// literal is answered by its announcement alone, which the requester
+    /// hears as a subscriber, so nobody asks for it.
+    pub early_grant: Vec<bool>,
+}
+
+impl Routing {
+    /// Whether a promise of `lit` may be granted before `lit` occurs;
+    /// `true` for a literal the table does not cover.
+    pub fn may_grant_early(&self, lit: Literal) -> bool {
+        self.early_grant.get(lit.index()).copied().unwrap_or(true)
+    }
+}
+
+/// A set of guard masks: bit `m` stands for mask `m`.
+type MaskSet = u16;
+
+/// The masks of `set`.
+fn members(set: MaskSet) -> impl Iterator<Item = u8> {
+    let mut rest = set;
+    std::iter::from_fn(move || {
+        let m = (rest != 0).then(|| rest.trailing_zeros() as u8);
+        rest &= rest.wrapping_sub(1);
+        m
+    })
+}
+
+/// The masks for which [`mask_needs`] answers as `pick` wants.
+fn asking(pick: impl Fn((Option<Polarity>, Option<Polarity>)) -> bool) -> MaskSet {
+    (1..ST_FULL).filter(|&m| pick(mask_needs(m))).fold(0, |set, m| set | 1 << m)
+}
+
+/// The masks a guard may hold on a symbol at some fact set, from the
+/// masks its compiled conjuncts hold on it: [`temporal::Guard::under`]
+/// narrows every mask to what is known of the symbol (nothing, or a
+/// promise of either literal; an occurrence decides the symbol, which
+/// drops out) and drops a mask the knowledge implies or contradicts, and
+/// canonicalising unites the masks of two sibling conjuncts.
+fn reachable(compiled: MaskSet) -> MaskSet {
+    let mut united: MaskSet = 0;
+    for m in members(compiled) {
+        united |= members(united).fold(1 << m, |set, u| set | 1 << (u | m));
+    }
+    let mut out = 0;
+    for m in members(united) {
+        for known in [ST_FULL, ST_A | ST_C, ST_B | ST_D] {
+            let narrowed = m & known;
+            if narrowed != 0 && narrowed != known {
+                out |= 1 << narrowed;
+            }
+        }
+    }
+    out
+}
+
+/// Each symbol's mask in `c` once its `◇(sequence)` atoms are weakened to
+/// eventualities ([`temporal::Guard::weaken_sequences`]), as the actors'
+/// tables hold it; a symbol only a sequence atom names may come twice.
+fn weakened_masks(c: &Conjunct, mut each: impl FnMut(SymbolId, u8)) {
+    let sequenced = |s: SymbolId| {
+        let on = c.seq_atoms().flatten().filter(|l| l.symbol() == s);
+        on.fold(ST_FULL, |m, l| m & eventually_mask(l.polarity()))
+    };
+    for (s, m) in c.constrained_symbols() {
+        match m & sequenced(s) {
+            0 => {}
+            m => each(s, m),
+        }
+    }
+    for l in c.seq_atoms().flatten().filter(|l| c.mask(l.symbol()) == ST_FULL) {
+        each(l.symbol(), sequenced(l.symbol()));
+    }
+}
+
+/// Which literals may be promised before they occur, by literal index,
+/// for `literals` literal indices: a least fixpoint over what every
+/// guard may ask at some fact set, which over-approximates each way
+/// [`SymbolActor::try_grant`] can grant. Outside lazy mode, an event that
+/// is attempted, unheld and enabled occurs at once, so a grant needs
+/// one of:
+///
+/// - `f` is triggerable (a deferred obligation);
+/// - `f`'s actor is held, with `f` enabled: some guard may ask a
+///   not-yet agreement on `f`'s symbol;
+/// - `f` is parked on a guard [`GuardMemo::grantable`] admits. A
+///   constraint it admits and coverage does not is a not-yet-style mask
+///   (one [`mask_needs`] answers with an agreement), or an occurrence of
+///   a symbol known or assumed promised: by the party — a requester of
+///   `f` whose symbol `f`'s guard reads — by a not-yet denial of an
+///   agreement the actor asked for, or by a grant of a literal the actor
+///   asked a promise of, which must itself be one that grants early.
+///
+/// Each guard is read as the masks it may hold on each symbol
+/// ([`reachable`]). A guard reads only symbols its actor subscribes to,
+/// so there are at most `pairs` (actor, symbol) pairs, the subscriptions.
+/// Two vectors are allocated: the masks and the answer.
+pub(crate) fn early_grants(
+    compiled: &CompiledWorkflow,
+    pairs: usize,
+    literals: usize,
+    triggerable: impl Fn(Literal) -> bool,
+) -> Vec<bool> {
+    let agreement = asking(|(_, agree)| agree.is_some());
+    let promise = [Polarity::Pos, Polarity::Neg].map(|pol| asking(|(p, _)| p == Some(pol)));
+    let asks_promise = |set: MaskSet, l: Literal| set & promise[l.polarity() as usize] != 0;
+    // (actor's symbol, symbol, the masks each literal of the actor may
+    // hold on the symbol, positive first), sorted, one per pair. The
+    // guards come in literal order, so each actor's cells are one run.
+    let mut cells: Vec<(SymbolId, SymbolId, [MaskSet; 2])> = Vec::with_capacity(pairs);
+    let mut run = 0;
+    for (lit, guard) in &compiled.guards {
+        let (a, pol) = (lit.symbol(), lit.polarity() as usize);
+        if cells.get(run).is_some_and(|c| c.0 != a) {
+            cells[run..].sort_unstable_by_key(|c| c.1);
+            run = cells.len();
+        }
+        for c in guard.factors().iter().flat_map(Guard::conjuncts) {
+            weakened_masks(c, |s, m| match cells[run..].iter_mut().find(|c| c.1 == s) {
+                Some(cell) => cell.2[pol] |= 1 << m,
+                None => {
+                    let mut sets = [0; 2];
+                    sets[pol] = 1 << m;
+                    cells.push((a, s, sets));
+                }
+            });
+        }
+    }
+    cells[run..].sort_unstable_by_key(|c| c.1);
+    for cell in &mut cells {
+        cell.2 = cell.2.map(reachable);
+    }
+    let reads = |l: Literal, s: SymbolId| {
+        let at = cells.binary_search_by_key(&(l.symbol(), s), |c| (c.0, c.1));
+        at.is_ok_and(|at| cells[at].2[l.polarity() as usize] != 0)
+    };
+    let mut early: Vec<bool> = (0..literals).map(|v| triggerable(Literal::from_index(v))).collect();
+    for &(a, s, sets) in &cells {
+        for (t, set) in [Literal::pos(a), Literal::neg(a)].into_iter().zip(sets) {
+            if set & agreement != 0 {
+                // `s` may be held; `t` may meet a not-yet-style mask; a
+                // denial may tell the actor `◇` of either literal of `s`,
+                // which the actor's other guard may read.
+                early[Literal::pos(s).index()] = true;
+                early[Literal::neg(s).index()] = true;
+                early[t.index()] = true;
+                early[t.complement().index()] |= sets[t.complement().polarity() as usize] != 0;
+            }
+        }
+    }
+    for &(a, s, sets) in &cells {
+        for l in [Literal::pos(s), Literal::neg(s)] {
+            // `a` may ask `l` for a promise, and `l`'s guard may read
+            // the requester's `◇`, which the grant assumes.
+            let asked = asks_promise(sets[0] | sets[1], l);
+            if !early[l.index()] && asked && reads(l, a) {
+                early[l.index()] = true;
+            }
+        }
+    }
+    // A grant from an early granter is a fact the actor may hear.
+    loop {
+        let mut grew = false;
+        for &(a, s, sets) in &cells {
+            let granted = |l: Literal| early[l.index()] && asks_promise(sets[0] | sets[1], l);
+            if granted(Literal::pos(s)) || granted(Literal::neg(s)) {
+                for (t, set) in [Literal::pos(a), Literal::neg(a)].into_iter().zip(sets) {
+                    if set != 0 && !early[t.index()] {
+                        early[t.index()] = true;
+                        grew = true;
+                    }
+                }
+            }
+        }
+        if !grew {
+            break;
+        }
+    }
+    early
 }
 
 /// Counters describing one actor's activity.
@@ -179,8 +369,6 @@ pub struct SymbolActor {
     /// Occurrence facts seen, by global sequence: the order the
     /// dependency residuals are stepped in.
     facts_seen: SortedMap<u64, Literal>,
-    /// Promises received.
-    promises_seen: SortedSet<Literal>,
     /// Highest fact sequence the residuals have been stepped past.
     applied_up_to: u64,
     /// Requesters currently holding this symbol still.
@@ -240,7 +428,6 @@ impl SymbolActor {
             dep_residuals: deps,
             memo: GuardMemo::new(pos_guard, neg_guard),
             facts_seen: SortedMap::new(),
-            promises_seen: SortedSet::new(),
             applied_up_to: 0,
             holds: SortedSet::new(),
             pending_requests: SortedSet::new(),
@@ -267,7 +454,6 @@ impl SymbolActor {
         }
         self.memo.reset();
         self.facts_seen.clear();
-        self.promises_seen.clear();
         self.applied_up_to = 0;
         self.holds.clear();
         self.pending_requests.clear();
@@ -374,12 +560,20 @@ impl SymbolActor {
         if let Some(m) = &self.mon {
             m.on_fact_applied(ctx.now(), self.obs.node, olit(lit), seq);
         }
+        // The requester decided: its holds end with its announcement (it
+        // sends no `Release` after it occurs).
+        self.holds.retain(|h| h.symbol() != lit.symbol());
         self.apply_facts(seq, lit, ctx.now());
         self.after_fact(ctx, Some(lit));
     }
 
+    /// Whether this actor has heard an occurrence of `sym`.
+    fn heard(&self, sym: SymbolId) -> bool {
+        self.facts_seen.iter().any(|&(_, l)| l.symbol() == sym)
+    }
+
     fn on_promise_grant(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal) {
-        if self.promises_seen.insert(lit) {
+        if !self.memo.knows_eventually(lit) {
             self.obs.rec(ctx.now(), SpanKind::PromiseCommit { lit: olit(lit) });
             if let Some(m) = &self.mon {
                 m.on_promise_commit(ctx.now(), self.obs.node, olit(lit));
@@ -620,12 +814,17 @@ impl SymbolActor {
         {
             let st = self.lit_state_ref(lit);
             let wanted = |need: &&Need| match need {
-                // Skip promises already in flight — and promises already
-                // *held*: a constraint that survives a held promise (e.g.
-                // the {D} mask ◇l̄∧¬l̄) needs an agreement or an
-                // occurrence, not the same promise again.
+                // Skip promises already in flight, promises already known
+                // — granted, or implied by an occurred not-yet denial: a
+                // constraint that survives a known promise (e.g. the {D}
+                // mask ◇l̄∧¬l̄) needs an agreement or an occurrence, not
+                // the same promise again — and promises nobody can grant
+                // before the event occurs, whose answer is the
+                // announcement this actor hears anyway.
                 Need::Promise(f) => {
-                    !st.requested_promises.contains(f) && !self.promises_seen.contains(f)
+                    !st.requested_promises.contains(f)
+                        && !self.memo.knows_eventually(*f)
+                        && self.routing.may_grant_early(*f)
                 }
                 Need::NotYetAgreement(f) => {
                     !st.notyet_pending.contains(&f.symbol())
@@ -664,7 +863,7 @@ impl SymbolActor {
     // ----- occurrence / rejection -----
 
     /// The event occurs: record, notify the agent (if it asked), announce
-    /// to subscribers, release any holds we had requested. The occurrence
+    /// to subscribers, which ends the holds we had requested. The occurrence
     /// span is parented under the guard evaluation that justified it
     /// (`eval_span`), falling back to the delivery cursor for informs.
     fn occur(
@@ -717,7 +916,7 @@ impl SymbolActor {
             self.reply_agent(ctx, Msg::Rejected { lit: other });
         }
         self.announce(ctx, lit, seq);
-        self.release_all_requested(ctx);
+        self.forget_requested_holds();
         self.check_triggering(ctx);
     }
 
@@ -756,8 +955,29 @@ impl SymbolActor {
         }
     }
 
-    /// Release every hold we were granted or asked for (we have decided):
-    /// one message per symbol, in symbol order.
+    /// Forget every hold we were granted or asked for, after our
+    /// occurrence: its announcement ends them at their keepers. A keeper's
+    /// symbol is one our guard reads, so the two share a dependency and
+    /// the keeper subscribes to us.
+    fn forget_requested_holds(&mut self) {
+        for st in [&mut self.pos, &mut self.neg] {
+            for &t in st.notyet_granted.iter().chain(st.notyet_pending.iter()) {
+                let keeper = self.routing.actor_of[t];
+                debug_assert!(
+                    self.routing.subscribers_of.get(&self.sym).is_some_and(|s| s.contains(&keeper)),
+                    "keeper {} of a hold for {:?} does not subscribe to it",
+                    keeper.0,
+                    self.sym
+                );
+            }
+            st.notyet_granted.clear();
+            st.notyet_pending.clear();
+        }
+    }
+
+    /// Release every hold we were granted or asked for (we rejected, and
+    /// no announcement of ours may follow): one message per symbol, in
+    /// symbol order.
     fn release_all_requested(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let mut held = std::mem::take(&mut self.lits);
         for st in [&mut self.pos, &mut self.neg] {
@@ -896,6 +1116,12 @@ impl SymbolActor {
     // ----- not-yet agreement -----
 
     fn on_notyet_query(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, for_lit: Literal) {
+        if self.heard(for_lit.symbol()) {
+            // A query its sender's occurrence overtook (a retransmission):
+            // the sender no longer waits for an answer, and a hold granted
+            // now would outlive its announcement.
+            return;
+        }
         let requester = self.routing.actor_of[&for_lit.symbol()];
         if let Some((occ, _, _)) = self.occurred {
             if occ == lit {
@@ -925,18 +1151,23 @@ impl SymbolActor {
         ctx.send(requester, Msg::NotYetGrant { lit });
     }
 
-    /// Every grant is used or released by its receiver. A grant neither
-    /// literal waits for or holds answers a query our own decision
-    /// overtook — its `Release` reached the granter first, because the
-    /// transport resends a lost envelope but does not reorder — so the
-    /// granter is holding still for a requester that will never release
-    /// it: release it now.
+    /// Every grant is used or ended by its receiver. A grant neither
+    /// literal waits for or holds answers a query that our decision or a
+    /// restart overtook. If we occurred, the granter handled the query
+    /// before it heard our announcement (after it, it grants nothing),
+    /// and the announcement, which reaches it as a subscriber, ends the
+    /// hold: nothing to send. Otherwise the granter handled it after our
+    /// `Release`, or we forgot the query when we restarted, and it is
+    /// holding still for a requester that will never end the hold:
+    /// release it now.
     fn on_notyet_grant(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal) {
         let sym = lit.symbol();
         let asked =
             |st: &LitState| st.notyet_pending.contains(&sym) || st.notyet_granted.contains(&sym);
         if !asked(&self.pos) && !asked(&self.neg) {
-            ctx.send(self.routing.actor_of[sym], Msg::Release { lit });
+            if self.occurred.is_none() {
+                ctx.send(self.routing.actor_of[sym], Msg::Release { lit });
+            }
             return;
         }
         for l in [Literal::pos(self.sym), Literal::neg(self.sym)] {

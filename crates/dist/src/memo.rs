@@ -46,8 +46,8 @@ use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use temporal::{
-    ask_order, asks, product_status, status, CoverScratch, Fact, FactoredGuard, Guard, GuardStatus,
-    Need, ST_A, ST_B, ST_C, ST_D, ST_FULL,
+    ask_order, asks, eventually_mask, product_status, status, CoverScratch, Fact, FactoredGuard,
+    Guard, GuardStatus, Need, ST_A, ST_B, ST_C, ST_D, ST_FULL,
 };
 
 /// How many entries an actor tabulates for good. Wide joins meet many
@@ -361,6 +361,21 @@ impl GuardMemo {
         let (span, t) = (self.span(pol), &*self.tables);
         let at = &self.at[span.clone()];
         span.zip(at).all(|(f, &e)| t.entries[e as usize].enabled(t.syms(f), held, &mut self.cover))
+    }
+
+    /// Whether the facts the instance has heard imply `◇lit`: a promise
+    /// granted, the one an occurred not-yet denial implies, or the
+    /// occurrence. Read off the key of a factor that mentions `lit`'s
+    /// symbol, as [`GuardMemo::grantable`] reads a promised polarity;
+    /// `false` for a symbol no factor mentions.
+    pub(crate) fn knows_eventually(&self, lit: Literal) -> bool {
+        let (t, sym) = (&*self.tables, lit.symbol());
+        (0..t.factors()).zip(&self.at).any(|(f, &e)| {
+            let syms = t.syms(f);
+            syms.binary_search(&sym).is_ok()
+                && t.entries[e as usize].key.allows(syms, sym) & !eventually_mask(lit.polarity())
+                    == 0
+        })
     }
 
     /// Whether `pol`'s literal may be promised to the requesters of

@@ -464,11 +464,13 @@ impl<'t> InstanceSlot<'t> {
         let mut actor_stats = SymbolMap::with_capacity(symbols.last().map_or(0, |s| s.index() + 1));
         let mut parked = Vec::new();
         let mut broken_promises = Vec::new();
+        let mut standing_holds = Vec::new();
         let mut canon = std::mem::take(&mut self.canon);
         let mut divergence: Vec<(u64, Literal, Literal)> = Vec::new();
         for &s in symbols {
             let a = self.actor(s);
             actor_stats.insert(s, a.stats.clone());
+            standing_holds.extend(a.holds.iter().map(|&h| (s, h)));
             // Divergence audit: every actor's view of the global occurrence
             // order must agree wherever the views overlap.
             for &(seq, lit) in a.facts() {
@@ -516,6 +518,7 @@ impl<'t> InstanceSlot<'t> {
             actor_stats,
             parked,
             broken_promises,
+            standing_holds,
             termination,
             divergence,
             metrics: RunMetrics::default(),

@@ -177,12 +177,100 @@ fn not_yet_agreement_holds_and_releases() {
     // e got the agreement and occurred; f was held during the window.
     assert_eq!(occurred(&net, NodeId(0)), Some(Literal::pos(e)));
     let Node::Actor(fa) = net.node(NodeId(1)) else { unreachable!() };
-    assert!(fa.holds.is_empty(), "hold released after e decided");
+    assert!(fa.holds.is_empty(), "hold ended by e's announcement");
     assert!(fa.stats.holds_granted >= 1);
     // f can still occur afterwards.
     net.inject(NodeId(1), NodeId(1), Msg::Attempt { lit: Literal::pos(f) });
     net.run_to_quiescence(100);
     assert_eq!(occurred(&net, NodeId(1)), Some(Literal::pos(f)));
+}
+
+/// An occurrence ends the holds it asked for through its announcement:
+/// the requester sends no `Release`, the keeper drops the hold when the
+/// announcement arrives and grants nothing to a query it hears after it
+/// (a retransmission the announcement overtook), and a grant that
+/// crosses the requester's occurrence is answered by nothing.
+#[test]
+fn an_occurrence_ends_its_holds_through_its_announcement() {
+    let (e, f) = (SymbolId(0), SymbolId(1));
+    let mut routing = Routing::default();
+    routing.actor_of.insert(e, NodeId(0));
+    routing.actor_of.insert(f, NodeId(1));
+    routing.subscribers_of.insert(e, vec![NodeId(1)]);
+    routing.subscribers_of.insert(f, vec![NodeId(0)]);
+    let routing = Arc::new(routing);
+    let actor = |sym: SymbolId, guard: Guard| {
+        let (pos, neg) = (EventAttrs::controllable(), EventAttrs::immediate());
+        let top = FactoredGuard::top();
+        SymbolActor::new(sym, &guard.into(), &top, pos, neg, vec![], Arc::clone(&routing))
+    };
+    let (mut requester, mut keeper) =
+        (actor(e, Guard::not_yet(Literal::pos(f))), actor(f, Guard::top()));
+    // Each actor's node is its symbol's id.
+    let deliver = |actor: &mut SymbolActor, from: u32, msg: Msg| {
+        let mut out = Vec::new();
+        actor.handle(&mut Ctx::manual(NodeId(actor.sym.0), 10, 7, &mut out), NodeId(from), msg);
+        out
+    };
+    let query = Msg::NotYetQuery { lit: Literal::pos(f), for_lit: Literal::pos(e) };
+    let grant = Msg::NotYetGrant { lit: Literal::pos(f) };
+    assert_eq!(
+        deliver(&mut requester, 0, Msg::Attempt { lit: Literal::pos(e) }),
+        [(NodeId(1), query.clone(), 0)]
+    );
+    assert_eq!(deliver(&mut keeper, 0, query.clone()), [(NodeId(0), grant.clone(), 0)]);
+    assert_eq!(keeper.holds.to_vec(), [Literal::pos(e)]);
+
+    let announce = Msg::Announce { lit: Literal::pos(e), seq: 7 };
+    assert_eq!(deliver(&mut requester, 1, grant.clone()), [(NodeId(1), announce.clone(), 0)]);
+    assert_eq!(requester.occurred.map(|(l, _, _)| l), Some(Literal::pos(e)));
+    assert_eq!(deliver(&mut keeper, 0, announce), []);
+    assert!(keeper.holds.is_empty(), "the announcement ends the hold");
+
+    assert_eq!(deliver(&mut keeper, 0, query), [], "a query its requester's occurrence overtook");
+    assert!(keeper.holds.is_empty());
+    assert_eq!(deliver(&mut requester, 1, grant), [], "a grant that crossed the occurrence");
+}
+
+/// A parked literal asks a promise only of a literal that may grant one
+/// before it occurs, and not of one whose promise it already knows. `e`'s
+/// guard `◇f ∧ (◇g ∧ ¬g)` asks `f` for a promise, `g` for a promise and
+/// a not-yet agreement; `f` cannot grant early, so only `g` is asked.
+/// When `g`'s promise is denied and an occurred not-yet denial then
+/// tells `e` `◇g`, the guard still asks both of `g`, but `e` only
+/// queries again.
+#[test]
+fn a_promise_is_asked_only_where_it_can_come_early() {
+    use temporal::ST_C;
+    let (e, f, g) = (SymbolId(0), SymbolId(1), SymbolId(2));
+    let mut routing = Routing::default();
+    for s in 0..3 {
+        routing.actor_of.insert(SymbolId(s), NodeId(s));
+    }
+    routing.subscribers_of.insert(e, vec![]);
+    routing.early_grant = vec![true; 6];
+    routing.early_grant[Literal::pos(f).index()] = false;
+    let guard = Guard::eventually(Literal::pos(f)).and(&Guard::from_mask(g, ST_C));
+    let mut actor = SymbolActor::new(
+        e,
+        &guard.into(),
+        &FactoredGuard::top(),
+        EventAttrs::controllable(),
+        EventAttrs::immediate(),
+        vec![],
+        Arc::new(routing),
+    );
+    let mut deliver = |from: u32, msg: Msg| {
+        let mut out = Vec::new();
+        actor.handle(&mut Ctx::manual(NodeId(0), 10, 1, &mut out), NodeId(from), msg);
+        out.into_iter().map(|(to, msg, _)| (to, msg)).collect::<Vec<_>>()
+    };
+    let (g_lit, e_lit) = (Literal::pos(g), Literal::pos(e));
+    let promise = (NodeId(2), Msg::PromiseRequest { lit: g_lit, for_lit: e_lit });
+    let query = (NodeId(2), Msg::NotYetQuery { lit: g_lit, for_lit: e_lit });
+    assert_eq!(deliver(0, Msg::Attempt { lit: e_lit }), [promise, query.clone()]);
+    assert_eq!(deliver(2, Msg::PromiseDeny { lit: g_lit }), []);
+    assert_eq!(deliver(2, Msg::NotYetDeny { lit: g_lit, occurred: true }), [query]);
 }
 
 /// Every `NotYetGrant` is used or released by its receiver: a grant

@@ -150,3 +150,62 @@ fn a_fault_free_run_announces_each_occurrence_once_per_subscriber() {
         }
     }
 }
+
+/// Each template driven fault-free on seeds 1–3, recorded: every promise
+/// request goes to a literal that may grant early (the others' answer is
+/// the announcement), no actor sends a `Release` once it has occurred
+/// (its announcement ends its holds), and every hold keeper subscribes
+/// to its holder's symbol (so that announcement reaches it).
+#[test]
+fn a_fault_free_run_asks_nothing_an_announcement_answers() {
+    let mut held = false;
+    for (name, spec) in templates() {
+        let spec = drive(&spec);
+        let routing = build_workflow(&spec, ExecConfig::seeded(0)).routing;
+        let symbol_at = |node: u32| {
+            let mut actors = routing.actor_of.iter();
+            actors.find(|(_, n)| n.0 == node).map(|(s, _)| s).expect("an actor node")
+        };
+        let (mut requests, mut holds) = (0, 0);
+        for seed in 1..=3 {
+            let mut config = ExecConfig::seeded(seed);
+            config.record = Some(RecordConfig::default());
+            let report = run_workflow(&spec, config);
+            let at = format!("{name}, seed {seed}");
+            assert!(report.all_satisfied(), "{at}");
+            let recording = report.recording.as_ref().expect("recorded");
+            assert_eq!(recording.dropped, 0, "{at}: the recording is whole");
+            let mut occurred: BTreeSet<u32> = BTreeSet::new();
+            for e in &recording.events {
+                match &e.kind {
+                    SpanKind::Occurred { .. } => {
+                        occurred.insert(e.node);
+                    }
+                    SpanKind::PromiseOpen { lit, .. } => {
+                        let lit = Literal::from_index(lit.0 as usize);
+                        assert!(routing.may_grant_early(lit), "{at}: asked {lit:?} for a promise");
+                        requests += 1;
+                    }
+                    SpanKind::MsgSend { from, label, .. } if &**label == "release" => {
+                        assert!(
+                            !occurred.contains(from),
+                            "{at}: node {from} released after it occurred"
+                        );
+                    }
+                    SpanKind::MsgSend { from, to, label } if &**label == "notyet_grant" => {
+                        let holder = symbol_at(*to);
+                        assert!(
+                            routing.subscribers_of[holder].contains(&NodeId(*from)),
+                            "{at}: keeper {from} does not subscribe to its holder {holder:?}"
+                        );
+                        holds += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        println!("{name}: {requests} promise requests, {holds} holds granted over seeds 1-3");
+        held |= holds > 0;
+    }
+    assert!(held, "some template holds an event still");
+}

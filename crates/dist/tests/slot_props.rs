@@ -97,7 +97,7 @@ fn the_rendering_compared_is_the_state() {
     slot.execute();
     assert_ne!(format!("{slot:#?}"), before);
     let fields =
-        ["facts_seen", "promises_seen", "unacked", "armed", "log: [", "dep_states", "open_rounds"];
+        ["facts_seen", "holds: ", "unacked", "armed", "log: [", "dep_states", "open_rounds"];
     for field in fields {
         assert!(before.contains(field), "no `{field}` in the rendering");
     }
@@ -106,10 +106,29 @@ fn the_rendering_compared_is_the_state() {
 
 /// The arrivals of one template on one shard: one slot serves them all,
 /// in order.
-fn one_slot_fleet(n: u64, seed: u64) -> (Vec<WorkflowSpec>, Vec<Arrival>) {
-    let specs = vec![example("pipeline10")];
+fn one_slot_fleet(template: WorkflowSpec, n: u64, seed: u64) -> (Vec<WorkflowSpec>, Vec<Arrival>) {
+    let specs = vec![template];
     let arrivals = generate(&specs, &WorkloadConfig::new(n, seed));
     (specs, arrivals)
+}
+
+/// `a` joins three triggerable events on sites of their own. Whether
+/// `a` asks a `bi` for a promise depends on whether the instance's think
+/// times let `bi` occur first, so instances differ in how many messages
+/// they send. (The example specs do not: a fault-free instance of them
+/// sends its attempts and announcements and nothing that a race decides,
+/// the same count whatever the latencies.)
+fn join_on_triggerables() -> WorkflowSpec {
+    let src = "workflow join {
+        event a @ site 0;
+        event b1 { triggerable } @ site 1;
+        event b2 { triggerable } @ site 2;
+        event b3 { triggerable } @ site 3;
+        dep d1: ~a + b1;
+        dep d2: ~a + b2;
+        dep d3: ~a + b3;
+    }";
+    drive(&constrained_events::WorkflowBuilder::from_spec(src).expect("spec parses").build().spec)
 }
 
 /// AFTER A STARVED INSTANCE: with a budget between the instances' needs,
@@ -124,7 +143,7 @@ fn a_slot_is_clean_after_a_budget_exhausted_instance() {
     let mut lossy = TenantConfig::new(hardened(4));
     lossy.plan = Some(FaultPlan::new(0xD20C).drop_rate(0.2));
     let bare = TenantConfig::new(ExecConfig::seeded(4));
-    let (specs, arrivals) = one_slot_fleet(10, 0xB0D6);
+    let (specs, arrivals) = one_slot_fleet(join_on_triggerables(), 10, 0xB0D6);
     for (name, mut config) in [("hardened", lossy), ("bare", bare)] {
         let unbounded = run_tenant(&specs, &arrivals, &config);
         let mut steps: Vec<u64> = unbounded.instances.iter().map(|o| o.report.steps).collect();
@@ -150,7 +169,7 @@ fn a_slot_is_clean_after_a_budget_exhausted_instance() {
 /// it.
 #[test]
 fn a_slot_is_clean_after_a_crash_restart() {
-    let (specs, arrivals) = one_slot_fleet(6, 0xC4A5);
+    let (specs, arrivals) = one_slot_fleet(example("pipeline10"), 6, 0xC4A5);
     let mut config = TenantConfig::new(hardened(5));
     config.plan = Some(FaultPlan::new(0xD20C).drop_rate(0.1).crash(NodeId(0), 40, Some(300)));
     let (failures, fleet) = audit_tenant_isolation(&specs, &arrivals, &config);
@@ -164,7 +183,7 @@ fn a_slot_is_clean_after_a_crash_restart() {
 /// the slot's n-th instance is its solo run's, span for span.
 #[test]
 fn a_slot_records_each_instance_apart() {
-    let (specs, arrivals) = one_slot_fleet(4, 0x4EC0);
+    let (specs, arrivals) = one_slot_fleet(example("pipeline10"), 4, 0x4EC0);
     let mut config = TenantConfig::new(hardened(7));
     config.exec.record = Some(obs::RecordConfig::default());
     let (failures, fleet) = audit_tenant_isolation(&specs, &arrivals, &config);

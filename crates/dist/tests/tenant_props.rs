@@ -192,7 +192,11 @@ fn schedule_digest(fleet: &TenantReport) -> u64 {
 /// fault-free legs kept their schedule digests and re-pinned their
 /// history digests (fewer deliveries renumber the sequence), and the
 /// drop20+crash leg was re-pinned whole, because its fault stream draws
-/// once per message sent.
+/// once per message sent. Then an occurrence began to end its holds
+/// through its announcement and promises began to be asked only of
+/// literals that can grant before they occur: all six digests were
+/// re-pinned, the schedules too, because every remote message not sent
+/// is a latency draw not taken, which moves the later draws.
 #[test]
 fn fleet_histories_are_pinned() {
     let (specs, arrivals) = pinned_fleet();
@@ -205,9 +209,9 @@ fn fleet_histories_are_pinned() {
     let mut faulty = hardened.clone();
     faulty.plan = Some(FaultPlan::new(0xD20C).drop_rate(0.2).crash(NodeId(0), 40, Some(300)));
     for (name, base, faulty, history, schedule) in [
-        ("fault-free", clean, false, 0x9706_F341_4FAE_6CA6u64, 0x9CE5_C64E_4082_D4C1u64),
-        ("hardened fault-free", hardened, false, 0x4266_AB37_A235_D2B7, 0x156D_84E6_740E_2DFD),
-        ("drop20+crash", faulty, true, 0x5C40_A8F9_529D_D6D7, 0x9979_6238_F69C_01FA),
+        ("fault-free", clean, false, 0xE221_A81B_DD6E_3189u64, 0xC0FE_3AAE_CE8E_8D64u64),
+        ("hardened fault-free", hardened, false, 0x516B_0E9E_AB35_3623, 0x3E89_56C5_2DA7_E40B),
+        ("drop20+crash", faulty, true, 0x5792_C4C3_98EB_C354, 0x3258_2A47_F2ED_DA92),
     ] {
         for shards in [1, 2, 4] {
             let mut config = base.clone();

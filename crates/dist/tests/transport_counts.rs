@@ -36,8 +36,8 @@ fn hardened_fault_free(spec: &WorkflowSpec) -> RunReport {
 #[test]
 fn a_fault_free_hardened_run_arms_a_timer_per_sending_handler_at_most() {
     // (spec, net.sent_total, envelopes, transport.timer_fires). With a
-    // timer per envelope the same runs armed 36 and 20.
-    for (name, sent, envelopes, timer_fires) in [("pipeline10", 74, 27, 10), ("travel", 50, 20, 7)]
+    // timer per envelope the same runs armed 18 and 19.
+    for (name, sent, envelopes, timer_fires) in [("pipeline10", 56, 18, 10), ("travel", 48, 19, 7)]
     {
         let report = hardened_fault_free(&example(name));
         let counter = |series: &str| report.metrics.counter(series, &[]).expect(series);

@@ -78,39 +78,49 @@ pub enum Need {
     NotYetAgreement(Literal),
 }
 
-/// The requests that would discharge one conjunct's constraints,
-/// appended to `out` unsorted. A constraint may require several at once:
-/// the `{C}` mask (`◇l ∧ ¬l`) needs a promise *and* a not-yet agreement.
+/// What [`asks`] asks for a constraint of mask `m` on a symbol: a
+/// promise of the symbol's literal of one polarity, and a not-yet
+/// agreement on its literal of one polarity. The `{C}` mask (`◇l ∧ ¬l`)
+/// needs both at once; a mask admitting an occurred state needs neither,
+/// because an announcement discharges it.
+pub fn mask_needs(m: u8) -> (Option<Polarity>, Option<Polarity>) {
+    use Polarity::{Neg, Pos};
+    // Choose the weakest discharging facts for the mask. An exact ¬l
+    // mask uses the paper's not-yet agreement rather than a promise of
+    // the complement: agreement does not constrain the future of l's
+    // symbol.
+    if m == not_yet_mask(Pos) {
+        (None, Some(Pos))
+    } else if m == not_yet_mask(Neg) {
+        (None, Some(Neg))
+    } else if eventually_mask(Pos) & !m == 0 {
+        (Some(Pos), None)
+    } else if eventually_mask(Neg) & !m == 0 {
+        (Some(Neg), None)
+    } else if m == ST_C {
+        // ◇l ∧ ¬l: promised but not yet occurred at this instant.
+        (Some(Pos), Some(Pos))
+    } else if m == ST_D {
+        (Some(Neg), Some(Neg))
+    } else if m == (ST_C | ST_D) {
+        // ¬l ∧ ¬l̄: neither resolved yet at this instant.
+        (None, Some(Pos))
+    } else {
+        (None, None)
+    }
+}
+
+/// The requests that would discharge one conjunct's constraints
+/// ([`mask_needs`] of each), appended to `out` unsorted.
 fn conjunct_asks(c: &Conjunct, out: &mut Vec<Need>) {
     for (s, m) in c.constrained_symbols() {
-        let pos = Literal::pos(s);
-        let neg = Literal::neg(s);
-        // Choose the weakest discharging facts for the mask. An
-        // exact ¬l mask uses the paper's not-yet agreement rather
-        // than a promise of the complement: agreement does not
-        // constrain the future of l's symbol.
-        if m == not_yet_mask(Polarity::Pos) {
-            out.push(Need::NotYetAgreement(pos));
-        } else if m == not_yet_mask(Polarity::Neg) {
-            out.push(Need::NotYetAgreement(neg));
-        } else if eventually_mask(Polarity::Pos) & !m == 0 {
-            out.push(Need::Promise(pos));
-        } else if eventually_mask(Polarity::Neg) & !m == 0 {
-            out.push(Need::Promise(neg));
-        } else if m == ST_C {
-            // ◇l ∧ ¬l: promised but not yet occurred at this
-            // instant.
-            out.push(Need::Promise(pos));
-            out.push(Need::NotYetAgreement(pos));
-        } else if m == ST_D {
-            out.push(Need::Promise(neg));
-            out.push(Need::NotYetAgreement(neg));
-        } else if m == (ST_C | ST_D) {
-            // ¬l ∧ ¬l̄: neither resolved yet at this instant.
-            out.push(Need::NotYetAgreement(pos));
+        let (promise, agreement) = mask_needs(m);
+        if let Some(pol) = promise {
+            out.push(Need::Promise(Literal::new(s, pol)));
         }
-        // Every other mask admits an occurred state: an announcement
-        // discharges it.
+        if let Some(pol) = agreement {
+            out.push(Need::NotYetAgreement(Literal::new(s, pol)));
+        }
     }
 }
 

@@ -86,6 +86,14 @@
 //! tick there), which can only shift *when* an already-inevitable stall
 //! is stamped, never whether it fires — the flagged set is identical
 //! because both feeds perform the same final sweep at quiescence.
+//!
+//! A twelfth audit, [`audit_holds`], runs beside the first in
+//! [`check_run`] and beside the eleventh in
+//! [`audit_monitor_equivalence`]: **no hold outlives its holder's
+//! decision**. At quiescence every not-yet hold an actor keeps must name
+//! a requester whose symbol never occurred; a decided requester's
+//! occurrence ends its holds (or its `Release` does, after a rejection),
+//! and a hold left behind would keep its keeper from ever occurring.
 
 use dist::{
     guard_gated, run_tenant, run_workflow_with_faults, Arrival, ExecConfig, ParallelFleetReport,
@@ -179,6 +187,7 @@ pub fn check_run(
             report.unresolved, report.parked
         ));
     }
+    failures.extend(audit_holds(spec, &report));
     if let Some(rec) = &report.recording {
         failures.extend(obs::causal_audit(rec));
     }
@@ -517,7 +526,26 @@ pub fn audit_monitor_equivalence(
             rec.dropped, rec.sampled_out
         )];
     }
-    audit_monitor_replay(spec, &config, &run, &rec.events)
+    let mut failures = audit_holds(spec, &run);
+    failures.extend(audit_monitor_replay(spec, &config, &run, &rec.events));
+    failures
+}
+
+/// The twelfth audit: every hold standing at quiescence names a
+/// requester that never decided. Returns one failure per hold whose
+/// requester's symbol occurred.
+pub fn audit_holds(spec: &WorkflowSpec, report: &RunReport) -> Vec<String> {
+    let decided = |lit: Literal| report.occurrences.iter().any(|o| o.0.symbol() == lit.symbol());
+    (report.standing_holds.iter())
+        .filter(|&&(_, requester)| decided(requester))
+        .map(|&(keeper, requester)| {
+            format!(
+                "a hold outlived its holder's decision: {} still holds for {}, which decided",
+                spec.table.name(keeper).unwrap_or("?"),
+                spec.table.literal_name(requester),
+            )
+        })
+        .collect()
 }
 
 /// Feed `events` — the recording of `run`, or a mutation of it — to a
@@ -700,6 +728,23 @@ mod tests {
         let run = check_run(&spec, ExecConfig::seeded(7), FaultPlan::new(7), true);
         assert!(run.is_conformant(), "{:?}", run.failures);
         assert_eq!(run.report.trace.len(), 2);
+    }
+
+    /// The hold audit reads the holds standing at quiescence: one for a
+    /// requester that occurred fails it, one for an undecided requester
+    /// does not.
+    #[test]
+    fn a_hold_for_a_decided_requester_fails_the_hold_audit() {
+        let spec = mutual_promise_spec();
+        let mut report = check_run(&spec, ExecConfig::seeded(7), FaultPlan::new(7), true).report;
+        assert!(report.standing_holds.is_empty());
+        let (e, f) = (report.trace.events()[0], report.trace.events()[1]);
+        report.standing_holds.push((e.symbol(), f));
+        let failures = audit_holds(&spec, &report);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("outlived its holder's decision"), "{failures:?}");
+        report.occurrences.retain(|o| o.0 != f);
+        assert_eq!(audit_holds(&spec, &report), Vec::<String>::new());
     }
 
     #[test]

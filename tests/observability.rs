@@ -242,14 +242,34 @@ fn recording_tells_the_d_precedes_story() {
         assert!(matches!(span.kind, SpanKind::Occurred { seq: s, .. } if s == seq), "{lit}");
     }
     assert_eq!(rec.symbols, ["e", "f"], "the recording names the events");
-    // e's guard is ¬f: f holds still for it and is released once e has
-    // occurred and announced. Holds, releases and announcements are the
-    // network's spans for the messages that carry them.
-    for label in ["notyet_grant", "announce", "release"] {
+    // e's guard is ¬f: f holds still for it, and the hold ends with e's
+    // announcement, in whose delivery f occurs; no `release` is sent.
+    // Holds and announcements are the network's spans for the messages
+    // that carry them.
+    for label in ["notyet_grant", "announce"] {
         let delivered =
             |k: &SpanKind| matches!(k, SpanKind::MsgDeliver { label: l, .. } if l == label);
         assert!(rec.events.iter().any(|ev| delivered(&ev.kind)), "no {label} was delivered");
     }
+    let released =
+        |k: &SpanKind| matches!(k, SpanKind::MsgSend { label, .. } if label == "release");
+    assert!(!rec.events.iter().any(|ev| released(&ev.kind)), "a release was sent");
+    let mut cause = rec.events[occurred(f)].parent;
+    let delivery = loop {
+        let span =
+            rec.events.iter().find(|ev| Some(ev.id) == cause).expect("the cause is recorded");
+        if matches!(span.kind, SpanKind::MsgDeliver { .. }) {
+            break span;
+        }
+        cause = span.parent;
+    };
+    let e_node = rec.events[occurred(e)].node;
+    assert!(
+        matches!(&delivery.kind, SpanKind::MsgDeliver { from, label, .. }
+            if label == "announce" && *from == e_node),
+        "f occurs in the delivery of e's announcement, not in {:?}",
+        delivery.kind
+    );
 
     // Recording is opt-in: no recorder, no log.
     let quiet = constrained_events::run_workflow(&spec, ExecConfig::seeded(5));
