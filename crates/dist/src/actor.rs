@@ -19,9 +19,13 @@
 //!   `¬f` guards, with symbol-id priority for deadlock freedom. A promise
 //!   is asked only of a literal that can grant it before it occurs
 //!   ([`Routing::early_grant`]); of any other the answer is the
-//!   announcement the requester hears anyway. A promise round stays open
-//!   until it is granted, denied or answered by that announcement (no
-//!   timeout: a lost message is the transport's to resend). A hold ends
+//!   announcement the requester hears anyway. Once the symbol is decided,
+//!   its announcement is the only answer to any request about it; a
+//!   denial comes only from an undecided symbol (a dead literal's promise,
+//!   or a not-yet query the symbol-priority rule refuses). A promise round
+//!   stays open until it is granted, denied or answered by the
+//!   announcement of either literal (no timeout: a lost message is the
+//!   transport's to resend). A hold ends
 //!   at its requester's decision: an occurrence's announcement ends it
 //!   at the keeper, which subscribes to the requester and grants nothing
 //!   to a query the announcement overtook, and a `Release` is sent only
@@ -162,9 +166,9 @@ fn weakened_masks(c: &Conjunct, mut each: impl FnMut(SymbolId, u8)) {
 ///   constraint it admits and coverage does not is a not-yet-style mask
 ///   (one [`mask_needs`] answers with an agreement), or an occurrence of
 ///   a symbol known or assumed promised: by the party — a requester of
-///   `f` whose symbol `f`'s guard reads — by a not-yet denial of an
-///   agreement the actor asked for, or by a grant of a literal the actor
-///   asked a promise of, which must itself be one that grants early.
+///   `f` whose symbol `f`'s guard reads — or by a grant of a literal the
+///   actor asked a promise of, which must itself be one that grants
+///   early.
 ///
 /// Each guard is read as the masks it may hold on each symbol
 /// ([`reachable`]). A guard reads only symbols its actor subscribes to,
@@ -213,13 +217,10 @@ pub(crate) fn early_grants(
     for &(a, s, sets) in &cells {
         for (t, set) in [Literal::pos(a), Literal::neg(a)].into_iter().zip(sets) {
             if set & agreement != 0 {
-                // `s` may be held; `t` may meet a not-yet-style mask; a
-                // denial may tell the actor `◇` of either literal of `s`,
-                // which the actor's other guard may read.
+                // `s` may be held; `t` may meet a not-yet-style mask.
                 early[Literal::pos(s).index()] = true;
                 early[Literal::neg(s).index()] = true;
                 early[t.index()] = true;
-                early[t.complement().index()] |= sets[t.complement().polarity() as usize] != 0;
             }
         }
     }
@@ -519,7 +520,7 @@ impl SymbolActor {
             Msg::PromiseDeny { lit } => self.on_promise_deny(lit),
             Msg::NotYetQuery { lit, for_lit } => self.on_notyet_query(ctx, lit, for_lit),
             Msg::NotYetGrant { lit } => self.on_notyet_grant(ctx, lit),
-            Msg::NotYetDeny { lit, occurred } => self.on_notyet_deny(ctx, lit, occurred),
+            Msg::NotYetDeny { lit } => self.on_notyet_deny(lit),
             Msg::Release { .. } => self.on_release(ctx, from),
             Msg::Tick => self.on_tick(ctx),
             other => panic!("actor for {:?} received non-actor message {other:?}", self.sym),
@@ -560,11 +561,19 @@ impl SymbolActor {
         if let Some(m) = &self.mon {
             m.on_fact_applied(ctx.now(), self.obs.node, olit(lit), seq);
         }
-        // The requester decided: its holds end with its announcement (it
-        // sends no `Release` after it occurs).
-        self.holds.retain(|h| h.symbol() != lit.symbol());
+        // The announcement ends every exchange about its symbol: the
+        // holds kept for it (it sends no `Release` after it occurs), the
+        // queries and holds asked of it, and the promises asked of either
+        // literal (no other answer to them will come).
+        let sym = lit.symbol();
+        self.holds.retain(|h| h.symbol() != sym);
+        for st in [&mut self.pos, &mut self.neg] {
+            st.notyet_granted.remove(&sym);
+            st.notyet_pending.remove(&sym);
+            st.requested_promises.retain(|l| l.symbol() != sym);
+        }
         self.apply_facts(seq, lit, ctx.now());
-        self.after_fact(ctx, Some(lit));
+        self.after_fact(ctx);
     }
 
     /// Whether this actor has heard an occurrence of `sym`.
@@ -584,7 +593,7 @@ impl SymbolActor {
         for l in [Literal::pos(self.sym), Literal::neg(self.sym)] {
             self.lit_state(l).requested_promises.remove(&lit);
         }
-        self.after_fact(ctx, None);
+        self.after_fact(ctx);
     }
 
     fn on_promise_deny(&mut self, lit: Literal) {
@@ -633,23 +642,15 @@ impl SymbolActor {
     fn on_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let was_lazy = self.lazy;
         self.lazy = false;
-        self.after_fact(ctx, None);
+        self.after_fact(ctx);
         self.lazy = was_lazy;
     }
 
     /// After any new information: re-evaluate parked attempts, check
-    /// triggering, and invalidate stale not-yet grants. In lazy mode the
+    /// triggering and service held promise requests. In lazy mode the
     /// re-evaluation is deferred to the next tick; facts were already
     /// folded into the guards by the caller.
-    fn after_fact(&mut self, ctx: &mut Ctx<'_, Msg>, announced: Option<Literal>) {
-        // A not-yet grant we received becomes moot once that symbol
-        // resolves — drop it (the constraint is now decided by the fact).
-        if let Some(l) = announced {
-            for st in [&mut self.pos, &mut self.neg] {
-                st.notyet_granted.remove(&l.symbol());
-                st.notyet_pending.remove(&l.symbol());
-            }
-        }
+    fn after_fact(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if self.lazy {
             return;
         }
@@ -744,15 +745,6 @@ impl SymbolActor {
         self.obs.rec(now, SpanKind::GuardEval { lit: olit(lit), verdict, residual, facts })
     }
 
-    /// Record a promise denial span and step the fused monitor (which
-    /// closes the requester's open promise round).
-    fn rec_promise_deny(&self, now: Time, lit: Literal, requester: NodeId) {
-        self.obs.rec(now, SpanKind::PromiseDeny { lit: olit(lit), to: requester.0 });
-        if let Some(m) = &self.mon {
-            m.on_promise_deny(now, requester.0, olit(lit));
-        }
-    }
-
     /// Decide an attempted literal: occur, reject, or park and pursue the
     /// outstanding needs (promises / not-yet agreements).
     fn evaluate(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal) {
@@ -814,13 +806,12 @@ impl SymbolActor {
         {
             let st = self.lit_state_ref(lit);
             let wanted = |need: &&Need| match need {
-                // Skip promises already in flight, promises already known
-                // — granted, or implied by an occurred not-yet denial: a
-                // constraint that survives a known promise (e.g. the {D}
-                // mask ◇l̄∧¬l̄) needs an agreement or an occurrence, not
-                // the same promise again — and promises nobody can grant
-                // before the event occurs, whose answer is the
-                // announcement this actor hears anyway.
+                // Skip promises already in flight, promises already
+                // granted — a constraint that survives a known promise
+                // (e.g. the {D} mask ◇l̄∧¬l̄) needs an agreement or an
+                // occurrence, not the same promise again — and promises
+                // nobody can grant before the event occurs, whose answer
+                // is the announcement this actor hears anyway.
                 Need::Promise(f) => {
                     !st.requested_promises.contains(f)
                         && !self.memo.knows_eventually(*f)
@@ -1000,46 +991,52 @@ impl SymbolActor {
         }
     }
 
-    /// A request about our decided symbol is answered by the occurrence's
+    /// Whether our symbol is decided, in which case the occurrence's
     /// announcement, which [`SymbolActor::announce`] sent once to every
-    /// subscriber and which is ahead of any answer on the requester's
-    /// link: a requester asks only about symbols its guard mentions, and
-    /// the routing subscribes it to exactly those.
-    fn answered_by_announcement(&self, requester: NodeId) {
+    /// subscriber, is the only answer to `requester`'s request about it,
+    /// whichever literal it asks about: a requester asks only about
+    /// symbols its guard mentions, and the routing subscribes it to
+    /// exactly those.
+    fn answered_by_announcement(&self, requester: NodeId) -> bool {
+        let subscribers = self.routing.subscribers_of.get(&self.sym);
         debug_assert!(
-            self.routing.subscribers_of.get(&self.sym).is_some_and(|s| s.contains(&requester)),
+            self.occurred.is_none() || subscribers.is_some_and(|s| s.contains(&requester)),
             "node {} asked about {:?} without subscribing to it",
             requester.0,
             self.sym
         );
+        self.occurred.is_some()
     }
 
     // ----- promise protocol (Example 11) -----
 
     fn on_promise_request(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, for_lit: Literal) {
+        if !self.answer_promise(ctx, lit, for_lit) {
+            // Undecidable yet (e.g. the event's own attempt is still in
+            // flight): hold the request and re-examine as our state
+            // advances.
+            self.pending_requests.insert((lit, for_lit));
+        }
+    }
+
+    /// Answer `for_lit`'s request for `◇lit`, or return `false` to leave
+    /// it open: a decided symbol answers by its announcement, a dead
+    /// literal by a denial, and a grantable one by a grant.
+    fn answer_promise(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, for_lit: Literal) -> bool {
         let requester = self.routing.actor_of[&for_lit.symbol()];
-        if let Some((occ, _, _)) = self.occurred {
-            if occ == lit {
-                // Already occurred: the announcement is the strongest
-                // promise, and it is already on its way.
-                self.answered_by_announcement(requester);
-            } else {
-                self.rec_promise_deny(ctx.now(), lit, requester);
-                ctx.send(requester, Msg::PromiseDeny { lit });
+        if self.answered_by_announcement(requester) {
+            true
+        } else if self.lit_state_ref(lit).dead {
+            // The fused monitor closes the requester's round here.
+            self.obs.rec(ctx.now(), SpanKind::PromiseDeny { lit: olit(lit), to: requester.0 });
+            if let Some(m) = &self.mon {
+                m.on_promise_deny(ctx.now(), requester.0, olit(lit));
             }
-            return;
-        }
-        if self.lit_state_ref(lit).dead {
-            self.rec_promise_deny(ctx.now(), lit, requester);
             ctx.send(requester, Msg::PromiseDeny { lit });
-            return;
+            true
+        } else {
+            self.try_grant(ctx, lit, for_lit)
         }
-        if self.try_grant(ctx, lit, for_lit) {
-            return;
-        }
-        // Undecidable yet (e.g. the event's own attempt is still in
-        // flight): hold the request and re-examine as our state advances.
-        self.pending_requests.insert((lit, for_lit));
     }
 
     /// Grant `◇lit` to `for_lit`'s actor if we can guarantee the event:
@@ -1081,8 +1078,9 @@ impl SymbolActor {
         granted
     }
 
-    /// Re-examine held promise requests after any state change; grant the
-    /// now-grantable, deny those that became impossible, keep the rest.
+    /// Re-examine held promise requests after any state change: drop
+    /// those our announcement answers, deny those that became impossible,
+    /// grant the now-grantable, keep the rest.
     fn service_pending_requests(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // A snapshot: a grant answers its whole party, and the loop still
         // visits the requests it took out from under it.
@@ -1092,21 +1090,7 @@ impl SymbolActor {
         let mut held = std::mem::take(&mut self.held);
         held.extend_from_slice(&self.pending_requests);
         for (lit, for_lit) in held.drain(..) {
-            if let Some((occ, _, _)) = self.occurred {
-                let requester = self.routing.actor_of[&for_lit.symbol()];
-                if occ == lit {
-                    self.answered_by_announcement(requester);
-                } else {
-                    self.rec_promise_deny(ctx.now(), lit, requester);
-                    ctx.send(requester, Msg::PromiseDeny { lit });
-                }
-                self.pending_requests.remove(&(lit, for_lit));
-            } else if self.lit_state_ref(lit).dead {
-                let requester = self.routing.actor_of[&for_lit.symbol()];
-                self.rec_promise_deny(ctx.now(), lit, requester);
-                ctx.send(requester, Msg::PromiseDeny { lit });
-                self.pending_requests.remove(&(lit, for_lit));
-            } else if self.try_grant(ctx, lit, for_lit) {
+            if self.answer_promise(ctx, lit, for_lit) {
                 self.pending_requests.remove(&(lit, for_lit));
             }
         }
@@ -1123,14 +1107,7 @@ impl SymbolActor {
             return;
         }
         let requester = self.routing.actor_of[&for_lit.symbol()];
-        if let Some((occ, _, _)) = self.occurred {
-            if occ == lit {
-                ctx.send(requester, Msg::NotYetDeny { lit, occurred: true });
-            } else {
-                // The complement occurred: ¬lit holds forever, and the
-                // announcement carries that fact.
-                self.answered_by_announcement(requester);
-            }
+        if self.answered_by_announcement(requester) {
             return;
         }
         // Priority: when the two events have not-yet needs *on each
@@ -1143,7 +1120,7 @@ impl SymbolActor {
         let competing = self.pos.notyet_pending.contains(&for_lit.symbol())
             || self.neg.notyet_pending.contains(&for_lit.symbol());
         if competing && self.sym < for_lit.symbol() {
-            ctx.send(requester, Msg::NotYetDeny { lit, occurred: false });
+            ctx.send(requester, Msg::NotYetDeny { lit });
             return;
         }
         self.holds.insert(for_lit);
@@ -1176,23 +1153,15 @@ impl SymbolActor {
                 st.notyet_granted.insert(sym);
             }
         }
-        self.after_fact(ctx, None);
+        self.after_fact(ctx);
     }
 
-    fn on_notyet_deny(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, occurred: bool) {
+    /// The keeper's symbol precedes ours and wants a hold from us too: we
+    /// yield, and ask again on the next fact.
+    fn on_notyet_deny(&mut self, lit: Literal) {
         for l in [Literal::pos(self.sym), Literal::neg(self.sym)] {
             self.lit_state(l).notyet_pending.remove(&lit.symbol());
         }
-        if occurred {
-            // The event occurred, but we have no position in the global
-            // occurrence order for it: the residuals cannot take it until
-            // the announcement, still in flight, brings its sequence.
-            // Apply only its consequence ◇lit to the guards; the
-            // announcement folds in □lit.
-            self.reduce_guards(Fact::Promised(lit));
-            self.after_fact(ctx, Some(lit));
-        }
-        // Otherwise: we yielded; retry on the next fact arrival.
     }
 
     // ----- crash recovery -----
@@ -1228,7 +1197,7 @@ impl SymbolActor {
             st.requested_promises.clear();
             st.notyet_pending.clear();
         }
-        self.after_fact(ctx, None);
+        self.after_fact(ctx);
     }
 
     fn on_release(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId) {
@@ -1236,7 +1205,7 @@ impl SymbolActor {
         let routing = &self.routing;
         self.holds.retain(|h| routing.actor_of.get(&h.symbol()) != Some(&from));
         if self.holds.is_empty() {
-            self.after_fact(ctx, None);
+            self.after_fact(ctx);
         }
     }
 }

@@ -364,8 +364,7 @@ impl GuardMemo {
     }
 
     /// Whether the facts the instance has heard imply `◇lit`: a promise
-    /// granted, the one an occurred not-yet denial implies, or the
-    /// occurrence. Read off the key of a factor that mentions `lit`'s
+    /// granted, or the occurrence. Read off the key of a factor that mentions `lit`'s
     /// symbol, as [`GuardMemo::grantable`] reads a promised polarity;
     /// `false` for a symbol no factor mentions.
     pub(crate) fn knows_eventually(&self, lit: Literal) -> bool {

@@ -119,14 +119,14 @@ pub enum Msg {
         /// The queried event.
         lit: Literal,
     },
-    /// The query cannot be granted now (the event occurred, or priority
-    /// says the requester must yield). The requester re-queries when new
-    /// facts arrive.
+    /// The query is refused by symbol priority: the queried event's
+    /// actor is itself waiting for a hold from the requester, and its
+    /// symbol precedes the requester's. The requester re-queries when new
+    /// facts arrive. (A decided event answers a query by its announcement
+    /// alone.)
     NotYetDeny {
         /// The queried event.
         lit: Literal,
-        /// `true` if the denial is because the event already occurred.
-        occurred: bool,
     },
     /// The requester of a hold has decided (occurred, died, or gave up):
     /// the held event may proceed.
@@ -211,7 +211,7 @@ impl Msg {
             | Msg::PromiseDeny { lit }
             | Msg::NotYetQuery { lit, .. }
             | Msg::NotYetGrant { lit }
-            | Msg::NotYetDeny { lit, .. }
+            | Msg::NotYetDeny { lit }
             | Msg::Release { lit } => Some(*lit),
         }
     }
@@ -237,7 +237,7 @@ mod tests {
             Msg::PromiseDeny { lit: l },
             Msg::NotYetQuery { lit: l, for_lit: l.complement() },
             Msg::NotYetGrant { lit: l },
-            Msg::NotYetDeny { lit: l, occurred: false },
+            Msg::NotYetDeny { lit: l },
             Msg::Release { lit: l },
             Msg::Seq { seq: 9, inner: Box::new(Msg::Announce { lit: l, seq: 1 }) },
         ];

@@ -233,12 +233,12 @@ fn an_occurrence_ends_its_holds_through_its_announcement() {
 }
 
 /// A parked literal asks a promise only of a literal that may grant one
-/// before it occurs, and not of one whose promise it already knows. `e`'s
-/// guard `◇f ∧ (◇g ∧ ¬g)` asks `f` for a promise, `g` for a promise and
-/// a not-yet agreement; `f` cannot grant early, so only `g` is asked.
-/// When `g`'s promise is denied and an occurred not-yet denial then
-/// tells `e` `◇g`, the guard still asks both of `g`, but `e` only
-/// queries again.
+/// before it occurs, and a decided symbol answers it by its announcement
+/// alone. `e`'s guard `◇f ∧ (◇g ∧ ¬g)` asks `f` for a promise, `g` for a
+/// promise and a not-yet agreement; `f` cannot grant early, so only `g`
+/// is asked. `g` has already occurred: it answers neither request, so
+/// `e` asks nothing more, and `□g`, when it arrives, decides `e`'s guard
+/// and ends both exchanges.
 #[test]
 fn a_promise_is_asked_only_where_it_can_come_early() {
     use temporal::ST_C;
@@ -248,29 +248,47 @@ fn a_promise_is_asked_only_where_it_can_come_early() {
         routing.actor_of.insert(SymbolId(s), NodeId(s));
     }
     routing.subscribers_of.insert(e, vec![]);
+    routing.subscribers_of.insert(g, vec![NodeId(0)]);
     routing.early_grant = vec![true; 6];
     routing.early_grant[Literal::pos(f).index()] = false;
+    let routing = Arc::new(routing);
     let guard = Guard::eventually(Literal::pos(f)).and(&Guard::from_mask(g, ST_C));
-    let mut actor = SymbolActor::new(
-        e,
-        &guard.into(),
-        &FactoredGuard::top(),
-        EventAttrs::controllable(),
-        EventAttrs::immediate(),
-        vec![],
-        Arc::new(routing),
-    );
-    let mut deliver = |from: u32, msg: Msg| {
+    let actor = |sym: SymbolId, guard: Guard| {
+        let (pos, neg) = (EventAttrs::controllable(), EventAttrs::immediate());
+        let top = FactoredGuard::top();
+        SymbolActor::new(sym, &guard.into(), &top, pos, neg, vec![], Arc::clone(&routing))
+    };
+    let (mut requester, mut keeper) = (actor(e, guard), actor(g, Guard::top()));
+    // Each actor's node is its symbol's id.
+    let deliver = |actor: &mut SymbolActor, from: u32, msg: Msg| {
         let mut out = Vec::new();
-        actor.handle(&mut Ctx::manual(NodeId(0), 10, 1, &mut out), NodeId(from), msg);
+        actor.handle(&mut Ctx::manual(NodeId(actor.sym.0), 10, 1, &mut out), NodeId(from), msg);
         out.into_iter().map(|(to, msg, _)| (to, msg)).collect::<Vec<_>>()
     };
     let (g_lit, e_lit) = (Literal::pos(g), Literal::pos(e));
-    let promise = (NodeId(2), Msg::PromiseRequest { lit: g_lit, for_lit: e_lit });
-    let query = (NodeId(2), Msg::NotYetQuery { lit: g_lit, for_lit: e_lit });
-    assert_eq!(deliver(0, Msg::Attempt { lit: e_lit }), [promise, query.clone()]);
-    assert_eq!(deliver(2, Msg::PromiseDeny { lit: g_lit }), []);
-    assert_eq!(deliver(2, Msg::NotYetDeny { lit: g_lit, occurred: true }), [query]);
+    let announce = Msg::Announce { lit: g_lit, seq: 1 };
+    let occurs = deliver(&mut keeper, 2, Msg::Attempt { lit: g_lit });
+    assert_eq!(occurs, [(NodeId(0), announce.clone())]);
+
+    let promise = Msg::PromiseRequest { lit: g_lit, for_lit: e_lit };
+    let query = Msg::NotYetQuery { lit: g_lit, for_lit: e_lit };
+    let asked = deliver(&mut requester, 0, Msg::Attempt { lit: e_lit });
+    assert_eq!(asked, [(NodeId(2), promise), (NodeId(2), query)]);
+    // Whatever the decided keeper answers reaches the requester before
+    // the announcement does: nothing, so nothing is asked again.
+    let mut answers = Vec::new();
+    for (_, msg) in asked {
+        answers.extend(deliver(&mut keeper, 0, msg));
+    }
+    assert_eq!(answers, [], "a decided keeper answers by its announcement");
+    let asked_again: Vec<_> =
+        answers.into_iter().flat_map(|(_, msg)| deliver(&mut requester, 2, msg)).collect();
+    assert_eq!(asked_again, []);
+
+    assert_eq!(deliver(&mut requester, 2, announce), []);
+    assert_eq!(requester.occurred.map(|(l, _, _)| l), Some(e_lit.complement()), "□g kills ◇g∧¬g");
+    assert!(requester.pos.requested_promises.is_empty(), "the announcement ends the round");
+    assert!(requester.pos.notyet_pending.is_empty(), "and the query");
 }
 
 /// Every `NotYetGrant` is used or released by its receiver: a grant
@@ -323,13 +341,15 @@ fn a_not_yet_grant_is_used_or_released() {
     assert_eq!(actor.occurred, None);
 }
 
-/// An occurred not-yet denial tells the requester `◇f`, and its guard
-/// is decided on that at once. `e`'s guard `{f:A} + {f:C, z:ABC} +
-/// {z:ABD}` holds on every state `◇f` leaves (f in A or C, z anything)
-/// though no single conjunct does; `e` does not subscribe to `f`, so no
-/// announcement will come to wake it.
+/// A query and a promise request put to a decided symbol are answered
+/// by its announcement, which decides the requester's guard at once.
+/// `e`'s guard `{f:A} + {f:C, z:ABC} + {z:ABD}` asks `f` for a promise
+/// and a not-yet agreement (and `z` for promises of either literal);
+/// `f` has occurred, so its actor sends nothing
+/// more, and `□f`, which reaches `e` as a subscriber of `f`, lets `e`
+/// occur and ends both exchanges.
 #[test]
-fn an_occurred_not_yet_denial_decides_the_guard() {
+fn the_announcement_decides_the_guard() {
     use temporal::{ST_A, ST_B, ST_C, ST_D};
     let (e, f, z) = (SymbolId(0), SymbolId(1), SymbolId(2));
     let mut routing = Routing::default();
@@ -337,6 +357,7 @@ fn an_occurred_not_yet_denial_decides_the_guard() {
         routing.actor_of.insert(SymbolId(s), NodeId(s));
     }
     routing.subscribers_of.insert(e, vec![]);
+    routing.subscribers_of.insert(f, vec![NodeId(0)]);
     let guard = Guard::from_mask(f, ST_A)
         .or(&Guard::from_mask(f, ST_C).and(&Guard::from_mask(z, ST_A | ST_B | ST_C)))
         .or(&Guard::from_mask(z, ST_A | ST_B | ST_D));
@@ -352,10 +373,68 @@ fn an_occurred_not_yet_denial_decides_the_guard() {
     let mut deliver = |from: u32, msg: Msg| {
         let mut out = Vec::new();
         actor.handle(&mut Ctx::manual(NodeId(0), 10, 1, &mut out), NodeId(from), msg);
+        out.into_iter().map(|(to, msg, _)| (to, msg)).collect::<Vec<_>>()
     };
-    deliver(0, Msg::Attempt { lit: Literal::pos(e) });
-    deliver(1, Msg::NotYetDeny { lit: Literal::pos(f), occurred: true });
-    assert_eq!(actor.occurred.map(|(l, _, _)| l), Some(Literal::pos(e)));
+    let (e_lit, f_lit) = (Literal::pos(e), Literal::pos(f));
+    let asked = deliver(0, Msg::Attempt { lit: e_lit });
+    let promise = Msg::PromiseRequest { lit: f_lit, for_lit: e_lit };
+    let query = Msg::NotYetQuery { lit: f_lit, for_lit: e_lit };
+    assert_eq!(asked[..2], [(NodeId(1), promise), (NodeId(1), query)], "e parks and asks");
+    assert_eq!(deliver(1, Msg::Announce { lit: f_lit, seq: 3 }), []);
+    assert_eq!(actor.occurred.map(|(l, _, _)| l), Some(e_lit));
+    assert!(!actor.pos.requested_promises.iter().any(|l| l.symbol() == f));
+    assert!(actor.pos.notyet_pending.is_empty());
+}
+
+/// The symbol-priority yield, the one not-yet denial: `a` and `b` each
+/// ask a not-yet agreement of the other. The smaller symbol `a` denies
+/// `b`'s query, the larger `b` holds still for `a`'s, and the denied `b`
+/// asks again only when its next fact arrives.
+#[test]
+fn the_smaller_symbol_denies_and_the_larger_holds() {
+    let (a, b, c) = (SymbolId(0), SymbolId(1), SymbolId(2));
+    let mut routing = Routing::default();
+    for s in 0..3 {
+        routing.actor_of.insert(SymbolId(s), NodeId(s));
+    }
+    routing.subscribers_of.insert(a, vec![NodeId(1)]);
+    routing.subscribers_of.insert(b, vec![NodeId(0)]);
+    routing.subscribers_of.insert(c, vec![NodeId(1)]);
+    let routing = Arc::new(routing);
+    let actor = |sym: SymbolId, guard: Guard| {
+        let (pos, neg) = (EventAttrs::controllable(), EventAttrs::immediate());
+        let top = FactoredGuard::top();
+        SymbolActor::new(sym, &guard.into(), &top, pos, neg, vec![], Arc::clone(&routing))
+    };
+    let (a_lit, b_lit, c_lit) = (Literal::pos(a), Literal::pos(b), Literal::pos(c));
+    // `b` also waits for `c` to be decided, either way: a fact that
+    // leaves its agreement on `a` still wanted.
+    let decided = Guard::occurred(c_lit).or(&Guard::occurred(c_lit.complement()));
+    let (mut first, mut second) =
+        (actor(a, Guard::not_yet(b_lit)), actor(b, Guard::not_yet(a_lit).and(&decided)));
+    let deliver = |actor: &mut SymbolActor, from: u32, msg: Msg| {
+        let mut out = Vec::new();
+        actor.handle(&mut Ctx::manual(NodeId(actor.sym.0), 10, 1, &mut out), NodeId(from), msg);
+        out.into_iter().map(|(to, msg, _)| (to, msg)).collect::<Vec<_>>()
+    };
+    let a_asks = Msg::NotYetQuery { lit: b_lit, for_lit: a_lit };
+    let b_asks = Msg::NotYetQuery { lit: a_lit, for_lit: b_lit };
+    assert_eq!(deliver(&mut first, 0, Msg::Attempt { lit: a_lit }), [(NodeId(1), a_asks.clone())]);
+    assert_eq!(deliver(&mut second, 1, Msg::Attempt { lit: b_lit }), [(NodeId(0), b_asks.clone())]);
+
+    let deny = Msg::NotYetDeny { lit: a_lit };
+    assert_eq!(deliver(&mut first, 1, b_asks.clone()), [(NodeId(1), deny.clone())]);
+    assert!(first.holds.is_empty(), "the smaller symbol does not hold still");
+    let grant = Msg::NotYetGrant { lit: b_lit };
+    assert_eq!(deliver(&mut second, 0, a_asks), [(NodeId(0), grant)]);
+    assert_eq!(second.holds.to_vec(), [a_lit], "the larger symbol holds still");
+
+    assert_eq!(deliver(&mut second, 0, deny), [], "the denied actor yields");
+    assert!(second.pos.notyet_pending.is_empty());
+    let fact = Msg::Announce { lit: c_lit, seq: 5 };
+    let again = deliver(&mut second, 2, fact);
+    assert_eq!(again, [(NodeId(0), b_asks)], "and asks again on its next fact");
+    assert_eq!(second.occurred, None);
 }
 
 #[test]
@@ -500,7 +579,7 @@ fn two_orders_of_one_fact_set_reach_one_guard() {
 
 /// MEMO TRANSPARENCY: an actor's guard table is a cache of pure
 /// functions. Random fact and promise sequences — announcements in and
-/// out of sequence order, promises, occurred not-yet denials, the
+/// out of sequence order, promises, priority not-yet denials, the
 /// actor's own attempt, promise requests against it — drive one actor
 /// that has served every earlier case (reset in between, table warm) and
 /// one built for the case (table cold). After every message both hold
@@ -576,7 +655,7 @@ fn a_warm_guard_table_changes_nothing() {
             }
             match g.range(0..4u32) {
                 0 => msgs.push(Msg::PromiseGrant { lit }),
-                1 => msgs.push(Msg::NotYetDeny { lit, occurred: true }),
+                1 => msgs.push(Msg::NotYetDeny { lit }),
                 2 => msgs.push(Msg::PromiseRequest { lit: pos(0), for_lit: lit }),
                 _ => {}
             }

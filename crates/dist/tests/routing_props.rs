@@ -9,15 +9,21 @@
 //! The actor relies on it: a promise request or not-yet query about a
 //! decided symbol is answered by that symbol's announcement alone, which
 //! reaches every subscriber once. So every symbol a guard reads
-//! subscribes the guard's actor, and a fault-free run sends each
-//! occurrence's announcement exactly once to each subscriber.
+//! subscribes the guard's actor, a fault-free run sends each
+//! occurrence's announcement exactly once to each subscriber, and no
+//! actor sends a denial once it has occurred — fault-free or hardened
+//! under the standard fault plans.
 
 use constrained_events::{models, Workflow, WorkflowBuilder};
-use dist::{build_workflow, run_workflow, ExecConfig, WorkflowSpec};
+use dist::{
+    build_workflow, run_workflow, run_workflow_with_faults, ExecConfig, ReliableConfig,
+    WorkflowSpec,
+};
 use event_algebra::{Literal, SymbolId};
-use obs::{RecordConfig, SpanKind};
+use obs::{RecordConfig, Recording, SpanKind};
 use sim::NodeId;
 use std::collections::BTreeSet;
+use testkit::conformance::standard_plans;
 use testkit::workload::drive;
 use testkit::{check, free_event_spec, Exprs};
 
@@ -154,7 +160,8 @@ fn a_fault_free_run_announces_each_occurrence_once_per_subscriber() {
 /// Each template driven fault-free on seeds 1–3, recorded: every promise
 /// request goes to a literal that may grant early (the others' answer is
 /// the announcement), no actor sends a `Release` once it has occurred
-/// (its announcement ends its holds), and every hold keeper subscribes
+/// (its announcement ends its holds) nor a denial (its announcement
+/// answers every request about it), and every hold keeper subscribes
 /// to its holder's symbol (so that announcement reaches it).
 #[test]
 fn a_fault_free_run_asks_nothing_an_announcement_answers() {
@@ -186,10 +193,12 @@ fn a_fault_free_run_asks_nothing_an_announcement_answers() {
                         assert!(routing.may_grant_early(lit), "{at}: asked {lit:?} for a promise");
                         requests += 1;
                     }
-                    SpanKind::MsgSend { from, label, .. } if &**label == "release" => {
+                    SpanKind::MsgSend { from, label, .. }
+                        if matches!(&**label, "release" | "promise_deny" | "notyet_deny") =>
+                    {
                         assert!(
                             !occurred.contains(from),
-                            "{at}: node {from} released after it occurred"
+                            "{at}: node {from} sent {label} after it occurred"
                         );
                     }
                     SpanKind::MsgSend { from, to, label } if &**label == "notyet_grant" => {
@@ -208,4 +217,59 @@ fn a_fault_free_run_asks_nothing_an_announcement_answers() {
         held |= holds > 0;
     }
     assert!(held, "some template holds an event still");
+}
+
+/// The `promise_deny` and `notyet_deny` messages in `recording` that a
+/// node sent after its own occurrence, as `(node, label)`. A copy the
+/// transport's retransmission timer resends is not counted: it repeats
+/// what the actor sent earlier.
+fn denials_after_occurrence(recording: &Recording) -> Vec<(u32, String)> {
+    let (mut occurred, mut timer_deliveries) = (BTreeSet::new(), BTreeSet::new());
+    let mut late = Vec::new();
+    for e in &recording.events {
+        match &e.kind {
+            SpanKind::Occurred { .. } => {
+                occurred.insert(e.node);
+            }
+            SpanKind::MsgDeliver { label, .. } if &**label == "retry_timer" => {
+                timer_deliveries.insert(e.id);
+            }
+            SpanKind::MsgSend { from, label, .. }
+                if matches!(&**label, "promise_deny" | "notyet_deny")
+                    && occurred.contains(from)
+                    && !e.parent.is_some_and(|p| timer_deliveries.contains(&p)) =>
+            {
+                late.push((*from, label.to_string()));
+            }
+            _ => {}
+        }
+    }
+    late
+}
+
+/// Each template hardened under every standard fault plan on seeds
+/// 1–10, recorded: no actor sends a denial once it has occurred, through
+/// losses, duplicates, reordering, partitions and a crash (the requester
+/// waits for the announcement, which the transport delivers).
+#[test]
+fn a_hardened_run_sends_no_denial_after_an_occurrence() {
+    let mut runs = 0;
+    for (name, spec) in templates() {
+        let spec = drive(&spec);
+        for seed in 1..=10 {
+            let mut config = ExecConfig::seeded(seed);
+            config.max_steps = 200_000;
+            config.reliable = Some(ReliableConfig::default());
+            config.record = Some(RecordConfig::default());
+            for (plan_name, plan) in standard_plans(seed ^ 0x5EED) {
+                let report = run_workflow_with_faults(&spec, config.clone(), plan);
+                let at = format!("{name}/{plan_name}, seed {seed}");
+                let recording = report.recording.as_ref().expect("recorded");
+                assert_eq!(recording.dropped, 0, "{at}: the recording is whole");
+                assert_eq!(denials_after_occurrence(recording), [], "{at}");
+                runs += 1;
+            }
+        }
+    }
+    assert_eq!(runs, 8 * 10 * 7);
 }

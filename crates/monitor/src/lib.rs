@@ -29,8 +29,10 @@
 //!   advisory alert (partitions and crashes legitimately delay rounds,
 //!   so stalls are warnings, not conformance failures). A round closes
 //!   on a commit, on a deny, or when its requester applies the
-//!   announcement of the literal it asked about — Example 11's answer
-//!   to a request for an event that already occurred.
+//!   announcement of either literal of the symbol it asked about — a
+//!   decided event answers every request about it by its announcement
+//!   alone (Example 11's answer to a request for an event that already
+//!   occurred).
 //!
 //! Monitors are fed two ways, by the same dispatch:
 //!
@@ -549,7 +551,8 @@ impl WorkflowMonitor {
 
     /// Fused counterpart of a `FactApplied` span: `node` applied
     /// `(seq → lit)` to its `□`-view (feeds the divergence checker and
-    /// closes `node`'s promise round for `lit`).
+    /// closes `node`'s promise rounds for either literal of `lit`'s
+    /// symbol).
     pub fn on_fact_applied(&self, at: u64, node: u32, lit: ObsLit, seq: u64) {
         let mut st = self.state.lock().expect("monitor lock");
         st.on_fact_applied(at, node, lit, seq);
@@ -690,12 +693,14 @@ impl MonitorState {
     }
 
     /// `node` applied `(seq → lit)`: a claim for the divergence monitor,
-    /// and the answer to any promise round `node` had open for `lit` —
-    /// the announcement is how a request for an event that already
-    /// occurred is answered.
+    /// and the answer to any promise round `node` had open for either
+    /// literal of `lit`'s symbol — a decided event answers a request
+    /// about it by its announcement alone.
     fn on_fact_applied(&mut self, at: u64, node: u32, lit: ObsLit, seq: u64) {
         self.check_divergence(at, node, lit, seq);
-        self.open_rounds.remove((node, lit.0));
+        for asked in [lit.0, lit.0 ^ 1] {
+            self.open_rounds.remove((node, asked));
+        }
     }
 
     /// The divergence monitor: every record claiming `(seq → lit)` must
@@ -1167,6 +1172,31 @@ mod tests {
         mon.observe(&span(2, 3, 0, SpanKind::FactApplied { lit: olit(f), seq: 1 }));
         let report = mon.finish(100);
         assert!(report.alerts.is_empty(), "{:?}", report.alerts);
+    }
+
+    #[test]
+    fn a_round_answered_by_the_complements_announcement_closes() {
+        // Node 0 asks for ◇f; ~f occurs instead, and its announcement,
+        // applied at node 0, is the only answer f's actor sends — no
+        // deny, and no promise stall.
+        let (table, dep, e, f) = d_before();
+        let mon = WorkflowMonitor::new(&table, &[dep], [e, f], MonitorConfig { stall_budget: 10 });
+        let span = |id, at, node, kind| TraceEvent {
+            id: obs::SpanId(id),
+            parent: None,
+            at,
+            node,
+            site: node,
+            kind,
+        };
+        let not_f = f.complement();
+        mon.observe(&span(0, 1, 0, SpanKind::PromiseOpen { lit: olit(f), for_lit: olit(e) }));
+        mon.observe(&occurred(1, 2, 1, not_f, 1));
+        mon.observe(&span(2, 3, 0, SpanKind::FactApplied { lit: olit(not_f), seq: 1 }));
+        let report = mon.finish(100);
+        let stalls =
+            report.alerts.iter().filter(|a| matches!(a.kind, AlertKind::PromiseStall { .. }));
+        assert_eq!(stalls.count(), 0, "{:?}", report.alerts);
     }
 
     #[test]

@@ -100,10 +100,12 @@ impl RefMonitor {
     fn observe(&mut self, e: &TraceEvent) {
         match &e.kind {
             SpanKind::Occurred { lit, seq, .. } => self.occurrence(e.at, e.node, *lit, *seq),
-            // A fact applied also answers the applier's round for it.
+            // A fact applied also answers the applier's rounds for
+            // either literal of its symbol.
             SpanKind::FactApplied { lit, seq } => {
                 self.divergence(e.at, e.node, *lit, *seq);
                 self.rounds.remove(&(e.node, lit.0));
+                self.rounds.remove(&(e.node, lit.0 ^ 1));
             }
             SpanKind::GuardEval { lit, verdict: Verdict::Enabled, .. } => {
                 self.evals.entry((e.node, lit.0)).or_insert((e.at, false));

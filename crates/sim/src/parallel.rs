@@ -52,13 +52,13 @@ pub struct ParallelStats {
     /// Threads used.
     pub workers: usize,
     /// Retired with the sharded round executor: always 0. Kept as a field
-    /// only until the benchmark stops reading it (ROADMAP item 5).
+    /// only until the benchmark stops reading it (ROADMAP item 11).
     pub rounds: u64,
     /// Instances claimed off their round-robin home worker
     /// (`arrival index % workers`).
     pub steals: u64,
     /// Retired with the sharded round executor: always 0. Kept as a field
-    /// only until the benchmark stops reading it (ROADMAP item 5).
+    /// only until the benchmark stops reading it (ROADMAP item 11).
     pub max_round_width: usize,
     /// Nanoseconds inside `Network::run_to_quiescence`, one clock pair per
     /// instance, summed over the fleet's instances.

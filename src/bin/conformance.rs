@@ -203,9 +203,21 @@ fn fault_sweep(
         for f in &failures {
             eprintln!("FAIL {f}");
         }
-        eprintln!("conformance: {name:<12} {}/{scenarios} scenarios nonconforming", failures.len());
+        let failing = scenarios_failing(&failures);
+        eprintln!("conformance: {name:<12} {failing}/{scenarios} scenarios nonconforming");
     }
     failures.len()
+}
+
+/// How many scenarios `failures` come from: each failure starts with its
+/// scenario's `[name/plan/seed N]` coordinates, and one scenario may fail
+/// several audits and its determinism check.
+fn scenarios_failing(failures: &[String]) -> usize {
+    let mut scenarios: Vec<&str> =
+        failures.iter().map(|f| f.find(']').map_or(f.as_str(), |end| &f[..=end])).collect();
+    scenarios.sort_unstable();
+    scenarios.dedup();
+    scenarios.len()
 }
 
 /// Monitor-equivalence mode, the eleventh audit: `spec`'s fused monitor
@@ -237,7 +249,7 @@ fn monitor_equiv_sweep(name: &str, spec: &WorkflowSpec, config: &ExecConfig, see
         }
         eprintln!(
             "conformance: {name:<12} {}/{scenarios} monitor-equivalence scenarios nonconforming",
-            failures.len()
+            scenarios_failing(&failures)
         );
     }
     failures.len()
@@ -335,4 +347,21 @@ fn tenant_fleet(specs: &[WorkflowSpec], max_steps: u64) -> usize {
         total += failures.len();
     }
     total
+}
+
+#[cfg(test)]
+mod tests {
+    use super::scenarios_failing;
+
+    #[test]
+    fn failures_count_by_scenario() {
+        let failures = [
+            "[saga2/drop20/seed 3] a hold outlived its holder's decision",
+            "[saga2/drop20/seed 3] determinism: runs differ",
+            "[saga2/chaos/seed 3] a hold outlived its holder's decision",
+        ]
+        .map(String::from);
+        assert_eq!(scenarios_failing(&failures), 2);
+        assert_eq!(scenarios_failing(&[]), 0);
+    }
 }

@@ -158,13 +158,16 @@ fn travel_seed3_occurrence_digests_are_pinned() {
 /// so neither a decided requester's `Release` nor its answer to a grant
 /// that crossed its decision is sent, and promises are asked only of
 /// literals that can grant before they occur. Every message not sent
-/// shifts the later draws.
+/// shifts the later draws. Re-pinned, the abort saga's stream only, when
+/// a decided event stopped answering requests about it with a denial:
+/// its announcement is the answer, so three fewer sends shift the
+/// delivery sequence numbers; the schedule digest holds.
 #[test]
 fn saga_seed1_occurrence_digests_are_pinned() {
     use constrained_events::models::saga;
     let pins = [
         (saga(4, 3, None), 12, 0xE614_782F_FF55_BB29_u64, 0xC800_BE07_EBE1_3202_u64),
-        (saga(3, 3, Some(1)), 10, 0xE7E6_BE60_956E_3A13, 0xAA7F_9E20_C8EB_AD02),
+        (saga(3, 3, Some(1)), 10, 0xE7E6_BE60_956E_3A13, 0xAA7F_9920_C8EB_A483),
     ];
     for (workflow, occurrences, schedule, stream) in pins {
         let mut config = ExecConfig::seeded(1);
