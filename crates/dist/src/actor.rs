@@ -14,7 +14,9 @@
 //!   exactly, at any width, from its fact sets (`memo.rs`), as it decides
 //!   whether a promise may be granted;
 //! - reduces guards as [`Msg::Announce`]/[`Msg::PromiseGrant`] facts arrive
-//!   (Section 4.3's proof rules), re-evaluating parked attempts;
+//!   (Section 4.3's proof rules), re-evaluating parked attempts; an
+//!   occurrence is announced to every subscriber the actor has not heard
+//!   decided, since only an undecided guard needs it;
 //! - runs the promise protocol (Example 11) and the not-yet agreement for
 //!   `¬f` guards, with symbol-id priority for deadlock freedom. A promise
 //!   is asked only of a literal that can grant it before it occurs
@@ -23,14 +25,15 @@
 //!   its announcement is the only answer to any request about it; a
 //!   denial comes only from an undecided symbol (a dead literal's promise,
 //!   or a not-yet query the symbol-priority rule refuses). A promise round
-//!   stays open until it is granted, denied or answered by the
-//!   announcement of either literal (no timeout: a lost message is the
-//!   transport's to resend). A hold ends
-//!   at its requester's decision: an occurrence's announcement ends it
-//!   at the keeper, which subscribes to the requester and grants nothing
-//!   to a query the announcement overtook, and a `Release` is sent only
-//!   where no announcement follows — after a rejection, or for a grant
-//!   an undecided requester no longer waits for;
+//!   stays open until it is granted, denied, answered by the
+//!   announcement of either literal or ended by the requester's own
+//!   decision (no timeout: a lost message is the transport's to resend).
+//!   A hold ends at either party's decision: an occurrence's
+//!   announcement ends it at the keeper, which subscribes to the
+//!   requester and grants nothing to a query the announcement overtook,
+//!   a keeper's own occurrence ends every hold it keeps, and a `Release`
+//!   is sent only where no announcement follows — after a rejection, or
+//!   for a grant an undecided requester no longer waits for;
 //! - tracks each dependency's residual to *trigger* triggerable events
 //!   that have become required (Section 3.3(b));
 //! - on rejection of an attempted event, makes the complement occur
@@ -74,8 +77,10 @@ pub struct Routing {
     pub actor_of: SymbolMap<NodeId>,
     /// Agent node owning each symbol's events (absent for free events).
     pub agent_of: SymbolMap<NodeId>,
-    /// Actors subscribed to each symbol's announcements.
-    pub subscribers_of: SymbolMap<Vec<NodeId>>,
+    /// Actors subscribed to each symbol's announcements, each with the
+    /// symbol it owns: an announcer skips a subscriber it has heard
+    /// decided.
+    pub subscribers_of: SymbolMap<Vec<(NodeId, SymbolId)>>,
     /// Whether each literal's actor may grant a promise of it before it
     /// occurs, by literal index, as the build computes it from the
     /// compiled guards and the event attributes: a promise of any other
@@ -85,6 +90,11 @@ pub struct Routing {
 }
 
 impl Routing {
+    /// Whether `node`'s actor subscribes to `sym`'s announcements.
+    pub fn subscribes(&self, sym: SymbolId, node: NodeId) -> bool {
+        self.subscribers_of.get(&sym).is_some_and(|subs| subs.iter().any(|&(n, _)| n == node))
+    }
+
     /// Whether a promise of `lit` may be granted before `lit` occurs;
     /// `true` for a literal the table does not cover.
     pub fn may_grant_early(&self, lit: Literal) -> bool {
@@ -854,9 +864,10 @@ impl SymbolActor {
     // ----- occurrence / rejection -----
 
     /// The event occurs: record, notify the agent (if it asked), announce
-    /// to subscribers, which ends the holds we had requested. The occurrence
-    /// span is parented under the guard evaluation that justified it
-    /// (`eval_span`), falling back to the delivery cursor for informs.
+    /// to subscribers, which ends the holds we had requested, and hold
+    /// still for nobody. The occurrence span is parented under the guard
+    /// evaluation that justified it (`eval_span`), falling back to the
+    /// delivery cursor for informs.
     fn occur(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -868,6 +879,10 @@ impl SymbolActor {
         let at = ctx.now();
         let seq = ctx.delivery_seq();
         self.occurred = Some((lit, at, seq));
+        // A decided symbol holds still for nobody (only an inform occurs
+        // while held), and a requester that hears this decision before it
+        // occurs no longer announces to us, which is what ended a hold.
+        self.holds.clear();
         if self.obs.enabled() {
             let kind = SpanKind::Occurred { lit: olit(lit), seq, by_acceptance };
             match eval_span {
@@ -936,10 +951,13 @@ impl SymbolActor {
         }
     }
 
-    /// `□lit` to every subscriber.
+    /// `□lit` to every subscriber not heard decided. A guard needs the
+    /// fact only while its own event is undecided, and a decision is
+    /// final (and logged ahead, so a restart keeps it): a subscriber
+    /// whose announcement this actor has heard waits on nothing.
     fn announce(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal, seq: u64) {
-        for &node in self.routing.subscribers_of.get(&self.sym).into_iter().flatten() {
-            if node != ctx.self_id {
+        for &(node, sub) in self.routing.subscribers_of.get(&self.sym).into_iter().flatten() {
+            if node != ctx.self_id && !self.heard(sub) {
                 self.stats.announces_out += 1;
                 ctx.send(node, Msg::Announce { lit, seq });
             }
@@ -947,15 +965,16 @@ impl SymbolActor {
     }
 
     /// Forget every hold we were granted or asked for, after our
-    /// occurrence: its announcement ends them at their keepers. A keeper's
-    /// symbol is one our guard reads, so the two share a dependency and
-    /// the keeper subscribes to us.
+    /// occurrence: its announcement ends them at their keepers, and a
+    /// keeper it skips, heard decided, ended them when it occurred. A
+    /// keeper's symbol is one our guard reads, so the two share a
+    /// dependency and the keeper subscribes to us.
     fn forget_requested_holds(&mut self) {
         for st in [&mut self.pos, &mut self.neg] {
             for &t in st.notyet_granted.iter().chain(st.notyet_pending.iter()) {
                 let keeper = self.routing.actor_of[t];
                 debug_assert!(
-                    self.routing.subscribers_of.get(&self.sym).is_some_and(|s| s.contains(&keeper)),
+                    self.routing.subscribes(self.sym, keeper),
                     "keeper {} of a hold for {:?} does not subscribe to it",
                     keeper.0,
                     self.sym
@@ -993,14 +1012,14 @@ impl SymbolActor {
 
     /// Whether our symbol is decided, in which case the occurrence's
     /// announcement, which [`SymbolActor::announce`] sent once to every
-    /// subscriber, is the only answer to `requester`'s request about it,
-    /// whichever literal it asks about: a requester asks only about
-    /// symbols its guard mentions, and the routing subscribes it to
-    /// exactly those.
+    /// subscriber not heard decided, is the only answer to `requester`'s
+    /// request about it, whichever literal it asks about: a requester
+    /// asks only about symbols its guard mentions, and the routing
+    /// subscribes it to exactly those; one heard decided waits on
+    /// nothing.
     fn answered_by_announcement(&self, requester: NodeId) -> bool {
-        let subscribers = self.routing.subscribers_of.get(&self.sym);
         debug_assert!(
-            self.occurred.is_none() || subscribers.is_some_and(|s| s.contains(&requester)),
+            self.occurred.is_none() || self.routing.subscribes(self.sym, requester),
             "node {} asked about {:?} without subscribing to it",
             requester.0,
             self.sym
@@ -1172,8 +1191,9 @@ impl SymbolActor {
     /// before the crash may be lost along with the transport's
     /// retransmission buffer — so re-issue the durable obligations:
     ///
-    /// - if our symbol resolved, re-announce the occurrence (receivers
-    ///   deduplicate by occurrence sequence) and re-send the agent's
+    /// - if our symbol resolved, re-announce the occurrence to every
+    ///   subscriber not heard decided (receivers deduplicate by
+    ///   occurrence sequence) and re-send the agent's
     ///   verdict (the agent ignores verdicts it is not waiting for);
     /// - otherwise, forget which promise requests and not-yet queries
     ///   were in flight (their fate is unknowable) and re-pursue from the

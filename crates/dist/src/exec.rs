@@ -395,9 +395,11 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
     // Actor t is interested in symbol s if a dependency mentioning t also
     // mentions s: its residual trackers follow s, and its guards mention
     // nothing else (`G(D, e)` mentions only `Γ_D`, and the scope is
-    // `Mentioning`). Subscribers are listed in actor order; a symbol's
-    // `seen` stamp names the last actor subscribed to it, so a symbol two
-    // of an actor's dependencies share subscribes it once.
+    // `Mentioning`). Subscribers are listed in actor order, each with its
+    // actor's symbol, which an announcer reads to skip one it has heard
+    // decided; a symbol's `seen` stamp names the last actor subscribed to
+    // it, so a symbol two of an actor's dependencies share subscribes it
+    // once.
     for &s in &symbol_list {
         routing.subscribers_of.insert(s, Vec::new());
     }
@@ -408,7 +410,7 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
             if s != t && std::mem::replace(&mut info[s.index()].seen, stamp) != stamp {
                 let subs =
                     routing.subscribers_of.get_mut(&s).expect("a mentioned symbol has an actor");
-                subs.push(NodeId((agent_count + ix) as u32));
+                subs.push((NodeId((agent_count + ix) as u32), t));
             }
         }
     }
@@ -955,7 +957,9 @@ mod tests {
     /// of `b1..b13`; its attempt meets the 13-symbol guard once, before
     /// any announcement has narrowed it, and parks. It asks for none of
     /// the 13 promises: no `bi` can grant one before it occurs, so the
-    /// answers are the announcements `a` hears anyway.
+    /// answers are the announcements `a` hears anyway. Having heard every
+    /// `bi` decided, `a` announces to none of them, and the run ends at
+    /// `a`'s occurrence.
     #[test]
     fn a_thirteen_symbol_guard_is_judged() {
         let spec = one_and_many(13, |i| format!("~a + b{i}"));
@@ -967,9 +971,10 @@ mod tests {
             spec.free_events[1..].iter().zip(2..).map(|(f, seq)| (f.lit, 1, seq)).collect();
         expected.push((a, 20, 27));
         assert_eq!(report.occurrences, expected);
-        assert_eq!((report.steps, report.duration), (40, 39));
+        assert_eq!((report.steps, report.duration), (27, 20));
         let stats = &report.actor_stats[&a.symbol()];
         assert_eq!((stats.first_parked_at, stats.promises_requested), (Some(1), 0));
+        assert_eq!(stats.announces_out, 0);
         assert_eq!(stats.reductions, 26, "two per announcement: a late one is not a replay");
     }
 

@@ -49,7 +49,7 @@ fn top_guard_attempt_occurs_and_announces() {
     routing.actor_of.insert(e, NodeId(0));
     routing.actor_of.insert(f, NodeId(1));
     // f's actor subscribes to e's announcements.
-    routing.subscribers_of.insert(e, vec![NodeId(1)]);
+    routing.subscribers_of.insert(e, vec![(NodeId(1), f)]);
     routing.subscribers_of.insert(f, vec![]);
     let routing = Arc::new(routing);
     // f's guard: □e — parked until e's announcement arrives.
@@ -120,8 +120,8 @@ fn promise_flow_between_two_actors() {
     let mut routing = Routing::default();
     routing.actor_of.insert(e, NodeId(0));
     routing.actor_of.insert(f, NodeId(1));
-    routing.subscribers_of.insert(e, vec![NodeId(1)]);
-    routing.subscribers_of.insert(f, vec![NodeId(0)]);
+    routing.subscribers_of.insert(e, vec![(NodeId(1), f)]);
+    routing.subscribers_of.insert(f, vec![(NodeId(0), e)]);
     let routing = Arc::new(routing);
     let mut net = fixed_net(vec![
         (
@@ -156,8 +156,8 @@ fn not_yet_agreement_holds_and_releases() {
     let mut routing = Routing::default();
     routing.actor_of.insert(e, NodeId(0));
     routing.actor_of.insert(f, NodeId(1));
-    routing.subscribers_of.insert(e, vec![NodeId(1)]);
-    routing.subscribers_of.insert(f, vec![NodeId(0)]);
+    routing.subscribers_of.insert(e, vec![(NodeId(1), f)]);
+    routing.subscribers_of.insert(f, vec![(NodeId(0), e)]);
     let routing = Arc::new(routing);
     let mut net = fixed_net(vec![
         (
@@ -196,8 +196,8 @@ fn an_occurrence_ends_its_holds_through_its_announcement() {
     let mut routing = Routing::default();
     routing.actor_of.insert(e, NodeId(0));
     routing.actor_of.insert(f, NodeId(1));
-    routing.subscribers_of.insert(e, vec![NodeId(1)]);
-    routing.subscribers_of.insert(f, vec![NodeId(0)]);
+    routing.subscribers_of.insert(e, vec![(NodeId(1), f)]);
+    routing.subscribers_of.insert(f, vec![(NodeId(0), e)]);
     let routing = Arc::new(routing);
     let actor = |sym: SymbolId, guard: Guard| {
         let (pos, neg) = (EventAttrs::controllable(), EventAttrs::immediate());
@@ -232,6 +232,48 @@ fn an_occurrence_ends_its_holds_through_its_announcement() {
     assert_eq!(deliver(&mut requester, 1, grant), [], "a grant that crossed the occurrence");
 }
 
+/// A decided symbol holds still for nobody, and nobody announces to it:
+/// the keeper `f`, holding still for `e`, is informed and occurs, which
+/// ends the hold at once. `e` hears `□f` before it decides (here `f`
+/// kills `e`'s guard `¬f`, so `ē` occurs), and its announcement skips
+/// `f`'s actor, which would have been what ended the hold.
+#[test]
+fn a_decided_symbol_holds_still_for_nobody() {
+    let (e, f) = (SymbolId(0), SymbolId(1));
+    let mut routing = Routing::default();
+    routing.actor_of.insert(e, NodeId(0));
+    routing.actor_of.insert(f, NodeId(1));
+    routing.subscribers_of.insert(e, vec![(NodeId(1), f)]);
+    routing.subscribers_of.insert(f, vec![(NodeId(0), e)]);
+    let routing = Arc::new(routing);
+    let actor = |sym: SymbolId, guard: Guard| {
+        let (pos, neg) = (EventAttrs::controllable(), EventAttrs::immediate());
+        let top = FactoredGuard::top();
+        SymbolActor::new(sym, &guard.into(), &top, pos, neg, vec![], Arc::clone(&routing))
+    };
+    let (mut requester, mut keeper) =
+        (actor(e, Guard::not_yet(Literal::pos(f))), actor(f, Guard::top()));
+    // Each actor's node is its symbol's id; `seq` numbers the delivery.
+    let deliver = |actor: &mut SymbolActor, from: u32, seq: u64, msg: Msg| {
+        let mut out = Vec::new();
+        actor.handle(&mut Ctx::manual(NodeId(actor.sym.0), 10, seq, &mut out), NodeId(from), msg);
+        out
+    };
+    let query = Msg::NotYetQuery { lit: Literal::pos(f), for_lit: Literal::pos(e) };
+    deliver(&mut requester, 0, 1, Msg::Attempt { lit: Literal::pos(e) });
+    deliver(&mut keeper, 0, 2, query);
+    assert_eq!(keeper.holds.to_vec(), [Literal::pos(e)]);
+
+    let announce = Msg::Announce { lit: Literal::pos(f), seq: 3 };
+    let informed = deliver(&mut keeper, 1, 3, Msg::Inform { lit: Literal::pos(f) });
+    assert_eq!(informed, [(NodeId(0), announce.clone(), 0)], "e is undecided: told");
+    assert!(keeper.holds.is_empty(), "the keeper's occurrence ends the hold");
+
+    assert_eq!(deliver(&mut requester, 1, 4, announce), [], "f is heard decided: not told");
+    assert_eq!(requester.occurred.map(|(l, _, _)| l), Some(Literal::neg(e)));
+    assert!(keeper.holds.is_empty());
+}
+
 /// A parked literal asks a promise only of a literal that may grant one
 /// before it occurs, and a decided symbol answers it by its announcement
 /// alone. `e`'s guard `◇f ∧ (◇g ∧ ¬g)` asks `f` for a promise, `g` for a
@@ -248,7 +290,7 @@ fn a_promise_is_asked_only_where_it_can_come_early() {
         routing.actor_of.insert(SymbolId(s), NodeId(s));
     }
     routing.subscribers_of.insert(e, vec![]);
-    routing.subscribers_of.insert(g, vec![NodeId(0)]);
+    routing.subscribers_of.insert(g, vec![(NodeId(0), e)]);
     routing.early_grant = vec![true; 6];
     routing.early_grant[Literal::pos(f).index()] = false;
     let routing = Arc::new(routing);
@@ -357,7 +399,7 @@ fn the_announcement_decides_the_guard() {
         routing.actor_of.insert(SymbolId(s), NodeId(s));
     }
     routing.subscribers_of.insert(e, vec![]);
-    routing.subscribers_of.insert(f, vec![NodeId(0)]);
+    routing.subscribers_of.insert(f, vec![(NodeId(0), e)]);
     let guard = Guard::from_mask(f, ST_A)
         .or(&Guard::from_mask(f, ST_C).and(&Guard::from_mask(z, ST_A | ST_B | ST_C)))
         .or(&Guard::from_mask(z, ST_A | ST_B | ST_D));
@@ -397,9 +439,9 @@ fn the_smaller_symbol_denies_and_the_larger_holds() {
     for s in 0..3 {
         routing.actor_of.insert(SymbolId(s), NodeId(s));
     }
-    routing.subscribers_of.insert(a, vec![NodeId(1)]);
-    routing.subscribers_of.insert(b, vec![NodeId(0)]);
-    routing.subscribers_of.insert(c, vec![NodeId(1)]);
+    routing.subscribers_of.insert(a, vec![(NodeId(1), b)]);
+    routing.subscribers_of.insert(b, vec![(NodeId(0), a)]);
+    routing.subscribers_of.insert(c, vec![(NodeId(1), b)]);
     let routing = Arc::new(routing);
     let actor = |sym: SymbolId, guard: Guard| {
         let (pos, neg) = (EventAttrs::controllable(), EventAttrs::immediate());
@@ -599,7 +641,7 @@ fn a_warm_guard_table_changes_nothing() {
     for s in 0..=OTHERS {
         routing.actor_of.insert(SymbolId(s), NodeId(s));
     }
-    routing.subscribers_of.insert(own, (1..=OTHERS).map(NodeId).collect());
+    routing.subscribers_of.insert(own, (1..=OTHERS).map(|s| (NodeId(s), SymbolId(s))).collect());
     let routing = Arc::new(routing);
     let seq3 = Expr::seq([Expr::lit(pos(1)), Expr::lit(pos(2)), Expr::lit(pos(3))]);
     let guards = [

@@ -196,7 +196,9 @@ fn schedule_digest(fleet: &TenantReport) -> u64 {
 /// through its announcement and promises began to be asked only of
 /// literals that can grant before they occur: all six digests were
 /// re-pinned, the schedules too, because every remote message not sent
-/// is a latency draw not taken, which moves the later draws.
+/// is a latency draw not taken, which moves the later draws. Re-pinned,
+/// all six, for the same reason when an announcement stopped going to a
+/// subscriber its sender had heard decided.
 #[test]
 fn fleet_histories_are_pinned() {
     let (specs, arrivals) = pinned_fleet();
@@ -209,9 +211,9 @@ fn fleet_histories_are_pinned() {
     let mut faulty = hardened.clone();
     faulty.plan = Some(FaultPlan::new(0xD20C).drop_rate(0.2).crash(NodeId(0), 40, Some(300)));
     for (name, base, faulty, history, schedule) in [
-        ("fault-free", clean, false, 0xE221_A81B_DD6E_3189u64, 0xC0FE_3AAE_CE8E_8D64u64),
-        ("hardened fault-free", hardened, false, 0x516B_0E9E_AB35_3623, 0x3E89_56C5_2DA7_E40B),
-        ("drop20+crash", faulty, true, 0x5792_C4C3_98EB_C354, 0x3258_2A47_F2ED_DA92),
+        ("fault-free", clean, false, 0x05C4_2AA0_4A93_9B35u64, 0x8BD5_FDED_9054_2447u64),
+        ("hardened fault-free", hardened, false, 0xFF91_F6CB_E9AE_109F, 0x86B1_1677_B1F8_5EA7),
+        ("drop20+crash", faulty, true, 0x63B9_2820_F7ED_CCA6, 0x4739_AA59_AF5D_16E3),
     ] {
         for shards in [1, 2, 4] {
             let mut config = base.clone();

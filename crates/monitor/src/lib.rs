@@ -28,11 +28,12 @@
 //!   quickly; exceeding a configurable sim-time budget raises an
 //!   advisory alert (partitions and crashes legitimately delay rounds,
 //!   so stalls are warnings, not conformance failures). A round closes
-//!   on a commit, on a deny, or when its requester applies the
+//!   on a commit, on a deny, when its requester applies the
 //!   announcement of either literal of the symbol it asked about — a
 //!   decided event answers every request about it by its announcement
 //!   alone (Example 11's answer to a request for an event that already
-//!   occurred).
+//!   occurred) — or when its requester occurs: a decided requester waits
+//!   on nothing, and is not sent announcements once heard decided.
 //!
 //! Monitors are fed two ways, by the same dispatch:
 //!
@@ -541,7 +542,8 @@ impl WorkflowMonitor {
 
     /// Fused counterpart of an `Occurred` span: a globally-ordered
     /// occurrence of `lit` under delivery sequence `seq`, observed at
-    /// the owning `node` at sim time `at`.
+    /// the owning `node` at sim time `at` (closes `node`'s promise
+    /// rounds).
     pub fn on_occurrence(&self, at: u64, node: u32, lit: ObsLit, seq: u64) {
         let mut st = self.state.lock().expect("monitor lock");
         st.on_occurrence(at, node, lit, seq);
@@ -730,9 +732,13 @@ impl MonitorState {
         self.check_divergence(at, node, lit, seq);
         let lit = lit_of(lit);
         // An occurrence discharges any pending enabled-eval watch for its
-        // node (either polarity: a rejection force-fires the complement).
+        // node (either polarity: a rejection force-fires the complement),
+        // and closes the node's promise rounds: a decided requester waits
+        // on nothing, and the announcement that would have answered it
+        // is not sent to a node heard decided.
         self.open_evals.remove((node, olit(lit).0));
         self.open_evals.remove((node, olit(lit.complement()).0));
+        self.open_rounds.retain(|(n, _), _| n != node);
         if self.facts.get(seq).is_some() {
             return; // a duplicate record, or a divergence already alerted
         }
@@ -1197,6 +1203,39 @@ mod tests {
         let stalls =
             report.alerts.iter().filter(|a| matches!(a.kind, AlertKind::PromiseStall { .. }));
         assert_eq!(stalls.count(), 0, "{:?}", report.alerts);
+    }
+
+    #[test]
+    fn a_round_closes_at_its_requesters_occurrence() {
+        // Node 0 asks for ◇f, then e occurs at node 0: a decided
+        // requester waits on nothing, and f's announcement, which would
+        // have closed the round, is not sent to a node heard decided.
+        let (table, dep, e, f) = d_before();
+        let mon = WorkflowMonitor::new(
+            &table,
+            std::slice::from_ref(&dep),
+            [e, f],
+            MonitorConfig { stall_budget: 10 },
+        );
+        mon.observe(&TraceEvent {
+            id: obs::SpanId(0),
+            parent: None,
+            at: 1,
+            node: 0,
+            site: 0,
+            kind: SpanKind::PromiseOpen { lit: olit(f), for_lit: olit(e) },
+        });
+        mon.observe(&occurred(1, 2, 0, e, 1));
+        // The fused feed, the same two observations.
+        let fused =
+            WorkflowMonitor::new(&table, &[dep], [e, f], MonitorConfig { stall_budget: 10 });
+        fused.on_promise_open(1, 0, olit(f));
+        fused.on_occurrence(2, 0, olit(e), 1);
+        for report in [mon.finish(100), fused.finish(100)] {
+            let stalls =
+                report.alerts.iter().filter(|a| matches!(a.kind, AlertKind::PromiseStall { .. }));
+            assert_eq!(stalls.count(), 0, "{:?}", report.alerts);
+        }
     }
 
     #[test]

@@ -152,6 +152,8 @@ impl RefMonitor {
         let lit = lit_of(olit);
         self.evals.remove(&(node, olit.0));
         self.evals.remove(&(node, lit.complement().index() as u32));
+        // A decided requester's rounds close at its occurrence.
+        self.rounds.retain(|&(n, _), _| n != node);
         if self.facts.contains_key(&seq) {
             return;
         }

@@ -20,7 +20,11 @@
 # the first read of its report's metrics snapshot, which renders it and
 # which no timed operation makes, and, weighted over the `check_static`
 # mix (the static check budget test, release profile), the allocations
-# per static check; so every gate run reports all four.
+# per static check; so every gate run reports all four. Last, from one
+# release run of `routing_props`' report test, the fault-free messages
+# per event of each of its templates over seeds 1-3, plain and on the
+# hardened transport: a report, not a gate, so that every change to the
+# protocol's message count shows on every gate run.
 #
 # `check.sh --faults` runs the fault-conformance tier instead: the
 # `conformance` driver sweeps every example spec, then the four model
@@ -244,5 +248,9 @@ cargo test --release --offline -q -p dist --test cold_alloc_budget -- --nocaptur
 
 echo "==> allocations per static check, weighted over the check_static mix (crates/analyze/tests/check_alloc_budget.rs, release)"
 cargo test --release --offline -q -p analyze --test check_alloc_budget -- --nocapture | grep '^weighted'
+
+echo "==> fault-free messages per event by template, plain and hardened, seeds 1-3 (crates/dist/tests/routing_props.rs, release; a report, not a gate)"
+cargo test --release --offline -q -p dist --test routing_props messages_per_event_by_template \
+    -- --nocapture | grep '^msgs/event'
 
 echo "==> tier-1 gate passed"

@@ -109,7 +109,11 @@ fn schedule_digest(report: &RunReport) -> u64 {
 /// (50 → 48 messages): the per-hop schedule digest held, its stream
 /// digest moved (fewer deliveries renumber the sequence), and both
 /// uniform legs moved, because every message not sent shifts the later
-/// draws.
+/// draws. Re-pinned a fourth time when an announcement stopped going to
+/// a subscriber its sender had heard decided (44 messages instead of 48
+/// on the hardened run): the per-hop schedule digest held, its stream
+/// digest moved, and the uniform legs moved, because every message not
+/// sent shifts the later draws.
 #[test]
 fn travel_seed3_occurrence_digests_are_pinned() {
     let src = std::fs::read_to_string("examples/specs/travel.wf").expect("travel.wf");
@@ -123,21 +127,21 @@ fn travel_seed3_occurrence_digests_are_pinned() {
     );
     assert_eq!(
         occurrence_digest(&per_hop),
-        0xD04C_499F_D96D_28DD,
+        0xE313_D053_132F_FD03,
         "per-hop fault-free stream moved"
     );
     let mut config = hardened(3);
     config.sim.latency = LatencyModel::Uniform { min: 1, max: 30 };
     let clean = run_workflow(&workflow.spec, config.clone());
     assert!(clean.all_satisfied());
-    assert_eq!(schedule_digest(&clean), 0x9D49_FDB9_9C21_A083, "fault-free schedule moved");
-    assert_eq!(occurrence_digest(&clean), 0x9C22_1989_525B_D2E5, "fault-free stream moved");
+    assert_eq!(schedule_digest(&clean), 0x74C3_4018_B1C3_2DAC, "fault-free schedule moved");
+    assert_eq!(occurrence_digest(&clean), 0x7B58_7043_6715_1C7A, "fault-free stream moved");
     let (_, chaos) = standard_plans(3 ^ 0x5EED).pop().expect("chaos is the last standard plan");
     let faulty = run_workflow_with_faults(&workflow.spec, config, chaos);
     assert!(faulty.all_satisfied());
     assert!(faulty.fault_stats.is_some_and(|f| f.dropped > 0 && f.duplicated > 0));
-    assert_eq!(schedule_digest(&faulty), 0xC65A_C252_E204_A4CF, "chaos schedule moved");
-    assert_eq!(occurrence_digest(&faulty), 0x66F1_5786_8B55_8FD0, "chaos stream moved");
+    assert_eq!(schedule_digest(&faulty), 0xA895_59FC_DB9F_AFBF, "chaos schedule moved");
+    assert_eq!(occurrence_digest(&faulty), 0x9F66_8183_6D6A_D12D, "chaos stream moved");
 }
 
 /// The sagas' guards are the widest the models produce, and the actors
@@ -161,13 +165,18 @@ fn travel_seed3_occurrence_digests_are_pinned() {
 /// shifts the later draws. Re-pinned, the abort saga's stream only, when
 /// a decided event stopped answering requests about it with a denial:
 /// its announcement is the answer, so three fewer sends shift the
-/// delivery sequence numbers; the schedule digest holds.
+/// delivery sequence numbers; the schedule digest holds. Re-pinned, all
+/// four, when an announcement stopped going to a subscriber its sender
+/// had heard decided (`saga(4)` and the abort saga send 309 and 181
+/// messages over seeds 1–3 instead of 356 and 216): every message not
+/// sent shifts the later draws, so the same occurrences fire at other
+/// ticks.
 #[test]
 fn saga_seed1_occurrence_digests_are_pinned() {
     use constrained_events::models::saga;
     let pins = [
-        (saga(4, 3, None), 12, 0xE614_782F_FF55_BB29_u64, 0xC800_BE07_EBE1_3202_u64),
-        (saga(3, 3, Some(1)), 10, 0xE7E6_BE60_956E_3A13, 0xAA7F_9920_C8EB_A483),
+        (saga(4, 3, None), 12, 0xBA69_6D36_821D_496E_u64, 0xF8CD_1D6D_65BE_5777_u64),
+        (saga(3, 3, Some(1)), 10, 0x9FDA_CF94_3ED5_826A, 0xA08C_C389_E57F_B140),
     ];
     for (workflow, occurrences, schedule, stream) in pins {
         let mut config = ExecConfig::seeded(1);
