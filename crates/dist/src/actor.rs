@@ -55,7 +55,7 @@ use agent::EventAttrs;
 use event_algebra::{DepTracker, Literal, Polarity, SortedMap, SortedSet, SymbolId, SymbolMap};
 use guard::CompiledWorkflow;
 use monitor::WorkflowMonitor;
-use obs::{NodeObs, ObsLit, SpanId, SpanKind, Verdict};
+use obs::{ObsLit, SpanId, SpanKind, Verdict};
 use sim::{Ctx, NodeId, Time};
 use std::sync::Arc;
 use temporal::{
@@ -359,8 +359,8 @@ impl LitState {
 /// that describes an instance to its initial value and keeps every
 /// buffer, so a warm actor handles its messages without touching the
 /// allocator. What is not reset is the template part (symbol, attributes,
-/// routing), the stamps the slot re-applies (recorder and
-/// monitor handles) and the guard table, which is a cache.
+/// routing), the monitor handle the slot arms and the guard table, which
+/// is a cache.
 #[derive(Debug, Clone)]
 pub struct SymbolActor {
     /// The symbol this actor owns.
@@ -405,10 +405,6 @@ pub struct SymbolActor {
     pub lazy: bool,
     /// Activity counters.
     pub stats: ActorStats,
-    /// Flight-recorder handle (off by default): guard evaluations,
-    /// occurrences, residual steps and promise-round phases become causal
-    /// trace spans when a recorder is attached.
-    pub obs: NodeObs,
     /// Fused monitor handle (off by default): the scheduler steps the
     /// armed monitor directly at each transition an offline replay
     /// reconstructs from trace spans — occurrences, announced facts
@@ -448,7 +444,6 @@ impl SymbolActor {
             routing,
             lazy: false,
             stats: ActorStats::default(),
-            obs: NodeObs::off(),
             mon: None,
         }
     }
@@ -541,7 +536,7 @@ impl SymbolActor {
 
     fn on_attempt(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal) {
         self.stats.attempts += 1;
-        self.obs.rec(ctx.now(), SpanKind::Attempt { lit: olit(lit) });
+        ctx.rec(SpanKind::Attempt { lit: olit(lit) });
         if let Some((occ, _, _)) = self.occurred {
             let reply = if occ == lit { Msg::Granted { lit } } else { Msg::Rejected { lit } };
             self.reply_agent(ctx, reply);
@@ -567,9 +562,9 @@ impl SymbolActor {
         if self.facts_seen.insert(seq, lit).is_some() {
             return; // duplicate
         }
-        self.obs.rec(ctx.now(), SpanKind::FactApplied { lit: olit(lit), seq });
+        ctx.rec(SpanKind::FactApplied { lit: olit(lit), seq });
         if let Some(m) = &self.mon {
-            m.on_fact_applied(ctx.now(), self.obs.node, olit(lit), seq);
+            m.on_fact_applied(ctx.now(), ctx.self_id.0, olit(lit), seq);
         }
         // The announcement ends every exchange about its symbol: the
         // holds kept for it (it sends no `Release` after it occurs), the
@@ -582,7 +577,7 @@ impl SymbolActor {
             st.notyet_pending.remove(&sym);
             st.requested_promises.retain(|l| l.symbol() != sym);
         }
-        self.apply_facts(seq, lit, ctx.now());
+        self.apply_facts(ctx, seq, lit);
         self.after_fact(ctx);
     }
 
@@ -593,9 +588,9 @@ impl SymbolActor {
 
     fn on_promise_grant(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal) {
         if !self.memo.knows_eventually(lit) {
-            self.obs.rec(ctx.now(), SpanKind::PromiseCommit { lit: olit(lit) });
+            ctx.rec(SpanKind::PromiseCommit { lit: olit(lit) });
             if let Some(m) = &self.mon {
-                m.on_promise_commit(ctx.now(), self.obs.node, olit(lit));
+                m.on_promise_commit(ctx.now(), ctx.self_id.0, olit(lit));
             }
             self.reduce_guards(Fact::Promised(lit));
             self.stats.reductions += 2;
@@ -620,7 +615,7 @@ impl SymbolActor {
     /// residuals of a sequence dependency do not commute, so a fact that
     /// arrives below one already applied (possible across links with
     /// independent latencies) resets them and replays the ordered log.
-    fn apply_facts(&mut self, seq: u64, lit: Literal, now: Time) {
+    fn apply_facts(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u64, lit: Literal) {
         self.reduce_guards(Fact::Occurred(lit));
         self.stats.reductions += 2;
         if seq < self.applied_up_to {
@@ -636,14 +631,18 @@ impl SymbolActor {
             return;
         }
         self.applied_up_to = seq;
+        self.step_residuals(ctx, lit);
+    }
+
+    /// Step every dependency residual past `lit`, recording each step.
+    fn step_residuals(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal) {
         for (_, t) in &mut self.dep_residuals {
             t.step(lit);
         }
-        if self.obs.enabled() {
+        if ctx.recording() {
             for (ix, t) in &self.dep_residuals {
                 let (state, live) = t.obs_state();
-                let kind = SpanKind::DepStep { dep: *ix as u32, input: olit(lit), state, live };
-                self.obs.rec(now, kind);
+                ctx.rec(SpanKind::DepStep { dep: *ix as u32, input: olit(lit), state, live });
             }
         }
     }
@@ -713,7 +712,7 @@ impl SymbolActor {
                     || (!lit.is_pos() && !self.lit_state_ref(lit.complement()).attempted);
                 self.lit_state(lit).triggered = true;
                 self.stats.triggers += 1;
-                self.obs.rec(ctx.now(), SpanKind::Triggered { lit: olit(lit) });
+                ctx.rec(SpanKind::Triggered { lit: olit(lit) });
                 if force_here {
                     let st = self.lit_state(lit);
                     st.attempted = true;
@@ -742,8 +741,13 @@ impl SymbolActor {
     /// fingerprint, and the ordered occurrence facts folded into the
     /// guard so far — the facts the causal-consistency audit traces back
     /// to their establishing occurrences.
-    fn rec_guard_eval(&self, now: Time, lit: Literal, verdict: Verdict) -> Option<SpanId> {
-        if !self.obs.enabled() {
+    fn rec_guard_eval(
+        &self,
+        ctx: &mut Ctx<'_, Msg>,
+        lit: Literal,
+        verdict: Verdict,
+    ) -> Option<SpanId> {
+        if !ctx.recording() {
             return None;
         }
         let facts: Vec<obs::Fact> = self
@@ -752,7 +756,7 @@ impl SymbolActor {
             .map(|&(seq, l)| obs::Fact { seq, lit: olit(l), at: 0 })
             .collect();
         let residual = self.guard_info(lit).fingerprint();
-        self.obs.rec(now, SpanKind::GuardEval { lit: olit(lit), verdict, residual, facts })
+        ctx.rec(SpanKind::GuardEval { lit: olit(lit), verdict, residual, facts })
     }
 
     /// Decide an attempted literal: occur, reject, or park and pursue the
@@ -771,19 +775,19 @@ impl SymbolActor {
         if st.forced && !held {
             let acceptable = self.dep_residuals.iter().all(|(_, t)| t.live_after(lit));
             if acceptable {
-                let span = self.rec_guard_eval(ctx.now(), lit, Verdict::Enabled);
+                let span = self.rec_guard_eval(ctx, lit, Verdict::Enabled);
                 self.occur(ctx, lit, true, span);
                 return;
             }
         }
         match self.guard_info(lit).status() {
             GuardStatus::Dead => {
-                self.rec_guard_eval(ctx.now(), lit, Verdict::Dead);
+                self.rec_guard_eval(ctx, lit, Verdict::Dead);
                 self.lit_state(lit).dead = true;
                 self.reject(ctx, lit);
             }
             _ if self.guard_enabled(lit) => {
-                let span = self.rec_guard_eval(ctx.now(), lit, Verdict::Enabled);
+                let span = self.rec_guard_eval(ctx, lit, Verdict::Enabled);
                 if !held {
                     self.occur(ctx, lit, true, span);
                 } else if let Some(m) = &self.mon {
@@ -791,14 +795,14 @@ impl SymbolActor {
                     // verdict arms the fused monitor's enabled-but-unfired
                     // watch: one that occurs in the same handler would
                     // open and close it at a tick already swept.
-                    m.on_guard_enabled(ctx.now(), self.obs.node, olit(lit));
+                    m.on_guard_enabled(ctx.now(), ctx.self_id.0, olit(lit));
                 }
             }
             _ => {
-                self.rec_guard_eval(ctx.now(), lit, Verdict::Parked);
+                self.rec_guard_eval(ctx, lit, Verdict::Parked);
                 if self.stats.first_parked_at.is_none() {
                     self.stats.first_parked_at = Some(ctx.now());
-                    self.obs.rec(ctx.now(), SpanKind::Parked { lit: olit(lit) });
+                    ctx.rec(SpanKind::Parked { lit: olit(lit) });
                 }
                 self.pursue_needs(ctx, lit);
             }
@@ -842,10 +846,9 @@ impl SymbolActor {
             match need {
                 Need::Promise(f) => {
                     let target = self.routing.actor_of[f.symbol()];
-                    self.obs
-                        .rec(ctx.now(), SpanKind::PromiseOpen { lit: olit(f), for_lit: olit(lit) });
+                    ctx.rec(SpanKind::PromiseOpen { lit: olit(f), for_lit: olit(lit) });
                     if let Some(m) = &self.mon {
-                        m.on_promise_open(ctx.now(), self.obs.node, olit(f));
+                        m.on_promise_open(ctx.now(), ctx.self_id.0, olit(f));
                     }
                     self.lit_state(lit).requested_promises.insert(f);
                     self.stats.promises_requested += 1;
@@ -867,7 +870,7 @@ impl SymbolActor {
     /// to subscribers, which ends the holds we had requested, and hold
     /// still for nobody. The occurrence span is parented under the guard
     /// evaluation that justified it (`eval_span`), falling back to the
-    /// delivery cursor for informs.
+    /// delivery for informs.
     fn occur(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -883,15 +886,13 @@ impl SymbolActor {
         // while held), and a requester that hears this decision before it
         // occurs no longer announces to us, which is what ended a hold.
         self.holds.clear();
-        if self.obs.enabled() {
-            let kind = SpanKind::Occurred { lit: olit(lit), seq, by_acceptance };
-            match eval_span {
-                Some(p) => self.obs.rec_under(Some(p), at, kind),
-                None => self.obs.rec(at, kind),
-            };
-        }
+        let kind = SpanKind::Occurred { lit: olit(lit), seq, by_acceptance };
+        match eval_span {
+            Some(p) => ctx.rec_under(p, kind),
+            None => ctx.rec(kind),
+        };
         if let Some(m) = &self.mon {
-            m.on_occurrence(at, self.obs.node, olit(lit), seq);
+            m.on_occurrence(at, ctx.self_id.0, olit(lit), seq);
         }
         if by_acceptance {
             self.stats.granted += 1;
@@ -901,17 +902,8 @@ impl SymbolActor {
         self.facts_seen.insert(seq, lit);
         self.applied_up_to = self.applied_up_to.max(seq);
         // The fused monitor took this fact with the occurrence above.
-        self.obs.rec(at, SpanKind::FactApplied { lit: olit(lit), seq });
-        for (_, t) in &mut self.dep_residuals {
-            t.step(lit);
-        }
-        if self.obs.enabled() {
-            for (ix, t) in &self.dep_residuals {
-                let (state, live) = t.obs_state();
-                let kind = SpanKind::DepStep { dep: *ix as u32, input: olit(lit), state, live };
-                self.obs.rec(at, kind);
-            }
-        }
+        ctx.rec(SpanKind::FactApplied { lit: olit(lit), seq });
+        self.step_residuals(ctx, lit);
         let st = self.lit_state_ref(lit);
         if st.attempted && !st.forced {
             self.reply_agent(ctx, Msg::Granted { lit });
@@ -935,7 +927,7 @@ impl SymbolActor {
     /// unresolved (reported by the executor).
     fn reject(&mut self, ctx: &mut Ctx<'_, Msg>, lit: Literal) {
         self.stats.rejected += 1;
-        self.obs.rec(ctx.now(), SpanKind::Rejected { lit: olit(lit) });
+        ctx.rec(SpanKind::Rejected { lit: olit(lit) });
         let was_forced = self.lit_state_ref(lit).forced;
         self.lit_state(lit).attempted = false;
         if !was_forced {
@@ -1047,7 +1039,7 @@ impl SymbolActor {
             true
         } else if self.lit_state_ref(lit).dead {
             // The fused monitor closes the requester's round here.
-            self.obs.rec(ctx.now(), SpanKind::PromiseDeny { lit: olit(lit), to: requester.0 });
+            ctx.rec(SpanKind::PromiseDeny { lit: olit(lit), to: requester.0 });
             if let Some(m) = &self.mon {
                 m.on_promise_deny(ctx.now(), requester.0, olit(lit));
             }
@@ -1087,7 +1079,7 @@ impl SymbolActor {
             for &p in &party {
                 let requester = self.routing.actor_of[p.symbol()];
                 self.stats.promises_granted += 1;
-                self.obs.rec(ctx.now(), SpanKind::PromiseGrant { lit: olit(lit), to: requester.0 });
+                ctx.rec(SpanKind::PromiseGrant { lit: olit(lit), to: requester.0 });
                 ctx.send(requester, Msg::PromiseGrant { lit });
                 self.pending_requests.remove(&(lit, p));
             }

@@ -25,7 +25,7 @@
 
 use crate::msg::Msg;
 use event_algebra::{SortedMap, SortedSet};
-use obs::{NodeObs, SpanKind};
+use obs::SpanKind;
 use sim::{Ctx, NodeId, Time};
 
 /// Tuning knobs of the reliability layer.
@@ -111,10 +111,6 @@ pub struct Reliable {
     /// Of those, the ones that found nothing due: every envelope acked in
     /// time, or a timer that was not the armed one.
     pub timer_idle: u64,
-    /// Flight-recorder handle (off by default): envelope sends,
-    /// retransmissions, acks, dedup drops and give-ups become trace spans
-    /// when a recorder is attached.
-    pub obs: NodeObs,
 }
 
 impl Reliable {
@@ -128,9 +124,8 @@ impl Reliable {
         self.config
     }
 
-    /// The state [`Reliable::new`] builds, with the recorder handle set
-    /// since: what a slot moving on to the next instance does to a
-    /// transport.
+    /// The state [`Reliable::new`] builds: what a slot moving on to the
+    /// next instance does to a transport.
     pub fn reset(&mut self) {
         self.next_seq.clear();
         self.crash();
@@ -171,7 +166,7 @@ impl Reliable {
         let seq = self.next_seq.get_or_insert_with(to, || 0);
         *seq += 1;
         let seq = *seq;
-        self.obs.rec(ctx.now(), SpanKind::EnvSend { to: to.0, seq });
+        ctx.rec(SpanKind::EnvSend { to: to.0, seq });
         ctx.send(to, Msg::Seq { seq, inner: Box::new(msg.clone()) });
         let due = self.config.deadline(ctx.now(), 1);
         self.unacked.insert((to, seq), Unacked { msg, attempts: 1, due });
@@ -214,13 +209,13 @@ impl Reliable {
                     Some((*inner, Some(seq)))
                 } else {
                     self.duplicates_suppressed += 1;
-                    self.obs.rec(ctx.now(), SpanKind::EnvDedupDrop { from: from.0, seq });
+                    ctx.rec(SpanKind::EnvDedupDrop { from: from.0, seq });
                     None
                 }
             }
             Msg::Ack { seq } => {
                 self.unacked.remove((from, seq));
-                self.obs.rec(ctx.now(), SpanKind::EnvAck { peer: from.0, seq });
+                ctx.rec(SpanKind::EnvAck { peer: from.0, seq });
                 None
             }
             Msg::RetryTimer { at } => {
@@ -252,12 +247,12 @@ impl Reliable {
             idle = false;
             if e.attempts >= config.max_attempts {
                 self.gave_up += 1;
-                self.obs.rec(now, SpanKind::EnvGiveUp { to: to.0, seq });
+                ctx.rec(SpanKind::EnvGiveUp { to: to.0, seq });
                 return false;
             }
             e.attempts += 1;
             e.due = config.deadline(now, e.attempts);
-            self.obs.rec(now, SpanKind::EnvRetransmit { to: to.0, seq, attempt: e.attempts });
+            ctx.rec(SpanKind::EnvRetransmit { to: to.0, seq, attempt: e.attempts });
             ctx.send(to, Msg::Seq { seq, inner: Box::new(e.msg.clone()) });
             self.retransmissions += 1;
             true

@@ -25,7 +25,7 @@ use crate::reliable::Reliable;
 use crate::wal::{NodeStore, WalEntry};
 use event_algebra::{verdict, Literal, SortedMap, SymbolId, SymbolMap, Trace};
 use monitor::WorkflowMonitor;
-use obs::{MetricsSnapshot, NodeObs, Obs, RecordConfig, Recording, SpanKind};
+use obs::{FlightRecorder, MetricsSnapshot, RecordConfig, Recording, SpanKind};
 use sim::{Ctx, FaultPlan, Network, NodeId, Process, SimConfig, SiteId, Time};
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,11 +53,6 @@ pub struct NetNode {
     /// counters are all that survives a crash. Only this node reads or
     /// writes it while the instance runs, so it takes no lock.
     log: Vec<WalEntry>,
-    /// Flight-recorder handle for this node: WAL appends/replays are
-    /// recorded here, and the handle is re-attached to the role after a
-    /// crash rebuild (replay itself runs with recording detached, so
-    /// rebuilt decisions are not re-recorded).
-    obs: NodeObs,
     /// Fused monitor handle: ticked at the start of every delivery and
     /// restart (the stall watchdog's sweep points — exactly where an
     /// offline replay of the recording sweeps on the `MsgDeliver` /
@@ -109,18 +104,10 @@ impl NetNode {
     }
 
     /// Name the instance this node serves next: whose WAL slice it
-    /// logs, and the recorder its spans go to (off unless instances are
-    /// recorded).
-    fn stamp(&mut self, instance: InstanceId, obs: &Obs) {
-        self.obs = NodeObs::new(obs.clone(), self.obs.node, self.obs.site);
-        if let Some(r) = &mut self.reliable {
-            r.obs = self.obs.clone();
-        }
+    /// logs.
+    fn stamp(&mut self, instance: InstanceId) {
         if let Some((_, of, _)) = &mut self.store {
             *of = instance;
-        }
-        if let Node::Actor(a) = &mut self.role {
-            a.obs = self.obs.clone();
         }
     }
 
@@ -159,14 +146,11 @@ impl Process<Msg> for NetNode {
                 delivery_seq: ctx.delivery_seq(),
                 env_seq,
             });
-            self.obs.rec(ctx.now(), SpanKind::WalAppend { seq: ctx.delivery_seq() });
+            ctx.rec(SpanKind::WalAppend { seq: ctx.delivery_seq() });
         }
         if self.reliable.is_some() {
             let mut out = std::mem::take(&mut self.out);
-            {
-                let mut inner = Ctx::manual(ctx.self_id, ctx.now(), ctx.delivery_seq(), &mut out);
-                self.role.on_message(&mut inner, from, payload);
-            }
+            self.role.on_message(&mut ctx.child(&mut out), from, payload);
             self.forward_all(ctx, out);
         } else {
             self.role.on_message(ctx, from, payload);
@@ -205,32 +189,32 @@ impl Process<Msg> for NetNode {
         // instead of fabricating a fresh sequence number. Sends are
         // suppressed: everything the pre-crash node sent was either
         // delivered, or is covered by peers' retransmissions and the
-        // resume step below. Recorder and monitor stay detached during
-        // replay: it re-derives state both already observed before the
-        // crash, which must be neither re-recorded nor re-stepped.
-        let attached = match &mut self.role {
-            Node::Actor(a) => Some((std::mem::take(&mut a.obs), a.mon.take())),
+        // resume step below. Replay re-derives state the recording and
+        // the monitor already observed before the crash, which must be
+        // neither re-recorded nor re-stepped: its contexts are built by
+        // hand, so they record nothing, and the monitor stays detached.
+        let mon = match &mut self.role {
+            Node::Actor(a) => a.mon.take(),
             _ => None,
         };
-        let replayed = self.log.len();
         let mut out = std::mem::take(&mut self.out);
         for e in &self.log {
             let mut inner = Ctx::manual(ctx.self_id, e.at, e.delivery_seq, &mut out);
             self.role.on_message(&mut inner, e.from, e.msg.clone());
         }
         out.clear();
-        if let (Node::Actor(a), Some((obs, mon))) = (&mut self.role, attached) {
-            a.obs = obs;
+        if let Node::Actor(a) = &mut self.role {
             a.mon = mon;
         }
-        self.obs.rec(ctx.now(), SpanKind::WalReplay { entries: replayed as u64 });
-        // Re-kick in-flight work; outputs go through the transport.
+        ctx.rec(SpanKind::WalReplay { entries: self.log.len() as u64 });
+        // Re-kick in-flight work under the restart; outputs go through the
+        // transport.
         {
-            let mut inner = Ctx::manual(ctx.self_id, ctx.now(), ctx.delivery_seq(), &mut out);
+            let mut inner = ctx.child(&mut out);
             match &mut self.role {
                 Node::Actor(a) => a.resume_after_restart(&mut inner),
                 Node::Agent(a) => a.resume(&mut inner),
-                Node::Ticker { .. } => inner.send(ctx.self_id, Msg::Kick),
+                Node::Ticker { .. } => inner.send(inner.self_id, Msg::Kick),
             }
         }
         self.forward_all(ctx, out);
@@ -336,8 +320,6 @@ impl<'t> InstanceSlot<'t> {
                 reliable: config.reliable.map(Reliable::new),
                 store: store.clone().map(|s| (s, InstanceId::ROOT, ix as u32)),
                 log: Vec::new(),
-                // Who the node is; `stamp` attaches each instance's recorder.
-                obs: NodeObs::new(Obs::off(), ix as u32, site.0),
                 mon: mon.clone(),
                 out: Vec::new(),
             };
@@ -363,9 +345,9 @@ impl<'t> InstanceSlot<'t> {
     ///    clock, sequence, statistics, fault state, recorder;
     /// 2. if an instance ran here before, every node's transport and role
     ///    and the monitor return to their assembled state, buffers kept;
-    /// 3. the stamps are applied: the instance id the nodes' WAL slices
-    ///    are published under, a fresh recorder when instances are
-    ///    recorded, the fault plan;
+    /// 3. the instance is named: the nodes are stamped with the instance
+    ///    id their WAL slices are published under, and the network gets a
+    ///    fresh recorder when instances are recorded and the fault plan;
     /// 4. the template's seed messages are injected, the arrival's
     ///    think-time overrides replacing the delay of the attempts they
     ///    name.
@@ -379,11 +361,12 @@ impl<'t> InstanceSlot<'t> {
                 m.reset();
             }
         }
-        let obs = self.record.map_or_else(Obs::off, Obs::on);
         for node in self.net.nodes_mut() {
-            node.stamp(arrival.instance, &obs);
+            node.stamp(arrival.instance);
         }
-        self.net.set_recorder(obs, Msg::kind_label);
+        if let Some(config) = self.record {
+            self.net.set_recorder(FlightRecorder::new(config), Msg::kind_label);
+        }
         if let Some(plan) = plan {
             self.net.set_faults(plan);
         }
@@ -433,7 +416,7 @@ impl<'t> InstanceSlot<'t> {
             report.monitor = Some(mrep);
         }
         let table = &self.spec.table;
-        report.recording = self.net.recorder().recorder().map(|rec| Recording {
+        report.recording = self.net.take_recorder().map(|mut rec| Recording {
             workflow: String::new(),
             symbols: (0..table.len())
                 .map(|i| table.name(SymbolId(i as u32)).unwrap_or("?").to_string())

@@ -11,9 +11,13 @@
 //! recorded run forms a happens-before DAG (parent edges plus per-node
 //! program order).
 //!
-//! Everything is zero-cost when disabled: the runtime holds an [`Obs`]
-//! handle whose `enabled()` check guards payload construction at every call
-//! site, and the default handle is [`Obs::off`].
+//! A recorder belongs to the run: the simulated network owns the one
+//! [`FlightRecorder`] of a recorded run and lends it to each handler
+//! through the handler's context (`sim::Ctx::rec`), which stamps the node,
+//! its site and the delivery the handler runs under. Everything is
+//! zero-cost when disabled: a run without a recorder lends none, and the
+//! context's `recording()` check guards payload construction at every
+//! call site.
 //!
 //! The companion [`MetricsRegistry`] subsumes the ad-hoc `NetStats` /
 //! `FaultStats` counters behind one snapshotting API
@@ -32,6 +36,6 @@ pub mod span;
 pub use inspect::{chrome_trace, explain, sampling_text, stats_text, Explanation};
 pub use json::Json;
 pub use metrics::{Log2Histogram, MetricKey, MetricSink, MetricsRegistry, MetricsSnapshot};
-pub use recorder::{FlightRecorder, NodeObs, Obs, ParentRef, RecordConfig};
+pub use recorder::{FlightRecorder, RecordConfig};
 pub use recording::{causal_audit, Dag, Recording};
 pub use span::{Fact, ObsLit, SpanId, SpanKind, Time, TraceEvent, Verdict};
