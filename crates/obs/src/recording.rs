@@ -335,16 +335,15 @@ fn event_to_json(e: &TraceEvent) -> Json {
 fn kind_fields(kind: &SpanKind) -> Vec<(&'static str, Json)> {
     let lit = |l: &ObsLit| Json::u64(l.0 as u64);
     match kind {
-        SpanKind::MsgSend { from, to, label } | SpanKind::MsgDeliver { from, to, label } => vec![
+        SpanKind::MsgSend { from, to, label }
+        | SpanKind::MsgDeliver { from, to, label }
+        | SpanKind::FaultDrop { from, to, label }
+        | SpanKind::FaultDuplicate { from, to, label }
+        | SpanKind::PartitionDrop { from, to, label } => vec![
             ("from", Json::u64(*from as u64)),
             ("to", Json::u64(*to as u64)),
             ("label", Json::str(label)),
         ],
-        SpanKind::FaultDrop { from, to }
-        | SpanKind::FaultDuplicate { from, to }
-        | SpanKind::PartitionDrop { from, to } => {
-            vec![("from", Json::u64(*from as u64)), ("to", Json::u64(*to as u64))]
-        }
         SpanKind::FaultDelay { from, to, by } => vec![
             ("from", Json::u64(*from as u64)),
             ("to", Json::u64(*to as u64)),
@@ -450,16 +449,26 @@ fn event_from_json(v: &Json) -> Result<TraceEvent, String> {
             to: u32_field("to")?,
             label: str_field("label")?.into(),
         },
-        "fault_drop" => SpanKind::FaultDrop { from: u32_field("from")?, to: u32_field("to")? },
-        "fault_dup" => SpanKind::FaultDuplicate { from: u32_field("from")?, to: u32_field("to")? },
+        "fault_drop" => SpanKind::FaultDrop {
+            from: u32_field("from")?,
+            to: u32_field("to")?,
+            label: str_field("label")?.into(),
+        },
+        "fault_dup" => SpanKind::FaultDuplicate {
+            from: u32_field("from")?,
+            to: u32_field("to")?,
+            label: str_field("label")?.into(),
+        },
         "fault_delay" => SpanKind::FaultDelay {
             from: u32_field("from")?,
             to: u32_field("to")?,
             by: u64_field("by")?,
         },
-        "partition_drop" => {
-            SpanKind::PartitionDrop { from: u32_field("from")?, to: u32_field("to")? }
-        }
+        "partition_drop" => SpanKind::PartitionDrop {
+            from: u32_field("from")?,
+            to: u32_field("to")?,
+            label: str_field("label")?.into(),
+        },
         "crash_drop" => SpanKind::CrashDrop { node: u32_field("n")? },
         "restart" => SpanKind::Restart { node: u32_field("n")? },
         "env_send" => SpanKind::EnvSend { to: u32_field("to")?, seq: u64_field("seq")? },

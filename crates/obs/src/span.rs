@@ -147,6 +147,8 @@ pub enum SpanKind {
         from: u32,
         /// Receiving node.
         to: u32,
+        /// The dropped message's discriminant, as `MsgSend` carries it.
+        label: Cow<'static, str>,
     },
     /// The fault plan duplicated a message on this link.
     FaultDuplicate {
@@ -154,6 +156,8 @@ pub enum SpanKind {
         from: u32,
         /// Receiving node.
         to: u32,
+        /// The duplicated message's discriminant.
+        label: Cow<'static, str>,
     },
     /// The fault plan delayed a message by `by` ticks.
     FaultDelay {
@@ -170,6 +174,8 @@ pub enum SpanKind {
         from: u32,
         /// Receiving node.
         to: u32,
+        /// The swallowed message's discriminant.
+        label: Cow<'static, str>,
     },
     /// A delivery was dropped because the destination node was crashed.
     CrashDrop {
@@ -387,10 +393,16 @@ impl SpanKind {
         match self {
             SpanKind::MsgSend { from, to, label } => format!("send {label} n{from}->n{to}"),
             SpanKind::MsgDeliver { from, to, label } => format!("deliver {label} n{from}->n{to}"),
-            SpanKind::FaultDrop { from, to } => format!("fault: drop n{from}->n{to}"),
-            SpanKind::FaultDuplicate { from, to } => format!("fault: duplicate n{from}->n{to}"),
+            SpanKind::FaultDrop { from, to, label } => {
+                format!("fault: drop {label} n{from}->n{to}")
+            }
+            SpanKind::FaultDuplicate { from, to, label } => {
+                format!("fault: duplicate {label} n{from}->n{to}")
+            }
             SpanKind::FaultDelay { from, to, by } => format!("fault: delay n{from}->n{to} +{by}"),
-            SpanKind::PartitionDrop { from, to } => format!("partition drop n{from}->n{to}"),
+            SpanKind::PartitionDrop { from, to, label } => {
+                format!("partition drop {label} n{from}->n{to}")
+            }
             SpanKind::CrashDrop { node } => format!("crash drop at n{node}"),
             SpanKind::Restart { node } => format!("restart n{node}"),
             SpanKind::EnvSend { to, seq } => format!("env send seq={seq} ->n{to}"),

@@ -20,10 +20,10 @@ fn kind(r: &mut Rng) -> SpanKind {
     match r.next_u64() % 27 {
         0 => SpanKind::MsgSend { from: a, to: b, label: "announce".into() },
         1 => SpanKind::MsgDeliver { from: a, to: b, label: "attempt".into() },
-        2 => SpanKind::FaultDrop { from: a, to: b },
-        3 => SpanKind::FaultDuplicate { from: a, to: b },
+        2 => SpanKind::FaultDrop { from: a, to: b, label: "promise_req".into() },
+        3 => SpanKind::FaultDuplicate { from: a, to: b, label: "ack".into() },
         4 => SpanKind::FaultDelay { from: a, to: b, by: seq },
-        5 => SpanKind::PartitionDrop { from: a, to: b },
+        5 => SpanKind::PartitionDrop { from: a, to: b, label: "notyet_grant".into() },
         6 => SpanKind::CrashDrop { node: a },
         7 => SpanKind::Restart { node: a },
         8 => SpanKind::EnvSend { to: b, seq },
