@@ -39,7 +39,10 @@
 # travel workflow, replay the recording through the derived dependency
 # and guard monitors (`wftrace monitor` must exit clean), and walk a
 # causal path from the buy-commit attempt to its firing (`wftrace query
-# --from/--to` must verify every hop by happens-before precedence).
+# --from/--to` must verify every hop by happens-before precedence). Then
+# record travel hardened under the `crash` plan: the recording must pass
+# the causal audit (`wftrace audit`) and hold the crashed node's
+# `wal_replay` span (`wftrace query --kind wal_replay`).
 #
 # `check.sh --scale` runs the multi-tenant tier: `conformance --tenant`
 # executes one mixed fleet of the clean example specs (40 instances per
@@ -83,6 +86,13 @@ if [ "${1:-}" = "--monitors" ]; then
     "$WFTRACE" query --from attempt:buy::commit --to occurred:buy::commit \
         "$TRACE_TMP/travel.trace.json" > "$TRACE_TMP/query.out"
     grep -q "edges verified by happens-before precedence" "$TRACE_TMP/query.out"
+    echo "==> record travel under the crash plan -> wftrace audit clean, wal_replay recorded"
+    "$WFTRACE" record --spec "$REPO/examples/specs/travel.wf" \
+        --out "$TRACE_TMP/crash.trace.json" --seed 3 --plan crash
+    "$WFTRACE" audit "$TRACE_TMP/crash.trace.json" > "$TRACE_TMP/audit.out"
+    grep -q "causal audit: ok" "$TRACE_TMP/audit.out"
+    "$WFTRACE" query --kind wal_replay "$TRACE_TMP/crash.trace.json" > "$TRACE_TMP/replay.out"
+    grep -q "wal replay" "$TRACE_TMP/replay.out"
     echo "==> monitor tier passed"
     exit 0
 fi
