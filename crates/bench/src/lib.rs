@@ -6,6 +6,10 @@
 
 #![warn(missing_docs)]
 
+mod polled;
+
+pub use polled::{run_polled, PolledRun};
+
 use agent::library::rda_transaction;
 use agent::EventAttrs;
 use baseline::{run_centralized, CentralConfig, Engine};
@@ -138,15 +142,6 @@ pub fn run_reactive_central(n: u32, think: u64, seed: u64, engine: Engine) -> Ru
 /// Run a workload on the distributed event-centric scheduler.
 pub fn run_distributed(w: &Workload, seed: u64) -> RunReport {
     run_workflow(&w.spec(), ExecConfig { max_steps: 5_000_000, ..ExecConfig::seeded(seed) })
-}
-
-/// Run a workload with the lazy (polling) ablation: parked attempts are
-/// only re-evaluated every `period` virtual ticks.
-pub fn run_lazy(w: &Workload, seed: u64, period: u64) -> RunReport {
-    run_workflow(
-        &w.spec(),
-        ExecConfig { max_steps: 5_000_000, lazy: Some((period, 400)), ..ExecConfig::seeded(seed) },
-    )
 }
 
 /// Run a workload on a centralized baseline engine (scheduler on site 0).

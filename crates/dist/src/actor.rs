@@ -165,9 +165,8 @@ fn weakened_masks(c: &Conjunct, mut each: impl FnMut(SymbolId, u8)) {
 /// Which literals may be promised before they occur, by literal index,
 /// for `literals` literal indices: a least fixpoint over what every
 /// guard may ask at some fact set, which over-approximates each way
-/// [`SymbolActor::try_grant`] can grant. Outside lazy mode, an event that
-/// is attempted, unheld and enabled occurs at once, so a grant needs
-/// one of:
+/// [`SymbolActor::try_grant`] can grant. An event that is attempted,
+/// unheld and enabled occurs at once, so a grant needs one of:
 ///
 /// - `f` is triggerable (a deferred obligation);
 /// - `f`'s actor is held, with `f` enabled: some guard may ask a
@@ -399,10 +398,6 @@ pub struct SymbolActor {
     held: Vec<(Literal, Literal)>,
     /// Shared routing.
     pub routing: Arc<Routing>,
-    /// Lazy mode: facts are recorded as they arrive, but parked attempts
-    /// are only re-evaluated on periodic `Tick`s — the polling ablation
-    /// of experiment C3.
-    pub lazy: bool,
     /// Activity counters.
     pub stats: ActorStats,
     /// Fused monitor handle (off by default): the scheduler steps the
@@ -442,15 +437,14 @@ impl SymbolActor {
             lits: Vec::new(),
             held: Vec::new(),
             routing,
-            lazy: false,
             stats: ActorStats::default(),
             mon: None,
         }
     }
 
     /// Forget the instance served so far: the actor is again what
-    /// [`SymbolActor::new`] built, with the configuration and stamps set
-    /// on it since, ready for the next instance of the same template.
+    /// [`SymbolActor::new`] built, with the configuration set on it
+    /// since, ready for the next instance of the same template.
     pub fn reset(&mut self) {
         self.occurred = None;
         self.pos.reset();
@@ -527,7 +521,6 @@ impl SymbolActor {
             Msg::NotYetGrant { lit } => self.on_notyet_grant(ctx, lit),
             Msg::NotYetDeny { lit } => self.on_notyet_deny(lit),
             Msg::Release { .. } => self.on_release(ctx, from),
-            Msg::Tick => self.on_tick(ctx),
             other => panic!("actor for {:?} received non-actor message {other:?}", self.sym),
         }
     }
@@ -647,22 +640,9 @@ impl SymbolActor {
         }
     }
 
-    /// Lazy-mode periodic wake-up: run the deferred re-evaluation.
-    fn on_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let was_lazy = self.lazy;
-        self.lazy = false;
-        self.after_fact(ctx);
-        self.lazy = was_lazy;
-    }
-
     /// After any new information: re-evaluate parked attempts, check
-    /// triggering and service held promise requests. In lazy mode the
-    /// re-evaluation is deferred to the next tick; facts were already
-    /// folded into the guards by the caller.
+    /// triggering and service held promise requests.
     fn after_fact(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if self.lazy {
-            return;
-        }
         if self.occurred.is_none() {
             for lit in [Literal::pos(self.sym), Literal::neg(self.sym)] {
                 if self.lit_state_ref(lit).attempted {

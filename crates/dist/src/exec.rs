@@ -91,10 +91,6 @@ pub struct ExecConfig {
     pub sim: SimConfig,
     /// Upper bound on message deliveries (safety valve).
     pub max_steps: u64,
-    /// Lazy re-evaluation ablation (experiment C3): actors defer parked
-    /// re-evaluation to periodic ticks of this period, broadcast for the
-    /// given number of rounds. `None` = the paper's eager scheduler.
-    pub lazy: Option<(Time, u32)>,
     /// Protocol hardening for lossy networks: wrap cross-node messages in
     /// the at-least-once transport ([`crate::Reliable`]), the one layer
     /// that recovers a lost message. `None` (the default) sends raw messages —
@@ -129,7 +125,6 @@ impl ExecConfig {
         ExecConfig {
             sim: SimConfig { seed, ..SimConfig::default() },
             max_steps: 1_000_000,
-            lazy: None,
             reliable: None,
             record: None,
             monitor: None,
@@ -164,8 +159,8 @@ pub(crate) fn gated_literals(spec: &WorkflowSpec) -> impl Iterator<Item = Litera
     agents.chain(free).filter(|(attrs, _)| attrs.controllable).map(|(_, lit)| lit)
 }
 
-/// One network node: an event actor, an agent, or the lazy-mode ticker.
-// Actor state dwarfs the other variants, but nodes are built once into a
+/// One network node: an event actor or an agent.
+// Actor state dwarfs the other variant, but nodes are built once into a
 // Vec and only ever borrowed after that — boxing would tax every message
 // dispatch to save memory that is never moved.
 #[allow(clippy::large_enum_variant)]
@@ -175,38 +170,17 @@ pub enum Node {
     Actor(SymbolActor),
     /// Task-agent driver.
     Agent(AgentNode),
-    /// Broadcasts `Tick` to all actors every period, for a bounded number
-    /// of rounds (lazy ablation).
-    Ticker {
-        /// Actor nodes to tick.
-        actors: Vec<NodeId>,
-        /// Tick period in virtual time: the value `countdown` is reset to
-        /// after every broadcast.
-        period: Time,
-        /// Rounds an instance is ticked for.
-        rounds: u32,
-        /// Rounds left in this instance.
-        left: u32,
-        /// Self-hops left until the next broadcast. A self-send takes one
-        /// tick, so the ticker kicks itself once per tick, decrements
-        /// this on every kick and broadcasts when it reaches 1.
-        countdown: Time,
-    },
 }
 
 impl Node {
     /// Forget the instance served so far: the node is again as built
-    /// (configuration and stamps set on it since stay), every buffer
-    /// kept. An instance slot does this between instances, and a crash
-    /// does it to the node it hits.
+    /// (configuration set on it since stays), every buffer kept. An
+    /// instance slot does this between instances, and a crash does it to
+    /// the node it hits.
     pub fn reset(&mut self) {
         match self {
             Node::Actor(a) => a.reset(),
             Node::Agent(a) => a.reset(),
-            Node::Ticker { period, rounds, left, countdown, .. } => {
-                *left = *rounds;
-                *countdown = *period;
-            }
         }
     }
 }
@@ -216,25 +190,6 @@ impl Process<Msg> for Node {
         match self {
             Node::Actor(a) => a.handle(ctx, from, msg),
             Node::Agent(a) => a.handle(ctx, msg),
-            Node::Ticker { actors, period, left, countdown, .. } => {
-                // Self-messages have latency ≥ 1 tick; chain them to
-                // approximate the period, then broadcast.
-                if *left == 0 {
-                    return;
-                }
-                if *countdown > 1 {
-                    *countdown -= 1;
-                } else {
-                    for &a in actors.iter() {
-                        ctx.send(a, Msg::Tick);
-                    }
-                    *left -= 1;
-                    *countdown = *period;
-                }
-                if *left > 0 {
-                    ctx.send(ctx.self_id, Msg::Kick);
-                }
-            }
         }
     }
 }
@@ -333,15 +288,17 @@ pub struct BuiltWorkflow {
     pub guards: Arc<CompiledWorkflow>,
 }
 
-/// Compile `spec` under `config` into its template: guards and machines,
-/// routing, one prototype node per agent and per symbol, seed messages.
-pub fn build_workflow(spec: &WorkflowSpec, config: ExecConfig) -> BuiltWorkflow {
-    build(spec, &config)
+/// Compile `spec` into its template: guards and machines, routing, one
+/// prototype node per agent and per symbol, seed messages. The template
+/// does not depend on the configuration: `_config` is unread, and kept
+/// only so that existing callers compile.
+pub fn build_workflow(spec: &WorkflowSpec, _config: ExecConfig) -> BuiltWorkflow {
+    build(spec)
 }
 
-/// [`build_workflow`] by reference: a fleet compiles each of its
-/// templates once, under the one configuration it keeps.
-pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
+/// [`build_workflow`] without the unread configuration: a fleet compiles
+/// each of its templates once.
+pub(crate) fn build(spec: &WorkflowSpec) -> BuiltWorkflow {
     let compiled = Arc::new(CompiledWorkflow::compile(&spec.dependencies, GuardScope::Mentioning));
 
     // ----- every symbol's attributes and site, by symbol id -----
@@ -414,24 +371,15 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
             }
         }
     }
-    // Lazy mode re-evaluates a parked attempt only on a tick, so an
-    // enabled event may wait unoccurred and grant: every literal may.
-    routing.early_grant = match config.lazy {
-        Some(_) => vec![true; 2 * width],
-        None => {
-            let pairs = routing.subscribers_of.values().map(Vec::len).sum();
-            early_grants(&compiled, pairs, 2 * width, |lit| {
-                let attrs = info[lit.symbol().index()].attrs[lit.polarity() as usize];
-                attrs.is_some_and(|a| a.triggerable)
-            })
-        }
-    };
+    let pairs = routing.subscribers_of.values().map(Vec::len).sum();
+    routing.early_grant = early_grants(&compiled, pairs, 2 * width, |lit| {
+        let attrs = info[lit.symbol().index()].attrs[lit.polarity() as usize];
+        attrs.is_some_and(|a| a.triggerable)
+    });
     let routing = Arc::new(routing);
-    let lazy = config.lazy.is_some();
 
     // ----- instantiate nodes -----
-    let mut nodes: Vec<(SiteId, Node)> =
-        Vec::with_capacity(agent_count + symbol_list.len() + usize::from(lazy));
+    let mut nodes: Vec<(SiteId, Node)> = Vec::with_capacity(agent_count + symbol_list.len());
     for a in &spec.agents {
         nodes
             .push((a.site, Node::Agent(AgentNode::new(&a.agent, &a.script, Arc::clone(&routing)))));
@@ -447,7 +395,7 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
             .map(|(ix, _)| (ix, DepTracker::compiled(compiled.machines[ix].clone())))
             .collect();
         let SymbolInfo { attrs: [pos_attrs, neg_attrs], site, .. } = info[s.index()];
-        let mut actor = SymbolActor::new(
+        let actor = SymbolActor::new(
             s,
             actor_guard(pos),
             actor_guard(neg),
@@ -456,25 +404,14 @@ pub(crate) fn build(spec: &WorkflowSpec, config: &ExecConfig) -> BuiltWorkflow {
             deps,
             Arc::clone(&routing),
         );
-        actor.lazy = lazy;
         nodes.push((site, Node::Actor(actor)));
-    }
-    if let Some((period, rounds)) = config.lazy {
-        let actors: Vec<NodeId> = routing.actor_of.values().copied().collect();
-        let ticker = Node::Ticker { actors, period, rounds, left: rounds, countdown: period };
-        nodes.push((SiteId(0), ticker));
     }
 
     // ----- seed messages -----
-    let mut injections =
-        Vec::with_capacity(agent_count + usize::from(lazy) + spec.free_events.len());
+    let mut injections = Vec::with_capacity(agent_count + spec.free_events.len());
     for aix in 0..agent_count {
         let id = NodeId(aix as u32);
         injections.push((id, id, Msg::Kick, 0));
-    }
-    if config.lazy.is_some() {
-        let ticker = NodeId((nodes.len() - 1) as u32);
-        injections.push((ticker, ticker, Msg::Kick, 0));
     }
     for f in &spec.free_events {
         if let Some(after) = f.attempt_after {
@@ -556,7 +493,7 @@ fn execute_solo(
     config: &ExecConfig,
     plan: Option<FaultPlan>,
 ) -> (Box<RunReport>, InstanceTotals) {
-    let mut built = build(spec, config);
+    let mut built = build(spec);
     let nodes = std::mem::take(&mut built.nodes);
     // Durable storage is only materialized when a fault plan could
     // actually crash a node.

@@ -168,7 +168,7 @@ pub(crate) fn run_instances(
             load.steals += u64::from(ix % workers != w);
             let slot = slots[a.spec_ix].get_or_insert_with(|| {
                 let spec = &specs[a.spec_ix];
-                let template = templates[a.spec_ix].get_or_init(|| build(spec, exec));
+                let template = templates[a.spec_ix].get_or_init(|| build(spec));
                 InstanceSlot::assemble(spec, template, exec, store.clone())
             });
             slot.prepare(a, plan.clone());

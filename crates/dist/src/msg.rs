@@ -17,7 +17,7 @@ use sim::Time;
 ///
 /// It names an [`Arrival`](crate::Arrival) and its
 /// [`InstanceOutcome`](crate::InstanceOutcome), and keys the log slices
-/// the instance's nodes publish to a shared [`NodeStore`](crate::NodeStore). No wire message
+/// its slot publishes to a shared [`NodeStore`](crate::NodeStore). No wire message
 /// carries it: an instance runs alone on its slot's network, which is
 /// reset before the next one, so there is no foreign traffic to address
 /// (DESIGN.md §9, "Isolation by construction"). Single-instance runs are
@@ -41,9 +41,6 @@ impl std::fmt::Display for InstanceId {
 pub enum Msg {
     /// Executor → agent: start driving your script (carries no literal).
     Kick,
-    /// Ticker → actor: lazy-mode periodic re-evaluation (the ablation of
-    /// experiment C3; carries no literal).
-    Tick,
 
     // ----- agent → actor -----
     /// A task agent requests permission for a controllable event.
@@ -173,7 +170,6 @@ impl Msg {
     pub fn kind_label(&self) -> &'static str {
         match self {
             Msg::Kick => "kick",
-            Msg::Tick => "tick",
             Msg::Attempt { .. } => "attempt",
             Msg::Inform { .. } => "inform",
             Msg::Granted { .. } => "granted",
@@ -198,7 +194,7 @@ impl Msg {
     /// its payload).
     pub fn literal(&self) -> Option<Literal> {
         match self {
-            Msg::Kick | Msg::Tick | Msg::Ack { .. } | Msg::RetryTimer { .. } => None,
+            Msg::Kick | Msg::Ack { .. } | Msg::RetryTimer { .. } => None,
             Msg::Seq { inner, .. } => inner.literal(),
             Msg::Attempt { lit }
             | Msg::Inform { lit }
@@ -245,7 +241,6 @@ mod tests {
             assert_eq!(m.literal(), Some(l), "{m:?}");
         }
         assert_eq!(Msg::Kick.literal(), None);
-        assert_eq!(Msg::Tick.literal(), None);
         assert_eq!(Msg::Ack { seq: 1 }.literal(), None);
         assert_eq!(Msg::RetryTimer { at: 64 }.literal(), None);
         assert_eq!(

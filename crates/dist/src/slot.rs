@@ -8,12 +8,12 @@
 //! their own [`Network`], the fused monitor armed beside them. Assembly
 //! happens once; every instance after that is a *state* of the slot,
 //! brought about by [`InstanceSlot::prepare`] — reset what the last
-//! instance left, stamp what names the next one, inject its seed
-//! messages — and read off by [`InstanceSlot::execute`]. A fleet worker
-//! keeps one slot per template it has claimed and runs its share of the
-//! arrivals through them; a solo run is a slot used once. Nothing in a
-//! warm slot's steady state touches the allocator except the
-//! [`RunReport`] the caller keeps (DESIGN.md §9 has the accounting).
+//! instance left, name the next one, inject its seed messages — and read
+//! off by [`InstanceSlot::execute`]. A fleet worker keeps one slot per
+//! template it has claimed and runs its share of the arrivals through
+//! them; a solo run is a slot used once. Nothing in a warm slot's steady
+//! state touches the allocator except the [`RunReport`] the caller keeps
+//! (DESIGN.md §9 has the accounting).
 
 use crate::actor::SymbolActor;
 use crate::exec::{
@@ -38,21 +38,16 @@ use std::time::Instant;
 /// With both disabled it is a transparent passthrough — the role handles
 /// messages on the real network context, with zero behavioral difference
 /// from running the role directly.
-#[derive(Debug)]
 pub struct NetNode {
     /// The wrapped protocol role.
     pub role: Node,
     pub(crate) reliable: Option<Reliable>,
-    /// Set when the node logs ahead: where its slice is published when
-    /// the instance ends (a store shared across the run, possibly across
-    /// a whole tenant fleet), plus the instance this node currently
-    /// serves and its id, which key the slice there.
-    store: Option<(NodeStore, InstanceId, u32)>,
-    /// The node's stable storage: its write-ahead-log slice for the
-    /// instance it serves. It and the transport's outgoing sequence
-    /// counters are all that survives a crash. Only this node reads or
-    /// writes it while the instance runs, so it takes no lock.
-    log: Vec<WalEntry>,
+    /// The node's stable storage, `Some` when the node logs ahead: its
+    /// write-ahead-log slice for the instance it serves. It and the
+    /// transport's outgoing sequence counters are all that survives a
+    /// crash. Only this node reads or writes it while the instance runs,
+    /// so it takes no lock; the slot publishes it when the instance ends.
+    log: Option<Vec<WalEntry>>,
     /// Fused monitor handle: ticked at the start of every delivery and
     /// restart (the stall watchdog's sweep points — exactly where an
     /// offline replay of the recording sweeps on the `MsgDeliver` /
@@ -62,6 +57,19 @@ pub struct NetNode {
     /// Where the role's sends wait for the transport to forward them;
     /// empty between deliveries.
     out: Vec<(NodeId, Msg, Time)>,
+}
+
+/// Every field as derived, except that the log shows as its entries, and
+/// not at all on a node that keeps none.
+impl std::fmt::Debug for NetNode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut d = f.debug_struct("NetNode");
+        d.field("role", &self.role).field("reliable", &self.reliable);
+        if let Some(log) = &self.log {
+            d.field("log", log);
+        }
+        d.field("mon", &self.mon).field("out", &self.out).finish()
+    }
 }
 
 impl NetNode {
@@ -95,30 +103,12 @@ impl NetNode {
     }
 
     /// Forget the instance served so far: transport and role are again as
-    /// assembled, stamps aside.
+    /// assembled.
     fn reset(&mut self) {
         if let Some(r) = &mut self.reliable {
             r.reset();
         }
         self.role.reset();
-    }
-
-    /// Name the instance this node serves next: whose WAL slice it
-    /// logs.
-    fn stamp(&mut self, instance: InstanceId) {
-        if let Some((_, of, _)) = &mut self.store {
-            *of = instance;
-        }
-    }
-
-    /// The instance is over: hand its WAL slice to the shared store,
-    /// keeping the buffer for the next instance.
-    fn publish(&mut self) {
-        if let Some((store, instance, id)) = &self.store {
-            if !self.log.is_empty() {
-                store.append_all(*instance, *id, &mut self.log);
-            }
-        }
     }
 }
 
@@ -138,8 +128,8 @@ impl Process<Msg> for NetNode {
         // (post-dedup), with the delivery context it is processed under,
         // so a restart can replay exactly this stream — same payloads,
         // same times, same global delivery sequence numbers.
-        if self.store.is_some() {
-            self.log.push(WalEntry {
+        if let Some(log) = &mut self.log {
+            log.push(WalEntry {
                 from,
                 msg: payload.clone(),
                 at: ctx.now(),
@@ -162,9 +152,9 @@ impl Process<Msg> for NetNode {
             m.tick(ctx.now());
         }
         // Without stable storage there is nothing to come back from.
-        if self.store.is_none() {
+        let Some(log) = &self.log else {
             return;
-        }
+        };
         // Volatile state is lost: the role is again the node as
         // assembled, before the log replays over it.
         self.role.reset();
@@ -174,12 +164,11 @@ impl Process<Msg> for NetNode {
         // messages), and the receive-side dedup sets are rebuilt from the
         // logged envelopes (or a peer retransmitting a pre-crash envelope
         // would pass as a first delivery and be processed — and logged —
-        // twice). The slice and the stamp naming whose it is are the
-        // node's stable storage, not volatile state: both survive the
-        // crash.
+        // twice). The slice is the node's stable storage, not volatile
+        // state: it survives the crash.
         if let Some(r) = &mut self.reliable {
             r.crash();
-            r.restore_seen(self.log.iter().filter_map(|e| e.env_seq.map(|s| (e.from, s))));
+            r.restore_seen(log.iter().filter_map(|e| e.env_seq.map(|s| (e.from, s))));
         }
         // Replay the write-ahead log to rebuild volatile protocol state.
         // Each entry is replayed under its *original* delivery context
@@ -198,7 +187,7 @@ impl Process<Msg> for NetNode {
             _ => None,
         };
         let mut out = std::mem::take(&mut self.out);
-        for e in &self.log {
+        for e in log {
             let mut inner = Ctx::manual(ctx.self_id, e.at, e.delivery_seq, &mut out);
             self.role.on_message(&mut inner, e.from, e.msg.clone());
         }
@@ -206,7 +195,7 @@ impl Process<Msg> for NetNode {
         if let Node::Actor(a) = &mut self.role {
             a.mon = mon;
         }
-        ctx.rec(SpanKind::WalReplay { entries: self.log.len() as u64 });
+        ctx.rec(SpanKind::WalReplay { entries: log.len() as u64 });
         // Re-kick in-flight work under the restart; outputs go through the
         // transport.
         {
@@ -214,7 +203,6 @@ impl Process<Msg> for NetNode {
             match &mut self.role {
                 Node::Actor(a) => a.resume_after_restart(&mut inner),
                 Node::Agent(a) => a.resume(&mut inner),
-                Node::Ticker { .. } => inner.send(inner.self_id, Msg::Kick),
             }
         }
         self.forward_all(ctx, out);
@@ -253,6 +241,12 @@ pub struct InstanceSlot<'t> {
     built: &'t BuiltWorkflow,
     net: Network<Msg, NetNode>,
     mon: Option<Arc<WorkflowMonitor>>,
+    /// Where each node's WAL slice is published when an instance ends (a
+    /// store shared across the run, possibly across a whole fleet), when
+    /// the nodes log ahead.
+    store: Option<NodeStore>,
+    /// The instance being run: it keys the slices published to `store`.
+    instance: InstanceId,
     /// The fleet's network parameters; every instance brings its seed.
     sim: SimConfig,
     record: Option<RecordConfig>,
@@ -263,11 +257,13 @@ pub struct InstanceSlot<'t> {
     canon: SortedMap<u64, Literal>,
 }
 
-/// The nodes and the monitor — the state `prepare` must leave exactly as
-/// assembly does. The network's own reset is `sim`'s to test.
+/// The instance, the nodes and the monitor — the state `prepare` must
+/// leave exactly as assembly does. The network's own reset is `sim`'s to
+/// test.
 impl std::fmt::Debug for InstanceSlot<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InstanceSlot")
+            .field("instance", &self.instance)
             .field("nodes", &self.net.nodes())
             .field("monitor", &self.mon.as_ref().map(|m| m.state_debug()))
             .finish_non_exhaustive()
@@ -275,7 +271,7 @@ impl std::fmt::Debug for InstanceSlot<'_> {
 }
 
 impl<'t> InstanceSlot<'t> {
-    /// Assemble a slot for `built` (compiled from `spec` under `config`):
+    /// Assemble a slot for `built` (compiled from `spec`) under `config`:
     /// clone the prototype nodes, wrap each in the fault-tolerance
     /// machinery — per-node at-least-once transport when
     /// `config.reliable` is set, write-ahead logging to `store` when one
@@ -311,15 +307,14 @@ impl<'t> InstanceSlot<'t> {
                 mc,
             ))
         });
-        let nodes = nodes.into_iter().enumerate().map(|(ix, (site, mut role))| {
+        let nodes = nodes.into_iter().map(|(site, mut role)| {
             if let Node::Actor(a) = &mut role {
                 a.mon = mon.clone();
             }
             let node = NetNode {
                 role,
                 reliable: config.reliable.map(Reliable::new),
-                store: store.clone().map(|s| (s, InstanceId::ROOT, ix as u32)),
-                log: Vec::new(),
+                log: store.is_some().then(Vec::new),
                 mon: mon.clone(),
                 out: Vec::new(),
             };
@@ -330,6 +325,8 @@ impl<'t> InstanceSlot<'t> {
             built,
             net: Network::new(config.sim, nodes),
             mon,
+            store,
+            instance: InstanceId::ROOT,
             sim: config.sim,
             record: config.record,
             max_steps: config.max_steps,
@@ -345,9 +342,9 @@ impl<'t> InstanceSlot<'t> {
     ///    clock, sequence, statistics, fault state, recorder;
     /// 2. if an instance ran here before, every node's transport and role
     ///    and the monitor return to their assembled state, buffers kept;
-    /// 3. the instance is named: the nodes are stamped with the instance
-    ///    id their WAL slices are published under, and the network gets a
-    ///    fresh recorder when instances are recorded and the fault plan;
+    /// 3. the instance is named: the slot keeps the instance id its nodes'
+    ///    WAL slices are published under, and the network gets a fresh
+    ///    recorder when instances are recorded and the fault plan;
     /// 4. the template's seed messages are injected, the arrival's
     ///    think-time overrides replacing the delay of the attempts they
     ///    name.
@@ -361,9 +358,7 @@ impl<'t> InstanceSlot<'t> {
                 m.reset();
             }
         }
-        for node in self.net.nodes_mut() {
-            node.stamp(arrival.instance);
-        }
+        self.instance = arrival.instance;
         if let Some(config) = self.record {
             self.net.set_recorder(FlightRecorder::new(config), Msg::kind_label);
         }
@@ -399,7 +394,7 @@ impl<'t> InstanceSlot<'t> {
             run_ns: started.elapsed().as_nanos() as u64,
             ..InstanceTotals::default()
         };
-        for node in self.net.nodes_mut() {
+        for (ix, node) in self.net.nodes_mut().iter_mut().enumerate() {
             if let Some(r) = &node.reliable {
                 totals.retransmissions += r.retransmissions;
                 totals.dedup_dropped += r.duplicates_suppressed;
@@ -407,7 +402,11 @@ impl<'t> InstanceSlot<'t> {
                 totals.timer_fires += r.timer_fires;
                 totals.timer_idle += r.timer_idle;
             }
-            node.publish();
+            if let (Some(store), Some(log)) = (&self.store, &mut node.log) {
+                if !log.is_empty() {
+                    store.append_all(self.instance, ix as u32, log);
+                }
+            }
         }
         let mut report = self.collect_report(outcome);
         if let Some(m) = &self.mon {

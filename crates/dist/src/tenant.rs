@@ -129,8 +129,10 @@ impl TenantReport {
 /// # Panics
 ///
 /// Panics when an arrival's `spec_ix` is out of range or two arrivals
-/// share an [`crate::InstanceId`] (ids key the shared write-ahead log, so a
-/// collision would silently entangle two instances' recovery state).
+/// share an [`crate::InstanceId`] (ids key the instances' outcomes and the
+/// log slices published to [`TenantReport::wal`], so a collision would
+/// merge two instances' published logs under one key; recovery is not at
+/// stake, since a restarting node replays only its own in-memory slice).
 pub fn run_tenant(
     specs: &[WorkflowSpec],
     arrivals: &[Arrival],

@@ -129,7 +129,8 @@ mod tests {
         assert_eq!(log[0], entry(0, Msg::Attempt { lit }, 4, None));
         assert_eq!(log[1], entry(1, Msg::Granted { lit }, 6, Some(3)));
         assert!(store.log_of(I, 9).is_empty());
-        let mut slice = vec![entry(3, Msg::Kick, 11, None), entry(3, Msg::Tick, 12, Some(1))];
+        let mut slice =
+            vec![entry(3, Msg::Kick, 11, None), entry(3, Msg::Release { lit }, 12, Some(1))];
         let published = slice.clone();
         store.append_all(I, 5, &mut slice);
         assert!(slice.is_empty() && slice.capacity() >= 2, "drained, buffer kept");

@@ -11,7 +11,7 @@
 # fire `a` (`wftrace explain` verifies its chain, `wftrace monitor` finds
 # no alert), the eight experiment binaries'
 # stdout diffed against `crates/bench/golden/<bin>.txt` (they are
-# deterministic: the distributed, lazy and both centralized schedulers
+# deterministic: the distributed, polled and both centralized schedulers
 # must not move an occurrence, a message or a tick) and the benchmark's
 # own selfcheck. It ends by printing the product-source line total
 # (`scripts/loc.sh`), the "lines removed" metric, and, weighted over the
